@@ -882,7 +882,7 @@ fn mixed_format_fleet_falls_back_per_pair_and_stays_byte_identical() {
 /// now land mid-stream — between batches of one session, inside a
 /// chunked batch, across interleaved sessions — and every surviving
 /// target must still be byte-identical to the healthy baseline in both
-/// wire formats. This is the pipelined counterpart of the blocking
+/// wire formats. This is the many-small-batches counterpart of the
 /// matrix above.
 #[test]
 fn pipelined_batch_streams_survive_the_adversarial_matrix() {
@@ -902,7 +902,6 @@ fn pipelined_batch_streams_survive_the_adversarial_matrix() {
                     .with_workers(2)
                     .with_wire_format(format)
                     .with_fault_profile(profile)
-                    .with_pipeline(true)
                     .with_batch_rows(64)
                     .with_pipeline_depth(3)
                     .with_shipping(ShippingPolicy {
@@ -983,7 +982,6 @@ fn mid_stream_failure_rolls_back_and_resume_reships_only_unacked_batches() {
     let config = || {
         RuntimeConfig::default()
             .with_workers(1)
-            .with_pipeline(true)
             .with_batch_rows(64)
             .with_pipeline_depth(3)
             .with_breaker(1, Duration::from_secs(60))

@@ -4,12 +4,12 @@
 //! identical to the classic materialize-then-encode path — for both
 //! wire formats, for empty feeds, and for the single-batch degenerate
 //! case (where the frames must be *byte*-identical). On top of the
-//! codec-level properties, the whole runtime is run A/B (pipelined vs
-//! blocking) and the resulting targets compared wire-byte for wire-byte.
+//! codec-level properties, the whole runtime is compared against a
+//! one-piece loopback execution, wire-byte for wire-byte.
 
 use proptest::prelude::*;
 use xdx_codec::{decode_any, encode_in_format_into, WireFormat};
-use xdx_core::exec::feed_batches;
+use xdx_core::exec::{execute_with_transport, feed_batches, LoopbackTransport};
 use xdx_relational::{ColRole, Database, Dewey, Feed, FeedColumn, FeedSchema, Value};
 use xdx_runtime::{ExchangeRequest, Runtime, RuntimeConfig};
 use xdx_xmark::{generate, lf, load_source, mf, schema, GenConfig};
@@ -133,9 +133,9 @@ proptest! {
     }
 
     /// When the whole feed fits in one batch (including the empty
-    /// feed), the pipelined path must put the *identical bytes* on the
-    /// wire that the blocking path would have: same frame, bit for bit,
-    /// in both formats.
+    /// feed), the batch frame must be the *identical bytes* a
+    /// whole-feed encode produces: same frame, bit for bit, in both
+    /// formats.
     #[test]
     fn single_batch_frames_are_byte_identical(feed in feed_strategy()) {
         let batch_rows = feed.rows.len().max(1);
@@ -183,33 +183,51 @@ fn run_exchange(doc: &str, config: RuntimeConfig) -> Database {
     target
 }
 
-/// End to end: the pipelined runtime (small batches, so multiple frames
-/// stream per cross edge) delivers a target wire-identical to the
-/// blocking runtime's, in both wire formats.
+/// The reference that stays: the same program executed in one piece
+/// over the in-process loopback transport — no runtime, no batching.
+fn loopback_reference(doc: &str, format: WireFormat) -> Database {
+    let schema = schema();
+    let (mf, lf) = (mf(&schema), lf(&schema));
+    let mut source = load_source(doc, &schema, &mf).unwrap();
+    let exchange =
+        xdx_core::DataExchange::new(&schema, mf.clone(), lf.clone()).with_wire_format(format);
+    let model = exchange.probe(&source).unwrap();
+    let (program, _) = exchange.plan(&model).unwrap();
+    let mut target = Database::new("reference");
+    execute_with_transport(
+        &schema,
+        &mf,
+        &lf,
+        &program,
+        &mut source,
+        &mut target,
+        &mut LoopbackTransport::new(format),
+        None,
+    )
+    .unwrap();
+    target
+}
+
+/// End to end: the runtime (small batches, so multiple frames stream
+/// per cross edge) delivers a target wire-identical to the one-piece
+/// loopback execution of the same exchange, in both wire formats.
 #[test]
-fn pipelined_and_blocking_targets_are_wire_identical() {
+fn pipelined_targets_are_wire_identical_to_the_loopback_reference() {
     let doc = generate(GenConfig::sized(6_000));
     for format in formats() {
-        let blocking = run_exchange(
-            &doc,
-            RuntimeConfig::default()
-                .with_workers(2)
-                .with_wire_format(format)
-                .with_pipeline(false),
-        );
+        let reference = loopback_reference(&doc, format);
         for batch_rows in [1usize, 7, 1024] {
             let pipelined = run_exchange(
                 &doc,
                 RuntimeConfig::default()
                     .with_workers(2)
                     .with_wire_format(format)
-                    .with_pipeline(true)
                     .with_batch_rows(batch_rows)
                     .with_pipeline_depth(3),
             );
             assert_eq!(
                 wire_state(&pipelined),
-                wire_state(&blocking),
+                wire_state(&reference),
                 "divergence at format {format:?}, batch_rows {batch_rows}"
             );
         }

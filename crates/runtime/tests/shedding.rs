@@ -192,13 +192,13 @@ fn an_opening_breaker_drains_and_sheds_its_queued_route() {
         RuntimeConfig::default()
             .with_workers(1)
             .with_breaker(1, Duration::from_secs(60))
-            // Blocking path: the drain scenario needs the single worker
-            // *occupied* until the first doomed session settles and
-            // opens the breaker. The pipelined scheduler parks that
-            // session mid-wire and would race the next one onto the
-            // condemned link before the breaker opens (covered by the
-            // chaos matrix); here the subject is the drain itself.
-            .with_pipeline(false)
+            // One exchange in flight: the drain scenario needs the
+            // doomed route's later sessions still *queued* when the
+            // first one settles and opens the breaker. With more
+            // parked slots the scheduler would race them onto the
+            // condemned link first (covered by the chaos matrix); here
+            // the subject is the drain itself.
+            .with_pipeline_sessions_per_worker(1)
             .with_shipping(ShippingPolicy {
                 max_attempts_per_chunk: 2,
                 retry_budget: 1,
