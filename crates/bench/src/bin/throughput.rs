@@ -62,34 +62,7 @@
 //! number land in `BENCH_PR7.json` for the CI soak gate. Defaults:
 //! 100 000 sessions, 2.0× overload, 4 tenants, ~6 KB docs.
 //!
-//! A fourth mode measures the event-driven pipelined scheduler:
-//!
-//! ```text
-//! throughput pipeline [sessions_per_client] [doc_bytes] [drop_probability]
-//! ```
-//!
-//! Three experiments over 8 disjoint endpoint pairs, all columnar:
-//!
-//! * **scaling** — closed-loop clients (one per worker) sweep 1/2/4/8/16
-//!   workers on a slow WAN profile where the wire, not the CPU, is the
-//!   scarce resource; sessions/sec should track the number of pairs the
-//!   fleet keeps busy, i.e. scale with workers until all 8 links
-//!   saturate.
-//! * **parked sessions** — the same WAN fleet pinned at 2 workers under
-//!   16 closed-loop clients, pipelining off vs on: blocking workers can
-//!   hold only 2 sessions in flight, the event-driven scheduler parks on
-//!   the wire and holds `workers × pipeline_sessions_per_worker`.
-//! * **latency** — an uncontended A/B on a fast LAN profile with 8×
-//!   documents and chunk-sized frames: p50 of materialize-then-ship
-//!   sessions vs streamed-batch sessions, the exec/stage-hidden-behind-
-//!   the-wire claim in one number.
-//!
-//! Everything lands in `BENCH_PR8.json`; the mode exits nonzero when a
-//! gate fails (16-worker sessions/sec ≥ 1.6× 4-worker, pipelined p50
-//! below full materialization time, parked-session win ≥ 2×). Defaults:
-//! 4 sessions per client, ~60 KB docs, 2% drops.
-//!
-//! A fifth mode measures 1→N multicast publish:
+//! A fourth mode measures 1→N multicast publish:
 //!
 //! ```text
 //! throughput fanout [subscribers] [doc_bytes] [rounds]
@@ -112,7 +85,7 @@
 //! Everything lands in `BENCH_PR9.json`; the mode exits nonzero when a
 //! gate fails. Defaults: 8 subscribers, ~60 KB docs, 4 rounds.
 //!
-//! A sixth mode prices the full observability surface:
+//! A fifth mode prices the full observability surface:
 //!
 //! ```text
 //! throughput observability [sessions] [doc_bytes] [trials]
@@ -141,7 +114,6 @@ const USAGE: &str = "usage: throughput [sessions] [doc_bytes] [drop_probability]
                      [forward|mixed] [greedy|optimal[:cap]] [pairs] [xml|columnar|both]\n   \
                      or: throughput resync [rounds] [doc_bytes] [churn_pct]\n   \
                      or: throughput soak [sessions] [overload] [tenants] [doc_bytes]\n   \
-                     or: throughput pipeline [sessions_per_client] [doc_bytes] [drop_probability]\n   \
                      or: throughput fanout [subscribers] [doc_bytes] [rounds]\n   \
                      or: throughput observability [sessions] [doc_bytes] [trials]";
 
@@ -799,445 +771,6 @@ fn soak_main(mut args: impl Iterator<Item = String>) {
     }
 }
 
-/// Endpoint pairs every `pipeline` experiment is spread over.
-const PIPE_PAIRS: usize = 8;
-
-/// Operator batch size for the throughput experiments: small enough
-/// that a ~60 KB document crosses as several frames per edge, so
-/// encode/stage of frame k+1 genuinely overlaps frame k on the wire.
-const PIPE_BATCH_ROWS: usize = 256;
-
-/// Operator batch size for the latency A/B: a few frames per cross
-/// edge — enough that frame k+1 overlaps frame k on the wire, coarse
-/// enough that the streamed path's per-frame costs (headers, the ragged
-/// last chunk's link latency) stay comparable to the blocking path's
-/// per-message costs, so the A/B isolates the *overlap*.
-const PIPE_LAT_BATCH_ROWS: usize = 8192;
-
-/// One `pipeline`-mode fleet run's numbers.
-struct PipeRun {
-    sessions_per_sec: f64,
-    p50_ms: f64,
-    p95_ms: f64,
-    wire_bytes: u64,
-}
-
-/// The fleet configuration every `pipeline` experiment shares, modulo
-/// the knobs under test.
-fn pipe_config(
-    workers: usize,
-    clients: usize,
-    pipelined: bool,
-    network: NetworkProfile,
-    drop_p: f64,
-    batch_rows: usize,
-) -> RuntimeConfig {
-    RuntimeConfig::default()
-        .with_workers(workers)
-        .with_max_queue_depth(clients.max(1))
-        .with_wire_format(WireFormat::Columnar)
-        .with_tracing(false)
-        .with_network(network)
-        .with_link_pacing(1.0)
-        .with_fault_profile(FaultProfile::drops(drop_p, 0x1CDE_2004))
-        .with_shipping(ShippingPolicy {
-            chunk_bytes: 8 * 1024,
-            ..ShippingPolicy::default()
-        })
-        .with_pipeline(pipelined)
-        .with_batch_rows(batch_rows)
-        .with_pipeline_depth(8)
-}
-
-/// Runs `trials` fleet runs and keeps the fastest. The host is a shared
-/// box: a steal-time burst can halve one trial's throughput, and the
-/// gates measure the scheduler, not the hypervisor's mood.
-fn best_of(trials: usize, mut run: impl FnMut() -> PipeRun) -> PipeRun {
-    let mut best = run();
-    for _ in 1..trials {
-        let next = run();
-        if next.sessions_per_sec > best.sessions_per_sec {
-            best = next;
-        }
-    }
-    best
-}
-
-/// Runs `clients` closed-loop clients (one outstanding session each,
-/// `sessions_per_client` sessions in sequence, client `c` pinned to
-/// endpoint pair `c % PIPE_PAIRS`) against one fleet and reports the
-/// aggregate rate plus submit→done latency percentiles.
-#[allow(clippy::too_many_arguments)]
-fn pipeline_fleet(
-    schema: &xdx_xml::SchemaTree,
-    source_db: &xdx_relational::Database,
-    mf: &xdx_core::Fragmentation,
-    lf: &xdx_core::Fragmentation,
-    workers: usize,
-    clients: usize,
-    sessions_per_client: usize,
-    pipelined: bool,
-    network: NetworkProfile,
-    drop_p: f64,
-    batch_rows: usize,
-    label: &str,
-) -> PipeRun {
-    let runtime = Runtime::start(
-        schema.clone(),
-        pipe_config(workers, clients, pipelined, network, drop_p, batch_rows),
-    );
-    let total = clients * sessions_per_client;
-    let started = Instant::now();
-    std::thread::scope(|scope| {
-        for c in 0..clients {
-            let runtime = &runtime;
-            scope.spawn(move || {
-                for s in 0..sessions_per_client {
-                    let pair = c % PIPE_PAIRS;
-                    let result = runtime
-                        .submit(
-                            ExchangeRequest::new(
-                                format!("{label}-c{c}-s{s}"),
-                                source_db.clone(),
-                                mf.clone(),
-                                lf.clone(),
-                            )
-                            .with_route(format!("src{pair}"), format!("dst{pair}")),
-                        )
-                        .expect("each client holds one queue slot")
-                        .wait();
-                    assert_eq!(
-                        result.state,
-                        SessionState::Done,
-                        "{label} session failed: {:?}",
-                        result.diagnostic
-                    );
-                }
-            });
-        }
-    });
-    let wall = started.elapsed();
-    let stats = runtime.shutdown();
-    PipeRun {
-        sessions_per_sec: total as f64 / wall.as_secs_f64().max(1e-9),
-        p50_ms: stats
-            .latency_percentile(50.0)
-            .unwrap_or_default()
-            .as_secs_f64()
-            * 1e3,
-        p95_ms: stats
-            .latency_percentile(95.0)
-            .unwrap_or_default()
-            .as_secs_f64()
-            * 1e3,
-        wire_bytes: stats.bytes_shipped,
-    }
-}
-
-/// Exact percentile over client-measured walls (not the runtime's
-/// bucketed histogram — the A/B's margin is smaller than a bucket).
-fn wall_pct(walls: &mut [Duration], q: f64) -> f64 {
-    walls.sort_unstable();
-    let idx = ((walls.len() as f64 - 1.0) * q / 100.0).round() as usize;
-    walls[idx.min(walls.len() - 1)].as_secs_f64() * 1e3
-}
-
-/// The latency A/B, strictly interleaved: both fleets stay up and one
-/// materialized session alternates with one streamed session, so a
-/// noisy-host burst degrades both arms alike instead of whichever arm
-/// it happened to land on. Returns (materialized, streamed) walls.
-#[allow(clippy::too_many_arguments)]
-fn latency_ab(
-    schema: &xdx_xml::SchemaTree,
-    source_db: &xdx_relational::Database,
-    mf: &xdx_core::Fragmentation,
-    sessions: usize,
-    network: NetworkProfile,
-    batch_rows: usize,
-) -> (Vec<Duration>, Vec<Duration>) {
-    let materialized = Runtime::start(
-        schema.clone(),
-        pipe_config(2, 1, false, network, 0.0, batch_rows),
-    );
-    let streamed = Runtime::start(
-        schema.clone(),
-        pipe_config(2, 1, true, network, 0.0, batch_rows),
-    );
-    let mut walls: [Vec<Duration>; 2] = [Vec::new(), Vec::new()];
-    for s in 0..sessions {
-        for (arm, runtime) in [(0, &materialized), (1, &streamed)] {
-            let label = if arm == 0 { "lat-mat" } else { "lat-pipe" };
-            let started = Instant::now();
-            let result = runtime
-                .submit(
-                    ExchangeRequest::new(
-                        format!("{label}-s{s}"),
-                        source_db.clone(),
-                        mf.clone(),
-                        mf.clone(),
-                    )
-                    .with_route("src0", "dst0"),
-                )
-                .expect("uncontended client holds the only queue slot")
-                .wait();
-            assert_eq!(
-                result.state,
-                SessionState::Done,
-                "{label} session failed: {:?}",
-                result.diagnostic
-            );
-            walls[arm].push(started.elapsed());
-        }
-    }
-    materialized.shutdown();
-    streamed.shutdown();
-    let [mat, pipe] = walls;
-    (mat, pipe)
-}
-
-/// The `pipeline` mode: scaling, parked-session win, and first-byte
-/// latency for the event-driven scheduler. Writes `BENCH_PR8.json` and
-/// exits nonzero if any gate fails.
-fn pipeline_main(mut args: impl Iterator<Item = String>) {
-    let sessions_per_client: usize = arg(&mut args, "sessions_per_client", 4);
-    let doc_bytes: usize = arg(&mut args, "doc_bytes", 60_000);
-    let drop_p: f64 = arg(&mut args, "drop_probability", 0.02);
-    if sessions_per_client == 0 || !(0.0..=1.0).contains(&drop_p) {
-        eprintln!("error: sessions_per_client ≥ 1, drop_probability within [0, 1]");
-        eprintln!("{USAGE}");
-        std::process::exit(2);
-    }
-    // A slow WAN: shipping a ~60 KB document takes long enough that the
-    // wire — how many of the 8 pair links the fleet keeps busy — is the
-    // scarce resource, and worker count bounds in-flight sessions.
-    let wan = NetworkProfile {
-        bandwidth_bytes_per_sec: 192_000.0,
-        latency: Duration::from_micros(500),
-    };
-    // A fast LAN for the latency A/B: quick enough that the CPU work a
-    // pipelined session hides behind the wire (exec, encode, decode,
-    // staging) is a visible slice of the session's wall clock instead of
-    // rounding error under the transmission time.
-    let lan = NetworkProfile {
-        bandwidth_bytes_per_sec: 4_000_000.0,
-        latency: Duration::from_micros(500),
-    };
-    // The latency A/B ships 8× documents: the point of streaming is that
-    // a *large* session's first frames ride the wire while the source
-    // still computes, so give exec and staging enough rows to matter.
-    let lat_doc_bytes = doc_bytes * 8;
-
-    let schema = schema();
-    let doc = generate(GenConfig::sized(doc_bytes));
-    let mf = mf(&schema);
-    let lf = lf(&schema);
-    // One shredded source, cloned per submission: the mode loads the
-    // scheduler and the wire, not the shredder.
-    let source_db = load_source(&doc, &schema, &mf).expect("load source");
-    let lat_doc = generate(GenConfig::sized(lat_doc_bytes));
-    let lat_source_db = load_source(&lat_doc, &schema, &mf).expect("load latency source");
-
-    println!(
-        "# pipeline: ~{} KB docs over {PIPE_PAIRS} pairs, {sessions_per_client} \
-         sessions/client, {:.0}% drops, {} row batches",
-        doc_bytes / 1024,
-        drop_p * 100.0,
-        PIPE_BATCH_ROWS,
-    );
-
-    // -- Scaling: one closed-loop client per worker on the WAN. --
-    println!(
-        "{:>7} | {:>7} | {:>12} | {:>10} | {:>10} | {:>9}",
-        "workers", "clients", "sessions/s", "p50 ms", "p95 ms", "wire KB"
-    );
-    println!("{}", "-".repeat(70));
-    let mut sweeps = Vec::new();
-    for workers in [1usize, 2, 4, 8, 16] {
-        let run = best_of(2, || {
-            pipeline_fleet(
-                &schema,
-                &source_db,
-                &mf,
-                &lf,
-                workers,
-                workers,
-                sessions_per_client,
-                true,
-                wan,
-                drop_p,
-                PIPE_BATCH_ROWS,
-                &format!("scale-w{workers}"),
-            )
-        });
-        println!(
-            "{:>7} | {:>7} | {:>12.2} | {:>10.1} | {:>10.1} | {:>9}",
-            workers,
-            workers,
-            run.sessions_per_sec,
-            run.p50_ms,
-            run.p95_ms,
-            run.wire_bytes / 1024,
-        );
-        sweeps.push((workers, run));
-    }
-    let sps = |w: usize| {
-        sweeps
-            .iter()
-            .find(|(workers, _)| *workers == w)
-            .map(|(_, run)| run.sessions_per_sec)
-            .expect("swept worker count")
-    };
-    let scaling_16v4 = sps(16) / sps(4).max(1e-9);
-
-    // -- Parked sessions: 2 workers, 16 clients, pipelining off vs on. --
-    let win_workers = 2;
-    let win_clients = 16;
-    let blocking_win = best_of(2, || {
-        pipeline_fleet(
-            &schema,
-            &source_db,
-            &mf,
-            &lf,
-            win_workers,
-            win_clients,
-            sessions_per_client,
-            false,
-            wan,
-            drop_p,
-            PIPE_BATCH_ROWS,
-            "parked-off",
-        )
-    });
-    let pipelined_win = best_of(2, || {
-        pipeline_fleet(
-            &schema,
-            &source_db,
-            &mf,
-            &lf,
-            win_workers,
-            win_clients,
-            sessions_per_client,
-            true,
-            wan,
-            drop_p,
-            PIPE_BATCH_ROWS,
-            "parked-on",
-        )
-    });
-    let parked_win = pipelined_win.sessions_per_sec / blocking_win.sessions_per_sec.max(1e-9);
-    println!(
-        "# parked sessions @{win_workers} workers, {win_clients} clients: blocking {:.2} vs \
-         pipelined {:.2} sessions/s ({parked_win:.2}x)",
-        blocking_win.sessions_per_sec, pipelined_win.sessions_per_sec,
-    );
-
-    // -- Latency: uncontended materialize-then-ship vs streamed A/B on
-    // the LAN link with 8× documents, faults off so both sides pace
-    // identically, sessions of the two arms strictly interleaved. The
-    // exchange is the *identity* shipment (mf → mf): every target
-    // operator is a source-fed Write, so the streamed path
-    // transactionally stages each batch the moment it lands — the
-    // materialize/stream contrast with nothing else in the way. --
-    let lat_sessions = (sessions_per_client * 4).max(16);
-    let (mut mat_walls, mut pipe_walls) = latency_ab(
-        &schema,
-        &lat_source_db,
-        &mf,
-        lat_sessions,
-        lan,
-        PIPE_LAT_BATCH_ROWS,
-    );
-    let mat_p50 = wall_pct(&mut mat_walls, 50.0);
-    let mat_p95 = wall_pct(&mut mat_walls, 95.0);
-    let pipe_p50 = wall_pct(&mut pipe_walls, 50.0);
-    let pipe_p95 = wall_pct(&mut pipe_walls, 95.0);
-    let latency_ratio = pipe_p50 / mat_p50.max(1e-9);
-    println!(
-        "# latency ({lat_sessions} interleaved session pairs): materialized p50 {mat_p50:.2} ms \
-         vs streamed p50 {pipe_p50:.2} ms ({latency_ratio:.3}x)",
-    );
-
-    let scaling_gate = scaling_16v4 >= 1.6;
-    let latency_gate = pipe_p50 < mat_p50;
-    let parked_gate = parked_win >= 2.0;
-    let pass = scaling_gate && latency_gate && parked_gate;
-
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"bench\": \"pipeline\",");
-    let _ = writeln!(out, "  \"pairs\": {PIPE_PAIRS},");
-    let _ = writeln!(out, "  \"doc_bytes\": {doc_bytes},");
-    let _ = writeln!(out, "  \"sessions_per_client\": {sessions_per_client},");
-    let _ = writeln!(out, "  \"drop_probability\": {drop_p},");
-    let _ = writeln!(out, "  \"wire_format\": \"columnar\",");
-    let _ = writeln!(out, "  \"batch_rows\": {PIPE_BATCH_ROWS},");
-    let _ = writeln!(
-        out,
-        "  \"wan_bandwidth_bytes_per_sec\": {},",
-        wan.bandwidth_bytes_per_sec
-    );
-    let _ = writeln!(
-        out,
-        "  \"lan_bandwidth_bytes_per_sec\": {},",
-        lan.bandwidth_bytes_per_sec
-    );
-    out.push_str("  \"scaling\": [\n");
-    for (i, (workers, run)) in sweeps.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"workers\": {workers}, \"clients\": {workers}, \
-             \"sessions_per_sec\": {:.3}, \"p50_ms\": {:.3}, \"p95_ms\": {:.3}, \
-             \"wire_bytes\": {}}}",
-            run.sessions_per_sec, run.p50_ms, run.p95_ms, run.wire_bytes
-        );
-        out.push_str(if i + 1 < sweeps.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ],\n");
-    let _ = writeln!(out, "  \"scaling_16w_vs_4w\": {scaling_16v4:.4},");
-    out.push_str("  \"parked_sessions\": {\n");
-    let _ = writeln!(out, "    \"workers\": {win_workers},");
-    let _ = writeln!(out, "    \"clients\": {win_clients},");
-    let _ = writeln!(
-        out,
-        "    \"blocking_sessions_per_sec\": {:.3},",
-        blocking_win.sessions_per_sec
-    );
-    let _ = writeln!(
-        out,
-        "    \"pipelined_sessions_per_sec\": {:.3},",
-        pipelined_win.sessions_per_sec
-    );
-    let _ = writeln!(out, "    \"win\": {parked_win:.4}");
-    out.push_str("  },\n");
-    out.push_str("  \"latency\": {\n");
-    let _ = writeln!(out, "    \"workers\": 2,");
-    let _ = writeln!(out, "    \"clients\": 1,");
-    let _ = writeln!(out, "    \"session_pairs\": {lat_sessions},");
-    let _ = writeln!(out, "    \"interleaved\": true,");
-    let _ = writeln!(out, "    \"exchange\": \"identity\",");
-    let _ = writeln!(out, "    \"doc_bytes\": {lat_doc_bytes},");
-    let _ = writeln!(out, "    \"batch_rows\": {PIPE_LAT_BATCH_ROWS},");
-    let _ = writeln!(out, "    \"materialized_p50_ms\": {mat_p50:.3},");
-    let _ = writeln!(out, "    \"pipelined_p50_ms\": {pipe_p50:.3},");
-    let _ = writeln!(out, "    \"materialized_p95_ms\": {mat_p95:.3},");
-    let _ = writeln!(out, "    \"pipelined_p95_ms\": {pipe_p95:.3},");
-    let _ = writeln!(out, "    \"ratio\": {latency_ratio:.4}");
-    out.push_str("  },\n");
-    out.push_str("  \"gates\": {\n");
-    let _ = writeln!(out, "    \"scaling_16w_vs_4w\": {scaling_gate},");
-    let _ = writeln!(out, "    \"p50_below_materialization\": {latency_gate},");
-    let _ = writeln!(out, "    \"parked_sessions_win\": {parked_gate}");
-    out.push_str("  },\n");
-    let _ = writeln!(out, "  \"pass\": {pass}");
-    out.push_str("}\n");
-    std::fs::write("BENCH_PR8.json", &out).expect("write BENCH_PR8.json");
-
-    println!("# wrote BENCH_PR8.json (pass: {pass})");
-    if !pass {
-        eprintln!("error: pipeline gates failed — see BENCH_PR8.json");
-        std::process::exit(1);
-    }
-}
-
 /// LAN profile for the fanout mode — [`NetworkProfile::lan`] spelled
 /// as a const: fast enough that the CPU work the multicast path
 /// amortizes (probe, plan, source phase, encode) is the scarce
@@ -1705,11 +1238,6 @@ fn main() {
     if args.peek().map(String::as_str) == Some("soak") {
         args.next();
         soak_main(args);
-        return;
-    }
-    if args.peek().map(String::as_str) == Some("pipeline") {
-        args.next();
-        pipeline_main(args);
         return;
     }
     if args.peek().map(String::as_str) == Some("fanout") {

@@ -1,32 +1,34 @@
 //! The event-driven shipping engine: batch shipments as parked state
 //! machines instead of blocked threads.
 //!
-//! The blocking [`crate::shipper::FaultTolerantShipper`] spends a worker
-//! thread's life inside paced-link sleeps and retry backoffs. The engine
-//! inverts that: a worker *submits* a batch shipment ([`ShipRequest`])
-//! and immediately goes back to runnable work; the shipment advances as
-//! a chunk-level state machine driven by a single engine thread (plus
-//! any worker that volunteers spare cycles through
-//! [`ShipEngine::drive_until`]). Every wait — wire occupancy of a paced
-//! link, retry backoff, lane contention — is a deadline on the
+//! The engine is the only way bytes cross a link. A worker *submits* a
+//! batch shipment ([`ShipRequest`]) and immediately goes back to
+//! runnable work; the shipment advances as a chunk-level state machine
+//! driven by a single engine thread. Every wait — wire occupancy of a
+//! paced link, retry backoff, lane contention — is a deadline on the
 //! [`TimerWheel`], never a `thread::sleep`, so N workers keep far more
 //! than N sessions in flight.
 //!
-//! Semantics are bit-for-bit those of the blocking shipper: the same
-//! [`ShippingPolicy`] caps, the same stall accounting, the same
-//! [`ReassemblyLedger`] filing (chunks land under the coordinates in
-//! the frame; duplicates drop idempotently; a resumed session re-ships
-//! only unacked chunks), the same events and `ship` spans. Instead of a
-//! per-shipper budget, every batch of a session decrements one shared
-//! atomic budget, preserving the per-*session* retry cap.
+//! The serialized message is sliced into chunks, each framed with its
+//! full shipment identity — session, per-session shipment sequence
+//! number, index, total, length, checksum ([`xdx_net::ChunkFrame`]) —
+//! and transmitted through the session's per-pair link, retrying
+//! damaged or lost chunks with exponential backoff under the
+//! [`ShippingPolicy`] caps. Every verified frame is filed in the
+//! receiver-side [`ReassemblyLedger`] under the coordinates *in the
+//! frame*, so chunks that arrive reordered, duplicated, or
+//! cross-delivered during another session's transmission all land in
+//! the right slot, and exact repeats drop idempotently. Because the
+//! ledger outlives a failed session, a resumed session re-ships only
+//! the chunks that never arrived. Every batch of a session decrements
+//! one shared atomic budget — the per-*session* retry cap.
 //!
 //! Pacing without sleeping: the paced wire is modeled as a per-pair
 //! *lane*. A transmission computes its fault outcome immediately
 //! ([`xdx_net::Link::transmit_faulty_nowait`]), releases the link lock,
 //! and advances the lane's `busy_until` horizon by the transfer's paced
 //! duration; the task then parks until that horizon. Tasks sharing a
-//! pair serialize on the lane exactly as blocking shippers serialize on
-//! the link lock — but parked, not blocked.
+//! pair serialize on the lane — parked, not blocked.
 
 use crate::events::{EventKind, EventLog};
 use crate::flight::{FlightRecorder, FlightSubsystem};
@@ -46,11 +48,6 @@ use xdx_trace::{SpanId, TraceSink};
 /// How long a task parks when its pair's lane is reserved by another
 /// task mid-transmission (a few engine steps).
 const LANE_POLL: Duration = Duration::from_micros(200);
-
-/// How long a task parks when the link mutex itself is held — a
-/// fallback blocking shipper may sleep a paced transmit *inside* the
-/// lock, and the engine must never wait on it.
-const LINK_POLL: Duration = Duration::from_micros(500);
 
 /// Shipping tallies of one batch, folded into the session's metrics by
 /// the completion callback.
@@ -299,11 +296,8 @@ impl ShipEngine {
         self.drive(None);
     }
 
-    /// Volunteer driving: make engine progress until `deadline`. This is
-    /// how a worker stuck in a *blocking* shipper's retry backoff spends
-    /// the wait — instead of sleeping, it advances other sessions'
-    /// parked shipments (and simply idles on the condvar when there are
-    /// none). Returns at the deadline.
+    /// Makes engine progress on the calling thread until `deadline`
+    /// (idling on the condvar when nothing is due).
     pub(crate) fn drive_until(&self, deadline: Instant) {
         self.drive(Some(deadline));
     }
@@ -522,15 +516,9 @@ impl ShipEngine {
                     lane.in_use = true;
                 }
                 // Lane reserved; touch the link outside the engine lock.
-                // `try_lock`, never `lock`: a fallback blocking shipper
-                // sleeps paced transmits while *holding* this mutex.
-                let Ok(mut link) = task.slot.link.try_lock() else {
-                    let mut st = self.state.lock().unwrap();
-                    if let Some(lane) = st.lanes.get_mut(&task.pair) {
-                        lane.in_use = false;
-                    }
-                    return StepOutcome::Park(now + LINK_POLL);
-                };
+                // Nothing holds the link mutex across a wait, so this
+                // lock is a few instructions of contention at most.
+                let mut link = task.slot.link.lock().unwrap();
                 let (duration, delivery) =
                     link.transmit_faulty_nowait(&task.chunk_label, &task.frame);
                 task.pacing = link.pacing();
@@ -744,9 +732,22 @@ mod tests {
         policy: ShippingPolicy,
         budget: &Arc<AtomicI64>,
     ) -> mpsc::Receiver<BatchResult> {
+        let session = SessionShared::new(1, "test".into(), None, 0);
+        submit_as(engine, session, slot, seq, message, policy, budget)
+    }
+
+    fn submit_as(
+        engine: &ShipEngine,
+        session: Arc<SessionShared>,
+        slot: &Arc<LinkSlot>,
+        seq: u64,
+        message: Vec<u8>,
+        policy: ShippingPolicy,
+        budget: &Arc<AtomicI64>,
+    ) -> mpsc::Receiver<BatchResult> {
         let (tx, rx) = mpsc::channel();
         engine.submit(ShipRequest {
-            session: SessionShared::new(1, "test".into(), None, 0),
+            session,
             slot: Arc::clone(slot),
             seq,
             label: format!("batch {seq}"),
@@ -759,6 +760,139 @@ mod tests {
             }),
         });
         rx
+    }
+
+    /// Submits one batch and drives the engine until it completes.
+    fn ship(
+        engine: &ShipEngine,
+        session: Arc<SessionShared>,
+        slot: &Arc<LinkSlot>,
+        message: &[u8],
+        policy: ShippingPolicy,
+    ) -> BatchResult {
+        let budget = Arc::new(AtomicI64::new(i64::from(policy.retry_budget)));
+        let rx = submit_as(engine, session, slot, 0, message.to_vec(), policy, &budget);
+        drive_to(engine, &rx)
+    }
+
+    /// Drives the engine on this thread until `rx` yields its result.
+    fn drive_to(engine: &ShipEngine, rx: &mpsc::Receiver<BatchResult>) -> BatchResult {
+        let give_up = Instant::now() + Duration::from_secs(10);
+        loop {
+            engine.drive_until(Instant::now() + Duration::from_millis(1));
+            if let Ok(result) = rx.try_recv() {
+                return result;
+            }
+            assert!(Instant::now() < give_up, "batch never completed");
+        }
+    }
+
+    fn dead_link() -> Arc<LinkSlot> {
+        slot_for(Link::new(NetworkProfile::lan()).with_fault_profile(FaultProfile::drops(1.0, 9)))
+    }
+
+    #[test]
+    fn reordering_and_duplication_still_reassemble_exactly() {
+        let eng = engine();
+        let slot = slot_for(
+            Link::new(NetworkProfile::lan()).with_fault_profile(FaultProfile {
+                reorder_probability: 0.25,
+                duplicate_probability: 0.15,
+                seed: 7,
+                ..FaultProfile::healthy()
+            }),
+        );
+        let policy = ShippingPolicy {
+            chunk_bytes: 32,
+            ..ShippingPolicy::default()
+        };
+        let message: Vec<u8> = (0..3000u32).map(|i| (i * 7 % 256) as u8).collect();
+        let session = SessionShared::new(1, "test".into(), None, 0);
+        let result = ship(&eng, session, &slot, &message, policy);
+        assert_eq!(result.outcome.unwrap(), message);
+        // Duplicated deliveries were filed twice and dropped once.
+        assert!(result.stats.chunks_deduped > 0, "{:?}", result.stats);
+    }
+
+    #[test]
+    fn checkpointed_chunks_are_not_reshipped() {
+        let eng = engine();
+        let policy = ShippingPolicy {
+            chunk_bytes: 64,
+            max_attempts_per_chunk: 3,
+            ..ShippingPolicy::default()
+        };
+        let message: Vec<u8> = (0..1000u32).map(|i| (i % 256) as u8).collect();
+        let total = 1000usize.div_ceil(64) as u64;
+        let session = SessionShared::new(1, "test".into(), None, 0);
+
+        // First attempt: a drop-heavy link defeats the tight attempt
+        // cap partway through the shipment.
+        let slot = slot_for(
+            Link::new(NetworkProfile::lan()).with_fault_profile(FaultProfile {
+                drop_probability: 0.35,
+                seed: 3,
+                ..FaultProfile::healthy()
+            }),
+        );
+        let first = ship(&eng, Arc::clone(&session), &slot, &message, policy);
+        let err = first.outcome.unwrap_err();
+        assert!(err.contains("gave up"), "{err}");
+        assert!(first.link_gave_up);
+        let landed = first.stats.chunks_shipped;
+        assert!(landed > 0 && landed < total, "partial landing: {landed}");
+        assert_eq!(eng.ledger.checkpointed_chunks(session.id), landed as usize);
+        assert_eq!(
+            eng.ledger.stored_message(session.id, 0).unwrap(),
+            message,
+            "the failed run persisted the assembled message"
+        );
+
+        // Second attempt over a repaired link: only the remainder ships.
+        slot.link
+            .lock()
+            .unwrap()
+            .set_fault_profile(FaultProfile::healthy());
+        let second = ship(&eng, session, &slot, &message, policy);
+        assert_eq!(second.outcome.unwrap(), message);
+        assert_eq!(second.stats.chunks_resumed, landed);
+        assert_eq!(second.stats.chunks_shipped, total - landed);
+        assert_eq!(eng.events.count(EventKind::ShipmentResumed), 1);
+    }
+
+    #[test]
+    fn attempt_cap_fails_even_with_budget_left() {
+        let policy = ShippingPolicy {
+            max_attempts_per_chunk: 3,
+            ..ShippingPolicy::default()
+        };
+        let session = SessionShared::new(1, "test".into(), None, 0);
+        let result = ship(&engine(), session, &dead_link(), b"payload", policy);
+        let err = result.outcome.unwrap_err();
+        assert!(err.contains("gave up after 3"), "{err}");
+        assert!(result.link_gave_up);
+    }
+
+    #[test]
+    fn cancellation_interrupts_shipping() {
+        let session = SessionShared::new(1, "test".into(), None, 0);
+        session.cancelled.store(true, Ordering::Relaxed);
+        let policy = ShippingPolicy::default();
+        let result = ship(&engine(), session, &dead_link(), b"payload", policy);
+        let err = result.outcome.unwrap_err();
+        assert!(err.contains("cancelled"), "{err}");
+        assert!(!result.link_gave_up, "cancellation is not the link");
+    }
+
+    #[test]
+    fn deadline_interrupts_shipping_without_blaming_the_link() {
+        let session = SessionShared::new(1, "t".into(), Some(Duration::ZERO), 0);
+        std::thread::sleep(Duration::from_millis(2));
+        let policy = ShippingPolicy::default();
+        let result = ship(&engine(), session, &dead_link(), b"payload", policy);
+        let err = result.outcome.unwrap_err();
+        assert!(err.contains("deadline exceeded"), "{err}");
+        assert!(!result.link_gave_up);
     }
 
     #[test]
@@ -780,8 +914,7 @@ mod tests {
             ..ShippingPolicy::default()
         };
         let rx = submit(&eng, &slot, 0, message.clone(), policy, &budget);
-        eng.drive_until(Instant::now() + Duration::from_secs(5));
-        let result = rx.try_recv().expect("batch completed");
+        let result = drive_to(&eng, &rx);
         assert_eq!(result.outcome.unwrap(), message);
         assert!(result.elapsed > Duration::ZERO);
         assert_eq!(result.stats.chunks_shipped, 2000usize.div_ceil(64) as u64);
@@ -807,9 +940,8 @@ mod tests {
             .enumerate()
             .map(|(seq, m)| submit(&eng, &slot, seq as u64, m.clone(), policy, &budget))
             .collect();
-        eng.drive_until(Instant::now() + Duration::from_secs(5));
         for (rx, message) in rxs.into_iter().zip(&messages) {
-            let result = rx.try_recv().expect("batch completed");
+            let result = drive_to(&eng, &rx);
             assert_eq!(&result.outcome.unwrap(), message);
         }
     }
@@ -828,8 +960,7 @@ mod tests {
             ..ShippingPolicy::default()
         };
         let rx = submit(&eng, &slot, 0, b"some payload".to_vec(), policy, &budget);
-        eng.drive_until(Instant::now() + Duration::from_secs(5));
-        let result = rx.try_recv().expect("batch completed");
+        let result = drive_to(&eng, &rx);
         let err = result.outcome.unwrap_err();
         assert!(err.contains("retry budget"), "{err}");
         assert!(result.link_gave_up);
@@ -856,9 +987,8 @@ mod tests {
         let message: Vec<u8> = vec![7u8; 16 * 1024];
         let rx_a = submit(&eng, &slot, 0, message.clone(), policy, &budget);
         let rx_b = submit(&eng, &slot, 1, message.clone(), policy, &budget);
-        eng.drive_until(Instant::now() + Duration::from_secs(10));
-        let a = rx_a.try_recv().expect("a completed");
-        let b = rx_b.try_recv().expect("b completed");
+        let a = drive_to(&eng, &rx_a);
+        let b = drive_to(&eng, &rx_b);
         assert_eq!(a.outcome.unwrap(), message);
         assert_eq!(b.outcome.unwrap(), message);
         // Both batches observed simulated wire time.
@@ -882,7 +1012,7 @@ mod tests {
             chunk_bytes: 4096,
             ..ShippingPolicy::default()
         };
-        let _rx = submit(&eng, &slot, 0, vec![3u8; 32 * 1024], policy, &budget);
+        let rx = submit(&eng, &slot, 0, vec![3u8; 32 * 1024], policy, &budget);
         // Step just far enough for the first chunk to park on its wire
         // deadline, then stop driving entirely.
         eng.drive_until(Instant::now() + Duration::from_millis(5));
@@ -893,7 +1023,7 @@ mod tests {
             .expect("undriven engine reports a stall");
         assert!(overdue >= Duration::from_millis(50));
         // Resume driving: the shipment completes and the stall clears.
-        eng.drive_until(Instant::now() + Duration::from_secs(5));
+        drive_to(&eng, &rx);
         assert!(eng.stall_check(Duration::ZERO).is_none());
         assert_eq!(eng.inflight(), 0);
     }

@@ -10,7 +10,7 @@
 //!
 //! Entries persist after a session *fails*: that is the shipping
 //! checkpoint. When the session is resumed, `begin_shipment` reports
-//! which chunks already landed, and the shipper skips them — only the
+//! which chunks already landed, and the engine skips them — only the
 //! never-acknowledged chunks cross the link again. The buffer also keeps
 //! the sender's *assembled serialized message*, so a resumed session
 //! re-ships the remainder without re-serializing anything

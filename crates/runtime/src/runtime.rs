@@ -35,7 +35,7 @@ use crate::session::{
     ExchangeRequest, PublishRequest, SessionHandle, SessionId, SessionMetrics, SessionResult,
     SessionShared, SessionState,
 };
-use crate::shipper::{FaultTolerantShipper, ShippingPolicy};
+use crate::shipper::ShippingPolicy;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
@@ -49,7 +49,7 @@ use xdx_codec::{
 use xdx_core::exec::{
     commit_and_index, cross_ports_in_consumer_order, direct_write_tables,
     execute_source_phase_streaming, execute_target_phase, execute_with_transport, feed_batches,
-    writes_stream_directly, ExecOutcome, LoopbackTransport, OpSample, Transport,
+    writes_stream_directly, ExecOutcome, LoopbackTransport, OpSample,
 };
 use xdx_core::program::PortRef;
 use xdx_core::{
@@ -189,18 +189,12 @@ pub struct RuntimeConfig {
     /// source database, so this bound is what keeps failure storms from
     /// growing RSS).
     pub max_resumables: usize,
-    /// Whether non-delta sessions run on the event-driven pipelined
-    /// path: the source phase streams Dewey-sorted operator batches
-    /// through the shipping engine while the worker moves on to other
-    /// runnable work, and the target stages each batch as it lands. Off,
-    /// every session executes on the classic blocking shipper.
-    pub pipeline: bool,
-    /// Rows per streamed operator batch on the pipelined path. Feeds
+    /// Rows per streamed operator batch. Feeds
     /// smaller than one batch ship as a single message, so small
     /// exchanges keep their one-message-per-cross-edge shape.
     pub batch_rows: usize,
     /// Batches of one session allowed in flight at once — the bound of
-    /// the per-session batch channel between encoder and shipper. Frame
+    /// the per-session batch channel between encoder and engine. Frame
     /// `k+1` is encoded while frame `k` is on the wire; depth caps how
     /// far the encoder may run ahead of the slowest link.
     pub pipeline_depth: usize,
@@ -256,7 +250,6 @@ impl Default for RuntimeConfig {
             aging_interval: DEFAULT_AGING_INTERVAL,
             ledger_capacity: DEFAULT_LEDGER_CAPACITY,
             max_resumables: 256,
-            pipeline: true,
             batch_rows: 1024,
             pipeline_depth: 4,
             pipeline_sessions_per_worker: 4,
@@ -369,12 +362,6 @@ impl RuntimeConfig {
     /// Sets the failed-session checkpoint cap.
     pub fn with_max_resumables(mut self, cap: usize) -> RuntimeConfig {
         self.max_resumables = cap;
-        self
-    }
-
-    /// Turns the event-driven pipelined execution path on or off.
-    pub fn with_pipeline(mut self, enabled: bool) -> RuntimeConfig {
-        self.pipeline = enabled;
         self
     }
 
@@ -827,12 +814,34 @@ struct PendingBatch {
     /// across failure and resume.
     seq: u64,
     label: String,
-    feed: Feed,
+    payload: Payload,
 }
 
-/// Shipping tallies folded into [`SessionMetrics`] at settlement — one
-/// shape for both the blocking shipper's stats and the pipelined path's
-/// per-batch accumulation.
+/// What a pending batch puts on the wire.
+enum Payload {
+    /// An operator batch, encoded and SOAP-wrapped at submission.
+    Feed(Feed),
+    /// A frame that is already wire bytes: the bare delta-patch frame.
+    Frame(Vec<u8>),
+}
+
+/// A delta patch on the wire: what its absorb step needs to check the
+/// version precondition, stage the patch, and account for it.
+struct PatchShip {
+    base_version: u64,
+    head_version: u64,
+    /// The base snapshot the patch was diffed against (and stages onto).
+    snapshot: Snapshot,
+    /// True when the base aged out and was composed from step patches.
+    chain_composed: bool,
+    steps: u64,
+    bytes: usize,
+    /// Outcome of the loopback head computation; becomes the session's
+    /// outcome when the patch applies.
+    head_outcome: ExecOutcome,
+}
+
+/// Shipping tallies folded into [`SessionMetrics`] at settlement.
 #[derive(Debug, Clone, Copy, Default)]
 struct ShipRollup {
     wire_bytes: u64,
@@ -874,11 +883,11 @@ struct ShipWindow {
     /// First failure (diagnostic, link_gave_up); stops the pump, the
     /// session settles once in-flight batches drain.
     failure: Option<String>,
-    /// Reused encode buffer, as on the blocking path.
+    /// Reused encode buffer.
     encode_buf: Vec<u8>,
 }
 
-/// A session parked mid-exchange on the pipelined path: its source phase
+/// A session parked mid-exchange: its source phase
 /// ran (or still runs), its batches flow through the shipping engine,
 /// and whichever worker picks it off the runnable queue decodes and
 /// stages what landed. No thread blocks on it — the struct *is* the
@@ -916,6 +925,11 @@ struct PipelinedSession {
     /// General path: delivered feeds accumulate per port until the
     /// target phase runs over them at finalization.
     delivered: HashMap<PortRef, Feed>,
+    /// The delta patch riding shipment 0, until its absorb step ran.
+    patch: Option<Box<PatchShip>>,
+    /// True once a patch committed and indexed the target: nothing is
+    /// left for the target half to finish.
+    patched: bool,
 }
 
 /// A failed session's checkpoint: the original request plus the plan it
@@ -2297,15 +2311,14 @@ impl Inner {
         (healthy, body)
     }
 
-    /// Runs one session on the calling worker thread: start to finish on
-    /// the blocking path, start to *park* on the pipelined path (`arc`
-    /// is this same `Inner`, threaded through for the engine callbacks a
-    /// parked session leaves behind).
+    /// Runs one session on the calling worker thread from dequeue to
+    /// *park* (`arc` is this same `Inner`, threaded through for the
+    /// engine callbacks a parked session leaves behind).
     fn run_session(&self, arc: &Arc<Inner>, job: QueuedSession) {
         let QueuedSession {
             enqueued,
             resumed,
-            mut request,
+            request,
             plan: stored_plan,
             shared,
         } = job;
@@ -2676,9 +2689,10 @@ impl Inner {
             return;
         }
 
-        // Execute (Step 4) over the fault-tolerant shipper, on the
-        // session's per-pair link. Writes are staged: a run that dies
-        // mid-exchange rolls the target back.
+        // Execute (Step 4): every cross-edge byte rides the shipping
+        // engine on the session's per-pair link, and the session parks
+        // while its frames are on the wire. Writes are staged: a run
+        // that dies mid-exchange rolls the target back.
         shared.set_state(SessionState::Executing);
         let exec_span = self.trace.allocate_id();
         let exec_started = Instant::now();
@@ -2688,248 +2702,235 @@ impl Inner {
             EventKind::ExecutionStarted,
             format!("estimated cost {:.1} via {}", plan.cost, metrics.route),
         );
-        let mut target = Database::new(format!("{}-target", shared.name));
-        // Non-delta sessions take the pipelined path: run the source
-        // phase here, hand the batches to the shipping engine, park.
-        // Delta sessions keep the blocking path — a patch is one small
-        // message, and its fallback ladder needs the full feeds anyway.
-        if self.config.pipeline && delta_base.is_none() {
-            self.start_pipeline(
-                arc,
-                shared,
-                enqueued,
-                request,
-                plan,
-                plan_shape,
-                slot,
-                wire_format,
-                feed_route,
-                metrics,
-                target,
-                exec_span,
-                exec_started,
-            );
-            return;
-        }
-        let mut shipper = FaultTolerantShipper::with_wire_format(
-            Arc::clone(&slot),
-            self.config.shipping,
-            &shared,
-            &self.events,
-            &self.ledger,
+        let target = Database::new(format!("{}-target", shared.name));
+        let window = ShipWindow {
+            shared: Arc::clone(&shared),
+            slot: Arc::clone(&slot),
             wire_format,
-        )
-        .with_telemetry(&self.trace, exec_span, Arc::clone(&self.encode_hist))
-        .with_engine(Arc::clone(&self.engine));
-        // Delta path first, when eligible: compute the head feeds
-        // locally over a loopback transport, diff them against the base
-        // snapshot in one Dewey merge pass, and ship the checksummed
-        // patch when the cost model prefers it over the full feeds. Any
-        // post-delivery failure (corrupt frame, stale version
-        // precondition, malformed steps) rolls the staged patch back
-        // and falls through to the full re-ship — the fallback ladder.
-        let outcome = 'exec: {
-            if let Some((base_ver, head_ver, snapshot, chain_composed)) = delta_base.as_ref() {
-                let mut loopback = LoopbackTransport::new(wire_format);
-                let mut head_db = Database::new(format!("{}-head", shared.name));
-                let mut head_outcome = match execute_with_transport(
-                    &self.schema,
-                    &request.source_frag,
-                    &request.target_frag,
-                    &plan.program,
-                    &mut request.source,
-                    &mut head_db,
-                    &mut loopback,
-                    None,
-                ) {
-                    Ok(out) => out,
-                    Err(e) => break 'exec Err(e),
-                };
-                match diff_snapshots(snapshot, &db_tables(&head_db), *base_ver, *head_ver) {
-                    Ok(patch) => {
-                        let steps = patch.step_count();
-                        let mut bytes = Vec::new();
-                        encode_patch_with_context_into(
-                            &mut bytes,
-                            &patch,
-                            wire_format,
-                            wire_context(&shared, exec_span),
-                        );
-                        // A resumed patch session must re-ship frames
-                        // byte-identical to the failed run's — the
-                        // ledger checkpoint hashes the message, and a
-                        // fresh encode embeds *this* run's trace
-                        // context. Replay the persisted bytes instead,
-                        // exactly as the full path replays
-                        // `checkpointed_message`. The patch ship is
-                        // always the shipper's first shipment (seq 0).
-                        let bytes = self.ledger.stored_message(shared.id, 0).unwrap_or(bytes);
-                        let patch_cost = self.config.w_comm * bytes.len() as f64
-                            + PATCH_STEP_FACTOR * steps as f64 / request.target_profile.speed;
-                        let full_cost = self.config.w_comm * plan.comm_bytes as f64;
-                        if plan.comm_bytes > 0 && patch_cost >= full_cost {
-                            metrics.delta_full_chosen += 1;
-                            self.events.push(
-                                shared.id,
-                                exec_span,
-                                EventKind::DeltaFellBack,
-                                format!(
-                                    "patch cost {patch_cost:.1} ≥ full {full_cost:.1}: full ship"
-                                ),
-                            );
-                        } else {
-                            match shipper.ship("delta-patch", &bytes) {
-                                Ok((wire, delivered)) => {
-                                    let decode_started = Instant::now();
-                                    let staged =
-                                        decode_patch_ctx(&delivered).and_then(|(decoded, rctx)| {
-                                            if let Some(ctx) = rctx {
-                                                // Receiver-side decode span,
-                                                // stitched from the frame's
-                                                // propagated context.
-                                                self.trace.record_with_context(
-                                                    self.trace.allocate_id(),
-                                                    "decode",
-                                                    shared.id,
-                                                    ctx.parent_span,
-                                                    ctx.trace_id,
-                                                    decode_started,
-                                                    decode_started.elapsed(),
-                                                    format!(
-                                                        "patch v{}→v{}",
-                                                        decoded.base_version, decoded.head_version
-                                                    ),
-                                                );
-                                            }
-                                            // An ordinary patch must be based on the route
-                                            // head (a non-head base means the subscriber's
-                                            // precondition is stale). A chain-composed
-                                            // patch is *deliberately* based below the head;
-                                            // for it the precondition is that no concurrent
-                                            // session advanced the route since planning.
-                                            let head_now = self.snapshots.head(&feed_route);
-                                            let expected_head = if *chain_composed {
-                                                *head_ver - 1
-                                            } else {
-                                                decoded.base_version
-                                            };
-                                            if head_now != expected_head {
-                                                return Err(
-                                                    xdx_relational::Error::SchemaMismatch {
-                                                        detail: format!(
-                                                    "stale patch: route head v{head_now} ≠ \
-                                                     expected v{expected_head} (patch base v{})",
-                                                    decoded.base_version
-                                                ),
-                                                    },
-                                                );
-                                            }
-                                            stage_patch(snapshot, &decoded, &mut target)?;
-                                            Ok(())
-                                        });
-                                    match staged {
-                                        Ok(()) => {
-                                            let rows = target.commit_staged();
-                                            if let Err(e) = target.build_all_key_indexes() {
-                                                break 'exec Err(e.into());
-                                            }
-                                            metrics.delta_patch_bytes += bytes.len() as u64;
-                                            metrics.delta_patches_applied += 1;
-                                            self.events.push(
-                                                shared.id,
-                                                exec_span,
-                                                EventKind::DeltaApplied,
-                                                format!(
-                                                    "v{base_ver}→v{head_ver}: {steps} steps, \
-                                                     {} bytes, {rows} rows",
-                                                    bytes.len()
-                                                ),
-                                            );
-                                            head_outcome.times.communication = wire;
-                                            head_outcome.messages = 1;
-                                            head_outcome.rows_loaded = rows;
-                                            break 'exec Ok(head_outcome);
-                                        }
-                                        Err(e) => {
-                                            target.rollback_staged();
-                                            metrics.delta_full_fallbacks += 1;
-                                            self.events.push(
-                                                shared.id,
-                                                exec_span,
-                                                EventKind::DeltaFellBack,
-                                                format!("patch rejected: {e}; full re-ship"),
-                                            );
-                                        }
-                                    }
-                                }
-                                // The link gave up on the patch: fail
-                                // the session. The checkpoint ledger
-                                // holds the acknowledged patch chunks,
-                                // and a resume recomputes the identical
-                                // patch, so only unacked chunks cross
-                                // the link again.
-                                Err(e) => break 'exec Err(e),
-                            }
-                        }
-                    }
-                    Err(e) => {
-                        metrics.delta_full_fallbacks += 1;
-                        self.events.push(
-                            shared.id,
-                            exec_span,
-                            EventKind::DeltaFellBack,
-                            format!("diff failed: {e}; full re-ship"),
-                        );
-                    }
-                }
-            }
-            execute_with_transport(
-                &self.schema,
-                &request.source_frag,
-                &request.target_frag,
-                &plan.program,
-                &mut request.source,
-                &mut target,
-                &mut shipper,
-                None,
-            )
+            exec_span,
+            pending: VecDeque::new(),
+            port_of: HashMap::new(),
+            inbox: Arc::new(Mutex::new(Vec::new())),
+            budget: Arc::new(AtomicI64::new(i64::from(self.config.shipping.retry_budget))),
+            inflight: 0,
+            next_seq: 0,
+            rollup: ShipRollup::default(),
+            failure: None,
+            encode_buf: Vec::new(),
         };
-        let ship = shipper.stats;
-        let rollup = ShipRollup {
-            wire_bytes: ship.wire_bytes,
-            bytes_encoded: ship.bytes_encoded,
-            encode_ns: ship.encode_ns,
-            messages_serialized: ship.messages_serialized,
-            retry_backoff: ship.retry_backoff,
-            chunks_shipped: ship.chunks_shipped,
-            chunks_resumed: ship.chunks_resumed,
-            chunks_deduped: ship.chunks_deduped,
-            chunks_retried: ship.chunks_retried,
-            link_gave_up: ship.link_gave_up,
-        };
-        drop(shipper);
-        self.settle_exec(
-            &shared,
+        let mut ps = PipelinedSession {
+            shared,
             enqueued,
             request,
-            &plan,
+            plan,
             plan_shape,
-            &slot,
+            slot,
             wire_format,
-            &feed_route,
+            feed_route,
+            metrics,
+            outcome: ExecOutcome::default(),
+            target,
             exec_span,
             exec_started,
-            metrics,
-            target,
-            outcome.map_err(|e| e.to_string()),
-            rollup,
+            window,
+            decoded: BTreeMap::new(),
+            next_stage_seq: 0,
+            stream_tables: None,
+            write_walls: HashMap::new(),
+            delivered: HashMap::new(),
+            patch: None,
+            patched: false,
+        };
+        // Delta path first, when eligible: the patch, if the cost model
+        // prefers it, is shipment 0 and the full feeds stay home unless
+        // the fallback ladder needs them.
+        let ship_full = match delta_base {
+            Some(base) => self.stage_delta(&mut ps, base),
+            None => true,
+        };
+        if ship_full {
+            self.run_source(arc, &mut ps);
+        }
+        self.launch(arc, ps);
+    }
+
+    /// The delta rung of the ladder: compute the head feeds locally over
+    /// a loopback transport, diff them against the base snapshot in one
+    /// Dewey merge pass, and — when the cost model prefers the patch
+    /// over the full feeds — queue the checksummed patch frame as
+    /// shipment 0. Returns true when the full feeds must ship now
+    /// instead (diff failed, or the patch would cost more).
+    fn stage_delta(
+        &self,
+        ps: &mut PipelinedSession,
+        (base_version, head_version, snapshot, chain_composed): (u64, u64, Snapshot, bool),
+    ) -> bool {
+        let mut loopback = LoopbackTransport::new(ps.wire_format);
+        let mut head_db = Database::new(format!("{}-head", ps.shared.name));
+        let head_outcome = match execute_with_transport(
+            &self.schema,
+            &ps.request.source_frag,
+            &ps.request.target_frag,
+            &ps.plan.program,
+            &mut ps.request.source,
+            &mut head_db,
+            &mut loopback,
+            None,
+        ) {
+            Ok(out) => out,
+            Err(e) => {
+                ps.window.failure = Some(e.to_string());
+                return false;
+            }
+        };
+        let patch =
+            match diff_snapshots(&snapshot, &db_tables(&head_db), base_version, head_version) {
+                Ok(patch) => patch,
+                Err(e) => {
+                    ps.metrics.delta_full_fallbacks += 1;
+                    self.events.push(
+                        ps.shared.id,
+                        ps.exec_span,
+                        EventKind::DeltaFellBack,
+                        format!("diff failed: {e}; full re-ship"),
+                    );
+                    return true;
+                }
+            };
+        let steps = patch.step_count();
+        let mut bytes = Vec::new();
+        encode_patch_with_context_into(
+            &mut bytes,
+            &patch,
+            ps.wire_format,
+            wire_context(&ps.shared, ps.exec_span),
         );
+        // A resumed patch session must re-ship frames byte-identical to
+        // the failed run's — the ledger checkpoint hashes the message,
+        // and a fresh encode embeds *this* run's trace context. Replay
+        // the persisted bytes instead, exactly as feed batches replay
+        // theirs. The patch is always shipment 0.
+        let bytes = self.ledger.stored_message(ps.shared.id, 0).unwrap_or(bytes);
+        let patch_cost = self.config.w_comm * bytes.len() as f64
+            + PATCH_STEP_FACTOR * steps as f64 / ps.request.target_profile.speed;
+        let full_cost = self.config.w_comm * ps.plan.comm_bytes as f64;
+        if ps.plan.comm_bytes > 0 && patch_cost >= full_cost {
+            ps.metrics.delta_full_chosen += 1;
+            self.events.push(
+                ps.shared.id,
+                ps.exec_span,
+                EventKind::DeltaFellBack,
+                format!("patch cost {patch_cost:.1} ≥ full {full_cost:.1}: full ship"),
+            );
+            return true;
+        }
+        ps.patch = Some(Box::new(PatchShip {
+            base_version,
+            head_version,
+            snapshot,
+            chain_composed,
+            steps,
+            bytes: bytes.len(),
+            head_outcome,
+        }));
+        ps.window.pending.push_back(PendingBatch {
+            seq: 0,
+            label: "delta-patch".into(),
+            payload: Payload::Frame(bytes),
+        });
+        ps.window.next_seq = 1;
+        false
+    }
+
+    /// Absorb step of the delta patch: decode → staleness check →
+    /// `stage_patch`, then commit and index. Any rejection (corrupt
+    /// frame, stale version precondition, malformed steps) rolls the
+    /// staged patch back and re-enters the feed-batch path at the next
+    /// shipment seq — the fallback ladder.
+    fn absorb_patch(&self, arc: &Arc<Inner>, ps: &mut PipelinedSession, delivered: &[u8]) {
+        let patch = ps.patch.take().expect("patch in flight");
+        let decode_started = Instant::now();
+        let staged = decode_patch_ctx(delivered).and_then(|(decoded, rctx)| {
+            if let Some(ctx) = rctx {
+                // Receiver-side decode span, stitched from the frame's
+                // propagated context.
+                self.trace.record_with_context(
+                    self.trace.allocate_id(),
+                    "decode",
+                    ps.shared.id,
+                    ctx.parent_span,
+                    ctx.trace_id,
+                    decode_started,
+                    decode_started.elapsed(),
+                    format!("patch v{}→v{}", decoded.base_version, decoded.head_version),
+                );
+            }
+            // An ordinary patch must be based on the route head (a
+            // non-head base means the subscriber's precondition is
+            // stale). A chain-composed patch is *deliberately* based
+            // below the head; for it the precondition is that no
+            // concurrent session advanced the route since planning.
+            let head_now = self.snapshots.head(&ps.feed_route);
+            let expected_head = if patch.chain_composed {
+                patch.head_version - 1
+            } else {
+                decoded.base_version
+            };
+            if head_now != expected_head {
+                return Err(xdx_relational::Error::SchemaMismatch {
+                    detail: format!(
+                        "stale patch: route head v{head_now} ≠ expected v{expected_head} \
+                         (patch base v{})",
+                        decoded.base_version
+                    ),
+                });
+            }
+            stage_patch(&patch.snapshot, &decoded, &mut ps.target).map(|_| ())
+        });
+        match staged {
+            Ok(()) => {
+                let rows = ps.target.commit_staged();
+                if let Err(e) = ps.target.build_all_key_indexes() {
+                    ps.window.failure = Some(e.to_string());
+                    return;
+                }
+                ps.metrics.delta_patch_bytes += patch.bytes as u64;
+                ps.metrics.delta_patches_applied += 1;
+                self.events.push(
+                    ps.shared.id,
+                    ps.exec_span,
+                    EventKind::DeltaApplied,
+                    format!(
+                        "v{}→v{}: {} steps, {} bytes, {rows} rows",
+                        patch.base_version, patch.head_version, patch.steps, patch.bytes
+                    ),
+                );
+                let wire = ps.outcome.times.communication;
+                ps.outcome = patch.head_outcome;
+                ps.outcome.times.communication = wire;
+                ps.outcome.messages = 1;
+                ps.outcome.rows_loaded = rows;
+                ps.patched = true;
+            }
+            Err(e) => {
+                ps.target.rollback_staged();
+                ps.metrics.delta_full_fallbacks += 1;
+                self.events.push(
+                    ps.shared.id,
+                    ps.exec_span,
+                    EventKind::DeltaFellBack,
+                    format!("patch rejected: {e}; full re-ship"),
+                );
+                // The patch consumed seq 0; feed batches stage from 1.
+                ps.next_stage_seq = 1;
+                self.run_source(arc, ps);
+            }
+        }
     }
 
     /// Folds the shipping rollup into the session's metrics and settles
-    /// the exchange into its terminal state — shared verbatim by the
-    /// blocking path and the pipelined finalization, so both report
-    /// identical accounting, calibration, snapshots and resumability.
+    /// the exchange into its terminal state: accounting, calibration,
+    /// snapshots and resumability.
     #[allow(clippy::too_many_arguments)]
     fn settle_exec(
         &self,
@@ -3188,62 +3189,43 @@ impl Inner {
         }
     }
 
-    /// The pipelined execution path: run the source phase on this
-    /// worker, streaming each cross-edge feed into the shipping engine
-    /// *the moment its producing operator completes* — frame `k` rides
-    /// the wire while later source operators still compute — then
-    /// *park*: the worker returns to the queue while the remaining
-    /// frames drain. Batch completions wake whichever worker is free
-    /// next via the runnable queue.
-    #[allow(clippy::too_many_arguments)]
-    fn start_pipeline(
-        &self,
-        arc: &Arc<Inner>,
-        shared: Arc<SessionShared>,
-        enqueued: Instant,
-        mut request: ExchangeRequest,
-        plan: Arc<CachedPlan>,
-        plan_shape: Option<u64>,
-        slot: Arc<LinkSlot>,
-        wire_format: WireFormat,
-        feed_route: String,
-        metrics: SessionMetrics,
-        target: Database,
-        exec_span: SpanId,
-        exec_started: Instant,
-    ) {
+    /// Runs the source half on this worker, streaming each cross-edge
+    /// feed into the shipping engine *the moment its producing operator
+    /// completes* — frame `k` rides the wire while later source
+    /// operators still compute. Batches number on from whatever the
+    /// session already shipped (a rejected patch holds seq 0). A source
+    /// failure is recorded on the session; batches already on the wire
+    /// drain before it settles.
+    fn run_source(&self, arc: &Arc<Inner>, ps: &mut PipelinedSession) {
         // Deterministic shipment numbering: cross ports in first-consumer
-        // order (the blocking path's shipping order), each feed split
-        // into batches in Dewey order. The same seq names the same bytes
-        // across failed runs and resumes, so the ledger's checkpoints
-        // line up — overlapping the wire with the source phase changes
-        // *when* a frame ships, never its seq or its bytes.
-        let cross = cross_ports_in_consumer_order(&self.schema, &plan.program);
-        let mut window = ShipWindow {
-            shared: Arc::clone(&shared),
-            slot: Arc::clone(&slot),
-            wire_format,
-            exec_span,
-            pending: VecDeque::new(),
-            port_of: HashMap::new(),
-            inbox: Arc::new(Mutex::new(Vec::new())),
-            budget: Arc::new(AtomicI64::new(i64::from(self.config.shipping.retry_budget))),
-            inflight: 0,
-            next_seq: 0,
-            rollup: ShipRollup::default(),
-            failure: None,
-            encode_buf: Vec::new(),
+        // order, each feed split into batches in Dewey order. The same
+        // seq names the same bytes across failed runs and resumes, so
+        // the ledger's checkpoints line up — overlapping the wire with
+        // the source phase changes *when* a frame ships, never its seq
+        // or its bytes.
+        let cross = cross_ports_in_consumer_order(&self.schema, &ps.plan.program);
+        let batch_rows = self.config.batch_rows;
+        let queue = |w: &mut ShipWindow, c: &xdx_core::exec::CrossPort, feed: &Feed| {
+            for batch in feed_batches(feed, batch_rows) {
+                w.port_of.insert(w.next_seq, c.port);
+                w.pending.push_back(PendingBatch {
+                    seq: w.next_seq,
+                    label: c.label.clone(),
+                    payload: Payload::Feed(batch),
+                });
+                w.next_seq += 1;
+            }
         };
         // Leading cross ports (consumer order) already batched into the
         // window by the streaming hook.
         let mut streamed = 0usize;
-        let batch_rows = self.config.batch_rows;
+        let window = &mut ps.window;
         let source = execute_source_phase_streaming(
             &self.schema,
-            &request.source_frag,
-            &request.target_frag,
-            &plan.program,
-            &mut request.source,
+            &ps.request.source_frag,
+            &ps.request.target_frag,
+            &ps.plan.program,
+            &mut ps.request.source,
             None,
             &mut |feeds| {
                 // A cross feed is final the instant its producer runs —
@@ -3255,114 +3237,51 @@ impl Inner {
                     let Some(feed) = feeds.get(&c.port) else {
                         break;
                     };
-                    for batch in feed_batches(feed, batch_rows) {
-                        window.port_of.insert(window.next_seq, c.port);
-                        window.pending.push_back(PendingBatch {
-                            seq: window.next_seq,
-                            label: c.label.clone(),
-                            feed: batch,
-                        });
-                        window.next_seq += 1;
-                    }
+                    queue(window, c, feed);
                     streamed += 1;
                 }
-                self.pump_pipeline(arc, &mut window);
+                self.pump_pipeline(arc, window);
             },
         );
-        let settled = match source {
+        match source {
             Ok((phase, outcome)) => {
                 // Stragglers the prefix rule held back (a port whose
                 // producer finished after a still-pending predecessor)
-                // batch now, with the seqs the blocking path would have
-                // assigned.
-                let mut missing = None;
+                // batch now, in the same consumer order.
                 for c in cross.iter().skip(streamed) {
-                    let Some(feed) = phase.feeds.get(&c.port) else {
-                        missing = Some(format!("missing feed for port {:?}", c.port));
-                        break;
-                    };
-                    for batch in feed_batches(feed, batch_rows) {
-                        window.port_of.insert(window.next_seq, c.port);
-                        window.pending.push_back(PendingBatch {
-                            seq: window.next_seq,
-                            label: c.label.clone(),
-                            feed: batch,
-                        });
-                        window.next_seq += 1;
+                    match phase.feeds.get(&c.port) {
+                        Some(feed) => queue(window, c, feed),
+                        None => {
+                            window
+                                .failure
+                                .get_or_insert(format!("missing feed for port {:?}", c.port));
+                            break;
+                        }
                     }
                 }
-                match missing {
-                    None => Ok(outcome),
-                    Some(e) => Err(e),
-                }
+                ps.outcome = outcome;
+                ps.stream_tables = writes_stream_directly(&ps.plan.program)
+                    .then(|| direct_write_tables(&ps.plan.program, &ps.request.target_frag));
             }
-            Err(e) => Err(e.to_string()),
-        };
-        let outcome = match settled {
-            Ok(outcome) => outcome,
             Err(e) => {
-                if window.next_seq == 0 {
-                    // Nothing reached the wire: settle directly, exactly
-                    // as the blocking path would.
-                    self.settle_exec(
-                        &shared,
-                        enqueued,
-                        request,
-                        &plan,
-                        plan_shape,
-                        &slot,
-                        wire_format,
-                        &feed_route,
-                        exec_span,
-                        exec_started,
-                        metrics,
-                        target,
-                        Err(e),
-                        window.rollup,
-                    );
-                    return;
-                }
-                // Frames already shipped (and may have staged rows):
-                // record the failure and fall through — the session
-                // parks until in-flight results drain, then
-                // `finalize_pipeline` rolls every staged batch back.
-                window.failure.get_or_insert(e);
-                ExecOutcome::default()
+                window.failure.get_or_insert(e.to_string());
             }
-        };
-        let stream_tables = writes_stream_directly(&plan.program)
-            .then(|| direct_write_tables(&plan.program, &request.target_frag));
-        let mut ps = PipelinedSession {
-            shared,
-            enqueued,
-            request,
-            plan,
-            plan_shape,
-            slot,
-            wire_format,
-            feed_route,
-            metrics,
-            outcome,
-            target,
-            exec_span,
-            exec_started,
-            window,
-            decoded: BTreeMap::new(),
-            next_stage_seq: 0,
-            stream_tables,
-            write_walls: HashMap::new(),
-            delivered: HashMap::new(),
-        };
+        }
+    }
+
+    /// Hands a started session to the scheduler: tops its window up and
+    /// *parks* it — the worker returns to the queue while the frames
+    /// drain, and batch completions wake whichever worker is free next
+    /// via the runnable queue. A session with nothing on the wire (no
+    /// cross edges, or a failure before the first frame) settles here.
+    fn launch(&self, arc: &Arc<Inner>, mut ps: PipelinedSession) {
         self.pipelines_outstanding.fetch_add(1, Ordering::SeqCst);
-        if ps.window.failure.is_none() && !(ps.window.pending.is_empty() && ps.window.inflight == 0)
-        {
+        if ps.window.failure.is_none() && !ps.window.pending.is_empty() {
             ps.shared.set_state(SessionState::Shipping);
             self.pump_pipeline(arc, &mut ps.window);
         }
         if ps.window.inflight == 0 && (ps.window.pending.is_empty() || ps.window.failure.is_some())
         {
-            // No cross edges, or a failed exec with nothing left on the
-            // wire: finalize on this worker.
             self.finalize_pipeline(ps);
             return;
         }
@@ -3389,11 +3308,12 @@ impl Inner {
             };
             // Checkpoint replay first: a resumed session re-ships the
             // exact bytes the failed run built; only a ledger miss
-            // serializes (mirrors the blocking transport's
-            // `checkpointed_message` contract).
-            let message = Arc::new(match self.ledger.stored_message(w.shared.id, batch.seq) {
-                Some(stored) => stored,
-                None => {
+            // serializes.
+            let stored = self.ledger.stored_message(w.shared.id, batch.seq);
+            let message = Arc::new(match (stored, batch.payload) {
+                (Some(stored), _) => stored,
+                (None, Payload::Frame(frame)) => frame,
+                (None, Payload::Feed(feed)) => {
                     let start = Instant::now();
                     // Trace context rides the shipment: columnar frames
                     // carry it in their header extension, XML text in
@@ -3403,7 +3323,7 @@ impl Inner {
                     let ctx = wire_context(&w.shared, w.exec_span);
                     let len = encode_in_format_with_context_into(
                         &mut w.encode_buf,
-                        &batch.feed,
+                        &feed,
                         w.wire_format,
                         ctx,
                     );
@@ -3470,7 +3390,7 @@ impl Inner {
             };
             let results = std::mem::take(&mut *ps.window.inbox.lock().unwrap());
             for result in results {
-                self.absorb_batch(&mut ps, result);
+                self.absorb_batch(arc, &mut ps, result);
             }
             self.pump_pipeline(arc, &mut ps.window);
             if ps.window.inflight == 0
@@ -3494,7 +3414,7 @@ impl Inner {
     /// Folds one completed batch into the parked session: shipping
     /// tallies always; on delivery, decode and stage in shipment order;
     /// on failure, record the first diagnostic and stop the pump.
-    fn absorb_batch(&self, ps: &mut PipelinedSession, result: BatchResult) {
+    fn absorb_batch(&self, arc: &Arc<Inner>, ps: &mut PipelinedSession, result: BatchResult) {
         ps.window.inflight -= 1;
         let stats = result.stats;
         ps.window.rollup.wire_bytes += stats.wire_bytes;
@@ -3507,11 +3427,14 @@ impl Inner {
             Ok(delivered) => {
                 ps.outcome.times.communication += result.elapsed;
                 ps.outcome.messages += 1;
+                if ps.patch.is_some() && result.seq == 0 {
+                    self.absorb_patch(arc, ps, &delivered);
+                    return;
+                }
                 // Decode what actually arrived — link damage surfaces as
-                // an explicit error here, exactly as on the blocking
-                // path. The frame (or the SOAPAction label, for XML
-                // text) carries the sender's trace context; the decode
-                // span stitches under it.
+                // an explicit error here. The frame (or the SOAPAction
+                // label, for XML text) carries the sender's trace
+                // context; the decode span stitches under it.
                 let decode_started = Instant::now();
                 let decoded = Request::parse(&delivered)
                     .map_err(|e| e.to_string())
@@ -3633,6 +3556,7 @@ impl Inner {
             mut write_walls,
             stream_tables,
             delivered,
+            patched: ps_patched,
             ..
         } = ps;
         let ShipWindow {
@@ -3643,6 +3567,7 @@ impl Inner {
                 target.rollback_staged();
                 Err(diagnostic)
             }
+            None if ps_patched => Ok(outcome),
             None => {
                 let finishing = if stream_tables.is_some() {
                     // Streaming path: every batch is already staged; one
@@ -4100,7 +4025,7 @@ impl Inner {
                             batches.push(PendingBatch {
                                 seq,
                                 label: c.label.clone(),
-                                feed: batch,
+                                payload: Payload::Feed(batch),
                             });
                         }
                     }
@@ -4138,7 +4063,7 @@ impl Inner {
             let mut encode_buf: Vec<u8> = Vec::new();
             let primary_slot = Arc::clone(&lanes[primary].slot);
             // Decode-once cache: every lane receives byte-identical
-            // frames (the shipper checksums end to end), so the group
+            // frames (the engine checksums end to end), so the group
             // parses each delivered frame once and hands later lanes a
             // clone of the decoded feed — the decode bill, like the
             // encode bill, is per *frame*, not per subscriber. An entry
@@ -4176,6 +4101,9 @@ impl Inner {
                                 }
                                 None => {
                                     let batch = &batches[idx];
+                                    let Payload::Feed(feed) = &batch.payload else {
+                                        unreachable!("publish batches are feeds");
+                                    };
                                     let start = Instant::now();
                                     // One context for the whole group:
                                     // every subscriber's receiver spans
@@ -4187,7 +4115,7 @@ impl Inner {
                                     });
                                     let len = encode_in_format_with_context_into(
                                         &mut encode_buf,
-                                        &batch.feed,
+                                        feed,
                                         fmt,
                                         ctx,
                                     );

@@ -1,43 +1,7 @@
-//! Fault-tolerant, *checkpointed* chunked shipping over an unreliable
-//! link.
-//!
-//! The executor hands the shipper one serialized cross-edge message at a
-//! time (already framed as an HTTP POST). The shipper slices it into
-//! chunks, frames each with its full shipment identity — session,
-//! per-session shipment sequence number, index, total, length, checksum
-//! ([`xdx_net::ChunkFrame`]) — and transmits them through its session's
-//! per-pair [`Link`] (resolved from the [`crate::registry::LinkRegistry`]),
-//! retrying damaged or lost chunks with exponential backoff.
-//!
-//! Every verified frame is filed in the receiver-side
-//! [`ReassemblyLedger`] under the coordinates *in the frame*, so chunks
-//! that arrive reordered, duplicated, or cross-delivered during another
-//! session's transmission all land in the right slot, and exact repeats
-//! are dropped idempotently. Because the ledger outlives a failed
-//! session, a resumed session re-ships only the chunks that never
-//! arrived (`chunks_resumed`) and replays the *serialized message* the
-//! failed run persisted ([`Transport::checkpointed_message`]) instead of
-//! re-serializing it.
-//!
-//! The hot path is allocation-free at steady state: one frame buffer and
-//! one label buffer are reused across every chunk of every shipment, the
-//! frame is built once per chunk (not per attempt), and per-link
-//! accounting is lock-free atomics. Only sessions sharing a `(source,
-//! target)` pair contend on a link lock — the paper's one-path-per-pair
-//! model.
+//! The shipping policy: chunk size, retry caps and backoff of every
+//! shipment the [engine](crate::engine) runs.
 
-use crate::events::{EventKind, EventLog};
-use crate::ledger::{Filed, ReassemblyLedger};
-use crate::registry::LinkSlot;
-use crate::session::{SessionShared, SessionState};
-use std::fmt::Write as _;
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
-use xdx_core::error::{Error, Result};
-use xdx_core::{Transport, WireFormat};
-use xdx_net::{frame_chunk_into, ChunkFrame, Delivery};
-use xdx_trace::{Histogram, SpanId, TraceSink, NO_SPAN};
+use std::time::Duration;
 
 /// Retry/chunking policy of the shipping layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,33 +42,6 @@ impl ShippingPolicy {
     }
 }
 
-/// Shipping-side tallies, folded into the session metrics afterwards.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct ShipStats {
-    pub shipments: u64,
-    pub chunks_shipped: u64,
-    pub chunks_resumed: u64,
-    pub chunks_deduped: u64,
-    pub chunks_retried: u64,
-    pub retry_backoff: Duration,
-    pub wire_bytes: u64,
-    /// Encoded message bytes this session produced (logical payload
-    /// before chunk framing; checkpoint replays encode nothing).
-    pub bytes_encoded: u64,
-    /// Wall nanoseconds the executor spent encoding this session's
-    /// messages.
-    pub encode_ns: u64,
-    /// Shipments whose message the executor had to serialize because no
-    /// checkpointed copy existed ([`Transport::checkpointed_message`]
-    /// misses). Tallied here — not in the executor's outcome — so the
-    /// count survives a shipment failure.
-    pub messages_serialized: u64,
-    /// True when the shipment failed because the *link* defeated the
-    /// policy (attempt cap or retry budget) — the signal the circuit
-    /// breaker listens for. Cancellations and deadlines leave it false.
-    pub link_gave_up: bool,
-}
-
 /// A transmission consumed the link but delivered a *different* verified
 /// frame (reordering pipeline) or parked ours in the deferred queue.
 /// Bounded: the link's deferred queue holds at most a handful of frames,
@@ -112,602 +49,9 @@ pub(crate) struct ShipStats {
 /// turns a hypothetically livelocked loop into a counted failure.
 pub(crate) const MAX_STALLS_PER_CHUNK: u32 = 32;
 
-/// The runtime's [`Transport`]: chunked, checksummed, checkpointed,
-/// retrying shipment over the session's per-pair link.
-pub(crate) struct FaultTolerantShipper<'a> {
-    slot: Arc<LinkSlot>,
-    policy: ShippingPolicy,
-    session: &'a SessionShared,
-    events: &'a EventLog,
-    ledger: &'a ReassemblyLedger,
-    /// The wire format this session encodes cross-edge messages in:
-    /// the link's negotiated format, or the request's override.
-    wire_format: WireFormat,
-    /// The link's real-time pacing scale, cached at construction so
-    /// retry backoff can sleep *outside* the link lock — a backing-off
-    /// session must not hold the pair's link while it waits.
-    pacing: f64,
-    budget_left: u32,
-    /// Reused across every chunk of every shipment — the encoded frame.
-    frame_buf: Vec<u8>,
-    /// Reused across every chunk — the transfer-log label.
-    label_buf: String,
-    /// Span sink for `ship`/`encode` spans (absent in bare tests).
-    trace: Option<&'a TraceSink>,
-    /// Parent span of this session's shipments (the exec span).
-    parent_span: SpanId,
-    /// The span the current shipment runs under; retry events correlate
-    /// to it.
-    current_span: SpanId,
-    /// Shared encode-latency histogram (absent in bare tests).
-    encode_hist: Option<Arc<Histogram>>,
-    /// The runtime's shipping engine, when one is running. A backing-off
-    /// shipper *volunteers its wait* to the engine — driving other
-    /// sessions' parked shipments instead of sleeping — so retry backoff
-    /// never burns a worker slot even on this fallback blocking path.
-    engine: Option<Arc<crate::engine::ShipEngine>>,
-    pub(crate) stats: ShipStats,
-}
-
-impl<'a> FaultTolerantShipper<'a> {
-    /// Only used by tests; the runtime always passes the session's
-    /// resolved format explicitly.
-    #[cfg(test)]
-    pub(crate) fn new(
-        slot: Arc<LinkSlot>,
-        policy: ShippingPolicy,
-        session: &'a SessionShared,
-        events: &'a EventLog,
-        ledger: &'a ReassemblyLedger,
-    ) -> FaultTolerantShipper<'a> {
-        let wire_format = slot.wire_format();
-        FaultTolerantShipper::with_wire_format(slot, policy, session, events, ledger, wire_format)
-    }
-
-    pub(crate) fn with_wire_format(
-        slot: Arc<LinkSlot>,
-        policy: ShippingPolicy,
-        session: &'a SessionShared,
-        events: &'a EventLog,
-        ledger: &'a ReassemblyLedger,
-        wire_format: WireFormat,
-    ) -> FaultTolerantShipper<'a> {
-        let pacing = slot.link.lock().unwrap().pacing();
-        FaultTolerantShipper {
-            slot,
-            policy,
-            session,
-            events,
-            ledger,
-            wire_format,
-            pacing,
-            budget_left: policy.retry_budget,
-            frame_buf: Vec::new(),
-            label_buf: String::new(),
-            trace: None,
-            parent_span: NO_SPAN,
-            current_span: NO_SPAN,
-            encode_hist: None,
-            engine: None,
-            stats: ShipStats::default(),
-        }
-    }
-
-    /// Attaches the runtime's shipping engine so paced retry backoff is
-    /// spent driving parked shipments instead of sleeping.
-    pub(crate) fn with_engine(
-        mut self,
-        engine: Arc<crate::engine::ShipEngine>,
-    ) -> FaultTolerantShipper<'a> {
-        self.engine = Some(engine);
-        self
-    }
-
-    /// Attaches the runtime's telemetry: `ship` and `encode` spans are
-    /// recorded under `parent_span` (the session's exec span) and every
-    /// encode lands in the shared histogram.
-    pub(crate) fn with_telemetry(
-        mut self,
-        trace: &'a TraceSink,
-        parent_span: SpanId,
-        encode_hist: Arc<Histogram>,
-    ) -> FaultTolerantShipper<'a> {
-        self.trace = Some(trace);
-        self.parent_span = parent_span;
-        self.current_span = parent_span;
-        self.encode_hist = Some(encode_hist);
-        self
-    }
-
-    /// Files a verified frame in the ledger, tallying duplicates.
-    fn file(&mut self, frame: &ChunkFrame) {
-        if self.ledger.file(frame) == Filed::Duplicate {
-            self.stats.chunks_deduped += 1;
-        }
-    }
-
-    /// Transmits the pre-framed chunk at `index` until a copy of it
-    /// lands in the ledger or the policy gives up. The frame was built
-    /// once by the caller; every retry re-sends the same bytes. Returns
-    /// the simulated time spent (transfers, timeout waits, backoff).
-    fn ship_chunk(
-        &mut self,
-        chunk_label: &str,
-        shipment: u64,
-        index: usize,
-        frame: &[u8],
-    ) -> Result<Duration> {
-        let session_id = self.session.id;
-        let mut elapsed = Duration::ZERO;
-        let mut failed_attempts = 0u32;
-        let mut stalls = 0u32;
-        loop {
-            if self.session.is_cancelled() {
-                return Err(Error::Engine(format!(
-                    "session cancelled while shipping {chunk_label}"
-                )));
-            }
-            if self.session.deadline_exceeded() {
-                return Err(Error::Engine(format!(
-                    "deadline exceeded while shipping {chunk_label}"
-                )));
-            }
-            // Draw the fault outcome under the lock, but settle the
-            // paced wire occupancy *outside* it: holding the pair's
-            // link across the settle wait would stall every other
-            // session sharing the lane (and the engine's try_lock
-            // probes). The wait itself is volunteered to the engine —
-            // driving parked shipments, exactly like retry backoff —
-            // so the blocking path never idles a worker on the wire.
-            let (duration, delivery) = self
-                .slot
-                .link
-                .lock()
-                .unwrap()
-                .transmit_faulty_nowait(chunk_label, frame);
-            if self.pacing > 0.0 {
-                let settle = duration.mul_f64(self.pacing);
-                match &self.engine {
-                    Some(engine) => engine.drive_until(Instant::now() + settle),
-                    None => std::thread::sleep(settle),
-                }
-            }
-            elapsed += duration;
-            self.stats.wire_bytes += frame.len() as u64;
-            self.slot
-                .counters
-                .wire_bytes
-                .fetch_add(frame.len() as u64, Ordering::Relaxed);
-            // File whatever verified frame the link produced — ours, an
-            // older deferred one, even another session's. Duplicated
-            // deliveries are filed twice; the ledger drops the repeat.
-            let verified = delivery.payload().and_then(ChunkFrame::decode);
-            if let Some(arrived) = &verified {
-                self.file(arrived);
-                if matches!(delivery, Delivery::Duplicated(_)) {
-                    self.file(arrived);
-                }
-            }
-            if self.ledger.has_chunk(session_id, shipment, index) {
-                self.stats.chunks_shipped += 1;
-                self.slot
-                    .counters
-                    .chunks_shipped
-                    .fetch_add(1, Ordering::Relaxed);
-                return Ok(elapsed);
-            }
-            // The link consumed the transmission without landing our
-            // chunk. A verified *other* frame or a deferral is progress
-            // — the reorder pipeline will surface our copy shortly — so
-            // it does not burn attempts or budget (up to a cap).
-            let progressed = verified.is_some() || matches!(delivery, Delivery::Deferred);
-            if progressed && stalls < MAX_STALLS_PER_CHUNK {
-                stalls += 1;
-                continue;
-            }
-            failed_attempts += 1;
-            let cause = match delivery {
-                Delivery::Dropped => "dropped",
-                Delivery::TimedOut => "timed out",
-                Delivery::Corrupted(_) => "corrupted",
-                Delivery::Deferred => "deferred livelock",
-                Delivery::Delivered(_) | Delivery::Duplicated(_) => "frame damaged",
-            };
-            if failed_attempts >= self.policy.max_attempts_per_chunk {
-                self.stats.link_gave_up = true;
-                return Err(Error::Engine(format!(
-                    "shipping {chunk_label}: gave up after \
-                     {failed_attempts} attempts (last outcome: {cause})"
-                )));
-            }
-            if self.budget_left == 0 {
-                self.stats.link_gave_up = true;
-                return Err(Error::Engine(format!(
-                    "shipping {chunk_label}: session retry \
-                     budget ({}) exhausted (last outcome: {cause})",
-                    self.policy.retry_budget
-                )));
-            }
-            self.budget_left -= 1;
-            self.stats.chunks_retried += 1;
-            self.slot
-                .counters
-                .chunks_retried
-                .fetch_add(1, Ordering::Relaxed);
-            let backoff = self.policy.backoff(failed_attempts);
-            self.stats.retry_backoff += backoff;
-            elapsed += backoff;
-            // A paced link makes simulated time observable on the wall
-            // clock; backoff must obey the same clock or retries ship
-            // faster than the link they are backing off from. Waited
-            // here, outside the link lock, so other sessions sharing
-            // the pair keep transmitting while this one waits — and
-            // when the shipping engine is running, the wait is spent
-            // *driving it* (timer-wheel deadlines, parked shipments)
-            // instead of sleeping, so backoff never idles a worker.
-            if self.pacing > 0.0 {
-                let wait = backoff.mul_f64(self.pacing);
-                match &self.engine {
-                    Some(engine) => engine.drive_until(Instant::now() + wait),
-                    None => std::thread::sleep(wait),
-                }
-            }
-            self.events.push(
-                session_id,
-                self.current_span,
-                EventKind::ChunkRetried,
-                format!("{chunk_label} {cause}, retry {failed_attempts}"),
-            );
-        }
-    }
-}
-
-impl Transport for FaultTolerantShipper<'_> {
-    fn ship(&mut self, label: &str, message: &[u8]) -> Result<(Duration, Vec<u8>)> {
-        self.session.set_state(SessionState::Shipping);
-        let session_id = self.session.id;
-        let shipment = self.stats.shipments;
-        self.stats.shipments += 1;
-        let ship_started = Instant::now();
-        self.current_span = match self.trace {
-            Some(trace) => trace.allocate_id(),
-            None => self.parent_span,
-        };
-        let chunk_bytes = self.policy.chunk_bytes.max(1);
-        let total = message.len().div_ceil(chunk_bytes).max(1);
-        // Open the shipment in the ledger, persisting the serialized
-        // message; chunks checkpointed by a previous (failed) attempt
-        // are skipped, not re-shipped.
-        let prior = self
-            .ledger
-            .begin_shipment(session_id, shipment, total, message);
-        if !prior.is_empty() {
-            self.stats.chunks_resumed += prior.len() as u64;
-            self.events.push(
-                session_id,
-                self.current_span,
-                EventKind::ShipmentResumed,
-                format!(
-                    "{label}: {} of {total} chunks checkpointed, re-shipping {}",
-                    prior.len(),
-                    total - prior.len()
-                ),
-            );
-        }
-        self.slot.open_shipment();
-        let mut elapsed = Duration::ZERO;
-        let mut result = Ok(());
-        // Buffers move out for the loop (the borrow checker will not let
-        // `&mut self` methods run while fields are borrowed) and move
-        // back after — same allocation either way.
-        let mut frame_buf = std::mem::take(&mut self.frame_buf);
-        let mut label_buf = std::mem::take(&mut self.label_buf);
-        for index in 0..total {
-            let start = index * chunk_bytes;
-            let end = usize::min(start + chunk_bytes, message.len());
-            let chunk = &message[start..end];
-            if prior.contains(&index) {
-                continue;
-            }
-            if self.ledger.has_chunk(session_id, shipment, index) {
-                // Landed meanwhile via the reorder pipeline (possibly
-                // transmitted by another session sharing the link).
-                self.stats.chunks_shipped += 1;
-                continue;
-            }
-            label_buf.clear();
-            let _ = write!(label_buf, "{label}[{index}/{total}]");
-            frame_chunk_into(&mut frame_buf, session_id, shipment, index, total, chunk);
-            match self.ship_chunk(&label_buf, shipment, index, &frame_buf) {
-                Ok(duration) => elapsed += duration,
-                Err(e) => {
-                    result = Err(e);
-                    break;
-                }
-            }
-        }
-        self.frame_buf = frame_buf;
-        self.label_buf = label_buf;
-        self.slot.close_shipment();
-        self.session.set_state(SessionState::Executing);
-        if let Some(trace) = self.trace {
-            trace.record_with_id(
-                self.current_span,
-                "ship",
-                session_id,
-                self.parent_span,
-                ship_started,
-                ship_started.elapsed(),
-                format!(
-                    "{label}: {total} chunks, {} retried, {}",
-                    self.stats.chunks_retried,
-                    if result.is_ok() { "ok" } else { "failed" }
-                ),
-            );
-        }
-        self.current_span = self.parent_span;
-        result?;
-        let assembled = self
-            .ledger
-            .assemble(session_id, shipment)
-            .ok_or_else(|| Error::Engine(format!("shipment {shipment} did not reassemble")))?;
-        debug_assert_eq!(assembled, message, "verified chunks reassemble exactly");
-        Ok((elapsed, assembled))
-    }
-
-    fn checkpointed_message(&mut self, _label: &str) -> Option<Vec<u8>> {
-        // `stats.shipments` is the sequence number the *next* ship()
-        // call will use; a resumed session replays the identical cached
-        // plan, so shipment numbering is deterministic across attempts
-        // and the persisted bytes are exactly this shipment's message.
-        let stored = self
-            .ledger
-            .stored_message(self.session.id, self.stats.shipments);
-        if stored.is_none() {
-            self.stats.messages_serialized += 1;
-        }
-        stored
-    }
-
-    fn wire_format(&self) -> WireFormat {
-        self.wire_format
-    }
-
-    fn record_encode(&mut self, bytes: u64, ns: u64) {
-        self.stats.bytes_encoded += bytes;
-        self.stats.encode_ns += ns;
-        self.slot
-            .counters
-            .bytes_encoded
-            .fetch_add(bytes, Ordering::Relaxed);
-        self.slot
-            .counters
-            .encode_ns
-            .fetch_add(ns, Ordering::Relaxed);
-        if let Some(hist) = &self.encode_hist {
-            hist.record(ns);
-        }
-        if let Some(trace) = self.trace {
-            // The executor reports the encode after the fact; reconstruct
-            // the start so the span sits where the work happened.
-            let dur = Duration::from_nanos(ns);
-            let now = Instant::now();
-            trace.record(
-                "encode",
-                self.session.id,
-                self.parent_span,
-                now.checked_sub(dur).unwrap_or(now),
-                dur,
-                format!("{bytes} bytes"),
-            );
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::breaker::CircuitBreaker;
-    use crate::registry::ShipGauge;
-    use xdx_net::{FaultProfile, Link, NetworkProfile};
-
-    fn session() -> std::sync::Arc<SessionShared> {
-        SessionShared::new(1, "test".into(), None, 0)
-    }
-
-    fn slot_for(link: Link) -> Arc<LinkSlot> {
-        Arc::new(LinkSlot::new(
-            "source",
-            "target",
-            link,
-            CircuitBreaker::new(8, Duration::from_millis(50)),
-            WireFormat::Xml,
-            Arc::new(ShipGauge::default()),
-        ))
-    }
-
-    fn shipper_parts() -> (std::sync::Arc<SessionShared>, EventLog, ReassemblyLedger) {
-        (session(), EventLog::new(), ReassemblyLedger::new())
-    }
-
-    #[test]
-    fn lossy_link_reassembles_exactly_with_retries() {
-        let slot = slot_for(
-            Link::new(NetworkProfile::lan()).with_fault_profile(FaultProfile {
-                drop_probability: 0.15,
-                timeout_probability: 0.05,
-                corrupt_probability: 0.10,
-                seed: 42,
-                ..FaultProfile::healthy()
-            }),
-        );
-        let (session, events, ledger) = shipper_parts();
-        let policy = ShippingPolicy {
-            chunk_bytes: 64,
-            ..ShippingPolicy::default()
-        };
-        let mut shipper =
-            FaultTolerantShipper::new(Arc::clone(&slot), policy, &session, &events, &ledger);
-        let message: Vec<u8> = (0..2000u32).map(|i| (i % 251) as u8).collect();
-        let (elapsed, delivered) = shipper.ship("feed ITEM", &message).unwrap();
-        assert_eq!(delivered, message);
-        assert!(elapsed > Duration::ZERO);
-        assert_eq!(shipper.stats.chunks_shipped, 2000usize.div_ceil(64) as u64);
-        assert_eq!(shipper.stats.chunks_resumed, 0);
-        // A 30% fault rate over 32 chunks virtually guarantees retries.
-        assert!(shipper.stats.chunks_retried > 0);
-        assert_eq!(
-            events.count(EventKind::ChunkRetried) as u64,
-            shipper.stats.chunks_retried
-        );
-        // Wire bytes exceed the logical message: headers + retries.
-        assert!(shipper.stats.wire_bytes > message.len() as u64);
-        // The shipper leaves the session back in Executing.
-        assert_eq!(session.state(), SessionState::Executing);
-        assert!(!shipper.stats.link_gave_up);
-        // The link slot's lock-free counters mirror the shipper's view.
-        let link_stats = slot.stats();
-        assert_eq!(link_stats.wire_bytes, shipper.stats.wire_bytes);
-        assert_eq!(link_stats.chunks_shipped, shipper.stats.chunks_shipped);
-        assert_eq!(link_stats.chunks_retried, shipper.stats.chunks_retried);
-        assert_eq!(link_stats.peak_concurrent_shipments, 1);
-    }
-
-    #[test]
-    fn reordering_and_duplication_still_reassemble_exactly() {
-        let slot = slot_for(
-            Link::new(NetworkProfile::lan()).with_fault_profile(FaultProfile {
-                reorder_probability: 0.25,
-                duplicate_probability: 0.15,
-                seed: 7,
-                ..FaultProfile::healthy()
-            }),
-        );
-        let (session, events, ledger) = shipper_parts();
-        let policy = ShippingPolicy {
-            chunk_bytes: 32,
-            ..ShippingPolicy::default()
-        };
-        let mut shipper = FaultTolerantShipper::new(slot, policy, &session, &events, &ledger);
-        let message: Vec<u8> = (0..3000u32).map(|i| (i * 7 % 256) as u8).collect();
-        let (_, delivered) = shipper.ship("feed R", &message).unwrap();
-        assert_eq!(delivered, message);
-        // Duplicated deliveries were filed twice and dropped once.
-        assert!(shipper.stats.chunks_deduped > 0, "{:?}", shipper.stats);
-    }
-
-    #[test]
-    fn checkpointed_chunks_are_not_reshipped() {
-        let network = NetworkProfile::lan();
-        let (session, events, ledger) = shipper_parts();
-        let policy = ShippingPolicy {
-            chunk_bytes: 64,
-            max_attempts_per_chunk: 3,
-            ..ShippingPolicy::default()
-        };
-        let message: Vec<u8> = (0..1000u32).map(|i| (i % 256) as u8).collect();
-        let total = 1000usize.div_ceil(64) as u64;
-
-        // First attempt: a drop-heavy link defeats the tight attempt
-        // cap partway through the shipment.
-        let slot = slot_for(Link::new(network).with_fault_profile(FaultProfile {
-            drop_probability: 0.35,
-            seed: 3,
-            ..FaultProfile::healthy()
-        }));
-        let mut first =
-            FaultTolerantShipper::new(Arc::clone(&slot), policy, &session, &events, &ledger);
-        let err = first.ship("feed C", &message).unwrap_err();
-        assert!(err.to_string().contains("gave up"), "{err}");
-        assert!(first.stats.link_gave_up);
-        let landed = first.stats.chunks_shipped;
-        assert!(landed > 0 && landed < total, "partial landing: {landed}");
-        assert_eq!(ledger.checkpointed_chunks(session.id), landed as usize);
-
-        // Second attempt over a repaired link: the persisted serialized
-        // message comes back verbatim, and only the remainder ships.
-        slot.link
-            .lock()
-            .unwrap()
-            .set_fault_profile(FaultProfile::healthy());
-        let mut second = FaultTolerantShipper::new(slot, policy, &session, &events, &ledger);
-        assert_eq!(
-            second.checkpointed_message("feed C").unwrap(),
-            message,
-            "the failed run persisted the assembled message"
-        );
-        let (_, delivered) = second.ship("feed C", &message).unwrap();
-        assert_eq!(delivered, message);
-        assert_eq!(second.stats.chunks_resumed, landed);
-        assert_eq!(second.stats.chunks_shipped, total - landed);
-        assert_eq!(events.count(EventKind::ShipmentResumed), 1);
-    }
-
-    #[test]
-    fn exhausted_retry_budget_fails_with_diagnostic() {
-        let slot = slot_for(
-            Link::new(NetworkProfile::lan()).with_fault_profile(FaultProfile::drops(1.0, 9)),
-        );
-        let (session, events, ledger) = shipper_parts();
-        let policy = ShippingPolicy {
-            chunk_bytes: 64,
-            max_attempts_per_chunk: 100,
-            retry_budget: 5,
-            ..ShippingPolicy::default()
-        };
-        let mut shipper = FaultTolerantShipper::new(slot, policy, &session, &events, &ledger);
-        let err = shipper.ship("feed X", b"some payload").unwrap_err();
-        assert!(err.to_string().contains("retry budget"), "{err}");
-        assert_eq!(shipper.stats.chunks_retried, 5);
-        assert!(shipper.stats.link_gave_up);
-    }
-
-    #[test]
-    fn attempt_cap_fails_even_with_budget_left() {
-        let slot = slot_for(
-            Link::new(NetworkProfile::lan()).with_fault_profile(FaultProfile::drops(1.0, 9)),
-        );
-        let (session, events, ledger) = shipper_parts();
-        let policy = ShippingPolicy {
-            max_attempts_per_chunk: 3,
-            ..ShippingPolicy::default()
-        };
-        let mut shipper = FaultTolerantShipper::new(slot, policy, &session, &events, &ledger);
-        let err = shipper.ship("feed X", b"payload").unwrap_err();
-        assert!(err.to_string().contains("gave up after 3"), "{err}");
-    }
-
-    #[test]
-    fn cancellation_interrupts_shipping() {
-        let slot = slot_for(
-            Link::new(NetworkProfile::lan()).with_fault_profile(FaultProfile::drops(1.0, 9)),
-        );
-        let (session, events, ledger) = shipper_parts();
-        session
-            .cancelled
-            .store(true, std::sync::atomic::Ordering::Relaxed);
-        let mut shipper =
-            FaultTolerantShipper::new(slot, ShippingPolicy::default(), &session, &events, &ledger);
-        let err = shipper.ship("feed X", b"payload").unwrap_err();
-        assert!(err.to_string().contains("cancelled"), "{err}");
-        assert!(!shipper.stats.link_gave_up, "cancellation is not the link");
-    }
-
-    #[test]
-    fn deadline_interrupts_shipping_without_blaming_the_link() {
-        let slot = slot_for(
-            Link::new(NetworkProfile::lan()).with_fault_profile(FaultProfile::drops(1.0, 9)),
-        );
-        let session = SessionShared::new(1, "t".into(), Some(Duration::ZERO), 0);
-        std::thread::sleep(Duration::from_millis(2));
-        let events = EventLog::new();
-        let ledger = ReassemblyLedger::new();
-        let mut shipper =
-            FaultTolerantShipper::new(slot, ShippingPolicy::default(), &session, &events, &ledger);
-        let err = shipper.ship("feed X", b"payload").unwrap_err();
-        assert!(err.to_string().contains("deadline exceeded"), "{err}");
-        assert!(!shipper.stats.link_gave_up);
-    }
 
     #[test]
     fn backoff_doubles_and_caps() {
