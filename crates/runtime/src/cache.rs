@@ -47,6 +47,34 @@ pub struct CachedPlan {
     pub comm_bytes: u64,
 }
 
+impl CachedPlan {
+    /// Wraps a freshly planned program with what `model` predicts for
+    /// it — per-node computation cost and total cross-edge bytes — so
+    /// execution can be compared against the prediction by calibration.
+    pub fn priced(
+        schema: &xdx_xml::SchemaTree,
+        model: &CostModel,
+        program: Program,
+        cost: f64,
+    ) -> CachedPlan {
+        let op_costs = (0..program.nodes.len())
+            .map(|i| model.comp_cost(&program, i, program.nodes[i].location))
+            .collect();
+        let mut comm_bytes = 0.0;
+        for (i, node) in program.nodes.iter().enumerate() {
+            for port in &node.inputs {
+                comm_bytes += model.comm_cost(schema, &program, *port, i);
+            }
+        }
+        CachedPlan {
+            program,
+            cost,
+            op_costs,
+            comm_bytes: comm_bytes as u64,
+        }
+    }
+}
+
 #[derive(Debug)]
 struct Entry {
     plan: Arc<CachedPlan>,

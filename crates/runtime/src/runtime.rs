@@ -23,7 +23,7 @@
 
 use crate::admission::AdmissionController;
 use crate::breaker::BreakerTransition;
-use crate::cache::{plan_key, plan_key_with_fanout, CachedPlan, PlanCache};
+use crate::cache::{plan_key, plan_key_with_fanout, CachedPlan, PlanCache, PlanKey};
 use crate::engine::{BatchResult, ShipEngine, ShipRequest};
 use crate::events::{Event, EventKind, EventLog, DEFAULT_EVENT_CAPACITY};
 use crate::fair::{FairQueue, DEFAULT_AGING_INTERVAL};
@@ -49,7 +49,7 @@ use xdx_codec::{
 use xdx_core::exec::{
     commit_and_index, cross_ports_in_consumer_order, direct_write_tables,
     execute_source_phase_streaming, execute_target_phase, execute_with_transport, feed_batches,
-    writes_stream_directly, ExecOutcome, LoopbackTransport, OpSample,
+    writes_stream_directly, CrossPort, ExecOutcome, LoopbackTransport, OpSample,
 };
 use xdx_core::program::PortRef;
 use xdx_core::{
@@ -806,23 +806,21 @@ struct PublishJob {
     group_span: SpanId,
 }
 
-/// One not-yet-submitted operator batch of a pipelined session, encoded
-/// lazily at submission so frame `k+1` is produced while frame `k` is on
-/// the wire.
-struct PendingBatch {
-    /// Ledger shipment sequence: port order × batch index, deterministic
-    /// across failure and resume.
-    seq: u64,
+/// One slot of a group's frame ring: an operator batch (or the delta
+/// patch) on its way to every lane of the group. The ring index *is*
+/// the ledger shipment seq — cross ports in first-consumer order ×
+/// batch index, after the patch if one shipped — so the same seq names
+/// the same bytes across failure and resume.
+struct Slot {
     label: String,
-    payload: Payload,
-}
-
-/// What a pending batch puts on the wire.
-enum Payload {
-    /// An operator batch, encoded and SOAP-wrapped at submission.
-    Feed(Feed),
-    /// A frame that is already wire bytes: the bare delta-patch frame.
-    Frame(Vec<u8>),
+    /// The producing cross port; `None` for the delta patch.
+    port: Option<PortRef>,
+    /// The batch, until the first lane to need it encodes it.
+    feed: Option<Feed>,
+    /// The wire message, from its one encode until every live lane has
+    /// submitted it — resident frames are bounded by the spread between
+    /// the fastest and slowest lane.
+    frame: Option<Arc<Vec<u8>>>,
 }
 
 /// A delta patch on the wire: what its absorb step needs to check the
@@ -836,7 +834,7 @@ struct PatchShip {
     chain_composed: bool,
     steps: u64,
     bytes: usize,
-    /// Outcome of the loopback head computation; becomes the session's
+    /// Outcome of the loopback head computation; becomes the lane's
     /// outcome when the patch applies.
     head_outcome: ExecOutcome,
 }
@@ -856,80 +854,118 @@ struct ShipRollup {
     link_gave_up: bool,
 }
 
-/// The shipping window of a pipelined session: exactly the state the
-/// pump needs to keep frames flowing. Split from [`PipelinedSession`]
-/// so frames can ship *during* the source phase, while the session's
-/// request and plan are still borrowed by the executor.
-struct ShipWindow {
+/// One target's side of an exchange: its session cell, its own link,
+/// ledger coordinates and retry budget, its cursor over the group's
+/// frame ring, and its staging state. Everything per-target lives here;
+/// the only thing lanes share is the ring of already-encoded frames.
+struct Lane {
     shared: Arc<SessionShared>,
     slot: Arc<LinkSlot>,
-    wire_format: WireFormat,
-    exec_span: SpanId,
-    /// Batches not yet handed to the engine, in shipment-seq order.
-    pending: VecDeque<PendingBatch>,
-    /// `seq → producing port` for every batch of the session.
-    port_of: HashMap<u64, PortRef>,
-    /// Completed batch results, deposited by engine callbacks; shared so
-    /// a result can land while a worker holds the session out of the
-    /// map.
-    inbox: Arc<Mutex<Vec<BatchResult>>>,
-    /// Retry budget shared by every batch of the session.
-    budget: Arc<AtomicI64>,
-    inflight: usize,
-    /// Next shipment seq to assign: cross ports in first-consumer
-    /// order × batch index, deterministic across runs and resumes.
-    next_seq: u64,
-    rollup: ShipRollup,
-    /// First failure (diagnostic, link_gave_up); stops the pump, the
-    /// session settles once in-flight batches drain.
-    failure: Option<String>,
-    /// Reused encode buffer.
-    encode_buf: Vec<u8>,
-}
-
-/// A session parked mid-exchange: its source phase
-/// ran (or still runs), its batches flow through the shipping engine,
-/// and whichever worker picks it off the runnable queue decodes and
-/// stages what landed. No thread blocks on it — the struct *is* the
-/// session's resumable state machine.
-struct PipelinedSession {
-    shared: Arc<SessionShared>,
-    enqueued: Instant,
-    request: ExchangeRequest,
-    plan: Arc<CachedPlan>,
-    plan_shape: Option<u64>,
-    slot: Arc<LinkSlot>,
-    wire_format: WireFormat,
     feed_route: String,
     metrics: SessionMetrics,
-    /// Source-phase outcome, growing ship/stage tallies as batches land.
-    outcome: ExecOutcome,
     target: Database,
-    exec_span: SpanId,
-    exec_started: Instant,
-    /// The pumpable shipping state (pending batches, in-flight count,
-    /// tallies, failure flag).
-    window: ShipWindow,
+    /// Retry budget shared by every batch of the lane — one broken
+    /// target exhausts only its own.
+    budget: Arc<AtomicI64>,
+    inflight: usize,
+    /// Next ring slot this lane submits.
+    cursor: usize,
+    /// Batches fully absorbed (delivered or failed) — the lag metric the
+    /// cap compares against the group's fastest lane.
+    completed: usize,
+    rollup: ShipRollup,
+    /// First failure diagnostic; stops the lane's pump, and the lane
+    /// settles once its in-flight batches drain.
+    failure: Option<String>,
     /// Decoded batches that arrived ahead of the staging cursor.
     decoded: BTreeMap<u64, Feed>,
     /// Next shipment seq to stage — batches apply in order even when
     /// the wire completes them out of order.
     next_stage_seq: u64,
+    /// Source-phase outcome (on the group's first lane), growing
+    /// ship/stage tallies as batches land.
+    outcome: ExecOutcome,
+    /// Per-write-node staging wall, folded into one op sample each at
+    /// settlement.
+    write_walls: HashMap<usize, (Instant, Duration)>,
+    /// General path: delivered feeds accumulate per port until the
+    /// target phase runs over them at settlement.
+    delivered: HashMap<PortRef, Feed>,
+    /// True once a patch committed and indexed the target: nothing is
+    /// left for the target half to finish.
+    patched: bool,
+    settled: bool,
+}
+
+impl Lane {
+    /// Nothing on the wire and nothing left to put there.
+    fn drained(&self, ring_len: usize) -> bool {
+        self.inflight == 0 && (self.cursor >= ring_len || self.failure.is_some())
+    }
+}
+
+/// N lanes over one shared frame ring: one plan, one source half, every
+/// batch encoded once and the same bytes shipped per lane. A two-site
+/// session is a group of one.
+struct Group {
+    wire_format: WireFormat,
+    plan: Arc<CachedPlan>,
+    /// The shape half of the plan-cache key, for session-drift
+    /// calibration; `None` when the plan was not probed for here.
+    plan_shape: Option<u64>,
+    exec_span: SpanId,
+    exec_started: Instant,
+    /// The trace context every frame carries: receiver spans of every
+    /// lane stitch under the group's exec span.
+    ctx: Option<TraceContext>,
+    ring: Vec<Slot>,
+    /// First ring slot some live lane has yet to submit.
+    floor: usize,
     /// `Some` when every target node is a source-fed `Write`: batches
     /// stage straight into their table as they land (`port → (node,
     /// table)`), and commit+index is the only finalization left.
     stream_tables: Option<HashMap<PortRef, (usize, String)>>,
-    /// Per-write-node staging wall, folded into one op sample each at
-    /// finalization.
-    write_walls: HashMap<usize, (Instant, Duration)>,
-    /// General path: delivered feeds accumulate per port until the
-    /// target phase runs over them at finalization.
-    delivered: HashMap<PortRef, Feed>,
+    lanes: Vec<Lane>,
+    /// Decode-once cache: lanes receive byte-identical frames (the
+    /// engine checksums end to end), so the first absorber parses and
+    /// later lanes clone the feed. An entry dies with its last expected
+    /// absorption.
+    decoded: HashMap<u64, (Feed, usize)>,
+    /// Snapshot-once cache, same argument: the first lane to commit
+    /// snapshots its tables and the rest record the same `Arc`.
+    snapshot: Option<Snapshot>,
+    /// Encode bill of a shared ring (a sole lane bills its own rollup).
+    encodes: ShipRollup,
+    shared_reuse: u64,
+    ring_fallbacks: u64,
+    encode_buf: Vec<u8>,
     /// The delta patch riding shipment 0, until its absorb step ran.
     patch: Option<Box<PatchShip>>,
-    /// True once a patch committed and indexed the target: nothing is
-    /// left for the target half to finish.
-    patched: bool,
+}
+
+/// Completed batch results as `(group, lane, result)`, deposited by
+/// engine callbacks; shared so a result can land while a worker holds
+/// the exchange out of the parked map.
+type Inbox = Arc<Mutex<Vec<(usize, usize, BatchResult)>>>;
+
+/// An exchange parked mid-flight: its source halves ran, its batches
+/// flow through the shipping engine, and whichever worker picks it off
+/// the runnable queue absorbs what landed. No thread blocks on it — the
+/// struct *is* the resumable state machine. One group, except for a
+/// publish whose subscribers negotiated different wire formats.
+struct Exchange {
+    /// Key in the parked map and the runnable queue.
+    id: SessionId,
+    enqueued: Instant,
+    /// The request every lane's resume checkpoint is cut from (name and
+    /// target endpoint are the lane's own).
+    request: ExchangeRequest,
+    /// Source counters already billed to a lane's metrics.
+    billed: Counters,
+    /// Frames a lane may trail its group's fastest before it is ejected.
+    lag_cap: usize,
+    groups: Vec<Group>,
+    inbox: Inbox,
 }
 
 /// A failed session's checkpoint: the original request plus the plan it
@@ -941,70 +977,8 @@ struct Resumable {
     plan: Option<Arc<CachedPlan>>,
 }
 
-/// One subscriber lane of a running 1→N publish group: the lane's
-/// session cell, its own link/ledger/budget, its shipping cursor over
-/// the group's shared frame ring, and its target-side staging state.
-/// Everything per-subscriber lives here; the only thing lanes share is
-/// the ring of already-encoded frames.
-struct PublishLane {
-    subscriber: String,
-    shared: Arc<SessionShared>,
-    slot: Arc<LinkSlot>,
-    wire_format: WireFormat,
-    feed_route: String,
-    metrics: SessionMetrics,
-    target: Database,
-    /// Completed batch results deposited by engine callbacks.
-    inbox: Arc<Mutex<Vec<BatchResult>>>,
-    /// Per-lane retry budget — one broken subscriber exhausts only its
-    /// own budget.
-    budget: Arc<AtomicI64>,
-    inflight: usize,
-    /// Next shared-frame index this lane submits.
-    cursor: usize,
-    /// Frames fully absorbed (delivered or failed) — the lag metric the
-    /// cap compares against the group's fastest lane.
-    completed: usize,
-    rollup: ShipRollup,
-    failure: Option<String>,
-    cancelled: bool,
-    /// True when the lane fell `lag_cap` frames behind and was dropped
-    /// from the shared ring onto the per-subscriber fallback.
-    lagged: bool,
-    decoded: BTreeMap<u64, Feed>,
-    next_stage_seq: u64,
-    outcome: ExecOutcome,
-    delivered: HashMap<PortRef, Feed>,
-    write_walls: HashMap<usize, (Instant, Duration)>,
-    settled: bool,
-}
-
-/// The independent two-site request a failed publish lane checkpoints
-/// as: `Runtime::resume` re-admits it as an ordinary session replaying
-/// the group's k-site plan, so its ledger acks line up and only the
-/// frames that never landed cross the wire (re-encoded per subscriber —
-/// the fallback ladder's last rung).
-fn publish_lane_request(request: &PublishRequest, subscriber: &str) -> ExchangeRequest {
-    ExchangeRequest {
-        name: format!("{}→{subscriber}", request.name),
-        source: request.source.clone(),
-        source_frag: request.source_frag.clone(),
-        target_frag: request.target_frag.clone(),
-        priority: request.priority,
-        source_profile: request.source_profile,
-        target_profile: request.target_profile,
-        deadline: None,
-        source_endpoint: request.source_endpoint.clone(),
-        target_endpoint: subscriber.to_string(),
-        tenant: request.tenant.clone(),
-        optimizer: request.optimizer,
-        wire_format: request.wire_format,
-        base_version: None,
-    }
-}
-
-/// What one format group's source phase cost: the source counters it
-/// added on top of whatever earlier groups already ran.
+/// What the source database accumulated between two readings of its
+/// counters.
 fn counters_delta(now: Counters, before: Counters) -> Counters {
     Counters {
         rows_read: now.rows_read - before.rows_read,
@@ -1015,45 +989,6 @@ fn counters_delta(now: Counters, before: Counters) -> Counters {
         index_inserts: now.index_inserts - before.index_inserts,
         bytes_out: now.bytes_out - before.bytes_out,
     }
-}
-
-/// Applies a lane's decoded batches in shipment-seq order from its
-/// staging cursor — the per-lane analog of [`Inner::stage_ready`].
-fn stage_publish_lane(
-    lane: &mut PublishLane,
-    stream_tables: Option<&HashMap<PortRef, (usize, String)>>,
-    port_of: &HashMap<u64, PortRef>,
-) -> std::result::Result<(), String> {
-    while let Some(feed) = lane.decoded.remove(&lane.next_stage_seq) {
-        let seq = lane.next_stage_seq;
-        lane.next_stage_seq += 1;
-        let port = *port_of
-            .get(&seq)
-            .ok_or_else(|| format!("no port for shipment {seq}"))?;
-        if let Some(tables) = stream_tables {
-            let (node, table) = tables
-                .get(&port)
-                .cloned()
-                .ok_or_else(|| format!("no write table for port {port:?}"))?;
-            let start = Instant::now();
-            lane.outcome.rows_loaded += feed.len() as u64;
-            lane.target
-                .load_staged(&table, feed)
-                .map_err(|e| e.to_string())?;
-            let wall = start.elapsed();
-            lane.outcome.times.loading += wall;
-            let slot = lane
-                .write_walls
-                .entry(node)
-                .or_insert((start, Duration::ZERO));
-            slot.1 += wall;
-        } else if let Some(existing) = lane.delivered.get_mut(&port) {
-            existing.rows.extend(feed.rows);
-        } else {
-            lane.delivered.insert(port, feed);
-        }
-    }
-    Ok(())
 }
 
 #[derive(Default)]
@@ -1123,17 +1058,18 @@ struct Inner {
     cache: PlanCache,
     events: Arc<EventLog>,
     ledger: Arc<ReassemblyLedger>,
-    /// The event-driven shipping engine: every pipelined batch, and the
-    /// parked deadlines of every paced wait, live here instead of on a
-    /// blocked worker thread.
+    /// The event-driven shipping engine: every batch on the wire, and
+    /// the parked deadline of every paced wait, lives here instead of on
+    /// a blocked worker thread.
     engine: Arc<ShipEngine>,
-    /// Parked pipelined sessions, keyed by id. A worker *removes* the
-    /// session while servicing it (no double-service), re-inserting it
-    /// if batches remain in flight.
-    pipelines: Mutex<HashMap<SessionId, PipelinedSession>>,
-    /// Pipelined sessions started and not yet settled — workers refuse
-    /// to exit at shutdown while any remain.
-    pipelines_outstanding: AtomicUsize,
+    /// Parked exchanges, keyed by id. A worker *removes* the exchange
+    /// while servicing it (no double-service), re-inserting it if
+    /// batches remain in flight.
+    parked: Mutex<HashMap<SessionId, Exchange>>,
+    /// Exchanges started and not yet retired — the in-flight cap's
+    /// numerator, and workers refuse to exit at shutdown while any
+    /// remain.
+    outstanding: AtomicUsize,
     /// Workers currently executing or servicing a session — the
     /// occupancy gauge's numerator.
     busy_workers: AtomicUsize,
@@ -1245,8 +1181,8 @@ impl Runtime {
             events,
             ledger,
             engine: Arc::clone(&engine),
-            pipelines: Mutex::new(HashMap::new()),
-            pipelines_outstanding: AtomicUsize::new(0),
+            parked: Mutex::new(HashMap::new()),
+            outstanding: AtomicUsize::new(0),
             busy_workers: AtomicUsize::new(0),
             resumables: Mutex::new(HashMap::new()),
             resumable_clock: AtomicU64::new(0),
@@ -1701,13 +1637,13 @@ impl Drop for Runtime {
     }
 }
 
-/// What a worker picked up: a fresh session off the fair queue, or a
-/// parked pipelined session with batch results to service. Runnable
-/// work drains first — finishing in-flight exchanges beats starting new
-/// ones, and it is what bounds the pipelines map.
+/// What a worker picked up: a parked exchange with batch results to
+/// service, or a fresh session or publish group to start. Runnable work
+/// drains first — finishing in-flight exchanges beats starting new
+/// ones, and it is what bounds the parked map.
 enum WorkItem {
-    Job(Box<QueuedSession>),
     Service(SessionId),
+    Job(Box<QueuedSession>),
     Publish(Box<PublishJob>),
 }
 
@@ -1727,12 +1663,12 @@ fn worker_loop(inner: &Arc<Inner>) {
                 // so overload stays a visible backlog (sheddable when a
                 // breaker opens) instead of unbounded in-flight state.
                 let session_cap = inner.config.workers * inner.config.pipeline_sessions_per_worker;
-                if inner.pipelines_outstanding.load(Ordering::SeqCst) < session_cap {
+                if inner.outstanding.load(Ordering::SeqCst) < session_cap {
                     if let Some(popped) = queue.fair.pop() {
                         break Some(WorkItem::Job(Box::new(popped.item)));
                     }
                 }
-                if !queue.open && inner.pipelines_outstanding.load(Ordering::SeqCst) == 0 {
+                if !queue.open && inner.outstanding.load(Ordering::SeqCst) == 0 {
                     break None;
                 }
                 queue = inner.available.wait(queue).unwrap();
@@ -1745,10 +1681,10 @@ fn worker_loop(inner: &Arc<Inner>) {
                 inner.admission.record_dequeue();
                 inner.run_session(inner, *job);
             }
-            WorkItem::Service(sid) => inner.service_pipeline(inner, sid),
+            WorkItem::Service(sid) => inner.service(inner, sid),
             WorkItem::Publish(job) => {
                 inner.admission.record_dequeue();
-                inner.run_publish(*job);
+                inner.run_publish(inner, *job);
             }
         }
         inner.busy_workers.fetch_sub(1, Ordering::Relaxed);
@@ -2311,24 +2247,22 @@ impl Inner {
         (healthy, body)
     }
 
-    /// Runs one session on the calling worker thread from dequeue to
-    /// *park* (`arc` is this same `Inner`, threaded through for the
-    /// engine callbacks a parked session leaves behind).
-    fn run_session(&self, arc: &Arc<Inner>, job: QueuedSession) {
-        let QueuedSession {
-            enqueued,
-            resumed,
-            request,
-            plan: stored_plan,
-            shared,
-        } = job;
-        let tenant = request.tenant_label();
-        // Resolve the route's link up front: its negotiated wire format
-        // feeds the cost model (and the plan-cache key), so placement
-        // decisions see the bytes the link will actually carry.
-        let (slot, created) = self
-            .registry
-            .resolve(&request.source_endpoint, &request.target_endpoint);
+    /// Opens a lane at dequeue: resolves the pair's link (its negotiated
+    /// wire format feeds the cost model and the plan-cache key, so
+    /// placement sees the bytes the link will actually carry) and
+    /// records the queue wait. Returns the lane and its wire format.
+    #[allow(clippy::too_many_arguments)]
+    fn open_lane(
+        &self,
+        shared: &Arc<SessionShared>,
+        enqueued: Instant,
+        (source_ep, target_ep): (&str, &str),
+        (source_frag, target_frag): (&str, &str),
+        tenant: String,
+        format: Option<WireFormat>,
+        queued_detail: String,
+    ) -> (Lane, WireFormat) {
+        let (slot, created) = self.registry.resolve(source_ep, target_ep);
         if created {
             self.events.push(
                 shared.id,
@@ -2337,11 +2271,11 @@ impl Inner {
                 slot.pair(),
             );
         }
-        let wire_format = request.wire_format.unwrap_or_else(|| slot.wire_format());
-        let mut metrics = SessionMetrics {
+        let wire_format = format.unwrap_or_else(|| slot.wire_format());
+        let metrics = SessionMetrics {
             queue_wait: enqueued.elapsed(),
-            route: format!("{}→{}", request.source_endpoint, request.target_endpoint),
-            tenant: tenant.clone(),
+            route: format!("{source_ep}→{target_ep}"),
+            tenant,
             wire_format,
             ..SessionMetrics::default()
         };
@@ -2352,315 +2286,131 @@ impl Inner {
             shared.root_span,
             enqueued,
             metrics.queue_wait,
-            format!("priority {:?}", request.priority),
+            queued_detail,
         );
+        let lane = Lane {
+            shared: Arc::clone(shared),
+            slot,
+            feed_route: route_key(source_ep, target_ep, source_frag, target_frag),
+            metrics,
+            target: Database::new(format!("{}-target", shared.name)),
+            budget: Arc::new(AtomicI64::new(i64::from(self.config.shipping.retry_budget))),
+            inflight: 0,
+            cursor: 0,
+            completed: 0,
+            rollup: ShipRollup::default(),
+            failure: None,
+            decoded: BTreeMap::new(),
+            next_stage_seq: 0,
+            outcome: ExecOutcome::default(),
+            write_walls: HashMap::new(),
+            delivered: HashMap::new(),
+            patched: false,
+            settled: false,
+        };
+        (lane, wire_format)
+    }
+
+    /// The dequeue gates, before any planning work is spent on a lane:
+    /// cancelled while queued; deadline expired while queued (shed
+    /// before burning a statistics probe — the breaker is untouched, an
+    /// expired deadline says nothing about link health); route breaker
+    /// open (the session would only fail after a probe and a full retry
+    /// budget). `probe` lanes — resumes, the operator's explicit
+    /// recovery probe — bypass the breaker. Returns the terminal state
+    /// and diagnostic of a gated lane, with its events and shed counters
+    /// recorded; a `Failed` verdict is a shed the caller keeps resumable.
+    fn dequeue_gate(&self, lane: &Lane, probe: bool) -> Option<(SessionState, String)> {
+        let shared = &lane.shared;
         if shared.is_cancelled() {
-            self.finish(
-                &shared,
-                enqueued,
-                SessionState::Cancelled,
-                metrics,
-                None,
-                Some("cancelled while queued".into()),
-            );
-            return;
+            return Some((SessionState::Cancelled, "cancelled while queued".into()));
         }
-        // Fast-fail: a deadline that expired while the session sat in
-        // the queue is shed *before* planning — it never burns a
-        // statistics probe or an optimizer call on work that is already
-        // lost. The breaker is untouched (an expired deadline says
-        // nothing about link health).
-        if shared.deadline_exceeded() {
+        let (counter, why): (fn(&mut Aggregate) -> &mut u64, String) = if shared.deadline_exceeded()
+        {
             self.events.push(
                 shared.id,
                 shared.root_span,
                 EventKind::DeadlineExceeded,
                 "while queued",
             );
-            self.events.push(
-                shared.id,
-                shared.root_span,
-                EventKind::Shed,
-                "expired while queued: shed before planning",
-            );
-            self.agg.lock().unwrap().shed_expired += 1;
-            self.tenant_entry(&tenant, |t| t.shed += 1);
-            self.flight
-                .shed(|| format!("{}: expired while queued", shared.name));
-            self.remember_resumable(
-                shared.id,
-                Resumable {
-                    request,
-                    plan: stored_plan,
-                },
-            );
-            self.finish(
-                &shared,
-                enqueued,
-                SessionState::Failed,
-                metrics,
-                None,
-                Some("deadline exceeded while queued: shed before planning".into()),
-            );
-            return;
-        }
-        // Breaker feedback at dequeue: a session whose route's breaker
-        // is open would only fail after burning a planning probe and a
-        // full retry budget — shed it now, keeping it resumable.
-        // Resumed sessions pass: resume is the operator's explicit
-        // probe and deliberately bypasses the breaker.
-        if !resumed && slot.breaker.is_open() {
-            let pair = slot.pair();
-            let retry = slot
-                .breaker
-                .cooldown_remaining()
-                .unwrap_or(self.config.breaker_cooldown);
-            self.events.push(
-                shared.id,
-                shared.root_span,
-                EventKind::Shed,
-                format!("circuit open on {pair}, retry in {retry:?}"),
-            );
-            slot.counters.sessions_shed.fetch_add(1, Ordering::Relaxed);
-            self.agg.lock().unwrap().shed_breaker += 1;
-            self.tenant_entry(&tenant, |t| t.shed += 1);
-            self.flight
-                .shed(|| format!("{}: circuit open on {pair} at dequeue", shared.name));
-            self.remember_resumable(
-                shared.id,
-                Resumable {
-                    request,
-                    plan: stored_plan,
-                },
-            );
-            self.finish(
-                &shared,
-                enqueued,
-                SessionState::Failed,
-                metrics,
-                None,
-                Some(format!("shed: circuit open on {pair}")),
-            );
-            return;
-        }
-
-        // Delta eligibility: resolve the base snapshot for the
-        // request's declared target version. A missing (or aged-out)
-        // snapshot falls back to a full re-ship before planning, so the
-        // plan-cache key never embeds a version pair we cannot serve.
-        let feed_route = route_key(
-            &request.source_endpoint,
-            &request.target_endpoint,
-            &request.source_frag.name,
-            &request.target_frag.name,
-        );
-        let mut delta_base: Option<(u64, u64, Snapshot, bool)> = None;
-        if let Some(base) = request.base_version {
-            // `reconstruct` serves a retained snapshot directly, or — when
-            // the base aged out of the retention window — composes the
-            // retained per-step patches v(i)→v(i+1) back up to it, so an
-            // old subscriber still gets a delta instead of a full re-ship.
-            match self.snapshots.reconstruct(&feed_route, base) {
-                Some((snap, composed)) => {
-                    let head = self.snapshots.head(&feed_route) + 1;
-                    delta_base = Some((base, head, snap, composed));
-                    if composed {
-                        metrics.delta_chain_composed += 1;
-                        self.events.push(
-                            shared.id,
-                            shared.root_span,
-                            EventKind::DeltaChainComposed,
-                            format!(
-                                "base v{base} aged out: composed from retained step patches \
-                                 for {feed_route}"
-                            ),
-                        );
-                    }
-                }
-                None => {
-                    metrics.delta_full_fallbacks += 1;
-                    self.events.push(
-                        shared.id,
-                        shared.root_span,
-                        EventKind::DeltaFellBack,
-                        format!("no snapshot v{base} for {feed_route}: full re-ship"),
-                    );
-                }
-            }
-        }
-        let versions = delta_base.as_ref().map(|&(b, h, _, _)| (b, h));
-
-        // Plan (Figure 2, Steps 2–3), consulting the shared cache — or,
-        // for a resumed session, replaying the checkpointed plan with
-        // zero probes and zero optimizer calls.
-        shared.set_state(SessionState::Planning);
-        let plan_span = self.trace.allocate_id();
-        self.events.push(
-            shared.id,
-            plan_span,
-            EventKind::PlanningStarted,
-            &shared.name,
-        );
-        let planning_started = Instant::now();
-        let optimizer = request.optimizer.unwrap_or(self.config.optimizer);
-        // The shape half of the plan-cache key, kept for calibration:
-        // drift observations are accounted per shape, and a drifted
-        // shape's cached plan is evicted. `None` for resumed sessions
-        // (they replay a checkpointed plan without probing).
-        let mut plan_shape: Option<u64> = None;
-        let plan = if let Some(plan) = stored_plan {
-            metrics.plan_cache_hit = true;
-            self.events.push(
-                shared.id,
-                plan_span,
-                EventKind::PlanCacheHit,
-                "checkpointed plan replayed: zero probes",
-            );
-            plan
-        } else {
-            let mut exchange = DataExchange::new(
-                &self.schema,
-                request.source_frag.clone(),
-                request.target_frag.clone(),
+            (
+                |agg| &mut agg.shed_expired,
+                "deadline exceeded while queued: shed before planning".into(),
             )
-            .with_optimizer(optimizer)
-            .with_profiles(request.source_profile, request.target_profile)
-            .with_wire_format(wire_format);
-            exchange.w_comm = self.config.w_comm;
-            metrics.planning_probes += 1;
-            let model = match exchange.probe(&request.source) {
-                Ok(model) => model,
-                Err(e) => {
-                    metrics.planning = planning_started.elapsed();
-                    // The plan span is recorded even on failure, so the
-                    // trace tree accounts for where the wall time of a
-                    // failed session went.
-                    self.trace.record_with_id(
-                        plan_span,
-                        "plan",
-                        shared.id,
-                        shared.root_span,
-                        planning_started,
-                        metrics.planning,
-                        format!("statistics probe failed: {e}"),
-                    );
-                    self.finish(
-                        &shared,
-                        enqueued,
-                        SessionState::Failed,
-                        metrics,
-                        None,
-                        Some(format!("statistics probe failed: {e}")),
-                    );
-                    return;
-                }
-            };
-            let key = plan_key(
-                &request.source_frag,
-                &request.target_frag,
-                &model,
-                optimizer,
-                versions,
-            );
-            plan_shape = Some(key.shape);
-            match self.cache.lookup(key) {
-                Some(cached) => {
-                    metrics.plan_cache_hit = true;
-                    self.events.push(
-                        shared.id,
-                        plan_span,
-                        EventKind::PlanCacheHit,
-                        format!("key {:016x}/{:016x}", key.shape, key.stats),
-                    );
-                    cached
-                }
-                None => {
-                    self.events.push(
-                        shared.id,
-                        plan_span,
-                        EventKind::PlanCacheMiss,
-                        format!("key {:016x}/{:016x}", key.shape, key.stats),
-                    );
-                    match exchange.plan(&model) {
-                        Ok((program, cost)) => {
-                            // Remember what the model predicted for each
-                            // node (and for the wire), so execution can
-                            // be compared against it by calibration.
-                            let op_costs: Vec<f64> = (0..program.nodes.len())
-                                .map(|i| model.comp_cost(&program, i, program.nodes[i].location))
-                                .collect();
-                            let mut comm_bytes = 0.0;
-                            for (i, node) in program.nodes.iter().enumerate() {
-                                for port in &node.inputs {
-                                    comm_bytes += model.comm_cost(&self.schema, &program, *port, i);
-                                }
-                            }
-                            self.cache.insert(
-                                key,
-                                CachedPlan {
-                                    program,
-                                    cost,
-                                    op_costs,
-                                    comm_bytes: comm_bytes as u64,
-                                },
-                            )
-                        }
-                        Err(e) => {
-                            metrics.planning = planning_started.elapsed();
-                            self.trace.record_with_id(
-                                plan_span,
-                                "plan",
-                                shared.id,
-                                shared.root_span,
-                                planning_started,
-                                metrics.planning,
-                                format!("planning failed: {e}"),
-                            );
-                            self.finish(
-                                &shared,
-                                enqueued,
-                                SessionState::Failed,
-                                metrics,
-                                None,
-                                Some(format!("planning failed: {e}")),
-                            );
-                            return;
-                        }
-                    }
-                }
+        } else if !probe && lane.slot.breaker.is_open() {
+            lane.slot
+                .counters
+                .sessions_shed
+                .fetch_add(1, Ordering::Relaxed);
+            (
+                |agg| &mut agg.shed_breaker,
+                format!("shed: circuit open on {}", lane.slot.pair()),
+            )
+        } else {
+            return None;
+        };
+        self.events
+            .push(shared.id, shared.root_span, EventKind::Shed, &why);
+        *counter(&mut self.agg.lock().unwrap()) += 1;
+        self.tenant_entry(&lane.metrics.tenant, |t| t.shed += 1);
+        self.flight.shed(|| format!("{}: {why}", shared.name));
+        Some((SessionState::Failed, why))
+    }
+
+    /// Runs one session on the calling worker thread from dequeue to
+    /// *park* (`arc` is this same `Inner`, threaded through for the
+    /// engine callbacks a parked exchange leaves behind).
+    fn run_session(&self, arc: &Arc<Inner>, job: QueuedSession) {
+        let QueuedSession {
+            enqueued,
+            resumed,
+            request,
+            plan: stored_plan,
+            shared,
+        } = job;
+        let (mut lane, wire_format) = self.open_lane(
+            &shared,
+            enqueued,
+            (&request.source_endpoint, &request.target_endpoint),
+            (&request.source_frag.name, &request.target_frag.name),
+            request.tenant_label(),
+            request.wire_format,
+            format!("priority {:?}", request.priority),
+        );
+        if let Some((state, why)) = self.dequeue_gate(&lane, resumed) {
+            if state == SessionState::Failed {
+                let plan = stored_plan;
+                self.remember_resumable(shared.id, Resumable { request, plan });
+            }
+            self.finish(&shared, enqueued, state, lane.metrics, None, Some(why));
+            return;
+        }
+        let delta_base = self.resolve_delta_base(&request, &mut lane);
+        let versions = delta_base.as_ref().map(|&(b, h, _, _)| (b, h));
+        let planned = self.plan_session(&request, &mut lane, wire_format, stored_plan, versions);
+        let (plan, plan_shape) = match planned {
+            Ok(planned) => planned,
+            Err(why) => {
+                self.finish(
+                    &shared,
+                    enqueued,
+                    SessionState::Failed,
+                    lane.metrics,
+                    None,
+                    Some(why),
+                );
+                return;
             }
         };
-        metrics.planning = planning_started.elapsed();
-        // Feed the admission estimator: the plan's predicted cost units,
-        // scaled by calibration's ns-per-unit, is one of its two
-        // turnaround estimators.
-        self.admission.record_plan_cost(plan.cost);
-        self.planning_hist.record_duration_ns(metrics.planning);
-        self.trace.record_with_id(
-            plan_span,
-            "plan",
-            shared.id,
-            shared.root_span,
-            planning_started,
-            metrics.planning,
-            format!(
-                "{}, cost {:.1}",
-                if metrics.plan_cache_hit {
-                    "cache hit"
-                } else {
-                    "cache miss"
-                },
-                plan.cost
-            ),
-        );
         if shared.is_cancelled() {
+            let why = Some("cancelled after planning".into());
             self.finish(
                 &shared,
                 enqueued,
                 SessionState::Cancelled,
-                metrics,
+                lane.metrics,
                 None,
-                Some("cancelled after planning".into()),
+                why,
             );
             return;
         }
@@ -2671,1757 +2421,517 @@ impl Inner {
                 EventKind::DeadlineExceeded,
                 "after planning",
             );
-            self.remember_resumable(
-                shared.id,
-                Resumable {
-                    request,
-                    plan: Some(Arc::clone(&plan)),
-                },
-            );
+            let plan = Some(plan);
+            self.remember_resumable(shared.id, Resumable { request, plan });
+            let why = Some("deadline exceeded after planning".into());
             self.finish(
                 &shared,
                 enqueued,
                 SessionState::Failed,
-                metrics,
+                lane.metrics,
                 None,
-                Some("deadline exceeded after planning".into()),
+                why,
             );
             return;
         }
 
         // Execute (Step 4): every cross-edge byte rides the shipping
-        // engine on the session's per-pair link, and the session parks
+        // engine on the lane's per-pair link, and the exchange parks
         // while its frames are on the wire. Writes are staged: a run
         // that dies mid-exchange rolls the target back.
-        shared.set_state(SessionState::Executing);
-        let exec_span = self.trace.allocate_id();
-        let exec_started = Instant::now();
-        self.events.push(
-            shared.id,
-            exec_span,
-            EventKind::ExecutionStarted,
-            format!("estimated cost {:.1} via {}", plan.cost, metrics.route),
-        );
-        let target = Database::new(format!("{}-target", shared.name));
-        let window = ShipWindow {
-            shared: Arc::clone(&shared),
-            slot: Arc::clone(&slot),
-            wire_format,
-            exec_span,
-            pending: VecDeque::new(),
-            port_of: HashMap::new(),
-            inbox: Arc::new(Mutex::new(Vec::new())),
-            budget: Arc::new(AtomicI64::new(i64::from(self.config.shipping.retry_budget))),
-            inflight: 0,
-            next_seq: 0,
-            rollup: ShipRollup::default(),
-            failure: None,
-            encode_buf: Vec::new(),
-        };
-        let mut ps = PipelinedSession {
-            shared,
+        let group = self.open_group(wire_format, plan, plan_shape, vec![lane]);
+        let mut ex = Exchange {
+            id: shared.id,
             enqueued,
             request,
-            plan,
-            plan_shape,
-            slot,
-            wire_format,
-            feed_route,
-            metrics,
-            outcome: ExecOutcome::default(),
-            target,
-            exec_span,
-            exec_started,
-            window,
-            decoded: BTreeMap::new(),
-            next_stage_seq: 0,
-            stream_tables: None,
-            write_walls: HashMap::new(),
-            delivered: HashMap::new(),
-            patch: None,
-            patched: false,
+            billed: Counters::default(),
+            lag_cap: usize::MAX,
+            groups: vec![group],
+            inbox: Arc::new(Mutex::new(Vec::new())),
         };
         // Delta path first, when eligible: the patch, if the cost model
         // prefers it, is shipment 0 and the full feeds stay home unless
         // the fallback ladder needs them.
         let ship_full = match delta_base {
-            Some(base) => self.stage_delta(&mut ps, base),
+            Some(base) => self.stage_delta(&mut ex, base),
             None => true,
         };
         if ship_full {
-            self.run_source(arc, &mut ps);
+            self.run_source(arc, &mut ex, 0);
         }
-        self.launch(arc, ps);
+        self.launch(arc, ex);
     }
 
-    /// The delta rung of the ladder: compute the head feeds locally over
-    /// a loopback transport, diff them against the base snapshot in one
-    /// Dewey merge pass, and — when the cost model prefers the patch
-    /// over the full feeds — queue the checksummed patch frame as
-    /// shipment 0. Returns true when the full feeds must ship now
-    /// instead (diff failed, or the patch would cost more).
-    fn stage_delta(
+    /// Delta eligibility: resolves the base snapshot for the request's
+    /// declared target version as `(base, head, snapshot, composed)`. A
+    /// missing (or aged-out, uncomposable) snapshot falls back to a full
+    /// re-ship before planning, so the plan-cache key never embeds a
+    /// version pair we cannot serve.
+    fn resolve_delta_base(
         &self,
-        ps: &mut PipelinedSession,
-        (base_version, head_version, snapshot, chain_composed): (u64, u64, Snapshot, bool),
-    ) -> bool {
-        let mut loopback = LoopbackTransport::new(ps.wire_format);
-        let mut head_db = Database::new(format!("{}-head", ps.shared.name));
-        let head_outcome = match execute_with_transport(
-            &self.schema,
-            &ps.request.source_frag,
-            &ps.request.target_frag,
-            &ps.plan.program,
-            &mut ps.request.source,
-            &mut head_db,
-            &mut loopback,
-            None,
-        ) {
-            Ok(out) => out,
-            Err(e) => {
-                ps.window.failure = Some(e.to_string());
-                return false;
-            }
-        };
-        let patch =
-            match diff_snapshots(&snapshot, &db_tables(&head_db), base_version, head_version) {
-                Ok(patch) => patch,
-                Err(e) => {
-                    ps.metrics.delta_full_fallbacks += 1;
-                    self.events.push(
-                        ps.shared.id,
-                        ps.exec_span,
-                        EventKind::DeltaFellBack,
-                        format!("diff failed: {e}; full re-ship"),
-                    );
-                    return true;
-                }
-            };
-        let steps = patch.step_count();
-        let mut bytes = Vec::new();
-        encode_patch_with_context_into(
-            &mut bytes,
-            &patch,
-            ps.wire_format,
-            wire_context(&ps.shared, ps.exec_span),
-        );
-        // A resumed patch session must re-ship frames byte-identical to
-        // the failed run's — the ledger checkpoint hashes the message,
-        // and a fresh encode embeds *this* run's trace context. Replay
-        // the persisted bytes instead, exactly as feed batches replay
-        // theirs. The patch is always shipment 0.
-        let bytes = self.ledger.stored_message(ps.shared.id, 0).unwrap_or(bytes);
-        let patch_cost = self.config.w_comm * bytes.len() as f64
-            + PATCH_STEP_FACTOR * steps as f64 / ps.request.target_profile.speed;
-        let full_cost = self.config.w_comm * ps.plan.comm_bytes as f64;
-        if ps.plan.comm_bytes > 0 && patch_cost >= full_cost {
-            ps.metrics.delta_full_chosen += 1;
+        request: &ExchangeRequest,
+        lane: &mut Lane,
+    ) -> Option<(u64, u64, Snapshot, bool)> {
+        let base = request.base_version?;
+        let (id, span, route) = (lane.shared.id, lane.shared.root_span, &lane.feed_route);
+        // `reconstruct` serves a retained snapshot directly, or — when
+        // the base aged out of the retention window — composes the
+        // retained per-step patches v(i)→v(i+1) back up to it, so an old
+        // subscriber still gets a delta instead of a full re-ship.
+        let Some((snapshot, composed)) = self.snapshots.reconstruct(route, base) else {
+            lane.metrics.delta_full_fallbacks += 1;
             self.events.push(
-                ps.shared.id,
-                ps.exec_span,
+                id,
+                span,
                 EventKind::DeltaFellBack,
-                format!("patch cost {patch_cost:.1} ≥ full {full_cost:.1}: full ship"),
+                format!("no snapshot v{base} for {route}: full re-ship"),
             );
-            return true;
-        }
-        ps.patch = Some(Box::new(PatchShip {
-            base_version,
-            head_version,
-            snapshot,
-            chain_composed,
-            steps,
-            bytes: bytes.len(),
-            head_outcome,
-        }));
-        ps.window.pending.push_back(PendingBatch {
-            seq: 0,
-            label: "delta-patch".into(),
-            payload: Payload::Frame(bytes),
-        });
-        ps.window.next_seq = 1;
-        false
-    }
-
-    /// Absorb step of the delta patch: decode → staleness check →
-    /// `stage_patch`, then commit and index. Any rejection (corrupt
-    /// frame, stale version precondition, malformed steps) rolls the
-    /// staged patch back and re-enters the feed-batch path at the next
-    /// shipment seq — the fallback ladder.
-    fn absorb_patch(&self, arc: &Arc<Inner>, ps: &mut PipelinedSession, delivered: &[u8]) {
-        let patch = ps.patch.take().expect("patch in flight");
-        let decode_started = Instant::now();
-        let staged = decode_patch_ctx(delivered).and_then(|(decoded, rctx)| {
-            if let Some(ctx) = rctx {
-                // Receiver-side decode span, stitched from the frame's
-                // propagated context.
-                self.trace.record_with_context(
-                    self.trace.allocate_id(),
-                    "decode",
-                    ps.shared.id,
-                    ctx.parent_span,
-                    ctx.trace_id,
-                    decode_started,
-                    decode_started.elapsed(),
-                    format!("patch v{}→v{}", decoded.base_version, decoded.head_version),
-                );
-            }
-            // An ordinary patch must be based on the route head (a
-            // non-head base means the subscriber's precondition is
-            // stale). A chain-composed patch is *deliberately* based
-            // below the head; for it the precondition is that no
-            // concurrent session advanced the route since planning.
-            let head_now = self.snapshots.head(&ps.feed_route);
-            let expected_head = if patch.chain_composed {
-                patch.head_version - 1
-            } else {
-                decoded.base_version
-            };
-            if head_now != expected_head {
-                return Err(xdx_relational::Error::SchemaMismatch {
-                    detail: format!(
-                        "stale patch: route head v{head_now} ≠ expected v{expected_head} \
-                         (patch base v{})",
-                        decoded.base_version
-                    ),
-                });
-            }
-            stage_patch(&patch.snapshot, &decoded, &mut ps.target).map(|_| ())
-        });
-        match staged {
-            Ok(()) => {
-                let rows = ps.target.commit_staged();
-                if let Err(e) = ps.target.build_all_key_indexes() {
-                    ps.window.failure = Some(e.to_string());
-                    return;
-                }
-                ps.metrics.delta_patch_bytes += patch.bytes as u64;
-                ps.metrics.delta_patches_applied += 1;
-                self.events.push(
-                    ps.shared.id,
-                    ps.exec_span,
-                    EventKind::DeltaApplied,
-                    format!(
-                        "v{}→v{}: {} steps, {} bytes, {rows} rows",
-                        patch.base_version, patch.head_version, patch.steps, patch.bytes
-                    ),
-                );
-                let wire = ps.outcome.times.communication;
-                ps.outcome = patch.head_outcome;
-                ps.outcome.times.communication = wire;
-                ps.outcome.messages = 1;
-                ps.outcome.rows_loaded = rows;
-                ps.patched = true;
-            }
-            Err(e) => {
-                ps.target.rollback_staged();
-                ps.metrics.delta_full_fallbacks += 1;
-                self.events.push(
-                    ps.shared.id,
-                    ps.exec_span,
-                    EventKind::DeltaFellBack,
-                    format!("patch rejected: {e}; full re-ship"),
-                );
-                // The patch consumed seq 0; feed batches stage from 1.
-                ps.next_stage_seq = 1;
-                self.run_source(arc, ps);
-            }
-        }
-    }
-
-    /// Folds the shipping rollup into the session's metrics and settles
-    /// the exchange into its terminal state: accounting, calibration,
-    /// snapshots and resumability.
-    #[allow(clippy::too_many_arguments)]
-    fn settle_exec(
-        &self,
-        shared: &Arc<SessionShared>,
-        enqueued: Instant,
-        request: ExchangeRequest,
-        plan: &Arc<CachedPlan>,
-        plan_shape: Option<u64>,
-        slot: &Arc<LinkSlot>,
-        wire_format: WireFormat,
-        feed_route: &str,
-        exec_span: SpanId,
-        exec_started: Instant,
-        mut metrics: SessionMetrics,
-        target: Database,
-        outcome: std::result::Result<ExecOutcome, String>,
-        ship: ShipRollup,
-    ) {
-        let settle_started = Instant::now();
-        metrics.communication = match &outcome {
-            Ok(out) => out.times.communication,
-            Err(_) => Duration::ZERO,
+            return None;
         };
-        metrics.retry_backoff = ship.retry_backoff;
-        metrics.messages_serialized = ship.messages_serialized as usize;
-        metrics.bytes_shipped = ship.wire_bytes;
-        metrics.bytes_encoded = ship.bytes_encoded;
-        metrics.encode_ns = ship.encode_ns;
-        metrics.chunks_shipped = ship.chunks_shipped;
-        metrics.chunks_resumed = ship.chunks_resumed;
-        metrics.chunks_deduped = ship.chunks_deduped;
-        metrics.chunks_retried = ship.chunks_retried;
-        metrics.source_counters = request.source.counters;
-        metrics.target_counters = target.counters;
-        self.trace.record_with_context(
-            exec_span,
-            "exec",
+        if composed {
+            lane.metrics.delta_chain_composed += 1;
+            self.events.push(
+                id,
+                span,
+                EventKind::DeltaChainComposed,
+                format!("base v{base} aged out: composed from retained step patches for {route}"),
+            );
+        }
+        Some((base, self.snapshots.head(route) + 1, snapshot, composed))
+    }
+
+    /// Plans one session (Figure 2, Steps 2–3), consulting the shared
+    /// cache — or, for a resumed session, replaying the checkpointed
+    /// plan with zero probes and zero optimizer calls. Returns the plan
+    /// and the shape half of its cache key (kept for calibration: drift
+    /// is accounted per shape; `None` for a replayed plan). The `plan`
+    /// span is recorded on failure too, so the trace accounts for where
+    /// a failed session's wall time went.
+    fn plan_session(
+        &self,
+        request: &ExchangeRequest,
+        lane: &mut Lane,
+        wire_format: WireFormat,
+        stored_plan: Option<Arc<CachedPlan>>,
+        versions: Option<(u64, u64)>,
+    ) -> std::result::Result<(Arc<CachedPlan>, Option<u64>), String> {
+        let shared = Arc::clone(&lane.shared);
+        shared.set_state(SessionState::Planning);
+        let plan_span = self.trace.allocate_id();
+        self.events.push(
+            shared.id,
+            plan_span,
+            EventKind::PlanningStarted,
+            &shared.name,
+        );
+        let started = Instant::now();
+        let metrics = &mut lane.metrics;
+        let planned = match stored_plan {
+            Some(plan) => {
+                metrics.plan_cache_hit = true;
+                self.events.push(
+                    shared.id,
+                    plan_span,
+                    EventKind::PlanCacheHit,
+                    "checkpointed plan replayed: zero probes",
+                );
+                Ok((plan, None))
+            }
+            None => {
+                let optimizer = request.optimizer.unwrap_or(self.config.optimizer);
+                let mut exchange = DataExchange::new(
+                    &self.schema,
+                    request.source_frag.clone(),
+                    request.target_frag.clone(),
+                )
+                .with_optimizer(optimizer)
+                .with_profiles(request.source_profile, request.target_profile)
+                .with_wire_format(wire_format);
+                exchange.w_comm = self.config.w_comm;
+                metrics.planning_probes += 1;
+                exchange
+                    .probe(&request.source)
+                    .map_err(|e| format!("statistics probe failed: {e}"))
+                    .and_then(|model| {
+                        let key = plan_key(
+                            &request.source_frag,
+                            &request.target_frag,
+                            &model,
+                            optimizer,
+                            versions,
+                        );
+                        let (plan, hit) =
+                            self.plan_cached(key, &model, || exchange.plan(&model))?;
+                        metrics.plan_cache_hit = hit;
+                        self.events.push(
+                            shared.id,
+                            plan_span,
+                            if hit {
+                                EventKind::PlanCacheHit
+                            } else {
+                                EventKind::PlanCacheMiss
+                            },
+                            format!("key {:016x}/{:016x}", key.shape, key.stats),
+                        );
+                        Ok((plan, Some(key.shape)))
+                    })
+            }
+        };
+        metrics.planning = started.elapsed();
+        let detail = match &planned {
+            Ok((plan, _)) => {
+                // Feed the admission estimator: the plan's predicted
+                // cost units, scaled by calibration's ns-per-unit, is
+                // one of its two turnaround estimators.
+                self.admission.record_plan_cost(plan.cost);
+                self.planning_hist.record_duration_ns(metrics.planning);
+                let hit = if metrics.plan_cache_hit {
+                    "hit"
+                } else {
+                    "miss"
+                };
+                format!("cache {hit}, cost {:.1}", plan.cost)
+            }
+            Err(why) => why.clone(),
+        };
+        self.trace.record_with_id(
+            plan_span,
+            "plan",
             shared.id,
             shared.root_span,
-            session_trace_id(shared),
-            exec_started,
-            exec_started.elapsed(),
-            format!(
-                "{} via {} [{}]",
-                if outcome.is_ok() { "ok" } else { "failed" },
-                metrics.route,
-                format_name(wire_format)
-            ),
+            started,
+            metrics.planning,
+            detail,
         );
-        match outcome {
-            Ok(out) => {
-                metrics.messages = out.messages;
-                metrics.rows_loaded = out.rows_loaded;
-                // Per-operator telemetry: each timed operator becomes a
-                // child span of the exec span, lands in its
-                // `(op, location)` histogram, and — when the plan
-                // carries the model's per-node predictions — feeds the
-                // predicted-vs-observed calibration cells.
-                let fmt = format_name(wire_format);
-                let mut observed_ns: u64 = 0;
-                for s in &out.op_samples {
-                    let loc = location_name(s.location);
-                    observed_ns += s.wall.as_nanos() as u64;
-                    self.trace.record(
-                        s.op,
-                        shared.id,
-                        exec_span,
-                        s.started,
-                        s.wall,
-                        format!("node {} @{loc}", s.node),
-                    );
-                    self.metrics
-                        .histogram(&format!(
-                            "xdx_op_wall_ns{{op=\"{}\",location=\"{loc}\"}}",
-                            s.op
-                        ))
-                        .record_duration_ns(s.wall);
-                    if let Some(&predicted) = plan.op_costs.get(s.node) {
-                        self.calibration.record_op(
-                            s.op,
-                            loc,
-                            fmt,
-                            predicted,
-                            s.wall.as_nanos() as u64,
-                        );
-                    }
-                }
-                if plan.comm_bytes > 0 || ship.bytes_encoded > 0 {
-                    self.calibration.record_comm(
-                        fmt,
-                        plan.comm_bytes,
-                        ship.bytes_encoded,
-                        metrics.communication.as_nanos() as u64,
-                    );
-                }
-                // Session-level drift: observed time (operators plus the
-                // simulated wire, which inflates under link faults)
-                // against the plan's total predicted cost. A sustained
-                // excursion evicts the shape's cached plan so the next
-                // session re-plans under fresh statistics.
-                observed_ns += metrics.communication.as_nanos() as u64;
-                if let Some(shape) = plan_shape {
-                    if self
-                        .calibration
-                        .observe_session(shape, plan.cost, observed_ns)
-                    {
-                        let evicted = self.cache.evict_drifted(shape);
-                        self.events.push(
-                            shared.id,
-                            shared.root_span,
-                            EventKind::PlanDriftEvicted,
-                            format!(
-                                "shape {shape:016x}: sustained cost-model drift{}",
-                                if evicted {
-                                    ", cached plan evicted"
-                                } else {
-                                    " (no cached plan)"
-                                }
-                            ),
-                        );
-                    }
-                }
-                // Advance the route's versioned feed log: the committed
-                // target feeds become the snapshot the next delta
-                // session diffs against.
-                let snapshot_started = Instant::now();
-                self.snapshots.record(feed_route, db_tables(&target));
-                self.trace.record_with_context(
-                    self.trace.allocate_id(),
-                    "snapshot",
-                    shared.id,
-                    exec_span,
-                    session_trace_id(shared),
-                    snapshot_started,
-                    snapshot_started.elapsed(),
-                    format!("route {feed_route} advanced"),
-                );
-                // The checkpoint served its purpose; drop it.
-                self.ledger.forget_session(shared.id);
-                slot.counters
-                    .sessions_completed
-                    .fetch_add(1, Ordering::Relaxed);
-                if let Some(BreakerTransition::Closed) = slot.breaker.record_success() {
-                    self.flight.record(FlightSubsystem::Breaker, || {
-                        format!("{}: closed (probe succeeded)", slot.pair())
-                    });
-                    self.events.push(
-                        shared.id,
-                        shared.root_span,
-                        EventKind::CircuitClosed,
-                        format!("{}: probe succeeded", slot.pair()),
-                    );
-                }
-                self.trace.record_with_context(
-                    self.trace.allocate_id(),
-                    "settle",
-                    shared.id,
-                    exec_span,
-                    session_trace_id(shared),
-                    settle_started,
-                    settle_started.elapsed(),
-                    "committed".to_string(),
-                );
-                self.finish(
-                    shared,
-                    enqueued,
-                    SessionState::Done,
-                    metrics,
-                    Some(target),
-                    None,
-                );
-            }
-            Err(e) => {
-                let diagnostic = e.to_string();
-                if shared.is_cancelled() {
-                    self.finish(
-                        shared,
-                        enqueued,
-                        SessionState::Cancelled,
-                        metrics,
-                        None,
-                        Some(diagnostic),
-                    );
-                    return;
-                }
-                if shared.deadline_exceeded() {
-                    self.events.push(
-                        shared.id,
-                        shared.root_span,
-                        EventKind::DeadlineExceeded,
-                        &diagnostic,
-                    );
-                }
-                slot.counters
-                    .sessions_failed
-                    .fetch_add(1, Ordering::Relaxed);
-                if ship.link_gave_up {
-                    if let Some(BreakerTransition::Opened) = slot.breaker.record_failure() {
-                        self.flight.record(FlightSubsystem::Breaker, || {
-                            format!(
-                                "{}: opened, cooldown {:?}",
-                                slot.pair(),
-                                self.config.breaker_cooldown
-                            )
-                        });
-                        self.events.push(
-                            shared.id,
-                            shared.root_span,
-                            EventKind::CircuitOpened,
-                            format!(
-                                "{}: cooldown {:?}",
-                                slot.pair(),
-                                self.config.breaker_cooldown
-                            ),
-                        );
-                        // The breaker just opened: everything queued for
-                        // this route would fail the same way. Drain and
-                        // shed it now instead of one session at a time.
-                        self.shed_queued_route(slot);
-                        self.flight
-                            .anomaly(&format!("breaker open on {}", slot.pair()));
-                    }
-                }
-                // Keep the session resumable: the checkpointed plan and
-                // the shipping ledger (with its persisted serialized
-                // messages) make the retry probe-free and
-                // serialization-free.
-                self.remember_resumable(
-                    shared.id,
-                    Resumable {
-                        request,
-                        plan: Some(Arc::clone(plan)),
-                    },
-                );
-                self.trace.record_with_context(
-                    self.trace.allocate_id(),
-                    "settle",
-                    shared.id,
-                    exec_span,
-                    session_trace_id(shared),
-                    settle_started,
-                    settle_started.elapsed(),
-                    "rolled back".to_string(),
-                );
-                // The rolled-back target travels with the result as
-                // observable proof that no partial tables survived.
-                self.finish(
-                    shared,
-                    enqueued,
-                    SessionState::Failed,
-                    metrics,
-                    Some(target),
-                    Some(diagnostic),
-                );
-            }
-        }
+        planned
     }
 
-    /// Runs the source half on this worker, streaming each cross-edge
-    /// feed into the shipping engine *the moment its producing operator
-    /// completes* — frame `k` rides the wire while later source
-    /// operators still compute. Batches number on from whatever the
-    /// session already shipped (a rejected patch holds seq 0). A source
-    /// failure is recorded on the session; batches already on the wire
-    /// drain before it settles.
-    fn run_source(&self, arc: &Arc<Inner>, ps: &mut PipelinedSession) {
-        // Deterministic shipment numbering: cross ports in first-consumer
-        // order, each feed split into batches in Dewey order. The same
-        // seq names the same bytes across failed runs and resumes, so
-        // the ledger's checkpoints line up — overlapping the wire with
-        // the source phase changes *when* a frame ships, never its seq
-        // or its bytes.
-        let cross = cross_ports_in_consumer_order(&self.schema, &ps.plan.program);
-        let batch_rows = self.config.batch_rows;
-        let queue = |w: &mut ShipWindow, c: &xdx_core::exec::CrossPort, feed: &Feed| {
-            for batch in feed_batches(feed, batch_rows) {
-                w.port_of.insert(w.next_seq, c.port);
-                w.pending.push_back(PendingBatch {
-                    seq: w.next_seq,
-                    label: c.label.clone(),
-                    payload: Payload::Feed(batch),
-                });
-                w.next_seq += 1;
-            }
-        };
-        // Leading cross ports (consumer order) already batched into the
-        // window by the streaming hook.
-        let mut streamed = 0usize;
-        let window = &mut ps.window;
-        let source = execute_source_phase_streaming(
-            &self.schema,
-            &ps.request.source_frag,
-            &ps.request.target_frag,
-            &ps.plan.program,
-            &mut ps.request.source,
-            None,
-            &mut |feeds| {
-                // A cross feed is final the instant its producer runs —
-                // downstream source operators only read it. Flush the
-                // maximal *ready prefix* so seqs stay in consumer order,
-                // then top the engine up: the wire carries these frames
-                // while the rest of the source phase computes.
-                while let Some(c) = cross.get(streamed) {
-                    let Some(feed) = feeds.get(&c.port) else {
-                        break;
-                    };
-                    queue(window, c, feed);
-                    streamed += 1;
-                }
-                self.pump_pipeline(arc, window);
-            },
-        );
-        match source {
-            Ok((phase, outcome)) => {
-                // Stragglers the prefix rule held back (a port whose
-                // producer finished after a still-pending predecessor)
-                // batch now, in the same consumer order.
-                for c in cross.iter().skip(streamed) {
-                    match phase.feeds.get(&c.port) {
-                        Some(feed) => queue(window, c, feed),
-                        None => {
-                            window
-                                .failure
-                                .get_or_insert(format!("missing feed for port {:?}", c.port));
-                            break;
-                        }
-                    }
-                }
-                ps.outcome = outcome;
-                ps.stream_tables = writes_stream_directly(&ps.plan.program)
-                    .then(|| direct_write_tables(&ps.plan.program, &ps.request.target_frag));
-            }
-            Err(e) => {
-                window.failure.get_or_insert(e.to_string());
-            }
+    /// One plan-cache round trip: looks `key` up and, on a miss, runs
+    /// `planner`, prices its program with `model` and caches it. Returns
+    /// the shared plan and whether it was a hit.
+    fn plan_cached(
+        &self,
+        key: PlanKey,
+        model: &CostModel,
+        planner: impl FnOnce() -> xdx_core::Result<(Program, f64)>,
+    ) -> std::result::Result<(Arc<CachedPlan>, bool), String> {
+        if let Some(cached) = self.cache.lookup(key) {
+            return Ok((cached, true));
         }
+        let (program, cost) = planner().map_err(|e| format!("planning failed: {e}"))?;
+        let plan = CachedPlan::priced(&self.schema, model, program, cost);
+        Ok((self.cache.insert(key, plan), false))
     }
 
-    /// Hands a started session to the scheduler: tops its window up and
-    /// *parks* it — the worker returns to the queue while the frames
-    /// drain, and batch completions wake whichever worker is free next
-    /// via the runnable queue. A session with nothing on the wire (no
-    /// cross edges, or a failure before the first frame) settles here.
-    fn launch(&self, arc: &Arc<Inner>, mut ps: PipelinedSession) {
-        self.pipelines_outstanding.fetch_add(1, Ordering::SeqCst);
-        if ps.window.failure.is_none() && !ps.window.pending.is_empty() {
-            ps.shared.set_state(SessionState::Shipping);
-            self.pump_pipeline(arc, &mut ps.window);
+    /// Starts a group's execution: allocates its exec span and marks
+    /// every lane `Executing`.
+    fn open_group(
+        &self,
+        wire_format: WireFormat,
+        plan: Arc<CachedPlan>,
+        plan_shape: Option<u64>,
+        lanes: Vec<Lane>,
+    ) -> Group {
+        let exec_span = self.trace.allocate_id();
+        for lane in &lanes {
+            lane.shared.set_state(SessionState::Executing);
+            self.events.push(
+                lane.shared.id,
+                exec_span,
+                EventKind::ExecutionStarted,
+                format!(
+                    "estimated cost {:.1} via {} ({} lane(s))",
+                    plan.cost,
+                    lane.metrics.route,
+                    lanes.len()
+                ),
+            );
         }
-        if ps.window.inflight == 0 && (ps.window.pending.is_empty() || ps.window.failure.is_some())
-        {
-            self.finalize_pipeline(ps);
-            return;
-        }
-        let sid = ps.shared.id;
-        let inbox = Arc::clone(&ps.window.inbox);
-        self.pipelines.lock().unwrap().insert(sid, ps);
-        // A batch that completed before the session reached the map had
-        // its runnable wakeup consumed as a no-op — re-arm it.
-        if !inbox.lock().unwrap().is_empty() {
-            self.queue.lock().unwrap().runnable.push_back(sid);
-            self.available.notify_all();
-        }
-    }
-
-    /// Keeps the session's submission window full: encodes and submits
-    /// pending batches until `pipeline_depth` are in flight. Frame `k+1`
-    /// is encoded here while frame `k` rides the wire — and, via the
-    /// streaming hook in [`Inner::start_pipeline`], while the source
-    /// phase is still producing frame `k+2`.
-    fn pump_pipeline(&self, arc: &Arc<Inner>, w: &mut ShipWindow) {
-        while w.failure.is_none() && w.inflight < self.config.pipeline_depth {
-            let Some(batch) = w.pending.pop_front() else {
-                break;
-            };
-            // Checkpoint replay first: a resumed session re-ships the
-            // exact bytes the failed run built; only a ledger miss
-            // serializes.
-            let stored = self.ledger.stored_message(w.shared.id, batch.seq);
-            let message = Arc::new(match (stored, batch.payload) {
-                (Some(stored), _) => stored,
-                (None, Payload::Frame(frame)) => frame,
-                (None, Payload::Feed(feed)) => {
-                    let start = Instant::now();
-                    // Trace context rides the shipment: columnar frames
-                    // carry it in their header extension, XML text in
-                    // the SOAPAction label — either way the receiver
-                    // stitches its decode/stage spans under this
-                    // session's exec span.
-                    let ctx = wire_context(&w.shared, w.exec_span);
-                    let len = encode_in_format_with_context_into(
-                        &mut w.encode_buf,
-                        &feed,
-                        w.wire_format,
-                        ctx,
-                    );
-                    let ns = start.elapsed().as_nanos() as u64;
-                    w.rollup.messages_serialized += 1;
-                    w.rollup.bytes_encoded += len as u64;
-                    w.rollup.encode_ns += ns;
-                    w.slot
-                        .counters
-                        .bytes_encoded
-                        .fetch_add(len as u64, Ordering::Relaxed);
-                    w.slot.counters.encode_ns.fetch_add(ns, Ordering::Relaxed);
-                    self.encode_hist.record(ns);
-                    self.trace.record(
-                        "encode",
-                        w.shared.id,
-                        w.exec_span,
-                        start,
-                        Duration::from_nanos(ns),
-                        format!("{len} bytes"),
-                    );
-                    let soap_label = match (w.wire_format, ctx) {
-                        (WireFormat::Xml, Some(ctx)) => label_with_context(&batch.label, ctx),
-                        _ => batch.label.clone(),
-                    };
-                    Request::soap_post("/exchange", &soap_label, w.encode_buf.clone()).to_bytes()
-                }
-            });
-            w.inflight += 1;
-            let sid = w.shared.id;
-            let inbox = Arc::clone(&w.inbox);
-            let waker = Arc::clone(arc);
-            self.engine.submit(ShipRequest {
-                session: Arc::clone(&w.shared),
-                slot: Arc::clone(&w.slot),
-                seq: batch.seq,
-                label: batch.label,
-                message,
-                policy: self.config.shipping,
-                budget: Arc::clone(&w.budget),
-                parent_span: w.exec_span,
-                on_done: Box::new(move |result| {
-                    // Deposit the result, then make the session runnable
-                    // — strictly in that order, and the runnable queue
-                    // lives inside the queue lock, so a worker that saw
-                    // the wakeup always finds the result.
-                    inbox.lock().unwrap().push(result);
-                    waker.queue.lock().unwrap().runnable.push_back(sid);
-                    waker.available.notify_all();
-                }),
-            });
-        }
-    }
-
-    /// Services a parked pipelined session: absorbs every deposited
-    /// batch result, refills the submission window, and either re-parks
-    /// the session or finalizes it. The session is *removed* from the
-    /// map while serviced, so two workers can never service it at once;
-    /// stale runnable entries for an absent session are no-ops.
-    fn service_pipeline(&self, arc: &Arc<Inner>, sid: SessionId) {
-        loop {
-            let Some(mut ps) = self.pipelines.lock().unwrap().remove(&sid) else {
-                return;
-            };
-            let results = std::mem::take(&mut *ps.window.inbox.lock().unwrap());
-            for result in results {
-                self.absorb_batch(arc, &mut ps, result);
-            }
-            self.pump_pipeline(arc, &mut ps.window);
-            if ps.window.inflight == 0
-                && (ps.window.pending.is_empty() || ps.window.failure.is_some())
-            {
-                self.finalize_pipeline(ps);
-                return;
-            }
-            let inbox = Arc::clone(&ps.window.inbox);
-            self.pipelines.lock().unwrap().insert(sid, ps);
-            // A result deposited while the session was out of the map
-            // consumed its wakeup against the empty map — service it now
-            // instead of stranding a parked session. (Batches remain in
-            // flight here, so the session cannot have been finalized.)
-            if inbox.lock().unwrap().is_empty() {
-                return;
-            }
-        }
-    }
-
-    /// Folds one completed batch into the parked session: shipping
-    /// tallies always; on delivery, decode and stage in shipment order;
-    /// on failure, record the first diagnostic and stop the pump.
-    fn absorb_batch(&self, arc: &Arc<Inner>, ps: &mut PipelinedSession, result: BatchResult) {
-        ps.window.inflight -= 1;
-        let stats = result.stats;
-        ps.window.rollup.wire_bytes += stats.wire_bytes;
-        ps.window.rollup.chunks_shipped += stats.chunks_shipped;
-        ps.window.rollup.chunks_resumed += stats.chunks_resumed;
-        ps.window.rollup.chunks_deduped += stats.chunks_deduped;
-        ps.window.rollup.chunks_retried += stats.chunks_retried;
-        ps.window.rollup.retry_backoff += stats.retry_backoff;
-        match result.outcome {
-            Ok(delivered) => {
-                ps.outcome.times.communication += result.elapsed;
-                ps.outcome.messages += 1;
-                if ps.patch.is_some() && result.seq == 0 {
-                    self.absorb_patch(arc, ps, &delivered);
-                    return;
-                }
-                // Decode what actually arrived — link damage surfaces as
-                // an explicit error here. The frame (or the SOAPAction
-                // label, for XML text) carries the sender's trace
-                // context; the decode span stitches under it.
-                let decode_started = Instant::now();
-                let decoded = Request::parse(&delivered)
-                    .map_err(|e| e.to_string())
-                    .and_then(|arrived| {
-                        let (feed, ctx) =
-                            decode_any_ctx(&arrived.body).map_err(|e| e.to_string())?;
-                        Ok((feed, ctx.or_else(|| soap_action_context(&arrived))))
-                    });
-                match decoded {
-                    Ok((feed, ctx)) => {
-                        let (parent, trace_id) = ctx
-                            .map_or((ps.exec_span, session_trace_id(&ps.shared)), |c| {
-                                (c.parent_span, c.trace_id)
-                            });
-                        self.trace.record_with_context(
-                            self.trace.allocate_id(),
-                            "decode",
-                            ps.shared.id,
-                            parent,
-                            trace_id,
-                            decode_started,
-                            decode_started.elapsed(),
-                            format!("batch {}", result.seq),
-                        );
-                        ps.decoded.insert(result.seq, feed);
-                        let stage_started = Instant::now();
-                        let staged_from = ps.next_stage_seq;
-                        if let Err(e) = self.stage_ready(ps) {
-                            ps.window.failure.get_or_insert(e);
-                        }
-                        let staged = ps.next_stage_seq - staged_from;
-                        if staged > 0 {
-                            self.trace.record_with_context(
-                                self.trace.allocate_id(),
-                                "stage",
-                                ps.shared.id,
-                                parent,
-                                trace_id,
-                                stage_started,
-                                stage_started.elapsed(),
-                                format!("{staged} batch(es) from seq {staged_from}"),
-                            );
-                        }
-                    }
-                    Err(e) => {
-                        ps.window
-                            .failure
-                            .get_or_insert(format!("batch {} corrupt: {e}", result.seq));
-                    }
-                }
-            }
-            Err(e) => {
-                ps.window.rollup.link_gave_up |= result.link_gave_up;
-                ps.window.failure.get_or_insert(e);
-            }
-        }
-    }
-
-    /// Applies decoded batches in shipment-seq order from the staging
-    /// cursor: direct-write programs stage rows into their target table
-    /// *now* — transactional loading starts before the source finishes
-    /// producing — while general programs accumulate the delivery for
-    /// the target phase at finalization.
-    fn stage_ready(&self, ps: &mut PipelinedSession) -> std::result::Result<(), String> {
-        while let Some(feed) = ps.decoded.remove(&ps.next_stage_seq) {
-            let seq = ps.next_stage_seq;
-            ps.next_stage_seq += 1;
-            let port = *ps
-                .window
-                .port_of
-                .get(&seq)
-                .ok_or_else(|| format!("no port for shipment {seq}"))?;
-            if let Some(tables) = &ps.stream_tables {
-                let (node, table) = tables
-                    .get(&port)
-                    .cloned()
-                    .ok_or_else(|| format!("no write table for port {port:?}"))?;
-                let start = Instant::now();
-                ps.outcome.rows_loaded += feed.len() as u64;
-                ps.target
-                    .load_staged(&table, feed)
-                    .map_err(|e| e.to_string())?;
-                let wall = start.elapsed();
-                ps.outcome.times.loading += wall;
-                let slot = ps
-                    .write_walls
-                    .entry(node)
-                    .or_insert((start, Duration::ZERO));
-                slot.1 += wall;
-            } else if let Some(existing) = ps.delivered.get_mut(&port) {
-                existing.rows.extend(feed.rows);
-            } else {
-                ps.delivered.insert(port, feed);
-            }
-        }
-        Ok(())
-    }
-
-    /// The last batch drained (or the first failure did): run the
-    /// target's half, settle the session, and release the worker-exit
-    /// latch. A failure rolls every staged batch back — the target
-    /// leaves exactly as it arrived, never torn.
-    fn finalize_pipeline(&self, ps: PipelinedSession) {
-        let PipelinedSession {
-            shared,
-            enqueued,
-            request,
+        Group {
+            wire_format,
             plan,
             plan_shape,
-            slot,
-            wire_format,
-            feed_route,
-            metrics,
-            mut outcome,
-            mut target,
             exec_span,
-            exec_started,
-            window,
-            mut write_walls,
-            stream_tables,
-            delivered,
-            patched: ps_patched,
-            ..
-        } = ps;
-        let ShipWindow {
-            rollup, failure, ..
-        } = window;
-        let settled: std::result::Result<ExecOutcome, String> = match failure {
-            Some(diagnostic) => {
-                target.rollback_staged();
-                Err(diagnostic)
-            }
-            None if ps_patched => Ok(outcome),
-            None => {
-                let finishing = if stream_tables.is_some() {
-                    // Streaming path: every batch is already staged; one
-                    // Write sample per node, then the shared
-                    // commit+index epilogue.
-                    let mut nodes: Vec<usize> = write_walls.keys().copied().collect();
-                    nodes.sort_unstable();
-                    for node in nodes {
-                        let (started, wall) = write_walls.remove(&node).expect("keyed");
-                        outcome.op_samples.push(OpSample {
-                            node,
-                            op: "Write",
-                            location: Location::Target,
-                            started,
-                            wall,
-                        });
-                    }
-                    commit_and_index(&plan.program, &mut target, &mut outcome)
-                        .map_err(|e| e.to_string())
-                } else {
-                    execute_target_phase(
-                        &self.schema,
-                        &request.source_frag,
-                        &request.target_frag,
-                        &plan.program,
-                        &mut target,
-                        &delivered,
-                        &mut outcome,
-                    )
-                    .map_err(|e| e.to_string())
-                };
-                finishing.map(|()| outcome)
-            }
-        };
-        if let Ok(out) = &settled {
-            // How much of the session's wall the wire hid: feeds the
-            // admission estimator's turnaround model, so queue-wait
-            // predictions reflect pipelined (not serial) service.
-            let wall = exec_started.elapsed();
-            let comm = out.times.communication;
-            let exposed = wall.saturating_sub(comm).max(Duration::from_micros(1));
-            self.admission
-                .record_overlap(wall.as_secs_f64() / exposed.as_secs_f64());
+            exec_started: Instant::now(),
+            ctx: wire_context(&lanes[0].shared, exec_span),
+            ring: Vec::new(),
+            floor: 0,
+            stream_tables: None,
+            lanes,
+            decoded: HashMap::new(),
+            snapshot: None,
+            encodes: ShipRollup::default(),
+            shared_reuse: 0,
+            ring_fallbacks: 0,
+            encode_buf: Vec::new(),
+            patch: None,
         }
-        self.pipelines_outstanding.fetch_sub(1, Ordering::SeqCst);
-        // Workers parked on an empty queue re-check the exit condition.
-        self.available.notify_all();
-        self.settle_exec(
-            &shared,
-            enqueued,
-            request,
-            &plan,
-            plan_shape,
-            &slot,
-            wire_format,
-            &feed_route,
-            exec_span,
-            exec_started,
-            metrics,
-            target,
-            settled,
-            rollup,
-        );
     }
 
-    /// Runs one admitted 1→N publish group end to end on this worker.
+    /// Starts one admitted 1→N publish group on this worker.
     ///
     /// Planning happens once per distinct wire format: the source is
     /// probed once, the k-site placement model prices target-side work
     /// × fanout and multicast-amortized shipping, and the plan lands in
-    /// the shared cache under a fanout-tagged key. The source phase then
-    /// runs once per format group and every frame is encoded *once*
-    /// into a refcounted ring shared by all of the group's lanes —
-    /// subscribers ship the same `Arc`'d bytes over their own links,
-    /// with their own ledgers, retry budgets and breakers. Lanes settle
-    /// independently: a broken subscriber fails (staying resumable as a
-    /// two-site session replaying this group's plan, so its ledger acks
-    /// line up) without stalling the healthy ones, and a lane trailing
-    /// the group's fastest by more than `lag_cap` frames is dropped
-    /// from the ring so the shared buffer stays bounded. Paced waits
-    /// are volunteered to the shipping engine, so the worker this group
-    /// occupies still drives the fleet's wire.
-    fn run_publish(&self, job: PublishJob) {
+    /// the shared cache under a fanout-tagged key. Each format becomes
+    /// one [`Group`]: its source phase runs once and every frame is
+    /// encoded *once* into the ring all of its lanes ship from — over
+    /// their own links, with their own ledgers, retry budgets and
+    /// breakers. Lanes settle independently: a broken subscriber fails
+    /// (staying resumable as a two-site session replaying the group's
+    /// plan, so its ledger acks line up) without stalling the healthy
+    /// ones, and a lane trailing its group's fastest by more than
+    /// `lag_cap` frames is dropped from the ring so the shared buffer
+    /// stays bounded.
+    fn run_publish(&self, arc: &Arc<Inner>, job: PublishJob) {
         let PublishJob {
             enqueued,
-            mut request,
+            request,
             shareds,
             group_span,
         } = job;
-        let group_sid = shareds.first().map(|s| s.id).unwrap_or(0);
-        let queue_wait = enqueued.elapsed();
-        let optimizer = request.optimizer.unwrap_or(self.config.optimizer);
-        let lag_cap = request.lag_cap.max(1);
-        let depth = self.config.pipeline_depth;
-        let batch_rows = self.config.batch_rows;
-
-        // Lane setup: resolve each subscriber's link, apply the same
-        // pre-planning gates an ordinary session gets at dequeue
-        // (cancellation, open breaker). Gated lanes settle here; the
-        // group continues with whoever survives.
-        let mut lanes: Vec<PublishLane> = Vec::new();
-        for (i, subscriber) in request.subscribers.iter().enumerate() {
-            let shared = Arc::clone(&shareds[i]);
-            let tenant = request.lane_tenant(subscriber);
-            let (slot, created) = self.registry.resolve(&request.source_endpoint, subscriber);
-            if created {
-                self.events.push(
-                    shared.id,
-                    shared.root_span,
-                    EventKind::LinkCreated,
-                    slot.pair(),
-                );
-            }
-            let wire_format = request.wire_format.unwrap_or_else(|| slot.wire_format());
-            let metrics = SessionMetrics {
-                queue_wait,
-                route: format!("{}→{subscriber}", request.source_endpoint),
-                tenant: tenant.clone(),
-                wire_format,
-                ..SessionMetrics::default()
+        let PublishRequest {
+            name,
+            source,
+            source_frag,
+            target_frag,
+            source_endpoint,
+            subscribers,
+            priority,
+            source_profile,
+            target_profile,
+            tenant,
+            optimizer,
+            wire_format,
+            lag_cap,
+        } = request;
+        // What every lane's resume checkpoint is cut from: the publish
+        // as a two-site request, target endpoint to be filled per lane.
+        let template = ExchangeRequest {
+            name,
+            source,
+            source_frag,
+            target_frag,
+            priority,
+            source_profile,
+            target_profile,
+            deadline: None,
+            source_endpoint,
+            target_endpoint: String::new(),
+            tenant,
+            optimizer,
+            wire_format,
+            base_version: None,
+        };
+        // Lane setup: the same dequeue gates an ordinary session gets.
+        // Gated lanes settle here; the group continues with whoever
+        // survives.
+        let mut lanes: Vec<(Lane, WireFormat)> = Vec::new();
+        for (shared, subscriber) in shareds.iter().zip(&subscribers) {
+            let checkpoint = || ExchangeRequest {
+                name: shared.name.clone(),
+                target_endpoint: subscriber.clone(),
+                ..template.clone()
             };
-            self.queue_wait_hist.record_duration_ns(queue_wait);
-            self.trace.record(
-                "queued",
-                shared.id,
-                shared.root_span,
-                enqueued,
-                queue_wait,
-                format!("publish group ({:?})", request.priority),
-            );
-            if shared.is_cancelled() {
-                self.finish(
-                    &shared,
-                    enqueued,
-                    SessionState::Cancelled,
-                    metrics,
-                    None,
-                    Some("cancelled while queued".into()),
-                );
-                continue;
-            }
-            if slot.breaker.is_open() {
-                let pair = slot.pair();
-                let retry = slot
-                    .breaker
-                    .cooldown_remaining()
-                    .unwrap_or(self.config.breaker_cooldown);
-                self.events.push(
-                    shared.id,
-                    shared.root_span,
-                    EventKind::Shed,
-                    format!("circuit open on {pair}, retry in {retry:?}"),
-                );
-                slot.counters.sessions_shed.fetch_add(1, Ordering::Relaxed);
-                self.agg.lock().unwrap().shed_breaker += 1;
-                self.tenant_entry(&tenant, |t| t.shed += 1);
-                self.flight
-                    .shed(|| format!("{}: circuit open on {pair} (publish lane)", shared.name));
-                self.remember_resumable(
-                    shared.id,
-                    Resumable {
-                        request: publish_lane_request(&request, subscriber),
-                        plan: None,
-                    },
-                );
-                self.finish(
-                    &shared,
-                    enqueued,
-                    SessionState::Failed,
-                    metrics,
-                    None,
-                    Some(format!("shed: circuit open on {pair}")),
-                );
-                continue;
-            }
-            let feed_route = route_key(
-                &request.source_endpoint,
-                subscriber,
-                &request.source_frag.name,
-                &request.target_frag.name,
-            );
-            let target = Database::new(format!("{}-target", shared.name));
-            lanes.push(PublishLane {
-                subscriber: subscriber.clone(),
+            let (lane, format) = self.open_lane(
                 shared,
-                slot,
-                wire_format,
-                feed_route,
-                metrics,
-                target,
-                inbox: Arc::new(Mutex::new(Vec::new())),
-                budget: Arc::new(AtomicI64::new(i64::from(self.config.shipping.retry_budget))),
-                inflight: 0,
-                cursor: 0,
-                completed: 0,
-                rollup: ShipRollup::default(),
-                failure: None,
-                cancelled: false,
-                lagged: false,
-                decoded: BTreeMap::new(),
-                next_stage_seq: 0,
-                outcome: ExecOutcome::default(),
-                delivered: HashMap::new(),
-                write_walls: HashMap::new(),
-                settled: false,
-            });
+                enqueued,
+                (&template.source_endpoint, subscriber),
+                (&template.source_frag.name, &template.target_frag.name),
+                template
+                    .tenant
+                    .clone()
+                    .unwrap_or_else(|| format!("{}→{subscriber}", template.source_endpoint)),
+                template.wire_format,
+                format!("publish group ({:?})", template.priority),
+            );
+            match self.dequeue_gate(&lane, false) {
+                None => lanes.push((lane, format)),
+                Some((state, why)) => {
+                    if state == SessionState::Failed {
+                        let request = checkpoint();
+                        self.remember_resumable(
+                            shared.id,
+                            Resumable {
+                                request,
+                                plan: None,
+                            },
+                        );
+                    }
+                    self.finish(shared, enqueued, state, lane.metrics, None, Some(why));
+                }
+            }
         }
-        if lanes.is_empty() {
+        let close_group = |detail: String| {
             self.trace.record_with_context(
                 group_span,
                 "publish-group",
-                group_sid,
+                shareds[0].id,
                 NO_SPAN,
                 group_span,
                 enqueued,
                 enqueued.elapsed(),
-                format!("{}: no live lanes", request.name),
+                format!("{}: {detail}", template.name),
             );
+        };
+        if lanes.is_empty() {
+            close_group("no live lanes".into());
             return;
         }
+        let plans = match self.plan_publish(&template, &mut lanes) {
+            Ok(plans) => plans,
+            Err(why) => {
+                for (lane, _) in lanes {
+                    let why = Some(why.clone());
+                    self.finish(
+                        &lane.shared,
+                        enqueued,
+                        SessionState::Failed,
+                        lane.metrics,
+                        None,
+                        why,
+                    );
+                }
+                close_group(why);
+                return;
+            }
+        };
+        let mut ex = Exchange {
+            id: lanes[0].0.shared.id,
+            enqueued,
+            request: template,
+            billed: Counters::default(),
+            lag_cap: lag_cap.max(1),
+            groups: Vec::with_capacity(plans.len()),
+            inbox: Arc::new(Mutex::new(Vec::new())),
+        };
+        for (format, plan) in plans {
+            let (members, rest): (Vec<_>, Vec<_>) =
+                lanes.into_iter().partition(|(_, f)| *f == format);
+            lanes = rest;
+            let members: Vec<Lane> = members.into_iter().map(|(lane, _)| lane).collect();
+            ex.groups.push(self.open_group(format, plan, None, members));
+        }
+        for gi in 0..ex.groups.len() {
+            self.run_source(arc, &mut ex, gi);
+        }
+        // The group still holds this worker end to end, polling its
+        // inbox and volunteering the waits to the engine.
+        self.outstanding.fetch_add(1, Ordering::SeqCst);
+        loop {
+            let results = std::mem::take(&mut *ex.inbox.lock().unwrap());
+            let progressed = !results.is_empty();
+            for (gi, li, result) in results {
+                self.absorb(arc, &mut ex, gi, li, result);
+            }
+            if self.advance(arc, &mut ex) {
+                return;
+            }
+            if !progressed {
+                self.engine
+                    .drive_until(Instant::now() + Duration::from_micros(200));
+            }
+        }
+    }
 
-        // Plan once per distinct wire format: one statistics probe for
-        // the whole group, then a k-site placement per format, cached
-        // under the fanout-tagged key so the next group with this shape
-        // plans for free.
-        for lane in &lanes {
+    /// Plans a publish once per distinct wire format: one statistics
+    /// probe for the whole group, then a k-site placement per format,
+    /// cached under the fanout-tagged key so the next group with this
+    /// shape plans for free. Returns the plans in first-subscriber
+    /// order of their formats.
+    fn plan_publish(
+        &self,
+        request: &ExchangeRequest,
+        lanes: &mut [(Lane, WireFormat)],
+    ) -> std::result::Result<Vec<(WireFormat, Arc<CachedPlan>)>, String> {
+        for (lane, _) in lanes.iter() {
             lane.shared.set_state(SessionState::Planning);
         }
+        let owner = Arc::clone(&lanes[0].0.shared);
         let plan_span = self.trace.allocate_id();
         self.events.push(
-            group_sid,
+            owner.id,
             plan_span,
             EventKind::PlanningStarted,
             &request.name,
         );
-        let planning_started = Instant::now();
-        let mut probe_exchange = DataExchange::new(
+        let started = Instant::now();
+        let optimizer = request.optimizer.unwrap_or(self.config.optimizer);
+        let mut exchange = DataExchange::new(
             &self.schema,
             request.source_frag.clone(),
             request.target_frag.clone(),
         )
         .with_optimizer(optimizer)
         .with_profiles(request.source_profile, request.target_profile)
-        .with_wire_format(lanes[0].wire_format);
-        probe_exchange.w_comm = self.config.w_comm;
-        lanes[0].metrics.planning_probes = 1;
-        let base_model = match probe_exchange.probe(&request.source) {
-            Ok(model) => model,
-            Err(e) => {
-                let planning = planning_started.elapsed();
-                let diag = format!("statistics probe failed: {e}");
-                self.trace.record_with_id(
-                    plan_span,
-                    "plan",
-                    group_sid,
-                    group_span,
-                    planning_started,
-                    planning,
-                    diag.clone(),
-                );
-                for mut lane in lanes {
-                    lane.metrics.planning = planning;
-                    let metrics = std::mem::take(&mut lane.metrics);
-                    self.finish(
-                        &lane.shared,
-                        enqueued,
-                        SessionState::Failed,
-                        metrics,
+        .with_wire_format(lanes[0].1);
+        exchange.w_comm = self.config.w_comm;
+        lanes[0].0.metrics.planning_probes = 1;
+        let mut formats: Vec<WireFormat> = Vec::new();
+        for (_, format) in lanes.iter() {
+            if !formats.contains(format) {
+                formats.push(*format);
+            }
+        }
+        let planned = exchange
+            .probe(&request.source)
+            .map_err(|e| format!("statistics probe failed: {e}"))
+            .and_then(|base_model| {
+                let mut plans = Vec::with_capacity(formats.len());
+                for format in formats {
+                    let mut model = base_model.clone();
+                    model.wire_format = format;
+                    let fanout = lanes.iter().filter(|(_, f)| *f == format).count();
+                    let key = plan_key_with_fanout(
+                        &request.source_frag,
+                        &request.target_frag,
+                        &model,
+                        optimizer,
                         None,
-                        Some(diag.clone()),
+                        fanout,
                     );
-                }
-                self.trace.record_with_context(
-                    group_span,
-                    "publish-group",
-                    group_sid,
-                    NO_SPAN,
-                    group_span,
-                    enqueued,
-                    enqueued.elapsed(),
-                    format!("{}: {diag}", request.name),
-                );
-                return;
-            }
-        };
-        // Group lanes by wire format, preserving subscriber order.
-        let mut groups: Vec<(WireFormat, Vec<usize>)> = Vec::new();
-        for (i, lane) in lanes.iter().enumerate() {
-            match groups.iter_mut().find(|(f, _)| *f == lane.wire_format) {
-                Some((_, members)) => members.push(i),
-                None => groups.push((lane.wire_format, vec![i])),
-            }
-        }
-        let mut planned: Vec<(WireFormat, Vec<usize>, Arc<CachedPlan>, bool)> = Vec::new();
-        let mut plan_err: Option<String> = None;
-        for (fmt, members) in &groups {
-            let mut model = base_model.clone();
-            model.wire_format = *fmt;
-            let fanout = members.len();
-            let key = plan_key_with_fanout(
-                &request.source_frag,
-                &request.target_frag,
-                &model,
-                optimizer,
-                None,
-                fanout,
-            );
-            let (plan, hit) = match self.cache.lookup(key) {
-                Some(cached) => (cached, true),
-                None => match self.plan_ksite(&model, &request, optimizer, fanout) {
-                    Ok((program, cost)) => {
-                        let op_costs: Vec<f64> = (0..program.nodes.len())
-                            .map(|i| model.comp_cost(&program, i, program.nodes[i].location))
-                            .collect();
-                        let mut comm_bytes = 0.0;
-                        for (i, node) in program.nodes.iter().enumerate() {
-                            for port in &node.inputs {
-                                comm_bytes += model.comm_cost(&self.schema, &program, *port, i);
-                            }
-                        }
-                        let cached = self.cache.insert(
-                            key,
-                            CachedPlan {
-                                program,
-                                cost,
-                                op_costs,
-                                comm_bytes: comm_bytes as u64,
+                    let (plan, hit) = self.plan_cached(key, &model, || {
+                        self.plan_ksite(&model, request, optimizer, fanout)
+                    })?;
+                    for (lane, _) in lanes.iter_mut().filter(|(_, f)| *f == format) {
+                        lane.metrics.plan_cache_hit = hit;
+                        self.events.push(
+                            lane.shared.id,
+                            plan_span,
+                            if hit {
+                                EventKind::PlanCacheHit
+                            } else {
+                                EventKind::PlanCacheMiss
                             },
+                            format!("key {:016x}/{:016x} fanout {fanout}", key.shape, key.stats),
                         );
-                        (cached, false)
                     }
-                    Err(e) => {
-                        plan_err = Some(format!("planning failed: {e}"));
-                        break;
-                    }
-                },
-            };
-            for &li in members {
-                self.events.push(
-                    lanes[li].shared.id,
-                    plan_span,
-                    if hit {
-                        EventKind::PlanCacheHit
-                    } else {
-                        EventKind::PlanCacheMiss
-                    },
-                    format!("key {:016x}/{:016x} fanout {fanout}", key.shape, key.stats),
-                );
-            }
-            planned.push((*fmt, members.clone(), plan, hit));
+                    self.admission.record_plan_cost(plan.cost);
+                    plans.push((format, plan));
+                }
+                Ok(plans)
+            });
+        let planning = started.elapsed();
+        for (lane, _) in lanes.iter_mut() {
+            lane.metrics.planning = planning;
         }
-        let planning = planning_started.elapsed();
-        if let Some(diag) = plan_err {
-            self.trace.record_with_id(
-                plan_span,
-                "plan",
-                group_sid,
-                group_span,
-                planning_started,
-                planning,
-                diag.clone(),
-            );
-            for mut lane in lanes {
-                lane.metrics.planning = planning;
-                let metrics = std::mem::take(&mut lane.metrics);
-                self.finish(
-                    &lane.shared,
-                    enqueued,
-                    SessionState::Failed,
-                    metrics,
-                    None,
-                    Some(diag.clone()),
-                );
+        let detail = match &planned {
+            Ok(plans) => {
+                self.planning_hist.record_duration_ns(planning);
+                format!("{} format group(s) over {} lanes", plans.len(), lanes.len())
             }
-            self.trace.record_with_context(
-                group_span,
-                "publish-group",
-                group_sid,
-                NO_SPAN,
-                group_span,
-                enqueued,
-                enqueued.elapsed(),
-                format!("{}: {diag}", request.name),
-            );
-            return;
-        }
-        self.planning_hist.record_duration_ns(planning);
+            Err(why) => why.clone(),
+        };
         self.trace.record_with_id(
             plan_span,
             "plan",
-            group_sid,
-            group_span,
-            planning_started,
+            owner.id,
+            session_trace_id(&owner),
+            started,
             planning,
-            format!(
-                "{} format group(s) over {} lanes",
-                planned.len(),
-                lanes.len()
-            ),
+            detail,
         );
-
-        // Execute per format group: one source phase, one shared frame
-        // ring, every member lane shipping from it.
-        let mut group_encodes = ShipRollup::default();
-        let mut shared_reuse: u64 = 0;
-        let mut ring_fallbacks: u64 = 0;
-        for (fmt, members, plan, cache_hit) in &planned {
-            let fmt = *fmt;
-            let primary = members[0];
-            let exec_span = self.trace.allocate_id();
-            let exec_started = Instant::now();
-            for &li in members {
-                let lane = &mut lanes[li];
-                lane.metrics.planning = planning;
-                lane.metrics.plan_cache_hit = *cache_hit;
-                lane.shared.set_state(SessionState::Executing);
-                self.events.push(
-                    lane.shared.id,
-                    exec_span,
-                    EventKind::ExecutionStarted,
-                    format!(
-                        "estimated cost {:.1} via {} (publish fanout {})",
-                        plan.cost,
-                        lane.metrics.route,
-                        members.len()
-                    ),
-                );
-            }
-            self.admission.record_plan_cost(plan.cost);
-            let counters_before = request.source.counters;
-            let cross = cross_ports_in_consumer_order(&self.schema, &plan.program);
-            let source = execute_source_phase_streaming(
-                &self.schema,
-                &request.source_frag,
-                &request.target_frag,
-                &plan.program,
-                &mut request.source,
-                None,
-                &mut |_feeds| {},
-            );
-            let mut batches: Vec<PendingBatch> = Vec::new();
-            let mut port_of: HashMap<u64, PortRef> = HashMap::new();
-            let mut stream_tables: Option<HashMap<PortRef, (usize, String)>> = None;
-            match source {
-                Ok((phase, group_outcome)) => {
-                    let mut missing = None;
-                    for c in &cross {
-                        let Some(feed) = phase.feeds.get(&c.port) else {
-                            missing = Some(format!("missing feed for port {:?}", c.port));
-                            break;
-                        };
-                        for batch in feed_batches(feed, batch_rows) {
-                            let seq = batches.len() as u64;
-                            port_of.insert(seq, c.port);
-                            batches.push(PendingBatch {
-                                seq,
-                                label: c.label.clone(),
-                                payload: Payload::Feed(batch),
-                            });
-                        }
-                    }
-                    match missing {
-                        None => {
-                            // The group's one source phase (and one
-                            // probe) bill to the primary lane, so the
-                            // aggregate sees them exactly once.
-                            lanes[primary].outcome = group_outcome;
-                            lanes[primary].metrics.source_counters =
-                                counters_delta(request.source.counters, counters_before);
-                            stream_tables = writes_stream_directly(&plan.program)
-                                .then(|| direct_write_tables(&plan.program, &request.target_frag));
-                        }
-                        Some(e) => {
-                            for &li in members {
-                                lanes[li].failure.get_or_insert(e.clone());
-                            }
-                        }
-                    }
-                }
-                Err(e) => {
-                    let diag = e.to_string();
-                    for &li in members {
-                        lanes[li].failure.get_or_insert(diag.clone());
-                    }
-                }
-            }
-            // The shared frame ring: frames[i] is encoded by the first
-            // lane to need it and dropped once every active lane moved
-            // past it, so resident frames are bounded by the spread
-            // between the fastest and slowest lane (≤ lag_cap).
-            let mut frames: Vec<Option<Arc<Vec<u8>>>> = vec![None; batches.len()];
-            let mut ring_floor = 0usize;
-            let mut encode_buf: Vec<u8> = Vec::new();
-            let primary_slot = Arc::clone(&lanes[primary].slot);
-            // Decode-once cache: every lane receives byte-identical
-            // frames (the engine checksums end to end), so the group
-            // parses each delivered frame once and hands later lanes a
-            // clone of the decoded feed — the decode bill, like the
-            // encode bill, is per *frame*, not per subscriber. An entry
-            // dies with its last expected absorption; a lane that fails
-            // before absorbing strands its count, bounded by the batch
-            // list and freed when the group retires.
-            let mut decoded_cache: HashMap<u64, (Feed, usize)> = HashMap::new();
-            // Snapshot-once cache, same argument: every successful lane
-            // commits identical content, so the first lane to settle
-            // clones its committed tables into a shared snapshot and
-            // the rest record the same `Arc` under their own routes.
-            let mut group_snapshot: Option<Snapshot> = None;
-            loop {
-                let mut progressed = false;
-                for &li in members {
-                    if lanes[li].settled {
-                        continue;
-                    }
-                    {
-                        let lane = &mut lanes[li];
-                        if lane.shared.is_cancelled() && lane.failure.is_none() {
-                            lane.cancelled = true;
-                        }
-                        // Keep the lane's window full from the ring.
-                        while lane.failure.is_none()
-                            && !lane.cancelled
-                            && lane.inflight < depth
-                            && lane.cursor < batches.len()
-                        {
-                            let idx = lane.cursor;
-                            let frame = match &frames[idx] {
-                                Some(frame) => {
-                                    shared_reuse += 1;
-                                    Arc::clone(frame)
-                                }
-                                None => {
-                                    let batch = &batches[idx];
-                                    let Payload::Feed(feed) = &batch.payload else {
-                                        unreachable!("publish batches are feeds");
-                                    };
-                                    let start = Instant::now();
-                                    // One context for the whole group:
-                                    // every subscriber's receiver spans
-                                    // stitch under the group's exec span
-                                    // and share the group-span trace id.
-                                    let ctx = (group_span != NO_SPAN).then_some(TraceContext {
-                                        trace_id: group_span,
-                                        parent_span: exec_span,
-                                    });
-                                    let len = encode_in_format_with_context_into(
-                                        &mut encode_buf,
-                                        feed,
-                                        fmt,
-                                        ctx,
-                                    );
-                                    let ns = start.elapsed().as_nanos() as u64;
-                                    group_encodes.messages_serialized += 1;
-                                    group_encodes.bytes_encoded += len as u64;
-                                    group_encodes.encode_ns += ns;
-                                    primary_slot
-                                        .counters
-                                        .bytes_encoded
-                                        .fetch_add(len as u64, Ordering::Relaxed);
-                                    primary_slot
-                                        .counters
-                                        .encode_ns
-                                        .fetch_add(ns, Ordering::Relaxed);
-                                    self.encode_hist.record(ns);
-                                    self.trace.record(
-                                        "encode",
-                                        lane.shared.id,
-                                        exec_span,
-                                        start,
-                                        Duration::from_nanos(ns),
-                                        format!("{len} bytes, shared ×{}", members.len()),
-                                    );
-                                    let soap_label = match (fmt, ctx) {
-                                        (WireFormat::Xml, Some(ctx)) => {
-                                            label_with_context(&batch.label, ctx)
-                                        }
-                                        _ => batch.label.clone(),
-                                    };
-                                    let frame = Arc::new(
-                                        Request::soap_post(
-                                            "/exchange",
-                                            &soap_label,
-                                            encode_buf.clone(),
-                                        )
-                                        .to_bytes(),
-                                    );
-                                    frames[idx] = Some(Arc::clone(&frame));
-                                    frame
-                                }
-                            };
-                            let inbox = Arc::clone(&lane.inbox);
-                            self.engine.submit(ShipRequest {
-                                session: Arc::clone(&lane.shared),
-                                slot: Arc::clone(&lane.slot),
-                                seq: batches[idx].seq,
-                                label: batches[idx].label.clone(),
-                                message: frame,
-                                policy: self.config.shipping,
-                                budget: Arc::clone(&lane.budget),
-                                parent_span: exec_span,
-                                on_done: Box::new(move |result| {
-                                    inbox.lock().unwrap().push(result);
-                                }),
-                            });
-                            lane.inflight += 1;
-                            lane.cursor += 1;
-                            lane.shared.set_state(SessionState::Shipping);
-                            progressed = true;
-                        }
-                        // Absorb whatever landed.
-                        let results = std::mem::take(&mut *lane.inbox.lock().unwrap());
-                        for result in results {
-                            progressed = true;
-                            lane.inflight -= 1;
-                            lane.completed += 1;
-                            let stats = result.stats;
-                            lane.rollup.wire_bytes += stats.wire_bytes;
-                            lane.rollup.chunks_shipped += stats.chunks_shipped;
-                            lane.rollup.chunks_resumed += stats.chunks_resumed;
-                            lane.rollup.chunks_deduped += stats.chunks_deduped;
-                            lane.rollup.chunks_retried += stats.chunks_retried;
-                            lane.rollup.retry_backoff += stats.retry_backoff;
-                            match result.outcome {
-                                Ok(delivered) => {
-                                    lane.outcome.times.communication += result.elapsed;
-                                    lane.outcome.messages += 1;
-                                    let decoded = match decoded_cache.entry(result.seq) {
-                                        std::collections::hash_map::Entry::Occupied(mut cached) => {
-                                            cached.get_mut().1 -= 1;
-                                            if cached.get().1 == 0 {
-                                                Ok(cached.remove().0)
-                                            } else {
-                                                Ok(cached.get().0.clone())
-                                            }
-                                        }
-                                        std::collections::hash_map::Entry::Vacant(vacant) => {
-                                            let decode_started = Instant::now();
-                                            Request::parse(&delivered)
-                                                .map_err(|e| e.to_string())
-                                                .and_then(|arrived| {
-                                                    let (feed, ctx) = decode_any_ctx(&arrived.body)
-                                                        .map_err(|e| e.to_string())?;
-                                                    let ctx = ctx
-                                                        .or_else(|| soap_action_context(&arrived));
-                                                    let (parent, trace_id) = ctx
-                                                        .map_or((exec_span, group_span), |c| {
-                                                            (c.parent_span, c.trace_id)
-                                                        });
-                                                    self.trace.record_with_context(
-                                                        self.trace.allocate_id(),
-                                                        "decode",
-                                                        lane.shared.id,
-                                                        parent,
-                                                        trace_id,
-                                                        decode_started,
-                                                        decode_started.elapsed(),
-                                                        format!(
-                                                            "batch {}, shared ×{}",
-                                                            result.seq,
-                                                            members.len()
-                                                        ),
-                                                    );
-                                                    Ok(feed)
-                                                })
-                                                .inspect(|feed| {
-                                                    if members.len() > 1 {
-                                                        vacant.insert((
-                                                            feed.clone(),
-                                                            members.len() - 1,
-                                                        ));
-                                                    }
-                                                })
-                                        }
-                                    };
-                                    match decoded {
-                                        Ok(feed) => {
-                                            lane.decoded.insert(result.seq, feed);
-                                            let stage_started = Instant::now();
-                                            let staged_from = lane.next_stage_seq;
-                                            if let Err(e) = stage_publish_lane(
-                                                lane,
-                                                stream_tables.as_ref(),
-                                                &port_of,
-                                            ) {
-                                                lane.failure.get_or_insert(e);
-                                            }
-                                            let staged = lane.next_stage_seq - staged_from;
-                                            if staged > 0 {
-                                                self.trace.record_with_context(
-                                                    self.trace.allocate_id(),
-                                                    "stage",
-                                                    lane.shared.id,
-                                                    exec_span,
-                                                    group_span,
-                                                    stage_started,
-                                                    stage_started.elapsed(),
-                                                    format!(
-                                                        "{staged} batch(es) from seq \
-                                                         {staged_from}"
-                                                    ),
-                                                );
-                                            }
-                                        }
-                                        Err(e) => {
-                                            lane.failure.get_or_insert(format!(
-                                                "batch {} corrupt: {e}",
-                                                result.seq
-                                            ));
-                                        }
-                                    }
-                                }
-                                Err(e) => {
-                                    lane.rollup.link_gave_up |= result.link_gave_up;
-                                    lane.failure.get_or_insert(e);
-                                }
-                            }
-                        }
-                    }
-                    // Settle a lane the moment it is done — healthy
-                    // lanes commit and report without waiting for the
-                    // group's stragglers.
-                    if !lanes[li].settled
-                        && lanes[li].inflight == 0
-                        && (lanes[li].cursor >= batches.len()
-                            || lanes[li].failure.is_some()
-                            || lanes[li].cancelled)
-                    {
-                        self.settle_publish_lane(
-                            &mut lanes[li],
-                            enqueued,
-                            plan,
-                            stream_tables.as_ref(),
-                            &request,
-                            exec_span,
-                            exec_started,
-                            &mut group_snapshot,
-                        );
-                        progressed = true;
-                    }
-                }
-                // Lag-cap enforcement: a lane trailing the group's
-                // fastest by more than `lag_cap` frames is ejected from
-                // the shared ring (it fails with a diagnostic and stays
-                // resumable as its own two-site re-ship), so one stuck
-                // subscriber can neither stall the others nor grow the
-                // ring without bound.
-                let lead = members
-                    .iter()
-                    .filter(|&&li| !lanes[li].settled)
-                    .map(|&li| lanes[li].completed)
-                    .max()
-                    .unwrap_or(0);
-                for &li in members {
-                    let lane = &mut lanes[li];
-                    if lane.settled || lane.failure.is_some() || lane.cancelled {
-                        continue;
-                    }
-                    let lag = lead.saturating_sub(lane.completed);
-                    if lag > lag_cap {
-                        lane.lagged = true;
-                        ring_fallbacks += 1;
-                        self.flight.shed(|| {
-                            format!(
-                                "{}: {lag} frames behind publish group (cap {lag_cap})",
-                                lane.shared.name
-                            )
-                        });
-                        self.events.push(
-                            lane.shared.id,
-                            exec_span,
-                            EventKind::Shed,
-                            format!(
-                                "publish lane {} frames behind the group (cap {lag_cap}): \
-                                 dropped to per-subscriber re-ship",
-                                lag
-                            ),
-                        );
-                        lane.failure = Some(format!(
-                            "fell {lag} frames behind the publish group (cap {lag_cap})"
-                        ));
-                    }
-                }
-                // Advance the ring floor past frames every live
-                // shared-path lane has already submitted.
-                let min_cursor = members
-                    .iter()
-                    .filter(|&&li| {
-                        !lanes[li].settled && lanes[li].failure.is_none() && !lanes[li].cancelled
-                    })
-                    .map(|&li| lanes[li].cursor)
-                    .min();
-                if let Some(mc) = min_cursor {
-                    for frame in frames.iter_mut().take(mc).skip(ring_floor) {
-                        *frame = None;
-                    }
-                    ring_floor = ring_floor.max(mc);
-                }
-                if members.iter().all(|&li| lanes[li].settled) {
-                    break;
-                }
-                if !progressed {
-                    // Volunteer this worker to the engine while the
-                    // group's frames ride the wire.
-                    self.engine
-                        .drive_until(Instant::now() + Duration::from_micros(200));
-                }
-            }
-            // The format group's exec span: parent of every lane's
-            // shipping, decode and stage work, child of the group root.
-            self.trace.record_with_context(
-                exec_span,
-                "exec",
-                group_sid,
-                group_span,
-                group_span,
-                exec_started,
-                exec_started.elapsed(),
-                format!(
-                    "publish format group [{}] over {} lanes{}",
-                    format_name(fmt),
-                    members.len(),
-                    if *cache_hit { " (plan cache hit)" } else { "" }
-                ),
-            );
-        }
-        // Shared-encode accounting lands once, at group scope: lane
-        // metrics carry no serialization tallies (a lane did not encode
-        // its frames — the group did).
-        {
-            let mut agg = self.agg.lock().unwrap();
-            agg.messages_serialized += group_encodes.messages_serialized;
-            agg.bytes_encoded += group_encodes.bytes_encoded;
-            agg.encode_ns += group_encodes.encode_ns;
-            agg.multicast_encode_shared += shared_reuse;
-            agg.multicast_encode_fallback += ring_fallbacks;
-        }
-        self.available.notify_all();
-        self.trace.record_with_context(
-            group_span,
-            "publish-group",
-            group_sid,
-            NO_SPAN,
-            group_span,
-            enqueued,
-            enqueued.elapsed(),
-            format!(
-                "{}: {} lanes in {} format group(s), {} shared-frame reuses, {} ring fallbacks",
-                request.name,
-                lanes.len(),
-                planned.len(),
-                shared_reuse,
-                ring_fallbacks
-            ),
-        );
+        planned
     }
 
     /// K-site planning for a publish format group: enumerate orderings
@@ -4433,7 +2943,7 @@ impl Inner {
     fn plan_ksite(
         &self,
         model: &CostModel,
-        request: &PublishRequest,
+        request: &ExchangeRequest,
         optimizer: Optimizer,
         fanout: usize,
     ) -> xdx_core::Result<(Program, f64)> {
@@ -4463,250 +2973,1050 @@ impl Inner {
         }
     }
 
-    /// Settles one publish lane into its terminal state: the lane-local
-    /// analog of [`Inner::settle_exec`]. Runs the lane's target half
-    /// (commit+index for direct-write plans, the target phase
-    /// otherwise), folds its shipping rollup into its metrics, advances
-    /// its route's snapshot log, and keeps a failed lane resumable as an
-    /// independent two-site session replaying the group's k-site plan.
-    /// Serialization tallies are absent by design — the group encoded
-    /// the frames, once, and accounts for them at group scope.
-    #[allow(clippy::too_many_arguments)]
-    fn settle_publish_lane(
+    /// The delta rung of the ladder: compute the head feeds locally over
+    /// a loopback transport, diff them against the base snapshot in one
+    /// Dewey merge pass, and — when the cost model prefers the patch
+    /// over the full feeds — put the checksummed patch frame on the ring
+    /// as shipment 0. Returns true when the full feeds must ship now
+    /// instead (diff failed, or the patch would cost more).
+    fn stage_delta(
         &self,
-        lane: &mut PublishLane,
-        enqueued: Instant,
-        plan: &Arc<CachedPlan>,
-        stream_tables: Option<&HashMap<PortRef, (usize, String)>>,
-        request: &PublishRequest,
-        exec_span: SpanId,
-        exec_started: Instant,
-        group_snapshot: &mut Option<Snapshot>,
-    ) {
-        lane.settled = true;
-        let mut metrics = std::mem::take(&mut lane.metrics);
-        let mut target = std::mem::take(&mut lane.target);
-        let mut outcome = std::mem::take(&mut lane.outcome);
-        let rollup = lane.rollup;
-        metrics.retry_backoff = rollup.retry_backoff;
-        metrics.bytes_shipped = rollup.wire_bytes;
-        metrics.chunks_shipped = rollup.chunks_shipped;
-        metrics.chunks_resumed = rollup.chunks_resumed;
-        metrics.chunks_deduped = rollup.chunks_deduped;
-        metrics.chunks_retried = rollup.chunks_retried;
-        if lane.cancelled && lane.failure.is_none() {
-            target.rollback_staged();
-            metrics.target_counters = target.counters;
-            self.finish(
-                &lane.shared,
-                enqueued,
-                SessionState::Cancelled,
-                metrics,
-                None,
-                Some("cancelled mid-publish".into()),
-            );
-            return;
-        }
-        let settle_started = Instant::now();
-        let settled: std::result::Result<ExecOutcome, String> = match lane.failure.take() {
-            Some(diagnostic) => {
-                target.rollback_staged();
-                Err(diagnostic)
-            }
-            None => {
-                let finishing = if stream_tables.is_some() {
-                    let mut nodes: Vec<usize> = lane.write_walls.keys().copied().collect();
-                    nodes.sort_unstable();
-                    for node in nodes {
-                        let (started, wall) = lane.write_walls.remove(&node).expect("keyed");
-                        outcome.op_samples.push(OpSample {
-                            node,
-                            op: "Write",
-                            location: Location::Target,
-                            started,
-                            wall,
-                        });
-                    }
-                    commit_and_index(&plan.program, &mut target, &mut outcome)
-                        .map_err(|e| e.to_string())
-                } else {
-                    execute_target_phase(
-                        &self.schema,
-                        &request.source_frag,
-                        &request.target_frag,
-                        &plan.program,
-                        &mut target,
-                        &lane.delivered,
-                        &mut outcome,
-                    )
-                    .map_err(|e| e.to_string())
-                };
-                finishing.map(|()| outcome)
+        ex: &mut Exchange,
+        (base_version, head_version, snapshot, chain_composed): (u64, u64, Snapshot, bool),
+    ) -> bool {
+        let request = &mut ex.request;
+        let group = &mut ex.groups[0];
+        let lane = &mut group.lanes[0];
+        let (id, exec_span) = (lane.shared.id, group.exec_span);
+        let mut loopback = LoopbackTransport::new(group.wire_format);
+        let mut head_db = Database::new(format!("{}-head", lane.shared.name));
+        let head_outcome = match execute_with_transport(
+            &self.schema,
+            &request.source_frag,
+            &request.target_frag,
+            &group.plan.program,
+            &mut request.source,
+            &mut head_db,
+            &mut loopback,
+            None,
+        ) {
+            Ok(out) => out,
+            Err(e) => {
+                lane.failure = Some(e.to_string());
+                return false;
             }
         };
-        metrics.communication = match &settled {
-            Ok(out) => out.times.communication,
-            Err(_) => Duration::ZERO,
-        };
-        metrics.target_counters = target.counters;
-        self.trace.record(
-            "lane",
-            lane.shared.id,
-            exec_span,
-            exec_started,
-            exec_started.elapsed(),
-            format!(
-                "{} → {} [{}]",
-                if settled.is_ok() { "ok" } else { "failed" },
-                lane.subscriber,
-                format_name(lane.wire_format)
-            ),
-        );
-        // The lane's receiver-side settle (target phase / commit+index)
-        // is a leaf of the stitched multicast tree: every subscriber
-        // contributes one under the group's exec span.
-        self.trace.record_with_context(
-            self.trace.allocate_id(),
-            "settle",
-            lane.shared.id,
-            exec_span,
-            session_trace_id(&lane.shared),
-            settle_started,
-            settle_started.elapsed(),
-            format!(
-                "{} @{}",
-                if settled.is_ok() {
-                    "committed"
-                } else {
-                    "rolled back"
-                },
-                lane.subscriber
-            ),
-        );
-        match settled {
-            Ok(out) => {
-                metrics.messages = out.messages;
-                metrics.rows_loaded = out.rows_loaded;
-                let fmt = format_name(lane.wire_format);
-                for s in &out.op_samples {
-                    let loc = location_name(s.location);
-                    self.trace.record(
-                        s.op,
-                        lane.shared.id,
+        let patch =
+            match diff_snapshots(&snapshot, &db_tables(&head_db), base_version, head_version) {
+                Ok(patch) => patch,
+                Err(e) => {
+                    lane.metrics.delta_full_fallbacks += 1;
+                    self.events.push(
+                        id,
                         exec_span,
-                        s.started,
-                        s.wall,
-                        format!("node {} @{loc}", s.node),
+                        EventKind::DeltaFellBack,
+                        format!("diff failed: {e}; full re-ship"),
                     );
-                    self.metrics
-                        .histogram(&format!(
-                            "xdx_op_wall_ns{{op=\"{}\",location=\"{loc}\"}}",
-                            s.op
-                        ))
-                        .record_duration_ns(s.wall);
-                    if let Some(&predicted) = plan.op_costs.get(s.node) {
-                        self.calibration.record_op(
-                            s.op,
-                            loc,
-                            fmt,
-                            predicted,
-                            s.wall.as_nanos() as u64,
-                        );
-                    }
+                    return true;
                 }
-                let snapshot_started = Instant::now();
-                let tables =
-                    Arc::clone(group_snapshot.get_or_insert_with(|| Arc::new(db_tables(&target))));
-                self.snapshots.record_shared(&lane.feed_route, tables);
+            };
+        let steps = patch.step_count();
+        let mut bytes = Vec::new();
+        encode_patch_with_context_into(&mut bytes, &patch, group.wire_format, group.ctx);
+        // A resumed patch session must re-ship frames byte-identical to
+        // the failed run's — the ledger checkpoint hashes the message,
+        // and a fresh encode embeds *this* run's trace context. Price
+        // (and ship) the persisted bytes instead, exactly as feed
+        // batches replay theirs. The patch is always shipment 0.
+        let bytes = self.ledger.stored_message(id, 0).unwrap_or(bytes);
+        let patch_cost = self.config.w_comm * bytes.len() as f64
+            + PATCH_STEP_FACTOR * steps as f64 / request.target_profile.speed;
+        let full_cost = self.config.w_comm * group.plan.comm_bytes as f64;
+        if group.plan.comm_bytes > 0 && patch_cost >= full_cost {
+            lane.metrics.delta_full_chosen += 1;
+            self.events.push(
+                id,
+                exec_span,
+                EventKind::DeltaFellBack,
+                format!("patch cost {patch_cost:.1} ≥ full {full_cost:.1}: full ship"),
+            );
+            return true;
+        }
+        group.patch = Some(Box::new(PatchShip {
+            base_version,
+            head_version,
+            snapshot,
+            chain_composed,
+            steps,
+            bytes: bytes.len(),
+            head_outcome,
+        }));
+        group.ring.push(Slot {
+            label: "delta-patch".into(),
+            port: None,
+            feed: None,
+            frame: Some(Arc::new(bytes)),
+        });
+        false
+    }
+
+    /// Absorb step of the delta patch: decode → staleness check →
+    /// `stage_patch`, then commit and index. Any rejection (corrupt
+    /// frame, stale version precondition, malformed steps) rolls the
+    /// staged patch back and re-enters the feed-batch path at the next
+    /// shipment seq — the fallback ladder.
+    fn absorb_patch(&self, arc: &Arc<Inner>, ex: &mut Exchange, delivered: &[u8]) {
+        let group = &mut ex.groups[0];
+        let patch = *group.patch.take().expect("patch in flight");
+        let lane = &mut group.lanes[0];
+        let (id, exec_span) = (lane.shared.id, group.exec_span);
+        let decode_started = Instant::now();
+        let staged = decode_patch_ctx(delivered).and_then(|(decoded, rctx)| {
+            if let Some(ctx) = rctx {
+                // Receiver-side decode span, stitched from the frame's
+                // propagated context.
                 self.trace.record_with_context(
                     self.trace.allocate_id(),
-                    "snapshot",
-                    lane.shared.id,
-                    exec_span,
-                    session_trace_id(&lane.shared),
-                    snapshot_started,
-                    snapshot_started.elapsed(),
-                    format!("route {} advanced", lane.feed_route),
-                );
-                self.ledger.forget_session(lane.shared.id);
-                lane.slot
-                    .counters
-                    .sessions_completed
-                    .fetch_add(1, Ordering::Relaxed);
-                if let Some(BreakerTransition::Closed) = lane.slot.breaker.record_success() {
-                    self.flight.record(FlightSubsystem::Breaker, || {
-                        format!("{}: closed (probe succeeded)", lane.slot.pair())
-                    });
-                    self.events.push(
-                        lane.shared.id,
-                        lane.shared.root_span,
-                        EventKind::CircuitClosed,
-                        format!("{}: probe succeeded", lane.slot.pair()),
-                    );
-                }
-                self.finish(
-                    &lane.shared,
-                    enqueued,
-                    SessionState::Done,
-                    metrics,
-                    Some(target),
-                    None,
+                    "decode",
+                    id,
+                    ctx.parent_span,
+                    ctx.trace_id,
+                    decode_started,
+                    decode_started.elapsed(),
+                    format!("patch v{}→v{}", decoded.base_version, decoded.head_version),
                 );
             }
-            Err(diagnostic) => {
-                lane.slot
-                    .counters
-                    .sessions_failed
-                    .fetch_add(1, Ordering::Relaxed);
-                if rollup.link_gave_up {
-                    if let Some(BreakerTransition::Opened) = lane.slot.breaker.record_failure() {
-                        self.flight.record(FlightSubsystem::Breaker, || {
-                            format!(
-                                "{}: opened, cooldown {:?}",
-                                lane.slot.pair(),
-                                self.config.breaker_cooldown
-                            )
-                        });
-                        self.events.push(
-                            lane.shared.id,
-                            lane.shared.root_span,
-                            EventKind::CircuitOpened,
-                            format!(
-                                "{}: cooldown {:?}",
-                                lane.slot.pair(),
-                                self.config.breaker_cooldown
-                            ),
-                        );
-                        self.shed_queued_route(&lane.slot);
-                        self.flight
-                            .anomaly(&format!("breaker open on {}", lane.slot.pair()));
-                    }
+            // An ordinary patch must be based on the route head (a
+            // non-head base means the subscriber's precondition is
+            // stale). A chain-composed patch is *deliberately* based
+            // below the head; for it the precondition is that no
+            // concurrent session advanced the route since planning.
+            let head_now = self.snapshots.head(&lane.feed_route);
+            let expected_head = if patch.chain_composed {
+                patch.head_version - 1
+            } else {
+                decoded.base_version
+            };
+            if head_now != expected_head {
+                return Err(xdx_relational::Error::SchemaMismatch {
+                    detail: format!(
+                        "stale patch: route head v{head_now} ≠ expected v{expected_head} \
+                         (patch base v{})",
+                        decoded.base_version
+                    ),
+                });
+            }
+            stage_patch(&patch.snapshot, &decoded, &mut lane.target)
+        });
+        match staged {
+            Ok(_) => {
+                let rows = lane.target.commit_staged();
+                if let Err(e) = lane.target.build_all_key_indexes() {
+                    lane.failure = Some(e.to_string());
+                    return;
                 }
-                // The lane resumes as an ordinary two-site session
-                // replaying this group's k-site plan: identical program
-                // → identical shipment seqs and bytes, so its ledger's
-                // acknowledged frames are skipped and only what never
-                // landed is re-encoded — per subscriber, the fallback
-                // ladder's last rung.
-                self.remember_resumable(
-                    lane.shared.id,
-                    Resumable {
-                        request: publish_lane_request(request, &lane.subscriber),
-                        plan: Some(Arc::clone(plan)),
-                    },
+                lane.metrics.delta_patch_bytes += patch.bytes as u64;
+                lane.metrics.delta_patches_applied += 1;
+                self.events.push(
+                    id,
+                    exec_span,
+                    EventKind::DeltaApplied,
+                    format!(
+                        "v{}→v{}: {} steps, {} bytes, {rows} rows",
+                        patch.base_version, patch.head_version, patch.steps, patch.bytes
+                    ),
                 );
-                self.finish(
-                    &lane.shared,
-                    enqueued,
-                    SessionState::Failed,
-                    metrics,
-                    Some(target),
-                    Some(diagnostic),
+                let wire = lane.outcome.times.communication;
+                lane.outcome = patch.head_outcome;
+                lane.outcome.times.communication = wire;
+                lane.outcome.messages = 1;
+                lane.outcome.rows_loaded = rows;
+                lane.patched = true;
+            }
+            Err(e) => {
+                lane.target.rollback_staged();
+                lane.metrics.delta_full_fallbacks += 1;
+                self.events.push(
+                    id,
+                    exec_span,
+                    EventKind::DeltaFellBack,
+                    format!("patch rejected: {e}; full re-ship"),
                 );
+                // The patch consumed seq 0; feed batches stage from 1.
+                lane.next_stage_seq = 1;
+                self.run_source(arc, ex, 0);
             }
         }
     }
 
+    /// Runs a group's source half on this worker, streaming each
+    /// cross-edge feed onto the ring *the moment its producing operator
+    /// completes* — frame `k` rides the wire while later source
+    /// operators still compute. Batches number on from whatever the
+    /// ring already holds (a rejected patch holds seq 0). A source
+    /// failure fails every lane of the group; batches already on the
+    /// wire drain before they settle.
+    fn run_source(&self, arc: &Arc<Inner>, ex: &mut Exchange, gi: usize) {
+        let Exchange {
+            id,
+            request,
+            groups,
+            inbox,
+            lag_cap,
+            ..
+        } = ex;
+        let group = &mut groups[gi];
+        let plan = Arc::clone(&group.plan);
+        // Cross ports in first-consumer order, each feed split into
+        // batches in Dewey order: overlapping the wire with the source
+        // phase changes *when* a frame ships, never its seq or bytes.
+        let cross = cross_ports_in_consumer_order(&self.schema, &plan.program);
+        let batch_rows = self.config.batch_rows;
+        let queue = |ring: &mut Vec<Slot>, c: &CrossPort, feed: &Feed| {
+            ring.extend(
+                feed_batches(feed, batch_rows)
+                    .into_iter()
+                    .map(|batch| Slot {
+                        label: c.label.clone(),
+                        port: Some(c.port),
+                        feed: Some(batch),
+                        frame: None,
+                    }),
+            );
+        };
+        // Leading cross ports (consumer order) already on the ring.
+        let mut streamed = 0usize;
+        let source = execute_source_phase_streaming(
+            &self.schema,
+            &request.source_frag,
+            &request.target_frag,
+            &plan.program,
+            &mut request.source,
+            None,
+            &mut |feeds| {
+                // A cross feed is final the instant its producer runs —
+                // downstream source operators only read it. Flush the
+                // maximal *ready prefix* so seqs stay in consumer order,
+                // then top the engine up: the wire carries these frames
+                // while the rest of the source phase computes.
+                while let Some(c) = cross.get(streamed) {
+                    let Some(feed) = feeds.get(&c.port) else {
+                        break;
+                    };
+                    queue(&mut group.ring, c, feed);
+                    streamed += 1;
+                }
+                self.pump(arc, (*id, gi), inbox, group, *lag_cap);
+            },
+        );
+        let failure = match source {
+            Ok((phase, outcome)) => {
+                // Stragglers the prefix rule held back (a port whose
+                // producer finished after a still-pending predecessor)
+                // batch now, in the same consumer order.
+                let mut missing = None;
+                for c in cross.iter().skip(streamed) {
+                    match phase.feeds.get(&c.port) {
+                        Some(feed) => queue(&mut group.ring, c, feed),
+                        None => {
+                            missing = Some(format!("missing feed for port {:?}", c.port));
+                            break;
+                        }
+                    }
+                }
+                // The group's one source phase bills to its first lane.
+                group.lanes[0].outcome = outcome;
+                group.stream_tables = writes_stream_directly(&plan.program)
+                    .then(|| direct_write_tables(&plan.program, &request.target_frag));
+                missing
+            }
+            Err(e) => Some(e.to_string()),
+        };
+        if let Some(why) = failure {
+            for lane in &mut group.lanes {
+                lane.failure.get_or_insert(why.clone());
+            }
+        }
+    }
+
+    /// Hands a started exchange to the scheduler: tops its windows up
+    /// and *parks* it — the worker returns to the queue while the frames
+    /// drain, and batch completions wake whichever worker is free next
+    /// via the runnable queue. An exchange with nothing on the wire (no
+    /// cross edges, or a failure before the first frame) settles here.
+    fn launch(&self, arc: &Arc<Inner>, mut ex: Exchange) {
+        self.outstanding.fetch_add(1, Ordering::SeqCst);
+        if self.advance(arc, &mut ex) {
+            return;
+        }
+        let (sid, inbox) = (ex.id, Arc::clone(&ex.inbox));
+        self.parked.lock().unwrap().insert(sid, ex);
+        // A batch that completed before the exchange reached the map had
+        // its runnable wakeup consumed as a no-op — re-arm it.
+        if !inbox.lock().unwrap().is_empty() {
+            self.queue.lock().unwrap().runnable.push_back(sid);
+            self.available.notify_all();
+        }
+    }
+
+    /// Services a parked exchange: absorbs every deposited batch result,
+    /// refills the submission windows, settles drained lanes, and either
+    /// re-parks the exchange or retires it. The exchange is *removed*
+    /// from the map while serviced, so two workers can never service it
+    /// at once; stale runnable entries for an absent exchange are no-ops.
+    fn service(&self, arc: &Arc<Inner>, sid: SessionId) {
+        loop {
+            let Some(mut ex) = self.parked.lock().unwrap().remove(&sid) else {
+                return;
+            };
+            let results = std::mem::take(&mut *ex.inbox.lock().unwrap());
+            for (gi, li, result) in results {
+                self.absorb(arc, &mut ex, gi, li, result);
+            }
+            if self.advance(arc, &mut ex) {
+                return;
+            }
+            let inbox = Arc::clone(&ex.inbox);
+            self.parked.lock().unwrap().insert(sid, ex);
+            // A result deposited while the exchange was out of the map
+            // consumed its wakeup against the empty map — service it now
+            // instead of stranding a parked exchange. (Batches remain in
+            // flight here, so the exchange cannot have been retired.)
+            if inbox.lock().unwrap().is_empty() {
+                return;
+            }
+        }
+    }
+
+    /// Moves every group forward: refill the lanes' windows from the
+    /// ring, settle each lane the moment it drains — healthy lanes
+    /// commit and report without waiting for the group's stragglers —
+    /// and retire the exchange with its last lane. Returns true when it
+    /// retired.
+    fn advance(&self, arc: &Arc<Inner>, ex: &mut Exchange) -> bool {
+        for gi in 0..ex.groups.len() {
+            self.pump(arc, (ex.id, gi), &ex.inbox, &mut ex.groups[gi], ex.lag_cap);
+            for li in 0..ex.groups[gi].lanes.len() {
+                let group = &ex.groups[gi];
+                if !group.lanes[li].settled && group.lanes[li].drained(group.ring.len()) {
+                    self.settle(ex, gi, li);
+                }
+            }
+        }
+        let retired = ex.groups.iter().all(|g| g.lanes.iter().all(|l| l.settled));
+        if retired {
+            self.retire(ex);
+        }
+        retired
+    }
+
+    /// Keeps every live lane's submission window full from the ring: up
+    /// to `pipeline_depth` batches in flight per lane, so frame `k+1` is
+    /// encoded while frame `k` rides the wire. Then enforces the lag cap
+    /// and releases the frames every live lane has moved past.
+    fn pump(
+        &self,
+        arc: &Arc<Inner>,
+        (sid, gi): (SessionId, usize),
+        inbox: &Inbox,
+        group: &mut Group,
+        lag_cap: usize,
+    ) {
+        for li in 0..group.lanes.len() {
+            loop {
+                let lane = &group.lanes[li];
+                if lane.settled
+                    || lane.failure.is_some()
+                    || lane.inflight >= self.config.pipeline_depth
+                    || lane.cursor >= group.ring.len()
+                {
+                    break;
+                }
+                let (seq, lane_id) = (lane.cursor, lane.shared.id);
+                // Checkpoint replay first: a resumed lane re-ships the
+                // exact bytes the failed run built; only a ledger miss
+                // takes the ring's frame.
+                let message = match self.ledger.stored_message(lane_id, seq as u64) {
+                    Some(stored) => Arc::new(stored),
+                    None => self.frame(group, li, seq),
+                };
+                let lane = &mut group.lanes[li];
+                lane.inflight += 1;
+                lane.cursor += 1;
+                lane.shared.set_state(SessionState::Shipping);
+                let (inbox, waker) = (Arc::clone(inbox), Arc::clone(arc));
+                self.engine.submit(ShipRequest {
+                    session: Arc::clone(&lane.shared),
+                    slot: Arc::clone(&lane.slot),
+                    seq: seq as u64,
+                    label: group.ring[seq].label.clone(),
+                    message,
+                    policy: self.config.shipping,
+                    budget: Arc::clone(&lane.budget),
+                    parent_span: group.exec_span,
+                    on_done: Box::new(move |result| {
+                        // Deposit the result, then make the exchange
+                        // runnable — strictly in that order, and the
+                        // runnable queue lives inside the queue lock, so
+                        // a worker that saw the wakeup always finds the
+                        // result.
+                        inbox.lock().unwrap().push((gi, li, result));
+                        waker.queue.lock().unwrap().runnable.push_back(sid);
+                        waker.available.notify_all();
+                    }),
+                });
+            }
+        }
+        // Lag cap: a lane trailing the group's fastest by more than the
+        // cap is ejected from the shared ring (it fails with a
+        // diagnostic and stays resumable as its own two-site re-ship),
+        // so one stuck target can neither stall the others nor grow the
+        // ring without bound.
+        let live = |l: &&mut Lane| !l.settled && l.failure.is_none();
+        let lead = group.lanes.iter().map(|l| l.completed).max().unwrap_or(0);
+        for lane in group.lanes.iter_mut().filter(live) {
+            let lag = lead - lane.completed;
+            if lag > lag_cap {
+                group.ring_fallbacks += 1;
+                let why = format!("fell {lag} frames behind the publish group (cap {lag_cap})");
+                self.flight.shed(|| format!("{}: {why}", lane.shared.name));
+                self.events.push(
+                    lane.shared.id,
+                    group.exec_span,
+                    EventKind::Shed,
+                    format!("{why}: dropped to per-subscriber re-ship"),
+                );
+                lane.failure = Some(why);
+            }
+        }
+        let floor = group
+            .lanes
+            .iter_mut()
+            .filter(live)
+            .map(|l| l.cursor)
+            .min()
+            .unwrap_or(group.ring.len());
+        for slot in group.ring.iter_mut().take(floor).skip(group.floor) {
+            slot.feed = None;
+            slot.frame = None;
+        }
+        group.floor = group.floor.max(floor);
+    }
+
+    /// The wire message of ring slot `seq`, encoded by the first lane to
+    /// need it: encode → tally → `encode` span → SOAP-wrap with the
+    /// context label. A sole lane bills the encode to its own metrics; a
+    /// shared ring bills the group, once, however many lanes ship it.
+    fn frame(&self, group: &mut Group, li: usize, seq: usize) -> Arc<Vec<u8>> {
+        let lanes = group.lanes.len();
+        let slot = &mut group.ring[seq];
+        if let Some(frame) = &slot.frame {
+            group.shared_reuse += u64::from(lanes > 1);
+            return Arc::clone(frame);
+        }
+        let feed = slot.feed.take().expect("an unencoded slot holds its batch");
+        let start = Instant::now();
+        // Trace context rides the shipment: columnar frames carry it in
+        // their header extension, XML text in the SOAPAction label —
+        // either way every receiver stitches its decode/stage spans
+        // under the group's exec span.
+        let len = encode_in_format_with_context_into(
+            &mut group.encode_buf,
+            &feed,
+            group.wire_format,
+            group.ctx,
+        );
+        let ns = start.elapsed().as_nanos() as u64;
+        let session = group.lanes[li].shared.id;
+        let first = &mut group.lanes[0];
+        let tally = if lanes == 1 {
+            &mut first.rollup
+        } else {
+            &mut group.encodes
+        };
+        tally.messages_serialized += 1;
+        tally.bytes_encoded += len as u64;
+        tally.encode_ns += ns;
+        let counters = &first.slot.counters;
+        counters
+            .bytes_encoded
+            .fetch_add(len as u64, Ordering::Relaxed);
+        counters.encode_ns.fetch_add(ns, Ordering::Relaxed);
+        self.encode_hist.record(ns);
+        self.trace.record(
+            "encode",
+            session,
+            group.exec_span,
+            start,
+            Duration::from_nanos(ns),
+            format!("{len} bytes for {lanes} lane(s)"),
+        );
+        let soap_label = match (group.wire_format, group.ctx) {
+            (WireFormat::Xml, Some(ctx)) => label_with_context(&slot.label, ctx),
+            _ => slot.label.clone(),
+        };
+        let frame = Arc::new(
+            Request::soap_post("/exchange", &soap_label, group.encode_buf.clone()).to_bytes(),
+        );
+        slot.frame = Some(Arc::clone(&frame));
+        frame
+    }
+
+    /// Folds one completed batch into its lane: shipping tallies always;
+    /// on delivery, decode and stage in shipment order; on failure,
+    /// record the first diagnostic, which stops the lane's pump.
+    fn absorb(
+        &self,
+        arc: &Arc<Inner>,
+        ex: &mut Exchange,
+        gi: usize,
+        li: usize,
+        result: BatchResult,
+    ) {
+        let group = &mut ex.groups[gi];
+        let lane = &mut group.lanes[li];
+        lane.inflight -= 1;
+        lane.completed += 1;
+        let stats = result.stats;
+        lane.rollup.wire_bytes += stats.wire_bytes;
+        lane.rollup.chunks_shipped += stats.chunks_shipped;
+        lane.rollup.chunks_resumed += stats.chunks_resumed;
+        lane.rollup.chunks_deduped += stats.chunks_deduped;
+        lane.rollup.chunks_retried += stats.chunks_retried;
+        lane.rollup.retry_backoff += stats.retry_backoff;
+        let delivered = match result.outcome {
+            Ok(delivered) => delivered,
+            Err(e) => {
+                lane.rollup.link_gave_up |= result.link_gave_up;
+                lane.failure.get_or_insert(e);
+                return;
+            }
+        };
+        lane.outcome.times.communication += result.elapsed;
+        lane.outcome.messages += 1;
+        if group.patch.is_some() && result.seq == 0 {
+            self.absorb_patch(arc, ex, &delivered);
+            return;
+        }
+        // Decode what actually arrived — link damage surfaces as an
+        // explicit error here.
+        let feed = match self.decode_once(group, li, result.seq, &delivered) {
+            Ok(feed) => feed,
+            Err(e) => {
+                group.lanes[li]
+                    .failure
+                    .get_or_insert(format!("batch {} corrupt: {e}", result.seq));
+                return;
+            }
+        };
+        let lane = &mut group.lanes[li];
+        lane.decoded.insert(result.seq, feed);
+        let stage_started = Instant::now();
+        let staged_from = lane.next_stage_seq;
+        if let Err(e) = stage_ready(lane, group.stream_tables.as_ref(), &group.ring) {
+            lane.failure.get_or_insert(e);
+        }
+        let staged = lane.next_stage_seq - staged_from;
+        if staged > 0 {
+            self.trace.record_with_context(
+                self.trace.allocate_id(),
+                "stage",
+                lane.shared.id,
+                group.exec_span,
+                session_trace_id(&lane.shared),
+                stage_started,
+                stage_started.elapsed(),
+                format!("{staged} batch(es) from seq {staged_from}"),
+            );
+        }
+    }
+
+    /// Parses a delivered batch — once per group: every lane receives
+    /// byte-identical frames, so the first absorber decodes (its `decode`
+    /// span stitches under the trace context the frame, or the
+    /// SOAPAction label for XML text, carries) and later lanes get a
+    /// clone. The decode bill, like the encode bill, is per *frame*.
+    fn decode_once(
+        &self,
+        group: &mut Group,
+        li: usize,
+        seq: u64,
+        delivered: &[u8],
+    ) -> std::result::Result<Feed, String> {
+        use std::collections::hash_map::Entry;
+        let vacant = match group.decoded.entry(seq) {
+            Entry::Occupied(mut cached) => {
+                cached.get_mut().1 -= 1;
+                return Ok(if cached.get().1 == 0 {
+                    cached.remove().0
+                } else {
+                    cached.get().0.clone()
+                });
+            }
+            Entry::Vacant(vacant) => vacant,
+        };
+        let decode_started = Instant::now();
+        let arrived = Request::parse(delivered).map_err(|e| e.to_string())?;
+        let (feed, ctx) = decode_any_ctx(&arrived.body).map_err(|e| e.to_string())?;
+        let shared = &group.lanes[li].shared;
+        let (parent, trace_id) = ctx
+            .or_else(|| soap_action_context(&arrived))
+            .map_or((group.exec_span, session_trace_id(shared)), |c| {
+                (c.parent_span, c.trace_id)
+            });
+        self.trace.record_with_context(
+            self.trace.allocate_id(),
+            "decode",
+            shared.id,
+            parent,
+            trace_id,
+            decode_started,
+            decode_started.elapsed(),
+            format!("batch {seq}"),
+        );
+        if group.lanes.len() > 1 {
+            vacant.insert((feed.clone(), group.lanes.len() - 1));
+        }
+        Ok(feed)
+    }
+
+    /// The target half of a drained lane: direct-write plans have every
+    /// batch staged already — one `Write` sample per node, then the
+    /// commit+index epilogue; general plans run the target phase over
+    /// the delivered feeds. A failure rolls every staged batch back —
+    /// the target leaves exactly as it arrived, never torn.
+    fn finish_target(
+        &self,
+        request: &ExchangeRequest,
+        program: &Program,
+        direct_writes: bool,
+        lane: &mut Lane,
+    ) -> std::result::Result<(), String> {
+        if let Some(why) = lane.failure.take() {
+            lane.target.rollback_staged();
+            return Err(why);
+        }
+        if lane.patched {
+            return Ok(());
+        }
+        if !direct_writes {
+            return execute_target_phase(
+                &self.schema,
+                &request.source_frag,
+                &request.target_frag,
+                program,
+                &mut lane.target,
+                &lane.delivered,
+                &mut lane.outcome,
+            )
+            .map_err(|e| e.to_string());
+        }
+        let mut walls: Vec<_> = lane.write_walls.drain().collect();
+        walls.sort_unstable_by_key(|&(node, _)| node);
+        for (node, (started, wall)) in walls {
+            lane.outcome.op_samples.push(OpSample {
+                node,
+                op: "Write",
+                location: Location::Target,
+                started,
+                wall,
+            });
+        }
+        commit_and_index(program, &mut lane.target, &mut lane.outcome).map_err(|e| e.to_string())
+    }
+
+    /// Settles one drained lane into its terminal state: runs its target
+    /// half, folds the shipping rollup into its metrics, records its
+    /// spans, then commits (calibration, snapshot, ledger release) or
+    /// rolls back (breaker, resume checkpoint). Every lane of every
+    /// exchange ends here; what differs between a two-site session and a
+    /// multicast lane is data — how many lanes share the ring, and
+    /// whether the lane's root hangs off a publish-group span.
+    fn settle(&self, ex: &mut Exchange, gi: usize, li: usize) {
+        let unsettled = |groups: &[Group]| {
+            groups
+                .iter()
+                .flat_map(|g| &g.lanes)
+                .filter(|l| !l.settled)
+                .count()
+        };
+        let last_of_exchange = unsettled(&ex.groups) == 1;
+        let last_of_group = unsettled(&ex.groups[gi..=gi]) == 1;
+        let enqueued = ex.enqueued;
+        let request = &mut ex.request;
+        let Group {
+            lanes,
+            plan,
+            plan_shape,
+            snapshot,
+            wire_format,
+            exec_span,
+            exec_started,
+            stream_tables,
+            ..
+        } = &mut ex.groups[gi];
+        let (exec_span, fanout) = (*exec_span, lanes.len());
+        let (owner_id, owner_root) = (lanes[0].shared.id, session_trace_id(&lanes[0].shared));
+        let lane = &mut lanes[li];
+        lane.settled = true;
+        let finished = self.finish_target(request, &plan.program, stream_tables.is_some(), lane);
+        let settle_started = Instant::now();
+        let shared = Arc::clone(&lane.shared);
+        let trace_id = session_trace_id(&shared);
+        let mut metrics = std::mem::take(&mut lane.metrics);
+        let target = std::mem::take(&mut lane.target);
+        let ship = lane.rollup;
+        metrics.retry_backoff = ship.retry_backoff;
+        metrics.messages_serialized = ship.messages_serialized as usize;
+        metrics.bytes_shipped = ship.wire_bytes;
+        metrics.bytes_encoded = ship.bytes_encoded;
+        metrics.encode_ns = ship.encode_ns;
+        metrics.chunks_shipped = ship.chunks_shipped;
+        metrics.chunks_resumed = ship.chunks_resumed;
+        metrics.chunks_deduped = ship.chunks_deduped;
+        metrics.chunks_retried = ship.chunks_retried;
+        if li == 0 {
+            // The group's source half bills to its first lane: whatever
+            // the source database accumulated since the last bill.
+            metrics.source_counters = counters_delta(request.source.counters, ex.billed);
+            ex.billed = request.source.counters;
+        }
+        metrics.target_counters = target.counters;
+        let verdict = if finished.is_ok() { "ok" } else { "failed" };
+        let format = format_name(*wire_format);
+        if shared.root_parent != NO_SPAN {
+            // A multicast lane's own container under the group's exec
+            // span.
+            self.trace.record(
+                "lane",
+                shared.id,
+                exec_span,
+                *exec_started,
+                exec_started.elapsed(),
+                format!("{verdict} → {} [{format}]", lane.slot.target()),
+            );
+        }
+        if last_of_group {
+            // The group's exec span — parent of every lane's shipping,
+            // decode and stage work — hangs off the trace root: the
+            // session's own root span, or the publish-group span.
+            self.trace.record_with_context(
+                exec_span,
+                "exec",
+                owner_id,
+                owner_root,
+                owner_root,
+                *exec_started,
+                exec_started.elapsed(),
+                format!("{fanout} lane(s) [{format}], last {verdict}"),
+            );
+        }
+        if let Err(why) = finished {
+            // The lane resumes as an ordinary two-site session replaying
+            // this group's plan: identical program → identical shipment
+            // seqs and bytes, so its ledger's acknowledged frames are
+            // skipped. The exchange's last lane takes the source
+            // database; earlier ones copy it.
+            let mut checkpoint = if last_of_exchange {
+                ExchangeRequest {
+                    source: std::mem::take(&mut request.source),
+                    ..request.clone()
+                }
+            } else {
+                request.clone()
+            };
+            checkpoint.name = shared.name.clone();
+            checkpoint.target_endpoint = lane.slot.target().to_string();
+            let resumable = Resumable {
+                request: checkpoint,
+                plan: Some(Arc::clone(plan)),
+            };
+            let span = (exec_span, settle_started);
+            let link_gave_up = ship.link_gave_up;
+            let slot = Arc::clone(&lane.slot);
+            self.settle_rolled_back(
+                &shared,
+                &slot,
+                enqueued,
+                metrics,
+                target,
+                why,
+                link_gave_up,
+                resumable,
+                span,
+            );
+            return;
+        }
+        let outcome = std::mem::take(&mut lane.outcome);
+        metrics.communication = outcome.times.communication;
+        metrics.messages = outcome.messages;
+        metrics.rows_loaded = outcome.rows_loaded;
+        // How much of the lane's wall the wire hid: feeds the admission
+        // estimator's turnaround model, so queue-wait predictions
+        // reflect pipelined (not serial) service.
+        let wall = exec_started.elapsed();
+        let exposed = wall
+            .saturating_sub(metrics.communication)
+            .max(Duration::from_micros(1));
+        self.admission
+            .record_overlap(wall.as_secs_f64() / exposed.as_secs_f64());
+        let mut observed_ns = self.record_ops(shared.id, exec_span, format, plan, &outcome);
+        // A lane that encoded its own frames calibrates the wire model;
+        // lanes of a shared ring did not encode, so they do not.
+        if fanout == 1 && (plan.comm_bytes > 0 || ship.bytes_encoded > 0) {
+            self.calibration.record_comm(
+                format,
+                plan.comm_bytes,
+                ship.bytes_encoded,
+                metrics.communication.as_nanos() as u64,
+            );
+        }
+        // Session-level drift: observed time (operators plus the
+        // simulated wire, which inflates under link faults) against the
+        // plan's total predicted cost. A sustained excursion evicts the
+        // shape's cached plan so the next session re-plans under fresh
+        // statistics.
+        observed_ns += metrics.communication.as_nanos() as u64;
+        if let Some(shape) = *plan_shape {
+            if self
+                .calibration
+                .observe_session(shape, plan.cost, observed_ns)
+            {
+                let evicted = self.cache.evict_drifted(shape);
+                self.events.push(
+                    shared.id,
+                    shared.root_span,
+                    EventKind::PlanDriftEvicted,
+                    format!(
+                        "shape {shape:016x}: sustained cost-model drift{}",
+                        if evicted {
+                            ", cached plan evicted"
+                        } else {
+                            " (no cached plan)"
+                        }
+                    ),
+                );
+            }
+        }
+        // Advance the route's versioned feed log: the committed target
+        // feeds become the snapshot the next delta session diffs
+        // against. Every lane of a group commits identical content, so
+        // the first to settle snapshots and the rest share the `Arc`.
+        let snapshot_started = Instant::now();
+        let tables = Arc::clone(snapshot.get_or_insert_with(|| Arc::new(db_tables(&target))));
+        self.snapshots.record_shared(&lane.feed_route, tables);
+        self.trace.record_with_context(
+            self.trace.allocate_id(),
+            "snapshot",
+            shared.id,
+            exec_span,
+            trace_id,
+            snapshot_started,
+            snapshot_started.elapsed(),
+            format!("route {} advanced", lane.feed_route),
+        );
+        // The checkpoint served its purpose; drop it.
+        self.ledger.forget_session(shared.id);
+        let slot = &lane.slot;
+        slot.counters
+            .sessions_completed
+            .fetch_add(1, Ordering::Relaxed);
+        if let Some(BreakerTransition::Closed) = slot.breaker.record_success() {
+            self.flight.record(FlightSubsystem::Breaker, || {
+                format!("{}: closed (probe succeeded)", slot.pair())
+            });
+            self.events.push(
+                shared.id,
+                shared.root_span,
+                EventKind::CircuitClosed,
+                format!("{}: probe succeeded", slot.pair()),
+            );
+        }
+        self.trace.record_with_context(
+            self.trace.allocate_id(),
+            "settle",
+            shared.id,
+            exec_span,
+            trace_id,
+            settle_started,
+            settle_started.elapsed(),
+            "committed".to_string(),
+        );
+        self.finish(
+            &shared,
+            enqueued,
+            SessionState::Done,
+            metrics,
+            Some(target),
+            None,
+        );
+    }
+
+    /// Per-operator telemetry of a committed lane: each timed operator
+    /// becomes a child span of the exec span, lands in its `(op,
+    /// location)` histogram, and — when the plan carries the model's
+    /// per-node predictions — feeds the predicted-vs-observed
+    /// calibration cells. Returns the summed operator wall.
+    fn record_ops(
+        &self,
+        session: SessionId,
+        exec_span: SpanId,
+        format: &str,
+        plan: &CachedPlan,
+        outcome: &ExecOutcome,
+    ) -> u64 {
+        let mut observed_ns = 0;
+        for s in &outcome.op_samples {
+            let loc = location_name(s.location);
+            let ns = s.wall.as_nanos() as u64;
+            observed_ns += ns;
+            self.trace.record(
+                s.op,
+                session,
+                exec_span,
+                s.started,
+                s.wall,
+                format!("node {} @{loc}", s.node),
+            );
+            self.metrics
+                .histogram(&format!(
+                    "xdx_op_wall_ns{{op=\"{}\",location=\"{loc}\"}}",
+                    s.op
+                ))
+                .record_duration_ns(s.wall);
+            if let Some(&predicted) = plan.op_costs.get(s.node) {
+                self.calibration.record_op(s.op, loc, format, predicted, ns);
+            }
+        }
+        observed_ns
+    }
+
+    /// The rolled-back epilogue of [`Inner::settle`]: a cancelled lane
+    /// just ends (it is never resumable, so its shipping checkpoints are
+    /// released); a failed one feeds its link's breaker — an opening
+    /// breaker drains the route's queued sessions — and stays resumable:
+    /// the checkpointed plan and the ledger's persisted messages make
+    /// the retry probe-free and serialization-free.
+    #[allow(clippy::too_many_arguments)]
+    fn settle_rolled_back(
+        &self,
+        shared: &Arc<SessionShared>,
+        slot: &Arc<LinkSlot>,
+        enqueued: Instant,
+        metrics: SessionMetrics,
+        target: Database,
+        diagnostic: String,
+        link_gave_up: bool,
+        resumable: Resumable,
+        (exec_span, settle_started): (SpanId, Instant),
+    ) {
+        if shared.is_cancelled() {
+            self.ledger.forget_session(shared.id);
+            self.finish(
+                shared,
+                enqueued,
+                SessionState::Cancelled,
+                metrics,
+                None,
+                Some(diagnostic),
+            );
+            return;
+        }
+        if shared.deadline_exceeded() {
+            self.events.push(
+                shared.id,
+                shared.root_span,
+                EventKind::DeadlineExceeded,
+                &diagnostic,
+            );
+        }
+        slot.counters
+            .sessions_failed
+            .fetch_add(1, Ordering::Relaxed);
+        if link_gave_up {
+            if let Some(BreakerTransition::Opened) = slot.breaker.record_failure() {
+                let cooldown = self.config.breaker_cooldown;
+                self.flight.record(FlightSubsystem::Breaker, || {
+                    format!("{}: opened, cooldown {cooldown:?}", slot.pair())
+                });
+                self.events.push(
+                    shared.id,
+                    shared.root_span,
+                    EventKind::CircuitOpened,
+                    format!("{}: cooldown {cooldown:?}", slot.pair()),
+                );
+                // The breaker just opened: everything queued for this
+                // route would fail the same way. Drain and shed it now
+                // instead of one session at a time.
+                self.shed_queued_route(slot);
+                self.flight
+                    .anomaly(&format!("breaker open on {}", slot.pair()));
+            }
+        }
+        self.remember_resumable(shared.id, resumable);
+        self.trace.record_with_context(
+            self.trace.allocate_id(),
+            "settle",
+            shared.id,
+            exec_span,
+            session_trace_id(shared),
+            settle_started,
+            settle_started.elapsed(),
+            "rolled back".to_string(),
+        );
+        // The rolled-back target travels with the result as observable
+        // proof that no partial tables survived.
+        self.finish(
+            shared,
+            enqueued,
+            SessionState::Failed,
+            metrics,
+            Some(target),
+            Some(diagnostic),
+        );
+    }
+
+    /// The last lane settled: bills a shared ring's encodes to the
+    /// aggregate (once, at group scope — its lanes carry no
+    /// serialization tallies), closes a publish group's root span, and
+    /// releases the parked-exchange slot.
+    fn retire(&self, ex: &Exchange) {
+        let (mut reuse, mut fallbacks) = (0, 0);
+        {
+            let mut agg = self.agg.lock().unwrap();
+            for group in &ex.groups {
+                agg.messages_serialized += group.encodes.messages_serialized;
+                agg.bytes_encoded += group.encodes.bytes_encoded;
+                agg.encode_ns += group.encodes.encode_ns;
+                reuse += group.shared_reuse;
+                fallbacks += group.ring_fallbacks;
+            }
+            agg.multicast_encode_shared += reuse;
+            agg.multicast_encode_fallback += fallbacks;
+        }
+        let group_span = ex.groups[0].lanes[0].shared.root_parent;
+        if group_span != NO_SPAN {
+            self.trace.record_with_context(
+                group_span,
+                "publish-group",
+                ex.id,
+                NO_SPAN,
+                group_span,
+                ex.enqueued,
+                ex.enqueued.elapsed(),
+                format!(
+                    "{}: {} lanes in {} format group(s), {reuse} shared-frame reuses, \
+                     {fallbacks} ring fallbacks",
+                    ex.request.name,
+                    ex.groups.iter().map(|g| g.lanes.len()).sum::<usize>(),
+                    ex.groups.len(),
+                ),
+            );
+        }
+        self.outstanding.fetch_sub(1, Ordering::SeqCst);
+        // Workers parked on an empty queue re-check the exit condition.
+        self.available.notify_all();
+    }
     fn finish(
         &self,
         shared: &SessionShared,
@@ -4824,4 +4134,45 @@ impl Inner {
             diagnostic,
         });
     }
+}
+
+/// Applies a lane's decoded batches in shipment-seq order from its
+/// staging cursor: direct-write programs stage rows into their target
+/// table *now* — transactional loading starts before the source
+/// finishes producing — while general programs accumulate the delivery
+/// for the target phase at settlement.
+fn stage_ready(
+    lane: &mut Lane,
+    stream_tables: Option<&HashMap<PortRef, (usize, String)>>,
+    ring: &[Slot],
+) -> std::result::Result<(), String> {
+    while let Some(feed) = lane.decoded.remove(&lane.next_stage_seq) {
+        let seq = lane.next_stage_seq;
+        lane.next_stage_seq += 1;
+        let port = ring
+            .get(seq as usize)
+            .and_then(|slot| slot.port)
+            .ok_or_else(|| format!("no port for shipment {seq}"))?;
+        if let Some(tables) = stream_tables {
+            let (node, table) = tables
+                .get(&port)
+                .ok_or_else(|| format!("no write table for port {port:?}"))?;
+            let start = Instant::now();
+            lane.outcome.rows_loaded += feed.len() as u64;
+            lane.target
+                .load_staged(table, feed)
+                .map_err(|e| e.to_string())?;
+            let wall = start.elapsed();
+            lane.outcome.times.loading += wall;
+            lane.write_walls
+                .entry(*node)
+                .or_insert((start, Duration::ZERO))
+                .1 += wall;
+        } else if let Some(existing) = lane.delivered.get_mut(&port) {
+            existing.rows.extend(feed.rows);
+        } else {
+            lane.delivered.insert(port, feed);
+        }
+    }
+    Ok(())
 }

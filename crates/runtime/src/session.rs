@@ -81,7 +81,7 @@ impl SessionState {
 /// The request *owns* its source database — sessions run concurrently,
 /// and the executor mutates source-side scan counters — and receives a
 /// freshly created target database back in the [`SessionResult`].
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ExchangeRequest {
     /// Human-readable session name (used in logs and the target DB name).
     pub name: String,
