@@ -298,6 +298,7 @@ impl ShipEngine {
 
     /// Makes engine progress on the calling thread until `deadline`
     /// (idling on the condvar when nothing is due).
+    #[cfg(test)]
     pub(crate) fn drive_until(&self, deadline: Instant) {
         self.drive(Some(deadline));
     }

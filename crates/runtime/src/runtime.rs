@@ -44,7 +44,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use xdx_codec::{
     decode_any_ctx, decode_patch_ctx, encode_in_format_with_context_into,
-    encode_patch_with_context_into, label_with_context, split_label_context, TraceContext,
+    encode_patch_with_context_into, is_patch, label_with_context, split_label_context,
+    TraceContext,
 };
 use xdx_core::exec::{
     commit_and_index, cross_ports_in_consumer_order, direct_write_tables,
@@ -782,19 +783,19 @@ struct QueuedSession {
 
 struct QueueState {
     fair: FairQueue<QueuedSession>,
-    /// Parked pipelined sessions with fresh batch results to service.
+    /// Parked exchanges with fresh batch results to service.
     /// Lives *inside* the queue lock so a completion can never slip
     /// between a worker's emptiness check and its condvar wait.
     runnable: VecDeque<SessionId>,
-    /// Admitted 1→N publish groups, FIFO. A group occupies one worker
-    /// end to end (its paced waits are volunteered to the engine), so
-    /// it rides its own lane instead of the per-tenant fair queue.
+    /// Admitted 1→N publish groups, FIFO. A group bills N tenants at
+    /// once, so it rides its own lane instead of the per-tenant fair
+    /// queue.
     publish: VecDeque<PublishJob>,
     open: bool,
 }
 
-/// An admitted publish group waiting for (or held by) a worker: the
-/// request plus the per-subscriber session cells created at admission.
+/// An admitted publish group waiting for a worker: the request plus
+/// the per-subscriber session cells created at admission.
 struct PublishJob {
     enqueued: Instant,
     request: PublishRequest,
@@ -1655,15 +1656,15 @@ fn worker_loop(inner: &Arc<Inner>) {
                 if let Some(sid) = queue.runnable.pop_front() {
                     break Some(WorkItem::Service(sid));
                 }
-                if let Some(job) = queue.publish.pop_front() {
-                    break Some(WorkItem::Publish(Box::new(job)));
-                }
-                // New work only while the parked-session pool has room:
-                // beyond the cap, arrivals wait in the admission queue,
-                // so overload stays a visible backlog (sheddable when a
+                // New work only while the parked pool has room: beyond
+                // the cap, arrivals wait in the admission queue, so
+                // overload stays a visible backlog (sheddable when a
                 // breaker opens) instead of unbounded in-flight state.
-                let session_cap = inner.config.workers * inner.config.pipeline_sessions_per_worker;
-                if inner.outstanding.load(Ordering::SeqCst) < session_cap {
+                let cap = inner.config.workers * inner.config.pipeline_sessions_per_worker;
+                if inner.outstanding.load(Ordering::SeqCst) < cap {
+                    if let Some(job) = queue.publish.pop_front() {
+                        break Some(WorkItem::Publish(Box::new(job)));
+                    }
                     if let Some(popped) = queue.fair.pop() {
                         break Some(WorkItem::Job(Box::new(popped.item)));
                     }
@@ -1848,6 +1849,10 @@ impl Inner {
                     .map(|(k, _)| *k)
                     .expect("non-empty over-cap map has an oldest entry");
                 map.remove(&oldest);
+                // An evicted checkpoint can never be resumed: release its
+                // shipment buffers too, instead of letting them crowd
+                // still-useful checkpoints out of the ledger.
+                self.ledger.forget_session(oldest);
                 evicted += 1;
                 self.events.push(
                     oldest,
@@ -2815,23 +2820,7 @@ impl Inner {
         for gi in 0..ex.groups.len() {
             self.run_source(arc, &mut ex, gi);
         }
-        // The group still holds this worker end to end, polling its
-        // inbox and volunteering the waits to the engine.
-        self.outstanding.fetch_add(1, Ordering::SeqCst);
-        loop {
-            let results = std::mem::take(&mut *ex.inbox.lock().unwrap());
-            let progressed = !results.is_empty();
-            for (gi, li, result) in results {
-                self.absorb(arc, &mut ex, gi, li, result);
-            }
-            if self.advance(arc, &mut ex) {
-                return;
-            }
-            if !progressed {
-                self.engine
-                    .drive_until(Instant::now() + Duration::from_micros(200));
-            }
-        }
+        self.launch(arc, ex);
     }
 
     /// Plans a publish once per distinct wire format: one statistics
@@ -3027,8 +3016,11 @@ impl Inner {
         // the failed run's — the ledger checkpoint hashes the message,
         // and a fresh encode embeds *this* run's trace context. Price
         // (and ship) the persisted bytes instead, exactly as feed
-        // batches replay theirs. The patch is always shipment 0.
-        let bytes = self.ledger.stored_message(id, 0).unwrap_or(bytes);
+        // batches replay theirs. The patch is always shipment 0 (a
+        // stored shipment 0 that is not a patch is a feed batch of a run
+        // that chose the full ship — which this run will choose again).
+        let stored = self.ledger.stored_message(id, 0);
+        let bytes = stored.filter(|m| is_patch(m)).unwrap_or(bytes);
         let patch_cost = self.config.w_comm * bytes.len() as f64
             + PATCH_STEP_FACTOR * steps as f64 / request.target_profile.speed;
         let full_cost = self.config.w_comm * group.plan.comm_bytes as f64;

@@ -615,3 +615,198 @@ fn aged_out_base_composes_retained_step_patches() {
     assert_eq!(stats.delta_chain_composed, 1);
     assert_eq!(stats.delta_patches_applied, 1);
 }
+
+/// A delta patch parks like any other shipment: with one worker and a
+/// paced link, a full session on another route starts executing while
+/// the patch is still on the wire.
+#[test]
+fn patch_on_the_wire_does_not_hold_the_only_worker() {
+    let schema = schema();
+    let doc = generate(GenConfig::sized(12_000));
+    let churned = churn(&doc, 5, 7);
+    let mf = mf(&schema);
+    let lf = lf(&schema);
+    let runtime = Runtime::start(
+        schema.clone(),
+        RuntimeConfig::default()
+            .with_workers(1)
+            .with_network(NetworkProfile {
+                bandwidth_bytes_per_sec: 100_000.0,
+                latency: Duration::from_millis(5),
+            })
+            .with_link_pacing(1.0)
+            .with_shipping(ShippingPolicy {
+                chunk_bytes: 256,
+                ..ShippingPolicy::default()
+            }),
+    );
+    let request = |name: &str, doc: &str, from: &str| {
+        ExchangeRequest::new(
+            name,
+            load_source(doc, &schema, &mf).unwrap(),
+            mf.clone(),
+            lf.clone(),
+        )
+        .with_route(from, "hub")
+    };
+    let seed = runtime.submit(request("seed", &doc, "a")).unwrap().wait();
+    assert_eq!(seed.state, SessionState::Done, "{:?}", seed.diagnostic);
+
+    let patch = runtime
+        .submit(request("patch", &churned, "a").with_base_version(1))
+        .unwrap();
+    let full = runtime.submit(request("full", &doc, "b")).unwrap();
+    let (patch_id, full_id) = (patch.id(), full.id());
+    let patched = patch.wait();
+    assert_eq!(
+        patched.state,
+        SessionState::Done,
+        "{:?}",
+        patched.diagnostic
+    );
+    assert_eq!(patched.metrics.delta_patches_applied, 1);
+    assert_eq!(full.wait().state, SessionState::Done);
+
+    let events = runtime.events();
+    let position = |session, kind| {
+        events
+            .iter()
+            .position(|e| e.session == session && e.kind == kind)
+            .unwrap_or_else(|| panic!("no {kind:?} event for session {session}"))
+    };
+    assert!(
+        position(full_id, EventKind::ExecutionStarted) < position(patch_id, EventKind::Completed),
+        "the patch held the only worker until it landed"
+    );
+    runtime.shutdown();
+}
+
+/// The fallback ladder is resumable mid-rung with deterministic seqs.
+/// Stale case: the patch (seq 0) lands and is rejected at staging, the
+/// full feeds re-enter from seq 1 and die on a lossy link. Full-chosen
+/// case: the cost model ships the feeds from seq 0 and they die the same
+/// way. Either way the target rolls back, and `resume` replays the same
+/// ladder: acknowledged chunks are skipped, and no batch is encoded
+/// twice across the failed and the resumed run.
+#[test]
+fn failure_mid_fallback_resumes_only_unacked_batches() {
+    let schema = schema();
+    let doc = generate(GenConfig::sized(12_000));
+    let second = churn(&doc, 5, 7);
+    let mf = mf(&schema);
+    let lf = lf(&schema);
+    let config = || {
+        RuntimeConfig::default()
+            .with_workers(1)
+            .with_batch_rows(64)
+            .with_pipeline_depth(1)
+            .with_shipping(ShippingPolicy {
+                chunk_bytes: 1024,
+                max_attempts_per_chunk: 3,
+                retry_budget: 16,
+                backoff_base: Duration::from_millis(1),
+                ..ShippingPolicy::default()
+            })
+    };
+    // Route history shared by every run: v1 = doc, v2 = second.
+    let with_history = || {
+        let runtime = Runtime::start(schema.clone(), config());
+        for version_doc in [&doc, &second] {
+            let result = runtime
+                .submit(ExchangeRequest::new(
+                    "history",
+                    load_source(version_doc, &schema, &mf).unwrap(),
+                    mf.clone(),
+                    lf.clone(),
+                ))
+                .unwrap()
+                .wait();
+            assert_eq!(result.state, SessionState::Done, "{:?}", result.diagnostic);
+        }
+        assert_eq!(default_route_version(&runtime, &mf.name, &lf.name), 2);
+        runtime
+    };
+    // (case, declared base, head document, fallbacks, full-chosen)
+    let cases = [
+        ("stale patch", 1, churn(&doc, 5, 23), 1, 0),
+        ("full chosen", 2, churn(&doc, 100, 5), 0, 1),
+    ];
+    for (case, base, head_doc, fallbacks, chosen) in cases {
+        let reference = wire_state(&reference_target(&head_doc));
+        let request = || {
+            ExchangeRequest::new(
+                case,
+                load_source(&head_doc, &schema, &mf).unwrap(),
+                mf.clone(),
+                lf.clone(),
+            )
+            .with_base_version(base)
+        };
+        let ladder = |metrics: &xdx_runtime::SessionMetrics| {
+            assert_eq!(metrics.delta_patches_applied, 0, "{case}");
+            assert_eq!(metrics.delta_full_fallbacks, fallbacks, "{case}");
+            assert_eq!(metrics.delta_full_chosen, chosen, "{case}");
+        };
+
+        // The ladder on a healthy link: what one clean run encodes.
+        let healthy = with_history();
+        let baseline = healthy.submit(request()).unwrap().wait();
+        assert_eq!(baseline.state, SessionState::Done, "{case}");
+        ladder(&baseline.metrics);
+        healthy.shutdown();
+
+        // The same ladder with the link degrading under it. One batch
+        // in flight at a time makes the fault draws a fixed sequence;
+        // under this seed both ladders die partway through the feeds.
+        let runtime = with_history();
+        runtime.set_fault_profile(FaultProfile {
+            drop_probability: 0.3,
+            seed: 1,
+            ..FaultProfile::healthy()
+        });
+        let handle = runtime.submit(request()).unwrap();
+        let session_id = handle.id();
+        let failed = handle.wait();
+        assert_eq!(failed.state, SessionState::Failed, "{case}");
+        // The rung was reached: a rejected patch had landed first.
+        ladder(&failed.metrics);
+        assert_eq!(failed.target.expect("rollback travels").total_rows(), 0);
+        assert_eq!(default_route_version(&runtime, &mf.name, &lf.name), 2);
+        let landed = failed.metrics.chunks_shipped;
+        assert!(
+            landed > 0 && landed < baseline.metrics.chunks_shipped,
+            "{case}: need a partial shipment, got {landed}"
+        );
+
+        runtime.set_fault_profile(FaultProfile::healthy());
+        let result = runtime.resume(session_id).expect("resumable").wait();
+        assert_eq!(
+            result.state,
+            SessionState::Done,
+            "{case}: {:?}",
+            result.diagnostic
+        );
+        ladder(&result.metrics);
+        assert_eq!(
+            result.metrics.planning_probes, 0,
+            "{case}: resume re-probed"
+        );
+        assert_eq!(
+            result.metrics.chunks_resumed, landed,
+            "{case}: seqs moved between the failed and the resumed run"
+        );
+        assert_eq!(
+            landed + result.metrics.chunks_shipped,
+            baseline.metrics.chunks_shipped,
+            "{case}: an acknowledged chunk crossed the link again"
+        );
+        assert_eq!(
+            failed.metrics.messages_serialized + result.metrics.messages_serialized,
+            baseline.metrics.messages_serialized,
+            "{case}: a batch was encoded twice"
+        );
+        assert_eq!(wire_state(&result.target.unwrap()), reference, "{case}");
+        assert_eq!(default_route_version(&runtime, &mf.name, &lf.name), 3);
+        runtime.shutdown();
+    }
+}

@@ -339,6 +339,70 @@ fn adversarial_lane_fails_alone_and_resumes_from_its_own_ledger() {
     );
 }
 
+/// A publish group parks like any other exchange: with one worker and
+/// paced links, a small two-site session on an unrelated route,
+/// submitted after a 1→3 publish of a large document, reaches `Done`
+/// while the group still has lanes on the wire.
+#[test]
+fn parked_publish_group_lets_an_unrelated_session_finish_first() {
+    let schema = schema();
+    let big = generate(GenConfig::sized(60_000));
+    let small = generate(GenConfig::sized(4_000));
+    let reference = wire_state(&reference_target(&big));
+    let mf = mf(&schema);
+    let lf = lf(&schema);
+    let runtime = Runtime::start(
+        schema.clone(),
+        RuntimeConfig::default()
+            .with_workers(1)
+            .with_network(NetworkProfile {
+                bandwidth_bytes_per_sec: 200_000.0,
+                latency: Duration::from_millis(2),
+            })
+            .with_link_pacing(1.0)
+            .with_shipping(ShippingPolicy {
+                chunk_bytes: 1024,
+                ..ShippingPolicy::default()
+            }),
+    );
+    let group = runtime
+        .publish(PublishRequest::new(
+            "pub",
+            load_source(&big, &schema, &mf).unwrap(),
+            mf.clone(),
+            lf.clone(),
+            subscribers(3),
+        ))
+        .unwrap();
+    let bystander = runtime
+        .submit(
+            ExchangeRequest::new(
+                "bystander",
+                load_source(&small, &schema, &mf).unwrap(),
+                mf.clone(),
+                lf.clone(),
+            )
+            .with_route("elsewhere", "hub"),
+        )
+        .unwrap()
+        .wait();
+    assert_eq!(
+        bystander.state,
+        SessionState::Done,
+        "{:?}",
+        bystander.diagnostic
+    );
+    assert!(
+        group.handles.iter().any(|h| !h.state().is_terminal()),
+        "the group held the only worker until its last lane settled"
+    );
+    for result in group.wait() {
+        assert_eq!(result.state, SessionState::Done, "{:?}", result.diagnostic);
+        assert_eq!(wire_state(result.target.as_ref().unwrap()), reference);
+    }
+    runtime.shutdown();
+}
+
 /// N→1 consolidation: three sources land transactionally in one target
 /// (row count is exactly the sum of the per-source references), and a
 /// source behind a dead link fails alone — reported per-source, zero of

@@ -5,7 +5,7 @@
 //! and the resumable-checkpoint map stays bounded.
 
 use std::time::Duration;
-use xdx_net::FaultProfile;
+use xdx_net::{FaultProfile, NetworkProfile};
 use xdx_runtime::{
     EventKind, ExchangeRequest, Runtime, RuntimeConfig, SessionState, ShippingPolicy, SubmitError,
 };
@@ -325,4 +325,83 @@ fn resumable_checkpoints_evict_oldest_beyond_the_cap() {
     let stats = runtime.shutdown();
     assert_eq!(stats.resumables_evicted, 1);
     assert_eq!(stats.sessions_shed_expired, 3);
+}
+
+/// Checkpoints nobody can resume release their ledger buffers: a
+/// cancelled session is never resumable, and a checkpoint evicted from
+/// the resumable map cannot be found again — neither may sit on full
+/// serialized messages until shard-capacity eviction pushes out
+/// checkpoints that are still useful.
+#[test]
+fn unreachable_checkpoints_release_their_ledger_buffers() {
+    let schema = schema();
+    let doc = generate(GenConfig::sized(8_000));
+    let mf = mf(&schema);
+    let lf = lf(&schema);
+    let request = |name: &str| {
+        ExchangeRequest::new(
+            name,
+            load_source(&doc, &schema, &mf).unwrap(),
+            mf.clone(),
+            lf.clone(),
+        )
+    };
+
+    // Eviction: two sessions die mid-ship on a dead link; with room for
+    // one checkpoint, the second deposit evicts the first — and the
+    // first session's shipment buffers go with it. Nothing completed,
+    // so every pruned entry is an unreachable checkpoint's.
+    let runtime = Runtime::start(
+        schema.clone(),
+        RuntimeConfig::default()
+            .with_workers(1)
+            .with_max_resumables(1)
+            .with_shipping(ShippingPolicy {
+                max_attempts_per_chunk: 2,
+                retry_budget: 2,
+                backoff_base: Duration::from_millis(1),
+                ..ShippingPolicy::default()
+            }),
+    );
+    runtime.set_fault_profile(FaultProfile::drops(1.0, 7));
+    for name in ["first", "second"] {
+        let result = runtime.submit(request(name)).unwrap().wait();
+        assert_eq!(result.state, SessionState::Failed);
+    }
+    let stats = runtime.shutdown();
+    assert_eq!(stats.resumables_evicted, 1);
+    assert!(
+        stats.ledger_entries_pruned > 0,
+        "the evicted checkpoint kept its shipment buffers"
+    );
+
+    // Cancellation: a session cancelled with frames on a slow paced
+    // wire settles `Cancelled` and takes its buffers with it.
+    let runtime = Runtime::start(
+        schema.clone(),
+        RuntimeConfig::default()
+            .with_workers(1)
+            .with_network(NetworkProfile {
+                bandwidth_bytes_per_sec: 20_000.0,
+                latency: Duration::from_millis(5),
+            })
+            .with_link_pacing(1.0)
+            .with_shipping(ShippingPolicy {
+                chunk_bytes: 256,
+                ..ShippingPolicy::default()
+            }),
+    );
+    let handle = runtime.submit(request("cancelled")).unwrap();
+    while handle.state() != SessionState::Shipping {
+        assert!(!handle.state().is_terminal(), "finished before the cancel");
+        std::thread::yield_now();
+    }
+    handle.cancel();
+    assert_eq!(handle.wait().state, SessionState::Cancelled);
+    let stats = runtime.shutdown();
+    assert_eq!(stats.cancelled, 1);
+    assert!(
+        stats.ledger_entries_pruned > 0,
+        "the cancelled session kept its shipment buffers"
+    );
 }
