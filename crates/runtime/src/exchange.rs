@@ -1,0 +1,1457 @@
+//! The one exchange state machine.
+//!
+//! The paper's data-transfer program has one shape — source half, ship
+//! the cross edges, target half — whether it feeds one target or N.
+//! So does its execution here: an [`Exchange`] is a parked unit of
+//! [`Group`]s, a group is N [`Lane`]s over one shared frame ring, and
+//! every lane of every exchange runs the same steps: the group's source
+//! half streams batches onto the ring ([`Inner::run_source`]), `pump`
+//! ships each lane's window through the engine, `absorb` decodes and
+//! stages what lands, and `settle` runs the lane's target half and
+//! closes it out. A two-site session is a group of one lane; a publish
+//! is a group of N (one group per negotiated wire format); a delta
+//! patch is one pre-encoded frame in ring slot 0 whose absorb step is
+//! decode → staleness check → `stage_patch`, with the fallback ladder
+//! re-entering the feed-batch path at the next seq.
+
+use crate::breaker::BreakerTransition;
+use crate::cache::CachedPlan;
+use crate::engine::{BatchResult, ShipRequest};
+use crate::events::EventKind;
+use crate::flight::FlightSubsystem;
+use crate::registry::LinkSlot;
+use crate::runtime::{Inner, Resumable};
+use crate::session::{ExchangeRequest, SessionId, SessionMetrics, SessionShared, SessionState};
+use crate::stats::{format_name, location_name};
+use std::collections::{BTreeMap, HashMap};
+use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
+use xdx_codec::{
+    decode_any_ctx, decode_patch_ctx, encode_in_format_with_context_into,
+    encode_patch_with_context_into, is_patch, label_with_context, split_label_context,
+    TraceContext,
+};
+use xdx_core::exec::{
+    commit_and_index, cross_ports_in_consumer_order, direct_write_tables,
+    execute_source_phase_streaming, execute_target_phase, execute_with_transport, feed_batches,
+    writes_stream_directly, CrossPort, ExecOutcome, LoopbackTransport, OpSample,
+};
+use xdx_core::program::PortRef;
+use xdx_core::{Location, Program, WireFormat, PATCH_STEP_FACTOR};
+use xdx_delta::{db_tables, diff_snapshots, Snapshot};
+use xdx_net::http::Request;
+use xdx_relational::{stage_patch, Counters, Database, Feed};
+use xdx_trace::{SpanId, NO_SPAN};
+
+/// The distributed trace id a session's spans stitch under: the
+/// publish group's span for multicast lanes (so one publish is one
+/// tree), the session's own root span otherwise.
+pub(crate) fn session_trace_id(shared: &SessionShared) -> u64 {
+    if shared.root_parent != NO_SPAN {
+        shared.root_parent
+    } else {
+        shared.root_span
+    }
+}
+
+/// The trace context a shipment out of `shared` carries on the wire:
+/// columnar frames fold it into their header extension, XML-text
+/// shipments append it to the chunk label. `None` when tracing is off
+/// (frames stay byte-identical to the context-free form).
+pub(crate) fn wire_context(shared: &SessionShared, parent_span: SpanId) -> Option<TraceContext> {
+    (shared.root_span != NO_SPAN).then(|| TraceContext {
+        trace_id: session_trace_id(shared),
+        parent_span,
+    })
+}
+
+/// Trace context off a received SOAP request's `SOAPAction` header (the
+/// label channel XML-text shipments use; the header value is quoted on
+/// the wire).
+pub(crate) fn soap_action_context(request: &Request) -> Option<TraceContext> {
+    split_label_context(request.header("SOAPAction")?.trim_matches('"')).1
+}
+
+/// Stable identity of a route's versioned feed log: the endpoint pair
+/// plus both fragmentation names — a different fragmentation pair over
+/// the same endpoints is a different feed history.
+pub(crate) fn route_key(src_ep: &str, dst_ep: &str, src_frag: &str, dst_frag: &str) -> String {
+    format!("{src_ep}→{dst_ep}:{src_frag}→{dst_frag}")
+}
+
+/// One slot of a group's frame ring: an operator batch (or the delta
+/// patch) on its way to every lane of the group. The ring index *is*
+/// the ledger shipment seq — cross ports in first-consumer order ×
+/// batch index, after the patch if one shipped — so the same seq names
+/// the same bytes across failure and resume.
+pub(crate) struct Slot {
+    pub(crate) label: String,
+    /// The producing cross port; `None` for the delta patch.
+    pub(crate) port: Option<PortRef>,
+    /// The batch, until the first lane to need it encodes it.
+    pub(crate) feed: Option<Feed>,
+    /// The wire message, from its one encode until every live lane has
+    /// submitted it — resident frames are bounded by the spread between
+    /// the fastest and slowest lane.
+    pub(crate) frame: Option<Arc<Vec<u8>>>,
+}
+
+/// A delta patch on the wire: what its absorb step needs to check the
+/// version precondition, stage the patch, and account for it.
+pub(crate) struct PatchShip {
+    pub(crate) base_version: u64,
+    pub(crate) head_version: u64,
+    /// The base snapshot the patch was diffed against (and stages onto).
+    pub(crate) snapshot: Snapshot,
+    /// True when the base aged out and was composed from step patches.
+    pub(crate) chain_composed: bool,
+    pub(crate) steps: u64,
+    pub(crate) bytes: usize,
+    /// Outcome of the loopback head computation; becomes the lane's
+    /// outcome when the patch applies.
+    pub(crate) head_outcome: ExecOutcome,
+}
+
+/// Shipping tallies folded into [`SessionMetrics`] at settlement.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct ShipRollup {
+    pub(crate) wire_bytes: u64,
+    pub(crate) bytes_encoded: u64,
+    pub(crate) encode_ns: u64,
+    pub(crate) messages_serialized: u64,
+    pub(crate) retry_backoff: Duration,
+    pub(crate) chunks_shipped: u64,
+    pub(crate) chunks_resumed: u64,
+    pub(crate) chunks_deduped: u64,
+    pub(crate) chunks_retried: u64,
+    pub(crate) link_gave_up: bool,
+}
+
+/// One target's side of an exchange: its session cell, its own link,
+/// ledger coordinates and retry budget, its cursor over the group's
+/// frame ring, and its staging state. Everything per-target lives here;
+/// the only thing lanes share is the ring of already-encoded frames.
+pub(crate) struct Lane {
+    pub(crate) shared: Arc<SessionShared>,
+    pub(crate) slot: Arc<LinkSlot>,
+    pub(crate) feed_route: String,
+    pub(crate) metrics: SessionMetrics,
+    pub(crate) target: Database,
+    /// Retry budget shared by every batch of the lane — one broken
+    /// target exhausts only its own.
+    pub(crate) budget: Arc<AtomicI64>,
+    pub(crate) inflight: usize,
+    /// Next ring slot this lane submits.
+    pub(crate) cursor: usize,
+    /// Batches fully absorbed (delivered or failed) — the lag metric the
+    /// cap compares against the group's fastest lane.
+    pub(crate) completed: usize,
+    pub(crate) rollup: ShipRollup,
+    /// First failure diagnostic; stops the lane's pump, and the lane
+    /// settles once its in-flight batches drain.
+    pub(crate) failure: Option<String>,
+    /// Decoded batches that arrived ahead of the staging cursor.
+    pub(crate) decoded: BTreeMap<u64, Feed>,
+    /// Next shipment seq to stage — batches apply in order even when
+    /// the wire completes them out of order.
+    pub(crate) next_stage_seq: u64,
+    /// Source-phase outcome (on the group's first lane), growing
+    /// ship/stage tallies as batches land.
+    pub(crate) outcome: ExecOutcome,
+    /// Per-write-node staging wall, folded into one op sample each at
+    /// settlement.
+    pub(crate) write_walls: HashMap<usize, (Instant, Duration)>,
+    /// General path: delivered feeds accumulate per port until the
+    /// target phase runs over them at settlement.
+    pub(crate) delivered: HashMap<PortRef, Feed>,
+    /// True once a patch committed and indexed the target: nothing is
+    /// left for the target half to finish.
+    pub(crate) patched: bool,
+    pub(crate) settled: bool,
+}
+
+impl Lane {
+    /// Nothing on the wire and nothing left to put there.
+    fn drained(&self, ring_len: usize) -> bool {
+        self.inflight == 0 && (self.cursor >= ring_len || self.failure.is_some())
+    }
+}
+
+/// N lanes over one shared frame ring: one plan, one source half, every
+/// batch encoded once and the same bytes shipped per lane. A two-site
+/// session is a group of one.
+pub(crate) struct Group {
+    pub(crate) wire_format: WireFormat,
+    pub(crate) plan: Arc<CachedPlan>,
+    /// The shape half of the plan-cache key, for session-drift
+    /// calibration; `None` when the plan was not probed for here.
+    pub(crate) plan_shape: Option<u64>,
+    pub(crate) exec_span: SpanId,
+    pub(crate) exec_started: Instant,
+    /// The trace context every frame carries: receiver spans of every
+    /// lane stitch under the group's exec span.
+    pub(crate) ctx: Option<TraceContext>,
+    pub(crate) ring: Vec<Slot>,
+    /// First ring slot some live lane has yet to submit.
+    pub(crate) floor: usize,
+    /// `Some` when every target node is a source-fed `Write`: batches
+    /// stage straight into their table as they land (`port → (node,
+    /// table)`), and commit+index is the only finalization left.
+    pub(crate) stream_tables: Option<HashMap<PortRef, (usize, String)>>,
+    pub(crate) lanes: Vec<Lane>,
+    /// Decode-once cache: lanes receive byte-identical frames (the
+    /// engine checksums end to end), so the first absorber parses and
+    /// later lanes clone the feed. An entry dies with its last expected
+    /// absorption.
+    pub(crate) decoded: HashMap<u64, (Feed, usize)>,
+    /// Snapshot-once cache, same argument: the first lane to commit
+    /// snapshots its tables and the rest record the same `Arc`.
+    pub(crate) snapshot: Option<Snapshot>,
+    /// Encode bill of a shared ring (a sole lane bills its own rollup).
+    pub(crate) encodes: ShipRollup,
+    pub(crate) shared_reuse: u64,
+    pub(crate) ring_fallbacks: u64,
+    pub(crate) encode_buf: Vec<u8>,
+    /// The delta patch riding shipment 0, until its absorb step ran.
+    pub(crate) patch: Option<Box<PatchShip>>,
+}
+
+/// Completed batch results as `(group, lane, result)`, deposited by
+/// engine callbacks; shared so a result can land while a worker holds
+/// the exchange out of the parked map.
+pub(crate) type Inbox = Arc<Mutex<Vec<(usize, usize, BatchResult)>>>;
+
+/// An exchange parked mid-flight: its source halves ran, its batches
+/// flow through the shipping engine, and whichever worker picks it off
+/// the runnable queue absorbs what landed. No thread blocks on it — the
+/// struct *is* the resumable state machine. One group, except for a
+/// publish whose subscribers negotiated different wire formats.
+pub(crate) struct Exchange {
+    /// Key in the parked map and the runnable queue.
+    pub(crate) id: SessionId,
+    pub(crate) enqueued: Instant,
+    /// The request every lane's resume checkpoint is cut from (name and
+    /// target endpoint are the lane's own).
+    pub(crate) request: ExchangeRequest,
+    /// Source counters already billed to a lane's metrics.
+    pub(crate) billed: Counters,
+    /// Frames a lane may trail its group's fastest before it is ejected.
+    pub(crate) lag_cap: usize,
+    pub(crate) groups: Vec<Group>,
+    pub(crate) inbox: Inbox,
+}
+
+/// What the source database accumulated between two readings of its
+/// counters.
+pub(crate) fn counters_delta(now: Counters, before: Counters) -> Counters {
+    Counters {
+        rows_read: now.rows_read - before.rows_read,
+        rows_out: now.rows_out - before.rows_out,
+        rows_written: now.rows_written - before.rows_written,
+        comparisons: now.comparisons - before.comparisons,
+        hash_probes: now.hash_probes - before.hash_probes,
+        index_inserts: now.index_inserts - before.index_inserts,
+        bytes_out: now.bytes_out - before.bytes_out,
+    }
+}
+
+impl Inner {
+    /// Opens a lane at dequeue: resolves the pair's link (its negotiated
+    /// wire format feeds the cost model and the plan-cache key, so
+    /// placement sees the bytes the link will actually carry) and
+    /// records the queue wait. Returns the lane and its wire format.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn open_lane(
+        &self,
+        shared: &Arc<SessionShared>,
+        enqueued: Instant,
+        (source_ep, target_ep): (&str, &str),
+        (source_frag, target_frag): (&str, &str),
+        tenant: String,
+        format: Option<WireFormat>,
+        queued_detail: String,
+    ) -> (Lane, WireFormat) {
+        let (slot, created) = self.registry.resolve(source_ep, target_ep);
+        if created {
+            self.events.push(
+                shared.id,
+                shared.root_span,
+                EventKind::LinkCreated,
+                slot.pair(),
+            );
+        }
+        let wire_format = format.unwrap_or_else(|| slot.wire_format());
+        let metrics = SessionMetrics {
+            queue_wait: enqueued.elapsed(),
+            route: format!("{source_ep}→{target_ep}"),
+            tenant,
+            wire_format,
+            ..SessionMetrics::default()
+        };
+        self.queue_wait_hist.record_duration_ns(metrics.queue_wait);
+        self.trace.record(
+            "queued",
+            shared.id,
+            shared.root_span,
+            enqueued,
+            metrics.queue_wait,
+            queued_detail,
+        );
+        let lane = Lane {
+            shared: Arc::clone(shared),
+            slot,
+            feed_route: route_key(source_ep, target_ep, source_frag, target_frag),
+            metrics,
+            target: Database::new(format!("{}-target", shared.name)),
+            budget: Arc::new(AtomicI64::new(i64::from(self.config.shipping.retry_budget))),
+            inflight: 0,
+            cursor: 0,
+            completed: 0,
+            rollup: ShipRollup::default(),
+            failure: None,
+            decoded: BTreeMap::new(),
+            next_stage_seq: 0,
+            outcome: ExecOutcome::default(),
+            write_walls: HashMap::new(),
+            delivered: HashMap::new(),
+            patched: false,
+            settled: false,
+        };
+        (lane, wire_format)
+    }
+
+    /// Starts a group's execution: allocates its exec span and marks
+    /// every lane `Executing`.
+    pub(crate) fn open_group(
+        &self,
+        wire_format: WireFormat,
+        plan: Arc<CachedPlan>,
+        plan_shape: Option<u64>,
+        lanes: Vec<Lane>,
+    ) -> Group {
+        let exec_span = self.trace.allocate_id();
+        for lane in &lanes {
+            lane.shared.set_state(SessionState::Executing);
+            self.events.push(
+                lane.shared.id,
+                exec_span,
+                EventKind::ExecutionStarted,
+                format!(
+                    "estimated cost {:.1} via {} ({} lane(s))",
+                    plan.cost,
+                    lane.metrics.route,
+                    lanes.len()
+                ),
+            );
+        }
+        Group {
+            wire_format,
+            plan,
+            plan_shape,
+            exec_span,
+            exec_started: Instant::now(),
+            ctx: wire_context(&lanes[0].shared, exec_span),
+            ring: Vec::new(),
+            floor: 0,
+            stream_tables: None,
+            lanes,
+            decoded: HashMap::new(),
+            snapshot: None,
+            encodes: ShipRollup::default(),
+            shared_reuse: 0,
+            ring_fallbacks: 0,
+            encode_buf: Vec::new(),
+            patch: None,
+        }
+    }
+
+    /// The delta rung of the ladder: compute the head feeds locally over
+    /// a loopback transport, diff them against the base snapshot in one
+    /// Dewey merge pass, and — when the cost model prefers the patch
+    /// over the full feeds — put the checksummed patch frame on the ring
+    /// as shipment 0. Returns true when the full feeds must ship now
+    /// instead (diff failed, or the patch would cost more).
+    pub(crate) fn stage_delta(
+        &self,
+        ex: &mut Exchange,
+        (base_version, head_version, snapshot, chain_composed): (u64, u64, Snapshot, bool),
+    ) -> bool {
+        let request = &mut ex.request;
+        let group = &mut ex.groups[0];
+        let lane = &mut group.lanes[0];
+        let (id, exec_span) = (lane.shared.id, group.exec_span);
+        let mut loopback = LoopbackTransport::new(group.wire_format);
+        let mut head_db = Database::new(format!("{}-head", lane.shared.name));
+        let head_outcome = match execute_with_transport(
+            &self.schema,
+            &request.source_frag,
+            &request.target_frag,
+            &group.plan.program,
+            &mut request.source,
+            &mut head_db,
+            &mut loopback,
+            None,
+        ) {
+            Ok(out) => out,
+            Err(e) => {
+                lane.failure = Some(e.to_string());
+                return false;
+            }
+        };
+        let patch =
+            match diff_snapshots(&snapshot, &db_tables(&head_db), base_version, head_version) {
+                Ok(patch) => patch,
+                Err(e) => {
+                    lane.metrics.delta_full_fallbacks += 1;
+                    self.events.push(
+                        id,
+                        exec_span,
+                        EventKind::DeltaFellBack,
+                        format!("diff failed: {e}; full re-ship"),
+                    );
+                    return true;
+                }
+            };
+        let steps = patch.step_count();
+        let mut bytes = Vec::new();
+        encode_patch_with_context_into(&mut bytes, &patch, group.wire_format, group.ctx);
+        // A resumed patch session must re-ship frames byte-identical to
+        // the failed run's — the ledger checkpoint hashes the message,
+        // and a fresh encode embeds *this* run's trace context. Price
+        // (and ship) the persisted bytes instead, exactly as feed
+        // batches replay theirs. The patch is always shipment 0 (a
+        // stored shipment 0 that is not a patch is a feed batch of a run
+        // that chose the full ship — which this run will choose again).
+        let stored = self.ledger.stored_message(id, 0);
+        let bytes = stored.filter(|m| is_patch(m)).unwrap_or(bytes);
+        let patch_cost = self.config.w_comm * bytes.len() as f64
+            + PATCH_STEP_FACTOR * steps as f64 / request.target_profile.speed;
+        let full_cost = self.config.w_comm * group.plan.comm_bytes as f64;
+        if group.plan.comm_bytes > 0 && patch_cost >= full_cost {
+            lane.metrics.delta_full_chosen += 1;
+            self.events.push(
+                id,
+                exec_span,
+                EventKind::DeltaFellBack,
+                format!("patch cost {patch_cost:.1} ≥ full {full_cost:.1}: full ship"),
+            );
+            return true;
+        }
+        group.patch = Some(Box::new(PatchShip {
+            base_version,
+            head_version,
+            snapshot,
+            chain_composed,
+            steps,
+            bytes: bytes.len(),
+            head_outcome,
+        }));
+        group.ring.push(Slot {
+            label: "delta-patch".into(),
+            port: None,
+            feed: None,
+            frame: Some(Arc::new(bytes)),
+        });
+        false
+    }
+
+    /// Absorb step of the delta patch: decode → staleness check →
+    /// `stage_patch`, then commit and index. Any rejection (corrupt
+    /// frame, stale version precondition, malformed steps) rolls the
+    /// staged patch back and re-enters the feed-batch path at the next
+    /// shipment seq — the fallback ladder.
+    pub(crate) fn absorb_patch(&self, arc: &Arc<Inner>, ex: &mut Exchange, delivered: &[u8]) {
+        let group = &mut ex.groups[0];
+        let patch = *group.patch.take().expect("patch in flight");
+        let lane = &mut group.lanes[0];
+        let (id, exec_span) = (lane.shared.id, group.exec_span);
+        let decode_started = Instant::now();
+        let staged = decode_patch_ctx(delivered).and_then(|(decoded, rctx)| {
+            if let Some(ctx) = rctx {
+                // Receiver-side decode span, stitched from the frame's
+                // propagated context.
+                self.trace.record_with_context(
+                    self.trace.allocate_id(),
+                    "decode",
+                    id,
+                    ctx.parent_span,
+                    ctx.trace_id,
+                    decode_started,
+                    decode_started.elapsed(),
+                    format!("patch v{}→v{}", decoded.base_version, decoded.head_version),
+                );
+            }
+            // An ordinary patch must be based on the route head (a
+            // non-head base means the subscriber's precondition is
+            // stale). A chain-composed patch is *deliberately* based
+            // below the head; for it the precondition is that no
+            // concurrent session advanced the route since planning.
+            let head_now = self.snapshots.head(&lane.feed_route);
+            let expected_head = if patch.chain_composed {
+                patch.head_version - 1
+            } else {
+                decoded.base_version
+            };
+            if head_now != expected_head {
+                return Err(xdx_relational::Error::SchemaMismatch {
+                    detail: format!(
+                        "stale patch: route head v{head_now} ≠ expected v{expected_head} \
+                         (patch base v{})",
+                        decoded.base_version
+                    ),
+                });
+            }
+            stage_patch(&patch.snapshot, &decoded, &mut lane.target)
+        });
+        match staged {
+            Ok(_) => {
+                let rows = lane.target.commit_staged();
+                if let Err(e) = lane.target.build_all_key_indexes() {
+                    lane.failure = Some(e.to_string());
+                    return;
+                }
+                lane.metrics.delta_patch_bytes += patch.bytes as u64;
+                lane.metrics.delta_patches_applied += 1;
+                self.events.push(
+                    id,
+                    exec_span,
+                    EventKind::DeltaApplied,
+                    format!(
+                        "v{}→v{}: {} steps, {} bytes, {rows} rows",
+                        patch.base_version, patch.head_version, patch.steps, patch.bytes
+                    ),
+                );
+                let wire = lane.outcome.times.communication;
+                lane.outcome = patch.head_outcome;
+                lane.outcome.times.communication = wire;
+                lane.outcome.messages = 1;
+                lane.outcome.rows_loaded = rows;
+                lane.patched = true;
+            }
+            Err(e) => {
+                lane.target.rollback_staged();
+                lane.metrics.delta_full_fallbacks += 1;
+                self.events.push(
+                    id,
+                    exec_span,
+                    EventKind::DeltaFellBack,
+                    format!("patch rejected: {e}; full re-ship"),
+                );
+                // The patch consumed seq 0; feed batches stage from 1.
+                lane.next_stage_seq = 1;
+                self.run_source(arc, ex, 0);
+            }
+        }
+    }
+
+    /// Runs a group's source half on this worker, streaming each
+    /// cross-edge feed onto the ring *the moment its producing operator
+    /// completes* — frame `k` rides the wire while later source
+    /// operators still compute. Batches number on from whatever the
+    /// ring already holds (a rejected patch holds seq 0). A source
+    /// failure fails every lane of the group; batches already on the
+    /// wire drain before they settle.
+    pub(crate) fn run_source(&self, arc: &Arc<Inner>, ex: &mut Exchange, gi: usize) {
+        let Exchange {
+            id,
+            request,
+            groups,
+            inbox,
+            lag_cap,
+            ..
+        } = ex;
+        let group = &mut groups[gi];
+        let plan = Arc::clone(&group.plan);
+        // Cross ports in first-consumer order, each feed split into
+        // batches in Dewey order: overlapping the wire with the source
+        // phase changes *when* a frame ships, never its seq or bytes.
+        let cross = cross_ports_in_consumer_order(&self.schema, &plan.program);
+        let batch_rows = self.config.batch_rows;
+        let queue = |ring: &mut Vec<Slot>, c: &CrossPort, feed: &Feed| {
+            ring.extend(
+                feed_batches(feed, batch_rows)
+                    .into_iter()
+                    .map(|batch| Slot {
+                        label: c.label.clone(),
+                        port: Some(c.port),
+                        feed: Some(batch),
+                        frame: None,
+                    }),
+            );
+        };
+        // Leading cross ports (consumer order) already on the ring.
+        let mut streamed = 0usize;
+        let source = execute_source_phase_streaming(
+            &self.schema,
+            &request.source_frag,
+            &request.target_frag,
+            &plan.program,
+            &mut request.source,
+            None,
+            &mut |feeds| {
+                // A cross feed is final the instant its producer runs —
+                // downstream source operators only read it. Flush the
+                // maximal *ready prefix* so seqs stay in consumer order,
+                // then top the engine up: the wire carries these frames
+                // while the rest of the source phase computes.
+                while let Some(c) = cross.get(streamed) {
+                    let Some(feed) = feeds.get(&c.port) else {
+                        break;
+                    };
+                    queue(&mut group.ring, c, feed);
+                    streamed += 1;
+                }
+                self.pump(arc, (*id, gi), inbox, group, *lag_cap);
+            },
+        );
+        let failure = match source {
+            Ok((phase, outcome)) => {
+                // Stragglers the prefix rule held back (a port whose
+                // producer finished after a still-pending predecessor)
+                // batch now, in the same consumer order.
+                let mut missing = None;
+                for c in cross.iter().skip(streamed) {
+                    match phase.feeds.get(&c.port) {
+                        Some(feed) => queue(&mut group.ring, c, feed),
+                        None => {
+                            missing = Some(format!("missing feed for port {:?}", c.port));
+                            break;
+                        }
+                    }
+                }
+                // The group's one source phase bills to its first lane.
+                group.lanes[0].outcome = outcome;
+                group.stream_tables = writes_stream_directly(&plan.program)
+                    .then(|| direct_write_tables(&plan.program, &request.target_frag));
+                missing
+            }
+            Err(e) => Some(e.to_string()),
+        };
+        if let Some(why) = failure {
+            for lane in &mut group.lanes {
+                lane.failure.get_or_insert(why.clone());
+            }
+        }
+    }
+
+    /// Hands a started exchange to the scheduler: tops its windows up
+    /// and *parks* it — the worker returns to the queue while the frames
+    /// drain, and batch completions wake whichever worker is free next
+    /// via the runnable queue. An exchange with nothing on the wire (no
+    /// cross edges, or a failure before the first frame) settles here.
+    pub(crate) fn launch(&self, arc: &Arc<Inner>, mut ex: Exchange) {
+        self.outstanding.fetch_add(1, Ordering::SeqCst);
+        if self.advance(arc, &mut ex) {
+            return;
+        }
+        let (sid, inbox) = (ex.id, Arc::clone(&ex.inbox));
+        self.parked.lock().unwrap().insert(sid, ex);
+        // A batch that completed before the exchange reached the map had
+        // its runnable wakeup consumed as a no-op — re-arm it.
+        if !inbox.lock().unwrap().is_empty() {
+            self.queue.lock().unwrap().runnable.push_back(sid);
+            self.available.notify_all();
+        }
+    }
+
+    /// Services a parked exchange: absorbs every deposited batch result,
+    /// refills the submission windows, settles drained lanes, and either
+    /// re-parks the exchange or retires it. The exchange is *removed*
+    /// from the map while serviced, so two workers can never service it
+    /// at once; stale runnable entries for an absent exchange are no-ops.
+    pub(crate) fn service(&self, arc: &Arc<Inner>, sid: SessionId) {
+        loop {
+            let Some(mut ex) = self.parked.lock().unwrap().remove(&sid) else {
+                return;
+            };
+            let results = std::mem::take(&mut *ex.inbox.lock().unwrap());
+            for (gi, li, result) in results {
+                self.absorb(arc, &mut ex, gi, li, result);
+            }
+            if self.advance(arc, &mut ex) {
+                return;
+            }
+            let inbox = Arc::clone(&ex.inbox);
+            self.parked.lock().unwrap().insert(sid, ex);
+            // A result deposited while the exchange was out of the map
+            // consumed its wakeup against the empty map — service it now
+            // instead of stranding a parked exchange. (Batches remain in
+            // flight here, so the exchange cannot have been retired.)
+            if inbox.lock().unwrap().is_empty() {
+                return;
+            }
+        }
+    }
+
+    /// Moves every group forward: refill the lanes' windows from the
+    /// ring, settle each lane the moment it drains — healthy lanes
+    /// commit and report without waiting for the group's stragglers —
+    /// and retire the exchange with its last lane. Returns true when it
+    /// retired.
+    pub(crate) fn advance(&self, arc: &Arc<Inner>, ex: &mut Exchange) -> bool {
+        for gi in 0..ex.groups.len() {
+            self.pump(arc, (ex.id, gi), &ex.inbox, &mut ex.groups[gi], ex.lag_cap);
+            for li in 0..ex.groups[gi].lanes.len() {
+                let group = &ex.groups[gi];
+                if !group.lanes[li].settled && group.lanes[li].drained(group.ring.len()) {
+                    self.settle(ex, gi, li);
+                }
+            }
+        }
+        let retired = ex.groups.iter().all(|g| g.lanes.iter().all(|l| l.settled));
+        if retired {
+            self.retire(ex);
+        }
+        retired
+    }
+
+    /// Keeps every live lane's submission window full from the ring: up
+    /// to `pipeline_depth` batches in flight per lane, so frame `k+1` is
+    /// encoded while frame `k` rides the wire. Then enforces the lag cap
+    /// and releases the frames every live lane has moved past.
+    pub(crate) fn pump(
+        &self,
+        arc: &Arc<Inner>,
+        (sid, gi): (SessionId, usize),
+        inbox: &Inbox,
+        group: &mut Group,
+        lag_cap: usize,
+    ) {
+        for li in 0..group.lanes.len() {
+            loop {
+                let lane = &group.lanes[li];
+                if lane.settled
+                    || lane.failure.is_some()
+                    || lane.inflight >= self.config.pipeline_depth
+                    || lane.cursor >= group.ring.len()
+                {
+                    break;
+                }
+                let (seq, lane_id) = (lane.cursor, lane.shared.id);
+                // Checkpoint replay first: a resumed lane re-ships the
+                // exact bytes the failed run built; only a ledger miss
+                // takes the ring's frame.
+                let message = match self.ledger.stored_message(lane_id, seq as u64) {
+                    Some(stored) => Arc::new(stored),
+                    None => self.frame(group, li, seq),
+                };
+                let lane = &mut group.lanes[li];
+                lane.inflight += 1;
+                lane.cursor += 1;
+                lane.shared.set_state(SessionState::Shipping);
+                let (inbox, waker) = (Arc::clone(inbox), Arc::clone(arc));
+                self.engine.submit(ShipRequest {
+                    session: Arc::clone(&lane.shared),
+                    slot: Arc::clone(&lane.slot),
+                    seq: seq as u64,
+                    label: group.ring[seq].label.clone(),
+                    message,
+                    policy: self.config.shipping,
+                    budget: Arc::clone(&lane.budget),
+                    parent_span: group.exec_span,
+                    on_done: Box::new(move |result| {
+                        // Deposit the result, then make the exchange
+                        // runnable — strictly in that order, and the
+                        // runnable queue lives inside the queue lock, so
+                        // a worker that saw the wakeup always finds the
+                        // result.
+                        inbox.lock().unwrap().push((gi, li, result));
+                        waker.queue.lock().unwrap().runnable.push_back(sid);
+                        waker.available.notify_all();
+                    }),
+                });
+            }
+        }
+        // Lag cap: a lane trailing the group's fastest by more than the
+        // cap is ejected from the shared ring (it fails with a
+        // diagnostic and stays resumable as its own two-site re-ship),
+        // so one stuck target can neither stall the others nor grow the
+        // ring without bound.
+        let live = |l: &&mut Lane| !l.settled && l.failure.is_none();
+        let lead = group.lanes.iter().map(|l| l.completed).max().unwrap_or(0);
+        for lane in group.lanes.iter_mut().filter(live) {
+            let lag = lead - lane.completed;
+            if lag > lag_cap {
+                group.ring_fallbacks += 1;
+                let why = format!("fell {lag} frames behind the publish group (cap {lag_cap})");
+                self.flight.shed(|| format!("{}: {why}", lane.shared.name));
+                self.events.push(
+                    lane.shared.id,
+                    group.exec_span,
+                    EventKind::Shed,
+                    format!("{why}: dropped to per-subscriber re-ship"),
+                );
+                lane.failure = Some(why);
+            }
+        }
+        let floor = group
+            .lanes
+            .iter_mut()
+            .filter(live)
+            .map(|l| l.cursor)
+            .min()
+            .unwrap_or(group.ring.len());
+        for slot in group.ring.iter_mut().take(floor).skip(group.floor) {
+            slot.feed = None;
+            slot.frame = None;
+        }
+        group.floor = group.floor.max(floor);
+    }
+
+    /// The wire message of ring slot `seq`, encoded by the first lane to
+    /// need it: encode → tally → `encode` span → SOAP-wrap with the
+    /// context label. A sole lane bills the encode to its own metrics; a
+    /// shared ring bills the group, once, however many lanes ship it.
+    pub(crate) fn frame(&self, group: &mut Group, li: usize, seq: usize) -> Arc<Vec<u8>> {
+        let lanes = group.lanes.len();
+        let slot = &mut group.ring[seq];
+        if let Some(frame) = &slot.frame {
+            group.shared_reuse += u64::from(lanes > 1);
+            return Arc::clone(frame);
+        }
+        let feed = slot.feed.take().expect("an unencoded slot holds its batch");
+        let start = Instant::now();
+        // Trace context rides the shipment: columnar frames carry it in
+        // their header extension, XML text in the SOAPAction label —
+        // either way every receiver stitches its decode/stage spans
+        // under the group's exec span.
+        let len = encode_in_format_with_context_into(
+            &mut group.encode_buf,
+            &feed,
+            group.wire_format,
+            group.ctx,
+        );
+        let ns = start.elapsed().as_nanos() as u64;
+        let session = group.lanes[li].shared.id;
+        let first = &mut group.lanes[0];
+        let tally = if lanes == 1 {
+            &mut first.rollup
+        } else {
+            &mut group.encodes
+        };
+        tally.messages_serialized += 1;
+        tally.bytes_encoded += len as u64;
+        tally.encode_ns += ns;
+        let counters = &first.slot.counters;
+        counters
+            .bytes_encoded
+            .fetch_add(len as u64, Ordering::Relaxed);
+        counters.encode_ns.fetch_add(ns, Ordering::Relaxed);
+        self.encode_hist.record(ns);
+        self.trace.record(
+            "encode",
+            session,
+            group.exec_span,
+            start,
+            Duration::from_nanos(ns),
+            format!("{len} bytes for {lanes} lane(s)"),
+        );
+        let soap_label = match (group.wire_format, group.ctx) {
+            (WireFormat::Xml, Some(ctx)) => label_with_context(&slot.label, ctx),
+            _ => slot.label.clone(),
+        };
+        let frame = Arc::new(
+            Request::soap_post("/exchange", &soap_label, group.encode_buf.clone()).to_bytes(),
+        );
+        slot.frame = Some(Arc::clone(&frame));
+        frame
+    }
+
+    /// Folds one completed batch into its lane: shipping tallies always;
+    /// on delivery, decode and stage in shipment order; on failure,
+    /// record the first diagnostic, which stops the lane's pump.
+    pub(crate) fn absorb(
+        &self,
+        arc: &Arc<Inner>,
+        ex: &mut Exchange,
+        gi: usize,
+        li: usize,
+        result: BatchResult,
+    ) {
+        let group = &mut ex.groups[gi];
+        let lane = &mut group.lanes[li];
+        lane.inflight -= 1;
+        lane.completed += 1;
+        let stats = result.stats;
+        lane.rollup.wire_bytes += stats.wire_bytes;
+        lane.rollup.chunks_shipped += stats.chunks_shipped;
+        lane.rollup.chunks_resumed += stats.chunks_resumed;
+        lane.rollup.chunks_deduped += stats.chunks_deduped;
+        lane.rollup.chunks_retried += stats.chunks_retried;
+        lane.rollup.retry_backoff += stats.retry_backoff;
+        let delivered = match result.outcome {
+            Ok(delivered) => delivered,
+            Err(e) => {
+                lane.rollup.link_gave_up |= result.link_gave_up;
+                lane.failure.get_or_insert(e);
+                return;
+            }
+        };
+        lane.outcome.times.communication += result.elapsed;
+        lane.outcome.messages += 1;
+        if group.patch.is_some() && result.seq == 0 {
+            self.absorb_patch(arc, ex, &delivered);
+            return;
+        }
+        // Decode what actually arrived — link damage surfaces as an
+        // explicit error here.
+        let feed = match self.decode_once(group, li, result.seq, &delivered) {
+            Ok(feed) => feed,
+            Err(e) => {
+                group.lanes[li]
+                    .failure
+                    .get_or_insert(format!("batch {} corrupt: {e}", result.seq));
+                return;
+            }
+        };
+        let lane = &mut group.lanes[li];
+        lane.decoded.insert(result.seq, feed);
+        let stage_started = Instant::now();
+        let staged_from = lane.next_stage_seq;
+        if let Err(e) = stage_ready(lane, group.stream_tables.as_ref(), &group.ring) {
+            lane.failure.get_or_insert(e);
+        }
+        let staged = lane.next_stage_seq - staged_from;
+        if staged > 0 {
+            self.trace.record_with_context(
+                self.trace.allocate_id(),
+                "stage",
+                lane.shared.id,
+                group.exec_span,
+                session_trace_id(&lane.shared),
+                stage_started,
+                stage_started.elapsed(),
+                format!("{staged} batch(es) from seq {staged_from}"),
+            );
+        }
+    }
+
+    /// Parses a delivered batch — once per group: every lane receives
+    /// byte-identical frames, so the first absorber decodes (its `decode`
+    /// span stitches under the trace context the frame, or the
+    /// SOAPAction label for XML text, carries) and later lanes get a
+    /// clone. The decode bill, like the encode bill, is per *frame*.
+    pub(crate) fn decode_once(
+        &self,
+        group: &mut Group,
+        li: usize,
+        seq: u64,
+        delivered: &[u8],
+    ) -> std::result::Result<Feed, String> {
+        use std::collections::hash_map::Entry;
+        let vacant = match group.decoded.entry(seq) {
+            Entry::Occupied(mut cached) => {
+                cached.get_mut().1 -= 1;
+                return Ok(if cached.get().1 == 0 {
+                    cached.remove().0
+                } else {
+                    cached.get().0.clone()
+                });
+            }
+            Entry::Vacant(vacant) => vacant,
+        };
+        let decode_started = Instant::now();
+        let arrived = Request::parse(delivered).map_err(|e| e.to_string())?;
+        let (feed, ctx) = decode_any_ctx(&arrived.body).map_err(|e| e.to_string())?;
+        let shared = &group.lanes[li].shared;
+        let (parent, trace_id) = ctx
+            .or_else(|| soap_action_context(&arrived))
+            .map_or((group.exec_span, session_trace_id(shared)), |c| {
+                (c.parent_span, c.trace_id)
+            });
+        self.trace.record_with_context(
+            self.trace.allocate_id(),
+            "decode",
+            shared.id,
+            parent,
+            trace_id,
+            decode_started,
+            decode_started.elapsed(),
+            format!("batch {seq}"),
+        );
+        if group.lanes.len() > 1 {
+            vacant.insert((feed.clone(), group.lanes.len() - 1));
+        }
+        Ok(feed)
+    }
+
+    /// The target half of a drained lane: direct-write plans have every
+    /// batch staged already — one `Write` sample per node, then the
+    /// commit+index epilogue; general plans run the target phase over
+    /// the delivered feeds. A failure rolls every staged batch back —
+    /// the target leaves exactly as it arrived, never torn.
+    pub(crate) fn finish_target(
+        &self,
+        request: &ExchangeRequest,
+        program: &Program,
+        direct_writes: bool,
+        lane: &mut Lane,
+    ) -> std::result::Result<(), String> {
+        if let Some(why) = lane.failure.take() {
+            lane.target.rollback_staged();
+            return Err(why);
+        }
+        if lane.patched {
+            return Ok(());
+        }
+        if !direct_writes {
+            return execute_target_phase(
+                &self.schema,
+                &request.source_frag,
+                &request.target_frag,
+                program,
+                &mut lane.target,
+                &lane.delivered,
+                &mut lane.outcome,
+            )
+            .map_err(|e| e.to_string());
+        }
+        let mut walls: Vec<_> = lane.write_walls.drain().collect();
+        walls.sort_unstable_by_key(|&(node, _)| node);
+        for (node, (started, wall)) in walls {
+            lane.outcome.op_samples.push(OpSample {
+                node,
+                op: "Write",
+                location: Location::Target,
+                started,
+                wall,
+            });
+        }
+        commit_and_index(program, &mut lane.target, &mut lane.outcome).map_err(|e| e.to_string())
+    }
+
+    /// Settles one drained lane into its terminal state: runs its target
+    /// half, folds the shipping rollup into its metrics, records its
+    /// spans, then commits (calibration, snapshot, ledger release) or
+    /// rolls back (breaker, resume checkpoint). Every lane of every
+    /// exchange ends here; what differs between a two-site session and a
+    /// multicast lane is data — how many lanes share the ring, and
+    /// whether the lane's root hangs off a publish-group span.
+    pub(crate) fn settle(&self, ex: &mut Exchange, gi: usize, li: usize) {
+        let unsettled = |groups: &[Group]| {
+            groups
+                .iter()
+                .flat_map(|g| &g.lanes)
+                .filter(|l| !l.settled)
+                .count()
+        };
+        let last_of_exchange = unsettled(&ex.groups) == 1;
+        let last_of_group = unsettled(&ex.groups[gi..=gi]) == 1;
+        let enqueued = ex.enqueued;
+        let request = &mut ex.request;
+        let Group {
+            lanes,
+            plan,
+            plan_shape,
+            snapshot,
+            wire_format,
+            exec_span,
+            exec_started,
+            stream_tables,
+            ..
+        } = &mut ex.groups[gi];
+        let (exec_span, fanout) = (*exec_span, lanes.len());
+        let (owner_id, owner_root) = (lanes[0].shared.id, session_trace_id(&lanes[0].shared));
+        let lane = &mut lanes[li];
+        lane.settled = true;
+        let finished = self.finish_target(request, &plan.program, stream_tables.is_some(), lane);
+        let settle_started = Instant::now();
+        let shared = Arc::clone(&lane.shared);
+        let trace_id = session_trace_id(&shared);
+        let mut metrics = std::mem::take(&mut lane.metrics);
+        let target = std::mem::take(&mut lane.target);
+        let ship = lane.rollup;
+        metrics.retry_backoff = ship.retry_backoff;
+        metrics.messages_serialized = ship.messages_serialized as usize;
+        metrics.bytes_shipped = ship.wire_bytes;
+        metrics.bytes_encoded = ship.bytes_encoded;
+        metrics.encode_ns = ship.encode_ns;
+        metrics.chunks_shipped = ship.chunks_shipped;
+        metrics.chunks_resumed = ship.chunks_resumed;
+        metrics.chunks_deduped = ship.chunks_deduped;
+        metrics.chunks_retried = ship.chunks_retried;
+        if li == 0 {
+            // The group's source half bills to its first lane: whatever
+            // the source database accumulated since the last bill.
+            metrics.source_counters = counters_delta(request.source.counters, ex.billed);
+            ex.billed = request.source.counters;
+        }
+        metrics.target_counters = target.counters;
+        let verdict = if finished.is_ok() { "ok" } else { "failed" };
+        let format = format_name(*wire_format);
+        if shared.root_parent != NO_SPAN {
+            // A multicast lane's own container under the group's exec
+            // span.
+            self.trace.record(
+                "lane",
+                shared.id,
+                exec_span,
+                *exec_started,
+                exec_started.elapsed(),
+                format!("{verdict} → {} [{format}]", lane.slot.target()),
+            );
+        }
+        if last_of_group {
+            // The group's exec span — parent of every lane's shipping,
+            // decode and stage work — hangs off the trace root: the
+            // session's own root span, or the publish-group span.
+            self.trace.record_with_context(
+                exec_span,
+                "exec",
+                owner_id,
+                owner_root,
+                owner_root,
+                *exec_started,
+                exec_started.elapsed(),
+                format!("{fanout} lane(s) [{format}], last {verdict}"),
+            );
+        }
+        if let Err(why) = finished {
+            // The lane resumes as an ordinary two-site session replaying
+            // this group's plan: identical program → identical shipment
+            // seqs and bytes, so its ledger's acknowledged frames are
+            // skipped. The exchange's last lane takes the source
+            // database; earlier ones copy it.
+            let mut checkpoint = if last_of_exchange {
+                ExchangeRequest {
+                    source: std::mem::take(&mut request.source),
+                    ..request.clone()
+                }
+            } else {
+                request.clone()
+            };
+            checkpoint.name = shared.name.clone();
+            checkpoint.target_endpoint = lane.slot.target().to_string();
+            let resumable = Resumable {
+                request: checkpoint,
+                plan: Some(Arc::clone(plan)),
+            };
+            let span = (exec_span, settle_started);
+            let link_gave_up = ship.link_gave_up;
+            let slot = Arc::clone(&lane.slot);
+            self.settle_rolled_back(
+                &shared,
+                &slot,
+                enqueued,
+                metrics,
+                target,
+                why,
+                link_gave_up,
+                resumable,
+                span,
+            );
+            return;
+        }
+        let outcome = std::mem::take(&mut lane.outcome);
+        metrics.communication = outcome.times.communication;
+        metrics.messages = outcome.messages;
+        metrics.rows_loaded = outcome.rows_loaded;
+        // How much of the lane's wall the wire hid: feeds the admission
+        // estimator's turnaround model, so queue-wait predictions
+        // reflect pipelined (not serial) service.
+        let wall = exec_started.elapsed();
+        let exposed = wall
+            .saturating_sub(metrics.communication)
+            .max(Duration::from_micros(1));
+        self.admission
+            .record_overlap(wall.as_secs_f64() / exposed.as_secs_f64());
+        let mut observed_ns = self.record_ops(shared.id, exec_span, format, plan, &outcome);
+        // A lane that encoded its own frames calibrates the wire model;
+        // lanes of a shared ring did not encode, so they do not.
+        if fanout == 1 && (plan.comm_bytes > 0 || ship.bytes_encoded > 0) {
+            self.calibration.record_comm(
+                format,
+                plan.comm_bytes,
+                ship.bytes_encoded,
+                metrics.communication.as_nanos() as u64,
+            );
+        }
+        // Session-level drift: observed time (operators plus the
+        // simulated wire, which inflates under link faults) against the
+        // plan's total predicted cost. A sustained excursion evicts the
+        // shape's cached plan so the next session re-plans under fresh
+        // statistics.
+        observed_ns += metrics.communication.as_nanos() as u64;
+        if let Some(shape) = *plan_shape {
+            if self
+                .calibration
+                .observe_session(shape, plan.cost, observed_ns)
+            {
+                let evicted = self.cache.evict_drifted(shape);
+                self.events.push(
+                    shared.id,
+                    shared.root_span,
+                    EventKind::PlanDriftEvicted,
+                    format!(
+                        "shape {shape:016x}: sustained cost-model drift{}",
+                        if evicted {
+                            ", cached plan evicted"
+                        } else {
+                            " (no cached plan)"
+                        }
+                    ),
+                );
+            }
+        }
+        // Advance the route's versioned feed log: the committed target
+        // feeds become the snapshot the next delta session diffs
+        // against. Every lane of a group commits identical content, so
+        // the first to settle snapshots and the rest share the `Arc`.
+        let snapshot_started = Instant::now();
+        let tables = Arc::clone(snapshot.get_or_insert_with(|| Arc::new(db_tables(&target))));
+        self.snapshots.record_shared(&lane.feed_route, tables);
+        self.trace.record_with_context(
+            self.trace.allocate_id(),
+            "snapshot",
+            shared.id,
+            exec_span,
+            trace_id,
+            snapshot_started,
+            snapshot_started.elapsed(),
+            format!("route {} advanced", lane.feed_route),
+        );
+        // The checkpoint served its purpose; drop it.
+        self.ledger.forget_session(shared.id);
+        let slot = &lane.slot;
+        slot.counters
+            .sessions_completed
+            .fetch_add(1, Ordering::Relaxed);
+        if let Some(BreakerTransition::Closed) = slot.breaker.record_success() {
+            self.flight.record(FlightSubsystem::Breaker, || {
+                format!("{}: closed (probe succeeded)", slot.pair())
+            });
+            self.events.push(
+                shared.id,
+                shared.root_span,
+                EventKind::CircuitClosed,
+                format!("{}: probe succeeded", slot.pair()),
+            );
+        }
+        self.trace.record_with_context(
+            self.trace.allocate_id(),
+            "settle",
+            shared.id,
+            exec_span,
+            trace_id,
+            settle_started,
+            settle_started.elapsed(),
+            "committed".to_string(),
+        );
+        self.finish(
+            &shared,
+            enqueued,
+            SessionState::Done,
+            metrics,
+            Some(target),
+            None,
+        );
+    }
+
+    /// Per-operator telemetry of a committed lane: each timed operator
+    /// becomes a child span of the exec span, lands in its `(op,
+    /// location)` histogram, and — when the plan carries the model's
+    /// per-node predictions — feeds the predicted-vs-observed
+    /// calibration cells. Returns the summed operator wall.
+    pub(crate) fn record_ops(
+        &self,
+        session: SessionId,
+        exec_span: SpanId,
+        format: &str,
+        plan: &CachedPlan,
+        outcome: &ExecOutcome,
+    ) -> u64 {
+        let mut observed_ns = 0;
+        for s in &outcome.op_samples {
+            let loc = location_name(s.location);
+            let ns = s.wall.as_nanos() as u64;
+            observed_ns += ns;
+            self.trace.record(
+                s.op,
+                session,
+                exec_span,
+                s.started,
+                s.wall,
+                format!("node {} @{loc}", s.node),
+            );
+            self.metrics
+                .histogram(&format!(
+                    "xdx_op_wall_ns{{op=\"{}\",location=\"{loc}\"}}",
+                    s.op
+                ))
+                .record_duration_ns(s.wall);
+            if let Some(&predicted) = plan.op_costs.get(s.node) {
+                self.calibration.record_op(s.op, loc, format, predicted, ns);
+            }
+        }
+        observed_ns
+    }
+
+    /// The rolled-back epilogue of [`Inner::settle`]: a cancelled lane
+    /// just ends (it is never resumable, so its shipping checkpoints are
+    /// released); a failed one feeds its link's breaker — an opening
+    /// breaker drains the route's queued sessions — and stays resumable:
+    /// the checkpointed plan and the ledger's persisted messages make
+    /// the retry probe-free and serialization-free.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn settle_rolled_back(
+        &self,
+        shared: &Arc<SessionShared>,
+        slot: &Arc<LinkSlot>,
+        enqueued: Instant,
+        metrics: SessionMetrics,
+        target: Database,
+        diagnostic: String,
+        link_gave_up: bool,
+        resumable: Resumable,
+        (exec_span, settle_started): (SpanId, Instant),
+    ) {
+        if shared.is_cancelled() {
+            self.ledger.forget_session(shared.id);
+            self.finish(
+                shared,
+                enqueued,
+                SessionState::Cancelled,
+                metrics,
+                None,
+                Some(diagnostic),
+            );
+            return;
+        }
+        if shared.deadline_exceeded() {
+            self.events.push(
+                shared.id,
+                shared.root_span,
+                EventKind::DeadlineExceeded,
+                &diagnostic,
+            );
+        }
+        slot.counters
+            .sessions_failed
+            .fetch_add(1, Ordering::Relaxed);
+        if link_gave_up {
+            if let Some(BreakerTransition::Opened) = slot.breaker.record_failure() {
+                let cooldown = self.config.breaker_cooldown;
+                self.flight.record(FlightSubsystem::Breaker, || {
+                    format!("{}: opened, cooldown {cooldown:?}", slot.pair())
+                });
+                self.events.push(
+                    shared.id,
+                    shared.root_span,
+                    EventKind::CircuitOpened,
+                    format!("{}: cooldown {cooldown:?}", slot.pair()),
+                );
+                // The breaker just opened: everything queued for this
+                // route would fail the same way. Drain and shed it now
+                // instead of one session at a time.
+                self.shed_queued_route(slot);
+                self.flight
+                    .anomaly(&format!("breaker open on {}", slot.pair()));
+            }
+        }
+        self.remember_resumable(shared.id, resumable);
+        self.trace.record_with_context(
+            self.trace.allocate_id(),
+            "settle",
+            shared.id,
+            exec_span,
+            session_trace_id(shared),
+            settle_started,
+            settle_started.elapsed(),
+            "rolled back".to_string(),
+        );
+        // The rolled-back target travels with the result as observable
+        // proof that no partial tables survived.
+        self.finish(
+            shared,
+            enqueued,
+            SessionState::Failed,
+            metrics,
+            Some(target),
+            Some(diagnostic),
+        );
+    }
+
+    /// The last lane settled: bills a shared ring's encodes to the
+    /// aggregate (once, at group scope — its lanes carry no
+    /// serialization tallies), closes a publish group's root span, and
+    /// releases the parked-exchange slot.
+    pub(crate) fn retire(&self, ex: &Exchange) {
+        let (mut reuse, mut fallbacks) = (0, 0);
+        {
+            let mut agg = self.agg.lock().unwrap();
+            for group in &ex.groups {
+                agg.messages_serialized += group.encodes.messages_serialized;
+                agg.bytes_encoded += group.encodes.bytes_encoded;
+                agg.encode_ns += group.encodes.encode_ns;
+                reuse += group.shared_reuse;
+                fallbacks += group.ring_fallbacks;
+            }
+            agg.multicast_encode_shared += reuse;
+            agg.multicast_encode_fallback += fallbacks;
+        }
+        let group_span = ex.groups[0].lanes[0].shared.root_parent;
+        if group_span != NO_SPAN {
+            self.trace.record_with_context(
+                group_span,
+                "publish-group",
+                ex.id,
+                NO_SPAN,
+                group_span,
+                ex.enqueued,
+                ex.enqueued.elapsed(),
+                format!(
+                    "{}: {} lanes in {} format group(s), {reuse} shared-frame reuses, \
+                     {fallbacks} ring fallbacks",
+                    ex.request.name,
+                    ex.groups.iter().map(|g| g.lanes.len()).sum::<usize>(),
+                    ex.groups.len(),
+                ),
+            );
+        }
+        self.outstanding.fetch_sub(1, Ordering::SeqCst);
+        // Workers parked on an empty queue re-check the exit condition.
+        self.available.notify_all();
+    }
+}
+
+/// Applies a lane's decoded batches in shipment-seq order from its
+/// staging cursor: direct-write programs stage rows into their target
+/// table *now* — transactional loading starts before the source
+/// finishes producing — while general programs accumulate the delivery
+/// for the target phase at settlement.
+fn stage_ready(
+    lane: &mut Lane,
+    stream_tables: Option<&HashMap<PortRef, (usize, String)>>,
+    ring: &[Slot],
+) -> std::result::Result<(), String> {
+    while let Some(feed) = lane.decoded.remove(&lane.next_stage_seq) {
+        let seq = lane.next_stage_seq;
+        lane.next_stage_seq += 1;
+        let port = ring
+            .get(seq as usize)
+            .and_then(|slot| slot.port)
+            .ok_or_else(|| format!("no port for shipment {seq}"))?;
+        if let Some(tables) = stream_tables {
+            let (node, table) = tables
+                .get(&port)
+                .ok_or_else(|| format!("no write table for port {port:?}"))?;
+            let start = Instant::now();
+            lane.outcome.rows_loaded += feed.len() as u64;
+            lane.target
+                .load_staged(table, feed)
+                .map_err(|e| e.to_string())?;
+            let wall = start.elapsed();
+            lane.outcome.times.loading += wall;
+            lane.write_walls
+                .entry(*node)
+                .or_insert((start, Duration::ZERO))
+                .1 += wall;
+        } else if let Some(existing) = lane.delivered.get_mut(&port) {
+            existing.rows.extend(feed.rows);
+        } else {
+            lane.delivered.insert(port, feed);
+        }
+    }
+    Ok(())
+}

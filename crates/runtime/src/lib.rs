@@ -61,8 +61,10 @@
 pub mod admission;
 pub mod breaker;
 pub mod cache;
+pub mod config;
 pub(crate) mod engine;
 pub mod events;
+pub(crate) mod exchange;
 pub mod fair;
 pub mod flight;
 pub(crate) mod introspect;
@@ -71,11 +73,13 @@ pub mod registry;
 pub mod runtime;
 pub mod session;
 pub mod shipper;
+pub mod stats;
 pub mod wheel;
 
 pub use admission::AdmissionController;
 pub use breaker::{BreakerTransition, CircuitBreaker};
 pub use cache::{plan_key, plan_key_with_fanout, CachedPlan, PlanCache, PlanKey};
+pub use config::{RuntimeConfig, SubmitError};
 pub use events::{Event, EventKind, EventLog, DEFAULT_EVENT_CAPACITY};
 pub use fair::{FairQueue, Popped, DEFAULT_AGING_INTERVAL};
 pub use flight::{
@@ -84,16 +88,14 @@ pub use flight::{
 };
 pub use ledger::{Filed, ReassemblyLedger, DEFAULT_LEDGER_CAPACITY};
 pub use registry::{LinkRegistry, LinkSlot, LinkStats};
-pub use runtime::{
-    ConsolidationOutcome, PublishHandle, Runtime, RuntimeConfig, RuntimeStats, SubmitError,
-    TenantStats,
-};
+pub use runtime::{ConsolidationOutcome, PublishHandle, Runtime};
 pub use session::{
     ExchangeRequest, Priority, PublishRequest, SessionHandle, SessionId, SessionMetrics,
     SessionResult, SessionState, DEFAULT_PUBLISH_LAG_CAP, DEFAULT_SOURCE_ENDPOINT,
     DEFAULT_TARGET_ENDPOINT,
 };
 pub use shipper::ShippingPolicy;
+pub use stats::{RuntimeStats, TenantStats};
 pub use wheel::TimerWheel;
 pub use xdx_core::WireFormat;
 pub use xdx_trace::{

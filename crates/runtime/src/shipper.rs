@@ -1,5 +1,5 @@
 //! The shipping policy: chunk size, retry caps and backoff of every
-//! shipment the [engine](crate::engine) runs.
+//! shipment the shipping engine runs.
 
 use std::time::Duration;
 

@@ -1,0 +1,594 @@
+//! Aggregate statistics and their exports: the [`RuntimeStats`]
+//! snapshot, its JSON form, the Prometheus refresh, and the
+//! introspection endpoint's routes.
+
+use crate::introspect::IntrospectReply;
+use crate::registry::LinkStats;
+use crate::runtime::Inner;
+use std::sync::atomic::Ordering;
+use std::time::Duration;
+use xdx_core::{Location, WireFormat};
+use xdx_trace::HistogramSnapshot;
+
+/// Stable label for a placement location in metric names and
+/// calibration cells.
+pub(crate) fn location_name(loc: Location) -> &'static str {
+    match loc {
+        Location::Source => "source",
+        Location::Target => "target",
+        Location::Unassigned => "unassigned",
+    }
+}
+
+/// Stable label for a wire format in metric names and calibration
+/// cells.
+pub(crate) fn format_name(format: WireFormat) -> &'static str {
+    match format {
+        WireFormat::Xml => "xml",
+        WireFormat::Columnar => "columnar",
+    }
+}
+
+/// Aggregate counters across the runtime's lifetime, with per-link
+/// rollups in [`RuntimeStats::links`].
+#[derive(Debug, Clone, Default)]
+pub struct RuntimeStats {
+    /// Sessions admitted to the queue.
+    pub admitted: u64,
+    /// Submissions refused at admission.
+    pub rejected: u64,
+    /// Sessions that reached `Done`.
+    pub completed: u64,
+    /// Sessions that reached `Failed`.
+    pub failed: u64,
+    /// Sessions that reached `Cancelled`.
+    pub cancelled: u64,
+    /// Failed sessions re-admitted through [`crate::Runtime::resume`].
+    pub resumed: u64,
+    /// Plan-cache hits.
+    pub plan_cache_hits: u64,
+    /// Plan-cache misses.
+    pub plan_cache_misses: u64,
+    /// Cached plans evicted for outliving the TTL.
+    pub plan_cache_expired: u64,
+    /// Cached plans evicted because the probed statistics drifted.
+    pub plan_cache_stats_evicted: u64,
+    /// Cached plans evicted because cost-model calibration reported
+    /// sustained predicted-vs-observed drift on their shape.
+    pub plan_cache_drift_evicted: u64,
+    /// Statistics probes run across all sessions (resumed sessions
+    /// replaying a checkpointed plan probe zero times).
+    pub planning_probes: u64,
+    /// Cross-edge messages serialized from feeds (checkpoint replays
+    /// not counted).
+    pub messages_serialized: u64,
+    /// Wire bytes transmitted, including failed attempts.
+    pub bytes_shipped: u64,
+    /// Encoded message bytes produced across all sessions (logical
+    /// payload before chunk framing; checkpoint replays encode nothing,
+    /// so resumed sessions add zero here).
+    pub bytes_encoded: u64,
+    /// Wall nanoseconds spent encoding cross-edge messages.
+    pub encode_ns: u64,
+    /// Chunks delivered intact.
+    pub chunks_shipped: u64,
+    /// Chunks resumed sessions found checkpointed and did not re-ship.
+    pub chunks_resumed: u64,
+    /// Duplicate chunk deliveries dropped idempotently.
+    pub chunks_deduped: u64,
+    /// Chunk transmissions retried.
+    pub chunks_retried: u64,
+    /// Per-link counters, sorted by `(source, target)` pair.
+    pub links: Vec<LinkStats>,
+    /// Most shipment windows ever simultaneously open across all links
+    /// — >1 proves disjoint pairs shipped in parallel.
+    pub peak_concurrent_shipments: u64,
+    /// Per-session submit→done wall latencies of completed sessions.
+    pub latencies: Vec<Duration>,
+    /// The same latencies as a log-linear histogram snapshot —
+    /// mergeable across runs, quantile error ≤ 1/32.
+    pub latency_histogram: HistogramSnapshot,
+    /// Events evicted from the bounded flight-recorder ring.
+    pub dropped_events: u64,
+    /// Spans evicted from the bounded trace ring.
+    pub dropped_spans: u64,
+    /// Encoded Patch-frame bytes shipped by delta sessions.
+    pub delta_patch_bytes: u64,
+    /// Delta patches applied transactionally at targets.
+    pub delta_patches_applied: u64,
+    /// Delta-eligible sessions where the cost model chose the full
+    /// re-ship (the patch would have cost more than the full feeds).
+    pub delta_full_chosen: u64,
+    /// Delta-eligible sessions that fell back to a full re-ship for a
+    /// non-cost reason (missing snapshot, diff/decode failure, stale
+    /// version precondition).
+    pub delta_full_fallbacks: u64,
+    /// Delta-eligible sessions whose aged-out base snapshot was
+    /// reconstructed by composing retained per-step patches (a subset of
+    /// the sessions that would otherwise be `delta_full_fallbacks`).
+    pub delta_chain_composed: u64,
+    /// Subscriber lanes admitted across all 1→N publish groups.
+    pub fanout_subscribers: u64,
+    /// Multicast frame submissions served from an already-encoded shared
+    /// buffer — each one is an encode the fan-out never ran.
+    pub multicast_encode_shared: u64,
+    /// Subscriber lanes dropped from the shared frame buffer (lag cap
+    /// exceeded or lane failure) onto the per-subscriber
+    /// re-encode/full-ship fallback.
+    pub multicast_encode_fallback: u64,
+    /// Acknowledged shipment buffers garbage-collected from the
+    /// reassembly ledger after their session committed.
+    pub ledger_entries_pruned: u64,
+    /// Sessions shed at dequeue because their deadline expired while
+    /// queued — failed *before* burning a planning probe.
+    pub sessions_shed_expired: u64,
+    /// Submissions shed at admission because the estimator found their
+    /// deadline unattainable at the current load.
+    pub sessions_shed_deadline: u64,
+    /// Queued sessions shed because their route's circuit breaker was
+    /// open (at dequeue, or drained when the breaker opened).
+    pub sessions_shed_breaker: u64,
+    /// Failed-session checkpoints evicted by the `max_resumables` cap.
+    pub resumables_evicted: u64,
+    /// Reassembly-ledger checkpoints evicted by the capacity cap.
+    pub ledger_buffers_shed: u64,
+    /// Sessions waiting in the admission queue at snapshot time.
+    pub queue_depth: usize,
+    /// Per-tenant fairness counters, sorted by tenant label.
+    pub tenants: Vec<TenantStats>,
+}
+
+/// Point-in-time fairness counters of one admission tenant.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TenantStats {
+    /// The tenant label (explicit tag, or the route pair).
+    pub tenant: String,
+    /// The weighted-fair share weight (default 1.0).
+    pub weight: f64,
+    /// Sessions this tenant had admitted.
+    pub admitted: u64,
+    /// Sessions this tenant completed.
+    pub completed: u64,
+    /// Sessions of this tenant that load shedding dropped (unattainable
+    /// deadline, expired while queued, or breaker feedback).
+    pub shed: u64,
+}
+
+impl RuntimeStats {
+    /// The `p`-th latency percentile (0–100) over completed sessions,
+    /// estimated from the shared log-linear histogram (relative error
+    /// ≤ 1/32).
+    pub fn latency_percentile(&self, p: f64) -> Option<Duration> {
+        self.latency_histogram
+            .quantile((p / 100.0).clamp(0.0, 1.0))
+            .map(Duration::from_nanos)
+    }
+
+    /// Completed sessions per second of the given wall-clock window.
+    pub fn sessions_per_sec(&self, wall: Duration) -> f64 {
+        if wall.is_zero() {
+            return 0.0;
+        }
+        self.completed as f64 / wall.as_secs_f64()
+    }
+
+    /// The full counter set as one JSON object — what the introspection
+    /// endpoint serves at `/stats.json`. Latencies collapse to their
+    /// histogram percentiles; links and tenants nest as arrays.
+    pub fn to_json(&self) -> String {
+        use crate::events::json_escape;
+        let mut out = String::with_capacity(2048);
+        out.push('{');
+        for (name, value) in [
+            ("admitted", self.admitted),
+            ("rejected", self.rejected),
+            ("completed", self.completed),
+            ("failed", self.failed),
+            ("cancelled", self.cancelled),
+            ("resumed", self.resumed),
+            ("sessions_shed_expired", self.sessions_shed_expired),
+            ("sessions_shed_deadline", self.sessions_shed_deadline),
+            ("sessions_shed_breaker", self.sessions_shed_breaker),
+            ("resumables_evicted", self.resumables_evicted),
+            ("ledger_buffers_shed", self.ledger_buffers_shed),
+            ("plan_cache_hits", self.plan_cache_hits),
+            ("plan_cache_misses", self.plan_cache_misses),
+            ("plan_cache_expired", self.plan_cache_expired),
+            ("plan_cache_stats_evicted", self.plan_cache_stats_evicted),
+            ("plan_cache_drift_evicted", self.plan_cache_drift_evicted),
+            ("planning_probes", self.planning_probes),
+            ("messages_serialized", self.messages_serialized),
+            ("bytes_shipped", self.bytes_shipped),
+            ("bytes_encoded", self.bytes_encoded),
+            ("encode_ns", self.encode_ns),
+            ("chunks_shipped", self.chunks_shipped),
+            ("chunks_resumed", self.chunks_resumed),
+            ("chunks_deduped", self.chunks_deduped),
+            ("chunks_retried", self.chunks_retried),
+            ("peak_concurrent_shipments", self.peak_concurrent_shipments),
+            ("dropped_events", self.dropped_events),
+            ("dropped_spans", self.dropped_spans),
+            ("delta_patch_bytes", self.delta_patch_bytes),
+            ("delta_patches_applied", self.delta_patches_applied),
+            ("delta_full_chosen", self.delta_full_chosen),
+            ("delta_full_fallbacks", self.delta_full_fallbacks),
+            ("delta_chain_composed", self.delta_chain_composed),
+            ("fanout_subscribers", self.fanout_subscribers),
+            ("multicast_encode_shared", self.multicast_encode_shared),
+            ("multicast_encode_fallback", self.multicast_encode_fallback),
+            ("ledger_entries_pruned", self.ledger_entries_pruned),
+            ("queue_depth", self.queue_depth as u64),
+        ] {
+            out.push_str(&format!("\"{name}\":{value},"));
+        }
+        for (name, p) in [("p50", 50.0), ("p95", 95.0), ("p99", 99.0)] {
+            let ns = self
+                .latency_percentile(p)
+                .map_or(0, |d| d.as_nanos() as u64);
+            out.push_str(&format!("\"latency_{name}_ns\":{ns},"));
+        }
+        out.push_str("\"tenants\":[");
+        for (i, t) in self.tenants.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(&format!(
+                "{{\"tenant\":\"{}\",\"weight\":{},\"admitted\":{},\"completed\":{},\
+                 \"shed\":{}}}",
+                json_escape(&t.tenant),
+                t.weight,
+                t.admitted,
+                t.completed,
+                t.shed
+            ));
+        }
+        out.push_str("],\"links\":[");
+        for (i, l) in self.links.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(&format!(
+                "{{\"link\":\"{}\",\"wire_format\":\"{}\",\"busy_ns\":{},\
+                 \"wire_bytes\":{},\"bytes_encoded\":{},\"encode_ns\":{},\
+                 \"chunks_shipped\":{},\"chunks_retried\":{},\
+                 \"sessions_completed\":{},\"sessions_failed\":{},\
+                 \"sessions_shed\":{},\"breaker_open\":{},\
+                 \"peak_concurrent_shipments\":{}}}",
+                json_escape(&l.pair()),
+                format_name(l.wire_format),
+                l.busy.as_nanos(),
+                l.wire_bytes,
+                l.bytes_encoded,
+                l.encode_ns,
+                l.chunks_shipped,
+                l.chunks_retried,
+                l.sessions_completed,
+                l.sessions_failed,
+                l.sessions_shed,
+                l.breaker_open,
+                l.peak_concurrent_shipments
+            ));
+        }
+        out.push_str("]}");
+        out
+    }
+}
+
+impl Inner {
+    pub(crate) fn stats(&self) -> RuntimeStats {
+        // Lock order is queue → agg (enqueue holds the queue lock while
+        // touching aggregates), so the queue depth and tenant tables are
+        // read *before* taking the aggregate lock.
+        let queue_depth = self.queue.lock().unwrap().fair.len();
+        let tenants: Vec<TenantStats> = {
+            let stats = self.tenant_stats.lock().unwrap();
+            let weights = self.tenant_weights.lock().unwrap();
+            stats
+                .iter()
+                .map(|(tenant, c)| TenantStats {
+                    tenant: tenant.clone(),
+                    weight: weights.get(tenant).copied().unwrap_or(1.0),
+                    admitted: c.admitted,
+                    completed: c.completed,
+                    shed: c.shed,
+                })
+                .collect()
+        };
+        let agg = self.agg.lock().unwrap();
+        RuntimeStats {
+            admitted: agg.admitted,
+            rejected: agg.rejected,
+            completed: agg.completed,
+            failed: agg.failed,
+            cancelled: agg.cancelled,
+            resumed: agg.resumed,
+            sessions_shed_expired: agg.shed_expired,
+            sessions_shed_deadline: agg.shed_deadline,
+            sessions_shed_breaker: agg.shed_breaker,
+            resumables_evicted: agg.resumables_evicted,
+            ledger_buffers_shed: self.ledger.buffers_shed(),
+            queue_depth,
+            tenants,
+            plan_cache_hits: self.cache.hits(),
+            plan_cache_misses: self.cache.misses(),
+            plan_cache_expired: self.cache.expired(),
+            plan_cache_stats_evicted: self.cache.stats_evicted(),
+            plan_cache_drift_evicted: self.cache.drift_evicted(),
+            planning_probes: agg.planning_probes,
+            messages_serialized: agg.messages_serialized,
+            bytes_shipped: agg.bytes_shipped,
+            bytes_encoded: agg.bytes_encoded,
+            encode_ns: agg.encode_ns,
+            chunks_shipped: agg.chunks_shipped,
+            chunks_resumed: agg.chunks_resumed,
+            chunks_deduped: agg.chunks_deduped,
+            chunks_retried: agg.chunks_retried,
+            links: self.registry.snapshot(),
+            peak_concurrent_shipments: self.registry.peak_concurrent_shipments(),
+            latencies: agg.latencies.iter().copied().collect(),
+            latency_histogram: self.latency_hist.snapshot(),
+            dropped_events: self.events.dropped(),
+            dropped_spans: self.trace.dropped(),
+            delta_patch_bytes: agg.delta_patch_bytes,
+            delta_patches_applied: agg.delta_patches_applied,
+            delta_full_chosen: agg.delta_full_chosen,
+            delta_full_fallbacks: agg.delta_full_fallbacks,
+            delta_chain_composed: agg.delta_chain_composed,
+            fanout_subscribers: agg.fanout_subscribers,
+            multicast_encode_shared: agg.multicast_encode_shared,
+            multicast_encode_fallback: agg.multicast_encode_fallback,
+            ledger_entries_pruned: self.ledger.entries_pruned(),
+        }
+    }
+
+    /// Re-emits every aggregate counter, per-link rollup and engine
+    /// counter through the metrics registry, so one render carries the
+    /// runtime's full state. Histograms are recorded live on the hot
+    /// path; only the monotone counters and gauges are refreshed here.
+    pub(crate) fn refresh_metrics(&self) {
+        let stats = self.stats();
+        let m = &self.metrics;
+        for (name, value) in [
+            ("xdx_sessions_admitted_total", stats.admitted),
+            ("xdx_sessions_rejected_total", stats.rejected),
+            ("xdx_sessions_completed_total", stats.completed),
+            ("xdx_sessions_failed_total", stats.failed),
+            ("xdx_sessions_cancelled_total", stats.cancelled),
+            ("xdx_sessions_resumed_total", stats.resumed),
+            (
+                "xdx_sessions_shed_expired_total",
+                stats.sessions_shed_expired,
+            ),
+            (
+                "xdx_sessions_shed_deadline_total",
+                stats.sessions_shed_deadline,
+            ),
+            (
+                "xdx_sessions_shed_breaker_total",
+                stats.sessions_shed_breaker,
+            ),
+            ("xdx_resumables_evicted_total", stats.resumables_evicted),
+            ("xdx_ledger_buffers_shed_total", stats.ledger_buffers_shed),
+            ("xdx_plan_cache_hits_total", stats.plan_cache_hits),
+            ("xdx_plan_cache_misses_total", stats.plan_cache_misses),
+            ("xdx_plan_cache_expired_total", stats.plan_cache_expired),
+            (
+                "xdx_plan_cache_stats_evicted_total",
+                stats.plan_cache_stats_evicted,
+            ),
+            (
+                "xdx_plan_cache_drift_evicted_total",
+                stats.plan_cache_drift_evicted,
+            ),
+            ("xdx_planning_probes_total", stats.planning_probes),
+            ("xdx_messages_serialized_total", stats.messages_serialized),
+            ("xdx_bytes_shipped_total", stats.bytes_shipped),
+            ("xdx_bytes_encoded_total", stats.bytes_encoded),
+            ("xdx_encode_ns_total", stats.encode_ns),
+            ("xdx_chunks_shipped_total", stats.chunks_shipped),
+            ("xdx_chunks_resumed_total", stats.chunks_resumed),
+            ("xdx_chunks_deduped_total", stats.chunks_deduped),
+            ("xdx_chunks_retried_total", stats.chunks_retried),
+            ("xdx_events_dropped_total", stats.dropped_events),
+            ("xdx_spans_dropped_total", stats.dropped_spans),
+            ("xdx_delta_patch_bytes_total", stats.delta_patch_bytes),
+            (
+                "xdx_delta_patches_applied_total",
+                stats.delta_patches_applied,
+            ),
+            ("xdx_delta_full_chosen_total", stats.delta_full_chosen),
+            ("xdx_delta_full_fallbacks_total", stats.delta_full_fallbacks),
+            ("xdx_delta_chain_composed_total", stats.delta_chain_composed),
+            ("xdx_fanout_subscribers", stats.fanout_subscribers),
+            ("xdx_multicast_encode_shared", stats.multicast_encode_shared),
+            (
+                "xdx_multicast_encode_fallback",
+                stats.multicast_encode_fallback,
+            ),
+            (
+                "xdx_ledger_entries_pruned_total",
+                stats.ledger_entries_pruned,
+            ),
+        ] {
+            m.counter(name).set(value);
+        }
+        m.gauge("xdx_queue_depth").set(stats.queue_depth as f64);
+        // Batches in flight through the shipping engine right now — how
+        // deep the pipeline actually runs.
+        m.gauge("xdx_pipeline_depth")
+            .set(self.engine.inflight() as f64);
+        // Fraction of the worker pool currently executing or servicing a
+        // session (the rest are waiting on the queue).
+        m.gauge("xdx_worker_occupancy").set(
+            self.busy_workers.load(Ordering::Relaxed) as f64 / self.config.workers.max(1) as f64,
+        );
+        // Per-tenant fairness rollups, labelled by tenant.
+        for t in &stats.tenants {
+            let label = |base: &str| format!("{base}{{tenant=\"{}\"}}", t.tenant);
+            m.counter(&label("xdx_tenant_admitted_total"))
+                .set(t.admitted);
+            m.counter(&label("xdx_tenant_completed_total"))
+                .set(t.completed);
+            m.counter(&label("xdx_tenant_shed_total")).set(t.shed);
+            m.gauge(&label("xdx_tenant_weight")).set(t.weight);
+        }
+        m.gauge("xdx_peak_concurrent_shipments")
+            .set(stats.peak_concurrent_shipments as f64);
+        // The relational engines' own counters, re-emitted per side.
+        {
+            let agg = self.agg.lock().unwrap();
+            for (side, c) in [
+                ("source", agg.source_counters),
+                ("target", agg.target_counters),
+            ] {
+                for (name, value) in [
+                    ("rows_read", c.rows_read),
+                    ("rows_out", c.rows_out),
+                    ("rows_written", c.rows_written),
+                    ("comparisons", c.comparisons),
+                    ("hash_probes", c.hash_probes),
+                    ("index_inserts", c.index_inserts),
+                    ("bytes_out", c.bytes_out),
+                ] {
+                    m.counter(&format!("xdx_db_{name}_total{{side=\"{side}\"}}"))
+                        .set(value);
+                }
+            }
+        }
+        // Per-link rollups: counters plus a utilization gauge (simulated
+        // busy time over runtime uptime) and the breaker state.
+        let uptime = self.trace.epoch().elapsed().as_secs_f64();
+        for link in &stats.links {
+            let pair = link.pair();
+            let label = |base: &str| format!("{base}{{link=\"{pair}\"}}");
+            m.counter(&label("xdx_link_wire_bytes_total"))
+                .set(link.wire_bytes);
+            m.counter(&label("xdx_link_bytes_encoded_total"))
+                .set(link.bytes_encoded);
+            m.counter(&label("xdx_link_encode_ns_total"))
+                .set(link.encode_ns);
+            m.counter(&label("xdx_link_chunks_shipped_total"))
+                .set(link.chunks_shipped);
+            m.counter(&label("xdx_link_chunks_retried_total"))
+                .set(link.chunks_retried);
+            m.counter(&label("xdx_link_sessions_completed_total"))
+                .set(link.sessions_completed);
+            m.counter(&label("xdx_link_sessions_failed_total"))
+                .set(link.sessions_failed);
+            m.counter(&label("xdx_link_sessions_shed_total"))
+                .set(link.sessions_shed);
+            m.counter(&label("xdx_link_busy_ns_total"))
+                .set(link.busy.as_nanos() as u64);
+            m.gauge(&label("xdx_link_utilization"))
+                .set(if uptime > 0.0 {
+                    link.busy.as_secs_f64() / uptime
+                } else {
+                    0.0
+                });
+            m.gauge(&label("xdx_link_breaker_open"))
+                .set(if link.breaker_open { 1.0 } else { 0.0 });
+            m.gauge(&label("xdx_link_peak_concurrent_shipments"))
+                .set(link.peak_concurrent_shipments as f64);
+            // Info-style gauge: which wire format the pair negotiated.
+            m.gauge(&format!(
+                "xdx_link_wire_format{{link=\"{pair}\",format=\"{}\"}}",
+                format_name(link.wire_format)
+            ))
+            .set(1.0);
+        }
+        // Observability self-accounting: ring drops, flight-recorder
+        // anomalies/dumps, and the engine stall watchdog. The watchdog
+        // rides the metrics refresh (every scrape / stats call checks
+        // it), so a wedged engine surfaces without a dedicated thread.
+        m.gauge("xdx_dropped_spans").set(stats.dropped_spans as f64);
+        m.gauge("xdx_dropped_events")
+            .set(stats.dropped_events as f64);
+        m.counter("xdx_flight_anomalies_total")
+            .set(self.flight.anomalies());
+        m.counter("xdx_flight_dumps_total").set(self.flight.dumps());
+        let stalled = self.engine.stall_check(self.config.stall_threshold);
+        m.gauge("xdx_engine_stalled")
+            .set(if stalled.is_some() { 1.0 } else { 0.0 });
+        if let Some(overdue) = stalled {
+            self.flight.anomaly(&format!(
+                "engine stall: next deadline overdue by {overdue:?}"
+            ));
+        }
+    }
+
+    /// Routes one introspection-endpoint request. Every surface the
+    /// programmatic accessors expose is served here read-only; the
+    /// handler runs on the listener thread, so it takes the same locks
+    /// any other observer thread would.
+    pub(crate) fn introspect_reply(&self, path: &str) -> IntrospectReply {
+        let ok = |content_type: &'static str, body: String| IntrospectReply {
+            status: 200,
+            content_type,
+            body,
+        };
+        match path {
+            "/" => ok(
+                "text/plain",
+                "/healthz\n/metrics\n/stats.json\n/traces\n/critical-path\n/calibration\n/flight\n"
+                    .into(),
+            ),
+            "/metrics" => {
+                self.refresh_metrics();
+                ok("text/plain; version=0.0.4", self.metrics.render())
+            }
+            "/healthz" => {
+                let (healthy, body) = self.health_json();
+                IntrospectReply {
+                    status: if healthy { 200 } else { 503 },
+                    content_type: "application/json",
+                    body,
+                }
+            }
+            "/stats.json" => ok("application/json", self.stats().to_json()),
+            "/traces" => ok("application/x-ndjson", self.trace.to_jsonl()),
+            "/critical-path" => ok(
+                "application/json",
+                xdx_trace::critical_path(&self.trace.snapshot()).to_json(),
+            ),
+            "/calibration" => ok("application/json", self.calibration.report().to_json()),
+            "/flight" => ok("application/x-ndjson", self.flight.to_jsonl()),
+            _ => IntrospectReply {
+                status: 404,
+                content_type: "text/plain",
+                body: "not found\n".into(),
+            },
+        }
+    }
+
+    /// Liveness verdict plus the evidence: the stall watchdog's reading,
+    /// open breakers, queue depth and the flight recorder's anomaly
+    /// tally. Unhealthy (HTTP 503) means the engine sits on an overdue
+    /// deadline nobody is driving — sheds and breaker opens are load
+    /// conditions, reported but not fatal.
+    fn health_json(&self) -> (bool, String) {
+        use crate::events::json_escape;
+        let stalled = self.engine.stall_check(self.config.stall_threshold);
+        let open_breakers: Vec<String> = self
+            .registry
+            .snapshot()
+            .iter()
+            .filter(|l| l.breaker_open)
+            .map(|l| l.pair())
+            .collect();
+        let queue_depth = self.queue.lock().unwrap().fair.len();
+        let healthy = stalled.is_none();
+        let body = format!(
+            "{{\"healthy\":{healthy},\"stalled_overdue_ms\":{},\"open_breakers\":[{}],\
+             \"queue_depth\":{queue_depth},\"flight_anomalies\":{},\"flight_dumps\":{}}}",
+            stalled.map_or(0, |d| d.as_millis()),
+            open_breakers
+                .iter()
+                .map(|p| format!("\"{}\"", json_escape(p)))
+                .collect::<Vec<_>>()
+                .join(","),
+            self.flight.anomalies(),
+            self.flight.dumps()
+        );
+        (healthy, body)
+    }
+}
