@@ -321,13 +321,16 @@ impl Inner {
         (lane, wire_format)
     }
 
-    /// Starts a group's execution: allocates its exec span and marks
-    /// every lane `Executing`.
+    /// Starts a group's execution: allocates its exec span — opening at
+    /// `exec_started`, the instant planning ended, so the stage chain
+    /// queued → plan → exec has no gap for the scheduler to fall into —
+    /// and marks every lane `Executing`.
     pub(crate) fn open_group(
         &self,
         wire_format: WireFormat,
         plan: Arc<CachedPlan>,
         plan_shape: Option<u64>,
+        exec_started: Instant,
         lanes: Vec<Lane>,
     ) -> Group {
         let exec_span = self.trace.allocate_id();
@@ -350,7 +353,7 @@ impl Inner {
             plan,
             plan_shape,
             exec_span,
-            exec_started: Instant::now(),
+            exec_started,
             ctx: wire_context(&lanes[0].shared, exec_span),
             ring: Vec::new(),
             floor: 0,

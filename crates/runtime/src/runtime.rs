@@ -1163,7 +1163,17 @@ impl Inner {
         }
         let delta_base = self.resolve_delta_base(&request, &mut lane);
         let versions = delta_base.as_ref().map(|&(b, h, _, _)| (b, h));
-        let planned = self.plan_session(&request, &mut lane, wire_format, stored_plan, versions);
+        // Planning is timed from the instant the queue wait ended, and
+        // execution from the instant planning ended.
+        let dequeued = enqueued + lane.metrics.queue_wait;
+        let planned = self.plan_session(
+            &request,
+            &mut lane,
+            wire_format,
+            dequeued,
+            stored_plan,
+            versions,
+        );
         let (plan, plan_shape) = match planned {
             Ok(planned) => planned,
             Err(why) => {
@@ -1215,7 +1225,8 @@ impl Inner {
         // engine on the lane's per-pair link, and the exchange parks
         // while its frames are on the wire. Writes are staged: a run
         // that dies mid-exchange rolls the target back.
-        let group = self.open_group(wire_format, plan, plan_shape, vec![lane]);
+        let planned_at = dequeued + lane.metrics.planning;
+        let group = self.open_group(wire_format, plan, plan_shape, planned_at, vec![lane]);
         let mut ex = Exchange {
             id: shared.id,
             enqueued,
@@ -1288,6 +1299,7 @@ impl Inner {
         request: &ExchangeRequest,
         lane: &mut Lane,
         wire_format: WireFormat,
+        started: Instant,
         stored_plan: Option<Arc<CachedPlan>>,
         versions: Option<(u64, u64)>,
     ) -> std::result::Result<(Arc<CachedPlan>, Option<u64>), String> {
@@ -1300,7 +1312,6 @@ impl Inner {
             EventKind::PlanningStarted,
             &shared.name,
         );
-        let started = Instant::now();
         let metrics = &mut lane.metrics;
         let planned = match stored_plan {
             Some(plan) => {
@@ -1541,7 +1552,8 @@ impl Inner {
                 lanes.into_iter().partition(|(_, f)| *f == format);
             lanes = rest;
             let members: Vec<Lane> = members.into_iter().map(|(lane, _)| lane).collect();
-            ex.groups.push(self.open_group(format, plan, None, members));
+            ex.groups
+                .push(self.open_group(format, plan, None, Instant::now(), members));
         }
         for gi in 0..ex.groups.len() {
             self.run_source(arc, &mut ex, gi);
