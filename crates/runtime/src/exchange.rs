@@ -242,6 +242,20 @@ pub(crate) struct Exchange {
     pub(crate) inbox: Inbox,
 }
 
+/// A lane's terminal hand-off: what settlement moves out of the lane and
+/// into its committed or rolled-back epilogue.
+struct Settling {
+    shared: Arc<SessionShared>,
+    slot: Arc<LinkSlot>,
+    enqueued: Instant,
+    metrics: SessionMetrics,
+    target: Database,
+    exec_span: SpanId,
+    /// When the lane's target half finished and settlement began — the
+    /// `settle` span's opening.
+    started: Instant,
+}
+
 /// What the source database accumulated between two readings of its
 /// counters.
 pub(crate) fn counters_delta(now: Counters, before: Counters) -> Counters {
@@ -1026,8 +1040,7 @@ impl Inner {
 
     /// Settles one drained lane into its terminal state: runs its target
     /// half, folds the shipping rollup into its metrics, records its
-    /// spans, then commits (calibration, snapshot, ledger release) or
-    /// rolls back (breaker, resume checkpoint). Every lane of every
+    /// container spans, then commits or rolls back. Every lane of every
     /// exchange ends here; what differs between a two-site session and a
     /// multicast lane is data — how many lanes share the ring, and
     /// whether the lane's root hangs off a publish-group span.
@@ -1041,133 +1054,137 @@ impl Inner {
         };
         let last_of_exchange = unsettled(&ex.groups) == 1;
         let last_of_group = unsettled(&ex.groups[gi..=gi]) == 1;
-        let enqueued = ex.enqueued;
         let request = &mut ex.request;
-        let Group {
-            lanes,
-            plan,
-            plan_shape,
-            snapshot,
-            wire_format,
-            exec_span,
-            exec_started,
-            stream_tables,
-            ..
-        } = &mut ex.groups[gi];
-        let (exec_span, fanout) = (*exec_span, lanes.len());
-        let (owner_id, owner_root) = (lanes[0].shared.id, session_trace_id(&lanes[0].shared));
-        let lane = &mut lanes[li];
+        let group = &mut ex.groups[gi];
+        let finished = {
+            let Group {
+                lanes,
+                plan,
+                stream_tables,
+                ..
+            } = &mut *group;
+            self.finish_target(
+                request,
+                &plan.program,
+                stream_tables.is_some(),
+                &mut lanes[li],
+            )
+        };
+        let lane = &mut group.lanes[li];
         lane.settled = true;
-        let finished = self.finish_target(request, &plan.program, stream_tables.is_some(), lane);
-        let settle_started = Instant::now();
-        let shared = Arc::clone(&lane.shared);
-        let trace_id = session_trace_id(&shared);
-        let mut metrics = std::mem::take(&mut lane.metrics);
-        let target = std::mem::take(&mut lane.target);
         let ship = lane.rollup;
-        metrics.retry_backoff = ship.retry_backoff;
-        metrics.messages_serialized = ship.messages_serialized as usize;
-        metrics.bytes_shipped = ship.wire_bytes;
-        metrics.bytes_encoded = ship.bytes_encoded;
-        metrics.encode_ns = ship.encode_ns;
-        metrics.chunks_shipped = ship.chunks_shipped;
-        metrics.chunks_resumed = ship.chunks_resumed;
-        metrics.chunks_deduped = ship.chunks_deduped;
-        metrics.chunks_retried = ship.chunks_retried;
+        let mut s = Settling {
+            shared: Arc::clone(&lane.shared),
+            slot: Arc::clone(&lane.slot),
+            enqueued: ex.enqueued,
+            metrics: std::mem::take(&mut lane.metrics),
+            target: std::mem::take(&mut lane.target),
+            exec_span: group.exec_span,
+            started: Instant::now(),
+        };
+        s.metrics.retry_backoff = ship.retry_backoff;
+        s.metrics.messages_serialized = ship.messages_serialized as usize;
+        s.metrics.bytes_shipped = ship.wire_bytes;
+        s.metrics.bytes_encoded = ship.bytes_encoded;
+        s.metrics.encode_ns = ship.encode_ns;
+        s.metrics.chunks_shipped = ship.chunks_shipped;
+        s.metrics.chunks_resumed = ship.chunks_resumed;
+        s.metrics.chunks_deduped = ship.chunks_deduped;
+        s.metrics.chunks_retried = ship.chunks_retried;
         if li == 0 {
             // The group's source half bills to its first lane: whatever
             // the source database accumulated since the last bill.
-            metrics.source_counters = counters_delta(request.source.counters, ex.billed);
+            s.metrics.source_counters = counters_delta(request.source.counters, ex.billed);
             ex.billed = request.source.counters;
         }
-        metrics.target_counters = target.counters;
+        s.metrics.target_counters = s.target.counters;
         let verdict = if finished.is_ok() { "ok" } else { "failed" };
-        let format = format_name(*wire_format);
-        if shared.root_parent != NO_SPAN {
+        let format = format_name(group.wire_format);
+        if s.shared.root_parent != NO_SPAN {
             // A multicast lane's own container under the group's exec
             // span.
             self.trace.record(
                 "lane",
-                shared.id,
-                exec_span,
-                *exec_started,
-                exec_started.elapsed(),
-                format!("{verdict} → {} [{format}]", lane.slot.target()),
+                s.shared.id,
+                group.exec_span,
+                group.exec_started,
+                group.exec_started.elapsed(),
+                format!("{verdict} → {} [{format}]", s.slot.target()),
             );
         }
         if last_of_group {
             // The group's exec span — parent of every lane's shipping,
             // decode and stage work — hangs off the trace root: the
             // session's own root span, or the publish-group span.
+            let owner = &group.lanes[0].shared;
             self.trace.record_with_context(
-                exec_span,
+                group.exec_span,
                 "exec",
-                owner_id,
-                owner_root,
-                owner_root,
-                *exec_started,
-                exec_started.elapsed(),
-                format!("{fanout} lane(s) [{format}], last {verdict}"),
+                owner.id,
+                session_trace_id(owner),
+                session_trace_id(owner),
+                group.exec_started,
+                group.exec_started.elapsed(),
+                format!("{} lane(s) [{format}], last {verdict}", group.lanes.len()),
             );
         }
-        if let Err(why) = finished {
-            // The lane resumes as an ordinary two-site session replaying
-            // this group's plan: identical program → identical shipment
-            // seqs and bytes, so its ledger's acknowledged frames are
-            // skipped. The exchange's last lane takes the source
-            // database; earlier ones copy it.
-            let mut checkpoint = if last_of_exchange {
-                ExchangeRequest {
-                    source: std::mem::take(&mut request.source),
-                    ..request.clone()
-                }
-            } else {
-                request.clone()
-            };
-            checkpoint.name = shared.name.clone();
-            checkpoint.target_endpoint = lane.slot.target().to_string();
-            let resumable = Resumable {
-                request: checkpoint,
-                plan: Some(Arc::clone(plan)),
-            };
-            let span = (exec_span, settle_started);
-            let link_gave_up = ship.link_gave_up;
-            let slot = Arc::clone(&lane.slot);
-            self.settle_rolled_back(
-                &shared,
-                &slot,
-                enqueued,
-                metrics,
-                target,
-                why,
-                link_gave_up,
-                resumable,
-                span,
-            );
-            return;
+        match finished {
+            Ok(()) => self.settle_committed(s, group, li, ship.bytes_encoded),
+            Err(why) => {
+                // The lane resumes as an ordinary two-site session
+                // replaying this group's plan: identical program →
+                // identical shipment seqs and bytes, so its ledger's
+                // acknowledged frames are skipped. The exchange's last
+                // lane takes the source database; earlier ones copy it.
+                let mut checkpoint = if last_of_exchange {
+                    ExchangeRequest {
+                        source: std::mem::take(&mut request.source),
+                        ..request.clone()
+                    }
+                } else {
+                    request.clone()
+                };
+                checkpoint.name = s.shared.name.clone();
+                checkpoint.target_endpoint = s.slot.target().to_string();
+                let resumable = Resumable {
+                    request: checkpoint,
+                    plan: Some(Arc::clone(&group.plan)),
+                };
+                self.settle_rolled_back(s, why, ship.link_gave_up, resumable);
+            }
         }
+    }
+
+    /// The committed epilogue of [`Inner::settle`]: operator telemetry
+    /// and calibration, the route's next snapshot, the ledger's release
+    /// and the breaker's success.
+    fn settle_committed(&self, mut s: Settling, group: &mut Group, li: usize, encoded: u64) {
+        let lane = &mut group.lanes[li];
         let outcome = std::mem::take(&mut lane.outcome);
-        metrics.communication = outcome.times.communication;
-        metrics.messages = outcome.messages;
-        metrics.rows_loaded = outcome.rows_loaded;
+        let feed_route = std::mem::take(&mut lane.feed_route);
+        let (plan, format) = (&group.plan, format_name(group.wire_format));
+        let trace_id = session_trace_id(&s.shared);
+        s.metrics.communication = outcome.times.communication;
+        s.metrics.messages = outcome.messages;
+        s.metrics.rows_loaded = outcome.rows_loaded;
         // How much of the lane's wall the wire hid: feeds the admission
         // estimator's turnaround model, so queue-wait predictions
         // reflect pipelined (not serial) service.
-        let wall = exec_started.elapsed();
+        let wall = group.exec_started.elapsed();
         let exposed = wall
-            .saturating_sub(metrics.communication)
+            .saturating_sub(s.metrics.communication)
             .max(Duration::from_micros(1));
         self.admission
             .record_overlap(wall.as_secs_f64() / exposed.as_secs_f64());
-        let mut observed_ns = self.record_ops(shared.id, exec_span, format, plan, &outcome);
+        let mut observed_ns = self.record_ops(s.shared.id, s.exec_span, format, plan, &outcome);
         // A lane that encoded its own frames calibrates the wire model;
         // lanes of a shared ring did not encode, so they do not.
-        if fanout == 1 && (plan.comm_bytes > 0 || ship.bytes_encoded > 0) {
+        if group.lanes.len() == 1 && (plan.comm_bytes > 0 || encoded > 0) {
             self.calibration.record_comm(
                 format,
                 plan.comm_bytes,
-                ship.bytes_encoded,
-                metrics.communication.as_nanos() as u64,
+                encoded,
+                s.metrics.communication.as_nanos() as u64,
             );
         }
         // Session-level drift: observed time (operators plus the
@@ -1175,16 +1192,16 @@ impl Inner {
         // plan's total predicted cost. A sustained excursion evicts the
         // shape's cached plan so the next session re-plans under fresh
         // statistics.
-        observed_ns += metrics.communication.as_nanos() as u64;
-        if let Some(shape) = *plan_shape {
+        observed_ns += s.metrics.communication.as_nanos() as u64;
+        if let Some(shape) = group.plan_shape {
             if self
                 .calibration
                 .observe_session(shape, plan.cost, observed_ns)
             {
                 let evicted = self.cache.evict_drifted(shape);
                 self.events.push(
-                    shared.id,
-                    shared.root_span,
+                    s.shared.id,
+                    s.shared.root_span,
                     EventKind::PlanDriftEvicted,
                     format!(
                         "shape {shape:016x}: sustained cost-model drift{}",
@@ -1202,51 +1219,54 @@ impl Inner {
         // against. Every lane of a group commits identical content, so
         // the first to settle snapshots and the rest share the `Arc`.
         let snapshot_started = Instant::now();
-        let tables = Arc::clone(snapshot.get_or_insert_with(|| Arc::new(db_tables(&target))));
-        self.snapshots.record_shared(&lane.feed_route, tables);
+        let tables = group
+            .snapshot
+            .get_or_insert_with(|| Arc::new(db_tables(&s.target)));
+        self.snapshots
+            .record_shared(&feed_route, Arc::clone(tables));
         self.trace.record_with_context(
             self.trace.allocate_id(),
             "snapshot",
-            shared.id,
-            exec_span,
+            s.shared.id,
+            s.exec_span,
             trace_id,
             snapshot_started,
             snapshot_started.elapsed(),
-            format!("route {} advanced", lane.feed_route),
+            format!("route {feed_route} advanced"),
         );
         // The checkpoint served its purpose; drop it.
-        self.ledger.forget_session(shared.id);
-        let slot = &lane.slot;
-        slot.counters
+        self.ledger.forget_session(s.shared.id);
+        s.slot
+            .counters
             .sessions_completed
             .fetch_add(1, Ordering::Relaxed);
-        if let Some(BreakerTransition::Closed) = slot.breaker.record_success() {
+        if let Some(BreakerTransition::Closed) = s.slot.breaker.record_success() {
             self.flight.record(FlightSubsystem::Breaker, || {
-                format!("{}: closed (probe succeeded)", slot.pair())
+                format!("{}: closed (probe succeeded)", s.slot.pair())
             });
             self.events.push(
-                shared.id,
-                shared.root_span,
+                s.shared.id,
+                s.shared.root_span,
                 EventKind::CircuitClosed,
-                format!("{}: probe succeeded", slot.pair()),
+                format!("{}: probe succeeded", s.slot.pair()),
             );
         }
         self.trace.record_with_context(
             self.trace.allocate_id(),
             "settle",
-            shared.id,
-            exec_span,
+            s.shared.id,
+            s.exec_span,
             trace_id,
-            settle_started,
-            settle_started.elapsed(),
+            s.started,
+            s.started.elapsed(),
             "committed".to_string(),
         );
         self.finish(
-            &shared,
-            enqueued,
+            &s.shared,
+            s.enqueued,
             SessionState::Done,
-            metrics,
-            Some(target),
+            s.metrics,
+            Some(s.target),
             None,
         );
     }
@@ -1296,26 +1316,21 @@ impl Inner {
     /// breaker drains the route's queued sessions — and stays resumable:
     /// the checkpointed plan and the ledger's persisted messages make
     /// the retry probe-free and serialization-free.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn settle_rolled_back(
+    fn settle_rolled_back(
         &self,
-        shared: &Arc<SessionShared>,
-        slot: &Arc<LinkSlot>,
-        enqueued: Instant,
-        metrics: SessionMetrics,
-        target: Database,
+        s: Settling,
         diagnostic: String,
         link_gave_up: bool,
         resumable: Resumable,
-        (exec_span, settle_started): (SpanId, Instant),
     ) {
+        let (shared, slot) = (&s.shared, &s.slot);
         if shared.is_cancelled() {
             self.ledger.forget_session(shared.id);
             self.finish(
                 shared,
-                enqueued,
+                s.enqueued,
                 SessionState::Cancelled,
-                metrics,
+                s.metrics,
                 None,
                 Some(diagnostic),
             );
@@ -1357,20 +1372,20 @@ impl Inner {
             self.trace.allocate_id(),
             "settle",
             shared.id,
-            exec_span,
+            s.exec_span,
             session_trace_id(shared),
-            settle_started,
-            settle_started.elapsed(),
+            s.started,
+            s.started.elapsed(),
             "rolled back".to_string(),
         );
         // The rolled-back target travels with the result as observable
         // proof that no partial tables survived.
         self.finish(
             shared,
-            enqueued,
+            s.enqueued,
             SessionState::Failed,
-            metrics,
-            Some(target),
+            s.metrics,
+            Some(s.target),
             Some(diagnostic),
         );
     }
