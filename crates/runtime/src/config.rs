@@ -80,18 +80,21 @@ pub struct RuntimeConfig {
     /// source database, so this bound is what keeps failure storms from
     /// growing RSS).
     pub max_resumables: usize,
-    /// Rows per streamed operator batch. Feeds
-    /// smaller than one batch ship as a single message, so small
-    /// exchanges keep their one-message-per-cross-edge shape.
+    /// Rows per streamed operator batch: the source phase streams
+    /// Dewey-sorted batches through the shipping engine while the worker
+    /// moves on to other runnable work, and the target stages each batch
+    /// as it lands. Feeds smaller than one batch ship as a single
+    /// message, so small exchanges keep their one-message-per-cross-edge
+    /// shape.
     pub batch_rows: usize,
     /// Batches of one session allowed in flight at once — the bound of
     /// the per-session batch channel between encoder and engine. Frame
     /// `k+1` is encoded while frame `k` is on the wire; depth caps how
     /// far the encoder may run ahead of the slowest link.
     pub pipeline_depth: usize,
-    /// Pipelined sessions each worker may hold in flight beyond the one
-    /// it is actively driving. The pool keeps at most `workers ×
-    /// pipeline_sessions_per_worker` sessions parked mid-exchange;
+    /// Exchanges (sessions and publish groups) each worker may hold in
+    /// flight beyond the one it is actively driving. The pool keeps at
+    /// most `workers × pipeline_sessions_per_worker` parked mid-exchange;
     /// arrivals beyond that wait in the admission queue, so overload
     /// still produces a visible backlog (and breaker-open shedding
     /// still finds queued sessions to drain) instead of unbounded
@@ -268,8 +271,8 @@ impl RuntimeConfig {
         self
     }
 
-    /// Sets how many pipelined sessions each worker may hold parked
-    /// mid-exchange (clamped to ≥ 1).
+    /// Sets how many exchanges each worker may hold parked mid-flight
+    /// (clamped to ≥ 1).
     pub fn with_pipeline_sessions_per_worker(mut self, sessions: usize) -> RuntimeConfig {
         self.pipeline_sessions_per_worker = sessions.max(1);
         self

@@ -16,6 +16,7 @@
 
 use crate::breaker::BreakerTransition;
 use crate::cache::CachedPlan;
+use crate::config::RuntimeConfig;
 use crate::engine::{BatchResult, ShipRequest};
 use crate::events::EventKind;
 use crate::flight::FlightSubsystem;
@@ -59,7 +60,7 @@ pub(crate) fn session_trace_id(shared: &SessionShared) -> u64 {
 /// columnar frames fold it into their header extension, XML-text
 /// shipments append it to the chunk label. `None` when tracing is off
 /// (frames stay byte-identical to the context-free form).
-pub(crate) fn wire_context(shared: &SessionShared, parent_span: SpanId) -> Option<TraceContext> {
+fn wire_context(shared: &SessionShared, parent_span: SpanId) -> Option<TraceContext> {
     (shared.root_span != NO_SPAN).then(|| TraceContext {
         trace_id: session_trace_id(shared),
         parent_span,
@@ -69,7 +70,7 @@ pub(crate) fn wire_context(shared: &SessionShared, parent_span: SpanId) -> Optio
 /// Trace context off a received SOAP request's `SOAPAction` header (the
 /// label channel XML-text shipments use; the header value is quoted on
 /// the wire).
-pub(crate) fn soap_action_context(request: &Request) -> Option<TraceContext> {
+fn soap_action_context(request: &Request) -> Option<TraceContext> {
     split_label_context(request.header("SOAPAction")?.trim_matches('"')).1
 }
 
@@ -85,47 +86,47 @@ pub(crate) fn route_key(src_ep: &str, dst_ep: &str, src_frag: &str, dst_frag: &s
 /// the ledger shipment seq — cross ports in first-consumer order ×
 /// batch index, after the patch if one shipped — so the same seq names
 /// the same bytes across failure and resume.
-pub(crate) struct Slot {
-    pub(crate) label: String,
+struct Slot {
+    label: String,
     /// The producing cross port; `None` for the delta patch.
-    pub(crate) port: Option<PortRef>,
+    port: Option<PortRef>,
     /// The batch, until the first lane to need it encodes it.
-    pub(crate) feed: Option<Feed>,
+    feed: Option<Feed>,
     /// The wire message, from its one encode until every live lane has
     /// submitted it — resident frames are bounded by the spread between
     /// the fastest and slowest lane.
-    pub(crate) frame: Option<Arc<Vec<u8>>>,
+    frame: Option<Arc<Vec<u8>>>,
 }
 
 /// A delta patch on the wire: what its absorb step needs to check the
 /// version precondition, stage the patch, and account for it.
-pub(crate) struct PatchShip {
-    pub(crate) base_version: u64,
-    pub(crate) head_version: u64,
+struct PatchShip {
+    base_version: u64,
+    head_version: u64,
     /// The base snapshot the patch was diffed against (and stages onto).
-    pub(crate) snapshot: Snapshot,
+    snapshot: Snapshot,
     /// True when the base aged out and was composed from step patches.
-    pub(crate) chain_composed: bool,
-    pub(crate) steps: u64,
-    pub(crate) bytes: usize,
+    chain_composed: bool,
+    steps: u64,
+    bytes: usize,
     /// Outcome of the loopback head computation; becomes the lane's
     /// outcome when the patch applies.
-    pub(crate) head_outcome: ExecOutcome,
+    head_outcome: ExecOutcome,
 }
 
 /// Shipping tallies folded into [`SessionMetrics`] at settlement.
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct ShipRollup {
-    pub(crate) wire_bytes: u64,
-    pub(crate) bytes_encoded: u64,
-    pub(crate) encode_ns: u64,
-    pub(crate) messages_serialized: u64,
-    pub(crate) retry_backoff: Duration,
-    pub(crate) chunks_shipped: u64,
-    pub(crate) chunks_resumed: u64,
-    pub(crate) chunks_deduped: u64,
-    pub(crate) chunks_retried: u64,
-    pub(crate) link_gave_up: bool,
+struct ShipRollup {
+    wire_bytes: u64,
+    bytes_encoded: u64,
+    encode_ns: u64,
+    messages_serialized: u64,
+    retry_backoff: Duration,
+    chunks_shipped: u64,
+    chunks_resumed: u64,
+    chunks_deduped: u64,
+    chunks_retried: u64,
+    link_gave_up: bool,
 }
 
 /// One target's side of an exchange: its session cell, its own link,
@@ -137,41 +138,46 @@ pub(crate) struct Lane {
     pub(crate) slot: Arc<LinkSlot>,
     pub(crate) feed_route: String,
     pub(crate) metrics: SessionMetrics,
-    pub(crate) target: Database,
+    target: Database,
     /// Retry budget shared by every batch of the lane — one broken
     /// target exhausts only its own.
-    pub(crate) budget: Arc<AtomicI64>,
-    pub(crate) inflight: usize,
+    budget: Arc<AtomicI64>,
+    inflight: usize,
     /// Next ring slot this lane submits.
-    pub(crate) cursor: usize,
+    cursor: usize,
     /// Batches fully absorbed (delivered or failed) — the lag metric the
     /// cap compares against the group's fastest lane.
-    pub(crate) completed: usize,
-    pub(crate) rollup: ShipRollup,
+    completed: usize,
+    rollup: ShipRollup,
     /// First failure diagnostic; stops the lane's pump, and the lane
     /// settles once its in-flight batches drain.
-    pub(crate) failure: Option<String>,
+    failure: Option<String>,
     /// Decoded batches that arrived ahead of the staging cursor.
-    pub(crate) decoded: BTreeMap<u64, Feed>,
+    decoded: BTreeMap<u64, Feed>,
     /// Next shipment seq to stage — batches apply in order even when
     /// the wire completes them out of order.
-    pub(crate) next_stage_seq: u64,
+    next_stage_seq: u64,
     /// Source-phase outcome (on the group's first lane), growing
     /// ship/stage tallies as batches land.
-    pub(crate) outcome: ExecOutcome,
+    outcome: ExecOutcome,
     /// Per-write-node staging wall, folded into one op sample each at
     /// settlement.
-    pub(crate) write_walls: HashMap<usize, (Instant, Duration)>,
+    write_walls: HashMap<usize, (Instant, Duration)>,
     /// General path: delivered feeds accumulate per port until the
     /// target phase runs over them at settlement.
-    pub(crate) delivered: HashMap<PortRef, Feed>,
+    delivered: HashMap<PortRef, Feed>,
     /// True once a patch committed and indexed the target: nothing is
     /// left for the target half to finish.
-    pub(crate) patched: bool,
-    pub(crate) settled: bool,
+    patched: bool,
+    settled: bool,
 }
 
 impl Lane {
+    /// Still shipping from the ring: neither settled nor failed.
+    fn live(&self) -> bool {
+        !self.settled && self.failure.is_none()
+    }
+
     /// Nothing on the wire and nothing left to put there.
     fn drained(&self, ring_len: usize) -> bool {
         self.inflight == 0 && (self.cursor >= ring_len || self.failure.is_some())
@@ -182,39 +188,39 @@ impl Lane {
 /// batch encoded once and the same bytes shipped per lane. A two-site
 /// session is a group of one.
 pub(crate) struct Group {
-    pub(crate) wire_format: WireFormat,
-    pub(crate) plan: Arc<CachedPlan>,
+    wire_format: WireFormat,
+    plan: Arc<CachedPlan>,
     /// The shape half of the plan-cache key, for session-drift
     /// calibration; `None` when the plan was not probed for here.
-    pub(crate) plan_shape: Option<u64>,
-    pub(crate) exec_span: SpanId,
-    pub(crate) exec_started: Instant,
+    plan_shape: Option<u64>,
+    exec_span: SpanId,
+    exec_started: Instant,
     /// The trace context every frame carries: receiver spans of every
     /// lane stitch under the group's exec span.
-    pub(crate) ctx: Option<TraceContext>,
-    pub(crate) ring: Vec<Slot>,
+    ctx: Option<TraceContext>,
+    ring: Vec<Slot>,
     /// First ring slot some live lane has yet to submit.
-    pub(crate) floor: usize,
+    floor: usize,
     /// `Some` when every target node is a source-fed `Write`: batches
     /// stage straight into their table as they land (`port → (node,
     /// table)`), and commit+index is the only finalization left.
-    pub(crate) stream_tables: Option<HashMap<PortRef, (usize, String)>>,
-    pub(crate) lanes: Vec<Lane>,
+    stream_tables: Option<HashMap<PortRef, (usize, String)>>,
+    lanes: Vec<Lane>,
     /// Decode-once cache: lanes receive byte-identical frames (the
     /// engine checksums end to end), so the first absorber parses and
     /// later lanes clone the feed. An entry dies with its last expected
     /// absorption.
-    pub(crate) decoded: HashMap<u64, (Feed, usize)>,
+    decoded: HashMap<u64, (Feed, usize)>,
     /// Snapshot-once cache, same argument: the first lane to commit
     /// snapshots its tables and the rest record the same `Arc`.
-    pub(crate) snapshot: Option<Snapshot>,
+    snapshot: Option<Snapshot>,
     /// Encode bill of a shared ring (a sole lane bills its own rollup).
-    pub(crate) encodes: ShipRollup,
-    pub(crate) shared_reuse: u64,
-    pub(crate) ring_fallbacks: u64,
-    pub(crate) encode_buf: Vec<u8>,
+    encodes: ShipRollup,
+    shared_reuse: u64,
+    ring_fallbacks: u64,
+    encode_buf: Vec<u8>,
     /// The delta patch riding shipment 0, until its absorb step ran.
-    pub(crate) patch: Option<Box<PatchShip>>,
+    patch: Option<Box<PatchShip>>,
 }
 
 /// Completed batch results as `(group, lane, result)`, deposited by
@@ -258,7 +264,7 @@ struct Settling {
 
 /// What the source database accumulated between two readings of its
 /// counters.
-pub(crate) fn counters_delta(now: Counters, before: Counters) -> Counters {
+fn counters_delta(now: Counters, before: Counters) -> Counters {
     Counters {
         rows_read: now.rows_read - before.rows_read,
         rows_out: now.rows_out - before.rows_out,
@@ -271,21 +277,19 @@ pub(crate) fn counters_delta(now: Counters, before: Counters) -> Counters {
 }
 
 impl Inner {
-    /// Opens a lane at dequeue: resolves the pair's link (its negotiated
-    /// wire format feeds the cost model and the plan-cache key, so
-    /// placement sees the bytes the link will actually carry) and
-    /// records the queue wait. Returns the lane and its wire format.
-    #[allow(clippy::too_many_arguments)]
+    /// Opens a lane of `request` towards `target_ep` at dequeue: resolves
+    /// the pair's link (its negotiated wire format feeds the cost model
+    /// and the plan-cache key, so placement sees the bytes the link will
+    /// actually carry) and records the queue wait. Returns the lane and
+    /// its wire format.
     pub(crate) fn open_lane(
         &self,
         shared: &Arc<SessionShared>,
         enqueued: Instant,
-        (source_ep, target_ep): (&str, &str),
-        (source_frag, target_frag): (&str, &str),
-        tenant: String,
-        format: Option<WireFormat>,
-        queued_detail: String,
+        request: &ExchangeRequest,
+        target_ep: &str,
     ) -> (Lane, WireFormat) {
+        let source_ep = &request.source_endpoint;
         let (slot, created) = self.registry.resolve(source_ep, target_ep);
         if created {
             self.events.push(
@@ -295,11 +299,12 @@ impl Inner {
                 slot.pair(),
             );
         }
-        let wire_format = format.unwrap_or_else(|| slot.wire_format());
+        let route = format!("{source_ep}→{target_ep}");
+        let wire_format = request.wire_format.unwrap_or_else(|| slot.wire_format());
         let metrics = SessionMetrics {
             queue_wait: enqueued.elapsed(),
-            route: format!("{source_ep}→{target_ep}"),
-            tenant,
+            tenant: request.tenant.clone().unwrap_or_else(|| route.clone()),
+            route,
             wire_format,
             ..SessionMetrics::default()
         };
@@ -310,12 +315,17 @@ impl Inner {
             shared.root_span,
             enqueued,
             metrics.queue_wait,
-            queued_detail,
+            format!("priority {:?}", request.priority),
         );
         let lane = Lane {
             shared: Arc::clone(shared),
             slot,
-            feed_route: route_key(source_ep, target_ep, source_frag, target_frag),
+            feed_route: route_key(
+                source_ep,
+                target_ep,
+                &request.source_frag.name,
+                &request.target_frag.name,
+            ),
             metrics,
             target: Database::new(format!("{}-target", shared.name)),
             budget: Arc::new(AtomicI64::new(i64::from(self.config.shipping.retry_budget))),
@@ -478,7 +488,7 @@ impl Inner {
     /// frame, stale version precondition, malformed steps) rolls the
     /// staged patch back and re-enters the feed-batch path at the next
     /// shipment seq — the fallback ladder.
-    pub(crate) fn absorb_patch(&self, arc: &Arc<Inner>, ex: &mut Exchange, delivered: &[u8]) {
+    fn absorb_patch(&self, arc: &Arc<Inner>, ex: &mut Exchange, delivered: &[u8]) {
         let group = &mut ex.groups[0];
         let patch = *group.patch.take().expect("patch in flight");
         let lane = &mut group.lanes[0];
@@ -706,7 +716,7 @@ impl Inner {
     /// commit and report without waiting for the group's stragglers —
     /// and retire the exchange with its last lane. Returns true when it
     /// retired.
-    pub(crate) fn advance(&self, arc: &Arc<Inner>, ex: &mut Exchange) -> bool {
+    fn advance(&self, arc: &Arc<Inner>, ex: &mut Exchange) -> bool {
         for gi in 0..ex.groups.len() {
             self.pump(arc, (ex.id, gi), &ex.inbox, &mut ex.groups[gi], ex.lag_cap);
             for li in 0..ex.groups[gi].lanes.len() {
@@ -727,7 +737,7 @@ impl Inner {
     /// to `pipeline_depth` batches in flight per lane, so frame `k+1` is
     /// encoded while frame `k` rides the wire. Then enforces the lag cap
     /// and releases the frames every live lane has moved past.
-    pub(crate) fn pump(
+    fn pump(
         &self,
         arc: &Arc<Inner>,
         (sid, gi): (SessionId, usize),
@@ -735,14 +745,15 @@ impl Inner {
         group: &mut Group,
         lag_cap: usize,
     ) {
+        let RuntimeConfig {
+            pipeline_depth: depth,
+            shipping: policy,
+            ..
+        } = self.config;
         for li in 0..group.lanes.len() {
             loop {
                 let lane = &group.lanes[li];
-                if lane.settled
-                    || lane.failure.is_some()
-                    || lane.inflight >= self.config.pipeline_depth
-                    || lane.cursor >= group.ring.len()
-                {
+                if !lane.live() || lane.inflight >= depth || lane.cursor >= group.ring.len() {
                     break;
                 }
                 let (seq, lane_id) = (lane.cursor, lane.shared.id);
@@ -764,7 +775,7 @@ impl Inner {
                     seq: seq as u64,
                     label: group.ring[seq].label.clone(),
                     message,
-                    policy: self.config.shipping,
+                    policy,
                     budget: Arc::clone(&lane.budget),
                     parent_span: group.exec_span,
                     on_done: Box::new(move |result| {
@@ -785,9 +796,9 @@ impl Inner {
         // diagnostic and stays resumable as its own two-site re-ship),
         // so one stuck target can neither stall the others nor grow the
         // ring without bound.
-        let live = |l: &&mut Lane| !l.settled && l.failure.is_none();
-        let lead = group.lanes.iter().map(|l| l.completed).max().unwrap_or(0);
-        for lane in group.lanes.iter_mut().filter(live) {
+        let unsettled = group.lanes.iter().filter(|l| !l.settled);
+        let lead = unsettled.map(|l| l.completed).max().unwrap_or(0);
+        for lane in group.lanes.iter_mut().filter(|l| l.live()) {
             let lag = lead - lane.completed;
             if lag > lag_cap {
                 group.ring_fallbacks += 1;
@@ -802,13 +813,8 @@ impl Inner {
                 lane.failure = Some(why);
             }
         }
-        let floor = group
-            .lanes
-            .iter_mut()
-            .filter(live)
-            .map(|l| l.cursor)
-            .min()
-            .unwrap_or(group.ring.len());
+        let live = group.lanes.iter().filter(|l| l.live());
+        let floor = live.map(|l| l.cursor).min().unwrap_or(group.ring.len());
         for slot in group.ring.iter_mut().take(floor).skip(group.floor) {
             slot.feed = None;
             slot.frame = None;
@@ -820,7 +826,7 @@ impl Inner {
     /// need it: encode → tally → `encode` span → SOAP-wrap with the
     /// context label. A sole lane bills the encode to its own metrics; a
     /// shared ring bills the group, once, however many lanes ship it.
-    pub(crate) fn frame(&self, group: &mut Group, li: usize, seq: usize) -> Arc<Vec<u8>> {
+    fn frame(&self, group: &mut Group, li: usize, seq: usize) -> Arc<Vec<u8>> {
         let lanes = group.lanes.len();
         let slot = &mut group.ring[seq];
         if let Some(frame) = &slot.frame {
@@ -878,7 +884,7 @@ impl Inner {
     /// Folds one completed batch into its lane: shipping tallies always;
     /// on delivery, decode and stage in shipment order; on failure,
     /// record the first diagnostic, which stops the lane's pump.
-    pub(crate) fn absorb(
+    fn absorb(
         &self,
         arc: &Arc<Inner>,
         ex: &mut Exchange,
@@ -949,7 +955,7 @@ impl Inner {
     /// span stitches under the trace context the frame, or the
     /// SOAPAction label for XML text, carries) and later lanes get a
     /// clone. The decode bill, like the encode bill, is per *frame*.
-    pub(crate) fn decode_once(
+    fn decode_once(
         &self,
         group: &mut Group,
         li: usize,
@@ -998,7 +1004,7 @@ impl Inner {
     /// commit+index epilogue; general plans run the target phase over
     /// the delivered feeds. A failure rolls every staged batch back —
     /// the target leaves exactly as it arrived, never torn.
-    pub(crate) fn finish_target(
+    fn finish_target(
         &self,
         request: &ExchangeRequest,
         program: &Program,
@@ -1394,7 +1400,7 @@ impl Inner {
     /// aggregate (once, at group scope — its lanes carry no
     /// serialization tallies), closes a publish group's root span, and
     /// releases the parked-exchange slot.
-    pub(crate) fn retire(&self, ex: &Exchange) {
+    fn retire(&self, ex: &Exchange) {
         let (mut reuse, mut fallbacks) = (0, 0);
         {
             let mut agg = self.agg.lock().unwrap();

@@ -275,7 +275,7 @@ pub struct Runtime {
     inner: Arc<Inner>,
     workers: Vec<JoinHandle<()>>,
     /// The engine's dedicated driver thread, joined after the workers so
-    /// every parked pipeline settles before the engine drains.
+    /// every parked exchange retires before the engine drains.
     engine_driver: Option<JoinHandle<()>>,
     /// The live introspection listener, when configured.
     introspect: Option<IntrospectServer>,
@@ -768,8 +768,8 @@ impl Runtime {
     fn close_and_join(&mut self) {
         self.inner.queue.lock().unwrap().open = false;
         self.inner.available.notify_all();
-        // Workers drain the fair queue *and* settle every parked
-        // pipeline before exiting, so by the time they are joined the
+        // Workers drain the fair queue *and* retire every parked
+        // exchange before exiting, so by the time they are joined the
         // engine holds no tasks and its driver exits on shutdown.
         for worker in self.workers.drain(..) {
             let _ = worker.join();
@@ -812,7 +812,12 @@ fn worker_loop(inner: &Arc<Inner>) {
                 // the cap, arrivals wait in the admission queue, so
                 // overload stays a visible backlog (sheddable when a
                 // breaker opens) instead of unbounded in-flight state.
-                let cap = inner.config.workers * inner.config.pipeline_sessions_per_worker;
+                let RuntimeConfig {
+                    workers,
+                    pipeline_sessions_per_worker: per_worker,
+                    ..
+                } = inner.config;
+                let cap = workers * per_worker;
                 if inner.outstanding.load(Ordering::SeqCst) < cap {
                     if let Some(job) = queue.publish.pop_front() {
                         break Some(WorkItem::Publish(Box::new(job)));
@@ -1101,33 +1106,34 @@ impl Inner {
         if shared.is_cancelled() {
             return Some((SessionState::Cancelled, "cancelled while queued".into()));
         }
-        let (counter, why): (fn(&mut Aggregate) -> &mut u64, String) = if shared.deadline_exceeded()
-        {
+        let expired = shared.deadline_exceeded();
+        let why = if expired {
             self.events.push(
                 shared.id,
                 shared.root_span,
                 EventKind::DeadlineExceeded,
                 "while queued",
             );
-            (
-                |agg| &mut agg.shed_expired,
-                "deadline exceeded while queued: shed before planning".into(),
-            )
+            "deadline exceeded while queued: shed before planning".to_string()
         } else if !probe && lane.slot.breaker.is_open() {
             lane.slot
                 .counters
                 .sessions_shed
                 .fetch_add(1, Ordering::Relaxed);
-            (
-                |agg| &mut agg.shed_breaker,
-                format!("shed: circuit open on {}", lane.slot.pair()),
-            )
+            format!("shed: circuit open on {}", lane.slot.pair())
         } else {
             return None;
         };
         self.events
             .push(shared.id, shared.root_span, EventKind::Shed, &why);
-        *counter(&mut self.agg.lock().unwrap()) += 1;
+        {
+            let mut agg = self.agg.lock().unwrap();
+            if expired {
+                agg.shed_expired += 1;
+            } else {
+                agg.shed_breaker += 1;
+            }
+        }
         self.tenant_entry(&lane.metrics.tenant, |t| t.shed += 1);
         self.flight.shed(|| format!("{}: {why}", shared.name));
         Some((SessionState::Failed, why))
@@ -1144,15 +1150,8 @@ impl Inner {
             plan: stored_plan,
             shared,
         } = job;
-        let (mut lane, wire_format) = self.open_lane(
-            &shared,
-            enqueued,
-            (&request.source_endpoint, &request.target_endpoint),
-            (&request.source_frag.name, &request.target_frag.name),
-            request.tenant_label(),
-            request.wire_format,
-            format!("priority {:?}", request.priority),
-        );
+        let (mut lane, wire_format) =
+            self.open_lane(&shared, enqueued, &request, &request.target_endpoint);
         if let Some((state, why)) = self.dequeue_gate(&lane, resumed) {
             if state == SessionState::Failed {
                 let plan = stored_plan;
@@ -1475,18 +1474,7 @@ impl Inner {
                 target_endpoint: subscriber.clone(),
                 ..template.clone()
             };
-            let (lane, format) = self.open_lane(
-                shared,
-                enqueued,
-                (&template.source_endpoint, subscriber),
-                (&template.source_frag.name, &template.target_frag.name),
-                template
-                    .tenant
-                    .clone()
-                    .unwrap_or_else(|| format!("{}→{subscriber}", template.source_endpoint)),
-                template.wire_format,
-                format!("publish group ({:?})", template.priority),
-            );
+            let (lane, format) = self.open_lane(shared, enqueued, &template, subscriber);
             match self.dequeue_gate(&lane, false) {
                 None => lanes.push((lane, format)),
                 Some((state, why)) => {
