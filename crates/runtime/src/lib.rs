@@ -11,7 +11,7 @@
 //! * **Session manager** — [`Runtime::submit`] admits
 //!   [`ExchangeRequest`]s into a bounded priority/FIFO queue (admission
 //!   control via [`RuntimeConfig::max_queue_depth`]); sessions move
-//!   `Queued → Planning → Executing ⇄ Shipping → Done/Failed`, support
+//!   `Queued → Planning → Executing → Shipping → Done/Failed`, support
 //!   cooperative cancellation, and hand back a [`SessionResult`] through
 //!   their [`SessionHandle`].
 //! * **Worker pool** — a fixed number of threads drain the queue;

@@ -38,15 +38,15 @@ pub enum Priority {
 /// Lifecycle of a session.
 ///
 /// ```text
-/// Queued → Planning → Executing ⇄ Shipping → Done
+/// Queued → Planning → Executing → Shipping → Done
 ///    \         \          \________________→ Failed
 ///     \________ \___________________________→ Cancelled
 /// ```
 ///
-/// `Executing` and `Shipping` alternate: the executor computes feeds,
-/// ships each cross-edge (state `Shipping` while a shipment is in
-/// flight), then resumes computing. `Done`, `Failed` and `Cancelled` are
-/// terminal.
+/// `Executing` covers the source half; the session turns `Shipping`
+/// when its first batch goes on the wire (which may be while later
+/// source operators still compute) and stays there through staging and
+/// the target half. `Done`, `Failed` and `Cancelled` are terminal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SessionState {
     /// Admitted, waiting for a worker.
