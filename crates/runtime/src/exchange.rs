@@ -220,7 +220,7 @@ pub(crate) struct Group {
     ring_fallbacks: u64,
     encode_buf: Vec<u8>,
     /// The delta patch riding shipment 0, until its absorb step ran.
-    patch: Option<Box<PatchShip>>,
+    patch: Option<PatchShip>,
 }
 
 /// Completed batch results as `(group, lane, result)`, deposited by
@@ -280,15 +280,15 @@ impl Inner {
     /// Opens a lane of `request` towards `target_ep` at dequeue: resolves
     /// the pair's link (its negotiated wire format feeds the cost model
     /// and the plan-cache key, so placement sees the bytes the link will
-    /// actually carry) and records the queue wait. Returns the lane and
-    /// its wire format.
+    /// actually carry, `lane.metrics.wire_format`) and records the queue
+    /// wait.
     pub(crate) fn open_lane(
         &self,
         shared: &Arc<SessionShared>,
         enqueued: Instant,
         request: &ExchangeRequest,
         target_ep: &str,
-    ) -> (Lane, WireFormat) {
+    ) -> Lane {
         let source_ep = &request.source_endpoint;
         let (slot, created) = self.registry.resolve(source_ep, target_ep);
         if created {
@@ -317,7 +317,7 @@ impl Inner {
             metrics.queue_wait,
             format!("priority {:?}", request.priority),
         );
-        let lane = Lane {
+        Lane {
             shared: Arc::clone(shared),
             slot,
             feed_route: route_key(
@@ -341,8 +341,7 @@ impl Inner {
             delivered: HashMap::new(),
             patched: false,
             settled: false,
-        };
-        (lane, wire_format)
+        }
     }
 
     /// Starts a group's execution: allocates its exec span — opening at
@@ -465,7 +464,7 @@ impl Inner {
             );
             return true;
         }
-        group.patch = Some(Box::new(PatchShip {
+        group.patch = Some(PatchShip {
             base_version,
             head_version,
             snapshot,
@@ -473,7 +472,7 @@ impl Inner {
             steps,
             bytes: bytes.len(),
             head_outcome,
-        }));
+        });
         group.ring.push(Slot {
             label: "delta-patch".into(),
             port: None,
@@ -490,7 +489,7 @@ impl Inner {
     /// shipment seq — the fallback ladder.
     fn absorb_patch(&self, arc: &Arc<Inner>, ex: &mut Exchange, delivered: &[u8]) {
         let group = &mut ex.groups[0];
-        let patch = *group.patch.take().expect("patch in flight");
+        let patch = group.patch.take().expect("patch in flight");
         let lane = &mut group.lanes[0];
         let (id, exec_span) = (lane.shared.id, group.exec_span);
         let decode_started = Instant::now();
@@ -629,7 +628,7 @@ impl Inner {
                     queue(&mut group.ring, c, feed);
                     streamed += 1;
                 }
-                self.pump(arc, (*id, gi), inbox, group, *lag_cap);
+                self.pump(arc, *id, gi, inbox, group, *lag_cap);
             },
         );
         let failure = match source {
@@ -693,10 +692,13 @@ impl Inner {
                 return;
             };
             let results = std::mem::take(&mut *ex.inbox.lock().unwrap());
+            // A stale wakeup (its result was absorbed by an earlier
+            // service) finds nothing and has nothing to advance.
+            let landed = !results.is_empty();
             for (gi, li, result) in results {
                 self.absorb(arc, &mut ex, gi, li, result);
             }
-            if self.advance(arc, &mut ex) {
+            if landed && self.advance(arc, &mut ex) {
                 return;
             }
             let inbox = Arc::clone(&ex.inbox);
@@ -718,7 +720,7 @@ impl Inner {
     /// retired.
     fn advance(&self, arc: &Arc<Inner>, ex: &mut Exchange) -> bool {
         for gi in 0..ex.groups.len() {
-            self.pump(arc, (ex.id, gi), &ex.inbox, &mut ex.groups[gi], ex.lag_cap);
+            self.pump(arc, ex.id, gi, &ex.inbox, &mut ex.groups[gi], ex.lag_cap);
             for li in 0..ex.groups[gi].lanes.len() {
                 let group = &ex.groups[gi];
                 if !group.lanes[li].settled && group.lanes[li].drained(group.ring.len()) {
@@ -740,7 +742,8 @@ impl Inner {
     fn pump(
         &self,
         arc: &Arc<Inner>,
-        (sid, gi): (SessionId, usize),
+        sid: SessionId,
+        gi: usize,
         inbox: &Inbox,
         group: &mut Group,
         lag_cap: usize,

@@ -1150,8 +1150,8 @@ impl Inner {
             plan: stored_plan,
             shared,
         } = job;
-        let (mut lane, wire_format) =
-            self.open_lane(&shared, enqueued, &request, &request.target_endpoint);
+        let mut lane = self.open_lane(&shared, enqueued, &request, &request.target_endpoint);
+        let wire_format = lane.metrics.wire_format;
         if let Some((state, why)) = self.dequeue_gate(&lane, resumed) {
             if state == SessionState::Failed {
                 let plan = stored_plan;
@@ -1467,16 +1467,16 @@ impl Inner {
         // Lane setup: the same dequeue gates an ordinary session gets.
         // Gated lanes settle here; the group continues with whoever
         // survives.
-        let mut lanes: Vec<(Lane, WireFormat)> = Vec::new();
+        let mut lanes: Vec<Lane> = Vec::new();
         for (shared, subscriber) in shareds.iter().zip(&subscribers) {
             let checkpoint = || ExchangeRequest {
                 name: shared.name.clone(),
                 target_endpoint: subscriber.clone(),
                 ..template.clone()
             };
-            let (lane, format) = self.open_lane(shared, enqueued, &template, subscriber);
+            let lane = self.open_lane(shared, enqueued, &template, subscriber);
             match self.dequeue_gate(&lane, false) {
-                None => lanes.push((lane, format)),
+                None => lanes.push(lane),
                 Some((state, why)) => {
                     if state == SessionState::Failed {
                         let request = checkpoint();
@@ -1511,7 +1511,7 @@ impl Inner {
         let plans = match self.plan_publish(&template, &mut lanes) {
             Ok(plans) => plans,
             Err(why) => {
-                for (lane, _) in lanes {
+                for lane in lanes {
                     let why = Some(why.clone());
                     self.finish(
                         &lane.shared,
@@ -1527,7 +1527,7 @@ impl Inner {
             }
         };
         let mut ex = Exchange {
-            id: lanes[0].0.shared.id,
+            id: lanes[0].shared.id,
             enqueued,
             request: template,
             billed: Counters::default(),
@@ -1536,10 +1536,10 @@ impl Inner {
             inbox: Arc::new(Mutex::new(Vec::new())),
         };
         for (format, plan) in plans {
-            let (members, rest): (Vec<_>, Vec<_>) =
-                lanes.into_iter().partition(|(_, f)| *f == format);
+            let (members, rest): (Vec<_>, Vec<_>) = lanes
+                .into_iter()
+                .partition(|l| l.metrics.wire_format == format);
             lanes = rest;
-            let members: Vec<Lane> = members.into_iter().map(|(lane, _)| lane).collect();
             ex.groups
                 .push(self.open_group(format, plan, None, Instant::now(), members));
         }
@@ -1557,12 +1557,12 @@ impl Inner {
     fn plan_publish(
         &self,
         request: &ExchangeRequest,
-        lanes: &mut [(Lane, WireFormat)],
+        lanes: &mut [Lane],
     ) -> std::result::Result<Vec<(WireFormat, Arc<CachedPlan>)>, String> {
-        for (lane, _) in lanes.iter() {
+        for lane in lanes.iter() {
             lane.shared.set_state(SessionState::Planning);
         }
-        let owner = Arc::clone(&lanes[0].0.shared);
+        let owner = Arc::clone(&lanes[0].shared);
         let plan_span = self.trace.allocate_id();
         self.events.push(
             owner.id,
@@ -1579,13 +1579,13 @@ impl Inner {
         )
         .with_optimizer(optimizer)
         .with_profiles(request.source_profile, request.target_profile)
-        .with_wire_format(lanes[0].1);
+        .with_wire_format(lanes[0].metrics.wire_format);
         exchange.w_comm = self.config.w_comm;
-        lanes[0].0.metrics.planning_probes = 1;
+        lanes[0].metrics.planning_probes = 1;
         let mut formats: Vec<WireFormat> = Vec::new();
-        for (_, format) in lanes.iter() {
-            if !formats.contains(format) {
-                formats.push(*format);
+        for lane in lanes.iter() {
+            if !formats.contains(&lane.metrics.wire_format) {
+                formats.push(lane.metrics.wire_format);
             }
         }
         let planned = exchange
@@ -1596,7 +1596,10 @@ impl Inner {
                 for format in formats {
                     let mut model = base_model.clone();
                     model.wire_format = format;
-                    let fanout = lanes.iter().filter(|(_, f)| *f == format).count();
+                    let fanout = lanes
+                        .iter()
+                        .filter(|l| l.metrics.wire_format == format)
+                        .count();
                     let key = plan_key_with_fanout(
                         &request.source_frag,
                         &request.target_frag,
@@ -1608,7 +1611,7 @@ impl Inner {
                     let (plan, hit) = self.plan_cached(key, &model, || {
                         self.plan_ksite(&model, request, optimizer, fanout)
                     })?;
-                    for (lane, _) in lanes.iter_mut().filter(|(_, f)| *f == format) {
+                    for lane in lanes.iter_mut().filter(|l| l.metrics.wire_format == format) {
                         lane.metrics.plan_cache_hit = hit;
                         self.events.push(
                             lane.shared.id,
@@ -1627,7 +1630,7 @@ impl Inner {
                 Ok(plans)
             });
         let planning = started.elapsed();
-        for (lane, _) in lanes.iter_mut() {
+        for lane in lanes.iter_mut() {
             lane.metrics.planning = planning;
         }
         let detail = match &planned {
