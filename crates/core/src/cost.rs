@@ -8,6 +8,7 @@
 //! cost. Communication cost of a cross-edge is the estimated wire size of
 //! the region it ships, exactly the paper's `comm_cost(e) = size(OP1.out)`.
 
+use crate::ksite::multicast_bytes;
 use crate::program::{Location, Op, Program, Region};
 use xdx_codec::WireFormat;
 use xdx_relational::{ColRole, Database};
@@ -264,6 +265,11 @@ pub struct CostModel {
     /// Wire format the link ships feeds in; communication estimates use
     /// the matching per-row byte model.
     pub wire_format: WireFormat,
+    /// Targets the one source feeds: 1 (or less) for a two-site
+    /// exchange, the lane count of a 1→N publish group. Derived from the
+    /// request's subscriber list, never configured; the group estimates
+    /// below bill target work and shipped bytes by it.
+    pub fanout: usize,
 }
 
 /// Relative expense of a `Write` next to a `Scan` (loads cost more than
@@ -293,6 +299,7 @@ impl CostModel {
             target: SystemProfile::default(),
             stats,
             wire_format: WireFormat::Xml,
+            fanout: 1,
         }
     }
 
@@ -370,6 +377,30 @@ impl CostModel {
         }
     }
 
+    /// [`comp_cost`](CostModel::comp_cost) billed to the whole group: an
+    /// operator placed at the target runs once per subscriber, one at
+    /// the source runs once.
+    pub fn group_comp_cost(&self, program: &Program, node: usize, location: Location) -> f64 {
+        let raw = self.comp_cost(program, node, location);
+        match location {
+            Location::Target if self.fanout > 1 => raw * self.fanout as f64,
+            _ => raw,
+        }
+    }
+
+    /// [`comm_cost`](CostModel::comm_cost) billed to the whole group: a
+    /// cross edge rides every lane, but its frames are encoded once and
+    /// shared, so the extra legs pay the amortized [`multicast_bytes`].
+    pub fn group_comm_cost(
+        &self,
+        schema: &SchemaTree,
+        program: &Program,
+        port: crate::program::PortRef,
+        consumer: usize,
+    ) -> f64 {
+        multicast_bytes(self.comm_cost(schema, program, port, consumer), self.fanout)
+    }
+
     /// Cost of shipping and applying a delta patch instead of the full
     /// fragment set: the patch's wire bytes at the communication weight,
     /// plus a per-step apply term on the target. `patch_wire_bytes` is
@@ -394,14 +425,15 @@ impl CostModel {
         self.patch_ship_cost(patch_wire_bytes, steps) < self.full_ship_comm_cost(full_comm_bytes)
     }
 
-    /// Total cost of a fully placed program (formula 1).
+    /// Total cost of a fully placed program (formula 1), billed to the
+    /// whole group.
     pub fn program_cost(&self, schema: &SchemaTree, program: &Program) -> f64 {
         let mut comp = 0.0;
         let mut comm = 0.0;
         for (i, n) in program.nodes.iter().enumerate() {
-            comp += self.comp_cost(program, i, n.location);
+            comp += self.group_comp_cost(program, i, n.location);
             for p in &n.inputs {
-                comm += self.comm_cost(schema, program, *p, i);
+                comm += self.group_comm_cost(schema, program, *p, i);
             }
         }
         self.w_comp * comp + self.w_comm * comm

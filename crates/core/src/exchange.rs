@@ -158,6 +158,7 @@ impl<'a> DataExchange<'a> {
             target: self.target_profile,
             stats,
             wire_format: self.wire_format,
+            fanout: 1,
         })
     }
 

@@ -151,11 +151,12 @@ pub fn greedy_placement(
         if unassigned.is_empty() {
             break;
         }
-        // Probe both systems for every unassigned op.
+        // Probe both systems for every unassigned op: one execution at
+        // the source against one per subscriber at the target.
         let mut max_diff: Option<(usize, Location, f64)> = None;
         for &i in &unassigned {
-            let cs = model.comp_cost(&p, i, Location::Source);
-            let ct = model.comp_cost(&p, i, Location::Target);
+            let cs = model.group_comp_cost(&p, i, Location::Source);
+            let ct = model.group_comp_cost(&p, i, Location::Target);
             let (preferred, diff) = match (cs.is_finite(), ct.is_finite()) {
                 (true, false) => (Location::Source, f64::INFINITY),
                 (false, true) => (Location::Target, f64::INFINITY),
@@ -186,7 +187,9 @@ pub fn greedy_placement(
             }
             continue;
         }
-        // Tie: cut the unassigned-to-unassigned edge shipping the least.
+        // Tie: cut the unassigned-to-unassigned edge shipping the least
+        // (every edge rides the same lanes, so fanout scales them alike
+        // and the least stays the least).
         let mut best_edge: Option<(usize, usize, u64)> = None;
         for &i in &unassigned {
             for inp in &p.nodes[i].inputs {

@@ -2,34 +2,32 @@
 //!
 //! The paper's architecture places every operator at one of two sites —
 //! the source or the target — and Section 6 leaves the multi-site
-//! network as future work. This module generalizes both placement
-//! algorithms to a *symmetric 1→k publish group*: one source feeding
-//! `fanout` subscribers that registered the same target fragmentation
-//! over the same negotiated wire format. Under that symmetry the
-//! placement domain per operator stays binary — run it once at the
-//! source, or replicate it at every subscriber — but the *costing*
-//! is k-way:
+//! network as future work. A *symmetric 1→k publish group* — one source
+//! feeding `fanout` subscribers that registered the same target
+//! fragmentation over the same negotiated wire format — needs no second
+//! algorithm: the placement domain per operator stays binary (run it
+//! once at the source, or replicate it at every subscriber), and only
+//! the *costing* is k-way. So fanout is an input of the one
+//! [`CostModel`], whose group estimates bill:
 //!
-//! * an operator placed at the target is executed `fanout` times (once
-//!   per subscriber), so its computation cost scales by `fanout`;
-//! * a cross edge is shipped over `fanout` lanes, but the frames are
-//!   encoded once and shared ([`crate::exec`]'s buffers are refcounted
-//!   by the runtime), so each extra leg costs only the
-//!   [`MULTICAST_LEG_FACTOR`] share of the first leg's bytes —
+//! * an operator placed at the target `fanout` times (once per
+//!   subscriber);
+//! * a cross edge over `fanout` lanes whose frames are encoded once and
+//!   shared (the runtime refcounts them), so each extra leg costs only
+//!   the [`MULTICAST_LEG_FACTOR`] share of the first leg's bytes —
 //!   [`multicast_bytes`] is the amortized wire term.
 //!
-//! The `fanout == 1` case delegates verbatim to the two-site
-//! algorithms, so a publish group of one reproduces the existing plans
-//! byte for byte (the N=1 regression gate). Asymmetric k-site layouts
+//! [`cost_based_optim`] and [`greedy_placement`] read those estimates, so
+//! a group of one *is* the two-site exchange. Asymmetric k-site layouts
 //! (N→1 consolidation) decompose into independent two-site placements
 //! — the cost model carries no shared-capacity term — and are handled
 //! by the runtime as per-source sessions.
 
 use crate::cost::CostModel;
-use crate::error::{Error, Result};
+use crate::error::Result;
 use crate::greedy::greedy_placement;
 use crate::optimal::cost_based_optim;
-use crate::program::{Location, Op, Program};
+use crate::program::Program;
 use xdx_xml::SchemaTree;
 
 /// Marginal wire cost of each subscriber leg beyond the first, as a
@@ -51,257 +49,32 @@ pub fn multicast_bytes(bytes: f64, fanout: usize) -> f64 {
     }
 }
 
-/// Computation cost of `node` at `location` in a 1→`fanout` group: a
-/// target-placed operator runs once per subscriber.
-fn ksite_comp(
-    model: &CostModel,
-    program: &Program,
-    node: usize,
-    loc: Location,
-    fanout: usize,
-) -> f64 {
-    let raw = model.comp_cost(program, node, loc);
-    match loc {
-        Location::Target if fanout > 1 => raw * fanout as f64,
-        _ => raw,
+/// `model` billing a 1→`fanout` group.
+fn group_model(model: &CostModel, fanout: usize) -> CostModel {
+    CostModel {
+        fanout,
+        ..model.clone()
     }
 }
 
-/// Full cost of a placed program under the k-site model — the k-way
-/// analog of [`CostModel::program_cost`]. `fanout <= 1` matches it
-/// exactly.
-pub fn ksite_program_cost(
-    schema: &SchemaTree,
-    model: &CostModel,
-    program: &Program,
-    fanout: usize,
-) -> f64 {
-    if fanout <= 1 {
-        return model.program_cost(schema, program);
-    }
-    let mut comp = 0.0;
-    let mut comm = 0.0;
-    for (i, n) in program.nodes.iter().enumerate() {
-        comp += ksite_comp(model, program, i, n.location, fanout);
-        for p in &n.inputs {
-            comm += multicast_bytes(model.comm_cost(schema, program, *p, i), fanout);
-        }
-    }
-    model.w_comp * comp + model.w_comm * comm
-}
-
-/// k-site `Cost_Based_Optim`: exhaustive placement of one program for a
-/// 1→`fanout` publish group. Extends Algorithm 1's search — same
-/// topological walk, same pinning (`Scan`→source, `Write`→target, a
-/// target-placed predecessor forces target), same branch-and-bound —
-/// with the k-way delta per node: replicated target computation and
-/// multicast-amortized cross-edge bytes. `fanout <= 1` delegates to
-/// [`cost_based_optim`], reproducing two-site plans byte for byte.
+/// [`cost_based_optim`] for a 1→`fanout` publish group.
 pub fn ksite_optimal(
     schema: &SchemaTree,
     model: &CostModel,
     program: &Program,
     fanout: usize,
 ) -> Result<(Program, f64)> {
-    if fanout <= 1 {
-        return cost_based_optim(schema, model, program);
-    }
-    let mut work = program.clone();
-    for n in &mut work.nodes {
-        n.location = Location::Unassigned;
-    }
-    let n = work.nodes.len();
-    let mut best: Option<(Vec<Location>, f64)> = None;
-
-    #[allow(clippy::too_many_arguments)]
-    fn dfs(
-        schema: &SchemaTree,
-        model: &CostModel,
-        work: &mut Program,
-        i: usize,
-        n: usize,
-        fanout: usize,
-        running: f64,
-        best: &mut Option<(Vec<Location>, f64)>,
-    ) {
-        if !running.is_finite() {
-            return; // infeasible prefix (capability violation)
-        }
-        if let Some((_, b)) = best {
-            if running >= *b {
-                return; // bound: costs only grow
-            }
-        }
-        if i == n {
-            let better = best.as_ref().map(|(_, b)| running < *b).unwrap_or(true);
-            if better {
-                *best = Some((work.nodes.iter().map(|x| x.location).collect(), running));
-            }
-            return;
-        }
-        let forced = match work.nodes[i].op {
-            Op::Scan { .. } => Some(Location::Source),
-            Op::Write { .. } => Some(Location::Target),
-            _ => {
-                let any_target = work.nodes[i]
-                    .inputs
-                    .iter()
-                    .any(|p| work.nodes[p.node].location == Location::Target);
-                any_target.then_some(Location::Target)
-            }
-        };
-        let choices: &[Location] = match forced {
-            Some(Location::Source) => &[Location::Source],
-            Some(Location::Target) => &[Location::Target],
-            _ => &[Location::Source, Location::Target],
-        };
-        for &loc in choices {
-            work.nodes[i].location = loc;
-            let mut delta = model.w_comp * ksite_comp(model, work, i, loc, fanout);
-            for p in &work.nodes[i].inputs.clone() {
-                delta +=
-                    model.w_comm * multicast_bytes(model.comm_cost(schema, work, *p, i), fanout);
-            }
-            dfs(schema, model, work, i + 1, n, fanout, running + delta, best);
-            work.nodes[i].location = Location::Unassigned;
-        }
-    }
-
-    dfs(schema, model, &mut work, 0, n, fanout, 0.0, &mut best);
-    let (locations, cost) = best.ok_or_else(|| Error::Unplaceable {
-        detail: "no finite k-site placement".into(),
-    })?;
-    for (node, loc) in work.nodes.iter_mut().zip(locations) {
-        node.location = loc;
-    }
-    work.validate_placement()?;
-    Ok((work, cost))
+    cost_based_optim(schema, &group_model(model, fanout), program)
 }
 
-/// k-way greedy placement: the max-cost-difference heuristic where each
-/// probe compares one source execution against `fanout` replicated
-/// target executions — the operator goes to the site minimizing its
-/// marginal cost — and the tie-break cuts the unassigned edge with the
-/// least *multicast-amortized* wire bytes. `fanout <= 1` delegates to
-/// [`greedy_placement`], reproducing two-site plans byte for byte.
+/// [`greedy_placement`] for a 1→`fanout` publish group.
 pub fn ksite_greedy(
     schema: &SchemaTree,
     model: &CostModel,
     program: &Program,
     fanout: usize,
 ) -> Result<(Program, f64)> {
-    if fanout <= 1 {
-        return greedy_placement(schema, model, program);
-    }
-    let mut p = program.clone();
-    for n in &mut p.nodes {
-        n.location = match n.op {
-            Op::Scan { .. } => Location::Source,
-            Op::Write { .. } => Location::Target,
-            _ => Location::Unassigned,
-        };
-    }
-    let consumers = p.consumers();
-
-    fn assign_upstream(p: &mut Program, node: usize) {
-        let mut stack = vec![node];
-        while let Some(i) = stack.pop() {
-            if p.nodes[i].location == Location::Source {
-                continue;
-            }
-            p.nodes[i].location = Location::Source;
-            for inp in p.nodes[i].inputs.clone() {
-                stack.push(inp.node);
-            }
-        }
-    }
-    fn assign_downstream(p: &mut Program, node: usize, consumers: &[Vec<usize>]) {
-        let mut stack = vec![node];
-        while let Some(i) = stack.pop() {
-            if p.nodes[i].location == Location::Target {
-                continue;
-            }
-            p.nodes[i].location = Location::Target;
-            for &c in &consumers[i] {
-                stack.push(c);
-            }
-        }
-    }
-
-    loop {
-        let unassigned: Vec<usize> = (0..p.len())
-            .filter(|&i| p.nodes[i].location == Location::Unassigned)
-            .collect();
-        if unassigned.is_empty() {
-            break;
-        }
-        let mut max_diff: Option<(usize, Location, f64)> = None;
-        for &i in &unassigned {
-            let cs = ksite_comp(model, &p, i, Location::Source, fanout);
-            let ct = ksite_comp(model, &p, i, Location::Target, fanout);
-            let (preferred, diff) = match (cs.is_finite(), ct.is_finite()) {
-                (true, false) => (Location::Source, f64::INFINITY),
-                (false, true) => (Location::Target, f64::INFINITY),
-                (false, false) => {
-                    return Err(Error::Unplaceable {
-                        detail: format!("node {i} infeasible on both systems"),
-                    })
-                }
-                (true, true) => {
-                    if cs <= ct {
-                        (Location::Source, ct - cs)
-                    } else {
-                        (Location::Target, cs - ct)
-                    }
-                }
-            };
-            if max_diff.map(|(_, _, d)| diff > d).unwrap_or(true) {
-                max_diff = Some((i, preferred, diff));
-            }
-        }
-        let (node, preferred, diff) = max_diff.expect("unassigned nonempty");
-        const EPS: f64 = 1e-9;
-        if diff > EPS {
-            match preferred {
-                Location::Source => assign_upstream(&mut p, node),
-                Location::Target => assign_downstream(&mut p, node, &consumers),
-                Location::Unassigned => unreachable!(),
-            }
-            continue;
-        }
-        // Tie: cut the unassigned-to-unassigned edge shipping the least
-        // — measured in amortized multicast bytes, so the comparison
-        // matches what the k lanes will actually carry.
-        let mut best_edge: Option<(usize, usize, f64)> = None;
-        for &i in &unassigned {
-            for inp in &p.nodes[i].inputs {
-                if p.nodes[inp.node].location == Location::Unassigned {
-                    let bytes = multicast_bytes(
-                        model
-                            .stats
-                            .region_bytes(schema, p.port_region(*inp).expect("valid"))
-                            as f64,
-                        fanout,
-                    );
-                    if best_edge.map(|(_, _, b)| bytes < b).unwrap_or(true) {
-                        best_edge = Some((inp.node, i, bytes));
-                    }
-                }
-            }
-        }
-        match best_edge {
-            Some((producer, consumer, _)) => {
-                assign_upstream(&mut p, producer);
-                assign_downstream(&mut p, consumer, &consumers);
-            }
-            None => {
-                assign_upstream(&mut p, node);
-            }
-        }
-    }
-    p.validate_placement()?;
-    let cost = ksite_program_cost(schema, model, &p, fanout);
-    Ok((p, cost))
+    greedy_placement(schema, &group_model(model, fanout), program)
 }
 
 #[cfg(test)]
@@ -312,6 +85,7 @@ mod tests {
     use crate::fragment::Fragmentation;
     use crate::gen::Generator;
     use crate::greedy::greedy_program;
+    use crate::program::{Location, Op};
 
     fn model(schema: &SchemaTree) -> CostModel {
         CostModel::fast_network(SchemaStats::multiplicative(schema, 4, 8))
@@ -322,30 +96,6 @@ mod tests {
         let t = t_fragmentation(schema);
         let gen = Generator::new(schema, &mf, &t);
         greedy_program(&gen, m).unwrap()
-    }
-
-    #[test]
-    fn fanout_one_reproduces_two_site_optimal() {
-        let schema = customer_schema();
-        let m = model(&schema);
-        let prog = program(&schema, &m);
-        let (two_site, two_cost) = cost_based_optim(&schema, &m, &prog).unwrap();
-        let (k_site, k_cost) = ksite_optimal(&schema, &m, &prog, 1).unwrap();
-        assert_eq!(two_cost.to_bits(), k_cost.to_bits());
-        let locs = |p: &Program| p.nodes.iter().map(|n| n.location).collect::<Vec<_>>();
-        assert_eq!(locs(&two_site), locs(&k_site));
-    }
-
-    #[test]
-    fn fanout_one_reproduces_two_site_greedy() {
-        let schema = customer_schema();
-        let m = model(&schema);
-        let prog = program(&schema, &m);
-        let (two_site, two_cost) = greedy_placement(&schema, &m, &prog).unwrap();
-        let (k_site, k_cost) = ksite_greedy(&schema, &m, &prog, 1).unwrap();
-        assert_eq!(two_cost.to_bits(), k_cost.to_bits());
-        let locs = |p: &Program| p.nodes.iter().map(|n| n.location).collect::<Vec<_>>();
-        assert_eq!(locs(&two_site), locs(&k_site));
     }
 
     #[test]
@@ -397,16 +147,5 @@ mod tests {
         let eight = multicast_bytes(100.0, 8);
         assert!(eight > 100.0, "extra legs are not free");
         assert!(eight < 800.0, "extra legs are amortized below full freight");
-    }
-
-    #[test]
-    fn ksite_cost_matches_two_site_at_fanout_one() {
-        let schema = customer_schema();
-        let m = model(&schema);
-        let prog = program(&schema, &m);
-        let (placed, _) = greedy_placement(&schema, &m, &prog).unwrap();
-        let two = m.program_cost(&schema, &placed);
-        let one = ksite_program_cost(&schema, &m, &placed, 1);
-        assert_eq!(two.to_bits(), one.to_bits());
     }
 }

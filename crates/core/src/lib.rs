@@ -18,7 +18,8 @@
 //! * [`cost`] — the cost model, system profiles, statistics (§4.1)
 //! * [`optimal`] — exhaustive cost-based placement, `Cost_Based_Optim` (§4.2)
 //! * [`greedy`] — greedy ordering + placement heuristics (§4.3)
-//! * [`ksite`] — k-site placement for 1→N publish groups (§6 future work)
+//! * [`ksite`] — the multicast wire term and 1→N entry points into the
+//!   two placers above; fanout is a [`cost`] model input (§6 future work)
 //! * [`exec`] — the runtime: executes a placed program against real stores
 //!   over a simulated link (§5.2)
 //! * [`exec_parallel`] — component-parallel execution (the parallelism
@@ -63,9 +64,7 @@ pub use exec::{
     CrossPort, ExecOutcome, LoopbackTransport, OpSample, SourcePhase, Transport,
 };
 pub use fragment::{Fragment, Fragmentation};
-pub use ksite::{
-    ksite_greedy, ksite_optimal, ksite_program_cost, multicast_bytes, MULTICAST_LEG_FACTOR,
-};
+pub use ksite::{ksite_greedy, ksite_optimal, multicast_bytes, MULTICAST_LEG_FACTOR};
 pub use mapping::Mapping;
 pub use program::{Location, Op, OpNode, Program};
 pub use report::{ExchangeReport, StepTimes};

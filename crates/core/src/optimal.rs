@@ -143,11 +143,12 @@ fn search_placements(
         for &loc in choices {
             work.nodes[i].location = loc;
             // comp weighted by w_comp; comm (all input edges resolve once
-            // the consumer is placed) weighted by w_comm inside comm_cost's
-            // caller here.
-            let mut delta = model.w_comp * model.comp_cost(work, i, loc);
+            // the consumer is placed) weighted by w_comm — both billed to
+            // the whole group, so a 1→N publish searches the same space
+            // with replicated target work and amortized shipping.
+            let mut delta = model.w_comp * model.group_comp_cost(work, i, loc);
             for p in &work.nodes[i].inputs.clone() {
-                delta += model.w_comm * model.comm_cost(schema, work, *p, i);
+                delta += model.w_comm * model.group_comm_cost(schema, work, *p, i);
             }
             dfs(
                 schema,

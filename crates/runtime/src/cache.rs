@@ -8,16 +8,13 @@
 //! The **stats** half hashes the probed document statistics. Entries are
 //! stored per shape and remember the stats they were planned under:
 //!
-//! * a lookup whose stats hash *drifted* (the source data changed enough
-//!   to re-probe differently) evicts the stale plan instead of serving a
-//!   program optimized for data that no longer exists,
-//! * an optional TTL expires entries outright, bounding how long a plan
-//!   can outlive the statistics snapshot it was built from.
+//! a lookup whose stats hash *drifted* (the source data changed enough
+//! to re-probe differently) evicts the stale plan instead of serving a
+//! program optimized for data that no longer exists.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
 use xdx_core::{CostModel, Fragmentation, Optimizer, Program, WireFormat};
 use xdx_net::fnv64;
 
@@ -51,6 +48,8 @@ impl CachedPlan {
     /// Wraps a freshly planned program with what `model` predicts for
     /// it — per-node computation cost and total cross-edge bytes — so
     /// execution can be compared against the prediction by calibration.
+    /// Priced for *one* lane whatever the model's fanout: calibration
+    /// compares against per-lane observations.
     pub fn priced(
         schema: &xdx_xml::SchemaTree,
         model: &CostModel,
@@ -79,39 +78,28 @@ impl CachedPlan {
 struct Entry {
     plan: Arc<CachedPlan>,
     stats: u64,
-    inserted: Instant,
 }
 
 /// Thread-shared map from plan shape to optimized program, with
-/// hit/miss/expiry/eviction counters.
+/// hit/miss/eviction counters.
 #[derive(Debug, Default)]
 pub struct PlanCache {
     map: Mutex<HashMap<u64, Entry>>,
-    ttl: Option<Duration>,
     hits: AtomicU64,
     misses: AtomicU64,
-    expired: AtomicU64,
     stats_evicted: AtomicU64,
     drift_evicted: AtomicU64,
 }
 
 impl PlanCache {
-    /// An empty cache whose entries never expire by age.
+    /// An empty cache.
     pub fn new() -> PlanCache {
         PlanCache::default()
     }
 
-    /// An empty cache whose entries expire `ttl` after insertion.
-    pub fn with_ttl(ttl: Duration) -> PlanCache {
-        PlanCache {
-            ttl: Some(ttl),
-            ..PlanCache::default()
-        }
-    }
-
-    /// Looks the key up, counting a hit or a miss. A shape entry that
-    /// aged past the TTL, or whose stats hash no longer matches the
-    /// probe, is evicted and counts as a miss. On a miss the caller
+    /// Looks the key up, counting a hit or a miss. A shape entry whose
+    /// stats hash no longer matches the probe is evicted and counts as
+    /// a miss. On a miss the caller
     /// plans outside any lock and [`insert`](PlanCache::insert)s; two
     /// sessions racing the same key may both plan — the duplicate work
     /// is bounded by the worker count and both arrive at the same
@@ -119,10 +107,7 @@ impl PlanCache {
     pub fn lookup(&self, key: PlanKey) -> Option<Arc<CachedPlan>> {
         let mut map = self.map.lock().unwrap();
         if let Some(entry) = map.get(&key.shape) {
-            if self.ttl.is_some_and(|ttl| entry.inserted.elapsed() > ttl) {
-                map.remove(&key.shape);
-                self.expired.fetch_add(1, Ordering::Relaxed);
-            } else if entry.stats != key.stats {
+            if entry.stats != key.stats {
                 map.remove(&key.shape);
                 self.stats_evicted.fetch_add(1, Ordering::Relaxed);
             } else {
@@ -136,16 +121,11 @@ impl PlanCache {
 
     /// Stores a freshly planned program and returns the shared copy
     /// (the already-present one if a racing session with the same stats
-    /// inserted first; drifted or expired residents are replaced).
+    /// inserted first; a drifted resident is replaced).
     pub fn insert(&self, key: PlanKey, plan: CachedPlan) -> Arc<CachedPlan> {
         let mut map = self.map.lock().unwrap();
         match map.get(&key.shape) {
-            Some(entry)
-                if entry.stats == key.stats
-                    && self.ttl.is_none_or(|ttl| entry.inserted.elapsed() <= ttl) =>
-            {
-                Arc::clone(&entry.plan)
-            }
+            Some(entry) if entry.stats == key.stats => Arc::clone(&entry.plan),
             _ => {
                 let plan = Arc::new(plan);
                 map.insert(
@@ -153,7 +133,6 @@ impl PlanCache {
                     Entry {
                         plan: Arc::clone(&plan),
                         stats: key.stats,
-                        inserted: Instant::now(),
                     },
                 );
                 plan
@@ -169,11 +148,6 @@ impl PlanCache {
     /// Lookups that missed.
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Entries evicted because they aged past the TTL.
-    pub fn expired(&self) -> u64 {
-        self.expired.load(Ordering::Relaxed)
     }
 
     /// Entries evicted because the probed statistics drifted.
@@ -217,7 +191,11 @@ impl PlanCache {
 /// So is the delta `(base_version, head_version)` pair when present: a
 /// delta session's plan embeds which snapshot it diffs against, and a
 /// full-ship session (`versions: None`) must not replay a delta plan —
-/// nor may two deltas against different version pairs share one.
+/// nor may two deltas against different version pairs share one. And so
+/// is the model's fanout: the subscriber count moves the placement
+/// trade-off, so groups of different sizes must not share a program. A
+/// fanout of one contributes no bytes — a publish group of one *is* a
+/// two-site session, and the two share cache entries.
 pub fn plan_key(
     source: &Fragmentation,
     target: &Fragmentation,
@@ -225,28 +203,11 @@ pub fn plan_key(
     optimizer: Optimizer,
     versions: Option<(u64, u64)>,
 ) -> PlanKey {
-    plan_key_with_fanout(source, target, model, optimizer, versions, 1)
-}
-
-/// [`plan_key`] for a 1→`fanout` publish group: the subscriber count
-/// changes the k-site placement trade-off, so groups of different sizes
-/// must not share a cached program. `fanout <= 1` contributes no bytes
-/// to the hash — a group of one keys identically to [`plan_key`], which
-/// is what lets the N=1 degenerate case reuse (and be reused by)
-/// ordinary two-site sessions.
-pub fn plan_key_with_fanout(
-    source: &Fragmentation,
-    target: &Fragmentation,
-    model: &CostModel,
-    optimizer: Optimizer,
-    versions: Option<(u64, u64)>,
-    fanout: usize,
-) -> PlanKey {
     let mut shape = Vec::with_capacity(256);
     let push = |bytes: &mut Vec<u8>, v: u64| bytes.extend_from_slice(&v.to_le_bytes());
-    if fanout > 1 {
+    if model.fanout > 1 {
         push(&mut shape, 0x4D);
-        push(&mut shape, fanout as u64);
+        push(&mut shape, model.fanout as u64);
     }
     if let Some((base, head)) = versions {
         push(&mut shape, 0x44);
@@ -426,17 +387,21 @@ mod tests {
         let mf = Fragmentation::most_fragmented("MF", &s);
         let lf = Fragmentation::least_fragmented("LF", &s);
         let m = model(&s, 0.05);
-        let two_site = plan_key(&mf, &lf, &m, Optimizer::Greedy, None);
-        let group_of_one = plan_key_with_fanout(&mf, &lf, &m, Optimizer::Greedy, None, 1);
-        assert_eq!(two_site, group_of_one, "N=1 keys identically");
-        let group_of_eight = plan_key_with_fanout(&mf, &lf, &m, Optimizer::Greedy, None, 8);
-        assert_ne!(two_site.shape, group_of_eight.shape, "fanout is shape");
+        let of = |fanout| {
+            let group = CostModel {
+                fanout,
+                ..m.clone()
+            };
+            plan_key(&mf, &lf, &group, Optimizer::Greedy, None)
+        };
+        assert_eq!(of(0), of(1), "no subscriber count below one");
+        assert_ne!(of(1).shape, of(8).shape, "fanout is shape");
         assert_ne!(
-            group_of_eight.shape,
-            plan_key_with_fanout(&mf, &lf, &m, Optimizer::Greedy, None, 4).shape,
+            of(8).shape,
+            of(4).shape,
             "different group sizes do not share a plan"
         );
-        assert_eq!(two_site.stats, group_of_eight.stats, "stats untouched");
+        assert_eq!(of(1).stats, of(8).stats, "stats untouched");
     }
 
     #[test]
@@ -502,26 +467,5 @@ mod tests {
         assert_eq!(cache.drift_evicted(), 1);
         assert!(cache.lookup(key).is_none(), "drifted plan not served");
         assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn ttl_expires_entries() {
-        let s = schema();
-        let mf = Fragmentation::most_fragmented("MF", &s);
-        let lf = Fragmentation::least_fragmented("LF", &s);
-        let m = model(&s, 0.05);
-        let key = plan_key(&mf, &lf, &m, Optimizer::Greedy, None);
-        let cache = PlanCache::with_ttl(Duration::ZERO);
-        cache.lookup(key);
-        cache.insert(key, plan_for(&s, &m));
-        std::thread::sleep(Duration::from_millis(2));
-        assert!(cache.lookup(key).is_none(), "aged entry not served");
-        assert_eq!(cache.expired(), 1);
-        assert_eq!((cache.hits(), cache.misses()), (0, 2));
-
-        let unlimited = PlanCache::new();
-        unlimited.lookup(key);
-        unlimited.insert(key, plan_for(&s, &m));
-        assert!(unlimited.lookup(key).is_some(), "no TTL, no expiry");
     }
 }

@@ -2,8 +2,6 @@
 //! refused.
 
 use crate::events::DEFAULT_EVENT_CAPACITY;
-use crate::fair::DEFAULT_AGING_INTERVAL;
-use crate::ledger::DEFAULT_LEDGER_CAPACITY;
 use crate::session::SessionId;
 use crate::shipper::ShippingPolicy;
 use std::fmt;
@@ -44,10 +42,6 @@ pub struct RuntimeConfig {
     /// endpoint with [`crate::Runtime::set_endpoint_format`]); XML text is the
     /// universal fallback.
     pub wire_format: WireFormat,
-    /// Age at which cached plans expire (None = never); expired and
-    /// stats-drifted entries are re-planned, so a long-lived runtime
-    /// never serves a program optimized for data that no longer exists.
-    pub plan_ttl: Option<Duration>,
     /// Consecutive link-failed sessions before a link's circuit breaker
     /// opens and refuses new admissions *on that pair*.
     pub breaker_threshold: u32,
@@ -57,9 +51,6 @@ pub struct RuntimeConfig {
     /// Whether structured trace spans are recorded. On by default; the
     /// throughput bench flips it off to measure tracing overhead.
     pub tracing: bool,
-    /// Maximum spans the trace ring keeps; the oldest are evicted (and
-    /// counted in [`crate::RuntimeStats::dropped_spans`]) beyond this.
-    pub trace_capacity: usize,
     /// Maximum events the flight-recorder ring keeps; the oldest are
     /// evicted (and counted in [`crate::RuntimeStats::dropped_events`]) beyond
     /// this.
@@ -67,14 +58,6 @@ pub struct RuntimeConfig {
     /// Cost-model calibration thresholds (drift factor, streak length,
     /// EWMA smoothing) driving plan-cache drift eviction.
     pub calibration: CalibrationConfig,
-    /// Priority-aging interval of the weighted-fair queue: a queued
-    /// session gains one priority class per interval waited, so nothing
-    /// starves behind a stream of higher-priority arrivals.
-    pub aging_interval: Duration,
-    /// Maximum shipment buffers the reassembly ledger checkpoints;
-    /// beyond it the least-recently-touched checkpoint is shed (the
-    /// session re-ships those chunks if resumed).
-    pub ledger_capacity: usize,
     /// Maximum failed-session checkpoints kept for [`crate::Runtime::resume`];
     /// beyond it the oldest checkpoint is evicted (each holds a full
     /// source database, so this bound is what keeps failure storms from
@@ -110,10 +93,6 @@ pub struct RuntimeConfig {
     /// stall watchdog. `None` records in memory only
     /// ([`crate::Runtime::flight_jsonl`] still serves the rings).
     pub flight_dump_dir: Option<&'static str>,
-    /// How far the shipping engine's nearest wheel deadline may run
-    /// overdue (while tasks are parked) before the stall watchdog
-    /// declares the engine wedged.
-    pub stall_threshold: Duration,
     /// Address the live introspection endpoint listens on (`None` —
     /// the default — serves nothing). Port 0 binds an ephemeral port;
     /// read the bound address back with [`crate::Runtime::introspect_addr`].
@@ -134,22 +113,17 @@ impl Default for RuntimeConfig {
             optimizer: Optimizer::Greedy,
             w_comm: 0.05,
             wire_format: WireFormat::Xml,
-            plan_ttl: None,
             breaker_threshold: 8,
             breaker_cooldown: Duration::from_secs(5),
             tracing: true,
-            trace_capacity: 65_536,
             event_capacity: DEFAULT_EVENT_CAPACITY,
             calibration: CalibrationConfig::default(),
-            aging_interval: DEFAULT_AGING_INTERVAL,
-            ledger_capacity: DEFAULT_LEDGER_CAPACITY,
             max_resumables: 256,
             batch_rows: 1024,
             pipeline_depth: 4,
             pipeline_sessions_per_worker: 4,
             flight_recorder: true,
             flight_dump_dir: None,
-            stall_threshold: Duration::from_millis(250),
             introspect_addr: None,
         }
     }
@@ -204,12 +178,6 @@ impl RuntimeConfig {
         self
     }
 
-    /// Sets the plan-cache TTL.
-    pub fn with_plan_ttl(mut self, ttl: Duration) -> RuntimeConfig {
-        self.plan_ttl = Some(ttl);
-        self
-    }
-
     /// Sets the per-link circuit-breaker policy.
     pub fn with_breaker(mut self, threshold: u32, cooldown: Duration) -> RuntimeConfig {
         self.breaker_threshold = threshold;
@@ -223,12 +191,6 @@ impl RuntimeConfig {
         self
     }
 
-    /// Sets the trace-span ring capacity.
-    pub fn with_trace_capacity(mut self, capacity: usize) -> RuntimeConfig {
-        self.trace_capacity = capacity;
-        self
-    }
-
     /// Sets the event-log ring capacity.
     pub fn with_event_capacity(mut self, capacity: usize) -> RuntimeConfig {
         self.event_capacity = capacity;
@@ -238,18 +200,6 @@ impl RuntimeConfig {
     /// Sets the cost-model calibration thresholds.
     pub fn with_calibration(mut self, calibration: CalibrationConfig) -> RuntimeConfig {
         self.calibration = calibration;
-        self
-    }
-
-    /// Sets the fair queue's priority-aging interval.
-    pub fn with_aging_interval(mut self, interval: Duration) -> RuntimeConfig {
-        self.aging_interval = interval;
-        self
-    }
-
-    /// Sets the reassembly-ledger checkpoint capacity.
-    pub fn with_ledger_capacity(mut self, capacity: usize) -> RuntimeConfig {
-        self.ledger_capacity = capacity;
         self
     }
 
@@ -287,12 +237,6 @@ impl RuntimeConfig {
     /// Sets the directory flight-recorder anomaly dumps land in.
     pub fn with_flight_dump_dir(mut self, dir: &'static str) -> RuntimeConfig {
         self.flight_dump_dir = Some(dir);
-        self
-    }
-
-    /// Sets the stall watchdog's overdue-deadline threshold.
-    pub fn with_stall_threshold(mut self, threshold: Duration) -> RuntimeConfig {
-        self.stall_threshold = threshold;
         self
     }
 

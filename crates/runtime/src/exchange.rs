@@ -235,17 +235,60 @@ pub(crate) type Inbox = Arc<Mutex<Vec<(usize, usize, BatchResult)>>>;
 /// publish whose subscribers negotiated different wire formats.
 pub(crate) struct Exchange {
     /// Key in the parked map and the runnable queue.
-    pub(crate) id: SessionId,
-    pub(crate) enqueued: Instant,
+    id: SessionId,
+    enqueued: Instant,
     /// The request every lane's resume checkpoint is cut from (name and
     /// target endpoint are the lane's own).
-    pub(crate) request: ExchangeRequest,
+    request: ExchangeRequest,
     /// Source counters already billed to a lane's metrics.
-    pub(crate) billed: Counters,
+    billed: Counters,
     /// Frames a lane may trail its group's fastest before it is ejected.
-    pub(crate) lag_cap: usize,
-    pub(crate) groups: Vec<Group>,
-    pub(crate) inbox: Inbox,
+    lag_cap: usize,
+    groups: Vec<Group>,
+    inbox: Inbox,
+}
+
+impl Exchange {
+    /// An exchange of `groups` (none empty), keyed by its first lane's
+    /// session.
+    pub(crate) fn new(
+        enqueued: Instant,
+        request: ExchangeRequest,
+        lag_cap: usize,
+        groups: Vec<Group>,
+    ) -> Exchange {
+        Exchange {
+            id: groups[0].lanes[0].shared.id,
+            enqueued,
+            request,
+            billed: Counters::default(),
+            lag_cap,
+            groups,
+            inbox: Arc::new(Mutex::new(Vec::new())),
+        }
+    }
+}
+
+/// The two-site request a lane resumes as: the exchange's request under
+/// the lane's own name and target endpoint. The exchange's `last` lane
+/// takes the source database; earlier ones copy it.
+pub(crate) fn lane_checkpoint(
+    request: &mut ExchangeRequest,
+    name: &str,
+    target: &str,
+    last: bool,
+) -> ExchangeRequest {
+    let source = std::mem::take(&mut request.source);
+    let mut checkpoint = request.clone();
+    checkpoint.name = name.to_string();
+    checkpoint.target_endpoint = target.to_string();
+    if last {
+        checkpoint.source = source;
+    } else {
+        checkpoint.source = source.clone();
+        request.source = source;
+    }
+    checkpoint
 }
 
 /// A lane's terminal hand-off: what settlement moves out of the lane and
@@ -303,7 +346,7 @@ impl Inner {
         let wire_format = request.wire_format.unwrap_or_else(|| slot.wire_format());
         let metrics = SessionMetrics {
             queue_wait: enqueued.elapsed(),
-            tenant: request.tenant.clone().unwrap_or_else(|| route.clone()),
+            tenant: request.lane_tenant(target_ep),
             route,
             wire_format,
             ..SessionMetrics::default()
@@ -398,7 +441,7 @@ impl Inner {
     /// over the full feeds — put the checksummed patch frame on the ring
     /// as shipment 0. Returns true when the full feeds must ship now
     /// instead (diff failed, or the patch would cost more).
-    pub(crate) fn stage_delta(
+    fn stage_delta(
         &self,
         ex: &mut Exchange,
         (base_version, head_version, snapshot, chain_composed): (u64, u64, Snapshot, bool),
@@ -578,7 +621,7 @@ impl Inner {
     /// ring already holds (a rejected patch holds seq 0). A source
     /// failure fails every lane of the group; batches already on the
     /// wire drain before they settle.
-    pub(crate) fn run_source(&self, arc: &Arc<Inner>, ex: &mut Exchange, gi: usize) {
+    fn run_source(&self, arc: &Arc<Inner>, ex: &mut Exchange, gi: usize) {
         let Exchange {
             id,
             request,
@@ -661,12 +704,30 @@ impl Inner {
         }
     }
 
-    /// Hands a started exchange to the scheduler: tops its windows up
-    /// and *parks* it — the worker returns to the queue while the frames
-    /// drain, and batch completions wake whichever worker is free next
-    /// via the runnable queue. An exchange with nothing on the wire (no
-    /// cross edges, or a failure before the first frame) settles here.
-    pub(crate) fn launch(&self, arc: &Arc<Inner>, mut ex: Exchange) {
+    /// Runs a planned exchange's source halves and hands it to the
+    /// scheduler. The delta path goes first, when eligible: the patch,
+    /// if the cost model prefers it, is shipment 0 and the full feeds
+    /// stay home unless the fallback ladder needs them. Then the
+    /// windows are topped up and the exchange *parks* — the worker
+    /// returns to the queue while the frames drain, and batch
+    /// completions wake whichever worker is free next via the runnable
+    /// queue. An exchange with nothing on the wire (no cross edges, or a
+    /// failure before the first frame) settles here.
+    pub(crate) fn launch(
+        &self,
+        arc: &Arc<Inner>,
+        mut ex: Exchange,
+        delta_base: Option<(u64, u64, Snapshot, bool)>,
+    ) {
+        let ship_full = match delta_base {
+            Some(base) => self.stage_delta(&mut ex, base),
+            None => true,
+        };
+        if ship_full {
+            for gi in 0..ex.groups.len() {
+                self.run_source(arc, &mut ex, gi);
+            }
+        }
         self.outstanding.fetch_add(1, Ordering::SeqCst);
         if self.advance(arc, &mut ex) {
             return;
@@ -1143,20 +1204,10 @@ impl Inner {
                 // The lane resumes as an ordinary two-site session
                 // replaying this group's plan: identical program →
                 // identical shipment seqs and bytes, so its ledger's
-                // acknowledged frames are skipped. The exchange's last
-                // lane takes the source database; earlier ones copy it.
-                let mut checkpoint = if last_of_exchange {
-                    ExchangeRequest {
-                        source: std::mem::take(&mut request.source),
-                        ..request.clone()
-                    }
-                } else {
-                    request.clone()
-                };
-                checkpoint.name = s.shared.name.clone();
-                checkpoint.target_endpoint = s.slot.target().to_string();
+                // acknowledged frames are skipped.
+                let (name, target) = (&s.shared.name, s.slot.target());
                 let resumable = Resumable {
-                    request: checkpoint,
+                    request: lane_checkpoint(request, name, target, last_of_exchange),
                     plan: Some(Arc::clone(&group.plan)),
                 };
                 self.settle_rolled_back(s, why, ship.link_gave_up, resumable);
@@ -1399,6 +1450,29 @@ impl Inner {
         );
     }
 
+    /// Closes a publish group's root span, admission to now; a session
+    /// on its own (`NO_SPAN`) has none.
+    pub(crate) fn close_group(
+        &self,
+        group_span: SpanId,
+        owner: SessionId,
+        enqueued: Instant,
+        detail: String,
+    ) {
+        if group_span != NO_SPAN {
+            self.trace.record_with_context(
+                group_span,
+                "publish-group",
+                owner,
+                NO_SPAN,
+                group_span,
+                enqueued,
+                enqueued.elapsed(),
+                detail,
+            );
+        }
+    }
+
     /// The last lane settled: bills a shared ring's encodes to the
     /// aggregate (once, at group scope — its lanes carry no
     /// serialization tallies), closes a publish group's root span, and
@@ -1417,25 +1491,15 @@ impl Inner {
             agg.multicast_encode_shared += reuse;
             agg.multicast_encode_fallback += fallbacks;
         }
+        let detail = format!(
+            "{}: {} lanes in {} format group(s), {reuse} shared-frame reuses, \
+             {fallbacks} ring fallbacks",
+            ex.request.name,
+            ex.groups.iter().map(|g| g.lanes.len()).sum::<usize>(),
+            ex.groups.len(),
+        );
         let group_span = ex.groups[0].lanes[0].shared.root_parent;
-        if group_span != NO_SPAN {
-            self.trace.record_with_context(
-                group_span,
-                "publish-group",
-                ex.id,
-                NO_SPAN,
-                group_span,
-                ex.enqueued,
-                ex.enqueued.elapsed(),
-                format!(
-                    "{}: {} lanes in {} format group(s), {reuse} shared-frame reuses, \
-                     {fallbacks} ring fallbacks",
-                    ex.request.name,
-                    ex.groups.iter().map(|g| g.lanes.len()).sum::<usize>(),
-                    ex.groups.len(),
-                ),
-            );
-        }
+        self.close_group(group_span, ex.id, ex.enqueued, detail);
         self.outstanding.fetch_sub(1, Ordering::SeqCst);
         // Workers parked on an empty queue re-check the exit condition.
         self.available.notify_all();

@@ -39,8 +39,7 @@ use xdx_net::{fnv64, ChunkFrame};
 /// Number of independent lock shards; sessions hash to shards by id.
 const SHARDS: usize = 16;
 
-/// Default cap on shipment buffers held across the ledger
-/// (`RuntimeConfig::with_ledger_capacity` overrides it).
+/// Cap on shipment buffers held across the runtime's ledger.
 pub const DEFAULT_LEDGER_CAPACITY: usize = 4096;
 
 /// Outcome of filing one verified frame.

@@ -8,12 +8,13 @@
 //! messages to a real network. This crate provides that operational
 //! layer on top of `xdx-core`:
 //!
-//! * **Session manager** — [`Runtime::submit`] admits
-//!   [`ExchangeRequest`]s into a bounded priority/FIFO queue (admission
-//!   control via [`RuntimeConfig::max_queue_depth`]); sessions move
-//!   `Queued → Planning → Executing → Shipping → Done/Failed`, support
-//!   cooperative cancellation, and hand back a [`SessionResult`] through
-//!   their [`SessionHandle`].
+//! * **Session manager** — [`Runtime::submit`] (a session) and
+//!   [`Runtime::publish`] (a 1→N group; a session is a publish of one)
+//!   admit through one front door into one bounded weighted-fair queue
+//!   (admission control via [`RuntimeConfig::max_queue_depth`]);
+//!   sessions move `Queued → Planning → Executing → Shipping →
+//!   Done/Failed`, support cooperative cancellation, and hand back a
+//!   [`SessionResult`] through their [`SessionHandle`].
 //! * **Worker pool** — a fixed number of threads drain the queue;
 //!   cross-edge shipments resolve the session's per-`(source, target)`
 //!   pair [`xdx_net::Link`] from the [`LinkRegistry`], so sessions on
@@ -78,7 +79,7 @@ pub mod wheel;
 
 pub use admission::AdmissionController;
 pub use breaker::{BreakerTransition, CircuitBreaker};
-pub use cache::{plan_key, plan_key_with_fanout, CachedPlan, PlanCache, PlanKey};
+pub use cache::{plan_key, CachedPlan, PlanCache, PlanKey};
 pub use config::{RuntimeConfig, SubmitError};
 pub use events::{Event, EventKind, EventLog, DEFAULT_EVENT_CAPACITY};
 pub use fair::{FairQueue, Popped, DEFAULT_AGING_INTERVAL};

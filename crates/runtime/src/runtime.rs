@@ -11,6 +11,13 @@
 //! sharing a pair contend realistically on that pair's link. Each link
 //! carries its own fault model, counters and circuit breaker.
 //!
+//! There is one front door and one start path. [`Runtime::submit`] and
+//! [`Runtime::publish`] queue the same record — a request plus one seat
+//! per target — and a worker starts it the same way: open and gate each
+//! lane, plan once per negotiated wire format with the lane count as the
+//! cost model's fanout, run the source half, park. A session is a
+//! publish of one.
+//!
 //! Under overload the runtime *sheds* instead of degrading: a
 //! submission whose deadline the [`crate::admission`] estimator says
 //! cannot be met is refused up front; a queued session whose deadline
@@ -23,11 +30,11 @@
 
 use crate::admission::AdmissionController;
 use crate::breaker::BreakerTransition;
-use crate::cache::{plan_key, plan_key_with_fanout, CachedPlan, PlanCache, PlanKey};
+use crate::cache::{plan_key, CachedPlan, PlanCache, PlanKey};
 use crate::engine::ShipEngine;
 use crate::events::{Event, EventKind, EventLog};
-use crate::exchange::{route_key, session_trace_id, Exchange, Lane};
-use crate::fair::FairQueue;
+use crate::exchange::{lane_checkpoint, route_key, session_trace_id, Exchange, Lane};
+use crate::fair::{FairQueue, DEFAULT_AGING_INTERVAL};
 use crate::flight::{FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
 use crate::introspect::IntrospectServer;
 use crate::ledger::ReassemblyLedger;
@@ -38,12 +45,10 @@ use crate::session::{
 };
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use xdx_core::{
-    ksite_greedy, ksite_optimal, CostModel, DataExchange, Optimizer, Program, WireFormat,
-};
+use xdx_core::{CostModel, DataExchange, Program, WireFormat};
 use xdx_delta::{db_tables, Snapshot, SnapshotStore};
 use xdx_net::FaultProfile;
 use xdx_relational::{Counters, Database};
@@ -96,44 +101,42 @@ pub struct ConsolidationOutcome {
     pub index_error: Option<String>,
 }
 
-/// A queued session; ordering lives in the [`FairQueue`] it sits in.
-pub(crate) struct QueuedSession {
+/// A queued exchange — a session, a resumed session or a publish group;
+/// ordering lives in the [`FairQueue`] it sits in.
+pub(crate) struct QueuedExchange {
     enqueued: Instant,
     /// Resumed sessions are the operator's recovery probes: they bypass
     /// breaker-feedback shedding the way `resume` bypasses `try_admit`.
     resumed: bool,
+    /// The exchange as a two-site request. Each lane's name and target
+    /// endpoint are its seat's (a session's sole seat repeats the
+    /// request's own).
     request: ExchangeRequest,
     /// Present for resumed sessions: the plan the failed run executed,
     /// replayed without probing or re-planning.
     plan: Option<Arc<CachedPlan>>,
-    shared: Arc<SessionShared>,
+    /// One lane each: the session cell created at admission and the
+    /// target endpoint it ships to.
+    seats: Vec<(Arc<SessionShared>, String)>,
+    /// `Some` for a publish group: its trace span (every lane's root
+    /// span is a child, and it closes when the last lane settles) and
+    /// the frames a lane may trail the group's fastest.
+    group: Option<(SpanId, usize)>,
 }
 
 pub(crate) struct QueueState {
-    pub(crate) fair: FairQueue<QueuedSession>,
+    pub(crate) fair: FairQueue<QueuedExchange>,
     /// Parked exchanges with fresh batch results to service.
     /// Lives *inside* the queue lock so a completion can never slip
     /// between a worker's emptiness check and its condvar wait.
     pub(crate) runnable: VecDeque<SessionId>,
-    /// Admitted 1→N publish groups, FIFO. A group bills N tenants at
-    /// once, so it rides its own lane instead of the per-tenant fair
-    /// queue.
-    pub(crate) publish: VecDeque<PublishJob>,
     pub(crate) open: bool,
 }
 
-/// An admitted publish group waiting for a worker: the request plus
-/// the per-subscriber session cells created at admission.
-pub(crate) struct PublishJob {
-    enqueued: Instant,
-    request: PublishRequest,
-    /// One session per subscriber, index-aligned with
-    /// `request.subscribers`.
-    shareds: Vec<Arc<SessionShared>>,
-    /// The group's trace span; every lane's root span is a sibling, and
-    /// the span closes when the last lane settles.
-    group_span: SpanId,
-}
+/// What [`Inner::plan`] hands back per wire format: the plan, and the
+/// shape half of its cache key when session drift is accounted against
+/// it.
+type Planned = (WireFormat, Arc<CachedPlan>, Option<u64>);
 
 /// A failed session's checkpoint: the original request plus the plan it
 /// was executing. A resume replays the plan directly — zero statistics
@@ -181,6 +184,10 @@ pub(crate) struct Aggregate {
     /// Target-side engine counters, merged across finished sessions.
     pub(crate) target_counters: Counters,
 }
+
+/// Spans the trace ring keeps; the oldest are evicted (and counted in
+/// [`RuntimeStats::dropped_spans`]) beyond this.
+const TRACE_CAPACITY: usize = 65_536;
 
 /// Most recent completed-session latencies retained for
 /// `RuntimeStats::latencies` (the histogram keeps the full
@@ -294,8 +301,8 @@ impl Runtime {
         let latency_hist = metrics.histogram("xdx_session_latency_ns");
         let encode_hist = metrics.histogram("xdx_encode_ns");
         let events = Arc::new(EventLog::with_capacity(config.event_capacity));
-        let ledger = Arc::new(ReassemblyLedger::with_capacity(config.ledger_capacity));
-        let trace = Arc::new(TraceSink::new(config.tracing, config.trace_capacity));
+        let ledger = Arc::new(ReassemblyLedger::new());
+        let trace = Arc::new(TraceSink::new(config.tracing, TRACE_CAPACITY));
         let flight = Arc::new(FlightRecorder::new(
             config.flight_recorder,
             DEFAULT_FLIGHT_CAPACITY,
@@ -321,16 +328,12 @@ impl Runtime {
                 config.wire_format,
             ),
             queue: Mutex::new(QueueState {
-                fair: FairQueue::new(config.aging_interval),
+                fair: FairQueue::new(DEFAULT_AGING_INTERVAL),
                 runnable: VecDeque::new(),
-                publish: VecDeque::new(),
                 open: true,
             }),
             available: Condvar::new(),
-            cache: match config.plan_ttl {
-                Some(ttl) => PlanCache::with_ttl(ttl),
-                None => PlanCache::new(),
-            },
+            cache: PlanCache::new(),
             events,
             ledger,
             engine: Arc::clone(&engine),
@@ -425,7 +428,7 @@ impl Runtime {
         }
         let id = inner.next_id.fetch_add(1, Ordering::Relaxed) + 1;
         inner
-            .enqueue(request, id, false, None)
+            .enqueue_session(request, id, false, None)
             .map_err(|refused| refused.0)
     }
 
@@ -448,7 +451,7 @@ impl Runtime {
             .remove(&session_id)
             .ok_or(SubmitError::UnknownSession { id: session_id })?;
         request.deadline = None;
-        match inner.enqueue(request, session_id, true, plan.clone()) {
+        match inner.enqueue_session(request, session_id, true, plan.clone()) {
             Ok(handle) => {
                 inner.agg.lock().unwrap().resumed += 1;
                 Ok(handle)
@@ -463,92 +466,88 @@ impl Runtime {
     }
 
     /// Admits a 1→N publish group: one source shipping the same exchange
-    /// to every subscriber endpoint. The runtime plans once per distinct
-    /// `(shape, wire format)` with the k-site cost model, executes the
-    /// source phase once per format, encodes each operator batch once
-    /// per format into a shared refcounted frame, and ships those same
-    /// bytes over each subscriber's own link lane — per-subscriber
-    /// ledger acks, retry budgets, breakers and resume stay fully
-    /// independent, and a slow or broken subscriber never stalls the
-    /// others (beyond the request's lag cap it is dropped to the
-    /// per-subscriber re-encode/full-ship fallback and left resumable).
+    /// to every subscriber endpoint, queued as *one* exchange of N lanes
+    /// (under its first subscriber's tenant, at the request's priority).
+    /// The runtime plans once per distinct `(shape, wire format)` with
+    /// the lane count as the cost model's fanout, executes the source
+    /// phase once per format, encodes each operator batch once per
+    /// format into a shared refcounted frame, and ships those same bytes
+    /// over each subscriber's own link lane — per-subscriber ledger
+    /// acks, retry budgets, breakers and resume stay fully independent,
+    /// and a slow or broken subscriber never stalls the others (beyond
+    /// the request's lag cap it is dropped to the per-subscriber
+    /// re-encode/full-ship fallback and left resumable).
     ///
     /// Returns one [`SessionHandle`] per subscriber, wrapped in a
     /// [`PublishHandle`]. An empty subscriber list yields an empty
     /// handle without touching the queue.
     pub fn publish(&self, request: PublishRequest) -> Result<PublishHandle, SubmitError> {
         let inner = &*self.inner;
-        if request.subscribers.is_empty() {
+        let PublishRequest {
+            name,
+            source,
+            source_frag,
+            target_frag,
+            source_endpoint,
+            subscribers,
+            priority,
+            source_profile,
+            target_profile,
+            tenant,
+            optimizer,
+            wire_format,
+            lag_cap,
+        } = request;
+        let Some(first) = subscribers.first().cloned() else {
             return Ok(PublishHandle {
                 handles: Vec::new(),
             });
-        }
-        let mut queue = inner.queue.lock().unwrap();
-        if !queue.open {
-            return Err(SubmitError::ShutDown);
-        }
-        let depth = queue.fair.len() + queue.publish.len();
-        if depth >= inner.config.max_queue_depth {
-            drop(queue);
-            inner.agg.lock().unwrap().rejected += 1;
-            inner.events.push(
-                0,
-                NO_SPAN,
-                EventKind::Rejected,
-                format!("{}: queue full (publish group)", request.name),
-            );
-            return Err(SubmitError::QueueFull {
-                depth: inner.config.max_queue_depth,
-                retry_after: inner.admission.retry_after(depth),
-            });
-        }
+        };
+        // Lane roots stitch under the publish group's span: the group
+        // span id doubles as the multicast trace id, so one publish
+        // produces one tree no matter how many subscribers fan out.
         let group_span = inner.trace.allocate_id();
-        let fanout = request.subscribers.len();
-        let mut shareds = Vec::with_capacity(fanout);
-        let mut handles = Vec::with_capacity(fanout);
-        for subscriber in &request.subscribers {
-            let id = inner.next_id.fetch_add(1, Ordering::Relaxed) + 1;
-            let root_span = inner.trace.allocate_id();
-            // Lane roots stitch under the publish group's span: the
-            // group span id doubles as the multicast trace id, so one
-            // publish produces one tree no matter how many
-            // subscribers fan out.
-            let shared = SessionShared::new_with_parent(
-                id,
-                format!("{}→{subscriber}", request.name),
+        let seats = subscribers
+            .into_iter()
+            .map(|subscriber| {
+                let shared = SessionShared::new_with_parent(
+                    inner.next_id.fetch_add(1, Ordering::Relaxed) + 1,
+                    format!("{name}→{subscriber}"),
+                    None,
+                    inner.trace.allocate_id(),
+                    group_span,
+                );
+                (shared, subscriber)
+            })
+            .collect();
+        // The publish as a two-site request — what every lane's resume
+        // checkpoint is cut from.
+        let template = ExchangeRequest {
+            name,
+            source,
+            source_frag,
+            target_frag,
+            priority,
+            source_profile,
+            target_profile,
+            deadline: None,
+            source_endpoint,
+            target_endpoint: first,
+            tenant,
+            optimizer,
+            wire_format,
+            base_version: None,
+        };
+        inner
+            .enqueue(
+                template,
+                seats,
+                Some((group_span, lag_cap.max(1))),
+                false,
                 None,
-                root_span,
-                group_span,
-            );
-            inner.events.push(
-                id,
-                root_span,
-                EventKind::Submitted,
-                format!(
-                    "{}→{subscriber} ({:?}, publish group of {fanout})",
-                    request.name, request.priority
-                ),
-            );
-            inner.tenant_entry(&request.lane_tenant(subscriber), |t| t.admitted += 1);
-            handles.push(SessionHandle {
-                shared: Arc::clone(&shared),
-            });
-            shareds.push(shared);
-        }
-        {
-            let mut agg = inner.agg.lock().unwrap();
-            agg.admitted += fanout as u64;
-            agg.fanout_subscribers += fanout as u64;
-        }
-        queue.publish.push_back(PublishJob {
-            enqueued: Instant::now(),
-            request,
-            shareds,
-            group_span,
-        });
-        drop(queue);
-        inner.available.notify_one();
-        Ok(PublishHandle { handles })
+            )
+            .map(|handles| PublishHandle { handles })
+            .map_err(|refused| refused.0)
     }
 
     /// N→1 consolidation: runs every request as an ordinary session
@@ -791,13 +790,12 @@ impl Drop for Runtime {
 }
 
 /// What a worker picked up: a parked exchange with batch results to
-/// service, or a fresh session or publish group to start. Runnable work
-/// drains first — finishing in-flight exchanges beats starting new
-/// ones, and it is what bounds the parked map.
+/// service, or a queued one to start. Runnable work drains first —
+/// finishing in-flight exchanges beats starting new ones, and it is
+/// what bounds the parked map.
 enum WorkItem {
     Service(SessionId),
-    Job(Box<QueuedSession>),
-    Publish(Box<PublishJob>),
+    Start(Box<QueuedExchange>),
 }
 
 fn worker_loop(inner: &Arc<Inner>) {
@@ -819,11 +817,8 @@ fn worker_loop(inner: &Arc<Inner>) {
                 } = inner.config;
                 let cap = workers * per_worker;
                 if inner.outstanding.load(Ordering::SeqCst) < cap {
-                    if let Some(job) = queue.publish.pop_front() {
-                        break Some(WorkItem::Publish(Box::new(job)));
-                    }
                     if let Some(popped) = queue.fair.pop() {
-                        break Some(WorkItem::Job(Box::new(popped.item)));
+                        break Some(WorkItem::Start(Box::new(popped.item)));
                     }
                 }
                 if !queue.open && inner.outstanding.load(Ordering::SeqCst) == 0 {
@@ -835,14 +830,10 @@ fn worker_loop(inner: &Arc<Inner>) {
         let Some(work) = work else { return };
         inner.busy_workers.fetch_add(1, Ordering::Relaxed);
         match work {
-            WorkItem::Job(job) => {
-                inner.admission.record_dequeue();
-                inner.run_session(inner, *job);
-            }
             WorkItem::Service(sid) => inner.service(inner, sid),
-            WorkItem::Publish(job) => {
+            WorkItem::Start(job) => {
                 inner.admission.record_dequeue();
-                inner.run_publish(inner, *job);
+                inner.start_exchange(inner, *job);
             }
         }
         inner.busy_workers.fetch_sub(1, Ordering::Relaxed);
@@ -850,20 +841,37 @@ fn worker_loop(inner: &Arc<Inner>) {
 }
 
 impl Inner {
-    /// Queues `request` as session `id` (fresh or resumed), or hands the
-    /// request back with the refusal (boxed: the request embeds a whole
-    /// source database, too big for an inline `Err`).
-    fn enqueue(
+    /// Queues `request` as a session of its own, id `id` (fresh or
+    /// resumed): an exchange of one lane to the request's own target.
+    fn enqueue_session(
         &self,
         request: ExchangeRequest,
         id: SessionId,
         resumed: bool,
         plan: Option<Arc<CachedPlan>>,
     ) -> Result<SessionHandle, Box<(SubmitError, ExchangeRequest)>> {
-        let tenant = request.tenant_label();
-        let mut queue = self.queue.lock().unwrap();
+        // The root span is allocated at admission so every child span
+        // and correlated event can point at it; it is recorded (with
+        // its true duration) when the session reaches a terminal state.
+        let root_span = self.trace.allocate_id();
+        let shared = SessionShared::new(id, request.name.clone(), request.deadline, root_span);
+        let seats = vec![(shared, request.target_endpoint.clone())];
+        self.enqueue(request, seats, None, resumed, plan)
+            .map(|mut handles| handles.remove(0))
+    }
+
+    /// The admission checks, under the queue lock: the runtime is open,
+    /// the queue has room, and the request's deadline is attainable.
+    /// Hands the lock back for the push, or releases it and records
+    /// the refusal.
+    fn admit<'q>(
+        &self,
+        queue: MutexGuard<'q, QueueState>,
+        request: &ExchangeRequest,
+        id: SessionId,
+    ) -> Result<MutexGuard<'q, QueueState>, SubmitError> {
         if !queue.open {
-            return Err(Box::new((SubmitError::ShutDown, request)));
+            return Err(SubmitError::ShutDown);
         }
         let depth = queue.fair.len();
         if depth >= self.config.max_queue_depth {
@@ -875,20 +883,17 @@ impl Inner {
                 EventKind::Rejected,
                 format!("{}: queue full", request.name),
             );
-            return Err(Box::new((
-                SubmitError::QueueFull {
-                    depth: self.config.max_queue_depth,
-                    retry_after: self.admission.retry_after(depth),
-                },
-                request,
-            )));
+            return Err(SubmitError::QueueFull {
+                depth: self.config.max_queue_depth,
+                retry_after: self.admission.retry_after(depth),
+            });
         }
         // Deadline shedding at admission: when the estimator already
         // knows the turnaround cannot beat the deadline, refuse now —
         // the session would only be shed at dequeue after occupying a
         // queue slot. A cold estimator returns None and we admit
-        // optimistically. Resumed sessions carry no deadline, so they
-        // are never shed here.
+        // optimistically. Resumed sessions and publish groups carry no
+        // deadline, so they are never shed here.
         if let Some(deadline) = request.deadline {
             let estimated = self.admission.estimated_turnaround(
                 depth,
@@ -902,50 +907,72 @@ impl Inner {
                     agg.rejected += 1;
                     agg.shed_deadline += 1;
                 }
-                self.tenant_entry(&tenant, |t| t.shed += 1);
-                self.flight.shed(|| {
-                    format!(
-                        "{}: deadline {deadline:?} unattainable (estimated {estimated:?})",
-                        request.name
-                    )
-                });
-                self.events.push(
-                    id,
-                    NO_SPAN,
-                    EventKind::Shed,
-                    format!(
-                        "{}: deadline {deadline:?} unattainable (estimated {estimated:?})",
-                        request.name
-                    ),
+                self.tenant_entry(&request.tenant_label(), |t| t.shed += 1);
+                let why = format!(
+                    "{}: deadline {deadline:?} unattainable (estimated {estimated:?})",
+                    request.name
                 );
-                return Err(Box::new((
-                    SubmitError::DeadlineUnattainable {
-                        deadline,
-                        estimated,
-                        retry_after: self.admission.retry_after(depth),
-                    },
-                    request,
-                )));
+                self.flight.shed(|| why.clone());
+                self.events.push(id, NO_SPAN, EventKind::Shed, why);
+                return Err(SubmitError::DeadlineUnattainable {
+                    deadline,
+                    estimated,
+                    retry_after: self.admission.retry_after(depth),
+                });
             }
         }
-        // The root span is allocated at admission so every child span
-        // and correlated event can point at it; it is recorded (with
-        // its true duration) when the session reaches a terminal state.
-        let root_span = self.trace.allocate_id();
-        let shared = SessionShared::new(id, request.name.clone(), request.deadline, root_span);
+        Ok(queue)
+    }
+
+    /// The one front door: queues `request` with a lane per seat as one
+    /// entry of the fair queue — under the first seat's tenant, at the
+    /// request's priority — or hands the request back with the refusal
+    /// (boxed: the request embeds a whole source database, too big for
+    /// an inline `Err`). Returns a handle per seat.
+    fn enqueue(
+        &self,
+        request: ExchangeRequest,
+        seats: Vec<(Arc<SessionShared>, String)>,
+        group: Option<(SpanId, usize)>,
+        resumed: bool,
+        plan: Option<Arc<CachedPlan>>,
+    ) -> Result<Vec<SessionHandle>, Box<(SubmitError, ExchangeRequest)>> {
+        let tenant = request.tenant_label();
+        let queue = self.queue.lock().unwrap();
+        let mut queue = match self.admit(queue, &request, seats[0].0.id) {
+            Ok(queue) => queue,
+            Err(refused) => return Err(Box::new((refused, request))),
+        };
         let kind = if resumed {
             EventKind::Resumed
         } else {
             EventKind::Submitted
         };
-        self.events.push(
-            id,
-            root_span,
-            kind,
-            format!("{} ({:?})", request.name, request.priority),
-        );
-        self.agg.lock().unwrap().admitted += 1;
-        self.tenant_entry(&tenant, |t| t.admitted += 1);
+        let lanes = seats.len();
+        for (shared, target) in &seats {
+            let detail = match group {
+                Some(_) => format!(
+                    "{} ({:?}, publish group of {lanes})",
+                    shared.name, request.priority
+                ),
+                None => format!("{} ({:?})", shared.name, request.priority),
+            };
+            self.events.push(shared.id, shared.root_span, kind, detail);
+            self.tenant_entry(&request.lane_tenant(target), |t| t.admitted += 1);
+        }
+        {
+            let mut agg = self.agg.lock().unwrap();
+            agg.admitted += lanes as u64;
+            if group.is_some() {
+                agg.fanout_subscribers += lanes as u64;
+            }
+        }
+        let handles = seats
+            .iter()
+            .map(|(shared, _)| SessionHandle {
+                shared: Arc::clone(shared),
+            })
+            .collect();
         let weight = self.tenant_weight(&tenant);
         let now = Instant::now();
         queue.fair.push(
@@ -954,17 +981,18 @@ impl Inner {
             request.priority,
             self.next_seq.fetch_add(1, Ordering::Relaxed),
             now,
-            QueuedSession {
+            QueuedExchange {
                 enqueued: now,
                 resumed,
                 request,
                 plan,
-                shared: Arc::clone(&shared),
+                seats,
+                group,
             },
         );
         drop(queue);
         self.available.notify_one();
-        Ok(SessionHandle { shared })
+        Ok(handles)
     }
 
     /// The weighted-fair share weight of `tenant` (1.0 unless set).
@@ -1029,13 +1057,15 @@ impl Inner {
     /// probes and retry budgets to learn what the breaker already
     /// knows — drain and shed them now. Resumed sessions stay queued:
     /// resume is the operator's probe and intentionally bypasses the
-    /// breaker.
+    /// breaker. So do publish groups: their other lanes ride healthy
+    /// routes, and the dequeue gate sheds this route's lane alone.
     pub(crate) fn shed_queued_route(&self, slot: &LinkSlot) {
         let pair = slot.pair();
         let drained = {
             let mut queue = self.queue.lock().unwrap();
-            queue.fair.drain_matching(|qs: &QueuedSession| {
+            queue.fair.drain_matching(|qs: &QueuedExchange| {
                 !qs.resumed
+                    && qs.group.is_none()
                     && qs.request.source_endpoint == slot.source()
                     && qs.request.target_endpoint == slot.target()
             })
@@ -1048,13 +1078,14 @@ impl Inner {
             .cooldown_remaining()
             .unwrap_or(self.config.breaker_cooldown);
         for qs in drained {
-            let QueuedSession {
+            let QueuedExchange {
                 enqueued,
                 request,
                 plan,
-                shared,
+                seats,
                 ..
             } = qs;
+            let shared = &seats[0].0;
             let tenant = request.tenant_label();
             let metrics = SessionMetrics {
                 queue_wait: enqueued.elapsed(),
@@ -1082,7 +1113,7 @@ impl Inner {
             );
             self.remember_resumable(shared.id, Resumable { request, plan });
             self.finish(
-                &shared,
+                shared,
                 enqueued,
                 SessionState::Failed,
                 metrics,
@@ -1139,113 +1170,130 @@ impl Inner {
         Some((SessionState::Failed, why))
     }
 
-    /// Runs one session on the calling worker thread from dequeue to
-    /// *park* (`arc` is this same `Inner`, threaded through for the
-    /// engine callbacks a parked exchange leaves behind).
-    fn run_session(&self, arc: &Arc<Inner>, job: QueuedSession) {
-        let QueuedSession {
+    /// The one start arm: runs a queued exchange on the calling worker
+    /// thread from dequeue to *park* (`arc` is this same `Inner`,
+    /// threaded through for the engine callbacks a parked exchange
+    /// leaves behind). Every lane passes the dequeue gates; the
+    /// survivors are planned once per negotiated wire format and each
+    /// format becomes one group — its source phase runs once and every
+    /// frame is encoded *once* into the ring all of its lanes ship from,
+    /// over their own links, with their own ledgers, retry budgets and
+    /// breakers. A session is the group of one lane; a lane that drops
+    /// out on the way stays resumable as a session of its own without
+    /// stalling the rest.
+    fn start_exchange(&self, arc: &Arc<Inner>, job: QueuedExchange) {
+        let QueuedExchange {
             enqueued,
             resumed,
-            request,
-            plan: stored_plan,
-            shared,
+            mut request,
+            plan: stored,
+            seats,
+            group,
         } = job;
-        let mut lane = self.open_lane(&shared, enqueued, &request, &request.target_endpoint);
-        let wire_format = lane.metrics.wire_format;
-        if let Some((state, why)) = self.dequeue_gate(&lane, resumed) {
+        let (group_span, lag_cap) = group.unwrap_or((NO_SPAN, usize::MAX));
+        let owner = seats[0].0.id;
+        let mut lanes = Vec::with_capacity(seats.len());
+        for (i, (shared, target)) in seats.iter().enumerate() {
+            let lane = self.open_lane(shared, enqueued, &request, target);
+            let Some((state, why)) = self.dequeue_gate(&lane, resumed) else {
+                lanes.push(lane);
+                continue;
+            };
             if state == SessionState::Failed {
-                let plan = stored_plan;
+                // A shed lane stays resumable; with nobody left to run
+                // the exchange, its checkpoint takes the source database.
+                let last = lanes.is_empty() && i + 1 == seats.len();
+                let request = lane_checkpoint(&mut request, &shared.name, target, last);
+                let plan = stored.clone();
                 self.remember_resumable(shared.id, Resumable { request, plan });
             }
-            self.finish(&shared, enqueued, state, lane.metrics, None, Some(why));
-            return;
+            self.finish(shared, enqueued, state, lane.metrics, None, Some(why));
         }
-        let delta_base = self.resolve_delta_base(&request, &mut lane);
+        if lanes.is_empty() {
+            let detail = format!("{}: no live lanes", request.name);
+            return self.close_group(group_span, owner, enqueued, detail);
+        }
+        // A delta needs the one target whose base version the request
+        // declares; the lanes of a group hold no version in common.
+        let delta_base = match &mut lanes[..] {
+            [lane] => self.resolve_delta_base(&request, lane),
+            _ => None,
+        };
         let versions = delta_base.as_ref().map(|&(b, h, _, _)| (b, h));
-        // Planning is timed from the instant the queue wait ended, and
-        // execution from the instant planning ended.
-        let dequeued = enqueued + lane.metrics.queue_wait;
-        let planned = self.plan_session(
-            &request,
-            &mut lane,
-            wire_format,
-            dequeued,
-            stored_plan,
-            versions,
-        );
-        let (plan, plan_shape) = match planned {
-            Ok(planned) => planned,
+        // Planning is timed from the instant the (last lane's) queue wait
+        // ended, and execution from the instant planning ended.
+        let dequeued = enqueued + lanes[lanes.len() - 1].metrics.queue_wait;
+        let plans = match self.plan(&request, &mut lanes, dequeued, stored, versions) {
+            Ok(plans) => plans,
             Err(why) => {
-                self.finish(
-                    &shared,
-                    enqueued,
-                    SessionState::Failed,
-                    lane.metrics,
-                    None,
-                    Some(why),
-                );
-                return;
+                for lane in lanes {
+                    let why = Some(why.clone());
+                    let failed = SessionState::Failed;
+                    self.finish(&lane.shared, enqueued, failed, lane.metrics, None, why);
+                }
+                let detail = format!("{}: {why}", request.name);
+                return self.close_group(group_span, owner, enqueued, detail);
             }
         };
-        if shared.is_cancelled() {
-            let why = Some("cancelled after planning".into());
-            self.finish(
-                &shared,
-                enqueued,
-                SessionState::Cancelled,
-                lane.metrics,
-                None,
-                why,
-            );
-            return;
-        }
-        if shared.deadline_exceeded() {
-            self.events.push(
-                shared.id,
-                shared.root_span,
-                EventKind::DeadlineExceeded,
-                "after planning",
-            );
-            let plan = Some(plan);
-            self.remember_resumable(shared.id, Resumable { request, plan });
-            let why = Some("deadline exceeded after planning".into());
-            self.finish(
-                &shared,
-                enqueued,
-                SessionState::Failed,
-                lane.metrics,
-                None,
-                why,
-            );
-            return;
-        }
-
         // Execute (Step 4): every cross-edge byte rides the shipping
-        // engine on the lane's per-pair link, and the exchange parks
+        // engine on its lane's per-pair link, and the exchange parks
         // while its frames are on the wire. Writes are staged: a run
         // that dies mid-exchange rolls the target back.
-        let planned_at = dequeued + lane.metrics.planning;
-        let group = self.open_group(wire_format, plan, plan_shape, planned_at, vec![lane]);
-        let mut ex = Exchange {
-            id: shared.id,
-            enqueued,
-            request,
-            billed: Counters::default(),
-            lag_cap: usize::MAX,
-            groups: vec![group],
-            inbox: Arc::new(Mutex::new(Vec::new())),
-        };
-        // Delta path first, when eligible: the patch, if the cost model
-        // prefers it, is shipment 0 and the full feeds stay home unless
-        // the fallback ladder needs them.
-        let ship_full = match delta_base {
-            Some(base) => self.stage_delta(&mut ex, base),
-            None => true,
-        };
-        if ship_full {
-            self.run_source(arc, &mut ex, 0);
+        let planned_at = dequeued + lanes[0].metrics.planning;
+        let mut groups = Vec::with_capacity(plans.len());
+        for (format, plan, shape) in plans {
+            let (members, rest): (Vec<_>, Vec<_>) = lanes
+                .into_iter()
+                .partition(|l| l.metrics.wire_format == format);
+            lanes = rest;
+            let members = self.planned_gate(&mut request, enqueued, &plan, members);
+            if !members.is_empty() {
+                groups.push(self.open_group(format, plan, shape, planned_at, members));
+            }
         }
-        self.launch(arc, ex);
+        if groups.is_empty() {
+            let detail = format!("{}: no live lanes", request.name);
+            return self.close_group(group_span, owner, enqueued, detail);
+        }
+        let ex = Exchange::new(enqueued, request, lag_cap, groups);
+        self.launch(arc, ex, delta_base);
+    }
+
+    /// The gates between planning and execution, lane by lane: one
+    /// cancelled meanwhile just ends; one whose deadline ran out fails,
+    /// resumable with the plan it would have executed. Returns the
+    /// lanes that go on.
+    fn planned_gate(
+        &self,
+        request: &mut ExchangeRequest,
+        enqueued: Instant,
+        plan: &Arc<CachedPlan>,
+        lanes: Vec<Lane>,
+    ) -> Vec<Lane> {
+        let mut live = Vec::with_capacity(lanes.len());
+        for lane in lanes {
+            let shared = Arc::clone(&lane.shared);
+            let (state, why) = if shared.is_cancelled() {
+                (SessionState::Cancelled, "cancelled after planning")
+            } else if shared.deadline_exceeded() {
+                self.events.push(
+                    shared.id,
+                    shared.root_span,
+                    EventKind::DeadlineExceeded,
+                    "after planning",
+                );
+                let request = lane_checkpoint(request, &shared.name, lane.slot.target(), false);
+                let plan = Some(Arc::clone(plan));
+                self.remember_resumable(shared.id, Resumable { request, plan });
+                (SessionState::Failed, "deadline exceeded after planning")
+            } else {
+                live.push(lane);
+                continue;
+            };
+            let why = Some(why.to_string());
+            self.finish(&shared, enqueued, state, lane.metrics, None, why);
+        }
+        live
     }
 
     /// Delta eligibility: resolves the base snapshot for the request's
@@ -1286,110 +1334,143 @@ impl Inner {
         Some((base, self.snapshots.head(route) + 1, snapshot, composed))
     }
 
-    /// Plans one session (Figure 2, Steps 2–3), consulting the shared
-    /// cache — or, for a resumed session, replaying the checkpointed
-    /// plan with zero probes and zero optimizer calls. Returns the plan
-    /// and the shape half of its cache key (kept for calibration: drift
-    /// is accounted per shape; `None` for a replayed plan). The `plan`
-    /// span is recorded on failure too, so the trace accounts for where
-    /// a failed session's wall time went.
-    fn plan_session(
+    /// Plans one exchange (Figure 2, Steps 2–3) once per negotiated wire
+    /// format, consulting the shared cache — or, for a resumed session,
+    /// replaying the checkpointed plan with zero probes and zero
+    /// optimizer calls. Returns the plans in first-lane order of their
+    /// formats, each with the shape half of its cache key (kept for
+    /// calibration: drift is accounted per shape; `None` for a replayed
+    /// plan, and for a group's — its cost bills every lane, where an
+    /// observation covers one). The `plan` span is recorded on failure
+    /// too, so the trace accounts for where a failed exchange's wall
+    /// time went.
+    fn plan(
         &self,
         request: &ExchangeRequest,
-        lane: &mut Lane,
-        wire_format: WireFormat,
+        lanes: &mut [Lane],
         started: Instant,
-        stored_plan: Option<Arc<CachedPlan>>,
+        stored: Option<Arc<CachedPlan>>,
         versions: Option<(u64, u64)>,
-    ) -> std::result::Result<(Arc<CachedPlan>, Option<u64>), String> {
-        let shared = Arc::clone(&lane.shared);
-        shared.set_state(SessionState::Planning);
+    ) -> std::result::Result<Vec<Planned>, String> {
+        for lane in lanes.iter() {
+            lane.shared.set_state(SessionState::Planning);
+        }
+        let owner = Arc::clone(&lanes[0].shared);
         let plan_span = self.trace.allocate_id();
         self.events.push(
-            shared.id,
+            owner.id,
             plan_span,
             EventKind::PlanningStarted,
-            &shared.name,
+            &request.name,
         );
-        let metrics = &mut lane.metrics;
-        let planned = match stored_plan {
+        let planned = match stored {
             Some(plan) => {
-                metrics.plan_cache_hit = true;
+                lanes[0].metrics.plan_cache_hit = true;
                 self.events.push(
-                    shared.id,
+                    owner.id,
                     plan_span,
                     EventKind::PlanCacheHit,
                     "checkpointed plan replayed: zero probes",
                 );
-                Ok((plan, None))
+                Ok(vec![(lanes[0].metrics.wire_format, plan, None)])
             }
-            None => {
-                let optimizer = request.optimizer.unwrap_or(self.config.optimizer);
-                let mut exchange = DataExchange::new(
-                    &self.schema,
-                    request.source_frag.clone(),
-                    request.target_frag.clone(),
-                )
-                .with_optimizer(optimizer)
-                .with_profiles(request.source_profile, request.target_profile)
-                .with_wire_format(wire_format);
-                exchange.w_comm = self.config.w_comm;
-                metrics.planning_probes += 1;
-                exchange
-                    .probe(&request.source)
-                    .map_err(|e| format!("statistics probe failed: {e}"))
-                    .and_then(|model| {
-                        let key = plan_key(
-                            &request.source_frag,
-                            &request.target_frag,
-                            &model,
-                            optimizer,
-                            versions,
-                        );
-                        let (plan, hit) =
-                            self.plan_cached(key, &model, || exchange.plan(&model))?;
-                        metrics.plan_cache_hit = hit;
-                        self.events.push(
-                            shared.id,
-                            plan_span,
-                            if hit {
-                                EventKind::PlanCacheHit
-                            } else {
-                                EventKind::PlanCacheMiss
-                            },
-                            format!("key {:016x}/{:016x}", key.shape, key.stats),
-                        );
-                        Ok((plan, Some(key.shape)))
-                    })
-            }
+            None => self.plan_formats(request, lanes, plan_span, versions),
         };
-        metrics.planning = started.elapsed();
+        let planning = started.elapsed();
+        for lane in lanes.iter_mut() {
+            lane.metrics.planning = planning;
+        }
         let detail = match &planned {
-            Ok((plan, _)) => {
-                // Feed the admission estimator: the plan's predicted
-                // cost units, scaled by calibration's ns-per-unit, is
-                // one of its two turnaround estimators.
-                self.admission.record_plan_cost(plan.cost);
-                self.planning_hist.record_duration_ns(metrics.planning);
-                let hit = if metrics.plan_cache_hit {
-                    "hit"
-                } else {
-                    "miss"
-                };
-                format!("cache {hit}, cost {:.1}", plan.cost)
+            Ok(plans) => {
+                // Feed the admission estimator: a plan's predicted cost
+                // units, scaled by calibration's ns-per-unit, is one of
+                // its two turnaround estimators.
+                let mut cost = 0.0;
+                for (_, plan, _) in plans {
+                    self.admission.record_plan_cost(plan.cost);
+                    cost += plan.cost;
+                }
+                self.planning_hist.record_duration_ns(planning);
+                let hits = lanes.iter().filter(|l| l.metrics.plan_cache_hit).count();
+                format!(
+                    "{} format group(s) over {} lane(s), {hits} on cached plans, cost {cost:.1}",
+                    plans.len(),
+                    lanes.len()
+                )
             }
             Err(why) => why.clone(),
         };
         self.trace.record_with_id(
             plan_span,
             "plan",
-            shared.id,
-            shared.root_span,
+            owner.id,
+            session_trace_id(&owner),
             started,
-            metrics.planning,
+            planning,
             detail,
         );
         planned
+    }
+
+    /// The probing half of [`Inner::plan`]: one statistics probe for the
+    /// whole exchange, then one placement per distinct wire format with
+    /// that format's lane count as the cost model's fanout — target work
+    /// bills per subscriber, shipping is multicast-amortized — each
+    /// cached under its own key, so the next exchange of this shape and
+    /// size plans for free.
+    fn plan_formats(
+        &self,
+        request: &ExchangeRequest,
+        lanes: &mut [Lane],
+        plan_span: SpanId,
+        versions: Option<(u64, u64)>,
+    ) -> std::result::Result<Vec<Planned>, String> {
+        let optimizer = request.optimizer.unwrap_or(self.config.optimizer);
+        let mut exchange = DataExchange::new(
+            &self.schema,
+            request.source_frag.clone(),
+            request.target_frag.clone(),
+        )
+        .with_optimizer(optimizer)
+        .with_profiles(request.source_profile, request.target_profile);
+        exchange.w_comm = self.config.w_comm;
+        lanes[0].metrics.planning_probes += 1;
+        let mut model = exchange
+            .probe(&request.source)
+            .map_err(|e| format!("statistics probe failed: {e}"))?;
+        let mut formats: Vec<(WireFormat, usize)> = Vec::new();
+        for lane in lanes.iter() {
+            match formats
+                .iter_mut()
+                .find(|(f, _)| *f == lane.metrics.wire_format)
+            {
+                Some((_, fanout)) => *fanout += 1,
+                None => formats.push((lane.metrics.wire_format, 1)),
+            }
+        }
+        let mut plans = Vec::with_capacity(formats.len());
+        for (format, fanout) in formats {
+            model.wire_format = format;
+            model.fanout = fanout;
+            let (source_frag, target_frag) = (&request.source_frag, &request.target_frag);
+            let key = plan_key(source_frag, target_frag, &model, optimizer, versions);
+            let (plan, hit) = self.plan_cached(key, &model, || exchange.plan(&model))?;
+            for lane in lanes.iter_mut().filter(|l| l.metrics.wire_format == format) {
+                lane.metrics.plan_cache_hit = hit;
+                self.events.push(
+                    lane.shared.id,
+                    plan_span,
+                    if hit {
+                        EventKind::PlanCacheHit
+                    } else {
+                        EventKind::PlanCacheMiss
+                    },
+                    format!("key {:016x}/{:016x} fanout {fanout}", key.shape, key.stats),
+                );
+            }
+            plans.push((format, plan, (fanout == 1).then_some(key.shape)));
+        }
+        Ok(plans)
     }
 
     /// One plan-cache round trip: looks `key` up and, on a miss, runs
@@ -1407,288 +1488,6 @@ impl Inner {
         let (program, cost) = planner().map_err(|e| format!("planning failed: {e}"))?;
         let plan = CachedPlan::priced(&self.schema, model, program, cost);
         Ok((self.cache.insert(key, plan), false))
-    }
-
-    /// Starts one admitted 1→N publish group on this worker.
-    ///
-    /// Planning happens once per distinct wire format: the source is
-    /// probed once, the k-site placement model prices target-side work
-    /// × fanout and multicast-amortized shipping, and the plan lands in
-    /// the shared cache under a fanout-tagged key. Each format becomes
-    /// one [`Group`]: its source phase runs once and every frame is
-    /// encoded *once* into the ring all of its lanes ship from — over
-    /// their own links, with their own ledgers, retry budgets and
-    /// breakers. Lanes settle independently: a broken subscriber fails
-    /// (staying resumable as a two-site session replaying the group's
-    /// plan, so its ledger acks line up) without stalling the healthy
-    /// ones, and a lane trailing its group's fastest by more than
-    /// `lag_cap` frames is dropped from the ring so the shared buffer
-    /// stays bounded.
-    fn run_publish(&self, arc: &Arc<Inner>, job: PublishJob) {
-        let PublishJob {
-            enqueued,
-            request,
-            shareds,
-            group_span,
-        } = job;
-        let PublishRequest {
-            name,
-            source,
-            source_frag,
-            target_frag,
-            source_endpoint,
-            subscribers,
-            priority,
-            source_profile,
-            target_profile,
-            tenant,
-            optimizer,
-            wire_format,
-            lag_cap,
-        } = request;
-        // What every lane's resume checkpoint is cut from: the publish
-        // as a two-site request, target endpoint to be filled per lane.
-        let template = ExchangeRequest {
-            name,
-            source,
-            source_frag,
-            target_frag,
-            priority,
-            source_profile,
-            target_profile,
-            deadline: None,
-            source_endpoint,
-            target_endpoint: String::new(),
-            tenant,
-            optimizer,
-            wire_format,
-            base_version: None,
-        };
-        // Lane setup: the same dequeue gates an ordinary session gets.
-        // Gated lanes settle here; the group continues with whoever
-        // survives.
-        let mut lanes: Vec<Lane> = Vec::new();
-        for (shared, subscriber) in shareds.iter().zip(&subscribers) {
-            let checkpoint = || ExchangeRequest {
-                name: shared.name.clone(),
-                target_endpoint: subscriber.clone(),
-                ..template.clone()
-            };
-            let lane = self.open_lane(shared, enqueued, &template, subscriber);
-            match self.dequeue_gate(&lane, false) {
-                None => lanes.push(lane),
-                Some((state, why)) => {
-                    if state == SessionState::Failed {
-                        let request = checkpoint();
-                        self.remember_resumable(
-                            shared.id,
-                            Resumable {
-                                request,
-                                plan: None,
-                            },
-                        );
-                    }
-                    self.finish(shared, enqueued, state, lane.metrics, None, Some(why));
-                }
-            }
-        }
-        let close_group = |detail: String| {
-            self.trace.record_with_context(
-                group_span,
-                "publish-group",
-                shareds[0].id,
-                NO_SPAN,
-                group_span,
-                enqueued,
-                enqueued.elapsed(),
-                format!("{}: {detail}", template.name),
-            );
-        };
-        if lanes.is_empty() {
-            close_group("no live lanes".into());
-            return;
-        }
-        let plans = match self.plan_publish(&template, &mut lanes) {
-            Ok(plans) => plans,
-            Err(why) => {
-                for lane in lanes {
-                    let why = Some(why.clone());
-                    self.finish(
-                        &lane.shared,
-                        enqueued,
-                        SessionState::Failed,
-                        lane.metrics,
-                        None,
-                        why,
-                    );
-                }
-                close_group(why);
-                return;
-            }
-        };
-        let mut ex = Exchange {
-            id: lanes[0].shared.id,
-            enqueued,
-            request: template,
-            billed: Counters::default(),
-            lag_cap: lag_cap.max(1),
-            groups: Vec::with_capacity(plans.len()),
-            inbox: Arc::new(Mutex::new(Vec::new())),
-        };
-        for (format, plan) in plans {
-            let (members, rest): (Vec<_>, Vec<_>) = lanes
-                .into_iter()
-                .partition(|l| l.metrics.wire_format == format);
-            lanes = rest;
-            ex.groups
-                .push(self.open_group(format, plan, None, Instant::now(), members));
-        }
-        for gi in 0..ex.groups.len() {
-            self.run_source(arc, &mut ex, gi);
-        }
-        self.launch(arc, ex);
-    }
-
-    /// Plans a publish once per distinct wire format: one statistics
-    /// probe for the whole group, then a k-site placement per format,
-    /// cached under the fanout-tagged key so the next group with this
-    /// shape plans for free. Returns the plans in first-subscriber
-    /// order of their formats.
-    fn plan_publish(
-        &self,
-        request: &ExchangeRequest,
-        lanes: &mut [Lane],
-    ) -> std::result::Result<Vec<(WireFormat, Arc<CachedPlan>)>, String> {
-        for lane in lanes.iter() {
-            lane.shared.set_state(SessionState::Planning);
-        }
-        let owner = Arc::clone(&lanes[0].shared);
-        let plan_span = self.trace.allocate_id();
-        self.events.push(
-            owner.id,
-            plan_span,
-            EventKind::PlanningStarted,
-            &request.name,
-        );
-        let started = Instant::now();
-        let optimizer = request.optimizer.unwrap_or(self.config.optimizer);
-        let mut exchange = DataExchange::new(
-            &self.schema,
-            request.source_frag.clone(),
-            request.target_frag.clone(),
-        )
-        .with_optimizer(optimizer)
-        .with_profiles(request.source_profile, request.target_profile)
-        .with_wire_format(lanes[0].metrics.wire_format);
-        exchange.w_comm = self.config.w_comm;
-        lanes[0].metrics.planning_probes = 1;
-        let mut formats: Vec<WireFormat> = Vec::new();
-        for lane in lanes.iter() {
-            if !formats.contains(&lane.metrics.wire_format) {
-                formats.push(lane.metrics.wire_format);
-            }
-        }
-        let planned = exchange
-            .probe(&request.source)
-            .map_err(|e| format!("statistics probe failed: {e}"))
-            .and_then(|base_model| {
-                let mut plans = Vec::with_capacity(formats.len());
-                for format in formats {
-                    let mut model = base_model.clone();
-                    model.wire_format = format;
-                    let fanout = lanes
-                        .iter()
-                        .filter(|l| l.metrics.wire_format == format)
-                        .count();
-                    let key = plan_key_with_fanout(
-                        &request.source_frag,
-                        &request.target_frag,
-                        &model,
-                        optimizer,
-                        None,
-                        fanout,
-                    );
-                    let (plan, hit) = self.plan_cached(key, &model, || {
-                        self.plan_ksite(&model, request, optimizer, fanout)
-                    })?;
-                    for lane in lanes.iter_mut().filter(|l| l.metrics.wire_format == format) {
-                        lane.metrics.plan_cache_hit = hit;
-                        self.events.push(
-                            lane.shared.id,
-                            plan_span,
-                            if hit {
-                                EventKind::PlanCacheHit
-                            } else {
-                                EventKind::PlanCacheMiss
-                            },
-                            format!("key {:016x}/{:016x} fanout {fanout}", key.shape, key.stats),
-                        );
-                    }
-                    self.admission.record_plan_cost(plan.cost);
-                    plans.push((format, plan));
-                }
-                Ok(plans)
-            });
-        let planning = started.elapsed();
-        for lane in lanes.iter_mut() {
-            lane.metrics.planning = planning;
-        }
-        let detail = match &planned {
-            Ok(plans) => {
-                self.planning_hist.record_duration_ns(planning);
-                format!("{} format group(s) over {} lanes", plans.len(), lanes.len())
-            }
-            Err(why) => why.clone(),
-        };
-        self.trace.record_with_id(
-            plan_span,
-            "plan",
-            owner.id,
-            session_trace_id(&owner),
-            started,
-            planning,
-            detail,
-        );
-        planned
-    }
-
-    /// K-site planning for a publish format group: enumerate orderings
-    /// exactly as the two-site planner does, but place each one with
-    /// the fanout-aware cost model (target work × k, multicast-
-    /// amortized shipping). At `fanout ≤ 1` the k-site placers delegate
-    /// to the two-site ones, so a single-subscriber publish reproduces
-    /// the ordinary session's plan byte for byte.
-    fn plan_ksite(
-        &self,
-        model: &CostModel,
-        request: &ExchangeRequest,
-        optimizer: Optimizer,
-        fanout: usize,
-    ) -> xdx_core::Result<(Program, f64)> {
-        let gen =
-            xdx_core::gen::Generator::new(&self.schema, &request.source_frag, &request.target_frag);
-        match optimizer {
-            Optimizer::Greedy => {
-                let program = xdx_core::greedy::greedy_program(&gen, model)?;
-                ksite_greedy(&self.schema, model, &program, fanout)
-            }
-            Optimizer::Optimal { ordering_cap } => {
-                let orderings = match gen.enumerate_orderings(ordering_cap) {
-                    Ok(orderings) if !orderings.is_empty() => orderings,
-                    _ => vec![xdx_core::greedy::greedy_program(&gen, model)?],
-                };
-                let mut best: Option<(Program, f64)> = None;
-                for program in &orderings {
-                    let (placed, cost) = ksite_optimal(&self.schema, model, program, fanout)?;
-                    if best.as_ref().map(|(_, b)| cost < *b).unwrap_or(true) {
-                        best = Some((placed, cost));
-                    }
-                }
-                best.ok_or(xdx_core::Error::Unplaceable {
-                    detail: "no orderings to place".into(),
-                })
-            }
-        }
     }
 
     pub(crate) fn finish(

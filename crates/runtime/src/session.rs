@@ -203,9 +203,15 @@ impl ExchangeRequest {
     /// [`with_tenant`](ExchangeRequest::with_tenant) tag, or the route
     /// pair (`source→target`) when untagged.
     pub fn tenant_label(&self) -> String {
+        self.lane_tenant(&self.target_endpoint)
+    }
+
+    /// The fairness tenant a lane of this request to `target_endpoint`
+    /// bills to (a publish group's lanes share one request).
+    pub(crate) fn lane_tenant(&self, target_endpoint: &str) -> String {
         self.tenant
             .clone()
-            .unwrap_or_else(|| format!("{}→{}", self.source_endpoint, self.target_endpoint))
+            .unwrap_or_else(|| format!("{}→{target_endpoint}", self.source_endpoint))
     }
 
     /// Sets the scheduling priority.
@@ -235,8 +241,9 @@ impl ExchangeRequest {
 /// A 1→N publish: one source shipping the *same* exchange to a set of
 /// subscriber endpoints as a single publish group.
 ///
-/// The runtime plans the group once per distinct `(shape, wire format)`
-/// with the k-site placement model ([`xdx_core::ksite`]), runs the
+/// The runtime queues the group as one exchange of N lanes, plans it
+/// once per distinct `(shape, wire format)` with the lane count as the
+/// cost model's fanout ([`xdx_core::CostModel::fanout`]), runs the
 /// source phase once, encodes every operator batch once per format into
 /// a shared refcounted frame, and ships those same bytes over each
 /// subscriber's own link lane. Per-subscriber ledger acks, retry
@@ -262,12 +269,13 @@ pub struct PublishRequest {
     /// Subscriber target endpoints; each gets its own session, link
     /// lane, ledger and result.
     pub subscribers: Vec<String>,
-    /// Scheduling priority of the group.
+    /// Scheduling priority of the group: it queues as one entry of the
+    /// fair queue, under its first subscriber's tenant.
     pub priority: Priority,
     /// Source system capabilities/speed.
     pub source_profile: SystemProfile,
     /// Subscriber capabilities/speed (uniform across the group; the
-    /// k-site cost model replicates target work per subscriber).
+    /// cost model bills target work once per subscriber).
     pub target_profile: SystemProfile,
     /// Admission-fairness tenant the lanes bill to; `None` bills each
     /// lane to its own route pair.
@@ -337,7 +345,7 @@ impl PublishRequest {
         self
     }
 
-    /// Sets the system profiles the k-site planner costs against.
+    /// Sets the system profiles the planner costs against.
     pub fn with_profiles(mut self, source: SystemProfile, target: SystemProfile) -> PublishRequest {
         self.source_profile = source;
         self.target_profile = target;
@@ -360,13 +368,6 @@ impl PublishRequest {
     pub fn with_lag_cap(mut self, cap: usize) -> PublishRequest {
         self.lag_cap = cap.max(1);
         self
-    }
-
-    /// The fairness tenant a lane to `subscriber` bills to.
-    pub fn lane_tenant(&self, subscriber: &str) -> String {
-        self.tenant
-            .clone()
-            .unwrap_or_else(|| format!("{}→{subscriber}", self.source_endpoint))
     }
 }
 

@@ -10,6 +10,11 @@ use std::time::Duration;
 use xdx_core::{Location, WireFormat};
 use xdx_trace::HistogramSnapshot;
 
+/// How far the shipping engine's nearest wheel deadline may run overdue
+/// (while tasks are parked) before the stall watchdog declares the engine
+/// wedged.
+const STALL_THRESHOLD: Duration = Duration::from_millis(250);
+
 /// Stable label for a placement location in metric names and
 /// calibration cells.
 pub(crate) fn location_name(loc: Location) -> &'static str {
@@ -49,8 +54,6 @@ pub struct RuntimeStats {
     pub plan_cache_hits: u64,
     /// Plan-cache misses.
     pub plan_cache_misses: u64,
-    /// Cached plans evicted for outliving the TTL.
-    pub plan_cache_expired: u64,
     /// Cached plans evicted because the probed statistics drifted.
     pub plan_cache_stats_evicted: u64,
     /// Cached plans evicted because cost-model calibration reported
@@ -193,7 +196,6 @@ impl RuntimeStats {
             ("ledger_buffers_shed", self.ledger_buffers_shed),
             ("plan_cache_hits", self.plan_cache_hits),
             ("plan_cache_misses", self.plan_cache_misses),
-            ("plan_cache_expired", self.plan_cache_expired),
             ("plan_cache_stats_evicted", self.plan_cache_stats_evicted),
             ("plan_cache_drift_evicted", self.plan_cache_drift_evicted),
             ("planning_probes", self.planning_probes),
@@ -311,7 +313,6 @@ impl Inner {
             tenants,
             plan_cache_hits: self.cache.hits(),
             plan_cache_misses: self.cache.misses(),
-            plan_cache_expired: self.cache.expired(),
             plan_cache_stats_evicted: self.cache.stats_evicted(),
             plan_cache_drift_evicted: self.cache.drift_evicted(),
             planning_probes: agg.planning_probes,
@@ -371,7 +372,6 @@ impl Inner {
             ("xdx_ledger_buffers_shed_total", stats.ledger_buffers_shed),
             ("xdx_plan_cache_hits_total", stats.plan_cache_hits),
             ("xdx_plan_cache_misses_total", stats.plan_cache_misses),
-            ("xdx_plan_cache_expired_total", stats.plan_cache_expired),
             (
                 "xdx_plan_cache_stats_evicted_total",
                 stats.plan_cache_stats_evicted,
@@ -506,7 +506,7 @@ impl Inner {
         m.counter("xdx_flight_anomalies_total")
             .set(self.flight.anomalies());
         m.counter("xdx_flight_dumps_total").set(self.flight.dumps());
-        let stalled = self.engine.stall_check(self.config.stall_threshold);
+        let stalled = self.engine.stall_check(STALL_THRESHOLD);
         m.gauge("xdx_engine_stalled")
             .set(if stalled.is_some() { 1.0 } else { 0.0 });
         if let Some(overdue) = stalled {
@@ -567,7 +567,7 @@ impl Inner {
     /// conditions, reported but not fatal.
     fn health_json(&self) -> (bool, String) {
         use crate::events::json_escape;
-        let stalled = self.engine.stall_check(self.config.stall_threshold);
+        let stalled = self.engine.stall_check(STALL_THRESHOLD);
         let open_breakers: Vec<String> = self
             .registry
             .snapshot()

@@ -8,8 +8,8 @@ use xdx_net::FaultProfile;
 use xdx_net::{Link, NetworkProfile};
 use xdx_relational::Database;
 use xdx_runtime::{
-    EventKind, ExchangeRequest, Priority, Runtime, RuntimeConfig, SessionState, ShippingPolicy,
-    SubmitError,
+    EventKind, ExchangeRequest, Priority, PublishRequest, Runtime, RuntimeConfig, SessionState,
+    ShippingPolicy, SubmitError,
 };
 use xdx_xmark::{generate, lf, load_source, mf, schema, GenConfig};
 
@@ -235,7 +235,70 @@ fn priority_sessions_overtake_queued_work() {
     );
 }
 
-/// The queue bound rejects submissions instead of growing unboundedly.
+/// A publish group queues like any exchange: one entry of the fair
+/// queue at its request's priority, so a `Low` group submitted first
+/// still starts after a `High` session of the same tenant.
+#[test]
+fn low_priority_publish_waits_behind_high_priority_session() {
+    let schema = schema();
+    let mf = mf(&schema);
+    let lf = lf(&schema);
+    let runtime = Runtime::start(schema.clone(), RuntimeConfig::default().with_workers(1));
+
+    let blocker_doc = generate(GenConfig::sized(400_000));
+    let small_doc = generate(GenConfig::sized(4_000));
+    let small = || load_source(&small_doc, &schema, &mf).unwrap();
+    let (group_source, high_source) = (small(), small());
+    let blocker = runtime
+        .submit(ExchangeRequest::new(
+            "blocker",
+            load_source(&blocker_doc, &schema, &mf).unwrap(),
+            mf.clone(),
+            lf.clone(),
+        ))
+        .unwrap();
+    // Both arrivals genuinely queue behind the blocker.
+    while blocker.state() == SessionState::Queued {
+        std::thread::yield_now();
+    }
+    let subscribers = vec!["sub-0".to_string(), "sub-1".to_string()];
+    let group = runtime
+        .publish(
+            PublishRequest::new("group", group_source, mf.clone(), lf.clone(), subscribers)
+                .with_tenant("acme")
+                .with_priority(Priority::Low),
+        )
+        .unwrap();
+    let high = runtime
+        .submit(
+            ExchangeRequest::new("high", high_source, mf.clone(), lf.clone())
+                .with_tenant("acme")
+                .with_priority(Priority::High),
+        )
+        .unwrap();
+    let (group_id, high_id) = (group.handles[0].id(), high.id());
+
+    assert_eq!(blocker.wait().state, SessionState::Done);
+    assert_eq!(high.wait().state, SessionState::Done);
+    for lane in group.wait() {
+        assert_eq!(lane.state, SessionState::Done, "{:?}", lane.diagnostic);
+    }
+    let started: Vec<_> = runtime
+        .events()
+        .iter()
+        .filter(|e| e.kind == EventKind::PlanningStarted)
+        .map(|e| e.session)
+        .collect();
+    let position = |id| started.iter().position(|&s| s == id).unwrap();
+    assert!(
+        position(high_id) < position(group_id),
+        "low-priority group started before the high-priority session: {started:?}"
+    );
+}
+
+/// The queue bound rejects submissions instead of growing unboundedly —
+/// and it is one bound: a waiting publish group takes a slot exactly
+/// like a waiting session, whichever front door the next arrival uses.
 #[test]
 fn admission_control_rejects_when_queue_is_full() {
     let schema = schema();
@@ -250,39 +313,55 @@ fn admission_control_rejects_when_queue_is_full() {
 
     let blocker_doc = generate(GenConfig::sized(300_000));
     let small_doc = generate(GenConfig::sized(4_000));
-    let mut handles = Vec::new();
-    let mut rejections = 0;
-    for i in 0..5 {
-        let doc = if i == 0 { &blocker_doc } else { &small_doc };
-        let source = load_source(doc, &schema, &mf).unwrap();
-        match runtime.submit(ExchangeRequest::new(
-            format!("s{i}"),
-            source,
-            mf.clone(),
-            lf.clone(),
-        )) {
-            Ok(handle) => handles.push(handle),
-            Err(SubmitError::QueueFull { depth, retry_after }) => {
-                assert_eq!(depth, 2);
-                assert!(retry_after > Duration::ZERO, "hint must be actionable");
-                rejections += 1;
-            }
-            Err(e) => panic!("unexpected submit error: {e}"),
-        }
+    let small = || load_source(&small_doc, &schema, &mf).unwrap();
+    let subscribers = || vec!["sub-0".to_string(), "sub-1".to_string()];
+    let session = |name: &str, source| ExchangeRequest::new(name, source, mf.clone(), lf.clone());
+    let group = |name: &str, source| {
+        PublishRequest::new(name, source, mf.clone(), lf.clone(), subscribers())
+    };
+    let sources = [small(), small(), small(), small()];
+
+    let blocker = runtime
+        .submit(session(
+            "blocker",
+            load_source(&blocker_doc, &schema, &mf).unwrap(),
+        ))
+        .unwrap();
+    // The single worker is busy with the blocker: what follows queues.
+    while blocker.state() == SessionState::Queued {
+        std::thread::yield_now();
     }
-    assert!(rejections >= 1, "queue bound was never enforced");
-    for handle in handles {
-        assert_eq!(handle.wait().state, SessionState::Done);
+    let [a, b, c, d] = sources;
+    let queued_group = runtime.publish(group("queued-group", a)).unwrap();
+    let queued_session = runtime.submit(session("queued-session", b)).unwrap();
+    match runtime.submit(session("one-too-many", c)) {
+        Err(SubmitError::QueueFull { depth, retry_after }) => {
+            assert_eq!(depth, 2);
+            assert!(retry_after > Duration::ZERO, "hint must be actionable");
+        }
+        Err(e) => panic!("unexpected submit error: {e}"),
+        Ok(_) => panic!("a queued publish group did not count against the queue bound"),
+    }
+    assert!(matches!(
+        runtime.publish(group("group-too-many", d)),
+        Err(SubmitError::QueueFull { depth: 2, .. })
+    ));
+
+    assert_eq!(blocker.wait().state, SessionState::Done);
+    assert_eq!(queued_session.wait().state, SessionState::Done);
+    for lane in queued_group.wait() {
+        assert_eq!(lane.state, SessionState::Done, "{:?}", lane.diagnostic);
     }
     let rejected_events = runtime
         .events()
         .iter()
         .filter(|e| e.kind == EventKind::Rejected)
-        .count() as u64;
-    assert_eq!(rejected_events, rejections);
+        .count();
+    assert_eq!(rejected_events, 2);
     let stats = runtime.shutdown();
-    assert_eq!(stats.rejected, rejections);
-    assert_eq!(stats.admitted, 5 - rejections);
+    assert_eq!(stats.rejected, 2);
+    // The blocker, the group's two lanes and the queued session.
+    assert_eq!(stats.admitted, 4);
 }
 
 /// Cancelling a queued session abandons it without running it.

@@ -76,7 +76,6 @@ fn every_runtime_and_link_stat_has_a_prometheus_series() {
         ("resumed", "xdx_sessions_resumed_total"),
         ("plan_cache_hits", "xdx_plan_cache_hits_total"),
         ("plan_cache_misses", "xdx_plan_cache_misses_total"),
-        ("plan_cache_expired", "xdx_plan_cache_expired_total"),
         (
             "plan_cache_stats_evicted",
             "xdx_plan_cache_stats_evicted_total",

@@ -114,7 +114,7 @@ fn fanout_shares_one_encode_across_subscribers() {
     let stats = runtime.shutdown();
     assert_eq!(stats.completed, 4);
     assert_eq!(stats.fanout_subscribers, 4);
-    // The k-site planner may pick a *different* program at fanout 4
+    // The planner may pick a *different* program at fanout 4
     // (target-placed work bills ×4, so it leans toward the source side),
     // so message counts aren't comparable across fanouts — the encode
     // *bytes* are the gate: quadrupling the audience must not cost more
@@ -193,7 +193,7 @@ fn single_subscriber_publish_shares_plan_cache_with_plain_sessions() {
 /// broken lane fails alone with a rolled-back target, and after the
 /// operator repairs the link it resumes from its *own* ledger: only its
 /// never-acknowledged chunks cross again, with zero probes and the
-/// checkpointed k-site plan.
+/// checkpointed group plan.
 #[test]
 fn adversarial_lane_fails_alone_and_resumes_from_its_own_ledger() {
     let schema = schema();

@@ -8,14 +8,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use xdx::core::cost::{CostModel, SchemaStats, SystemProfile};
 use xdx::core::gen::Generator;
-use xdx::core::optimal::cost_based_optim;
 use xdx::core::pm::publish_and_map;
-use xdx::core::{
-    greedy, ksite_greedy, ksite_optimal, ksite_program_cost, optimal, DataExchange, Optimizer,
-};
+use xdx::core::{greedy, ksite_greedy, ksite_optimal, optimal, DataExchange};
 use xdx::net::{Link, NetworkProfile};
 use xdx::relational::Database;
-use xdx::runtime::{plan_key, plan_key_with_fanout};
 use xdx::sim::random_fragmentation;
 use xdx::xml::SchemaTree;
 
@@ -102,7 +98,8 @@ proptest! {
             placed.validate_placement().unwrap();
             // Monotone in fanout: replicating to more subscribers never
             // gets cheaper.
-            let wider = ksite_program_cost(&schema, &model, &placed, fanout + 1);
+            let wider = CostModel { fanout: fanout + 1, ..model.clone() }
+                .program_cost(&schema, &placed);
             prop_assert!(wider >= cost - 1e-6,
                 "fanout {} cost {wider} undercut fanout {fanout} cost {cost}", fanout + 1);
             if cost < best { best = cost; }
@@ -112,45 +109,6 @@ proptest! {
         placed.validate_placement().unwrap();
         prop_assert!(greedy_cost >= best - 1e-6,
             "k-site greedy {greedy_cost} beat exhaustive {best} at fanout {fanout}");
-    }
-
-    /// The N=1 degenerate case, on arbitrary fragmentation pairs: a
-    /// publish group of one reproduces the two-site plan byte for byte —
-    /// same placements, bit-identical cost, and the fanout-tagged
-    /// plan-cache key collapses to the two-site key (so single-subscriber
-    /// publishes share cache entries with ordinary sessions).
-    #[test]
-    fn ksite_fanout_one_is_byte_identical_to_two_site(seed in 0u64..300, s_frags in 2usize..7,
-                                                      t_frags in 2usize..7) {
-        let schema = SchemaTree::balanced(2, 3, true);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let source = random_fragmentation(&schema, s_frags, "s", &mut rng);
-        let target = random_fragmentation(&schema, t_frags, "t", &mut rng);
-        let model = CostModel::fast_network(SchemaStats::multiplicative(&schema, 3, 10));
-        let gen = Generator::new(&schema, &source, &target);
-        let ordering = greedy::greedy_program(&gen, &model).unwrap();
-
-        let (two_site, two_cost) = greedy::greedy_placement(&schema, &model, &ordering).unwrap();
-        let (k_site, k_cost) = ksite_greedy(&schema, &model, &ordering, 1).unwrap();
-        prop_assert_eq!(two_cost.to_bits(), k_cost.to_bits());
-        let locs = |p: &xdx::core::Program| p.nodes.iter().map(|n| n.location).collect::<Vec<_>>();
-        prop_assert_eq!(locs(&two_site), locs(&k_site));
-
-        let (two_opt, two_opt_cost) = cost_based_optim(&schema, &model, &ordering).unwrap();
-        let (k_opt, k_opt_cost) = ksite_optimal(&schema, &model, &ordering, 1).unwrap();
-        prop_assert_eq!(two_opt_cost.to_bits(), k_opt_cost.to_bits());
-        prop_assert_eq!(locs(&two_opt), locs(&k_opt));
-
-        prop_assert_eq!(
-            ksite_program_cost(&schema, &model, &two_site, 1).to_bits(),
-            model.program_cost(&schema, &two_site).to_bits()
-        );
-
-        for optimizer in [Optimizer::Greedy, Optimizer::Optimal { ordering_cap: 500 }] {
-            let tagged = plan_key_with_fanout(&source, &target, &model, optimizer, None, 1);
-            let plain = plan_key(&source, &target, &model, optimizer, None);
-            prop_assert_eq!(tagged, plain, "fanout-1 key diverged from the two-site key");
-        }
     }
 
     /// The exchange is lossless: exchanging then publishing from the
