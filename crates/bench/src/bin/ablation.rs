@@ -75,7 +75,10 @@ fn main() {
         &mut Counters,
     ) -> xdx_relational::Result<xdx_relational::Feed>;
     for (name, f) in [
-        ("merge", merge_combine as CombineFn),
+        (
+            "merge",
+            (|p, c, a, k| merge_combine(p, c, a, k)) as CombineFn,
+        ),
         ("hash", hash_combine as CombineFn),
     ] {
         let start = Instant::now();

@@ -32,6 +32,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use xdx_relational::feed::rows_to_wire;
 use xdx_relational::{
     ColRole, DeltaPatch, Dewey, Error, Feed, FeedColumn, FeedSchema, PatchStep, Result, StepKind,
     TablePatch, Value,
@@ -265,6 +266,18 @@ pub fn encode_feed_into(buf: &mut Vec<u8>, feed: &Feed) {
 /// checksummed region, so damaged context bytes fail the whole-frame
 /// checksum like any other corruption.
 pub fn encode_feed_with_context_into(buf: &mut Vec<u8>, feed: &Feed, ctx: Option<TraceContext>) {
+    encode_rows_with_context_into(buf, &feed.schema, &feed.rows, ctx);
+}
+
+/// The columnar encoder proper, over a schema and a slice of rows: a
+/// batch of a larger feed encodes from where its rows sit, without being
+/// copied into a feed of its own first.
+fn encode_rows_with_context_into(
+    buf: &mut Vec<u8>,
+    schema: &FeedSchema,
+    rows: &[Vec<Value>],
+    ctx: Option<TraceContext>,
+) {
     buf.clear();
     match ctx {
         None => buf.extend_from_slice(COLUMNAR_MAGIC),
@@ -277,9 +290,9 @@ pub fn encode_feed_with_context_into(buf: &mut Vec<u8>, feed: &Feed, ctx: Option
 
     // Schema section + digest.
     let schema_start = buf.len();
-    put_str(buf, &feed.schema.root_element);
-    put_varint(buf, feed.schema.columns.len() as u64);
-    for c in &feed.schema.columns {
+    put_str(buf, &schema.root_element);
+    put_varint(buf, schema.columns.len() as u64);
+    for c in &schema.columns {
         put_str(buf, &c.element);
         buf.push(match c.role {
             ColRole::NodeId => 0,
@@ -290,30 +303,36 @@ pub fn encode_feed_with_context_into(buf: &mut Vec<u8>, feed: &Feed, ctx: Option
     let digest = fnv64(&buf[schema_start..]);
     buf.extend_from_slice(&digest.to_le_bytes());
 
-    let rows = feed.rows.len();
-    put_varint(buf, rows as u64);
+    put_varint(buf, rows.len() as u64);
 
     // Two-level string dictionaries, first-occurrence order (row-major
     // scan): distinct cell strings index a string table, whose entries
     // are token sequences over a token dictionary. `split(' ')` /
     // `join(" ")` is an exact inverse pair for every string (empty
     // tokens encode runs of spaces), so reconstruction is byte-exact.
+    // One hash probe per string cell and one per token of each distinct
+    // string: the string table is written as its entries are discovered,
+    // and every cell's string id is kept for the column pass.
+    let arity = schema.arity();
     let mut token_ids: HashMap<&str, u64> = HashMap::new();
     let mut tokens: Vec<&str> = Vec::new();
-    let mut string_ids: HashMap<&str, u64> = HashMap::new();
-    let mut strings: Vec<&str> = Vec::new();
-    for row in &feed.rows {
-        for v in row {
-            if let Value::Str(s) = v {
-                if !string_ids.contains_key(s.as_str()) {
-                    string_ids.insert(s, strings.len() as u64);
-                    strings.push(s);
-                    for tok in s.split(' ') {
-                        if !token_ids.contains_key(tok) {
-                            token_ids.insert(tok, tokens.len() as u64);
-                            tokens.push(tok);
-                        }
+    let mut string_ids: HashMap<&str, u32> = HashMap::new();
+    let mut string_table: Vec<u8> = Vec::new();
+    let mut cell_string: Vec<u32> = vec![0; rows.len() * arity];
+    for (row, ids) in rows.iter().zip(cell_string.chunks_mut(arity.max(1))) {
+        for (v, id) in row.iter().zip(ids) {
+            let Value::Str(s) = v else { continue };
+            let next = string_ids.len() as u32;
+            *id = *string_ids.entry(s).or_insert(next);
+            if *id == next {
+                put_varint(&mut string_table, s.split(' ').count() as u64);
+                for tok in s.split(' ') {
+                    let next = tokens.len() as u64;
+                    let tid = *token_ids.entry(tok).or_insert(next);
+                    if tid == next {
+                        tokens.push(tok);
                     }
+                    put_varint(&mut string_table, tid);
                 }
             }
         }
@@ -322,19 +341,14 @@ pub fn encode_feed_with_context_into(buf: &mut Vec<u8>, feed: &Feed, ctx: Option
     for t in &tokens {
         put_str(buf, t);
     }
-    put_varint(buf, strings.len() as u64);
-    for s in &strings {
-        put_varint(buf, s.split(' ').count() as u64);
-        for tok in s.split(' ') {
-            put_varint(buf, token_ids[tok]);
-        }
-    }
+    put_varint(buf, string_ids.len() as u64);
+    buf.extend_from_slice(&string_table);
 
     // Columns: tag bytes, then payloads.
-    for col in 0..feed.schema.arity() {
+    for col in 0..arity {
         let tag_start = buf.len();
-        buf.resize(tag_start + rows.div_ceil(4), 0);
-        for (i, row) in feed.rows.iter().enumerate() {
+        buf.resize(tag_start + rows.len().div_ceil(4), 0);
+        for (i, row) in rows.iter().enumerate() {
             let tag = match &row[col] {
                 Value::Null => TAG_NULL,
                 Value::Int(_) => TAG_INT,
@@ -345,7 +359,7 @@ pub fn encode_feed_with_context_into(buf: &mut Vec<u8>, feed: &Feed, ctx: Option
         }
         let mut prev_int: i64 = 0;
         let mut prev_dewey: &[u32] = &[];
-        for row in &feed.rows {
+        for (i, row) in rows.iter().enumerate() {
             match &row[col] {
                 Value::Null => {}
                 Value::Int(i) => {
@@ -366,9 +380,7 @@ pub fn encode_feed_with_context_into(buf: &mut Vec<u8>, feed: &Feed, ctx: Option
                     }
                     prev_dewey = &d.0;
                 }
-                Value::Str(s) => {
-                    put_varint(buf, string_ids[s.as_str()]);
-                }
+                Value::Str(_) => put_varint(buf, u64::from(cell_string[i * arity + col])),
             }
         }
     }
@@ -621,12 +633,25 @@ pub fn encode_in_format_with_context_into(
     format: WireFormat,
     ctx: Option<TraceContext>,
 ) -> usize {
+    encode_rows_in_format_into(buf, &feed.schema, &feed.rows, format, ctx)
+}
+
+/// [`encode_in_format_with_context_into`] over a schema and a slice of
+/// rows — what a ring slot naming a row range of a cross feed encodes
+/// from.
+pub fn encode_rows_in_format_into(
+    buf: &mut Vec<u8>,
+    schema: &FeedSchema,
+    rows: &[Vec<Value>],
+    format: WireFormat,
+    ctx: Option<TraceContext>,
+) -> usize {
     match format {
         WireFormat::Xml => {
             buf.clear();
-            buf.extend_from_slice(feed.to_wire().as_bytes());
+            buf.extend_from_slice(rows_to_wire(schema, rows).as_bytes());
         }
-        WireFormat::Columnar => encode_feed_with_context_into(buf, feed, ctx),
+        WireFormat::Columnar => encode_rows_with_context_into(buf, schema, rows, ctx),
     }
     buf.len()
 }
@@ -944,6 +969,43 @@ mod tests {
             "columnar {columnar}B not ≤ half of XML {xml}B"
         );
         assert_eq!(decode_feed(&encode_feed(&f)).unwrap(), f);
+    }
+
+    /// Length and FNV-64 of the frames these feeds encoded to before the
+    /// dictionary pass went to one probe per cell: dictionaries still
+    /// number strings and tokens in first-occurrence row-major order, so
+    /// every frame is the same bytes.
+    #[test]
+    fn frames_are_byte_identical_to_the_recorded_ones() {
+        let ctx = Some(TraceContext {
+            trace_id: 7,
+            parent_span: 9,
+        });
+        let golden = [
+            (
+                sample_feed(),
+                (322, 0x1a01_42b0_cb6c_0049),
+                (338, 0x6cf4_c69f_7ad1_51ca),
+            ),
+            (
+                itemlike_feed(),
+                (1907, 0x02c4_1684_0f53_35a8),
+                (1923, 0xb525_3f5c_e88e_92a6),
+            ),
+        ];
+        for (feed, plain, traced) in golden {
+            let mut frame = encode_feed(&feed);
+            assert_eq!((frame.len(), fnv64(&frame)), plain);
+            encode_feed_with_context_into(&mut frame, &feed, ctx);
+            assert_eq!((frame.len(), fnv64(&frame)), traced);
+            // A row range encodes to the frame of a feed holding just it.
+            let batch = Feed {
+                schema: feed.schema.clone(),
+                rows: feed.rows[3..11].to_vec(),
+            };
+            encode_rows_with_context_into(&mut frame, &feed.schema, &feed.rows[3..11], None);
+            assert_eq!(frame, encode_feed(&batch));
+        }
     }
 
     #[test]

@@ -27,6 +27,7 @@ const VOCAB: &[&str] = &[
     "credit card or cash",
     " leading and trailing ",
     "tab\there newline\nthere",
+    "carriage\rreturn\r",
     "ünïcode tökens",
     "one",
 ];

@@ -275,12 +275,15 @@ pub struct CostModel {
 /// Relative expense of a `Write` next to a `Scan` (loads cost more than
 /// reads — Table 4 vs Table 1 in the paper).
 const WRITE_FACTOR: f64 = 2.0;
-/// Sort factor applied per input row of a merge combine.
+/// Sort factor applied per input row of a merge combine: the price of an
+/// input that arrives unsorted on its join key. `merge_combine` checks
+/// first and sorts only on failure, and feeds in Dewey order pass the
+/// check, so this term is an upper bound on what execution pays.
 const SORT_FACTOR: f64 = 0.15;
 /// Per-cell multiplier of a `Combine` relative to a `Scan`. Joins are "the
 /// most expensive operations when building XML documents from relational
-/// data" (paper §1.1 citing [5, 6]): a merge join re-sorts, compares and
-/// materializes every cell it touches, where a scan just streams it.
+/// data" (paper §1.1 citing [5, 6]): a merge join compares and
+/// materializes every cell it touches, where a scan just lends it.
 const COMBINE_FACTOR: f64 = 4.0;
 /// Target-side work units per patch step: locating a step's prefix range
 /// and splicing its payload rows during a transactional patch apply.

@@ -13,17 +13,19 @@
 
 use crate::error::{Error, Result};
 use crate::fragment::Fragmentation;
-use crate::program::{Location, Op, PortRef, Program};
+use crate::program::{Location, Op, OpNode, PortRef, Program};
 use crate::report::StepTimes;
 use crate::selection::Selection;
+use std::borrow::{Borrow, Cow};
 use std::collections::{BTreeSet, HashMap};
+use std::ops::Range;
 use std::time::{Duration, Instant};
 use xdx_codec::{decode_any, encode_in_format_into, WireFormat};
 use xdx_net::http::Request;
 use xdx_net::Link;
 use xdx_relational::ops::{merge_combine, split, SplitSpec};
 use xdx_relational::Dewey as WireDewey;
-use xdx_relational::{Database, Feed};
+use xdx_relational::{Counters, Database, Feed};
 use xdx_xml::SchemaTree;
 
 /// How serialized cross-edge messages reach the target system.
@@ -206,7 +208,12 @@ pub fn execute_with_selection(
 
 /// [`execute_with_selection`] over an arbitrary [`Transport`] — the
 /// integration point for runtimes that chunk, retry or otherwise manage
-/// shipment themselves.
+/// shipment themselves. Placed programs admit no target→source edge, so
+/// the exchange is the source phase, then one shipment per cross port in
+/// the order the target first consumes them, then the target phase over
+/// what arrived. Nothing is staged at the target until every shipment
+/// has landed, and a target phase that fails rolls its staged writes
+/// back: the target's tables are never half-loaded.
 #[allow(clippy::too_many_arguments)]
 pub fn execute_with_transport(
     schema: &SchemaTree,
@@ -218,30 +225,256 @@ pub fn execute_with_transport(
     transport: &mut dyn Transport,
     selection: Option<(&Selection, &BTreeSet<WireDewey>)>,
 ) -> Result<ExecOutcome> {
-    program.validate()?;
-    program.validate_placement()?;
-    let mut outcome = ExecOutcome::default();
-    // Writes are *staged* at the target; only a run that completes every
-    // node commits them. A session dying mid-`Write` (transport gave up,
-    // damage detected, engine error) rolls back and leaves the target's
-    // tables exactly as they were — never half-loaded.
-    let result = run_nodes(
+    let (mut phase, mut outcome) =
+        execute_source_phase(schema, source_frag, target_frag, program, source, selection)?;
+    let mut delivered = HashMap::with_capacity(phase.cross_ports.len());
+    // One encode buffer for every shipment of this run: it grows to the
+    // largest frame and stays there, so steady-state encoding allocates
+    // only the POST body it hands to the transport.
+    let mut encode_buf: Vec<u8> = Vec::new();
+    for CrossPort { port, label } in &phase.cross_ports {
+        let feed = phase.feeds.remove(port).ok_or_else(|| missing(*port))?;
+        // A checkpointing transport that already built this shipment's
+        // bytes in an earlier run hands them back; only a cache miss
+        // serializes.
+        let message = match transport.checkpointed_message(label) {
+            Some(m) => m,
+            None => {
+                outcome.messages_serialized += 1;
+                let start = Instant::now();
+                let len = encode_in_format_into(&mut encode_buf, &feed, transport.wire_format());
+                let ns = start.elapsed().as_nanos() as u64;
+                outcome.encode_ns += ns;
+                outcome.bytes_encoded += len as u64;
+                transport.record_encode(len as u64, ns);
+                Request::soap_post("/exchange", label, encode_buf.clone()).to_bytes()
+            }
+        };
+        drop(feed);
+        let (duration, arrived) = transport.ship(label, &message)?;
+        outcome.times.communication += duration;
+        outcome.bytes_shipped += message.len() as u64;
+        outcome.messages += 1;
+        // The target decodes what actually arrived — link damage
+        // surfaces here as an explicit error (HTTP length check or feed
+        // checksum), never as silently corrupt data. The body is
+        // sniffed, so a columnar sender and an XML sender land at the
+        // same receiver code.
+        let arrived = Request::parse(&arrived).map_err(|e| Error::Engine(e.to_string()))?;
+        delivered.insert(*port, decode_any(&arrived.body)?);
+    }
+    execute_target_phase(
         schema,
         source_frag,
         target_frag,
         program,
-        source,
         target,
-        transport,
-        selection,
+        delivered,
         &mut outcome,
-    );
-    if let Err(e) = result {
-        target.rollback_staged();
-        return Err(e);
-    }
-    commit_and_index(program, target, &mut outcome)?;
+    )?;
     Ok(outcome)
+}
+
+fn missing(port: PortRef) -> Error {
+    Error::InvalidProgram {
+        detail: format!("missing feed for port {port:?}"),
+    }
+}
+
+/// The feeds one node loop has produced and not yet used up. A feed is
+/// *lent* by whoever stores its rows (a source table, the caller's
+/// delivered map) or *owned* by the store; a node borrows an input while
+/// a later node of the loop still reads the port and is handed it by
+/// value at the port's last use. Nothing is copied here: a copy happens
+/// only where an operator needs to own rows that were lent.
+pub(crate) struct FeedStore<'a> {
+    feeds: HashMap<PortRef, Cow<'a, Feed>>,
+    /// The last node of the loop to read each port.
+    last_use: HashMap<PortRef, usize>,
+}
+
+impl<'a> FeedStore<'a> {
+    fn new(program: &Program, nodes: impl Iterator<Item = usize>) -> FeedStore<'a> {
+        let mut last_use = HashMap::new();
+        for i in nodes {
+            for port in &program.nodes[i].inputs {
+                last_use.insert(*port, i);
+            }
+        }
+        FeedStore {
+            feeds: HashMap::new(),
+            last_use,
+        }
+    }
+
+    pub(crate) fn insert(&mut self, port: PortRef, feed: Cow<'a, Feed>) {
+        self.feeds.insert(port, feed);
+    }
+
+    pub(crate) fn get(&self, port: PortRef) -> Result<&Feed> {
+        self.feeds
+            .get(&port)
+            .map(|f| &**f)
+            .ok_or_else(|| missing(port))
+    }
+
+    /// Node `i`'s inputs in port order: moved out of the store where `i`
+    /// is the port's last reader, borrowed otherwise.
+    fn inputs(&mut self, i: usize, ports: &[PortRef]) -> Result<Vec<Cow<'_, Feed>>> {
+        let mut moved = Vec::with_capacity(ports.len());
+        for (k, port) in ports.iter().enumerate() {
+            let last = self.last_use.get(port) == Some(&i) && !ports[k + 1..].contains(port);
+            moved.push(if last { self.feeds.remove(port) } else { None });
+        }
+        let lent = ports.iter().zip(moved);
+        lent.map(|(port, moved)| moved.map_or_else(|| self.get(*port).map(Cow::Borrowed), Ok))
+            .collect()
+    }
+
+    /// The feed on `port` for a reader outside the loop: handed over when
+    /// no node of the loop reads it, lent when one still does.
+    fn release(&mut self, port: PortRef) -> Result<Cow<'_, Feed>> {
+        if self.last_use.contains_key(&port) {
+            return self.get(port).map(Cow::Borrowed);
+        }
+        self.feeds.remove(&port).ok_or_else(|| missing(port))
+    }
+}
+
+/// The one operator loop. The source phase, the target phase, the
+/// blocking executor built from the two, the parallel executor's workers
+/// and single-query publishing all run their nodes through
+/// [`NodeLoop::run`], so operator semantics, input ownership and timing
+/// cannot diverge between them. `Scan` lends the stored table's rows
+/// (a selection filters them into an owned feed); what a `Write` does
+/// with its feed is the caller's.
+pub(crate) struct NodeLoop<'a> {
+    schema: &'a SchemaTree,
+    source_frag: &'a Fragmentation,
+    program: &'a Program,
+    /// What `Scan` reads; `None` on a side that stores nothing to scan.
+    tables: Option<&'a Database>,
+    selection: Option<(&'a Selection, &'a BTreeSet<WireDewey>)>,
+    pub(crate) store: FeedStore<'a>,
+    /// Work done so far by source-placed (and unplaced) nodes and by
+    /// target-placed ones; the caller merges them into its databases.
+    pub(crate) source_work: Counters,
+    pub(crate) target_work: Counters,
+}
+
+impl<'a> NodeLoop<'a> {
+    /// A loop that will run `nodes` (ascending) of `program`.
+    pub(crate) fn new(
+        schema: &'a SchemaTree,
+        source_frag: &'a Fragmentation,
+        program: &'a Program,
+        tables: Option<&'a Database>,
+        selection: Option<(&'a Selection, &'a BTreeSet<WireDewey>)>,
+        nodes: impl Iterator<Item = usize>,
+    ) -> NodeLoop<'a> {
+        NodeLoop {
+            schema,
+            source_frag,
+            program,
+            tables,
+            selection,
+            store: FeedStore::new(program, nodes),
+            source_work: Counters::new(),
+            target_work: Counters::new(),
+        }
+    }
+
+    /// Executes node `i`: resolves its inputs, runs and times the
+    /// operator, files its output feeds and records the [`OpSample`]. A
+    /// `Write` hands `(target fragment, feed)` to `write`.
+    pub(crate) fn run(
+        &mut self,
+        i: usize,
+        outcome: &mut ExecOutcome,
+        write: &mut dyn FnMut(usize, Feed) -> Result<()>,
+    ) -> Result<()> {
+        let node = &self.program.nodes[i];
+        let counters = match node.location {
+            Location::Target => &mut self.target_work,
+            _ => &mut self.source_work,
+        };
+        let start = Instant::now();
+        let mut inputs = self.store.inputs(i, &node.inputs)?;
+        let outputs: Vec<Cow<'a, Feed>> = match &node.op {
+            Op::Scan { fragment } => {
+                let tables = self.tables.ok_or_else(|| Error::InvalidProgram {
+                    detail: format!("node {i}: Scan on a side with no tables"),
+                })?;
+                let stored = &tables
+                    .table(&self.source_frag.fragments[*fragment].name)?
+                    .data;
+                counters.rows_read += stored.len() as u64;
+                counters.rows_out += stored.len() as u64;
+                vec![match self.selection {
+                    Some((sel, qualifying)) => {
+                        Cow::Owned(sel.filter_feed(self.schema, stored, qualifying))
+                    }
+                    None => Cow::Borrowed(stored),
+                }]
+            }
+            Op::Combine { anchor } => {
+                let child = inputs.pop().expect("validated arity");
+                let parent = inputs.pop().expect("validated arity");
+                let anchor = self.schema.name(*anchor);
+                vec![Cow::Owned(merge_combine(parent, child, anchor, counters)?)]
+            }
+            Op::Split => {
+                let specs = split_specs(self.schema, self.program, node);
+                let outs = split(&inputs[0], &specs, counters)?;
+                outs.into_iter().map(Cow::Owned).collect()
+            }
+            Op::Write { fragment } => {
+                let feed = inputs.pop().expect("validated arity").into_owned();
+                outcome.rows_loaded += feed.len() as u64;
+                write(*fragment, feed)?;
+                Vec::new()
+            }
+        };
+        drop(inputs);
+        for (port, feed) in outputs.into_iter().enumerate() {
+            self.store.insert(PortRef { node: i, port }, feed);
+        }
+        let wall = start.elapsed();
+        match (&node.op, node.location) {
+            (Op::Write { .. }, _) => outcome.times.loading += wall,
+            (_, Location::Target) => outcome.times.target_queries += wall,
+            _ => outcome.times.source_queries += wall,
+        }
+        outcome.op_samples.push(OpSample {
+            node: i,
+            op: node.op.kind(),
+            location: node.location,
+            started: start,
+            wall,
+        });
+        Ok(())
+    }
+}
+
+/// The projection groups of a `Split` node: one per output region, with
+/// the region's parent element as anchor unless the region keeps the
+/// input's own root.
+fn split_specs(schema: &SchemaTree, program: &Program, node: &OpNode) -> Vec<SplitSpec> {
+    let input_root = program
+        .port_region(node.inputs[0])
+        .expect("validated program")
+        .root;
+    let name = |e| schema.name(e).to_string();
+    node.outputs
+        .iter()
+        .map(|r| SplitSpec {
+            root_element: name(r.root),
+            anchor_element: (r.root != input_root)
+                .then(|| schema.node(r.root).parent.map(name))
+                .flatten(),
+            elements: r.elements.iter().map(|&e| name(e)).collect(),
+        })
+        .collect()
 }
 
 /// One cross-edge port of a placed program: produced at the source,
@@ -255,10 +488,10 @@ pub struct CrossPort {
 }
 
 /// Everything the source side of a phase-split execution produced: the
-/// feeds sitting on cross edges (trimmed to exactly those — intermediate
-/// feeds are dropped) and the cross-edge ports in deterministic
-/// first-consumer order, which pipelined runtimes use as the shipment
-/// numbering across runs and resumes.
+/// feeds sitting on cross edges (exactly those — intermediate feeds were
+/// consumed) and the cross-edge ports in deterministic first-consumer
+/// order, which pipelined runtimes use as the shipment numbering across
+/// runs and resumes.
 #[derive(Debug)]
 pub struct SourcePhase {
     /// Cross-edge feeds, keyed by producing port.
@@ -269,28 +502,32 @@ pub struct SourcePhase {
 
 /// Runs every *source*-located node of `program` — the CPU half of a
 /// phase-split execution. Because placed programs admit no
-/// target→source edges (enforced here exactly as in
-/// [`execute_with_transport`]), any valid program splits cleanly into a
-/// source phase, one ship-everything boundary, and a target phase: the
-/// seam an event-driven runtime parks sessions at while frames are on
-/// the wire.
+/// target→source edges, any valid program splits cleanly into a source
+/// phase, one ship-everything boundary, and a target phase: the seam an
+/// event-driven runtime parks sessions at while frames are on the wire.
+/// (The target fragmentation plays no part at the source; the parameter
+/// keeps the three phase entry points uniform.)
 pub fn execute_source_phase(
     schema: &SchemaTree,
     source_frag: &Fragmentation,
-    target_frag: &Fragmentation,
+    _target_frag: &Fragmentation,
     program: &Program,
     source: &mut Database,
     selection: Option<(&Selection, &BTreeSet<WireDewey>)>,
 ) -> Result<(SourcePhase, ExecOutcome)> {
-    execute_source_phase_streaming(
+    let mut feeds = HashMap::new();
+    let outcome = execute_source_phase_streaming(
         schema,
         source_frag,
-        target_frag,
         program,
         source,
         selection,
-        &mut |_| {},
-    )
+        &mut |port, feed| {
+            feeds.insert(port, feed.into_owned());
+        },
+    )?;
+    let cross_ports = cross_ports_in_consumer_order(schema, program);
+    Ok((SourcePhase { feeds, cross_ports }, outcome))
 }
 
 /// Cross-edge ports of a placed program in the order the target first
@@ -299,115 +536,100 @@ pub fn execute_source_phase(
 /// streaming caller can compute it before execution starts.
 pub fn cross_ports_in_consumer_order(schema: &SchemaTree, program: &Program) -> Vec<CrossPort> {
     let mut cross_ports: Vec<CrossPort> = Vec::new();
-    for node in &program.nodes {
-        if node.location != Location::Target {
-            continue;
-        }
-        for p in &node.inputs {
-            if program.nodes[p.node].location == Location::Source
-                && !cross_ports.iter().any(|c| c.port == *p)
-            {
-                cross_ports.push(CrossPort {
-                    port: *p,
-                    label: program
-                        .port_region(*p)
-                        .map(|r| r.name(schema))
-                        .unwrap_or_default(),
-                });
-            }
+    for (port, _) in program.cross_edges() {
+        if !cross_ports.iter().any(|c| c.port == port) {
+            cross_ports.push(CrossPort {
+                port,
+                label: program
+                    .port_region(port)
+                    .map(|r| r.name(schema))
+                    .unwrap_or_default(),
+            });
         }
     }
     cross_ports
 }
 
-/// [`execute_source_phase`] with a streaming hook: `on_cross_feed` is
-/// invoked with the current feed map each time a node completes that
-/// produces a cross-edge feed — while later source nodes are still
-/// running. A cross feed is final the moment its producer finishes
-/// (downstream nodes only read it), so a pipelined runtime can put the
-/// first frames on the wire before the source phase returns. The hook
-/// sees the feeds shared and must not rely on being called in
-/// consumer order; feeds it skips remain in the returned
-/// [`SourcePhase`].
+/// [`execute_source_phase`] handing each cross-edge feed to
+/// `on_cross_feed` the moment its producing node completes — while later
+/// source nodes are still running, so a pipelined runtime can put the
+/// first frames on the wire before the source phase returns. A cross
+/// feed is final once produced. It arrives by value (the materialised
+/// output of a `Combine` or `Split`), lent by the source table a `Scan`
+/// read it from, or lent by the loop when a later source node still reads
+/// the port: the receiver's `into_owned` is the one copy the source side
+/// makes of a shipped row, and only of rows nobody owned yet. Ports
+/// arrive in production order, not consumer order.
 pub fn execute_source_phase_streaming(
     schema: &SchemaTree,
     source_frag: &Fragmentation,
-    target_frag: &Fragmentation,
     program: &Program,
     source: &mut Database,
     selection: Option<(&Selection, &BTreeSet<WireDewey>)>,
-    on_cross_feed: &mut dyn FnMut(&HashMap<PortRef, Feed>),
-) -> Result<(SourcePhase, ExecOutcome)> {
+    on_cross_feed: &mut dyn FnMut(PortRef, Cow<'_, Feed>),
+) -> Result<ExecOutcome> {
     program.validate()?;
     program.validate_placement()?;
-    let cross_ports = cross_ports_in_consumer_order(schema, program);
+    let cross: Vec<PortRef> = program.cross_edges().into_iter().map(|(p, _)| p).collect();
+    let at_source = |i: &usize| program.nodes[*i].location == Location::Source;
+    let source_nodes = || (0..program.nodes.len()).filter(at_source);
     let mut outcome = ExecOutcome::default();
-    let mut feeds: HashMap<PortRef, Feed> = HashMap::new();
-    for i in 0..program.nodes.len() {
-        let node = &program.nodes[i];
-        if node.location != Location::Source {
-            continue;
-        }
-        let mut inputs: Vec<Feed> = Vec::with_capacity(node.inputs.len());
-        for p in &node.inputs {
-            if program.nodes[p.node].location == Location::Target {
-                return Err(Error::InvalidProgram {
-                    detail: "target→source edge at runtime".into(),
-                });
+    let mut nodes = NodeLoop::new(
+        schema,
+        source_frag,
+        program,
+        Some(&*source),
+        selection,
+        source_nodes(),
+    );
+    let ran = source_nodes().try_for_each(|i| {
+        nodes.run(i, &mut outcome, &mut |_, _| {
+            unreachable!("validated placement")
+        })?;
+        for port in 0..program.nodes[i].outputs.len() {
+            let port = PortRef { node: i, port };
+            if cross.contains(&port) {
+                on_cross_feed(port, nodes.store.release(port)?);
             }
-            inputs.push(
-                feeds
-                    .get(p)
-                    .ok_or_else(|| Error::InvalidProgram {
-                        detail: format!("missing feed for port {p:?}"),
-                    })?
-                    .clone(),
-            );
         }
-        apply_op(
-            schema,
-            source_frag,
-            target_frag,
-            program,
-            i,
-            source,
-            inputs,
-            selection,
-            &mut feeds,
-            &mut outcome,
-        )?;
-        if cross_ports.iter().any(|c| c.port.node == i) {
-            on_cross_feed(&feeds);
-        }
-    }
-    feeds.retain(|p, _| cross_ports.iter().any(|c| c.port == *p));
-    Ok((SourcePhase { feeds, cross_ports }, outcome))
+        Ok(())
+    });
+    let work = nodes.source_work;
+    source.counters.merge(&work);
+    ran.map(|()| outcome)
 }
 
 /// Runs every *target*-located node of `program` against feeds already
 /// delivered across the cross edges, then commits the staged writes and
 /// rebuilds the key indexes — the back half of a phase-split execution.
-/// A failure anywhere rolls the staged writes back, leaving the target
-/// exactly as it was.
-pub fn execute_target_phase(
-    schema: &SchemaTree,
-    source_frag: &Fragmentation,
+/// `delivered` is a port → feed map, lent (`&HashMap<PortRef, Feed>`) or
+/// given up (`HashMap<PortRef, Feed>`): rows given up are moved — into a
+/// `Combine`'s output, into the table a `Write` stages — and never
+/// copied; rows lent are copied once, by the operator that has to own
+/// them. A failure anywhere rolls the staged writes back, leaving the
+/// target exactly as it was.
+pub fn execute_target_phase<'a>(
+    schema: &'a SchemaTree,
+    source_frag: &'a Fragmentation,
     target_frag: &Fragmentation,
-    program: &Program,
+    program: &'a Program,
     target: &mut Database,
-    delivered: &HashMap<PortRef, Feed>,
+    delivered: impl IntoIterator<Item = (impl Borrow<PortRef>, impl Into<Cow<'a, Feed>>)>,
     outcome: &mut ExecOutcome,
 ) -> Result<()> {
-    let result = run_target_nodes(
-        schema,
-        source_frag,
-        target_frag,
-        program,
-        target,
-        delivered,
-        outcome,
-    );
-    if let Err(e) = result {
+    let at_target = |i: &usize| program.nodes[*i].location == Location::Target;
+    let target_nodes = || (0..program.nodes.len()).filter(at_target);
+    let mut nodes = NodeLoop::new(schema, source_frag, program, None, None, target_nodes());
+    for (port, feed) in delivered {
+        nodes.store.insert(*port.borrow(), feed.into());
+    }
+    let ran = target_nodes().try_for_each(|i| {
+        nodes.run(i, outcome, &mut |fragment, feed| {
+            Ok(target.load_staged(&target_frag.fragments[fragment].name, feed)?)
+        })
+    });
+    target.counters.merge(&nodes.target_work);
+    if let Err(e) = ran {
         target.rollback_staged();
         return Err(e);
     }
@@ -445,67 +667,23 @@ pub fn commit_and_index(
     Ok(())
 }
 
-fn run_target_nodes(
-    schema: &SchemaTree,
-    source_frag: &Fragmentation,
-    target_frag: &Fragmentation,
-    program: &Program,
-    target: &mut Database,
-    delivered: &HashMap<PortRef, Feed>,
-    outcome: &mut ExecOutcome,
-) -> Result<()> {
-    let mut feeds: HashMap<PortRef, Feed> = HashMap::new();
-    for i in 0..program.nodes.len() {
-        let node = &program.nodes[i];
-        if node.location != Location::Target {
-            continue;
-        }
-        let mut inputs: Vec<Feed> = Vec::with_capacity(node.inputs.len());
-        for p in &node.inputs {
-            let map = if program.nodes[p.node].location == Location::Source {
-                delivered
-            } else {
-                &feeds
-            };
-            inputs.push(
-                map.get(p)
-                    .ok_or_else(|| Error::InvalidProgram {
-                        detail: format!("missing feed for port {p:?}"),
-                    })?
-                    .clone(),
-            );
-        }
-        apply_op(
-            schema,
-            source_frag,
-            target_frag,
-            program,
-            i,
-            target,
-            inputs,
-            None,
-            &mut feeds,
-            outcome,
-        )?;
-    }
-    Ok(())
+/// The row ranges that split a feed of `rows` rows into batches of at
+/// most `batch_rows`, in order. An empty feed yields one empty range, so
+/// every cross port ships at least one frame. Deterministic: the same
+/// length and batch size always produce the same ranges — resumed
+/// sessions replay the identical shipment sequence.
+pub fn batch_ranges(rows: usize, batch_rows: usize) -> impl Iterator<Item = Range<usize>> {
+    let n = batch_rows.max(1);
+    (0..rows.div_ceil(n).max(1)).map(move |b| b * n..rows.min((b + 1) * n))
 }
 
-/// Splits a Dewey-sorted feed into row batches of at most `batch_rows`
-/// rows, preserving order. An empty feed yields one empty batch, so
-/// every cross port ships at least one frame. Deterministic: the same
-/// feed and batch size always produce the same batches — resumed
-/// sessions replay the identical shipment sequence.
+/// Copies a Dewey-sorted feed out into one feed per [`batch_ranges`]
+/// range. (A shipper that owns the feed encodes each range in place.)
 pub fn feed_batches(feed: &Feed, batch_rows: usize) -> Vec<Feed> {
-    let n = batch_rows.max(1);
-    if feed.rows.is_empty() {
-        return vec![Feed::new(feed.schema.clone())];
-    }
-    feed.rows
-        .chunks(n)
+    batch_ranges(feed.len(), batch_rows)
         .map(|rows| Feed {
             schema: feed.schema.clone(),
-            rows: rows.to_vec(),
+            rows: feed.rows[rows].to_vec(),
         })
         .collect()
 }
@@ -543,221 +721,6 @@ pub fn direct_write_tables(
         }
     }
     map
-}
-
-/// Executes one placed node: resolves the operator, times it, files its
-/// output feeds, and records the [`OpSample`]. Shared by the blocking
-/// node loop and both phase-split halves so operator semantics cannot
-/// diverge between them.
-#[allow(clippy::too_many_arguments)]
-fn apply_op(
-    schema: &SchemaTree,
-    source_frag: &Fragmentation,
-    target_frag: &Fragmentation,
-    program: &Program,
-    i: usize,
-    db: &mut Database,
-    inputs: Vec<Feed>,
-    selection: Option<(&Selection, &BTreeSet<WireDewey>)>,
-    feeds: &mut HashMap<PortRef, Feed>,
-    outcome: &mut ExecOutcome,
-) -> Result<()> {
-    let node = &program.nodes[i];
-    let loc = node.location;
-    let start = Instant::now();
-    match &node.op {
-        Op::Scan { fragment } => {
-            let name = &source_frag.fragments[*fragment].name;
-            let mut feed = db.scan(name)?;
-            if let Some((sel, qualifying)) = selection {
-                feed = sel.filter_feed(schema, &feed, qualifying);
-            }
-            feeds.insert(PortRef { node: i, port: 0 }, feed);
-            outcome.times.source_queries += start.elapsed();
-        }
-        Op::Combine { anchor } => {
-            let anchor_name = schema.name(*anchor);
-            let combined = {
-                let (table_counters, parent, child) = (&mut db.counters, &inputs[0], &inputs[1]);
-                merge_combine(parent, child, anchor_name, table_counters)?
-            };
-            feeds.insert(PortRef { node: i, port: 0 }, combined);
-            match loc {
-                Location::Source => outcome.times.source_queries += start.elapsed(),
-                _ => outcome.times.target_queries += start.elapsed(),
-            }
-        }
-        Op::Split => {
-            let input_region = program
-                .port_region(node.inputs[0])
-                .expect("validated program")
-                .clone();
-            let specs: Vec<SplitSpec> = node
-                .outputs
-                .iter()
-                .map(|r| {
-                    let anchor_element = if r.root == input_region.root {
-                        None
-                    } else {
-                        schema
-                            .node(r.root)
-                            .parent
-                            .map(|p| schema.name(p).to_string())
-                    };
-                    SplitSpec {
-                        root_element: schema.name(r.root).to_string(),
-                        anchor_element,
-                        elements: r
-                            .elements
-                            .iter()
-                            .map(|&e| schema.name(e).to_string())
-                            .collect(),
-                    }
-                })
-                .collect();
-            let outs = split(&inputs[0], &specs, &mut db.counters)?;
-            for (port, feed) in outs.into_iter().enumerate() {
-                feeds.insert(PortRef { node: i, port }, feed);
-            }
-            match loc {
-                Location::Source => outcome.times.source_queries += start.elapsed(),
-                _ => outcome.times.target_queries += start.elapsed(),
-            }
-        }
-        Op::Write { fragment } => {
-            let name = target_frag.fragments[*fragment].name.clone();
-            let feed = inputs.into_iter().next().expect("write has one input");
-            outcome.rows_loaded += feed.len() as u64;
-            db.load_staged(&name, feed)?;
-            outcome.times.loading += start.elapsed();
-        }
-    }
-    outcome.op_samples.push(OpSample {
-        node: i,
-        op: node.op.kind(),
-        location: loc,
-        started: start,
-        wall: start.elapsed(),
-    });
-    Ok(())
-}
-
-/// The node loop of [`execute_with_transport`]: every `Write` lands in
-/// the target's staging area, so the caller can commit or roll back the
-/// whole program atomically.
-#[allow(clippy::too_many_arguments)]
-fn run_nodes(
-    schema: &SchemaTree,
-    source_frag: &Fragmentation,
-    target_frag: &Fragmentation,
-    program: &Program,
-    source: &mut Database,
-    target: &mut Database,
-    transport: &mut dyn Transport,
-    selection: Option<(&Selection, &BTreeSet<WireDewey>)>,
-    outcome: &mut ExecOutcome,
-) -> Result<()> {
-    // Feeds produced so far, keyed by port; `shipped` caches feeds that
-    // already crossed the link.
-    let mut feeds: HashMap<PortRef, Feed> = HashMap::new();
-    let mut shipped: HashMap<PortRef, Feed> = HashMap::new();
-    // One encode buffer for every shipment of this run: it grows to the
-    // largest frame and stays there, so steady-state encoding allocates
-    // only the POST body it hands to the transport.
-    let mut encode_buf: Vec<u8> = Vec::new();
-
-    for i in 0..program.nodes.len() {
-        let node = &program.nodes[i];
-        let loc = node.location;
-        // Materialize this node's inputs on its own side, shipping when
-        // the producer ran at the source and we run at the target.
-        let mut inputs: Vec<Feed> = Vec::with_capacity(node.inputs.len());
-        for p in &node.inputs {
-            let produced_at = program.nodes[p.node].location;
-            let feed = match (produced_at, loc) {
-                (Location::Source, Location::Target) => {
-                    if let Some(f) = shipped.get(p) {
-                        f.clone()
-                    } else {
-                        let label = program
-                            .port_region(*p)
-                            .map(|r| r.name(schema))
-                            .unwrap_or_default();
-                        // A checkpointing transport that already built
-                        // this shipment's bytes in an earlier run hands
-                        // them back; only a cache miss serializes.
-                        let message = match transport.checkpointed_message(&label) {
-                            Some(m) => m,
-                            None => {
-                                let f = feeds.get(p).ok_or_else(|| Error::InvalidProgram {
-                                    detail: format!("missing feed for port {p:?}"),
-                                })?;
-                                outcome.messages_serialized += 1;
-                                let start = Instant::now();
-                                let len = encode_in_format_into(
-                                    &mut encode_buf,
-                                    f,
-                                    transport.wire_format(),
-                                );
-                                let ns = start.elapsed().as_nanos() as u64;
-                                outcome.encode_ns += ns;
-                                outcome.bytes_encoded += len as u64;
-                                transport.record_encode(len as u64, ns);
-                                Request::soap_post("/exchange", &label, encode_buf.clone())
-                                    .to_bytes()
-                            }
-                        };
-                        let (duration, delivered) = transport.ship(&label, &message)?;
-                        outcome.times.communication += duration;
-                        outcome.bytes_shipped += message.len() as u64;
-                        outcome.messages += 1;
-                        // The target decodes what actually arrived — link
-                        // damage surfaces here as an explicit error (HTTP
-                        // length check or feed checksum), never as
-                        // silently corrupt data. The body is sniffed, so
-                        // a columnar sender and an XML sender land at the
-                        // same receiver code.
-                        let arrived =
-                            Request::parse(&delivered).map_err(|e| Error::Engine(e.to_string()))?;
-                        let decoded = decode_any(&arrived.body)?;
-                        shipped.insert(*p, decoded.clone());
-                        decoded
-                    }
-                }
-                (Location::Target, Location::Source) => {
-                    return Err(Error::InvalidProgram {
-                        detail: "target→source edge at runtime".into(),
-                    })
-                }
-                _ => feeds
-                    .get(p)
-                    .ok_or_else(|| Error::InvalidProgram {
-                        detail: format!("missing feed for port {p:?}"),
-                    })?
-                    .clone(),
-            };
-            inputs.push(feed);
-        }
-
-        let db: &mut Database = match loc {
-            Location::Source => source,
-            Location::Target => target,
-            Location::Unassigned => unreachable!("validated placement"),
-        };
-        apply_op(
-            schema,
-            source_frag,
-            target_frag,
-            program,
-            i,
-            db,
-            inputs,
-            selection,
-            &mut feeds,
-            outcome,
-        )?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -986,8 +949,8 @@ mod tests {
         }
         let mut source = setup_source(&schema, &mf);
         let mut target = Database::new("target");
-        // Two of four shipments land (so two Writes stage rows), then the
-        // transport dies. Not one staged row may survive.
+        // Two of four shipments land, then the transport dies: no Write
+        // has run, and not one row may be staged or survive.
         let mut transport = DyingTransport {
             link: Link::new(NetworkProfile::lan()),
             good_ships: 2,

@@ -20,14 +20,14 @@
 //! Work counters are accumulated per worker and merged, keeping the
 //! probe-visible totals identical to sequential execution.
 
-use crate::error::{Error, Result};
+use crate::error::Result;
+use crate::exec::NodeLoop;
 use crate::fragment::Fragmentation;
-use crate::program::{Location, Op, PortRef, Program};
+use crate::program::{Location, Program};
 use std::collections::HashMap;
 use std::time::Instant;
 use xdx_net::http::Request;
 use xdx_net::Link;
-use xdx_relational::ops::{merge_combine, split, SplitSpec};
 use xdx_relational::{Counters, Database, Feed};
 use xdx_xml::SchemaTree;
 
@@ -77,7 +77,9 @@ fn components(program: &Program) -> Vec<Vec<usize>> {
     out
 }
 
-/// Executes one component against the read-only source.
+/// Executes one component against the read-only source, on the shared
+/// node loop: scans lend the source's rows, and work is billed to the
+/// worker's own counters.
 fn run_component(
     schema: &SchemaTree,
     source_frag: &Fragmentation,
@@ -85,94 +87,46 @@ fn run_component(
     nodes: &[usize],
     source: &Database,
 ) -> Result<WorkerOut> {
-    let mut out = WorkerOut {
-        writes: Vec::new(),
-        shipments: Vec::new(),
-        source_counters: Counters::new(),
-        target_counters: Counters::new(),
-    };
-    let mut feeds: HashMap<PortRef, Feed> = HashMap::new();
+    let (mut writes, mut shipments) = (Vec::new(), Vec::new());
+    let mut ops = NodeLoop::new(
+        schema,
+        source_frag,
+        program,
+        Some(source),
+        None,
+        nodes.iter().copied(),
+    );
+    // Operator timings of a worker are not reported: the caller splits
+    // the pool's wall time by counter work instead.
+    let mut unreported = ExecOutcome::default();
     for &i in nodes {
         let node = &program.nodes[i];
         // Stage shipping for inputs crossing to the target.
-        let mut inputs: Vec<Feed> = Vec::with_capacity(node.inputs.len());
         for p in &node.inputs {
-            let produced_at = program.nodes[p.node].location;
-            let feed = feeds
-                .get(p)
-                .ok_or_else(|| Error::InvalidProgram {
-                    detail: format!("missing feed for port {p:?}"),
-                })?
-                .clone();
-            if produced_at == Location::Source && node.location == Location::Target {
+            if program.nodes[p.node].location == Location::Source
+                && node.location == Location::Target
+            {
                 let label = program
                     .port_region(*p)
                     .map(|r| r.name(schema))
                     .unwrap_or_default();
-                let body = feed.to_wire().into_bytes();
+                let body = ops.store.get(*p)?.to_wire().into_bytes();
                 let message = Request::soap_post("/exchange", &label, body).to_bytes();
-                out.source_counters.bytes_out += message.len() as u64;
-                out.shipments.push((label, message));
-            }
-            inputs.push(feed);
-        }
-        let counters = match node.location {
-            Location::Source => &mut out.source_counters,
-            Location::Target => &mut out.target_counters,
-            Location::Unassigned => unreachable!("validated placement"),
-        };
-        match &node.op {
-            Op::Scan { fragment } => {
-                let name = &source_frag.fragments[*fragment].name;
-                let (feed, rows) = source
-                    .scan_readonly(name)
-                    .map_err(|e| Error::Engine(e.to_string()))?;
-                counters.rows_read += rows;
-                counters.rows_out += rows;
-                feeds.insert(PortRef { node: i, port: 0 }, feed);
-            }
-            Op::Combine { anchor } => {
-                let combined =
-                    merge_combine(&inputs[0], &inputs[1], schema.name(*anchor), counters)?;
-                feeds.insert(PortRef { node: i, port: 0 }, combined);
-            }
-            Op::Split => {
-                let input_region = program
-                    .port_region(node.inputs[0])
-                    .expect("validated program")
-                    .clone();
-                let specs: Vec<SplitSpec> = node
-                    .outputs
-                    .iter()
-                    .map(|r| SplitSpec {
-                        root_element: schema.name(r.root).to_string(),
-                        anchor_element: (r.root != input_region.root)
-                            .then(|| {
-                                schema
-                                    .node(r.root)
-                                    .parent
-                                    .map(|p| schema.name(p).to_string())
-                            })
-                            .flatten(),
-                        elements: r
-                            .elements
-                            .iter()
-                            .map(|&e| schema.name(e).to_string())
-                            .collect(),
-                    })
-                    .collect();
-                let outs = split(&inputs[0], &specs, counters)?;
-                for (port, feed) in outs.into_iter().enumerate() {
-                    feeds.insert(PortRef { node: i, port }, feed);
-                }
-            }
-            Op::Write { fragment } => {
-                let feed = inputs.into_iter().next().expect("write has one input");
-                out.writes.push((*fragment, feed));
+                ops.source_work.bytes_out += message.len() as u64;
+                shipments.push((label, message));
             }
         }
+        ops.run(i, &mut unreported, &mut |fragment, feed| {
+            writes.push((fragment, feed));
+            Ok(())
+        })?;
     }
-    Ok(out)
+    Ok(WorkerOut {
+        writes,
+        shipments,
+        source_counters: ops.source_work,
+        target_counters: ops.target_work,
+    })
 }
 
 /// Parallel counterpart of [`crate::exec::execute`]; produces identical
@@ -281,6 +235,7 @@ mod tests {
     use crate::exec::execute;
     use crate::fragment::testutil::{customer_schema, t_fragmentation};
     use crate::gen::Generator;
+    use crate::program::Op;
     use crate::shred::shred;
     use xdx_net::NetworkProfile;
     use xdx_xml::Writer;

@@ -9,12 +9,12 @@
 //! publishing data into XML documents").
 
 use crate::error::{Error, Result};
+use crate::exec::{ExecOutcome, NodeLoop};
 use crate::fragment::Fragmentation;
 use crate::gen::Generator;
-use crate::program::Op;
+use crate::program::{Location, Op};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
-use xdx_relational::ops::merge_combine;
 use xdx_relational::{ColRole, Database, Dewey, Feed};
 use xdx_xml::{NodeId, SchemaTree, Writer};
 
@@ -112,34 +112,31 @@ fn publish_single_query(
 ) -> Result<Published> {
     let whole = Fragmentation::whole_document("whole", schema);
     let gen = Generator::new(schema, frag, &whole);
-    let program = gen.canonical()?;
+    // Publishing is a transfer executed entirely at the source.
+    let mut program = gen.canonical()?;
+    for node in &mut program.nodes {
+        node.location = Location::Source;
+    }
+    if program.nodes.iter().any(|n| n.op == Op::Split) {
+        return Err(Error::InvalidProgram {
+            detail: "publishing should never split".into(),
+        });
+    }
 
     let start = Instant::now();
-    let mut feeds: HashMap<usize, Feed> = HashMap::new(); // node → output feed
     let mut final_feed: Option<Feed> = None;
-    for (i, node) in program.nodes.iter().enumerate() {
-        match &node.op {
-            Op::Scan { fragment } => {
-                let feed = db.scan(&frag.fragments[*fragment].name)?;
-                feeds.insert(i, feed);
-            }
-            Op::Combine { anchor } => {
-                let parent = &feeds[&node.inputs[0].node];
-                let child = &feeds[&node.inputs[1].node];
-                let combined =
-                    merge_combine(parent, child, schema.name(*anchor), &mut db.counters)?;
-                feeds.insert(i, combined);
-            }
-            Op::Split => {
-                return Err(Error::InvalidProgram {
-                    detail: "publishing should never split".into(),
-                })
-            }
-            Op::Write { .. } => {
-                final_feed = Some(feeds[&node.inputs[0].node].clone());
-            }
-        }
-    }
+    let mut all = 0..program.nodes.len();
+    let mut ops = NodeLoop::new(schema, frag, &program, Some(&*db), None, all.clone());
+    let mut unreported = ExecOutcome::default();
+    let ran = all.try_for_each(|i| {
+        ops.run(i, &mut unreported, &mut |_, feed| {
+            final_feed = Some(feed);
+            Ok(())
+        })
+    });
+    let work = ops.source_work;
+    db.counters.merge(&work);
+    ran?;
     let feed = final_feed.ok_or(Error::InvalidProgram {
         detail: "no final feed".into(),
     })?;

@@ -101,7 +101,9 @@ impl Database {
         self.tables.values().map(Table::staged_len).sum()
     }
 
-    /// Full scan of a table.
+    /// Full scan of a table into a feed of its own. (The operator loop
+    /// does not copy: its `Scan` borrows [`Table::data`] through
+    /// [`Database::table`].)
     pub fn scan(&mut self, name: &str) -> Result<Feed> {
         // Split borrows: table read + counters write.
         let table = self.tables.get(name).ok_or_else(|| Error::UnknownTable {
@@ -125,16 +127,6 @@ impl Database {
         }
         self.counters = counters;
         Ok(built)
-    }
-
-    /// Full scan without touching the shared counters — for concurrent
-    /// readers that account their work locally (the parallel executor).
-    /// Returns the feed and the number of rows read.
-    pub fn scan_readonly(&self, name: &str) -> Result<(Feed, u64)> {
-        let table = self.tables.get(name).ok_or_else(|| Error::UnknownTable {
-            name: name.to_string(),
-        })?;
-        Ok((table.data.clone(), table.data.len() as u64))
     }
 
     /// Borrow a table.

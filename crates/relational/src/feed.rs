@@ -19,6 +19,7 @@
 
 use crate::error::{Error, Result};
 use crate::value::{Dewey, Value};
+use std::borrow::Cow;
 use std::fmt;
 
 /// The role a feed column plays.
@@ -157,12 +158,7 @@ impl Feed {
     /// function for communication cost). Counts cell payloads plus one
     /// separator per cell; headers are negligible and excluded.
     pub fn wire_size(&self) -> u64 {
-        let cells: u64 = self
-            .rows
-            .iter()
-            .map(|r| r.iter().map(|v| v.wire_len() as u64 + 1).sum::<u64>())
-            .sum();
-        cells
+        rows_wire_size(&self.rows)
     }
 
     /// Sorts rows by the given columns (lexicographic), returning the
@@ -198,50 +194,9 @@ impl Feed {
     // Wire format
     // ------------------------------------------------------------------
 
-    /// Serializes to the shipping format: a line-oriented text encoding
-    /// with a typed prefix per cell (`N`ull, `I`nt, `D`ewey, `S`tring) and
-    /// backslash escapes for tab/newline/backslash in strings.
+    /// Serializes to the shipping format; see [`rows_to_wire`].
     pub fn to_wire(&self) -> String {
-        let mut out = String::with_capacity(self.wire_size() as usize + 64);
-        out.push_str("#feed\t");
-        out.push_str(&self.schema.root_element);
-        out.push('\n');
-        out.push_str("#cols");
-        for c in &self.schema.columns {
-            out.push('\t');
-            out.push_str(&c.element);
-            out.push(':');
-            out.push(match c.role {
-                ColRole::NodeId => 'n',
-                ColRole::ParentRef => 'p',
-                ColRole::Value => 'v',
-            });
-        }
-        out.push('\n');
-        for row in &self.rows {
-            // Dewey ids within a row share long prefixes (a child's id
-            // extends an ancestor's); encode each id relative to the
-            // previous id in the row when it is an extension of it. This
-            // keeps shipped fragments compact — the reason Table 3's
-            // sorted feeds beat tagged XML on the wire.
-            let mut prev: Option<&Dewey> = None;
-            for (i, v) in row.iter().enumerate() {
-                if i > 0 {
-                    out.push('\t');
-                }
-                encode_value(v, prev, &mut out);
-                if let Value::Dewey(d) = v {
-                    prev = Some(d);
-                }
-            }
-            out.push('\n');
-        }
-        // Trailing integrity line: FNV-1a over everything above. A flipped
-        // bit in transit becomes a decode error instead of silently
-        // corrupt target data.
-        let sum = fnv1a(out.as_bytes());
-        out.push_str(&format!("#sum\t{sum:016x}\n"));
-        out
+        rows_to_wire(&self.schema, &self.rows)
     }
 
     /// Decodes the shipping format, verifying the integrity line when
@@ -281,7 +236,9 @@ impl Feed {
     }
 
     fn from_wire_unchecked(text: &str) -> Result<Feed> {
-        let mut lines = text.lines();
+        // Split on '\n' only: `str::lines` would also strip a '\r' that
+        // ends a string cell in the last column.
+        let mut lines = text.strip_suffix('\n').unwrap_or(text).split('\n');
         let header = lines.next().ok_or(Error::Decode {
             detail: "empty input".into(),
         })?;
@@ -325,6 +282,74 @@ impl Feed {
             feed.push_row(row)?;
         }
         Ok(feed)
+    }
+}
+
+fn rows_wire_size(rows: &[Vec<Value>]) -> u64 {
+    rows.iter()
+        .map(|r| r.iter().map(|v| v.wire_len() as u64 + 1).sum::<u64>())
+        .sum()
+}
+
+/// Serializes `rows` under `schema` to the shipping format: a
+/// line-oriented text encoding with a typed prefix per cell (`N`ull,
+/// `I`nt, `D`ewey, `S`tring) and backslash escapes for tab/newline/
+/// backslash in strings. Takes the rows as a slice so a batch of a larger
+/// feed encodes without being copied out first.
+pub fn rows_to_wire(schema: &FeedSchema, rows: &[Vec<Value>]) -> String {
+    let mut out = String::with_capacity(rows_wire_size(rows) as usize + 64);
+    out.push_str("#feed\t");
+    out.push_str(&schema.root_element);
+    out.push('\n');
+    out.push_str("#cols");
+    for c in &schema.columns {
+        out.push('\t');
+        out.push_str(&c.element);
+        out.push(':');
+        out.push(match c.role {
+            ColRole::NodeId => 'n',
+            ColRole::ParentRef => 'p',
+            ColRole::Value => 'v',
+        });
+    }
+    out.push('\n');
+    for row in rows {
+        // Dewey ids within a row share long prefixes (a child's id
+        // extends an ancestor's); encode each id relative to the
+        // previous id in the row when it is an extension of it. This
+        // keeps shipped fragments compact — the reason Table 3's
+        // sorted feeds beat tagged XML on the wire.
+        let mut prev: Option<&Dewey> = None;
+        for (i, v) in row.iter().enumerate() {
+            if i > 0 {
+                out.push('\t');
+            }
+            encode_value(v, prev, &mut out);
+            if let Value::Dewey(d) = v {
+                prev = Some(d);
+            }
+        }
+        out.push('\n');
+    }
+    // Trailing integrity line: FNV-1a over everything above. A flipped
+    // bit in transit becomes a decode error instead of silently
+    // corrupt target data.
+    let sum = fnv1a(out.as_bytes());
+    out.push_str(&format!("#sum\t{sum:016x}\n"));
+    out
+}
+
+/// A feed handed to an operator is either lent (`&Feed`: its rows are
+/// cloned into the output) or given up (`Feed`: they are moved).
+impl<'a> From<&'a Feed> for Cow<'a, Feed> {
+    fn from(feed: &'a Feed) -> Self {
+        Cow::Borrowed(feed)
+    }
+}
+
+impl From<Feed> for Cow<'_, Feed> {
+    fn from(feed: Feed) -> Self {
+        Cow::Owned(feed)
     }
 }
 
@@ -534,7 +559,15 @@ mod tests {
     fn wire_roundtrip_with_specials() {
         let schema = FeedSchema::new("x", vec![FeedColumn::new("x", ColRole::Value)]);
         let mut f = Feed::new(schema);
-        for s in ["tab\there", "line\nbreak", "back\\slash", "", "plain"] {
+        for s in [
+            "tab\there",
+            "line\nbreak",
+            "back\\slash",
+            "",
+            "plain",
+            "x\r",
+            "cr\r\nlf",
+        ] {
             f.push_row(vec![Value::Str(s.into())]).unwrap();
         }
         f.push_row(vec![Value::Null]).unwrap();

@@ -13,7 +13,9 @@ use crate::error::{Error, Result};
 use crate::feed::{ColRole, Feed, FeedColumn, FeedSchema};
 use crate::stats::Counters;
 use crate::value::Value;
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 
 /// Looks up the parent feed's join column for combining `child` into
 /// `parent`: the `NodeId` column of the child root's anchor element.
@@ -48,9 +50,102 @@ fn combined_schema(parent: &FeedSchema, child: &FeedSchema, child_parent_col: us
     FeedSchema::new(parent.root_element.clone(), columns)
 }
 
+/// One Combine input lined up for the merge: its rows in join-key
+/// order, each handed to the output at most once. A lent input is read
+/// through (and, if it arrived unsorted, permuted by) an index and its
+/// rows are cloned out; an owned input is sorted in place and its rows
+/// are moved out.
+enum Side<'a> {
+    Lent {
+        rows: &'a [Vec<Value>],
+        /// Row positions in key order; `None` when `rows` already is.
+        order: Option<Vec<usize>>,
+    },
+    Owned(Vec<Vec<Value>>),
+}
+
+impl<'a> Side<'a> {
+    /// Lines `feed` up on `col`. Dewey order is document order, so scans,
+    /// shred output and earlier Combines arrive sorted: one pass checks
+    /// (n−1 comparisons), and only an input that fails is sorted — stably,
+    /// so equal keys keep their arrival order either way.
+    fn sorted_on(feed: Cow<'a, Feed>, col: usize, counters: &mut Counters) -> Side<'a> {
+        counters.comparisons += (feed.len() as u64).saturating_sub(1);
+        let sorted = feed.rows.windows(2).all(|w| w[0][col] <= w[1][col]);
+        match feed {
+            Cow::Owned(mut feed) => {
+                if !sorted {
+                    counters.comparisons += feed.sort_by(&[col]);
+                }
+                Side::Owned(feed.rows)
+            }
+            Cow::Borrowed(feed) => {
+                let rows = &feed.rows;
+                let order = (!sorted).then(|| {
+                    let mut order: Vec<usize> = (0..rows.len()).collect();
+                    order.sort_by(|&a, &b| {
+                        counters.comparisons += 1;
+                        rows[a][col].cmp(&rows[b][col])
+                    });
+                    order
+                });
+                Side::Lent { rows, order }
+            }
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Side::Lent { rows, .. } => rows.len(),
+            Side::Owned(rows) => rows.len(),
+        }
+    }
+
+    /// The `i`-th row in key order.
+    fn row(&self, i: usize) -> &[Value] {
+        match self {
+            Side::Lent { rows, order } => &rows[order.as_ref().map_or(i, |o| o[i])],
+            Side::Owned(rows) => &rows[i],
+        }
+    }
+
+    /// Hands out the `i`-th row with room for `extra` more cells.
+    fn take(&mut self, i: usize, extra: usize) -> Vec<Value> {
+        match self {
+            Side::Lent { .. } => with_room(self.row(i), extra),
+            Side::Owned(rows) => {
+                let mut row = std::mem::take(&mut rows[i]);
+                row.reserve_exact(extra);
+                row
+            }
+        }
+    }
+
+    /// Appends the `i`-th row's cells, all but column `skip`, to `out`.
+    fn append(&mut self, i: usize, skip: usize, out: &mut Vec<Value>) {
+        match self {
+            Side::Lent { .. } => {
+                let cells = self.row(i).iter().enumerate();
+                out.extend(cells.filter(|&(c, _)| c != skip).map(|(_, v)| v.clone()));
+            }
+            Side::Owned(rows) => {
+                let cells = std::mem::take(&mut rows[i]).into_iter().enumerate();
+                out.extend(cells.filter(|&(c, _)| c != skip).map(|(_, v)| v));
+            }
+        }
+    }
+}
+
+/// A copy of `row` with room for `extra` more cells.
+fn with_room(row: &[Value], extra: usize) -> Vec<Value> {
+    let mut copy = Vec::with_capacity(row.len() + extra);
+    copy.extend_from_slice(row);
+    copy
+}
+
 /// Emits the combined rows for one parent group `pgroup` (all rows sharing
 /// the join key) and its matching child rows `cgroup` (with `ccol`
-/// projected away on output).
+/// projected away on output), both given as positions in key order.
 ///
 /// Semantics follow materialized sorted feeds:
 /// * no children → parent rows padded with `Null` (outer),
@@ -63,137 +158,115 @@ fn combined_schema(parent: &FeedSchema, child: &FeedSchema, child_parent_col: us
 ///   cartesian blow-up a naive join would produce across independent
 ///   repeated sibling branches — the reason single-query publishing loses
 ///   to optimized publishing in [6].
+///
+/// Every input row is handed out once ([`Side::take`], [`Side::append`]);
+/// the only copies made beyond that are the ones inlining duplicates by
+/// definition: the parent row for all but its last child, and the
+/// skeleton.
 fn emit_group(
     out: &mut Feed,
-    parent_schema: &FeedSchema,
-    pgroup: &[&Vec<Value>],
-    cgroup: &[&Vec<Value>],
+    (parent, pgroup): (&mut Side, Range<usize>),
+    (child, cgroup): (&mut Side, Range<usize>),
     ccol: usize,
     child_arity: usize,
 ) {
-    // Every branch below emits a knowable number of rows of knowable
-    // arity; sizing the allocations up front keeps the join's hot loop
-    // free of `Vec` growth reallocations.
-    let emitted = if cgroup.is_empty() {
-        pgroup.len()
-    } else if pgroup.len() == 1 {
-        cgroup.len()
-    } else {
-        pgroup.len() + cgroup.len()
+    // The output's leading columns are the parent's.
+    let Feed { schema, rows: out } = out;
+    let pad = |parent: &mut Side, p: usize, out: &mut Vec<Vec<Value>>| {
+        let mut row = parent.take(p, child_arity);
+        row.resize(row.len() + child_arity, Value::Null);
+        out.push(row);
     };
-    out.rows.reserve(emitted);
-    let pad = |row: &Vec<Value>, out: &mut Feed| {
-        let mut r = Vec::with_capacity(row.len() + child_arity);
-        r.extend_from_slice(row);
-        r.extend(std::iter::repeat_with(|| Value::Null).take(child_arity));
-        out.rows.push(r);
-    };
-    if cgroup.is_empty() {
-        for prow in pgroup {
-            pad(prow, out);
-        }
+    let Some(last) = cgroup.clone().last() else {
+        out.reserve(pgroup.len());
+        pgroup.for_each(|p| pad(parent, p, out));
         return;
-    }
-    let attach = |base: &Vec<Value>, crow: &Vec<Value>, out: &mut Feed| {
-        let mut r = Vec::with_capacity(base.len() + child_arity);
-        r.extend_from_slice(base);
-        for (i, v) in crow.iter().enumerate() {
-            if i != ccol {
-                r.push(v.clone());
-            }
-        }
-        out.rows.push(r);
+    };
+    let mut attach = |mut base: Vec<Value>, c: usize, out: &mut Vec<Vec<Value>>| {
+        child.append(c, ccol, &mut base);
+        out.push(base);
     };
     if pgroup.len() == 1 {
-        for crow in cgroup {
-            attach(pgroup[0], crow, out);
+        out.reserve(cgroup.len());
+        for c in cgroup.start..last {
+            attach(with_room(parent.row(pgroup.start), child_arity), c, out);
         }
+        attach(parent.take(pgroup.start, child_arity), last, out);
         return;
     }
     // Outer-union alignment: skeleton = first parent row with value
     // columns blanked (identifiers stay for grouping/tagging).
-    for prow in pgroup {
-        pad(prow, out);
+    out.reserve(pgroup.len() + cgroup.len());
+    let mut skeleton = Vec::with_capacity(schema.arity());
+    let first = parent.row(pgroup.start).iter().zip(&schema.columns);
+    skeleton.extend(first.map(|(v, col)| match col.role {
+        ColRole::Value => Value::Null,
+        _ => v.clone(),
+    }));
+    pgroup.for_each(|p| pad(parent, p, out));
+    for c in cgroup.start..last {
+        attach(with_room(&skeleton, child_arity), c, out);
     }
-    let mut skeleton = pgroup[0].clone();
-    for (i, col) in parent_schema.columns.iter().enumerate() {
-        if col.role == ColRole::Value {
-            skeleton[i] = Value::Null;
-        }
-    }
-    for crow in cgroup {
-        attach(&skeleton, crow, out);
-    }
+    attach(skeleton, last, out);
 }
 
 /// Sort-merge implementation of `Combine`.
 ///
 /// Left-outer semantics: parent rows with no matching child are padded
 /// with `Null` (an optional/absent child). Orphan child rows (no parent)
-/// are dropped. Inputs are re-sorted on the join keys; the comparisons are
-/// charged to `counters`, mirroring the sort-heavy cost profile of the
-/// paper's relational sources. See [`emit_group`] for the per-group
-/// inlining/alignment semantics.
-pub fn merge_combine(
-    parent: &Feed,
-    child: &Feed,
+/// are dropped. Each input is checked for sortedness on its join key and
+/// sorted only if the check fails; the comparisons of the check, of any
+/// sort and of the merge are charged to `counters`. An input passed by
+/// value (`Feed`, `Cow::Owned`) has its rows moved into the output, one
+/// passed by reference has them cloned. See [`emit_group`] for the
+/// per-group inlining/alignment semantics.
+pub fn merge_combine<'a>(
+    parent: impl Into<Cow<'a, Feed>>,
+    child: impl Into<Cow<'a, Feed>>,
     anchor_element: &str,
     counters: &mut Counters,
 ) -> Result<Feed> {
-    let (pcol, ccol) = join_columns(parent, child, anchor_element)?;
+    let (parent, child) = (parent.into(), child.into());
+    let (pcol, ccol) = join_columns(&parent, &child, anchor_element)?;
     counters.rows_read += (parent.len() + child.len()) as u64;
-
-    let mut psorted = parent.clone();
-    counters.comparisons += psorted.sort_by(&[pcol]);
-    let mut csorted = child.clone();
-    counters.comparisons += csorted.sort_by(&[ccol]);
-
-    let out_schema = combined_schema(&parent.schema, &child.schema, ccol);
-    let mut out = Feed::new(out_schema);
+    let mut out = Feed::new(combined_schema(&parent.schema, &child.schema, ccol));
     let child_arity = child.schema.arity() - 1;
+    let mut parent = Side::sorted_on(parent, pcol, counters);
+    let mut child = Side::sorted_on(child, ccol, counters);
 
-    let mut ci = 0usize;
-    let mut pi = 0usize;
-    while pi < psorted.rows.len() {
-        let key = psorted.rows[pi][pcol].clone();
-        // Gather the parent group for this key.
-        let mut pgroup: Vec<&Vec<Value>> = Vec::new();
-        while pi < psorted.rows.len() {
+    let (mut pi, mut ci) = (0, 0);
+    while pi < parent.len() {
+        // The parent group of this key, then the child rows carrying it:
+        // smaller child keys are orphans, and a Null key joins nothing.
+        let pgroup = pi;
+        let key = &parent.row(pgroup)[pcol];
+        pi += 1;
+        while pi < parent.len() {
             counters.comparisons += 1;
-            if psorted.rows[pi][pcol] == key {
-                pgroup.push(&psorted.rows[pi]);
-                pi += 1;
-            } else {
+            if parent.row(pi)[pcol] != *key {
                 break;
             }
+            pi += 1;
         }
-        // Advance child cursor past smaller keys (orphans dropped).
-        while ci < csorted.rows.len() {
+        while ci < child.len() {
             counters.comparisons += 1;
-            if csorted.rows[ci][ccol] < key {
-                ci += 1;
-            } else {
+            if child.row(ci)[ccol] >= *key {
                 break;
             }
+            ci += 1;
         }
-        let mut cgroup: Vec<&Vec<Value>> = Vec::new();
-        if !key.is_null() {
-            let mut cj = ci;
-            while cj < csorted.rows.len() {
-                counters.comparisons += 1;
-                if csorted.rows[cj][ccol] == key {
-                    cgroup.push(&csorted.rows[cj]);
-                    cj += 1;
-                } else {
-                    break;
-                }
+        let cgroup = ci;
+        while !key.is_null() && ci < child.len() {
+            counters.comparisons += 1;
+            if child.row(ci)[ccol] != *key {
+                break;
             }
+            ci += 1;
         }
         emit_group(
             &mut out,
-            &parent.schema,
-            &pgroup,
-            &cgroup,
+            (&mut parent, pgroup..pi),
+            (&mut child, cgroup..ci),
             ccol,
             child_arity,
         );
@@ -219,36 +292,49 @@ pub fn hash_combine(
         by_parent.entry(&row[ccol]).or_default().push(i);
     }
 
-    let out_schema = combined_schema(&parent.schema, &child.schema, ccol);
-    let mut out = Feed::new(out_schema);
+    let mut out = Feed::new(combined_schema(&parent.schema, &child.schema, ccol));
     let child_arity = child.schema.arity() - 1;
 
     // Group parent rows by key (first-occurrence order) so the emit
     // semantics match the merge implementation exactly.
     let mut key_order: Vec<&Value> = Vec::new();
-    let mut pgroups: HashMap<&Value, Vec<&Vec<Value>>> = HashMap::new();
-    for prow in &parent.rows {
+    let mut pgroups: HashMap<&Value, Vec<usize>> = HashMap::new();
+    for (i, prow) in parent.rows.iter().enumerate() {
         counters.hash_probes += 1;
         let entry = pgroups.entry(&prow[pcol]).or_default();
         if entry.is_empty() {
             key_order.push(&prow[pcol]);
         }
-        entry.push(prow);
+        entry.push(i);
     }
+    // Both inputs permuted so each key's rows sit together, in the order
+    // the groups are emitted.
+    let (mut porder, mut corder) = (Vec::with_capacity(parent.len()), Vec::new());
+    let mut groups = Vec::with_capacity(key_order.len());
     for key in key_order {
-        let pgroup = &pgroups[key];
-        let empty = Vec::new();
-        let cgroup: Vec<&Vec<Value>> = if key.is_null() {
-            Vec::new()
-        } else {
-            by_parent
-                .get(key)
-                .unwrap_or(&empty)
-                .iter()
-                .map(|&i| &child.rows[i])
-                .collect()
-        };
-        emit_group(&mut out, &parent.schema, pgroup, &cgroup, ccol, child_arity);
+        let (pstart, cstart) = (porder.len(), corder.len());
+        porder.extend_from_slice(&pgroups[key]);
+        if !key.is_null() {
+            corder.extend_from_slice(by_parent.get(key).map_or(&[][..], Vec::as_slice));
+        }
+        groups.push((pstart..porder.len(), cstart..corder.len()));
+    }
+    let mut pside = Side::Lent {
+        rows: &parent.rows,
+        order: Some(porder),
+    };
+    let mut cside = Side::Lent {
+        rows: &child.rows,
+        order: Some(corder),
+    };
+    for (pgroup, cgroup) in groups {
+        emit_group(
+            &mut out,
+            (&mut pside, pgroup),
+            (&mut cside, cgroup),
+            ccol,
+            child_arity,
+        );
     }
     counters.rows_out += out.len() as u64;
     Ok(out)
@@ -330,16 +416,18 @@ pub fn split(feed: &Feed, specs: &[SplitSpec], counters: &mut Counters) -> Resul
         // shrinks it); pre-sizing both containers keeps the projection
         // loop reallocation-free.
         out.rows.reserve(feed.len());
-        let mut seen: HashSet<Vec<Value>> = HashSet::with_capacity(feed.len());
+        // Instances are told apart by their ids where they sit in the
+        // input; only a row that introduces a new one is copied out.
+        let mut seen: HashSet<Vec<&Value>> = HashSet::with_capacity(feed.len());
         for row in &feed.rows {
-            let projected: Vec<Value> = src_cols.iter().map(|&c| row[c].clone()).collect();
-            if projected[root_id_out].is_null() {
+            if row[src_cols[root_id_out]].is_null() {
                 continue; // absent optional subtree: no instance to emit
             }
-            let key: Vec<Value> = id_cols_out.iter().map(|&c| projected[c].clone()).collect();
+            let key = id_cols_out.iter().map(|&c| &row[src_cols[c]]).collect();
             counters.hash_probes += 1;
             if seen.insert(key) {
-                out.rows.push(projected);
+                out.rows
+                    .push(src_cols.iter().map(|&c| row[c].clone()).collect());
             }
         }
         counters.rows_out += out.len() as u64;
@@ -352,6 +440,7 @@ pub fn split(feed: &Feed, specs: &[SplitSpec], counters: &mut Counters) -> Resul
 mod tests {
     use super::*;
     use crate::value::Dewey;
+    use proptest::prelude::*;
 
     fn dv(path: &[u32]) -> Value {
         Value::Dewey(Dewey(path.to_vec()))
@@ -393,10 +482,233 @@ mod tests {
         f
     }
 
+    // The clone-and-sort Combine `merge_combine` replaced, kept verbatim
+    // as the oracle of `merge_combine_matches_the_clone_and_sort_oracle`.
+    fn oracle_emit_group(
+        out: &mut Feed,
+        parent_schema: &FeedSchema,
+        pgroup: &[&Vec<Value>],
+        cgroup: &[&Vec<Value>],
+        ccol: usize,
+        child_arity: usize,
+    ) {
+        // Every branch below emits a knowable number of rows of knowable
+        // arity; sizing the allocations up front keeps the join's hot loop
+        // free of `Vec` growth reallocations.
+        let emitted = if cgroup.is_empty() {
+            pgroup.len()
+        } else if pgroup.len() == 1 {
+            cgroup.len()
+        } else {
+            pgroup.len() + cgroup.len()
+        };
+        out.rows.reserve(emitted);
+        let pad = |row: &Vec<Value>, out: &mut Feed| {
+            let mut r = Vec::with_capacity(row.len() + child_arity);
+            r.extend_from_slice(row);
+            r.extend(std::iter::repeat_with(|| Value::Null).take(child_arity));
+            out.rows.push(r);
+        };
+        if cgroup.is_empty() {
+            for prow in pgroup {
+                pad(prow, out);
+            }
+            return;
+        }
+        let attach = |base: &Vec<Value>, crow: &Vec<Value>, out: &mut Feed| {
+            let mut r = Vec::with_capacity(base.len() + child_arity);
+            r.extend_from_slice(base);
+            for (i, v) in crow.iter().enumerate() {
+                if i != ccol {
+                    r.push(v.clone());
+                }
+            }
+            out.rows.push(r);
+        };
+        if pgroup.len() == 1 {
+            for crow in cgroup {
+                attach(pgroup[0], crow, out);
+            }
+            return;
+        }
+        // Outer-union alignment: skeleton = first parent row with value
+        // columns blanked (identifiers stay for grouping/tagging).
+        for prow in pgroup {
+            pad(prow, out);
+        }
+        let mut skeleton = pgroup[0].clone();
+        for (i, col) in parent_schema.columns.iter().enumerate() {
+            if col.role == ColRole::Value {
+                skeleton[i] = Value::Null;
+            }
+        }
+        for crow in cgroup {
+            attach(&skeleton, crow, out);
+        }
+    }
+
+    fn oracle_merge_combine(
+        parent: &Feed,
+        child: &Feed,
+        anchor_element: &str,
+        counters: &mut Counters,
+    ) -> Result<Feed> {
+        let (pcol, ccol) = join_columns(parent, child, anchor_element)?;
+        counters.rows_read += (parent.len() + child.len()) as u64;
+
+        let mut psorted = parent.clone();
+        counters.comparisons += psorted.sort_by(&[pcol]);
+        let mut csorted = child.clone();
+        counters.comparisons += csorted.sort_by(&[ccol]);
+
+        let out_schema = combined_schema(&parent.schema, &child.schema, ccol);
+        let mut out = Feed::new(out_schema);
+        let child_arity = child.schema.arity() - 1;
+
+        let mut ci = 0usize;
+        let mut pi = 0usize;
+        while pi < psorted.rows.len() {
+            let key = psorted.rows[pi][pcol].clone();
+            // Gather the parent group for this key.
+            let mut pgroup: Vec<&Vec<Value>> = Vec::new();
+            while pi < psorted.rows.len() {
+                counters.comparisons += 1;
+                if psorted.rows[pi][pcol] == key {
+                    pgroup.push(&psorted.rows[pi]);
+                    pi += 1;
+                } else {
+                    break;
+                }
+            }
+            // Advance child cursor past smaller keys (orphans dropped).
+            while ci < csorted.rows.len() {
+                counters.comparisons += 1;
+                if csorted.rows[ci][ccol] < key {
+                    ci += 1;
+                } else {
+                    break;
+                }
+            }
+            let mut cgroup: Vec<&Vec<Value>> = Vec::new();
+            if !key.is_null() {
+                let mut cj = ci;
+                while cj < csorted.rows.len() {
+                    counters.comparisons += 1;
+                    if csorted.rows[cj][ccol] == key {
+                        cgroup.push(&csorted.rows[cj]);
+                        cj += 1;
+                    } else {
+                        break;
+                    }
+                }
+            }
+            oracle_emit_group(
+                &mut out,
+                &parent.schema,
+                &pgroup,
+                &cgroup,
+                ccol,
+                child_arity,
+            );
+        }
+        counters.rows_out += out.len() as u64;
+        Ok(out)
+    }
+
+    /// A parent/child pair drawn to hit every `emit_group` case: parent
+    /// groups of one or several rows, 0/1/k children per key, `Null` join
+    /// keys on both sides, orphan children, each side in key order or
+    /// shuffled by a drawn rank.
+    fn family_strategy() -> impl Strategy<Value = (Feed, Feed)> {
+        let key = || (0u32..8).prop_map(|k| if k == 0 { Value::Null } else { dv(&[k]) });
+        (
+            proptest::collection::vec((key(), 1usize..4, any::<u32>()), 0..7),
+            proptest::collection::vec((key(), any::<u32>()), 0..24),
+            any::<bool>(),
+            any::<bool>(),
+        )
+            .prop_map(|(parents, children, shuffle_parent, shuffle_child)| {
+                let mut parent = customers();
+                parent.rows.clear();
+                let mut ranks = Vec::new();
+                for (i, (key, copies, rank)) in parents.into_iter().enumerate() {
+                    // Keys 1..=5 can have parents; 6 and 7 only orphans.
+                    let key = if key > dv(&[5]) { Value::Null } else { key };
+                    for copy in 0..copies {
+                        parent.rows.push(vec![
+                            dv(&[]),
+                            key.clone(),
+                            Value::Str(format!("p{i}.{copy}")),
+                        ]);
+                        ranks.push((shuffle_parent, rank.wrapping_add(copy as u32)));
+                    }
+                }
+                arrange(&mut parent, 1, &ranks);
+                let mut child = orders();
+                child.rows.clear();
+                let mut ranks = Vec::new();
+                for (i, (key, rank)) in children.into_iter().enumerate() {
+                    child
+                        .rows
+                        .push(vec![key, dv(&[9, i as u32]), Value::Str(format!("c{i}"))]);
+                    ranks.push((shuffle_child, rank));
+                }
+                arrange(&mut child, 0, &ranks);
+                (parent, child)
+            })
+    }
+
+    /// `feed` given up (a copy of it) or lent.
+    fn lend(own: bool, feed: &Feed) -> Cow<'_, Feed> {
+        if own {
+            Cow::Owned(feed.clone())
+        } else {
+            Cow::Borrowed(feed)
+        }
+    }
+
+    /// Orders `feed` by its rows' drawn ranks when they ask for a shuffle,
+    /// by `col` (stably) otherwise.
+    fn arrange(feed: &mut Feed, col: usize, ranks: &[(bool, u32)]) {
+        if ranks.first().is_some_and(|&(shuffle, _)| shuffle) {
+            let mut ranked: Vec<_> = ranks.iter().zip(feed.rows.drain(..)).collect();
+            ranked.sort_by_key(|&(&(_, rank), _)| rank);
+            feed.rows = ranked.into_iter().map(|(_, row)| row).collect();
+        } else {
+            feed.sort_by(&[col]);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Lent or given up, sorted or not: the same rows in the same
+        /// order as the clone-and-sort implementation, and the same
+        /// `rows_read`/`rows_out` bill.
+        #[test]
+        fn merge_combine_matches_the_clone_and_sort_oracle(family in family_strategy()) {
+            let (parent, child) = family;
+            let mut billed = Counters::new();
+            let want = oracle_merge_combine(&parent, &child, "Customer", &mut billed).unwrap();
+            for (own_parent, own_child) in [(false, false), (true, false), (false, true), (true, true)] {
+                let mut c = Counters::new();
+                let got = merge_combine(
+                    lend(own_parent, &parent),
+                    lend(own_child, &child),
+                    "Customer",
+                    &mut c,
+                )
+                .unwrap();
+                prop_assert_eq!(&got, &want, "parent owned {}, child owned {}", own_parent, own_child);
+                prop_assert_eq!((c.rows_read, c.rows_out), (billed.rows_read, billed.rows_out));
+            }
+        }
+    }
+
     #[test]
     fn merge_combine_inlines_children() {
         let mut c = Counters::new();
-        let out = merge_combine(&customers(), &orders(), "Customer", &mut c).unwrap();
+        let out = merge_combine(customers(), orders(), "Customer", &mut c).unwrap();
         // alice x 2 orders + bob padded = 3 rows.
         assert_eq!(out.len(), 3);
         assert_eq!(out.schema.arity(), 5); // 3 parent + 2 child (PARENT dropped)
@@ -416,7 +728,7 @@ mod tests {
     fn hash_combine_agrees_with_merge() {
         let mut c1 = Counters::new();
         let mut c2 = Counters::new();
-        let mut a = merge_combine(&customers(), &orders(), "Customer", &mut c1).unwrap();
+        let mut a = merge_combine(customers(), orders(), "Customer", &mut c1).unwrap();
         let mut b = hash_combine(&customers(), &orders(), "Customer", &mut c2).unwrap();
         a.sort_by(&[1, 3]);
         b.sort_by(&[1, 3]);
@@ -427,7 +739,7 @@ mod tests {
     #[test]
     fn combine_missing_anchor_errors() {
         let mut c = Counters::new();
-        assert!(merge_combine(&customers(), &orders(), "Nope", &mut c).is_err());
+        assert!(merge_combine(customers(), orders(), "Nope", &mut c).is_err());
     }
 
     #[test]
@@ -435,7 +747,7 @@ mod tests {
         let mut c = Counters::new();
         let mut orphans = orders();
         orphans.rows[0][0] = dv(&[99]); // no customer 99
-        let out = merge_combine(&customers(), &orphans, "Customer", &mut c).unwrap();
+        let out = merge_combine(customers(), &orphans, "Customer", &mut c).unwrap();
         // alice keeps o2, bob padded; orphan o1 gone.
         assert_eq!(out.len(), 2);
     }
@@ -444,7 +756,7 @@ mod tests {
     fn split_projects_and_dedups() {
         let mut c = Counters::new();
         let combined =
-            merge_combine(&customers(), &orders(), "Customer", &mut Counters::new()).unwrap();
+            merge_combine(customers(), orders(), "Customer", &mut Counters::new()).unwrap();
         let outs = split(
             &combined,
             &[
@@ -475,7 +787,7 @@ mod tests {
     fn split_skips_null_instances() {
         let mut c = Counters::new();
         let combined =
-            merge_combine(&customers(), &orders(), "Customer", &mut Counters::new()).unwrap();
+            merge_combine(customers(), orders(), "Customer", &mut Counters::new()).unwrap();
         let outs = split(
             &combined,
             &[SplitSpec {
@@ -509,7 +821,7 @@ mod tests {
     fn combine_then_split_roundtrips() {
         // Split(Combine(parent, child)) must recover both inputs modulo order.
         let mut c = Counters::new();
-        let combined = merge_combine(&customers(), &orders(), "Customer", &mut c).unwrap();
+        let combined = merge_combine(customers(), orders(), "Customer", &mut c).unwrap();
         let outs = split(
             &combined,
             &[

@@ -137,7 +137,8 @@ impl Table {
         Ok(())
     }
 
-    /// Full scan: copies the stored feed out (the engine half of `Scan`).
+    /// Full scan into a feed of its own. The operator loop's `Scan` does
+    /// not call this: it borrows [`Table::data`] and bills the same work.
     pub fn scan(&self, counters: &mut Counters) -> Feed {
         counters.rows_read += self.data.len() as u64;
         counters.rows_out += self.data.len() as u64;

@@ -66,12 +66,12 @@ impl Dewey {
         if self.0.is_empty() {
             0
         } else {
-            self.0.iter().map(|c| digits(*c)).sum::<usize>() + self.0.len() - 1
+            self.0.iter().map(|c| digits(u64::from(*c))).sum::<usize>() + self.0.len() - 1
         }
     }
 }
 
-fn digits(mut n: u32) -> usize {
+fn digits(mut n: u64) -> usize {
     let mut d = 1;
     while n >= 10 {
         n /= 10;
@@ -151,7 +151,7 @@ impl Value {
             Value::Null => 1,
             Value::Int(i) => {
                 let neg = usize::from(*i < 0);
-                digits(i.unsigned_abs().min(u32::MAX as u64) as u32) + neg
+                digits(i.unsigned_abs()) + neg
             }
             Value::Dewey(d) => d.wire_len(),
             Value::Str(s) => s.len(),
@@ -278,6 +278,13 @@ mod tests {
         assert_eq!(Value::Str("hello".into()).wire_len(), 5);
         assert_eq!(Value::Dewey(Dewey(vec![1, 23])).wire_len(), 4); // "1.23"
         assert_eq!(Value::Null.wire_len(), 1);
+    }
+
+    #[test]
+    fn wire_len_counts_every_digit_of_wide_ints() {
+        for i in [i64::MIN, i64::MAX, u32::MAX as i64 + 1, 12345678901234] {
+            assert_eq!(Value::Int(i).wire_len(), i.to_string().len(), "{i}");
+        }
     }
 
     #[test]

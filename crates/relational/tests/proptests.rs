@@ -109,7 +109,7 @@ proptest! {
     #[test]
     fn wire_roundtrip_arbitrary_values(
         rows in proptest::collection::vec(
-            (any::<Option<i64>>(), "[ -~]{0,20}", proptest::collection::vec(0u32..100, 0..4)),
+            (any::<Option<i64>>(), "[ -~\r]{0,20}", proptest::collection::vec(0u32..100, 0..4)),
             0..30,
         )
     ) {

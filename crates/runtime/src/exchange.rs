@@ -25,17 +25,17 @@ use crate::runtime::{Inner, Resumable};
 use crate::session::{ExchangeRequest, SessionId, SessionMetrics, SessionShared, SessionState};
 use crate::stats::{format_name, location_name};
 use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use xdx_codec::{
-    decode_any_ctx, decode_patch_ctx, encode_in_format_with_context_into,
-    encode_patch_with_context_into, is_patch, label_with_context, split_label_context,
-    TraceContext,
+    decode_any_ctx, decode_patch_ctx, encode_patch_with_context_into, encode_rows_in_format_into,
+    is_patch, label_with_context, split_label_context, TraceContext,
 };
 use xdx_core::exec::{
-    commit_and_index, cross_ports_in_consumer_order, direct_write_tables,
-    execute_source_phase_streaming, execute_target_phase, execute_with_transport, feed_batches,
+    batch_ranges, commit_and_index, cross_ports_in_consumer_order, direct_write_tables,
+    execute_source_phase_streaming, execute_target_phase, execute_with_transport,
     writes_stream_directly, CrossPort, ExecOutcome, LoopbackTransport, OpSample,
 };
 use xdx_core::program::PortRef;
@@ -90,8 +90,11 @@ struct Slot {
     label: String,
     /// The producing cross port; `None` for the delta patch.
     port: Option<PortRef>,
-    /// The batch, until the first lane to need it encodes it.
-    feed: Option<Feed>,
+    /// The cross feed this batch is a row range of — shared by the
+    /// port's slots, never copied — until the first lane to need the
+    /// batch encodes it.
+    feed: Option<Arc<Feed>>,
+    rows: Range<usize>,
     /// The wire message, from its one encode until every live lane has
     /// submitted it — resident frames are bounded by the spread between
     /// the fastest and slowest lane.
@@ -152,8 +155,9 @@ pub(crate) struct Lane {
     /// First failure diagnostic; stops the lane's pump, and the lane
     /// settles once its in-flight batches drain.
     failure: Option<String>,
-    /// Decoded batches that arrived ahead of the staging cursor.
-    decoded: BTreeMap<u64, Feed>,
+    /// Decoded batches that arrived ahead of the staging cursor, shared
+    /// with the group's other lanes until staged.
+    decoded: BTreeMap<u64, Arc<Feed>>,
     /// Next shipment seq to stage — batches apply in order even when
     /// the wire completes them out of order.
     next_stage_seq: u64,
@@ -176,6 +180,12 @@ impl Lane {
     /// Still shipping from the ring: neither settled nor failed.
     fn live(&self) -> bool {
         !self.settled && self.failure.is_none()
+    }
+
+    /// Shipment `seq` has landed here: staged, or decoded and waiting
+    /// for the staging cursor.
+    fn absorbed(&self, seq: u64) -> bool {
+        seq < self.next_stage_seq || self.decoded.contains_key(&seq)
     }
 
     /// Nothing on the wire and nothing left to put there.
@@ -208,9 +218,9 @@ pub(crate) struct Group {
     lanes: Vec<Lane>,
     /// Decode-once cache: lanes receive byte-identical frames (the
     /// engine checksums end to end), so the first absorber parses and
-    /// later lanes clone the feed. An entry dies with its last expected
-    /// absorption.
-    decoded: HashMap<u64, (Feed, usize)>,
+    /// later lanes share the feed. An entry lives while some live lane
+    /// has yet to absorb its seq.
+    decoded: HashMap<u64, Arc<Feed>>,
     /// Snapshot-once cache, same argument: the first lane to commit
     /// snapshots its tables and the rest record the same `Arc`.
     snapshot: Option<Snapshot>,
@@ -221,6 +231,17 @@ pub(crate) struct Group {
     encode_buf: Vec<u8>,
     /// The delta patch riding shipment 0, until its absorb step ran.
     patch: Option<PatchShip>,
+}
+
+impl Group {
+    /// Drops every cached decoded batch no live lane is still to absorb:
+    /// the cache keeps a batch for its remaining takers and for nobody
+    /// else, and a failed or ejected lane will never take one.
+    fn release_decoded(&mut self) {
+        let lanes = &self.lanes;
+        self.decoded
+            .retain(|&seq, _| lanes.iter().any(|l| l.live() && !l.absorbed(seq)));
+    }
 }
 
 /// Completed batch results as `(group, lane, result)`, deposited by
@@ -266,6 +287,11 @@ impl Exchange {
             groups,
             inbox: Arc::new(Mutex::new(Vec::new())),
         }
+    }
+
+    /// Decoded batches its groups' decode-once caches hold right now.
+    pub(crate) fn decoded_cached(&self) -> usize {
+        self.groups.iter().map(|g| g.decoded.len()).sum()
     }
 }
 
@@ -520,6 +546,7 @@ impl Inner {
             label: "delta-patch".into(),
             port: None,
             feed: None,
+            rows: 0..0,
             frame: Some(Arc::new(bytes)),
         });
         false
@@ -637,63 +664,52 @@ impl Inner {
         // phase changes *when* a frame ships, never its seq or bytes.
         let cross = cross_ports_in_consumer_order(&self.schema, &plan.program);
         let batch_rows = self.config.batch_rows;
-        let queue = |ring: &mut Vec<Slot>, c: &CrossPort, feed: &Feed| {
-            ring.extend(
-                feed_batches(feed, batch_rows)
-                    .into_iter()
-                    .map(|batch| Slot {
-                        label: c.label.clone(),
-                        port: Some(c.port),
-                        feed: Some(batch),
-                        frame: None,
-                    }),
-            );
+        let queue = |ring: &mut Vec<Slot>, c: &CrossPort, feed: Feed| {
+            let feed = Arc::new(feed);
+            ring.extend(batch_ranges(feed.len(), batch_rows).map(|rows| Slot {
+                label: c.label.clone(),
+                port: Some(c.port),
+                feed: Some(Arc::clone(&feed)),
+                rows,
+                frame: None,
+            }));
         };
-        // Leading cross ports (consumer order) already on the ring.
+        // Cross feeds whose producer ran ahead of an earlier port's, and
+        // the count of leading cross ports already on the ring.
+        let mut ready: HashMap<PortRef, Feed> = HashMap::new();
         let mut streamed = 0usize;
         let source = execute_source_phase_streaming(
             &self.schema,
             &request.source_frag,
-            &request.target_frag,
             &plan.program,
             &mut request.source,
             None,
-            &mut |feeds| {
-                // A cross feed is final the instant its producer runs —
-                // downstream source operators only read it. Flush the
-                // maximal *ready prefix* so seqs stay in consumer order,
-                // then top the engine up: the wire carries these frames
-                // while the rest of the source phase computes.
-                while let Some(c) = cross.get(streamed) {
-                    let Some(feed) = feeds.get(&c.port) else {
-                        break;
-                    };
-                    queue(&mut group.ring, c, feed);
+            &mut |port, feed| {
+                // A cross feed is final the instant its producer runs,
+                // and the ring owns it from here (a feed a table or a
+                // later source operator still holds is copied, once).
+                // Flush the maximal *ready prefix* so seqs stay in
+                // consumer order, then top the engine up: the wire
+                // carries these frames while the rest of the source
+                // phase computes.
+                ready.insert(port, feed.into_owned());
+                while let Some(feed) = cross.get(streamed).and_then(|c| ready.remove(&c.port)) {
+                    queue(&mut group.ring, &cross[streamed], feed);
                     streamed += 1;
                 }
                 self.pump(arc, *id, gi, inbox, group, *lag_cap);
             },
         );
         let failure = match source {
-            Ok((phase, outcome)) => {
-                // Stragglers the prefix rule held back (a port whose
-                // producer finished after a still-pending predecessor)
-                // batch now, in the same consumer order.
-                let mut missing = None;
-                for c in cross.iter().skip(streamed) {
-                    match phase.feeds.get(&c.port) {
-                        Some(feed) => queue(&mut group.ring, c, feed),
-                        None => {
-                            missing = Some(format!("missing feed for port {:?}", c.port));
-                            break;
-                        }
-                    }
-                }
+            Ok(outcome) => {
                 // The group's one source phase bills to its first lane.
                 group.lanes[0].outcome = outcome;
                 group.stream_tables = writes_stream_directly(&plan.program)
                     .then(|| direct_write_tables(&plan.program, &request.target_frag));
-                missing
+                // Every producer ran, so the prefix rule left nothing
+                // behind — unless a cross port never got a feed.
+                let unfed = cross.get(streamed);
+                unfed.map(|c| format!("missing feed for port {:?}", c.port))
             }
             Err(e) => Some(e.to_string()),
         };
@@ -884,6 +900,8 @@ impl Inner {
             slot.frame = None;
         }
         group.floor = group.floor.max(floor);
+        // A lane that just failed or was ejected waits for no batch.
+        group.release_decoded();
     }
 
     /// The wire message of ring slot `seq`, encoded by the first lane to
@@ -903,9 +921,10 @@ impl Inner {
         // their header extension, XML text in the SOAPAction label —
         // either way every receiver stitches its decode/stage spans
         // under the group's exec span.
-        let len = encode_in_format_with_context_into(
+        let len = encode_rows_in_format_into(
             &mut group.encode_buf,
-            &feed,
+            &feed.schema,
+            &feed.rows[slot.rows.clone()],
             group.wire_format,
             group.ctx,
         );
@@ -994,6 +1013,10 @@ impl Inner {
         };
         let lane = &mut group.lanes[li];
         lane.decoded.insert(result.seq, feed);
+        // Before staging: the last taker of a shared batch must find
+        // itself its sole owner to stage it by move.
+        group.release_decoded();
+        let lane = &mut group.lanes[li];
         let stage_started = Instant::now();
         let staged_from = lane.next_stage_seq;
         if let Err(e) = stage_ready(lane, group.stream_tables.as_ref(), &group.ring) {
@@ -1017,27 +1040,20 @@ impl Inner {
     /// Parses a delivered batch — once per group: every lane receives
     /// byte-identical frames, so the first absorber decodes (its `decode`
     /// span stitches under the trace context the frame, or the
-    /// SOAPAction label for XML text, carries) and later lanes get a
-    /// clone. The decode bill, like the encode bill, is per *frame*.
+    /// SOAPAction label for XML text, carries) and later lanes share the
+    /// feed; whichever lane stages it last takes it whole, the others
+    /// copy it into their own tables. The decode bill, like the encode
+    /// bill, is per *frame*.
     fn decode_once(
         &self,
         group: &mut Group,
         li: usize,
         seq: u64,
         delivered: &[u8],
-    ) -> std::result::Result<Feed, String> {
-        use std::collections::hash_map::Entry;
-        let vacant = match group.decoded.entry(seq) {
-            Entry::Occupied(mut cached) => {
-                cached.get_mut().1 -= 1;
-                return Ok(if cached.get().1 == 0 {
-                    cached.remove().0
-                } else {
-                    cached.get().0.clone()
-                });
-            }
-            Entry::Vacant(vacant) => vacant,
-        };
+    ) -> std::result::Result<Arc<Feed>, String> {
+        if let Some(cached) = group.decoded.get(&seq) {
+            return Ok(Arc::clone(cached));
+        }
         let decode_started = Instant::now();
         let arrived = Request::parse(delivered).map_err(|e| e.to_string())?;
         let (feed, ctx) = decode_any_ctx(&arrived.body).map_err(|e| e.to_string())?;
@@ -1057,8 +1073,9 @@ impl Inner {
             decode_started.elapsed(),
             format!("batch {seq}"),
         );
+        let feed = Arc::new(feed);
         if group.lanes.len() > 1 {
-            vacant.insert((feed.clone(), group.lanes.len() - 1));
+            group.decoded.insert(seq, Arc::clone(&feed));
         }
         Ok(feed)
     }
@@ -1089,7 +1106,7 @@ impl Inner {
                 &request.target_frag,
                 program,
                 &mut lane.target,
-                &lane.delivered,
+                std::mem::take(&mut lane.delivered),
                 &mut lane.outcome,
             )
             .map_err(|e| e.to_string());
@@ -1517,6 +1534,9 @@ fn stage_ready(
     ring: &[Slot],
 ) -> std::result::Result<(), String> {
     while let Some(feed) = lane.decoded.remove(&lane.next_stage_seq) {
+        // The last lane to stage a shared batch takes it; earlier ones
+        // copy the rows their own table will own.
+        let feed = Arc::try_unwrap(feed).unwrap_or_else(|shared| (*shared).clone());
         let seq = lane.next_stage_seq;
         lane.next_stage_seq += 1;
         let port = ring

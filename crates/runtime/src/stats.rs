@@ -417,6 +417,12 @@ impl Inner {
         // deep the pipeline actually runs.
         m.gauge("xdx_pipeline_depth")
             .set(self.engine.inflight() as f64);
+        // Decoded batches parked publish groups hold for lanes that have
+        // yet to absorb them — memory a stuck or dead lane must not pin.
+        let parked = self.parked.lock().unwrap();
+        let cached: usize = parked.values().map(|ex| ex.decoded_cached()).sum();
+        drop(parked);
+        m.gauge("xdx_decoded_batches_cached").set(cached as f64);
         // Fraction of the worker pool currently executing or servicing a
         // session (the rest are waiting on the queue).
         m.gauge("xdx_worker_occupancy").set(

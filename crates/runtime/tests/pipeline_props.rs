@@ -23,6 +23,7 @@ const VOCAB: &[&str] = &[
     "credit card",
     " leading and trailing ",
     "tab\there newline\nthere",
+    "carriage\rreturn\r",
     "ünïcode tökens",
 ];
 

@@ -339,6 +339,90 @@ fn adversarial_lane_fails_alone_and_resumes_from_its_own_ledger() {
     );
 }
 
+/// The decode-once cache keeps a batch for the live lanes still to
+/// absorb it and for nobody else. One subscriber of three sits behind a
+/// link that drops everything: it never completes a frame, so it is
+/// lag-ejected at once, while its window of frames keeps retrying (paced
+/// backoff, 1.5 s until the link gives up) and keeps the exchange parked.
+/// By then the two live lanes have staged every batch — and the cache
+/// must be empty, not holding each batch for a third taker that will
+/// never come.
+#[test]
+fn ejected_lane_does_not_pin_the_decode_once_cache() {
+    let schema = schema();
+    let doc = generate(GenConfig::sized(12_000));
+    let reference = wire_state(&reference_target(&doc));
+    let mf = mf(&schema);
+    let lf = lf(&schema);
+    let runtime = Runtime::start(
+        schema.clone(),
+        RuntimeConfig::default()
+            .with_workers(2)
+            .with_link_pacing(1.0)
+            .with_shipping(ShippingPolicy {
+                max_attempts_per_chunk: 5,
+                backoff_base: Duration::from_millis(100),
+                ..ShippingPolicy::default()
+            }),
+    );
+    runtime.set_link_fault_profile(
+        DEFAULT_SOURCE_ENDPOINT,
+        "sub-2",
+        FaultProfile {
+            drop_probability: 1.0,
+            ..FaultProfile::healthy()
+        },
+    );
+    let group = runtime
+        .publish(
+            PublishRequest::new(
+                "pub",
+                load_source(&doc, &schema, &mf).unwrap(),
+                mf.clone(),
+                lf.clone(),
+                subscribers(3),
+            )
+            .with_lag_cap(1),
+        )
+        .unwrap();
+    let live_lanes_done = || group.handles[..2].iter().all(|h| h.state().is_terminal());
+    let waited = std::time::Instant::now();
+    while !live_lanes_done() {
+        assert!(
+            waited.elapsed() < Duration::from_secs(30),
+            "live lanes stuck"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let metrics = runtime.metrics_text();
+    let cached = metrics
+        .lines()
+        .find_map(|l| l.strip_prefix("xdx_decoded_batches_cached "))
+        .expect("gauge exported");
+    assert!(
+        !group.handles[2].state().is_terminal(),
+        "the dead lane settled before the cache could be observed"
+    );
+    assert_eq!(
+        cached, "0",
+        "batches held for a lane that will never take them"
+    );
+
+    let results = group.wait();
+    for result in &results[..2] {
+        assert_eq!(result.state, SessionState::Done, "{:?}", result.diagnostic);
+        assert_eq!(wire_state(result.target.as_ref().unwrap()), reference);
+    }
+    assert_eq!(results[2].state, SessionState::Failed);
+    let why = results[2].diagnostic.as_deref().unwrap_or_default();
+    assert!(why.contains("behind the publish group"), "{why}");
+    assert!(runtime
+        .events()
+        .iter()
+        .any(|e| e.kind == EventKind::Shed && e.detail.contains("behind the publish group")));
+    runtime.shutdown();
+}
+
 /// A publish group parks like any other exchange: with one worker and
 /// paced links, a small two-site session on an unrelated route,
 /// submitted after a 1→3 publish of a large document, reaches `Done`
