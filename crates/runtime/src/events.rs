@@ -284,6 +284,11 @@ mod tests {
         log.push(1, 7, EventKind::Completed, "");
         let jsonl = log.to_jsonl();
         assert_eq!(jsonl.lines().count(), 2);
+        for line in jsonl.lines() {
+            for key in ["at_us", "session", "span", "kind", "detail"] {
+                assert!(line.contains(&format!("\"{key}\":")), "{line}: no {key}");
+            }
+        }
         assert!(jsonl.contains("\"kind\":\"submitted\""));
         assert!(jsonl.contains("\"span\":7"));
         assert!(jsonl.contains("with \\\"quotes\\\""));

@@ -513,6 +513,14 @@ fn introspection_endpoint_serves_all_routes() {
     assert_eq!(status, 200, "{health}");
     assert!(health.contains("\"healthy\":true"), "{health}");
     assert!(health.contains("\"open_breakers\":[]"), "{health}");
+    for key in [
+        "stalled_overdue_ms",
+        "queue_depth",
+        "flight_anomalies",
+        "flight_dumps",
+    ] {
+        assert!(health.contains(&format!("\"{key}\":")), "{health}");
+    }
 
     let (status, metrics) = fetch("/metrics");
     assert_eq!(status, 200);
@@ -521,6 +529,7 @@ fn introspection_endpoint_serves_all_routes() {
         "{metrics}"
     );
     assert!(metrics.contains("# TYPE"), "exposition format: {metrics}");
+    assert!(metrics.contains("xdx_engine_stalled 0"), "{metrics}");
 
     let (status, stats) = fetch("/stats.json");
     assert_eq!(status, 200);

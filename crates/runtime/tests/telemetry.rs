@@ -125,7 +125,9 @@ fn trace_spans_are_parented_and_events_are_correlated() {
         );
         seen.insert(json_name(line));
     }
-    for name in ["session", "queued", "plan", "exec", "ship", "Scan", "Write"] {
+    for name in [
+        "session", "queued", "plan", "exec", "encode", "ship", "Scan", "Write",
+    ] {
         assert!(seen.contains(name), "trace has no {name:?} spans: {seen:?}");
     }
 
@@ -163,6 +165,36 @@ fn tracing_off_records_no_spans_but_keeps_counters() {
     let stats = runtime.shutdown();
     assert_eq!(stats.completed, 2);
     assert!(stats.latency_percentile(50.0).is_some());
+}
+
+/// Calibration fills its operator and communication cells under both
+/// wire formats: a fleet whose routes negotiated differently reports
+/// predicted-vs-observed numbers for each format it shipped in.
+#[test]
+fn calibration_cells_fill_under_both_wire_formats() {
+    let doc = generate(GenConfig::sized(20_000));
+    let runtime = Runtime::start(schema(), RuntimeConfig::default().with_workers(2));
+    // `site0→registry` negotiates columnar; `site1→registry` stays on
+    // the XML text every endpoint speaks.
+    runtime.set_endpoint_format("registry", WireFormat::Columnar);
+    runtime.set_endpoint_format("site0", WireFormat::Columnar);
+    run_fleet(&runtime, &doc, 4, 2);
+
+    let report = runtime.calibration_report();
+    assert!(report.sessions_observed > 0, "no session was observed");
+    for format in ["xml", "columnar"] {
+        assert!(
+            report.ops.iter().any(|op| op.format == format),
+            "no operator cell under {format}: {:?}",
+            report.ops
+        );
+        assert!(
+            report.comm.iter().any(|c| c.format == format),
+            "no communication cell under {format}: {:?}",
+            report.comm
+        );
+    }
+    runtime.shutdown();
 }
 
 /// The event log is a fixed-capacity ring: a fleet that overflows it
