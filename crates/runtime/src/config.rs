@@ -1,9 +1,9 @@
 //! Tunables of a runtime instance and the reasons a submission is
 //! refused.
 
+use crate::engine::ShippingPolicy;
 use crate::events::DEFAULT_EVENT_CAPACITY;
 use crate::session::SessionId;
-use crate::shipper::ShippingPolicy;
 use std::fmt;
 use std::time::Duration;
 use xdx_core::{Optimizer, WireFormat};

@@ -23,19 +23,19 @@
 //! the chunks that never arrived. Every batch of a session decrements
 //! one shared atomic budget — the per-*session* retry cap.
 //!
-//! Pacing without sleeping: the paced wire is modeled as a per-pair
-//! *lane*. A transmission computes its fault outcome immediately
-//! ([`xdx_net::Link::transmit_faulty_nowait`]), releases the link lock,
-//! and advances the lane's `busy_until` horizon by the transfer's paced
-//! duration; the task then parks until that horizon. Tasks sharing a
-//! pair serialize on the lane — parked, not blocked.
+//! Pacing without sleeping: a pair's paced wire is a `busy_until`
+//! horizon kept beside its link, under the one [`LinkSlot`] lock. A
+//! transmission checks the horizon, computes its fault outcome
+//! immediately ([`xdx_net::Link::transmit_faulty_nowait`]) and advances
+//! the horizon by the transfer's paced duration, all under that lock;
+//! the task then parks until the horizon. Tasks sharing a pair
+//! serialize on it — parked, not blocked.
 
 use crate::events::{EventKind, EventLog};
 use crate::flight::{FlightRecorder, FlightSubsystem};
 use crate::ledger::{Filed, ReassemblyLedger};
 use crate::registry::LinkSlot;
 use crate::session::SessionShared;
-use crate::shipper::{ShippingPolicy, MAX_STALLS_PER_CHUNK};
 use crate::wheel::TimerWheel;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::fmt::Write as _;
@@ -45,12 +45,54 @@ use std::time::{Duration, Instant};
 use xdx_net::{frame_chunk_into, ChunkFrame, Delivery};
 use xdx_trace::{SpanId, TraceSink};
 
-/// How long a task parks when its pair's lane is reserved by another
-/// task mid-transmission (a few engine steps).
-const LANE_POLL: Duration = Duration::from_micros(200);
+/// Retry/chunking policy of the shipping layer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ShippingPolicy {
+    /// Payload bytes per chunk.
+    pub chunk_bytes: usize,
+    /// Transmission attempts per chunk before the shipment fails
+    /// (1 = no retry).
+    pub max_attempts_per_chunk: u32,
+    /// Total retries one session may spend across all its shipments; a
+    /// session on a pathological link degrades to `Failed` instead of
+    /// monopolizing the link forever.
+    pub retry_budget: u32,
+    /// Backoff after the first failed attempt; doubles per attempt.
+    pub backoff_base: Duration,
+    /// Backoff ceiling.
+    pub backoff_cap: Duration,
+}
 
-/// Shipping tallies of one batch, folded into the session's metrics by
-/// the completion callback.
+impl Default for ShippingPolicy {
+    fn default() -> ShippingPolicy {
+        ShippingPolicy {
+            chunk_bytes: 16 * 1024,
+            max_attempts_per_chunk: 8,
+            retry_budget: 256,
+            backoff_base: Duration::from_millis(20),
+            backoff_cap: Duration::from_secs(2),
+        }
+    }
+}
+
+impl ShippingPolicy {
+    /// Simulated backoff before retry number `failed_attempts`
+    /// (1-based): `base · 2^(n-1)`, capped.
+    pub fn backoff(&self, failed_attempts: u32) -> Duration {
+        let shift = failed_attempts.saturating_sub(1).min(20);
+        (self.backoff_base * (1u32 << shift)).min(self.backoff_cap)
+    }
+}
+
+/// A transmission consumed the link but delivered a *different* verified
+/// frame (reordering pipeline) or parked ours in the deferred queue.
+/// Bounded: the link's deferred queue holds at most a handful of frames,
+/// so a parked chunk reappears within that many transmissions. The cap
+/// turns a hypothetically livelocked loop into a counted failure.
+const MAX_STALLS_PER_CHUNK: u32 = 32;
+
+/// Shipping tallies of one batch, folded into its lane's metrics and its
+/// link's counters when the batch completes.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct BatchShipStats {
     pub chunks_shipped: u64,
@@ -104,8 +146,8 @@ enum Phase {
     /// Advance to the next chunk needing transmission (skipping
     /// checkpointed ones) and frame it.
     NextChunk,
-    /// Transmit the framed chunk: reserve the lane, draw the fault
-    /// outcome, advance the wire horizon.
+    /// Transmit the framed chunk: check the wire horizon, draw the fault
+    /// outcome, advance the horizon.
     Transmit,
     /// Wire wait elapsed: file what arrived and decide retry/advance.
     Settle {
@@ -116,18 +158,11 @@ enum Phase {
     Assemble,
 }
 
+/// A submitted request plus how far its state machine has come.
 struct Task {
-    session: Arc<SessionShared>,
-    slot: Arc<LinkSlot>,
-    seq: u64,
-    label: String,
-    message: Arc<Vec<u8>>,
-    policy: ShippingPolicy,
-    budget: Arc<AtomicI64>,
-    parent_span: SpanId,
-    on_done: Option<Box<dyn FnOnce(BatchResult) + Send>>,
+    req: ShipRequest,
     phase: Phase,
-    /// The pair label, cached (lane key).
+    /// The pair label, cached for flight-recorder entries.
     pair: String,
     span: SpanId,
     started: Instant,
@@ -142,24 +177,13 @@ struct Task {
     stalls: u32,
     /// Link pacing scale, learned at the first transmission.
     pacing: f64,
-    opened: bool,
 }
 
 impl Task {
     fn new(req: ShipRequest) -> Task {
-        let pair = req.slot.pair();
         Task {
-            session: req.session,
-            slot: req.slot,
-            seq: req.seq,
-            label: req.label,
-            message: req.message,
-            policy: req.policy,
-            budget: req.budget,
-            parent_span: req.parent_span,
-            on_done: Some(req.on_done),
             phase: Phase::Init,
-            pair,
+            pair: req.slot.pair(),
             span: req.parent_span,
             started: Instant::now(),
             total: 0,
@@ -172,24 +196,15 @@ impl Task {
             failed_attempts: 0,
             stalls: 0,
             pacing: 0.0,
-            opened: false,
+            req,
         }
     }
-}
-
-/// One `(source, target)` pair's simulated wire, as the engine sees it:
-/// a horizon of paced occupancy plus a reservation flag closing the
-/// race between lane check and transmission.
-struct Lane {
-    busy_until: Instant,
-    in_use: bool,
 }
 
 struct EngineState {
     tasks: HashMap<u64, Task>,
     ready: VecDeque<u64>,
     wheel: TimerWheel,
-    lanes: HashMap<String, Lane>,
     next_id: u64,
     /// Batches submitted and not yet completed — the pipeline-depth
     /// gauge.
@@ -231,7 +246,6 @@ impl ShipEngine {
                 tasks: HashMap::new(),
                 ready: VecDeque::new(),
                 wheel: TimerWheel::default(),
-                lanes: HashMap::new(),
                 next_id: 0,
                 inflight: 0,
                 open: true,
@@ -290,20 +304,11 @@ impl ShipEngine {
         self.work.notify_all();
     }
 
-    /// The dedicated driver thread's body: drive until shutdown *and*
-    /// drained.
-    pub(crate) fn drive_forever(&self) {
-        self.drive(None);
-    }
-
-    /// Makes engine progress on the calling thread until `deadline`
-    /// (idling on the condvar when nothing is due).
-    #[cfg(test)]
-    pub(crate) fn drive_until(&self, deadline: Instant) {
-        self.drive(Some(deadline));
-    }
-
-    fn drive(&self, until: Option<Instant>) {
+    /// Makes engine progress on the calling thread, idling on the condvar
+    /// when nothing is due: until shutdown *and* drained (the dedicated
+    /// driver thread's body), or — for a test driving by hand — until the
+    /// given instant.
+    pub(crate) fn drive(&self, until: Option<Instant>) {
         let mut st = self.state.lock().unwrap();
         loop {
             let now = Instant::now();
@@ -356,11 +361,10 @@ impl ShipEngine {
                     return;
                 }
                 StepOutcome::Done(result) => {
-                    let on_done = task.on_done.take().expect("task completes once");
                     self.state.lock().unwrap().inflight -= 1;
                     // No engine lock across the callback: it may submit
                     // the session's next batch right back to us.
-                    on_done(result);
+                    (task.req.on_done)(result);
                     self.work.notify_all();
                     return;
                 }
@@ -374,325 +378,299 @@ impl ShipEngine {
         }
     }
 
-    /// Terminal failure: close out, record the span, build the result.
-    fn fail(&self, task: &mut Task, diagnostic: String, link_gave_up: bool) -> StepOutcome {
-        if task.opened {
-            task.slot.close_shipment();
-        }
-        self.flight.record(FlightSubsystem::Lane, || {
-            format!(
-                "{}: batch {} failed at chunk {}/{}: {diagnostic}",
-                task.pair, task.seq, task.index, task.total
-            )
-        });
+    /// Closes the batch's shipment window and records its `ship` span.
+    fn close(&self, task: &Task, verdict: &str) {
+        task.req.slot.close_shipment();
         self.trace.record_with_id(
             task.span,
             "ship",
-            task.session.id,
-            task.parent_span,
+            task.req.session.id,
+            task.req.parent_span,
             task.started,
             task.started.elapsed(),
             format!(
-                "{}: batch {}, {} chunks, {} retried, failed",
-                task.label, task.seq, task.total, task.stats.chunks_retried
+                "{}: batch {}, {} chunks, {} retried, {verdict}",
+                task.req.label, task.req.seq, task.total, task.stats.chunks_retried
             ),
         );
+    }
+
+    /// The terminal step: the batch's result, with its tallies.
+    fn done(
+        task: &Task,
+        outcome: std::result::Result<Vec<u8>, String>,
+        link_gave_up: bool,
+    ) -> StepOutcome {
         StepOutcome::Done(BatchResult {
-            seq: task.seq,
+            seq: task.req.seq,
             elapsed: task.elapsed,
-            outcome: Err(diagnostic),
+            outcome,
             link_gave_up,
             stats: task.stats,
         })
     }
 
+    /// Terminal failure (never before `Init` opened the shipment).
+    fn fail(&self, task: &Task, diagnostic: String, link_gave_up: bool) -> StepOutcome {
+        self.flight.record(FlightSubsystem::Lane, || {
+            format!(
+                "{}: batch {} failed at chunk {}/{}: {diagnostic}",
+                task.pair, task.req.seq, task.index, task.total
+            )
+        });
+        self.close(task, "failed");
+        Self::done(task, Err(diagnostic), link_gave_up)
+    }
+
+    /// One step of the task's state machine. The phase is taken out and
+    /// every arm sets the next one; a `Transmit` that parks on a busy
+    /// wire leaves the placeholder, and transmits again.
     fn step(&self, task: &mut Task) -> StepOutcome {
-        match &task.phase {
-            Phase::Init => {
-                task.span = self.trace.allocate_id();
-                let chunk_bytes = task.policy.chunk_bytes.max(1);
-                task.total = task.message.len().div_ceil(chunk_bytes).max(1);
-                task.prior = self.ledger.begin_shipment(
-                    task.session.id,
-                    task.seq,
+        match std::mem::replace(&mut task.phase, Phase::Transmit) {
+            Phase::Init => self.init(task),
+            Phase::NextChunk => self.next_chunk(task),
+            Phase::Transmit => self.transmit(task),
+            Phase::Settle { duration, delivery } => self.settle(task, duration, delivery),
+            Phase::Assemble => self.assemble(task),
+        }
+    }
+
+    fn init(&self, task: &mut Task) -> StepOutcome {
+        task.span = self.trace.allocate_id();
+        let chunk_bytes = task.req.policy.chunk_bytes.max(1);
+        task.total = task.req.message.len().div_ceil(chunk_bytes).max(1);
+        task.prior = self.ledger.begin_shipment(
+            task.req.session.id,
+            task.req.seq,
+            task.total,
+            &task.req.message,
+        );
+        if !task.prior.is_empty() {
+            task.stats.chunks_resumed += task.prior.len() as u64;
+            self.events.push(
+                task.req.session.id,
+                task.span,
+                EventKind::ShipmentResumed,
+                format!(
+                    "{}: {} of {} chunks checkpointed, re-shipping {}",
+                    task.req.label,
+                    task.prior.len(),
                     task.total,
-                    &task.message,
-                );
-                if !task.prior.is_empty() {
-                    task.stats.chunks_resumed += task.prior.len() as u64;
-                    self.events.push(
-                        task.session.id,
-                        task.span,
-                        EventKind::ShipmentResumed,
-                        format!(
-                            "{}: {} of {} chunks checkpointed, re-shipping {}",
-                            task.label,
-                            task.prior.len(),
-                            task.total,
-                            task.total - task.prior.len()
-                        ),
-                    );
-                }
-                task.slot.open_shipment();
-                task.opened = true;
-                self.flight.record(FlightSubsystem::Lane, || {
-                    format!(
-                        "{}: batch {} open, {} chunks, session {}",
-                        task.pair, task.seq, task.total, task.session.id
-                    )
-                });
-                task.phase = Phase::NextChunk;
-                StepOutcome::Continue
+                    task.total - task.prior.len()
+                ),
+            );
+        }
+        task.req.slot.open_shipment();
+        self.flight.record(FlightSubsystem::Lane, || {
+            format!(
+                "{}: batch {} open, {} chunks, session {}",
+                task.pair, task.req.seq, task.total, task.req.session.id
+            )
+        });
+        task.phase = Phase::NextChunk;
+        StepOutcome::Continue
+    }
+
+    fn next_chunk(&self, task: &mut Task) -> StepOutcome {
+        while task.index < task.total {
+            if task.prior.contains(&task.index) {
+                task.index += 1;
+                continue;
             }
-            Phase::NextChunk => {
-                while task.index < task.total {
-                    if task.prior.contains(&task.index) {
-                        task.index += 1;
-                        continue;
-                    }
-                    if self.ledger.has_chunk(task.session.id, task.seq, task.index) {
-                        // Landed meanwhile via the reorder pipeline
-                        // (possibly transmitted by another session
-                        // sharing the link).
-                        task.stats.chunks_shipped += 1;
-                        task.index += 1;
-                        continue;
-                    }
-                    break;
-                }
-                if task.index >= task.total {
-                    task.phase = Phase::Assemble;
-                    return StepOutcome::Continue;
-                }
-                let chunk_bytes = task.policy.chunk_bytes.max(1);
-                let start = task.index * chunk_bytes;
-                let end = usize::min(start + chunk_bytes, task.message.len());
-                task.chunk_label.clear();
-                let _ = write!(
-                    task.chunk_label,
-                    "{}[{}/{}]",
-                    task.label, task.index, task.total
-                );
-                frame_chunk_into(
-                    &mut task.frame,
-                    task.session.id,
-                    task.seq,
-                    task.index,
-                    task.total,
-                    &task.message[start..end],
-                );
-                task.failed_attempts = 0;
-                task.stalls = 0;
-                task.phase = Phase::Transmit;
-                StepOutcome::Continue
+            if self
+                .ledger
+                .has_chunk(task.req.session.id, task.req.seq, task.index)
+            {
+                // Landed meanwhile via the reorder pipeline (possibly
+                // transmitted by another session sharing the link).
+                task.stats.chunks_shipped += 1;
+                task.index += 1;
+                continue;
             }
-            Phase::Transmit => {
-                if task.session.is_cancelled() {
-                    return self.fail(
-                        task,
-                        format!("session cancelled while shipping {}", task.chunk_label),
-                        false,
-                    );
-                }
-                if task.session.deadline_exceeded() {
-                    return self.fail(
-                        task,
-                        format!("deadline exceeded while shipping {}", task.chunk_label),
-                        false,
-                    );
-                }
-                let now = Instant::now();
-                {
-                    let mut st = self.state.lock().unwrap();
-                    let lane = st.lanes.entry(task.pair.clone()).or_insert(Lane {
-                        busy_until: now,
-                        in_use: false,
-                    });
-                    if lane.in_use {
-                        return StepOutcome::Park(now + LANE_POLL);
-                    }
-                    if lane.busy_until > now {
-                        return StepOutcome::Park(lane.busy_until);
-                    }
-                    lane.in_use = true;
-                }
-                // Lane reserved; touch the link outside the engine lock.
-                // Nothing holds the link mutex across a wait, so this
-                // lock is a few instructions of contention at most.
-                let mut link = task.slot.link.lock().unwrap();
-                let (duration, delivery) =
-                    link.transmit_faulty_nowait(&task.chunk_label, &task.frame);
-                task.pacing = link.pacing();
-                drop(link);
-                task.stats.wire_bytes += task.frame.len() as u64;
-                task.slot
-                    .counters
-                    .wire_bytes
-                    .fetch_add(task.frame.len() as u64, Ordering::Relaxed);
-                let wire = if task.pacing > 0.0 {
-                    duration.mul_f64(task.pacing)
-                } else {
-                    Duration::ZERO
-                };
-                {
-                    let mut st = self.state.lock().unwrap();
-                    let lane = st.lanes.get_mut(&task.pair).expect("lane reserved");
-                    lane.busy_until = lane.busy_until.max(now) + wire;
-                    lane.in_use = false;
-                }
-                task.phase = Phase::Settle { duration, delivery };
-                if wire > Duration::ZERO {
-                    // The wire occupancy is a wheel deadline, not a
-                    // sleep: this is the yield the whole engine exists
-                    // for.
-                    StepOutcome::Park(now + wire)
-                } else {
-                    StepOutcome::Continue
-                }
-            }
-            Phase::Settle { .. } => {
-                let Phase::Settle { duration, delivery } =
-                    std::mem::replace(&mut task.phase, Phase::NextChunk)
-                else {
-                    unreachable!("matched Settle");
-                };
-                task.elapsed += duration;
-                // File whatever verified frame the link produced — ours,
-                // an older deferred one, even another session's.
-                let verified = delivery.payload().and_then(ChunkFrame::decode);
-                if let Some(arrived) = &verified {
-                    self.file(task, arrived);
-                    if matches!(delivery, Delivery::Duplicated(_)) {
-                        self.file(task, arrived);
-                    }
-                }
-                if self.ledger.has_chunk(task.session.id, task.seq, task.index) {
-                    task.stats.chunks_shipped += 1;
-                    task.slot
-                        .counters
-                        .chunks_shipped
-                        .fetch_add(1, Ordering::Relaxed);
-                    task.index += 1;
-                    task.phase = Phase::NextChunk;
-                    return StepOutcome::Continue;
-                }
-                let progressed = verified.is_some() || matches!(delivery, Delivery::Deferred);
-                if progressed && task.stalls < MAX_STALLS_PER_CHUNK {
-                    task.stalls += 1;
-                    task.phase = Phase::Transmit;
-                    return StepOutcome::Continue;
-                }
-                task.failed_attempts += 1;
-                let cause = match delivery {
-                    Delivery::Dropped => "dropped",
-                    Delivery::TimedOut => "timed out",
-                    Delivery::Corrupted(_) => "corrupted",
-                    Delivery::Deferred => "deferred livelock",
-                    Delivery::Delivered(_) | Delivery::Duplicated(_) => "frame damaged",
-                };
-                if task.failed_attempts >= task.policy.max_attempts_per_chunk {
-                    return self.fail(
-                        task,
-                        format!(
-                            "shipping {}: gave up after {} attempts (last outcome: {cause})",
-                            task.chunk_label, task.failed_attempts
-                        ),
-                        true,
-                    );
-                }
-                if task.budget.fetch_sub(1, Ordering::SeqCst) <= 0 {
-                    return self.fail(
-                        task,
-                        format!(
-                            "shipping {}: session retry budget ({}) exhausted \
-                             (last outcome: {cause})",
-                            task.chunk_label, task.policy.retry_budget
-                        ),
-                        true,
-                    );
-                }
-                task.stats.chunks_retried += 1;
-                task.slot
-                    .counters
-                    .chunks_retried
-                    .fetch_add(1, Ordering::Relaxed);
-                self.flight.record(FlightSubsystem::Lane, || {
-                    format!(
-                        "{}: {} {cause}, retry {}",
-                        task.pair, task.chunk_label, task.failed_attempts
-                    )
-                });
-                let backoff = task.policy.backoff(task.failed_attempts);
-                task.stats.retry_backoff += backoff;
-                task.elapsed += backoff;
-                self.events.push(
-                    task.session.id,
-                    task.span,
-                    EventKind::ChunkRetried,
-                    format!(
-                        "{} {cause}, retry {}",
-                        task.chunk_label, task.failed_attempts
-                    ),
-                );
-                task.phase = Phase::Transmit;
-                if task.pacing > 0.0 {
-                    // Backoff obeys the same paced clock as the link —
-                    // as a parked deadline, never a sleeping worker.
-                    self.flight.record(FlightSubsystem::Timer, || {
-                        format!(
-                            "{}: backoff {:?} before {}",
-                            task.pair, backoff, task.chunk_label
-                        )
-                    });
-                    StepOutcome::Park(Instant::now() + backoff.mul_f64(task.pacing))
-                } else {
-                    StepOutcome::Continue
-                }
-            }
-            Phase::Assemble => {
-                if task.opened {
-                    task.slot.close_shipment();
-                }
-                self.flight.record(FlightSubsystem::Lane, || {
-                    format!(
-                        "{}: batch {} ok, {} chunks, {} retried",
-                        task.pair, task.seq, task.total, task.stats.chunks_retried
-                    )
-                });
-                self.trace.record_with_id(
-                    task.span,
-                    "ship",
-                    task.session.id,
-                    task.parent_span,
-                    task.started,
-                    task.started.elapsed(),
-                    format!(
-                        "{}: batch {}, {} chunks, {} retried, ok",
-                        task.label, task.seq, task.total, task.stats.chunks_retried
-                    ),
-                );
-                let Some(assembled) = self.ledger.assemble(task.session.id, task.seq) else {
-                    return StepOutcome::Done(BatchResult {
-                        seq: task.seq,
-                        elapsed: task.elapsed,
-                        outcome: Err(format!("shipment {} did not reassemble", task.seq)),
-                        link_gave_up: false,
-                        stats: task.stats,
-                    });
-                };
-                debug_assert_eq!(
-                    assembled, *task.message,
-                    "verified chunks reassemble exactly"
-                );
-                StepOutcome::Done(BatchResult {
-                    seq: task.seq,
-                    elapsed: task.elapsed,
-                    outcome: Ok(assembled),
-                    link_gave_up: false,
-                    stats: task.stats,
-                })
+            break;
+        }
+        if task.index >= task.total {
+            task.phase = Phase::Assemble;
+            return StepOutcome::Continue;
+        }
+        let chunk_bytes = task.req.policy.chunk_bytes.max(1);
+        let start = task.index * chunk_bytes;
+        let end = usize::min(start + chunk_bytes, task.req.message.len());
+        task.chunk_label.clear();
+        let _ = write!(
+            task.chunk_label,
+            "{}[{}/{}]",
+            task.req.label, task.index, task.total
+        );
+        frame_chunk_into(
+            &mut task.frame,
+            task.req.session.id,
+            task.req.seq,
+            task.index,
+            task.total,
+            &task.req.message[start..end],
+        );
+        task.failed_attempts = 0;
+        task.stalls = 0;
+        task.phase = Phase::Transmit;
+        StepOutcome::Continue
+    }
+
+    fn transmit(&self, task: &mut Task) -> StepOutcome {
+        if task.req.session.is_cancelled() {
+            return self.fail(
+                task,
+                format!("session cancelled while shipping {}", task.chunk_label),
+                false,
+            );
+        }
+        if task.req.session.deadline_exceeded() {
+            return self.fail(
+                task,
+                format!("deadline exceeded while shipping {}", task.chunk_label),
+                false,
+            );
+        }
+        let now = Instant::now();
+        // Check → transmit → advance under the pair's one lock. Nothing
+        // holds it across a wait, so this is a few instructions of
+        // contention at most.
+        let mut wire = task.req.slot.wire.lock().unwrap();
+        if wire.busy_until > now {
+            return StepOutcome::Park(wire.busy_until);
+        }
+        let (duration, delivery) = wire
+            .link
+            .transmit_faulty_nowait(&task.chunk_label, &task.frame);
+        task.pacing = wire.link.pacing();
+        let occupied = if task.pacing > 0.0 {
+            duration.mul_f64(task.pacing)
+        } else {
+            Duration::ZERO
+        };
+        wire.busy_until = now + occupied;
+        drop(wire);
+        task.stats.wire_bytes += task.frame.len() as u64;
+        task.phase = Phase::Settle { duration, delivery };
+        if occupied > Duration::ZERO {
+            // The wire occupancy is a wheel deadline, not a sleep: this
+            // is the yield the whole engine exists for.
+            StepOutcome::Park(now + occupied)
+        } else {
+            StepOutcome::Continue
+        }
+    }
+
+    /// Wire wait elapsed: file what arrived, then advance to the next
+    /// chunk, re-transmit after a reorder stall, or retry under the
+    /// policy's caps.
+    fn settle(&self, task: &mut Task, duration: Duration, delivery: Delivery) -> StepOutcome {
+        task.elapsed += duration;
+        // File whatever verified frame the link produced — ours, an
+        // older deferred one, even another session's.
+        let verified = delivery.payload().and_then(ChunkFrame::decode);
+        if let Some(arrived) = &verified {
+            self.file(task, arrived);
+            if matches!(delivery, Delivery::Duplicated(_)) {
+                self.file(task, arrived);
             }
         }
+        if self
+            .ledger
+            .has_chunk(task.req.session.id, task.req.seq, task.index)
+        {
+            task.stats.chunks_shipped += 1;
+            task.index += 1;
+            task.phase = Phase::NextChunk;
+            return StepOutcome::Continue;
+        }
+        let progressed = verified.is_some() || matches!(delivery, Delivery::Deferred);
+        if progressed && task.stalls < MAX_STALLS_PER_CHUNK {
+            task.stalls += 1;
+            task.phase = Phase::Transmit;
+            return StepOutcome::Continue;
+        }
+        task.failed_attempts += 1;
+        let cause = match delivery {
+            Delivery::Dropped => "dropped",
+            Delivery::TimedOut => "timed out",
+            Delivery::Corrupted(_) => "corrupted",
+            Delivery::Deferred => "deferred livelock",
+            Delivery::Delivered(_) | Delivery::Duplicated(_) => "frame damaged",
+        };
+        if task.failed_attempts >= task.req.policy.max_attempts_per_chunk {
+            return self.fail(
+                task,
+                format!(
+                    "shipping {}: gave up after {} attempts (last outcome: {cause})",
+                    task.chunk_label, task.failed_attempts
+                ),
+                true,
+            );
+        }
+        if task.req.budget.fetch_sub(1, Ordering::SeqCst) <= 0 {
+            return self.fail(
+                task,
+                format!(
+                    "shipping {}: session retry budget ({}) exhausted \
+                     (last outcome: {cause})",
+                    task.chunk_label, task.req.policy.retry_budget
+                ),
+                true,
+            );
+        }
+        task.stats.chunks_retried += 1;
+        self.flight.record(FlightSubsystem::Lane, || {
+            format!(
+                "{}: {} {cause}, retry {}",
+                task.pair, task.chunk_label, task.failed_attempts
+            )
+        });
+        let backoff = task.req.policy.backoff(task.failed_attempts);
+        task.stats.retry_backoff += backoff;
+        task.elapsed += backoff;
+        self.events.push(
+            task.req.session.id,
+            task.span,
+            EventKind::ChunkRetried,
+            format!(
+                "{} {cause}, retry {}",
+                task.chunk_label, task.failed_attempts
+            ),
+        );
+        task.phase = Phase::Transmit;
+        if task.pacing > 0.0 {
+            // Backoff obeys the same paced clock as the link — as a
+            // parked deadline, never a sleeping worker.
+            self.flight.record(FlightSubsystem::Timer, || {
+                format!(
+                    "{}: backoff {:?} before {}",
+                    task.pair, backoff, task.chunk_label
+                )
+            });
+            StepOutcome::Park(Instant::now() + backoff.mul_f64(task.pacing))
+        } else {
+            StepOutcome::Continue
+        }
+    }
+
+    /// All chunks landed: close out and reassemble.
+    fn assemble(&self, task: &Task) -> StepOutcome {
+        self.flight.record(FlightSubsystem::Lane, || {
+            format!(
+                "{}: batch {} ok, {} chunks, {} retried",
+                task.pair, task.req.seq, task.total, task.stats.chunks_retried
+            )
+        });
+        self.close(task, "ok");
+        let assembled = self.ledger.assemble(task.req.session.id, task.req.seq);
+        debug_assert!(
+            assembled.as_ref().is_none_or(|a| *a == *task.req.message),
+            "verified chunks reassemble exactly"
+        );
+        let outcome =
+            assembled.ok_or_else(|| format!("shipment {} did not reassemble", task.req.seq));
+        Self::done(task, outcome, false)
     }
 }
 
@@ -780,7 +758,7 @@ mod tests {
     fn drive_to(engine: &ShipEngine, rx: &mpsc::Receiver<BatchResult>) -> BatchResult {
         let give_up = Instant::now() + Duration::from_secs(10);
         loop {
-            engine.drive_until(Instant::now() + Duration::from_millis(1));
+            engine.drive(Some(Instant::now() + Duration::from_millis(1)));
             if let Ok(result) = rx.try_recv() {
                 return result;
             }
@@ -790,6 +768,20 @@ mod tests {
 
     fn dead_link() -> Arc<LinkSlot> {
         slot_for(Link::new(NetworkProfile::lan()).with_fault_profile(FaultProfile::drops(1.0, 9)))
+    }
+
+    #[test]
+    fn backoff_doubles_and_caps() {
+        let policy = ShippingPolicy {
+            backoff_base: Duration::from_millis(10),
+            backoff_cap: Duration::from_millis(100),
+            ..ShippingPolicy::default()
+        };
+        assert_eq!(policy.backoff(1), Duration::from_millis(10));
+        assert_eq!(policy.backoff(2), Duration::from_millis(20));
+        assert_eq!(policy.backoff(3), Duration::from_millis(40));
+        assert_eq!(policy.backoff(5), Duration::from_millis(100));
+        assert_eq!(policy.backoff(30), Duration::from_millis(100));
     }
 
     #[test]
@@ -850,9 +842,10 @@ mod tests {
         );
 
         // Second attempt over a repaired link: only the remainder ships.
-        slot.link
+        slot.wire
             .lock()
             .unwrap()
+            .link
             .set_fault_profile(FaultProfile::healthy());
         let second = ship(&eng, session, &slot, &message, policy);
         assert_eq!(second.outcome.unwrap(), message);
@@ -997,6 +990,45 @@ mod tests {
     }
 
     #[test]
+    fn chunk_landed_by_another_transmission_counts_as_shipped() {
+        // A chunk some other transmission delivered (the link's reorder
+        // pipeline hands a deferred frame to whoever transmits next)
+        // was delivered intact over this link all the same: the batch
+        // counts it shipped without putting it on the wire again, and
+        // the batch's tally is the only one there is — its lane and its
+        // link both fold it.
+        let eng = engine();
+        let link = Link::new(NetworkProfile {
+            bandwidth_bytes_per_sec: 100_000.0,
+            latency: Duration::from_millis(2),
+        })
+        .with_pacing(1.0);
+        let slot = slot_for(link);
+        let budget = Arc::new(AtomicI64::new(256));
+        let policy = ShippingPolicy {
+            chunk_bytes: 4096,
+            ..ShippingPolicy::default()
+        };
+        let message: Vec<u8> = (0..16 * 1024u32).map(|i| (i % 253) as u8).collect();
+        let rx = submit(&eng, &slot, 0, message.clone(), policy, &budget);
+        // The first chunk parks on its ~43 ms wire deadline; the last one
+        // lands meanwhile, filed under its own coordinates.
+        eng.drive(Some(Instant::now() + Duration::from_millis(5)));
+        let mut last = Vec::new();
+        frame_chunk_into(&mut last, 1, 0, 3, 4, &message[3 * 4096..]);
+        let frame = ChunkFrame::decode(&last).expect("a well-formed frame");
+        assert_eq!(eng.ledger.file(&frame), Filed::Accepted);
+        let result = drive_to(&eng, &rx);
+        assert_eq!(result.outcome.unwrap(), message);
+        assert_eq!(result.stats.chunks_shipped, 4);
+        assert_eq!(
+            result.stats.wire_bytes,
+            3 * last.len() as u64,
+            "only three chunks were transmitted"
+        );
+    }
+
+    #[test]
     fn stall_watchdog_detects_undriven_parked_task() {
         // A paced transmit parks the task on the wheel; with nobody
         // driving past that point, the deadline goes overdue and the
@@ -1016,7 +1048,7 @@ mod tests {
         let rx = submit(&eng, &slot, 0, vec![3u8; 32 * 1024], policy, &budget);
         // Step just far enough for the first chunk to park on its wire
         // deadline, then stop driving entirely.
-        eng.drive_until(Instant::now() + Duration::from_millis(5));
+        eng.drive(Some(Instant::now() + Duration::from_millis(5)));
         assert!(eng.stall_check(Duration::from_secs(3600)).is_none());
         std::thread::sleep(Duration::from_millis(120));
         let overdue = eng

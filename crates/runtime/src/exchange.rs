@@ -17,13 +17,13 @@
 use crate::breaker::BreakerTransition;
 use crate::cache::CachedPlan;
 use crate::config::RuntimeConfig;
-use crate::engine::{BatchResult, ShipRequest};
+use crate::engine::{BatchResult, BatchShipStats, ShipRequest};
 use crate::events::EventKind;
 use crate::flight::FlightSubsystem;
 use crate::registry::LinkSlot;
 use crate::runtime::{Inner, Resumable};
 use crate::session::{ExchangeRequest, SessionId, SessionMetrics, SessionShared, SessionState};
-use crate::stats::{format_name, location_name};
+use crate::stats::location_name;
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
 use std::sync::atomic::{AtomicI64, Ordering};
@@ -117,21 +117,6 @@ struct PatchShip {
     head_outcome: ExecOutcome,
 }
 
-/// Shipping tallies folded into [`SessionMetrics`] at settlement.
-#[derive(Debug, Clone, Copy, Default)]
-struct ShipRollup {
-    wire_bytes: u64,
-    bytes_encoded: u64,
-    encode_ns: u64,
-    messages_serialized: u64,
-    retry_backoff: Duration,
-    chunks_shipped: u64,
-    chunks_resumed: u64,
-    chunks_deduped: u64,
-    chunks_retried: u64,
-    link_gave_up: bool,
-}
-
 /// One target's side of an exchange: its session cell, its own link,
 /// ledger coordinates and retry budget, its cursor over the group's
 /// frame ring, and its staging state. Everything per-target lives here;
@@ -140,6 +125,8 @@ pub(crate) struct Lane {
     pub(crate) shared: Arc<SessionShared>,
     pub(crate) slot: Arc<LinkSlot>,
     pub(crate) feed_route: String,
+    /// The lane's own tallies, written where the work happens and handed
+    /// to the session's result at settlement.
     pub(crate) metrics: SessionMetrics,
     target: Database,
     /// Retry budget shared by every batch of the lane — one broken
@@ -151,7 +138,9 @@ pub(crate) struct Lane {
     /// Batches fully absorbed (delivered or failed) — the lag metric the
     /// cap compares against the group's fastest lane.
     completed: usize,
-    rollup: ShipRollup,
+    /// True once a batch failed because the link defeated the shipping
+    /// policy — the circuit breaker's signal.
+    link_gave_up: bool,
     /// First failure diagnostic; stops the lane's pump, and the lane
     /// settles once its in-flight batches drain.
     failure: Option<String>,
@@ -192,6 +181,25 @@ impl Lane {
     fn drained(&self, ring_len: usize) -> bool {
         self.inflight == 0 && (self.cursor >= ring_len || self.failure.is_some())
     }
+
+    /// Folds a finished batch's shipping tallies into the lane's metrics
+    /// and, once per batch, into its link's counters.
+    fn tally(&mut self, batch: &BatchShipStats) {
+        let m = &mut self.metrics;
+        m.bytes_shipped += batch.wire_bytes;
+        m.chunks_shipped += batch.chunks_shipped;
+        m.chunks_resumed += batch.chunks_resumed;
+        m.chunks_deduped += batch.chunks_deduped;
+        m.chunks_retried += batch.chunks_retried;
+        m.retry_backoff += batch.retry_backoff;
+        let link = &self.slot.counters;
+        link.wire_bytes
+            .fetch_add(batch.wire_bytes, Ordering::Relaxed);
+        link.chunks_shipped
+            .fetch_add(batch.chunks_shipped, Ordering::Relaxed);
+        link.chunks_retried
+            .fetch_add(batch.chunks_retried, Ordering::Relaxed);
+    }
 }
 
 /// N lanes over one shared frame ring: one plan, one source half, every
@@ -224,8 +232,9 @@ pub(crate) struct Group {
     /// Snapshot-once cache, same argument: the first lane to commit
     /// snapshots its tables and the rest record the same `Arc`.
     snapshot: Option<Snapshot>,
-    /// Encode bill of a shared ring (a sole lane bills its own rollup).
-    encodes: ShipRollup,
+    /// Encode bill of a shared ring, folded into the fleet's tallies when
+    /// the exchange retires (a sole lane bills its own metrics).
+    encodes: SessionMetrics,
     shared_reuse: u64,
     ring_fallbacks: u64,
     encode_buf: Vec<u8>,
@@ -401,7 +410,7 @@ impl Inner {
             inflight: 0,
             cursor: 0,
             completed: 0,
-            rollup: ShipRollup::default(),
+            link_gave_up: false,
             failure: None,
             decoded: BTreeMap::new(),
             next_stage_seq: 0,
@@ -453,7 +462,7 @@ impl Inner {
             lanes,
             decoded: HashMap::new(),
             snapshot: None,
-            encodes: ShipRollup::default(),
+            encodes: SessionMetrics::default(),
             shared_reuse: 0,
             ring_fallbacks: 0,
             encode_buf: Vec::new(),
@@ -932,7 +941,7 @@ impl Inner {
         let session = group.lanes[li].shared.id;
         let first = &mut group.lanes[0];
         let tally = if lanes == 1 {
-            &mut first.rollup
+            &mut first.metrics
         } else {
             &mut group.encodes
         };
@@ -979,17 +988,11 @@ impl Inner {
         let lane = &mut group.lanes[li];
         lane.inflight -= 1;
         lane.completed += 1;
-        let stats = result.stats;
-        lane.rollup.wire_bytes += stats.wire_bytes;
-        lane.rollup.chunks_shipped += stats.chunks_shipped;
-        lane.rollup.chunks_resumed += stats.chunks_resumed;
-        lane.rollup.chunks_deduped += stats.chunks_deduped;
-        lane.rollup.chunks_retried += stats.chunks_retried;
-        lane.rollup.retry_backoff += stats.retry_backoff;
+        lane.tally(&result.stats);
         let delivered = match result.outcome {
             Ok(delivered) => delivered,
             Err(e) => {
-                lane.rollup.link_gave_up |= result.link_gave_up;
+                lane.link_gave_up |= result.link_gave_up;
                 lane.failure.get_or_insert(e);
                 return;
             }
@@ -1126,11 +1129,11 @@ impl Inner {
     }
 
     /// Settles one drained lane into its terminal state: runs its target
-    /// half, folds the shipping rollup into its metrics, records its
-    /// container spans, then commits or rolls back. Every lane of every
-    /// exchange ends here; what differs between a two-site session and a
-    /// multicast lane is data — how many lanes share the ring, and
-    /// whether the lane's root hangs off a publish-group span.
+    /// half, records its container spans, then commits or rolls back.
+    /// Every lane of every exchange ends here; what differs between a
+    /// two-site session and a multicast lane is data — how many lanes
+    /// share the ring, and whether the lane's root hangs off a
+    /// publish-group span.
     pub(crate) fn settle(&self, ex: &mut Exchange, gi: usize, li: usize) {
         let unsettled = |groups: &[Group]| {
             groups
@@ -1159,7 +1162,7 @@ impl Inner {
         };
         let lane = &mut group.lanes[li];
         lane.settled = true;
-        let ship = lane.rollup;
+        let link_gave_up = lane.link_gave_up;
         let mut s = Settling {
             shared: Arc::clone(&lane.shared),
             slot: Arc::clone(&lane.slot),
@@ -1169,15 +1172,6 @@ impl Inner {
             exec_span: group.exec_span,
             started: Instant::now(),
         };
-        s.metrics.retry_backoff = ship.retry_backoff;
-        s.metrics.messages_serialized = ship.messages_serialized as usize;
-        s.metrics.bytes_shipped = ship.wire_bytes;
-        s.metrics.bytes_encoded = ship.bytes_encoded;
-        s.metrics.encode_ns = ship.encode_ns;
-        s.metrics.chunks_shipped = ship.chunks_shipped;
-        s.metrics.chunks_resumed = ship.chunks_resumed;
-        s.metrics.chunks_deduped = ship.chunks_deduped;
-        s.metrics.chunks_retried = ship.chunks_retried;
         if li == 0 {
             // The group's source half bills to its first lane: whatever
             // the source database accumulated since the last bill.
@@ -1186,7 +1180,7 @@ impl Inner {
         }
         s.metrics.target_counters = s.target.counters;
         let verdict = if finished.is_ok() { "ok" } else { "failed" };
-        let format = format_name(group.wire_format);
+        let format = group.wire_format.name();
         if s.shared.root_parent != NO_SPAN {
             // A multicast lane's own container under the group's exec
             // span.
@@ -1216,7 +1210,7 @@ impl Inner {
             );
         }
         match finished {
-            Ok(()) => self.settle_committed(s, group, li, ship.bytes_encoded),
+            Ok(()) => self.settle_committed(s, group, li),
             Err(why) => {
                 // The lane resumes as an ordinary two-site session
                 // replaying this group's plan: identical program →
@@ -1227,7 +1221,7 @@ impl Inner {
                     request: lane_checkpoint(request, name, target, last_of_exchange),
                     plan: Some(Arc::clone(&group.plan)),
                 };
-                self.settle_rolled_back(s, why, ship.link_gave_up, resumable);
+                self.settle_rolled_back(s, why, link_gave_up, resumable);
             }
         }
     }
@@ -1235,11 +1229,11 @@ impl Inner {
     /// The committed epilogue of [`Inner::settle`]: operator telemetry
     /// and calibration, the route's next snapshot, the ledger's release
     /// and the breaker's success.
-    fn settle_committed(&self, mut s: Settling, group: &mut Group, li: usize, encoded: u64) {
+    fn settle_committed(&self, mut s: Settling, group: &mut Group, li: usize) {
         let lane = &mut group.lanes[li];
         let outcome = std::mem::take(&mut lane.outcome);
         let feed_route = std::mem::take(&mut lane.feed_route);
-        let (plan, format) = (&group.plan, format_name(group.wire_format));
+        let (plan, format) = (&group.plan, group.wire_format.name());
         let trace_id = session_trace_id(&s.shared);
         s.metrics.communication = outcome.times.communication;
         s.metrics.messages = outcome.messages;
@@ -1256,11 +1250,11 @@ impl Inner {
         let mut observed_ns = self.record_ops(s.shared.id, s.exec_span, format, plan, &outcome);
         // A lane that encoded its own frames calibrates the wire model;
         // lanes of a shared ring did not encode, so they do not.
-        if group.lanes.len() == 1 && (plan.comm_bytes > 0 || encoded > 0) {
+        if group.lanes.len() == 1 && (plan.comm_bytes > 0 || s.metrics.bytes_encoded > 0) {
             self.calibration.record_comm(
                 format,
                 plan.comm_bytes,
-                encoded,
+                s.metrics.bytes_encoded,
                 s.metrics.communication.as_nanos() as u64,
             );
         }
@@ -1499,14 +1493,12 @@ impl Inner {
         {
             let mut agg = self.agg.lock().unwrap();
             for group in &ex.groups {
-                agg.messages_serialized += group.encodes.messages_serialized;
-                agg.bytes_encoded += group.encodes.bytes_encoded;
-                agg.encode_ns += group.encodes.encode_ns;
+                agg.stats.fold(&group.encodes);
                 reuse += group.shared_reuse;
                 fallbacks += group.ring_fallbacks;
             }
-            agg.multicast_encode_shared += reuse;
-            agg.multicast_encode_fallback += fallbacks;
+            agg.stats.multicast_encode_shared += reuse;
+            agg.stats.multicast_encode_fallback += fallbacks;
         }
         let detail = format!(
             "{}: {} lanes in {} format group(s), {reuse} shared-frame reuses, \

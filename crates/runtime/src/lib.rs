@@ -73,7 +73,6 @@ pub mod ledger;
 pub mod registry;
 pub mod runtime;
 pub mod session;
-pub mod shipper;
 pub mod stats;
 pub mod wheel;
 
@@ -81,6 +80,7 @@ pub use admission::AdmissionController;
 pub use breaker::{BreakerTransition, CircuitBreaker};
 pub use cache::{plan_key, CachedPlan, PlanCache, PlanKey};
 pub use config::{RuntimeConfig, SubmitError};
+pub use engine::ShippingPolicy;
 pub use events::{Event, EventKind, EventLog, DEFAULT_EVENT_CAPACITY};
 pub use fair::{FairQueue, Popped, DEFAULT_AGING_INTERVAL};
 pub use flight::{
@@ -95,7 +95,6 @@ pub use session::{
     SessionResult, SessionState, DEFAULT_PUBLISH_LAG_CAP, DEFAULT_SOURCE_ENDPOINT,
     DEFAULT_TARGET_ENDPOINT,
 };
-pub use shipper::ShippingPolicy;
 pub use stats::{RuntimeStats, TenantStats};
 pub use wheel::TimerWheel;
 pub use xdx_core::WireFormat;

@@ -15,7 +15,7 @@ use crate::breaker::CircuitBreaker;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use xdx_core::WireFormat;
 use xdx_net::{FaultProfile, Link, NetworkProfile};
 
@@ -57,8 +57,9 @@ impl ShipGauge {
     }
 }
 
-/// Per-link counters, updated lock-free from the shipping hot path so
-/// observability never adds lock traffic to the link itself.
+/// Per-link counters, lock-free: a lane adds a finished batch's
+/// shipping tallies and each encode's bill, so observability never adds
+/// lock traffic to the link itself.
 #[derive(Debug, Default)]
 pub(crate) struct LinkCounters {
     pub(crate) wire_bytes: AtomicU64,
@@ -71,13 +72,23 @@ pub(crate) struct LinkCounters {
     pub(crate) sessions_shed: AtomicU64,
 }
 
+/// A pair's simulated wire: the link, and the instant its paced
+/// occupancy ends. One lock covers both, so a transmission's horizon
+/// check, fault draw and horizon advance cannot interleave with another
+/// task's.
+#[derive(Debug)]
+pub(crate) struct Wire {
+    pub(crate) link: Link,
+    pub(crate) busy_until: Instant,
+}
+
 /// One registered link: the simulated path for a `(source, target)`
 /// pair, plus its breaker, counters and concurrency gauge.
 #[derive(Debug)]
 pub struct LinkSlot {
     source: String,
     target: String,
-    pub(crate) link: Mutex<Link>,
+    pub(crate) wire: Mutex<Wire>,
     pub(crate) breaker: CircuitBreaker,
     pub(crate) counters: LinkCounters,
     /// The wire format negotiated for this pair (re-negotiated when an
@@ -101,7 +112,10 @@ impl LinkSlot {
         LinkSlot {
             source: source.to_string(),
             target: target.to_string(),
-            link: Mutex::new(link),
+            wire: Mutex::new(Wire {
+                link,
+                busy_until: Instant::now(),
+            }),
             breaker,
             counters: LinkCounters::default(),
             wire_format: AtomicU8::new(format_to_u8(wire_format)),
@@ -149,7 +163,7 @@ impl LinkSlot {
 
     /// A snapshot of this link's counters.
     pub fn stats(&self) -> LinkStats {
-        let busy = self.link.lock().unwrap().total_time();
+        let busy = self.wire.lock().unwrap().link.total_time();
         LinkStats {
             source: self.source.clone(),
             target: self.target.clone(),
@@ -338,7 +352,7 @@ impl LinkRegistry {
     /// needed), leaving every other link untouched.
     pub fn set_fault_profile(&self, source: &str, target: &str, profile: FaultProfile) {
         let (slot, _) = self.resolve(source, target);
-        slot.link.lock().unwrap().set_fault_profile(profile);
+        slot.wire.lock().unwrap().link.set_fault_profile(profile);
     }
 
     /// Swaps the fault model of every live link *and* the default for
@@ -347,7 +361,7 @@ impl LinkRegistry {
     pub fn set_fault_profile_all(&self, profile: FaultProfile) {
         *self.default_fault.lock().unwrap() = profile;
         for slot in self.links.lock().unwrap().values() {
-            slot.link.lock().unwrap().set_fault_profile(profile);
+            slot.wire.lock().unwrap().link.set_fault_profile(profile);
         }
     }
 
@@ -464,16 +478,18 @@ mod tests {
         let (healthy, _) = reg.resolve("s2", "t2");
         let (broken, _) = reg.resolve("s1", "t1");
         assert!(!broken
-            .link
+            .wire
             .lock()
             .unwrap()
+            .link
             .transmit_faulty("x", b"p")
             .1
             .is_ok());
         assert!(healthy
-            .link
+            .wire
             .lock()
             .unwrap()
+            .link
             .transmit_faulty("x", b"p")
             .1
             .is_ok());
@@ -487,9 +503,10 @@ mod tests {
         let (after, _) = reg.resolve("s2", "t2");
         for slot in [&before, &after] {
             assert!(!slot
-                .link
+                .wire
                 .lock()
                 .unwrap()
+                .link
                 .transmit_faulty("x", b"p")
                 .1
                 .is_ok());

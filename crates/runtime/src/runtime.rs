@@ -25,8 +25,8 @@
 //! burning a planning probe; and an opening breaker drains its route's
 //! queued sessions on the spot. Every queue in the system is bounded —
 //! admission, the resumable-checkpoint map, the reassembly ledger, the
-//! event/span rings, the latency window — so sustained 2× overload
-//! holds RSS flat (the `soak` bench mode asserts it).
+//! event/span rings — so sustained 2× overload holds RSS flat (the
+//! `soak` bench mode asserts it).
 
 use crate::admission::AdmissionController;
 use crate::breaker::BreakerTransition;
@@ -47,7 +47,7 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use xdx_core::{CostModel, DataExchange, Program, WireFormat};
 use xdx_delta::{db_tables, Snapshot, SnapshotStore};
 use xdx_net::FaultProfile;
@@ -147,38 +147,14 @@ pub(crate) struct Resumable {
     pub(crate) plan: Option<Arc<CachedPlan>>,
 }
 
+/// What the fleet has tallied so far, under one lock.
 #[derive(Default)]
 pub(crate) struct Aggregate {
-    pub(crate) admitted: u64,
-    pub(crate) rejected: u64,
-    pub(crate) completed: u64,
-    pub(crate) failed: u64,
-    pub(crate) cancelled: u64,
-    pub(crate) resumed: u64,
-    pub(crate) planning_probes: u64,
-    pub(crate) messages_serialized: u64,
-    pub(crate) bytes_shipped: u64,
-    pub(crate) bytes_encoded: u64,
-    pub(crate) encode_ns: u64,
-    pub(crate) chunks_shipped: u64,
-    pub(crate) chunks_resumed: u64,
-    pub(crate) chunks_deduped: u64,
-    pub(crate) chunks_retried: u64,
-    pub(crate) delta_patch_bytes: u64,
-    pub(crate) delta_patches_applied: u64,
-    pub(crate) delta_full_chosen: u64,
-    pub(crate) delta_full_fallbacks: u64,
-    pub(crate) delta_chain_composed: u64,
-    pub(crate) fanout_subscribers: u64,
-    pub(crate) multicast_encode_shared: u64,
-    pub(crate) multicast_encode_fallback: u64,
-    pub(crate) shed_expired: u64,
-    pub(crate) shed_deadline: u64,
-    pub(crate) shed_breaker: u64,
-    pub(crate) resumables_evicted: u64,
-    /// Completed-session latencies, windowed to [`LATENCY_WINDOW`] so a
-    /// soak of millions of sessions cannot grow this unboundedly.
-    pub(crate) latencies: VecDeque<Duration>,
+    /// The running tallies: admission decisions and terminal states as
+    /// they happen, a session's counters when it finishes
+    /// ([`RuntimeStats::fold`]). [`Inner::stats`] clones this and fills
+    /// in what is read off the live structures instead.
+    pub(crate) stats: RuntimeStats,
     /// Source-side engine counters, merged across finished sessions.
     pub(crate) source_counters: Counters,
     /// Target-side engine counters, merged across finished sessions.
@@ -188,11 +164,6 @@ pub(crate) struct Aggregate {
 /// Spans the trace ring keeps; the oldest are evicted (and counted in
 /// [`RuntimeStats::dropped_spans`]) beyond this.
 const TRACE_CAPACITY: usize = 65_536;
-
-/// Most recent completed-session latencies retained for
-/// `RuntimeStats::latencies` (the histogram keeps the full
-/// distribution; this raw window is for tests and tail inspection).
-const LATENCY_WINDOW: usize = 65_536;
 
 /// Distinct tenants tracked individually; arrivals beyond this fold
 /// into one overflow bucket so a tenant-label flood cannot grow the
@@ -369,7 +340,7 @@ impl Runtime {
             .collect();
         let engine_driver = std::thread::Builder::new()
             .name("xdx-ship-engine".into())
-            .spawn(move || engine.drive_forever())
+            .spawn(move || engine.drive(None))
             .expect("spawn engine driver");
         let introspect = config.introspect_addr.map(|addr| {
             let inner = Arc::clone(&inner);
@@ -416,7 +387,7 @@ impl Runtime {
             }
             Ok(Some(_)) => unreachable!("try_admit only half-opens"),
             Err(retry_after) => {
-                inner.agg.lock().unwrap().rejected += 1;
+                inner.agg.lock().unwrap().stats.rejected += 1;
                 inner.events.push(
                     0,
                     NO_SPAN,
@@ -453,7 +424,7 @@ impl Runtime {
         request.deadline = None;
         match inner.enqueue_session(request, session_id, true, plan.clone()) {
             Ok(handle) => {
-                inner.agg.lock().unwrap().resumed += 1;
+                inner.agg.lock().unwrap().stats.resumed += 1;
                 Ok(handle)
             }
             Err(refused) => {
@@ -876,7 +847,7 @@ impl Inner {
         let depth = queue.fair.len();
         if depth >= self.config.max_queue_depth {
             drop(queue);
-            self.agg.lock().unwrap().rejected += 1;
+            self.agg.lock().unwrap().stats.rejected += 1;
             self.events.push(
                 id,
                 NO_SPAN,
@@ -904,8 +875,8 @@ impl Inner {
                 drop(queue);
                 {
                     let mut agg = self.agg.lock().unwrap();
-                    agg.rejected += 1;
-                    agg.shed_deadline += 1;
+                    agg.stats.rejected += 1;
+                    agg.stats.sessions_shed_deadline += 1;
                 }
                 self.tenant_entry(&request.tenant_label(), |t| t.shed += 1);
                 let why = format!(
@@ -962,9 +933,9 @@ impl Inner {
         }
         {
             let mut agg = self.agg.lock().unwrap();
-            agg.admitted += lanes as u64;
+            agg.stats.admitted += lanes as u64;
             if group.is_some() {
-                agg.fanout_subscribers += lanes as u64;
+                agg.stats.fanout_subscribers += lanes as u64;
             }
         }
         let handles = seats
@@ -1048,7 +1019,7 @@ impl Inner {
             }
         }
         if evicted > 0 {
-            self.agg.lock().unwrap().resumables_evicted += evicted;
+            self.agg.lock().unwrap().stats.resumables_evicted += evicted;
         }
     }
 
@@ -1094,7 +1065,7 @@ impl Inner {
                 ..SessionMetrics::default()
             };
             slot.counters.sessions_shed.fetch_add(1, Ordering::Relaxed);
-            self.agg.lock().unwrap().shed_breaker += 1;
+            self.agg.lock().unwrap().stats.sessions_shed_breaker += 1;
             self.tenant_entry(&tenant, |t| t.shed += 1);
             self.flight.shed(|| {
                 format!(
@@ -1160,9 +1131,9 @@ impl Inner {
         {
             let mut agg = self.agg.lock().unwrap();
             if expired {
-                agg.shed_expired += 1;
+                agg.stats.sessions_shed_expired += 1;
             } else {
-                agg.shed_breaker += 1;
+                agg.stats.sessions_shed_breaker += 1;
             }
         }
         self.tenant_entry(&lane.metrics.tenant, |t| t.shed += 1);
@@ -1502,37 +1473,13 @@ impl Inner {
         metrics.total_wall = enqueued.elapsed();
         {
             let mut agg = self.agg.lock().unwrap();
-            agg.planning_probes += metrics.planning_probes as u64;
-            agg.messages_serialized += metrics.messages_serialized as u64;
-            agg.bytes_shipped += metrics.bytes_shipped;
-            agg.bytes_encoded += metrics.bytes_encoded;
-            agg.encode_ns += metrics.encode_ns;
-            agg.chunks_shipped += metrics.chunks_shipped;
-            agg.chunks_resumed += metrics.chunks_resumed;
-            agg.chunks_deduped += metrics.chunks_deduped;
-            agg.chunks_retried += metrics.chunks_retried;
-            agg.delta_patch_bytes += metrics.delta_patch_bytes;
-            agg.delta_patches_applied += metrics.delta_patches_applied;
-            agg.delta_full_chosen += metrics.delta_full_chosen;
-            agg.delta_full_fallbacks += metrics.delta_full_fallbacks;
-            agg.delta_chain_composed += metrics.delta_chain_composed;
+            agg.stats.fold(&metrics);
             agg.source_counters.merge(&metrics.source_counters);
             agg.target_counters.merge(&metrics.target_counters);
             match state {
-                SessionState::Done => {
-                    agg.completed += 1;
-                    agg.latencies.push_back(metrics.total_wall);
-                    // The latency window is bounded: a soak pushing
-                    // hundreds of thousands of sessions must not grow
-                    // the aggregate without limit. Percentile math runs
-                    // over this sliding window; the lossless histogram
-                    // keeps the full distribution.
-                    if agg.latencies.len() > LATENCY_WINDOW {
-                        agg.latencies.pop_front();
-                    }
-                }
-                SessionState::Failed => agg.failed += 1,
-                SessionState::Cancelled => agg.cancelled += 1,
+                SessionState::Done => agg.stats.completed += 1,
+                SessionState::Failed => agg.stats.failed += 1,
+                SessionState::Cancelled => agg.stats.cancelled += 1,
                 _ => unreachable!("finish takes a terminal state"),
             }
         }

@@ -1,14 +1,22 @@
 //! Aggregate statistics and their exports: the [`RuntimeStats`]
-//! snapshot, its JSON form, the Prometheus refresh, and the
-//! introspection endpoint's routes.
+//! snapshot, the one table of exported series behind both its JSON form
+//! and the Prometheus refresh, and the introspection endpoint's routes.
+//!
+//! A counter is written once per layer: a lane tallies it into its
+//! [`SessionMetrics`], [`RuntimeStats::fold`] adds a finished session's
+//! into the fleet's, and its [`RUNTIME_SERIES`] row names it in
+//! `/stats.json` and `/metrics`. Adding one is a field, a fold line and
+//! a table row.
 
 use crate::introspect::IntrospectReply;
 use crate::registry::LinkStats;
 use crate::runtime::Inner;
+use crate::session::SessionMetrics;
+use std::fmt::Write as _;
 use std::sync::atomic::Ordering;
 use std::time::Duration;
-use xdx_core::{Location, WireFormat};
-use xdx_trace::HistogramSnapshot;
+use xdx_core::Location;
+use xdx_trace::{json_escape, HistogramSnapshot, MetricsRegistry};
 
 /// How far the shipping engine's nearest wheel deadline may run overdue
 /// (while tasks are parked) before the stall watchdog declares the engine
@@ -22,15 +30,6 @@ pub(crate) fn location_name(loc: Location) -> &'static str {
         Location::Source => "source",
         Location::Target => "target",
         Location::Unassigned => "unassigned",
-    }
-}
-
-/// Stable label for a wire format in metric names and calibration
-/// cells.
-pub(crate) fn format_name(format: WireFormat) -> &'static str {
-    match format {
-        WireFormat::Xml => "xml",
-        WireFormat::Columnar => "columnar",
     }
 }
 
@@ -86,10 +85,9 @@ pub struct RuntimeStats {
     /// Most shipment windows ever simultaneously open across all links
     /// — >1 proves disjoint pairs shipped in parallel.
     pub peak_concurrent_shipments: u64,
-    /// Per-session submit→done wall latencies of completed sessions.
-    pub latencies: Vec<Duration>,
-    /// The same latencies as a log-linear histogram snapshot —
-    /// mergeable across runs, quantile error ≤ 1/32.
+    /// Per-session submit→done wall latencies of completed sessions, as
+    /// a log-linear histogram snapshot — mergeable across runs,
+    /// quantile error ≤ 1/32.
     pub latency_histogram: HistogramSnapshot,
     /// Events evicted from the bounded flight-recorder ring.
     pub dropped_events: u64,
@@ -157,7 +155,114 @@ pub struct TenantStats {
     pub shed: u64,
 }
 
+/// How a series is typed: in the exposition (a flag is a 0/1 gauge)
+/// and in the JSON (a flag is a boolean).
+#[derive(Clone, Copy, PartialEq)]
+pub(crate) enum Kind {
+    Counter,
+    Gauge,
+    Flag,
+}
+use Kind::{Counter, Flag, Gauge};
+
+/// One exported tally of a snapshot `S`: its JSON key, its Prometheus
+/// series and type, and how it reads off the snapshot.
+pub(crate) type Series<S> = (&'static str, &'static str, Kind, fn(&S) -> u64);
+
+/// Sets every series of `table` (under `labels`, for a per-link table)
+/// to what it reads off `from`.
+fn export<S>(m: &MetricsRegistry, table: &[Series<S>], labels: &str, from: &S) {
+    for &(_, name, kind, read) in table {
+        let (name, value) = (format!("{name}{labels}"), read(from));
+        match kind {
+            Counter => m.counter(&name).set(value),
+            Gauge | Flag => m.gauge(&name).set(value as f64),
+        }
+    }
+}
+
+/// Every numeric field of [`RuntimeStats`], once, in `/stats.json`
+/// order: the one list `to_json`, the `/metrics` refresh and the
+/// completeness test read.
+#[rustfmt::skip]
+pub(crate) const RUNTIME_SERIES: [Series<RuntimeStats>; 37] = [
+    ("admitted", "xdx_sessions_admitted_total", Counter, |s| s.admitted),
+    ("rejected", "xdx_sessions_rejected_total", Counter, |s| s.rejected),
+    ("completed", "xdx_sessions_completed_total", Counter, |s| s.completed),
+    ("failed", "xdx_sessions_failed_total", Counter, |s| s.failed),
+    ("cancelled", "xdx_sessions_cancelled_total", Counter, |s| s.cancelled),
+    ("resumed", "xdx_sessions_resumed_total", Counter, |s| s.resumed),
+    ("sessions_shed_expired", "xdx_sessions_shed_expired_total", Counter, |s| s.sessions_shed_expired),
+    ("sessions_shed_deadline", "xdx_sessions_shed_deadline_total", Counter, |s| s.sessions_shed_deadline),
+    ("sessions_shed_breaker", "xdx_sessions_shed_breaker_total", Counter, |s| s.sessions_shed_breaker),
+    ("resumables_evicted", "xdx_resumables_evicted_total", Counter, |s| s.resumables_evicted),
+    ("ledger_buffers_shed", "xdx_ledger_buffers_shed_total", Counter, |s| s.ledger_buffers_shed),
+    ("plan_cache_hits", "xdx_plan_cache_hits_total", Counter, |s| s.plan_cache_hits),
+    ("plan_cache_misses", "xdx_plan_cache_misses_total", Counter, |s| s.plan_cache_misses),
+    ("plan_cache_stats_evicted", "xdx_plan_cache_stats_evicted_total", Counter, |s| s.plan_cache_stats_evicted),
+    ("plan_cache_drift_evicted", "xdx_plan_cache_drift_evicted_total", Counter, |s| s.plan_cache_drift_evicted),
+    ("planning_probes", "xdx_planning_probes_total", Counter, |s| s.planning_probes),
+    ("messages_serialized", "xdx_messages_serialized_total", Counter, |s| s.messages_serialized),
+    ("bytes_shipped", "xdx_bytes_shipped_total", Counter, |s| s.bytes_shipped),
+    ("bytes_encoded", "xdx_bytes_encoded_total", Counter, |s| s.bytes_encoded),
+    ("encode_ns", "xdx_encode_ns_total", Counter, |s| s.encode_ns),
+    ("chunks_shipped", "xdx_chunks_shipped_total", Counter, |s| s.chunks_shipped),
+    ("chunks_resumed", "xdx_chunks_resumed_total", Counter, |s| s.chunks_resumed),
+    ("chunks_deduped", "xdx_chunks_deduped_total", Counter, |s| s.chunks_deduped),
+    ("chunks_retried", "xdx_chunks_retried_total", Counter, |s| s.chunks_retried),
+    ("peak_concurrent_shipments", "xdx_peak_concurrent_shipments", Gauge, |s| s.peak_concurrent_shipments),
+    ("dropped_events", "xdx_events_dropped_total", Counter, |s| s.dropped_events),
+    ("dropped_spans", "xdx_spans_dropped_total", Counter, |s| s.dropped_spans),
+    ("delta_patch_bytes", "xdx_delta_patch_bytes_total", Counter, |s| s.delta_patch_bytes),
+    ("delta_patches_applied", "xdx_delta_patches_applied_total", Counter, |s| s.delta_patches_applied),
+    ("delta_full_chosen", "xdx_delta_full_chosen_total", Counter, |s| s.delta_full_chosen),
+    ("delta_full_fallbacks", "xdx_delta_full_fallbacks_total", Counter, |s| s.delta_full_fallbacks),
+    ("delta_chain_composed", "xdx_delta_chain_composed_total", Counter, |s| s.delta_chain_composed),
+    ("fanout_subscribers", "xdx_fanout_subscribers", Counter, |s| s.fanout_subscribers),
+    ("multicast_encode_shared", "xdx_multicast_encode_shared", Counter, |s| s.multicast_encode_shared),
+    ("multicast_encode_fallback", "xdx_multicast_encode_fallback", Counter, |s| s.multicast_encode_fallback),
+    ("ledger_entries_pruned", "xdx_ledger_entries_pruned_total", Counter, |s| s.ledger_entries_pruned),
+    ("queue_depth", "xdx_queue_depth", Gauge, |s| s.queue_depth as u64),
+];
+
+/// Every numeric field of [`LinkStats`], the same way; each series is
+/// labelled `{link="source→target"}`.
+#[rustfmt::skip]
+pub(crate) const LINK_SERIES: [Series<LinkStats>; 11] = [
+    ("busy_ns", "xdx_link_busy_ns_total", Counter, |l| l.busy.as_nanos() as u64),
+    ("wire_bytes", "xdx_link_wire_bytes_total", Counter, |l| l.wire_bytes),
+    ("bytes_encoded", "xdx_link_bytes_encoded_total", Counter, |l| l.bytes_encoded),
+    ("encode_ns", "xdx_link_encode_ns_total", Counter, |l| l.encode_ns),
+    ("chunks_shipped", "xdx_link_chunks_shipped_total", Counter, |l| l.chunks_shipped),
+    ("chunks_retried", "xdx_link_chunks_retried_total", Counter, |l| l.chunks_retried),
+    ("sessions_completed", "xdx_link_sessions_completed_total", Counter, |l| l.sessions_completed),
+    ("sessions_failed", "xdx_link_sessions_failed_total", Counter, |l| l.sessions_failed),
+    ("sessions_shed", "xdx_link_sessions_shed_total", Counter, |l| l.sessions_shed),
+    ("breaker_open", "xdx_link_breaker_open", Flag, |l| l.breaker_open as u64),
+    ("peak_concurrent_shipments", "xdx_link_peak_concurrent_shipments", Gauge, |l| l.peak_concurrent_shipments),
+];
+
 impl RuntimeStats {
+    /// Folds a finished session's tallies (or the encode bill a shared
+    /// ring kept at group scope) into the fleet's: one line per counter
+    /// the two structs share.
+    pub(crate) fn fold(&mut self, m: &SessionMetrics) {
+        self.planning_probes += u64::from(m.planning_probes);
+        self.messages_serialized += m.messages_serialized as u64;
+        self.bytes_shipped += m.bytes_shipped;
+        self.bytes_encoded += m.bytes_encoded;
+        self.encode_ns += m.encode_ns;
+        self.chunks_shipped += m.chunks_shipped;
+        self.chunks_resumed += m.chunks_resumed;
+        self.chunks_deduped += m.chunks_deduped;
+        self.chunks_retried += m.chunks_retried;
+        self.delta_patch_bytes += m.delta_patch_bytes;
+        self.delta_patches_applied += m.delta_patches_applied;
+        self.delta_full_chosen += m.delta_full_chosen;
+        self.delta_full_fallbacks += m.delta_full_fallbacks;
+        self.delta_chain_composed += m.delta_chain_composed;
+    }
+
     /// The `p`-th latency percentile (0–100) over completed sessions,
     /// estimated from the shared log-linear histogram (relative error
     /// ≤ 1/32).
@@ -179,49 +284,10 @@ impl RuntimeStats {
     /// endpoint serves at `/stats.json`. Latencies collapse to their
     /// histogram percentiles; links and tenants nest as arrays.
     pub fn to_json(&self) -> String {
-        use crate::events::json_escape;
         let mut out = String::with_capacity(2048);
         out.push('{');
-        for (name, value) in [
-            ("admitted", self.admitted),
-            ("rejected", self.rejected),
-            ("completed", self.completed),
-            ("failed", self.failed),
-            ("cancelled", self.cancelled),
-            ("resumed", self.resumed),
-            ("sessions_shed_expired", self.sessions_shed_expired),
-            ("sessions_shed_deadline", self.sessions_shed_deadline),
-            ("sessions_shed_breaker", self.sessions_shed_breaker),
-            ("resumables_evicted", self.resumables_evicted),
-            ("ledger_buffers_shed", self.ledger_buffers_shed),
-            ("plan_cache_hits", self.plan_cache_hits),
-            ("plan_cache_misses", self.plan_cache_misses),
-            ("plan_cache_stats_evicted", self.plan_cache_stats_evicted),
-            ("plan_cache_drift_evicted", self.plan_cache_drift_evicted),
-            ("planning_probes", self.planning_probes),
-            ("messages_serialized", self.messages_serialized),
-            ("bytes_shipped", self.bytes_shipped),
-            ("bytes_encoded", self.bytes_encoded),
-            ("encode_ns", self.encode_ns),
-            ("chunks_shipped", self.chunks_shipped),
-            ("chunks_resumed", self.chunks_resumed),
-            ("chunks_deduped", self.chunks_deduped),
-            ("chunks_retried", self.chunks_retried),
-            ("peak_concurrent_shipments", self.peak_concurrent_shipments),
-            ("dropped_events", self.dropped_events),
-            ("dropped_spans", self.dropped_spans),
-            ("delta_patch_bytes", self.delta_patch_bytes),
-            ("delta_patches_applied", self.delta_patches_applied),
-            ("delta_full_chosen", self.delta_full_chosen),
-            ("delta_full_fallbacks", self.delta_full_fallbacks),
-            ("delta_chain_composed", self.delta_chain_composed),
-            ("fanout_subscribers", self.fanout_subscribers),
-            ("multicast_encode_shared", self.multicast_encode_shared),
-            ("multicast_encode_fallback", self.multicast_encode_fallback),
-            ("ledger_entries_pruned", self.ledger_entries_pruned),
-            ("queue_depth", self.queue_depth as u64),
-        ] {
-            out.push_str(&format!("\"{name}\":{value},"));
+        for (key, _, _, read) in RUNTIME_SERIES {
+            let _ = write!(out, "\"{key}\":{},", read(self));
         }
         for (name, p) in [("p50", 50.0), ("p95", 95.0), ("p99", 99.0)] {
             let ns = self
@@ -249,27 +315,19 @@ impl RuntimeStats {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!(
-                "{{\"link\":\"{}\",\"wire_format\":\"{}\",\"busy_ns\":{},\
-                 \"wire_bytes\":{},\"bytes_encoded\":{},\"encode_ns\":{},\
-                 \"chunks_shipped\":{},\"chunks_retried\":{},\
-                 \"sessions_completed\":{},\"sessions_failed\":{},\
-                 \"sessions_shed\":{},\"breaker_open\":{},\
-                 \"peak_concurrent_shipments\":{}}}",
+            let _ = write!(
+                out,
+                "{{\"link\":\"{}\",\"wire_format\":\"{}\"",
                 json_escape(&l.pair()),
-                format_name(l.wire_format),
-                l.busy.as_nanos(),
-                l.wire_bytes,
-                l.bytes_encoded,
-                l.encode_ns,
-                l.chunks_shipped,
-                l.chunks_retried,
-                l.sessions_completed,
-                l.sessions_failed,
-                l.sessions_shed,
-                l.breaker_open,
-                l.peak_concurrent_shipments
-            ));
+                l.wire_format.name()
+            );
+            for (key, _, kind, read) in LINK_SERIES {
+                let _ = match kind {
+                    Flag => write!(out, ",\"{key}\":{}", read(l) != 0),
+                    _ => write!(out, ",\"{key}\":{}", read(l)),
+                };
+            }
+            out.push('}');
         }
         out.push_str("]}");
         out
@@ -277,12 +335,10 @@ impl RuntimeStats {
 }
 
 impl Inner {
+    /// The fleet's running tallies plus everything read off the live
+    /// structures (queue, tenants, plan cache, ledger, links, rings).
     pub(crate) fn stats(&self) -> RuntimeStats {
-        // Lock order is queue → agg (enqueue holds the queue lock while
-        // touching aggregates), so the queue depth and tenant tables are
-        // read *before* taking the aggregate lock.
-        let queue_depth = self.queue.lock().unwrap().fair.len();
-        let tenants: Vec<TenantStats> = {
+        let tenants = {
             let stats = self.tenant_stats.lock().unwrap();
             let weights = self.tenant_weights.lock().unwrap();
             stats
@@ -296,49 +352,22 @@ impl Inner {
                 })
                 .collect()
         };
-        let agg = self.agg.lock().unwrap();
+        let tallies = self.agg.lock().unwrap().stats.clone();
         RuntimeStats {
-            admitted: agg.admitted,
-            rejected: agg.rejected,
-            completed: agg.completed,
-            failed: agg.failed,
-            cancelled: agg.cancelled,
-            resumed: agg.resumed,
-            sessions_shed_expired: agg.shed_expired,
-            sessions_shed_deadline: agg.shed_deadline,
-            sessions_shed_breaker: agg.shed_breaker,
-            resumables_evicted: agg.resumables_evicted,
-            ledger_buffers_shed: self.ledger.buffers_shed(),
-            queue_depth,
+            queue_depth: self.queue.lock().unwrap().fair.len(),
             tenants,
+            ledger_buffers_shed: self.ledger.buffers_shed(),
+            ledger_entries_pruned: self.ledger.entries_pruned(),
             plan_cache_hits: self.cache.hits(),
             plan_cache_misses: self.cache.misses(),
             plan_cache_stats_evicted: self.cache.stats_evicted(),
             plan_cache_drift_evicted: self.cache.drift_evicted(),
-            planning_probes: agg.planning_probes,
-            messages_serialized: agg.messages_serialized,
-            bytes_shipped: agg.bytes_shipped,
-            bytes_encoded: agg.bytes_encoded,
-            encode_ns: agg.encode_ns,
-            chunks_shipped: agg.chunks_shipped,
-            chunks_resumed: agg.chunks_resumed,
-            chunks_deduped: agg.chunks_deduped,
-            chunks_retried: agg.chunks_retried,
             links: self.registry.snapshot(),
             peak_concurrent_shipments: self.registry.peak_concurrent_shipments(),
-            latencies: agg.latencies.iter().copied().collect(),
             latency_histogram: self.latency_hist.snapshot(),
             dropped_events: self.events.dropped(),
             dropped_spans: self.trace.dropped(),
-            delta_patch_bytes: agg.delta_patch_bytes,
-            delta_patches_applied: agg.delta_patches_applied,
-            delta_full_chosen: agg.delta_full_chosen,
-            delta_full_fallbacks: agg.delta_full_fallbacks,
-            delta_chain_composed: agg.delta_chain_composed,
-            fanout_subscribers: agg.fanout_subscribers,
-            multicast_encode_shared: agg.multicast_encode_shared,
-            multicast_encode_fallback: agg.multicast_encode_fallback,
-            ledger_entries_pruned: self.ledger.entries_pruned(),
+            ..tallies
         }
     }
 
@@ -349,70 +378,7 @@ impl Inner {
     pub(crate) fn refresh_metrics(&self) {
         let stats = self.stats();
         let m = &self.metrics;
-        for (name, value) in [
-            ("xdx_sessions_admitted_total", stats.admitted),
-            ("xdx_sessions_rejected_total", stats.rejected),
-            ("xdx_sessions_completed_total", stats.completed),
-            ("xdx_sessions_failed_total", stats.failed),
-            ("xdx_sessions_cancelled_total", stats.cancelled),
-            ("xdx_sessions_resumed_total", stats.resumed),
-            (
-                "xdx_sessions_shed_expired_total",
-                stats.sessions_shed_expired,
-            ),
-            (
-                "xdx_sessions_shed_deadline_total",
-                stats.sessions_shed_deadline,
-            ),
-            (
-                "xdx_sessions_shed_breaker_total",
-                stats.sessions_shed_breaker,
-            ),
-            ("xdx_resumables_evicted_total", stats.resumables_evicted),
-            ("xdx_ledger_buffers_shed_total", stats.ledger_buffers_shed),
-            ("xdx_plan_cache_hits_total", stats.plan_cache_hits),
-            ("xdx_plan_cache_misses_total", stats.plan_cache_misses),
-            (
-                "xdx_plan_cache_stats_evicted_total",
-                stats.plan_cache_stats_evicted,
-            ),
-            (
-                "xdx_plan_cache_drift_evicted_total",
-                stats.plan_cache_drift_evicted,
-            ),
-            ("xdx_planning_probes_total", stats.planning_probes),
-            ("xdx_messages_serialized_total", stats.messages_serialized),
-            ("xdx_bytes_shipped_total", stats.bytes_shipped),
-            ("xdx_bytes_encoded_total", stats.bytes_encoded),
-            ("xdx_encode_ns_total", stats.encode_ns),
-            ("xdx_chunks_shipped_total", stats.chunks_shipped),
-            ("xdx_chunks_resumed_total", stats.chunks_resumed),
-            ("xdx_chunks_deduped_total", stats.chunks_deduped),
-            ("xdx_chunks_retried_total", stats.chunks_retried),
-            ("xdx_events_dropped_total", stats.dropped_events),
-            ("xdx_spans_dropped_total", stats.dropped_spans),
-            ("xdx_delta_patch_bytes_total", stats.delta_patch_bytes),
-            (
-                "xdx_delta_patches_applied_total",
-                stats.delta_patches_applied,
-            ),
-            ("xdx_delta_full_chosen_total", stats.delta_full_chosen),
-            ("xdx_delta_full_fallbacks_total", stats.delta_full_fallbacks),
-            ("xdx_delta_chain_composed_total", stats.delta_chain_composed),
-            ("xdx_fanout_subscribers", stats.fanout_subscribers),
-            ("xdx_multicast_encode_shared", stats.multicast_encode_shared),
-            (
-                "xdx_multicast_encode_fallback",
-                stats.multicast_encode_fallback,
-            ),
-            (
-                "xdx_ledger_entries_pruned_total",
-                stats.ledger_entries_pruned,
-            ),
-        ] {
-            m.counter(name).set(value);
-        }
-        m.gauge("xdx_queue_depth").set(stats.queue_depth as f64);
+        export(m, &RUNTIME_SERIES, "", &stats);
         // Batches in flight through the shipping engine right now — how
         // deep the pipeline actually runs.
         m.gauge("xdx_pipeline_depth")
@@ -438,8 +404,6 @@ impl Inner {
             m.counter(&label("xdx_tenant_shed_total")).set(t.shed);
             m.gauge(&label("xdx_tenant_weight")).set(t.weight);
         }
-        m.gauge("xdx_peak_concurrent_shipments")
-            .set(stats.peak_concurrent_shipments as f64);
         // The relational engines' own counters, re-emitted per side.
         {
             let agg = self.agg.lock().unwrap();
@@ -466,39 +430,18 @@ impl Inner {
         let uptime = self.trace.epoch().elapsed().as_secs_f64();
         for link in &stats.links {
             let pair = link.pair();
-            let label = |base: &str| format!("{base}{{link=\"{pair}\"}}");
-            m.counter(&label("xdx_link_wire_bytes_total"))
-                .set(link.wire_bytes);
-            m.counter(&label("xdx_link_bytes_encoded_total"))
-                .set(link.bytes_encoded);
-            m.counter(&label("xdx_link_encode_ns_total"))
-                .set(link.encode_ns);
-            m.counter(&label("xdx_link_chunks_shipped_total"))
-                .set(link.chunks_shipped);
-            m.counter(&label("xdx_link_chunks_retried_total"))
-                .set(link.chunks_retried);
-            m.counter(&label("xdx_link_sessions_completed_total"))
-                .set(link.sessions_completed);
-            m.counter(&label("xdx_link_sessions_failed_total"))
-                .set(link.sessions_failed);
-            m.counter(&label("xdx_link_sessions_shed_total"))
-                .set(link.sessions_shed);
-            m.counter(&label("xdx_link_busy_ns_total"))
-                .set(link.busy.as_nanos() as u64);
-            m.gauge(&label("xdx_link_utilization"))
+            let labels = format!("{{link=\"{pair}\"}}");
+            export(m, &LINK_SERIES, &labels, link);
+            m.gauge(&format!("xdx_link_utilization{labels}"))
                 .set(if uptime > 0.0 {
                     link.busy.as_secs_f64() / uptime
                 } else {
                     0.0
                 });
-            m.gauge(&label("xdx_link_breaker_open"))
-                .set(if link.breaker_open { 1.0 } else { 0.0 });
-            m.gauge(&label("xdx_link_peak_concurrent_shipments"))
-                .set(link.peak_concurrent_shipments as f64);
             // Info-style gauge: which wire format the pair negotiated.
             m.gauge(&format!(
                 "xdx_link_wire_format{{link=\"{pair}\",format=\"{}\"}}",
-                format_name(link.wire_format)
+                link.wire_format.name()
             ))
             .set(1.0);
         }
@@ -572,7 +515,6 @@ impl Inner {
     /// deadline nobody is driving — sheds and breaker opens are load
     /// conditions, reported but not fatal.
     fn health_json(&self) -> (bool, String) {
-        use crate::events::json_escape;
         let stalled = self.engine.stall_check(STALL_THRESHOLD);
         let open_breakers: Vec<String> = self
             .registry
@@ -596,5 +538,80 @@ impl Inner {
             self.flight.dumps()
         );
         (healthy, body)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{ExchangeRequest, Runtime, RuntimeConfig, SessionState};
+    use xdx_xmark::{generate, lf, load_source, mf, schema, GenConfig};
+
+    /// The field names of a struct, off its pretty `Debug` form.
+    fn fields<T: std::fmt::Debug>(value: &T) -> Vec<String> {
+        let pretty = format!("{value:#?}");
+        let top_level = pretty.lines().filter_map(|l| l.strip_prefix("    "));
+        top_level
+            .filter(|l| !l.starts_with(' '))
+            .filter_map(|l| Some(l.split_once(':')?.0.to_string()))
+            .collect()
+    }
+
+    /// Completeness audit: every field of `RuntimeStats` and `LinkStats`
+    /// is a row of its series table — a field added to a struct without
+    /// a row is a bug, not a choice — and every row surfaces under its
+    /// key in `/stats.json` and as its series in `/metrics`, with the
+    /// value it reads off the snapshot. (The fields that are not one
+    /// number — the link and tenant lists, the latency histogram, a
+    /// link's endpoints and format — are exported on their own; the
+    /// golden in `tests/counters.rs` pins their series.)
+    #[test]
+    fn every_runtime_and_link_stat_has_a_prometheus_series() {
+        let schema = schema();
+        let (mf, lf) = (mf(&schema), lf(&schema));
+        let doc = generate(GenConfig::sized(20_000));
+        let runtime = Runtime::start(schema.clone(), RuntimeConfig::default().with_workers(2));
+        for i in 0..3 {
+            let source = load_source(&doc, &schema, &mf).unwrap();
+            let request = ExchangeRequest::new(format!("t{i}"), source, mf.clone(), lf.clone());
+            let result = runtime.submit(request).unwrap().wait();
+            assert_eq!(result.state, SessionState::Done, "{:?}", result.diagnostic);
+        }
+        let text = runtime.metrics_text();
+        let stats = runtime.stats();
+        let json = stats.to_json();
+
+        let keys: Vec<&str> = RUNTIME_SERIES.iter().map(|row| row.0).collect();
+        for field in fields(&stats) {
+            let listed = ["links", "tenants", "latency_histogram"].contains(&field.as_str());
+            assert!(
+                listed || keys.contains(&field.as_str()),
+                "RuntimeStats::{field} has no row in RUNTIME_SERIES"
+            );
+        }
+        for (key, name, _, read) in RUNTIME_SERIES {
+            assert!(json.contains(&format!("\"{key}\":")), "no {key}: {json}");
+            let line = format!("{name} {}", read(&stats));
+            assert!(text.lines().any(|l| l == line), "no `{line}`:\n{text}");
+        }
+
+        assert!(!stats.links.is_empty());
+        let keys: Vec<&str> = LINK_SERIES.iter().map(|row| row.0).collect();
+        for link in &stats.links {
+            for field in fields(link) {
+                let key = if field == "busy" { "busy_ns" } else { &field };
+                let listed = ["source", "target", "wire_format"].contains(&key);
+                assert!(
+                    listed || keys.contains(&key),
+                    "LinkStats::{field} has no row in LINK_SERIES"
+                );
+            }
+            for (key, name, _, read) in LINK_SERIES {
+                assert!(json.contains(&format!("\"{key}\":")), "no {key}: {json}");
+                let line = format!("{name}{{link=\"{}\"}} {}", link.pair(), read(link));
+                assert!(text.lines().any(|l| l == line), "no `{line}`:\n{text}");
+            }
+        }
+        runtime.shutdown();
     }
 }

@@ -104,7 +104,7 @@ fn eight_concurrent_sessions_survive_ten_percent_drops_without_losing_rows() {
     assert_eq!(stats.completed, SESSIONS as u64);
     assert_eq!(stats.failed + stats.cancelled + stats.rejected, 0);
     assert_eq!(stats.chunks_retried, total_retries);
-    assert_eq!(stats.latencies.len(), SESSIONS);
+    assert_eq!(stats.latency_histogram.count(), SESSIONS as u64);
     assert!(stats.latency_percentile(50.0).unwrap() <= stats.latency_percentile(99.0).unwrap());
 
     // All eight exchanges share one shape: every session past the racing

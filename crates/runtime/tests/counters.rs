@@ -302,7 +302,8 @@ fn assert_conserved(sessions: &[SessionMetrics], stats: &RuntimeStats, grouped: 
 }
 
 /// A seeded one-worker fleet that touches every shipped counter: lossy,
-/// duplicating links under two-site sessions in both directions, a
+/// reordering, duplicating links under two-site sessions in both
+/// directions, a
 /// session that fails partway and resumes from its checkpoint, a delta
 /// patch, a delta fallback, and a 1→3 publish. Whatever each session
 /// ends as, its metrics are folded into the fleet's exactly once.
@@ -313,6 +314,7 @@ fn shipped_counters_are_conserved_from_session_to_fleet_to_links() {
     let doc = generate(GenConfig::sized(30_000));
     let lossy = FaultProfile {
         drop_probability: 0.08,
+        reorder_probability: 0.1,
         duplicate_probability: 0.1,
         ..FaultProfile::healthy()
     };

@@ -29,7 +29,7 @@ pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry}
 pub use span::{SpanId, SpanRecord, TraceSink, NO_SPAN};
 
 /// Escape a string for embedding inside a JSON string literal.
-pub(crate) fn json_escape(s: &str) -> String {
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -11,8 +11,7 @@
 //! adds one stitched cross-site trace, and the example scrapes its own
 //! live introspection endpoint over plain HTTP — the same surface an
 //! operator's `curl` sees. The machine-readable artifacts land in
-//! `telemetry/` (CI's `telemetry-smoke` and `introspect-smoke` jobs
-//! parse them).
+//! `telemetry/` (CI's `telemetry-smoke` job uploads them).
 //!
 //! ```sh
 //! cargo run --release --example runtime
@@ -154,9 +153,7 @@ fn main() {
     // The whole telemetry surface, captured while the runtime is live:
     // a Prometheus text snapshot, the span trace and event log as
     // JSONL, the flight-recorder rings, the critical-path report, and
-    // the predicted-vs-observed calibration report. CI's
-    // `telemetry-smoke` job re-parses these files and fails on schema
-    // drift.
+    // the predicted-vs-observed calibration report.
     let metrics = runtime.metrics_text();
     let events = runtime.events_jsonl();
     let calibration = runtime.calibration_report();
@@ -175,7 +172,6 @@ fn main() {
     // Scrape the live introspection endpoint over plain HTTP — the
     // exact bytes an operator's `curl` would see — and keep the
     // replies as artifacts next to the directly-captured telemetry.
-    // CI's `introspect-smoke` job cross-checks both captures.
     let addr = runtime
         .introspect_addr()
         .expect("introspection endpoint enabled");
