@@ -171,98 +171,31 @@ type Conserved = (
 );
 
 /// The counters a lane tallies while it ships and folds into the fleet
-/// when it settles.
+/// when it settles: Σ sessions = fleet (= Σ links, where links keep it).
+#[rustfmt::skip]
 const SHIPPED: [Conserved; 11] = [
-    (
-        "planning_probes",
-        |m| u64::from(m.planning_probes),
-        |s| s.planning_probes,
-        None,
-    ),
-    (
-        "bytes_shipped",
-        |m| m.bytes_shipped,
-        |s| s.bytes_shipped,
-        Some(|l| l.wire_bytes),
-    ),
-    (
-        "chunks_shipped",
-        |m| m.chunks_shipped,
-        |s| s.chunks_shipped,
-        Some(|l| l.chunks_shipped),
-    ),
-    (
-        "chunks_resumed",
-        |m| m.chunks_resumed,
-        |s| s.chunks_resumed,
-        None,
-    ),
-    (
-        "chunks_deduped",
-        |m| m.chunks_deduped,
-        |s| s.chunks_deduped,
-        None,
-    ),
-    (
-        "chunks_retried",
-        |m| m.chunks_retried,
-        |s| s.chunks_retried,
-        Some(|l| l.chunks_retried),
-    ),
-    (
-        "delta_patch_bytes",
-        |m| m.delta_patch_bytes,
-        |s| s.delta_patch_bytes,
-        None,
-    ),
-    (
-        "delta_patches_applied",
-        |m| m.delta_patches_applied,
-        |s| s.delta_patches_applied,
-        None,
-    ),
-    (
-        "delta_full_chosen",
-        |m| m.delta_full_chosen,
-        |s| s.delta_full_chosen,
-        None,
-    ),
-    (
-        "delta_full_fallbacks",
-        |m| m.delta_full_fallbacks,
-        |s| s.delta_full_fallbacks,
-        None,
-    ),
-    (
-        "delta_chain_composed",
-        |m| m.delta_chain_composed,
-        |s| s.delta_chain_composed,
-        None,
-    ),
+    ("planning_probes", |m| u64::from(m.planning_probes), |s| s.planning_probes, None),
+    ("bytes_shipped", |m| m.bytes_shipped, |s| s.bytes_shipped, Some(|l| l.wire_bytes)),
+    ("chunks_shipped", |m| m.chunks_shipped, |s| s.chunks_shipped, Some(|l| l.chunks_shipped)),
+    ("chunks_resumed", |m| m.chunks_resumed, |s| s.chunks_resumed, None),
+    ("chunks_deduped", |m| m.chunks_deduped, |s| s.chunks_deduped, None),
+    ("chunks_retried", |m| m.chunks_retried, |s| s.chunks_retried, Some(|l| l.chunks_retried)),
+    ("delta_patch_bytes", |m| m.delta_patch_bytes, |s| s.delta_patch_bytes, None),
+    ("delta_patches_applied", |m| m.delta_patches_applied, |s| s.delta_patches_applied, None),
+    ("delta_full_chosen", |m| m.delta_full_chosen, |s| s.delta_full_chosen, None),
+    ("delta_full_fallbacks", |m| m.delta_full_fallbacks, |s| s.delta_full_fallbacks, None),
+    ("delta_chain_composed", |m| m.delta_chain_composed, |s| s.delta_chain_composed, None),
 ];
 
 /// The encode bill: a session of its own carries it, a publish group
 /// carries its shared ring's at group scope (its lanes report none), and
-/// the encoding lane's link sees every frame either way.
+/// the encoding lane's link sees every frame either way. With a publish
+/// in the fleet: Σ sessions < fleet = Σ links.
+#[rustfmt::skip]
 const ENCODED: [Conserved; 3] = [
-    (
-        "messages_serialized",
-        |m| m.messages_serialized as u64,
-        |s| s.messages_serialized,
-        None,
-    ),
-    (
-        "bytes_encoded",
-        |m| m.bytes_encoded,
-        |s| s.bytes_encoded,
-        Some(|l| l.bytes_encoded),
-    ),
-    (
-        "encode_ns",
-        |m| m.encode_ns,
-        |s| s.encode_ns,
-        Some(|l| l.encode_ns),
-    ),
+    ("messages_serialized", |m| m.messages_serialized as u64, |s| s.messages_serialized, None),
+    ("bytes_encoded", |m| m.bytes_encoded, |s| s.bytes_encoded, Some(|l| l.bytes_encoded)),
+    ("encode_ns", |m| m.encode_ns, |s| s.encode_ns, Some(|l| l.encode_ns)),
 ];
 
 fn shipping() -> ShippingPolicy {
@@ -271,33 +204,6 @@ fn shipping() -> ShippingPolicy {
         max_attempts_per_chunk: 3,
         backoff_base: Duration::from_millis(1),
         ..ShippingPolicy::default()
-    }
-}
-
-/// Asserts Σ sessions = fleet (= Σ links, where links keep the counter)
-/// for the shipped counters, and sessions ≤ fleet = Σ links for the
-/// encode bill, `grouped` telling whether a publish group billed some of
-/// it at group scope.
-fn assert_conserved(sessions: &[SessionMetrics], stats: &RuntimeStats, grouped: bool) {
-    for (name, of_session, of_fleet, of_link) in SHIPPED {
-        let summed: u64 = sessions.iter().map(of_session).sum();
-        assert_eq!(summed, of_fleet(stats), "Σ sessions ≠ fleet for {name}");
-        if let Some(of_link) = of_link {
-            let linked: u64 = stats.links.iter().map(of_link).sum();
-            assert_eq!(linked, of_fleet(stats), "Σ links ≠ fleet for {name}");
-        }
-    }
-    for (name, of_session, of_fleet, of_link) in ENCODED {
-        let summed: u64 = sessions.iter().map(of_session).sum();
-        if grouped {
-            assert!(summed < of_fleet(stats), "no group-scope bill for {name}");
-        } else {
-            assert_eq!(summed, of_fleet(stats), "Σ sessions ≠ fleet for {name}");
-        }
-        if let Some(of_link) = of_link {
-            let linked: u64 = stats.links.iter().map(of_link).sum();
-            assert_eq!(linked, of_fleet(stats), "Σ links ≠ fleet for {name}");
-        }
     }
 }
 
@@ -377,7 +283,29 @@ fn shipped_counters_are_conserved_from_session_to_fleet_to_links() {
     }
 
     let stats = runtime.shutdown();
-    assert_conserved(&sessions, &stats, true);
+    let linked = |of_link: fn(&LinkStats) -> u64| stats.links.iter().map(of_link).sum::<u64>();
+    for (name, of_session, of_fleet, of_link) in SHIPPED {
+        let summed: u64 = sessions.iter().map(of_session).sum();
+        assert_eq!(summed, of_fleet(&stats), "Σ sessions ≠ fleet for {name}");
+        if let Some(of_link) = of_link {
+            assert_eq!(
+                linked(of_link),
+                of_fleet(&stats),
+                "Σ links ≠ fleet for {name}"
+            );
+        }
+    }
+    for (name, of_session, of_fleet, of_link) in ENCODED {
+        let summed: u64 = sessions.iter().map(of_session).sum();
+        assert!(summed < of_fleet(&stats), "no group-scope bill for {name}");
+        if let Some(of_link) = of_link {
+            assert_eq!(
+                linked(of_link),
+                of_fleet(&stats),
+                "Σ links ≠ fleet for {name}"
+            );
+        }
+    }
 
     // The scenario has teeth: each counter it was built for moved.
     assert_eq!(stats.admitted, 10);
