@@ -612,7 +612,7 @@ pub fn decode_feed_ctx(bytes: &[u8]) -> Result<(Feed, Option<TraceContext>)> {
     }
 
     let mut feed = Feed::new(FeedSchema::new(root, columns));
-    feed.rows = table;
+    feed.rows = table.into();
     Ok((feed, ctx))
 }
 
@@ -1001,7 +1001,7 @@ mod tests {
             // A row range encodes to the frame of a feed holding just it.
             let batch = Feed {
                 schema: feed.schema.clone(),
-                rows: feed.rows[3..11].to_vec(),
+                rows: feed.rows[3..11].to_vec().into(),
             };
             encode_rows_with_context_into(&mut frame, &feed.schema, &feed.rows[3..11], None);
             assert_eq!(frame, encode_feed(&batch));

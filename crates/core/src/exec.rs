@@ -557,9 +557,9 @@ pub fn cross_ports_in_consumer_order(schema: &SchemaTree, program: &Program) -> 
 /// feed is final once produced. It arrives by value (the materialised
 /// output of a `Combine` or `Split`), lent by the source table a `Scan`
 /// read it from, or lent by the loop when a later source node still reads
-/// the port: the receiver's `into_owned` is the one copy the source side
-/// makes of a shipped row, and only of rows nobody owned yet. Ports
-/// arrive in production order, not consumer order.
+/// the port: the receiver's `into_owned` takes a handle on a lent feed's
+/// rows, not a copy. Ports arrive in production order, not consumer
+/// order.
 pub fn execute_source_phase_streaming(
     schema: &SchemaTree,
     source_frag: &Fragmentation,
@@ -683,7 +683,7 @@ pub fn feed_batches(feed: &Feed, batch_rows: usize) -> Vec<Feed> {
     batch_ranges(feed.len(), batch_rows)
         .map(|rows| Feed {
             schema: feed.schema.clone(),
-            rows: feed.rows[rows].to_vec(),
+            rows: feed.rows[rows].to_vec().into(),
         })
         .collect()
 }

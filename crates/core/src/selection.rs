@@ -175,18 +175,17 @@ impl Selection {
         if cols.is_empty() {
             return feed.clone();
         }
-        let mut out = Feed::new(feed.schema.clone());
-        for row in &feed.rows {
-            let keep = cols.iter().all(|&c| match row[c].as_dewey() {
+        let keep = |row: &&Vec<Value>| {
+            cols.iter().all(|&c| match row[c].as_dewey() {
                 Some(d) if d.depth() >= depth => qualifying.contains(&Dewey(d.0[..depth].to_vec())),
                 // Null (padded) or shallower-than-anchor ids don't veto.
                 _ => true,
-            });
-            if keep {
-                out.rows.push(row.clone());
-            }
+            })
+        };
+        Feed {
+            schema: feed.schema.clone(),
+            rows: feed.rows.iter().filter(keep).cloned().collect(),
         }
-        out
     }
 
     /// Fraction of anchor instances that qualify, for cost estimation.

@@ -11,7 +11,7 @@ use crate::error::{Error, Result};
 use crate::fragment::Fragmentation;
 use std::collections::HashMap;
 use xdx_relational::feed::ColRole;
-use xdx_relational::{Dewey, Feed, Value};
+use xdx_relational::{Dewey, Feed, FeedSchema, Value};
 use xdx_xml::event::Attribute;
 use xdx_xml::sax::{self, Handler};
 use xdx_xml::{NodeId, SchemaTree};
@@ -39,7 +39,10 @@ struct Shredder<'a> {
     schema: &'a SchemaTree,
     frag: &'a Fragmentation,
     stack: Vec<OpenElem>,
-    feeds: Vec<Feed>,
+    /// Per fragment: its feed's schema, and the rows shredded so far
+    /// (wrapped into the feed once, when the document ends).
+    schemas: Vec<FeedSchema>,
+    rows: Vec<Vec<Vec<Value>>>,
     /// Per fragment: (element, role) → column index, precomputed.
     columns: Vec<HashMap<(NodeId, ColRole), usize>>,
     rows_emitted: u64,
@@ -47,7 +50,7 @@ struct Shredder<'a> {
 
 impl<'a> Shredder<'a> {
     fn new(schema: &'a SchemaTree, frag: &'a Fragmentation) -> Shredder<'a> {
-        let mut feeds = Vec::with_capacity(frag.len());
+        let mut schemas = Vec::with_capacity(frag.len());
         let mut columns = Vec::with_capacity(frag.len());
         for f in &frag.fragments {
             let fs = f.feed_schema(schema);
@@ -59,13 +62,14 @@ impl<'a> Shredder<'a> {
                 map.insert((elem, col.role), ci);
             }
             columns.push(map);
-            feeds.push(Feed::new(fs));
+            schemas.push(fs);
         }
         Shredder {
             schema,
             frag,
             stack: Vec::new(),
-            feeds,
+            rows: vec![Vec::new(); schemas.len()],
+            schemas,
             columns,
             rows_emitted: 0,
         }
@@ -74,10 +78,10 @@ impl<'a> Shredder<'a> {
     /// Expands a finished fragment-instance tree into combination rows and
     /// appends them to the fragment's feed.
     fn flush(&mut self, frag_idx: usize, parent_dewey: Dewey, inst: InstNode) -> Result<()> {
-        let arity = self.feeds[frag_idx].schema.arity();
+        let schema = &self.schemas[frag_idx];
+        let arity = schema.arity();
         let cols = &self.columns[frag_idx];
-        let value_cols: Vec<usize> = self.feeds[frag_idx]
-            .schema
+        let value_cols: Vec<usize> = schema
             .columns
             .iter()
             .enumerate()
@@ -85,8 +89,7 @@ impl<'a> Shredder<'a> {
             .map(|(i, _)| i)
             .collect();
         let mut template: Vec<Value> = vec![Value::Null; arity];
-        let parent_col = self.feeds[frag_idx]
-            .schema
+        let parent_col = schema
             .parent_ref_col()
             .ok_or_else(|| Error::Engine("fragment feed lacks PARENT".into()))?;
         template[parent_col] = Value::Dewey(parent_dewey);
@@ -97,9 +100,7 @@ impl<'a> Shredder<'a> {
         // row, and the outer-union skeleton only blanks Value columns.
         debug_assert!(rows.iter().all(|r| !r[parent_col].is_null()));
         self.rows_emitted += rows.len() as u64;
-        for row in rows {
-            self.feeds[frag_idx].push_row(row)?;
-        }
+        self.rows[frag_idx].extend(rows);
         Ok(())
     }
 }
@@ -251,9 +252,15 @@ pub struct Shredded {
 pub fn shred(xml: &str, schema: &SchemaTree, frag: &Fragmentation) -> Result<Shredded> {
     let mut shredder = Shredder::new(schema, frag);
     let elements = sax::drive(xml, &mut shredder).map_err(|e| Error::Xml(e.to_string()))?;
+    let feeds = shredder.schemas.into_iter().zip(shredder.rows);
     Ok(Shredded {
         rows: shredder.rows_emitted,
-        feeds: shredder.feeds,
+        feeds: feeds
+            .map(|(schema, rows)| Feed {
+                schema,
+                rows: rows.into(),
+            })
+            .collect(),
         elements,
     })
 }

@@ -36,14 +36,16 @@
 //! instead of falling straight back to a full re-ship.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Weak};
 use xdx_relational::patch::key_column;
 use xdx_relational::{
-    apply_table_patch, Database, DeltaPatch, Dewey, Error, Feed, PatchStep, Result, StepKind,
+    apply_table_patch, Database, DeltaPatch, Dewey, Error, Feed, PatchStep, Result, Rows, StepKind,
     TablePatch, Value,
 };
 
-/// One route's table set at one version.
+/// One route's table set at one version. Feeds share their rows
+/// ([`Rows`]): a table no step touched is one row set across every
+/// version, the anchor and the targets that landed it.
 pub type Snapshot = Arc<Vec<(String, Feed)>>;
 
 /// Snapshots kept per route; older bases fall back to a full re-ship.
@@ -70,23 +72,39 @@ struct SnapshotLog {
 /// Thread-shared map from route key to its versioned snapshot log.
 /// Version 0 means "never synced": the first successful session records
 /// version 1.
+///
+/// One ownership rule: the store is never the last owner of a document
+/// while it holds a lock. A table set a `record` lets go of (evicted
+/// version, replaced anchor, the recorded set itself when an equal one
+/// is kept in its place) is dropped after the route's lock is released,
+/// by the caller's thread; the diff memo holds `Weak` handles only.
 #[derive(Debug)]
 pub struct SnapshotStore {
     retain: usize,
     step_retain: usize,
-    logs: Mutex<HashMap<String, SnapshotLog>>,
+    /// Locked only to find or insert a route's entry; each log has its
+    /// own lock, so routes diff and compose side by side.
+    logs: Mutex<HashMap<String, Arc<Mutex<SnapshotLog>>>>,
     /// Recent step diffs keyed by the identity of the two snapshots
     /// (plus the base version baked into the patch). Fan-out groups
     /// record the same shared table set under many routes whose heads
     /// advance in lockstep, so the same transition diffs once instead
-    /// of once per subscriber. Keys hold `Arc` clones, so an address
-    /// can't be recycled while its memo entry lives.
-    diff_memo: Mutex<VecDeque<(DiffMemoKey, Arc<DeltaPatch>)>>,
+    /// of once per subscriber, and every subscriber retains one set.
+    diff_memo: Mutex<VecDeque<DiffMemo>>,
 }
 
-/// The two snapshots a memoized step diff was computed between, plus
-/// the base version baked into the patch.
-type DiffMemoKey = (Snapshot, Snapshot, u64);
+/// A memoized step diff. Keys and result are `Weak`: a live entry pins
+/// the three addresses (they cannot be recycled into a false hit) but
+/// never a row.
+#[derive(Debug)]
+struct DiffMemo {
+    base: Weak<Vec<(String, Feed)>>,
+    head: Weak<Vec<(String, Feed)>>,
+    base_version: u64,
+    patch: Arc<DeltaPatch>,
+    /// What a log retains for `head`: see [`retained_head`].
+    retained: Weak<Vec<(String, Feed)>>,
+}
 
 const DIFF_MEMO_CAP: usize = 8;
 
@@ -114,19 +132,18 @@ impl SnapshotStore {
         self
     }
 
-    /// Current head version of a route (0 when never synced).
-    pub fn head(&self, route: &str) -> u64 {
-        self.logs.lock().unwrap().get(route).map_or(0, |l| l.head)
+    fn log(&self, route: &str) -> Option<Arc<Mutex<SnapshotLog>>> {
+        self.logs.lock().unwrap().get(route).cloned()
     }
 
-    /// The table set recorded at `version`, if still retained.
+    /// Current head version of a route (0 when never synced).
+    pub fn head(&self, route: &str) -> u64 {
+        self.log(route).map_or(0, |l| l.lock().unwrap().head)
+    }
+
+    /// The table set retained for `version`, if still in the window.
     pub fn snapshot(&self, route: &str, version: u64) -> Option<Snapshot> {
-        self.logs.lock().unwrap().get(route).and_then(|l| {
-            l.snapshots
-                .iter()
-                .find(|(v, _)| *v == version)
-                .map(|(_, s)| Arc::clone(s))
-        })
+        self.log(route)?.lock().unwrap().retained(version)
     }
 
     /// Records a route's committed table set as the next version and
@@ -145,38 +162,27 @@ impl SnapshotStore {
     /// subscriber route records the same `Arc`, and the step diff
     /// between two shared snapshots is memoized by identity so the
     /// transition diffs once instead of once per subscriber.
+    ///
+    /// What the log retains is `tables` with every table the step found
+    /// unchanged replaced by the previous version's ([`retained_head`]):
+    /// read it back with [`snapshot`](SnapshotStore::snapshot).
     pub fn record_shared(&self, route: &str, tables: Snapshot) -> u64 {
-        let mut logs = self.logs.lock().unwrap();
-        let log = logs.entry(route.to_string()).or_default();
-        if let Some((prev_version, prev)) = log.snapshots.back().map(|(v, s)| (*v, Arc::clone(s))) {
-            let memoized = self
-                .diff_memo
+        // Outlives the guard below: what the log lets go of dies here,
+        // after the lock is released (and `tables` after that).
+        let mut released: Vec<Snapshot> = Vec::new();
+        let log = Arc::clone(
+            self.logs
                 .lock()
                 .unwrap()
-                .iter()
-                .find(|((a, b, v), _)| {
-                    *v == prev_version && Arc::ptr_eq(a, &prev) && Arc::ptr_eq(b, &tables)
-                })
-                .map(|(_, p)| Arc::clone(p));
-            let step = match memoized {
-                Some(patch) => Ok(patch),
-                None => {
-                    diff_snapshots(&prev, &tables, prev_version, prev_version + 1).map(|patch| {
-                        let patch = Arc::new(patch);
-                        let mut memo = self.diff_memo.lock().unwrap();
-                        memo.push_back((
-                            (Arc::clone(&prev), Arc::clone(&tables), prev_version),
-                            Arc::clone(&patch),
-                        ));
-                        if memo.len() > DIFF_MEMO_CAP {
-                            memo.pop_front();
-                        }
-                        patch
-                    })
-                }
-            };
-            match step {
-                Ok(patch) => {
+                .entry(route.to_string())
+                .or_default(),
+        );
+        let mut log = log.lock().unwrap();
+        let mut retained = Arc::clone(&tables);
+        if let Some((prev_version, prev)) = log.snapshots.back().map(|(v, s)| (*v, Arc::clone(s))) {
+            match self.step(&prev, &tables, prev_version) {
+                Ok((patch, head)) => {
+                    retained = head;
                     if log.steps.is_empty() {
                         log.anchor = Some((prev_version, prev));
                     }
@@ -184,26 +190,26 @@ impl SnapshotStore {
                 }
                 Err(_) => {
                     log.steps.clear();
-                    log.anchor = None;
+                    released.extend(log.anchor.take().map(|(_, s)| s));
                 }
             }
         }
         log.head += 1;
-        log.snapshots.push_back((log.head, tables));
+        let head = log.head;
+        log.snapshots.push_back((head, retained));
         while log.snapshots.len() > self.retain {
-            log.snapshots.pop_front();
+            released.extend(log.snapshots.pop_front().map(|(_, s)| s));
         }
         while log.steps.len() > self.step_retain.max(1) {
             // Evicting the oldest step advances the anchor past it, so
             // the chain's reachable range slides instead of shrinking.
             let (base, patch) = log.steps.pop_front().expect("len checked");
             let advanced = log.anchor.take().and_then(|(av, atables)| {
-                if av != base {
-                    return None;
-                }
-                apply_patch_tables(&atables, &patch)
-                    .ok()
-                    .map(|t| (base + 1, Arc::new(t)))
+                let next = (av == base)
+                    .then(|| apply_patch_tables(&atables, &patch).ok())
+                    .flatten();
+                released.push(atables);
+                next.map(|t| (base + 1, Arc::new(t)))
             });
             match advanced {
                 Some(a) => log.anchor = Some(a),
@@ -213,7 +219,46 @@ impl SnapshotStore {
                 }
             }
         }
-        log.head
+        head
+    }
+
+    /// The step patch `prev → tables` and the table set to retain for
+    /// `tables`, from the identity memo or computed and memoized.
+    fn step(
+        &self,
+        prev: &Snapshot,
+        tables: &Snapshot,
+        base_version: u64,
+    ) -> Result<(Arc<DeltaPatch>, Snapshot)> {
+        let hit = self.diff_memo.lock().unwrap().iter().find_map(|m| {
+            (m.base_version == base_version
+                && std::ptr::eq(m.base.as_ptr(), Arc::as_ptr(prev))
+                && std::ptr::eq(m.head.as_ptr(), Arc::as_ptr(tables)))
+            .then(|| (Arc::clone(&m.patch), m.retained.upgrade()))
+        });
+        if let Some((patch, retained)) = hit {
+            let retained = retained.unwrap_or_else(|| retained_head(prev, tables, &patch));
+            return Ok((patch, retained));
+        }
+        let patch = Arc::new(diff_snapshots(
+            prev,
+            tables,
+            base_version,
+            base_version + 1,
+        )?);
+        let retained = retained_head(prev, tables, &patch);
+        let mut memo = self.diff_memo.lock().unwrap();
+        memo.push_back(DiffMemo {
+            base: Arc::downgrade(prev),
+            head: Arc::downgrade(tables),
+            base_version,
+            patch: Arc::clone(&patch),
+            retained: Arc::downgrade(&retained),
+        });
+        if memo.len() > DIFF_MEMO_CAP {
+            memo.pop_front();
+        }
+        Ok((patch, retained))
     }
 
     /// The table set at `version`, recovered any way the store can: the
@@ -224,32 +269,34 @@ impl SnapshotStore {
     /// too, or the chain was broken by an undiffable transition: the
     /// caller's full re-ship fallback.
     pub fn reconstruct(&self, route: &str, version: u64) -> Option<(Snapshot, bool)> {
-        let logs = self.logs.lock().unwrap();
-        let log = logs.get(route)?;
-        if let Some((_, s)) = log.snapshots.iter().find(|(v, _)| *v == version) {
-            return Some((Arc::clone(s), false));
-        }
-        let (anchor_version, anchor) = log.anchor.as_ref()?;
-        if version < *anchor_version || version > log.head {
-            return None;
-        }
-        let mut tables: Vec<(String, Feed)> = (**anchor).clone();
-        let mut at = *anchor_version;
-        while at < version {
-            let (_, patch) = log.steps.iter().find(|(b, _)| *b == at)?;
-            tables = apply_patch_tables(&tables, patch).ok()?;
-            at += 1;
+        // The lock covers picking the anchor and the steps; composing
+        // them (and freeing the intermediate sets) happens outside it.
+        let (anchor, steps) = {
+            let log = self.log(route)?;
+            let log = log.lock().unwrap();
+            if let Some(s) = log.retained(version) {
+                return Some((s, false));
+            }
+            let (anchor_version, anchor) = log.anchor.as_ref()?;
+            if version < *anchor_version || version > log.head {
+                return None;
+            }
+            let step = |at| log.steps.iter().find(|(b, _)| *b == at);
+            let steps: Option<Vec<_>> = (*anchor_version..version)
+                .map(|at| step(at).map(|(_, p)| Arc::clone(p)))
+                .collect();
+            (Arc::clone(anchor), steps?)
+        };
+        let mut tables: Vec<(String, Feed)> = (*anchor).clone();
+        for patch in steps {
+            tables = apply_patch_tables(&tables, &patch).ok()?;
         }
         Some((Arc::new(tables), true))
     }
 
     /// Length of a route's per-step patch chain (diagnostics/tests).
     pub fn chained_steps(&self, route: &str) -> usize {
-        self.logs
-            .lock()
-            .unwrap()
-            .get(route)
-            .map_or(0, |l| l.steps.len())
+        self.log(route).map_or(0, |l| l.lock().unwrap().steps.len())
     }
 
     /// Number of routes with at least one recorded version.
@@ -258,12 +305,34 @@ impl SnapshotStore {
     }
 }
 
+impl SnapshotLog {
+    fn retained(&self, version: u64) -> Option<Snapshot> {
+        let found = self.snapshots.iter().find(|(v, _)| *v == version);
+        found.map(|(_, s)| Arc::clone(s))
+    }
+}
+
+/// What a log retains for `head`, recorded on top of `prev` by the step
+/// `patch`: `head`'s table set with every table the step does not name
+/// — found equal, row for row — taken from `prev`, so an unchanged
+/// table is one row set however many versions carry it and `head`'s own
+/// copy of it is the caller's to free.
+fn retained_head(prev: &Snapshot, head: &Snapshot, patch: &DeltaPatch) -> Snapshot {
+    let changed = |name: &String| patch.tables.iter().any(|t| &t.table == name);
+    let keep = |(name, feed): &(String, Feed)| {
+        let same = prev.iter().find(|(n, _)| n == name && !changed(name));
+        (name.clone(), same.map_or(feed, |(_, f)| f).clone())
+    };
+    Arc::new(head.iter().map(keep).collect())
+}
+
 /// Applies a snapshot-level patch to a snapshot table set, returning
 /// the rewritten set — the composition step
-/// [`SnapshotStore::reconstruct`] folds over the chain. A table the
-/// patch introduces starts from an empty feed of the payload's schema;
-/// a table the patch empties stays present (and empty), matching what
-/// [`xdx_relational::stage_patch`] leaves in a target database.
+/// [`SnapshotStore::reconstruct`] folds over the chain. Only the tables
+/// the patch names are rewritten; the rest share `base`'s rows. A table
+/// the patch introduces starts from an empty feed of the payload's
+/// schema; a table the patch empties stays present (and empty), matching
+/// what [`xdx_relational::stage_patch`] leaves in a target database.
 pub fn apply_patch_tables(
     base: &[(String, Feed)],
     patch: &DeltaPatch,
@@ -288,8 +357,8 @@ impl Default for SnapshotStore {
     }
 }
 
-/// Clones a database's committed tables as a snapshot table set, in
-/// sorted name order.
+/// A database's committed tables as a snapshot table set, in sorted
+/// name order, sharing each table's rows with the database.
 pub fn db_tables(db: &Database) -> Vec<(String, Feed)> {
     db.table_names()
         .into_iter()
@@ -324,26 +393,32 @@ fn group_end(table: &str, rows: &[Vec<Value>], start: usize, col: usize) -> Resu
 }
 
 /// Diffs two versions of one table in a single merge pass, returning
-/// `None` when they are identical. Both feeds must share a schema and
-/// be sorted on the key column (document order) — both hold for feeds
-/// the exchange pipeline produced.
+/// `None` when they are equal. Both feeds must share a schema and,
+/// unless equal, be sorted on the key column (document order) — both
+/// hold for feeds the exchange pipeline produced.
 pub fn diff_table(table: &str, base: &Feed, head: &Feed) -> Result<Option<TablePatch>> {
     if base.schema != head.schema {
         return Err(diff_err(table, "schema changed between versions"));
+    }
+    // Unchanged: the very row set the base holds, or — a re-shipped table,
+    // decoded anew — an equal one, told in one early-exit pass instead
+    // of two sortedness checks and the merge walk.
+    if Rows::ptr_eq(&base.rows, &head.rows) || base.rows == head.rows {
+        return Ok(None);
     }
     let col = key_column(head)?;
     if !base.is_sorted_by(&[col]) || !head.is_sorted_by(&[col]) {
         return Err(diff_err(table, "rows not in document order"));
     }
     let mut steps = Vec::new();
-    let mut payload = Feed::new(head.schema.clone());
+    let mut payload = Vec::new();
     let mut push = |kind: StepKind, key: &Dewey, head_rows: &[Vec<Value>]| {
         steps.push(PatchStep {
             kind,
             key: key.clone(),
             rows: head_rows.len() as u32,
         });
-        payload.rows.extend_from_slice(head_rows);
+        payload.extend_from_slice(head_rows);
     };
     let (mut b, mut h) = (0, 0);
     while b < base.rows.len() && h < head.rows.len() {
@@ -353,7 +428,7 @@ pub fn diff_table(table: &str, base: &Feed, head: &Feed) -> Result<Option<TableP
             // Same subtree (possibly addressed at different depths when
             // the subtree root row itself appeared or vanished): consume
             // the shorter key's full range on both sides and compare.
-            let key = if bk.depth() <= hk.depth() { bk } else { hk }.clone();
+            let key = if bk.depth() <= hk.depth() { bk } else { hk };
             let (bs, hs) = (b, h);
             while b < base.rows.len() && key.is_prefix_of(row_key(table, &base.rows[b], col)?) {
                 b += 1;
@@ -362,28 +437,28 @@ pub fn diff_table(table: &str, base: &Feed, head: &Feed) -> Result<Option<TableP
                 h += 1;
             }
             if base.rows[bs..b] != head.rows[hs..h] {
-                push(StepKind::ReplaceSubtree, &key, &head.rows[hs..h]);
+                push(StepKind::ReplaceSubtree, key, &head.rows[hs..h]);
             }
         } else if bk < hk {
             let end = group_end(table, &base.rows, b, col)?;
-            push(StepKind::DeleteSubtree, &bk.clone(), &[]);
+            push(StepKind::DeleteSubtree, bk, &[]);
             b = end;
         } else {
             let end = group_end(table, &head.rows, h, col)?;
-            push(StepKind::InsertSubtree, &hk.clone(), &head.rows[h..end]);
+            push(StepKind::InsertSubtree, hk, &head.rows[h..end]);
             h = end;
         }
     }
     while b < base.rows.len() {
-        let key = row_key(table, &base.rows[b], col)?.clone();
+        let key = row_key(table, &base.rows[b], col)?;
         let end = group_end(table, &base.rows, b, col)?;
-        push(StepKind::DeleteSubtree, &key, &[]);
+        push(StepKind::DeleteSubtree, key, &[]);
         b = end;
     }
     while h < head.rows.len() {
-        let key = row_key(table, &head.rows[h], col)?.clone();
+        let key = row_key(table, &head.rows[h], col)?;
         let end = group_end(table, &head.rows, h, col)?;
-        push(StepKind::InsertSubtree, &key, &head.rows[h..end]);
+        push(StepKind::InsertSubtree, key, &head.rows[h..end]);
         h = end;
     }
     if steps.is_empty() {
@@ -392,7 +467,10 @@ pub fn diff_table(table: &str, base: &Feed, head: &Feed) -> Result<Option<TableP
     Ok(Some(TablePatch {
         table: table.to_string(),
         steps,
-        payload,
+        payload: Feed {
+            schema: head.schema.clone(),
+            rows: payload.into(),
+        },
     }))
 }
 
@@ -609,6 +687,142 @@ mod tests {
         store.record("r", unsorted);
         assert_eq!(store.chained_steps("r"), 0, "broken chain cleared");
         assert!(store.reconstruct("r", 1).is_none());
+    }
+
+    /// Per table, `snapshot`'s rows are the very row set `first` holds.
+    fn shares_rows(snapshot: &[(String, Feed)], first: &[(String, Feed)]) -> bool {
+        snapshot.len() == first.len()
+            && snapshot
+                .iter()
+                .zip(first)
+                .all(|((_, a), (_, b))| Rows::ptr_eq(&a.rows, &b.rows))
+    }
+
+    #[test]
+    fn equal_reships_retain_the_first_row_set_and_nothing_else() {
+        let store = SnapshotStore::new();
+        let fresh = || {
+            Arc::new(vec![
+                ("A".to_string(), item_feed(&[(1, "a"), (2, "b")])),
+                ("B".to_string(), item_feed(&[(3, "c")])),
+            ])
+        };
+        let first = fresh();
+        assert_eq!(store.record_shared("r", Arc::clone(&first)), 1);
+        for v in 2..=20u64 {
+            // Built anew, as a target decodes it: equal, never identical.
+            let reship = fresh();
+            let handle = Arc::downgrade(&reship);
+            assert_eq!(store.record_shared("r", reship), v);
+            assert!(
+                handle.upgrade().is_none(),
+                "v{v}: an equal re-ship is the caller's; the log keeps the rows it had"
+            );
+        }
+        for v in 17..=20 {
+            assert!(
+                shares_rows(&store.snapshot("r", v).unwrap(), &first),
+                "v{v}"
+            );
+        }
+        assert!(store.snapshot("r", 16).is_none(), "window of four");
+        let anchor_version = {
+            let log = store.log("r").unwrap();
+            let log = log.lock().unwrap();
+            let (version, anchor) = log.anchor.as_ref().expect("chain intact");
+            assert!(
+                shares_rows(anchor, &first),
+                "the anchor advanced without a copy"
+            );
+            *version
+        };
+        assert_eq!(anchor_version, 20 - 16, "sixteen steps behind the head");
+        // A changed table is retained as recorded; its untouched sibling
+        // is still the first row set.
+        let changed = Arc::new(vec![
+            ("A".to_string(), item_feed(&[(1, "a"), (2, "b")])),
+            ("B".to_string(), item_feed(&[(3, "C!")])),
+        ]);
+        store.record_shared("r", Arc::clone(&changed));
+        let head = store.snapshot("r", 21).unwrap();
+        assert!(Rows::ptr_eq(&head[0].1.rows, &first[0].1.rows));
+        assert!(Rows::ptr_eq(&head[1].1.rows, &changed[1].1.rows));
+        for v in anchor_version + 1..=21 {
+            let (tables, _) = store.reconstruct("r", v).expect("reachable");
+            assert_eq!(
+                *tables,
+                if v == 21 {
+                    (*changed).clone()
+                } else {
+                    (*first).clone()
+                },
+                "v{v}"
+            );
+        }
+    }
+
+    #[test]
+    fn fanout_subscribers_retain_one_set_per_version() {
+        let store = SnapshotStore::new();
+        let round = |text: &str| Arc::new(vec![("T".to_string(), item_feed(&[(1, text)]))]);
+        let subscribers = ["s0", "s1", "s2"];
+        for (v, text) in [(1, "a"), (2, "a"), (3, "b")] {
+            // The group snapshots once; every subscriber records the `Arc`.
+            let group = round(text);
+            for route in subscribers {
+                assert_eq!(store.record_shared(route, Arc::clone(&group)), v);
+            }
+            let retained = store.snapshot("s0", v).unwrap();
+            for route in subscribers {
+                assert!(Arc::ptr_eq(&store.snapshot(route, v).unwrap(), &retained));
+            }
+            // The equal round is not what the logs kept.
+            assert_eq!(Arc::ptr_eq(&retained, &group), v == 1);
+            assert_eq!(*retained, *group);
+        }
+        assert_eq!(
+            store.diff_memo.lock().unwrap().len(),
+            2,
+            "one diff per transition"
+        );
+    }
+
+    #[test]
+    fn two_routes_record_side_by_side() {
+        let store = SnapshotStore::with_retention(2);
+        let at = |route: usize, v: u64| {
+            let text = format!("route {route} v{v}");
+            vec![(
+                "T".to_string(),
+                item_feed(&[(v as u32, &text), (99, "tail")]),
+            )]
+        };
+        let versions = 12u64;
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for route in 0..2 {
+                let (store, barrier, at) = (&store, &barrier, &at);
+                scope.spawn(move || {
+                    for v in 1..=versions {
+                        // Both routes enter each version's record together.
+                        barrier.wait();
+                        assert_eq!(store.record(&format!("r{route}"), at(route, v)), v);
+                    }
+                });
+            }
+        });
+        for route in 0..2 {
+            let name = format!("r{route}");
+            assert_eq!(store.head(&name), versions);
+            assert_eq!(store.chained_steps(&name), 2 * STEP_RETAIN_FACTOR);
+            let oldest = versions - (2 * STEP_RETAIN_FACTOR) as u64;
+            assert!(store.reconstruct(&name, oldest - 1).is_none());
+            for v in oldest..=versions {
+                let (tables, composed) = store.reconstruct(&name, v).expect("reachable");
+                assert_eq!(*tables, at(route, v), "{name} v{v}");
+                assert_eq!(composed, v <= versions - 2);
+            }
+        }
     }
 
     #[test]

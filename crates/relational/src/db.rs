@@ -11,7 +11,9 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// An in-memory database. `Clone` is deliberate: load generators
 /// fabricate thousands of per-session source databases by cloning one
-/// preloaded template instead of re-parsing the document each time.
+/// preloaded template instead of re-parsing the document each time. A
+/// clone shares every table's rows with its origin until one of the two
+/// writes to that table (built indexes are copied).
 #[derive(Debug, Clone, Default)]
 pub struct Database {
     /// System name (for diagnostics).
@@ -101,9 +103,9 @@ impl Database {
         self.tables.values().map(Table::staged_len).sum()
     }
 
-    /// Full scan of a table into a feed of its own. (The operator loop
-    /// does not copy: its `Scan` borrows [`Table::data`] through
-    /// [`Database::table`].)
+    /// Full scan of a table: a feed sharing the table's rows. (The
+    /// operator loop's `Scan` borrows [`Table::data`] through
+    /// [`Database::table`] instead.)
     pub fn scan(&mut self, name: &str) -> Result<Feed> {
         // Split borrows: table read + counters write.
         let table = self.tables.get(name).ok_or_else(|| Error::UnknownTable {

@@ -21,6 +21,8 @@ use crate::error::{Error, Result};
 use crate::value::{Dewey, Value};
 use std::borrow::Cow;
 use std::fmt;
+use std::ops::{Deref, DerefMut};
+use std::sync::Arc;
 
 /// The role a feed column plays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -114,13 +116,87 @@ impl FeedSchema {
     }
 }
 
+/// A feed's rows behind a copy-on-write handle. `clone` shares the row
+/// set; reads deref to the `Vec`; the first write through a handle that
+/// is not the sole owner copies the set first (`Arc::make_mut`), so no
+/// holder ever sees another's edit. A loop that builds rows fills a plain
+/// `Vec` and wraps it once (`into`), paying the ownership check per feed
+/// rather than per row.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct Rows(Arc<Vec<Vec<Value>>>);
+
+impl Rows {
+    /// True when both handles share one row set.
+    pub fn ptr_eq(a: &Rows, b: &Rows) -> bool {
+        Arc::ptr_eq(&a.0, &b.0)
+    }
+
+    /// The rows by value: moved out of a sole handle, copied out of a
+    /// shared one.
+    pub fn into_vec(self) -> Vec<Vec<Value>> {
+        Arc::try_unwrap(self.0).unwrap_or_else(|shared| (*shared).clone())
+    }
+
+    /// Takes `more` in after the rows held. An empty handle adopts
+    /// `more`'s row set as it is, still shared with its other holders.
+    pub fn absorb(&mut self, more: Rows) {
+        if self.is_empty() {
+            *self = more;
+        } else {
+            self.extend(more);
+        }
+    }
+}
+
+impl Deref for Rows {
+    type Target = Vec<Vec<Value>>;
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
+}
+
+impl DerefMut for Rows {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        Arc::make_mut(&mut self.0)
+    }
+}
+
+impl From<Vec<Vec<Value>>> for Rows {
+    fn from(rows: Vec<Vec<Value>>) -> Rows {
+        Rows(Arc::new(rows))
+    }
+}
+
+impl FromIterator<Vec<Value>> for Rows {
+    fn from_iter<I: IntoIterator<Item = Vec<Value>>>(iter: I) -> Rows {
+        Vec::from_iter(iter).into()
+    }
+}
+
+impl IntoIterator for Rows {
+    type Item = Vec<Value>;
+    type IntoIter = std::vec::IntoIter<Vec<Value>>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.into_vec().into_iter()
+    }
+}
+
+impl<'a> IntoIterator for &'a Rows {
+    type Item = &'a Vec<Value>;
+    type IntoIter = std::slice::Iter<'a, Vec<Value>>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
+}
+
 /// A materialized feed: schema plus rows.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Feed {
     /// Column layout.
     pub schema: FeedSchema,
-    /// Rows; each has exactly `schema.arity()` values.
-    pub rows: Vec<Vec<Value>>,
+    /// Rows; each has exactly `schema.arity()` values. Shared on `clone`,
+    /// copied on the first write through a shared handle ([`Rows`]).
+    pub rows: Rows,
 }
 
 impl Feed {
@@ -128,19 +204,13 @@ impl Feed {
     pub fn new(schema: FeedSchema) -> Self {
         Feed {
             schema,
-            rows: Vec::new(),
+            rows: Rows::default(),
         }
     }
 
     /// Appends a row, checking arity.
     pub fn push_row(&mut self, row: Vec<Value>) -> Result<()> {
-        if row.len() != self.schema.arity() {
-            return Err(Error::ArityMismatch {
-                expected: self.schema.arity(),
-                got: row.len(),
-            });
-        }
-        self.rows.push(row);
+        self.rows.push(arity_checked(&self.schema, row)?);
         Ok(())
     }
 
@@ -162,9 +232,15 @@ impl Feed {
     }
 
     /// Sorts rows by the given columns (lexicographic), returning the
-    /// number of comparisons performed (for instrumentation).
+    /// number of comparisons performed (for instrumentation). A feed
+    /// already in order is left alone — its rows stay shared with whoever
+    /// else holds them — for the n−1 comparisons the check took (what the
+    /// sort spends on a sorted input too).
     pub fn sort_by(&mut self, cols: &[usize]) -> u64 {
         use std::cell::Cell;
+        if self.is_sorted_by(cols) {
+            return (self.len() as u64).saturating_sub(1);
+        }
         let comparisons = Cell::new(0u64);
         self.rows.sort_by(|a, b| {
             comparisons.set(comparisons.get() + 1);
@@ -268,9 +344,10 @@ impl Feed {
             };
             columns.push(FeedColumn::new(el, role));
         }
-        let mut feed = Feed::new(FeedSchema::new(root, columns));
+        let schema = FeedSchema::new(root, columns);
+        let mut rows = Vec::new();
         for line in lines {
-            let mut row = Vec::with_capacity(feed.schema.arity());
+            let mut row = Vec::with_capacity(schema.arity());
             let mut prev: Option<Dewey> = None;
             for cell in line.split('\t') {
                 let v = decode_value(cell, prev.as_ref())?;
@@ -279,10 +356,24 @@ impl Feed {
                 }
                 row.push(v);
             }
-            feed.push_row(row)?;
+            rows.push(arity_checked(&schema, row)?);
         }
-        Ok(feed)
+        Ok(Feed {
+            schema,
+            rows: rows.into(),
+        })
     }
+}
+
+/// `row`, if it has one value per column of `schema`.
+fn arity_checked(schema: &FeedSchema, row: Vec<Value>) -> Result<Vec<Value>> {
+    if row.len() != schema.arity() {
+        return Err(Error::ArityMismatch {
+            expected: schema.arity(),
+            got: row.len(),
+        });
+    }
+    Ok(row)
 }
 
 fn rows_wire_size(rows: &[Vec<Value>]) -> u64 {

@@ -77,7 +77,7 @@ impl<'a> Side<'a> {
                 if !sorted {
                     counters.comparisons += feed.sort_by(&[col]);
                 }
-                Side::Owned(feed.rows)
+                Side::Owned(feed.rows.into_vec())
             }
             Cow::Borrowed(feed) => {
                 let rows = &feed.rows;
@@ -164,14 +164,13 @@ fn with_room(row: &[Value], extra: usize) -> Vec<Value> {
 /// definition: the parent row for all but its last child, and the
 /// skeleton.
 fn emit_group(
-    out: &mut Feed,
+    (schema, out): (&FeedSchema, &mut Vec<Vec<Value>>),
     (parent, pgroup): (&mut Side, Range<usize>),
     (child, cgroup): (&mut Side, Range<usize>),
     ccol: usize,
     child_arity: usize,
 ) {
     // The output's leading columns are the parent's.
-    let Feed { schema, rows: out } = out;
     let pad = |parent: &mut Side, p: usize, out: &mut Vec<Vec<Value>>| {
         let mut row = parent.take(p, child_arity);
         row.resize(row.len() + child_arity, Value::Null);
@@ -229,7 +228,8 @@ pub fn merge_combine<'a>(
     let (parent, child) = (parent.into(), child.into());
     let (pcol, ccol) = join_columns(&parent, &child, anchor_element)?;
     counters.rows_read += (parent.len() + child.len()) as u64;
-    let mut out = Feed::new(combined_schema(&parent.schema, &child.schema, ccol));
+    let schema = combined_schema(&parent.schema, &child.schema, ccol);
+    let mut rows = Vec::new();
     let child_arity = child.schema.arity() - 1;
     let mut parent = Side::sorted_on(parent, pcol, counters);
     let mut child = Side::sorted_on(child, ccol, counters);
@@ -264,15 +264,16 @@ pub fn merge_combine<'a>(
             ci += 1;
         }
         emit_group(
-            &mut out,
+            (&schema, &mut rows),
             (&mut parent, pgroup..pi),
             (&mut child, cgroup..ci),
             ccol,
             child_arity,
         );
     }
-    counters.rows_out += out.len() as u64;
-    Ok(out)
+    counters.rows_out += rows.len() as u64;
+    let rows = rows.into();
+    Ok(Feed { schema, rows })
 }
 
 /// Hash-join implementation of `Combine` (same semantics as
@@ -292,7 +293,8 @@ pub fn hash_combine(
         by_parent.entry(&row[ccol]).or_default().push(i);
     }
 
-    let mut out = Feed::new(combined_schema(&parent.schema, &child.schema, ccol));
+    let schema = combined_schema(&parent.schema, &child.schema, ccol);
+    let mut rows = Vec::new();
     let child_arity = child.schema.arity() - 1;
 
     // Group parent rows by key (first-occurrence order) so the emit
@@ -329,15 +331,16 @@ pub fn hash_combine(
     };
     for (pgroup, cgroup) in groups {
         emit_group(
-            &mut out,
+            (&schema, &mut rows),
             (&mut pside, pgroup),
             (&mut cside, cgroup),
             ccol,
             child_arity,
         );
     }
-    counters.rows_out += out.len() as u64;
-    Ok(out)
+    counters.rows_out += rows.len() as u64;
+    let rows = rows.into();
+    Ok(Feed { schema, rows })
 }
 
 /// Specification of one output group of a `Split`.
@@ -411,11 +414,10 @@ pub fn split(feed: &Feed, specs: &[SplitSpec], counters: &mut Counters) -> Resul
         let root_id_out = root_id_out.ok_or_else(|| Error::UnknownColumn {
             name: format!("{}.ID (group root must be identified)", spec.root_element),
         })?;
-        let mut out = Feed::new(FeedSchema::new(spec.root_element.clone(), columns));
         // The input cardinality bounds this group's output (dedup only
         // shrinks it); pre-sizing both containers keeps the projection
         // loop reallocation-free.
-        out.rows.reserve(feed.len());
+        let mut rows = Vec::with_capacity(feed.len());
         // Instances are told apart by their ids where they sit in the
         // input; only a row that introduces a new one is copied out.
         let mut seen: HashSet<Vec<&Value>> = HashSet::with_capacity(feed.len());
@@ -426,12 +428,14 @@ pub fn split(feed: &Feed, specs: &[SplitSpec], counters: &mut Counters) -> Resul
             let key = id_cols_out.iter().map(|&c| &row[src_cols[c]]).collect();
             counters.hash_probes += 1;
             if seen.insert(key) {
-                out.rows
-                    .push(src_cols.iter().map(|&c| row[c].clone()).collect());
+                rows.push(src_cols.iter().map(|&c| row[c].clone()).collect());
             }
         }
-        counters.rows_out += out.len() as u64;
-        outputs.push(out);
+        counters.rows_out += rows.len() as u64;
+        outputs.push(Feed {
+            schema: FeedSchema::new(spec.root_element.clone(), columns),
+            rows: rows.into(),
+        });
     }
     Ok(outputs)
 }

@@ -158,8 +158,7 @@ pub fn apply_table_patch(base: &Feed, patch: &TablePatch) -> Result<Feed> {
         ));
     }
     let col = key_column(base)?;
-    let mut out = Feed::new(base.schema.clone());
-    out.rows.reserve(base.rows.len() + patch.payload.rows.len());
+    let mut out = Vec::with_capacity(base.rows.len() + patch.payload.rows.len());
     let mut i = 0; // next base row
     let mut p = 0; // next payload row
     let mut prev_key: Option<&Dewey> = None;
@@ -170,7 +169,7 @@ pub fn apply_table_patch(base: &Feed, patch: &TablePatch) -> Result<Feed> {
         prev_key = Some(&step.key);
         // Copy the untouched prefix: rows strictly before the step key.
         while i < base.rows.len() && *row_key(table, &base.rows[i], col)? < step.key {
-            out.rows.push(base.rows[i].clone());
+            out.push(base.rows[i].clone());
             i += 1;
         }
         // The step's range: rows whose key extends the step key.
@@ -207,7 +206,7 @@ pub fn apply_table_patch(base: &Feed, patch: &TablePatch) -> Result<Feed> {
                     format!("payload row outside the {} subtree", step.key),
                 ));
             }
-            out.rows.push(row.clone());
+            out.push(row.clone());
         }
         p += take;
     }
@@ -220,17 +219,17 @@ pub fn apply_table_patch(base: &Feed, patch: &TablePatch) -> Result<Feed> {
             ),
         ));
     }
-    while i < base.rows.len() {
-        out.rows.push(base.rows[i].clone());
-        i += 1;
-    }
-    Ok(out)
+    out.extend_from_slice(&base.rows[i..]);
+    Ok(Feed {
+        schema: base.schema.clone(),
+        rows: out.into(),
+    })
 }
 
 /// Stages the full post-patch state of every table into `target`:
-/// patched feeds for tables the patch touches, verbatim copies of the
-/// base snapshot for tables it does not (the target database is built
-/// fresh per session, mirroring the full-ship path). Returns the rows
+/// patched feeds for tables the patch touches, the base snapshot's own
+/// row sets, shared, for tables it does not (the target database is
+/// built fresh per session, mirroring the full-ship path). Returns the rows
 /// staged. On error the caller rolls the staging back; nothing live has
 /// changed.
 pub fn stage_patch(

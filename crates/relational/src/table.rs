@@ -7,7 +7,7 @@
 //! fragmentation registered by a system".
 
 use crate::error::{Error, Result};
-use crate::feed::{Feed, FeedSchema};
+use crate::feed::{Feed, FeedSchema, Rows};
 use crate::index::Index;
 use crate::stats::Counters;
 use crate::value::Value;
@@ -23,7 +23,7 @@ pub struct Table {
     pub indexes: Vec<Index>,
     /// Rows staged by [`Table::stage_rows`], invisible to scans until
     /// [`Table::commit_staged`] swaps them in.
-    staged: Vec<Vec<Value>>,
+    staged: Rows,
 }
 
 impl Table {
@@ -33,7 +33,7 @@ impl Table {
             name: name.into(),
             data: Feed::new(schema),
             indexes: Vec::new(),
-            staged: Vec::new(),
+            staged: Rows::default(),
         }
     }
 
@@ -55,11 +55,7 @@ impl Table {
         }
         counters.rows_written += feed.len() as u64;
         self.indexes.clear();
-        if self.data.is_empty() {
-            self.data.rows = feed.rows;
-        } else {
-            self.data.rows.extend(feed.rows);
-        }
+        self.data.rows.absorb(feed.rows);
         Ok(())
     }
 
@@ -67,7 +63,9 @@ impl Table {
     /// (the transactional half of `Write`): staged rows are invisible to
     /// scans and indexes, cost nothing if rolled back, and only touch the
     /// live table when the whole exchange commits. Schema mismatches are
-    /// rejected at staging time, before anything is at risk.
+    /// rejected at staging time, before anything is at risk. Empty
+    /// staging adopts `feed`'s row set whole, shared with whoever else
+    /// holds it.
     pub fn stage_rows(&mut self, feed: Feed) -> Result<()> {
         if feed.schema.arity() != self.data.schema.arity() {
             return Err(Error::SchemaMismatch {
@@ -79,14 +77,15 @@ impl Table {
                 ),
             });
         }
-        self.staged.extend(feed.rows);
+        self.staged.absorb(feed.rows);
         Ok(())
     }
 
     /// Atomically swaps staged rows into the live table, counting the
     /// write work now (it only happens on commit). Like
     /// [`Table::bulk_load`], existing indexes are dropped for the
-    /// post-load rebuild. Returns the number of rows committed.
+    /// post-load rebuild; an empty table adopts the staged row set whole.
+    /// Returns the number of rows committed.
     pub fn commit_staged(&mut self, counters: &mut Counters) -> u64 {
         if self.staged.is_empty() {
             return 0;
@@ -94,13 +93,14 @@ impl Table {
         let committed = self.staged.len() as u64;
         counters.rows_written += committed;
         self.indexes.clear();
-        self.data.rows.append(&mut self.staged);
+        self.data.rows.absorb(std::mem::take(&mut self.staged));
         committed
     }
 
-    /// Discards staged rows; the live table is untouched.
+    /// Discards staged rows; the live table is untouched, and so is
+    /// anyone the staged row set was shared with.
     pub fn rollback_staged(&mut self) {
-        self.staged.clear();
+        self.staged = Rows::default();
     }
 
     /// Number of rows currently staged.
@@ -137,8 +137,9 @@ impl Table {
         Ok(())
     }
 
-    /// Full scan into a feed of its own. The operator loop's `Scan` does
-    /// not call this: it borrows [`Table::data`] and bills the same work.
+    /// Full scan: a feed sharing the table's rows (a write through either
+    /// copies first). The operator loop's `Scan` does not call this: it
+    /// borrows [`Table::data`] and bills the same work.
     pub fn scan(&self, counters: &mut Counters) -> Feed {
         counters.rows_read += self.data.len() as u64;
         counters.rows_out += self.data.len() as u64;
@@ -160,12 +161,11 @@ impl Table {
             });
         }
         counters.rows_read += self.data.len() as u64;
-        let mut out = Feed::new(self.data.schema.clone());
-        for row in &self.data.rows {
-            if predicate(&row[column]) {
-                out.rows.push(row.clone());
-            }
-        }
+        let kept = self.data.rows.iter().filter(|row| predicate(&row[column]));
+        let out = Feed {
+            schema: self.data.schema.clone(),
+            rows: kept.cloned().collect(),
+        };
         counters.rows_out += out.len() as u64;
         Ok(out)
     }

@@ -4,7 +4,9 @@
 
 use proptest::prelude::*;
 use xdx_relational::ops::{hash_combine, merge_combine, split, SplitSpec};
-use xdx_relational::{ColRole, Counters, Dewey, Feed, FeedColumn, FeedSchema, Value};
+use xdx_relational::{
+    ColRole, Counters, Database, Dewey, Feed, FeedColumn, FeedSchema, Rows, Value,
+};
 
 fn dv(path: Vec<u32>) -> Value {
     Value::Dewey(Dewey(path))
@@ -153,5 +155,78 @@ proptest! {
         child.sort_by(&[0, 1]);
         prop_assert!(child.is_sorted_by(&[0, 1]));
         prop_assert!(child.is_sorted_by(&[0]));
+    }
+
+    /// Copy-on-write never leaks a write. A feed, its clone, a table
+    /// loaded from it, a clone of that table's database and a scan all
+    /// start on one row set; a drawn sequence of writes goes through
+    /// every `&mut` door of one holder or another, and after each write
+    /// every holder reads exactly what a plain `Vec` model of it holds —
+    /// the written one changed, everyone else bit-identical to before.
+    #[test]
+    fn a_write_through_one_holder_is_invisible_to_every_other(
+        counts in proptest::collection::vec(1u8..4, 1..8),
+        writes in proptest::collection::vec((0usize..4, 0u8..6), 1..10),
+    ) {
+        let (_, mut origin) = hierarchy(counts);
+        origin.rows.reverse(); // out of order, so that `sort_by` writes
+        let mut feeds = [origin.clone(), origin.clone()];
+        let mut dbs = [Database::new("a"), Database::new("b")];
+        dbs[0].load("T", origin.clone()).unwrap();
+        dbs[1] = dbs[0].clone();
+        let scan = dbs[0].scan("T").unwrap();
+        let rows_of = |db: &Database| db.table("T").unwrap().data.rows.clone();
+        for held in [&feeds[0].rows, &feeds[1].rows, &rows_of(&dbs[0]), &rows_of(&dbs[1]), &scan.rows] {
+            prop_assert!(Rows::ptr_eq(held, &origin.rows));
+        }
+        let before = origin.rows.to_vec();
+        let mut models = vec![before.clone(); 4];
+        let extra = |n: u32| vec![dv(vec![9]), dv(vec![9, n]), Value::Str(format!("w{n}"))];
+        let one_row = |n: u32| Feed {
+            schema: origin.schema.clone(),
+            rows: vec![extra(n)].into(),
+        };
+        for (n, (holder, door)) in writes.into_iter().enumerate() {
+            let n = n as u32;
+            let model = &mut models[holder];
+            if holder < 2 {
+                let feed = &mut feeds[holder];
+                match door % 3 {
+                    0 => { feed.push_row(extra(n)).unwrap(); model.push(extra(n)); }
+                    1 => { feed.rows.extend(one_row(n).rows); model.push(extra(n)); }
+                    _ => { feed.sort_by(&[1]); model.sort_by(|a, b| a[1].cmp(&b[1])); }
+                }
+            } else {
+                let db = &mut dbs[holder - 2];
+                match door {
+                    0 => { db.table_mut("T").unwrap().0.data.push_row(extra(n)).unwrap(); model.push(extra(n)); }
+                    1 => { db.table_mut("T").unwrap().0.data.rows.extend(vec![extra(n)]); model.push(extra(n)); }
+                    2 => { db.table_mut("T").unwrap().0.data.sort_by(&[1]); model.sort_by(|a, b| a[1].cmp(&b[1])); }
+                    3 => { db.load("T", one_row(n)).unwrap(); model.push(extra(n)); }
+                    4 => {
+                        db.load_staged("T", one_row(n)).unwrap();
+                        db.commit_staged();
+                        model.push(extra(n));
+                    }
+                    _ => {
+                        // Empty staging adopts the origin's row set; a
+                        // staged row on top copies it; rolling back must
+                        // drop the handle, not clear what it shares.
+                        db.load_staged("T", origin.clone()).unwrap();
+                        db.rollback_staged();
+                        db.load_staged("U", origin.clone()).unwrap();
+                        db.load_staged("U", one_row(n)).unwrap();
+                        db.rollback_staged();
+                        prop_assert!(!db.has_table("U"));
+                    }
+                }
+            }
+            prop_assert_eq!(&feeds[0].rows[..], &models[0][..]);
+            prop_assert_eq!(&feeds[1].rows[..], &models[1][..]);
+            prop_assert_eq!(&rows_of(&dbs[0])[..], &models[2][..]);
+            prop_assert_eq!(&rows_of(&dbs[1])[..], &models[3][..]);
+            prop_assert_eq!(&scan.rows[..], &before[..]);
+            prop_assert_eq!(&origin.rows[..], &before[..]);
+        }
     }
 }

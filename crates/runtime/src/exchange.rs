@@ -306,7 +306,8 @@ impl Exchange {
 
 /// The two-site request a lane resumes as: the exchange's request under
 /// the lane's own name and target endpoint. The exchange's `last` lane
-/// takes the source database; earlier ones copy it.
+/// takes the source database; earlier ones clone it (tables share their
+/// rows; built indexes are copied).
 pub(crate) fn lane_checkpoint(
     request: &mut ExchangeRequest,
     name: &str,
@@ -695,8 +696,8 @@ impl Inner {
             None,
             &mut |port, feed| {
                 // A cross feed is final the instant its producer runs,
-                // and the ring owns it from here (a feed a table or a
-                // later source operator still holds is copied, once).
+                // and the ring holds it from here (a feed a table or a
+                // later source operator still holds shares its rows).
                 // Flush the maximal *ready prefix* so seqs stay in
                 // consumer order, then top the engine up: the wire
                 // carries these frames while the rest of the source
@@ -1044,9 +1045,10 @@ impl Inner {
     /// byte-identical frames, so the first absorber decodes (its `decode`
     /// span stitches under the trace context the frame, or the
     /// SOAPAction label for XML text, carries) and later lanes share the
-    /// feed; whichever lane stages it last takes it whole, the others
-    /// copy it into their own tables. The decode bill, like the encode
-    /// bill, is per *frame*.
+    /// feed's rows: a lane whose table is still empty adopts the row set
+    /// as it is, one that already staged a batch appends (copying what
+    /// it shares). The decode bill, like the encode bill, is per
+    /// *frame*.
     fn decode_once(
         &self,
         group: &mut Group,
@@ -1293,8 +1295,24 @@ impl Inner {
         let tables = group
             .snapshot
             .get_or_insert_with(|| Arc::new(db_tables(&s.target)));
-        self.snapshots
+        let version = self
+            .snapshots
             .record_shared(&feed_route, Arc::clone(tables));
+        // The log kept the previous version's rows for every table this
+        // lane landed unchanged. The target takes the log's rows too —
+        // equal rows at equal positions, so its indexes stand — and the
+        // copy it decoded dies here, on this worker, outside the store's
+        // locks, once the group's last lane has let go of it.
+        if let Some(retained) = self.snapshots.snapshot(&feed_route, version) {
+            for (name, feed) in retained.iter() {
+                if let Ok((table, _)) = s.target.table_mut(name) {
+                    table.data.rows = feed.rows.clone();
+                }
+            }
+        }
+        if group.lanes.iter().all(|l| l.settled) {
+            group.snapshot = None;
+        }
         self.trace.record_with_context(
             self.trace.allocate_id(),
             "snapshot",
@@ -1527,7 +1545,7 @@ fn stage_ready(
 ) -> std::result::Result<(), String> {
     while let Some(feed) = lane.decoded.remove(&lane.next_stage_seq) {
         // The last lane to stage a shared batch takes it; earlier ones
-        // copy the rows their own table will own.
+        // take a handle on its rows.
         let feed = Arc::try_unwrap(feed).unwrap_or_else(|shared| (*shared).clone());
         let seq = lane.next_stage_seq;
         lane.next_stage_seq += 1;

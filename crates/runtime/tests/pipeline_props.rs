@@ -66,7 +66,7 @@ fn feed_strategy() -> impl Strategy<Value = Feed> {
                 })
                 .collect();
             let mut feed = Feed::new(FeedSchema::new("site", columns));
-            feed.rows = rows;
+            feed.rows = rows.into();
             feed
         })
 }
