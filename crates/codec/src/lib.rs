@@ -266,19 +266,21 @@ pub fn encode_feed_into(buf: &mut Vec<u8>, feed: &Feed) {
 /// checksummed region, so damaged context bytes fail the whole-frame
 /// checksum like any other corruption.
 pub fn encode_feed_with_context_into(buf: &mut Vec<u8>, feed: &Feed, ctx: Option<TraceContext>) {
-    encode_rows_with_context_into(buf, &feed.schema, &feed.rows, ctx);
+    buf.clear();
+    append_columnar_frame(buf, &feed.schema, &feed.rows, ctx);
 }
 
-/// The columnar encoder proper, over a schema and a slice of rows: a
-/// batch of a larger feed encodes from where its rows sit, without being
-/// copied into a feed of its own first.
-fn encode_rows_with_context_into(
+/// The columnar encoder proper: appends one frame to `buf`. A batch of a
+/// larger feed encodes from where its rows sit, without being copied
+/// into a feed of its own first, and the parts of a container land one
+/// after another in the buffer the message ships from.
+fn append_columnar_frame(
     buf: &mut Vec<u8>,
     schema: &FeedSchema,
     rows: &[Vec<Value>],
     ctx: Option<TraceContext>,
 ) {
-    buf.clear();
+    let frame_start = buf.len();
     match ctx {
         None => buf.extend_from_slice(COLUMNAR_MAGIC),
         Some(ctx) => {
@@ -385,7 +387,7 @@ fn encode_rows_with_context_into(
         }
     }
 
-    let sum = fnv64(buf);
+    let sum = fnv64(&buf[frame_start..]);
     buf.extend_from_slice(&sum.to_le_bytes());
 }
 
@@ -646,14 +648,23 @@ pub fn encode_rows_in_format_into(
     format: WireFormat,
     ctx: Option<TraceContext>,
 ) -> usize {
-    match format {
-        WireFormat::Xml => {
-            buf.clear();
-            buf.extend_from_slice(rows_to_wire(schema, rows).as_bytes());
-        }
-        WireFormat::Columnar => encode_rows_with_context_into(buf, schema, rows, ctx),
-    }
+    buf.clear();
+    append_frame(buf, schema, rows, format, ctx);
     buf.len()
+}
+
+/// Appends one feed frame in `format` to `buf`.
+fn append_frame(
+    buf: &mut Vec<u8>,
+    schema: &FeedSchema,
+    rows: &[Vec<Value>],
+    format: WireFormat,
+    ctx: Option<TraceContext>,
+) {
+    match format {
+        WireFormat::Xml => buf.extend_from_slice(rows_to_wire(schema, rows).as_bytes()),
+        WireFormat::Columnar => append_columnar_frame(buf, schema, rows, ctx),
+    }
 }
 
 /// Decodes a received body in whichever format it sniffs as — columnar
@@ -670,6 +681,9 @@ pub fn decode_any_ctx(body: &[u8]) -> Result<(Feed, Option<TraceContext>)> {
     if is_patch(body) {
         return Err(decode_err("body is a Patch frame, not a feed"));
     }
+    if is_container(body) {
+        return Err(decode_err("body is a multi-part container, not a feed"));
+    }
     if is_columnar(body) {
         decode_feed_ctx(body)
     } else {
@@ -677,6 +691,131 @@ pub fn decode_any_ctx(body: &[u8]) -> Result<(Feed, Option<TraceContext>)> {
             .map_err(|_| decode_err("feed body is neither columnar nor UTF-8 text"))?;
         Feed::from_wire(text).map(|feed| (feed, None))
     }
+}
+
+// ----------------------------------------------------------------------
+// Multi-part containers
+// ----------------------------------------------------------------------
+
+/// Body magic of a message carrying several feed frames; distinct in its
+/// first bytes from `XDXCOLF`, `XDXPATF` and `#feed` text, so one prefix
+/// check still routes every body kind.
+pub const CONTAINER_MAGIC: &[u8; 8] = b"XDXMULT1";
+
+/// True when `bytes` starts with the container magic.
+pub fn is_container(bytes: &[u8]) -> bool {
+    bytes.len() >= 8 && &bytes[..8] == CONTAINER_MAGIC
+}
+
+/// One feed frame of a message: a row range of a cross feed under the
+/// label that names it to the receiver.
+#[derive(Debug, Clone, Copy)]
+pub struct FeedPart<'a> {
+    /// The shipment label of the part (its region name).
+    pub label: &'a str,
+    /// The feed's schema.
+    pub schema: &'a FeedSchema,
+    /// The rows of this part.
+    pub rows: &'a [Vec<Value>],
+}
+
+/// Encodes `parts` as one message body into `buf` (clearing it first) and
+/// returns the bytes the parts' own frames take — `buf.len()` less the
+/// container header, which is framing like the envelope around it.
+///
+/// One part is that part's bare frame, byte for byte what
+/// [`encode_rows_in_format_into`] writes. Several parts are a container
+/// (all counts LEB128 varints):
+///
+/// ```text
+/// magic            8 bytes  "XDXMULT1"
+/// part count       varint
+/// per part         label (length-prefixed), frame length
+/// header checksum  8 bytes LE, FNV-64 of everything above
+/// frames           each part exactly as `encode_rows_in_format_into`
+///                  writes it, back to back, own `#sum`/checksum intact
+/// ```
+///
+/// One trace context per message: the first part's frame carries `ctx`
+/// (columnar only — XML text has it on the shipment label), the rest are
+/// context-free.
+pub fn encode_parts_into(
+    buf: &mut Vec<u8>,
+    parts: &[FeedPart<'_>],
+    format: WireFormat,
+    ctx: Option<TraceContext>,
+) -> usize {
+    if let [only] = parts {
+        return encode_rows_in_format_into(buf, only.schema, only.rows, format, ctx);
+    }
+    buf.clear();
+    let mut header = CONTAINER_MAGIC.to_vec();
+    put_varint(&mut header, parts.len() as u64);
+    for (i, part) in parts.iter().enumerate() {
+        let start = buf.len();
+        let ctx = if i == 0 { ctx } else { None };
+        append_frame(buf, part.schema, part.rows, format, ctx);
+        put_str(&mut header, part.label);
+        put_varint(&mut header, (buf.len() - start) as u64);
+    }
+    let sum = fnv64(&header);
+    header.extend_from_slice(&sum.to_le_bytes());
+    let frames = buf.len();
+    // The header is sized by what follows it: one move of the frames,
+    // against an encode that cost two orders more per byte.
+    buf.splice(0..0, header);
+    frames
+}
+
+/// The parts of a received message, in order, each under the label its
+/// container gave it.
+pub type DecodedParts = Vec<(Option<String>, Feed)>;
+
+/// Decodes a received message body into its parts, sniffing like
+/// [`decode_any_ctx`]: a container yields each part under its label, any
+/// other body is one bare frame (label `None` — the shipment names it).
+/// The trace context is the first a part carries. The container header
+/// is checksummed and every length is checked against the bytes that are
+/// there: the parts must tile the body exactly, so a truncated, padded
+/// or lying container is a decode error, and each part then passes its
+/// own format's integrity check.
+pub fn decode_parts_ctx(body: &[u8]) -> Result<(DecodedParts, Option<TraceContext>)> {
+    if !is_container(body) {
+        return decode_any_ctx(body).map(|(feed, ctx)| (vec![(None, feed)], ctx));
+    }
+    let mut r = Reader {
+        buf: body,
+        pos: CONTAINER_MAGIC.len(),
+    };
+    // Each part costs at least a label length and a frame length byte.
+    let count = r.count(2, "part")?;
+    let mut heads = Vec::with_capacity(count);
+    for _ in 0..count {
+        heads.push((r.string("part label")?, r.varint("part length")?));
+    }
+    let digest = fnv64(&body[..r.pos]);
+    if r.u64_le("container checksum")? != digest {
+        return Err(decode_err(
+            "checksum mismatch: container header corrupted in transit",
+        ));
+    }
+    let claimed = heads
+        .iter()
+        .try_fold(0u64, |sum, (_, len)| sum.checked_add(*len));
+    if claimed != Some(r.remaining() as u64) {
+        return Err(decode_err(format!(
+            "part lengths do not tile the {} body bytes",
+            r.remaining()
+        )));
+    }
+    let mut ctx = None;
+    let mut parts = Vec::with_capacity(count);
+    for (label, len) in heads {
+        let (feed, part_ctx) = decode_any_ctx(r.take(len as usize, "part frame")?)?;
+        ctx = ctx.or(part_ctx);
+        parts.push((Some(label), feed));
+    }
+    Ok((parts, ctx))
 }
 
 // ----------------------------------------------------------------------
@@ -1003,8 +1142,110 @@ mod tests {
                 schema: feed.schema.clone(),
                 rows: feed.rows[3..11].to_vec().into(),
             };
-            encode_rows_with_context_into(&mut frame, &feed.schema, &feed.rows[3..11], None);
+            frame.clear();
+            append_columnar_frame(&mut frame, &feed.schema, &feed.rows[3..11], None);
             assert_eq!(frame, encode_feed(&batch));
+        }
+    }
+
+    fn parts_of<'a>(feeds: &'a [(&'a str, Feed)]) -> Vec<FeedPart<'a>> {
+        feeds
+            .iter()
+            .map(|(label, feed)| FeedPart {
+                label,
+                schema: &feed.schema,
+                rows: &feed.rows,
+            })
+            .collect()
+    }
+
+    /// Length and FNV-64 of the container these two feeds packed to when
+    /// the format was introduced, per wire format and with a trace
+    /// context: a resumed session replays checkpointed containers, so
+    /// the layout is as pinned as a frame's.
+    #[test]
+    fn containers_are_byte_identical_to_the_recorded_ones() {
+        let ctx = Some(TraceContext {
+            trace_id: 7,
+            parent_span: 9,
+        });
+        let feeds = [("Order", sample_feed()), ("item", itemlike_feed())];
+        let parts = parts_of(&feeds);
+        let golden = [
+            (WireFormat::Columnar, None, (2261, 0x2187_2201_82ff_a94a)),
+            (WireFormat::Columnar, ctx, (2277, 0x4dcb_0768_5ad7_b76e)),
+            (WireFormat::Xml, ctx, (8855, 0xd601_8957_514f_1ae0)),
+        ];
+        let mut buf = Vec::new();
+        for (format, ctx, recorded) in golden {
+            let frames = encode_parts_into(&mut buf, &parts, format, ctx);
+            assert_eq!((buf.len(), fnv64(&buf)), recorded, "{format} {ctx:?}");
+            // The header is all a container adds: magic, count, two
+            // (label, length) pairs, checksum.
+            assert_eq!(buf.len() - frames, 8 + 1 + (6 + 2) + (5 + 2) + 8);
+            let (back, back_ctx) = decode_parts_ctx(&buf).unwrap();
+            assert_eq!(back_ctx, ctx.filter(|_| format == WireFormat::Columnar));
+            for ((label, feed), (sent, want)) in back.iter().zip(&feeds) {
+                assert_eq!((label.as_deref(), feed), (Some(*sent), want));
+            }
+        }
+        // The frames inside are the recorded single frames, untouched.
+        encode_parts_into(&mut buf, &parts, WireFormat::Columnar, None);
+        assert!(buf.ends_with(&encode_feed(&feeds[1].1)));
+        // One part is no container at all.
+        encode_parts_into(&mut buf, &parts[..1], WireFormat::Columnar, None);
+        assert_eq!(buf, encode_feed(&feeds[0].1));
+    }
+
+    #[test]
+    fn containers_reject_damage_and_lying_lengths() {
+        let feeds = [("Order", sample_feed()), ("item", itemlike_feed())];
+        let parts = parts_of(&feeds);
+        for format in [WireFormat::Xml, WireFormat::Columnar] {
+            let mut frame = Vec::new();
+            encode_parts_into(&mut frame, &parts, format, None);
+            for i in 0..frame.len() {
+                let mut damaged = frame.clone();
+                damaged[i] ^= 0x40;
+                assert!(
+                    decode_parts_ctx(&damaged).is_err(),
+                    "{format}: flip at byte {i} went undetected"
+                );
+            }
+            for len in 0..frame.len() {
+                assert!(
+                    decode_parts_ctx(&frame[..len]).is_err(),
+                    "{format}: truncated at {len}"
+                );
+            }
+            let mut padded = frame.clone();
+            padded.push(b'\n');
+            assert!(
+                decode_parts_ctx(&padded).is_err(),
+                "{format}: trailing byte"
+            );
+            // A container is not a feed, and does not nest.
+            assert!(decode_any(&frame).is_err());
+        }
+        // A header that moves a byte from one part to the next, with its
+        // checksum recomputed: the lengths still tile the body, and the
+        // parts' own integrity checks catch the lie.
+        let mut buf = Vec::new();
+        encode_parts_into(&mut buf, &parts, WireFormat::Columnar, None);
+        let first = encode_feed(&feeds[0].1).len() as u64;
+        let second = encode_feed(&feeds[1].1).len() as u64;
+        let body = buf.split_off(buf.len() - (first + second) as usize);
+        for (a, b) in [(first - 1, second + 1), (first, second - 1), (u64::MAX, 2)] {
+            let mut lying = CONTAINER_MAGIC.to_vec();
+            put_varint(&mut lying, 2);
+            put_str(&mut lying, "Order");
+            put_varint(&mut lying, a);
+            put_str(&mut lying, "item");
+            put_varint(&mut lying, b);
+            let sum = fnv64(&lying);
+            lying.extend_from_slice(&sum.to_le_bytes());
+            lying.extend_from_slice(&body);
+            assert!(decode_parts_ctx(&lying).is_err(), "lengths {a}, {b}");
         }
     }
 

@@ -3,13 +3,17 @@
 //! byte-exactly; any damage the chaos link's corruption model can inflict
 //! (seeded bursts of nonzero XOR masks), plus single-bit flips and
 //! truncations, must be rejected by the frame checksum, never silently
-//! decoded into a different feed.
+//! decoded into a different feed. The same holds one level up, for the
+//! container that carries several frames in one message: it round-trips
+//! its parts, a single part is the bare frame, and truncation, bit
+//! flips, lying lengths and trailing bytes are decode errors — never
+//! different parts.
 
 use proptest::prelude::*;
 use xdx_codec::{
-    decode_any, decode_any_ctx, decode_feed, encode_feed, encode_in_format_into,
-    encode_in_format_with_context_into, is_columnar, label_with_context, split_label_context,
-    TraceContext, WireFormat,
+    decode_any, decode_any_ctx, decode_feed, decode_parts_ctx, encode_feed, encode_in_format_into,
+    encode_in_format_with_context_into, encode_parts_into, is_columnar, is_container,
+    label_with_context, split_label_context, FeedPart, TraceContext, WireFormat, CONTAINER_MAGIC,
 };
 use xdx_net::{Delivery, FaultProfile, Link, NetworkProfile};
 use xdx_relational::{ColRole, Dewey, Feed, FeedColumn, FeedSchema, Value};
@@ -83,8 +87,175 @@ fn build_feed(ncols: usize, roles: &[u8], rows: Vec<Vec<Value>>) -> Feed {
     feed
 }
 
+/// Two to four feeds for one container. Arity ≥ 1 when `xml`: the text
+/// format cannot represent zero-arity rows.
+fn feeds_strategy(xml: bool) -> impl Strategy<Value = Vec<Feed>> {
+    proptest::collection::vec(
+        (
+            usize::from(xml)..=MAX_ARITY,
+            roles_strategy(),
+            rows_strategy(),
+        ),
+        2..5,
+    )
+    .prop_map(|feeds| {
+        feeds
+            .into_iter()
+            .map(|(ncols, roles, rows)| build_feed(ncols, &roles, rows))
+            .collect()
+    })
+}
+
+/// Encodes `feeds` as one message body under labels `part-0`, `part-1`…;
+/// returns the body and the length of its container header.
+fn container_of(feeds: &[Feed], format: WireFormat) -> (Vec<u8>, usize) {
+    let labels: Vec<String> = (0..feeds.len()).map(|i| format!("part-{i}")).collect();
+    let parts: Vec<FeedPart<'_>> = feeds
+        .iter()
+        .zip(&labels)
+        .map(|(feed, label)| FeedPart {
+            label,
+            schema: &feed.schema,
+            rows: &feed.rows,
+        })
+        .collect();
+    let mut buf = Vec::new();
+    let frames = encode_parts_into(&mut buf, &parts, format, None);
+    let header = buf.len() - frames;
+    (buf, header)
+}
+
+fn format_of(xml: bool) -> WireFormat {
+    if xml {
+        WireFormat::Xml
+    } else {
+        WireFormat::Columnar
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn containers_roundtrip_their_parts(
+        columnar in feeds_strategy(false),
+        text in feeds_strategy(true),
+        trace_id in any::<u64>(),
+    ) {
+        // Empty feeds and (columnar) zero-arity feeds are parts like any
+        // other; each part's frame sits in the container exactly as the
+        // single-feed encoder writes it.
+        for (feeds, format) in [(&columnar, WireFormat::Columnar), (&text, WireFormat::Xml)] {
+            let (body, header) = container_of(feeds, format);
+            prop_assert!(is_container(&body));
+            let mut at = header;
+            let mut frame = Vec::new();
+            for feed in feeds {
+                encode_in_format_into(&mut frame, feed, format);
+                prop_assert_eq!(&body[at..at + frame.len()], &frame[..]);
+                at += frame.len();
+            }
+            prop_assert_eq!(at, body.len());
+            let (parts, ctx) = decode_parts_ctx(&body).expect("intact container decodes");
+            prop_assert!(ctx.is_none());
+            prop_assert_eq!(parts.len(), feeds.len());
+            for (i, ((label, back), feed)) in parts.iter().zip(feeds).enumerate() {
+                prop_assert_eq!(label.as_deref(), Some(format!("part-{i}").as_str()));
+                prop_assert_eq!(back, feed);
+            }
+            // A container is not a feed.
+            prop_assert!(decode_any(&body).is_err());
+        }
+        // One context per message: it rides the first columnar part.
+        let ctx = TraceContext { trace_id, parent_span: 1 };
+        let parts: Vec<FeedPart<'_>> = columnar
+            .iter()
+            .map(|f| FeedPart { label: "p", schema: &f.schema, rows: &f.rows })
+            .collect();
+        let mut plain = Vec::new();
+        let mut traced = Vec::new();
+        let plain_frames = encode_parts_into(&mut plain, &parts, WireFormat::Columnar, None);
+        let traced_frames = encode_parts_into(&mut traced, &parts, WireFormat::Columnar, Some(ctx));
+        prop_assert_eq!(traced_frames, plain_frames + 16);
+        prop_assert_eq!(decode_parts_ctx(&traced).expect("traced container").1, Some(ctx));
+    }
+
+    #[test]
+    fn a_single_part_is_the_bare_frame(
+        ncols in 1usize..=MAX_ARITY,
+        roles in roles_strategy(),
+        rows in rows_strategy(),
+        xml in any::<bool>(),
+    ) {
+        // A message of one part is byte for byte what the single-feed
+        // encoder writes, and the sniffing decoder hands it back as one
+        // unlabelled part.
+        let feed = build_feed(ncols, &roles, rows);
+        let format = format_of(xml);
+        let part = FeedPart { label: "only", schema: &feed.schema, rows: &feed.rows };
+        let mut body = Vec::new();
+        let frames = encode_parts_into(&mut body, &[part], format, None);
+        let mut frame = Vec::new();
+        encode_in_format_into(&mut frame, &feed, format);
+        prop_assert_eq!(&body, &frame);
+        prop_assert_eq!(frames, frame.len());
+        prop_assert!(!is_container(&body));
+        let (parts, _) = decode_parts_ctx(&body).expect("bare frame decodes");
+        prop_assert_eq!(parts, vec![(None, feed)]);
+    }
+
+    #[test]
+    fn damaged_containers_are_always_rejected(
+        columnar in feeds_strategy(false),
+        text in feeds_strategy(true),
+        pos in 0usize..1_000_000,
+        cut in 1usize..600,
+        extra in proptest::collection::vec(any::<u8>(), 1..9),
+    ) {
+        for (feeds, format) in [(&columnar, WireFormat::Columnar), (&text, WireFormat::Xml)] {
+            let (body, header) = container_of(feeds, format);
+            // Any single bit, anywhere: header bits fail the header's
+            // checksum, frame bits fail the frame's own. A text frame's
+            // `#sum` line reads its hex digits in either case and ends at
+            // any whitespace, so a flip there can leave the frame valid
+            // — and then it decodes to exactly the parts that were sent.
+            let bit = pos % (body.len() * 8);
+            let mut damaged = body.clone();
+            damaged[bit / 8] ^= 1 << (bit % 8);
+            if let Ok((parts, _)) = decode_parts_ctx(&damaged) {
+                prop_assert!(format == WireFormat::Xml, "columnar bit {} went undetected", bit);
+                prop_assert_eq!(parts, decode_parts_ctx(&body).expect("intact").0);
+            }
+            // Truncated anywhere, or followed by anything.
+            let cut = cut.min(body.len());
+            prop_assert!(decode_parts_ctx(&body[..body.len() - cut]).is_err());
+            let mut padded = body.clone();
+            padded.extend_from_slice(&extra);
+            prop_assert!(decode_parts_ctx(&padded).is_err());
+            // Lying lengths under a valid checksum: the header of a
+            // container whose first part lost its last row, over these
+            // frames. (A zero-arity row takes no bytes: same header.)
+            let mut shorter = feeds.clone();
+            shorter[0].rows.pop();
+            let (other, other_header) = container_of(&shorter, format);
+            if other[..other_header] != body[..header] {
+                let mut lying = other[..other_header].to_vec();
+                lying.extend_from_slice(&body[header..]);
+                prop_assert!(decode_parts_ctx(&lying).is_err());
+            }
+        }
+    }
+
+    #[test]
+    fn the_parts_decoder_never_panics_on_arbitrary_bytes(
+        bytes in proptest::collection::vec(any::<u8>(), 0..300),
+    ) {
+        let _ = decode_parts_ctx(&bytes);
+        // Past the sniff: arbitrary bytes behind the container magic.
+        let mut behind_magic = CONTAINER_MAGIC.to_vec();
+        behind_magic.extend_from_slice(&bytes);
+        let _ = decode_parts_ctx(&behind_magic);
+    }
 
     #[test]
     fn arbitrary_feeds_roundtrip_byte_exactly(

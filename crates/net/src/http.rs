@@ -44,6 +44,68 @@ pub struct Response {
     pub body: Vec<u8>,
 }
 
+/// An HTTP request parsed in place: every field borrows the received
+/// bytes, so the receiver of a shipped message reads its head and hands
+/// the body to the decoder without copying either.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RequestRef<'a> {
+    /// Method (`POST` for SOAP calls).
+    pub method: &'a str,
+    /// Request path.
+    pub path: &'a str,
+    /// Header name/value pairs in order.
+    pub headers: Vec<(&'a str, &'a str)>,
+    /// Body bytes.
+    pub body: &'a [u8],
+}
+
+impl<'a> RequestRef<'a> {
+    /// Parses wire bytes; accepts and rejects exactly what
+    /// [`Request::parse`] does.
+    pub fn parse(bytes: &'a [u8]) -> Result<RequestRef<'a>, HttpError> {
+        let (start, headers, body) = parse_message(bytes)?;
+        let mut parts = start.split(' ');
+        let method = parts
+            .next()
+            .ok_or_else(|| HttpError("missing method".into()))?;
+        let path = parts
+            .next()
+            .ok_or_else(|| HttpError("missing path".into()))?;
+        let version = parts
+            .next()
+            .ok_or_else(|| HttpError("missing version".into()))?;
+        if !version.starts_with("HTTP/1.") {
+            return Err(HttpError(format!("unsupported version {version}")));
+        }
+        Ok(RequestRef {
+            method,
+            path,
+            headers,
+            body,
+        })
+    }
+
+    /// First header value with the given (case-insensitive) name.
+    pub fn header(&self, name: &str) -> Option<&str> {
+        header_of(&self.headers, name)
+    }
+}
+
+/// The wire bytes of [`Request::soap_post`], written head then body into
+/// one buffer: `body` is copied once, where building the owned request
+/// and serializing it copies it twice.
+pub fn soap_post_bytes(path: &str, soap_action: &str, body: &[u8]) -> Vec<u8> {
+    let head = format!(
+        "POST {path} HTTP/1.1\r\nContent-Type: text/xml; charset=utf-8\r\n\
+         SOAPAction: \"{soap_action}\"\r\nContent-Length: {}\r\n\r\n",
+        body.len()
+    );
+    let mut out = Vec::with_capacity(head.len() + body.len());
+    out.extend_from_slice(head.as_bytes());
+    out.extend_from_slice(body);
+    out
+}
+
 impl Request {
     /// Builds a SOAP-style POST.
     pub fn soap_post(path: &str, soap_action: &str, body: Vec<u8>) -> Request {
@@ -72,27 +134,15 @@ impl Request {
         out
     }
 
-    /// Parses wire bytes.
+    /// Parses wire bytes into an owned request; [`RequestRef::parse`] is
+    /// the same parse without the copies.
     pub fn parse(bytes: &[u8]) -> Result<Request, HttpError> {
-        let (start, headers, body) = parse_message(bytes)?;
-        let mut parts = start.split(' ');
-        let method = parts
-            .next()
-            .ok_or_else(|| HttpError("missing method".into()))?;
-        let path = parts
-            .next()
-            .ok_or_else(|| HttpError("missing path".into()))?;
-        let version = parts
-            .next()
-            .ok_or_else(|| HttpError("missing version".into()))?;
-        if !version.starts_with("HTTP/1.") {
-            return Err(HttpError(format!("unsupported version {version}")));
-        }
+        let parsed = RequestRef::parse(bytes)?;
         Ok(Request {
-            method: method.into(),
-            path: path.into(),
-            headers,
-            body,
+            method: parsed.method.into(),
+            path: parsed.path.into(),
+            headers: owned_headers(&parsed.headers),
+            body: parsed.body.to_vec(),
         })
     }
 }
@@ -155,17 +205,24 @@ impl Response {
         Ok(Response {
             status,
             reason,
-            headers,
-            body,
+            headers: owned_headers(&headers),
+            body: body.to_vec(),
         })
     }
 }
 
-fn header_of<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
+fn header_of<'a, S: AsRef<str>>(headers: &'a [(S, S)], name: &str) -> Option<&'a str> {
     headers
         .iter()
-        .find(|(n, _)| n.eq_ignore_ascii_case(name))
-        .map(|(_, v)| v.as_str())
+        .find(|(n, _)| n.as_ref().eq_ignore_ascii_case(name))
+        .map(|(_, v)| v.as_ref())
+}
+
+fn owned_headers(headers: &[(&str, &str)]) -> Vec<(String, String)> {
+    headers
+        .iter()
+        .map(|(n, v)| (n.to_string(), v.to_string()))
+        .collect()
 }
 
 fn write_headers(out: &mut Vec<u8>, headers: &[(String, String)], body_len: usize) {
@@ -182,16 +239,16 @@ fn write_headers(out: &mut Vec<u8>, headers: &[(String, String)], body_len: usiz
     out.extend_from_slice(b"\r\n");
 }
 
+/// Splits a message into start line, headers and body, all borrowed.
 #[allow(clippy::type_complexity)]
-fn parse_message(bytes: &[u8]) -> Result<(String, Vec<(String, String)>, Vec<u8>), HttpError> {
+fn parse_message(bytes: &[u8]) -> Result<(&str, Vec<(&str, &str)>, &[u8]), HttpError> {
     let split = find_header_end(bytes).ok_or_else(|| HttpError("no header terminator".into()))?;
     let head =
         std::str::from_utf8(&bytes[..split]).map_err(|_| HttpError("non-utf8 headers".into()))?;
     let mut lines = head.split("\r\n");
     let start = lines
         .next()
-        .ok_or_else(|| HttpError("empty message".into()))?
-        .to_string();
+        .ok_or_else(|| HttpError("empty message".into()))?;
     let mut headers = Vec::new();
     for line in lines {
         if line.is_empty() {
@@ -200,10 +257,10 @@ fn parse_message(bytes: &[u8]) -> Result<(String, Vec<(String, String)>, Vec<u8>
         let (n, v) = line
             .split_once(':')
             .ok_or_else(|| HttpError(format!("bad header {line:?}")))?;
-        headers.push((n.trim().to_string(), v.trim().to_string()));
+        headers.push((n.trim(), v.trim()));
     }
     let body_start = split + 4;
-    let body = bytes[body_start..].to_vec();
+    let body = &bytes[body_start..];
     if let Some(len) = header_of(&headers, "content-length") {
         let expected: usize = len
             .parse()
@@ -260,6 +317,57 @@ mod tests {
         assert!(Request::parse(b"not http").is_err());
         assert!(Response::parse(b"HTTP/1.1 abc OK\r\n\r\n").is_err());
         assert!(Request::parse(b"GET / SPDY/9\r\n\r\n").is_err());
+    }
+
+    #[test]
+    fn head_then_body_writes_the_owned_request_bytes() {
+        let bodies: [&[u8]; 3] = [b"", b"<x/>", &[0, 255, 13, 10, 13, 10, 7]];
+        for body in bodies {
+            for action in [
+                "ITEM",
+                "feed ITEM ctx=0123456789abcdef:0000000000000009",
+                "",
+            ] {
+                assert_eq!(
+                    soap_post_bytes("/exchange", action, body),
+                    Request::soap_post("/exchange", action, body.to_vec()).to_bytes()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn borrowed_parse_accepts_and_rejects_what_the_owned_parse_does() {
+        let good = soap_post_bytes("/exchange", "ITEM", b"\r\n\r\nbody with a blank line");
+        let mut short = good.clone();
+        short.pop();
+        let mut long = good.clone();
+        long.push(b'!');
+        let cases: [&[u8]; 8] = [
+            &good,
+            &short,
+            &long,
+            b"not http",
+            b"GET / SPDY/9\r\n\r\n",
+            b"POST /\r\n\r\n",
+            b"POST / HTTP/1.1\r\nContent-Length: x\r\n\r\n",
+            b"POST / HTTP/1.1\r\nno colon\r\n\r\n",
+        ];
+        for bytes in cases {
+            match (RequestRef::parse(bytes), Request::parse(bytes)) {
+                (Ok(borrowed), Ok(owned)) => {
+                    assert_eq!(borrowed.method, owned.method);
+                    assert_eq!(borrowed.path, owned.path);
+                    assert_eq!(borrowed.body, owned.body);
+                    assert_eq!(borrowed.header("soapaction"), owned.header("SOAPAction"));
+                    assert_eq!(borrowed.headers.len(), owned.headers.len());
+                }
+                (Err(borrowed), Err(owned)) => assert_eq!(borrowed, owned),
+                (borrowed, owned) => panic!("parses disagree: {borrowed:?} vs {owned:?}"),
+            }
+        }
+        assert!(RequestRef::parse(&good).is_ok());
+        assert!(RequestRef::parse(&short).is_err() && RequestRef::parse(&long).is_err());
     }
 
     #[test]

@@ -63,17 +63,19 @@ pub struct RuntimeConfig {
     /// source database, so this bound is what keeps failure storms from
     /// growing RSS).
     pub max_resumables: usize,
-    /// Rows per streamed operator batch: the source phase streams
-    /// Dewey-sorted batches through the shipping engine while the worker
-    /// moves on to other runnable work, and the target stages each batch
-    /// as it lands. Feeds smaller than one batch ship as a single
-    /// message, so small exchanges keep their one-message-per-cross-edge
-    /// shape.
+    /// Rows per streamed operator batch, and the row budget of one
+    /// message: the source phase splits each cross feed into
+    /// Dewey-sorted batches of at most this many rows and packs
+    /// consecutive batches into one message while their rows fit it, so
+    /// a large feed streams as full batches through the shipping engine
+    /// while the worker moves on to other runnable work (the target
+    /// stages each as it lands), and an exchange smaller than one batch
+    /// is a single message however many cross edges it has.
     pub batch_rows: usize,
-    /// Batches of one session allowed in flight at once — the bound of
-    /// the per-session batch channel between encoder and engine. Frame
-    /// `k+1` is encoded while frame `k` is on the wire; depth caps how
-    /// far the encoder may run ahead of the slowest link.
+    /// Messages of one session allowed in flight at once — the bound of
+    /// the per-session channel between encoder and engine. Frame `k+1`
+    /// is encoded while frame `k` is on the wire; depth caps how far the
+    /// encoder may run ahead of the slowest link.
     pub pipeline_depth: usize,
     /// Exchanges (sessions and publish groups) each worker may hold in
     /// flight beyond the one it is actively driving. The pool keeps at

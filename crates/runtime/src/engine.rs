@@ -122,8 +122,8 @@ pub(crate) struct ShipRequest {
     pub session: Arc<SessionShared>,
     pub slot: Arc<LinkSlot>,
     /// Ledger shipment sequence number. Deterministic across attempts
-    /// (port order × batch index), so a resume maps onto the same
-    /// checkpoints.
+    /// (the ring slot: batches in port order, packed under the row
+    /// budget), so a resume maps onto the same checkpoints.
     pub seq: u64,
     pub label: String,
     /// The serialized message, refcounted: a 1→N publish submits the
@@ -836,7 +836,7 @@ mod tests {
         assert!(landed > 0 && landed < total, "partial landing: {landed}");
         assert_eq!(eng.ledger.checkpointed_chunks(session.id), landed as usize);
         assert_eq!(
-            eng.ledger.stored_message(session.id, 0).unwrap(),
+            *eng.ledger.stored_message(session.id, 0).unwrap(),
             message,
             "the failed run persisted the assembled message"
         );

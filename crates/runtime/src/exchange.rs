@@ -13,6 +13,11 @@
 //! patch is one pre-encoded frame in ring slot 0 whose absorb step is
 //! decode → staleness check → `stage_patch`, with the fallback ladder
 //! re-entering the feed-batch path at the next seq.
+//!
+//! A ring slot is a *row budget*, not a port: consecutive batches of
+//! the cross feeds share one message while their rows fit
+//! `RuntimeConfig::batch_rows` ([`SlotPacker`]), so an exchange pays
+//! for the bytes it ships, not for the edges it crosses (DESIGN §21).
 
 use crate::breaker::BreakerTransition;
 use crate::cache::CachedPlan;
@@ -30,8 +35,8 @@ use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use xdx_codec::{
-    decode_any_ctx, decode_patch_ctx, encode_patch_with_context_into, encode_rows_in_format_into,
-    is_patch, label_with_context, split_label_context, TraceContext,
+    decode_parts_ctx, decode_patch_ctx, encode_parts_into, encode_patch_with_context_into,
+    is_patch, label_with_context, split_label_context, FeedPart, TraceContext,
 };
 use xdx_core::exec::{
     batch_ranges, commit_and_index, cross_ports_in_consumer_order, direct_write_tables,
@@ -41,7 +46,7 @@ use xdx_core::exec::{
 use xdx_core::program::PortRef;
 use xdx_core::{Location, Program, WireFormat, PATCH_STEP_FACTOR};
 use xdx_delta::{db_tables, diff_snapshots, Snapshot};
-use xdx_net::http::Request;
+use xdx_net::http::{soap_post_bytes, RequestRef};
 use xdx_relational::{stage_patch, Counters, Database, Feed};
 use xdx_trace::{SpanId, NO_SPAN};
 
@@ -70,7 +75,7 @@ fn wire_context(shared: &SessionShared, parent_span: SpanId) -> Option<TraceCont
 /// Trace context off a received SOAP request's `SOAPAction` header (the
 /// label channel XML-text shipments use; the header value is quoted on
 /// the wire).
-fn soap_action_context(request: &Request) -> Option<TraceContext> {
+fn soap_action_context(request: &RequestRef<'_>) -> Option<TraceContext> {
     split_label_context(request.header("SOAPAction")?.trim_matches('"')).1
 }
 
@@ -81,25 +86,100 @@ pub(crate) fn route_key(src_ep: &str, dst_ep: &str, src_frag: &str, dst_frag: &s
     format!("{src_ep}→{dst_ep}:{src_frag}→{dst_frag}")
 }
 
-/// One slot of a group's frame ring: an operator batch (or the delta
-/// patch) on its way to every lane of the group. The ring index *is*
-/// the ledger shipment seq — cross ports in first-consumer order ×
-/// batch index, after the patch if one shipped — so the same seq names
-/// the same bytes across failure and resume.
-struct Slot {
+/// Packs consecutive batches into ring slots under a row budget: a
+/// batch joins the open slot while the slot's rows stay within the
+/// budget, and a batch that does not fit seals the slot and opens the
+/// next. Which batches share a slot is therefore a function of the
+/// batch row counts and the budget alone — never of when a feed was
+/// produced or how far the wire had got — which is what lets one seq
+/// name the same bytes across failure, resume and two runs of one seed.
+#[derive(Debug)]
+pub struct SlotPacker<T> {
+    budget: usize,
+    open: Vec<T>,
+    open_rows: usize,
+}
+
+impl<T> SlotPacker<T> {
+    /// A packer of slots holding at most `batch_rows` rows (at least
+    /// one), or one batch.
+    pub fn new(batch_rows: usize) -> SlotPacker<T> {
+        SlotPacker {
+            budget: batch_rows.max(1),
+            open: Vec::new(),
+            open_rows: 0,
+        }
+    }
+
+    /// Adds the next batch, of `rows` rows. Returns the slot it sealed,
+    /// if it did not fit the open one.
+    pub fn push(&mut self, rows: usize, batch: T) -> Option<Vec<T>> {
+        let sealed = if !self.open.is_empty() && self.open_rows + rows > self.budget {
+            self.open_rows = 0;
+            Some(std::mem::take(&mut self.open))
+        } else {
+            None
+        };
+        self.open.push(batch);
+        self.open_rows += rows;
+        sealed
+    }
+
+    /// No batch follows: the open slot, sealed, if it holds any.
+    pub fn finish(self) -> Option<Vec<T>> {
+        (!self.open.is_empty()).then_some(self.open)
+    }
+}
+
+/// One part of a ring slot: a batch — a row range of one cross feed.
+struct Part {
+    /// The cross port's region name: the part's label in a container,
+    /// the shipment label of a slot it has to itself.
     label: String,
-    /// The producing cross port; `None` for the delta patch.
-    port: Option<PortRef>,
+    port: PortRef,
     /// The cross feed this batch is a row range of — shared by the
-    /// port's slots, never copied — until the first lane to need the
-    /// batch encodes it.
+    /// port's parts, never copied — until the first lane to need the
+    /// slot encodes it.
     feed: Option<Arc<Feed>>,
     rows: Range<usize>,
+}
+
+/// One slot of a group's frame ring: one message — the delta patch, or
+/// the batches packed under one row budget — on its way to every lane
+/// of the group. The ring index *is* the ledger shipment seq: slots
+/// seal in batch order (cross ports in first-consumer order, each feed's
+/// batches in row order, after the patch if one shipped), so the same
+/// seq names the same bytes across failure and resume.
+struct Slot {
+    /// The shipment label: the part's own when it has the slot to
+    /// itself, the first part's and a count of the rest otherwise.
+    label: String,
+    /// The batches this message carries, in order; none for the delta
+    /// patch.
+    parts: Vec<Part>,
     /// The wire message, from its one encode until every live lane has
     /// submitted it — resident frames are bounded by the spread between
     /// the fastest and slowest lane.
     frame: Option<Arc<Vec<u8>>>,
 }
+
+impl Slot {
+    fn sealed(parts: Vec<Part>) -> Slot {
+        // A sealed slot holds at least one batch.
+        let label = match parts.len() {
+            1 => parts[0].label.clone(),
+            n => format!("{}+{}", parts[0].label, n - 1),
+        };
+        Slot {
+            label,
+            parts,
+            frame: None,
+        }
+    }
+}
+
+/// The feeds one delivered slot decoded to, in part order.
+type Decoded = Arc<Vec<Feed>>;
 
 /// A delta patch on the wire: what its absorb step needs to check the
 /// version precondition, stage the patch, and account for it.
@@ -135,7 +215,7 @@ pub(crate) struct Lane {
     inflight: usize,
     /// Next ring slot this lane submits.
     cursor: usize,
-    /// Batches fully absorbed (delivered or failed) — the lag metric the
+    /// Slots fully absorbed (delivered or failed) — the lag metric the
     /// cap compares against the group's fastest lane.
     completed: usize,
     /// True once a batch failed because the link defeated the shipping
@@ -144,9 +224,9 @@ pub(crate) struct Lane {
     /// First failure diagnostic; stops the lane's pump, and the lane
     /// settles once its in-flight batches drain.
     failure: Option<String>,
-    /// Decoded batches that arrived ahead of the staging cursor, shared
+    /// Decoded slots that arrived ahead of the staging cursor, shared
     /// with the group's other lanes until staged.
-    decoded: BTreeMap<u64, Arc<Feed>>,
+    decoded: BTreeMap<u64, Decoded>,
     /// Next shipment seq to stage — batches apply in order even when
     /// the wire completes them out of order.
     next_stage_seq: u64,
@@ -226,9 +306,9 @@ pub(crate) struct Group {
     lanes: Vec<Lane>,
     /// Decode-once cache: lanes receive byte-identical frames (the
     /// engine checksums end to end), so the first absorber parses and
-    /// later lanes share the feed. An entry lives while some live lane
+    /// later lanes share the feeds. An entry lives while some live lane
     /// has yet to absorb its seq.
-    decoded: HashMap<u64, Arc<Feed>>,
+    decoded: HashMap<u64, Decoded>,
     /// Snapshot-once cache, same argument: the first lane to commit
     /// snapshots its tables and the rest record the same `Arc`.
     snapshot: Option<Snapshot>,
@@ -529,7 +609,9 @@ impl Inner {
         // stored shipment 0 that is not a patch is a feed batch of a run
         // that chose the full ship — which this run will choose again).
         let stored = self.ledger.stored_message(id, 0);
-        let bytes = stored.filter(|m| is_patch(m)).unwrap_or(bytes);
+        let bytes = stored
+            .filter(|m| is_patch(m))
+            .unwrap_or_else(|| Arc::new(bytes));
         let patch_cost = self.config.w_comm * bytes.len() as f64
             + PATCH_STEP_FACTOR * steps as f64 / request.target_profile.speed;
         let full_cost = self.config.w_comm * group.plan.comm_bytes as f64;
@@ -554,10 +636,8 @@ impl Inner {
         });
         group.ring.push(Slot {
             label: "delta-patch".into(),
-            port: None,
-            feed: None,
-            rows: 0..0,
-            frame: Some(Arc::new(bytes)),
+            parts: Vec::new(),
+            frame: Some(bytes),
         });
         false
     }
@@ -654,10 +734,14 @@ impl Inner {
     /// Runs a group's source half on this worker, streaming each
     /// cross-edge feed onto the ring *the moment its producing operator
     /// completes* — frame `k` rides the wire while later source
-    /// operators still compute. Batches number on from whatever the
-    /// ring already holds (a rejected patch holds seq 0). A source
-    /// failure fails every lane of the group; batches already on the
-    /// wire drain before they settle.
+    /// operators still compute. Slots number on from whatever the ring
+    /// already holds (a rejected patch holds seq 0), and only sealed
+    /// slots are on the ring: the open tail waits for the batch that
+    /// does not fit it, or for the source phase to end. A source
+    /// failure fails every lane of the group and ships no further slot
+    /// — the open tail least of all, a successful run would have packed
+    /// more into it; slots already on the wire drain before the lanes
+    /// settle.
     fn run_source(&self, arc: &Arc<Inner>, ex: &mut Exchange, gi: usize) {
         let Exchange {
             id,
@@ -670,19 +754,23 @@ impl Inner {
         let group = &mut groups[gi];
         let plan = Arc::clone(&group.plan);
         // Cross ports in first-consumer order, each feed split into
-        // batches in Dewey order: overlapping the wire with the source
-        // phase changes *when* a frame ships, never its seq or bytes.
+        // batches in Dewey order, consecutive batches packed under the
+        // row budget: overlapping the wire with the source phase changes
+        // *when* a frame ships, never its seq or bytes.
         let cross = cross_ports_in_consumer_order(&self.schema, &plan.program);
         let batch_rows = self.config.batch_rows;
-        let queue = |ring: &mut Vec<Slot>, c: &CrossPort, feed: Feed| {
+        let mut packer = SlotPacker::new(batch_rows);
+        let mut queue = |ring: &mut Vec<Slot>, c: &CrossPort, feed: Feed| {
             let feed = Arc::new(feed);
-            ring.extend(batch_ranges(feed.len(), batch_rows).map(|rows| Slot {
-                label: c.label.clone(),
-                port: Some(c.port),
-                feed: Some(Arc::clone(&feed)),
-                rows,
-                frame: None,
-            }));
+            for rows in batch_ranges(feed.len(), batch_rows) {
+                let part = Part {
+                    label: c.label.clone(),
+                    port: c.port,
+                    feed: Some(Arc::clone(&feed)),
+                    rows,
+                };
+                ring.extend(packer.push(part.rows.len(), part).map(Slot::sealed));
+            }
         };
         // Cross feeds whose producer ran ahead of an earlier port's, and
         // the count of leading cross ports already on the ring.
@@ -719,6 +807,9 @@ impl Inner {
                 // Every producer ran, so the prefix rule left nothing
                 // behind — unless a cross port never got a feed.
                 let unfed = cross.get(streamed);
+                if unfed.is_none() {
+                    group.ring.extend(packer.finish().map(Slot::sealed));
+                }
                 unfed.map(|c| format!("missing feed for port {:?}", c.port))
             }
             Err(e) => Some(e.to_string()),
@@ -823,7 +914,7 @@ impl Inner {
     }
 
     /// Keeps every live lane's submission window full from the ring: up
-    /// to `pipeline_depth` batches in flight per lane, so frame `k+1` is
+    /// to `pipeline_depth` slots in flight per lane, so frame `k+1` is
     /// encoded while frame `k` rides the wire. Then enforces the lag cap
     /// and releases the frames every live lane has moved past.
     fn pump(
@@ -851,7 +942,7 @@ impl Inner {
                 // exact bytes the failed run built; only a ledger miss
                 // takes the ring's frame.
                 let message = match self.ledger.stored_message(lane_id, seq as u64) {
-                    Some(stored) => Arc::new(stored),
+                    Some(stored) => stored,
                     None => self.frame(group, li, seq),
                 };
                 let lane = &mut group.lanes[li];
@@ -906,7 +997,9 @@ impl Inner {
         let live = group.lanes.iter().filter(|l| l.live());
         let floor = live.map(|l| l.cursor).min().unwrap_or(group.ring.len());
         for slot in group.ring.iter_mut().take(floor).skip(group.floor) {
-            slot.feed = None;
+            for part in &mut slot.parts {
+                part.feed = None;
+            }
             slot.frame = None;
         }
         group.floor = group.floor.max(floor);
@@ -916,8 +1009,12 @@ impl Inner {
 
     /// The wire message of ring slot `seq`, encoded by the first lane to
     /// need it: encode → tally → `encode` span → SOAP-wrap with the
-    /// context label. A sole lane bills the encode to its own metrics; a
-    /// shared ring bills the group, once, however many lanes ship it.
+    /// context label. A slot of one part is that part's bare frame, a
+    /// slot of several is one container around them. A sole lane bills
+    /// the encode to its own metrics; a shared ring bills the group,
+    /// once, however many lanes ship it. The bill is one message and the
+    /// bytes of its parts' frames: a container's header is framing, paid
+    /// on the wire like the envelope.
     fn frame(&self, group: &mut Group, li: usize, seq: usize) -> Arc<Vec<u8>> {
         let lanes = group.lanes.len();
         let slot = &mut group.ring[seq];
@@ -925,19 +1022,31 @@ impl Inner {
             group.shared_reuse += u64::from(lanes > 1);
             return Arc::clone(frame);
         }
-        let feed = slot.feed.take().expect("an unencoded slot holds its batch");
         let start = Instant::now();
+        let parts: Vec<FeedPart<'_>> = slot
+            .parts
+            .iter()
+            .map(|part| {
+                let feed = part
+                    .feed
+                    .as_ref()
+                    .expect("an unencoded slot holds its batches");
+                FeedPart {
+                    label: &part.label,
+                    schema: &feed.schema,
+                    rows: &feed.rows[part.rows.clone()],
+                }
+            })
+            .collect();
         // Trace context rides the shipment: columnar frames carry it in
         // their header extension, XML text in the SOAPAction label —
         // either way every receiver stitches its decode/stage spans
         // under the group's exec span.
-        let len = encode_rows_in_format_into(
-            &mut group.encode_buf,
-            &feed.schema,
-            &feed.rows[slot.rows.clone()],
-            group.wire_format,
-            group.ctx,
-        );
+        let len = encode_parts_into(&mut group.encode_buf, &parts, group.wire_format, group.ctx);
+        drop(parts);
+        for part in &mut slot.parts {
+            part.feed = None;
+        }
         let ns = start.elapsed().as_nanos() as u64;
         let session = group.lanes[li].shared.id;
         let first = &mut group.lanes[0];
@@ -967,9 +1076,7 @@ impl Inner {
             (WireFormat::Xml, Some(ctx)) => label_with_context(&slot.label, ctx),
             _ => slot.label.clone(),
         };
-        let frame = Arc::new(
-            Request::soap_post("/exchange", &soap_label, group.encode_buf.clone()).to_bytes(),
-        );
+        let frame = Arc::new(soap_post_bytes("/exchange", &soap_label, &group.encode_buf));
         slot.frame = Some(Arc::clone(&frame));
         frame
     }
@@ -1006,8 +1113,8 @@ impl Inner {
         }
         // Decode what actually arrived — link damage surfaces as an
         // explicit error here.
-        let feed = match self.decode_once(group, li, result.seq, &delivered) {
-            Ok(feed) => feed,
+        let feeds = match self.decode_once(group, li, result.seq, &delivered) {
+            Ok(feeds) => feeds,
             Err(e) => {
                 group.lanes[li]
                     .failure
@@ -1016,8 +1123,8 @@ impl Inner {
             }
         };
         let lane = &mut group.lanes[li];
-        lane.decoded.insert(result.seq, feed);
-        // Before staging: the last taker of a shared batch must find
+        lane.decoded.insert(result.seq, feeds);
+        // Before staging: the last taker of a shared slot must find
         // itself its sole owner to stage it by move.
         group.release_decoded();
         let lane = &mut group.lanes[li];
@@ -1041,27 +1148,41 @@ impl Inner {
         }
     }
 
-    /// Parses a delivered batch — once per group: every lane receives
+    /// Parses a delivered slot — once per group: every lane receives
     /// byte-identical frames, so the first absorber decodes (its `decode`
     /// span stitches under the trace context the frame, or the
     /// SOAPAction label for XML text, carries) and later lanes share the
-    /// feed's rows: a lane whose table is still empty adopts the row set
+    /// feeds' rows: a lane whose table is still empty adopts the row set
     /// as it is, one that already staged a batch appends (copying what
-    /// it shares). The decode bill, like the encode bill, is per
-    /// *frame*.
+    /// it shares). The parts that arrived must be the parts the slot
+    /// sent, label for label. The decode bill, like the encode bill, is
+    /// per *frame*.
     fn decode_once(
         &self,
         group: &mut Group,
         li: usize,
         seq: u64,
         delivered: &[u8],
-    ) -> std::result::Result<Arc<Feed>, String> {
+    ) -> std::result::Result<Decoded, String> {
         if let Some(cached) = group.decoded.get(&seq) {
             return Ok(Arc::clone(cached));
         }
         let decode_started = Instant::now();
-        let arrived = Request::parse(delivered).map_err(|e| e.to_string())?;
-        let (feed, ctx) = decode_any_ctx(&arrived.body).map_err(|e| e.to_string())?;
+        let arrived = RequestRef::parse(delivered).map_err(|e| e.to_string())?;
+        let (parts, ctx) = decode_parts_ctx(arrived.body).map_err(|e| e.to_string())?;
+        let sent = group.ring.get(seq as usize).map_or(&[][..], |s| &s.parts);
+        let as_sent = parts.len() == sent.len()
+            && parts
+                .iter()
+                .zip(sent)
+                .all(|((label, _), part)| label.as_ref().is_none_or(|l| *l == part.label));
+        if !as_sent {
+            return Err(format!(
+                "{} part(s) arrived, not the {} shipment {seq} sent",
+                parts.len(),
+                sent.len()
+            ));
+        }
         let shared = &group.lanes[li].shared;
         let (parent, trace_id) = ctx
             .or_else(|| soap_action_context(&arrived))
@@ -1076,13 +1197,13 @@ impl Inner {
             trace_id,
             decode_started,
             decode_started.elapsed(),
-            format!("batch {seq}"),
+            format!("batch {seq}, {} part(s)", parts.len()),
         );
-        let feed = Arc::new(feed);
+        let feeds: Decoded = Arc::new(parts.into_iter().map(|(_, feed)| feed).collect());
         if group.lanes.len() > 1 {
-            group.decoded.insert(seq, Arc::clone(&feed));
+            group.decoded.insert(seq, Arc::clone(&feeds));
         }
-        Ok(feed)
+        Ok(feeds)
     }
 
     /// The target half of a drained lane: direct-write plans have every
@@ -1533,45 +1654,47 @@ impl Inner {
     }
 }
 
-/// Applies a lane's decoded batches in shipment-seq order from its
-/// staging cursor: direct-write programs stage rows into their target
-/// table *now* — transactional loading starts before the source
-/// finishes producing — while general programs accumulate the delivery
-/// for the target phase at settlement.
+/// Applies a lane's decoded slots in shipment-seq order from its
+/// staging cursor, each slot's parts in order: direct-write programs
+/// stage rows into their target table *now* — transactional loading
+/// starts before the source finishes producing — while general programs
+/// accumulate the delivery for the target phase at settlement.
 fn stage_ready(
     lane: &mut Lane,
     stream_tables: Option<&HashMap<PortRef, (usize, String)>>,
     ring: &[Slot],
 ) -> std::result::Result<(), String> {
-    while let Some(feed) = lane.decoded.remove(&lane.next_stage_seq) {
-        // The last lane to stage a shared batch takes it; earlier ones
-        // take a handle on its rows.
-        let feed = Arc::try_unwrap(feed).unwrap_or_else(|shared| (*shared).clone());
+    while let Some(feeds) = lane.decoded.remove(&lane.next_stage_seq) {
+        // The last lane to stage a shared slot takes its feeds; earlier
+        // ones take handles on their rows.
+        let feeds = Arc::try_unwrap(feeds).unwrap_or_else(|shared| (*shared).clone());
         let seq = lane.next_stage_seq;
         lane.next_stage_seq += 1;
-        let port = ring
+        // `decode_once` matched the feeds to the slot's parts.
+        let slot = ring
             .get(seq as usize)
-            .and_then(|slot| slot.port)
-            .ok_or_else(|| format!("no port for shipment {seq}"))?;
-        if let Some(tables) = stream_tables {
-            let (node, table) = tables
-                .get(&port)
-                .ok_or_else(|| format!("no write table for port {port:?}"))?;
-            let start = Instant::now();
-            lane.outcome.rows_loaded += feed.len() as u64;
-            lane.target
-                .load_staged(table, feed)
-                .map_err(|e| e.to_string())?;
-            let wall = start.elapsed();
-            lane.outcome.times.loading += wall;
-            lane.write_walls
-                .entry(*node)
-                .or_insert((start, Duration::ZERO))
-                .1 += wall;
-        } else if let Some(existing) = lane.delivered.get_mut(&port) {
-            existing.rows.extend(feed.rows);
-        } else {
-            lane.delivered.insert(port, feed);
+            .ok_or_else(|| format!("no slot for shipment {seq}"))?;
+        for (feed, Part { port, .. }) in feeds.into_iter().zip(&slot.parts) {
+            if let Some(tables) = stream_tables {
+                let (node, table) = tables
+                    .get(port)
+                    .ok_or_else(|| format!("no write table for port {port:?}"))?;
+                let start = Instant::now();
+                lane.outcome.rows_loaded += feed.len() as u64;
+                lane.target
+                    .load_staged(table, feed)
+                    .map_err(|e| e.to_string())?;
+                let wall = start.elapsed();
+                lane.outcome.times.loading += wall;
+                lane.write_walls
+                    .entry(*node)
+                    .or_insert((start, Duration::ZERO))
+                    .1 += wall;
+            } else if let Some(existing) = lane.delivered.get_mut(port) {
+                existing.rows.extend(feed.rows);
+            } else {
+                lane.delivered.insert(*port, feed);
+            }
         }
     }
     Ok(())

@@ -33,7 +33,7 @@
 use crate::session::SessionId;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use xdx_net::{fnv64, ChunkFrame};
 
 /// Number of independent lock shards; sessions hash to shards by id.
@@ -66,11 +66,12 @@ struct ShipmentBuffer {
     /// FNV-64 of the full serialized message; a resubmitted shipment
     /// whose content changed must not inherit stale chunks.
     message_fnv: u64,
-    /// The sender's fully assembled serialized message. Persisting it
+    /// The sender's fully assembled serialized message — the frame
+    /// ring's own buffer, held by handle, never copied. Persisting it
     /// makes resume allocation-free on the serialization side: a resumed
     /// session ships these exact bytes instead of re-running feed
     /// serialization.
-    message: Vec<u8>,
+    message: Arc<Vec<u8>>,
     /// Verified chunks landed so far.
     chunks: BTreeMap<usize, Vec<u8>>,
 }
@@ -125,8 +126,8 @@ impl ReassemblyLedger {
         &self.shards[session as usize % SHARDS]
     }
 
-    /// Opens (or re-opens) a shipment, persisting the sender's full
-    /// serialized `message`, and returns the indexes of chunks that
+    /// Opens (or re-opens) a shipment, persisting a handle on the sender's
+    /// full serialized `message`, and returns the indexes of chunks that
     /// already landed in a previous attempt — the resume checkpoint. A
     /// buffer whose chunk count or message hash disagrees is stale (the
     /// message changed) and is reset.
@@ -135,7 +136,7 @@ impl ReassemblyLedger {
         session: SessionId,
         shipment: u64,
         total: usize,
-        message: &[u8],
+        message: &Arc<Vec<u8>>,
     ) -> BTreeSet<usize> {
         let message_fnv = fnv64(message);
         let mut map = self.shard(session).lock().unwrap();
@@ -155,14 +156,14 @@ impl ReassemblyLedger {
                 stamp,
                 total,
                 message_fnv,
-                message: message.to_vec(),
+                message: Arc::clone(message),
                 chunks: BTreeMap::new(),
             });
         buffer.stamp = stamp;
         if buffer.total != total || buffer.message_fnv != message_fnv {
             buffer.total = total;
             buffer.message_fnv = message_fnv;
-            buffer.message = message.to_vec();
+            buffer.message = Arc::clone(message);
             buffer.chunks.clear();
         }
         buffer.chunks.keys().copied().collect()
@@ -172,12 +173,12 @@ impl ReassemblyLedger {
     /// `(session, shipment)`, if any. This is what lets
     /// `Runtime::resume` skip serialization entirely: the executor asks
     /// for it before building the message from the feed.
-    pub fn stored_message(&self, session: SessionId, shipment: u64) -> Option<Vec<u8>> {
+    pub fn stored_message(&self, session: SessionId, shipment: u64) -> Option<Arc<Vec<u8>>> {
         self.shard(session)
             .lock()
             .unwrap()
             .get(&(session, shipment))
-            .map(|b| b.message.clone())
+            .map(|b| Arc::clone(&b.message))
     }
 
     /// True when the chunk already landed.
@@ -215,7 +216,10 @@ impl ReassemblyLedger {
         if buffer.chunks.len() != buffer.total {
             return None;
         }
-        let message: Vec<u8> = buffer.chunks.values().flatten().copied().collect();
+        let mut message = Vec::with_capacity(buffer.message.len());
+        for chunk in buffer.chunks.values() {
+            message.extend_from_slice(chunk);
+        }
         (fnv64(&message) == buffer.message_fnv).then_some(message)
     }
 
@@ -262,6 +266,10 @@ impl ReassemblyLedger {
 mod tests {
     use super::*;
 
+    fn msg(bytes: &[u8]) -> Arc<Vec<u8>> {
+        Arc::new(bytes.to_vec())
+    }
+
     fn frame(
         session: u64,
         shipment: u64,
@@ -282,7 +290,7 @@ mod tests {
     fn files_assembles_and_dedupes() {
         let ledger = ReassemblyLedger::new();
         let message = b"abcdef";
-        let prior = ledger.begin_shipment(1, 0, 2, message);
+        let prior = ledger.begin_shipment(1, 0, 2, &msg(message));
         assert!(prior.is_empty());
         assert_eq!(ledger.file(&frame(1, 0, 0, 2, b"abc")), Filed::Accepted);
         assert_eq!(ledger.file(&frame(1, 0, 0, 2, b"abc")), Filed::Duplicate);
@@ -291,7 +299,7 @@ mod tests {
         assert_eq!(ledger.assemble(1, 0).unwrap(), message);
         // Out-of-order arrival assembles identically.
         let ledger2 = ReassemblyLedger::new();
-        ledger2.begin_shipment(1, 0, 2, message);
+        ledger2.begin_shipment(1, 0, 2, &msg(message));
         ledger2.file(&frame(1, 0, 1, 2, b"def"));
         ledger2.file(&frame(1, 0, 0, 2, b"abc"));
         assert_eq!(ledger2.assemble(1, 0).unwrap(), message);
@@ -300,27 +308,27 @@ mod tests {
     #[test]
     fn reopening_reports_the_checkpoint() {
         let ledger = ReassemblyLedger::new();
-        ledger.begin_shipment(1, 0, 3, b"abcdef");
+        ledger.begin_shipment(1, 0, 3, &msg(b"abcdef"));
         ledger.file(&frame(1, 0, 1, 3, b"cd"));
         // The "session" fails here; the buffer survives. A resumed
         // attempt learns chunk 1 already landed — and gets the full
         // serialized message back without re-serializing.
-        let prior = ledger.begin_shipment(1, 0, 3, b"abcdef");
+        let prior = ledger.begin_shipment(1, 0, 3, &msg(b"abcdef"));
         assert_eq!(prior.into_iter().collect::<Vec<_>>(), vec![1]);
         assert!(ledger.has_chunk(1, 0, 1));
         assert_eq!(ledger.checkpointed_chunks(1), 1);
-        assert_eq!(ledger.stored_message(1, 0).unwrap(), b"abcdef");
+        assert_eq!(*ledger.stored_message(1, 0).unwrap(), b"abcdef");
     }
 
     #[test]
     fn changed_message_resets_the_checkpoint() {
         let ledger = ReassemblyLedger::new();
-        ledger.begin_shipment(1, 0, 2, b"old message");
+        ledger.begin_shipment(1, 0, 2, &msg(b"old message"));
         ledger.file(&frame(1, 0, 0, 2, b"old "));
-        let prior = ledger.begin_shipment(1, 0, 2, b"new message");
+        let prior = ledger.begin_shipment(1, 0, 2, &msg(b"new message"));
         assert!(prior.is_empty(), "stale chunks must not survive");
         assert_eq!(
-            ledger.stored_message(1, 0).unwrap(),
+            *ledger.stored_message(1, 0).unwrap(),
             b"new message",
             "the persisted message follows the reset"
         );
@@ -330,7 +338,7 @@ mod tests {
     fn stale_and_mismatched_frames_are_discarded() {
         let ledger = ReassemblyLedger::new();
         assert_eq!(ledger.file(&frame(9, 0, 0, 1, b"x")), Filed::Stale);
-        ledger.begin_shipment(1, 0, 2, b"ab");
+        ledger.begin_shipment(1, 0, 2, &msg(b"ab"));
         assert_eq!(
             ledger.file(&frame(1, 0, 0, 5, b"a")),
             Filed::Stale,
@@ -342,9 +350,9 @@ mod tests {
     #[test]
     fn forgetting_a_session_drops_only_its_buffers() {
         let ledger = ReassemblyLedger::new();
-        ledger.begin_shipment(1, 0, 1, b"a");
+        ledger.begin_shipment(1, 0, 1, &msg(b"a"));
         ledger.file(&frame(1, 0, 0, 1, b"a"));
-        ledger.begin_shipment(2, 0, 1, b"b");
+        ledger.begin_shipment(2, 0, 1, &msg(b"b"));
         ledger.file(&frame(2, 0, 0, 1, b"b"));
         ledger.forget_session(1);
         assert_eq!(ledger.checkpointed_chunks(1), 0);
@@ -358,10 +366,10 @@ mod tests {
         // Capacity 16 → one buffer per shard; session ids 1 and 17 land
         // in the same shard.
         let ledger = ReassemblyLedger::with_capacity(16);
-        ledger.begin_shipment(1, 0, 1, b"a");
+        ledger.begin_shipment(1, 0, 1, &msg(b"a"));
         ledger.file(&frame(1, 0, 0, 1, b"a"));
         assert_eq!(ledger.buffers_shed(), 0);
-        ledger.begin_shipment(17, 0, 1, b"b");
+        ledger.begin_shipment(17, 0, 1, &msg(b"b"));
         assert_eq!(ledger.buffers_shed(), 1, "the full shard evicted");
         assert_eq!(
             ledger.checkpointed_chunks(1),
@@ -371,7 +379,7 @@ mod tests {
         assert!(ledger.stored_message(17, 0).is_some());
         // Re-opening the evicted shipment starts a fresh checkpoint —
         // correctness is preserved, the chunks just re-ship.
-        let prior = ledger.begin_shipment(1, 0, 1, b"a");
+        let prior = ledger.begin_shipment(1, 0, 1, &msg(b"a"));
         assert!(prior.is_empty());
         assert_eq!(ledger.buffers_shed(), 2);
     }
@@ -380,11 +388,11 @@ mod tests {
     fn touching_a_buffer_protects_it_from_eviction() {
         let ledger = ReassemblyLedger::with_capacity(32);
         // Two buffers fill session-1's shard (ids 1 and 17, cap 2).
-        ledger.begin_shipment(1, 0, 1, b"a");
-        ledger.begin_shipment(17, 0, 1, b"b");
+        ledger.begin_shipment(1, 0, 1, &msg(b"a"));
+        ledger.begin_shipment(17, 0, 1, &msg(b"b"));
         // Touch the older one: 17 becomes the LRU victim.
-        ledger.begin_shipment(1, 0, 1, b"a");
-        ledger.begin_shipment(33, 0, 1, b"c");
+        ledger.begin_shipment(1, 0, 1, &msg(b"a"));
+        ledger.begin_shipment(33, 0, 1, &msg(b"c"));
         assert_eq!(ledger.buffers_shed(), 1);
         assert!(
             ledger.stored_message(1, 0).is_some(),
@@ -397,9 +405,9 @@ mod tests {
     fn pruning_counts_released_checkpoints() {
         let ledger = ReassemblyLedger::new();
         assert_eq!(ledger.entries_pruned(), 0);
-        ledger.begin_shipment(1, 0, 1, b"a");
-        ledger.begin_shipment(1, 1, 1, b"b");
-        ledger.begin_shipment(2, 0, 1, b"c");
+        ledger.begin_shipment(1, 0, 1, &msg(b"a"));
+        ledger.begin_shipment(1, 1, 1, &msg(b"b"));
+        ledger.begin_shipment(2, 0, 1, &msg(b"c"));
         ledger.forget_session(1);
         assert_eq!(ledger.entries_pruned(), 2, "two buffers released");
         // Forgetting a session with no buffers adds nothing.

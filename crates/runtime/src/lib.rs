@@ -82,6 +82,7 @@ pub use cache::{plan_key, CachedPlan, PlanCache, PlanKey};
 pub use config::{RuntimeConfig, SubmitError};
 pub use engine::ShippingPolicy;
 pub use events::{Event, EventKind, EventLog, DEFAULT_EVENT_CAPACITY};
+pub use exchange::SlotPacker;
 pub use fair::{FairQueue, Popped, DEFAULT_AGING_INTERVAL};
 pub use flight::{
     FlightEntry, FlightRecorder, FlightSubsystem, DEFAULT_FLIGHT_CAPACITY, SHED_SPIKE_THRESHOLD,

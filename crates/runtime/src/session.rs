@@ -287,8 +287,9 @@ pub struct PublishRequest {
     /// lets each lane ship in its route's negotiated format (lanes are
     /// planned and encoded per distinct format).
     pub wire_format: Option<WireFormat>,
-    /// Frames a subscriber may trail the group's fastest lane before it
-    /// is dropped from the shared frame buffer: the buffer ring only
+    /// Frames (messages, each up to `batch_rows` rows of batches) a
+    /// subscriber may trail the group's fastest lane before it is
+    /// dropped from the shared frame buffer: the buffer ring only
     /// retains frames between the slowest and fastest active lanes, so
     /// this cap bounds its memory. A dropped lane fails with a
     /// diagnostic and stays resumable as an independent two-site
@@ -396,8 +397,9 @@ pub struct SessionMetrics {
     /// The wire format this session's cross-edge messages were encoded
     /// in (negotiated by the route, or the request's override).
     pub wire_format: WireFormat,
-    /// Encoded message bytes produced in this run (logical payload
-    /// before chunk framing; a fully checkpointed resume reports 0).
+    /// Encoded feed-frame bytes produced in this run (logical payload
+    /// before a multi-part message's container header, the envelope and
+    /// chunk framing; a fully checkpointed resume reports 0).
     pub bytes_encoded: u64,
     /// Wall nanoseconds spent encoding messages in this run.
     pub encode_ns: u64,

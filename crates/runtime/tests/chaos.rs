@@ -884,12 +884,13 @@ fn mixed_format_fleet_falls_back_per_pair_and_stays_byte_identical() {
 }
 
 /// The adversarial matrix again, but with the pipeline streaming *many
-/// small batches* per cross edge (tiny `batch_rows`, depth 3): faults
-/// now land mid-stream — between batches of one session, inside a
-/// chunked batch, across interleaved sessions — and every surviving
-/// target must still be byte-identical to the healthy baseline in both
-/// wire formats. This is the many-small-batches counterpart of the
-/// matrix above.
+/// small messages* (a 16-row budget, depth 3: on this document most
+/// slots pack the batches of several cross edges, and the larger feeds
+/// span several slots): faults now land mid-stream — between messages
+/// of one session, inside a chunked message, across interleaved
+/// sessions — and every surviving target must still be byte-identical
+/// to the healthy baseline in both wire formats. This is the
+/// many-small-messages counterpart of the matrix above.
 #[test]
 fn pipelined_batch_streams_survive_the_adversarial_matrix() {
     let schema = schema();
@@ -908,7 +909,7 @@ fn pipelined_batch_streams_survive_the_adversarial_matrix() {
                     .with_workers(2)
                     .with_wire_format(format)
                     .with_fault_profile(profile)
-                    .with_batch_rows(64)
+                    .with_batch_rows(16)
                     .with_pipeline_depth(3)
                     .with_shipping(ShippingPolicy {
                         chunk_bytes: 2 * 1024,
@@ -970,9 +971,23 @@ fn pipelined_batch_streams_survive_the_adversarial_matrix() {
 /// holds end to end: the target rolls back to zero rows (no torn
 /// applies), the breaker opens between batches, and after repair
 /// `resume` re-ships only the never-acknowledged chunks, re-encoding
-/// only the batches the failed run never submitted.
+/// only the batches the failed run never submitted. Once with a slot
+/// per row (every message a single part), once under a 16-row budget
+/// (messages of several parts): the seq → bytes map a resume replays
+/// must hold for both shapes.
 #[test]
 fn mid_stream_failure_rolls_back_and_resume_reships_only_unacked_batches() {
+    let single_part = mid_stream_failure_and_resume(1);
+    let multi_part = mid_stream_failure_and_resume(16);
+    assert!(
+        multi_part < single_part,
+        "a 16-row budget packed nothing: {multi_part} vs {single_part} messages"
+    );
+}
+
+/// One failure-and-resume under `batch_rows`; returns the messages a
+/// healthy run ships.
+fn mid_stream_failure_and_resume(batch_rows: usize) -> usize {
     let schema = schema();
     let doc = generate(GenConfig::sized(8_000));
     let reference = wire_state(&reference_target(&doc));
@@ -988,7 +1003,7 @@ fn mid_stream_failure_rolls_back_and_resume_reships_only_unacked_batches() {
     let config = || {
         RuntimeConfig::default()
             .with_workers(1)
-            .with_batch_rows(64)
+            .with_batch_rows(batch_rows)
             .with_pipeline_depth(3)
             .with_breaker(1, Duration::from_secs(60))
             .with_shipping(shipping)
@@ -1083,4 +1098,5 @@ fn mid_stream_failure_rolls_back_and_resume_reships_only_unacked_batches() {
     );
     // And the streamed, resumed target is exactly the reference.
     assert_eq!(wire_state(&result.target.unwrap()), reference);
+    baseline.metrics.messages
 }

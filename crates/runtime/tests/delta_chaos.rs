@@ -687,9 +687,17 @@ fn patch_on_the_wire_does_not_hold_the_only_worker() {
 /// case: the cost model ships the feeds from seq 0 and they die the same
 /// way. Either way the target rolls back, and `resume` replays the same
 /// ladder: acknowledged chunks are skipped, and no batch is encoded
-/// twice across the failed and the resumed run.
+/// twice across the failed and the resumed run. Once with a slot per
+/// row (every message a single part), once under a 16-row budget
+/// (messages of several parts).
 #[test]
 fn failure_mid_fallback_resumes_only_unacked_batches() {
+    for batch_rows in [1, 16] {
+        failure_mid_fallback_resumes(batch_rows);
+    }
+}
+
+fn failure_mid_fallback_resumes(batch_rows: usize) {
     let schema = schema();
     let doc = generate(GenConfig::sized(12_000));
     let second = churn(&doc, 5, 7);
@@ -698,7 +706,7 @@ fn failure_mid_fallback_resumes_only_unacked_batches() {
     let config = || {
         RuntimeConfig::default()
             .with_workers(1)
-            .with_batch_rows(64)
+            .with_batch_rows(batch_rows)
             .with_pipeline_depth(1)
             .with_shipping(ShippingPolicy {
                 chunk_bytes: 1024,

@@ -3,15 +3,22 @@
 //! own frame, and reassembling whatever arrives must be observationally
 //! identical to the classic materialize-then-encode path — for both
 //! wire formats, for empty feeds, and for the single-batch degenerate
-//! case (where the frames must be *byte*-identical). On top of the
-//! codec-level properties, the whole runtime is compared against a
-//! one-piece loopback execution, wire-byte for wire-byte.
+//! case (where the frames must be *byte*-identical). Batches then pack
+//! into messages under a row budget: the packing must partition the
+//! batches in order, respect the budget, and be a function of the row
+//! counts alone — packing a prefix of the feeds gives a prefix of the
+//! messages. On top of the codec-level properties, the whole runtime is
+//! compared against a one-piece loopback execution, wire-byte for
+//! wire-byte.
 
 use proptest::prelude::*;
-use xdx_codec::{decode_any, encode_in_format_into, WireFormat};
-use xdx_core::exec::{execute_with_transport, feed_batches, LoopbackTransport};
+use std::ops::Range;
+use xdx_codec::{
+    decode_any, decode_parts_ctx, encode_in_format_into, encode_parts_into, FeedPart, WireFormat,
+};
+use xdx_core::exec::{batch_ranges, execute_with_transport, feed_batches, LoopbackTransport};
 use xdx_relational::{ColRole, Database, Dewey, Feed, FeedColumn, FeedSchema, Value};
-use xdx_runtime::{ExchangeRequest, Runtime, RuntimeConfig};
+use xdx_runtime::{ExchangeRequest, Runtime, RuntimeConfig, SlotPacker};
 use xdx_xmark::{generate, lf, load_source, mf, schema, GenConfig};
 
 /// Cell vocabulary biased toward the dictionary codec's sweet spot,
@@ -82,8 +89,65 @@ fn round_trip(feed: &Feed, format: WireFormat) -> Feed {
     decode_any(&buf).expect("own encoding decodes")
 }
 
+/// A batch as the packer sees it: a row range of the feed at an index.
+type Batch = (usize, Range<usize>);
+
+/// Packs the batches of feeds of `lens` rows, as the source half does:
+/// the sealed slots, and the open tail as `finish` seals it.
+fn pack(lens: &[usize], batch_rows: usize) -> (Vec<Vec<Batch>>, Option<Vec<Batch>>) {
+    let mut packer = SlotPacker::new(batch_rows);
+    let mut sealed = Vec::new();
+    for (feed, &len) in lens.iter().enumerate() {
+        for rows in batch_ranges(len, batch_rows) {
+            sealed.extend(packer.push(rows.len(), (feed, rows)));
+        }
+    }
+    (sealed, packer.finish())
+}
+
+fn slot_rows(slot: &[Batch]) -> usize {
+    slot.iter().map(|(_, rows)| rows.len()).sum()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The packed slots partition the batches in order; a slot holds
+    /// more than the budget only if it is a single batch (and a batch
+    /// never does); a slot is sealed only by a batch that did not fit
+    /// it; and packing is timing-free: after any prefix of the feeds,
+    /// the sealed slots are a prefix of the final slots and the open
+    /// tail is the beginning of the next one — a slot on the wire never
+    /// changes because of what the source produced later.
+    #[test]
+    fn packed_slots_partition_the_batches_under_the_budget(
+        lens in proptest::collection::vec(0usize..40, 0..12),
+        batch_rows in 1usize..17,
+    ) {
+        let (mut slots, tail) = pack(&lens, batch_rows);
+        slots.extend(tail);
+        let batches: Vec<Batch> = lens
+            .iter()
+            .enumerate()
+            .flat_map(|(feed, &len)| batch_ranges(len, batch_rows).map(move |r| (feed, r)))
+            .collect();
+        prop_assert_eq!(&slots.concat(), &batches);
+        prop_assert_eq!(slots.is_empty(), lens.is_empty());
+        for (i, slot) in slots.iter().enumerate() {
+            prop_assert!(!slot.is_empty());
+            prop_assert!(slot_rows(slot) <= batch_rows || slot.len() == 1);
+            if let Some(next) = slots.get(i + 1) {
+                prop_assert!(slot_rows(slot) + next[0].1.len() > batch_rows);
+            }
+        }
+        for fed in 0..lens.len() {
+            let (sealed, open) = pack(&lens[..fed], batch_rows);
+            prop_assert_eq!(&sealed[..], &slots[..sealed.len()]);
+            if let Some(open) = open {
+                prop_assert!(slots[sealed.len()].starts_with(&open));
+            }
+        }
+    }
 
     /// Batching splits rows without loss, reorder, or duplication: the
     /// concatenation of the batches is the original feed, every batch
@@ -109,27 +173,53 @@ proptest! {
         prop_assert_eq!(&rebuilt, &feed);
     }
 
-    /// The streamed pipeline — encode each batch as its own frame,
-    /// decode what arrives, append in order — reconstructs exactly the
-    /// feed the materialize-then-encode path would have delivered, in
-    /// both wire formats.
+    /// The streamed pipeline — pack the batches of every feed into
+    /// messages, encode each message (a bare frame for one part, a
+    /// container for several), decode what arrives, append each part to
+    /// its feed in order — reconstructs exactly the feeds the
+    /// materialize-then-encode path would have delivered, in both wire
+    /// formats.
     #[test]
     fn streamed_frames_reassemble_to_the_materialized_feed(
-        feed in feed_strategy(),
+        feeds in proptest::collection::vec(feed_strategy(), 1..5),
         batch_rows in 1usize..17,
     ) {
+        let lens: Vec<usize> = feeds.iter().map(Feed::len).collect();
+        let (mut slots, tail) = pack(&lens, batch_rows);
+        slots.extend(tail);
         for format in formats() {
-            let materialized = round_trip(&feed, format);
-            let mut streamed: Option<Feed> = None;
-            for batch in feed_batches(&feed, batch_rows) {
-                let arrived = round_trip(&batch, format);
-                match &mut streamed {
-                    None => streamed = Some(arrived),
-                    Some(acc) => acc.rows.extend(arrived.rows),
+            let mut streamed: Vec<Option<Feed>> = vec![None; feeds.len()];
+            let mut buf = Vec::new();
+            for slot in &slots {
+                let labels: Vec<String> = slot.iter().map(|(f, _)| format!("feed-{f}")).collect();
+                let parts: Vec<FeedPart<'_>> = slot
+                    .iter()
+                    .zip(&labels)
+                    .map(|((f, rows), label)| FeedPart {
+                        label,
+                        schema: &feeds[*f].schema,
+                        rows: &feeds[*f].rows[rows.clone()],
+                    })
+                    .collect();
+                encode_parts_into(&mut buf, &parts, format, None);
+                let (arrived, _) = decode_parts_ctx(&buf).expect("own encoding decodes");
+                prop_assert_eq!(arrived.len(), slot.len());
+                for ((label, part), (f, _)) in arrived.into_iter().zip(slot) {
+                    // A bare frame carries no label; a container names
+                    // every part.
+                    prop_assert_eq!(label.is_some(), slot.len() > 1);
+                    let sent = format!("feed-{f}");
+                    prop_assert!(label.is_none_or(|l| l == sent));
+                    match &mut streamed[*f] {
+                        None => streamed[*f] = Some(part),
+                        Some(acc) => acc.rows.extend(part.rows),
+                    }
                 }
             }
-            let streamed = streamed.expect("at least one batch");
-            prop_assert_eq!(&streamed, &materialized, "format {:?}", format);
+            for (feed, streamed) in feeds.iter().zip(streamed) {
+                let streamed = streamed.expect("every feed ships at least one batch");
+                prop_assert_eq!(&streamed, &round_trip(feed, format), "format {:?}", format);
+            }
         }
     }
 

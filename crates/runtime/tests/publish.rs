@@ -135,6 +135,43 @@ fn fanout_shares_one_encode_across_subscribers() {
     assert_eq!(stats.multicast_encode_fallback, 0);
 }
 
+/// A small document is one message however many subscribe: a 1→3
+/// publish packs every cross feed into one multi-part frame, encodes it
+/// once, and the other two lanes ride the same buffer — the sharing a
+/// ring of per-port frames had, at a message count that no longer grows
+/// with the number of cross edges.
+#[test]
+fn small_publish_shares_one_multi_part_frame() {
+    let schema = schema();
+    let doc = generate(GenConfig::sized(12_000));
+    let reference = wire_state(&reference_target(&doc));
+    let (mf, lf) = (mf(&schema), lf(&schema));
+    let runtime = Runtime::start(schema.clone(), RuntimeConfig::default().with_workers(2));
+    let results = runtime
+        .publish(PublishRequest::new(
+            "pub",
+            load_source(&doc, &schema, &mf).unwrap(),
+            mf.clone(),
+            lf.clone(),
+            subscribers(3),
+        ))
+        .unwrap()
+        .wait();
+    for result in &results {
+        assert_eq!(result.state, SessionState::Done, "{:?}", result.diagnostic);
+        assert_eq!(wire_state(result.target.as_ref().unwrap()), reference);
+        assert_eq!(result.metrics.messages, 1, "one message per lane");
+        assert!(
+            result.metrics.rows_loaded > 1,
+            "the one message carried every feed"
+        );
+    }
+    let stats = runtime.shutdown();
+    assert_eq!(stats.messages_serialized, 1, "encoded once for the group");
+    assert_eq!(stats.multicast_encode_shared, 2, "two lanes reused it");
+    assert_eq!(stats.multicast_encode_fallback, 0);
+}
+
 /// The degenerate group of one is an ordinary session in disguise: its
 /// plan-cache key carries no fanout tag, so a later plain session of
 /// the same shape hits the entry the publish populated.
@@ -342,15 +379,19 @@ fn adversarial_lane_fails_alone_and_resumes_from_its_own_ledger() {
 /// The decode-once cache keeps a batch for the live lanes still to
 /// absorb it and for nobody else. One subscriber of three sits behind a
 /// link that drops everything: it never completes a frame, so it is
-/// lag-ejected at once, while its window of frames keeps retrying (paced
+/// lag-ejected early, while its window of frames keeps retrying (paced
 /// backoff, 1.5 s until the link gives up) and keeps the exchange parked.
 /// By then the two live lanes have staged every batch — and the cache
 /// must be empty, not holding each batch for a third taker that will
-/// never come.
+/// never come. The lag cap counts messages, and a lane can only fall
+/// behind a group that ships more than the cap: a 4-row budget splits
+/// this document over a few dozen of them (batches still share one
+/// where a feed ends), and a cap of 8 is past what two healthy lanes
+/// drift apart while one encodes and the other reuses.
 #[test]
 fn ejected_lane_does_not_pin_the_decode_once_cache() {
     let schema = schema();
-    let doc = generate(GenConfig::sized(12_000));
+    let doc = generate(GenConfig::sized(40_000));
     let reference = wire_state(&reference_target(&doc));
     let mf = mf(&schema);
     let lf = lf(&schema);
@@ -358,6 +399,7 @@ fn ejected_lane_does_not_pin_the_decode_once_cache() {
         schema.clone(),
         RuntimeConfig::default()
             .with_workers(2)
+            .with_batch_rows(4)
             .with_link_pacing(1.0)
             .with_shipping(ShippingPolicy {
                 max_attempts_per_chunk: 5,
@@ -382,7 +424,7 @@ fn ejected_lane_does_not_pin_the_decode_once_cache() {
                 lf.clone(),
                 subscribers(3),
             )
-            .with_lag_cap(1),
+            .with_lag_cap(8),
         )
         .unwrap();
     let live_lanes_done = || group.handles[..2].iter().all(|h| h.state().is_terminal());
