@@ -61,13 +61,6 @@ pub trait Transport {
     fn wire_format(&self) -> WireFormat {
         WireFormat::Xml
     }
-
-    /// Notifies the transport that the executor just encoded a feed into
-    /// `bytes` wire bytes in `ns` nanoseconds. Checkpoint replays encode
-    /// nothing and report nothing, so a transport tallying these sees
-    /// each message encoded exactly once across failed runs and resumes.
-    /// The default discards the notification.
-    fn record_encode(&mut self, _bytes: u64, _ns: u64) {}
 }
 
 /// The trivial transport: one message, one transmission, whatever
@@ -243,10 +236,8 @@ pub fn execute_with_transport(
                 outcome.messages_serialized += 1;
                 let start = Instant::now();
                 let len = encode_in_format_into(&mut encode_buf, &feed, transport.wire_format());
-                let ns = start.elapsed().as_nanos() as u64;
-                outcome.encode_ns += ns;
+                outcome.encode_ns += start.elapsed().as_nanos() as u64;
                 outcome.bytes_encoded += len as u64;
-                transport.record_encode(len as u64, ns);
                 Request::soap_post("/exchange", label, encode_buf.clone()).to_bytes()
             }
         };

@@ -296,9 +296,7 @@ impl Link {
     /// times its simulated duration (0 disables, 1 = real time). A paced
     /// link behaves like real hardware under whoever holds it: callers
     /// sharing one link serialize on its wall time, callers on disjoint
-    /// links overlap — which is what throughput benchmarks of multi-link
-    /// transport need a clock to see. Panics if `scale` is negative or
-    /// not finite.
+    /// links overlap. Panics if `scale` is negative or not finite.
     pub fn with_pacing(mut self, scale: f64) -> Link {
         assert!(
             scale.is_finite() && scale >= 0.0,

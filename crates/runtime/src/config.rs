@@ -27,8 +27,9 @@ pub struct RuntimeConfig {
     /// caller for this fraction of its simulated duration (0 = pure
     /// simulation, 1 = real time). With pacing on, sessions sharing a
     /// pair serialize on that link's wall time while disjoint pairs
-    /// overlap — the knob throughput benchmarks use to make multi-link
-    /// parallelism observable on a clock.
+    /// overlap. The tests that need a wire wait to take wall time (a
+    /// parked group letting another session finish first, lag-cap
+    /// ejection, a patch that must not hold the only worker) turn it on.
     pub link_pacing: f64,
     /// Chunking/retry policy of the shipping layer.
     pub shipping: ShippingPolicy,
@@ -48,10 +49,10 @@ pub struct RuntimeConfig {
     /// How long an open breaker refuses admissions before letting one
     /// probe session through.
     pub breaker_cooldown: Duration,
-    /// Whether structured trace spans are recorded. On by default; the
-    /// throughput bench flips it off to measure tracing overhead.
+    /// Whether structured trace spans are recorded. On by default;
+    /// `bench/`'s overhead A/B flips it off to price tracing.
     pub tracing: bool,
-    /// Maximum events the flight-recorder ring keeps; the oldest are
+    /// Maximum events the event-log ring keeps; the oldest are
     /// evicted (and counted in [`crate::RuntimeStats::dropped_events`]) beyond
     /// this.
     pub event_capacity: usize,
@@ -87,8 +88,8 @@ pub struct RuntimeConfig {
     pub pipeline_sessions_per_worker: usize,
     /// Whether the always-on flight recorder keeps its per-subsystem
     /// transition rings (engine lanes, timer deadlines, breaker flips,
-    /// shed decisions). On by default; the throughput bench flips it
-    /// off together with tracing to measure observability overhead.
+    /// shed decisions). On by default; `bench/`'s overhead A/B flips it
+    /// off together with tracing to price the observability surface.
     pub flight_recorder: bool,
     /// Directory the flight recorder dumps its rings into (as JSONL) on
     /// anomaly — session failure, breaker open, shed-rate spike, or the

@@ -1,18 +1,19 @@
 //! Structured event log of a runtime instance.
 //!
 //! Every session-lifecycle transition and every shipping retry appends an
-//! [`Event`] with a timestamp relative to runtime start. The log is the
-//! runtime's flight recorder: tests assert ordering properties against
-//! it, and operators read it to reconstruct what a fleet of concurrent
-//! sessions actually did.
+//! [`Event`] with a timestamp relative to runtime start. Tests assert
+//! ordering properties against the log, and operators read it to
+//! reconstruct what a fleet of concurrent sessions actually did. (The
+//! flight recorder is a different thing: `flight.rs` keeps rings of the
+//! engine's internal transitions and dumps them on anomaly.)
 //!
 //! The log is a fixed-capacity ring (capacity set by
 //! `RuntimeConfig::with_event_capacity`): under sustained traffic the
 //! *oldest* entries are dropped, a [`dropped`](EventLog::dropped)
 //! counter records how many, and append order within the surviving
 //! window is preserved. Every event carries the trace-span id that was
-//! active when it fired, so the flight recorder joins against the span
-//! sink offline ([`EventLog::to_jsonl`]).
+//! active when it fired, so the log joins against the span sink
+//! offline ([`EventLog::to_jsonl`]).
 
 use crate::session::SessionId;
 use std::collections::VecDeque;

@@ -874,10 +874,10 @@ fn mixed_format_fleet_falls_back_per_pair_and_stays_byte_identical() {
     assert_eq!(legacy.wire_format, WireFormat::Xml);
     assert!(columnar.bytes_encoded > 0 && legacy.bytes_encoded > 0);
     // Identical workload, negotiated formats: the columnar pair's
-    // encoded payload must be strictly smaller than the XML pair's.
+    // encoded payload must be at most half the XML pair's.
     assert!(
-        columnar.bytes_encoded < legacy.bytes_encoded,
-        "columnar pair encoded {} bytes vs XML pair's {}",
+        columnar.bytes_encoded * 2 <= legacy.bytes_encoded,
+        "columnar pair encoded {} bytes vs XML pair's {} (> 0.5x)",
         columnar.bytes_encoded,
         legacy.bytes_encoded
     );

@@ -137,8 +137,8 @@ fn delta_session_ships_fraction_of_full_and_matches_reference() {
             .wait();
         assert_eq!(full.state, SessionState::Done, "{:?}", full.diagnostic);
         assert!(
-            delta.metrics.bytes_shipped * 2 < full.metrics.bytes_shipped,
-            "{format}: patch shipped {} wire bytes vs {} for the full re-ship",
+            delta.metrics.bytes_shipped * 10 <= full.metrics.bytes_shipped * 3,
+            "{format}: patch shipped {} wire bytes vs {} for the full re-ship (> 0.3x at 5% churn)",
             delta.metrics.bytes_shipped,
             full.metrics.bytes_shipped
         );
