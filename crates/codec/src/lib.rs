@@ -32,7 +32,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use xdx_relational::feed::rows_to_wire;
+use xdx_relational::feed::{append_wire, fnv1a};
 use xdx_relational::{
     ColRole, DeltaPatch, Dewey, Error, Feed, FeedColumn, FeedSchema, PatchStep, Result, StepKind,
     TablePatch, Value,
@@ -159,18 +159,6 @@ impl fmt::Display for WireFormat {
 // ----------------------------------------------------------------------
 // Primitives
 // ----------------------------------------------------------------------
-
-/// FNV-1a 64-bit hash (same parameters as the feed integrity line and
-/// the chunk-frame checksum; reimplemented here so the codec depends
-/// only on the relational substrate).
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Appends an LEB128 varint.
 fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
@@ -302,7 +290,7 @@ fn append_columnar_frame(
             ColRole::Value => 2,
         });
     }
-    let digest = fnv64(&buf[schema_start..]);
+    let digest = fnv1a(&buf[schema_start..]);
     buf.extend_from_slice(&digest.to_le_bytes());
 
     put_varint(buf, rows.len() as u64);
@@ -369,9 +357,9 @@ fn append_columnar_frame(
                     prev_int = *i;
                 }
                 Value::Dewey(d) => {
-                    let lcp = common_prefix(prev_dewey, &d.0);
+                    let lcp = common_prefix(prev_dewey, d.as_slice());
                     put_varint(buf, lcp as u64);
-                    let rest = &d.0[lcp..];
+                    let rest = &d.as_slice()[lcp..];
                     put_varint(buf, rest.len() as u64);
                     if let Some((&first, more)) = rest.split_first() {
                         let base = prev_dewey.get(lcp).copied().unwrap_or(0);
@@ -380,14 +368,14 @@ fn append_columnar_frame(
                             put_varint(buf, c as u64);
                         }
                     }
-                    prev_dewey = &d.0;
+                    prev_dewey = d.as_slice();
                 }
                 Value::Str(_) => put_varint(buf, u64::from(cell_string[i * arity + col])),
             }
         }
     }
 
-    let sum = fnv64(&buf[frame_start..]);
+    let sum = fnv1a(&buf[frame_start..]);
     buf.extend_from_slice(&sum.to_le_bytes());
 }
 
@@ -482,7 +470,7 @@ pub fn decode_feed_ctx(bytes: &[u8]) -> Result<(Feed, Option<TraceContext>)> {
     }
     let (body, sum) = bytes.split_at(bytes.len() - 8);
     let expected = u64::from_le_bytes(sum.try_into().expect("8-byte slice"));
-    if fnv64(body) != expected {
+    if fnv1a(body) != expected {
         return Err(decode_err(
             "checksum mismatch: columnar frame corrupted in transit",
         ));
@@ -516,7 +504,7 @@ pub fn decode_feed_ctx(bytes: &[u8]) -> Result<(Feed, Option<TraceContext>)> {
         };
         columns.push(FeedColumn::new(element, role));
     }
-    let digest = fnv64(&r.buf[schema_start..r.pos]);
+    let digest = fnv1a(&r.buf[schema_start..r.pos]);
     if r.u64_le("schema digest")? != digest {
         return Err(decode_err("schema digest mismatch"));
     }
@@ -594,7 +582,7 @@ pub fn decode_feed_ctx(bytes: &[u8]) -> Result<(Feed, Option<TraceContext>)> {
                             prev_dewey.push(c);
                         }
                     }
-                    Value::Dewey(Dewey(prev_dewey.clone()))
+                    Value::Dewey(Dewey::from(&prev_dewey[..]))
                 }
                 _ => {
                     let idx = r.varint("string cell")? as usize;
@@ -662,7 +650,7 @@ fn append_frame(
     ctx: Option<TraceContext>,
 ) {
     match format {
-        WireFormat::Xml => buf.extend_from_slice(rows_to_wire(schema, rows).as_bytes()),
+        WireFormat::Xml => append_wire(buf, schema, rows),
         WireFormat::Columnar => append_columnar_frame(buf, schema, rows, ctx),
     }
 }
@@ -758,7 +746,7 @@ pub fn encode_parts_into(
         put_str(&mut header, part.label);
         put_varint(&mut header, (buf.len() - start) as u64);
     }
-    let sum = fnv64(&header);
+    let sum = fnv1a(&header);
     header.extend_from_slice(&sum.to_le_bytes());
     let frames = buf.len();
     // The header is sized by what follows it: one move of the frames,
@@ -793,7 +781,7 @@ pub fn decode_parts_ctx(body: &[u8]) -> Result<(DecodedParts, Option<TraceContex
     for _ in 0..count {
         heads.push((r.string("part label")?, r.varint("part length")?));
     }
-    let digest = fnv64(&body[..r.pos]);
+    let digest = fnv1a(&body[..r.pos]);
     if r.u64_le("container checksum")? != digest {
         return Err(decode_err(
             "checksum mismatch: container header corrupted in transit",
@@ -887,8 +875,8 @@ pub fn encode_patch_with_context_into(
         put_varint(buf, t.steps.len() as u64);
         for s in &t.steps {
             buf.push(s.kind.code());
-            put_varint(buf, s.key.0.len() as u64);
-            for &c in &s.key.0 {
+            put_varint(buf, s.key.depth() as u64);
+            for &c in s.key.as_slice() {
                 put_varint(buf, u64::from(c));
             }
             put_varint(buf, u64::from(s.rows));
@@ -897,7 +885,7 @@ pub fn encode_patch_with_context_into(
         put_varint(buf, len as u64);
         buf.extend_from_slice(&payload_buf);
     }
-    let sum = fnv64(buf);
+    let sum = fnv1a(buf);
     buf.extend_from_slice(&sum.to_le_bytes());
     buf.len()
 }
@@ -922,7 +910,7 @@ pub fn decode_patch_ctx(bytes: &[u8]) -> Result<(DeltaPatch, Option<TraceContext
     }
     let (body, sum) = bytes.split_at(bytes.len() - 8);
     let expected = u64::from_le_bytes(sum.try_into().expect("8-byte slice"));
-    if fnv64(body) != expected {
+    if fnv1a(body) != expected {
         return Err(decode_err(
             "checksum mismatch: patch frame corrupted in transit",
         ));
@@ -965,7 +953,7 @@ pub fn decode_patch_ctx(bytes: &[u8]) -> Result<(DeltaPatch, Option<TraceContext
                 u32::try_from(rows).map_err(|_| decode_err("step row count out of range"))?;
             steps.push(PatchStep {
                 kind,
-                key: Dewey(key),
+                key: Dewey::from(key),
                 rows,
             });
         }
@@ -1009,9 +997,9 @@ mod tests {
         let mut f = Feed::new(schema);
         for i in 1..=20u32 {
             f.push_row(vec![
-                Value::Dewey(Dewey(vec![1])),
-                Value::Dewey(Dewey(vec![1, i])),
-                Value::Dewey(Dewey(vec![1, i, 1])),
+                Value::Dewey(Dewey::from([1])),
+                Value::Dewey(Dewey::from([1, i])),
+                Value::Dewey(Dewey::from([1, i, 1])),
                 Value::Str(if i % 2 == 0 { "local" } else { "long distance" }.into()),
             ])
             .unwrap();
@@ -1039,7 +1027,7 @@ mod tests {
         f.push_row(vec![Value::Int(i64::MIN)]).unwrap();
         f.push_row(vec![Value::Int(i64::MAX)]).unwrap();
         f.push_row(vec![Value::Dewey(Dewey::root())]).unwrap();
-        f.push_row(vec![Value::Dewey(Dewey(vec![u32::MAX, 0, 7]))])
+        f.push_row(vec![Value::Dewey(Dewey::from([u32::MAX, 0, 7]))])
             .unwrap();
         assert_eq!(decode_feed(&encode_feed(&f)).unwrap(), f);
     }
@@ -1077,12 +1065,12 @@ mod tests {
         );
         let mut f = Feed::new(schema);
         for i in 1..=40u32 {
-            let item = Dewey(vec![1, 1, 1, i]);
+            let item = Dewey::from([1, 1, 1, i]);
             let sentence: Vec<&str> = (0..12)
                 .map(|k| vocab[(i as usize * 7 + k * 3) % vocab.len()])
                 .collect();
             f.push_row(vec![
-                Value::Dewey(Dewey(vec![1, 1, 1])),
+                Value::Dewey(Dewey::from([1, 1, 1])),
                 Value::Dewey(item.clone()),
                 Value::Dewey(item.child(1)),
                 Value::Str(["United States", "Ghana", "Kenya", "Egypt"][i as usize % 4].into()),
@@ -1134,9 +1122,9 @@ mod tests {
         ];
         for (feed, plain, traced) in golden {
             let mut frame = encode_feed(&feed);
-            assert_eq!((frame.len(), fnv64(&frame)), plain);
+            assert_eq!((frame.len(), fnv1a(&frame)), plain);
             encode_feed_with_context_into(&mut frame, &feed, ctx);
-            assert_eq!((frame.len(), fnv64(&frame)), traced);
+            assert_eq!((frame.len(), fnv1a(&frame)), traced);
             // A row range encodes to the frame of a feed holding just it.
             let batch = Feed {
                 schema: feed.schema.clone(),
@@ -1179,7 +1167,7 @@ mod tests {
         let mut buf = Vec::new();
         for (format, ctx, recorded) in golden {
             let frames = encode_parts_into(&mut buf, &parts, format, ctx);
-            assert_eq!((buf.len(), fnv64(&buf)), recorded, "{format} {ctx:?}");
+            assert_eq!((buf.len(), fnv1a(&buf)), recorded, "{format} {ctx:?}");
             // The header is all a container adds: magic, count, two
             // (label, length) pairs, checksum.
             assert_eq!(buf.len() - frames, 8 + 1 + (6 + 2) + (5 + 2) + 8);
@@ -1242,7 +1230,7 @@ mod tests {
             put_varint(&mut lying, a);
             put_str(&mut lying, "item");
             put_varint(&mut lying, b);
-            let sum = fnv64(&lying);
+            let sum = fnv1a(&lying);
             lying.extend_from_slice(&sum.to_le_bytes());
             lying.extend_from_slice(&body);
             assert!(decode_parts_ctx(&lying).is_err(), "lengths {a}, {b}");
@@ -1314,12 +1302,12 @@ mod tests {
                     steps: vec![
                         PatchStep {
                             kind: StepKind::ReplaceSubtree,
-                            key: Dewey(vec![1, 4]),
+                            key: Dewey::from([1, 4]),
                             rows: 1,
                         },
                         PatchStep {
                             kind: StepKind::DeleteSubtree,
-                            key: Dewey(vec![1, 9]),
+                            key: Dewey::from([1, 9]),
                             rows: 0,
                         },
                     ],

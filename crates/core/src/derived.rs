@@ -141,7 +141,7 @@ impl DerivedFragment {
             if d.depth() < anchor_depth {
                 continue;
             }
-            let key = Dewey(d.0[..anchor_depth].to_vec());
+            let key = Dewey::from(&d.as_slice()[..anchor_depth]);
             let Some(group) = groups.get_mut(&key) else {
                 continue;
             };

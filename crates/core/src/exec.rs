@@ -724,7 +724,7 @@ mod tests {
     use xdx_relational::{Dewey, Value};
 
     fn dv(path: &[u32]) -> Value {
-        Value::Dewey(Dewey(path.to_vec()))
+        Value::Dewey(Dewey::from(path))
     }
 
     /// Loads a tiny MF-style source: one table per element of the customer

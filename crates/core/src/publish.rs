@@ -137,7 +137,7 @@ fn publish_single_query(
     let work = ops.source_work;
     db.counters.merge(&work);
     ran?;
-    let feed = final_feed.ok_or(Error::InvalidProgram {
+    let feed = final_feed.ok_or_else(|| Error::InvalidProgram {
         detail: "no final feed".into(),
     })?;
     let query_time = start.elapsed();

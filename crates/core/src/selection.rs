@@ -139,7 +139,7 @@ impl Selection {
             if self.predicate.matches(&row[val_col]) {
                 if let Some(d) = row[id_col].as_dewey() {
                     if d.depth() >= depth {
-                        out.insert(Dewey(d.0[..depth].to_vec()));
+                        out.insert(Dewey::from(&d.as_slice()[..depth]));
                     }
                 }
             }
@@ -177,7 +177,9 @@ impl Selection {
         }
         let keep = |row: &&Vec<Value>| {
             cols.iter().all(|&c| match row[c].as_dewey() {
-                Some(d) if d.depth() >= depth => qualifying.contains(&Dewey(d.0[..depth].to_vec())),
+                Some(d) if d.depth() >= depth => {
+                    qualifying.contains(&Dewey::from(&d.as_slice()[..depth]))
+                }
                 // Null (padded) or shallower-than-anchor ids don't veto.
                 _ => true,
             })

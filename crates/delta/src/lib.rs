@@ -522,8 +522,8 @@ mod tests {
         let mut f = Feed::new(schema);
         for &(i, text) in items {
             f.push_row(vec![
-                Value::Dewey(Dewey(vec![1, 1, 1])),
-                Value::Dewey(Dewey(vec![1, 1, 1, i])),
+                Value::Dewey(Dewey::from([1, 1, 1])),
+                Value::Dewey(Dewey::from([1, 1, 1, i])),
                 Value::Str(text.to_string()),
             ])
             .unwrap();
@@ -568,8 +568,8 @@ mod tests {
             let mut f = Feed::new(schema.clone());
             for &(key, text) in rows {
                 f.push_row(vec![
-                    Value::Dewey(Dewey(vec![1])),
-                    Value::Dewey(Dewey(key.to_vec())),
+                    Value::Dewey(Dewey::from([1])),
+                    Value::Dewey(Dewey::from(key)),
                     Value::Str(text.to_string()),
                 ])
                 .unwrap();
@@ -580,7 +580,7 @@ mod tests {
         let head = mk(&[(&[1, 1], "x"), (&[1, 2], "y"), (&[1, 2, 1], "Y1!")]);
         let patch = diff_table("N", &base, &head).unwrap().unwrap();
         assert_eq!(patch.steps.len(), 1);
-        assert_eq!(patch.steps[0].key, Dewey(vec![1, 2]));
+        assert_eq!(patch.steps[0].key, Dewey::from([1, 2]));
         assert_eq!(apply_table_patch(&base, &patch).unwrap(), head);
         // Subtree root vanishing at head still round-trips.
         let shrunk = mk(&[(&[1, 1], "x"), (&[1, 2, 1], "y1")]);
@@ -632,7 +632,10 @@ mod tests {
         assert_eq!(store.head("r"), 4);
         assert!(store.snapshot("r", 2).is_none(), "aged out of retention");
         let snap = store.snapshot("r", 4).unwrap();
-        assert_eq!(snap[0].1.rows[0][1], Value::Dewey(Dewey(vec![1, 1, 1, 4])));
+        assert_eq!(
+            snap[0].1.rows[0][1],
+            Value::Dewey(Dewey::from([1, 1, 1, 4]))
+        );
         assert_eq!(store.routes(), 1);
         assert_eq!(store.head("other"), 0, "routes are independent");
     }

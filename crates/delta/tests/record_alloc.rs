@@ -58,8 +58,8 @@ fn landed() -> Database {
         let mut feed = Feed::new(fragment_feed_schema("item", &[("item".to_string(), true)]));
         for r in 0..ROWS_PER_TABLE {
             let row = vec![
-                Value::Dewey(Dewey(vec![1, t])),
-                Value::Dewey(Dewey(vec![1, t, r])),
+                Value::Dewey(Dewey::from([1, t])),
+                Value::Dewey(Dewey::from([1, t, r])),
                 Value::Str(format!("table {t} row {r}")),
             ];
             feed.push_row(row).unwrap();

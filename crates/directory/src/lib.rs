@@ -306,7 +306,7 @@ mod tests {
     use xdx_relational::{FeedColumn, FeedSchema};
 
     fn dewey(path: &[u32]) -> Dewey {
-        Dewey(path.to_vec())
+        Dewey::from(path)
     }
 
     fn schema_t() -> Directory {

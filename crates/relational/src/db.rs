@@ -12,8 +12,8 @@ use std::collections::{BTreeMap, BTreeSet};
 /// An in-memory database. `Clone` is deliberate: load generators
 /// fabricate thousands of per-session source databases by cloning one
 /// preloaded template instead of re-parsing the document each time. A
-/// clone shares every table's rows with its origin until one of the two
-/// writes to that table (built indexes are copied).
+/// clone shares every table's rows and built indexes with its origin
+/// until one of the two writes to that table.
 #[derive(Debug, Clone, Default)]
 pub struct Database {
     /// System name (for diagnostics).
@@ -191,8 +191,8 @@ mod tests {
         let mut f = Feed::new(schema);
         for i in 0..n {
             f.push_row(vec![
-                Value::Dewey(Dewey(vec![])),
-                Value::Dewey(Dewey(vec![i as u32 + 1])),
+                Value::Dewey(Dewey::root()),
+                Value::Dewey(Dewey::from([i as u32 + 1])),
             ])
             .unwrap();
         }

@@ -21,6 +21,7 @@ use crate::error::{Error, Result};
 use crate::value::{Dewey, Value};
 use std::borrow::Cow;
 use std::fmt;
+use std::io::Write;
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
@@ -270,9 +271,11 @@ impl Feed {
     // Wire format
     // ------------------------------------------------------------------
 
-    /// Serializes to the shipping format; see [`rows_to_wire`].
+    /// Serializes to the shipping format; see [`append_wire`].
     pub fn to_wire(&self) -> String {
-        rows_to_wire(&self.schema, &self.rows)
+        let mut out = Vec::new();
+        append_wire(&mut out, &self.schema, &self.rows);
+        String::from_utf8(out).expect("the text encoder writes UTF-8")
     }
 
     /// Decodes the shipping format, verifying the integrity line when
@@ -295,15 +298,9 @@ impl Feed {
                 match expected {
                     Some(e) if e == fnv1a(body.as_bytes()) => body,
                     Some(_) => {
-                        return Err(Error::Decode {
-                            detail: "checksum mismatch: feed corrupted in transit".into(),
-                        })
+                        return Err(decode_err("checksum mismatch: feed corrupted in transit"))
                     }
-                    None => {
-                        return Err(Error::Decode {
-                            detail: "malformed #sum line".into(),
-                        })
-                    }
+                    None => return Err(decode_err("malformed #sum line")),
                 }
             }
             None => text,
@@ -315,44 +312,37 @@ impl Feed {
         // Split on '\n' only: `str::lines` would also strip a '\r' that
         // ends a string cell in the last column.
         let mut lines = text.strip_suffix('\n').unwrap_or(text).split('\n');
-        let header = lines.next().ok_or(Error::Decode {
-            detail: "empty input".into(),
-        })?;
-        let root = header.strip_prefix("#feed\t").ok_or(Error::Decode {
-            detail: "missing #feed header".into(),
-        })?;
-        let cols_line = lines.next().ok_or(Error::Decode {
-            detail: "missing #cols".into(),
-        })?;
-        let cols_body = cols_line.strip_prefix("#cols").ok_or(Error::Decode {
-            detail: "missing #cols header".into(),
-        })?;
+        let header = lines.next().ok_or_else(|| decode_err("empty input"))?;
+        let root = header
+            .strip_prefix("#feed\t")
+            .ok_or_else(|| decode_err("missing #feed header"))?;
+        let cols_line = lines.next().ok_or_else(|| decode_err("missing #cols"))?;
+        let cols_body = cols_line
+            .strip_prefix("#cols")
+            .ok_or_else(|| decode_err("missing #cols header"))?;
         let mut columns = Vec::new();
         for spec in cols_body.split('\t').skip(1) {
-            let (el, role) = spec.rsplit_once(':').ok_or(Error::Decode {
-                detail: format!("bad column spec {spec:?}"),
-            })?;
+            let (el, role) = spec
+                .rsplit_once(':')
+                .ok_or_else(|| decode_err(format!("bad column spec {spec:?}")))?;
             let role = match role {
                 "n" => ColRole::NodeId,
                 "p" => ColRole::ParentRef,
                 "v" => ColRole::Value,
-                other => {
-                    return Err(Error::Decode {
-                        detail: format!("bad column role {other:?}"),
-                    })
-                }
+                other => return Err(decode_err(format!("bad column role {other:?}"))),
             };
             columns.push(FeedColumn::new(el, role));
         }
         let schema = FeedSchema::new(root, columns);
         let mut rows = Vec::new();
         for line in lines {
-            let mut row = Vec::with_capacity(schema.arity());
-            let mut prev: Option<Dewey> = None;
+            let mut row: Vec<Value> = Vec::with_capacity(schema.arity());
+            // Where in `row` the last id sits: the base of a `*` cell.
+            let mut prev: Option<usize> = None;
             for cell in line.split('\t') {
-                let v = decode_value(cell, prev.as_ref())?;
-                if let Value::Dewey(d) = &v {
-                    prev = Some(d.clone());
+                let v = decode_value(cell, prev.and_then(|p| row[p].as_dewey()))?;
+                if v.as_dewey().is_some() {
+                    prev = Some(row.len());
                 }
                 row.push(v);
             }
@@ -382,28 +372,29 @@ fn rows_wire_size(rows: &[Vec<Value>]) -> u64 {
         .sum()
 }
 
-/// Serializes `rows` under `schema` to the shipping format: a
+/// Appends `rows` under `schema` to `out` in the shipping format: a
 /// line-oriented text encoding with a typed prefix per cell (`N`ull,
 /// `I`nt, `D`ewey, `S`tring) and backslash escapes for tab/newline/
 /// backslash in strings. Takes the rows as a slice so a batch of a larger
-/// feed encodes without being copied out first.
-pub fn rows_to_wire(schema: &FeedSchema, rows: &[Vec<Value>]) -> String {
-    let mut out = String::with_capacity(rows_wire_size(rows) as usize + 64);
-    out.push_str("#feed\t");
-    out.push_str(&schema.root_element);
-    out.push('\n');
-    out.push_str("#cols");
+/// feed encodes without being copied out first, and writes where the
+/// message ships from, so the frame is built once.
+pub fn append_wire(out: &mut Vec<u8>, schema: &FeedSchema, rows: &[Vec<Value>]) {
+    let start = out.len();
+    out.reserve(rows_wire_size(rows) as usize + 64);
+    out.extend_from_slice(b"#feed\t");
+    out.extend_from_slice(schema.root_element.as_bytes());
+    out.extend_from_slice(b"\n#cols");
     for c in &schema.columns {
-        out.push('\t');
-        out.push_str(&c.element);
-        out.push(':');
+        out.push(b'\t');
+        out.extend_from_slice(c.element.as_bytes());
+        out.push(b':');
         out.push(match c.role {
-            ColRole::NodeId => 'n',
-            ColRole::ParentRef => 'p',
-            ColRole::Value => 'v',
+            ColRole::NodeId => b'n',
+            ColRole::ParentRef => b'p',
+            ColRole::Value => b'v',
         });
     }
-    out.push('\n');
+    out.push(b'\n');
     for row in rows {
         // Dewey ids within a row share long prefixes (a child's id
         // extends an ancestor's); encode each id relative to the
@@ -413,21 +404,20 @@ pub fn rows_to_wire(schema: &FeedSchema, rows: &[Vec<Value>]) -> String {
         let mut prev: Option<&Dewey> = None;
         for (i, v) in row.iter().enumerate() {
             if i > 0 {
-                out.push('\t');
+                out.push(b'\t');
             }
-            encode_value(v, prev, &mut out);
+            encode_value(v, prev, out);
             if let Value::Dewey(d) = v {
                 prev = Some(d);
             }
         }
-        out.push('\n');
+        out.push(b'\n');
     }
     // Trailing integrity line: FNV-1a over everything above. A flipped
     // bit in transit becomes a decode error instead of silently
     // corrupt target data.
-    let sum = fnv1a(out.as_bytes());
-    out.push_str(&format!("#sum\t{sum:016x}\n"));
-    out
+    let sum = fnv1a(&out[start..]);
+    writeln!(out, "#sum\t{sum:016x}").expect("writing to a Vec cannot fail");
 }
 
 /// A feed handed to an operator is either lent (`&Feed`: its rows are
@@ -464,53 +454,91 @@ impl fmt::Display for Feed {
     }
 }
 
-fn encode_value(v: &Value, prev: Option<&Dewey>, out: &mut String) {
+/// Appends `n` in decimal.
+fn push_decimal(out: &mut Vec<u8>, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[at..]);
+}
+
+/// Appends `path` dotted.
+fn push_dotted(out: &mut Vec<u8>, path: &[u32]) {
+    for (i, c) in path.iter().enumerate() {
+        if i > 0 {
+            out.push(b'.');
+        }
+        push_decimal(out, u64::from(*c));
+    }
+}
+
+fn encode_value(v: &Value, prev: Option<&Dewey>, out: &mut Vec<u8>) {
     match v {
-        Value::Null => out.push('N'),
+        Value::Null => out.push(b'N'),
         Value::Int(i) => {
-            out.push('I');
-            out.push_str(&i.to_string());
+            out.push(b'I');
+            if *i < 0 {
+                out.push(b'-');
+            }
+            push_decimal(out, i.unsigned_abs());
         }
         Value::Dewey(d) => {
             // `*suffix`: extend the previous Dewey in this row.
-            if let Some(p) = prev {
-                if p.is_prefix_of(d) && d.depth() > p.depth() {
-                    out.push('*');
-                    let suffix = &d.0[p.0.len()..];
-                    for (i, c) in suffix.iter().enumerate() {
-                        if i > 0 {
-                            out.push('.');
-                        }
-                        out.push_str(&c.to_string());
-                    }
-                    return;
+            match prev {
+                Some(p) if p.is_prefix_of(d) && d.depth() > p.depth() => {
+                    out.push(b'*');
+                    push_dotted(out, &d.as_slice()[p.depth()..]);
+                }
+                _ => {
+                    out.push(b'D');
+                    push_dotted(out, d.as_slice());
                 }
             }
-            out.push('D');
-            out.push_str(&d.to_string());
         }
         Value::Str(s) => {
-            out.push('S');
-            for c in s.chars() {
-                match c {
-                    '\t' => out.push_str("\\t"),
-                    '\n' => out.push_str("\\n"),
-                    '\\' => out.push_str("\\\\"),
-                    other => out.push(other),
-                }
+            out.push(b'S');
+            // The escaped bytes are ASCII, so the runs between them are
+            // whole characters.
+            let bytes = s.as_bytes();
+            let mut plain = 0;
+            for (i, b) in bytes.iter().enumerate() {
+                let escaped: &[u8] = match b {
+                    b'\t' => b"\\t",
+                    b'\n' => b"\\n",
+                    b'\\' => b"\\\\",
+                    _ => continue,
+                };
+                out.extend_from_slice(&bytes[plain..i]);
+                out.extend_from_slice(escaped);
+                plain = i + 1;
             }
+            out.extend_from_slice(&bytes[plain..]);
         }
     }
 }
 
-/// FNV-1a 64-bit hash, used for the wire integrity line.
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// FNV-1a 64-bit hash: the wire integrity line here, the frame, schema
+/// and container checksums of `xdx-codec`.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+fn decode_err(detail: impl Into<String>) -> Error {
+    Error::Decode {
+        detail: detail.into(),
+    }
 }
 
 fn decode_value(cell: &str, prev: Option<&Dewey>) -> Result<Value> {
@@ -521,25 +549,18 @@ fn decode_value(cell: &str, prev: Option<&Dewey>) -> Result<Value> {
             .as_str()
             .parse::<i64>()
             .map(Value::Int)
-            .map_err(|_| Error::Decode {
-                detail: format!("bad int {cell:?}"),
-            }),
+            .map_err(|_| decode_err(format!("bad int {cell:?}"))),
         Some('*') => {
-            let base = prev.ok_or(Error::Decode {
-                detail: format!("relative dewey {cell:?} with no predecessor"),
+            let base = prev.ok_or_else(|| {
+                decode_err(format!("relative dewey {cell:?} with no predecessor"))
             })?;
-            let suffix = Dewey::parse(chars.as_str()).ok_or(Error::Decode {
-                detail: format!("bad dewey suffix {cell:?}"),
-            })?;
-            let mut full = base.clone();
-            full.0.extend(suffix.0);
-            Ok(Value::Dewey(full))
+            base.extended(chars.as_str())
+                .map(Value::Dewey)
+                .ok_or_else(|| decode_err(format!("bad dewey suffix {cell:?}")))
         }
         Some('D') => Dewey::parse(chars.as_str())
             .map(Value::Dewey)
-            .ok_or(Error::Decode {
-                detail: format!("bad dewey {cell:?}"),
-            }),
+            .ok_or_else(|| decode_err(format!("bad dewey {cell:?}"))),
         Some('S') => {
             let raw = chars.as_str();
             if !raw.contains('\\') {
@@ -553,11 +574,7 @@ fn decode_value(cell: &str, prev: Option<&Dewey>) -> Result<Value> {
                         Some('t') => s.push('\t'),
                         Some('n') => s.push('\n'),
                         Some('\\') => s.push('\\'),
-                        other => {
-                            return Err(Error::Decode {
-                                detail: format!("bad escape \\{other:?}"),
-                            })
-                        }
+                        other => return Err(decode_err(format!("bad escape \\{other:?}"))),
                     }
                 } else {
                     s.push(c);
@@ -565,9 +582,7 @@ fn decode_value(cell: &str, prev: Option<&Dewey>) -> Result<Value> {
             }
             Ok(Value::Str(s))
         }
-        _ => Err(Error::Decode {
-            detail: format!("bad cell {cell:?}"),
-        }),
+        _ => Err(decode_err(format!("bad cell {cell:?}"))),
     }
 }
 
@@ -603,16 +618,16 @@ mod tests {
         );
         let mut f = Feed::new(schema);
         f.push_row(vec![
-            Value::Dewey(Dewey(vec![1])),
-            Value::Dewey(Dewey(vec![1, 2])),
-            Value::Dewey(Dewey(vec![1, 2, 1])),
+            Value::Dewey(Dewey::from([1])),
+            Value::Dewey(Dewey::from([1, 2])),
+            Value::Dewey(Dewey::from([1, 2, 1])),
             Value::Str("local".into()),
         ])
         .unwrap();
         f.push_row(vec![
-            Value::Dewey(Dewey(vec![1])),
-            Value::Dewey(Dewey(vec![1, 3])),
-            Value::Dewey(Dewey(vec![1, 3, 1])),
+            Value::Dewey(Dewey::from([1])),
+            Value::Dewey(Dewey::from([1, 3])),
+            Value::Dewey(Dewey::from([1, 3, 1])),
             Value::Str("long\tdistance".into()),
         ])
         .unwrap();
@@ -674,8 +689,8 @@ mod tests {
         let mut bigger = f.clone();
         bigger
             .push_row(vec![
-                Value::Dewey(Dewey(vec![2])),
-                Value::Dewey(Dewey(vec![2, 1])),
+                Value::Dewey(Dewey::from([2])),
+                Value::Dewey(Dewey::from([2, 1])),
                 Value::Null,
                 Value::Str("x".repeat(100)),
             ])

@@ -1,52 +1,79 @@
 //! Secondary indexes on stored tables.
 //!
 //! The paper measures index creation at the target (Table 4: "create
-//! indices") as a separate end-to-end step. Indexes here are ordered maps
-//! from a column value to row positions — the moral equivalent of MySQL's
-//! B-tree indexes on the key columns of each shredded relation.
+//! indices") as a separate end-to-end step. An index here is the table's
+//! row positions in key order, cut into one run per distinct key — the
+//! leaf level of MySQL's B-tree indexes on the key columns of each
+//! shredded relation, without the tree: a lookup is a binary search over
+//! the run keys. Tables arrive in Dewey order, so on their key columns
+//! building one is a sortedness check, not a sort.
 
 use crate::stats::Counters;
 use crate::value::Value;
-use std::collections::BTreeMap;
 
 /// An ordered index over one column of a table.
 #[derive(Debug, Clone, Default)]
 pub struct Index {
     /// Indexed column position.
     pub column: usize,
-    map: BTreeMap<Value, Vec<u32>>,
+    /// Row positions by (key, position).
+    order: Vec<u32>,
+    /// Where in `order` each run starts, one run per distinct key, and
+    /// where the last one ends.
+    starts: Vec<u32>,
+    /// The key of each run, ascending.
+    keys: Vec<Value>,
 }
 
 impl Index {
     /// Builds an index over `column` of `rows`, charging one
     /// `index_inserts` unit per row to `counters`.
     pub fn build(rows: &[Vec<Value>], column: usize, counters: &mut Counters) -> Index {
-        let mut map: BTreeMap<Value, Vec<u32>> = BTreeMap::new();
-        for (pos, row) in rows.iter().enumerate() {
-            map.entry(row[column].clone()).or_default().push(pos as u32);
-            counters.index_inserts += 1;
+        counters.index_inserts += rows.len() as u64;
+        let key = |pos: u32| &rows[pos as usize][column];
+        let mut order: Vec<u32> = (0..rows.len() as u32).collect();
+        if !rows.windows(2).all(|w| w[0][column] <= w[1][column]) {
+            // Stable: equal keys keep their positions ascending.
+            order.sort_by_key(|&pos| key(pos));
         }
-        Index { column, map }
+        let mut starts = Vec::new();
+        let mut keys: Vec<Value> = Vec::new();
+        for (at, &pos) in order.iter().enumerate() {
+            if keys.last() != Some(key(pos)) {
+                starts.push(at as u32);
+                keys.push(key(pos).clone());
+            }
+        }
+        starts.push(order.len() as u32);
+        Index {
+            column,
+            order,
+            starts,
+            keys,
+        }
     }
 
-    /// Row positions whose indexed column equals `key`.
+    /// Row positions whose indexed column equals `key`, ascending.
     pub fn lookup(&self, key: &Value) -> &[u32] {
-        self.map.get(key).map(Vec::as_slice).unwrap_or(&[])
+        match self.keys.binary_search(key) {
+            Ok(run) => &self.order[self.starts[run] as usize..self.starts[run + 1] as usize],
+            Err(_) => &[],
+        }
     }
 
     /// Number of distinct keys.
     pub fn distinct_keys(&self) -> usize {
-        self.map.len()
+        self.keys.len()
     }
 
     /// Total number of indexed entries.
     pub fn entries(&self) -> usize {
-        self.map.values().map(Vec::len).sum()
+        self.order.len()
     }
 
     /// True when every key maps to exactly one row (a unique/primary key).
     pub fn is_unique(&self) -> bool {
-        self.map.values().all(|v| v.len() == 1)
+        self.keys.len() == self.order.len()
     }
 }
 
@@ -57,9 +84,9 @@ mod tests {
 
     fn rows() -> Vec<Vec<Value>> {
         vec![
-            vec![Value::Dewey(Dewey(vec![1])), Value::Str("a".into())],
-            vec![Value::Dewey(Dewey(vec![2])), Value::Str("b".into())],
-            vec![Value::Dewey(Dewey(vec![3])), Value::Str("a".into())],
+            vec![Value::Dewey(Dewey::from([1])), Value::Str("a".into())],
+            vec![Value::Dewey(Dewey::from([2])), Value::Str("b".into())],
+            vec![Value::Dewey(Dewey::from([3])), Value::Str("a".into())],
         ]
     }
 

@@ -15,6 +15,7 @@ use crate::stats::Counters;
 use crate::value::Value;
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
+use std::hash::{Hash, Hasher};
 use std::ops::Range;
 
 /// Looks up the parent feed's join column for combining `child` into
@@ -356,6 +357,34 @@ pub struct SplitSpec {
     pub elements: Vec<String>,
 }
 
+/// The id cells that tell one instance of a `Split` group from another,
+/// read where they sit in an input row.
+#[derive(Clone, Copy)]
+struct InstanceKey<'a> {
+    row: &'a [Value],
+    cols: &'a [usize],
+}
+
+impl InstanceKey<'_> {
+    fn cells(&self) -> impl Iterator<Item = &Value> {
+        self.cols.iter().map(|&c| &self.row[c])
+    }
+}
+
+impl PartialEq for InstanceKey<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cells().eq(other.cells())
+    }
+}
+
+impl Eq for InstanceKey<'_> {}
+
+impl Hash for InstanceKey<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.cells().for_each(|cell| cell.hash(state));
+    }
+}
+
 /// Projection implementation of `Split` (Def. 3.8): one output feed per
 /// spec, with fresh `PARENT` references and duplicates eliminated (an
 /// element instance inlined alongside a repeated sibling appears in many
@@ -414,20 +443,30 @@ pub fn split(feed: &Feed, specs: &[SplitSpec], counters: &mut Counters) -> Resul
         let root_id_out = root_id_out.ok_or_else(|| Error::UnknownColumn {
             name: format!("{}.ID (group root must be identified)", spec.root_element),
         })?;
+        let key_cols: Vec<usize> = id_cols_out.iter().map(|&c| src_cols[c]).collect();
+        let root_id_src = src_cols[root_id_out];
         // The input cardinality bounds this group's output (dedup only
         // shrinks it); pre-sizing both containers keeps the projection
         // loop reallocation-free.
         let mut rows = Vec::with_capacity(feed.len());
         // Instances are told apart by their ids where they sit in the
-        // input; only a row that introduces a new one is copied out.
-        let mut seen: HashSet<Vec<&Value>> = HashSet::with_capacity(feed.len());
+        // input; only a row that introduces a new one is copied out. In
+        // a sorted input the repeats of an instance mostly follow it, so
+        // the row before is asked first; the set holds the first row of
+        // each instance, for the repeats that do not.
+        let mut seen: HashSet<InstanceKey<'_>> = HashSet::with_capacity(feed.len());
+        let mut last: Option<InstanceKey<'_>> = None;
         for row in &feed.rows {
-            if row[src_cols[root_id_out]].is_null() {
+            if row[root_id_src].is_null() {
                 continue; // absent optional subtree: no instance to emit
             }
-            let key = id_cols_out.iter().map(|&c| &row[src_cols[c]]).collect();
+            let key = InstanceKey {
+                row,
+                cols: &key_cols,
+            };
             counters.hash_probes += 1;
-            if seen.insert(key) {
+            let repeats_last = last.replace(key) == Some(key);
+            if !repeats_last && seen.insert(key) {
                 rows.push(src_cols.iter().map(|&c| row[c].clone()).collect());
             }
         }
@@ -447,7 +486,7 @@ mod tests {
     use proptest::prelude::*;
 
     fn dv(path: &[u32]) -> Value {
-        Value::Dewey(Dewey(path.to_vec()))
+        Value::Dewey(Dewey::from(path))
     }
 
     /// Customers feed: 2 customers under root [].

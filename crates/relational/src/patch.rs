@@ -126,7 +126,7 @@ pub fn key_column(feed: &Feed) -> Result<usize> {
                 .iter()
                 .position(|c| c.role == ColRole::NodeId)
         })
-        .ok_or(Error::SchemaMismatch {
+        .ok_or_else(|| Error::SchemaMismatch {
             detail: format!(
                 "feed for {:?} has no NodeId column to key subtrees by",
                 feed.schema.root_element
@@ -269,8 +269,8 @@ mod tests {
         let mut f = Feed::new(schema);
         for &i in ids {
             f.push_row(vec![
-                Value::Dewey(Dewey(vec![1, 1, 1])),
-                Value::Dewey(Dewey(vec![1, 1, 1, i])),
+                Value::Dewey(Dewey::from([1, 1, 1])),
+                Value::Dewey(Dewey::from([1, 1, 1, i])),
                 Value::Str(format!("item {i}")),
             ])
             .unwrap();
@@ -282,8 +282,8 @@ mod tests {
         let mut p = Feed::new(feed.schema.clone());
         for &i in ids {
             p.push_row(vec![
-                Value::Dewey(Dewey(vec![1, 1, 1])),
-                Value::Dewey(Dewey(vec![1, 1, 1, i])),
+                Value::Dewey(Dewey::from([1, 1, 1])),
+                Value::Dewey(Dewey::from([1, 1, 1, i])),
                 Value::Str(format!("patched {i}")),
             ])
             .unwrap();
@@ -299,17 +299,17 @@ mod tests {
             steps: vec![
                 PatchStep {
                     kind: StepKind::ReplaceSubtree,
-                    key: Dewey(vec![1, 1, 1, 2]),
+                    key: Dewey::from([1, 1, 1, 2]),
                     rows: 1,
                 },
                 PatchStep {
                     kind: StepKind::DeleteSubtree,
-                    key: Dewey(vec![1, 1, 1, 3]),
+                    key: Dewey::from([1, 1, 1, 3]),
                     rows: 0,
                 },
                 PatchStep {
                     kind: StepKind::InsertSubtree,
-                    key: Dewey(vec![1, 1, 1, 4]),
+                    key: Dewey::from([1, 1, 1, 4]),
                     rows: 1,
                 },
             ],
@@ -319,7 +319,7 @@ mod tests {
         let keys: Vec<u32> = out
             .rows
             .iter()
-            .map(|r| r[1].as_dewey().unwrap().0[3])
+            .map(|r| r[1].as_dewey().unwrap().as_slice()[3])
             .collect();
         assert_eq!(keys, vec![1, 2, 4, 5]);
         assert_eq!(out.rows[1][2], Value::Str("patched 2".into()));
@@ -341,21 +341,24 @@ mod tests {
             vec![1, 2, 2],
             vec![1, 3],
         ] {
-            base.push_row(vec![Value::Dewey(Dewey(vec![1])), Value::Dewey(Dewey(key))])
-                .unwrap();
+            base.push_row(vec![
+                Value::Dewey(Dewey::from([1])),
+                Value::Dewey(Dewey::from(key)),
+            ])
+            .unwrap();
         }
         let patch = TablePatch {
             table: "ITEM".into(),
             steps: vec![PatchStep {
                 kind: StepKind::DeleteSubtree,
-                key: Dewey(vec![1, 2]),
+                key: Dewey::from([1, 2]),
                 rows: 0,
             }],
             payload: Feed::new(base.schema.clone()),
         };
         let out = apply_table_patch(&base, &patch).unwrap();
         assert_eq!(out.len(), 2);
-        assert_eq!(out.rows[1][1], Value::Dewey(Dewey(vec![1, 3])));
+        assert_eq!(out.rows[1][1], Value::Dewey(Dewey::from([1, 3])));
     }
 
     #[test]
@@ -363,7 +366,7 @@ mod tests {
         let base = item_feed(&[1, 2, 3]);
         let step = |kind, id: u32, rows| PatchStep {
             kind,
-            key: Dewey(vec![1, 1, 1, id]),
+            key: Dewey::from([1, 1, 1, id]),
             rows,
         };
         // Steps out of order.
@@ -434,7 +437,7 @@ mod tests {
                 table: "ITEM".into(),
                 steps: vec![PatchStep {
                     kind: StepKind::ReplaceSubtree,
-                    key: Dewey(vec![1, 1, 1, 2]),
+                    key: Dewey::from([1, 1, 1, 2]),
                     rows: 1,
                 }],
                 payload: payload_of(&base, &[2]),
@@ -458,7 +461,7 @@ mod tests {
                 table: "ITEM".into(),
                 steps: vec![PatchStep {
                     kind: StepKind::DeleteSubtree,
-                    key: Dewey(vec![9, 9]),
+                    key: Dewey::from([9, 9]),
                     rows: 0,
                 }],
                 payload: Feed::new(base.schema.clone()),
@@ -481,12 +484,12 @@ mod tests {
                 steps: vec![
                     PatchStep {
                         kind: StepKind::InsertSubtree,
-                        key: Dewey(vec![1, 1, 1, 1]),
+                        key: Dewey::from([1, 1, 1, 1]),
                         rows: 1,
                     },
                     PatchStep {
                         kind: StepKind::InsertSubtree,
-                        key: Dewey(vec![1, 1, 1, 2]),
+                        key: Dewey::from([1, 1, 1, 2]),
                         rows: 1,
                     },
                 ],

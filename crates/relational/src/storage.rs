@@ -111,8 +111,8 @@ mod tests {
             let mut f = Feed::new(schema);
             for i in 1..=rows {
                 f.push_row(vec![
-                    Value::Dewey(Dewey(vec![])),
-                    Value::Dewey(Dewey(vec![i])),
+                    Value::Dewey(Dewey::root()),
+                    Value::Dewey(Dewey::from([i])),
                     Value::Str(format!("{tname}-{i} with\ttab and \\slash")),
                 ])
                 .unwrap();

@@ -11,6 +11,7 @@ use crate::feed::{Feed, FeedSchema, Rows};
 use crate::index::Index;
 use crate::stats::Counters;
 use crate::value::Value;
+use std::sync::Arc;
 
 /// A stored table.
 #[derive(Debug, Clone, Default)]
@@ -19,8 +20,9 @@ pub struct Table {
     pub name: String,
     /// Rows + layout; the table is a materialized feed.
     pub data: Feed,
-    /// Secondary indexes built so far.
-    pub indexes: Vec<Index>,
+    /// Secondary indexes built so far, each shared with the table's
+    /// clones like the rows it indexes.
+    pub indexes: Vec<Arc<Index>>,
     /// Rows staged by [`Table::stage_rows`], invisible to scans until
     /// [`Table::commit_staged`] swaps them in.
     staged: Rows,
@@ -117,7 +119,7 @@ impl Table {
         }
         let idx = Index::build(&self.data.rows, column, counters);
         self.indexes.retain(|i| i.column != column);
-        self.indexes.push(idx);
+        self.indexes.push(Arc::new(idx));
         Ok(())
     }
 
@@ -202,8 +204,8 @@ mod tests {
         let mut f = Feed::new(schema());
         for i in 0..n {
             f.push_row(vec![
-                Value::Dewey(Dewey(vec![1])),
-                Value::Dewey(Dewey(vec![1, i as u32 + 1])),
+                Value::Dewey(Dewey::from([1])),
+                Value::Dewey(Dewey::from([1, i as u32 + 1])),
                 Value::Str(format!("thing{i}")),
             ])
             .unwrap();

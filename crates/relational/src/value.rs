@@ -8,66 +8,176 @@
 
 use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+
+/// Components a [`Dewey`] holds in place. A constant, not a knob: it is
+/// what fits in a 24-byte id — the size of the `String` a [`Value`]
+/// already carries, so a cell stays 32 bytes — and XMark ids are at most
+/// four deep.
+const INLINE: usize = 5;
+
+/// Where the components live. `Spilled` holds paths longer than
+/// [`INLINE`] and only those, so one path has one spelling.
+#[derive(Clone)]
+enum Repr {
+    Inline { len: u8, buf: [u32; INLINE] },
+    Spilled(Box<[u32]>),
+}
 
 /// A Dewey path: the position of a node in a tree instance.
 ///
 /// The root is `[]`; its third child is `[3]`; that child's first child is
 /// `[3, 1]`. Ordering is lexicographic component-wise, i.e. document order
 /// (pre-order), with a parent sorting before its descendants.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
-pub struct Dewey(pub Vec<u32>);
+///
+/// A path of up to five components is stored in place — building,
+/// cloning or dropping one touches no heap — and a deeper one spills to
+/// one exact-size block. Equality, order and hash are those of the
+/// component slice.
+#[derive(Clone)]
+pub struct Dewey(Repr);
 
 impl Dewey {
     /// The root path.
     pub fn root() -> Dewey {
-        Dewey(Vec::new())
+        Dewey(Repr::Inline {
+            len: 0,
+            buf: [0; INLINE],
+        })
+    }
+
+    /// The components, root first.
+    pub fn as_slice(&self) -> &[u32] {
+        match &self.0 {
+            Repr::Inline { len, buf } => &buf[..usize::from(*len)],
+            Repr::Spilled(path) => path,
+        }
+    }
+
+    /// Appends one component.
+    pub fn push(&mut self, n: u32) {
+        match &mut self.0 {
+            Repr::Inline { len, buf } if usize::from(*len) < INLINE => {
+                buf[usize::from(*len)] = n;
+                *len += 1;
+            }
+            _ => self.0 = Repr::Spilled(self.as_slice().iter().copied().chain([n]).collect()),
+        }
     }
 
     /// Child path at 1-based ordinal `n`.
     pub fn child(&self, n: u32) -> Dewey {
-        let mut v = Vec::with_capacity(self.0.len() + 1);
-        v.extend_from_slice(&self.0);
-        v.push(n);
-        Dewey(v)
+        let mut child = self.clone();
+        child.push(n);
+        child
     }
 
     /// Parent path; `None` for the root.
     pub fn parent(&self) -> Option<Dewey> {
-        if self.0.is_empty() {
-            None
-        } else {
-            Some(Dewey(self.0[..self.0.len() - 1].to_vec()))
-        }
+        let (_, ancestors) = self.as_slice().split_last()?;
+        Some(Dewey::from(ancestors))
     }
 
     /// Depth (number of components).
     pub fn depth(&self) -> usize {
-        self.0.len()
+        self.as_slice().len()
     }
 
     /// True when `self` is an ancestor of `other` (or equal).
     pub fn is_prefix_of(&self, other: &Dewey) -> bool {
-        other.0.len() >= self.0.len() && other.0[..self.0.len()] == self.0[..]
+        other.as_slice().starts_with(self.as_slice())
     }
 
     /// Parses dotted text (`"1.3.2"`; empty string = root).
     pub fn parse(s: &str) -> Option<Dewey> {
+        Dewey::root().extended(s)
+    }
+
+    /// `self` with the components of dotted text `s` appended (none for
+    /// the empty string). Linear in the depth however deep the text
+    /// goes: the path is sized before it is filled.
+    pub(crate) fn extended(&self, s: &str) -> Option<Dewey> {
         if s.is_empty() {
-            return Some(Dewey::root());
+            return Some(self.clone());
         }
-        s.split('.')
-            .map(|p| p.parse::<u32>().ok())
-            .collect::<Option<Vec<_>>>()
-            .map(Dewey)
+        let depth = self.depth() + s.split('.').count();
+        let mut inline = [0; INLINE];
+        let mut spilled = Vec::new();
+        let path = if depth <= INLINE {
+            &mut inline[..depth]
+        } else {
+            spilled.resize(depth, 0);
+            &mut spilled[..]
+        };
+        let (base, more) = path.split_at_mut(self.depth());
+        base.copy_from_slice(self.as_slice());
+        for (slot, part) in more.iter_mut().zip(s.split('.')) {
+            *slot = part.parse().ok()?;
+        }
+        Some(Dewey::from(&*path))
     }
 
     /// Approximate serialized size in bytes (for communication costing).
     pub fn wire_len(&self) -> usize {
-        if self.0.is_empty() {
+        let path = self.as_slice();
+        if path.is_empty() {
             0
         } else {
-            self.0.iter().map(|c| digits(u64::from(*c))).sum::<usize>() + self.0.len() - 1
+            path.iter().map(|c| digits(u64::from(*c))).sum::<usize>() + path.len() - 1
         }
+    }
+}
+
+impl Default for Dewey {
+    fn default() -> Self {
+        Dewey::root()
+    }
+}
+
+impl From<&[u32]> for Dewey {
+    fn from(path: &[u32]) -> Dewey {
+        if path.len() <= INLINE {
+            let mut buf = [0; INLINE];
+            buf[..path.len()].copy_from_slice(path);
+            Dewey(Repr::Inline {
+                len: path.len() as u8,
+                buf,
+            })
+        } else {
+            Dewey(Repr::Spilled(path.into()))
+        }
+    }
+}
+
+impl<const N: usize> From<[u32; N]> for Dewey {
+    fn from(path: [u32; N]) -> Dewey {
+        Dewey::from(&path[..])
+    }
+}
+
+impl From<Vec<u32>> for Dewey {
+    fn from(path: Vec<u32>) -> Dewey {
+        Dewey::from(&path[..])
+    }
+}
+
+impl fmt::Debug for Dewey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("Dewey").field(&self.as_slice()).finish()
+    }
+}
+
+impl PartialEq for Dewey {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for Dewey {}
+
+impl Hash for Dewey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_slice().hash(state);
     }
 }
 
@@ -88,13 +198,13 @@ impl PartialOrd for Dewey {
 
 impl Ord for Dewey {
     fn cmp(&self, other: &Self) -> Ordering {
-        self.0.cmp(&other.0)
+        self.as_slice().cmp(other.as_slice())
     }
 }
 
 impl fmt::Display for Dewey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (i, c) in self.0.iter().enumerate() {
+        for (i, c) in self.as_slice().iter().enumerate() {
             if i > 0 {
                 f.write_str(".")?;
             }
@@ -234,11 +344,38 @@ mod tests {
     }
 
     #[test]
+    fn a_cell_is_no_wider_than_a_string_cell() {
+        assert_eq!(std::mem::size_of::<Dewey>(), 24);
+        assert!(std::mem::size_of::<Value>() <= 32);
+    }
+
+    #[test]
+    fn dewey_spills_past_its_inline_depth_and_comes_back() {
+        let mut d = Dewey::root();
+        let mut model = Vec::new();
+        for n in 1..=12 {
+            d = d.child(n);
+            model.push(n);
+            assert_eq!(d.as_slice(), &model[..]);
+            assert_eq!(matches!(d.0, Repr::Spilled(_)), model.len() > INLINE);
+        }
+        assert_eq!(d.to_string(), "1.2.3.4.5.6.7.8.9.10.11.12");
+        while let Some(up) = d.parent() {
+            model.pop();
+            assert_eq!(up, Dewey::from(model.clone()));
+            assert_eq!(matches!(up.0, Repr::Spilled(_)), model.len() > INLINE);
+            assert!(up < d && up.is_prefix_of(&d));
+            d = up;
+        }
+        assert_eq!(d, Dewey::root());
+    }
+
+    #[test]
     fn dewey_document_order() {
-        let parent = Dewey(vec![1]);
-        let first = Dewey(vec![1, 1]);
-        let second = Dewey(vec![1, 2]);
-        let tenth = Dewey(vec![1, 10]);
+        let parent = Dewey::from([1]);
+        let first = Dewey::from([1, 1]);
+        let second = Dewey::from([1, 2]);
+        let tenth = Dewey::from([1, 10]);
         assert!(parent < first); // parent precedes descendants
         assert!(first < second);
         assert!(second < tenth); // numeric, not lexicographic-by-string
@@ -261,7 +398,7 @@ mod tests {
             Value::Str("b".into()),
             Value::Null,
             Value::Int(5),
-            Value::Dewey(Dewey(vec![2])),
+            Value::Dewey(Dewey::from([2])),
             Value::Int(-1),
             Value::Str("a".into()),
         ];
@@ -276,7 +413,7 @@ mod tests {
         assert_eq!(Value::Int(1234).wire_len(), 4);
         assert_eq!(Value::Int(-7).wire_len(), 2);
         assert_eq!(Value::Str("hello".into()).wire_len(), 5);
-        assert_eq!(Value::Dewey(Dewey(vec![1, 23])).wire_len(), 4); // "1.23"
+        assert_eq!(Value::Dewey(Dewey::from([1, 23])).wire_len(), 4); // "1.23"
         assert_eq!(Value::Null.wire_len(), 1);
     }
 

@@ -3,13 +3,16 @@
 //! equivalence, wire-format fidelity) must hold on arbitrary data.
 
 use proptest::prelude::*;
+use std::collections::hash_map::DefaultHasher;
+use std::collections::{BTreeMap, HashSet};
+use std::hash::{Hash, Hasher};
 use xdx_relational::ops::{hash_combine, merge_combine, split, SplitSpec};
 use xdx_relational::{
-    ColRole, Counters, Database, Dewey, Feed, FeedColumn, FeedSchema, Rows, Value,
+    ColRole, Counters, Database, Dewey, Feed, FeedColumn, FeedSchema, Index, Rows, Value,
 };
 
 fn dv(path: Vec<u32>) -> Value {
-    Value::Dewey(Dewey(path))
+    Value::Dewey(Dewey::from(path))
 }
 
 /// Builds a parent feed with `n` root instances and a child feed where
@@ -55,7 +58,277 @@ fn hierarchy(child_counts: Vec<u8>) -> (Feed, Feed) {
     (parent, child)
 }
 
+fn hash_of(v: &impl Hash) -> u64 {
+    let mut h = DefaultHasher::new();
+    v.hash(&mut h);
+    h.finish()
+}
+
+/// Everything a `Dewey` answers, against the `Vec<u32>` it used to be.
+fn check_dewey_against_model(d: &Dewey, model: &Vec<u32>) -> Result<(), TestCaseError> {
+    prop_assert_eq!(d.as_slice(), &model[..]);
+    prop_assert_eq!(d.depth(), model.len());
+    let dotted = model
+        .iter()
+        .map(u32::to_string)
+        .collect::<Vec<_>>()
+        .join(".");
+    prop_assert_eq!(d.to_string(), dotted.clone());
+    prop_assert_eq!(d.wire_len(), dotted.len());
+    prop_assert_eq!(&Dewey::parse(&dotted).unwrap(), d);
+    // The same path built in one go: one spelling, whichever way it was
+    // reached, and the hash the component vector always had.
+    let fresh = Dewey::from(model.clone());
+    prop_assert_eq!(&fresh, d);
+    prop_assert_eq!(hash_of(&fresh), hash_of(d));
+    prop_assert_eq!(hash_of(d), hash_of(model));
+    prop_assert_eq!(format!("{d:?}"), format!("Dewey({model:?})"));
+    Ok(())
+}
+
+/// `Split` as it was: one key vector per input row in a hash set. The
+/// oracle the in-place dedup is held to, output and bill.
+fn split_with_key_vectors(feed: &Feed, spec: &SplitSpec, counters: &mut Counters) -> Feed {
+    counters.rows_read += feed.len() as u64;
+    let col = |el: &str, role| feed.schema.col(el, role);
+    let parent_src = match &spec.anchor_element {
+        Some(el) => col(el, ColRole::NodeId).unwrap(),
+        None => feed.schema.parent_ref_col().unwrap(),
+    };
+    let mut src_cols = vec![parent_src];
+    let mut columns = vec![FeedColumn::new(
+        spec.root_element.clone(),
+        ColRole::ParentRef,
+    )];
+    let mut id_cols_out = Vec::new();
+    let mut root_id_out = None;
+    for el in &spec.elements {
+        if let Some(idc) = col(el, ColRole::NodeId) {
+            if el == &spec.root_element {
+                root_id_out = Some(src_cols.len());
+            }
+            id_cols_out.push(src_cols.len());
+            src_cols.push(idc);
+            columns.push(FeedColumn::new(el.clone(), ColRole::NodeId));
+        }
+        if let Some(vc) = col(el, ColRole::Value) {
+            src_cols.push(vc);
+            columns.push(FeedColumn::new(el.clone(), ColRole::Value));
+        }
+    }
+    let root_id_out = root_id_out.unwrap();
+    let mut rows = Vec::new();
+    let mut seen: HashSet<Vec<&Value>> = HashSet::new();
+    for row in &feed.rows {
+        if row[src_cols[root_id_out]].is_null() {
+            continue;
+        }
+        let key = id_cols_out.iter().map(|&c| &row[src_cols[c]]).collect();
+        counters.hash_probes += 1;
+        if seen.insert(key) {
+            rows.push(src_cols.iter().map(|&c| row[c].clone()).collect());
+        }
+    }
+    counters.rows_out += rows.len() as u64;
+    Feed {
+        schema: FeedSchema::new(spec.root_element.clone(), columns),
+        rows: rows.into(),
+    }
+}
+
+/// A key drawn from a small domain of every variant, so columns repeat
+/// keys and mix `Null` in.
+fn small_key(pick: u8) -> Value {
+    match pick % 8 {
+        0 => Value::Null,
+        1 | 2 => Value::Int(i64::from(pick / 8) - 1),
+        3 | 4 => dv(vec![1, u32::from(pick / 8)]),
+        5 => dv(vec![1, 1, 1, 1, 1, u32::from(pick / 8)]),
+        _ => Value::Str(format!("k{}", pick / 8)),
+    }
+}
+
 proptest! {
+    /// `child`, `parent` and `push` walk a path up and down through the
+    /// depth where it stops fitting in place; after every step the id
+    /// answers what the vector answers.
+    #[test]
+    fn dewey_walks_agree_with_a_component_vector(
+        start in proptest::collection::vec(0u32..1000, 0..=12),
+        steps in proptest::collection::vec((0u8..4, any::<u32>()), 0..32),
+    ) {
+        let mut model = start.clone();
+        let mut d = Dewey::from(start);
+        check_dewey_against_model(&d, &model)?;
+        for (step, n) in steps {
+            match step {
+                0 => { d = d.child(n); model.push(n); }
+                1 => { d.push(n); model.push(n); }
+                _ => {
+                    let up = d.parent();
+                    prop_assert_eq!(up.is_none(), model.is_empty());
+                    if let Some(up) = up {
+                        prop_assert!(up.is_prefix_of(&d));
+                        d = up;
+                        model.pop();
+                    }
+                }
+            }
+            check_dewey_against_model(&d, &model)?;
+        }
+    }
+
+    /// Order, equality and the prefix test are the component slices'.
+    #[test]
+    fn dewey_pairs_compare_like_component_vectors(
+        a in proptest::collection::vec(0u32..3, 0..=12),
+        b in proptest::collection::vec(0u32..3, 0..=12),
+        cut in 0usize..=12,
+    ) {
+        let (da, db) = (Dewey::from(a.clone()), Dewey::from(b.clone()));
+        prop_assert_eq!(da.cmp(&db), a.cmp(&b));
+        prop_assert_eq!(da == db, a == b);
+        prop_assert_eq!(da.is_prefix_of(&db), b.starts_with(&a));
+        prop_assert_eq!(dv(a.clone()).cmp(&dv(b.clone())), a.cmp(&b));
+        // A true ancestor, reached from below.
+        let ancestor = &a[..cut.min(a.len())];
+        let mut up = da.clone();
+        while up.depth() > ancestor.len() {
+            up = up.parent().unwrap();
+        }
+        prop_assert_eq!(up.as_slice(), ancestor);
+        prop_assert!(up.is_prefix_of(&da));
+        prop_assert_eq!(hash_of(&up), hash_of(&Dewey::from(ancestor)));
+    }
+
+    /// The run index answers what the ordered map of position lists it
+    /// replaced answers, on columns in no order with repeated and `Null`
+    /// keys.
+    #[test]
+    fn index_agrees_with_an_ordered_map_of_positions(
+        picks in proptest::collection::vec(any::<u8>(), 0..60),
+        sorted in any::<bool>(),
+    ) {
+        let mut keys: Vec<Value> = picks.iter().map(|&p| small_key(p)).collect();
+        if sorted {
+            keys.sort();
+        }
+        let rows: Vec<Vec<Value>> = keys
+            .iter()
+            .enumerate()
+            .map(|(i, k)| vec![Value::Int(i as i64), k.clone()])
+            .collect();
+        let mut model: BTreeMap<Value, Vec<u32>> = BTreeMap::new();
+        for (pos, row) in rows.iter().enumerate() {
+            model.entry(row[1].clone()).or_default().push(pos as u32);
+        }
+        let mut counters = Counters::new();
+        let index = Index::build(&rows, 1, &mut counters);
+        prop_assert_eq!(counters.index_inserts, rows.len() as u64);
+        prop_assert_eq!(counters, Counters { index_inserts: rows.len() as u64, ..Counters::new() });
+        prop_assert_eq!(index.column, 1);
+        prop_assert_eq!(index.distinct_keys(), model.len());
+        prop_assert_eq!(index.entries(), rows.len());
+        prop_assert_eq!(index.is_unique(), model.values().all(|v| v.len() == 1));
+        for pick in 0..=255u8 {
+            let key = small_key(pick);
+            let want = model.get(&key).map(Vec::as_slice).unwrap_or(&[]);
+            prop_assert_eq!(index.lookup(&key), want, "{:?}", key);
+        }
+        prop_assert_eq!(index.lookup(&Value::Str("absent".into())), &[] as &[u32]);
+    }
+
+    /// `Split` dedups in place exactly as it did with a key vector per
+    /// row: same rows in the same order, same bill — on feeds whose
+    /// repeated instances are scattered, not adjacent.
+    #[test]
+    fn split_agrees_with_the_key_vector_dedup(
+        picks in proptest::collection::vec((0u32..4, 0u32..4, any::<bool>()), 0..40),
+    ) {
+        let schema = FeedSchema::new(
+            "P",
+            vec![
+                FeedColumn::new("P", ColRole::ParentRef),
+                FeedColumn::new("P", ColRole::NodeId),
+                FeedColumn::new("PName", ColRole::Value),
+                FeedColumn::new("C", ColRole::NodeId),
+                FeedColumn::new("CName", ColRole::Value),
+            ],
+        );
+        let mut feed = Feed::new(schema);
+        for (p, c, childless) in picks {
+            let child = if childless { Value::Null } else { dv(vec![p, c]) };
+            feed.push_row(vec![
+                dv(vec![]),
+                dv(vec![p]),
+                Value::Str(format!("p{p}")),
+                child,
+                Value::Str(format!("c{p}.{c}")),
+            ])
+            .unwrap();
+        }
+        let specs = [
+            SplitSpec {
+                root_element: "P".into(),
+                anchor_element: None,
+                elements: vec!["P".into(), "PName".into()],
+            },
+            SplitSpec {
+                root_element: "C".into(),
+                anchor_element: Some("P".into()),
+                elements: vec!["C".into(), "CName".into()],
+            },
+        ];
+        let mut billed = Counters::new();
+        let got = split(&feed, &specs, &mut billed).unwrap();
+        let mut want_billed = Counters::new();
+        let want: Vec<Feed> = specs
+            .iter()
+            .map(|spec| split_with_key_vectors(&feed, spec, &mut want_billed))
+            .collect();
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(billed, want_billed);
+    }
+
+    /// The text codec at its edges: the widest integers, ids past the
+    /// in-place depth, and `*`-relative ids whose base is one of those.
+    #[test]
+    fn wire_roundtrip_deep_ids_and_wide_ints(
+        rows in proptest::collection::vec(
+            (
+                proptest::collection::vec(any::<u32>(), 0..=12),
+                proptest::collection::vec(any::<u32>(), 0..=3),
+                any::<i64>(),
+                0u8..4,
+            ),
+            0..20,
+        )
+    ) {
+        let schema = FeedSchema::new(
+            "x",
+            vec![
+                FeedColumn::new("x", ColRole::ParentRef),
+                FeedColumn::new("x", ColRole::NodeId),
+                FeedColumn::new("y", ColRole::NodeId),
+                FeedColumn::new("n", ColRole::Value),
+            ],
+        );
+        let mut f = Feed::new(schema);
+        for (base, suffix, int, edge) in rows {
+            let mut below = base.clone();
+            below.extend(&suffix);
+            let int = match edge {
+                0 => i64::MIN,
+                1 => i64::MAX,
+                _ => int,
+            };
+            // `y` extends `x` (a `*` cell) unless the suffix is empty.
+            f.push_row(vec![dv(vec![]), dv(base), dv(below), Value::Int(int)]).unwrap();
+        }
+        let wire = f.to_wire();
+        prop_assert_eq!(Feed::from_wire(&wire).unwrap(), f);
+    }
+
     #[test]
     fn merge_and_hash_combine_agree(counts in proptest::collection::vec(0u8..5, 0..20)) {
         let (parent, child) = hierarchy(counts);

@@ -387,7 +387,7 @@ impl Exchange {
 /// The two-site request a lane resumes as: the exchange's request under
 /// the lane's own name and target endpoint. The exchange's `last` lane
 /// takes the source database; earlier ones clone it (tables share their
-/// rows; built indexes are copied).
+/// rows and built indexes).
 pub(crate) fn lane_checkpoint(
     request: &mut ExchangeRequest,
     name: &str,
@@ -816,7 +816,7 @@ impl Inner {
         };
         if let Some(why) = failure {
             for lane in &mut group.lanes {
-                lane.failure.get_or_insert(why.clone());
+                lane.failure.get_or_insert_with(|| why.clone());
             }
         }
     }
@@ -1118,7 +1118,7 @@ impl Inner {
             Err(e) => {
                 group.lanes[li]
                     .failure
-                    .get_or_insert(format!("batch {} corrupt: {e}", result.seq));
+                    .get_or_insert_with(|| format!("batch {} corrupt: {e}", result.seq));
                 return;
             }
         };
@@ -1184,11 +1184,10 @@ impl Inner {
             ));
         }
         let shared = &group.lanes[li].shared;
-        let (parent, trace_id) = ctx
-            .or_else(|| soap_action_context(&arrived))
-            .map_or((group.exec_span, session_trace_id(shared)), |c| {
-                (c.parent_span, c.trace_id)
-            });
+        let (parent, trace_id) = ctx.or_else(|| soap_action_context(&arrived)).map_or_else(
+            || (group.exec_span, session_trace_id(shared)),
+            |c| (c.parent_span, c.trace_id),
+        );
         self.trace.record_with_context(
             self.trace.allocate_id(),
             "decode",

@@ -46,7 +46,7 @@ fn cell_strategy() -> impl Strategy<Value = Value> {
         .prop_map(|(kind, n, path, word)| match kind {
             0 => Value::Null,
             1 | 2 => Value::Int(n),
-            3 | 4 => Value::Dewey(Dewey(path)),
+            3 | 4 => Value::Dewey(Dewey::from(path)),
             _ => Value::Str(VOCAB[word].to_string()),
         })
 }

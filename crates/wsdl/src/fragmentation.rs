@@ -72,16 +72,16 @@ impl FragmentationDecl {
         for fe in doc.root.children_named("fragment") {
             let fname = fe
                 .attr("name")
-                .ok_or(Error::Schema {
+                .ok_or_else(|| Error::Schema {
                     detail: "fragment without name".into(),
                 })?
                 .to_string();
-            let root_elem = fe.child("element").ok_or(Error::Schema {
+            let root_elem = fe.child("element").ok_or_else(|| Error::Schema {
                 detail: format!("fragment {fname} is empty"),
             })?;
             let root = root_elem
                 .attr("name")
-                .ok_or(Error::Schema {
+                .ok_or_else(|| Error::Schema {
                     detail: "element without name".into(),
                 })?
                 .to_string();
@@ -142,7 +142,7 @@ fn render_region(
 
 /// Gathers element names from a fragment declaration body (pre-order).
 fn collect_elements(elem: &Element, out: &mut Vec<String>) -> Result<()> {
-    let name = elem.attr("name").ok_or(Error::Schema {
+    let name = elem.attr("name").ok_or_else(|| Error::Schema {
         detail: "element without name".into(),
     })?;
     out.push(name.to_string());

@@ -120,13 +120,13 @@ impl WsdlDefinition {
         }
         let name = root.attr("name").unwrap_or("").to_string();
         let target_namespace = root.attr("targetNamespace").unwrap_or("").to_string();
-        let types = root.child("types").ok_or(Error::Schema {
+        let types = root.child("types").ok_or_else(|| Error::Schema {
             detail: "WSDL has no <types>".into(),
         })?;
         let schema_elem = types
             .elements()
             .find(|e| e.name == "schema" || e.name.ends_with(":schema"))
-            .ok_or(Error::Schema {
+            .ok_or_else(|| Error::Schema {
                 detail: "<types> has no <schema>".into(),
             })?;
         let schema = SchemaTree::from_xsd(&schema_elem.to_xml())?;
@@ -136,7 +136,7 @@ impl WsdlDefinition {
         for svc in root.children_named("service") {
             let sname = svc
                 .attr("name")
-                .ok_or(Error::Schema {
+                .ok_or_else(|| Error::Schema {
                     detail: "service without name".into(),
                 })?
                 .to_string();

@@ -193,7 +193,7 @@ fn parse_element_decl(body: &str, offset: usize) -> Result<ElementDecl> {
             is_leaf: true,
         });
     }
-    let inner = rest.strip_prefix('(').ok_or(Error::Dtd {
+    let inner = rest.strip_prefix('(').ok_or_else(|| Error::Dtd {
         offset,
         detail: format!("expected content model for {name}"),
     })?;

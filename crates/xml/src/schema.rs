@@ -331,14 +331,14 @@ impl SchemaTree {
         let schema = if doc.root.name == "schema" || doc.root.name.ends_with(":schema") {
             &doc.root
         } else {
-            doc.root.descendant("schema").ok_or(Error::Schema {
+            doc.root.descendant("schema").ok_or_else(|| Error::Schema {
                 detail: "no <schema> element".into(),
             })?
         };
-        let root_elem = schema.child("element").ok_or(Error::Schema {
+        let root_elem = schema.child("element").ok_or_else(|| Error::Schema {
             detail: "schema has no root <element>".into(),
         })?;
-        let root_name = root_elem.attr("name").ok_or(Error::Schema {
+        let root_name = root_elem.attr("name").ok_or_else(|| Error::Schema {
             detail: "root element has no name".into(),
         })?;
         let mut tree = SchemaTree::new(root_name);
@@ -356,7 +356,7 @@ impl SchemaTree {
                     Self::parse_children(tree, parent, child)?
                 }
                 "element" => {
-                    let name = child.attr("name").ok_or(Error::Schema {
+                    let name = child.attr("name").ok_or_else(|| Error::Schema {
                         detail: "element without a name attribute".into(),
                     })?;
                     let min = child.attr("minOccurs").unwrap_or("1");
