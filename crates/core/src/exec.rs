@@ -21,7 +21,7 @@ use std::collections::{BTreeSet, HashMap};
 use std::ops::Range;
 use std::time::{Duration, Instant};
 use xdx_codec::{decode_any, encode_in_format_into, WireFormat};
-use xdx_net::http::Request;
+use xdx_net::http::{soap_post_bytes, RequestRef};
 use xdx_net::Link;
 use xdx_relational::ops::{merge_combine, split, SplitSpec};
 use xdx_relational::Dewey as WireDewey;
@@ -73,10 +73,11 @@ impl Transport for Link {
 }
 
 /// A transport that never leaves the process: every message arrives
-/// instantly and intact. Delta exchange uses this to run the planned
-/// program against a *local* scratch target — the source computes what
-/// the full shipment would materialize, diffs it against the target's
-/// last known version, and ships only the patch over the real link.
+/// instantly and intact. The transport of the *reference* executor —
+/// [`execute_with_transport`] over a loopback is the oracle tests and
+/// the bench replay compare against — not of the runtime, whose delta
+/// rounds compute their head with [`execute_in_place`] and ship nothing
+/// to themselves.
 #[derive(Debug, Default)]
 pub struct LoopbackTransport {
     format: WireFormat,
@@ -223,7 +224,7 @@ pub fn execute_with_transport(
     let mut delivered = HashMap::with_capacity(phase.cross_ports.len());
     // One encode buffer for every shipment of this run: it grows to the
     // largest frame and stays there, so steady-state encoding allocates
-    // only the POST body it hands to the transport.
+    // only the message it hands to the transport.
     let mut encode_buf: Vec<u8> = Vec::new();
     for CrossPort { port, label } in &phase.cross_ports {
         let feed = phase.feeds.remove(port).ok_or_else(|| missing(*port))?;
@@ -238,7 +239,7 @@ pub fn execute_with_transport(
                 let len = encode_in_format_into(&mut encode_buf, &feed, transport.wire_format());
                 outcome.encode_ns += start.elapsed().as_nanos() as u64;
                 outcome.bytes_encoded += len as u64;
-                Request::soap_post("/exchange", label, encode_buf.clone()).to_bytes()
+                soap_post_bytes("/exchange", label, &encode_buf)
             }
         };
         drop(feed);
@@ -251,8 +252,8 @@ pub fn execute_with_transport(
         // checksum), never as silently corrupt data. The body is
         // sniffed, so a columnar sender and an XML sender land at the
         // same receiver code.
-        let arrived = Request::parse(&arrived).map_err(|e| Error::Engine(e.to_string()))?;
-        delivered.insert(*port, decode_any(&arrived.body)?);
+        let arrived = RequestRef::parse(&arrived).map_err(|e| Error::Engine(e.to_string()))?;
+        delivered.insert(*port, decode_any(arrived.body)?);
     }
     execute_target_phase(
         schema,
@@ -333,12 +334,12 @@ impl<'a> FeedStore<'a> {
 }
 
 /// The one operator loop. The source phase, the target phase, the
-/// blocking executor built from the two, the parallel executor's workers
-/// and single-query publishing all run their nodes through
-/// [`NodeLoop::run`], so operator semantics, input ownership and timing
-/// cannot diverge between them. `Scan` lends the stored table's rows
-/// (a selection filters them into an owned feed); what a `Write` does
-/// with its feed is the caller's.
+/// blocking executor built from the two, the in-place executor, the
+/// parallel executor's workers and single-query publishing all run
+/// their nodes through [`NodeLoop::run`], so operator semantics, input
+/// ownership and timing cannot diverge between them. `Scan` lends the
+/// stored table's rows (a selection filters them into an owned feed);
+/// what a `Write` does with its feed is the caller's.
 pub(crate) struct NodeLoop<'a> {
     schema: &'a SchemaTree,
     source_frag: &'a Fragmentation,
@@ -625,6 +626,56 @@ pub fn execute_target_phase<'a>(
         return Err(e);
     }
     commit_and_index(program, target, outcome)
+}
+
+/// Runs the whole placed `program` where the rows sit and returns what
+/// it writes: the table set the target would hold after the exchange
+/// (what [`execute_with_transport`] over a [`LoopbackTransport`] leaves
+/// in an empty target, table for table and row for row), in sorted name
+/// order, without shipping, encoding, staging or indexing anything. One
+/// [`NodeLoop`] over every node: scans are lent by `source`, a cross
+/// feed is handed from its producer to its consumer by value, and a
+/// `Write` files its feed under the target fragment's table name. The
+/// source did all of the work, so `source.counters` takes the bill of
+/// both halves. This is how a delta round computes the head it diffs.
+pub fn execute_in_place(
+    schema: &SchemaTree,
+    source_frag: &Fragmentation,
+    target_frag: &Fragmentation,
+    program: &Program,
+    source: &mut Database,
+) -> Result<(Vec<(String, Feed)>, ExecOutcome)> {
+    program.validate()?;
+    program.validate_placement()?;
+    let all = || 0..program.nodes.len();
+    let mut outcome = ExecOutcome::default();
+    let mut tables: Vec<(String, Feed)> = Vec::new();
+    let mut nodes = NodeLoop::new(schema, source_frag, program, Some(&*source), None, all());
+    let ran = all().try_for_each(|i| {
+        nodes.run(i, &mut outcome, &mut |fragment, feed| {
+            let name = &target_frag.fragments[fragment].name;
+            // A table written twice holds both feeds' rows, as staging
+            // them would have left it.
+            match tables.iter_mut().find(|(n, _)| n == name) {
+                None => tables.push((name.clone(), feed)),
+                Some((_, table)) if table.schema.arity() == feed.schema.arity() => {
+                    table.rows.absorb(feed.rows)
+                }
+                Some(_) => {
+                    return Err(Error::Engine(format!(
+                        "table {name} written twice, with feeds of different arity"
+                    )))
+                }
+            }
+            Ok(())
+        })
+    });
+    let mut work = nodes.source_work;
+    work.merge(&nodes.target_work);
+    source.counters.merge(&work);
+    ran?;
+    tables.sort_by(|a, b| a.0.cmp(&b.0));
+    Ok((tables, outcome))
 }
 
 /// The commit + index epilogue shared by every execution path.

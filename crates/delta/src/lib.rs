@@ -167,8 +167,29 @@ impl SnapshotStore {
     /// unchanged replaced by the previous version's ([`retained_head`]):
     /// read it back with [`snapshot`](SnapshotStore::snapshot).
     pub fn record_shared(&self, route: &str, tables: Snapshot) -> u64 {
+        self.record_patched(route, tables, None)
+    }
+
+    /// [`record_shared`](SnapshotStore::record_shared) for a table set
+    /// whose step is already known: a target that reached `tables` by
+    /// applying `patch` to `base` hands both over, and when the route
+    /// still ends where that patch starts — the log's newest snapshot
+    /// *is* `base` (a racing record would have replaced it), at
+    /// `patch.base_version`, and the patch spans exactly one version —
+    /// the patch is chained as the step instead of diffing `tables`
+    /// against `base` a second time. Any other `step` is ignored and the
+    /// transition is diffed as `record_shared` diffs it; the log comes
+    /// out the same either way, because the diff of a snapshot against
+    /// what a patch made of it is that patch.
+    pub fn record_patched(
+        &self,
+        route: &str,
+        tables: Snapshot,
+        step: Option<(Snapshot, Arc<DeltaPatch>)>,
+    ) -> u64 {
         // Outlives the guard below: what the log lets go of dies here,
-        // after the lock is released (and `tables` after that).
+        // after the lock is released (and `tables` and `step` after
+        // that).
         let mut released: Vec<Snapshot> = Vec::new();
         let log = Arc::clone(
             self.logs
@@ -180,7 +201,13 @@ impl SnapshotStore {
         let mut log = log.lock().unwrap();
         let mut retained = Arc::clone(&tables);
         if let Some((prev_version, prev)) = log.snapshots.back().map(|(v, s)| (*v, Arc::clone(s))) {
-            match self.step(&prev, &tables, prev_version) {
+            let known = step.as_ref().and_then(|(base, patch)| {
+                (Arc::ptr_eq(base, &prev)
+                    && patch.base_version == prev_version
+                    && patch.head_version == prev_version + 1)
+                    .then(|| (Arc::clone(patch), retained_head(&prev, &tables, patch)))
+            });
+            match known.map_or_else(|| self.step(&prev, &tables, prev_version), Ok) {
                 Ok((patch, head)) => {
                     retained = head;
                     if log.steps.is_empty() {
@@ -788,6 +815,127 @@ mod tests {
             2,
             "one diff per transition"
         );
+    }
+
+    /// The table set a target holds after `patch` took it from `base`:
+    /// patched tables built anew, untouched ones sharing `base`'s rows.
+    fn patched(base: &Snapshot, patch: &DeltaPatch) -> Snapshot {
+        Arc::new(apply_patch_tables(base, patch).unwrap())
+    }
+
+    /// Three tables: `A` changes every version, `B` never, `C` every third.
+    fn round(v: u64) -> Vec<(String, Feed)> {
+        let c = if v.is_multiple_of(3) { "c!" } else { "c" };
+        vec![
+            ("A".to_string(), item_feed(&[(v as u32, "x"), (99, "tail")])),
+            ("B".to_string(), item_feed(&[(1, "b")])),
+            ("C".to_string(), item_feed(&[(1, c)])),
+        ]
+    }
+
+    /// Per table of `version`, whether its rows are the previous
+    /// version's very row set.
+    fn kept_rows(store: &SnapshotStore, version: u64) -> Option<Vec<bool>> {
+        let (now, before) = (
+            store.snapshot("r", version)?,
+            store.snapshot("r", version - 1)?,
+        );
+        let same = |(a, b): (&(String, Feed), &(String, Feed))| Rows::ptr_eq(&a.1.rows, &b.1.rows);
+        Some(now.iter().zip(before.iter()).map(same).collect())
+    }
+
+    fn assert_same_log(stepped: &SnapshotStore, rediff: &SnapshotStore, head: u64) {
+        assert_eq!(stepped.head("r"), head);
+        assert_eq!(rediff.head("r"), head);
+        assert_eq!(stepped.chained_steps("r"), rediff.chained_steps("r"));
+        for v in 1..=head {
+            let (a, b) = (stepped.reconstruct("r", v), rediff.reconstruct("r", v));
+            assert_eq!(a, b, "v{v}");
+            if let Some((tables, _)) = a {
+                assert_eq!(*tables, round(v), "v{v}");
+            }
+            assert_eq!(kept_rows(stepped, v), kept_rows(rediff, v), "v{v}");
+        }
+    }
+
+    #[test]
+    fn a_handed_step_leaves_the_log_a_rediff_leaves() {
+        let store = || SnapshotStore::with_retention(3).with_step_retention(4);
+        let (stepped, rediff) = (store(), store());
+        stepped.record("r", round(1));
+        rediff.record("r", round(1));
+        for v in 2..=9u64 {
+            // A delta round: the patch is diffed against the retained
+            // base, the target applies it, the settle records what the
+            // target holds — one store told the step, one left to find it.
+            for (store, told) in [(&stepped, true), (&rediff, false)] {
+                let base = store.snapshot("r", v - 1).unwrap();
+                let patch = diff_snapshots(&base, &round(v), v - 1, v).unwrap();
+                let landed = patched(&base, &patch);
+                let step = told.then(|| (base, Arc::new(patch)));
+                assert_eq!(store.record_patched("r", landed, step), v);
+            }
+            assert_same_log(&stepped, &rediff, v);
+            assert_eq!(kept_rows(&stepped, v), Some(vec![false, true, v % 3 == 2]));
+        }
+        assert_eq!(stepped.chained_steps("r"), 4, "chain bounded, anchor slid");
+        assert!(
+            stepped.diff_memo.lock().unwrap().is_empty(),
+            "a handed step is not diffed"
+        );
+        assert_eq!(rediff.diff_memo.lock().unwrap().len(), 8);
+    }
+
+    #[test]
+    fn a_step_that_does_not_continue_the_log_is_ignored() {
+        // Each handed step claims nothing changed, which is false: a
+        // store that chained it would reconstruct the wrong tables.
+        let nothing = |base_version, head_version| {
+            Arc::new(DeltaPatch {
+                base_version,
+                head_version,
+                tables: Vec::new(),
+            })
+        };
+        type Lie = fn(&SnapshotStore, u64) -> (Snapshot, (u64, u64));
+        let lies: [(&str, Lie); 4] = [
+            ("a racing record advanced the route", |store, back| {
+                let base = store.snapshot("r", back).unwrap();
+                store.record("r", round(back + 1));
+                (base, (back, back + 1))
+            }),
+            ("an equal base that is not the log's", |store, back| {
+                let copy = (*store.snapshot("r", back).unwrap()).clone();
+                (Arc::new(copy), (back, back + 1))
+            }),
+            ("the patch starts below the log's newest", |store, back| {
+                (store.snapshot("r", back).unwrap(), (back - 1, back + 1))
+            }),
+            ("the patch spans two versions", |store, back| {
+                (store.snapshot("r", back).unwrap(), (back, back + 2))
+            }),
+        ];
+        for (why, lie) in lies {
+            let store = || SnapshotStore::with_retention(3).with_step_retention(4);
+            let (stepped, rediff) = (store(), store());
+            for v in 1..=3u64 {
+                stepped.record("r", round(v));
+                rediff.record("r", round(v));
+            }
+            let (base, (from, to)) = lie(&stepped, 3);
+            let head = stepped.head("r") + 1;
+            for v in 4..head {
+                rediff.record("r", round(v));
+            }
+            let step = Some((base, nothing(from, to)));
+            assert_eq!(
+                stepped.record_patched("r", Arc::new(round(head)), step),
+                head
+            );
+            rediff.record("r", round(head));
+            assert_same_log(&stepped, &rediff, head);
+            assert_eq!(stepped.chained_steps("r"), head as usize - 1, "{why}");
+        }
     }
 
     #[test]

@@ -40,14 +40,14 @@ use xdx_codec::{
 };
 use xdx_core::exec::{
     batch_ranges, commit_and_index, cross_ports_in_consumer_order, direct_write_tables,
-    execute_source_phase_streaming, execute_target_phase, execute_with_transport,
-    writes_stream_directly, CrossPort, ExecOutcome, LoopbackTransport, OpSample,
+    execute_in_place, execute_source_phase_streaming, execute_target_phase, writes_stream_directly,
+    CrossPort, ExecOutcome, OpSample,
 };
 use xdx_core::program::PortRef;
 use xdx_core::{Location, Program, WireFormat, PATCH_STEP_FACTOR};
 use xdx_delta::{db_tables, diff_snapshots, Snapshot};
 use xdx_net::http::{soap_post_bytes, RequestRef};
-use xdx_relational::{stage_patch, Counters, Database, Feed};
+use xdx_relational::{stage_patch, Counters, Database, DeltaPatch, Feed};
 use xdx_trace::{SpanId, NO_SPAN};
 
 /// The distributed trace id a session's spans stitch under: the
@@ -192,8 +192,9 @@ struct PatchShip {
     chain_composed: bool,
     steps: u64,
     bytes: usize,
-    /// Outcome of the loopback head computation; becomes the lane's
-    /// outcome when the patch applies.
+    /// Outcome of the head computation; becomes the lane's outcome,
+    /// with the target's own commit and index on top, when the patch
+    /// applies.
     head_outcome: ExecOutcome,
 }
 
@@ -242,6 +243,10 @@ pub(crate) struct Lane {
     /// True once a patch committed and indexed the target: nothing is
     /// left for the target half to finish.
     patched: bool,
+    /// The step that patch took the target through — its base snapshot
+    /// and the patch as it arrived — unless the base was chain-composed:
+    /// what settlement hands the route's log in place of a second diff.
+    step: Option<(Snapshot, Arc<DeltaPatch>)>,
     settled: bool,
 }
 
@@ -499,6 +504,7 @@ impl Inner {
             write_walls: HashMap::new(),
             delivered: HashMap::new(),
             patched: false,
+            step: None,
             settled: false,
         }
     }
@@ -551,12 +557,13 @@ impl Inner {
         }
     }
 
-    /// The delta rung of the ladder: compute the head feeds locally over
-    /// a loopback transport, diff them against the base snapshot in one
-    /// Dewey merge pass, and — when the cost model prefers the patch
-    /// over the full feeds — put the checksummed patch frame on the ring
-    /// as shipment 0. Returns true when the full feeds must ship now
-    /// instead (diff failed, or the patch would cost more).
+    /// The delta rung of the ladder: compute the head table set in place
+    /// — the whole program over the source's own rows, nothing encoded,
+    /// shipped or loaded (DESIGN §23) — diff it against the base
+    /// snapshot in one Dewey merge pass, and — when the cost model
+    /// prefers the patch over the full feeds — put the checksummed patch
+    /// frame on the ring as shipment 0. Returns true when the full feeds
+    /// must ship now instead (diff failed, or the patch would cost more).
     fn stage_delta(
         &self,
         ex: &mut Exchange,
@@ -566,38 +573,32 @@ impl Inner {
         let group = &mut ex.groups[0];
         let lane = &mut group.lanes[0];
         let (id, exec_span) = (lane.shared.id, group.exec_span);
-        let mut loopback = LoopbackTransport::new(group.wire_format);
-        let mut head_db = Database::new(format!("{}-head", lane.shared.name));
-        let head_outcome = match execute_with_transport(
+        let (head, head_outcome) = match execute_in_place(
             &self.schema,
             &request.source_frag,
             &request.target_frag,
             &group.plan.program,
             &mut request.source,
-            &mut head_db,
-            &mut loopback,
-            None,
         ) {
-            Ok(out) => out,
+            Ok(ran) => ran,
             Err(e) => {
                 lane.failure = Some(e.to_string());
                 return false;
             }
         };
-        let patch =
-            match diff_snapshots(&snapshot, &db_tables(&head_db), base_version, head_version) {
-                Ok(patch) => patch,
-                Err(e) => {
-                    lane.metrics.delta_full_fallbacks += 1;
-                    self.events.push(
-                        id,
-                        exec_span,
-                        EventKind::DeltaFellBack,
-                        format!("diff failed: {e}; full re-ship"),
-                    );
-                    return true;
-                }
-            };
+        let patch = match diff_snapshots(&snapshot, &head, base_version, head_version) {
+            Ok(patch) => patch,
+            Err(e) => {
+                lane.metrics.delta_full_fallbacks += 1;
+                self.events.push(
+                    id,
+                    exec_span,
+                    EventKind::DeltaFellBack,
+                    format!("diff failed: {e}; full re-ship"),
+                );
+                return true;
+            }
+        };
         let steps = patch.step_count();
         let mut bytes = Vec::new();
         encode_patch_with_context_into(&mut bytes, &patch, group.wire_format, group.ctx);
@@ -643,7 +644,8 @@ impl Inner {
     }
 
     /// Absorb step of the delta patch: decode → staleness check →
-    /// `stage_patch`, then commit and index. Any rejection (corrupt
+    /// `stage_patch`, then the same timed commit and index every other
+    /// lane ends with. Any rejection (corrupt
     /// frame, stale version precondition, malformed steps) rolls the
     /// staged patch back and re-enters the feed-batch path at the next
     /// shipment seq — the fallback ladder.
@@ -688,12 +690,15 @@ impl Inner {
                     ),
                 });
             }
-            stage_patch(&patch.snapshot, &decoded, &mut lane.target)
+            let rows = stage_patch(&patch.snapshot, &decoded, &mut lane.target)?;
+            Ok((rows, decoded))
         });
         match staged {
-            Ok(_) => {
-                let rows = lane.target.commit_staged();
-                if let Err(e) = lane.target.build_all_key_indexes() {
+            Ok((rows, decoded)) => {
+                let mut outcome = patch.head_outcome;
+                if let Err(e) =
+                    commit_and_index(&group.plan.program, &mut lane.target, &mut outcome)
+                {
                     lane.failure = Some(e.to_string());
                     return;
                 }
@@ -708,12 +713,16 @@ impl Inner {
                         patch.base_version, patch.head_version, patch.steps, patch.bytes
                     ),
                 );
-                let wire = lane.outcome.times.communication;
-                lane.outcome = patch.head_outcome;
-                lane.outcome.times.communication = wire;
-                lane.outcome.messages = 1;
-                lane.outcome.rows_loaded = rows;
+                outcome.times.communication = lane.outcome.times.communication;
+                outcome.messages = 1;
+                outcome.rows_loaded = rows;
+                lane.outcome = outcome;
                 lane.patched = true;
+                // The log's next step is this patch, if it still starts
+                // where the log ends; a composed base never does.
+                if !patch.chain_composed {
+                    lane.step = Some((patch.snapshot, Arc::new(decoded)));
+                }
             }
             Err(e) => {
                 lane.target.rollback_staged();
@@ -1355,6 +1364,7 @@ impl Inner {
         let lane = &mut group.lanes[li];
         let outcome = std::mem::take(&mut lane.outcome);
         let feed_route = std::mem::take(&mut lane.feed_route);
+        let step = lane.step.take();
         let (plan, format) = (&group.plan, group.wire_format.name());
         let trace_id = session_trace_id(&s.shared);
         s.metrics.communication = outcome.times.communication;
@@ -1415,9 +1425,11 @@ impl Inner {
         let tables = group
             .snapshot
             .get_or_insert_with(|| Arc::new(db_tables(&s.target)));
+        // A lane that landed a patch hands the log the step it applied:
+        // the log diffs nothing it was just told.
         let version = self
             .snapshots
-            .record_shared(&feed_route, Arc::clone(tables));
+            .record_patched(&feed_route, Arc::clone(tables), step);
         // The log kept the previous version's rows for every table this
         // lane landed unchanged. The target takes the log's rows too —
         // equal rows at equal positions, so its indexes stand — and the

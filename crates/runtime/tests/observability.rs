@@ -12,7 +12,7 @@ use xdx_net::{BurstLoss, FaultProfile};
 use xdx_runtime::{
     ExchangeRequest, PublishRequest, Runtime, RuntimeConfig, SessionState, ShippingPolicy, STAGES,
 };
-use xdx_xmark::{generate, lf, load_source, mf, schema, GenConfig};
+use xdx_xmark::{churn, generate, lf, load_source, mf, schema, GenConfig};
 
 /// Pulls the integer following `"key":` out of a JSONL line.
 fn json_u64(line: &str, key: &str) -> u64 {
@@ -119,6 +119,47 @@ fn failed_session_flushes_its_spans_and_counts_an_anomaly() {
     }
     let (anomalies, _dumps) = runtime.flight_anomalies();
     assert!(anomalies >= 1, "session failure must register an anomaly");
+    runtime.shutdown();
+}
+
+/// A patched lane's `Commit` and `Index` spans time the target's own
+/// commit and index — they start once the patch has landed — and there
+/// is one of each: the source's head computation loads no table, so it
+/// has no epilogue to report in their place.
+#[test]
+fn patched_lane_reports_its_own_commit_and_index() {
+    let schema = schema();
+    let doc = generate(GenConfig::sized(12_000));
+    let (mf, lf) = (mf(&schema), lf(&schema));
+    let runtime = Runtime::start(schema.clone(), RuntimeConfig::default().with_workers(1));
+    run_fleet(&runtime, &doc, 1);
+    let changed = load_source(&churn(&doc, 5, 7), &schema, &mf).unwrap();
+    let handle = runtime
+        .submit(ExchangeRequest::new("delta", changed, mf, lf).with_base_version(1))
+        .unwrap();
+    let session = handle.id();
+    let result = handle.wait();
+    assert_eq!(result.state, SessionState::Done, "{:?}", result.diagnostic);
+    assert_eq!(result.metrics.delta_patches_applied, 1);
+
+    let trace = runtime.trace_jsonl();
+    let of_session = |name: &str| -> Vec<&str> {
+        let mine = |line: &&str| json_u64(line, "tid") == session && json_name(line) == name;
+        trace.lines().filter(mine).collect()
+    };
+    let landed = of_session("decode");
+    assert_eq!(landed.len(), 1, "one patch frame: {landed:?}");
+    assert!(landed[0].contains("patch v1"), "{landed:?}");
+    for epilogue in ["Commit", "Index"] {
+        let spans = of_session(epilogue);
+        assert_eq!(spans.len(), 1, "{epilogue}: {spans:?}");
+        assert!(
+            json_u64(spans[0], "ts") >= json_u64(landed[0], "ts"),
+            "{epilogue} ran before the patch arrived: {} / {}",
+            spans[0],
+            landed[0]
+        );
+    }
     runtime.shutdown();
 }
 

@@ -9,14 +9,19 @@
 //! counts alone — packing a prefix of the feeds gives a prefix of the
 //! messages. On top of the codec-level properties, the whole runtime is
 //! compared against a one-piece loopback execution, wire-byte for
-//! wire-byte.
+//! wire-byte — and so is the head a delta round computes in place,
+//! table for table and row for row.
 
 use proptest::prelude::*;
 use std::ops::Range;
 use xdx_codec::{
     decode_any, decode_parts_ctx, encode_in_format_into, encode_parts_into, FeedPart, WireFormat,
 };
-use xdx_core::exec::{batch_ranges, execute_with_transport, feed_batches, LoopbackTransport};
+use xdx_core::exec::{
+    batch_ranges, execute_in_place, execute_with_transport, feed_batches, LoopbackTransport,
+};
+use xdx_core::{DataExchange, Optimizer, SystemProfile};
+use xdx_delta::db_tables;
 use xdx_relational::{ColRole, Database, Dewey, Feed, FeedColumn, FeedSchema, Value};
 use xdx_runtime::{ExchangeRequest, Runtime, RuntimeConfig, SlotPacker};
 use xdx_xmark::{generate, lf, load_source, mf, schema, GenConfig};
@@ -321,6 +326,85 @@ fn pipelined_targets_are_wire_identical_to_the_loopback_reference() {
                 wire_state(&reference),
                 "divergence at format {format:?}, batch_rows {batch_rows}"
             );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The head a delta round computes in place is the table set the
+    /// reference executor lands: `execute_with_transport` over a
+    /// loopback — every cross feed through the codec and the envelope,
+    /// a scratch target staged, committed and indexed — leaves tables
+    /// equal to `execute_in_place`'s, name for name and row for row in
+    /// the same order, whichever way the exchange runs, whoever placed
+    /// it, wherever the Combines landed (the target's speed moves them)
+    /// and whichever format the oracle shipped in. The operator work is
+    /// the same work: in place the source is billed what the oracle
+    /// bills its source and its target together, less the commit and
+    /// index nobody ran.
+    #[test]
+    fn in_place_head_is_the_loopback_target(
+        seed in any::<u64>(),
+        bytes in 2_000usize..40_000,
+        lf_to_mf in any::<bool>(),
+        optimal in any::<bool>(),
+        target_speed in 0usize..3,
+    ) {
+        let schema = schema();
+        let (from, to) = if lf_to_mf {
+            (lf(&schema), mf(&schema))
+        } else {
+            (mf(&schema), lf(&schema))
+        };
+        let doc = generate(GenConfig { target_bytes: bytes, seed });
+        let loaded = load_source(&doc, &schema, &from).unwrap();
+        let optimizer = if optimal {
+            Optimizer::Optimal { ordering_cap: 64 }
+        } else {
+            Optimizer::Greedy
+        };
+        let target_profile = SystemProfile::with_speed([0.2, 1.0, 5.0][target_speed]);
+        for format in formats() {
+            let exchange = DataExchange::new(&schema, from.clone(), to.clone())
+                .with_optimizer(optimizer)
+                .with_profiles(SystemProfile::default(), target_profile)
+                .with_wire_format(format);
+            let (program, _) = exchange.plan(&exchange.probe(&loaded).unwrap()).unwrap();
+
+            let mut oracle_source = loaded.clone();
+            let mut oracle_target = Database::new("oracle");
+            let shipped = execute_with_transport(
+                &schema,
+                &from,
+                &to,
+                &program,
+                &mut oracle_source,
+                &mut oracle_target,
+                &mut LoopbackTransport::new(format),
+                None,
+            )
+            .unwrap();
+
+            let mut source = loaded.clone();
+            let (head, ran) = execute_in_place(&schema, &from, &to, &program, &mut source).unwrap();
+            prop_assert_eq!(&head, &db_tables(&oracle_target), "format {:?}", format);
+            prop_assert_eq!(ran.rows_loaded, shipped.rows_loaded);
+            prop_assert_eq!((ran.messages, ran.bytes_shipped, ran.bytes_encoded), (0, 0, 0));
+
+            // What the oracle's target paid beyond its operators.
+            let mut epilogue = Database::new("epilogue");
+            for (name, feed) in &head {
+                epilogue.load_staged(name, feed.clone()).unwrap();
+            }
+            epilogue.commit_staged();
+            epilogue.build_all_key_indexes().unwrap();
+            let mut billed = source.counters;
+            billed.merge(&epilogue.counters);
+            let mut oracle = oracle_source.counters;
+            oracle.merge(&oracle_target.counters);
+            prop_assert_eq!(billed, oracle, "format {:?}", format);
         }
     }
 }
