@@ -24,7 +24,7 @@ fn bench_combine(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("merge", item.len()), &bytes, |b, _| {
             b.iter(|| {
                 let mut counters = Counters::new();
-                merge_combine(&item, &iname, "item", &mut counters).unwrap()
+                merge_combine(item.clone(), iname.clone(), "item", &mut counters).unwrap()
             })
         });
         group.bench_with_input(BenchmarkId::new("hash", item.len()), &bytes, |b, _| {

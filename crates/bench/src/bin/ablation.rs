@@ -77,7 +77,7 @@ fn main() {
     for (name, f) in [
         (
             "merge",
-            (|p, c, a, k| merge_combine(p, c, a, k)) as CombineFn,
+            (|p, c, a, k| merge_combine(p.clone(), c.clone(), a, k)) as CombineFn,
         ),
         ("hash", hash_combine as CombineFn),
     ] {

@@ -6,7 +6,7 @@
 //! 81.44}` — publishing cost depends on the source fragmentation (MF needs
 //! every combine), shredding on the target's.
 //!
-//! The paper "explored various ways to do publishing, as described in [6],
+//! The paper "explored various ways to do publishing, as described in \[6\],
 //! and picked the set of queries that minimize the overall ... times", so
 //! both endpoints of that spectrum are reported: `single-query` (combine
 //! everything relationally — the paper's join-dominated regime, where

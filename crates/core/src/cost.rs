@@ -283,7 +283,7 @@ const SORT_FACTOR: f64 = 0.15;
 /// Per-cell multiplier of a `Combine` relative to a `Scan`. Joins are "the
 /// most expensive operations when building XML documents from relational
 /// data" (paper §1.1 citing [5, 6]): a merge join compares and
-/// materializes every cell it touches, where a scan just lends it.
+/// materializes every cell it touches, where a scan only takes a handle.
 const COMBINE_FACTOR: f64 = 4.0;
 /// Target-side work units per patch step: locating a step's prefix range
 /// and splicing its payload rows during a transactional patch apply.

@@ -13,7 +13,7 @@
 
 use crate::cost::{CostModel, SchemaStats, SystemProfile};
 use crate::error::{Error, Result};
-use crate::exec::execute_with_selection;
+use crate::exec::execute_with_transport;
 use crate::fragment::Fragmentation;
 use crate::gen::Generator;
 use crate::greedy;
@@ -188,7 +188,7 @@ impl<'a> DataExchange<'a> {
             None => None,
         };
         let selection_ctx = self.selection.as_ref().zip(qualifying.as_ref());
-        let outcome = execute_with_selection(
+        let outcome = execute_with_transport(
             self.schema,
             &self.source_frag,
             &self.target_frag,

@@ -16,7 +16,7 @@ use crate::fragment::Fragmentation;
 use crate::program::{Location, Op, OpNode, PortRef, Program};
 use crate::report::StepTimes;
 use crate::selection::Selection;
-use std::borrow::{Borrow, Cow};
+use std::borrow::Borrow;
 use std::collections::{BTreeSet, HashMap};
 use std::ops::Range;
 use std::time::{Duration, Instant};
@@ -41,17 +41,6 @@ pub trait Transport {
     /// An `Err` means delivery gave up entirely (e.g. a retry budget ran
     /// out) and aborts the exchange.
     fn ship(&mut self, label: &str, message: &[u8]) -> Result<(Duration, Vec<u8>)>;
-
-    /// The fully assembled serialized message a checkpointing transport
-    /// already holds for its *next* shipment, if any. A transport that
-    /// persisted the serialized bytes of an earlier (failed) run returns
-    /// them here, and the executor ships those exact bytes instead of
-    /// re-serializing the feed — a resumed exchange pays zero
-    /// serialization for shipments it already built once. The default
-    /// (no checkpoint) keeps plain transports trivial.
-    fn checkpointed_message(&mut self, _label: &str) -> Option<Vec<u8>> {
-        None
-    }
 
     /// The wire encoding this transport negotiated for its link. The
     /// executor serializes cross-edge feeds in this format; receivers
@@ -129,13 +118,12 @@ pub struct ExecOutcome {
     pub bytes_shipped: u64,
     /// Messages shipped.
     pub messages: usize,
-    /// Messages actually serialized from feeds in this run. Shipments
-    /// replayed from a transport checkpoint are shipped but not counted
-    /// here, so a fully checkpointed resume reports zero.
+    /// Messages serialized from feeds in this run. A runtime that resumes
+    /// a session ships its ledger's frames again without serializing
+    /// them, so it can report fewer than `messages`.
     pub messages_serialized: usize,
     /// Feed bytes produced by the wire encoder (the POST body, before
-    /// HTTP and chunk framing). Checkpoint replays encode nothing and
-    /// add nothing here.
+    /// HTTP and chunk framing).
     pub bytes_encoded: u64,
     /// Wall nanoseconds spent encoding feeds for the wire.
     pub encode_ns: u64,
@@ -161,7 +149,7 @@ pub fn execute(
     target: &mut Database,
     link: &mut Link,
 ) -> Result<ExecOutcome> {
-    execute_with_selection(
+    execute_with_transport(
         schema,
         source_frag,
         target_frag,
@@ -173,36 +161,13 @@ pub fn execute(
     )
 }
 
-/// [`execute`] with an optional service argument: the source filters every
-/// scanned feed to the qualifying anchor instances before any further
-/// processing (paper §3.2: "the source system will filter the data
-/// accordingly and provide us with the relevant pieces").
-#[allow(clippy::too_many_arguments)]
-pub fn execute_with_selection(
-    schema: &SchemaTree,
-    source_frag: &Fragmentation,
-    target_frag: &Fragmentation,
-    program: &Program,
-    source: &mut Database,
-    target: &mut Database,
-    link: &mut Link,
-    selection: Option<(&Selection, &BTreeSet<WireDewey>)>,
-) -> Result<ExecOutcome> {
-    execute_with_transport(
-        schema,
-        source_frag,
-        target_frag,
-        program,
-        source,
-        target,
-        link,
-        selection,
-    )
-}
-
-/// [`execute_with_selection`] over an arbitrary [`Transport`] — the
-/// integration point for runtimes that chunk, retry or otherwise manage
-/// shipment themselves. Placed programs admit no target→source edge, so
+/// [`execute`] over an arbitrary [`Transport`] — the integration point
+/// for runtimes that chunk, retry or otherwise manage shipment
+/// themselves — with an optional service argument: the source filters
+/// every scanned feed to the qualifying anchor instances before any
+/// further processing (paper §3.2: "the source system will filter the
+/// data accordingly and provide us with the relevant pieces"). A [`Link`]
+/// is the plain transport. Placed programs admit no target→source edge, so
 /// the exchange is the source phase, then one shipment per cross port in
 /// the order the target first consumes them, then the target phase over
 /// what arrived. Nothing is staged at the target until every shipment
@@ -228,20 +193,12 @@ pub fn execute_with_transport(
     let mut encode_buf: Vec<u8> = Vec::new();
     for CrossPort { port, label } in &phase.cross_ports {
         let feed = phase.feeds.remove(port).ok_or_else(|| missing(*port))?;
-        // A checkpointing transport that already built this shipment's
-        // bytes in an earlier run hands them back; only a cache miss
-        // serializes.
-        let message = match transport.checkpointed_message(label) {
-            Some(m) => m,
-            None => {
-                outcome.messages_serialized += 1;
-                let start = Instant::now();
-                let len = encode_in_format_into(&mut encode_buf, &feed, transport.wire_format());
-                outcome.encode_ns += start.elapsed().as_nanos() as u64;
-                outcome.bytes_encoded += len as u64;
-                soap_post_bytes("/exchange", label, &encode_buf)
-            }
-        };
+        outcome.messages_serialized += 1;
+        let start = Instant::now();
+        let len = encode_in_format_into(&mut encode_buf, &feed, transport.wire_format());
+        outcome.encode_ns += start.elapsed().as_nanos() as u64;
+        outcome.bytes_encoded += len as u64;
+        let message = soap_post_bytes("/exchange", label, &encode_buf);
         drop(feed);
         let (duration, arrived) = transport.ship(label, &message)?;
         outcome.times.communication += duration;
@@ -273,20 +230,20 @@ fn missing(port: PortRef) -> Error {
     }
 }
 
-/// The feeds one node loop has produced and not yet used up. A feed is
-/// *lent* by whoever stores its rows (a source table, the caller's
-/// delivered map) or *owned* by the store; a node borrows an input while
-/// a later node of the loop still reads the port and is handed it by
-/// value at the port's last use. Nothing is copied here: a copy happens
-/// only where an operator needs to own rows that were lent.
-pub(crate) struct FeedStore<'a> {
-    feeds: HashMap<PortRef, Cow<'a, Feed>>,
+/// The feeds one node loop has produced and not yet used up. A node is
+/// handed the store's feed itself at the port's last use and a clone —
+/// a handle on the same rows — while a later node of the loop still
+/// reads the port. Nothing is copied here: an operator that needs rows
+/// to itself moves them out of a sole handle and copies them out of a
+/// shared one ([`xdx_relational::Rows`]).
+pub(crate) struct FeedStore {
+    feeds: HashMap<PortRef, Feed>,
     /// The last node of the loop to read each port.
     last_use: HashMap<PortRef, usize>,
 }
 
-impl<'a> FeedStore<'a> {
-    fn new(program: &Program, nodes: impl Iterator<Item = usize>) -> FeedStore<'a> {
+impl FeedStore {
+    fn new(program: &Program, nodes: impl Iterator<Item = usize>) -> FeedStore {
         let mut last_use = HashMap::new();
         for i in nodes {
             for port in &program.nodes[i].inputs {
@@ -299,35 +256,35 @@ impl<'a> FeedStore<'a> {
         }
     }
 
-    pub(crate) fn insert(&mut self, port: PortRef, feed: Cow<'a, Feed>) {
+    pub(crate) fn insert(&mut self, port: PortRef, feed: Feed) {
         self.feeds.insert(port, feed);
     }
 
     pub(crate) fn get(&self, port: PortRef) -> Result<&Feed> {
-        self.feeds
-            .get(&port)
-            .map(|f| &**f)
-            .ok_or_else(|| missing(port))
+        self.feeds.get(&port).ok_or_else(|| missing(port))
     }
 
     /// Node `i`'s inputs in port order: moved out of the store where `i`
-    /// is the port's last reader, borrowed otherwise.
-    fn inputs(&mut self, i: usize, ports: &[PortRef]) -> Result<Vec<Cow<'_, Feed>>> {
-        let mut moved = Vec::with_capacity(ports.len());
+    /// is the port's last reader, cloned otherwise.
+    fn inputs(&mut self, i: usize, ports: &[PortRef]) -> Result<Vec<Feed>> {
+        let mut inputs = Vec::with_capacity(ports.len());
         for (k, port) in ports.iter().enumerate() {
             let last = self.last_use.get(port) == Some(&i) && !ports[k + 1..].contains(port);
-            moved.push(if last { self.feeds.remove(port) } else { None });
+            let feed = if last {
+                self.feeds.remove(port)
+            } else {
+                self.feeds.get(port).cloned()
+            };
+            inputs.push(feed.ok_or_else(|| missing(*port))?);
         }
-        let lent = ports.iter().zip(moved);
-        lent.map(|(port, moved)| moved.map_or_else(|| self.get(*port).map(Cow::Borrowed), Ok))
-            .collect()
+        Ok(inputs)
     }
 
-    /// The feed on `port` for a reader outside the loop: handed over when
-    /// no node of the loop reads it, lent when one still does.
-    fn release(&mut self, port: PortRef) -> Result<Cow<'_, Feed>> {
+    /// The feed on `port` for a reader outside the loop: moved out when
+    /// no node of the loop reads it, cloned when one still does.
+    fn release(&mut self, port: PortRef) -> Result<Feed> {
         if self.last_use.contains_key(&port) {
-            return self.get(port).map(Cow::Borrowed);
+            return self.get(port).cloned();
         }
         self.feeds.remove(&port).ok_or_else(|| missing(port))
     }
@@ -337,9 +294,9 @@ impl<'a> FeedStore<'a> {
 /// blocking executor built from the two, the in-place executor, the
 /// parallel executor's workers and single-query publishing all run
 /// their nodes through [`NodeLoop::run`], so operator semantics, input
-/// ownership and timing cannot diverge between them. `Scan` lends the
-/// stored table's rows (a selection filters them into an owned feed);
-/// what a `Write` does with its feed is the caller's.
+/// ownership and timing cannot diverge between them. `Scan` yields a
+/// handle on the stored table's rows (a selection filters them into a
+/// feed of its own); what a `Write` does with its feed is the caller's.
 pub(crate) struct NodeLoop<'a> {
     schema: &'a SchemaTree,
     source_frag: &'a Fragmentation,
@@ -347,7 +304,7 @@ pub(crate) struct NodeLoop<'a> {
     /// What `Scan` reads; `None` on a side that stores nothing to scan.
     tables: Option<&'a Database>,
     selection: Option<(&'a Selection, &'a BTreeSet<WireDewey>)>,
-    pub(crate) store: FeedStore<'a>,
+    pub(crate) store: FeedStore,
     /// Work done so far by source-placed (and unplaced) nodes and by
     /// target-placed ones; the caller merges them into its databases.
     pub(crate) source_work: Counters,
@@ -392,7 +349,7 @@ impl<'a> NodeLoop<'a> {
         };
         let start = Instant::now();
         let mut inputs = self.store.inputs(i, &node.inputs)?;
-        let outputs: Vec<Cow<'a, Feed>> = match &node.op {
+        let outputs = match &node.op {
             Op::Scan { fragment } => {
                 let tables = self.tables.ok_or_else(|| Error::InvalidProgram {
                     detail: format!("node {i}: Scan on a side with no tables"),
@@ -403,25 +360,22 @@ impl<'a> NodeLoop<'a> {
                 counters.rows_read += stored.len() as u64;
                 counters.rows_out += stored.len() as u64;
                 vec![match self.selection {
-                    Some((sel, qualifying)) => {
-                        Cow::Owned(sel.filter_feed(self.schema, stored, qualifying))
-                    }
-                    None => Cow::Borrowed(stored),
+                    Some((sel, qualifying)) => sel.filter_feed(self.schema, stored, qualifying),
+                    None => stored.clone(),
                 }]
             }
             Op::Combine { anchor } => {
                 let child = inputs.pop().expect("validated arity");
                 let parent = inputs.pop().expect("validated arity");
                 let anchor = self.schema.name(*anchor);
-                vec![Cow::Owned(merge_combine(parent, child, anchor, counters)?)]
+                vec![merge_combine(parent, child, anchor, counters)?]
             }
             Op::Split => {
                 let specs = split_specs(self.schema, self.program, node);
-                let outs = split(&inputs[0], &specs, counters)?;
-                outs.into_iter().map(Cow::Owned).collect()
+                split(&inputs[0], &specs, counters)?
             }
             Op::Write { fragment } => {
-                let feed = inputs.pop().expect("validated arity").into_owned();
+                let feed = inputs.pop().expect("validated arity");
                 outcome.rows_loaded += feed.len() as u64;
                 write(*fragment, feed)?;
                 Vec::new()
@@ -515,7 +469,7 @@ pub fn execute_source_phase(
         source,
         selection,
         &mut |port, feed| {
-            feeds.insert(port, feed.into_owned());
+            feeds.insert(port, feed);
         },
     )?;
     let cross_ports = cross_ports_in_consumer_order(schema, program);
@@ -546,19 +500,18 @@ pub fn cross_ports_in_consumer_order(schema: &SchemaTree, program: &Program) -> 
 /// `on_cross_feed` the moment its producing node completes — while later
 /// source nodes are still running, so a pipelined runtime can put the
 /// first frames on the wire before the source phase returns. A cross
-/// feed is final once produced. It arrives by value (the materialised
-/// output of a `Combine` or `Split`), lent by the source table a `Scan`
-/// read it from, or lent by the loop when a later source node still reads
-/// the port: the receiver's `into_owned` takes a handle on a lent feed's
-/// rows, not a copy. Ports arrive in production order, not consumer
-/// order.
+/// feed is final once produced. Its rows are the receiver's alone when
+/// they are the output of a `Combine` or `Split` no later source node
+/// reads, and shared otherwise — with the source table a `Scan` read,
+/// or with the loop while a later source node still reads the port.
+/// Ports arrive in production order, not consumer order.
 pub fn execute_source_phase_streaming(
     schema: &SchemaTree,
     source_frag: &Fragmentation,
     program: &Program,
     source: &mut Database,
     selection: Option<(&Selection, &BTreeSet<WireDewey>)>,
-    on_cross_feed: &mut dyn FnMut(PortRef, Cow<'_, Feed>),
+    on_cross_feed: &mut dyn FnMut(PortRef, Feed),
 ) -> Result<ExecOutcome> {
     program.validate()?;
     program.validate_placement()?;
@@ -594,19 +547,20 @@ pub fn execute_source_phase_streaming(
 /// Runs every *target*-located node of `program` against feeds already
 /// delivered across the cross edges, then commits the staged writes and
 /// rebuilds the key indexes — the back half of a phase-split execution.
-/// `delivered` is a port → feed map, lent (`&HashMap<PortRef, Feed>`) or
-/// given up (`HashMap<PortRef, Feed>`): rows given up are moved — into a
-/// `Combine`'s output, into the table a `Write` stages — and never
-/// copied; rows lent are copied once, by the operator that has to own
-/// them. A failure anywhere rolls the staged writes back, leaving the
-/// target exactly as it was.
-pub fn execute_target_phase<'a>(
-    schema: &'a SchemaTree,
-    source_frag: &'a Fragmentation,
+/// `delivered` is a port → feed map, given up (`HashMap<PortRef, Feed>`:
+/// its feeds move in) or lent (`&HashMap<PortRef, Feed>`: the loop takes
+/// a handle on each). Rows no other handle shares — a given-up map's,
+/// unless another lane holds them too — are moved into a `Combine`'s
+/// output or the table a `Write` stages, never copied; shared rows are
+/// copied once, by the operator that has to own them. A failure anywhere
+/// rolls the staged writes back, leaving the target exactly as it was.
+pub fn execute_target_phase(
+    schema: &SchemaTree,
+    source_frag: &Fragmentation,
     target_frag: &Fragmentation,
-    program: &'a Program,
+    program: &Program,
     target: &mut Database,
-    delivered: impl IntoIterator<Item = (impl Borrow<PortRef>, impl Into<Cow<'a, Feed>>)>,
+    delivered: impl IntoIterator<Item = (impl Borrow<PortRef>, impl Into<Feed>)>,
     outcome: &mut ExecOutcome,
 ) -> Result<()> {
     let at_target = |i: &usize| program.nodes[*i].location == Location::Target;
@@ -633,8 +587,8 @@ pub fn execute_target_phase<'a>(
 /// (what [`execute_with_transport`] over a [`LoopbackTransport`] leaves
 /// in an empty target, table for table and row for row), in sorted name
 /// order, without shipping, encoding, staging or indexing anything. One
-/// [`NodeLoop`] over every node: scans are lent by `source`, a cross
-/// feed is handed from its producer to its consumer by value, and a
+/// node loop over every node: scans take handles on `source`'s rows, a
+/// cross feed is handed from its producer to its consumer by value, and a
 /// `Write` files its feed under the target fragment's table name. The
 /// source did all of the work, so `source.counters` takes the bill of
 /// both halves. This is how a delta round computes the head it diffs.

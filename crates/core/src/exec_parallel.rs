@@ -78,8 +78,8 @@ fn components(program: &Program) -> Vec<Vec<usize>> {
 }
 
 /// Executes one component against the read-only source, on the shared
-/// node loop: scans lend the source's rows, and work is billed to the
-/// worker's own counters.
+/// node loop: scans take handles on the source's rows, and work is billed
+/// to the worker's own counters.
 fn run_component(
     schema: &SchemaTree,
     source_frag: &Fragmentation,

@@ -28,7 +28,7 @@
 //!   with selectivity-aware costing (§3.2, §4.1)
 //! * [`derived`] — fragments computed by service calls, e.g. the
 //!   `TotalMRCService` of §1.1
-//! * [`publish`] — merge-and-tag XML publishing from feeds (§5.1, after [6])
+//! * [`publish`] — merge-and-tag XML publishing from feeds (§5.1, after \[6\])
 //! * [`shred`] — SAX shredding of documents into fragment feeds (§5.1)
 //! * [`pm`] — the publish&map baseline pipeline (§5.1)
 //! * [`exchange`] — the optimized end-to-end exchange orchestrator (§5.2),

@@ -1,6 +1,6 @@
 //! XML publishing: combining stored fragments into a single sorted feed
 //! and *tagging* it into a document (paper Section 5.1, following the
-//! optimized-publishing approach of Fernández-Morishima-Suciu [6]).
+//! optimized-publishing approach of Fernández-Morishima-Suciu \[6\]).
 //!
 //! Publishing is the first half of publish&map. We reuse the exchange
 //! machinery: publishing *is* a data transfer whose target fragmentation is
@@ -30,7 +30,7 @@ pub struct Published {
 }
 
 /// How the source assembles the document — the "large spectrum of
-/// queries that can be used for publishing" of [6] (paper Section 5.1),
+/// queries that can be used for publishing" of \[6\] (paper Section 5.1),
 /// reduced to its two endpoints plus a cost-based pick.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PublishPlan {

@@ -164,7 +164,7 @@ impl SnapshotStore {
     /// transition diffs once instead of once per subscriber.
     ///
     /// What the log retains is `tables` with every table the step found
-    /// unchanged replaced by the previous version's ([`retained_head`]):
+    /// unchanged replaced by the previous version's (`retained_head`):
     /// read it back with [`snapshot`](SnapshotStore::snapshot).
     pub fn record_shared(&self, route: &str, tables: Snapshot) -> u64 {
         self.record_patched(route, tables, None)

@@ -19,7 +19,6 @@
 
 use crate::error::{Error, Result};
 use crate::value::{Dewey, Value};
-use std::borrow::Cow;
 use std::fmt;
 use std::io::Write;
 use std::ops::{Deref, DerefMut};
@@ -132,10 +131,12 @@ impl Rows {
         Arc::ptr_eq(&a.0, &b.0)
     }
 
-    /// The rows by value: moved out of a sole handle, copied out of a
-    /// shared one.
-    pub fn into_vec(self) -> Vec<Vec<Value>> {
-        Arc::try_unwrap(self.0).unwrap_or_else(|shared| (*shared).clone())
+    /// The rows by value when this is their sole handle; the handle back,
+    /// untouched, when another still shares them. Copies nothing either
+    /// way: a caller that needs the rows of a shared set reads them
+    /// through the handle it got back.
+    pub fn try_unwrap(self) -> std::result::Result<Vec<Vec<Value>>, Rows> {
+        Arc::try_unwrap(self.0).map_err(Rows)
     }
 
     /// Takes `more` in after the rows held. An empty handle adopts
@@ -177,8 +178,11 @@ impl FromIterator<Vec<Value>> for Rows {
 impl IntoIterator for Rows {
     type Item = Vec<Value>;
     type IntoIter = std::vec::IntoIter<Vec<Value>>;
+    /// Moves the rows out of a sole handle, copies them out of a shared one.
     fn into_iter(self) -> Self::IntoIter {
-        self.into_vec().into_iter()
+        self.try_unwrap()
+            .unwrap_or_else(|shared| shared.to_vec())
+            .into_iter()
     }
 }
 
@@ -420,17 +424,10 @@ pub fn append_wire(out: &mut Vec<u8>, schema: &FeedSchema, rows: &[Vec<Value>]) 
     writeln!(out, "#sum\t{sum:016x}").expect("writing to a Vec cannot fail");
 }
 
-/// A feed handed to an operator is either lent (`&Feed`: its rows are
-/// cloned into the output) or given up (`Feed`: they are moved).
-impl<'a> From<&'a Feed> for Cow<'a, Feed> {
-    fn from(feed: &'a Feed) -> Self {
-        Cow::Borrowed(feed)
-    }
-}
-
-impl From<Feed> for Cow<'_, Feed> {
-    fn from(feed: Feed) -> Self {
-        Cow::Owned(feed)
+/// A handle on `feed`'s rows (as `String: From<&String>` copies one).
+impl From<&Feed> for Feed {
+    fn from(feed: &Feed) -> Feed {
+        feed.clone()
     }
 }
 

@@ -10,10 +10,9 @@
 //! fragment" — a projection per output group plus duplicate elimination.
 
 use crate::error::{Error, Result};
-use crate::feed::{ColRole, Feed, FeedColumn, FeedSchema};
+use crate::feed::{ColRole, Feed, FeedColumn, FeedSchema, Rows};
 use crate::stats::Counters;
 use crate::value::Value;
-use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
@@ -40,81 +39,83 @@ fn join_columns(parent: &Feed, child: &Feed, anchor_element: &str) -> Result<(us
 /// the child root's `PARENT` (Def. 3.7: "Combine removes the ID and PARENT
 /// attributes of f2" — we keep the child's id as a grouping column, which
 /// the tagger and further combines need, but drop the now-redundant
-/// parent reference).
-fn combined_schema(parent: &FeedSchema, child: &FeedSchema, child_parent_col: usize) -> FeedSchema {
-    let mut columns = parent.columns.clone();
+/// parent reference). The parent's schema is extended in place.
+fn combined_schema(parent: FeedSchema, child: &FeedSchema, child_parent_col: usize) -> FeedSchema {
+    let mut columns = parent.columns;
+    columns.reserve_exact(child.arity() - 1);
     for (i, c) in child.columns.iter().enumerate() {
         if i != child_parent_col {
             columns.push(c.clone());
         }
     }
-    FeedSchema::new(parent.root_element.clone(), columns)
+    FeedSchema::new(parent.root_element, columns)
 }
 
 /// One Combine input lined up for the merge: its rows in join-key
-/// order, each handed to the output at most once. A lent input is read
-/// through (and, if it arrived unsorted, permuted by) an index and its
-/// rows are cloned out; an owned input is sorted in place and its rows
-/// are moved out.
-enum Side<'a> {
-    Lent {
-        rows: &'a [Vec<Value>],
+/// order, each handed to the output at most once. Which way is decided
+/// by the input's [`Rows`] handle alone: rows another handle still
+/// shares are read through it (and, if they arrived unsorted, permuted
+/// by an index) and cloned out; rows the input held alone are sorted in
+/// place and moved out.
+enum Side {
+    Shared {
+        rows: Rows,
         /// Row positions in key order; `None` when `rows` already is.
         order: Option<Vec<usize>>,
     },
-    Owned(Vec<Vec<Value>>),
+    Sole(Vec<Vec<Value>>),
 }
 
-impl<'a> Side<'a> {
-    /// Lines `feed` up on `col`. Dewey order is document order, so scans,
+impl Side {
+    /// Lines `rows` up on `col`. Dewey order is document order, so scans,
     /// shred output and earlier Combines arrive sorted: one pass checks
     /// (n−1 comparisons), and only an input that fails is sorted — stably,
     /// so equal keys keep their arrival order either way.
-    fn sorted_on(feed: Cow<'a, Feed>, col: usize, counters: &mut Counters) -> Side<'a> {
-        counters.comparisons += (feed.len() as u64).saturating_sub(1);
-        let sorted = feed.rows.windows(2).all(|w| w[0][col] <= w[1][col]);
-        match feed {
-            Cow::Owned(mut feed) => {
+    fn sorted_on(rows: Rows, col: usize, counters: &mut Counters) -> Side {
+        counters.comparisons += (rows.len() as u64).saturating_sub(1);
+        let sorted = rows.windows(2).all(|w| w[0][col] <= w[1][col]);
+        let mut by_key = |a: &Vec<Value>, b: &Vec<Value>| {
+            counters.comparisons += 1;
+            a[col].cmp(&b[col])
+        };
+        match rows.try_unwrap() {
+            Ok(mut rows) => {
                 if !sorted {
-                    counters.comparisons += feed.sort_by(&[col]);
+                    rows.sort_by(by_key);
                 }
-                Side::Owned(feed.rows.into_vec())
+                Side::Sole(rows)
             }
-            Cow::Borrowed(feed) => {
-                let rows = &feed.rows;
+            Err(rows) => {
                 let order = (!sorted).then(|| {
                     let mut order: Vec<usize> = (0..rows.len()).collect();
-                    order.sort_by(|&a, &b| {
-                        counters.comparisons += 1;
-                        rows[a][col].cmp(&rows[b][col])
-                    });
+                    order.sort_by(|&a, &b| by_key(&rows[a], &rows[b]));
                     order
                 });
-                Side::Lent { rows, order }
+                Side::Shared { rows, order }
             }
         }
     }
 
     fn len(&self) -> usize {
         match self {
-            Side::Lent { rows, .. } => rows.len(),
-            Side::Owned(rows) => rows.len(),
+            Side::Shared { rows, .. } => rows.len(),
+            Side::Sole(rows) => rows.len(),
         }
     }
 
     /// The `i`-th row in key order.
     fn row(&self, i: usize) -> &[Value] {
         match self {
-            Side::Lent { rows, order } => &rows[order.as_ref().map_or(i, |o| o[i])],
-            Side::Owned(rows) => &rows[i],
+            Side::Shared { rows, order } => &rows[order.as_ref().map_or(i, |o| o[i])],
+            Side::Sole(rows) => &rows[i],
         }
     }
 
     /// Hands out the `i`-th row with room for `extra` more cells.
     fn take(&mut self, i: usize, extra: usize) -> Vec<Value> {
         match self {
-            Side::Lent { .. } => with_room(self.row(i), extra),
-            Side::Owned(rows) => {
+            Side::Shared { .. } => with_room(self.row(i), extra),
+            Side::Sole(rows) => {
                 let mut row = std::mem::take(&mut rows[i]);
                 row.reserve_exact(extra);
                 row
@@ -125,11 +126,11 @@ impl<'a> Side<'a> {
     /// Appends the `i`-th row's cells, all but column `skip`, to `out`.
     fn append(&mut self, i: usize, skip: usize, out: &mut Vec<Value>) {
         match self {
-            Side::Lent { .. } => {
+            Side::Shared { .. } => {
                 let cells = self.row(i).iter().enumerate();
                 out.extend(cells.filter(|&(c, _)| c != skip).map(|(_, v)| v.clone()));
             }
-            Side::Owned(rows) => {
+            Side::Sole(rows) => {
                 let cells = std::mem::take(&mut rows[i]).into_iter().enumerate();
                 out.extend(cells.filter(|&(c, _)| c != skip).map(|(_, v)| v));
             }
@@ -216,24 +217,24 @@ fn emit_group(
 /// with `Null` (an optional/absent child). Orphan child rows (no parent)
 /// are dropped. Each input is checked for sortedness on its join key and
 /// sorted only if the check fails; the comparisons of the check, of any
-/// sort and of the merge are charged to `counters`. An input passed by
-/// value (`Feed`, `Cow::Owned`) has its rows moved into the output, one
-/// passed by reference has them cloned. See [`emit_group`] for the
-/// per-group inlining/alignment semantics.
-pub fn merge_combine<'a>(
-    parent: impl Into<Cow<'a, Feed>>,
-    child: impl Into<Cow<'a, Feed>>,
+/// sort and of the merge are charged to `counters`. An input whose rows
+/// no other handle shares has them moved into the output; one whose rows
+/// are shared (a scanned table, a feed another reader still holds) has
+/// them cloned, and the other holders see them unchanged. The
+/// per-group inlining/alignment semantics are `emit_group`'s.
+pub fn merge_combine(
+    parent: Feed,
+    child: Feed,
     anchor_element: &str,
     counters: &mut Counters,
 ) -> Result<Feed> {
-    let (parent, child) = (parent.into(), child.into());
     let (pcol, ccol) = join_columns(&parent, &child, anchor_element)?;
     counters.rows_read += (parent.len() + child.len()) as u64;
-    let schema = combined_schema(&parent.schema, &child.schema, ccol);
-    let mut rows = Vec::new();
     let child_arity = child.schema.arity() - 1;
-    let mut parent = Side::sorted_on(parent, pcol, counters);
-    let mut child = Side::sorted_on(child, ccol, counters);
+    let schema = combined_schema(parent.schema, &child.schema, ccol);
+    let mut rows = Vec::new();
+    let mut parent = Side::sorted_on(parent.rows, pcol, counters);
+    let mut child = Side::sorted_on(child.rows, ccol, counters);
 
     let (mut pi, mut ci) = (0, 0);
     while pi < parent.len() {
@@ -294,7 +295,7 @@ pub fn hash_combine(
         by_parent.entry(&row[ccol]).or_default().push(i);
     }
 
-    let schema = combined_schema(&parent.schema, &child.schema, ccol);
+    let schema = combined_schema(parent.schema.clone(), &child.schema, ccol);
     let mut rows = Vec::new();
     let child_arity = child.schema.arity() - 1;
 
@@ -322,12 +323,12 @@ pub fn hash_combine(
         }
         groups.push((pstart..porder.len(), cstart..corder.len()));
     }
-    let mut pside = Side::Lent {
-        rows: &parent.rows,
+    let mut pside = Side::Shared {
+        rows: parent.rows.clone(),
         order: Some(porder),
     };
-    let mut cside = Side::Lent {
-        rows: &child.rows,
+    let mut cside = Side::Shared {
+        rows: child.rows.clone(),
         order: Some(corder),
     };
     for (pgroup, cgroup) in groups {
@@ -415,8 +416,9 @@ pub fn split(feed: &Feed, specs: &[SplitSpec], counters: &mut Counters) -> Resul
             spec.root_element.clone(),
             ColRole::ParentRef,
         )];
-        let mut id_cols_out = Vec::new(); // output positions of NodeId cols
-        let mut root_id_out = None;
+        // The input's NodeId columns among them: an instance's key.
+        let mut key_cols = Vec::new();
+        let mut root_id_src = None;
         for el in &spec.elements {
             // A leaf inlined 1-1 with an ancestor may carry only a Value
             // column; the group root must have an id.
@@ -429,9 +431,9 @@ pub fn split(feed: &Feed, specs: &[SplitSpec], counters: &mut Counters) -> Resul
             }
             if let Some(idc) = idc {
                 if el == &spec.root_element {
-                    root_id_out = Some(src_cols.len());
+                    root_id_src = Some(idc);
                 }
-                id_cols_out.push(src_cols.len());
+                key_cols.push(idc);
                 src_cols.push(idc);
                 columns.push(FeedColumn::new(el.clone(), ColRole::NodeId));
             }
@@ -440,11 +442,9 @@ pub fn split(feed: &Feed, specs: &[SplitSpec], counters: &mut Counters) -> Resul
                 columns.push(FeedColumn::new(el.clone(), ColRole::Value));
             }
         }
-        let root_id_out = root_id_out.ok_or_else(|| Error::UnknownColumn {
+        let root_id_src = root_id_src.ok_or_else(|| Error::UnknownColumn {
             name: format!("{}.ID (group root must be identified)", spec.root_element),
         })?;
-        let key_cols: Vec<usize> = id_cols_out.iter().map(|&c| src_cols[c]).collect();
-        let root_id_src = src_cols[root_id_out];
         // The input cardinality bounds this group's output (dedup only
         // shrinks it); pre-sizing both containers keeps the projection
         // loop reallocation-free.
@@ -604,7 +604,7 @@ mod tests {
         let mut csorted = child.clone();
         counters.comparisons += csorted.sort_by(&[ccol]);
 
-        let out_schema = combined_schema(&parent.schema, &child.schema, ccol);
+        let out_schema = combined_schema(parent.schema.clone(), &child.schema, ccol);
         let mut out = Feed::new(out_schema);
         let child_arity = child.schema.arity() - 1;
 
@@ -701,12 +701,17 @@ mod tests {
             })
     }
 
-    /// `feed` given up (a copy of it) or lent.
-    fn lend(own: bool, feed: &Feed) -> Cow<'_, Feed> {
-        if own {
-            Cow::Owned(feed.clone())
+    /// `feed` as a sole handle (over a fresh row set) or as a handle whose
+    /// rows `feed` itself keeps sharing.
+    fn handle(sole: bool, feed: &Feed) -> Feed {
+        let rows = if sole {
+            feed.rows.to_vec().into()
         } else {
-            Cow::Borrowed(feed)
+            feed.rows.clone()
+        };
+        Feed {
+            schema: feed.schema.clone(),
+            rows,
         }
     }
 
@@ -725,25 +730,29 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Lent or given up, sorted or not: the same rows in the same
-        /// order as the clone-and-sort implementation, and the same
-        /// `rows_read`/`rows_out` bill.
+        /// Sole or shared, sorted or not: the same rows in the same order
+        /// as the clone-and-sort implementation, the same
+        /// `rows_read`/`rows_out` bill, and a shared input's other holder
+        /// still sees its rows as they were.
         #[test]
         fn merge_combine_matches_the_clone_and_sort_oracle(family in family_strategy()) {
             let (parent, child) = family;
             let mut billed = Counters::new();
             let want = oracle_merge_combine(&parent, &child, "Customer", &mut billed).unwrap();
-            for (own_parent, own_child) in [(false, false), (true, false), (false, true), (true, true)] {
+            let (parent_rows, child_rows) = (parent.rows.to_vec(), child.rows.to_vec());
+            for (sole_parent, sole_child) in [(false, false), (true, false), (false, true), (true, true)] {
                 let mut c = Counters::new();
                 let got = merge_combine(
-                    lend(own_parent, &parent),
-                    lend(own_child, &child),
+                    handle(sole_parent, &parent),
+                    handle(sole_child, &child),
                     "Customer",
                     &mut c,
                 )
                 .unwrap();
-                prop_assert_eq!(&got, &want, "parent owned {}, child owned {}", own_parent, own_child);
+                prop_assert_eq!(&got, &want, "parent sole {}, child sole {}", sole_parent, sole_child);
                 prop_assert_eq!((c.rows_read, c.rows_out), (billed.rows_read, billed.rows_out));
+                prop_assert_eq!(&*parent.rows, &parent_rows);
+                prop_assert_eq!(&*child.rows, &child_rows);
             }
         }
     }
@@ -790,7 +799,7 @@ mod tests {
         let mut c = Counters::new();
         let mut orphans = orders();
         orphans.rows[0][0] = dv(&[99]); // no customer 99
-        let out = merge_combine(customers(), &orphans, "Customer", &mut c).unwrap();
+        let out = merge_combine(customers(), orphans, "Customer", &mut c).unwrap();
         // alice keeps o2, bob padded; orphan o1 gone.
         assert_eq!(out.len(), 2);
     }

@@ -333,7 +333,7 @@ proptest! {
     fn merge_and_hash_combine_agree(counts in proptest::collection::vec(0u8..5, 0..20)) {
         let (parent, child) = hierarchy(counts);
         let mut c = Counters::new();
-        let mut a = merge_combine(&parent, &child, "P", &mut c).unwrap();
+        let mut a = merge_combine(parent.clone(), child.clone(), "P", &mut c).unwrap();
         let mut b = hash_combine(&parent, &child, "P", &mut c).unwrap();
         a.sort_by(&[1, 3]);
         b.sort_by(&[1, 3]);
@@ -346,7 +346,7 @@ proptest! {
         // parents survive with padding.
         let (parent, child) = hierarchy(counts.clone());
         let mut c = Counters::new();
-        let out = merge_combine(&parent, &child, "P", &mut c).unwrap();
+        let out = merge_combine(parent, child, "P", &mut c).unwrap();
         let expected: usize = counts.iter().map(|&k| (k as usize).max(1)).sum();
         prop_assert_eq!(out.len(), expected);
     }
@@ -355,7 +355,7 @@ proptest! {
     fn split_inverts_combine(counts in proptest::collection::vec(0u8..5, 1..15)) {
         let (parent, child) = hierarchy(counts);
         let mut c = Counters::new();
-        let combined = merge_combine(&parent, &child, "P", &mut c).unwrap();
+        let combined = merge_combine(parent.clone(), child.clone(), "P", &mut c).unwrap();
         let outs = split(
             &combined,
             &[

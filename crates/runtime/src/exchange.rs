@@ -799,7 +799,7 @@ impl Inner {
                 // consumer order, then top the engine up: the wire
                 // carries these frames while the rest of the source
                 // phase computes.
-                ready.insert(port, feed.into_owned());
+                ready.insert(port, feed);
                 while let Some(feed) = cross.get(streamed).and_then(|c| ready.remove(&c.port)) {
                     queue(&mut group.ring, &cross[streamed], feed);
                     streamed += 1;

@@ -4,7 +4,7 @@
 //! A session's public face is the [`SessionHandle`] returned by
 //! `Runtime::submit`: callers observe state transitions, request
 //! cancellation, and block on the terminal [`SessionResult`]. Internally
-//! the runtime and the submitting thread share a [`SessionShared`] cell
+//! the runtime and the submitting thread share a `SessionShared` cell
 //! guarded by a mutex + condvar.
 
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -3,8 +3,8 @@
 //! and the Prometheus refresh, and the introspection endpoint's routes.
 //!
 //! A counter is written once per layer: a lane tallies it into its
-//! [`SessionMetrics`], [`RuntimeStats::fold`] adds a finished session's
-//! into the fleet's, and its [`RUNTIME_SERIES`] row names it in
+//! [`SessionMetrics`], `RuntimeStats::fold` adds a finished session's
+//! into the fleet's, and its `RUNTIME_SERIES` row names it in
 //! `/stats.json` and `/metrics`. Adding one is a field, a fold line and
 //! a table row.
 

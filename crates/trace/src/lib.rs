@@ -11,7 +11,7 @@
 //! * [`calibration`] — predicted-vs-observed accounting for the cost
 //!   model: per-operator ratios, drift scores, and a sustained-drift
 //!   signal the runtime feeds into plan-cache eviction.
-//! * [`critical_path`] — per-session and per-route stage attribution
+//! * [`critical_path`](mod@critical_path) — per-session and per-route stage attribution
 //!   (queue → plan → compute → encode → wire → decode → stage → settle)
 //!   extracted from a finished span tree.
 

@@ -1,5 +1,5 @@
 //! The WSDL plumbing the paper's Figure 1 omits ("we omit message, port
-//! and binding elements ... and refer the reader to [12] for examples of
+//! and binding elements ... and refer the reader to \[12\] for examples of
 //! complete definitions"): messages, portTypes with operations, and SOAP
 //! bindings. A real deployment needs them, so this module completes the
 //! definition — [`Plumbing::for_service`] derives the conventional

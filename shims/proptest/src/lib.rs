@@ -7,8 +7,9 @@
 //! * [`prop_assert!`] / [`prop_assert_eq!`] / [`prop_assert_ne!`],
 //! * integer-range, tuple, regex-string, [`collection::vec`],
 //!   [`sample::select`] and [`arbitrary::any`] strategies,
-//! * [`Strategy::prop_map`], [`Strategy::prop_recursive`] and
-//!   [`Strategy::boxed`].
+//! * [`strategy::Strategy::prop_map`],
+//!   [`strategy::Strategy::prop_recursive`] and
+//!   [`strategy::Strategy::boxed`].
 //!
 //! Cases are generated from a seed derived from the test's module path
 //! and name, so runs are fully deterministic. There is no shrinking: a
@@ -378,7 +379,7 @@ pub mod collection {
         }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: SizeRange,

@@ -3,44 +3,23 @@
 //! the interleaved node loop it replaced (one loop running source and
 //! target nodes in program order, shipping at the first target consumer):
 //! the same shipment labels in the same order, the same serialization
-//! count, the same rows in the same target tables — from a fresh run and
-//! from a transport replaying its checkpointed messages.
+//! count, the same rows in the same target tables.
 
-use std::collections::VecDeque;
 use std::time::Duration;
 use xdx::core::exec::{execute_with_transport, LoopbackTransport, Transport};
 use xdx::core::{DataExchange, Fragmentation, Location, Op, Program, WireFormat};
 use xdx::relational::Database;
 
-/// A loopback that records what crosses it and replays checkpointed
-/// messages (oldest first) before asking the executor to serialize.
+/// A loopback that records the label of every shipment crossing it.
 struct Recording {
     inner: LoopbackTransport,
     labels: Vec<String>,
-    messages: Vec<Vec<u8>>,
-    checkpoint: VecDeque<Vec<u8>>,
-}
-
-impl Recording {
-    fn new(format: WireFormat, checkpoint: Vec<Vec<u8>>) -> Recording {
-        Recording {
-            inner: LoopbackTransport::new(format),
-            labels: Vec::new(),
-            messages: Vec::new(),
-            checkpoint: checkpoint.into(),
-        }
-    }
 }
 
 impl Transport for Recording {
     fn ship(&mut self, label: &str, message: &[u8]) -> xdx::core::Result<(Duration, Vec<u8>)> {
         self.labels.push(label.to_string());
-        self.messages.push(message.to_vec());
         self.inner.ship(label, message)
-    }
-
-    fn checkpointed_message(&mut self, _label: &str) -> Option<Vec<u8>> {
-        self.checkpoint.pop_front()
     }
 
     fn wire_format(&self) -> WireFormat {
@@ -88,54 +67,35 @@ fn check(from: &Fragmentation, to: &Fragmentation, late: bool, format: WireForma
     let schema = xdx::xmark::schema();
     let doc = xdx::xmark::generate(xdx::xmark::GenConfig::sized(30_000));
     let exchange = DataExchange::new(&schema, from.clone(), to.clone()).with_wire_format(format);
-    let source = xdx::xmark::load_source(&doc, &schema, from).unwrap();
+    let mut source = xdx::xmark::load_source(&doc, &schema, from).unwrap();
     let (program, _) = exchange.plan(&exchange.probe(&source).unwrap()).unwrap();
     let program = if late {
         scans_only_at_source(program)
     } else {
         program
     };
-    let run = |checkpoint: Vec<Vec<u8>>| {
-        let mut source = source.clone();
-        let mut target = Database::new("target");
-        let mut transport = Recording::new(format, checkpoint);
-        let outcome = execute_with_transport(
-            &schema,
-            from,
-            to,
-            &program,
-            &mut source,
-            &mut target,
-            &mut transport,
-            None,
-        )
-        .unwrap();
-        (outcome, target, transport)
+    let mut target = Database::new("target");
+    let mut transport = Recording {
+        inner: LoopbackTransport::new(format),
+        labels: Vec::new(),
     };
-
-    let (fresh, target, transport) = run(Vec::new());
+    let fresh = execute_with_transport(
+        &schema,
+        from,
+        to,
+        &program,
+        &mut source,
+        &mut target,
+        &mut transport,
+        None,
+    )
+    .unwrap();
     let labels = transport.labels.join("|");
     assert_eq!(labels, want.labels);
     assert_eq!(fresh.messages, transport.labels.len());
     assert_eq!(fresh.messages_serialized, fresh.messages);
     assert_eq!(fresh.rows_loaded, want.rows_loaded);
     assert_eq!(tables_digest(&target), want.tables);
-
-    // The same exchange off a full checkpoint: nothing is serialized,
-    // the identical bytes cross in the identical order, the same tables
-    // land.
-    let (replayed, retarget, retransport) = run(transport.messages.clone());
-    assert_eq!(replayed.messages_serialized, 0);
-    assert_eq!(replayed.bytes_encoded, 0);
-    assert_eq!(retransport.labels, transport.labels);
-    assert_eq!(retransport.messages, transport.messages);
-    assert_eq!(replayed.bytes_shipped, fresh.bytes_shipped);
-    assert_eq!(tables_digest(&retarget), want.tables);
-
-    // A checkpoint covering only the first shipment: the rest serialize.
-    let (partial, retarget, _) = run(transport.messages[..1].to_vec());
-    assert_eq!(partial.messages_serialized, fresh.messages - 1);
-    assert_eq!(tables_digest(&retarget), want.tables);
 }
 
 const MF_ELEMENTS: &str = "SITE|REGIONS|CATEGORIES|CATGRAPH|PEOPLE|OPENAUCTIONS|CLOSEDAUCTIONS|\
