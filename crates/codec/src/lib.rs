@@ -193,12 +193,6 @@ fn common_prefix(a: &[u32], b: &[u32]) -> usize {
     a.iter().zip(b).take_while(|(x, y)| x == y).count()
 }
 
-fn decode_err(detail: impl Into<String>) -> Error {
-    Error::Decode {
-        detail: detail.into(),
-    }
-}
-
 // Two-bit cell tags; 0 doubles as the null bitmap.
 const TAG_NULL: u8 = 0;
 const TAG_INT: u8 = 1;
@@ -403,7 +397,7 @@ impl<'a> Reader<'a> {
 
     fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8]> {
         if n > self.remaining() {
-            return Err(decode_err(format!("truncated frame reading {what}")));
+            return Err(Error::decode(format!("truncated frame reading {what}")));
         }
         let slice = &self.buf[self.pos..self.pos + n];
         self.pos += n;
@@ -424,7 +418,7 @@ impl<'a> Reader<'a> {
                 return Ok(v);
             }
         }
-        Err(decode_err(format!("overlong varint in {what}")))
+        Err(Error::decode(format!("overlong varint in {what}")))
     }
 
     /// A varint that names a count of items each at least `unit` bytes
@@ -432,7 +426,7 @@ impl<'a> Reader<'a> {
     fn count(&mut self, unit: usize, what: &str) -> Result<usize> {
         let n = self.varint(what)?;
         if n > (self.remaining() / unit.max(1)) as u64 {
-            return Err(decode_err(format!("impossible {what} count {n}")));
+            return Err(Error::decode(format!("impossible {what} count {n}")));
         }
         Ok(n as usize)
     }
@@ -446,7 +440,7 @@ impl<'a> Reader<'a> {
         let len = self.count(1, what)?;
         let bytes = self.take(len, what)?;
         String::from_utf8(bytes.to_vec())
-            .map_err(|_| decode_err(format!("invalid UTF-8 in {what}")))
+            .map_err(|_| Error::decode(format!("invalid UTF-8 in {what}")))
     }
 }
 
@@ -463,15 +457,17 @@ pub fn decode_feed(bytes: &[u8]) -> Result<Feed> {
 /// loudly with a decode error and is never accepted.
 pub fn decode_feed_ctx(bytes: &[u8]) -> Result<(Feed, Option<TraceContext>)> {
     if !is_columnar(bytes) {
-        return Err(decode_err("missing columnar frame magic"));
+        return Err(Error::decode("missing columnar frame magic"));
     }
     if bytes.len() < COLUMNAR_MAGIC.len() + 8 {
-        return Err(decode_err("columnar frame shorter than magic + checksum"));
+        return Err(Error::decode(
+            "columnar frame shorter than magic + checksum",
+        ));
     }
     let (body, sum) = bytes.split_at(bytes.len() - 8);
     let expected = u64::from_le_bytes(sum.try_into().expect("8-byte slice"));
     if fnv1a(body) != expected {
-        return Err(decode_err(
+        return Err(Error::decode(
             "checksum mismatch: columnar frame corrupted in transit",
         ));
     }
@@ -500,13 +496,13 @@ pub fn decode_feed_ctx(bytes: &[u8]) -> Result<(Feed, Option<TraceContext>)> {
             0 => ColRole::NodeId,
             1 => ColRole::ParentRef,
             2 => ColRole::Value,
-            other => return Err(decode_err(format!("bad column role byte {other}"))),
+            other => return Err(Error::decode(format!("bad column role byte {other}"))),
         };
         columns.push(FeedColumn::new(element, role));
     }
     let digest = fnv1a(&r.buf[schema_start..r.pos]);
     if r.u64_le("schema digest")? != digest {
-        return Err(decode_err("schema digest mismatch"));
+        return Err(Error::decode("schema digest mismatch"));
     }
 
     let rows = r.varint("row count")?;
@@ -514,12 +510,12 @@ pub fn decode_feed_ctx(bytes: &[u8]) -> Result<(Feed, Option<TraceContext>)> {
     // feeds have no such floor, so they get an explicit cap instead.
     if ncols == 0 {
         if rows > MAX_ZERO_ARITY_ROWS {
-            return Err(decode_err(format!("implausible row count {rows}")));
+            return Err(Error::decode(format!("implausible row count {rows}")));
         }
     } else {
         let tag_bytes = rows.div_ceil(4).checked_mul(ncols as u64);
         if tag_bytes.is_none_or(|b| b > r.remaining() as u64) {
-            return Err(decode_err(format!("impossible row count {rows}")));
+            return Err(Error::decode(format!("impossible row count {rows}")));
         }
     }
     let rows = rows as usize;
@@ -541,7 +537,7 @@ pub fn decode_feed_ctx(bytes: &[u8]) -> Result<(Feed, Option<TraceContext>)> {
             let idx = r.varint("token index")? as usize;
             let tok = tokens
                 .get(idx)
-                .ok_or_else(|| decode_err(format!("token index {idx} out of range")))?;
+                .ok_or_else(|| Error::decode(format!("token index {idx} out of range")))?;
             s.push_str(tok);
         }
         dict.push(s);
@@ -564,7 +560,7 @@ pub fn decode_feed_ctx(bytes: &[u8]) -> Result<(Feed, Option<TraceContext>)> {
                 TAG_DEWEY => {
                     let lcp = r.varint("dewey prefix")? as usize;
                     if lcp > prev_dewey.len() {
-                        return Err(decode_err("dewey prefix longer than predecessor"));
+                        return Err(Error::decode("dewey prefix longer than predecessor"));
                     }
                     let rest = r.count(1, "dewey suffix")?;
                     let base = prev_dewey.get(lcp).copied().unwrap_or(0);
@@ -573,12 +569,12 @@ pub fn decode_feed_ctx(bytes: &[u8]) -> Result<(Feed, Option<TraceContext>)> {
                         let delta = unzigzag(r.varint("dewey component")?);
                         let first = (base as i64).wrapping_add(delta);
                         let first = u32::try_from(first)
-                            .map_err(|_| decode_err("dewey component out of range"))?;
+                            .map_err(|_| Error::decode("dewey component out of range"))?;
                         prev_dewey.push(first);
                         for _ in 1..rest {
                             let c = r.varint("dewey component")?;
                             let c = u32::try_from(c)
-                                .map_err(|_| decode_err("dewey component out of range"))?;
+                                .map_err(|_| Error::decode("dewey component out of range"))?;
                             prev_dewey.push(c);
                         }
                     }
@@ -587,7 +583,7 @@ pub fn decode_feed_ctx(bytes: &[u8]) -> Result<(Feed, Option<TraceContext>)> {
                 _ => {
                     let idx = r.varint("string cell")? as usize;
                     let s = dict.get(idx).ok_or_else(|| {
-                        decode_err(format!("string-table index {idx} out of range"))
+                        Error::decode(format!("string-table index {idx} out of range"))
                     })?;
                     Value::Str(s.clone())
                 }
@@ -595,7 +591,7 @@ pub fn decode_feed_ctx(bytes: &[u8]) -> Result<(Feed, Option<TraceContext>)> {
         }
     }
     if r.remaining() != 0 {
-        return Err(decode_err(format!(
+        return Err(Error::decode(format!(
             "{} trailing bytes after last column",
             r.remaining()
         )));
@@ -667,16 +663,16 @@ pub fn decode_any(body: &[u8]) -> Result<Feed> {
 /// shipment label).
 pub fn decode_any_ctx(body: &[u8]) -> Result<(Feed, Option<TraceContext>)> {
     if is_patch(body) {
-        return Err(decode_err("body is a Patch frame, not a feed"));
+        return Err(Error::decode("body is a Patch frame, not a feed"));
     }
     if is_container(body) {
-        return Err(decode_err("body is a multi-part container, not a feed"));
+        return Err(Error::decode("body is a multi-part container, not a feed"));
     }
     if is_columnar(body) {
         decode_feed_ctx(body)
     } else {
         let text = std::str::from_utf8(body)
-            .map_err(|_| decode_err("feed body is neither columnar nor UTF-8 text"))?;
+            .map_err(|_| Error::decode("feed body is neither columnar nor UTF-8 text"))?;
         Feed::from_wire(text).map(|feed| (feed, None))
     }
 }
@@ -783,7 +779,7 @@ pub fn decode_parts_ctx(body: &[u8]) -> Result<(DecodedParts, Option<TraceContex
     }
     let digest = fnv1a(&body[..r.pos]);
     if r.u64_le("container checksum")? != digest {
-        return Err(decode_err(
+        return Err(Error::decode(
             "checksum mismatch: container header corrupted in transit",
         ));
     }
@@ -791,7 +787,7 @@ pub fn decode_parts_ctx(body: &[u8]) -> Result<(DecodedParts, Option<TraceContex
         .iter()
         .try_fold(0u64, |sum, (_, len)| sum.checked_add(*len));
     if claimed != Some(r.remaining() as u64) {
-        return Err(decode_err(format!(
+        return Err(Error::decode(format!(
             "part lengths do not tile the {} body bytes",
             r.remaining()
         )));
@@ -903,15 +899,15 @@ pub fn decode_patch(bytes: &[u8]) -> Result<DeltaPatch> {
 /// through their own format decoders (each with its own checksum).
 pub fn decode_patch_ctx(bytes: &[u8]) -> Result<(DeltaPatch, Option<TraceContext>)> {
     if !is_patch(bytes) {
-        return Err(decode_err("missing patch frame magic"));
+        return Err(Error::decode("missing patch frame magic"));
     }
     if bytes.len() < PATCH_MAGIC.len() + 8 {
-        return Err(decode_err("patch frame shorter than magic + checksum"));
+        return Err(Error::decode("patch frame shorter than magic + checksum"));
     }
     let (body, sum) = bytes.split_at(bytes.len() - 8);
     let expected = u64::from_le_bytes(sum.try_into().expect("8-byte slice"));
     if fnv1a(body) != expected {
-        return Err(decode_err(
+        return Err(Error::decode(
             "checksum mismatch: patch frame corrupted in transit",
         ));
     }
@@ -941,16 +937,18 @@ pub fn decode_patch_ctx(bytes: &[u8]) -> Result<(DeltaPatch, Option<TraceContext
         let mut steps = Vec::with_capacity(nsteps);
         for _ in 0..nsteps {
             let kind = StepKind::from_code(r.take(1, "step kind")?[0])
-                .ok_or_else(|| decode_err("bad step kind byte"))?;
+                .ok_or_else(|| Error::decode("bad step kind byte"))?;
             let depth = r.count(1, "step key")?;
             let mut key = Vec::with_capacity(depth);
             for _ in 0..depth {
                 let c = r.varint("key component")?;
-                key.push(u32::try_from(c).map_err(|_| decode_err("key component out of range"))?);
+                key.push(
+                    u32::try_from(c).map_err(|_| Error::decode("key component out of range"))?,
+                );
             }
             let rows = r.varint("step rows")?;
             let rows =
-                u32::try_from(rows).map_err(|_| decode_err("step row count out of range"))?;
+                u32::try_from(rows).map_err(|_| Error::decode("step row count out of range"))?;
             steps.push(PatchStep {
                 kind,
                 key: Dewey::from(key),
@@ -966,7 +964,7 @@ pub fn decode_patch_ctx(bytes: &[u8]) -> Result<(DeltaPatch, Option<TraceContext
         });
     }
     if r.remaining() != 0 {
-        return Err(decode_err(format!(
+        return Err(Error::decode(format!(
             "{} trailing bytes after last table patch",
             r.remaining()
         )));

@@ -14,6 +14,12 @@
 //! verified frame — late, duplicated, reordered, or re-shipped by a
 //! resumed session — under its (session, shipment, index) key and drop
 //! exact repeats idempotently.
+//!
+//! There is one parser, [`ChunkView::parse`]: the view it returns borrows
+//! its payload from the received bytes, so a receiver that copies the
+//! payload straight into its reassembly buffer touches each byte once.
+//! [`ChunkFrame`] is the owned form ([`ChunkFrame::decode`] copies the
+//! view's payload out).
 
 use std::io::Write as _;
 
@@ -110,11 +116,41 @@ impl ChunkFrame {
         )
     }
 
-    /// Parses and verifies a received frame. Returns the frame only when
+    /// Parses and verifies a received frame into an owned one: a
+    /// [`ChunkView::parse`] whose payload is copied out.
+    pub fn decode(frame: &[u8]) -> Option<ChunkFrame> {
+        ChunkView::parse(frame).map(|view| ChunkFrame {
+            session: view.session,
+            shipment: view.shipment,
+            index: view.index,
+            total: view.total,
+            payload: view.payload.to_vec(),
+        })
+    }
+}
+
+/// One verified chunk frame whose payload borrows the received bytes: the
+/// receiver files it without copying the chunk out first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChunkView<'a> {
+    /// Session the shipment belongs to.
+    pub session: u64,
+    /// Per-session shipment sequence number (0-based ship() call order).
+    pub shipment: u64,
+    /// Chunk index within the shipment (0-based).
+    pub index: usize,
+    /// Number of chunks in the shipment.
+    pub total: usize,
+    /// The chunk's payload bytes, inside the received frame.
+    pub payload: &'a [u8],
+}
+
+impl<'a> ChunkView<'a> {
+    /// Parses and verifies a received frame. Returns the view only when
     /// the header is intact, the length matches, the index is in range
     /// and the checksum (headers + payload) verifies — any byte damage
     /// anywhere in the frame fails it.
-    pub fn decode(frame: &[u8]) -> Option<ChunkFrame> {
+    pub fn parse(frame: &'a [u8]) -> Option<ChunkView<'a>> {
         let newline = frame.iter().position(|&b| b == b'\n')?;
         let header = std::str::from_utf8(&frame[..newline]).ok()?;
         let mut parts = header.split(' ');
@@ -137,12 +173,12 @@ impl ChunkFrame {
         {
             return None;
         }
-        Some(ChunkFrame {
+        Some(ChunkView {
             session,
             shipment,
             index,
             total,
-            payload: payload.to_vec(),
+            payload,
         })
     }
 }
@@ -201,6 +237,18 @@ mod tests {
         // Empty payloads frame too.
         let empty = ChunkFrame::decode(&frame_chunk(1, 0, 0, 1, b"")).unwrap();
         assert!(empty.payload.is_empty());
+    }
+
+    #[test]
+    fn a_view_borrows_the_payload_in_place() {
+        let frame = frame_chunk(9, 4, 3, 7, b"in place");
+        let view = ChunkView::parse(&frame).unwrap();
+        assert_eq!((view.session, view.shipment, view.index), (9, 4, 3));
+        assert!(std::ptr::eq(
+            view.payload.as_ptr(),
+            frame[frame.len() - 8..].as_ptr()
+        ));
+        assert_eq!(ChunkFrame::decode(&frame).unwrap().payload, view.payload);
     }
 
     #[test]

@@ -37,6 +37,16 @@ impl fmt::Display for Error {
     }
 }
 
+impl Error {
+    /// A wire-decode failure: what the feed and codec decoders return for
+    /// damaged or malformed bytes.
+    pub fn decode(detail: impl Into<String>) -> Error {
+        Error::Decode {
+            detail: detail.into(),
+        }
+    }
+}
+
 impl std::error::Error for Error {}
 
 #[cfg(test)]

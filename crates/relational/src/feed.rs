@@ -302,9 +302,11 @@ impl Feed {
                 match expected {
                     Some(e) if e == fnv1a(body.as_bytes()) => body,
                     Some(_) => {
-                        return Err(decode_err("checksum mismatch: feed corrupted in transit"))
+                        return Err(Error::decode(
+                            "checksum mismatch: feed corrupted in transit",
+                        ))
                     }
-                    None => return Err(decode_err("malformed #sum line")),
+                    None => return Err(Error::decode("malformed #sum line")),
                 }
             }
             None => text,
@@ -316,24 +318,24 @@ impl Feed {
         // Split on '\n' only: `str::lines` would also strip a '\r' that
         // ends a string cell in the last column.
         let mut lines = text.strip_suffix('\n').unwrap_or(text).split('\n');
-        let header = lines.next().ok_or_else(|| decode_err("empty input"))?;
+        let header = lines.next().ok_or_else(|| Error::decode("empty input"))?;
         let root = header
             .strip_prefix("#feed\t")
-            .ok_or_else(|| decode_err("missing #feed header"))?;
-        let cols_line = lines.next().ok_or_else(|| decode_err("missing #cols"))?;
+            .ok_or_else(|| Error::decode("missing #feed header"))?;
+        let cols_line = lines.next().ok_or_else(|| Error::decode("missing #cols"))?;
         let cols_body = cols_line
             .strip_prefix("#cols")
-            .ok_or_else(|| decode_err("missing #cols header"))?;
+            .ok_or_else(|| Error::decode("missing #cols header"))?;
         let mut columns = Vec::new();
         for spec in cols_body.split('\t').skip(1) {
             let (el, role) = spec
                 .rsplit_once(':')
-                .ok_or_else(|| decode_err(format!("bad column spec {spec:?}")))?;
+                .ok_or_else(|| Error::decode(format!("bad column spec {spec:?}")))?;
             let role = match role {
                 "n" => ColRole::NodeId,
                 "p" => ColRole::ParentRef,
                 "v" => ColRole::Value,
-                other => return Err(decode_err(format!("bad column role {other:?}"))),
+                other => return Err(Error::decode(format!("bad column role {other:?}"))),
             };
             columns.push(FeedColumn::new(el, role));
         }
@@ -532,12 +534,6 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-fn decode_err(detail: impl Into<String>) -> Error {
-    Error::Decode {
-        detail: detail.into(),
-    }
-}
-
 fn decode_value(cell: &str, prev: Option<&Dewey>) -> Result<Value> {
     let mut chars = cell.chars();
     match chars.next() {
@@ -546,18 +542,18 @@ fn decode_value(cell: &str, prev: Option<&Dewey>) -> Result<Value> {
             .as_str()
             .parse::<i64>()
             .map(Value::Int)
-            .map_err(|_| decode_err(format!("bad int {cell:?}"))),
+            .map_err(|_| Error::decode(format!("bad int {cell:?}"))),
         Some('*') => {
             let base = prev.ok_or_else(|| {
-                decode_err(format!("relative dewey {cell:?} with no predecessor"))
+                Error::decode(format!("relative dewey {cell:?} with no predecessor"))
             })?;
             base.extended(chars.as_str())
                 .map(Value::Dewey)
-                .ok_or_else(|| decode_err(format!("bad dewey suffix {cell:?}")))
+                .ok_or_else(|| Error::decode(format!("bad dewey suffix {cell:?}")))
         }
         Some('D') => Dewey::parse(chars.as_str())
             .map(Value::Dewey)
-            .ok_or_else(|| decode_err(format!("bad dewey {cell:?}"))),
+            .ok_or_else(|| Error::decode(format!("bad dewey {cell:?}"))),
         Some('S') => {
             let raw = chars.as_str();
             if !raw.contains('\\') {
@@ -571,7 +567,7 @@ fn decode_value(cell: &str, prev: Option<&Dewey>) -> Result<Value> {
                         Some('t') => s.push('\t'),
                         Some('n') => s.push('\n'),
                         Some('\\') => s.push('\\'),
-                        other => return Err(decode_err(format!("bad escape \\{other:?}"))),
+                        other => return Err(Error::decode(format!("bad escape \\{other:?}"))),
                     }
                 } else {
                     s.push(c);
@@ -579,7 +575,7 @@ fn decode_value(cell: &str, prev: Option<&Dewey>) -> Result<Value> {
             }
             Ok(Value::Str(s))
         }
-        _ => Err(decode_err(format!("bad cell {cell:?}"))),
+        _ => Err(Error::decode(format!("bad cell {cell:?}"))),
     }
 }
 

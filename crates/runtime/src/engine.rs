@@ -42,7 +42,7 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-use xdx_net::{frame_chunk_into, ChunkFrame, Delivery};
+use xdx_net::{frame_chunk_into, ChunkView, Delivery};
 use xdx_trace::{SpanId, TraceSink};
 
 /// Retry/chunking policy of the shipping layer.
@@ -109,8 +109,9 @@ pub(crate) struct BatchResult {
     pub seq: u64,
     /// Simulated link time: transfers, timeout waits, retry backoff.
     pub elapsed: Duration,
-    /// The reassembled message as delivered, or the failure diagnostic.
-    pub outcome: std::result::Result<Vec<u8>, String>,
+    /// The reassembled message as delivered — the ledger's receive
+    /// buffer, by handle — or the failure diagnostic.
+    pub outcome: std::result::Result<Arc<Vec<u8>>, String>,
     /// True when the failure was the link defeating the policy (attempt
     /// cap or shared budget) — the circuit breaker's signal.
     pub link_gave_up: bool,
@@ -372,8 +373,8 @@ impl ShipEngine {
         }
     }
 
-    fn file(&self, task: &mut Task, frame: &ChunkFrame) {
-        if self.ledger.file(frame) == Filed::Duplicate {
+    fn file(&self, task: &mut Task, chunk: &ChunkView<'_>) {
+        if self.ledger.file(chunk) == Filed::Duplicate {
             task.stats.chunks_deduped += 1;
         }
     }
@@ -398,7 +399,7 @@ impl ShipEngine {
     /// The terminal step: the batch's result, with its tallies.
     fn done(
         task: &Task,
-        outcome: std::result::Result<Vec<u8>, String>,
+        outcome: std::result::Result<Arc<Vec<u8>>, String>,
         link_gave_up: bool,
     ) -> StepOutcome {
         StepOutcome::Done(BatchResult {
@@ -567,8 +568,9 @@ impl ShipEngine {
     fn settle(&self, task: &mut Task, duration: Duration, delivery: Delivery) -> StepOutcome {
         task.elapsed += duration;
         // File whatever verified frame the link produced — ours, an
-        // older deferred one, even another session's.
-        let verified = delivery.payload().and_then(ChunkFrame::decode);
+        // older deferred one, even another session's — parsed in place,
+        // so the ledger's copy is the receiver's only one.
+        let verified = delivery.payload().and_then(ChunkView::parse);
         if let Some(arrived) = &verified {
             self.file(task, arrived);
             if matches!(delivery, Delivery::Duplicated(_)) {
@@ -663,13 +665,10 @@ impl ShipEngine {
             )
         });
         self.close(task, "ok");
-        let assembled = self.ledger.assemble(task.req.session.id, task.req.seq);
-        debug_assert!(
-            assembled.as_ref().is_none_or(|a| *a == *task.req.message),
-            "verified chunks reassemble exactly"
-        );
-        let outcome =
-            assembled.ok_or_else(|| format!("shipment {} did not reassemble", task.req.seq));
+        let outcome = self
+            .ledger
+            .assemble(task.req.session.id, task.req.seq)
+            .ok_or_else(|| format!("shipment {} did not reassemble", task.req.seq));
         Self::done(task, outcome, false)
     }
 }
@@ -802,7 +801,7 @@ mod tests {
         let message: Vec<u8> = (0..3000u32).map(|i| (i * 7 % 256) as u8).collect();
         let session = SessionShared::new(1, "test".into(), None, 0);
         let result = ship(&eng, session, &slot, &message, policy);
-        assert_eq!(result.outcome.unwrap(), message);
+        assert_eq!(*result.outcome.unwrap(), message);
         // Duplicated deliveries were filed twice and dropped once.
         assert!(result.stats.chunks_deduped > 0, "{:?}", result.stats);
     }
@@ -848,7 +847,7 @@ mod tests {
             .link
             .set_fault_profile(FaultProfile::healthy());
         let second = ship(&eng, session, &slot, &message, policy);
-        assert_eq!(second.outcome.unwrap(), message);
+        assert_eq!(*second.outcome.unwrap(), message);
         assert_eq!(second.stats.chunks_resumed, landed);
         assert_eq!(second.stats.chunks_shipped, total - landed);
         assert_eq!(eng.events.count(EventKind::ShipmentResumed), 1);
@@ -909,7 +908,7 @@ mod tests {
         };
         let rx = submit(&eng, &slot, 0, message.clone(), policy, &budget);
         let result = drive_to(&eng, &rx);
-        assert_eq!(result.outcome.unwrap(), message);
+        assert_eq!(*result.outcome.unwrap(), message);
         assert!(result.elapsed > Duration::ZERO);
         assert_eq!(result.stats.chunks_shipped, 2000usize.div_ceil(64) as u64);
         assert!(result.stats.chunks_retried > 0, "30% faults must retry");
@@ -936,7 +935,7 @@ mod tests {
             .collect();
         for (rx, message) in rxs.into_iter().zip(&messages) {
             let result = drive_to(&eng, &rx);
-            assert_eq!(&result.outcome.unwrap(), message);
+            assert_eq!(*result.outcome.unwrap(), *message);
         }
     }
 
@@ -983,8 +982,8 @@ mod tests {
         let rx_b = submit(&eng, &slot, 1, message.clone(), policy, &budget);
         let a = drive_to(&eng, &rx_a);
         let b = drive_to(&eng, &rx_b);
-        assert_eq!(a.outcome.unwrap(), message);
-        assert_eq!(b.outcome.unwrap(), message);
+        assert_eq!(*a.outcome.unwrap(), message);
+        assert_eq!(*b.outcome.unwrap(), message);
         // Both batches observed simulated wire time.
         assert!(a.elapsed > Duration::ZERO && b.elapsed > Duration::ZERO);
     }
@@ -1016,10 +1015,10 @@ mod tests {
         eng.drive(Some(Instant::now() + Duration::from_millis(5)));
         let mut last = Vec::new();
         frame_chunk_into(&mut last, 1, 0, 3, 4, &message[3 * 4096..]);
-        let frame = ChunkFrame::decode(&last).expect("a well-formed frame");
+        let frame = ChunkView::parse(&last).expect("a well-formed frame");
         assert_eq!(eng.ledger.file(&frame), Filed::Accepted);
         let result = drive_to(&eng, &rx);
-        assert_eq!(result.outcome.unwrap(), message);
+        assert_eq!(*result.outcome.unwrap(), message);
         assert_eq!(result.stats.chunks_shipped, 4);
         assert_eq!(
             result.stats.wire_bytes,

@@ -1117,12 +1117,12 @@ impl Inner {
         lane.outcome.times.communication += result.elapsed;
         lane.outcome.messages += 1;
         if group.patch.is_some() && result.seq == 0 {
-            self.absorb_patch(arc, ex, &delivered);
+            self.absorb_patch(arc, ex, &delivered[..]);
             return;
         }
         // Decode what actually arrived — link damage surfaces as an
         // explicit error here.
-        let feeds = match self.decode_once(group, li, result.seq, &delivered) {
+        let feeds = match self.decode_once(group, li, result.seq, &delivered[..]) {
             Ok(feeds) => feeds,
             Err(e) => {
                 group.lanes[li]

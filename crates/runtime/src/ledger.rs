@@ -8,6 +8,16 @@
 //! transmission, or re-shipped by a resumed session. Exact repeats are
 //! dropped idempotently.
 //!
+//! A shipment is received into one buffer, preallocated to the message
+//! length: a chunk that lands at the cursor is copied from the received
+//! frame straight onto its end, and one that lands ahead of the cursor
+//! waits in a small map until the gap before it fills. On a healthy link
+//! every chunk lands at the cursor, so the receiver copies each message
+//! byte once and never concatenates. [`ReassemblyLedger::assemble`]
+//! hands the full buffer out by handle after one exact comparison with
+//! the sender's message (DESIGN §24 says what that comparison catches
+//! that the chunk checksums do not).
+//!
 //! Entries persist after a session *fails*: that is the shipping
 //! checkpoint. When the session is resumed, `begin_shipment` reports
 //! which chunks already landed, and the engine skips them — only the
@@ -34,7 +44,7 @@ use crate::session::SessionId;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use xdx_net::{fnv64, ChunkFrame};
+use xdx_net::ChunkView;
 
 /// Number of independent lock shards; sessions hash to shards by id.
 const SHARDS: usize = 16;
@@ -63,17 +73,43 @@ struct ShipmentBuffer {
     stamp: u64,
     /// Chunk count announced by the frames.
     total: usize,
-    /// FNV-64 of the full serialized message; a resubmitted shipment
-    /// whose content changed must not inherit stale chunks.
-    message_fnv: u64,
     /// The sender's fully assembled serialized message — the frame
     /// ring's own buffer, held by handle, never copied. Persisting it
     /// makes resume allocation-free on the serialization side: a resumed
     /// session ships these exact bytes instead of re-running feed
     /// serialization.
     message: Arc<Vec<u8>>,
-    /// Verified chunks landed so far.
-    chunks: BTreeMap<usize, Vec<u8>>,
+    /// What the receiver got: the payloads of chunks `0..next`, in
+    /// order, in one buffer preallocated to the message length. Sole
+    /// until [`ReassemblyLedger::assemble`] hands it out, which happens
+    /// only once every chunk is in — nothing appends after that.
+    received: Arc<Vec<u8>>,
+    /// The cursor: chunks below it are in `received`.
+    next: usize,
+    /// Verified chunks that landed ahead of the cursor, drained into
+    /// `received` as soon as the gap before them fills.
+    ahead: BTreeMap<usize, Vec<u8>>,
+}
+
+impl ShipmentBuffer {
+    fn open(stamp: u64, total: usize, message: &Arc<Vec<u8>>) -> ShipmentBuffer {
+        ShipmentBuffer {
+            stamp,
+            total,
+            message: Arc::clone(message),
+            received: Arc::new(Vec::with_capacity(message.len())),
+            next: 0,
+            ahead: BTreeMap::new(),
+        }
+    }
+
+    fn has(&self, index: usize) -> bool {
+        index < self.next || self.ahead.contains_key(&index)
+    }
+
+    fn landed(&self) -> usize {
+        self.next + self.ahead.len()
+    }
 }
 
 /// Thread-shared ledger of in-flight (and checkpointed) shipments,
@@ -129,8 +165,9 @@ impl ReassemblyLedger {
     /// Opens (or re-opens) a shipment, persisting a handle on the sender's
     /// full serialized `message`, and returns the indexes of chunks that
     /// already landed in a previous attempt — the resume checkpoint. A
-    /// buffer whose chunk count or message hash disagrees is stale (the
-    /// message changed) and is reset.
+    /// buffer whose chunk count disagrees, or whose stored message is
+    /// neither the same handle nor equal bytes, is stale (the message
+    /// changed) and is reset.
     pub fn begin_shipment(
         &self,
         session: SessionId,
@@ -138,7 +175,6 @@ impl ReassemblyLedger {
         total: usize,
         message: &Arc<Vec<u8>>,
     ) -> BTreeSet<usize> {
-        let message_fnv = fnv64(message);
         let mut map = self.shard(session).lock().unwrap();
         if !map.contains_key(&(session, shipment)) && map.len() >= self.per_shard_cap {
             // Full shard: shed the least-recently-touched checkpoint to
@@ -152,21 +188,16 @@ impl ReassemblyLedger {
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
         let buffer = map
             .entry((session, shipment))
-            .or_insert_with(|| ShipmentBuffer {
-                stamp,
-                total,
-                message_fnv,
-                message: Arc::clone(message),
-                chunks: BTreeMap::new(),
-            });
+            .or_insert_with(|| ShipmentBuffer::open(stamp, total, message));
         buffer.stamp = stamp;
-        if buffer.total != total || buffer.message_fnv != message_fnv {
-            buffer.total = total;
-            buffer.message_fnv = message_fnv;
-            buffer.message = Arc::clone(message);
-            buffer.chunks.clear();
+        // `Arc`'s equality compares the handles first, the bytes only when
+        // they differ: a resume hands back the stored handle.
+        if buffer.total != total || buffer.message != *message {
+            *buffer = ShipmentBuffer::open(stamp, total, message);
         }
-        buffer.chunks.keys().copied().collect()
+        (0..buffer.next)
+            .chain(buffer.ahead.keys().copied())
+            .collect()
     }
 
     /// The full serialized message a previous attempt persisted for
@@ -187,40 +218,48 @@ impl ReassemblyLedger {
             .lock()
             .unwrap()
             .get(&(session, shipment))
-            .is_some_and(|b| b.chunks.contains_key(&index))
+            .is_some_and(|b| b.has(index))
     }
 
-    /// Files one verified frame under its own coordinates. Duplicates
-    /// are detected and dropped; frames for unknown shipments are stale.
-    pub fn file(&self, frame: &ChunkFrame) -> Filed {
-        let mut map = self.shard(frame.session).lock().unwrap();
-        let Some(buffer) = map.get_mut(&(frame.session, frame.shipment)) else {
+    /// Files one verified frame under its own coordinates, copying its
+    /// payload onto the shipment's buffer (or, ahead of the cursor, into
+    /// the waiting map). Duplicates are detected and dropped; frames for
+    /// unknown shipments are stale.
+    pub fn file(&self, chunk: &ChunkView<'_>) -> Filed {
+        let mut map = self.shard(chunk.session).lock().unwrap();
+        let Some(buffer) = map.get_mut(&(chunk.session, chunk.shipment)) else {
             return Filed::Stale;
         };
-        if frame.total != buffer.total || frame.index >= buffer.total {
+        if chunk.total != buffer.total || chunk.index >= buffer.total {
             return Filed::Stale;
         }
-        if buffer.chunks.contains_key(&frame.index) {
+        if buffer.has(chunk.index) {
             return Filed::Duplicate;
         }
-        buffer.chunks.insert(frame.index, frame.payload.clone());
+        if chunk.index > buffer.next {
+            buffer.ahead.insert(chunk.index, chunk.payload.to_vec());
+            return Filed::Accepted;
+        }
+        // Sole while incomplete (see `received`): this never copies.
+        let received = Arc::make_mut(&mut buffer.received);
+        received.extend_from_slice(chunk.payload);
+        buffer.next += 1;
+        while let Some(payload) = buffer.ahead.remove(&buffer.next) {
+            received.extend_from_slice(&payload);
+            buffer.next += 1;
+        }
         Filed::Accepted
     }
 
     /// Reassembles a complete shipment: every chunk present and the
-    /// whole message hashing back to the announced FNV-64. The buffer is
-    /// retained — it is the checkpoint a resumed session skips over.
-    pub fn assemble(&self, session: SessionId, shipment: u64) -> Option<Vec<u8>> {
+    /// received bytes equal to the sender's message. The buffer is
+    /// retained — it is the checkpoint a resumed session skips over —
+    /// and handed out by handle, not copied.
+    pub fn assemble(&self, session: SessionId, shipment: u64) -> Option<Arc<Vec<u8>>> {
         let map = self.shard(session).lock().unwrap();
         let buffer = map.get(&(session, shipment))?;
-        if buffer.chunks.len() != buffer.total {
-            return None;
-        }
-        let mut message = Vec::with_capacity(buffer.message.len());
-        for chunk in buffer.chunks.values() {
-            message.extend_from_slice(chunk);
-        }
-        (fnv64(&message) == buffer.message_fnv).then_some(message)
+        (buffer.next == buffer.total && buffer.received == buffer.message)
+            .then(|| Arc::clone(&buffer.received))
     }
 
     /// Drops every buffer of `session` — called when the session
@@ -257,7 +296,7 @@ impl ReassemblyLedger {
             .unwrap()
             .iter()
             .filter(|((s, _), _)| *s == session)
-            .map(|(_, b)| b.chunks.len())
+            .map(|(_, b)| b.landed())
             .sum()
     }
 }
@@ -276,13 +315,13 @@ mod tests {
         index: usize,
         total: usize,
         payload: &[u8],
-    ) -> ChunkFrame {
-        ChunkFrame {
+    ) -> ChunkView<'_> {
+        ChunkView {
             session,
             shipment,
             index,
             total,
-            payload: payload.to_vec(),
+            payload,
         }
     }
 
@@ -296,13 +335,30 @@ mod tests {
         assert_eq!(ledger.file(&frame(1, 0, 0, 2, b"abc")), Filed::Duplicate);
         assert!(ledger.assemble(1, 0).is_none(), "incomplete shipment");
         assert_eq!(ledger.file(&frame(1, 0, 1, 2, b"def")), Filed::Accepted);
-        assert_eq!(ledger.assemble(1, 0).unwrap(), message);
+        let assembled = ledger.assemble(1, 0).unwrap();
+        assert_eq!(*assembled, message);
+        assert!(
+            Arc::ptr_eq(&assembled, &ledger.assemble(1, 0).unwrap()),
+            "the received buffer is handed out, not copied"
+        );
         // Out-of-order arrival assembles identically.
         let ledger2 = ReassemblyLedger::new();
         ledger2.begin_shipment(1, 0, 2, &msg(message));
         ledger2.file(&frame(1, 0, 1, 2, b"def"));
         ledger2.file(&frame(1, 0, 0, 2, b"abc"));
-        assert_eq!(ledger2.assemble(1, 0).unwrap(), message);
+        assert_eq!(*ledger2.assemble(1, 0).unwrap(), message);
+    }
+
+    #[test]
+    fn a_chunk_that_differs_from_the_message_fails_assembly() {
+        // A frame that verified but carries other bytes — a deferred
+        // chunk of the message a reset replaced — is caught at assembly.
+        let ledger = ReassemblyLedger::new();
+        ledger.begin_shipment(1, 0, 2, &msg(b"abcdef"));
+        ledger.file(&frame(1, 0, 0, 2, b"abc"));
+        ledger.file(&frame(1, 0, 1, 2, b"xyz"));
+        assert!(ledger.has_chunk(1, 0, 1));
+        assert!(ledger.assemble(1, 0).is_none());
     }
 
     #[test]
@@ -323,15 +379,40 @@ mod tests {
     #[test]
     fn changed_message_resets_the_checkpoint() {
         let ledger = ReassemblyLedger::new();
+        // Same length, same chunk count, other bytes.
         ledger.begin_shipment(1, 0, 2, &msg(b"old message"));
-        ledger.file(&frame(1, 0, 0, 2, b"old "));
+        ledger.file(&frame(1, 0, 0, 2, b"old me"));
+        ledger.file(&frame(1, 0, 1, 2, b"ssage"));
         let prior = ledger.begin_shipment(1, 0, 2, &msg(b"new message"));
         assert!(prior.is_empty(), "stale chunks must not survive");
+        assert!(!ledger.has_chunk(1, 0, 0));
+        assert_eq!(ledger.checkpointed_chunks(1), 0);
+        assert!(ledger.assemble(1, 0).is_none());
         assert_eq!(
             *ledger.stored_message(1, 0).unwrap(),
             b"new message",
             "the persisted message follows the reset"
         );
+        ledger.file(&frame(1, 0, 0, 2, b"new me"));
+        ledger.file(&frame(1, 0, 1, 2, b"ssage"));
+        assert_eq!(*ledger.assemble(1, 0).unwrap(), b"new message");
+    }
+
+    #[test]
+    fn the_same_message_keeps_the_checkpoint() {
+        let ledger = ReassemblyLedger::new();
+        let message = msg(b"abcdef");
+        ledger.begin_shipment(1, 0, 3, &message);
+        ledger.file(&frame(1, 0, 0, 3, b"ab"));
+        ledger.file(&frame(1, 0, 2, 3, b"ef"));
+        // The same handle, then an equal copy under another handle.
+        for reopened in [Arc::clone(&message), msg(b"abcdef")] {
+            let prior = ledger.begin_shipment(1, 0, 3, &reopened);
+            assert_eq!(prior.into_iter().collect::<Vec<_>>(), vec![0, 2]);
+            assert_eq!(ledger.checkpointed_chunks(1), 2);
+        }
+        ledger.file(&frame(1, 0, 1, 3, b"cd"));
+        assert_eq!(*ledger.assemble(1, 0).unwrap(), b"abcdef");
     }
 
     #[test]
@@ -415,5 +496,74 @@ mod tests {
         assert_eq!(ledger.entries_pruned(), 2);
         ledger.forget_session(2);
         assert_eq!(ledger.entries_pruned(), 3);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(128))]
+
+        /// Any arrival order of two interleaved shipments' chunks, with
+        /// repeats and reopens (the same handle) in between, then a
+        /// sweep that files every chunk once more: each shipment
+        /// reassembles exactly, every repeat is a `Duplicate`, and
+        /// `has_chunk`, `checkpointed_chunks` and a reopen's prior set
+        /// agree with what was filed at every step.
+        #[test]
+        fn any_arrival_order_reassembles_exactly(
+            lens in (0usize..200, 0usize..200),
+            chunk_bytes in 1usize..24,
+            arrivals in proptest::collection::vec((0usize..2, 0usize..64, 0u8..4), 0..160),
+        ) {
+            let ledger = ReassemblyLedger::new();
+            let messages: Vec<Arc<Vec<u8>>> = [lens.0, lens.1]
+                .iter()
+                .enumerate()
+                .map(|(s, &len)| Arc::new((0..len).map(|i| (i * 31 + s * 7) as u8).collect()))
+                .collect();
+            let totals: Vec<usize> =
+                messages.iter().map(|m| m.len().div_ceil(chunk_bytes).max(1)).collect();
+            let mut filed = [BTreeSet::new(), BTreeSet::new()];
+            for s in 0..2 {
+                let prior = ledger.begin_shipment(1, s as u64, totals[s], &messages[s]);
+                proptest::prop_assert!(prior.is_empty());
+            }
+            let sweep = (0..2).flat_map(|s| (0..totals[s]).rev().map(move |i| (s, i, 1)));
+            for (s, pick, reopen) in arrivals.into_iter().chain(sweep) {
+                let index = pick % totals[s];
+                let start = index * chunk_bytes;
+                let end = usize::min(start + chunk_bytes, messages[s].len());
+                let payload = &messages[s][start..end];
+                let expected = if filed[s].insert(index) {
+                    Filed::Accepted
+                } else {
+                    Filed::Duplicate
+                };
+                proptest::prop_assert_eq!(
+                    ledger.file(&frame(1, s as u64, index, totals[s], payload)),
+                    expected
+                );
+                for (t, landed) in filed.iter().enumerate() {
+                    for i in 0..totals[t] {
+                        proptest::prop_assert_eq!(
+                            ledger.has_chunk(1, t as u64, i),
+                            landed.contains(&i)
+                        );
+                    }
+                }
+                proptest::prop_assert_eq!(
+                    ledger.checkpointed_chunks(1),
+                    filed[0].len() + filed[1].len()
+                );
+                if reopen == 0 {
+                    let prior = ledger.begin_shipment(1, s as u64, totals[s], &messages[s]);
+                    proptest::prop_assert_eq!(&prior, &filed[s]);
+                }
+                let complete = filed[s].len() == totals[s];
+                proptest::prop_assert_eq!(ledger.assemble(1, s as u64).is_some(), complete);
+            }
+            for (s, message) in messages.iter().enumerate() {
+                let assembled = ledger.assemble(1, s as u64);
+                proptest::prop_assert!(assembled.as_deref() == Some(&**message));
+            }
+        }
     }
 }
