@@ -129,9 +129,10 @@ pub struct ExecOutcome {
     pub encode_ns: u64,
     /// Rows loaded at the target.
     pub rows_loaded: u64,
-    /// Per-operator wall-time samples, in execution order (including
-    /// the commit and index epilogue). Empty for outcomes built by
-    /// hand (e.g. folded parallel partials).
+    /// Per-operator wall-time samples, in execution order, ending with
+    /// the commit and index epilogue. The parallel executor reports the
+    /// epilogue alone: its workers' operators overlap in time, so their
+    /// wall is split between the two query steps instead.
     pub op_samples: Vec<OpSample>,
 }
 
@@ -682,41 +683,6 @@ pub fn feed_batches(feed: &Feed, batch_rows: usize) -> Vec<Feed> {
             rows: feed.rows[rows].to_vec().into(),
         })
         .collect()
-}
-
-/// True when every target-located node is a `Write` fed directly by
-/// cross edges: each delivered batch can then be *staged on arrival* —
-/// the target begins its transactional load while the source is still
-/// producing — instead of waiting for the whole feed.
-pub fn writes_stream_directly(program: &Program) -> bool {
-    program.nodes.iter().all(|n| {
-        n.location != Location::Target
-            || (matches!(n.op, Op::Write { .. })
-                && n.inputs
-                    .iter()
-                    .all(|p| program.nodes[p.node].location == Location::Source))
-    })
-}
-
-/// For a program where [`writes_stream_directly`], the `(node index,
-/// target table)` each cross port feeds — what a streaming runtime
-/// needs to stage arriving batches without running the node loop.
-pub fn direct_write_tables(
-    program: &Program,
-    target_frag: &Fragmentation,
-) -> HashMap<PortRef, (usize, String)> {
-    let mut map = HashMap::new();
-    for (i, node) in program.nodes.iter().enumerate() {
-        if node.location != Location::Target {
-            continue;
-        }
-        if let Op::Write { fragment } = node.op {
-            if let Some(port) = node.inputs.first() {
-                map.insert(*port, (i, target_frag.fragments[fragment].name.clone()));
-            }
-        }
-    }
-    map
 }
 
 #[cfg(test)]

@@ -12,16 +12,17 @@
 //! * components execute on a scoped thread pool; each worker scans
 //!   read-only, runs its combines/splits locally, and *stages* its writes
 //!   and shipments,
-//! * the single wide-area link and the target loads remain serialized —
-//!   bandwidth is shared and a table loads atomically — so parallelism
-//!   buys computation time, exactly the resource the paper's observation
-//!   targets.
+//! * the single wide-area link and the target's load remain serialized:
+//!   bandwidth is shared, and the target stages every write and commits
+//!   them together, as every executor does, so a failing write leaves it
+//!   untouched. Parallelism buys computation time, exactly the resource
+//!   the paper's observation targets.
 //!
 //! Work counters are accumulated per worker and merged, keeping the
 //! probe-visible totals identical to sequential execution.
 
 use crate::error::Result;
-use crate::exec::NodeLoop;
+use crate::exec::{commit_and_index, NodeLoop};
 use crate::fragment::Fragmentation;
 use crate::program::{Location, Program};
 use std::collections::HashMap;
@@ -131,7 +132,8 @@ fn run_component(
 
 /// Parallel counterpart of [`crate::exec::execute`]; produces identical
 /// target state and identical shipped bytes, with component-parallel
-/// computation. `threads` caps the worker count (components are simply
+/// computation, and like it leaves the target untouched when a write
+/// fails. `threads` caps the worker count (components are simply
 /// chunked across workers).
 #[allow(clippy::too_many_arguments)]
 pub fn execute_parallel(
@@ -203,18 +205,22 @@ pub fn execute_parallel(
         }
     }
 
-    // Apply staged writes, then rebuild indexes.
+    // Stage every write, then commit and index them together: a write
+    // that fails rolls back the ones staged before it.
     let start = Instant::now();
-    for w in all {
-        for (fragment, feed) in w.writes {
+    let staged = all
+        .into_iter()
+        .flat_map(|w| w.writes)
+        .try_for_each(|(fragment, feed)| {
             outcome.rows_loaded += feed.len() as u64;
-            target.load(&target_frag.fragments[fragment].name, feed)?;
-        }
-    }
+            target.load_staged(&target_frag.fragments[fragment].name, feed)
+        });
     outcome.times.loading = start.elapsed();
-    let start = Instant::now();
-    target.build_all_key_indexes()?;
-    outcome.times.indexing = start.elapsed();
+    if let Err(e) = staged {
+        target.rollback_staged();
+        return Err(e.into());
+    }
+    commit_and_index(program, target, &mut outcome)?;
     Ok(outcome)
 }
 
@@ -394,5 +400,54 @@ mod tests {
         )
         .unwrap();
         assert!(out.rows_loaded > 0);
+    }
+
+    #[test]
+    fn a_failing_write_leaves_the_target_untouched() {
+        let schema = customer_schema();
+        let mf = Fragmentation::most_fragmented("MF", &schema);
+        let t = t_fragmentation(&schema);
+        let gen = Generator::new(&schema, &mf, &t);
+        let program = placed_program(&gen);
+        // One worker stages its writes in node order: the last `Write`
+        // node's table is written last, after every other table.
+        let last = program
+            .nodes
+            .iter()
+            .rev()
+            .find_map(|n| match n.op {
+                Op::Write { fragment } => Some(fragment),
+                _ => None,
+            })
+            .unwrap();
+        let name = t.fragments[last].name.as_str();
+        // The target already holds that table, with the wrong arity.
+        let mut source = setup(&schema, &mf);
+        let wrong = source.table(&mf.fragments[0].name).unwrap().data.clone();
+        assert_ne!(
+            wrong.schema.arity(),
+            t.fragments[last].feed_schema(&schema).arity()
+        );
+        let mut target = Database::new("t");
+        target.load(name, wrong.clone()).unwrap();
+        let mut link = Link::new(NetworkProfile::lan());
+        let run = execute_parallel(
+            &schema,
+            &mf,
+            &t,
+            &program,
+            &mut source,
+            &mut target,
+            &mut link,
+            1,
+        );
+        assert!(run.is_err());
+        assert_eq!(target.table_names(), vec![name], "no other table landed");
+        assert_eq!(
+            target.table(name).unwrap().data,
+            wrong,
+            "the table is unchanged"
+        );
+        assert_eq!(target.staged_rows(), 0);
     }
 }

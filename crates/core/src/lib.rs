@@ -59,9 +59,9 @@ pub use cost::{CostModel, SchemaStats, SystemProfile, PATCH_STEP_FACTOR};
 pub use error::{Error, Result};
 pub use exchange::{DataExchange, Optimizer};
 pub use exec::{
-    cross_ports_in_consumer_order, direct_write_tables, execute_source_phase,
-    execute_source_phase_streaming, execute_target_phase, feed_batches, writes_stream_directly,
-    CrossPort, ExecOutcome, LoopbackTransport, OpSample, SourcePhase, Transport,
+    cross_ports_in_consumer_order, execute_source_phase, execute_source_phase_streaming,
+    execute_target_phase, feed_batches, CrossPort, ExecOutcome, LoopbackTransport, OpSample,
+    SourcePhase, Transport,
 };
 pub use fragment::{Fragment, Fragmentation};
 pub use ksite::{ksite_greedy, ksite_optimal, multicast_bytes, MULTICAST_LEG_FACTOR};

@@ -70,7 +70,7 @@ pub struct RuntimeConfig {
     /// consecutive batches into one message while their rows fit it, so
     /// a large feed streams as full batches through the shipping engine
     /// while the worker moves on to other runnable work (the target
-    /// stages each as it lands), and an exchange smaller than one batch
+    /// decodes each as it lands), and an exchange smaller than one batch
     /// is a single message however many cross edges it has.
     pub batch_rows: usize,
     /// Messages of one session allowed in flight at once — the bound of

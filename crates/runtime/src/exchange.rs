@@ -39,12 +39,11 @@ use xdx_codec::{
     is_patch, label_with_context, split_label_context, FeedPart, TraceContext,
 };
 use xdx_core::exec::{
-    batch_ranges, commit_and_index, cross_ports_in_consumer_order, direct_write_tables,
-    execute_in_place, execute_source_phase_streaming, execute_target_phase, writes_stream_directly,
-    CrossPort, ExecOutcome, OpSample,
+    batch_ranges, commit_and_index, cross_ports_in_consumer_order, execute_in_place,
+    execute_source_phase_streaming, execute_target_phase, CrossPort, ExecOutcome,
 };
 use xdx_core::program::PortRef;
-use xdx_core::{Location, Program, WireFormat, PATCH_STEP_FACTOR};
+use xdx_core::{Program, WireFormat, PATCH_STEP_FACTOR};
 use xdx_delta::{db_tables, diff_snapshots, Snapshot};
 use xdx_net::http::{soap_post_bytes, RequestRef};
 use xdx_relational::{stage_patch, Counters, Database, DeltaPatch, Feed};
@@ -232,13 +231,10 @@ pub(crate) struct Lane {
     /// the wire completes them out of order.
     next_stage_seq: u64,
     /// Source-phase outcome (on the group's first lane), growing
-    /// ship/stage tallies as batches land.
+    /// ship tallies as batches land.
     outcome: ExecOutcome,
-    /// Per-write-node staging wall, folded into one op sample each at
-    /// settlement.
-    write_walls: HashMap<usize, (Instant, Duration)>,
-    /// General path: delivered feeds accumulate per port until the
-    /// target phase runs over them at settlement.
+    /// Delivered feeds, one per cross port, each batch appended as it
+    /// is staged; the target phase runs over them at settlement.
     delivered: HashMap<PortRef, Feed>,
     /// True once a patch committed and indexed the target: nothing is
     /// left for the target half to finish.
@@ -304,10 +300,6 @@ pub(crate) struct Group {
     ring: Vec<Slot>,
     /// First ring slot some live lane has yet to submit.
     floor: usize,
-    /// `Some` when every target node is a source-fed `Write`: batches
-    /// stage straight into their table as they land (`port → (node,
-    /// table)`), and commit+index is the only finalization left.
-    stream_tables: Option<HashMap<PortRef, (usize, String)>>,
     lanes: Vec<Lane>,
     /// Decode-once cache: lanes receive byte-identical frames (the
     /// engine checksums end to end), so the first absorber parses and
@@ -501,7 +493,6 @@ impl Inner {
             decoded: BTreeMap::new(),
             next_stage_seq: 0,
             outcome: ExecOutcome::default(),
-            write_walls: HashMap::new(),
             delivered: HashMap::new(),
             patched: false,
             step: None,
@@ -545,7 +536,6 @@ impl Inner {
             ctx: wire_context(&lanes[0].shared, exec_span),
             ring: Vec::new(),
             floor: 0,
-            stream_tables: None,
             lanes,
             decoded: HashMap::new(),
             snapshot: None,
@@ -811,8 +801,6 @@ impl Inner {
             Ok(outcome) => {
                 // The group's one source phase bills to its first lane.
                 group.lanes[0].outcome = outcome;
-                group.stream_tables = writes_stream_directly(&plan.program)
-                    .then(|| direct_write_tables(&plan.program, &request.target_frag));
                 // Every producer ran, so the prefix rule left nothing
                 // behind — unless a cross port never got a feed.
                 let unfed = cross.get(streamed);
@@ -1139,7 +1127,7 @@ impl Inner {
         let lane = &mut group.lanes[li];
         let stage_started = Instant::now();
         let staged_from = lane.next_stage_seq;
-        if let Err(e) = stage_ready(lane, group.stream_tables.as_ref(), &group.ring) {
+        if let Err(e) = stage_ready(lane, &group.ring) {
             lane.failure.get_or_insert(e);
         }
         let staged = lane.next_stage_seq - staged_from;
@@ -1161,11 +1149,11 @@ impl Inner {
     /// byte-identical frames, so the first absorber decodes (its `decode`
     /// span stitches under the trace context the frame, or the
     /// SOAPAction label for XML text, carries) and later lanes share the
-    /// feeds' rows: a lane whose table is still empty adopts the row set
-    /// as it is, one that already staged a batch appends (copying what
-    /// it shares). The parts that arrived must be the parts the slot
-    /// sent, label for label. The decode bill, like the encode bill, is
-    /// per *frame*.
+    /// feeds' rows: a lane with nothing delivered on a port yet adopts
+    /// the row set as it is, one that already holds a batch of the port
+    /// appends (copying what it shares). The parts that arrived must be
+    /// the parts the slot sent, label for label. The decode bill, like
+    /// the encode bill, is per *frame*.
     fn decode_once(
         &self,
         group: &mut Group,
@@ -1214,16 +1202,15 @@ impl Inner {
         Ok(feeds)
     }
 
-    /// The target half of a drained lane: direct-write plans have every
-    /// batch staged already — one `Write` sample per node, then the
-    /// commit+index epilogue; general plans run the target phase over
-    /// the delivered feeds. A failure rolls every staged batch back —
+    /// The target half of a drained lane: a failed lane rolls back
+    /// anything staged, a patched lane is already committed, and every
+    /// other lane runs the target phase over its delivered feeds —
+    /// staged, committed and indexed, or rolled back on any failure, so
     /// the target leaves exactly as it arrived, never torn.
     fn finish_target(
         &self,
         request: &ExchangeRequest,
         program: &Program,
-        direct_writes: bool,
         lane: &mut Lane,
     ) -> std::result::Result<(), String> {
         if let Some(why) = lane.failure.take() {
@@ -1233,30 +1220,16 @@ impl Inner {
         if lane.patched {
             return Ok(());
         }
-        if !direct_writes {
-            return execute_target_phase(
-                &self.schema,
-                &request.source_frag,
-                &request.target_frag,
-                program,
-                &mut lane.target,
-                std::mem::take(&mut lane.delivered),
-                &mut lane.outcome,
-            )
-            .map_err(|e| e.to_string());
-        }
-        let mut walls: Vec<_> = lane.write_walls.drain().collect();
-        walls.sort_unstable_by_key(|&(node, _)| node);
-        for (node, (started, wall)) in walls {
-            lane.outcome.op_samples.push(OpSample {
-                node,
-                op: "Write",
-                location: Location::Target,
-                started,
-                wall,
-            });
-        }
-        commit_and_index(program, &mut lane.target, &mut lane.outcome).map_err(|e| e.to_string())
+        execute_target_phase(
+            &self.schema,
+            &request.source_frag,
+            &request.target_frag,
+            program,
+            &mut lane.target,
+            std::mem::take(&mut lane.delivered),
+            &mut lane.outcome,
+        )
+        .map_err(|e| e.to_string())
     }
 
     /// Settles one drained lane into its terminal state: runs its target
@@ -1277,20 +1250,7 @@ impl Inner {
         let last_of_group = unsettled(&ex.groups[gi..=gi]) == 1;
         let request = &mut ex.request;
         let group = &mut ex.groups[gi];
-        let finished = {
-            let Group {
-                lanes,
-                plan,
-                stream_tables,
-                ..
-            } = &mut *group;
-            self.finish_target(
-                request,
-                &plan.program,
-                stream_tables.is_some(),
-                &mut lanes[li],
-            )
-        };
+        let finished = self.finish_target(request, &group.plan.program, &mut group.lanes[li]);
         let lane = &mut group.lanes[li];
         lane.settled = true;
         let link_gave_up = lane.link_gave_up;
@@ -1665,16 +1625,12 @@ impl Inner {
     }
 }
 
-/// Applies a lane's decoded slots in shipment-seq order from its
-/// staging cursor, each slot's parts in order: direct-write programs
-/// stage rows into their target table *now* — transactional loading
-/// starts before the source finishes producing — while general programs
-/// accumulate the delivery for the target phase at settlement.
-fn stage_ready(
-    lane: &mut Lane,
-    stream_tables: Option<&HashMap<PortRef, (usize, String)>>,
-    ring: &[Slot],
-) -> std::result::Result<(), String> {
+/// Files a lane's decoded slots in shipment-seq order from its staging
+/// cursor, each slot's parts in order, onto the delivered feed of the
+/// part's cross port: the first batch is adopted whole, and later ones
+/// are appended (moved from a sole handle, copied once from a shared
+/// one). The target phase runs over the delivery at settlement.
+fn stage_ready(lane: &mut Lane, ring: &[Slot]) -> std::result::Result<(), String> {
     while let Some(feeds) = lane.decoded.remove(&lane.next_stage_seq) {
         // The last lane to stage a shared slot takes its feeds; earlier
         // ones take handles on their rows.
@@ -1686,23 +1642,8 @@ fn stage_ready(
             .get(seq as usize)
             .ok_or_else(|| format!("no slot for shipment {seq}"))?;
         for (feed, Part { port, .. }) in feeds.into_iter().zip(&slot.parts) {
-            if let Some(tables) = stream_tables {
-                let (node, table) = tables
-                    .get(port)
-                    .ok_or_else(|| format!("no write table for port {port:?}"))?;
-                let start = Instant::now();
-                lane.outcome.rows_loaded += feed.len() as u64;
-                lane.target
-                    .load_staged(table, feed)
-                    .map_err(|e| e.to_string())?;
-                let wall = start.elapsed();
-                lane.outcome.times.loading += wall;
-                lane.write_walls
-                    .entry(*node)
-                    .or_insert((start, Duration::ZERO))
-                    .1 += wall;
-            } else if let Some(existing) = lane.delivered.get_mut(port) {
-                existing.rows.extend(feed.rows);
+            if let Some(delivered) = lane.delivered.get_mut(port) {
+                delivered.rows.absorb(feed.rows);
             } else {
                 lane.delivered.insert(*port, feed);
             }

@@ -16,7 +16,8 @@
 //! byte once and never concatenates. [`ReassemblyLedger::assemble`]
 //! hands the full buffer out by handle after one exact comparison with
 //! the sender's message (DESIGN §24 says what that comparison catches
-//! that the chunk checksums do not).
+//! that the chunk checksums do not); a mismatch empties the buffer, so
+//! a resume re-ships the whole message.
 //!
 //! Entries persist after a session *fails*: that is the shipping
 //! checkpoint. When the session is resumed, `begin_shipment` reports
@@ -254,12 +255,21 @@ impl ReassemblyLedger {
     /// Reassembles a complete shipment: every chunk present and the
     /// received bytes equal to the sender's message. The buffer is
     /// retained — it is the checkpoint a resumed session skips over —
-    /// and handed out by handle, not copied.
+    /// and handed out by handle, not copied. A complete buffer that
+    /// differs from the message holds some chunk of another message (a
+    /// deferred one filed after a reset), and no one can tell which: it
+    /// is emptied, keeping the message, so a resume re-ships every chunk.
     pub fn assemble(&self, session: SessionId, shipment: u64) -> Option<Arc<Vec<u8>>> {
-        let map = self.shard(session).lock().unwrap();
-        let buffer = map.get(&(session, shipment))?;
-        (buffer.next == buffer.total && buffer.received == buffer.message)
-            .then(|| Arc::clone(&buffer.received))
+        let mut map = self.shard(session).lock().unwrap();
+        let buffer = map.get_mut(&(session, shipment))?;
+        if buffer.next < buffer.total {
+            return None;
+        }
+        if buffer.received == buffer.message {
+            return Some(Arc::clone(&buffer.received));
+        }
+        *buffer = ShipmentBuffer::open(buffer.stamp, buffer.total, &buffer.message);
+        None
     }
 
     /// Drops every buffer of `session` — called when the session
@@ -359,6 +369,25 @@ mod tests {
         ledger.file(&frame(1, 0, 1, 2, b"xyz"));
         assert!(ledger.has_chunk(1, 0, 1));
         assert!(ledger.assemble(1, 0).is_none());
+    }
+
+    #[test]
+    fn a_failed_assembly_resets_the_shipment() {
+        let ledger = ReassemblyLedger::new();
+        let message = msg(b"abcdef");
+        ledger.begin_shipment(1, 0, 2, &message);
+        // A same-length chunk of another message, then the right one.
+        ledger.file(&frame(1, 0, 1, 2, b"xyz"));
+        ledger.file(&frame(1, 0, 0, 2, b"abc"));
+        assert!(ledger.assemble(1, 0).is_none());
+        // A resume with the same message re-ships every chunk.
+        let prior = ledger.begin_shipment(1, 0, 2, &message);
+        assert!(prior.is_empty(), "no landed chunk survives: {prior:?}");
+        assert_eq!(ledger.checkpointed_chunks(1), 0);
+        assert!(Arc::ptr_eq(&ledger.stored_message(1, 0).unwrap(), &message));
+        ledger.file(&frame(1, 0, 0, 2, b"abc"));
+        ledger.file(&frame(1, 0, 1, 2, b"def"));
+        assert_eq!(*ledger.assemble(1, 0).unwrap(), b"abcdef");
     }
 
     #[test]

@@ -445,13 +445,11 @@ impl Inner {
             ))
             .set(1.0);
         }
-        // Observability self-accounting: ring drops, flight-recorder
-        // anomalies/dumps, and the engine stall watchdog. The watchdog
-        // rides the metrics refresh (every scrape / stats call checks
-        // it), so a wedged engine surfaces without a dedicated thread.
-        m.gauge("xdx_dropped_spans").set(stats.dropped_spans as f64);
-        m.gauge("xdx_dropped_events")
-            .set(stats.dropped_events as f64);
+        // Observability self-accounting (ring drops are series rows):
+        // flight-recorder anomalies/dumps and the engine stall watchdog.
+        // The watchdog rides the metrics refresh (every scrape / stats
+        // call checks it), so a wedged engine surfaces without a
+        // dedicated thread.
         m.counter("xdx_flight_anomalies_total")
             .set(self.flight.anomalies());
         m.counter("xdx_flight_dumps_total").set(self.flight.dumps());

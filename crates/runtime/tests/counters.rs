@@ -73,8 +73,6 @@ xdx_delta_full_chosen_total counter
 xdx_delta_full_fallbacks_total counter
 xdx_delta_patch_bytes_total counter
 xdx_delta_patches_applied_total counter
-xdx_dropped_events gauge
-xdx_dropped_spans gauge
 xdx_encode_ns histogram
 xdx_encode_ns_total counter
 xdx_engine_stalled gauge

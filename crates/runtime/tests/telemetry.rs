@@ -3,10 +3,11 @@
 //! calibration-driven plan-cache drift eviction.
 
 use std::time::Duration;
+use xdx_core::SystemProfile;
 use xdx_net::{FaultProfile, NetworkProfile};
 use xdx_runtime::{
-    CalibrationConfig, EventKind, ExchangeRequest, Runtime, RuntimeConfig, SessionState,
-    ShippingPolicy, WireFormat,
+    CalibrationConfig, EventKind, ExchangeRequest, PublishRequest, Runtime, RuntimeConfig,
+    SessionState, ShippingPolicy, WireFormat,
 };
 use xdx_xmark::{generate, lf, load_source, mf, schema, GenConfig};
 
@@ -51,8 +52,40 @@ fn json_u64(line: &str, key: &str) -> u64 {
 }
 
 fn json_name(line: &str) -> String {
-    let start = line.find("\"name\":\"").expect("span line has a name") + 8;
+    json_str(line, "name")
+}
+
+/// The string following `"key":` in a JSONL line (no escapes inside).
+fn json_str(line: &str, key: &str) -> String {
+    let needle = format!("\"{key}\":\"");
+    let start = line
+        .find(&needle)
+        .unwrap_or_else(|| panic!("{line}: no {key}"))
+        + needle.len();
     line[start..].chars().take_while(|&c| c != '"').collect()
+}
+
+/// One span of `trace_jsonl()`: its name, session (`tid`), id, parent
+/// and detail.
+struct Span {
+    name: String,
+    session: u64,
+    id: u64,
+    parent: u64,
+    detail: String,
+}
+
+fn parse_spans(trace: &str) -> Vec<Span> {
+    trace
+        .lines()
+        .map(|line| Span {
+            name: json_name(line),
+            session: json_u64(line, "tid"),
+            id: json_u64(line, "span"),
+            parent: json_u64(line, "parent"),
+            detail: json_str(line, "detail"),
+        })
+        .collect()
 }
 
 /// `metrics_text()` must expose per-operator wall-time histograms at
@@ -144,6 +177,84 @@ fn trace_spans_are_parented_and_events_are_correlated() {
     }
     assert!(correlated > 0, "no event carries a span correlation id");
     runtime.shutdown();
+}
+
+/// Every session lands each target fragment through exactly one `Write`
+/// span, a child of the exec span its lane ran under — for LF→MF text,
+/// whose target nodes are all source-fed `Write`s, and for MF→LF from a
+/// source that cannot combine, whose writes follow target-side
+/// combines; for a session of its own and for every lane of a 1→3
+/// publish.
+#[test]
+fn every_lane_records_one_write_span_per_write_node_under_its_exec_span() {
+    let schema = schema();
+    let (mf, lf) = (mf(&schema), lf(&schema));
+    let doc = generate(GenConfig::sized(20_000));
+    let no_combine = SystemProfile {
+        can_combine: false,
+        ..SystemProfile::default()
+    };
+    for (from, to, format, profile) in [
+        (&lf, &mf, WireFormat::Xml, SystemProfile::default()),
+        (&mf, &lf, WireFormat::Columnar, no_combine),
+    ] {
+        let runtime = Runtime::start(schema.clone(), RuntimeConfig::default().with_workers(2));
+        let source = || load_source(&doc, &schema, from).unwrap();
+        let sole = runtime
+            .submit(
+                ExchangeRequest::new("sole", source(), from.clone(), to.clone())
+                    .with_wire_format(format)
+                    .with_profiles(profile, SystemProfile::default()),
+            )
+            .unwrap();
+        let subscribers = (0..3).map(|i| format!("sub-{i}")).collect();
+        let publish = runtime
+            .publish(
+                PublishRequest::new("pub", source(), from.clone(), to.clone(), subscribers)
+                    .with_wire_format(format)
+                    .with_profiles(profile, SystemProfile::default()),
+            )
+            .unwrap();
+        let mut sessions = vec![sole.id()];
+        sessions.extend(publish.handles.iter().map(|h| h.id()));
+        let sole = sole.wait();
+        assert_eq!(sole.state, SessionState::Done, "{:?}", sole.diagnostic);
+        for lane in publish.wait() {
+            assert_eq!(lane.state, SessionState::Done, "{:?}", lane.diagnostic);
+        }
+        let spans = parse_spans(&runtime.trace_jsonl());
+        let of = |id: u64, name: &'static str| {
+            spans
+                .iter()
+                .filter(move |s| s.session == id && s.name == name)
+        };
+        for id in sessions {
+            // A publish lane's exec span is its `lane` span's parent; a
+            // session of its own records the exec span itself.
+            let exec = of(id, "lane")
+                .map(|s| s.parent)
+                .chain(of(id, "exec").map(|s| s.id))
+                .next()
+                .unwrap_or_else(|| {
+                    panic!("{} → {}: session {id} has no exec span", from.name, to.name)
+                });
+            assert!(spans.iter().any(|s| s.id == exec && s.name == "exec"));
+            let writes: Vec<&Span> = of(id, "Write").collect();
+            let nodes: std::collections::BTreeSet<&str> =
+                writes.iter().map(|s| s.detail.as_str()).collect();
+            assert_eq!(
+                (writes.len(), nodes.len()),
+                (to.fragments.len(), to.fragments.len()),
+                "{} → {}: session {id} wrote {nodes:?}",
+                from.name,
+                to.name
+            );
+            for write in writes {
+                assert_eq!(write.parent, exec, "{}: {}", write.name, write.detail);
+            }
+        }
+        runtime.shutdown();
+    }
 }
 
 /// A runtime with tracing disabled keeps its counters but records no
