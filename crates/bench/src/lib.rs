@@ -19,7 +19,7 @@
 //! paper's measurements next to ours where applicable.
 
 use std::time::Duration;
-use xdx_core::exchange::{DataExchange, Optimizer};
+use xdx_core::agency::{DataExchange, Optimizer};
 use xdx_core::pm::publish_and_map;
 use xdx_core::{ExchangeReport, Fragmentation};
 use xdx_net::{Link, NetworkProfile};

@@ -7,15 +7,18 @@
 //! container that carries several frames in one message: it round-trips
 //! its parts, a single part is the bare frame, and truncation, bit
 //! flips, lying lengths and trailing bytes are decode errors — never
-//! different parts.
+//! different parts. And the one-pass encoder writes exactly the bytes of
+//! the two-pass reference it replaced.
 
 use proptest::prelude::*;
+use std::collections::HashMap;
 use xdx_codec::{
     decode_any, decode_any_ctx, decode_feed, decode_parts_ctx, encode_feed, encode_in_format_into,
     encode_in_format_with_context_into, encode_parts_into, is_columnar, is_container,
     label_with_context, split_label_context, FeedPart, TraceContext, WireFormat, CONTAINER_MAGIC,
 };
 use xdx_net::{Delivery, FaultProfile, Link, NetworkProfile};
+use xdx_relational::feed::fnv1a;
 use xdx_relational::{ColRole, Dewey, Feed, FeedColumn, FeedSchema, Value};
 
 /// Cell vocabulary biased toward the dictionary's sweet spot: repeated
@@ -131,6 +134,154 @@ fn format_of(xml: bool) -> WireFormat {
     } else {
         WireFormat::Columnar
     }
+}
+
+/// Strings that stress a byte-level tokenizer: a multi-byte character on
+/// either side of a space, all-space strings, a single trailing space,
+/// and (index 0, built by [`stress_string`]) a 5 000-token string.
+const STRESS: &[&str] = &[
+    "",
+    "é ü",
+    "naïve café ",
+    "日本 語",
+    "   ",
+    "trailing ",
+    " ",
+    "ü",
+];
+
+fn stress_string(i: usize) -> String {
+    match i {
+        0 => (0..5_000)
+            .map(|k| VOCAB[k % VOCAB.len()])
+            .collect::<Vec<_>>()
+            .join(" "),
+        i => STRESS[i].to_string(),
+    }
+}
+
+/// Cells as [`cell_strategy`] draws them, with strings from both `VOCAB`
+/// and `STRESS`.
+fn stress_cell_strategy() -> impl Strategy<Value = Value> {
+    (cell_strategy(), 0u8..4, 0usize..VOCAB.len() + STRESS.len()).prop_map(|(cell, kind, word)| {
+        match (kind, word.checked_sub(VOCAB.len())) {
+            (0, Some(stress)) => Value::Str(stress_string(stress)),
+            (0, None) => Value::Str(VOCAB[word].to_string()),
+            _ => cell,
+        }
+    })
+}
+
+fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        buf.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    buf.push(v as u8);
+}
+
+fn put_str(buf: &mut Vec<u8>, s: &str) {
+    put_varint(buf, s.len() as u64);
+    buf.extend_from_slice(s.as_bytes());
+}
+
+fn zigzag(v: i64) -> u64 {
+    ((v << 1) ^ (v >> 63)) as u64
+}
+
+/// The specification of a context-free columnar frame, written the
+/// obvious way: a row-major pass numbers distinct strings and their
+/// `split(' ')` tokens in first-occurrence order, then one pass per
+/// column writes its tags and one more its payloads.
+fn reference_encode(feed: &Feed) -> Vec<u8> {
+    let (schema, rows) = (&feed.schema, &feed.rows[..]);
+    let mut buf = b"XDXCOLF1".to_vec();
+    put_str(&mut buf, &schema.root_element);
+    put_varint(&mut buf, schema.columns.len() as u64);
+    for c in &schema.columns {
+        put_str(&mut buf, &c.element);
+        buf.push(match c.role {
+            ColRole::NodeId => 0,
+            ColRole::ParentRef => 1,
+            ColRole::Value => 2,
+        });
+    }
+    let digest = fnv1a(&buf[8..]);
+    buf.extend_from_slice(&digest.to_le_bytes());
+    put_varint(&mut buf, rows.len() as u64);
+
+    let mut string_ids: HashMap<&str, u64> = HashMap::new();
+    let mut strings: Vec<&str> = Vec::new();
+    let mut token_ids: HashMap<&str, u64> = HashMap::new();
+    let mut tokens: Vec<&str> = Vec::new();
+    for v in rows.iter().flatten() {
+        if let Value::Str(s) = v {
+            if !string_ids.contains_key(s.as_str()) {
+                string_ids.insert(s, strings.len() as u64);
+                strings.push(s);
+                for tok in s.split(' ') {
+                    if !token_ids.contains_key(tok) {
+                        token_ids.insert(tok, tokens.len() as u64);
+                        tokens.push(tok);
+                    }
+                }
+            }
+        }
+    }
+    put_varint(&mut buf, tokens.len() as u64);
+    for t in &tokens {
+        put_str(&mut buf, t);
+    }
+    put_varint(&mut buf, strings.len() as u64);
+    for s in &strings {
+        put_varint(&mut buf, s.split(' ').count() as u64);
+        for tok in s.split(' ') {
+            put_varint(&mut buf, token_ids[tok]);
+        }
+    }
+
+    for col in 0..schema.arity() {
+        let mut tags = vec![0u8; rows.len().div_ceil(4)];
+        for (i, row) in rows.iter().enumerate() {
+            let tag = match &row[col] {
+                Value::Null => 0,
+                Value::Int(_) => 1,
+                Value::Dewey(_) => 2,
+                Value::Str(_) => 3,
+            };
+            tags[i / 4] |= tag << ((i % 4) * 2);
+        }
+        buf.extend_from_slice(&tags);
+        let mut prev_int = 0i64;
+        let mut prev_dewey: &[u32] = &[];
+        for row in rows {
+            match &row[col] {
+                Value::Null => {}
+                Value::Int(i) => {
+                    put_varint(&mut buf, zigzag(i.wrapping_sub(prev_int)));
+                    prev_int = *i;
+                }
+                Value::Dewey(d) => {
+                    let d = d.as_slice();
+                    let lcp = prev_dewey.iter().zip(d).take_while(|(a, b)| a == b).count();
+                    put_varint(&mut buf, lcp as u64);
+                    put_varint(&mut buf, (d.len() - lcp) as u64);
+                    if lcp < d.len() {
+                        let base = prev_dewey.get(lcp).copied().unwrap_or(0);
+                        put_varint(&mut buf, zigzag(d[lcp] as i64 - base as i64));
+                        for &c in &d[lcp + 1..] {
+                            put_varint(&mut buf, u64::from(c));
+                        }
+                    }
+                    prev_dewey = d;
+                }
+                Value::Str(s) => put_varint(&mut buf, string_ids[s.as_str()]),
+            }
+        }
+    }
+    let sum = fnv1a(&buf);
+    buf.extend_from_slice(&sum.to_le_bytes());
+    buf
 }
 
 proptest! {
@@ -449,5 +600,21 @@ proptest! {
         let (bare, none) = split_label_context(&label);
         prop_assert_eq!(bare, label.as_str());
         prop_assert!(none.is_none());
+    }
+
+    #[test]
+    fn the_one_pass_encoder_writes_the_reference_bytes(
+        ncols in 0usize..=MAX_ARITY,
+        roles in roles_strategy(),
+        rows in proptest::collection::vec(
+            proptest::collection::vec(stress_cell_strategy(), MAX_ARITY..=MAX_ARITY),
+            0..25,
+        ),
+    ) {
+        let feed = build_feed(ncols, &roles, rows);
+        let mut frame = Vec::new();
+        encode_in_format_into(&mut frame, &feed, WireFormat::Columnar);
+        prop_assert_eq!(&frame, &reference_encode(&feed));
+        prop_assert_eq!(decode_any(&frame).expect("intact frame decodes"), feed);
     }
 }

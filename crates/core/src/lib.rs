@@ -31,15 +31,15 @@
 //! * [`publish`] — merge-and-tag XML publishing from feeds (§5.1, after \[6\])
 //! * [`shred`] — SAX shredding of documents into fragment feeds (§5.1)
 //! * [`pm`] — the publish&map baseline pipeline (§5.1)
-//! * [`exchange`] — the optimized end-to-end exchange orchestrator (§5.2),
-//!   i.e. Figure 2's steps 1–4
+//! * [`agency`] — the discovery agency's optimized end-to-end exchange
+//!   orchestrator (§5.2), i.e. Figure 2's steps 1–4
 //! * [`report`] — step-by-step timing breakdowns shared by both pipelines
 
 pub mod advisor;
+pub mod agency;
 pub mod cost;
 pub mod derived;
 pub mod error;
-pub mod exchange;
 pub mod exec;
 pub mod exec_parallel;
 pub mod fragment;
@@ -55,9 +55,9 @@ pub mod report;
 pub mod selection;
 pub mod shred;
 
+pub use agency::{DataExchange, Optimizer};
 pub use cost::{CostModel, SchemaStats, SystemProfile, PATCH_STEP_FACTOR};
 pub use error::{Error, Result};
-pub use exchange::{DataExchange, Optimizer};
 pub use exec::{
     cross_ports_in_consumer_order, execute_source_phase, execute_source_phase_streaming,
     execute_target_phase, feed_batches, CrossPort, ExecOutcome, LoopbackTransport, OpSample,

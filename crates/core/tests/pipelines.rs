@@ -3,7 +3,7 @@
 //! as publish&map — that equivalence is the paper's correctness premise
 //! ("the underlying data is the same").
 
-use xdx_core::exchange::{DataExchange, Optimizer};
+use xdx_core::agency::{DataExchange, Optimizer};
 use xdx_core::pm::publish_and_map;
 use xdx_core::publish::publish;
 use xdx_core::shred::shred;

@@ -2,7 +2,7 @@
 //! subset the transferred data exactly, shrink communication, and leave
 //! the unselected branches intact.
 
-use xdx_core::exchange::DataExchange;
+use xdx_core::agency::DataExchange;
 use xdx_core::selection::{Selection, ValuePred};
 use xdx_core::shred::shred;
 use xdx_core::Fragmentation;

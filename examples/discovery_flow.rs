@@ -7,7 +7,7 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
-use xdx::core::exchange::DataExchange;
+use xdx::core::agency::DataExchange;
 use xdx::net::endpoint::{call, ServiceHost};
 use xdx::net::{Link, NetworkProfile, SoapEnvelope, SoapFault};
 use xdx::wsdl::{FragmentationDecl, Registry, WsdlDefinition};

@@ -15,8 +15,8 @@
 use std::collections::HashMap;
 use std::process::ExitCode;
 use xdx::core::advisor::{Advisor, Side};
+use xdx::core::agency::{DataExchange, Optimizer};
 use xdx::core::cost::SystemProfile;
-use xdx::core::exchange::{DataExchange, Optimizer};
 use xdx::core::pm::publish_and_map;
 use xdx::core::selection::{Selection, ValuePred};
 use xdx::core::Fragmentation;

@@ -2,7 +2,7 @@
 //! explicit error at the receiving side — never as silently corrupt target
 //! data.
 
-use xdx::core::exchange::DataExchange;
+use xdx::core::agency::DataExchange;
 use xdx::core::Fragmentation;
 use xdx::net::channel::Fault;
 use xdx::net::{Link, NetworkProfile};
