@@ -86,21 +86,23 @@ pub struct RuntimeConfig {
     /// still finds queued sessions to drain) instead of unbounded
     /// in-flight state.
     pub pipeline_sessions_per_worker: usize,
-    /// Whether the always-on flight recorder keeps its per-subsystem
-    /// transition rings (engine lanes, timer deadlines, breaker flips,
-    /// shed decisions). On by default; `bench/`'s overhead A/B flips it
-    /// off together with tracing to price the observability surface.
+    /// Whether the flight recorder keeps anomaly bookkeeping: the
+    /// anomaly count, the shed-rate spike window and the dumps. On by
+    /// default; `bench/`'s overhead A/B flips it off together with
+    /// tracing to price the observability surface.
     pub flight_recorder: bool,
-    /// Directory the flight recorder dumps its rings into (as JSONL) on
-    /// anomaly — session failure, breaker open, shed-rate spike, or the
-    /// stall watchdog. `None` records in memory only
-    /// ([`crate::Runtime::flight_jsonl`] still serves the rings).
+    /// Directory anomaly dumps land in — the anomaly, then the event
+    /// log's newest events, as JSONL — on session failure, breaker open,
+    /// shed-rate spike, or the stall watchdog. `None` counts anomalies
+    /// without dumping ([`crate::Runtime::events_jsonl`] still serves
+    /// the journal).
     pub flight_dump_dir: Option<&'static str>,
     /// Address the live introspection endpoint listens on (`None` —
     /// the default — serves nothing). Port 0 binds an ephemeral port;
     /// read the bound address back with [`crate::Runtime::introspect_addr`].
     /// The endpoint serves `/metrics`, `/healthz`, `/stats.json`,
-    /// `/traces`, `/calibration` and `/flight` over plain HTTP/1.1.
+    /// `/traces`, `/critical-path`, `/calibration` and `/events` over
+    /// plain HTTP/1.1.
     pub introspect_addr: Option<std::net::SocketAddr>,
 }
 
@@ -231,7 +233,7 @@ impl RuntimeConfig {
         self
     }
 
-    /// Turns the flight recorder on or off.
+    /// Turns the flight recorder's anomaly bookkeeping on or off.
     pub fn with_flight_recorder(mut self, enabled: bool) -> RuntimeConfig {
         self.flight_recorder = enabled;
         self

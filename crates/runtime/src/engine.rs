@@ -32,7 +32,6 @@
 //! serialize on it — parked, not blocked.
 
 use crate::events::{EventKind, EventLog};
-use crate::flight::{FlightRecorder, FlightSubsystem};
 use crate::ledger::{Filed, ReassemblyLedger};
 use crate::registry::LinkSlot;
 use crate::session::SessionShared;
@@ -163,8 +162,6 @@ enum Phase {
 struct Task {
     req: ShipRequest,
     phase: Phase,
-    /// The pair label, cached for flight-recorder entries.
-    pair: String,
     span: SpanId,
     started: Instant,
     total: usize,
@@ -184,7 +181,6 @@ impl Task {
     fn new(req: ShipRequest) -> Task {
         Task {
             phase: Phase::Init,
-            pair: req.slot.pair(),
             span: req.parent_span,
             started: Instant::now(),
             total: 0,
@@ -232,7 +228,6 @@ pub(crate) struct ShipEngine {
     events: Arc<EventLog>,
     ledger: Arc<ReassemblyLedger>,
     trace: Arc<TraceSink>,
-    flight: Arc<FlightRecorder>,
 }
 
 impl ShipEngine {
@@ -240,7 +235,6 @@ impl ShipEngine {
         events: Arc<EventLog>,
         ledger: Arc<ReassemblyLedger>,
         trace: Arc<TraceSink>,
-        flight: Arc<FlightRecorder>,
     ) -> Arc<ShipEngine> {
         Arc::new(ShipEngine {
             state: Mutex::new(EngineState {
@@ -255,7 +249,6 @@ impl ShipEngine {
             events,
             ledger,
             trace,
-            flight,
         })
     }
 
@@ -270,15 +263,7 @@ impl ShipEngine {
         }
         let deadline = st.wheel.next_deadline()?;
         let overdue = Instant::now().checked_duration_since(deadline)?;
-        drop(st);
-        if overdue > threshold {
-            self.flight.record(FlightSubsystem::Timer, || {
-                format!("stall: next deadline overdue by {overdue:?} with parked tasks")
-            });
-            Some(overdue)
-        } else {
-            None
-        }
+        (overdue > threshold).then_some(overdue)
     }
 
     /// Enqueues a batch shipment; returns immediately. The request's
@@ -413,12 +398,6 @@ impl ShipEngine {
 
     /// Terminal failure (never before `Init` opened the shipment).
     fn fail(&self, task: &Task, diagnostic: String, link_gave_up: bool) -> StepOutcome {
-        self.flight.record(FlightSubsystem::Lane, || {
-            format!(
-                "{}: batch {} failed at chunk {}/{}: {diagnostic}",
-                task.pair, task.req.seq, task.index, task.total
-            )
-        });
         self.close(task, "failed");
         Self::done(task, Err(diagnostic), link_gave_up)
     }
@@ -462,12 +441,6 @@ impl ShipEngine {
             );
         }
         task.req.slot.open_shipment();
-        self.flight.record(FlightSubsystem::Lane, || {
-            format!(
-                "{}: batch {} open, {} chunks, session {}",
-                task.pair, task.req.seq, task.total, task.req.session.id
-            )
-        });
         task.phase = Phase::NextChunk;
         StepOutcome::Continue
     }
@@ -622,12 +595,6 @@ impl ShipEngine {
             );
         }
         task.stats.chunks_retried += 1;
-        self.flight.record(FlightSubsystem::Lane, || {
-            format!(
-                "{}: {} {cause}, retry {}",
-                task.pair, task.chunk_label, task.failed_attempts
-            )
-        });
         let backoff = task.req.policy.backoff(task.failed_attempts);
         task.stats.retry_backoff += backoff;
         task.elapsed += backoff;
@@ -636,7 +603,7 @@ impl ShipEngine {
             task.span,
             EventKind::ChunkRetried,
             format!(
-                "{} {cause}, retry {}",
+                "{} {cause}, retry {}, backoff {backoff:?}",
                 task.chunk_label, task.failed_attempts
             ),
         );
@@ -644,12 +611,6 @@ impl ShipEngine {
         if task.pacing > 0.0 {
             // Backoff obeys the same paced clock as the link — as a
             // parked deadline, never a sleeping worker.
-            self.flight.record(FlightSubsystem::Timer, || {
-                format!(
-                    "{}: backoff {:?} before {}",
-                    task.pair, backoff, task.chunk_label
-                )
-            });
             StepOutcome::Park(Instant::now() + backoff.mul_f64(task.pacing))
         } else {
             StepOutcome::Continue
@@ -658,12 +619,6 @@ impl ShipEngine {
 
     /// All chunks landed: close out and reassemble.
     fn assemble(&self, task: &Task) -> StepOutcome {
-        self.flight.record(FlightSubsystem::Lane, || {
-            format!(
-                "{}: batch {} ok, {} chunks, {} retried",
-                task.pair, task.req.seq, task.total, task.stats.chunks_retried
-            )
-        });
         self.close(task, "ok");
         let outcome = self
             .ledger
@@ -687,7 +642,6 @@ mod tests {
             Arc::new(EventLog::new()),
             Arc::new(ReassemblyLedger::new()),
             Arc::new(TraceSink::new(false, 16)),
-            Arc::new(FlightRecorder::new(true, 64)),
         )
     }
 

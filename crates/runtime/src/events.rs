@@ -3,9 +3,7 @@
 //! Every session-lifecycle transition and every shipping retry appends an
 //! [`Event`] with a timestamp relative to runtime start. Tests assert
 //! ordering properties against the log, and operators read it to
-//! reconstruct what a fleet of concurrent sessions actually did. (The
-//! flight recorder is a different thing: `flight.rs` keeps rings of the
-//! engine's internal transitions and dumps them on anomaly.)
+//! reconstruct what a fleet of concurrent sessions actually did.
 //!
 //! The log is a fixed-capacity ring (capacity set by
 //! `RuntimeConfig::with_event_capacity`): under sustained traffic the
@@ -163,19 +161,26 @@ impl EventLog {
         kind: EventKind,
         detail: impl Into<String>,
     ) {
-        let event = Event {
-            at: self.started.elapsed(),
-            session,
-            span,
-            kind,
-            detail: detail.into(),
-        };
+        let detail = detail.into();
         let mut entries = self.entries.lock().unwrap();
         if entries.len() >= self.capacity {
             entries.pop_front();
             self.dropped.fetch_add(1, Ordering::Relaxed);
         }
-        entries.push_back(event);
+        // Stamped under the lock, so append order is time order.
+        entries.push_back(Event {
+            at: self.started.elapsed(),
+            session,
+            span,
+            kind,
+            detail,
+        });
+    }
+
+    /// Time since the log's clock started — the frame every event's
+    /// `at` is measured in.
+    pub fn elapsed(&self) -> Duration {
+        self.started.elapsed()
     }
 
     /// A copy of the surviving log, in append order.
@@ -203,8 +208,21 @@ impl EventLog {
     /// active span id, kind and detail — joinable offline against the
     /// span JSONL by `span`/`session`.
     pub fn to_jsonl(&self) -> String {
+        self.tail_jsonl(usize::MAX)
+    }
+
+    /// The newest `n` surviving events in the [`to_jsonl`](EventLog::to_jsonl)
+    /// format, in append order.
+    pub fn tail_jsonl(&self, n: usize) -> String {
+        let tail: Vec<Event> = {
+            let entries = self.entries.lock().unwrap();
+            entries
+                .range(entries.len().saturating_sub(n)..)
+                .cloned()
+                .collect()
+        };
         let mut out = String::new();
-        for e in self.snapshot() {
+        for e in tail {
             out.push_str(&format!(
                 "{{\"at_us\":{:.3},\"session\":{},\"span\":{},\"kind\":\"{}\",\"detail\":\"{}\"}}\n",
                 e.at.as_nanos() as f64 / 1_000.0,
@@ -277,5 +295,30 @@ mod tests {
         assert!(jsonl.contains("\"kind\":\"submitted\""));
         assert!(jsonl.contains("\"span\":7"));
         assert!(jsonl.contains("with \\\"quotes\\\""));
+        assert_eq!(
+            log.tail_jsonl(1),
+            jsonl.lines().nth(1).unwrap().to_string() + "\n"
+        );
+    }
+
+    /// Concurrent pushes land in time order: `at` is stamped under the
+    /// ring lock, so no event can be appended after a later-stamped one.
+    #[test]
+    fn concurrent_pushes_never_go_back_in_time() {
+        let log = EventLog::new();
+        std::thread::scope(|s| {
+            for t in 0..4u64 {
+                let log = &log;
+                s.spawn(move || {
+                    for i in 0..5_000 {
+                        log.push(t, 0, EventKind::Submitted, format!("{t}/{i}"));
+                    }
+                });
+            }
+        });
+        let events = log.snapshot();
+        assert_eq!(events.len(), 20_000);
+        let inversions = events.windows(2).filter(|w| w[1].at < w[0].at).count();
+        assert_eq!(inversions, 0, "append order must be time order");
     }
 }

@@ -24,7 +24,6 @@ use crate::cache::CachedPlan;
 use crate::config::RuntimeConfig;
 use crate::engine::{BatchResult, BatchShipStats, ShipRequest};
 use crate::events::EventKind;
-use crate::flight::FlightSubsystem;
 use crate::registry::LinkSlot;
 use crate::runtime::{Inner, Resumable};
 use crate::session::{ExchangeRequest, SessionId, SessionMetrics, SessionShared, SessionState};
@@ -981,11 +980,9 @@ impl Inner {
             if lag > lag_cap {
                 group.ring_fallbacks += 1;
                 let why = format!("fell {lag} frames behind the publish group (cap {lag_cap})");
-                self.flight.shed(|| format!("{}: {why}", lane.shared.name));
-                self.events.push(
+                self.shed(
                     lane.shared.id,
                     group.exec_span,
-                    EventKind::Shed,
                     format!("{why}: dropped to per-subscriber re-ship"),
                 );
                 lane.failure = Some(why);
@@ -1422,9 +1419,6 @@ impl Inner {
             .sessions_completed
             .fetch_add(1, Ordering::Relaxed);
         if let Some(BreakerTransition::Closed) = s.slot.breaker.record_success() {
-            self.flight.record(FlightSubsystem::Breaker, || {
-                format!("{}: closed (probe succeeded)", s.slot.pair())
-            });
             self.events.push(
                 s.shared.id,
                 s.shared.root_span,
@@ -1531,9 +1525,6 @@ impl Inner {
         if link_gave_up {
             if let Some(BreakerTransition::Opened) = slot.breaker.record_failure() {
                 let cooldown = self.config.breaker_cooldown;
-                self.flight.record(FlightSubsystem::Breaker, || {
-                    format!("{}: opened, cooldown {cooldown:?}", slot.pair())
-                });
                 self.events.push(
                     shared.id,
                     shared.root_span,

@@ -1,32 +1,31 @@
-//! The flight recorder: always-on, bounded, per-subsystem rings of the
-//! runtime's last internal transitions, dumped to disk on anomaly.
+//! Anomaly bookkeeping: the runtime's anomalies counted, and the event
+//! log's newest transitions dumped to disk when one fires.
 //!
-//! Metrics say *how much*; spans say *where the time went*; neither
-//! says *what the engine was doing right before it failed*. The
-//! recorder keeps a small ring per subsystem — engine lane transitions,
-//! timer-wheel deadlines, breaker flips, shed decisions — cheap enough
-//! to leave on in production (one mutex push per entry, bounded
-//! memory). When an anomaly fires — a session failure, a breaker
-//! opening, a shed-rate spike, or the stall watchdog — the rings are
-//! dumped as JSONL into the configured directory, capturing the
-//! transitions that led up to the incident instead of the aggregate
-//! state after it.
+//! Metrics say *how much*; spans say *where the time went*; the event
+//! log ([`crate::events`]) says *what happened, in order* — it is the
+//! runtime's one journal of transitions. The recorder keeps no ring of
+//! its own. When an anomaly fires — a session failure, a breaker
+//! opening, a shed-rate spike, or the stall watchdog — it writes the
+//! anomaly and the journal's newest events as JSONL into the configured
+//! directory, capturing the transitions that led up to the incident
+//! instead of the aggregate state after it.
 
+use crate::events::EventLog;
 use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use xdx_trace::json_escape;
-
-/// Entries retained per subsystem ring.
-pub const DEFAULT_FLIGHT_CAPACITY: usize = 1024;
 
 /// Shed decisions within [`SHED_SPIKE_WINDOW`] that count as a spike.
 pub const SHED_SPIKE_THRESHOLD: usize = 32;
 
 /// Window for shed-rate spike detection.
 pub const SHED_SPIKE_WINDOW: Duration = Duration::from_secs(1);
+
+/// Newest journal events a dump carries after its anomaly line.
+const DUMP_EVENTS: usize = 4096;
 
 /// Minimum spacing between on-disk dumps, so a failure storm produces
 /// a few dumps, not thousands.
@@ -35,115 +34,42 @@ const DUMP_COOLDOWN: Duration = Duration::from_millis(250);
 /// Hard cap on dump files per recorder lifetime.
 const MAX_DUMPS: u64 = 32;
 
-/// The subsystems with dedicated rings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlightSubsystem {
-    /// Engine lane transitions: reservations, settles, retries, parks.
-    Lane,
-    /// Timer-wheel deadline schedules and expiries.
-    Timer,
-    /// Circuit-breaker flips (open / half-open / close).
-    Breaker,
-    /// Admission shed decisions.
-    Shed,
-}
-
-impl FlightSubsystem {
-    const ALL: [FlightSubsystem; 4] = [
-        FlightSubsystem::Lane,
-        FlightSubsystem::Timer,
-        FlightSubsystem::Breaker,
-        FlightSubsystem::Shed,
-    ];
-
-    /// Stable lowercase name used in JSONL output.
-    pub fn name(self) -> &'static str {
-        match self {
-            FlightSubsystem::Lane => "lane",
-            FlightSubsystem::Timer => "timer",
-            FlightSubsystem::Breaker => "breaker",
-            FlightSubsystem::Shed => "shed",
-        }
-    }
-
-    fn index(self) -> usize {
-        self as usize
-    }
-}
-
-/// One retained transition.
-#[derive(Debug, Clone)]
-pub struct FlightEntry {
-    /// Microseconds since the recorder epoch (the runtime's creation).
-    pub at_us: u64,
-    /// Which ring the entry came from.
-    pub subsystem: FlightSubsystem,
-    /// What happened.
-    pub detail: String,
-}
-
-/// The recorder itself. Thread-safe; every hot-path call is one mutex
-/// push into a bounded ring (or a no-op when disabled).
+/// The recorder itself. Thread-safe; inert when disabled.
 pub struct FlightRecorder {
-    epoch: Instant,
     enabled: bool,
-    capacity: usize,
-    rings: [Mutex<VecDeque<(u64, String)>>; 4],
+    /// The journal a dump is cut from.
+    events: Arc<EventLog>,
+    /// Directory anomaly dumps are written to; `None` counts anomalies
+    /// without dumping.
+    dump_dir: Option<PathBuf>,
     /// Recent shed instants, for spike detection.
     shed_times: Mutex<VecDeque<Instant>>,
     anomalies: AtomicU64,
     dumps: AtomicU64,
-    dump_dir: Mutex<Option<PathBuf>>,
     last_dump: Mutex<Option<Instant>>,
 }
 
 impl FlightRecorder {
-    pub fn new(enabled: bool, capacity: usize) -> FlightRecorder {
+    pub fn new(enabled: bool, events: Arc<EventLog>, dump_dir: Option<PathBuf>) -> FlightRecorder {
         FlightRecorder {
-            epoch: Instant::now(),
             enabled,
-            capacity: capacity.max(1),
-            rings: Default::default(),
+            events,
+            dump_dir,
             shed_times: Mutex::new(VecDeque::new()),
             anomalies: AtomicU64::new(0),
             dumps: AtomicU64::new(0),
-            dump_dir: Mutex::new(None),
             last_dump: Mutex::new(None),
         }
     }
 
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Directory anomaly dumps are written to; `None` (the default)
-    /// records in memory only.
-    pub fn set_dump_dir(&self, dir: Option<PathBuf>) {
-        *self.dump_dir.lock().unwrap() = dir;
-    }
-
-    /// Records a transition. The detail is built lazily so a disabled
-    /// recorder costs one branch.
-    pub fn record(&self, subsystem: FlightSubsystem, detail: impl FnOnce() -> String) {
+    /// Ticks the shed-rate window for one shed decision (the decision
+    /// itself is a `Shed` event in the journal) and fires the
+    /// shed-rate-spike anomaly when [`SHED_SPIKE_THRESHOLD`] sheds land
+    /// within [`SHED_SPIKE_WINDOW`].
+    pub fn shed(&self) {
         if !self.enabled {
             return;
         }
-        let at_us = self.epoch.elapsed().as_micros() as u64;
-        let mut ring = self.rings[subsystem.index()].lock().unwrap();
-        if ring.len() >= self.capacity {
-            ring.pop_front();
-        }
-        ring.push_back((at_us, detail()));
-    }
-
-    /// Records a shed decision and fires the shed-rate-spike anomaly
-    /// when [`SHED_SPIKE_THRESHOLD`] sheds land within
-    /// [`SHED_SPIKE_WINDOW`].
-    pub fn shed(&self, detail: impl FnOnce() -> String) {
-        if !self.enabled {
-            return;
-        }
-        self.record(FlightSubsystem::Shed, detail);
         let now = Instant::now();
         let spike = {
             let mut times = self.shed_times.lock().unwrap();
@@ -162,14 +88,16 @@ impl FlightRecorder {
     }
 
     /// Registers an anomaly: counts it and, when a dump directory is
-    /// configured, writes the rings to `flight-<n>.jsonl` (rate-limited
-    /// and capped). Returns the dump path when a file was written.
+    /// configured, writes `flight-<n>.jsonl` (rate-limited and capped):
+    /// the anomaly line, then the journal's newest events in the
+    /// [`EventLog::to_jsonl`] format. Returns the dump path when a file
+    /// was written.
     pub fn anomaly(&self, reason: &str) -> Option<PathBuf> {
         if !self.enabled {
             return None;
         }
         self.anomalies.fetch_add(1, Ordering::Relaxed);
-        let dir = self.dump_dir.lock().unwrap().clone()?;
+        let dir = self.dump_dir.as_ref()?;
         {
             let mut last = self.last_dump.lock().unwrap();
             let now = Instant::now();
@@ -187,10 +115,10 @@ impl FlightRecorder {
         let mut body = format!(
             "{{\"anomaly\":\"{}\",\"at_us\":{}}}\n",
             json_escape(reason),
-            self.epoch.elapsed().as_micros() as u64
+            self.events.elapsed().as_micros()
         );
-        body.push_str(&self.to_jsonl());
-        if std::fs::create_dir_all(&dir).is_err() || std::fs::write(&path, body).is_err() {
+        body.push_str(&self.events.tail_jsonl(DUMP_EVENTS));
+        if std::fs::create_dir_all(dir).is_err() || std::fs::write(&path, body).is_err() {
             return None;
         }
         Some(path)
@@ -205,42 +133,12 @@ impl FlightRecorder {
     pub fn dumps(&self) -> u64 {
         self.dumps.load(Ordering::Relaxed)
     }
-
-    /// Every retained entry, merged across rings in time order.
-    pub fn snapshot(&self) -> Vec<FlightEntry> {
-        let mut out = Vec::new();
-        for sub in FlightSubsystem::ALL {
-            let ring = self.rings[sub.index()].lock().unwrap();
-            out.extend(ring.iter().map(|(at_us, detail)| FlightEntry {
-                at_us: *at_us,
-                subsystem: sub,
-                detail: detail.clone(),
-            }));
-        }
-        out.sort_by_key(|e| e.at_us);
-        out
-    }
-
-    /// The rings as JSONL, one entry per line, time order.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for e in self.snapshot() {
-            out.push_str(&format!(
-                "{{\"at_us\":{},\"subsystem\":\"{}\",\"detail\":\"{}\"}}\n",
-                e.at_us,
-                e.subsystem.name(),
-                json_escape(&e.detail),
-            ));
-        }
-        out
-    }
 }
 
 impl std::fmt::Debug for FlightRecorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FlightRecorder")
             .field("enabled", &self.enabled)
-            .field("capacity", &self.capacity)
             .field("anomalies", &self.anomalies())
             .field("dumps", &self.dumps())
             .finish()
@@ -250,65 +148,82 @@ impl std::fmt::Debug for FlightRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::events::EventKind;
 
-    #[test]
-    fn disabled_recorder_is_inert() {
-        let rec = FlightRecorder::new(false, 8);
-        rec.record(FlightSubsystem::Lane, || "x".into());
-        rec.shed(|| "y".into());
-        assert!(rec.anomaly("boom").is_none());
-        assert!(rec.snapshot().is_empty());
-        assert_eq!(rec.anomalies(), 0);
+    fn scratch_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("xdx-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
     }
 
     #[test]
-    fn rings_bound_per_subsystem_and_merge_in_time_order() {
-        let rec = FlightRecorder::new(true, 4);
-        for i in 0..10 {
-            rec.record(FlightSubsystem::Lane, || format!("lane {i}"));
+    fn disabled_recorder_is_inert() {
+        let dir = scratch_dir("flight-inert");
+        let rec = FlightRecorder::new(false, Arc::new(EventLog::new()), Some(dir.clone()));
+        for _ in 0..SHED_SPIKE_THRESHOLD {
+            rec.shed();
         }
-        rec.record(FlightSubsystem::Breaker, || "flip".into());
-        let snap = rec.snapshot();
-        assert_eq!(snap.len(), 5, "4 retained lane entries + 1 breaker");
-        assert!(snap.windows(2).all(|w| w[0].at_us <= w[1].at_us));
-        assert_eq!(
-            snap.iter()
-                .filter(|e| e.subsystem == FlightSubsystem::Lane)
-                .count(),
-            4
-        );
-        // The oldest lane entries were evicted.
-        assert!(rec.to_jsonl().contains("lane 9"));
-        assert!(!rec.to_jsonl().contains("lane 0"));
+        assert!(rec.anomaly("boom").is_none());
+        assert_eq!(rec.anomalies(), 0);
+        assert_eq!(rec.dumps(), 0);
+        assert!(!dir.exists(), "a disabled recorder writes nothing");
     }
 
     #[test]
     fn shed_spike_fires_anomaly() {
-        let rec = FlightRecorder::new(true, 64);
-        for i in 0..SHED_SPIKE_THRESHOLD {
-            rec.shed(|| format!("shed {i}"));
+        let rec = FlightRecorder::new(true, Arc::new(EventLog::new()), None);
+        for _ in 1..SHED_SPIKE_THRESHOLD {
+            rec.shed();
         }
-        assert!(rec.anomalies() >= 1, "spike threshold reached");
+        assert_eq!(rec.anomalies(), 0, "below the threshold");
+        rec.shed();
+        assert_eq!(rec.anomalies(), 1, "spike threshold reached");
+    }
+
+    #[test]
+    fn dump_is_the_anomaly_then_the_journal_tail() {
+        let dir = scratch_dir("flight-tail");
+        let events = Arc::new(EventLog::new());
+        for i in 0..DUMP_EVENTS + 10 {
+            events.push(i as u64, 0, EventKind::Submitted, format!("s{i}"));
+        }
+        let rec = FlightRecorder::new(true, Arc::clone(&events), Some(dir.clone()));
+        let path = rec.anomaly("session failure").expect("dump written");
+        let body = std::fs::read_to_string(&path).unwrap();
+        let mut lines = body.lines();
+        let first = lines.next().unwrap();
+        assert!(first.starts_with("{\"anomaly\":\"session failure\",\"at_us\":"));
+        let tail: Vec<&str> = lines.collect();
+        assert_eq!(tail.len(), DUMP_EVENTS, "the newest {DUMP_EVENTS} events");
+        assert_eq!(
+            tail,
+            events.tail_jsonl(DUMP_EVENTS).lines().collect::<Vec<_>>()
+        );
+        assert!(tail[0].contains("\"session\":10,"), "{}", tail[0]);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn anomaly_dumps_once_per_cooldown_into_dir() {
-        let dir = std::env::temp_dir().join(format!("xdx-flight-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let rec = FlightRecorder::new(true, 8);
-        rec.record(FlightSubsystem::Timer, || "deadline +500us".into());
-        // No dir configured: counted, not dumped.
-        assert!(rec.anomaly("first").is_none());
-        rec.set_dump_dir(Some(dir.clone()));
-        let path = rec.anomaly("session failure").expect("dump written");
-        let body = std::fs::read_to_string(&path).unwrap();
-        assert!(body.starts_with("{\"anomaly\":\"session failure\""));
-        assert!(body.contains("deadline +500us"));
+        let dir = scratch_dir("flight-cap");
+        let undumped = FlightRecorder::new(true, Arc::new(EventLog::new()), None);
+        assert!(undumped.anomaly("no dir").is_none(), "counted, not dumped");
+        assert_eq!((undumped.anomalies(), undumped.dumps()), (1, 0));
+
+        let rec = FlightRecorder::new(true, Arc::new(EventLog::new()), Some(dir.clone()));
+        assert!(rec.anomaly("first").is_some());
         // Within the cooldown, a second anomaly is counted but not
         // dumped.
         assert!(rec.anomaly("second").is_none());
-        assert_eq!(rec.anomalies(), 3);
-        assert_eq!(rec.dumps(), 1);
+        assert_eq!((rec.anomalies(), rec.dumps()), (2, 1));
+        // Past the cooldown every anomaly dumps, up to the cap.
+        for _ in 1..MAX_DUMPS + 3 {
+            *rec.last_dump.lock().unwrap() = None;
+            rec.anomaly("storm");
+        }
+        assert_eq!(rec.dumps(), MAX_DUMPS);
+        let files = std::fs::read_dir(&dir).unwrap().count() as u64;
+        assert_eq!(files, MAX_DUMPS);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -84,10 +84,7 @@ pub use engine::ShippingPolicy;
 pub use events::{Event, EventKind, EventLog, DEFAULT_EVENT_CAPACITY};
 pub use exchange::SlotPacker;
 pub use fair::{FairQueue, Popped, DEFAULT_AGING_INTERVAL};
-pub use flight::{
-    FlightEntry, FlightRecorder, FlightSubsystem, DEFAULT_FLIGHT_CAPACITY, SHED_SPIKE_THRESHOLD,
-    SHED_SPIKE_WINDOW,
-};
+pub use flight::{FlightRecorder, SHED_SPIKE_THRESHOLD, SHED_SPIKE_WINDOW};
 pub use ledger::{Filed, ReassemblyLedger, DEFAULT_LEDGER_CAPACITY};
 pub use registry::{LinkRegistry, LinkSlot, LinkStats};
 pub use runtime::{ConsolidationOutcome, PublishHandle, Runtime};

@@ -25,8 +25,8 @@
 //! burning a planning probe; and an opening breaker drains its route's
 //! queued sessions on the spot. Every queue in the system is bounded —
 //! admission, the resumable-checkpoint map, the reassembly ledger, the
-//! event/span rings — so sustained 2× overload holds RSS flat (the
-//! `soak` bench mode asserts it).
+//! event/span rings — so sustained 2× overload holds RSS flat
+//! (`crates/runtime/tests/soak.rs` asserts it).
 
 use crate::admission::AdmissionController;
 use crate::breaker::BreakerTransition;
@@ -35,7 +35,7 @@ use crate::engine::ShipEngine;
 use crate::events::{Event, EventKind, EventLog};
 use crate::exchange::{lane_checkpoint, route_key, session_trace_id, Exchange, Lane};
 use crate::fair::{FairQueue, DEFAULT_AGING_INTERVAL};
-use crate::flight::{FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
+use crate::flight::FlightRecorder;
 use crate::introspect::IntrospectServer;
 use crate::ledger::ReassemblyLedger;
 use crate::registry::{LinkRegistry, LinkSlot};
@@ -242,8 +242,9 @@ pub(crate) struct Inner {
     pub(crate) planning_hist: Arc<Histogram>,
     pub(crate) latency_hist: Arc<Histogram>,
     pub(crate) encode_hist: Arc<Histogram>,
-    /// Bounded last-transitions rings, dumped on anomaly.
-    pub(crate) flight: Arc<FlightRecorder>,
+    /// Anomaly bookkeeping: counts anomalies and dumps the event log's
+    /// newest transitions when one fires.
+    pub(crate) flight: FlightRecorder,
 }
 
 /// A running multi-session exchange runtime. Dropping (or
@@ -274,19 +275,12 @@ impl Runtime {
         let events = Arc::new(EventLog::with_capacity(config.event_capacity));
         let ledger = Arc::new(ReassemblyLedger::new());
         let trace = Arc::new(TraceSink::new(config.tracing, TRACE_CAPACITY));
-        let flight = Arc::new(FlightRecorder::new(
+        let flight = FlightRecorder::new(
             config.flight_recorder,
-            DEFAULT_FLIGHT_CAPACITY,
-        ));
-        if let Some(dir) = config.flight_dump_dir {
-            flight.set_dump_dir(Some(std::path::PathBuf::from(dir)));
-        }
-        let engine = ShipEngine::new(
             Arc::clone(&events),
-            Arc::clone(&ledger),
-            Arc::clone(&trace),
-            Arc::clone(&flight),
+            config.flight_dump_dir.map(std::path::PathBuf::from),
         );
+        let engine = ShipEngine::new(Arc::clone(&events), Arc::clone(&ledger), Arc::clone(&trace));
         let inner = Arc::new(Inner {
             config,
             schema,
@@ -686,16 +680,9 @@ impl Runtime {
         self.inner.calibration.report()
     }
 
-    /// The flight recorder's retained transition rings as JSONL, merged
-    /// in time order — what the engine, timers, breakers and shedder
-    /// were doing most recently.
-    pub fn flight_jsonl(&self) -> String {
-        self.inner.flight.to_jsonl()
-    }
-
-    /// Anomalies the flight recorder registered (session failures,
-    /// breaker opens, shed-rate spikes, stall-watchdog fires) and the
-    /// dump files it wrote.
+    /// Anomalies the runtime registered (session failures, breaker
+    /// opens, shed-rate spikes, stall-watchdog fires) and the dump files
+    /// it wrote.
     pub fn flight_anomalies(&self) -> (u64, u64) {
         (self.inner.flight.anomalies(), self.inner.flight.dumps())
     }
@@ -879,12 +866,14 @@ impl Inner {
                     agg.stats.sessions_shed_deadline += 1;
                 }
                 self.tenant_entry(&request.tenant_label(), |t| t.shed += 1);
-                let why = format!(
-                    "{}: deadline {deadline:?} unattainable (estimated {estimated:?})",
-                    request.name
+                self.shed(
+                    id,
+                    NO_SPAN,
+                    format!(
+                        "{}: deadline {deadline:?} unattainable (estimated {estimated:?})",
+                        request.name
+                    ),
                 );
-                self.flight.shed(|| why.clone());
-                self.events.push(id, NO_SPAN, EventKind::Shed, why);
                 return Err(SubmitError::DeadlineUnattainable {
                     deadline,
                     estimated,
@@ -988,6 +977,13 @@ impl Inner {
         update(map.entry(key.to_string()).or_default());
     }
 
+    /// Records one shed decision, once: its `Shed` event in the journal,
+    /// and a tick of the anomaly recorder's shed-rate window.
+    pub(crate) fn shed(&self, session: SessionId, span: SpanId, detail: impl Into<String>) {
+        self.events.push(session, span, EventKind::Shed, detail);
+        self.flight.shed();
+    }
+
     /// Deposits a failed session's checkpoint, evicting the oldest
     /// deposits beyond `max_resumables` — each checkpoint holds a full
     /// source database, so an unbounded map would defeat the soak's
@@ -1067,16 +1063,9 @@ impl Inner {
             slot.counters.sessions_shed.fetch_add(1, Ordering::Relaxed);
             self.agg.lock().unwrap().stats.sessions_shed_breaker += 1;
             self.tenant_entry(&tenant, |t| t.shed += 1);
-            self.flight.shed(|| {
-                format!(
-                    "{}: drained from queue, circuit open on {pair}",
-                    shared.name
-                )
-            });
-            self.events.push(
+            self.shed(
                 shared.id,
                 shared.root_span,
-                EventKind::Shed,
                 format!(
                     "{}: drained from queue, circuit open on {pair}, retry in {retry:?}",
                     shared.name
@@ -1126,8 +1115,7 @@ impl Inner {
         } else {
             return None;
         };
-        self.events
-            .push(shared.id, shared.root_span, EventKind::Shed, &why);
+        self.shed(shared.id, shared.root_span, &why);
         {
             let mut agg = self.agg.lock().unwrap();
             if expired {
@@ -1137,7 +1125,6 @@ impl Inner {
             }
         }
         self.tenant_entry(&lane.metrics.tenant, |t| t.shed += 1);
-        self.flight.shed(|| format!("{}: {why}", shared.name));
         Some((SessionState::Failed, why))
     }
 
@@ -1518,10 +1505,11 @@ impl Inner {
                 metrics.rows_loaded, metrics.chunks_shipped, metrics.chunks_retried
             )
         });
+        self.events.push(shared.id, shared.root_span, kind, detail);
         if state == SessionState::Failed {
-            // A failed session is a flight-recorder anomaly: the rings
-            // dump (when a dump dir is configured) with the transitions
-            // that led up to it.
+            // A failed session is an anomaly: the journal dumps (when a
+            // dump dir is configured) with the transitions that led up
+            // to it, its `Failed` event last.
             self.flight.anomaly(&format!(
                 "session {} ({}) failed: {}",
                 shared.id,
@@ -1529,7 +1517,6 @@ impl Inner {
                 diagnostic.as_deref().unwrap_or("no diagnostic")
             ));
         }
-        self.events.push(shared.id, shared.root_span, kind, detail);
         // The session's root span closes last, covering queue wait
         // through the terminal transition; its children (queued, plan,
         // exec, ship, encode, operators) were recorded before it, so

@@ -89,7 +89,7 @@ pub struct RuntimeStats {
     /// a log-linear histogram snapshot — mergeable across runs,
     /// quantile error ≤ 1/32.
     pub latency_histogram: HistogramSnapshot,
-    /// Events evicted from the bounded flight-recorder ring.
+    /// Events evicted from the bounded event-log ring.
     pub dropped_events: u64,
     /// Spans evicted from the bounded trace ring.
     pub dropped_spans: u64,
@@ -446,7 +446,7 @@ impl Inner {
             .set(1.0);
         }
         // Observability self-accounting (ring drops are series rows):
-        // flight-recorder anomalies/dumps and the engine stall watchdog.
+        // anomalies/dumps and the engine stall watchdog.
         // The watchdog rides the metrics refresh (every scrape / stats
         // call checks it), so a wedged engine surfaces without a
         // dedicated thread.
@@ -476,7 +476,7 @@ impl Inner {
         match path {
             "/" => ok(
                 "text/plain",
-                "/healthz\n/metrics\n/stats.json\n/traces\n/critical-path\n/calibration\n/flight\n"
+                "/healthz\n/metrics\n/stats.json\n/traces\n/critical-path\n/calibration\n/events\n"
                     .into(),
             ),
             "/metrics" => {
@@ -498,7 +498,7 @@ impl Inner {
                 xdx_trace::critical_path(&self.trace.snapshot()).to_json(),
             ),
             "/calibration" => ok("application/json", self.calibration.report().to_json()),
-            "/flight" => ok("application/x-ndjson", self.flight.to_jsonl()),
+            "/events" => ok("application/x-ndjson", self.events.to_jsonl()),
             _ => IntrospectReply {
                 status: 404,
                 content_type: "text/plain",
@@ -508,9 +508,9 @@ impl Inner {
     }
 
     /// Liveness verdict plus the evidence: the stall watchdog's reading,
-    /// open breakers, queue depth and the flight recorder's anomaly
-    /// tally. Unhealthy (HTTP 503) means the engine sits on an overdue
-    /// deadline nobody is driving — sheds and breaker opens are load
+    /// open breakers, queue depth and the anomaly tally. Unhealthy (HTTP
+    /// 503) means the engine sits on an overdue deadline nobody is
+    /// driving — sheds and breaker opens are load
     /// conditions, reported but not fatal.
     fn health_json(&self) -> (bool, String) {
         let stalled = self.engine.stall_check(STALL_THRESHOLD);

@@ -1,7 +1,7 @@
 //! Integration tests of the cross-site observability surface: trace
 //! context propagation and stitching across a multicast publish,
-//! critical-path extraction, the flight recorder's anomaly dumps, and
-//! the live introspection endpoint. (The completeness audit of the
+//! critical-path extraction, anomaly dumps of the event log, and the
+//! live introspection endpoint. (The completeness audit of the
 //! exposition against `RuntimeStats`/`LinkStats` reads the series table
 //! and lives beside it, in `src/stats.rs`.)
 
@@ -60,7 +60,7 @@ fn run_fleet(runtime: &Runtime, doc: &str, n: usize) {
 /// Record-at-completion must not lose the spans of sessions that die
 /// mid-exchange: a session failed by a dead link still flushes its
 /// root `session` span (with the Failed state in the detail) and its
-/// `plan` span, and the failure registers as a flight-recorder anomaly.
+/// `plan` span, and the failure registers as an anomaly.
 #[test]
 fn failed_session_flushes_its_spans_and_counts_an_anomaly() {
     let doc = generate(GenConfig::sized(16_000));
@@ -321,16 +321,29 @@ fn critical_path_attributes_session_wall_to_named_stages() {
     runtime.shutdown();
 }
 
-/// Killing a lane mid-exchange (every chunk drops once the session is
-/// in flight) fires the session-failure anomaly and auto-dumps the
-/// flight rings — the dump names the anomaly and holds that lane's
-/// last transitions.
-#[test]
-fn killed_lane_dumps_flight_rings_with_its_transitions() {
-    let dir = std::env::temp_dir().join(format!("xdx-observability-{}", std::process::id()));
+/// A fresh dump directory, leaked as the `&'static str` the config
+/// takes.
+fn dump_dir(name: &str) -> (std::path::PathBuf, &'static str) {
+    let dir = std::env::temp_dir().join(format!("xdx-{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    let dir_str: &'static str = Box::leak(dir.to_str().unwrap().to_string().into_boxed_str());
+    let dir_str = Box::leak(dir.to_str().unwrap().to_string().into_boxed_str());
+    (dir, dir_str)
+}
+
+/// The journal lines of a dump whose `kind` is `kind`.
+fn dump_lines<'a>(body: &'a str, kind: &str) -> Vec<&'a str> {
+    let needle = format!("\"kind\":\"{kind}\"");
+    body.lines().filter(|l| l.contains(&needle)).collect()
+}
+
+/// Killing a lane mid-exchange (every chunk drops once the session is
+/// in flight) fires the session-failure anomaly and auto-dumps the
+/// event log — the dump names the anomaly and holds that session's
+/// retries and its failure, in the one time-ordered journal.
+#[test]
+fn killed_lane_dumps_flight_rings_with_its_transitions() {
+    let (dir, dir_str) = dump_dir("observability");
 
     let doc = generate(GenConfig::sized(16_000));
     let runtime = Runtime::start(
@@ -368,32 +381,85 @@ fn killed_lane_dumps_flight_rings_with_its_transitions() {
             mf,
             lf,
         ))
-        .unwrap()
-        .wait();
-    assert_eq!(killed.state, SessionState::Failed);
+        .unwrap();
+    let killed_id = killed.id();
+    assert_eq!(killed.wait().state, SessionState::Failed);
 
     let (anomalies, dumps) = runtime.flight_anomalies();
     assert!(anomalies >= 1, "lane death must register an anomaly");
-    assert!(dumps >= 1, "a dump directory is configured: must dump");
-    let dump_files: Vec<_> = std::fs::read_dir(&dir)
-        .unwrap()
-        .filter_map(|e| e.ok())
-        .filter(|e| e.file_name().to_string_lossy().starts_with("flight-"))
-        .collect();
-    assert!(!dump_files.is_empty(), "no flight-*.jsonl in {dir:?}");
-    let body = std::fs::read_to_string(dump_files[0].path()).unwrap();
+    assert_eq!(dumps, 1, "a dump directory is configured: must dump");
+    let body = std::fs::read_to_string(dir.join("flight-0.jsonl")).unwrap();
     let first = body.lines().next().unwrap();
     assert!(
         first.starts_with("{\"anomaly\":"),
         "dump leads with the anomaly: {first}"
     );
-    // The rings captured the killed lane's transitions.
+    // The journal captured the killed session's transitions: its
+    // retries, then its failure.
+    let session = format!("\"session\":{killed_id},");
+    let of_killed = |kind: &str| -> usize {
+        dump_lines(&body, kind)
+            .iter()
+            .filter(|l| l.contains(&session))
+            .count()
+    };
+    assert!(of_killed("chunk_retried") >= 1, "no retries in:\n{body}");
+    assert_eq!(of_killed("failed"), 1, "no failure in:\n{body}");
     assert!(
-        body.contains("\"subsystem\":\"lane\""),
-        "dump has no lane ring entries:\n{body}"
+        body.lines().last().unwrap().contains("\"kind\":\"failed\""),
+        "the failure that fired the dump is its newest event:\n{body}"
     );
-    // The in-memory rings agree with what was dumped.
-    assert!(runtime.flight_jsonl().contains("\"subsystem\":\"lane\""));
+    runtime.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A breaker flip is written once: the dump its opening fires holds
+/// exactly one `circuit_opened` line, the journal's own event.
+#[test]
+fn breaker_open_dump_holds_one_circuit_opened_line() {
+    let (dir, dir_str) = dump_dir("breaker-dump");
+    let doc = generate(GenConfig::sized(16_000));
+    let runtime = Runtime::start(
+        schema(),
+        RuntimeConfig::default()
+            .with_workers(1)
+            .with_breaker(1, Duration::from_secs(60))
+            .with_flight_dump_dir(dir_str)
+            .with_shipping(ShippingPolicy {
+                chunk_bytes: 1024,
+                max_attempts_per_chunk: 2,
+                retry_budget: 2,
+                backoff_base: Duration::from_millis(1),
+                ..ShippingPolicy::default()
+            }),
+    );
+    runtime.set_fault_profile(FaultProfile::drops(1.0, 7));
+    let schema_tree = schema();
+    let mf = mf(&schema_tree);
+    let lf = lf(&schema_tree);
+    let tripper = runtime
+        .submit(ExchangeRequest::new(
+            "tripper",
+            load_source(&doc, &schema_tree, &mf).unwrap(),
+            mf,
+            lf,
+        ))
+        .unwrap();
+    let tripper_id = tripper.id();
+    assert_eq!(tripper.wait().state, SessionState::Failed);
+
+    // The breaker opens before the session's own failure settles, so
+    // the first dump is the breaker's; the failure lands within the
+    // cooldown and is counted, not dumped.
+    let body = std::fs::read_to_string(dir.join("flight-0.jsonl")).unwrap();
+    let first = body.lines().next().unwrap();
+    assert!(
+        first.starts_with("{\"anomaly\":\"breaker open on "),
+        "{first}"
+    );
+    let opened = dump_lines(&body, "circuit_opened");
+    assert_eq!(opened.len(), 1, "one line per flip:\n{body}");
+    assert!(opened[0].contains(&format!("\"session\":{tripper_id},")));
     runtime.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -472,12 +538,15 @@ fn introspection_endpoint_serves_all_routes() {
     assert_eq!(status, 200);
     assert!(calib.starts_with('{'), "{calib}");
 
-    let (status, _flight) = fetch("/flight");
+    let (status, events) = fetch("/events");
     assert_eq!(status, 200);
+    assert!(events.contains("\"kind\":\"completed\""), "{events}");
 
     let (status, index) = fetch("/");
     assert_eq!(status, 200);
-    assert!(index.contains("/metrics"), "{index}");
+    for route in ["/metrics", "/events"] {
+        assert!(index.contains(route), "{index}");
+    }
 
     let (status, _) = fetch("/no-such-route");
     assert_eq!(status, 404);

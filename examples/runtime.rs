@@ -5,8 +5,8 @@
 //! priorities, a per-request optimizer override, chunked fault-tolerant
 //! shipping, and the full telemetry surface: per-session and per-link
 //! metrics, a Prometheus text snapshot, the structured span trace as
-//! JSONL, the event log, the flight-recorder rings, the critical-path
-//! report, and the cost-model calibration report. After the two-site
+//! JSONL, the event log, the critical-path report, and the cost-model
+//! calibration report. After the two-site
 //! fleet, a 1→3 multicast publish over Gilbert–Elliott bursty links
 //! adds one stitched cross-site trace, and the example scrapes its own
 //! live introspection endpoint over plain HTTP — the same surface an
@@ -152,8 +152,8 @@ fn main() {
 
     // The whole telemetry surface, captured while the runtime is live:
     // a Prometheus text snapshot, the span trace and event log as
-    // JSONL, the flight-recorder rings, the critical-path report, and
-    // the predicted-vs-observed calibration report.
+    // JSONL, the critical-path report, and the predicted-vs-observed
+    // calibration report.
     let metrics = runtime.metrics_text();
     let events = runtime.events_jsonl();
     let calibration = runtime.calibration_report();
@@ -167,7 +167,6 @@ fn main() {
         runtime.critical_path().to_json(),
     )
     .expect("write critical path");
-    std::fs::write("telemetry/flight.jsonl", runtime.flight_jsonl()).expect("write flight rings");
 
     // Scrape the live introspection endpoint over plain HTTP — the
     // exact bytes an operator's `curl` would see — and keep the
@@ -195,7 +194,11 @@ fn main() {
         .expect("write scraped metrics");
     std::fs::write("telemetry/introspect_traces.jsonl", fetch("/traces"))
         .expect("write scraped traces");
-    println!("introspection: http://{addr} scraped /healthz /metrics /traces -> telemetry/");
+    std::fs::write("telemetry/introspect_events.jsonl", fetch("/events"))
+        .expect("write scraped events");
+    println!(
+        "introspection: http://{addr} scraped /healthz /metrics /traces /events -> telemetry/"
+    );
     println!(
         "\ntelemetry: {} metric lines, {} spans, {} events -> telemetry/",
         metrics.lines().count(),
