@@ -26,6 +26,10 @@
 //!   verified *before* any parsing so a damaged frame is rejected, never
 //!   mis-decoded.
 //!
+//! A frame carries rows and nothing about the run that encoded it: one
+//! feed encodes to the same bytes whoever ships it, traced or not, first
+//! run or resume (DESIGN §18).
+//!
 //! The decoder is defensive throughout: every length is bounds-checked
 //! against the remaining input, so truncated or crafted frames produce a
 //! [`Error::Decode`], never a panic or an oversized allocation.
@@ -51,77 +55,10 @@ use xdx_relational::{
 /// [`is_columnar`] checks all eight for robustness.
 pub const COLUMNAR_MAGIC: &[u8; 8] = b"XDXCOLF1";
 
-/// Frame magic of a columnar frame carrying the optional trace-context
-/// extension: 16 bytes of `(trace_id, parent_span)` immediately after
-/// the magic, inside the checksummed region. Context-free frames keep
-/// the V1 magic and stay byte-identical to pre-extension encoders, so
-/// old decoders keep working on everything new encoders emit without a
-/// context, and new decoders accept both versions.
-pub const COLUMNAR_MAGIC_V2: &[u8; 8] = b"XDXCOLF2";
-
 /// Frame magic of the delta-exchange `Patch` format; distinct in its
 /// first bytes from both `XDXCOLF1` and `#feed` text so receivers sniff
 /// all three frame kinds with one prefix check.
 pub const PATCH_MAGIC: &[u8; 8] = b"XDXPATF1";
-
-/// Patch-frame magic with the trace-context extension (see
-/// [`COLUMNAR_MAGIC_V2`]).
-pub const PATCH_MAGIC_V2: &[u8; 8] = b"XDXPATF2";
-
-/// Distributed trace context a shipped frame carries across the wire so
-/// receiver-side spans (decode, stage, settle, snapshot) stitch under
-/// the publishing session's tree.
-///
-/// Columnar and patch frames embed it behind the version-bumped magic
-/// ([`COLUMNAR_MAGIC_V2`]/[`PATCH_MAGIC_V2`]); XML-text shipments, which
-/// have no frame header, carry it in the shipment label instead
-/// ([`label_with_context`]/[`split_label_context`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceContext {
-    /// Root of the distributed trace tree: the publishing session's (or
-    /// publish group's) root span id. Every lane of a multicast publish
-    /// shares one trace id.
-    pub trace_id: u64,
-    /// The sender-side span receiver-side work should parent under
-    /// (the session's exec span).
-    pub parent_span: u64,
-}
-
-impl TraceContext {
-    /// The label suffix carrying this context on XML-text shipments.
-    pub fn label_suffix(&self) -> String {
-        format!(" ctx={:016x}:{:016x}", self.trace_id, self.parent_span)
-    }
-}
-
-/// Appends the trace context to a shipment label (the XML-text
-/// propagation channel); [`split_label_context`] is the exact inverse.
-pub fn label_with_context(label: &str, ctx: TraceContext) -> String {
-    format!("{label}{}", ctx.label_suffix())
-}
-
-/// Splits a shipment label into its base and the trace context its
-/// suffix carries, if any. Labels without a well-formed ` ctx=` suffix
-/// come back verbatim with `None`.
-pub fn split_label_context(label: &str) -> (&str, Option<TraceContext>) {
-    if let Some(at) = label.rfind(" ctx=") {
-        let suffix = &label[at + 5..];
-        if suffix.len() == 33 && suffix.as_bytes()[16] == b':' {
-            let trace = u64::from_str_radix(&suffix[..16], 16);
-            let span = u64::from_str_radix(&suffix[17..], 16);
-            if let (Ok(trace_id), Ok(parent_span)) = (trace, span) {
-                return (
-                    &label[..at],
-                    Some(TraceContext {
-                        trace_id,
-                        parent_span,
-                    }),
-                );
-            }
-        }
-    }
-    (label, None)
-}
 
 /// Arity-zero feeds carry no per-row bytes, so the row count in a frame
 /// cannot be validated against the frame length; this caps it instead.
@@ -218,8 +155,7 @@ const TAG_STR: u8 = 3;
 /// Frame layout (all counts LEB128 varints):
 ///
 /// ```text
-/// magic            8 bytes  "XDXCOLF1" (or "XDXCOLF2" with context)
-/// trace context    V2 only: trace id + parent span, 8 bytes LE each
+/// magic            8 bytes  "XDXCOLF1"
 /// schema           root element, column count, per column
 ///                  (element, role byte 0=ID 1=PARENT 2=VALUE)
 /// schema digest    8 bytes LE, FNV-64 of the schema section
@@ -238,15 +174,9 @@ const TAG_STR: u8 = 3;
 ///                    Str    varint string-table index
 /// checksum         8 bytes LE, FNV-64 of everything above
 /// ```
-///
-/// A V2 frame (a `Some` trace context) bumps the magic to
-/// [`COLUMNAR_MAGIC_V2`] and embeds the context inside the checksummed
-/// region, so damaged context bytes fail the whole-frame checksum like
-/// any other corruption; a context-free frame is byte-identical to
-/// pre-extension encoders.
 pub fn encode_feed(feed: &Feed) -> Vec<u8> {
     let mut buf = Vec::new();
-    append_columnar_frame(&mut buf, &feed.schema, &feed.rows, None);
+    append_columnar_frame(&mut buf, &feed.schema, &feed.rows);
     buf
 }
 
@@ -407,21 +337,9 @@ impl<'a> Column<'a> {
 /// One row-major walk appends each cell's tag and payload to its
 /// column's buffer and assigns dictionary ids as strings are first seen;
 /// the dictionaries and then the columns are copied out behind it.
-fn append_columnar_frame(
-    buf: &mut Vec<u8>,
-    schema: &FeedSchema,
-    rows: &[Vec<Value>],
-    ctx: Option<TraceContext>,
-) {
+fn append_columnar_frame(buf: &mut Vec<u8>, schema: &FeedSchema, rows: &[Vec<Value>]) {
     let frame_start = buf.len();
-    match ctx {
-        None => buf.extend_from_slice(COLUMNAR_MAGIC),
-        Some(ctx) => {
-            buf.extend_from_slice(COLUMNAR_MAGIC_V2);
-            buf.extend_from_slice(&ctx.trace_id.to_le_bytes());
-            buf.extend_from_slice(&ctx.parent_span.to_le_bytes());
-        }
-    }
+    buf.extend_from_slice(COLUMNAR_MAGIC);
 
     // Schema section + digest.
     let schema_start = buf.len();
@@ -476,11 +394,11 @@ fn append_columnar_frame(
 // Decoding
 // ----------------------------------------------------------------------
 
-/// True when `bytes` starts with a columnar frame magic (either
-/// version). XML-text feeds start with `#feed`, so one sniff routes a
-/// received body to the right decoder.
+/// True when `bytes` starts with the columnar frame magic. XML-text
+/// feeds start with `#feed`, so one sniff routes a received body to the
+/// right decoder.
 pub fn is_columnar(bytes: &[u8]) -> bool {
-    bytes.len() >= 8 && (&bytes[..8] == COLUMNAR_MAGIC || &bytes[..8] == COLUMNAR_MAGIC_V2)
+    bytes.len() >= 8 && &bytes[..8] == COLUMNAR_MAGIC
 }
 
 /// Bounds-checked cursor over a frame body.
@@ -555,18 +473,11 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Decodes a columnar frame back into a [`Feed`], dropping any embedded
-/// trace context; see [`decode_feed_ctx`].
+/// Decodes a columnar frame back into a [`Feed`]. The trailing checksum
+/// is verified before any parsing: a frame damaged anywhere — payload,
+/// schema, header, the checksum itself — fails loudly with a decode
+/// error and is never accepted.
 pub fn decode_feed(bytes: &[u8]) -> Result<Feed> {
-    decode_feed_ctx(bytes).map(|(feed, _)| feed)
-}
-
-/// Decodes a columnar frame (either magic version) back into a [`Feed`]
-/// plus the trace context a V2 frame carries. The trailing checksum is
-/// verified before any parsing: a frame damaged anywhere — payload,
-/// schema, header, context extension, the checksum itself — fails
-/// loudly with a decode error and is never accepted.
-pub fn decode_feed_ctx(bytes: &[u8]) -> Result<(Feed, Option<TraceContext>)> {
     if !is_columnar(bytes) {
         return Err(Error::decode("missing columnar frame magic"));
     }
@@ -586,14 +497,6 @@ pub fn decode_feed_ctx(bytes: &[u8]) -> Result<(Feed, Option<TraceContext>)> {
     let mut r = Reader {
         buf: &body[COLUMNAR_MAGIC.len()..],
         pos: 0,
-    };
-    let ctx = if &bytes[..8] == COLUMNAR_MAGIC_V2 {
-        Some(TraceContext {
-            trace_id: r.u64_le("trace id")?,
-            parent_span: r.u64_le("parent span")?,
-        })
-    } else {
-        None
     };
 
     // Schema section, re-digested over the exact bytes read.
@@ -716,69 +619,40 @@ pub fn decode_feed_ctx(bytes: &[u8]) -> Result<(Feed, Option<TraceContext>)> {
 
     let mut feed = Feed::new(FeedSchema::new(root, columns));
     feed.rows = table.into();
-    Ok((feed, ctx))
+    Ok(feed)
 }
 
 /// Encodes `feed` in the given format into `buf` (clearing it first) and
 /// returns the frame length — the one call sites use so the format stays
 /// a value, not a code path.
 pub fn encode_in_format_into(buf: &mut Vec<u8>, feed: &Feed, format: WireFormat) -> usize {
-    encode_in_format_with_context_into(buf, feed, format, None)
+    encode_rows_in_format_into(buf, &feed.schema, &feed.rows, format)
 }
 
-/// [`encode_in_format_into`] with an optional trace context. Only the
-/// columnar format has a frame header to embed the context in; XML text
-/// carries it in the shipment label instead ([`label_with_context`]),
-/// so `ctx` is ignored here for XML bodies.
-pub fn encode_in_format_with_context_into(
-    buf: &mut Vec<u8>,
-    feed: &Feed,
-    format: WireFormat,
-    ctx: Option<TraceContext>,
-) -> usize {
-    encode_rows_in_format_into(buf, &feed.schema, &feed.rows, format, ctx)
-}
-
-/// [`encode_in_format_with_context_into`] over a schema and a slice of
-/// rows — what a ring slot naming a row range of a cross feed encodes
-/// from.
+/// [`encode_in_format_into`] over a schema and a slice of rows — what a
+/// ring slot naming a row range of a cross feed encodes from.
 pub fn encode_rows_in_format_into(
     buf: &mut Vec<u8>,
     schema: &FeedSchema,
     rows: &[Vec<Value>],
     format: WireFormat,
-    ctx: Option<TraceContext>,
 ) -> usize {
     buf.clear();
-    append_frame(buf, schema, rows, format, ctx);
+    append_frame(buf, schema, rows, format);
     buf.len()
 }
 
 /// Appends one feed frame in `format` to `buf`.
-fn append_frame(
-    buf: &mut Vec<u8>,
-    schema: &FeedSchema,
-    rows: &[Vec<Value>],
-    format: WireFormat,
-    ctx: Option<TraceContext>,
-) {
+fn append_frame(buf: &mut Vec<u8>, schema: &FeedSchema, rows: &[Vec<Value>], format: WireFormat) {
     match format {
         WireFormat::Xml => append_wire(buf, schema, rows),
-        WireFormat::Columnar => append_columnar_frame(buf, schema, rows, ctx),
+        WireFormat::Columnar => append_columnar_frame(buf, schema, rows),
     }
 }
 
 /// Decodes a received body in whichever format it sniffs as — columnar
-/// frames by magic, everything else as XML text — dropping any embedded
-/// trace context.
+/// frames by magic, everything else as XML text.
 pub fn decode_any(body: &[u8]) -> Result<Feed> {
-    decode_any_ctx(body).map(|(feed, _)| feed)
-}
-
-/// [`decode_any`] returning the trace context a V2 columnar frame
-/// carries (`None` for V1 frames and XML text, whose context rides the
-/// shipment label).
-pub fn decode_any_ctx(body: &[u8]) -> Result<(Feed, Option<TraceContext>)> {
     if is_patch(body) {
         return Err(Error::decode("body is a Patch frame, not a feed"));
     }
@@ -786,11 +660,11 @@ pub fn decode_any_ctx(body: &[u8]) -> Result<(Feed, Option<TraceContext>)> {
         return Err(Error::decode("body is a multi-part container, not a feed"));
     }
     if is_columnar(body) {
-        decode_feed_ctx(body)
+        decode_feed(body)
     } else {
         let text = std::str::from_utf8(body)
             .map_err(|_| Error::decode("feed body is neither columnar nor UTF-8 text"))?;
-        Feed::from_wire(text).map(|feed| (feed, None))
+        Feed::from_wire(text)
     }
 }
 
@@ -836,26 +710,16 @@ pub struct FeedPart<'a> {
 /// frames           each part exactly as `encode_rows_in_format_into`
 ///                  writes it, back to back, own `#sum`/checksum intact
 /// ```
-///
-/// One trace context per message: the first part's frame carries `ctx`
-/// (columnar only — XML text has it on the shipment label), the rest are
-/// context-free.
-pub fn encode_parts_into(
-    buf: &mut Vec<u8>,
-    parts: &[FeedPart<'_>],
-    format: WireFormat,
-    ctx: Option<TraceContext>,
-) -> usize {
+pub fn encode_parts_into(buf: &mut Vec<u8>, parts: &[FeedPart<'_>], format: WireFormat) -> usize {
     if let [only] = parts {
-        return encode_rows_in_format_into(buf, only.schema, only.rows, format, ctx);
+        return encode_rows_in_format_into(buf, only.schema, only.rows, format);
     }
     buf.clear();
     let mut header = CONTAINER_MAGIC.to_vec();
     put_varint(&mut header, parts.len() as u64);
-    for (i, part) in parts.iter().enumerate() {
+    for part in parts {
         let start = buf.len();
-        let ctx = if i == 0 { ctx } else { None };
-        append_frame(buf, part.schema, part.rows, format, ctx);
+        append_frame(buf, part.schema, part.rows, format);
         put_str(&mut header, part.label);
         put_varint(&mut header, (buf.len() - start) as u64);
     }
@@ -873,16 +737,15 @@ pub fn encode_parts_into(
 pub type DecodedParts = Vec<(Option<String>, Feed)>;
 
 /// Decodes a received message body into its parts, sniffing like
-/// [`decode_any_ctx`]: a container yields each part under its label, any
+/// [`decode_any`]: a container yields each part under its label, any
 /// other body is one bare frame (label `None` — the shipment names it).
-/// The trace context is the first a part carries. The container header
-/// is checksummed and every length is checked against the bytes that are
-/// there: the parts must tile the body exactly, so a truncated, padded
-/// or lying container is a decode error, and each part then passes its
-/// own format's integrity check.
-pub fn decode_parts_ctx(body: &[u8]) -> Result<(DecodedParts, Option<TraceContext>)> {
+/// The container header is checksummed and every length is checked
+/// against the bytes that are there: the parts must tile the body
+/// exactly, so a truncated, padded or lying container is a decode error,
+/// and each part then passes its own format's integrity check.
+pub fn decode_parts(body: &[u8]) -> Result<DecodedParts> {
     if !is_container(body) {
-        return decode_any_ctx(body).map(|(feed, ctx)| (vec![(None, feed)], ctx));
+        return decode_any(body).map(|feed| vec![(None, feed)]);
     }
     let mut r = Reader {
         buf: body,
@@ -909,23 +772,21 @@ pub fn decode_parts_ctx(body: &[u8]) -> Result<(DecodedParts, Option<TraceContex
             r.remaining()
         )));
     }
-    let mut ctx = None;
     let mut parts = Vec::with_capacity(count);
     for (label, len) in heads {
-        let (feed, part_ctx) = decode_any_ctx(r.take(len as usize, "part frame")?)?;
-        ctx = ctx.or(part_ctx);
+        let feed = decode_any(r.take(len as usize, "part frame")?)?;
         parts.push((Some(label), feed));
     }
-    Ok((parts, ctx))
+    Ok(parts)
 }
 
 // ----------------------------------------------------------------------
 // Patch frames
 // ----------------------------------------------------------------------
 
-/// True when `bytes` starts with a `Patch` frame magic (either version).
+/// True when `bytes` starts with the `Patch` frame magic.
 pub fn is_patch(bytes: &[u8]) -> bool {
-    bytes.len() >= 8 && (&bytes[..8] == PATCH_MAGIC || &bytes[..8] == PATCH_MAGIC_V2)
+    bytes.len() >= 8 && &bytes[..8] == PATCH_MAGIC
 }
 
 /// Encodes a [`DeltaPatch`] into a fresh frame; see
@@ -945,8 +806,7 @@ pub fn encode_patch(patch: &DeltaPatch, format: WireFormat) -> Vec<u8> {
 /// Frame layout (all counts LEB128 varints):
 ///
 /// ```text
-/// magic            8 bytes  "XDXPATF1" (or "XDXPATF2" with context)
-/// trace context    V2 only: trace id + parent span, 8 bytes LE each
+/// magic            8 bytes  "XDXPATF1"
 /// base version     varint   precondition: target must hold this
 /// head version     varint   version after a successful apply
 /// table count      varint
@@ -956,29 +816,8 @@ pub fn encode_patch(patch: &DeltaPatch, format: WireFormat) -> Vec<u8> {
 /// checksum         8 bytes LE, FNV-64 of everything above
 /// ```
 pub fn encode_patch_into(buf: &mut Vec<u8>, patch: &DeltaPatch, format: WireFormat) -> usize {
-    encode_patch_with_context_into(buf, patch, format, None)
-}
-
-/// [`encode_patch_into`] with an optional trace context; `None` keeps
-/// the V1 magic and byte-identical output, `Some` bumps the magic to
-/// [`PATCH_MAGIC_V2`] and embeds the context inside the checksummed
-/// region. The embedded payload feeds stay context-free either way —
-/// one context per shipped frame is enough to stitch the trace.
-pub fn encode_patch_with_context_into(
-    buf: &mut Vec<u8>,
-    patch: &DeltaPatch,
-    format: WireFormat,
-    ctx: Option<TraceContext>,
-) -> usize {
     buf.clear();
-    match ctx {
-        None => buf.extend_from_slice(PATCH_MAGIC),
-        Some(ctx) => {
-            buf.extend_from_slice(PATCH_MAGIC_V2);
-            buf.extend_from_slice(&ctx.trace_id.to_le_bytes());
-            buf.extend_from_slice(&ctx.parent_span.to_le_bytes());
-        }
-    }
+    buf.extend_from_slice(PATCH_MAGIC);
     put_varint(buf, patch.base_version);
     put_varint(buf, patch.head_version);
     put_varint(buf, patch.tables.len() as u64);
@@ -996,7 +835,7 @@ pub fn encode_patch_with_context_into(
         // The payload frame goes straight into `buf`, its length rotated
         // in front of it.
         let at = buf.len();
-        append_frame(buf, &t.payload.schema, &t.payload.rows, format, None);
+        append_frame(buf, &t.payload.schema, &t.payload.rows, format);
         let frame = buf.len();
         put_varint(buf, (frame - at) as u64);
         let len_bytes = buf.len() - frame;
@@ -1007,18 +846,11 @@ pub fn encode_patch_with_context_into(
     buf.len()
 }
 
-/// Decodes a `Patch` frame, dropping any embedded trace context; see
-/// [`decode_patch_ctx`].
-pub fn decode_patch(bytes: &[u8]) -> Result<DeltaPatch> {
-    decode_patch_ctx(bytes).map(|(patch, _)| patch)
-}
-
-/// Decodes a `Patch` frame (either magic version) plus the trace
-/// context a V2 frame carries. The trailing checksum is verified before
+/// Decodes a `Patch` frame. The trailing checksum is verified before
 /// any parsing, so a frame damaged anywhere is rejected *before* the
 /// target considers applying it; the embedded payload feeds then pass
 /// through their own format decoders (each with its own checksum).
-pub fn decode_patch_ctx(bytes: &[u8]) -> Result<(DeltaPatch, Option<TraceContext>)> {
+pub fn decode_patch(bytes: &[u8]) -> Result<DeltaPatch> {
     if !is_patch(bytes) {
         return Err(Error::decode("missing patch frame magic"));
     }
@@ -1035,14 +867,6 @@ pub fn decode_patch_ctx(bytes: &[u8]) -> Result<(DeltaPatch, Option<TraceContext
     let mut r = Reader {
         buf: &body[PATCH_MAGIC.len()..],
         pos: 0,
-    };
-    let ctx = if &bytes[..8] == PATCH_MAGIC_V2 {
-        Some(TraceContext {
-            trace_id: r.u64_le("trace id")?,
-            parent_span: r.u64_le("parent span")?,
-        })
-    } else {
-        None
     };
     let base_version = r.varint("base version")?;
     let head_version = r.varint("head version")?;
@@ -1090,14 +914,11 @@ pub fn decode_patch_ctx(bytes: &[u8]) -> Result<(DeltaPatch, Option<TraceContext
             r.remaining()
         )));
     }
-    Ok((
-        DeltaPatch {
-            base_version,
-            head_version,
-            tables,
-        },
-        ctx,
-    ))
+    Ok(DeltaPatch {
+        base_version,
+        head_version,
+        tables,
+    })
 }
 
 #[cfg(test)]
@@ -1223,34 +1044,20 @@ mod tests {
     /// every frame is the same bytes.
     #[test]
     fn frames_are_byte_identical_to_the_recorded_ones() {
-        let ctx = Some(TraceContext {
-            trace_id: 7,
-            parent_span: 9,
-        });
         let golden = [
-            (
-                sample_feed(),
-                (322, 0x1a01_42b0_cb6c_0049),
-                (338, 0x6cf4_c69f_7ad1_51ca),
-            ),
-            (
-                itemlike_feed(),
-                (1907, 0x02c4_1684_0f53_35a8),
-                (1923, 0xb525_3f5c_e88e_92a6),
-            ),
+            (sample_feed(), (322, 0x1a01_42b0_cb6c_0049)),
+            (itemlike_feed(), (1907, 0x02c4_1684_0f53_35a8)),
         ];
-        for (feed, plain, traced) in golden {
+        for (feed, recorded) in golden {
             let mut frame = encode_feed(&feed);
-            assert_eq!((frame.len(), fnv1a(&frame)), plain);
-            encode_in_format_with_context_into(&mut frame, &feed, WireFormat::Columnar, ctx);
-            assert_eq!((frame.len(), fnv1a(&frame)), traced);
+            assert_eq!((frame.len(), fnv1a(&frame)), recorded);
             // A row range encodes to the frame of a feed holding just it.
             let batch = Feed {
                 schema: feed.schema.clone(),
                 rows: feed.rows[3..11].to_vec().into(),
             };
             frame.clear();
-            append_columnar_frame(&mut frame, &feed.schema, &feed.rows[3..11], None);
+            append_columnar_frame(&mut frame, &feed.schema, &feed.rows[3..11]);
             assert_eq!(frame, encode_feed(&batch));
         }
     }
@@ -1267,40 +1074,34 @@ mod tests {
     }
 
     /// Length and FNV-64 of the container these two feeds packed to when
-    /// the format was introduced, per wire format and with a trace
-    /// context: a resumed session replays checkpointed containers, so
-    /// the layout is as pinned as a frame's.
+    /// the format was introduced, per wire format: a resumed session
+    /// replays checkpointed containers, so the layout is as pinned as a
+    /// frame's.
     #[test]
     fn containers_are_byte_identical_to_the_recorded_ones() {
-        let ctx = Some(TraceContext {
-            trace_id: 7,
-            parent_span: 9,
-        });
         let feeds = [("Order", sample_feed()), ("item", itemlike_feed())];
         let parts = parts_of(&feeds);
         let golden = [
-            (WireFormat::Columnar, None, (2261, 0x2187_2201_82ff_a94a)),
-            (WireFormat::Columnar, ctx, (2277, 0x4dcb_0768_5ad7_b76e)),
-            (WireFormat::Xml, ctx, (8855, 0xd601_8957_514f_1ae0)),
+            (WireFormat::Columnar, (2261, 0x2187_2201_82ff_a94a)),
+            (WireFormat::Xml, (8855, 0xd601_8957_514f_1ae0)),
         ];
         let mut buf = Vec::new();
-        for (format, ctx, recorded) in golden {
-            let frames = encode_parts_into(&mut buf, &parts, format, ctx);
-            assert_eq!((buf.len(), fnv1a(&buf)), recorded, "{format} {ctx:?}");
+        for (format, recorded) in golden {
+            let frames = encode_parts_into(&mut buf, &parts, format);
+            assert_eq!((buf.len(), fnv1a(&buf)), recorded, "{format}");
             // The header is all a container adds: magic, count, two
             // (label, length) pairs, checksum.
             assert_eq!(buf.len() - frames, 8 + 1 + (6 + 2) + (5 + 2) + 8);
-            let (back, back_ctx) = decode_parts_ctx(&buf).unwrap();
-            assert_eq!(back_ctx, ctx.filter(|_| format == WireFormat::Columnar));
+            let back = decode_parts(&buf).unwrap();
             for ((label, feed), (sent, want)) in back.iter().zip(&feeds) {
                 assert_eq!((label.as_deref(), feed), (Some(*sent), want));
             }
         }
         // The frames inside are the recorded single frames, untouched.
-        encode_parts_into(&mut buf, &parts, WireFormat::Columnar, None);
+        encode_parts_into(&mut buf, &parts, WireFormat::Columnar);
         assert!(buf.ends_with(&encode_feed(&feeds[1].1)));
         // One part is no container at all.
-        encode_parts_into(&mut buf, &parts[..1], WireFormat::Columnar, None);
+        encode_parts_into(&mut buf, &parts[..1], WireFormat::Columnar);
         assert_eq!(buf, encode_feed(&feeds[0].1));
     }
 
@@ -1310,27 +1111,24 @@ mod tests {
         let parts = parts_of(&feeds);
         for format in [WireFormat::Xml, WireFormat::Columnar] {
             let mut frame = Vec::new();
-            encode_parts_into(&mut frame, &parts, format, None);
+            encode_parts_into(&mut frame, &parts, format);
             for i in 0..frame.len() {
                 let mut damaged = frame.clone();
                 damaged[i] ^= 0x40;
                 assert!(
-                    decode_parts_ctx(&damaged).is_err(),
+                    decode_parts(&damaged).is_err(),
                     "{format}: flip at byte {i} went undetected"
                 );
             }
             for len in 0..frame.len() {
                 assert!(
-                    decode_parts_ctx(&frame[..len]).is_err(),
+                    decode_parts(&frame[..len]).is_err(),
                     "{format}: truncated at {len}"
                 );
             }
             let mut padded = frame.clone();
             padded.push(b'\n');
-            assert!(
-                decode_parts_ctx(&padded).is_err(),
-                "{format}: trailing byte"
-            );
+            assert!(decode_parts(&padded).is_err(), "{format}: trailing byte");
             // A container is not a feed, and does not nest.
             assert!(decode_any(&frame).is_err());
         }
@@ -1338,7 +1136,7 @@ mod tests {
         // checksum recomputed: the lengths still tile the body, and the
         // parts' own integrity checks catch the lie.
         let mut buf = Vec::new();
-        encode_parts_into(&mut buf, &parts, WireFormat::Columnar, None);
+        encode_parts_into(&mut buf, &parts, WireFormat::Columnar);
         let first = encode_feed(&feeds[0].1).len() as u64;
         let second = encode_feed(&feeds[1].1).len() as u64;
         let body = buf.split_off(buf.len() - (first + second) as usize);
@@ -1352,7 +1150,7 @@ mod tests {
             let sum = fnv1a(&lying);
             lying.extend_from_slice(&sum.to_le_bytes());
             lying.extend_from_slice(&body);
-            assert!(decode_parts_ctx(&lying).is_err(), "lengths {a}, {b}");
+            assert!(decode_parts(&lying).is_err(), "lengths {a}, {b}");
         }
     }
 
@@ -1489,123 +1287,6 @@ mod tests {
         assert_eq!(buf, encode_patch(&p, WireFormat::Xml));
         encode_patch_into(&mut buf, &p, WireFormat::Columnar);
         assert_eq!(decode_patch(&buf).unwrap(), p);
-    }
-
-    #[test]
-    fn context_frames_roundtrip_and_context_free_frames_stay_v1() {
-        let f = sample_feed();
-        let ctx = TraceContext {
-            trace_id: 0xdead_beef_cafe_f00d,
-            parent_span: 42,
-        };
-        let mut v2 = Vec::new();
-        encode_in_format_with_context_into(&mut v2, &f, WireFormat::Columnar, Some(ctx));
-        assert!(is_columnar(&v2));
-        assert_eq!(&v2[..8], COLUMNAR_MAGIC_V2);
-        assert_eq!(decode_feed_ctx(&v2).unwrap(), (f.clone(), Some(ctx)));
-        assert_eq!(decode_feed(&v2).unwrap(), f);
-        assert_eq!(decode_any_ctx(&v2).unwrap(), (f.clone(), Some(ctx)));
-
-        // Context-free encoding is byte-identical to the V1 encoder, so
-        // pre-extension decoders keep working on everything a new
-        // encoder emits without a context.
-        let mut v1 = Vec::new();
-        encode_in_format_with_context_into(&mut v1, &f, WireFormat::Columnar, None);
-        assert_eq!(v1, encode_feed(&f));
-        assert_eq!(&v1[..8], COLUMNAR_MAGIC);
-        assert_eq!(decode_feed_ctx(&v1).unwrap(), (f.clone(), None));
-
-        // The context costs exactly its 16 bytes.
-        assert_eq!(v2.len(), v1.len() + 16);
-    }
-
-    #[test]
-    fn context_patch_frames_roundtrip() {
-        let p = sample_patch();
-        let ctx = TraceContext {
-            trace_id: 7,
-            parent_span: 9,
-        };
-        for format in [WireFormat::Xml, WireFormat::Columnar] {
-            let mut v2 = Vec::new();
-            encode_patch_with_context_into(&mut v2, &p, format, Some(ctx));
-            assert!(is_patch(&v2));
-            assert_eq!(&v2[..8], PATCH_MAGIC_V2);
-            assert_eq!(decode_patch_ctx(&v2).unwrap(), (p.clone(), Some(ctx)));
-            assert_eq!(decode_patch(&v2).unwrap(), p);
-            // A V2 patch frame still never decodes as a feed.
-            assert!(decode_any(&v2).is_err());
-        }
-        let mut v1 = Vec::new();
-        encode_patch_with_context_into(&mut v1, &p, WireFormat::Columnar, None);
-        assert_eq!(v1, encode_patch(&p, WireFormat::Columnar));
-    }
-
-    #[test]
-    fn context_byte_flips_are_detected() {
-        let mut frame = Vec::new();
-        encode_in_format_with_context_into(
-            &mut frame,
-            &sample_feed(),
-            WireFormat::Columnar,
-            Some(TraceContext {
-                trace_id: u64::MAX,
-                parent_span: 1,
-            }),
-        );
-        for i in 0..frame.len() {
-            let mut damaged = frame.clone();
-            damaged[i] ^= 0x40;
-            assert!(
-                decode_feed_ctx(&damaged).is_err(),
-                "flip at byte {i} went undetected"
-            );
-        }
-        // A V2 frame truncated into its context extension is rejected.
-        for len in 0..24 {
-            assert!(
-                decode_feed_ctx(&frame[..len]).is_err(),
-                "truncated at {len}"
-            );
-        }
-    }
-
-    #[test]
-    fn label_context_roundtrips_and_rejects_malformed_suffixes() {
-        let ctx = TraceContext {
-            trace_id: 0x0123_4567_89ab_cdef,
-            parent_span: u64::MAX,
-        };
-        let label = label_with_context("feed ITEM[0/4]", ctx);
-        assert_eq!(split_label_context(&label), ("feed ITEM[0/4]", Some(ctx)));
-        // Labels without (or with malformed) suffixes come back verbatim.
-        for plain in [
-            "feed ITEM",
-            "feed ctx=zz",
-            " ctx=0123",
-            "x ctx=0123456789abcdef:tooshort",
-            "x ctx=0123456789abcdef;0123456789abcdef",
-        ] {
-            assert_eq!(split_label_context(plain), (plain, None));
-        }
-        // An all-hex label containing " ctx=" mid-string: only a
-        // well-formed *suffix* parses.
-        let nested = label_with_context(
-            &label,
-            TraceContext {
-                trace_id: 1,
-                parent_span: 2,
-            },
-        );
-        let (base, parsed) = split_label_context(&nested);
-        assert_eq!(base, label.as_str());
-        assert_eq!(
-            parsed,
-            Some(TraceContext {
-                trace_id: 1,
-                parent_span: 2
-            })
-        );
     }
 
     #[test]

@@ -13,9 +13,8 @@
 use proptest::prelude::*;
 use std::collections::HashMap;
 use xdx_codec::{
-    decode_any, decode_any_ctx, decode_feed, decode_parts_ctx, encode_feed, encode_in_format_into,
-    encode_in_format_with_context_into, encode_parts_into, is_columnar, is_container,
-    label_with_context, split_label_context, FeedPart, TraceContext, WireFormat, CONTAINER_MAGIC,
+    decode_any, decode_feed, decode_parts, encode_feed, encode_in_format_into, encode_parts_into,
+    is_columnar, is_container, FeedPart, WireFormat, CONTAINER_MAGIC,
 };
 use xdx_net::{Delivery, FaultProfile, Link, NetworkProfile};
 use xdx_relational::feed::fnv1a;
@@ -123,7 +122,7 @@ fn container_of(feeds: &[Feed], format: WireFormat) -> (Vec<u8>, usize) {
         })
         .collect();
     let mut buf = Vec::new();
-    let frames = encode_parts_into(&mut buf, &parts, format, None);
+    let frames = encode_parts_into(&mut buf, &parts, format);
     let header = buf.len() - frames;
     (buf, header)
 }
@@ -189,7 +188,7 @@ fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
 }
 
-/// The specification of a context-free columnar frame, written the
+/// The specification of a columnar frame, written the
 /// obvious way: a row-major pass numbers distinct strings and their
 /// `split(' ')` tokens in first-occurrence order, then one pass per
 /// column writes its tags and one more its payloads.
@@ -291,7 +290,6 @@ proptest! {
     fn containers_roundtrip_their_parts(
         columnar in feeds_strategy(false),
         text in feeds_strategy(true),
-        trace_id in any::<u64>(),
     ) {
         // Empty feeds and (columnar) zero-arity feeds are parts like any
         // other; each part's frame sits in the container exactly as the
@@ -307,8 +305,7 @@ proptest! {
                 at += frame.len();
             }
             prop_assert_eq!(at, body.len());
-            let (parts, ctx) = decode_parts_ctx(&body).expect("intact container decodes");
-            prop_assert!(ctx.is_none());
+            let parts = decode_parts(&body).expect("intact container decodes");
             prop_assert_eq!(parts.len(), feeds.len());
             for (i, ((label, back), feed)) in parts.iter().zip(feeds).enumerate() {
                 prop_assert_eq!(label.as_deref(), Some(format!("part-{i}").as_str()));
@@ -317,18 +314,6 @@ proptest! {
             // A container is not a feed.
             prop_assert!(decode_any(&body).is_err());
         }
-        // One context per message: it rides the first columnar part.
-        let ctx = TraceContext { trace_id, parent_span: 1 };
-        let parts: Vec<FeedPart<'_>> = columnar
-            .iter()
-            .map(|f| FeedPart { label: "p", schema: &f.schema, rows: &f.rows })
-            .collect();
-        let mut plain = Vec::new();
-        let mut traced = Vec::new();
-        let plain_frames = encode_parts_into(&mut plain, &parts, WireFormat::Columnar, None);
-        let traced_frames = encode_parts_into(&mut traced, &parts, WireFormat::Columnar, Some(ctx));
-        prop_assert_eq!(traced_frames, plain_frames + 16);
-        prop_assert_eq!(decode_parts_ctx(&traced).expect("traced container").1, Some(ctx));
     }
 
     #[test]
@@ -345,13 +330,13 @@ proptest! {
         let format = format_of(xml);
         let part = FeedPart { label: "only", schema: &feed.schema, rows: &feed.rows };
         let mut body = Vec::new();
-        let frames = encode_parts_into(&mut body, &[part], format, None);
+        let frames = encode_parts_into(&mut body, &[part], format);
         let mut frame = Vec::new();
         encode_in_format_into(&mut frame, &feed, format);
         prop_assert_eq!(&body, &frame);
         prop_assert_eq!(frames, frame.len());
         prop_assert!(!is_container(&body));
-        let (parts, _) = decode_parts_ctx(&body).expect("bare frame decodes");
+        let parts = decode_parts(&body).expect("bare frame decodes");
         prop_assert_eq!(parts, vec![(None, feed)]);
     }
 
@@ -373,16 +358,16 @@ proptest! {
             let bit = pos % (body.len() * 8);
             let mut damaged = body.clone();
             damaged[bit / 8] ^= 1 << (bit % 8);
-            if let Ok((parts, _)) = decode_parts_ctx(&damaged) {
+            if let Ok(parts) = decode_parts(&damaged) {
                 prop_assert!(format == WireFormat::Xml, "columnar bit {} went undetected", bit);
-                prop_assert_eq!(parts, decode_parts_ctx(&body).expect("intact").0);
+                prop_assert_eq!(parts, decode_parts(&body).expect("intact"));
             }
             // Truncated anywhere, or followed by anything.
             let cut = cut.min(body.len());
-            prop_assert!(decode_parts_ctx(&body[..body.len() - cut]).is_err());
+            prop_assert!(decode_parts(&body[..body.len() - cut]).is_err());
             let mut padded = body.clone();
             padded.extend_from_slice(&extra);
-            prop_assert!(decode_parts_ctx(&padded).is_err());
+            prop_assert!(decode_parts(&padded).is_err());
             // Lying lengths under a valid checksum: the header of a
             // container whose first part lost its last row, over these
             // frames. (A zero-arity row takes no bytes: same header.)
@@ -392,7 +377,7 @@ proptest! {
             if other[..other_header] != body[..header] {
                 let mut lying = other[..other_header].to_vec();
                 lying.extend_from_slice(&body[header..]);
-                prop_assert!(decode_parts_ctx(&lying).is_err());
+                prop_assert!(decode_parts(&lying).is_err());
             }
         }
     }
@@ -401,11 +386,11 @@ proptest! {
     fn the_parts_decoder_never_panics_on_arbitrary_bytes(
         bytes in proptest::collection::vec(any::<u8>(), 0..300),
     ) {
-        let _ = decode_parts_ctx(&bytes);
+        let _ = decode_parts(&bytes);
         // Past the sniff: arbitrary bytes behind the container magic.
         let mut behind_magic = CONTAINER_MAGIC.to_vec();
         behind_magic.extend_from_slice(&bytes);
-        let _ = decode_parts_ctx(&behind_magic);
+        let _ = decode_parts(&behind_magic);
     }
 
     #[test]
@@ -516,90 +501,6 @@ proptest! {
     ) {
         let _ = decode_feed(&bytes);
         let _ = decode_any(&bytes);
-    }
-
-    #[test]
-    fn context_free_frames_stay_v1_and_decode_both_ways(
-        ncols in 0usize..=MAX_ARITY,
-        roles in roles_strategy(),
-        rows in rows_strategy(),
-    ) {
-        // The V2 extension is strictly opt-in: a context-free encode
-        // through the context-aware entry point is byte-identical to
-        // the V1 encoder, the V1 decoder reads it, and the V2 decoder
-        // reports no context.
-        let feed = build_feed(ncols, &roles, rows);
-        let mut v2_path = Vec::new();
-        encode_in_format_with_context_into(&mut v2_path, &feed, WireFormat::Columnar, None);
-        prop_assert_eq!(&v2_path, &encode_feed(&feed));
-        prop_assert_eq!(decode_any(&v2_path).expect("v1 decoder"), feed.clone());
-        let (back, ctx) = decode_any_ctx(&v2_path).expect("v2 decoder");
-        prop_assert_eq!(back, feed);
-        prop_assert!(ctx.is_none());
-    }
-
-    #[test]
-    fn context_frames_roundtrip_and_old_decoder_drops_context(
-        ncols in 0usize..=MAX_ARITY,
-        roles in roles_strategy(),
-        rows in rows_strategy(),
-        trace_id in any::<u64>(),
-        parent_span in any::<u64>(),
-    ) {
-        // A frame carrying context decodes to the identical feed under
-        // both decoder generations: the V2 decoder recovers the exact
-        // context, the V1-era sniffing decoder ignores the extension.
-        let feed = build_feed(ncols, &roles, rows);
-        let ctx = TraceContext { trace_id, parent_span };
-        let mut frame = Vec::new();
-        encode_in_format_with_context_into(&mut frame, &feed, WireFormat::Columnar, Some(ctx));
-        prop_assert!(is_columnar(&frame));
-        let (back, rctx) = decode_any_ctx(&frame).expect("v2 decoder");
-        prop_assert_eq!(back, feed.clone());
-        prop_assert_eq!(rctx, Some(ctx));
-        prop_assert_eq!(decode_any(&frame).expect("v1 decoder drops context"), feed);
-    }
-
-    #[test]
-    fn corrupt_context_extension_bytes_fail_the_checksum(
-        ncols in 0usize..=MAX_ARITY,
-        roles in roles_strategy(),
-        rows in rows_strategy(),
-        trace_id in any::<u64>(),
-        parent_span in any::<u64>(),
-        bit in 0usize..128,
-    ) {
-        // The 16 context bytes sit at offsets 8..24, inside the
-        // checksummed region: any bit flipped there must fail the
-        // whole-frame digest, never decode with a mangled trace id.
-        let feed = build_feed(ncols, &roles, rows);
-        let ctx = TraceContext { trace_id, parent_span };
-        let mut frame = Vec::new();
-        encode_in_format_with_context_into(&mut frame, &feed, WireFormat::Columnar, Some(ctx));
-        let mut damaged = frame.clone();
-        let pos = 8 + bit / 8;
-        damaged[pos] ^= 1 << (bit % 8);
-        prop_assert!(decode_any_ctx(&damaged).is_err());
-        prop_assert!(decode_any(&damaged).is_err());
-    }
-
-    #[test]
-    fn label_context_suffix_is_exactly_invertible(
-        label in "[a-zA-Z0-9 .→-]{0,40}",
-        trace_id in any::<u64>(),
-        parent_span in any::<u64>(),
-    ) {
-        // The XML-text propagation channel: appending a context suffix
-        // to any shipment label and splitting it back recovers both
-        // halves exactly, and a bare label splits to no context.
-        let ctx = TraceContext { trace_id, parent_span };
-        let tagged = label_with_context(&label, ctx);
-        let (base, back) = split_label_context(&tagged);
-        prop_assert_eq!(base, label.as_str());
-        prop_assert_eq!(back, Some(ctx));
-        let (bare, none) = split_label_context(&label);
-        prop_assert_eq!(bare, label.as_str());
-        prop_assert!(none.is_none());
     }
 
     #[test]

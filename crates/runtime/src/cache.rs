@@ -188,14 +188,18 @@ impl PlanCache {
 /// Computes the stable two-part cache key of an exchange. The optimizer
 /// is part of the shape: sessions planned greedily and sessions planned
 /// with the exhaustive ordering search must not share one cached program.
-/// So is the delta `(base_version, head_version)` pair when present: a
-/// delta session's plan embeds which snapshot it diffs against, and a
-/// full-ship session (`versions: None`) must not replay a delta plan —
-/// nor may two deltas against different version pairs share one. And so
-/// is the model's fanout: the subscriber count moves the placement
+/// So is the model's fanout: the subscriber count moves the placement
 /// trade-off, so groups of different sizes must not share a program. A
 /// fanout of one contributes no bytes — a publish group of one *is* a
 /// two-site session, and the two share cache entries.
+///
+/// The delta `(base_version, head_version)` pair, when present, keeps a
+/// delta session's entry apart from a full ship's (`versions: None`) and
+/// from other version pairs'. The plan does not depend on it:
+/// [`CachedPlan`] holds no version, the optimizer never sees one, and the
+/// patch is diffed against its base after planning. So each delta round
+/// misses and adds an entry no later round looks up, and the map has no
+/// bound.
 pub fn plan_key(
     source: &Fragmentation,
     target: &Fragmentation,

@@ -33,10 +33,7 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use xdx_codec::{
-    decode_parts_ctx, decode_patch_ctx, encode_parts_into, encode_patch_with_context_into,
-    is_patch, label_with_context, split_label_context, FeedPart, TraceContext,
-};
+use xdx_codec::{decode_parts, decode_patch, encode_parts_into, encode_patch_into, FeedPart};
 use xdx_core::exec::{
     batch_ranges, commit_and_index, cross_ports_in_consumer_order, execute_in_place,
     execute_source_phase_streaming, execute_target_phase, CrossPort, ExecOutcome,
@@ -50,31 +47,15 @@ use xdx_trace::{SpanId, NO_SPAN};
 
 /// The distributed trace id a session's spans stitch under: the
 /// publish group's span for multicast lanes (so one publish is one
-/// tree), the session's own root span otherwise.
+/// tree), the session's own root span otherwise. Every lane of a group
+/// shares it, so a receiver span takes it from the lane that records
+/// it, never from the frame.
 pub(crate) fn session_trace_id(shared: &SessionShared) -> u64 {
     if shared.root_parent != NO_SPAN {
         shared.root_parent
     } else {
         shared.root_span
     }
-}
-
-/// The trace context a shipment out of `shared` carries on the wire:
-/// columnar frames fold it into their header extension, XML-text
-/// shipments append it to the chunk label. `None` when tracing is off
-/// (frames stay byte-identical to the context-free form).
-fn wire_context(shared: &SessionShared, parent_span: SpanId) -> Option<TraceContext> {
-    (shared.root_span != NO_SPAN).then(|| TraceContext {
-        trace_id: session_trace_id(shared),
-        parent_span,
-    })
-}
-
-/// Trace context off a received SOAP request's `SOAPAction` header (the
-/// label channel XML-text shipments use; the header value is quoted on
-/// the wire).
-fn soap_action_context(request: &RequestRef<'_>) -> Option<TraceContext> {
-    split_label_context(request.header("SOAPAction")?.trim_matches('"')).1
 }
 
 /// Stable identity of a route's versioned feed log: the endpoint pair
@@ -291,11 +272,9 @@ pub(crate) struct Group {
     /// The shape half of the plan-cache key, for session-drift
     /// calibration; `None` when the plan was not probed for here.
     plan_shape: Option<u64>,
+    /// Parent of every lane's shipping, decode, stage and settle spans.
     exec_span: SpanId,
     exec_started: Instant,
-    /// The trace context every frame carries: receiver spans of every
-    /// lane stitch under the group's exec span.
-    ctx: Option<TraceContext>,
     ring: Vec<Slot>,
     /// First ring slot some live lane has yet to submit.
     floor: usize,
@@ -532,7 +511,6 @@ impl Inner {
             plan_shape,
             exec_span,
             exec_started,
-            ctx: wire_context(&lanes[0].shared, exec_span),
             ring: Vec::new(),
             floor: 0,
             lanes,
@@ -590,18 +568,7 @@ impl Inner {
         };
         let steps = patch.step_count();
         let mut bytes = Vec::new();
-        encode_patch_with_context_into(&mut bytes, &patch, group.wire_format, group.ctx);
-        // A resumed patch session must re-ship frames byte-identical to
-        // the failed run's — the ledger checkpoint hashes the message,
-        // and a fresh encode embeds *this* run's trace context. Price
-        // (and ship) the persisted bytes instead, exactly as feed
-        // batches replay theirs. The patch is always shipment 0 (a
-        // stored shipment 0 that is not a patch is a feed batch of a run
-        // that chose the full ship — which this run will choose again).
-        let stored = self.ledger.stored_message(id, 0);
-        let bytes = stored
-            .filter(|m| is_patch(m))
-            .unwrap_or_else(|| Arc::new(bytes));
+        encode_patch_into(&mut bytes, &patch, group.wire_format);
         let patch_cost = self.config.w_comm * bytes.len() as f64
             + PATCH_STEP_FACTOR * steps as f64 / request.target_profile.speed;
         let full_cost = self.config.w_comm * group.plan.comm_bytes as f64;
@@ -627,7 +594,7 @@ impl Inner {
         group.ring.push(Slot {
             label: "delta-patch".into(),
             parts: Vec::new(),
-            frame: Some(bytes),
+            frame: Some(Arc::new(bytes)),
         });
         false
     }
@@ -644,21 +611,17 @@ impl Inner {
         let lane = &mut group.lanes[0];
         let (id, exec_span) = (lane.shared.id, group.exec_span);
         let decode_started = Instant::now();
-        let staged = decode_patch_ctx(delivered).and_then(|(decoded, rctx)| {
-            if let Some(ctx) = rctx {
-                // Receiver-side decode span, stitched from the frame's
-                // propagated context.
-                self.trace.record_with_context(
-                    self.trace.allocate_id(),
-                    "decode",
-                    id,
-                    ctx.parent_span,
-                    ctx.trace_id,
-                    decode_started,
-                    decode_started.elapsed(),
-                    format!("patch v{}→v{}", decoded.base_version, decoded.head_version),
-                );
-            }
+        let staged = decode_patch(delivered).and_then(|decoded| {
+            self.trace.record_with_context(
+                self.trace.allocate_id(),
+                "decode",
+                id,
+                exec_span,
+                session_trace_id(&lane.shared),
+                decode_started,
+                decode_started.elapsed(),
+                format!("patch v{}→v{}", decoded.base_version, decoded.head_version),
+            );
             // An ordinary patch must be based on the route head (a
             // non-head base means the subscriber's precondition is
             // stale). A chain-composed patch is *deliberately* based
@@ -1002,8 +965,8 @@ impl Inner {
     }
 
     /// The wire message of ring slot `seq`, encoded by the first lane to
-    /// need it: encode → tally → `encode` span → SOAP-wrap with the
-    /// context label. A slot of one part is that part's bare frame, a
+    /// need it: encode → tally → `encode` span → SOAP-wrap under the
+    /// slot's label. A slot of one part is that part's bare frame, a
     /// slot of several is one container around them. A sole lane bills
     /// the encode to its own metrics; a shared ring bills the group,
     /// once, however many lanes ship it. The bill is one message and the
@@ -1032,11 +995,7 @@ impl Inner {
                 }
             })
             .collect();
-        // Trace context rides the shipment: columnar frames carry it in
-        // their header extension, XML text in the SOAPAction label —
-        // either way every receiver stitches its decode/stage spans
-        // under the group's exec span.
-        let len = encode_parts_into(&mut group.encode_buf, &parts, group.wire_format, group.ctx);
+        let len = encode_parts_into(&mut group.encode_buf, &parts, group.wire_format);
         drop(parts);
         for part in &mut slot.parts {
             part.feed = None;
@@ -1066,11 +1025,7 @@ impl Inner {
             Duration::from_nanos(ns),
             format!("{len} bytes for {lanes} lane(s)"),
         );
-        let soap_label = match (group.wire_format, group.ctx) {
-            (WireFormat::Xml, Some(ctx)) => label_with_context(&slot.label, ctx),
-            _ => slot.label.clone(),
-        };
-        let frame = Arc::new(soap_post_bytes("/exchange", &soap_label, &group.encode_buf));
+        let frame = Arc::new(soap_post_bytes("/exchange", &slot.label, &group.encode_buf));
         slot.frame = Some(Arc::clone(&frame));
         frame
     }
@@ -1144,13 +1099,14 @@ impl Inner {
 
     /// Parses a delivered slot — once per group: every lane receives
     /// byte-identical frames, so the first absorber decodes (its `decode`
-    /// span stitches under the trace context the frame, or the
-    /// SOAPAction label for XML text, carries) and later lanes share the
-    /// feeds' rows: a lane with nothing delivered on a port yet adopts
-    /// the row set as it is, one that already holds a batch of the port
-    /// appends (copying what it shares). The parts that arrived must be
-    /// the parts the slot sent, label for label. The decode bill, like
-    /// the encode bill, is per *frame*.
+    /// span goes under the group's exec span, in the trace of the run
+    /// absorbing it — a resumed run's own, whichever run's ledger stored
+    /// the bytes) and later lanes share the feeds' rows: a lane with
+    /// nothing delivered on a port yet adopts the row set as it is, one
+    /// that already holds a batch of the port appends (copying what it
+    /// shares). The parts that arrived must be the parts the slot sent,
+    /// label for label. The decode bill, like the encode bill, is per
+    /// *frame*.
     fn decode_once(
         &self,
         group: &mut Group,
@@ -1163,7 +1119,7 @@ impl Inner {
         }
         let decode_started = Instant::now();
         let arrived = RequestRef::parse(delivered).map_err(|e| e.to_string())?;
-        let (parts, ctx) = decode_parts_ctx(arrived.body).map_err(|e| e.to_string())?;
+        let parts = decode_parts(arrived.body).map_err(|e| e.to_string())?;
         let sent = group.ring.get(seq as usize).map_or(&[][..], |s| &s.parts);
         let as_sent = parts.len() == sent.len()
             && parts
@@ -1178,16 +1134,12 @@ impl Inner {
             ));
         }
         let shared = &group.lanes[li].shared;
-        let (parent, trace_id) = ctx.or_else(|| soap_action_context(&arrived)).map_or_else(
-            || (group.exec_span, session_trace_id(shared)),
-            |c| (c.parent_span, c.trace_id),
-        );
         self.trace.record_with_context(
             self.trace.allocate_id(),
             "decode",
             shared.id,
-            parent,
-            trace_id,
+            group.exec_span,
+            session_trace_id(shared),
             decode_started,
             decode_started.elapsed(),
             format!("batch {seq}, {} part(s)", parts.len()),

@@ -1,5 +1,6 @@
-//! Integration tests of the cross-site observability surface: trace
-//! context propagation and stitching across a multicast publish,
+//! Integration tests of the cross-site observability surface: receiver
+//! spans stitched into one trace across a multicast publish and across
+//! failure and resume,
 //! critical-path extraction, anomaly dumps of the event log, and the
 //! live introspection endpoint. (The completeness audit of the
 //! exposition against `RuntimeStats`/`LinkStats` reads the series table
@@ -10,7 +11,8 @@ use std::net::TcpStream;
 use std::time::Duration;
 use xdx_net::{BurstLoss, FaultProfile};
 use xdx_runtime::{
-    ExchangeRequest, PublishRequest, Runtime, RuntimeConfig, SessionState, ShippingPolicy, STAGES,
+    ExchangeRequest, PublishRequest, Runtime, RuntimeConfig, SessionState, ShippingPolicy,
+    WireFormat, STAGES,
 };
 use xdx_xmark::{churn, generate, lf, load_source, mf, schema, GenConfig};
 
@@ -281,6 +283,88 @@ fn multicast_publish_stitches_one_trace_across_three_subscribers() {
         );
     }
     runtime.shutdown();
+}
+
+/// A resume ships the ledger's stored bytes, which the failed run
+/// encoded; the receiver spans they trigger still belong to the run that
+/// absorbs them. In both wire formats, every `decode` and `stage` span
+/// the resumed run records carries the resumed root's trace id and cites
+/// a live parent.
+#[test]
+fn resumed_session_records_its_receiver_spans_in_its_own_trace() {
+    let schema_tree = schema();
+    let doc = generate(GenConfig::sized(12_000));
+    let (mf, lf) = (mf(&schema_tree), lf(&schema_tree));
+    for format in [WireFormat::Xml, WireFormat::Columnar] {
+        // Under seed 34 the session fails after five chunks have landed,
+        // in either format.
+        let runtime = Runtime::start(
+            schema_tree.clone(),
+            RuntimeConfig::default()
+                .with_workers(1)
+                .with_fault_profile(FaultProfile {
+                    drop_probability: 0.35,
+                    seed: 34,
+                    ..FaultProfile::healthy()
+                })
+                .with_shipping(ShippingPolicy {
+                    chunk_bytes: 1024,
+                    max_attempts_per_chunk: 3,
+                    retry_budget: 16,
+                    backoff_base: Duration::from_millis(1),
+                    ..ShippingPolicy::default()
+                }),
+        );
+        let handle = runtime
+            .submit(
+                ExchangeRequest::new(
+                    "resumed",
+                    load_source(&doc, &schema_tree, &mf).unwrap(),
+                    mf.clone(),
+                    lf.clone(),
+                )
+                .with_wire_format(format),
+            )
+            .unwrap();
+        let session = handle.id();
+        let failed = handle.wait();
+        assert_eq!(failed.state, SessionState::Failed, "{format}");
+        runtime.set_fault_profile(FaultProfile::healthy());
+        let result = runtime.resume(session).expect("resumable").wait();
+        assert_eq!(result.state, SessionState::Done, "{:?}", result.diagnostic);
+        assert!(
+            result.metrics.chunks_resumed > 0,
+            "{format}: nothing replayed"
+        );
+
+        let trace = runtime.trace_jsonl();
+        let ids: std::collections::HashSet<u64> =
+            trace.lines().map(|l| json_u64(l, "span")).collect();
+        let of_session = |name: &'static str| {
+            trace
+                .lines()
+                .filter(move |l| json_u64(l, "tid") == session && json_name(l) == name)
+        };
+        // Both runs record a root; the resumed one is allocated last, and
+        // every span of the resumed run after it.
+        let root = of_session("session")
+            .map(|l| json_u64(l, "span"))
+            .max()
+            .expect("session roots");
+        let resumed: Vec<&str> = of_session("decode")
+            .chain(of_session("stage"))
+            .filter(|l| json_u64(l, "span") > root)
+            .collect();
+        assert!(
+            resumed.iter().any(|l| json_name(l) == "decode"),
+            "{format}: the resumed run decoded nothing: {trace}"
+        );
+        for line in resumed {
+            assert_eq!(json_u64(line, "trace"), root, "{format}: {line}");
+            assert!(ids.contains(&json_u64(line, "parent")), "{format}: {line}");
+        }
+        runtime.shutdown();
+    }
 }
 
 /// Critical-path extraction must attribute ≥95% of each completed

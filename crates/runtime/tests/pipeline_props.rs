@@ -15,7 +15,7 @@
 use proptest::prelude::*;
 use std::ops::Range;
 use xdx_codec::{
-    decode_any, decode_parts_ctx, encode_in_format_into, encode_parts_into, FeedPart, WireFormat,
+    decode_any, decode_parts, encode_in_format_into, encode_parts_into, FeedPart, WireFormat,
 };
 use xdx_core::exec::{
     batch_ranges, execute_in_place, execute_with_transport, feed_batches, LoopbackTransport,
@@ -206,8 +206,8 @@ proptest! {
                         rows: &feeds[*f].rows[rows.clone()],
                     })
                     .collect();
-                encode_parts_into(&mut buf, &parts, format, None);
-                let (arrived, _) = decode_parts_ctx(&buf).expect("own encoding decodes");
+                encode_parts_into(&mut buf, &parts, format);
+                let arrived = decode_parts(&buf).expect("own encoding decodes");
                 prop_assert_eq!(arrived.len(), slot.len());
                 for ((label, part), (f, _)) in arrived.into_iter().zip(slot) {
                     // A bare frame carries no label; a container names

@@ -9,7 +9,7 @@ use xdx_runtime::{
     CalibrationConfig, EventKind, ExchangeRequest, PublishRequest, Runtime, RuntimeConfig,
     SessionState, ShippingPolicy, WireFormat,
 };
-use xdx_xmark::{generate, lf, load_source, mf, schema, GenConfig};
+use xdx_xmark::{churn, generate, lf, load_source, mf, schema, GenConfig};
 
 /// Submits `n` mixed-direction sessions round-robin over `pairs`
 /// endpoint pairs and waits for all of them, asserting success.
@@ -276,6 +276,60 @@ fn tracing_off_records_no_spans_but_keeps_counters() {
     let stats = runtime.shutdown();
     assert_eq!(stats.completed, 2);
     assert!(stats.latency_percentile(50.0).is_some());
+}
+
+/// Tracing changes no byte on the wire: frames carry rows, not span
+/// ids, so a columnar MF→LF exchange, an XML LF→MF one and a columnar
+/// delta round ship and encode the same bytes with tracing on and off.
+#[test]
+fn tracing_changes_no_byte_on_the_wire() {
+    let schema = schema();
+    let (mf, lf) = (mf(&schema), lf(&schema));
+    let doc = generate(GenConfig::sized(20_000));
+    let changed = churn(&doc, 5, 7);
+    let bill = |tracing: bool| {
+        let runtime = Runtime::start(
+            schema.clone(),
+            RuntimeConfig::default()
+                .with_workers(1)
+                .with_tracing(tracing),
+        );
+        let exchanges = [
+            (&doc, &mf, &lf, WireFormat::Columnar, None),
+            (&doc, &lf, &mf, WireFormat::Xml, None),
+            (&changed, &mf, &lf, WireFormat::Columnar, Some(1)),
+        ];
+        let bills: Vec<_> = exchanges
+            .into_iter()
+            .map(|(doc, from, to, format, base)| {
+                let mut request = ExchangeRequest::new(
+                    format!("{format}"),
+                    load_source(doc, &schema, from).unwrap(),
+                    from.clone(),
+                    to.clone(),
+                )
+                .with_wire_format(format);
+                if let Some(base) = base {
+                    request = request.with_base_version(base);
+                }
+                let result = runtime.submit(request).unwrap().wait();
+                assert_eq!(result.state, SessionState::Done, "{:?}", result.diagnostic);
+                assert_eq!(
+                    result.metrics.delta_patches_applied,
+                    u64::from(base.is_some())
+                );
+                let m = result.metrics;
+                (m.bytes_shipped, m.bytes_encoded, m.delta_patch_bytes)
+            })
+            .collect();
+        runtime.shutdown();
+        bills
+    };
+    assert_eq!(
+        bill(true),
+        bill(false),
+        "(bytes shipped, encoded, patch bytes)"
+    );
 }
 
 /// Calibration fills its operator and communication cells under both

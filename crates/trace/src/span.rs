@@ -105,8 +105,8 @@ impl TraceSink {
 
     /// [`record_with_id`](TraceSink::record_with_id) with an explicit
     /// trace id — the form used for spans that belong to a distributed
-    /// trace (session roots and receiver-side spans stitched from a
-    /// propagated wire context).
+    /// trace (session roots, and receiver-side spans stitched under the
+    /// exchange that shipped what they absorb).
     #[allow(clippy::too_many_arguments)]
     pub fn record_with_context(
         &self,

@@ -99,10 +99,10 @@ fn main() {
     }
 
     // A 1→3 multicast publish over Gilbert–Elliott bursty subscriber
-    // links: one shared encode feeds three lanes, and the shipped
-    // frames carry the group's trace context, so the receiver-side
-    // decode/stage/settle spans on all three subscribers stitch under
-    // a single `publish-group` root — one distributed trace tree.
+    // links: one shared encode feeds three lanes, and every lane
+    // records its receiver-side decode/stage/settle spans under the
+    // group's exec span, so all three subscribers stitch under a
+    // single `publish-group` root — one distributed trace tree.
     for i in 0..3 {
         runtime.set_link_fault_profile(
             DEFAULT_SOURCE_ENDPOINT,
