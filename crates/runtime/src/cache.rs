@@ -1,16 +1,21 @@
-//! The plan cache: concurrent sessions exchanging the same *shape* of
-//! data reuse one optimized program instead of re-running the optimizer.
+//! The plan cache: a memo of the optimizer. Concurrent sessions
+//! exchanging the same *shape* of data reuse one optimized program
+//! instead of re-running the optimizer.
 //!
-//! The cache key has two halves. The **shape** half hashes everything
-//! structural the optimizer's answer depends on: both fragmentations
-//! (roots and element sets, not names — renaming a fragment does not
-//! change the plan), the cost-model weights and both system profiles.
-//! The **stats** half hashes the probed document statistics. Entries are
-//! stored per shape and remember the stats they were planned under:
+//! The cache key is the optimizer's inputs and nothing else, in two
+//! halves. The **shape** half hashes everything structural: both
+//! fragmentations (roots and element sets, not names — renaming a
+//! fragment does not change the plan), the optimizer, the cost-model
+//! weights, wire format and fanout, and both system profiles. The
+//! **stats** half hashes the probed document statistics. Entries are
+//! stored per shape and remember the stats they were planned under.
 //!
-//! a lookup whose stats hash *drifted* (the source data changed enough
-//! to re-probe differently) evicts the stale plan instead of serving a
-//! program optimized for data that no longer exists.
+//! The one invalidation rule is a key mismatch: a lookup whose stats
+//! hash moved (the source data changed enough to re-probe differently)
+//! evicts the stale plan, and the re-plan replaces the shape's entry.
+//! Equal keys mean equal inputs, and the optimizer is deterministic, so
+//! nothing else — elapsed time, observed cost — can make a cached
+//! program wrong.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -80,7 +85,8 @@ struct Entry {
     stats: u64,
 }
 
-/// Thread-shared map from plan shape to optimized program, with
+/// Thread-shared memo from plan shape to optimized program: one entry
+/// per shape, replaced only when the stats half of the key moves, with
 /// hit/miss/eviction counters.
 #[derive(Debug, Default)]
 pub struct PlanCache {
@@ -88,7 +94,6 @@ pub struct PlanCache {
     hits: AtomicU64,
     misses: AtomicU64,
     stats_evicted: AtomicU64,
-    drift_evicted: AtomicU64,
 }
 
 impl PlanCache {
@@ -121,7 +126,7 @@ impl PlanCache {
 
     /// Stores a freshly planned program and returns the shared copy
     /// (the already-present one if a racing session with the same stats
-    /// inserted first; a drifted resident is replaced).
+    /// inserted first; a resident planned under other stats is replaced).
     pub fn insert(&self, key: PlanKey, plan: CachedPlan) -> Arc<CachedPlan> {
         let mut map = self.map.lock().unwrap();
         match map.get(&key.shape) {
@@ -150,28 +155,9 @@ impl PlanCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Entries evicted because the probed statistics drifted.
+    /// Entries evicted because the probed statistics moved.
     pub fn stats_evicted(&self) -> u64 {
         self.stats_evicted.load(Ordering::Relaxed)
-    }
-
-    /// Entries evicted because cost-model calibration reported
-    /// sustained predicted-vs-observed drift.
-    pub fn drift_evicted(&self) -> u64 {
-        self.drift_evicted.load(Ordering::Relaxed)
-    }
-
-    /// Drops the cached plan for `shape` after calibration declared the
-    /// model drifted there: the program was optimized under a cost
-    /// model whose predictions no longer track reality, so the next
-    /// session re-plans (and re-learns a baseline). Returns whether an
-    /// entry was actually evicted.
-    pub fn evict_drifted(&self, shape: u64) -> bool {
-        let evicted = self.map.lock().unwrap().remove(&shape).is_some();
-        if evicted {
-            self.drift_evicted.fetch_add(1, Ordering::Relaxed);
-        }
-        evicted
     }
 
     /// Distinct plans cached.
@@ -193,30 +179,21 @@ impl PlanCache {
 /// fanout of one contributes no bytes — a publish group of one *is* a
 /// two-site session, and the two share cache entries.
 ///
-/// The delta `(base_version, head_version)` pair, when present, keeps a
-/// delta session's entry apart from a full ship's (`versions: None`) and
-/// from other version pairs'. The plan does not depend on it:
-/// [`CachedPlan`] holds no version, the optimizer never sees one, and the
-/// patch is diffed against its base after planning. So each delta round
-/// misses and adds an entry no later round looks up, and the map has no
-/// bound.
+/// A delta round keys like a full ship of the same document: the
+/// optimizer never sees a feed version, [`CachedPlan`] holds none, and
+/// the patch is diffed against its base after planning. So a route's
+/// delta rounds and full ships share its one entry.
 pub fn plan_key(
     source: &Fragmentation,
     target: &Fragmentation,
     model: &CostModel,
     optimizer: Optimizer,
-    versions: Option<(u64, u64)>,
 ) -> PlanKey {
     let mut shape = Vec::with_capacity(256);
     let push = |bytes: &mut Vec<u8>, v: u64| bytes.extend_from_slice(&v.to_le_bytes());
     if model.fanout > 1 {
         push(&mut shape, 0x4D);
         push(&mut shape, model.fanout as u64);
-    }
-    if let Some((base, head)) = versions {
-        push(&mut shape, 0x44);
-        push(&mut shape, base);
-        push(&mut shape, head);
     }
     match optimizer {
         Optimizer::Greedy => push(&mut shape, 0x47),
@@ -304,8 +281,8 @@ mod tests {
         let lf = Fragmentation::least_fragmented("LF", &s);
         let m = model(&s, 0.05);
         assert_eq!(
-            plan_key(&mf_a, &lf, &m, Optimizer::Greedy, None),
-            plan_key(&mf_b, &lf, &m, Optimizer::Greedy, None)
+            plan_key(&mf_a, &lf, &m, Optimizer::Greedy),
+            plan_key(&mf_b, &lf, &m, Optimizer::Greedy)
         );
     }
 
@@ -315,21 +292,18 @@ mod tests {
         let mf = Fragmentation::most_fragmented("MF", &s);
         let lf = Fragmentation::whole_document("WD", &s);
         let m = model(&s, 0.05);
-        let base = plan_key(&mf, &lf, &m, Optimizer::Greedy, None);
+        let base = plan_key(&mf, &lf, &m, Optimizer::Greedy);
         // Reversed direction is a different plan shape.
-        assert_ne!(
-            base.shape,
-            plan_key(&lf, &mf, &m, Optimizer::Greedy, None).shape
-        );
+        assert_ne!(base.shape, plan_key(&lf, &mf, &m, Optimizer::Greedy).shape);
         // A different communication weight is a different plan shape.
         assert_ne!(
             base.shape,
-            plan_key(&mf, &lf, &model(&s, 5.0), Optimizer::Greedy, None).shape
+            plan_key(&mf, &lf, &model(&s, 5.0), Optimizer::Greedy).shape
         );
         // Different statistics keep the shape but move the stats hash.
         let mut fatter = m.clone();
         fatter.stats.counts[2] += 100;
-        let drifted = plan_key(&mf, &lf, &fatter, Optimizer::Greedy, None);
+        let drifted = plan_key(&mf, &lf, &fatter, Optimizer::Greedy);
         assert_eq!(base.shape, drifted.shape);
         assert_ne!(base.stats, drifted.stats);
         // A dumb-client target is a different plan shape.
@@ -337,7 +311,7 @@ mod tests {
         dumb.target.can_combine = false;
         assert_ne!(
             base.shape,
-            plan_key(&mf, &lf, &dumb, Optimizer::Greedy, None).shape
+            plan_key(&mf, &lf, &dumb, Optimizer::Greedy).shape
         );
         // A columnar link is a different plan shape: its cheaper wire
         // moves the placement trade-off.
@@ -345,44 +319,46 @@ mod tests {
         columnar.wire_format = WireFormat::Columnar;
         assert_ne!(
             base.shape,
-            plan_key(&mf, &lf, &columnar, Optimizer::Greedy, None).shape
+            plan_key(&mf, &lf, &columnar, Optimizer::Greedy).shape
         );
         // A different optimizer is a different plan shape too: greedy
         // and exhaustive sessions must not share a cached program.
         assert_ne!(
             base.shape,
-            plan_key(&mf, &lf, &m, Optimizer::Optimal { ordering_cap: 6 }, None).shape
+            plan_key(&mf, &lf, &m, Optimizer::Optimal { ordering_cap: 6 }).shape
         );
         assert_ne!(
-            plan_key(&mf, &lf, &m, Optimizer::Optimal { ordering_cap: 6 }, None).shape,
-            plan_key(&mf, &lf, &m, Optimizer::Optimal { ordering_cap: 8 }, None).shape
+            plan_key(&mf, &lf, &m, Optimizer::Optimal { ordering_cap: 6 }).shape,
+            plan_key(&mf, &lf, &m, Optimizer::Optimal { ordering_cap: 8 }).shape
         );
-    }
-
-    #[test]
-    fn version_pair_discriminates_plan_shapes() {
-        // Regression: delta sessions fold the (base_version,
-        // head_version) pair into the key. Before that, a delta plan
-        // against v3 could be replayed for a full ship — or for a delta
-        // against a different base — shipping the wrong bytes.
-        let s = schema();
-        let mf = Fragmentation::most_fragmented("MF", &s);
-        let lf = Fragmentation::least_fragmented("LF", &s);
-        let m = model(&s, 0.05);
-        let full = plan_key(&mf, &lf, &m, Optimizer::Greedy, None);
-        let d34 = plan_key(&mf, &lf, &m, Optimizer::Greedy, Some((3, 4)));
-        let d24 = plan_key(&mf, &lf, &m, Optimizer::Greedy, Some((2, 4)));
-        let d35 = plan_key(&mf, &lf, &m, Optimizer::Greedy, Some((3, 5)));
-        assert_ne!(full.shape, d34.shape, "delta vs full");
-        assert_ne!(d34.shape, d24.shape, "base version matters");
-        assert_ne!(d34.shape, d35.shape, "head version matters");
-        assert_eq!(
-            d34,
-            plan_key(&mf, &lf, &m, Optimizer::Greedy, Some((3, 4))),
-            "same pair, same key"
+        // The rest of the cost model moves the key as well: equal keys
+        // mean equal planner inputs.
+        let edited = |edit: fn(&mut CostModel)| {
+            let mut e = m.clone();
+            edit(&mut e);
+            plan_key(&mf, &lf, &e, Optimizer::Greedy)
+        };
+        assert_ne!(base.shape, edited(|e| e.w_comp = 2.0).shape, "w_comp");
+        assert_ne!(
+            base.shape,
+            edited(|e| e.source.speed = 5.0).shape,
+            "source speed"
         );
-        // The stats half is untouched by versions.
-        assert_eq!(full.stats, d34.stats);
+        assert_ne!(
+            base.shape,
+            edited(|e| e.target.speed = 0.2).shape,
+            "target speed"
+        );
+        assert_ne!(
+            base.shape,
+            edited(|e| e.target.can_split = false).shape,
+            "can_split"
+        );
+        assert_ne!(
+            base.stats,
+            edited(|e| e.stats.text_bytes[2] += 100).stats,
+            "text bytes"
+        );
     }
 
     #[test]
@@ -396,7 +372,7 @@ mod tests {
                 fanout,
                 ..m.clone()
             };
-            plan_key(&mf, &lf, &group, Optimizer::Greedy, None)
+            plan_key(&mf, &lf, &group, Optimizer::Greedy)
         };
         assert_eq!(of(0), of(1), "no subscriber count below one");
         assert_ne!(of(1).shape, of(8).shape, "fanout is shape");
@@ -414,7 +390,7 @@ mod tests {
         let mf = Fragmentation::most_fragmented("MF", &s);
         let lf = Fragmentation::least_fragmented("LF", &s);
         let m = model(&s, 0.05);
-        let key = plan_key(&mf, &lf, &m, Optimizer::Greedy, None);
+        let key = plan_key(&mf, &lf, &m, Optimizer::Greedy);
 
         let cache = PlanCache::new();
         assert!(cache.lookup(key).is_none());
@@ -434,7 +410,7 @@ mod tests {
         let mf = Fragmentation::most_fragmented("MF", &s);
         let lf = Fragmentation::least_fragmented("LF", &s);
         let m = model(&s, 0.05);
-        let key = plan_key(&mf, &lf, &m, Optimizer::Greedy, None);
+        let key = plan_key(&mf, &lf, &m, Optimizer::Greedy);
         let cache = PlanCache::new();
         cache.lookup(key);
         cache.insert(key, plan_for(&s, &m));
@@ -442,7 +418,7 @@ mod tests {
         // The source grew: a re-probe hashes differently.
         let mut grown = m.clone();
         grown.stats.counts[1] *= 7;
-        let drifted = plan_key(&mf, &lf, &grown, Optimizer::Greedy, None);
+        let drifted = plan_key(&mf, &lf, &grown, Optimizer::Greedy);
         assert!(cache.lookup(drifted).is_none(), "stale plan not served");
         assert_eq!(cache.stats_evicted(), 1);
         assert!(cache.is_empty(), "the drifted entry is gone");
@@ -450,26 +426,5 @@ mod tests {
         cache.insert(drifted, plan_for(&s, &grown));
         assert!(cache.lookup(drifted).is_some());
         assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn drift_eviction_drops_the_shape_once() {
-        let s = schema();
-        let mf = Fragmentation::most_fragmented("MF", &s);
-        let lf = Fragmentation::least_fragmented("LF", &s);
-        let m = model(&s, 0.05);
-        let key = plan_key(&mf, &lf, &m, Optimizer::Greedy, None);
-        let cache = PlanCache::new();
-        cache.lookup(key);
-        cache.insert(key, plan_for(&s, &m));
-
-        assert!(cache.evict_drifted(key.shape), "resident shape evicted");
-        assert!(
-            !cache.evict_drifted(key.shape),
-            "second eviction is a no-op"
-        );
-        assert_eq!(cache.drift_evicted(), 1);
-        assert!(cache.lookup(key).is_none(), "drifted plan not served");
-        assert!(cache.is_empty());
     }
 }

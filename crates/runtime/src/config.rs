@@ -8,7 +8,6 @@ use std::fmt;
 use std::time::Duration;
 use xdx_core::{Optimizer, WireFormat};
 use xdx_net::{FaultProfile, NetworkProfile};
-use xdx_trace::CalibrationConfig;
 
 /// Tunables of a runtime instance.
 #[derive(Debug, Clone, Copy)]
@@ -56,9 +55,6 @@ pub struct RuntimeConfig {
     /// evicted (and counted in [`crate::RuntimeStats::dropped_events`]) beyond
     /// this.
     pub event_capacity: usize,
-    /// Cost-model calibration thresholds (drift factor, streak length,
-    /// EWMA smoothing) driving plan-cache drift eviction.
-    pub calibration: CalibrationConfig,
     /// Maximum failed-session checkpoints kept for [`crate::Runtime::resume`];
     /// beyond it the oldest checkpoint is evicted (each holds a full
     /// source database, so this bound is what keeps failure storms from
@@ -122,7 +118,6 @@ impl Default for RuntimeConfig {
             breaker_cooldown: Duration::from_secs(5),
             tracing: true,
             event_capacity: DEFAULT_EVENT_CAPACITY,
-            calibration: CalibrationConfig::default(),
             max_resumables: 256,
             batch_rows: 1024,
             pipeline_depth: 4,
@@ -199,12 +194,6 @@ impl RuntimeConfig {
     /// Sets the event-log ring capacity.
     pub fn with_event_capacity(mut self, capacity: usize) -> RuntimeConfig {
         self.event_capacity = capacity;
-        self
-    }
-
-    /// Sets the cost-model calibration thresholds.
-    pub fn with_calibration(mut self, calibration: CalibrationConfig) -> RuntimeConfig {
-        self.calibration = calibration;
         self
     }
 

@@ -36,8 +36,6 @@ pub enum EventKind {
     PlanCacheHit,
     /// Planning ran the optimizer and populated the cache.
     PlanCacheMiss,
-    /// Sustained cost-model drift evicted a shape's cached plan.
-    PlanDriftEvicted,
     /// The planned program started executing.
     ExecutionStarted,
     /// A shipment chunk failed (drop/timeout/corruption) and was retried.
@@ -88,7 +86,6 @@ impl EventKind {
             EventKind::LinkCreated => "link_created",
             EventKind::PlanCacheHit => "plan_cache_hit",
             EventKind::PlanCacheMiss => "plan_cache_miss",
-            EventKind::PlanDriftEvicted => "plan_drift_evicted",
             EventKind::ExecutionStarted => "execution_started",
             EventKind::ChunkRetried => "chunk_retried",
             EventKind::Resumed => "resumed",

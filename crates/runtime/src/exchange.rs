@@ -269,9 +269,6 @@ impl Lane {
 pub(crate) struct Group {
     wire_format: WireFormat,
     plan: Arc<CachedPlan>,
-    /// The shape half of the plan-cache key, for session-drift
-    /// calibration; `None` when the plan was not probed for here.
-    plan_shape: Option<u64>,
     /// Parent of every lane's shipping, decode, stage and settle spans.
     exec_span: SpanId,
     exec_started: Instant,
@@ -486,7 +483,6 @@ impl Inner {
         &self,
         wire_format: WireFormat,
         plan: Arc<CachedPlan>,
-        plan_shape: Option<u64>,
         exec_started: Instant,
         lanes: Vec<Lane>,
     ) -> Group {
@@ -508,7 +504,6 @@ impl Inner {
         Group {
             wire_format,
             plan,
-            plan_shape,
             exec_span,
             exec_started,
             ring: Vec::new(),
@@ -1288,7 +1283,7 @@ impl Inner {
             .max(Duration::from_micros(1));
         self.admission
             .record_overlap(wall.as_secs_f64() / exposed.as_secs_f64());
-        let mut observed_ns = self.record_ops(s.shared.id, s.exec_span, format, plan, &outcome);
+        self.record_ops(s.shared.id, s.exec_span, format, plan, &outcome);
         // A lane that encoded its own frames calibrates the wire model;
         // lanes of a shared ring did not encode, so they do not.
         if group.lanes.len() == 1 && (plan.comm_bytes > 0 || s.metrics.bytes_encoded > 0) {
@@ -1298,33 +1293,6 @@ impl Inner {
                 s.metrics.bytes_encoded,
                 s.metrics.communication.as_nanos() as u64,
             );
-        }
-        // Session-level drift: observed time (operators plus the
-        // simulated wire, which inflates under link faults) against the
-        // plan's total predicted cost. A sustained excursion evicts the
-        // shape's cached plan so the next session re-plans under fresh
-        // statistics.
-        observed_ns += s.metrics.communication.as_nanos() as u64;
-        if let Some(shape) = group.plan_shape {
-            if self
-                .calibration
-                .observe_session(shape, plan.cost, observed_ns)
-            {
-                let evicted = self.cache.evict_drifted(shape);
-                self.events.push(
-                    s.shared.id,
-                    s.shared.root_span,
-                    EventKind::PlanDriftEvicted,
-                    format!(
-                        "shape {shape:016x}: sustained cost-model drift{}",
-                        if evicted {
-                            ", cached plan evicted"
-                        } else {
-                            " (no cached plan)"
-                        }
-                    ),
-                );
-            }
         }
         // Advance the route's versioned feed log: the committed target
         // feeds become the snapshot the next delta session diffs
@@ -1402,7 +1370,7 @@ impl Inner {
     /// becomes a child span of the exec span, lands in its `(op,
     /// location)` histogram, and — when the plan carries the model's
     /// per-node predictions — feeds the predicted-vs-observed
-    /// calibration cells. Returns the summed operator wall.
+    /// calibration cells.
     pub(crate) fn record_ops(
         &self,
         session: SessionId,
@@ -1410,12 +1378,10 @@ impl Inner {
         format: &str,
         plan: &CachedPlan,
         outcome: &ExecOutcome,
-    ) -> u64 {
-        let mut observed_ns = 0;
+    ) {
         for s in &outcome.op_samples {
             let loc = location_name(s.location);
             let ns = s.wall.as_nanos() as u64;
-            observed_ns += ns;
             self.trace.record(
                 s.op,
                 session,
@@ -1434,7 +1400,6 @@ impl Inner {
                 self.calibration.record_op(s.op, loc, format, predicted, ns);
             }
         }
-        observed_ns
     }
 
     /// The rolled-back epilogue of [`Inner::settle`]: a cancelled lane

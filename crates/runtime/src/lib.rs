@@ -97,7 +97,6 @@ pub use stats::{RuntimeStats, TenantStats};
 pub use wheel::TimerWheel;
 pub use xdx_core::WireFormat;
 pub use xdx_trace::{
-    critical_path, CalibrationConfig, CalibrationReport, CommCalibration, CriticalPathReport,
-    DeltaCalibration, HistogramSnapshot, OpCalibration, RoutePath, SessionPath, SpanId, SpanRecord,
-    STAGES,
+    critical_path, CalibrationReport, CommCalibration, CriticalPathReport, DeltaCalibration,
+    HistogramSnapshot, OpCalibration, RoutePath, SessionPath, SpanId, SpanRecord, STAGES,
 };

@@ -133,10 +133,8 @@ pub(crate) struct QueueState {
     pub(crate) open: bool,
 }
 
-/// What [`Inner::plan`] hands back per wire format: the plan, and the
-/// shape half of its cache key when session drift is accounted against
-/// it.
-type Planned = (WireFormat, Arc<CachedPlan>, Option<u64>);
+/// What [`Inner::plan`] hands back per wire format.
+type Planned = (WireFormat, Arc<CachedPlan>);
 
 /// A failed session's checkpoint: the original request plus the plan it
 /// was executing. A resume replays the plan directly — zero statistics
@@ -228,8 +226,8 @@ pub(crate) struct Inner {
     /// Named metrics (counters, gauges, histograms) with Prometheus
     /// text exposition via [`Runtime::metrics_text`].
     pub(crate) metrics: MetricsRegistry,
-    /// Predicted-vs-observed cost accounting; sustained drift evicts
-    /// cached plans.
+    /// Predicted-vs-observed cost accounting; its fleet-wide
+    /// ns-per-unit prices admission.
     pub(crate) calibration: CalibrationTracker,
     /// Versioned feed snapshots per route+fragmentation pair: the
     /// source-side log delta sessions diff against. Every successful
@@ -315,7 +313,7 @@ impl Runtime {
             agg: Mutex::new(Aggregate::default()),
             trace,
             metrics,
-            calibration: CalibrationTracker::new(config.calibration),
+            calibration: CalibrationTracker::new(),
             snapshots: SnapshotStore::new(),
             queue_wait_hist,
             planning_hist,
@@ -1177,11 +1175,10 @@ impl Inner {
             [lane] => self.resolve_delta_base(&request, lane),
             _ => None,
         };
-        let versions = delta_base.as_ref().map(|&(b, h, _, _)| (b, h));
         // Planning is timed from the instant the (last lane's) queue wait
         // ended, and execution from the instant planning ended.
         let dequeued = enqueued + lanes[lanes.len() - 1].metrics.queue_wait;
-        let plans = match self.plan(&request, &mut lanes, dequeued, stored, versions) {
+        let plans = match self.plan(&request, &mut lanes, dequeued, stored) {
             Ok(plans) => plans,
             Err(why) => {
                 for lane in lanes {
@@ -1199,14 +1196,14 @@ impl Inner {
         // that dies mid-exchange rolls the target back.
         let planned_at = dequeued + lanes[0].metrics.planning;
         let mut groups = Vec::with_capacity(plans.len());
-        for (format, plan, shape) in plans {
+        for (format, plan) in plans {
             let (members, rest): (Vec<_>, Vec<_>) = lanes
                 .into_iter()
                 .partition(|l| l.metrics.wire_format == format);
             lanes = rest;
             let members = self.planned_gate(&mut request, enqueued, &plan, members);
             if !members.is_empty() {
-                groups.push(self.open_group(format, plan, shape, planned_at, members));
+                groups.push(self.open_group(format, plan, planned_at, members));
             }
         }
         if groups.is_empty() {
@@ -1257,8 +1254,8 @@ impl Inner {
     /// Delta eligibility: resolves the base snapshot for the request's
     /// declared target version as `(base, head, snapshot, composed)`. A
     /// missing (or aged-out, uncomposable) snapshot falls back to a full
-    /// re-ship before planning, so the plan-cache key never embeds a
-    /// version pair we cannot serve.
+    /// re-ship before planning. Planning never sees the versions: a delta
+    /// round plans, and hits the plan cache, like a full ship.
     fn resolve_delta_base(
         &self,
         request: &ExchangeRequest,
@@ -1296,19 +1293,16 @@ impl Inner {
     /// format, consulting the shared cache — or, for a resumed session,
     /// replaying the checkpointed plan with zero probes and zero
     /// optimizer calls. Returns the plans in first-lane order of their
-    /// formats, each with the shape half of its cache key (kept for
-    /// calibration: drift is accounted per shape; `None` for a replayed
-    /// plan, and for a group's — its cost bills every lane, where an
-    /// observation covers one). The `plan` span is recorded on failure
-    /// too, so the trace accounts for where a failed exchange's wall
-    /// time went.
+    /// formats. A delta round's plan is the full ship's: the key holds
+    /// the optimizer's inputs only, never a feed version. The `plan` span
+    /// is recorded on failure too, so the trace accounts for where a
+    /// failed exchange's wall time went.
     fn plan(
         &self,
         request: &ExchangeRequest,
         lanes: &mut [Lane],
         started: Instant,
         stored: Option<Arc<CachedPlan>>,
-        versions: Option<(u64, u64)>,
     ) -> std::result::Result<Vec<Planned>, String> {
         for lane in lanes.iter() {
             lane.shared.set_state(SessionState::Planning);
@@ -1330,9 +1324,9 @@ impl Inner {
                     EventKind::PlanCacheHit,
                     "checkpointed plan replayed: zero probes",
                 );
-                Ok(vec![(lanes[0].metrics.wire_format, plan, None)])
+                Ok(vec![(lanes[0].metrics.wire_format, plan)])
             }
-            None => self.plan_formats(request, lanes, plan_span, versions),
+            None => self.plan_formats(request, lanes, plan_span),
         };
         let planning = started.elapsed();
         for lane in lanes.iter_mut() {
@@ -1344,7 +1338,7 @@ impl Inner {
                 // units, scaled by calibration's ns-per-unit, is one of
                 // its two turnaround estimators.
                 let mut cost = 0.0;
-                for (_, plan, _) in plans {
+                for (_, plan) in plans {
                     self.admission.record_plan_cost(plan.cost);
                     cost += plan.cost;
                 }
@@ -1381,7 +1375,6 @@ impl Inner {
         request: &ExchangeRequest,
         lanes: &mut [Lane],
         plan_span: SpanId,
-        versions: Option<(u64, u64)>,
     ) -> std::result::Result<Vec<Planned>, String> {
         let optimizer = request.optimizer.unwrap_or(self.config.optimizer);
         let mut exchange = DataExchange::new(
@@ -1411,7 +1404,7 @@ impl Inner {
             model.wire_format = format;
             model.fanout = fanout;
             let (source_frag, target_frag) = (&request.source_frag, &request.target_frag);
-            let key = plan_key(source_frag, target_frag, &model, optimizer, versions);
+            let key = plan_key(source_frag, target_frag, &model, optimizer);
             let (plan, hit) = self.plan_cached(key, &model, || exchange.plan(&model))?;
             for lane in lanes.iter_mut().filter(|l| l.metrics.wire_format == format) {
                 lane.metrics.plan_cache_hit = hit;
@@ -1426,7 +1419,7 @@ impl Inner {
                     format!("key {:016x}/{:016x} fanout {fanout}", key.shape, key.stats),
                 );
             }
-            plans.push((format, plan, (fanout == 1).then_some(key.shape)));
+            plans.push((format, plan));
         }
         Ok(plans)
     }

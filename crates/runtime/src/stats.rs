@@ -55,9 +55,6 @@ pub struct RuntimeStats {
     pub plan_cache_misses: u64,
     /// Cached plans evicted because the probed statistics drifted.
     pub plan_cache_stats_evicted: u64,
-    /// Cached plans evicted because cost-model calibration reported
-    /// sustained predicted-vs-observed drift on their shape.
-    pub plan_cache_drift_evicted: u64,
     /// Statistics probes run across all sessions (resumed sessions
     /// replaying a checkpointed plan probe zero times).
     pub planning_probes: u64,
@@ -185,7 +182,7 @@ fn export<S>(m: &MetricsRegistry, table: &[Series<S>], labels: &str, from: &S) {
 /// order: the one list `to_json`, the `/metrics` refresh and the
 /// completeness test read.
 #[rustfmt::skip]
-pub(crate) const RUNTIME_SERIES: [Series<RuntimeStats>; 37] = [
+pub(crate) const RUNTIME_SERIES: [Series<RuntimeStats>; 36] = [
     ("admitted", "xdx_sessions_admitted_total", Counter, |s| s.admitted),
     ("rejected", "xdx_sessions_rejected_total", Counter, |s| s.rejected),
     ("completed", "xdx_sessions_completed_total", Counter, |s| s.completed),
@@ -200,7 +197,6 @@ pub(crate) const RUNTIME_SERIES: [Series<RuntimeStats>; 37] = [
     ("plan_cache_hits", "xdx_plan_cache_hits_total", Counter, |s| s.plan_cache_hits),
     ("plan_cache_misses", "xdx_plan_cache_misses_total", Counter, |s| s.plan_cache_misses),
     ("plan_cache_stats_evicted", "xdx_plan_cache_stats_evicted_total", Counter, |s| s.plan_cache_stats_evicted),
-    ("plan_cache_drift_evicted", "xdx_plan_cache_drift_evicted_total", Counter, |s| s.plan_cache_drift_evicted),
     ("planning_probes", "xdx_planning_probes_total", Counter, |s| s.planning_probes),
     ("messages_serialized", "xdx_messages_serialized_total", Counter, |s| s.messages_serialized),
     ("bytes_shipped", "xdx_bytes_shipped_total", Counter, |s| s.bytes_shipped),
@@ -361,7 +357,6 @@ impl Inner {
             plan_cache_hits: self.cache.hits(),
             plan_cache_misses: self.cache.misses(),
             plan_cache_stats_evicted: self.cache.stats_evicted(),
-            plan_cache_drift_evicted: self.cache.drift_evicted(),
             links: self.registry.snapshot(),
             peak_concurrent_shipments: self.registry.peak_concurrent_shipments(),
             latency_histogram: self.latency_hist.snapshot(),

@@ -40,7 +40,7 @@ fn json_keys(json: &str) -> Vec<String> {
 const STATS_JSON_KEYS: &str = "admitted rejected completed failed cancelled resumed \
     sessions_shed_expired sessions_shed_deadline sessions_shed_breaker resumables_evicted \
     ledger_buffers_shed plan_cache_hits plan_cache_misses plan_cache_stats_evicted \
-    plan_cache_drift_evicted planning_probes messages_serialized bytes_shipped bytes_encoded \
+    planning_probes messages_serialized bytes_shipped bytes_encoded \
     encode_ns chunks_shipped chunks_resumed chunks_deduped chunks_retried \
     peak_concurrent_shipments dropped_events dropped_spans delta_patch_bytes \
     delta_patches_applied delta_full_chosen delta_full_fallbacks delta_chain_composed \
@@ -101,7 +101,6 @@ xdx_multicast_encode_shared counter
 xdx_op_wall_ns histogram
 xdx_peak_concurrent_shipments gauge
 xdx_pipeline_depth gauge
-xdx_plan_cache_drift_evicted_total counter
 xdx_plan_cache_hits_total counter
 xdx_plan_cache_misses_total counter
 xdx_plan_cache_stats_evicted_total counter

@@ -1,13 +1,14 @@
 //! Integration tests of the telemetry surface: Prometheus exposition,
-//! span parenting and correlation, the bounded event ring, and
-//! calibration-driven plan-cache drift eviction.
+//! span parenting and correlation, the bounded event ring, calibration
+//! cells, and the plan-cache counters of a slow link and of delta rounds.
 
 use std::time::Duration;
 use xdx_core::SystemProfile;
 use xdx_net::{FaultProfile, NetworkProfile};
+use xdx_relational::Database;
 use xdx_runtime::{
-    CalibrationConfig, EventKind, ExchangeRequest, PublishRequest, Runtime, RuntimeConfig,
-    SessionState, ShippingPolicy, WireFormat,
+    EventKind, ExchangeRequest, PublishRequest, Runtime, RuntimeConfig, SessionState,
+    ShippingPolicy, WireFormat, DEFAULT_SOURCE_ENDPOINT, DEFAULT_TARGET_ENDPOINT,
 };
 use xdx_xmark::{churn, generate, lf, load_source, mf, schema, GenConfig};
 
@@ -346,7 +347,6 @@ fn calibration_cells_fill_under_both_wire_formats() {
     run_fleet(&runtime, &doc, 4, 2);
 
     let report = runtime.calibration_report();
-    assert!(report.sessions_observed > 0, "no session was observed");
     for format in ["xml", "columnar"] {
         assert!(
             report.ops.iter().any(|op| op.format == format),
@@ -396,19 +396,18 @@ fn event_ring_drops_oldest_and_stays_ordered() {
     assert_eq!(stats.completed, 8);
 }
 
-/// Injected statistics drift: after a healthy baseline settles, a
-/// degraded link inflates observed communication time far past the
-/// plan's predicted cost, and the sustained excursion evicts the
-/// shape's cached plan (`PlanDriftEvicted` + re-plan on next use).
+/// A degraded link slows sessions down but moves no planner input: the
+/// same probe, weights and profiles give the same key, so the first
+/// session plans and the other fifteen, six on a healthy link and then
+/// ten at 40 % drops, run its cached program.
 #[test]
-fn sustained_cost_drift_evicts_cached_plan() {
+fn a_degraded_link_keeps_its_cached_plan() {
     let schema_tree = schema();
     let doc = generate(GenConfig::sized(30_000));
     let mf = mf(&schema_tree);
     let lf = lf(&schema_tree);
-    // A slow simulated metro link (no real-time pacing) so simulated
-    // communication dominates each session's observed nanoseconds, and
-    // a hair-trigger calibration so the test stays fast.
+    // A slow simulated metro link (no real-time pacing): the drops below
+    // inflate each session's communication time, not its planner inputs.
     let runtime = Runtime::start(
         schema_tree.clone(),
         RuntimeConfig::default()
@@ -420,11 +419,6 @@ fn sustained_cost_drift_evicts_cached_plan() {
             .with_shipping(ShippingPolicy {
                 chunk_bytes: 4 * 1024,
                 ..ShippingPolicy::default()
-            })
-            .with_calibration(CalibrationConfig {
-                drift_factor: 1.4,
-                min_sessions: 2,
-                alpha: 0.5,
             })
             .with_wire_format(WireFormat::Xml),
     );
@@ -438,45 +432,94 @@ fn sustained_cost_drift_evicts_cached_plan() {
             )
             .unwrap()
     };
-
-    // Healthy baseline: same shape over and over, EWMA settles.
     for i in 0..6 {
-        assert_eq!(submit(i).wait().state, SessionState::Done);
+        let result = submit(i).wait();
+        assert_eq!(result.state, SessionState::Done, "{:?}", result.diagnostic);
     }
-    assert_eq!(
-        runtime.stats().plan_cache_drift_evicted,
-        0,
-        "healthy fleet must not drift"
-    );
-
-    // Degrade the link: 40% drops mean ~1.7x transmissions plus
-    // simulated backoff, all charged to observed communication time,
-    // while the plan-cache statistics hash is unchanged (same data).
+    // 40 % drops mean ~1.7x transmissions plus simulated backoff, all
+    // charged to observed communication time; the data is the same.
     runtime.set_link_fault_profile("site", "registry", FaultProfile::drops(0.4, 42));
     for i in 6..16 {
         let result = submit(i).wait();
         assert_eq!(result.state, SessionState::Done, "{:?}", result.diagnostic);
     }
-
-    let evictions = runtime.stats().plan_cache_drift_evicted;
-    assert!(
-        evictions >= 1,
-        "sustained drift should evict the stale cached plan"
-    );
-    let drift_events = runtime
-        .events()
-        .iter()
-        .filter(|e| e.kind == EventKind::PlanDriftEvicted)
-        .count();
-    assert!(drift_events >= 1, "drift eviction must be logged");
-    // The shape re-planned after eviction: more misses than the two
-    // initial shapes would explain.
     let stats = runtime.shutdown();
-    assert!(
-        stats.plan_cache_misses >= 2,
-        "eviction should force a re-plan (misses: {})",
-        stats.plan_cache_misses
+    assert_eq!(stats.completed, 16);
+    assert_eq!(
+        (stats.plan_cache_misses, stats.plan_cache_hits),
+        (1, 15),
+        "(misses, hits)"
     );
-    // Calibration saw both regimes.
-    assert!(stats.completed == 16);
+}
+
+/// Canonical wire form of a database: table names in sorted order, each
+/// followed by its feed's wire serialization.
+fn wire_state(db: &Database) -> Vec<u8> {
+    let mut out = Vec::new();
+    for name in db.table_names() {
+        out.extend_from_slice(name.as_bytes());
+        out.push(0);
+        out.extend_from_slice(db.table(name).unwrap().data.to_wire().as_bytes());
+    }
+    out
+}
+
+/// A delta round keys like a full ship of its document, so one route's
+/// rounds share its one cache entry: after a full ship, a zero-churn
+/// round hits it, and each of six rounds at 5 % churn moves the stats
+/// half and replaces the entry instead of adding one. Every round lands
+/// what a full ship of its document lands on a fresh runtime.
+#[test]
+fn delta_rounds_share_the_routes_one_cache_entry() {
+    let schema = schema();
+    let (mf, lf) = (mf(&schema), lf(&schema));
+    let start = || {
+        let config = RuntimeConfig::default()
+            .with_workers(1)
+            .with_wire_format(WireFormat::Columnar);
+        Runtime::start(schema.clone(), config)
+    };
+    let ship = |runtime: &Runtime, doc: &str, delta: bool| {
+        let source = load_source(doc, &schema, &mf).unwrap();
+        let mut request = ExchangeRequest::new("round", source, mf.clone(), lf.clone());
+        if delta {
+            let (from, to) = (DEFAULT_SOURCE_ENDPOINT, DEFAULT_TARGET_ENDPOINT);
+            request = request.with_base_version(runtime.feed_version(from, to, &mf.name, &lf.name));
+        }
+        let result = runtime.submit(request).unwrap().wait();
+        assert_eq!(result.state, SessionState::Done, "{:?}", result.diagnostic);
+        result
+    };
+    let full_ship = |doc: &str| {
+        let fresh = start();
+        let target = ship(&fresh, doc, false).target.unwrap();
+        fresh.shutdown();
+        wire_state(&target)
+    };
+
+    let runtime = start();
+    let mut doc = generate(GenConfig::sized(20_000));
+    ship(&runtime, &doc, false);
+    for round in 0..7u64 {
+        if round > 0 {
+            doc = churn(&doc, 5, 7 + round);
+        }
+        let result = ship(&runtime, &doc, true);
+        if round == 0 {
+            assert!(result.metrics.plan_cache_hit, "the unchanged round hits");
+            assert_eq!(result.metrics.delta_patches_applied, 1);
+        }
+        let target = result.target.unwrap();
+        assert!(wire_state(&target) == full_ship(&doc), "round {round}");
+    }
+    let stats = runtime.shutdown();
+    assert_eq!(
+        (
+            stats.plan_cache_hits,
+            stats.plan_cache_misses,
+            stats.plan_cache_stats_evicted
+        ),
+        (1, 7, 6),
+        "(hits, misses, stats evictions)"
+    );
 }

@@ -9,41 +9,15 @@
 //! (`|log2(cell_ratio / global_ratio)|`). A well-calibrated model has
 //! every score near 0; a cell at 1.0 runs 2× off the fleet-wide trend.
 //!
-//! Session-level drift detection is separate and feeds plan-cache
-//! eviction: per plan shape we keep an EWMA baseline of the observed
-//! ns-per-unit ratio. When a session's ratio exceeds
-//! `drift_factor × baseline` for `min_sessions` consecutive sessions,
-//! the shape is declared drifted (the caller evicts its cached
-//! programs) and the baseline resets to re-learn the new regime.
+//! The tracker only reports. It evicts no cached plan: the optimizer is
+//! deterministic in its inputs, so a drifted shape re-planned with the
+//! same statistics and weights gets the same program back.
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Mutex;
 
 use crate::json_escape;
-
-#[derive(Debug, Clone, Copy)]
-pub struct CalibrationConfig {
-    /// Observed/baseline ratio beyond which a session counts toward a
-    /// drift streak.
-    pub drift_factor: f64,
-    /// Consecutive drifting sessions required before a shape is
-    /// declared drifted.
-    pub min_sessions: u32,
-    /// EWMA smoothing for the per-shape baseline (weight of the new
-    /// observation).
-    pub alpha: f64,
-}
-
-impl Default for CalibrationConfig {
-    fn default() -> Self {
-        CalibrationConfig {
-            drift_factor: 4.0,
-            min_sessions: 8,
-            alpha: 0.2,
-        }
-    }
-}
 
 #[derive(Debug, Clone, Default)]
 struct Cell {
@@ -58,13 +32,6 @@ struct CommCell {
     observed_bytes: u64,
     observed_ns: u64,
     samples: u64,
-}
-
-#[derive(Debug, Clone)]
-struct ShapeBaseline {
-    ewma_ratio: f64,
-    sessions: u64,
-    drift_streak: u32,
 }
 
 /// Per-operator calibration row in a [`CalibrationReport`].
@@ -125,8 +92,6 @@ pub struct CalibrationReport {
     pub comm: Vec<CommCalibration>,
     /// Fleet-wide observed ns per predicted unit.
     pub global_ns_per_unit: f64,
-    pub sessions_observed: u64,
-    pub drift_events: u64,
     /// Delta patch-vs-full decision counters.
     pub delta: DeltaCalibration,
 }
@@ -173,15 +138,12 @@ impl CalibrationReport {
         }
         out.push_str(&format!(
             "],\"delta\":{{\"patch_bytes\":{},\"patches_applied\":{},\"full_chosen\":{},\
-             \"full_fallbacks\":{}}},\"global_ns_per_unit\":{:.3},\"sessions_observed\":{},\
-             \"drift_events\":{}}}",
+             \"full_fallbacks\":{}}},\"global_ns_per_unit\":{:.3}}}",
             self.delta.patch_bytes,
             self.delta.patches_applied,
             self.delta.full_chosen,
             self.delta.full_fallbacks,
             self.global_ns_per_unit,
-            self.sessions_observed,
-            self.drift_events,
         ));
         out
     }
@@ -191,8 +153,8 @@ impl fmt::Display for CalibrationReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "calibration: {} sessions, global {:.1} ns/unit, {} drift events",
-            self.sessions_observed, self.global_ns_per_unit, self.drift_events
+            "calibration: global {:.1} ns/unit",
+            self.global_ns_per_unit
         )?;
         for op in &self.ops {
             writeln!(
@@ -226,24 +188,18 @@ impl fmt::Display for CalibrationReport {
 struct State {
     ops: BTreeMap<(String, String, String), Cell>,
     comm: BTreeMap<String, CommCell>,
-    shapes: BTreeMap<u64, ShapeBaseline>,
-    sessions_observed: u64,
-    drift_events: u64,
     delta: DeltaCalibration,
 }
 
 /// Thread-safe predicted-vs-observed accumulator.
+#[derive(Default)]
 pub struct CalibrationTracker {
-    config: CalibrationConfig,
     state: Mutex<State>,
 }
 
 impl CalibrationTracker {
-    pub fn new(config: CalibrationConfig) -> Self {
-        CalibrationTracker {
-            config,
-            state: Mutex::new(State::default()),
-        }
+    pub fn new() -> Self {
+        CalibrationTracker::default()
     }
 
     /// Record one operator execution: `predicted` in cost-model work
@@ -298,45 +254,6 @@ impl CalibrationTracker {
         s.delta.patches_applied += patches_applied;
         s.delta.full_chosen += full_chosen;
         s.delta.full_fallbacks += full_fallbacks;
-    }
-
-    /// Feed one completed session's total predicted units and observed
-    /// nanoseconds for its plan `shape`. Returns `true` when this
-    /// session tips the shape over the sustained-drift threshold — the
-    /// caller should evict the shape's cached plans. The baseline then
-    /// resets so the next regime is learned fresh.
-    pub fn observe_session(&self, shape: u64, predicted_units: f64, observed_ns: u64) -> bool {
-        if predicted_units <= 0.0 {
-            return false;
-        }
-        let ratio = observed_ns as f64 / predicted_units;
-        let config = self.config;
-        let mut s = self.state.lock().unwrap();
-        s.sessions_observed += 1;
-        let baseline = s.shapes.entry(shape).or_insert(ShapeBaseline {
-            ewma_ratio: ratio,
-            sessions: 0,
-            drift_streak: 0,
-        });
-        baseline.sessions += 1;
-        // Need a settled baseline before drift is meaningful.
-        let settled = baseline.sessions > u64::from(config.min_sessions);
-        let drifting = settled && ratio > baseline.ewma_ratio * config.drift_factor;
-        if drifting {
-            baseline.drift_streak += 1;
-            if baseline.drift_streak >= config.min_sessions {
-                // Declared drifted: reset to learn the new regime.
-                baseline.ewma_ratio = ratio;
-                baseline.sessions = 1;
-                baseline.drift_streak = 0;
-                s.drift_events += 1;
-                return true;
-            }
-        } else {
-            baseline.drift_streak = 0;
-            baseline.ewma_ratio = (1.0 - config.alpha) * baseline.ewma_ratio + config.alpha * ratio;
-        }
-        false
     }
 
     /// The fleet-wide observed-ns-per-predicted-unit conversion alone,
@@ -408,8 +325,6 @@ impl CalibrationTracker {
             ops,
             comm,
             global_ns_per_unit: global,
-            sessions_observed: s.sessions_observed,
-            drift_events: s.drift_events,
             delta: s.delta,
         }
     }
@@ -421,7 +336,7 @@ mod tests {
 
     #[test]
     fn report_computes_ratios_and_drift_scores() {
-        let t = CalibrationTracker::new(CalibrationConfig::default());
+        let t = CalibrationTracker::new();
         t.record_op("Scan", "source", "xml", 100.0, 10_000);
         t.record_op("Write", "target", "xml", 100.0, 40_000);
         let r = t.report();
@@ -440,57 +355,8 @@ mod tests {
     }
 
     #[test]
-    fn sustained_drift_trips_once_then_relearns() {
-        let config = CalibrationConfig {
-            drift_factor: 4.0,
-            min_sessions: 4,
-            alpha: 0.2,
-        };
-        let t = CalibrationTracker::new(config);
-        // Healthy baseline: ~100 ns/unit.
-        for _ in 0..8 {
-            assert!(!t.observe_session(7, 10.0, 1_000));
-        }
-        // Sudden 10x regression: needs min_sessions consecutive hits.
-        let mut tripped = 0;
-        for i in 0..8 {
-            if t.observe_session(7, 10.0, 10_000) {
-                tripped += 1;
-                assert!(i >= 3, "tripped too early at {i}");
-            }
-        }
-        assert_eq!(
-            tripped, 1,
-            "drift should fire exactly once, then re-baseline"
-        );
-        assert_eq!(t.report().drift_events, 1);
-        // New regime accepted: no more drift at the new level.
-        for _ in 0..8 {
-            assert!(!t.observe_session(7, 10.0, 10_000));
-        }
-    }
-
-    #[test]
-    fn transient_spikes_do_not_trip() {
-        let config = CalibrationConfig {
-            drift_factor: 4.0,
-            min_sessions: 4,
-            alpha: 0.2,
-        };
-        let t = CalibrationTracker::new(config);
-        for _ in 0..8 {
-            assert!(!t.observe_session(1, 10.0, 1_000));
-        }
-        // Alternating spikes never build a streak.
-        for _ in 0..10 {
-            assert!(!t.observe_session(1, 10.0, 20_000));
-            assert!(!t.observe_session(1, 10.0, 1_000));
-        }
-    }
-
-    #[test]
     fn comm_ratio_reflects_compression() {
-        let t = CalibrationTracker::new(CalibrationConfig::default());
+        let t = CalibrationTracker::new();
         t.record_comm("columnar", 1_000, 400, 5_000);
         let r = t.report();
         assert_eq!(r.comm.len(), 1);
@@ -499,7 +365,7 @@ mod tests {
 
     #[test]
     fn delta_counters_accumulate_and_export() {
-        let t = CalibrationTracker::new(CalibrationConfig::default());
+        let t = CalibrationTracker::new();
         assert!(t.report().delta.is_empty());
         t.record_delta(1_200, 1, 0, 0);
         t.record_delta(0, 0, 1, 0);

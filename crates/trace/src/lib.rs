@@ -1,6 +1,6 @@
 //! xdx-trace: the observability layer of the exchange stack.
 //!
-//! Three pieces, all std-only and safe to call from hot paths:
+//! Four pieces, all std-only and safe to call from hot paths:
 //!
 //! * [`span`] — structured spans (session → plan → per-operator exec →
 //!   encode → ship → apply) recorded at completion into a bounded ring,
@@ -9,8 +9,9 @@
 //!   counters/gauges registered by name, rendered as Prometheus text
 //!   exposition.
 //! * [`calibration`] — predicted-vs-observed accounting for the cost
-//!   model: per-operator ratios, drift scores, and a sustained-drift
-//!   signal the runtime feeds into plan-cache eviction.
+//!   model: per-operator ratios and drift scores, communication byte
+//!   ratios, delta decisions, and the fleet-wide ns-per-unit admission
+//!   prices work with.
 //! * [`critical_path`](mod@critical_path) — per-session and per-route stage attribution
 //!   (queue → plan → compute → encode → wire → decode → stage → settle)
 //!   extracted from a finished span tree.
@@ -21,8 +22,7 @@ pub mod metrics;
 pub mod span;
 
 pub use calibration::{
-    CalibrationConfig, CalibrationReport, CalibrationTracker, CommCalibration, DeltaCalibration,
-    OpCalibration,
+    CalibrationReport, CalibrationTracker, CommCalibration, DeltaCalibration, OpCalibration,
 };
 pub use critical_path::{critical_path, CriticalPathReport, RoutePath, SessionPath, STAGES};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry};
