@@ -5,8 +5,8 @@
 //! batch shipment ([`ShipRequest`]) and immediately goes back to
 //! runnable work; the shipment advances as a chunk-level state machine
 //! driven by a single engine thread. Every wait — wire occupancy of a
-//! paced link, retry backoff, lane contention — is a deadline on the
-//! [`TimerWheel`], never a `thread::sleep`, so N workers keep far more
+//! paced link, retry backoff, lane contention — parks the task on a
+//! deadline heap, never a `thread::sleep`, so N workers keep far more
 //! than N sessions in flight.
 //!
 //! The serialized message is sliced into chunks, each framed with its
@@ -35,8 +35,8 @@ use crate::events::{EventKind, EventLog};
 use crate::ledger::{Filed, ReassemblyLedger};
 use crate::registry::LinkSlot;
 use crate::session::SessionShared;
-use crate::wheel::TimerWheel;
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::cmp::Ordering as Order;
+use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -198,11 +198,47 @@ impl Task {
     }
 }
 
+/// A task waiting for its deadline, ordered by (deadline, park order)
+/// so that ties resume in the order they parked.
+struct Parked {
+    deadline: Instant,
+    order: u64,
+    task: Task,
+}
+
+impl Parked {
+    fn key(&self) -> (Instant, u64) {
+        (self.deadline, self.order)
+    }
+}
+
+impl PartialEq for Parked {
+    fn eq(&self, other: &Parked) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl Eq for Parked {}
+
+impl PartialOrd for Parked {
+    fn partial_cmp(&self, other: &Parked) -> Option<Order> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Parked {
+    /// Reversed, so `BinaryHeap` (a max-heap) tops with the earliest.
+    fn cmp(&self, other: &Parked) -> Order {
+        other.key().cmp(&self.key())
+    }
+}
+
 struct EngineState {
-    tasks: HashMap<u64, Task>,
-    ready: VecDeque<u64>,
-    wheel: TimerWheel,
-    next_id: u64,
+    ready: VecDeque<Task>,
+    /// Parked tasks, earliest deadline on top.
+    parked: BinaryHeap<Parked>,
+    /// Parks so far: the tie-break between equal deadlines.
+    parks: u64,
     /// Batches submitted and not yet completed — the pipeline-depth
     /// gauge.
     inflight: usize,
@@ -220,8 +256,8 @@ enum StepOutcome {
 }
 
 /// The engine itself. One instance per runtime, shared by the dedicated
-/// driver thread, every worker (submission + volunteer driving), and
-/// shutdown.
+/// driver thread (the only one that drives it), the workers (which
+/// submit), and shutdown.
 pub(crate) struct ShipEngine {
     state: Mutex<EngineState>,
     work: Condvar,
@@ -238,10 +274,9 @@ impl ShipEngine {
     ) -> Arc<ShipEngine> {
         Arc::new(ShipEngine {
             state: Mutex::new(EngineState {
-                tasks: HashMap::new(),
                 ready: VecDeque::new(),
-                wheel: TimerWheel::default(),
-                next_id: 0,
+                parked: BinaryHeap::new(),
+                parks: 0,
                 inflight: 0,
                 open: true,
             }),
@@ -252,16 +287,12 @@ impl ShipEngine {
         })
     }
 
-    /// Stall watchdog probe: a parked task whose wheel deadline is
-    /// overdue by more than `threshold` means no driver is expiring the
-    /// wheel — the engine is wedged, not merely busy. Returns how
-    /// overdue the nearest deadline is when stalled.
+    /// Stall watchdog probe: a parked task whose deadline is overdue by
+    /// more than `threshold` means no driver is resuming parked tasks —
+    /// the engine is wedged, not merely busy. Returns how overdue the
+    /// nearest deadline is when stalled.
     pub(crate) fn stall_check(&self, threshold: Duration) -> Option<Duration> {
-        let st = self.state.lock().unwrap();
-        if st.tasks.is_empty() {
-            return None;
-        }
-        let deadline = st.wheel.next_deadline()?;
+        let deadline = self.state.lock().unwrap().parked.peek()?.deadline;
         let overdue = Instant::now().checked_duration_since(deadline)?;
         (overdue > threshold).then_some(overdue)
     }
@@ -270,11 +301,8 @@ impl ShipEngine {
     /// `on_done` fires from whichever thread completes the task.
     pub(crate) fn submit(&self, req: ShipRequest) {
         let mut st = self.state.lock().unwrap();
-        let id = st.next_id;
-        st.next_id += 1;
         st.inflight += 1;
-        st.tasks.insert(id, Task::new(req));
-        st.ready.push_back(id);
+        st.ready.push_back(Task::new(req));
         drop(st);
         self.work.notify_all();
     }
@@ -298,14 +326,13 @@ impl ShipEngine {
         let mut st = self.state.lock().unwrap();
         loop {
             let now = Instant::now();
-            let due = st.wheel.expire(now);
-            st.ready.extend(due);
-            if let Some(id) = st.ready.pop_front() {
-                let Some(task) = st.tasks.remove(&id) else {
-                    continue;
-                };
+            while st.parked.peek().is_some_and(|p| p.deadline <= now) {
+                let due = st.parked.pop().unwrap().task;
+                st.ready.push_back(due);
+            }
+            if let Some(task) = st.ready.pop_front() {
                 drop(st);
-                self.run_task(id, task);
+                self.run_task(task);
                 st = self.state.lock().unwrap();
                 continue;
             }
@@ -314,10 +341,10 @@ impl ShipEngine {
                     return;
                 }
             }
-            if !st.open && st.tasks.is_empty() {
+            if !st.open && st.parked.is_empty() {
                 return;
             }
-            let mut wake = st.wheel.next_deadline();
+            let mut wake = st.parked.peek().map(|p| p.deadline);
             if let Some(d) = until {
                 wake = Some(wake.map_or(d, |w| w.min(d)));
             }
@@ -334,16 +361,20 @@ impl ShipEngine {
     }
 
     /// Steps `task` until it parks or completes. Called with no engine
-    /// lock held; the task is out of the map, so no other driver can
-    /// touch it.
-    fn run_task(&self, id: u64, mut task: Task) {
+    /// lock held; the caller owns the task until it parks again.
+    fn run_task(&self, mut task: Task) {
         loop {
             match self.step(&mut task) {
                 StepOutcome::Continue => continue,
                 StepOutcome::Park(deadline) => {
                     let mut st = self.state.lock().unwrap();
-                    st.wheel.schedule(deadline, id);
-                    st.tasks.insert(id, task);
+                    let order = st.parks;
+                    st.parks += 1;
+                    st.parked.push(Parked {
+                        deadline,
+                        order,
+                        task,
+                    });
                     return;
                 }
                 StepOutcome::Done(result) => {
@@ -527,7 +558,7 @@ impl ShipEngine {
         task.stats.wire_bytes += task.frame.len() as u64;
         task.phase = Phase::Settle { duration, delivery };
         if occupied > Duration::ZERO {
-            // The wire occupancy is a wheel deadline, not a sleep: this
+            // The wire occupancy is a parked deadline, not a sleep: this
             // is the yield the whole engine exists for.
             StepOutcome::Park(now + occupied)
         } else {
@@ -916,7 +947,7 @@ mod tests {
 
     #[test]
     fn paced_wire_parks_instead_of_sleeping() {
-        // With pacing on, the wire wait must come back as wheel parking:
+        // With pacing on, the wire wait must come back as parking:
         // total wall ≈ paced duration, and the driver was free to run
         // other tasks meanwhile (asserted via interleaved completion).
         let eng = engine();
@@ -940,6 +971,45 @@ mod tests {
         assert_eq!(*b.outcome.unwrap(), message);
         // Both batches observed simulated wire time.
         assert!(a.elapsed > Duration::ZERO && b.elapsed > Duration::ZERO);
+    }
+
+    #[test]
+    fn parked_batches_resume_in_deadline_order() {
+        // The slow batch parks first but on a far later deadline; the
+        // fast one, submitted after it, must complete while the slow
+        // one is still parked.
+        let eng = engine();
+        let slow = slot_for(
+            Link::new(NetworkProfile {
+                bandwidth_bytes_per_sec: 100_000.0,
+                latency: Duration::from_millis(2),
+            })
+            .with_pacing(1.0),
+        );
+        let fast = slot_for(
+            Link::new(NetworkProfile {
+                bandwidth_bytes_per_sec: 2_000_000.0,
+                latency: Duration::from_micros(200),
+            })
+            .with_pacing(1.0),
+        );
+        let budget = Arc::new(AtomicI64::new(256));
+        let policy = ShippingPolicy {
+            chunk_bytes: 4096,
+            ..ShippingPolicy::default()
+        };
+        let message: Vec<u8> = (0..16 * 1024u32).map(|i| (i % 241) as u8).collect();
+        let rx_slow = submit(&eng, &slow, 0, message.clone(), policy, &budget);
+        let rx_fast = submit(&eng, &fast, 1, message.clone(), policy, &budget);
+        let first = drive_to(&eng, &rx_fast);
+        assert_eq!(*first.outcome.unwrap(), message);
+        assert!(
+            rx_slow.try_recv().is_err(),
+            "the slow batch is still parked when the fast one lands"
+        );
+        let second = drive_to(&eng, &rx_slow);
+        assert_eq!(*second.outcome.unwrap(), message);
+        assert_eq!(eng.inflight(), 0);
     }
 
     #[test]
@@ -983,7 +1053,7 @@ mod tests {
 
     #[test]
     fn stall_watchdog_detects_undriven_parked_task() {
-        // A paced transmit parks the task on the wheel; with nobody
+        // A paced transmit parks the task on its deadline; with nobody
         // driving past that point, the deadline goes overdue and the
         // watchdog must flag the engine as stalled.
         let eng = engine();

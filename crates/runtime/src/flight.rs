@@ -65,7 +65,8 @@ impl FlightRecorder {
     /// Ticks the shed-rate window for one shed decision (the decision
     /// itself is a `Shed` event in the journal) and fires the
     /// shed-rate-spike anomaly when [`SHED_SPIKE_THRESHOLD`] sheds land
-    /// within [`SHED_SPIKE_WINDOW`].
+    /// within [`SHED_SPIKE_WINDOW`]. A spike empties the window, so a
+    /// storm counts one anomaly per threshold's worth of sheds.
     pub fn shed(&self) {
         if !self.enabled {
             return;
@@ -80,7 +81,11 @@ impl FlightRecorder {
             {
                 times.pop_front();
             }
-            times.len() >= SHED_SPIKE_THRESHOLD
+            let spike = times.len() >= SHED_SPIKE_THRESHOLD;
+            if spike {
+                times.clear();
+            }
+            spike
         };
         if spike {
             self.anomaly("shed-rate spike");
@@ -178,6 +183,14 @@ mod tests {
         assert_eq!(rec.anomalies(), 0, "below the threshold");
         rec.shed();
         assert_eq!(rec.anomalies(), 1, "spike threshold reached");
+        // The storm goes on: the spike emptied the window, so the next
+        // threshold's worth of sheds fires once more, not once each.
+        for _ in 1..SHED_SPIKE_THRESHOLD {
+            rec.shed();
+        }
+        assert_eq!(rec.anomalies(), 1, "one anomaly per spike");
+        rec.shed();
+        assert_eq!(rec.anomalies(), 2, "the next spike");
     }
 
     #[test]

@@ -74,7 +74,6 @@ pub mod registry;
 pub mod runtime;
 pub mod session;
 pub mod stats;
-pub mod wheel;
 
 pub use admission::AdmissionController;
 pub use breaker::{BreakerTransition, CircuitBreaker};
@@ -94,9 +93,8 @@ pub use session::{
     DEFAULT_TARGET_ENDPOINT,
 };
 pub use stats::{RuntimeStats, TenantStats};
-pub use wheel::TimerWheel;
 pub use xdx_core::WireFormat;
 pub use xdx_trace::{
-    critical_path, CalibrationReport, CommCalibration, CriticalPathReport, DeltaCalibration,
-    HistogramSnapshot, OpCalibration, RoutePath, SessionPath, SpanId, SpanRecord, STAGES,
+    critical_path, CalibrationReport, CommCalibration, CriticalPathReport, HistogramSnapshot,
+    OpCalibration, RoutePath, SessionPath, SpanId, SpanRecord, STAGES,
 };

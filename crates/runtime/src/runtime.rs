@@ -1474,19 +1474,6 @@ impl Inner {
                 self.tenant_entry(&metrics.tenant, |t| t.completed += 1);
             }
         }
-        if metrics.delta_patch_bytes
-            + metrics.delta_patches_applied
-            + metrics.delta_full_chosen
-            + metrics.delta_full_fallbacks
-            > 0
-        {
-            self.calibration.record_delta(
-                metrics.delta_patch_bytes,
-                metrics.delta_patches_applied,
-                metrics.delta_full_chosen,
-                metrics.delta_full_fallbacks,
-            );
-        }
         let kind = match state {
             SessionState::Done => EventKind::Completed,
             SessionState::Failed => EventKind::Failed,

@@ -18,9 +18,8 @@ use std::time::Duration;
 use xdx_core::Location;
 use xdx_trace::{json_escape, HistogramSnapshot, MetricsRegistry};
 
-/// How far the shipping engine's nearest wheel deadline may run overdue
-/// (while tasks are parked) before the stall watchdog declares the engine
-/// wedged.
+/// How far the shipping engine's nearest parked deadline may run overdue
+/// before the stall watchdog declares the engine wedged.
 const STALL_THRESHOLD: Duration = Duration::from_millis(250);
 
 /// Stable label for a placement location in metric names and

@@ -63,37 +63,12 @@ pub struct CommCalibration {
     pub bytes_ratio: f64,
 }
 
-/// Delta-exchange decision counters: how often the planner shipped a
-/// patch, chose the full feeds on cost, or fell back for a non-cost
-/// reason — plus the patch bytes that crossed the wire.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DeltaCalibration {
-    /// Encoded Patch-frame bytes shipped.
-    pub patch_bytes: u64,
-    /// Patches applied transactionally at targets.
-    pub patches_applied: u64,
-    /// Delta-eligible sessions where cost chose the full re-ship.
-    pub full_chosen: u64,
-    /// Delta-eligible sessions that fell back for a non-cost reason
-    /// (missing snapshot, diff/decode failure, stale precondition).
-    pub full_fallbacks: u64,
-}
-
-impl DeltaCalibration {
-    /// True when no delta-eligible session has been observed.
-    pub fn is_empty(&self) -> bool {
-        self == &DeltaCalibration::default()
-    }
-}
-
 #[derive(Debug, Clone, Default)]
 pub struct CalibrationReport {
     pub ops: Vec<OpCalibration>,
     pub comm: Vec<CommCalibration>,
     /// Fleet-wide observed ns per predicted unit.
     pub global_ns_per_unit: f64,
-    /// Delta patch-vs-full decision counters.
-    pub delta: DeltaCalibration,
 }
 
 impl CalibrationReport {
@@ -137,13 +112,8 @@ impl CalibrationReport {
             ));
         }
         out.push_str(&format!(
-            "],\"delta\":{{\"patch_bytes\":{},\"patches_applied\":{},\"full_chosen\":{},\
-             \"full_fallbacks\":{}}},\"global_ns_per_unit\":{:.3}}}",
-            self.delta.patch_bytes,
-            self.delta.patches_applied,
-            self.delta.full_chosen,
-            self.delta.full_fallbacks,
-            self.global_ns_per_unit,
+            "],\"global_ns_per_unit\":{:.3}}}",
+            self.global_ns_per_unit
         ));
         out
     }
@@ -170,16 +140,6 @@ impl fmt::Display for CalibrationReport {
                 c.format, c.predicted_bytes, c.observed_bytes, c.bytes_ratio, c.observed_ns
             )?;
         }
-        if !self.delta.is_empty() {
-            writeln!(
-                f,
-                "  delta: {} patches applied ({}B), {} full-chosen, {} fallbacks",
-                self.delta.patches_applied,
-                self.delta.patch_bytes,
-                self.delta.full_chosen,
-                self.delta.full_fallbacks
-            )?;
-        }
         Ok(())
     }
 }
@@ -188,7 +148,6 @@ impl fmt::Display for CalibrationReport {
 struct State {
     ops: BTreeMap<(String, String, String), Cell>,
     comm: BTreeMap<String, CommCell>,
-    delta: DeltaCalibration,
 }
 
 /// Thread-safe predicted-vs-observed accumulator.
@@ -236,24 +195,6 @@ impl CalibrationTracker {
         cell.observed_bytes += observed_bytes;
         cell.observed_ns += observed_ns;
         cell.samples += 1;
-    }
-
-    /// Record one session's delta-exchange decision: patch bytes
-    /// shipped, patches applied, and which way the patch-vs-full
-    /// decision went (at most one of the three count arguments is
-    /// nonzero per session).
-    pub fn record_delta(
-        &self,
-        patch_bytes: u64,
-        patches_applied: u64,
-        full_chosen: u64,
-        full_fallbacks: u64,
-    ) {
-        let mut s = self.state.lock().unwrap();
-        s.delta.patch_bytes += patch_bytes;
-        s.delta.patches_applied += patches_applied;
-        s.delta.full_chosen += full_chosen;
-        s.delta.full_fallbacks += full_fallbacks;
     }
 
     /// The fleet-wide observed-ns-per-predicted-unit conversion alone,
@@ -325,7 +266,6 @@ impl CalibrationTracker {
             ops,
             comm,
             global_ns_per_unit: global,
-            delta: s.delta,
         }
     }
 }
@@ -361,24 +301,5 @@ mod tests {
         let r = t.report();
         assert_eq!(r.comm.len(), 1);
         assert!((r.comm[0].bytes_ratio - 0.4).abs() < 1e-9);
-    }
-
-    #[test]
-    fn delta_counters_accumulate_and_export() {
-        let t = CalibrationTracker::new();
-        assert!(t.report().delta.is_empty());
-        t.record_delta(1_200, 1, 0, 0);
-        t.record_delta(0, 0, 1, 0);
-        t.record_delta(800, 1, 0, 0);
-        t.record_delta(0, 0, 0, 1);
-        let r = t.report();
-        assert_eq!(r.delta.patch_bytes, 2_000);
-        assert_eq!(r.delta.patches_applied, 2);
-        assert_eq!(r.delta.full_chosen, 1);
-        assert_eq!(r.delta.full_fallbacks, 1);
-        let json = r.to_json();
-        assert!(json.contains("\"delta\":{\"patch_bytes\":2000,\"patches_applied\":2"));
-        let text = r.to_string();
-        assert!(text.contains("2 patches applied (2000B), 1 full-chosen, 1 fallbacks"));
     }
 }

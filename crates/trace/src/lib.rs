@@ -10,8 +10,7 @@
 //!   exposition.
 //! * [`calibration`] — predicted-vs-observed accounting for the cost
 //!   model: per-operator ratios and drift scores, communication byte
-//!   ratios, delta decisions, and the fleet-wide ns-per-unit admission
-//!   prices work with.
+//!   ratios, and the fleet-wide ns-per-unit admission prices work with.
 //! * [`critical_path`](mod@critical_path) — per-session and per-route stage attribution
 //!   (queue → plan → compute → encode → wire → decode → stage → settle)
 //!   extracted from a finished span tree.
@@ -21,9 +20,7 @@ pub mod critical_path;
 pub mod metrics;
 pub mod span;
 
-pub use calibration::{
-    CalibrationReport, CalibrationTracker, CommCalibration, DeltaCalibration, OpCalibration,
-};
+pub use calibration::{CalibrationReport, CalibrationTracker, CommCalibration, OpCalibration};
 pub use critical_path::{critical_path, CriticalPathReport, RoutePath, SessionPath, STAGES};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry};
 pub use span::{SpanId, SpanRecord, TraceSink, NO_SPAN};
