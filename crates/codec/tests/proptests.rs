@@ -89,23 +89,16 @@ fn build_feed(ncols: usize, roles: &[u8], rows: Vec<Vec<Value>>) -> Feed {
     feed
 }
 
-/// Two to four feeds for one container. Arity ≥ 1 when `xml`: the text
-/// format cannot represent zero-arity rows.
-fn feeds_strategy(xml: bool) -> impl Strategy<Value = Vec<Feed>> {
-    proptest::collection::vec(
-        (
-            usize::from(xml)..=MAX_ARITY,
-            roles_strategy(),
-            rows_strategy(),
-        ),
-        2..5,
+/// Two to four feeds for one container.
+fn feeds_strategy() -> impl Strategy<Value = Vec<Feed>> {
+    proptest::collection::vec((0..=MAX_ARITY, roles_strategy(), rows_strategy()), 2..5).prop_map(
+        |feeds| {
+            feeds
+                .into_iter()
+                .map(|(ncols, roles, rows)| build_feed(ncols, &roles, rows))
+                .collect()
+        },
     )
-    .prop_map(|feeds| {
-        feeds
-            .into_iter()
-            .map(|(ncols, roles, rows)| build_feed(ncols, &roles, rows))
-            .collect()
-    })
 }
 
 /// Encodes `feeds` as one message body under labels `part-0`, `part-1`…;
@@ -288,11 +281,11 @@ proptest! {
 
     #[test]
     fn containers_roundtrip_their_parts(
-        columnar in feeds_strategy(false),
-        text in feeds_strategy(true),
+        columnar in feeds_strategy(),
+        text in feeds_strategy(),
     ) {
-        // Empty feeds and (columnar) zero-arity feeds are parts like any
-        // other; each part's frame sits in the container exactly as the
+        // Empty feeds and zero-arity feeds are parts like any other;
+        // each part's frame sits in the container exactly as the
         // single-feed encoder writes it.
         for (feeds, format) in [(&columnar, WireFormat::Columnar), (&text, WireFormat::Xml)] {
             let (body, header) = container_of(feeds, format);
@@ -342,8 +335,8 @@ proptest! {
 
     #[test]
     fn damaged_containers_are_always_rejected(
-        columnar in feeds_strategy(false),
-        text in feeds_strategy(true),
+        columnar in feeds_strategy(),
+        text in feeds_strategy(),
         pos in 0usize..1_000_000,
         cut in 1usize..600,
         extra in proptest::collection::vec(any::<u8>(), 1..9),
@@ -413,11 +406,7 @@ proptest! {
 
     #[test]
     fn both_formats_decode_to_the_same_feed(
-        // Arity ≥ 1: the XML text format cannot represent zero-arity
-        // rows (an empty line reads back as one empty cell), and the
-        // runtime never ships a feed without columns — fragment schemas
-        // always carry at least the root ParentRef.
-        ncols in 1usize..=MAX_ARITY,
+        ncols in 0usize..=MAX_ARITY,
         roles in roles_strategy(),
         rows in rows_strategy(),
     ) {

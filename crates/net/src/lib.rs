@@ -23,6 +23,6 @@ pub mod http;
 pub mod soap;
 
 pub use channel::{BurstLoss, Delivery, FaultProfile, Link, NetworkProfile, TransferRecord};
-pub use chunk::{fnv64, frame_chunk, frame_chunk_into, ChunkFrame, ChunkView, Fnv64};
+pub use chunk::{frame_chunk, frame_chunk_into, ChunkFrame, ChunkView};
 pub use endpoint::ServiceHost;
 pub use soap::{SoapEnvelope, SoapFault};

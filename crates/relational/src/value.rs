@@ -90,31 +90,9 @@ impl Dewey {
 
     /// Parses dotted text (`"1.3.2"`; empty string = root).
     pub fn parse(s: &str) -> Option<Dewey> {
-        Dewey::root().extended(s)
-    }
-
-    /// `self` with the components of dotted text `s` appended (none for
-    /// the empty string). Linear in the depth however deep the text
-    /// goes: the path is sized before it is filled.
-    pub(crate) fn extended(&self, s: &str) -> Option<Dewey> {
-        if s.is_empty() {
-            return Some(self.clone());
-        }
-        let depth = self.depth() + s.split('.').count();
-        let mut inline = [0; INLINE];
-        let mut spilled = Vec::new();
-        let path = if depth <= INLINE {
-            &mut inline[..depth]
-        } else {
-            spilled.resize(depth, 0);
-            &mut spilled[..]
-        };
-        let (base, more) = path.split_at_mut(self.depth());
-        base.copy_from_slice(self.as_slice());
-        for (slot, part) in more.iter_mut().zip(s.split('.')) {
-            *slot = part.parse().ok()?;
-        }
-        Some(Dewey::from(&*path))
+        let mut path = Vec::new();
+        let end = parse_dotted_into(s.as_bytes(), &mut path)?;
+        (end == s.len()).then(|| Dewey::from(&path[..]))
     }
 
     /// Approximate serialized size in bytes (for communication costing).
@@ -124,6 +102,41 @@ impl Dewey {
             0
         } else {
             path.iter().map(|c| digits(u64::from(*c))).sum::<usize>() + path.len() - 1
+        }
+    }
+}
+
+/// Appends the components of the dotted id at the start of `bytes` to
+/// `path`, digit by digit, and returns where the id ends: at the first
+/// tab or newline, or at the end of `bytes`. An empty id appends nothing. `None`
+/// when the id is not dotted decimal — each component is `u32` text as
+/// `str::parse` reads it: an optional `+`, then one or more digits.
+/// Linear in the text however deep the id goes: `path` grows in place.
+pub(crate) fn parse_dotted_into(bytes: &[u8], path: &mut Vec<u32>) -> Option<usize> {
+    if matches!(bytes.first(), None | Some(b'\t' | b'\n')) {
+        return Some(0);
+    }
+    let mut at = 0;
+    loop {
+        at += usize::from(bytes.get(at) == Some(&b'+'));
+        let digits = at;
+        let mut n: u32 = 0;
+        while let Some(d) = bytes
+            .get(at)
+            .map(|b| b.wrapping_sub(b'0'))
+            .filter(|&d| d < 10)
+        {
+            n = n.checked_mul(10)?.checked_add(u32::from(d))?;
+            at += 1;
+        }
+        if at == digits {
+            return None;
+        }
+        path.push(n);
+        match bytes.get(at) {
+            None | Some(b'\t' | b'\n') => return Some(at),
+            Some(b'.') => at += 1,
+            Some(_) => return None,
         }
     }
 }
