@@ -7,16 +7,18 @@
 //!   queue wait) over completed sessions,
 //! * an EWMA of planned cost units, convertible to nanoseconds through
 //!   the calibration layer's fleet-wide `ns_per_unit`,
-//! * a sliding window of dequeue instants, whose spacing is the queue's
-//!   current drain rate.
+//! * a sliding window of the gaps between dequeues taken while the queue
+//!   stayed backlogged: the time one queued entry's turn costs right now.
 //!
 //! A submission carrying a deadline is refused up front when
 //! `estimated wait + estimated service > deadline` — the session would
 //! only be shed at dequeue anyway, after holding a queue slot someone
-//! else could have used. When no signal has been observed yet (a cold
-//! runtime) the estimate is `None` and admission stays optimistic:
-//! shedding on a guess would be worse than learning from one slow
-//! session.
+//! else could have used. The wait is priced per queued turn ahead of the
+//! session: the runtime counts those turns on the tenant's lane of the
+//! fair queue, not over the fleet's depth. When no signal has been
+//! observed yet (a cold runtime) the estimate is `None` and admission
+//! stays optimistic: shedding on a guess would be worse than learning
+//! from one slow session.
 
 use std::collections::VecDeque;
 use std::sync::Mutex;
@@ -25,7 +27,7 @@ use std::time::{Duration, Instant};
 /// EWMA smoothing factor for service-time and plan-cost signals.
 const ALPHA: f64 = 0.2;
 
-/// Dequeue instants retained for the drain-rate window.
+/// Backlogged dequeue gaps retained for the drain-rate window.
 const DRAIN_WINDOW: usize = 64;
 
 /// Back-off hint when nothing has been observed yet.
@@ -51,7 +53,20 @@ struct State {
     /// wait for the exposed fraction of service, not all of it.
     ewma_overlap: f64,
     overlap_samples: u64,
-    dequeues: VecDeque<Instant>,
+    /// When the last dequeue left the queue backlogged: the next
+    /// dequeue's gap from it is one turn of a busy queue.
+    backlogged_since: Option<Instant>,
+    /// The last `DRAIN_WINDOW` such gaps, and their sum.
+    turns: VecDeque<Duration>,
+    turns_total: Duration,
+}
+
+impl State {
+    /// Mean time one queued turn took over the drain window, in ns.
+    fn turn_ns(&self) -> Option<f64> {
+        (!self.turns.is_empty())
+            .then(|| self.turns_total.as_nanos() as f64 / self.turns.len() as f64)
+    }
 }
 
 /// Shared overload estimator (see the module docs). One per runtime;
@@ -113,23 +128,33 @@ impl AdmissionController {
         s.overlap_samples += 1;
     }
 
-    /// Stamps one dequeue into the drain-rate window.
-    pub fn record_dequeue(&self) {
+    /// Stamps one dequeue into the drain-rate window. `backlogged` says
+    /// whether the queue still holds entries after it: only a gap that
+    /// starts at such a dequeue measures the queue's drain, since an
+    /// idle queue's gaps measure its arrivals instead.
+    pub fn record_dequeue(&self, backlogged: bool) {
+        let now = Instant::now();
         let mut s = self.state.lock().unwrap();
-        s.dequeues.push_back(Instant::now());
-        while s.dequeues.len() > DRAIN_WINDOW {
-            s.dequeues.pop_front();
+        if let Some(since) = s.backlogged_since {
+            let gap = now - since;
+            s.turns.push_back(gap);
+            s.turns_total += gap;
+            if s.turns.len() > DRAIN_WINDOW {
+                let old = s.turns.pop_front().expect("window is over full");
+                s.turns_total -= old;
+            }
         }
+        s.backlogged_since = backlogged.then_some(now);
     }
 
-    /// Estimated queue-to-completion turnaround for a session entering
-    /// behind `depth` queued sessions on `workers` workers.
+    /// Estimated queue-to-completion turnaround for a session that
+    /// dequeues after `ahead` queued turns on `workers` workers.
     /// `ns_per_unit` is the calibration layer's fleet-wide conversion
-    /// (0 when uncalibrated). `None` until at least one signal exists —
-    /// a cold runtime admits optimistically.
+    /// (0 when uncalibrated). `None` until at least one service signal
+    /// exists — a cold runtime admits optimistically.
     pub fn estimated_turnaround(
         &self,
-        depth: usize,
+        ahead: usize,
         workers: usize,
         ns_per_unit: f64,
     ) -> Option<Duration> {
@@ -156,23 +181,24 @@ impl AdmissionController {
         } else {
             1.0
         };
-        let wait_ns = service_ns * depth as f64 / workers.max(1) as f64 / overlap;
+        let modelled_ns = service_ns * ahead as f64 / workers.max(1) as f64 / overlap;
+        // The drain window prices the same turns as they are being
+        // served now; the more pessimistic of the two waits wins.
+        let drained_ns = s.turn_ns().map_or(0.0, |turn| turn * ahead as f64);
+        let wait_ns = modelled_ns.max(drained_ns);
         Some(Duration::from_nanos((wait_ns + service_ns) as u64))
     }
 
     /// How long a refused client should back off before resubmitting:
     /// the time the queue needs to drain `depth + 1` sessions at its
-    /// observed dequeue rate, clamped to sane bounds.
+    /// observed per-turn drain, clamped to sane bounds.
     pub fn retry_after(&self, depth: usize) -> Duration {
         let s = self.state.lock().unwrap();
-        let per_dequeue_ns = if s.dequeues.len() >= 2 {
-            let span = s.dequeues[s.dequeues.len() - 1] - s.dequeues[0];
-            span.as_nanos() as f64 / (s.dequeues.len() - 1) as f64
-        } else if s.service_samples > 0 {
+        let per_dequeue_ns = s.turn_ns().unwrap_or(if s.service_samples > 0 {
             s.ewma_service_ns
         } else {
             COLD_RETRY_AFTER.as_nanos() as f64
-        };
+        });
         let hint = Duration::from_nanos((per_dequeue_ns * (depth + 1) as f64) as u64);
         hint.clamp(MIN_RETRY_AFTER, MAX_RETRY_AFTER)
     }
@@ -255,6 +281,37 @@ mod tests {
         c.record_overlap(f64::NAN);
         c.record_overlap(0.0);
         c.record_overlap(1e12);
+    }
+
+    #[test]
+    fn backlogged_drain_prices_the_wait_per_turn_ahead() {
+        let c = AdmissionController::new();
+        c.record_service(Duration::from_micros(10));
+        // The model alone: 10 turns × 10µs / 4 workers + 10µs.
+        assert_eq!(
+            c.estimated_turnaround(10, 4, 0.0),
+            Some(Duration::from_micros(35))
+        );
+        // Gaps that start at a dequeue leaving the queue empty measure
+        // arrivals, not the drain: they are not recorded.
+        c.record_dequeue(false);
+        std::thread::sleep(Duration::from_millis(5));
+        c.record_dequeue(false);
+        assert_eq!(
+            c.estimated_turnaround(10, 4, 0.0),
+            Some(Duration::from_micros(35))
+        );
+        // A backlogged gap of at least 5ms prices each turn ahead at it.
+        c.record_dequeue(true);
+        std::thread::sleep(Duration::from_millis(5));
+        c.record_dequeue(true);
+        let est = c.estimated_turnaround(10, 4, 0.0).unwrap();
+        assert!(est >= Duration::from_millis(50), "estimated {est:?}");
+        assert!(c.retry_after(9) >= Duration::from_millis(50));
+        assert_eq!(
+            c.estimated_turnaround(0, 4, 0.0),
+            Some(Duration::from_micros(10))
+        );
     }
 
     #[test]

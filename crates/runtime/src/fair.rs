@@ -140,6 +140,30 @@ impl<T> FairQueue<T> {
         self.lanes.get(tenant).map_or(0, |lane| lane.len)
     }
 
+    /// How many dequeues come before one entry pushed now on `tenant`'s
+    /// lane at `weight`: the whole lane (priority within a lane is not
+    /// modelled) plus, from every other backlogged lane, the turns whose
+    /// virtual times fall before the new entry's. A backlogged lane is
+    /// taken to stay backlogged, so it is charged its weighted turns
+    /// even past its current depth (ties by name aside). A light tenant
+    /// thus waits for its own backlog and its neighbours' weighted
+    /// turns, not the fleet's depth, and a heavy lane's wait grows with
+    /// its backlog over its share.
+    pub fn ahead_of_push(&self, tenant: &str, weight: f64) -> usize {
+        let (own, vstart) = self
+            .lanes
+            .get(tenant)
+            .map_or((0, self.vfloor), |lane| (lane.len, lane.vtime));
+        let turn = vstart + own as f64 / weight.max(MIN_WEIGHT);
+        let others: f64 = self
+            .lanes
+            .iter()
+            .filter(|(name, _)| name.as_str() != tenant)
+            .map(|(_, lane)| ((turn - lane.vtime) * lane.weight).ceil().max(0.0))
+            .sum();
+        own + others as usize
+    }
+
     /// Queues one entry on `tenant`'s lane at `priority`. The weight is
     /// re-declared on every push (lanes of idle tenants are dropped, so
     /// the queue holds no per-tenant state beyond its backlog); a
@@ -359,6 +383,39 @@ mod tests {
             (4..=6).contains(&newcomer),
             "newcomer drew {newcomer} of 10 instead of an equal share"
         );
+    }
+
+    #[test]
+    fn ahead_of_push_counts_the_weighted_turns_before_the_entry() {
+        let mut q = FairQueue::new(DEFAULT_AGING_INTERVAL);
+        let now = Instant::now();
+        // "a" (weight 1) holds six entries; "b" (weight 2) stays
+        // backlogged throughout.
+        for seq in 0..6 {
+            q.push("a", 1.0, Priority::Normal, seq, now, 0);
+        }
+        for seq in 6..60 {
+            q.push("b", 2.0, Priority::Normal, seq, now, 0);
+        }
+        // a's seventh entry falls due at virtual time 6: after a's six
+        // and b's twelve at 0, 0.5, …, 5.5 — fewer than the 60 queued.
+        assert_eq!(q.ahead_of_push("a", 1.0), 18);
+        q.push("a", 1.0, Priority::Normal, 60, now, 1);
+        let mut before = 0;
+        while q.pop_at(now).unwrap().item != 1 {
+            before += 1;
+        }
+        assert_eq!(before, 18);
+        // b is now at virtual time 6; one more turn puts it at 6.5,
+        // past the floor a newcomer enters at, so the newcomer goes
+        // next although 41 entries are queued.
+        q.pop_at(now);
+        assert_eq!(q.len(), 41);
+        assert_eq!(q.ahead_of_push("c", 1.0), 0);
+        q.push("c", 1.0, Priority::Normal, 61, now, 2);
+        assert_eq!(q.pop_at(now).unwrap().item, 2);
+        // b's own next entry waits for its whole backlog.
+        assert_eq!(q.ahead_of_push("b", 2.0), 41);
     }
 
     #[test]

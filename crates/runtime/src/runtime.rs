@@ -774,6 +774,7 @@ fn worker_loop(inner: &Arc<Inner>) {
                 let cap = workers * per_worker;
                 if inner.outstanding.load(Ordering::SeqCst) < cap {
                     if let Some(popped) = queue.fair.pop() {
+                        inner.admission.record_dequeue(!queue.fair.is_empty());
                         break Some(WorkItem::Start(Box::new(popped.item)));
                     }
                 }
@@ -787,10 +788,7 @@ fn worker_loop(inner: &Arc<Inner>) {
         inner.busy_workers.fetch_add(1, Ordering::Relaxed);
         match work {
             WorkItem::Service(sid) => inner.service(inner, sid),
-            WorkItem::Start(job) => {
-                inner.admission.record_dequeue();
-                inner.start_exchange(inner, *job);
-            }
+            WorkItem::Start(job) => inner.start_exchange(inner, *job),
         }
         inner.busy_workers.fetch_sub(1, Ordering::Relaxed);
     }
@@ -847,12 +845,19 @@ impl Inner {
         // Deadline shedding at admission: when the estimator already
         // knows the turnaround cannot beat the deadline, refuse now —
         // the session would only be shed at dequeue after occupying a
-        // queue slot. A cold estimator returns None and we admit
-        // optimistically. Resumed sessions and publish groups carry no
-        // deadline, so they are never shed here.
+        // queue slot. The wait is priced against the tenant's lane (its
+        // backlog and the other lanes' weighted turns before it), not
+        // the fleet's depth: the fair queue serves lanes by weight. A
+        // cold estimator returns None and we admit optimistically.
+        // Resumed sessions and publish groups carry no deadline, so
+        // they are never shed here.
         if let Some(deadline) = request.deadline {
+            let tenant = request.tenant_label();
+            let ahead = queue
+                .fair
+                .ahead_of_push(&tenant, self.tenant_weight(&tenant));
             let estimated = self.admission.estimated_turnaround(
-                depth,
+                ahead,
                 self.config.workers,
                 self.calibration.global_ns_per_unit(),
             );
