@@ -26,6 +26,11 @@
 //!   verified *before* any parsing so a damaged frame is rejected, never
 //!   mis-decoded.
 //!
+//! A tagged-text frame must end in its `#sum` line exactly as the
+//! encoder writes it — 16 lowercase hex digits and a newline — to decode
+//! through [`decode_any`] or [`decode_parts`]: a text frame cut short is
+//! an [`Error::Decode`] too, never a shorter feed.
+//!
 //! A frame carries rows and nothing about the run that encoded it: one
 //! feed encodes to the same bytes whoever ships it, traced or not, first
 //! run or resume (DESIGN §18).
@@ -664,7 +669,7 @@ pub fn decode_any(body: &[u8]) -> Result<Feed> {
     } else {
         let text = std::str::from_utf8(body)
             .map_err(|_| Error::decode("feed body is neither columnar nor UTF-8 text"))?;
-        Feed::from_wire(text)
+        Feed::from_sealed_wire(text)
     }
 }
 

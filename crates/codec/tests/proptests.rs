@@ -344,17 +344,12 @@ proptest! {
         for (feeds, format) in [(&columnar, WireFormat::Columnar), (&text, WireFormat::Xml)] {
             let (body, header) = container_of(feeds, format);
             // Any single bit, anywhere: header bits fail the header's
-            // checksum, frame bits fail the frame's own. A text frame's
-            // `#sum` line reads its hex digits in either case and ends at
-            // any whitespace, so a flip there can leave the frame valid
-            // — and then it decodes to exactly the parts that were sent.
+            // checksum, frame bits fail the frame's own — a text frame's
+            // `#sum` line has one spelling, so a flip there fails too.
             let bit = pos % (body.len() * 8);
             let mut damaged = body.clone();
             damaged[bit / 8] ^= 1 << (bit % 8);
-            if let Ok(parts) = decode_parts(&damaged) {
-                prop_assert!(format == WireFormat::Xml, "columnar bit {} went undetected", bit);
-                prop_assert_eq!(parts, decode_parts(&body).expect("intact"));
-            }
+            prop_assert!(decode_parts(&damaged).is_err(), "{} bit {} went undetected", format, bit);
             // Truncated anywhere, or followed by anything.
             let cut = cut.min(body.len());
             prop_assert!(decode_parts(&body[..body.len() - cut]).is_err());
@@ -482,6 +477,22 @@ proptest! {
         let frame = encode_feed(&feed);
         let cut = cut.min(frame.len());
         prop_assert!(decode_feed(&frame[..frame.len() - cut]).is_err());
+    }
+
+    #[test]
+    fn truncated_text_frames_are_rejected(
+        ncols in 0usize..=MAX_ARITY,
+        roles in roles_strategy(),
+        rows in rows_strategy(),
+        cut in 1usize..600,
+    ) {
+        // A text frame cut short must not read as the shorter feed its
+        // first rows spell: the received frame carries its `#sum` line.
+        let feed = build_feed(ncols, &roles, rows);
+        let mut frame = Vec::new();
+        encode_in_format_into(&mut frame, &feed, WireFormat::Xml);
+        let cut = cut.min(frame.len());
+        prop_assert!(decode_any(&frame[..frame.len() - cut]).is_err());
     }
 
     #[test]

@@ -155,7 +155,7 @@ impl<'a> ChunkView<'a> {
         let index: usize = parts.next()?.parse().ok()?;
         let total: usize = parts.next()?.parse().ok()?;
         let len: usize = parts.next()?.parse().ok()?;
-        let sum = u64::from_str_radix(parts.next()?, 16).ok()?;
+        let sum = parse_sum(parts.next()?)?;
         if parts.next().is_some() {
             return None;
         }
@@ -174,6 +174,15 @@ impl<'a> ChunkView<'a> {
             payload,
         })
     }
+}
+
+/// A frame's sum as [`frame_chunk_into`] writes it: exactly 16 lowercase
+/// hex digits, so each sum has one spelling and a flipped letter case
+/// fails the frame.
+fn parse_sum(hex: &str) -> Option<u64> {
+    Some(hex)
+        .filter(|h| h.len() == 16 && h.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')))
+        .and_then(|h| u64::from_str_radix(h, 16).ok())
 }
 
 /// Frames one chunk without building a [`ChunkFrame`] first.
@@ -295,11 +304,7 @@ mod tests {
 
     #[test]
     fn every_two_bit_flip_is_detected() {
-        // Detected means rejected, or read back as the frame that was
-        // sent: the sum is hex text, and flipping 0x20 on two of its
-        // letters changes their case and not the value.
         let frame = wide_frame();
-        let sent = ChunkView::parse(&frame);
         let bits = frame.len() * 8;
         let mut damaged = frame.clone();
         for i in 0..bits {
@@ -307,10 +312,7 @@ mod tests {
             for j in i + 1..bits {
                 damaged[j / 8] ^= 1 << (j % 8);
                 let view = ChunkView::parse(&damaged);
-                assert!(
-                    view.is_none() || view == sent,
-                    "flips at bits {i} and {j} went undetected"
-                );
+                assert!(view.is_none(), "flips at bits {i} and {j} went undetected");
                 damaged[j / 8] ^= 1 << (j % 8);
             }
             damaged[i / 8] ^= 1 << (i % 8);

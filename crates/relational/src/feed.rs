@@ -283,13 +283,26 @@ impl Feed {
     }
 
     /// Decodes the shipping format, verifying the integrity line when
-    /// present (feeds produced by [`Feed::to_wire`] always carry one).
+    /// present (feeds produced by [`Feed::to_wire`] always carry one; a
+    /// legacy feed on disk may not).
     ///
     /// The rows are read in one scan: the tag byte of a cell picks its
     /// kind, and the kind reads on to the tab or newline that ends it —
     /// ids digit by digit, a string to its tab, newline or escape.
     pub fn from_wire(text: &str) -> Result<Feed> {
-        let (schema, rows_text) = decode_header(verified_body(text)?)?;
+        Feed::from_body(verified_body(text, false)?)
+    }
+
+    /// Decodes a received frame of the shipping format: like
+    /// [`Feed::from_wire`], but the integrity line is required — a frame
+    /// cut short before it would otherwise read as a shorter feed.
+    pub fn from_sealed_wire(text: &str) -> Result<Feed> {
+        Feed::from_body(verified_body(text, true)?)
+    }
+
+    /// Decodes a verified body: the header, then the rows.
+    fn from_body(body: &str) -> Result<Feed> {
+        let (schema, rows_text) = decode_header(body)?;
         // The components of the row's last id: the base of a `*` cell.
         let mut ids = Vec::new();
         let mut rows = Vec::new();
@@ -311,9 +324,11 @@ impl Feed {
     }
 }
 
-/// `text` up to its integrity line, once the line verifies; all of
-/// `text` when it has none (a legacy feed).
-fn verified_body(text: &str) -> Result<&str> {
+/// `text` up to its integrity line, once the line verifies. The line
+/// reads exactly as [`append_wire`] writes it — 16 lowercase hex digits
+/// and a newline, one spelling per sum. Without one, all of `text` is
+/// the body (a legacy feed), unless `sealed` requires the line.
+fn verified_body(text: &str, sealed: bool) -> Result<&str> {
     // The integrity line starts at the beginning of a line; a literal
     // "#sum" inside a string cell is always mid-line (real tabs never
     // occur inside values).
@@ -322,13 +337,19 @@ fn verified_body(text: &str) -> Result<&str> {
         .map(|p| p + 1)
         .or_else(|| text.starts_with("#sum\t").then_some(0));
     let Some(pos) = sum_pos else {
+        if sealed {
+            return Err(Error::decode("no #sum line: feed cut short"));
+        }
         return Ok(text);
     };
     let body = &text[..pos];
-    let sum_line = text[pos..].trim_end();
-    let expected = sum_line
+    let expected = text[pos..]
         .strip_prefix("#sum\t")
-        .and_then(|h| u64::from_str_radix(h, 16).ok());
+        .and_then(|line| line.strip_suffix('\n'))
+        .filter(|hex| {
+            hex.len() == 16 && hex.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'))
+        })
+        .and_then(|hex| u64::from_str_radix(hex, 16).ok());
     match expected {
         Some(e) if e == fnv1a(body.as_bytes()) => Ok(body),
         Some(_) => Err(Error::decode(
@@ -947,7 +968,7 @@ mod tests {
     /// answer, but for the zero-arity fix. On a zero-arity feed an empty
     /// line is an empty row, where the reference read one empty cell.
     fn expected(text: &str) -> Result<Feed> {
-        let (schema, rows_text) = decode_header(verified_body(text)?)?;
+        let (schema, rows_text) = decode_header(verified_body(text, false)?)?;
         let lines = rows_text.into_iter().flat_map(|rows| rows.split('\n'));
         if schema.arity() > 0 {
             return reference_rows(schema, lines);
@@ -1080,7 +1101,7 @@ mod tests {
             let wire = feed.to_wire();
             prop_assert_eq!(Feed::from_wire(&wire), Ok(feed));
             prop_assert_eq!(Feed::from_wire(&wire), expected(&wire));
-            let body = verified_body(&wire).unwrap();
+            let body = verified_body(&wire, false).unwrap();
             for edit in &edits {
                 let text = mutated(body, edit);
                 prop_assert_eq!(Feed::from_wire(&text), expected(&text), "on {:?}", text);

@@ -7,9 +7,10 @@
 //! every lane of every exchange runs the same steps: the group's source
 //! half streams batches onto the ring ([`Inner::run_source`]), `pump`
 //! ships each lane's window through the engine, `absorb` decodes and
-//! stages what lands, and `settle` runs the lane's target half and
-//! closes it out. A two-site session is a group of one lane; a publish
-//! is a group of N (one group per negotiated wire format); a delta
+//! stages what lands — once per group, for every lane — and `settle`
+//! runs the lane's target half and closes it out. A two-site session is
+//! a group of one lane; a publish is a group of N (one group per
+//! negotiated wire format); a delta
 //! patch is one pre-encoded frame in ring slot 0 whose absorb step is
 //! decode → staleness check → `stage_patch`, with the fallback ladder
 //! re-entering the feed-batch path at the next seq.
@@ -39,7 +40,7 @@ use xdx_core::exec::{
     execute_source_phase_streaming, execute_target_phase, CrossPort, ExecOutcome,
 };
 use xdx_core::program::PortRef;
-use xdx_core::{Program, WireFormat, PATCH_STEP_FACTOR};
+use xdx_core::{WireFormat, PATCH_STEP_FACTOR};
 use xdx_delta::{db_tables, diff_snapshots, Snapshot};
 use xdx_net::http::{soap_post_bytes, RequestRef};
 use xdx_relational::{stage_patch, Counters, Database, DeltaPatch, Feed};
@@ -157,9 +158,6 @@ impl Slot {
     }
 }
 
-/// The feeds one delivered slot decoded to, in part order.
-type Decoded = Arc<Vec<Feed>>;
-
 /// A delta patch on the wire: what its absorb step needs to check the
 /// version precondition, stage the patch, and account for it.
 struct PatchShip {
@@ -179,8 +177,8 @@ struct PatchShip {
 
 /// One target's side of an exchange: its session cell, its own link,
 /// ledger coordinates and retry budget, its cursor over the group's
-/// frame ring, and its staging state. Everything per-target lives here;
-/// the only thing lanes share is the ring of already-encoded frames.
+/// frame ring. Everything per-target lives here; lanes share only the
+/// ring of already-encoded frames and the group's staged delivery.
 pub(crate) struct Lane {
     pub(crate) shared: Arc<SessionShared>,
     pub(crate) slot: Arc<LinkSlot>,
@@ -204,18 +202,9 @@ pub(crate) struct Lane {
     /// First failure diagnostic; stops the lane's pump, and the lane
     /// settles once its in-flight batches drain.
     failure: Option<String>,
-    /// Decoded slots that arrived ahead of the staging cursor, shared
-    /// with the group's other lanes until staged.
-    decoded: BTreeMap<u64, Decoded>,
-    /// Next shipment seq to stage — batches apply in order even when
-    /// the wire completes them out of order.
-    next_stage_seq: u64,
     /// Source-phase outcome (on the group's first lane), growing
     /// ship tallies as batches land.
     outcome: ExecOutcome,
-    /// Delivered feeds, one per cross port, each batch appended as it
-    /// is staged; the target phase runs over them at settlement.
-    delivered: HashMap<PortRef, Feed>,
     /// True once a patch committed and indexed the target: nothing is
     /// left for the target half to finish.
     patched: bool,
@@ -230,12 +219,6 @@ impl Lane {
     /// Still shipping from the ring: neither settled nor failed.
     fn live(&self) -> bool {
         !self.settled && self.failure.is_none()
-    }
-
-    /// Shipment `seq` has landed here: staged, or decoded and waiting
-    /// for the staging cursor.
-    fn absorbed(&self, seq: u64) -> bool {
-        seq < self.next_stage_seq || self.decoded.contains_key(&seq)
     }
 
     /// Nothing on the wire and nothing left to put there.
@@ -276,11 +259,19 @@ pub(crate) struct Group {
     /// First ring slot some live lane has yet to submit.
     floor: usize,
     lanes: Vec<Lane>,
-    /// Decode-once cache: lanes receive byte-identical frames (the
-    /// engine checksums end to end), so the first absorber parses and
-    /// later lanes share the feeds. An entry lives while some live lane
-    /// has yet to absorb its seq.
-    decoded: HashMap<u64, Decoded>,
+    /// Stage-once: lanes receive byte-identical frames (the engine
+    /// checksums end to end), so the first live lane to absorb a slot
+    /// decodes it and the group stages it for all of them. Decoded
+    /// slots, in part order, that arrived ahead of the staging cursor.
+    decoded: BTreeMap<u64, Vec<Feed>>,
+    /// Next shipment seq to stage — batches apply in order even when
+    /// the wire completes them out of order.
+    next_stage_seq: u64,
+    /// Delivered feeds, one per cross port, each batch moved in as it is
+    /// staged; every lane's target phase runs over them at settlement.
+    delivered: HashMap<PortRef, Feed>,
+    /// Slots staged into `delivered` while the group holds it.
+    staged: usize,
     /// Snapshot-once cache, same argument: the first lane to commit
     /// snapshots its tables and the rest record the same `Arc`.
     snapshot: Option<Snapshot>,
@@ -295,13 +286,34 @@ pub(crate) struct Group {
 }
 
 impl Group {
-    /// Drops every cached decoded batch no live lane is still to absorb:
-    /// the cache keeps a batch for its remaining takers and for nobody
-    /// else, and a failed or ejected lane will never take one.
-    fn release_decoded(&mut self) {
-        let lanes = &self.lanes;
-        self.decoded
-            .retain(|&seq, _| lanes.iter().any(|l| l.live() && !l.absorbed(seq)));
+    /// Drops every decoded batch once no live lane is left to take it: a
+    /// failed or ejected lane never will.
+    fn release_unclaimed(&mut self) {
+        if !self.lanes.iter().any(Lane::live) {
+            self.decoded.clear();
+            self.delivered.clear();
+            self.staged = 0;
+        }
+    }
+
+    /// Files decoded slots in shipment-seq order from the staging
+    /// cursor, each slot's parts in order, onto the delivered feed of the
+    /// part's cross port: the first batch is adopted whole, later ones
+    /// are appended by move — the group holds the only handle on both.
+    fn stage_ready(&mut self) {
+        while let Some(feeds) = self.decoded.remove(&self.next_stage_seq) {
+            // `decode` matched the feeds to the slot's parts.
+            let parts = &self.ring[self.next_stage_seq as usize].parts;
+            self.next_stage_seq += 1;
+            self.staged += 1;
+            for (feed, Part { port, .. }) in feeds.into_iter().zip(parts) {
+                if let Some(delivered) = self.delivered.get_mut(port) {
+                    delivered.rows.absorb(feed.rows);
+                } else {
+                    self.delivered.insert(*port, feed);
+                }
+            }
+        }
     }
 }
 
@@ -350,9 +362,10 @@ impl Exchange {
         }
     }
 
-    /// Decoded batches its groups' decode-once caches hold right now.
+    /// Decoded batches its groups hold for lanes still to settle: ahead
+    /// of the staging cursor or staged.
     pub(crate) fn decoded_cached(&self) -> usize {
-        self.groups.iter().map(|g| g.decoded.len()).sum()
+        self.groups.iter().map(|g| g.decoded.len() + g.staged).sum()
     }
 }
 
@@ -465,10 +478,7 @@ impl Inner {
             completed: 0,
             link_gave_up: false,
             failure: None,
-            decoded: BTreeMap::new(),
-            next_stage_seq: 0,
             outcome: ExecOutcome::default(),
-            delivered: HashMap::new(),
             patched: false,
             step: None,
             settled: false,
@@ -509,7 +519,10 @@ impl Inner {
             ring: Vec::new(),
             floor: 0,
             lanes,
-            decoded: HashMap::new(),
+            decoded: BTreeMap::new(),
+            next_stage_seq: 0,
+            delivered: HashMap::new(),
+            staged: 0,
             snapshot: None,
             encodes: SessionMetrics::default(),
             shared_reuse: 0,
@@ -681,7 +694,7 @@ impl Inner {
                     format!("patch rejected: {e}; full re-ship"),
                 );
                 // The patch consumed seq 0; feed batches stage from 1.
-                lane.next_stage_seq = 1;
+                group.next_stage_seq = 1;
                 self.run_source(arc, ex, 0);
             }
         }
@@ -955,8 +968,9 @@ impl Inner {
             slot.frame = None;
         }
         group.floor = group.floor.max(floor);
-        // A lane that just failed or was ejected waits for no batch.
-        group.release_decoded();
+        // A lane that just failed or was ejected may have been the last
+        // one the delivery was kept for.
+        group.release_unclaimed();
     }
 
     /// The wire message of ring slot `seq`, encoded by the first lane to
@@ -1055,63 +1069,62 @@ impl Inner {
             self.absorb_patch(arc, ex, &delivered[..]);
             return;
         }
-        // Decode what actually arrived — link damage surfaces as an
-        // explicit error here.
-        let feeds = match self.decode_once(group, li, result.seq, &delivered[..]) {
-            Ok(feeds) => feeds,
-            Err(e) => {
-                group.lanes[li]
-                    .failure
-                    .get_or_insert_with(|| format!("batch {} corrupt: {e}", result.seq));
-                return;
+        // A failed lane settles over nothing the group stages.
+        if !lane.live() {
+            return;
+        }
+        let seq = result.seq;
+        if seq >= group.next_stage_seq && !group.decoded.contains_key(&seq) {
+            // Decode what actually arrived — link damage surfaces as an
+            // explicit error here.
+            match self.decode(group, li, seq, &delivered[..]) {
+                Ok(feeds) => {
+                    group.decoded.insert(seq, feeds);
+                }
+                Err(e) => {
+                    group.lanes[li]
+                        .failure
+                        .get_or_insert_with(|| format!("batch {seq} corrupt: {e}"));
+                    return;
+                }
             }
-        };
-        let lane = &mut group.lanes[li];
-        lane.decoded.insert(result.seq, feeds);
-        // Before staging: the last taker of a shared slot must find
-        // itself its sole owner to stage it by move.
-        group.release_decoded();
-        let lane = &mut group.lanes[li];
+        }
         let stage_started = Instant::now();
-        let staged_from = lane.next_stage_seq;
-        if let Err(e) = stage_ready(lane, &group.ring) {
-            lane.failure.get_or_insert(e);
-        }
-        let staged = lane.next_stage_seq - staged_from;
-        if staged > 0 {
-            self.trace.record_with_context(
-                self.trace.allocate_id(),
-                "stage",
-                lane.shared.id,
-                group.exec_span,
-                session_trace_id(&lane.shared),
-                stage_started,
-                stage_started.elapsed(),
-                format!("{staged} batch(es) from seq {staged_from}"),
-            );
-        }
+        let staged_from = group.next_stage_seq;
+        group.stage_ready();
+        let lane = &group.lanes[li];
+        // Every lane records its own stage span, whichever lane's
+        // delivery moved the group's cursor.
+        self.trace.record_with_context(
+            self.trace.allocate_id(),
+            "stage",
+            lane.shared.id,
+            group.exec_span,
+            session_trace_id(&lane.shared),
+            stage_started,
+            stage_started.elapsed(),
+            format!(
+                "batch {seq}: {} batch(es) from seq {staged_from}",
+                group.next_stage_seq - staged_from
+            ),
+        );
     }
 
     /// Parses a delivered slot — once per group: every lane receives
-    /// byte-identical frames, so the first absorber decodes (its `decode`
-    /// span goes under the group's exec span, in the trace of the run
-    /// absorbing it — a resumed run's own, whichever run's ledger stored
-    /// the bytes) and later lanes share the feeds' rows: a lane with
-    /// nothing delivered on a port yet adopts the row set as it is, one
-    /// that already holds a batch of the port appends (copying what it
-    /// shares). The parts that arrived must be the parts the slot sent,
-    /// label for label. The decode bill, like the encode bill, is per
-    /// *frame*.
-    fn decode_once(
+    /// byte-identical frames, so the first live lane to absorb a slot
+    /// decodes it (its `decode` span goes under the group's exec span, in
+    /// the trace of the run absorbing it — a resumed run's own, whichever
+    /// run's ledger stored the bytes) and the group stages the feeds for
+    /// every lane. The parts that arrived must be the parts the slot
+    /// sent, label for label. The decode bill, like the encode bill, is
+    /// per *frame*.
+    fn decode(
         &self,
-        group: &mut Group,
+        group: &Group,
         li: usize,
         seq: u64,
         delivered: &[u8],
-    ) -> std::result::Result<Decoded, String> {
-        if let Some(cached) = group.decoded.get(&seq) {
-            return Ok(Arc::clone(cached));
-        }
+    ) -> std::result::Result<Vec<Feed>, String> {
         let decode_started = Instant::now();
         let arrived = RequestRef::parse(delivered).map_err(|e| e.to_string())?;
         let parts = decode_parts(arrived.body).map_err(|e| e.to_string())?;
@@ -1139,24 +1152,24 @@ impl Inner {
             decode_started.elapsed(),
             format!("batch {seq}, {} part(s)", parts.len()),
         );
-        let feeds: Decoded = Arc::new(parts.into_iter().map(|(_, feed)| feed).collect());
-        if group.lanes.len() > 1 {
-            group.decoded.insert(seq, Arc::clone(&feeds));
-        }
-        Ok(feeds)
+        Ok(parts.into_iter().map(|(_, feed)| feed).collect())
     }
 
     /// The target half of a drained lane: a failed lane rolls back
     /// anything staged, a patched lane is already committed, and every
-    /// other lane runs the target phase over its delivered feeds —
-    /// staged, committed and indexed, or rolled back on any failure, so
-    /// the target leaves exactly as it arrived, never torn.
+    /// other lane runs the target phase over the group's delivered feeds
+    /// — staged, committed and indexed, or rolled back on any failure, so
+    /// the target leaves exactly as it arrived, never torn. The group's
+    /// last live lane takes the feeds by move; any other takes handles
+    /// sharing their rows.
     fn finish_target(
         &self,
         request: &ExchangeRequest,
-        program: &Program,
-        lane: &mut Lane,
+        group: &mut Group,
+        li: usize,
     ) -> std::result::Result<(), String> {
+        let last_live = group.lanes.iter().filter(|l| l.live()).count() == 1;
+        let lane = &mut group.lanes[li];
         if let Some(why) = lane.failure.take() {
             lane.target.rollback_staged();
             return Err(why);
@@ -1164,13 +1177,19 @@ impl Inner {
         if lane.patched {
             return Ok(());
         }
+        let delivered = if last_live {
+            group.staged = 0;
+            std::mem::take(&mut group.delivered)
+        } else {
+            group.delivered.clone()
+        };
         execute_target_phase(
             &self.schema,
             &request.source_frag,
             &request.target_frag,
-            program,
+            &group.plan.program,
             &mut lane.target,
-            std::mem::take(&mut lane.delivered),
+            delivered,
             &mut lane.outcome,
         )
         .map_err(|e| e.to_string())
@@ -1194,7 +1213,7 @@ impl Inner {
         let last_of_group = unsettled(&ex.groups[gi..=gi]) == 1;
         let request = &mut ex.request;
         let group = &mut ex.groups[gi];
-        let finished = self.finish_target(request, &group.plan.program, &mut group.lanes[li]);
+        let finished = self.finish_target(request, group, li);
         let lane = &mut group.lanes[li];
         lane.settled = true;
         let link_gave_up = lane.link_gave_up;
@@ -1310,8 +1329,8 @@ impl Inner {
         // The log kept the previous version's rows for every table this
         // lane landed unchanged. The target takes the log's rows too —
         // equal rows at equal positions, so its indexes stand — and the
-        // copy it decoded dies here, on this worker, outside the store's
-        // locks, once the group's last lane has let go of it.
+        // rows the group decoded die here, on this worker, outside the
+        // store's locks, once the group's last lane has let go of them.
         if let Some(retained) = self.snapshots.snapshot(&feed_route, version) {
             for (name, feed) in retained.iter() {
                 if let Ok((table, _)) = s.target.table_mut(name) {
@@ -1531,31 +1550,4 @@ impl Inner {
         // Workers parked on an empty queue re-check the exit condition.
         self.available.notify_all();
     }
-}
-
-/// Files a lane's decoded slots in shipment-seq order from its staging
-/// cursor, each slot's parts in order, onto the delivered feed of the
-/// part's cross port: the first batch is adopted whole, and later ones
-/// are appended (moved from a sole handle, copied once from a shared
-/// one). The target phase runs over the delivery at settlement.
-fn stage_ready(lane: &mut Lane, ring: &[Slot]) -> std::result::Result<(), String> {
-    while let Some(feeds) = lane.decoded.remove(&lane.next_stage_seq) {
-        // The last lane to stage a shared slot takes its feeds; earlier
-        // ones take handles on their rows.
-        let feeds = Arc::try_unwrap(feeds).unwrap_or_else(|shared| (*shared).clone());
-        let seq = lane.next_stage_seq;
-        lane.next_stage_seq += 1;
-        // `decode_once` matched the feeds to the slot's parts.
-        let slot = ring
-            .get(seq as usize)
-            .ok_or_else(|| format!("no slot for shipment {seq}"))?;
-        for (feed, Part { port, .. }) in feeds.into_iter().zip(&slot.parts) {
-            if let Some(delivered) = lane.delivered.get_mut(port) {
-                delivered.rows.absorb(feed.rows);
-            } else {
-                lane.delivered.insert(*port, feed);
-            }
-        }
-    }
-    Ok(())
 }

@@ -377,8 +377,9 @@ impl Inner {
         // deep the pipeline actually runs.
         m.gauge("xdx_pipeline_depth")
             .set(self.engine.inflight() as f64);
-        // Decoded batches parked publish groups hold for lanes that have
-        // yet to absorb them — memory a stuck or dead lane must not pin.
+        // Decoded batches parked groups hold for lanes still to settle,
+        // ahead of the staging cursor or staged into the delivery —
+        // memory a stuck or dead lane must not pin.
         let parked = self.parked.lock().unwrap();
         let cached: usize = parked.values().map(|ex| ex.decoded_cached()).sum();
         drop(parked);
