@@ -21,10 +21,13 @@
 //!   unique sentences built from a small vocabulary (the XMark
 //!   `idescription` pattern) collapse to a run of one-byte word indices;
 //! * **framing**: an 8-byte magic (so receivers can sniff columnar vs.
-//!   XML text, which always starts with `#feed`), an FNV-64 digest of the
-//!   schema section, and a trailing FNV-64 checksum over the whole frame,
-//!   verified *before* any parsing so a damaged frame is rejected, never
-//!   mis-decoded.
+//!   XML text, which always starts with `#feed`), a word-sum digest of
+//!   the schema section, and a trailing word-sum checksum over the whole
+//!   frame, verified *before* any parsing so a damaged frame is rejected,
+//!   never mis-decoded. The word sum ([`xdx_relational::sum`]) is the
+//!   tree's one checksum: the tagged-text `#sum` line, the patch frame,
+//!   the container header and the chunk frames of `xdx-net` are sealed
+//!   with it too.
 //!
 //! A tagged-text frame must end in its `#sum` line exactly as the
 //! encoder writes it — 16 lowercase hex digits and a newline — to decode
@@ -49,10 +52,10 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
-use xdx_relational::feed::{append_wire, fnv1a};
+use xdx_relational::feed::append_wire;
 use xdx_relational::{
-    ColRole, DeltaPatch, Dewey, Error, Feed, FeedColumn, FeedSchema, PatchStep, Result, StepKind,
-    TablePatch, Value,
+    word_sum, ColRole, DeltaPatch, Dewey, Error, Feed, FeedColumn, FeedSchema, PatchStep, Result,
+    StepKind, TablePatch, Value,
 };
 
 /// Frame magic of the columnar format. XML-text feeds start with
@@ -163,7 +166,7 @@ const TAG_STR: u8 = 3;
 /// magic            8 bytes  "XDXCOLF1"
 /// schema           root element, column count, per column
 ///                  (element, role byte 0=ID 1=PARENT 2=VALUE)
-/// schema digest    8 bytes LE, FNV-64 of the schema section
+/// schema digest    8 bytes LE, word sum of the schema section
 /// row count        varint
 /// token dict       token count, then length-prefixed tokens in
 ///                  first-occurrence order (tokens never contain ' ')
@@ -177,7 +180,7 @@ const TAG_STR: u8 = 3;
 ///                           zig-zag delta on the diverging component,
 ///                           raw varints for the rest
 ///                    Str    varint string-table index
-/// checksum         8 bytes LE, FNV-64 of everything above
+/// checksum         8 bytes LE, word sum of everything above
 /// ```
 pub fn encode_feed(feed: &Feed) -> Vec<u8> {
     let mut buf = Vec::new();
@@ -358,7 +361,7 @@ fn append_columnar_frame(buf: &mut Vec<u8>, schema: &FeedSchema, rows: &[Vec<Val
             ColRole::Value => 2,
         });
     }
-    let digest = fnv1a(&buf[schema_start..]);
+    let digest = word_sum(&buf[schema_start..]);
     buf.extend_from_slice(&digest.to_le_bytes());
 
     put_varint(buf, rows.len() as u64);
@@ -391,7 +394,7 @@ fn append_columnar_frame(buf: &mut Vec<u8>, schema: &FeedSchema, rows: &[Vec<Val
         buf.extend_from_slice(&col.bytes);
     }
 
-    let sum = fnv1a(&buf[frame_start..]);
+    let sum = word_sum(&buf[frame_start..]);
     buf.extend_from_slice(&sum.to_le_bytes());
 }
 
@@ -493,7 +496,7 @@ pub fn decode_feed(bytes: &[u8]) -> Result<Feed> {
     }
     let (body, sum) = bytes.split_at(bytes.len() - 8);
     let expected = u64::from_le_bytes(sum.try_into().expect("8-byte slice"));
-    if fnv1a(body) != expected {
+    if word_sum(body) != expected {
         return Err(Error::decode(
             "checksum mismatch: columnar frame corrupted in transit",
         ));
@@ -519,7 +522,7 @@ pub fn decode_feed(bytes: &[u8]) -> Result<Feed> {
         };
         columns.push(FeedColumn::new(element, role));
     }
-    let digest = fnv1a(&r.buf[schema_start..r.pos]);
+    let digest = word_sum(&r.buf[schema_start..r.pos]);
     if r.u64_le("schema digest")? != digest {
         return Err(Error::decode("schema digest mismatch"));
     }
@@ -711,7 +714,7 @@ pub struct FeedPart<'a> {
 /// magic            8 bytes  "XDXMULT1"
 /// part count       varint
 /// per part         label (length-prefixed), frame length
-/// header checksum  8 bytes LE, FNV-64 of everything above
+/// header checksum  8 bytes LE, word sum of everything above
 /// frames           each part exactly as `encode_rows_in_format_into`
 ///                  writes it, back to back, own `#sum`/checksum intact
 /// ```
@@ -728,7 +731,7 @@ pub fn encode_parts_into(buf: &mut Vec<u8>, parts: &[FeedPart<'_>], format: Wire
         put_str(&mut header, part.label);
         put_varint(&mut header, (buf.len() - start) as u64);
     }
-    let sum = fnv1a(&header);
+    let sum = word_sum(&header);
     header.extend_from_slice(&sum.to_le_bytes());
     let frames = buf.len();
     // The header is sized by what follows it: one move of the frames,
@@ -762,7 +765,7 @@ pub fn decode_parts(body: &[u8]) -> Result<DecodedParts> {
     for _ in 0..count {
         heads.push((r.string("part label")?, r.varint("part length")?));
     }
-    let digest = fnv1a(&body[..r.pos]);
+    let digest = word_sum(&body[..r.pos]);
     if r.u64_le("container checksum")? != digest {
         return Err(Error::decode(
             "checksum mismatch: container header corrupted in transit",
@@ -818,7 +821,7 @@ pub fn encode_patch(patch: &DeltaPatch, format: WireFormat) -> Vec<u8> {
 /// per table        name, step count, then per step
 ///                  (kind byte, key depth + components, payload rows),
 ///                  then payload-frame length + the embedded feed frame
-/// checksum         8 bytes LE, FNV-64 of everything above
+/// checksum         8 bytes LE, word sum of everything above
 /// ```
 pub fn encode_patch_into(buf: &mut Vec<u8>, patch: &DeltaPatch, format: WireFormat) -> usize {
     buf.clear();
@@ -846,7 +849,7 @@ pub fn encode_patch_into(buf: &mut Vec<u8>, patch: &DeltaPatch, format: WireForm
         let len_bytes = buf.len() - frame;
         buf[at..].rotate_right(len_bytes);
     }
-    let sum = fnv1a(buf);
+    let sum = word_sum(buf);
     buf.extend_from_slice(&sum.to_le_bytes());
     buf.len()
 }
@@ -864,7 +867,7 @@ pub fn decode_patch(bytes: &[u8]) -> Result<DeltaPatch> {
     }
     let (body, sum) = bytes.split_at(bytes.len() - 8);
     let expected = u64::from_le_bytes(sum.try_into().expect("8-byte slice"));
-    if fnv1a(body) != expected {
+    if word_sum(body) != expected {
         return Err(Error::decode(
             "checksum mismatch: patch frame corrupted in transit",
         ));
@@ -1043,19 +1046,20 @@ mod tests {
         assert_eq!(decode_feed(&encode_feed(&f)).unwrap(), f);
     }
 
-    /// Length and FNV-64 of the frames these feeds encoded to before the
+    /// Length and word sum of the frames these feeds encoded to before the
     /// dictionary pass went to one probe per cell: dictionaries still
     /// number strings and tokens in first-occurrence row-major order, so
-    /// every frame is the same bytes.
+    /// every frame is the same bytes. Recorded again when the trailer and
+    /// schema digest became word sums; the lengths did not move.
     #[test]
     fn frames_are_byte_identical_to_the_recorded_ones() {
         let golden = [
-            (sample_feed(), (322, 0x1a01_42b0_cb6c_0049)),
-            (itemlike_feed(), (1907, 0x02c4_1684_0f53_35a8)),
+            (sample_feed(), (322, 0x2cf6_0c08_c9d7_82e6)),
+            (itemlike_feed(), (1907, 0x7662_06bb_cf1e_b991)),
         ];
         for (feed, recorded) in golden {
             let mut frame = encode_feed(&feed);
-            assert_eq!((frame.len(), fnv1a(&frame)), recorded);
+            assert_eq!((frame.len(), word_sum(&frame)), recorded);
             // A row range encodes to the frame of a feed holding just it.
             let batch = Feed {
                 schema: feed.schema.clone(),
@@ -1078,22 +1082,23 @@ mod tests {
             .collect()
     }
 
-    /// Length and FNV-64 of the container these two feeds packed to when
+    /// Length and word sum of the container these two feeds packed to when
     /// the format was introduced, per wire format: a resumed session
     /// replays checkpointed containers, so the layout is as pinned as a
-    /// frame's.
+    /// frame's. Recorded again, at the same lengths, when every checksum
+    /// became a word sum.
     #[test]
     fn containers_are_byte_identical_to_the_recorded_ones() {
         let feeds = [("Order", sample_feed()), ("item", itemlike_feed())];
         let parts = parts_of(&feeds);
         let golden = [
-            (WireFormat::Columnar, (2261, 0x2187_2201_82ff_a94a)),
-            (WireFormat::Xml, (8855, 0xd601_8957_514f_1ae0)),
+            (WireFormat::Columnar, (2261, 0xe6f5_dbd4_2c86_3a29)),
+            (WireFormat::Xml, (8855, 0x83db_77ec_59c1_a39d)),
         ];
         let mut buf = Vec::new();
         for (format, recorded) in golden {
             let frames = encode_parts_into(&mut buf, &parts, format);
-            assert_eq!((buf.len(), fnv1a(&buf)), recorded, "{format}");
+            assert_eq!((buf.len(), word_sum(&buf)), recorded, "{format}");
             // The header is all a container adds: magic, count, two
             // (label, length) pairs, checksum.
             assert_eq!(buf.len() - frames, 8 + 1 + (6 + 2) + (5 + 2) + 8);
@@ -1152,7 +1157,7 @@ mod tests {
             put_varint(&mut lying, a);
             put_str(&mut lying, "item");
             put_varint(&mut lying, b);
-            let sum = fnv1a(&lying);
+            let sum = word_sum(&lying);
             lying.extend_from_slice(&sum.to_le_bytes());
             lying.extend_from_slice(&body);
             assert!(decode_parts(&lying).is_err(), "lengths {a}, {b}");
@@ -1281,6 +1286,57 @@ mod tests {
         assert!(decode_any(&frame).is_err());
         assert!(decode_patch(&encode_feed(&sample_feed())).is_err());
         assert!(decode_patch(b"#feed\tx\n").is_err());
+    }
+
+    /// Every two-bit flip anywhere in a small columnar, text and patch
+    /// frame is rejected, as every one in a chunk frame is. This pins the
+    /// word step's xorshift: without it a flip in a word's high bits is
+    /// carried only upwards, and two such flips in different words can
+    /// cancel.
+    #[test]
+    fn every_two_bit_flip_is_detected() {
+        let mut small = Feed::new(sample_feed().schema);
+        small.rows = sample_feed().rows[..3].to_vec().into();
+        let mut payload = Feed::new(small.schema.clone());
+        payload.rows = small.rows[..1].to_vec().into();
+        let patch = DeltaPatch {
+            base_version: 4,
+            head_version: 5,
+            tables: vec![TablePatch {
+                table: "ORDER".into(),
+                steps: vec![PatchStep {
+                    kind: StepKind::ReplaceSubtree,
+                    key: Dewey::from([1, 1]),
+                    rows: 1,
+                }],
+                payload,
+            }],
+        };
+        type Rejects = fn(&[u8]) -> bool;
+        let decoders: [(Vec<u8>, Rejects); 3] = [
+            (encode_feed(&small), |b| decode_any(b).is_err()),
+            (small.to_wire().into_bytes(), |b| decode_any(b).is_err()),
+            (encode_patch(&patch, WireFormat::Columnar), |b| {
+                decode_patch(b).is_err()
+            }),
+        ];
+        for (frame, rejected) in decoders {
+            assert!(frame.len() <= 170, "{} bytes", frame.len());
+            let bits = frame.len() * 8;
+            let mut damaged = frame.clone();
+            for i in 0..bits {
+                damaged[i / 8] ^= 1 << (i % 8);
+                for j in i + 1..bits {
+                    damaged[j / 8] ^= 1 << (j % 8);
+                    assert!(
+                        rejected(&damaged),
+                        "flips at bits {i} and {j} of {frame:?} went undetected"
+                    );
+                    damaged[j / 8] ^= 1 << (j % 8);
+                }
+                damaged[i / 8] ^= 1 << (i % 8);
+            }
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@ use xdx_codec::{
     is_columnar, is_container, FeedPart, WireFormat, CONTAINER_MAGIC,
 };
 use xdx_net::{Delivery, FaultProfile, Link, NetworkProfile};
-use xdx_relational::feed::fnv1a;
+use xdx_relational::word_sum;
 use xdx_relational::{ColRole, Dewey, Feed, FeedColumn, FeedSchema, Value};
 
 /// Cell vocabulary biased toward the dictionary's sweet spot: repeated
@@ -198,7 +198,7 @@ fn reference_encode(feed: &Feed) -> Vec<u8> {
             ColRole::Value => 2,
         });
     }
-    let digest = fnv1a(&buf[8..]);
+    let digest = word_sum(&buf[8..]);
     buf.extend_from_slice(&digest.to_le_bytes());
     put_varint(&mut buf, rows.len() as u64);
 
@@ -271,7 +271,7 @@ fn reference_encode(feed: &Feed) -> Vec<u8> {
             }
         }
     }
-    let sum = fnv1a(&buf);
+    let sum = word_sum(&buf);
     buf.extend_from_slice(&sum.to_le_bytes());
     buf
 }

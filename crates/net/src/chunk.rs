@@ -9,16 +9,14 @@
 //! verification: a corrupted frame can never be accepted into the wrong
 //! slot of a reassembly ledger.
 //!
-//! The checksum is a word sum: FNV-1a's offset basis and prime, but one
-//! step per 64-bit word — each header field is a word, the payload is
-//! read as little-endian words, and only the last few bytes take
-//! FNV-1a's byte step. Every step is a bijection of the state, so damage
-//! confined to one word (or one tail byte) always changes the sum; the
-//! unit tests check every two-bit flip, every burst of up to 16 bytes
-//! and every single-byte change to a header field exhaustively. It takes
-//! one dependent multiply per eight bytes where FNV-1a takes one per
-//! byte, and the frame is as wide as before (the sum is still 16 hex
-//! digits).
+//! The checksum is the tree's word sum ([`xdx_relational::sum`]): each
+//! header field is folded in as one word, then the payload as
+//! little-endian words, and only the last few bytes take FNV-1a's byte
+//! step. Every step is a bijection of the state, so damage confined to
+//! one word (or one tail byte) always changes the sum; the unit tests
+//! check every two-bit flip, every burst of up to 16 bytes and every
+//! single-byte change to a header field exhaustively. The sum is 16 hex
+//! digits in the header.
 //!
 //! The frame identity travels with the bytes, not the connection. That is
 //! what makes resumable shipping possible: a receiver can file any
@@ -33,24 +31,10 @@
 //! view's payload out).
 
 use std::io::Write as _;
+use xdx_relational::sum::{mix_bytes, mix_word, SUM_BASIS};
 
 /// Frame header magic.
 pub const CHUNK_MAGIC: &str = "XDXCHUNK";
-
-/// FNV-1a's 64-bit offset basis: the chunk sum's starting state.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a's 64-bit prime: the odd multiplier of every step.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Folds one word into the chunk sum. Each step is a bijection of the
-/// state for a fixed word — xor, an odd multiply, a right xorshift — so
-/// two inputs that differ in one word always sum differently. The
-/// multiply carries only upwards; the shift folds the high bits it
-/// filled back into the low ones before the next word lands there.
-fn mix_word(h: u64, word: u64) -> u64 {
-    let h = (h ^ word).wrapping_mul(FNV_PRIME);
-    h ^ (h >> 29)
-}
 
 /// One verified chunk frame: the shipment coordinates plus the payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -73,27 +57,14 @@ impl ChunkFrame {
     /// word each, the payload is little-endian `u64` words, and the tail
     /// of fewer than eight bytes takes FNV-1a's byte step.
     fn checksum(session: u64, shipment: u64, index: usize, total: usize, payload: &[u8]) -> u64 {
-        let mut h = FNV_OFFSET;
-        for field in [
+        let header = [
             session,
             shipment,
             index as u64,
             total as u64,
             payload.len() as u64,
-        ] {
-            h = mix_word(h, field);
-        }
-        let mut words = payload.chunks_exact(8);
-        for word in &mut words {
-            h = mix_word(
-                h,
-                u64::from_le_bytes(word.try_into().expect("8-byte chunk")),
-            );
-        }
-        for &b in words.remainder() {
-            h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-        }
-        h
+        ];
+        mix_bytes(header.into_iter().fold(SUM_BASIS, mix_word), payload)
     }
 
     /// Encodes the frame:

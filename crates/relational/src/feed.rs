@@ -18,6 +18,7 @@
 //! run as a merge join and the tagger emit documents in a single pass.
 
 use crate::error::{Error, Result};
+use crate::sum::word_sum;
 use crate::value::{parse_dotted_into, Dewey, Value};
 use std::fmt;
 use std::io::Write;
@@ -351,7 +352,7 @@ fn verified_body(text: &str, sealed: bool) -> Result<&str> {
         })
         .and_then(|hex| u64::from_str_radix(hex, 16).ok());
     match expected {
-        Some(e) if e == fnv1a(body.as_bytes()) => Ok(body),
+        Some(e) if e == word_sum(body.as_bytes()) => Ok(body),
         Some(_) => Err(Error::decode(
             "checksum mismatch: feed corrupted in transit",
         )),
@@ -563,10 +564,10 @@ pub fn append_wire(out: &mut Vec<u8>, schema: &FeedSchema, rows: &[Vec<Value>]) 
         }
         out.push(b'\n');
     }
-    // Trailing integrity line: FNV-1a over everything above. A flipped
+    // Trailing integrity line: the word sum of everything above. A flipped
     // bit in transit becomes a decode error instead of silently
     // corrupt target data.
-    let sum = fnv1a(&out[start..]);
+    let sum = word_sum(&out[start..]);
     writeln!(out, "#sum\t{sum:016x}").expect("writing to a Vec cannot fail");
 }
 
@@ -665,17 +666,6 @@ fn encode_value(v: &Value, prev: Option<&Dewey>, out: &mut Vec<u8>) {
             out.extend_from_slice(&bytes[plain..]);
         }
     }
-}
-
-/// FNV-1a 64-bit hash: the wire integrity line here, the frame, schema
-/// and container checksums of `xdx-codec`.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Builds the conventional feed schema for a fragment: `ParentRef` of the
@@ -863,12 +853,6 @@ mod tests {
             Feed::from_wire(empty_line),
             Err(Error::decode("bad cell \"\""))
         );
-    }
-
-    #[test]
-    fn fnv1a_is_stable() {
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_ne!(fnv1a(b"a"), fnv1a(b"b"));
     }
 
     #[test]
@@ -1067,7 +1051,7 @@ mod tests {
         if !body.ends_with('\n') {
             body.push('\n');
         }
-        let sum = fnv1a(body.as_bytes());
+        let sum = word_sum(body.as_bytes());
         body + &format!("#sum\t{sum:016x}\n")
     }
 

@@ -5,14 +5,20 @@
 //! row positions in key order, cut into one run per distinct key — the
 //! leaf level of MySQL's B-tree indexes on the key columns of each
 //! shredded relation, without the tree: a lookup is a binary search over
-//! the run keys. Tables arrive in Dewey order, so on their key columns
-//! building one is a sortedness check, not a sort.
+//! the runs, reading each run's key through the rows the index was built
+//! over. It keeps positions, never keys.
+//!
+//! Tables arrive in Dewey order, so on their key columns building one is
+//! one pass: it confirms the order and records where each key's run
+//! starts with the same comparison. Only a column found out of order —
+//! the first descent — pays a sort of the positions.
 
 use crate::stats::Counters;
 use crate::value::Value;
+use std::cmp::Ordering;
 
 /// An ordered index over one column of a table.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Index {
     /// Indexed column position.
     pub column: usize,
@@ -21,8 +27,6 @@ pub struct Index {
     /// Where in `order` each run starts, one run per distinct key, and
     /// where the last one ends.
     starts: Vec<u32>,
-    /// The key of each run, ascending.
-    keys: Vec<Value>,
 }
 
 impl Index {
@@ -32,16 +36,23 @@ impl Index {
         counters.index_inserts += rows.len() as u64;
         let key = |pos: u32| &rows[pos as usize][column];
         let mut order: Vec<u32> = (0..rows.len() as u32).collect();
-        if !rows.windows(2).all(|w| w[0][column] <= w[1][column]) {
-            // Stable: equal keys keep their positions ascending.
-            order.sort_by_key(|&pos| key(pos));
-        }
         let mut starts = Vec::new();
-        let mut keys: Vec<Value> = Vec::new();
-        for (at, &pos) in order.iter().enumerate() {
-            if keys.last() != Some(key(pos)) {
-                starts.push(at as u32);
-                keys.push(key(pos).clone());
+        if !rows.is_empty() {
+            starts.push(0);
+        }
+        for (at, pair) in rows.windows(2).enumerate() {
+            match pair[0][column].cmp(&pair[1][column]) {
+                Ordering::Less => starts.push(at as u32 + 1),
+                Ordering::Equal => {}
+                Ordering::Greater => {
+                    // Stable: equal keys keep their positions ascending.
+                    order.sort_by_key(|&pos| key(pos));
+                    starts = (0..order.len())
+                        .filter(|&at| at == 0 || key(order[at - 1]) != key(order[at]))
+                        .map(|at| at as u32)
+                        .collect();
+                    break;
+                }
             }
         }
         starts.push(order.len() as u32);
@@ -49,13 +60,16 @@ impl Index {
             column,
             order,
             starts,
-            keys,
         }
     }
 
     /// Row positions whose indexed column equals `key`, ascending.
-    pub fn lookup(&self, key: &Value) -> &[u32] {
-        match self.keys.binary_search(key) {
+    /// `rows` are the rows the index was built over.
+    pub fn lookup(&self, rows: &[Vec<Value>], key: &Value) -> &[u32] {
+        let runs = &self.starts[..self.starts.len() - 1];
+        match runs
+            .binary_search_by(|&at| rows[self.order[at as usize] as usize][self.column].cmp(key))
+        {
             Ok(run) => &self.order[self.starts[run] as usize..self.starts[run + 1] as usize],
             Err(_) => &[],
         }
@@ -63,7 +77,7 @@ impl Index {
 
     /// Number of distinct keys.
     pub fn distinct_keys(&self) -> usize {
-        self.keys.len()
+        self.starts.len() - 1
     }
 
     /// Total number of indexed entries.
@@ -73,7 +87,7 @@ impl Index {
 
     /// True when every key maps to exactly one row (a unique/primary key).
     pub fn is_unique(&self) -> bool {
-        self.keys.len() == self.order.len()
+        self.distinct_keys() == self.order.len()
     }
 }
 
@@ -95,8 +109,11 @@ mod tests {
         let mut c = Counters::new();
         let idx = Index::build(&rows(), 1, &mut c);
         assert_eq!(c.index_inserts, 3);
-        assert_eq!(idx.lookup(&Value::Str("a".into())), &[0, 2]);
-        assert_eq!(idx.lookup(&Value::Str("zzz".into())), &[] as &[u32]);
+        assert_eq!(idx.lookup(&rows(), &Value::Str("a".into())), &[0, 2]);
+        assert_eq!(
+            idx.lookup(&rows(), &Value::Str("zzz".into())),
+            &[] as &[u32]
+        );
         assert_eq!(idx.distinct_keys(), 2);
         assert_eq!(idx.entries(), 3);
         assert!(!idx.is_unique());

@@ -26,14 +26,16 @@ pub mod ops;
 pub mod patch;
 pub mod stats;
 pub mod storage;
+pub mod sum;
 pub mod table;
 pub mod value;
 
 pub use db::Database;
 pub use error::{Error, Result};
-pub use feed::{fnv1a, ColRole, Feed, FeedColumn, FeedSchema, Rows};
+pub use feed::{ColRole, Feed, FeedColumn, FeedSchema, Rows};
 pub use index::Index;
 pub use patch::{apply_table_patch, stage_patch, DeltaPatch, PatchStep, StepKind, TablePatch};
 pub use stats::Counters;
+pub use sum::word_sum;
 pub use table::Table;
 pub use value::{Dewey, Value};

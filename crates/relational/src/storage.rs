@@ -5,6 +5,12 @@
 //! files plus a small manifest. This is what lets the CLI shred a document
 //! once and run many exchanges against the same source, the way the
 //! paper's experiments reuse a loaded MySQL instance across runs.
+//!
+//! Each file is sealed by the feed's `#sum` line, and [`load`] names the
+//! file whose line does not verify. The line is the word sum
+//! ([`crate::sum`]); a directory saved while it was FNV-1a fails to load
+//! — every file is a checksum mismatch — and must be saved again from
+//! its source document.
 
 use crate::db::Database;
 use crate::error::{Error, Result};
@@ -85,7 +91,12 @@ pub fn load(dir: &Path) -> Result<Database> {
         let text = fs::read_to_string(&path).map_err(|e| Error::Decode {
             detail: format!("read {path:?}: {e}"),
         })?;
-        let feed = Feed::from_wire(&text)?;
+        let feed = Feed::from_wire(&text).map_err(|e| match e {
+            Error::Decode { detail } => Error::Decode {
+                detail: format!("{path:?}: {detail}"),
+            },
+            other => other,
+        })?;
         db.load(table, feed)?;
     }
     Ok(db)
@@ -168,6 +179,19 @@ mod tests {
         fs::write(&victim, text).unwrap();
         let err = load(&dir).unwrap_err();
         assert!(err.to_string().contains("corrupted"), "{err}");
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn corrupted_feed_file_is_named() {
+        let dir = tmpdir("named");
+        save(&sample_db(), &dir).unwrap();
+        let victim = dir.join(file_name_for("ALPHA"));
+        let text = fs::read_to_string(&victim).unwrap();
+        fs::write(&victim, text.replace("ALPHA-2", "ALPHA-Y")).unwrap();
+        let err = load(&dir).unwrap_err().to_string();
+        assert!(err.contains("ALPHA.feed"), "{err}");
+        assert!(err.contains("checksum mismatch"), "{err}");
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -203,15 +203,23 @@ proptest! {
 
     /// The run index answers what the ordered map of position lists it
     /// replaced answers, on columns in no order with repeated and `Null`
-    /// keys.
+    /// keys, on sorted ones, and on sorted ones with one descent — the
+    /// largest key moved to `descent` — where the one-pass build has
+    /// recorded runs before it falls back to a sort.
     #[test]
     fn index_agrees_with_an_ordered_map_of_positions(
         picks in proptest::collection::vec(any::<u8>(), 0..60),
-        sorted in any::<bool>(),
+        mode in 0u8..3,
+        descent in any::<usize>(),
     ) {
         let mut keys: Vec<Value> = picks.iter().map(|&p| small_key(p)).collect();
-        if sorted {
+        if mode > 0 {
             keys.sort();
+        }
+        if mode == 2 {
+            if let Some(largest) = keys.pop() {
+                keys.insert(descent % (keys.len() + 1), largest);
+            }
         }
         let rows: Vec<Vec<Value>> = keys
             .iter()
@@ -233,9 +241,9 @@ proptest! {
         for pick in 0..=255u8 {
             let key = small_key(pick);
             let want = model.get(&key).map(Vec::as_slice).unwrap_or(&[]);
-            prop_assert_eq!(index.lookup(&key), want, "{:?}", key);
+            prop_assert_eq!(index.lookup(&rows, &key), want, "{:?}", key);
         }
-        prop_assert_eq!(index.lookup(&Value::Str("absent".into())), &[] as &[u32]);
+        prop_assert_eq!(index.lookup(&rows, &Value::Str("absent".into())), &[] as &[u32]);
     }
 
     /// `Split` dedups in place exactly as it did with a key vector per

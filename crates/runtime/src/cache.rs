@@ -21,7 +21,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use xdx_core::{CostModel, Fragmentation, Optimizer, Program, WireFormat};
-use xdx_relational::fnv1a;
+use xdx_relational::word_sum;
 
 /// The two-part cache key of an exchange.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -238,8 +238,8 @@ pub fn plan_key(
         push(&mut stats, t);
     }
     PlanKey {
-        shape: fnv1a(&shape),
-        stats: fnv1a(&stats),
+        shape: word_sum(&shape),
+        stats: word_sum(&stats),
     }
 }
 

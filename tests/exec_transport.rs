@@ -33,13 +33,17 @@ fn fnv64(bytes: &[u8]) -> u64 {
     })
 }
 
-/// Digest of every table's name and XML-text wire form, in name order.
+/// Digest of every table's name and XML-text wire form up to its `#sum`
+/// line, in name order: the landed schema and rows, not the checksum
+/// that seals them.
 fn tables_digest(db: &Database) -> u64 {
     let mut state = Vec::new();
     for name in db.table_names() {
         state.extend_from_slice(name.as_bytes());
         state.push(0);
-        state.extend_from_slice(db.table(name).unwrap().data.to_wire().as_bytes());
+        let wire = db.table(name).unwrap().data.to_wire();
+        let body = wire.rfind("\n#sum\t").map_or(wire.len(), |at| at + 1);
+        state.extend_from_slice(&wire.as_bytes()[..body]);
     }
     fnv64(&state)
 }
@@ -106,7 +110,7 @@ const MF_ELEMENTS: &str = "SITE|REGIONS|CATEGORIES|CATGRAPH|PEOPLE|OPENAUCTIONS|
 fn mf_to_lf_ships_and_lands_what_the_interleaved_loop_did() {
     let schema = xdx::xmark::schema();
     let (mf, lf) = (xdx::xmark::mf(&schema), xdx::xmark::lf(&schema));
-    let (rows_loaded, tables) = (78, 0xa253_5b3c_367b_0bbd);
+    let (rows_loaded, tables) = (78, 0x34cf_7949_8d5b_dab9);
     // The planner combines the 1-1 pairs at the source and the rest at
     // the target.
     let planned = Golden {
@@ -131,7 +135,7 @@ fn mf_to_lf_ships_and_lands_what_the_interleaved_loop_did() {
 fn lf_to_mf_ships_and_lands_what_the_interleaved_loop_did() {
     let schema = xdx::xmark::schema();
     let (mf, lf) = (xdx::xmark::mf(&schema), xdx::xmark::lf(&schema));
-    let (rows_loaded, tables) = (594, 0x5c3c_842c_ce54_4b7b);
+    let (rows_loaded, tables) = (594, 0xf10c_16aa_a80a_7729);
     // The planner splits at the source: one shipment per MF table, in
     // the order the target writes consume them.
     let planned = Golden {
