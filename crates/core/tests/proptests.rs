@@ -14,56 +14,8 @@ use xdx_core::publish::{publish, tag};
 use xdx_core::shred::shred;
 use xdx_core::{greedy, optimal, Fragmentation};
 use xdx_relational::Database;
-use xdx_xml::{NodeId, Occurs, SchemaTree, Writer};
-
-/// Builds a random schema tree: `n` nodes attached to random earlier
-/// parents, every third element repeated, leaves textual.
-fn random_schema(seed: u64, n: usize) -> SchemaTree {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut tree = SchemaTree::new("r0");
-    let mut ids = vec![tree.root()];
-    for i in 1..n {
-        let parent = ids[rng.gen_range(0..ids.len())];
-        let occurs = match i % 3 {
-            0 => Occurs::Many,
-            1 => Occurs::One,
-            _ => Occurs::Optional,
-        };
-        let id = tree.add_child(parent, format!("r{i}"), occurs).unwrap();
-        ids.push(id);
-    }
-    for leaf in tree.leaves() {
-        tree.set_text(leaf);
-    }
-    tree
-}
-
-/// Generates a random document conforming to `schema`.
-fn random_document(schema: &SchemaTree, seed: u64) -> String {
-    fn emit(schema: &SchemaTree, rng: &mut StdRng, w: &mut Writer, e: NodeId) {
-        let node = schema.node(e);
-        w.start(&node.name);
-        if node.has_text && node.children.is_empty() {
-            w.text(&format!("v{}", rng.gen_range(0..1000)));
-        }
-        for &c in &node.children {
-            let reps = match schema.node(c).occurs {
-                Occurs::One => 1,
-                Occurs::Optional => rng.gen_range(0..2),
-                Occurs::Many => rng.gen_range(0..4),
-                Occurs::OneOrMore => rng.gen_range(1..4),
-            };
-            for _ in 0..reps {
-                emit(schema, rng, w, c);
-            }
-        }
-        w.end();
-    }
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut w = Writer::new();
-    emit(schema, &mut rng, &mut w, schema.root());
-    w.finish()
-}
+use xdx_sim::{random_document, random_schema};
+use xdx_xml::{NodeId, SchemaTree};
 
 /// Random fragmentation by random cut points.
 fn random_frag(schema: &SchemaTree, seed: u64, cuts: usize) -> Fragmentation {

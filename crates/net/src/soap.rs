@@ -4,7 +4,7 @@
 //! over HTTP. Service calls and shipped fragments travel as envelopes; a
 //! failed call returns a `Fault` per SOAP 1.1 §4.4.
 
-use xdx_xml::{Document, Element};
+use xdx_xml::{Document, Element, Node};
 
 /// SOAP 1.1 envelope namespace.
 pub const ENVELOPE_NS: &str = "http://schemas.xmlsoap.org/soap/envelope/";
@@ -85,26 +85,32 @@ impl SoapEnvelope {
 
     /// Parses an envelope off the wire.
     pub fn parse(src: &str) -> Result<SoapEnvelope, String> {
-        let doc = Document::parse(src).map_err(|e| e.to_string())?;
-        let root = &doc.root;
+        let mut doc = Document::parse(src).map_err(|e| e.to_string())?;
+        let root = &mut doc.root;
         if !(root.name == "soap:Envelope"
             || root.name == "Envelope"
             || root.name.ends_with(":Envelope"))
         {
             return Err(format!("expected Envelope, got {}", root.name));
         }
-        let body = root
-            .elements()
+        let body = elements_mut(root)
             .find(|e| e.name == "soap:Body" || e.name == "Body" || e.name.ends_with(":Body"))
             .ok_or_else(|| "missing Body".to_string())?;
-        let inner = body
-            .elements()
+        let inner = elements_mut(body)
             .next()
             .ok_or_else(|| "empty Body".to_string())?;
+        // Moved out, not cloned: the parsed tree is dropped right after.
         Ok(SoapEnvelope {
-            body: inner.clone(),
+            body: std::mem::take(inner),
         })
     }
+}
+
+fn elements_mut(e: &mut Element) -> impl Iterator<Item = &mut Element> {
+    e.children.iter_mut().filter_map(|n| match n {
+        Node::Element(e) => Some(e),
+        Node::Text(_) => None,
+    })
 }
 
 #[cfg(test)]

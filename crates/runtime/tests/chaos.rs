@@ -13,40 +13,16 @@
 //! Set `XDX_CHAOS_SEED=<u64>` to extend the seed list (the CI chaos job
 //! feeds its matrix through this).
 
+mod common;
+
+use common::oracle::{reference_target, wire_state};
 use std::time::Duration;
-use xdx_net::{BurstLoss, FaultProfile, Link, NetworkProfile};
-use xdx_relational::Database;
+use xdx_net::{BurstLoss, FaultProfile};
 use xdx_runtime::{
     EventKind, ExchangeRequest, Runtime, RuntimeConfig, SessionState, ShippingPolicy, SubmitError,
     WireFormat,
 };
 use xdx_xmark::{generate, lf, load_source, mf, schema, GenConfig};
-
-/// The ground truth: the same exchange over a perfect link.
-fn reference_target(doc: &str) -> Database {
-    let schema = schema();
-    let mf = mf(&schema);
-    let lf = lf(&schema);
-    let mut source = load_source(doc, &schema, &mf).unwrap();
-    let mut target = Database::new("reference");
-    let mut link = Link::new(NetworkProfile::lan());
-    let exchange = xdx_core::DataExchange::new(&schema, mf, lf);
-    exchange.run(&mut source, &mut target, &mut link).unwrap();
-    target
-}
-
-/// Serializes a database to its canonical wire form: table names in
-/// sorted order, each followed by its feed's wire serialization. Two
-/// databases with equal wire state are byte-identical for our purposes.
-fn wire_state(db: &Database) -> Vec<u8> {
-    let mut out = Vec::new();
-    for name in db.table_names() {
-        out.extend_from_slice(name.as_bytes());
-        out.push(0);
-        out.extend_from_slice(db.table(name).unwrap().data.to_wire().as_bytes());
-    }
-    out
-}
 
 /// The adversarial profiles of the matrix. Severities are chosen so the
 /// retry policy can still win — the *data* must survive, that is the
@@ -130,7 +106,7 @@ fn chaos_seeds() -> Vec<u64> {
 fn every_adversarial_profile_yields_byte_identical_state_across_seeds() {
     let schema = schema();
     let doc = generate(GenConfig::sized(12_000));
-    let reference = wire_state(&reference_target(&doc));
+    let reference = wire_state(&reference_target(&doc, &mf(&schema), &lf(&schema)));
     let mf = mf(&schema);
     let lf = lf(&schema);
 
@@ -212,7 +188,7 @@ fn every_adversarial_profile_yields_byte_identical_state_across_seeds() {
 fn resume_reships_only_unacknowledged_chunks() {
     let schema = schema();
     let doc = generate(GenConfig::sized(12_000));
-    let reference = wire_state(&reference_target(&doc));
+    let reference = wire_state(&reference_target(&doc, &mf(&schema), &lf(&schema)));
     let mf = mf(&schema);
     let lf = lf(&schema);
     let shipping = ShippingPolicy {
@@ -515,7 +491,7 @@ fn deadlines_fail_sessions_without_tripping_the_breaker() {
 fn heterogeneous_multi_pair_fleet_is_byte_identical_per_pair() {
     let schema = schema();
     let doc = generate(GenConfig::sized(12_000));
-    let reference = wire_state(&reference_target(&doc));
+    let reference = wire_state(&reference_target(&doc, &mf(&schema), &lf(&schema)));
     let mf = mf(&schema);
     let lf = lf(&schema);
 
@@ -787,7 +763,7 @@ fn overloaded_fleet_sheds_the_degraded_route_and_keeps_the_healthy_one_clean() {
 fn mixed_format_fleet_falls_back_per_pair_and_stays_byte_identical() {
     let schema = schema();
     let doc = generate(GenConfig::sized(12_000));
-    let reference = wire_state(&reference_target(&doc));
+    let reference = wire_state(&reference_target(&doc, &mf(&schema), &lf(&schema)));
     let mf = mf(&schema);
     let lf = lf(&schema);
 
@@ -895,7 +871,7 @@ fn mixed_format_fleet_falls_back_per_pair_and_stays_byte_identical() {
 fn pipelined_batch_streams_survive_the_adversarial_matrix() {
     let schema = schema();
     let doc = generate(GenConfig::sized(8_000));
-    let reference = wire_state(&reference_target(&doc));
+    let reference = wire_state(&reference_target(&doc, &mf(&schema), &lf(&schema)));
     let mf = mf(&schema);
     let lf = lf(&schema);
 
@@ -990,7 +966,7 @@ fn mid_stream_failure_rolls_back_and_resume_reships_only_unacked_batches() {
 fn mid_stream_failure_and_resume(batch_rows: usize) -> usize {
     let schema = schema();
     let doc = generate(GenConfig::sized(8_000));
-    let reference = wire_state(&reference_target(&doc));
+    let reference = wire_state(&reference_target(&doc, &mf(&schema), &lf(&schema)));
     let mf = mf(&schema);
     let lf = lf(&schema);
     let shipping = ShippingPolicy {

@@ -2,50 +2,17 @@
 //! unreliable link, plan-cache sharing, scheduling, admission control,
 //! cancellation and graceful degradation.
 
+mod common;
+
+use common::oracle::{reference_target, wire_state};
 use std::time::Duration;
-use xdx_core::{Fragmentation, Optimizer};
+use xdx_core::Optimizer;
 use xdx_net::FaultProfile;
-use xdx_net::{Link, NetworkProfile};
-use xdx_relational::Database;
 use xdx_runtime::{
     EventKind, ExchangeRequest, Priority, PublishRequest, Runtime, RuntimeConfig, SessionState,
     ShippingPolicy, SubmitError,
 };
 use xdx_xmark::{generate, lf, load_source, mf, schema, GenConfig};
-
-/// Runs one exchange fault-free through the single-session orchestrator
-/// — the ground truth the runtime's targets must match.
-fn reference_for(doc: &str, source_frag: &Fragmentation, target_frag: &Fragmentation) -> Database {
-    let schema = schema();
-    let mut source = load_source(doc, &schema, source_frag).unwrap();
-    let mut target = Database::new("reference");
-    let mut link = Link::new(NetworkProfile::lan());
-    let exchange = xdx_core::DataExchange::new(&schema, source_frag.clone(), target_frag.clone());
-    exchange.run(&mut source, &mut target, &mut link).unwrap();
-    target
-}
-
-/// The default MF→LF direction's ground truth.
-fn reference_target(doc: &str) -> Database {
-    let schema = schema();
-    reference_for(doc, &mf(&schema), &lf(&schema))
-}
-
-fn assert_same_tables(reference: &Database, got: &Database, session: &str) {
-    let mut expected_names = reference.table_names();
-    let mut got_names = got.table_names();
-    expected_names.sort_unstable();
-    got_names.sort_unstable();
-    assert_eq!(expected_names, got_names, "{session}: table sets differ");
-    for name in expected_names {
-        let want = &reference.table(name).unwrap().data;
-        let have = &got.table(name).unwrap().data;
-        assert_eq!(
-            want.rows, have.rows,
-            "{session}: table {name} lost or corrupted rows"
-        );
-    }
-}
 
 /// The headline acceptance test: ≥8 concurrent sessions complete under
 /// 10% message drops with zero lost rows, and the plan cache is shared
@@ -54,7 +21,7 @@ fn assert_same_tables(reference: &Database, got: &Database, session: &str) {
 fn eight_concurrent_sessions_survive_ten_percent_drops_without_losing_rows() {
     let schema = schema();
     let doc = generate(GenConfig::sized(40_000));
-    let reference = reference_target(&doc);
+    let reference = wire_state(&reference_target(&doc, &mf(&schema), &lf(&schema)));
     let mf = mf(&schema);
     let lf = lf(&schema);
 
@@ -89,7 +56,10 @@ fn eight_concurrent_sessions_survive_ten_percent_drops_without_losing_rows() {
             result.diagnostic
         );
         let target = result.target.expect("done sessions carry their target");
-        assert_same_tables(&reference, &target, &name);
+        assert!(
+            wire_state(&target) == reference,
+            "{name}: differs from the reference"
+        );
         assert!(result.metrics.rows_loaded > 0);
         assert!(result.metrics.bytes_shipped > 0);
         assert!(result.metrics.chunks_shipped > 0);
@@ -420,8 +390,8 @@ fn mixed_direction_fleet_completes_under_optimal_optimizer() {
     let doc = generate(GenConfig::sized(10_000));
     let mf = mf(&schema);
     let lf = lf(&schema);
-    let forward = reference_for(&doc, &mf, &lf);
-    let reverse = reference_for(&doc, &lf, &mf);
+    let forward = wire_state(&reference_target(&doc, &mf, &lf));
+    let reverse = wire_state(&reference_target(&doc, &lf, &mf));
 
     const SESSIONS: usize = 6;
     let runtime = Runtime::start(
@@ -459,7 +429,10 @@ fn mixed_direction_fleet_completes_under_optimal_optimizer() {
         );
         let reference = if forward_leg { &forward } else { &reverse };
         let target = result.target.expect("done sessions carry their target");
-        assert_same_tables(reference, &target, &name);
+        assert!(
+            wire_state(&target) == *reference,
+            "{name}: differs from the reference"
+        );
     }
     let stats = runtime.shutdown();
     assert_eq!(stats.completed, SESSIONS as u64);

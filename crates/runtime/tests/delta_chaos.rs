@@ -11,39 +11,16 @@
 //! its base version no longer the route head — rolls back cleanly and
 //! falls back to a full re-ship inside the same session.
 
+mod common;
+
+use common::oracle::{reference_target, wire_state};
 use std::time::Duration;
-use xdx_net::{BurstLoss, FaultProfile, Link, NetworkProfile};
-use xdx_relational::Database;
+use xdx_net::{BurstLoss, FaultProfile, NetworkProfile};
 use xdx_runtime::{
     EventKind, ExchangeRequest, Runtime, RuntimeConfig, SessionState, ShippingPolicy, WireFormat,
     DEFAULT_SOURCE_ENDPOINT, DEFAULT_TARGET_ENDPOINT,
 };
 use xdx_xmark::{churn, generate, lf, load_source, mf, schema, GenConfig};
-
-/// The ground truth: the same exchange over a perfect link.
-fn reference_target(doc: &str) -> Database {
-    let schema = schema();
-    let mf = mf(&schema);
-    let lf = lf(&schema);
-    let mut source = load_source(doc, &schema, &mf).unwrap();
-    let mut target = Database::new("reference");
-    let mut link = Link::new(NetworkProfile::lan());
-    let exchange = xdx_core::DataExchange::new(&schema, mf, lf);
-    exchange.run(&mut source, &mut target, &mut link).unwrap();
-    target
-}
-
-/// Canonical wire form of a database: table names in sorted order, each
-/// followed by its feed's wire serialization.
-fn wire_state(db: &Database) -> Vec<u8> {
-    let mut out = Vec::new();
-    for name in db.table_names() {
-        out.extend_from_slice(name.as_bytes());
-        out.push(0);
-        out.extend_from_slice(db.table(name).unwrap().data.to_wire().as_bytes());
-    }
-    out
-}
 
 /// Head version of the default route.
 fn default_route_version(runtime: &Runtime, source_frag: &str, target_frag: &str) -> u64 {
@@ -65,7 +42,7 @@ fn delta_session_ships_fraction_of_full_and_matches_reference() {
     let doc = generate(GenConfig::sized(12_000));
     let churned = churn(&doc, 5, 7);
     assert_ne!(doc, churned, "5% churn must actually mutate the document");
-    let reference = wire_state(&reference_target(&churned));
+    let reference = wire_state(&reference_target(&churned, &mf(&schema), &lf(&schema)));
     let mf = mf(&schema);
     let lf = lf(&schema);
 
@@ -163,7 +140,7 @@ fn failed_patch_session_rolls_back_and_resume_reships_only_unacked_chunks() {
     let schema = schema();
     let doc = generate(GenConfig::sized(16_000));
     let churned = churn(&doc, 40, 11);
-    let reference = wire_state(&reference_target(&churned));
+    let reference = wire_state(&reference_target(&churned, &mf(&schema), &lf(&schema)));
     let mf = mf(&schema);
     let lf = lf(&schema);
 
@@ -325,7 +302,7 @@ fn stale_and_unknown_base_versions_fall_back_to_full_reship() {
     assert_eq!(stale.metrics.delta_full_fallbacks, 1);
     assert_eq!(
         wire_state(&stale.target.unwrap()),
-        wire_state(&reference_target(&rechurned)),
+        wire_state(&reference_target(&rechurned, &mf, &lf)),
         "fallback re-ship diverged from the reference"
     );
     assert_eq!(default_route_version(&runtime, &mf.name, &lf.name), 3);
@@ -374,7 +351,7 @@ fn delta_fleet_races_link_faults_without_torn_applies() {
     let schema = schema();
     let doc = generate(GenConfig::sized(12_000));
     let churned = churn(&doc, 5, 7);
-    let reference = wire_state(&reference_target(&churned));
+    let reference = wire_state(&reference_target(&churned, &mf(&schema), &lf(&schema)));
     let mf = mf(&schema);
     let lf = lf(&schema);
     let seed = 0x1CDE_2004;
@@ -540,7 +517,7 @@ fn aged_out_base_composes_retained_step_patches() {
     let doc = generate(GenConfig::sized(12_000));
     let final_doc = churn(&doc, 5, 7);
     assert_ne!(doc, final_doc);
-    let reference = wire_state(&reference_target(&final_doc));
+    let reference = wire_state(&reference_target(&final_doc, &mf(&schema), &lf(&schema)));
     let mf = mf(&schema);
     let lf = lf(&schema);
     let runtime = Runtime::start(
@@ -740,7 +717,7 @@ fn failure_mid_fallback_resumes(batch_rows: usize) {
         ("full chosen", 2, churn(&doc, 100, 5), 0, 1),
     ];
     for (case, base, head_doc, fallbacks, chosen) in cases {
-        let reference = wire_state(&reference_target(&head_doc));
+        let reference = wire_state(&reference_target(&head_doc, &mf, &lf));
         let request = || {
             ExchangeRequest::new(
                 case,

@@ -1,0 +1,211 @@
+//! The landing oracle over random inputs. `Runtime` sessions on XMark,
+//! balanced and random schemas, each between a random pair of
+//! fragmentations (the paper's Section 5.4 runs its simulator on such
+//! pairs), in both wire formats and at three batch sizes, must land what
+//! publish&map lands: shipped whole, published 1→k, patched along a
+//! `with_base_version` chain, or resumed after a seeded link failure.
+
+mod common;
+
+use common::oracle::lands_like_pm;
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::time::Duration;
+use xdx_core::Fragmentation;
+use xdx_net::FaultProfile;
+use xdx_relational::Database;
+use xdx_runtime::{
+    ExchangeRequest, PublishRequest, Runtime, RuntimeConfig, SessionResult, SessionState,
+    ShippingPolicy, WireFormat, DEFAULT_SOURCE_ENDPOINT, DEFAULT_TARGET_ENDPOINT,
+};
+use xdx_sim::{random_document, random_fragmentation, random_schema};
+use xdx_xmark::{generate, load_source, GenConfig};
+use xdx_xml::SchemaTree;
+
+#[derive(Debug, Clone, Copy)]
+enum Family {
+    Xmark,
+    Balanced,
+    Random,
+}
+
+const FAMILIES: [Family; 3] = [Family::Xmark, Family::Balanced, Family::Random];
+
+/// One drawn input: a schema, a document of it, a fragmentation pair and
+/// the runtime configuration that ships between them.
+struct Case {
+    schema: SchemaTree,
+    doc: String,
+    from: Fragmentation,
+    to: Fragmentation,
+    config: RuntimeConfig,
+}
+
+fn case(family: Family, seed: u64, format: WireFormat, batch_rows: usize) -> Case {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let schema = match family {
+        Family::Xmark => xdx_xmark::schema(),
+        Family::Balanced => SchemaTree::balanced(rng.gen_range(1..4), rng.gen_range(2..4), true),
+        Family::Random => random_schema(seed, rng.gen_range(4..16)),
+    };
+    let doc = match family {
+        Family::Xmark => generate(GenConfig {
+            target_bytes: 3_000,
+            seed,
+        }),
+        Family::Balanced | Family::Random => random_document(&schema, seed),
+    };
+    let most = schema.len().min(7);
+    let from = random_fragmentation(&schema, rng.gen_range(1..=most), "src", &mut rng);
+    let to = random_fragmentation(&schema, rng.gen_range(1..=most), "tgt", &mut rng);
+    let config = RuntimeConfig::default()
+        .with_workers(2)
+        .with_wire_format(format)
+        .with_batch_rows(batch_rows);
+    Case {
+        schema,
+        doc,
+        from,
+        to,
+        config,
+    }
+}
+
+impl Case {
+    fn start(&self, config: RuntimeConfig) -> Runtime {
+        Runtime::start(self.schema.clone(), config)
+    }
+
+    fn request(&self, doc: &str) -> ExchangeRequest {
+        let source = load_source(doc, &self.schema, &self.from).unwrap();
+        ExchangeRequest::new("oracle", source, self.from.clone(), self.to.clone())
+    }
+
+    fn assert_lands(&self, result: SessionResult, doc: &str) {
+        lands_like_pm(&self.schema, &self.to, &done(result), doc);
+    }
+}
+
+fn done(result: SessionResult) -> Database {
+    assert_eq!(result.state, SessionState::Done, "{:?}", result.diagnostic);
+    result.target.expect("a done session carries its target")
+}
+
+/// Rewrites about `pct` % of `doc`'s text runs, deterministic in `seed`:
+/// the next version of a document of any schema.
+fn churn(doc: &str, pct: u32, seed: u64) -> String {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut out = String::with_capacity(doc.len() + 64);
+    let mut rest = doc;
+    while let Some(tag_end) = rest.find('>') {
+        out.push_str(&rest[..=tag_end]);
+        rest = &rest[tag_end + 1..];
+        let text = rest.find('<').unwrap_or(rest.len());
+        if text > 0 && rng.gen_range(0..100u32) < pct {
+            out.push_str(&format!("c{}", rng.gen_range(0..1_000_000u32)));
+        } else {
+            out.push_str(&rest[..text]);
+        }
+        rest = &rest[text..];
+    }
+    out + rest
+}
+
+fn formats() -> impl Strategy<Value = WireFormat> {
+    prop::sample::select(vec![WireFormat::Xml, WireFormat::Columnar])
+}
+
+fn batch_rows() -> impl Strategy<Value = usize> {
+    prop::sample::select(vec![3, 64, usize::MAX])
+}
+
+fn families() -> impl Strategy<Value = Family> {
+    prop::sample::select(FAMILIES.to_vec())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A full ship lands what publish&map lands.
+    #[test]
+    fn a_full_ship_lands_like_pm(family in families(), seed in 0u64..1 << 32,
+                                 format in formats(), rows in batch_rows()) {
+        let c = case(family, seed, format, rows);
+        let runtime = c.start(c.config);
+        c.assert_lands(runtime.submit(c.request(&c.doc)).unwrap().wait(), &c.doc);
+        runtime.shutdown();
+    }
+
+    /// Every lane of a 1→k publish lands what publish&map lands.
+    #[test]
+    fn every_publish_lane_lands_like_pm(family in families(), seed in 0u64..1 << 32,
+                                        format in formats(), rows in batch_rows(),
+                                        fanout in 2usize..4) {
+        let c = case(family, seed, format, rows);
+        let runtime = c.start(c.config);
+        let source = load_source(&c.doc, &c.schema, &c.from).unwrap();
+        let subscribers = (0..fanout).map(|i| format!("sub-{i}")).collect();
+        let request =
+            PublishRequest::new("oracle", source, c.from.clone(), c.to.clone(), subscribers);
+        let results = runtime.publish(request).unwrap().wait();
+        prop_assert_eq!(results.len(), fanout);
+        for result in results {
+            c.assert_lands(result, &c.doc);
+        }
+        runtime.shutdown();
+    }
+
+    /// Each round of a `with_base_version` chain, at 0, 5, 20 and 50 %
+    /// churn after a full ship, lands what publish&map lands for that
+    /// round's document; the unchanged round ships a patch.
+    #[test]
+    fn every_round_of_a_delta_chain_lands_like_pm(family in families(), seed in 0u64..1 << 32,
+                                                  format in formats(), rows in batch_rows()) {
+        let c = case(family, seed, format, rows);
+        let runtime = c.start(c.config);
+        c.assert_lands(runtime.submit(c.request(&c.doc)).unwrap().wait(), &c.doc);
+        for (round, pct) in [0, 5, 20, 50].into_iter().enumerate() {
+            let doc = churn(&c.doc, pct, seed + round as u64);
+            let (from, to) = (DEFAULT_SOURCE_ENDPOINT, DEFAULT_TARGET_ENDPOINT);
+            let base = runtime.feed_version(from, to, &c.from.name, &c.to.name);
+            let request = c.request(&doc).with_base_version(base);
+            let result = runtime.submit(request).unwrap().wait();
+            if pct == 0 {
+                prop_assert_eq!(result.metrics.delta_patches_applied, 1);
+            }
+            c.assert_lands(result, &doc);
+        }
+        runtime.shutdown();
+    }
+
+    /// A session that fails on a seeded lossy link rolls its target back,
+    /// and its resume over the repaired link lands what publish&map
+    /// lands.
+    #[test]
+    fn a_resumed_session_lands_like_pm(family in families(), seed in 0u64..1 << 32,
+                                       format in formats(), rows in batch_rows()) {
+        let c = case(family, seed, format, rows);
+        let shipping = ShippingPolicy {
+            chunk_bytes: 64,
+            max_attempts_per_chunk: 2,
+            retry_budget: 4,
+            backoff_base: Duration::from_micros(50),
+            ..ShippingPolicy::default()
+        };
+        let lossy = FaultProfile::drops(0.5, seed);
+        let runtime = c.start(c.config.with_shipping(shipping).with_fault_profile(lossy));
+        let handle = runtime.submit(c.request(&c.doc)).unwrap();
+        let id = handle.id();
+        let first = handle.wait();
+        let result = if first.state == SessionState::Failed {
+            prop_assert_eq!(first.target.map(|t| t.total_rows()), Some(0));
+            runtime.set_fault_profile(FaultProfile::healthy());
+            runtime.resume(id).unwrap().wait()
+        } else {
+            first
+        };
+        c.assert_lands(result, &c.doc);
+        runtime.shutdown();
+    }
+}

@@ -12,6 +12,9 @@
 //! wire-byte — and so is the head a delta round computes in place,
 //! table for table and row for row.
 
+mod common;
+
+use common::oracle::wire_state;
 use proptest::prelude::*;
 use std::ops::Range;
 use xdx_codec::{
@@ -245,18 +248,6 @@ proptest! {
             prop_assert_eq!(&framed, &whole, "format {:?}", format);
         }
     }
-}
-
-/// Serializes a database to its canonical wire form for byte-exact
-/// comparison.
-fn wire_state(db: &Database) -> Vec<u8> {
-    let mut out = Vec::new();
-    for name in db.table_names() {
-        out.extend_from_slice(name.as_bytes());
-        out.push(0);
-        out.extend_from_slice(db.table(name).unwrap().data.to_wire().as_bytes());
-    }
-    out
 }
 
 fn run_exchange(doc: &str, config: RuntimeConfig) -> Database {

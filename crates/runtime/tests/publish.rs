@@ -11,39 +11,16 @@
 //! database with transactional per-source staging — a dead source
 //! contributes zero rows, never a torn prefix.
 
+mod common;
+
+use common::oracle::{reference_target, wire_state};
 use std::time::Duration;
-use xdx_net::{BurstLoss, FaultProfile, Link, NetworkProfile};
-use xdx_relational::Database;
+use xdx_net::{BurstLoss, FaultProfile, NetworkProfile};
 use xdx_runtime::{
     EventKind, ExchangeRequest, PublishRequest, Runtime, RuntimeConfig, SessionState,
     ShippingPolicy, DEFAULT_SOURCE_ENDPOINT, DEFAULT_TARGET_ENDPOINT,
 };
 use xdx_xmark::{generate, lf, load_source, mf, schema, GenConfig};
-
-/// The ground truth: the same exchange over a perfect link.
-fn reference_target(doc: &str) -> Database {
-    let schema = schema();
-    let mf = mf(&schema);
-    let lf = lf(&schema);
-    let mut source = load_source(doc, &schema, &mf).unwrap();
-    let mut target = Database::new("reference");
-    let mut link = Link::new(NetworkProfile::lan());
-    let exchange = xdx_core::DataExchange::new(&schema, mf, lf);
-    exchange.run(&mut source, &mut target, &mut link).unwrap();
-    target
-}
-
-/// Canonical wire form of a database: table names in sorted order, each
-/// followed by its feed's wire serialization.
-fn wire_state(db: &Database) -> Vec<u8> {
-    let mut out = Vec::new();
-    for name in db.table_names() {
-        out.extend_from_slice(name.as_bytes());
-        out.push(0);
-        out.extend_from_slice(db.table(name).unwrap().data.to_wire().as_bytes());
-    }
-    out
-}
 
 fn subscribers(n: usize) -> Vec<String> {
     (0..n).map(|i| format!("sub-{i}")).collect()
@@ -58,7 +35,7 @@ fn subscribers(n: usize) -> Vec<String> {
 fn fanout_shares_one_encode_across_subscribers() {
     let schema = schema();
     let doc = generate(GenConfig::sized(20_000));
-    let reference = wire_state(&reference_target(&doc));
+    let reference = wire_state(&reference_target(&doc, &mf(&schema), &lf(&schema)));
     let mf = mf(&schema);
     let lf = lf(&schema);
 
@@ -151,7 +128,7 @@ fn fanout_shares_one_encode_across_subscribers() {
 fn small_publish_shares_one_multi_part_frame() {
     let schema = schema();
     let doc = generate(GenConfig::sized(12_000));
-    let reference = wire_state(&reference_target(&doc));
+    let reference = wire_state(&reference_target(&doc, &mf(&schema), &lf(&schema)));
     let (mf, lf) = (mf(&schema), lf(&schema));
     let runtime = Runtime::start(schema.clone(), RuntimeConfig::default().with_workers(2));
     let results = runtime
@@ -242,7 +219,7 @@ fn single_subscriber_publish_shares_plan_cache_with_plain_sessions() {
 fn adversarial_lane_fails_alone_and_resumes_from_its_own_ledger() {
     let schema = schema();
     let doc = generate(GenConfig::sized(12_000));
-    let reference = wire_state(&reference_target(&doc));
+    let reference = wire_state(&reference_target(&doc, &mf(&schema), &lf(&schema)));
     let mf = mf(&schema);
     let lf = lf(&schema);
     let shipping = ShippingPolicy {
@@ -399,7 +376,7 @@ fn adversarial_lane_fails_alone_and_resumes_from_its_own_ledger() {
 fn ejected_lane_does_not_pin_the_decode_once_cache() {
     let schema = schema();
     let doc = generate(GenConfig::sized(40_000));
-    let reference = wire_state(&reference_target(&doc));
+    let reference = wire_state(&reference_target(&doc, &mf(&schema), &lf(&schema)));
     let mf = mf(&schema);
     let lf = lf(&schema);
     let runtime = Runtime::start(
@@ -481,7 +458,7 @@ fn parked_publish_group_lets_an_unrelated_session_finish_first() {
     let schema = schema();
     let big = generate(GenConfig::sized(60_000));
     let small = generate(GenConfig::sized(4_000));
-    let reference = wire_state(&reference_target(&big));
+    let reference = wire_state(&reference_target(&big, &mf(&schema), &lf(&schema)));
     let mf = mf(&schema);
     let lf = lf(&schema);
     let runtime = Runtime::start(
@@ -555,7 +532,7 @@ fn consolidation_stages_each_source_transactionally() {
         .collect();
     let rows: Vec<usize> = docs
         .iter()
-        .map(|d| reference_target(d).total_rows())
+        .map(|d| reference_target(d, &mf, &lf).total_rows())
         .collect();
     assert!(rows.iter().all(|&r| r > 0));
     let request = |i: usize, docs: &[String]| {

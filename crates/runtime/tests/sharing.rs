@@ -3,48 +3,12 @@
 //! per unchanged table, and nothing a caller does to the target it was
 //! handed reaches the snapshot the next delta session diffs against.
 
-use xdx_core::pm::publish_and_map;
-use xdx_net::{Link, NetworkProfile};
-use xdx_relational::{Database, Feed, Rows, Value};
+mod common;
+
+use common::oracle::lands_like_pm;
+use xdx_relational::{Rows, Value};
 use xdx_runtime::{ExchangeRequest, Runtime, RuntimeConfig, SessionResult, SessionState};
 use xdx_xmark::{churn, generate, lf, load_source, mf, schema, GenConfig};
-
-/// What publish&map lands for `doc`, MF → LF.
-fn oracle(doc: &str) -> Database {
-    let schema = schema();
-    let (mf, lf) = (mf(&schema), lf(&schema));
-    let mut source = load_source(doc, &schema, &mf).unwrap();
-    let mut target = Database::new("oracle");
-    let mut link = Link::new(NetworkProfile::lan());
-    publish_and_map(&schema, &mf, &lf, &mut source, &mut target, &mut link).unwrap();
-    target
-}
-
-/// A table's content up to row and column order (Combine appends child
-/// columns; publish&map emits them in schema order): rows in id order,
-/// each cell under its column's name, columns by name.
-fn canonical(feed: &Feed) -> Vec<Vec<(String, Value)>> {
-    let mut feed = feed.clone();
-    if let Some(id) = feed.schema.root_id_col() {
-        feed.sort_by(&[id]);
-    }
-    let names = feed.schema.columns.iter().map(|c| c.display_name());
-    let names: Vec<String> = names.collect();
-    let named = |row: &Vec<Value>| {
-        let mut cells: Vec<_> = names.iter().cloned().zip(row.iter().cloned()).collect();
-        cells.sort_by(|a, b| a.0.cmp(&b.0));
-        cells
-    };
-    feed.rows.iter().map(named).collect()
-}
-
-fn assert_lands_the_oracle(got: &Database, want: &Database) {
-    assert_eq!(got.table_names(), want.table_names());
-    for name in want.table_names() {
-        let (got, want) = (got.table(name).unwrap(), want.table(name).unwrap());
-        assert_eq!(canonical(&got.data), canonical(&want.data), "table {name}");
-    }
-}
 
 fn ship(runtime: &Runtime, name: &str, doc: &str, base_version: Option<u64>) -> SessionResult {
     let schema = schema();
@@ -65,8 +29,7 @@ fn start() -> Runtime {
 
 #[test]
 fn reshipped_targets_converge_on_one_row_set_and_land_the_oracle() {
-    let doc = generate(GenConfig::sized(12_000));
-    let want = oracle(&doc);
+    let (schema, doc) = (schema(), generate(GenConfig::sized(12_000)));
     let runtime = start();
     let first = ship(&runtime, "first", &doc, None).target.unwrap();
     let second = ship(&runtime, "second", &doc, None).target.unwrap();
@@ -82,16 +45,15 @@ fn reshipped_targets_converge_on_one_row_set_and_land_the_oracle() {
         assert_eq!(a.indexes.len(), b.indexes.len(), "{name}");
         assert!(!b.indexes.is_empty(), "{name}");
     }
-    assert_lands_the_oracle(&first, &want);
-    assert_lands_the_oracle(&second, &want);
+    lands_like_pm(&schema, &lf(&schema), &first, &doc);
+    lands_like_pm(&schema, &lf(&schema), &second, &doc);
 }
 
 #[test]
 fn a_caller_rewriting_its_target_leaves_the_route_snapshot_intact() {
-    let doc = generate(GenConfig::sized(12_000));
+    let (schema, doc) = (schema(), generate(GenConfig::sized(12_000)));
     let churned = churn(&doc, 5, 7);
     assert_ne!(doc, churned);
-    let want = oracle(&churned);
     // Two fleets ship the same rounds; only one of them has a caller that
     // tramples the target it was handed before the delta round.
     let patch_bytes = |trample: bool| {
@@ -114,7 +76,7 @@ fn a_caller_rewriting_its_target_leaves_the_route_snapshot_intact() {
         assert_eq!(delta.metrics.delta_patches_applied, 1, "trample {trample}");
         assert_eq!(delta.metrics.delta_full_fallbacks, 0, "trample {trample}");
         assert_eq!(delta.metrics.delta_full_chosen, 0, "trample {trample}");
-        assert_lands_the_oracle(&delta.target.unwrap(), &want);
+        lands_like_pm(&schema, &lf(&schema), &delta.target.unwrap(), &churned);
         drop(seeded);
         delta.metrics.delta_patch_bytes
     };

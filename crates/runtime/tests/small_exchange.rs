@@ -9,53 +9,29 @@
 //! minimises. A slot is a row budget now (DESIGN §21); this test holds
 //! the result, both directions, in the default wire format.
 
+mod common;
+
+use common::oracle::lands_like_pm;
 use xdx_core::pm::publish_and_map;
 use xdx_core::Fragmentation;
 use xdx_net::{Link, NetworkProfile};
-use xdx_relational::{Database, Feed};
+use xdx_relational::Database;
 use xdx_runtime::{ExchangeRequest, Runtime, RuntimeConfig, SessionState};
 use xdx_xmark::{generate, lf, load_source, mf, schema, GenConfig};
-
-/// A table's rows in id order under the oracle's column order: Combine
-/// appends child columns and the executor does not promise a row order,
-/// so neither is part of what an exchange must land.
-fn canonical(db: &Database, table: &str, columns: &Feed) -> Vec<Vec<String>> {
-    let mut feed = db.table(table).expect("listed table").data.clone();
-    if let Some(id) = feed.schema.root_id_col() {
-        feed.sort_by(&[id]);
-    }
-    let order: Vec<usize> = columns
-        .schema
-        .columns
-        .iter()
-        .map(|want| {
-            feed.schema
-                .columns
-                .iter()
-                .position(|c| c.display_name() == want.display_name())
-                .unwrap_or_else(|| panic!("{table}: column {} missing", want.display_name()))
-        })
-        .collect();
-    feed.rows
-        .iter()
-        .map(|row| order.iter().map(|&c| format!("{:?}", row[c])).collect())
-        .collect()
-}
 
 fn small_exchange_beats_publish_and_map(from: &Fragmentation, to: &Fragmentation) {
     let schema = schema();
     let doc = generate(GenConfig::sized(20_000));
 
-    // The oracle and the byte count to beat: the whole tagged document,
-    // once, over a recording link.
-    let mut oracle = Database::new("oracle");
+    // The byte count to beat: the whole tagged document, once, over a
+    // recording link.
     let mut link = Link::new(NetworkProfile::lan());
     publish_and_map(
         &schema,
         from,
         to,
         &mut load_source(&doc, &schema, from).unwrap(),
-        &mut oracle,
+        &mut Database::new("pm"),
         &mut link,
     )
     .unwrap();
@@ -83,15 +59,7 @@ fn small_exchange_beats_publish_and_map(from: &Fragmentation, to: &Fragmentation
     );
 
     let target = result.target.expect("a done session carries its target");
-    assert_eq!(target.table_names(), oracle.table_names(), "{route}");
-    for table in oracle.table_names() {
-        let columns = &oracle.table(table).unwrap().data;
-        assert_eq!(
-            canonical(&target, table, columns),
-            canonical(&oracle, table, columns),
-            "{route}: {table} differs from publish&map"
-        );
-    }
+    lands_like_pm(&schema, to, &target, &doc);
 
     let m = &result.metrics;
     assert!(

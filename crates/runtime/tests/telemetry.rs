@@ -2,10 +2,12 @@
 //! span parenting and correlation, the bounded event ring, calibration
 //! cells, and the plan-cache counters of a slow link and of delta rounds.
 
+mod common;
+
+use common::oracle::wire_state;
 use std::time::Duration;
 use xdx_core::SystemProfile;
 use xdx_net::{FaultProfile, NetworkProfile};
-use xdx_relational::Database;
 use xdx_runtime::{
     EventKind, ExchangeRequest, PublishRequest, Runtime, RuntimeConfig, SessionState,
     ShippingPolicy, WireFormat, DEFAULT_SOURCE_ENDPOINT, DEFAULT_TARGET_ENDPOINT,
@@ -450,18 +452,6 @@ fn a_degraded_link_keeps_its_cached_plan() {
         (1, 15),
         "(misses, hits)"
     );
-}
-
-/// Canonical wire form of a database: table names in sorted order, each
-/// followed by its feed's wire serialization.
-fn wire_state(db: &Database) -> Vec<u8> {
-    let mut out = Vec::new();
-    for name in db.table_names() {
-        out.extend_from_slice(name.as_bytes());
-        out.push(0);
-        out.extend_from_slice(db.table(name).unwrap().data.to_wire().as_bytes());
-    }
-    out
 }
 
 /// A delta round keys like a full ship of its document, so one route's

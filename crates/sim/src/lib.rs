@@ -15,14 +15,14 @@
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 use xdx_core::cost::{CostModel, SchemaStats, SystemProfile};
 use xdx_core::gen::Generator;
 use xdx_core::program::{Location, Program};
 use xdx_core::{greedy, optimal, Fragmentation, Result};
-use xdx_xml::{NodeId, SchemaTree};
+use xdx_xml::{NodeId, Occurs, SchemaTree, Writer};
 
 /// A cost split into its two components (the stacked bars of Figures
 /// 10–11).
@@ -75,6 +75,64 @@ pub fn random_fragmentation(
     let mut roots: Vec<NodeId> = vec![schema.root()];
     roots.extend(non_root.into_iter().take(fragments - 1));
     fragmentation_from_roots(schema, name, &roots)
+}
+
+/// Builds a random schema tree of `n` elements (`n ≥ 1`), `r0` … `r{n-1}`:
+/// each element after the root hangs under a uniformly drawn earlier one,
+/// every third is repeated (`*`), the others alternate between required
+/// and optional, and the leaves carry text. Deterministic in `seed`.
+///
+/// Where [`SchemaTree::balanced`] is the paper's Section 5.4 shape, this
+/// is every other shape: lopsided, deep or flat trees with optional
+/// elements, for property tests that must not lean on one schema.
+pub fn random_schema(seed: u64, n: usize) -> SchemaTree {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut tree = SchemaTree::new("r0");
+    let mut ids = vec![tree.root()];
+    for i in 1..n {
+        let parent = ids[rng.gen_range(0..ids.len())];
+        let occurs = match i % 3 {
+            0 => Occurs::Many,
+            1 => Occurs::One,
+            _ => Occurs::Optional,
+        };
+        let id = tree.add_child(parent, format!("r{i}"), occurs).unwrap();
+        ids.push(id);
+    }
+    for leaf in tree.leaves() {
+        tree.set_text(leaf);
+    }
+    tree
+}
+
+/// Generates a compact random document valid for any `schema`,
+/// deterministic in `seed`. Each element occurs as its cardinality
+/// allows: once when required, 0–1 times when optional, 0–3 times for
+/// `*` and 1–3 for `+`; each text leaf holds `v0` … `v999`.
+pub fn random_document(schema: &SchemaTree, seed: u64) -> String {
+    fn emit(schema: &SchemaTree, rng: &mut StdRng, w: &mut Writer, e: NodeId) {
+        let node = schema.node(e);
+        w.start(&node.name);
+        if node.has_text && node.children.is_empty() {
+            w.text(&format!("v{}", rng.gen_range(0..1000)));
+        }
+        for &c in &node.children {
+            let reps = match schema.node(c).occurs {
+                Occurs::One => 1,
+                Occurs::Optional => rng.gen_range(0..2),
+                Occurs::Many => rng.gen_range(0..4),
+                Occurs::OneOrMore => rng.gen_range(1..4),
+            };
+            for _ in 0..reps {
+                emit(schema, rng, w, c);
+            }
+        }
+        w.end();
+    }
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut w = Writer::new();
+    emit(schema, &mut rng, &mut w, schema.root());
+    w.finish()
 }
 
 /// Builds the fragmentation whose fragment roots are exactly `roots`

@@ -140,14 +140,29 @@ fn render_region(
     Ok(e)
 }
 
-/// Gathers element names from a fragment declaration body (pre-order).
+/// Gathers element names from a fragment declaration body: `elem`'s and
+/// those of every `<element>` nested under it, in pre-order, through an
+/// explicit stack rather than recursion.
 fn collect_elements(elem: &Element, out: &mut Vec<String>) -> Result<()> {
-    let name = elem.attr("name").ok_or_else(|| Error::Schema {
-        detail: "element without name".into(),
-    })?;
-    out.push(name.to_string());
-    for child in elem.children_named("element") {
-        collect_elements(child, out)?;
+    let mut push_name = |e: &Element| {
+        let name = e.attr("name").ok_or_else(|| Error::Schema {
+            detail: "element without name".into(),
+        })?;
+        out.push(name.to_string());
+        Ok(())
+    };
+    push_name(elem)?;
+    let mut cursors = vec![elem.children_named("element")];
+    while let Some(cursor) = cursors.last_mut() {
+        match cursor.next() {
+            Some(child) => {
+                push_name(child)?;
+                cursors.push(child.children_named("element"));
+            }
+            None => {
+                cursors.pop();
+            }
+        }
     }
     Ok(())
 }

@@ -82,8 +82,7 @@ impl WsdlDefinition {
             .with_attr("xmlns:soap", "http://schemas.xmlsoap.org/wsdl/soap/")
             .with_attr("xmlns:tns", &self.target_namespace);
         // <types> embeds the XSD-subset rendering of the schema tree.
-        let types_doc = Document::parse(&self.schema.to_xsd()).expect("own XSD is well-formed");
-        defs = defs.with_child(Element::new("types").with_child(types_doc.root));
+        defs = defs.with_child(Element::new("types").with_child(self.schema.to_xsd_element()));
         for e in self.plumbing.to_elements() {
             defs = defs.with_child(e);
         }
@@ -129,7 +128,7 @@ impl WsdlDefinition {
             .ok_or_else(|| Error::Schema {
                 detail: "<types> has no <schema>".into(),
             })?;
-        let schema = SchemaTree::from_xsd(&schema_elem.to_xml())?;
+        let schema = SchemaTree::from_xsd_element(schema_elem)?;
         let plumbing = Plumbing::parse(root)?;
         plumbing.validate()?;
         let mut services = Vec::new();

@@ -103,9 +103,22 @@ impl Element {
         out
     }
 
-    /// Recursively counts elements in this subtree (including `self`).
+    /// Counts elements in this subtree (including `self`).
     pub fn count_elements(&self) -> usize {
-        1 + self.elements().map(Element::count_elements).sum::<usize>()
+        let mut count = 1;
+        let mut cursors = vec![self.elements()];
+        while let Some(cursor) = cursors.last_mut() {
+            match cursor.next() {
+                Some(e) => {
+                    count += 1;
+                    cursors.push(e.elements());
+                }
+                None => {
+                    cursors.pop();
+                }
+            }
+        }
+        count
     }
 
     /// Finds the first descendant (depth-first, including self) named `name`.
@@ -113,21 +126,40 @@ impl Element {
         if self.name == name {
             return Some(self);
         }
-        self.elements().find_map(|e| e.descendant(name))
-    }
-
-    fn write_into(&self, w: &mut Writer) {
-        w.start(&self.name);
-        for a in &self.attributes {
-            w.attr(&a.name, &a.value);
-        }
-        for child in &self.children {
-            match child {
-                Node::Element(e) => e.write_into(w),
-                Node::Text(t) => w.text(t),
+        let mut cursors = vec![self.elements()];
+        while let Some(cursor) = cursors.last_mut() {
+            match cursor.next() {
+                Some(e) if e.name == name => return Some(e),
+                Some(e) => cursors.push(e.elements()),
+                None => {
+                    cursors.pop();
+                }
             }
         }
-        w.end();
+        None
+    }
+
+    /// Writes this subtree through an explicit stack of child cursors,
+    /// not by recursion, so a tree of any depth serializes on any stack.
+    fn write_into(&self, w: &mut Writer) {
+        fn open<'e>(e: &'e Element, w: &mut Writer) -> std::slice::Iter<'e, Node> {
+            w.start(&e.name);
+            for a in &e.attributes {
+                w.attr(&a.name, &a.value);
+            }
+            e.children.iter()
+        }
+        let mut cursors = vec![open(self, w)];
+        while let Some(cursor) = cursors.last_mut() {
+            match cursor.next() {
+                Some(Node::Element(e)) => cursors.push(open(e, w)),
+                Some(Node::Text(t)) => w.text(t),
+                None => {
+                    w.end();
+                    cursors.pop();
+                }
+            }
+        }
     }
 
     /// Serializes this element (compact form).
@@ -145,8 +177,27 @@ impl Element {
     }
 }
 
+/// Drops the subtree through an explicit stack, not by recursion: a
+/// built tree may be deeper than [`MAX_DEPTH`](crate::parser::MAX_DEPTH)
+/// (a schema's `<types>` element is), and a recursive drop of one would
+/// overflow the thread's stack.
+impl Drop for Element {
+    fn drop(&mut self) {
+        let mut pending = std::mem::take(&mut self.children);
+        while let Some(node) = pending.pop() {
+            if let Node::Element(mut e) = node {
+                pending.append(&mut e.children);
+            }
+        }
+    }
+}
+
 impl Document {
     /// Parses a document into a tree.
+    ///
+    /// Elements nest at most [`MAX_DEPTH`](crate::parser::MAX_DEPTH)
+    /// deep; a deeper document is [`Error::TooDeep`] before any of its
+    /// tree is built past the cap.
     ///
     /// Whitespace-only text nodes between elements are dropped (they are
     /// insignificant in every schema this system handles); other text is

@@ -39,6 +39,10 @@ pub enum Error {
     TextOutsideRoot { offset: usize },
     /// More than one document element, or none at all.
     BadDocumentStructure { offset: usize, detail: &'static str },
+    /// A start tag that would nest deeper than
+    /// [`MAX_DEPTH`](crate::parser::MAX_DEPTH) elements; `depth` is the
+    /// level it would have opened.
+    TooDeep { offset: usize, depth: usize },
     /// A DTD declaration this subset does not accept.
     Dtd { offset: usize, detail: String },
     /// A schema-level inconsistency (unknown element, cycle, ...).
@@ -57,6 +61,7 @@ impl Error {
             | Error::DuplicateAttribute { offset, .. }
             | Error::TextOutsideRoot { offset }
             | Error::BadDocumentStructure { offset, .. }
+            | Error::TooDeep { offset, .. }
             | Error::Dtd { offset, .. } => Some(*offset),
             Error::Schema { .. } => None,
         }
@@ -110,6 +115,11 @@ impl fmt::Display for Error {
             Error::BadDocumentStructure { offset, detail } => {
                 write!(f, "malformed document at byte {offset}: {detail}")
             }
+            Error::TooDeep { offset, depth } => write!(
+                f,
+                "element at byte {offset} would nest {depth} deep, past the limit of {}",
+                crate::parser::MAX_DEPTH
+            ),
             Error::Dtd { offset, detail } => write!(f, "DTD error at byte {offset}: {detail}"),
             Error::Schema { detail } => write!(f, "schema error: {detail}"),
         }

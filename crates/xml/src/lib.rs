@@ -32,6 +32,6 @@ pub mod writer;
 pub use dom::{Document, Element, Node};
 pub use error::{Error, Result};
 pub use event::Event;
-pub use parser::Parser;
+pub use parser::{Parser, MAX_DEPTH};
 pub use schema::{NodeId, Occurs, SchemaNode, SchemaTree};
 pub use writer::Writer;

@@ -35,10 +35,21 @@ pub fn is_valid_name(name: &str) -> bool {
     }
 }
 
+/// The deepest an element may nest (the document element is depth 1).
+///
+/// A start tag past it is [`Error::TooDeep`], so every reader that builds
+/// a tree refuses a hostile document before it allocates one: a few
+/// hundred KB of `<a>` would otherwise be a tree whose recursive walks
+/// overflow the thread's stack. Figure 7's schema is 5 levels deep and
+/// the DTD subset rejects recursive content models, so no valid document
+/// comes near it.
+pub const MAX_DEPTH: usize = 4096;
+
 /// Streaming pull parser over an in-memory document.
 ///
 /// Cursor-based over `&str`; produces [`Event`]s one at a time via
 /// [`Parser::next_event`], or all at once via [`Parser::into_events`].
+/// Elements nest at most [`MAX_DEPTH`] deep.
 pub struct Parser<'a> {
     src: &'a str,
     pos: usize,
@@ -330,6 +341,14 @@ impl<'a> Parser<'a> {
                 detail: "multiple document elements",
             });
         }
+        // Checked for empty elements too: `<a/>` one level past the cap
+        // is a level past it all the same.
+        if self.stack.len() >= MAX_DEPTH {
+            return Err(Error::TooDeep {
+                offset: self.pos - 1,
+                depth: MAX_DEPTH + 1,
+            });
+        }
         let name = self.read_name()?;
         let mut attributes: Vec<Attribute> = Vec::new();
         loop {
@@ -556,6 +575,28 @@ mod tests {
         assert_eq!(p.depth(), 1);
         p.next_event().unwrap();
         assert_eq!(p.depth(), 2);
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_refused() {
+        let nested = |depth: usize| "<a>".repeat(depth) + &"</a>".repeat(depth);
+        assert_eq!(
+            parse_events(&nested(MAX_DEPTH)).unwrap().len(),
+            2 * MAX_DEPTH
+        );
+        let deeper = nested(MAX_DEPTH + 1);
+        assert_eq!(
+            parse_events(&deeper),
+            Err(Error::TooDeep {
+                offset: 3 * MAX_DEPTH,
+                depth: MAX_DEPTH + 1
+            })
+        );
+        let empty_past_the_cap = "<a>".repeat(MAX_DEPTH) + "<b/>" + &"</a>".repeat(MAX_DEPTH);
+        assert!(matches!(
+            parse_events(&empty_past_the_cap),
+            Err(Error::TooDeep { .. })
+        ));
     }
 
     #[test]

@@ -11,9 +11,8 @@
 //! relies on this implicitly (fragments are named after their elements, and
 //! the mapping between fragmentations matches fragments by element).
 
-use crate::dom::{Document, Element};
+use crate::dom::{Document, Element, Node};
 use crate::error::{Error, Result};
-use crate::writer::Writer;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -286,42 +285,51 @@ impl SchemaTree {
     // XSD-subset serialization (the form embedded in WSDL `<types>`)
     // ------------------------------------------------------------------
 
-    /// Serializes this tree as the XSD subset used in the paper's WSDL
-    /// example: nested `<element name=...>` with `<sequence>` groups,
-    /// `type="string"` leaves and `maxOccurs`/`minOccurs` cardinalities.
-    pub fn to_xsd(&self) -> String {
-        let mut w = Writer::pretty();
-        w.start("schema");
-        w.attr("xmlns", "http://www.w3.org/XMLSchema");
-        self.write_element(&mut w, self.root());
-        w.end();
-        w.finish()
+    /// The XSD subset used in the paper's WSDL example, as the `<schema>`
+    /// element a WSDL `<types>` embeds: nested `<element name=...>` with
+    /// `<sequence>` groups, `type="string"` leaves and
+    /// `maxOccurs`/`minOccurs` cardinalities.
+    ///
+    /// Built bottom-up over the node table (a child's id is always above
+    /// its parent's), so a schema of any depth builds without recursion.
+    pub fn to_xsd_element(&self) -> Element {
+        let mut built: Vec<Option<Element>> = Vec::new();
+        built.resize_with(self.nodes.len(), || None);
+        for (i, node) in self.nodes.iter().enumerate().rev() {
+            let mut e = Element::new("element").with_attr("name", &node.name);
+            if node.has_text && node.children.is_empty() {
+                e = e.with_attr("type", "string");
+            }
+            match node.occurs {
+                Occurs::One => {}
+                Occurs::Optional => e = e.with_attr("minOccurs", "0"),
+                Occurs::Many => {
+                    e = e
+                        .with_attr("minOccurs", "0")
+                        .with_attr("maxOccurs", "unbounded")
+                }
+                Occurs::OneOrMore => e = e.with_attr("maxOccurs", "unbounded"),
+            }
+            if !node.children.is_empty() {
+                let mut sequence = Element::new("sequence");
+                sequence.children = node
+                    .children
+                    .iter()
+                    .map(|c| Node::Element(built[c.index()].take().expect("children built first")))
+                    .collect();
+                e = e.with_child(sequence);
+            }
+            built[i] = Some(e);
+        }
+        let root = built[NodeId::ROOT.index()].take().expect("root built last");
+        Element::new("schema")
+            .with_attr("xmlns", "http://www.w3.org/XMLSchema")
+            .with_child(root)
     }
 
-    fn write_element(&self, w: &mut Writer, id: NodeId) {
-        let node = self.node(id);
-        w.start("element");
-        w.attr("name", &node.name);
-        if node.has_text && node.children.is_empty() {
-            w.attr("type", "string");
-        }
-        match node.occurs {
-            Occurs::One => {}
-            Occurs::Optional => w.attr("minOccurs", "0"),
-            Occurs::Many => {
-                w.attr("minOccurs", "0");
-                w.attr("maxOccurs", "unbounded");
-            }
-            Occurs::OneOrMore => w.attr("maxOccurs", "unbounded"),
-        }
-        if !node.children.is_empty() {
-            w.start("sequence");
-            for &c in &node.children {
-                self.write_element(w, c);
-            }
-            w.end();
-        }
-        w.end();
+    /// [`SchemaTree::to_xsd_element`] as pretty-printed text.
+    pub fn to_xsd(&self) -> String {
+        self.to_xsd_element().to_xml_pretty()
     }
 
     /// Parses the XSD subset produced by [`SchemaTree::to_xsd`] (also
@@ -335,6 +343,13 @@ impl SchemaTree {
                 detail: "no <schema> element".into(),
             })?
         };
+        Self::from_xsd_element(schema)
+    }
+
+    /// Reads the tree from a parsed `<schema>` element, the inverse of
+    /// [`SchemaTree::to_xsd_element`]. Walks the declarations through an
+    /// explicit stack in document order, so ids number them in pre-order.
+    pub fn from_xsd_element(schema: &Element) -> Result<SchemaTree> {
         let root_elem = schema.child("element").ok_or_else(|| Error::Schema {
             detail: "schema has no root <element>".into(),
         })?;
@@ -345,15 +360,17 @@ impl SchemaTree {
         if root_elem.attr("type").is_some() {
             tree.set_text(tree.root());
         }
-        Self::parse_children(&mut tree, NodeId::ROOT, root_elem)?;
-        Ok(tree)
-    }
-
-    fn parse_children(tree: &mut SchemaTree, parent: NodeId, elem: &Element) -> Result<()> {
-        for child in elem.elements() {
+        // (the tree node a declaration's children belong to, a cursor over them)
+        let mut cursors = vec![(NodeId::ROOT, root_elem.elements())];
+        while let Some((parent, cursor)) = cursors.last_mut() {
+            let parent = *parent;
+            let Some(child) = cursor.next() else {
+                cursors.pop();
+                continue;
+            };
             match child.name.as_str() {
                 "sequence" | "complexType" | "all" | "choice" => {
-                    Self::parse_children(tree, parent, child)?
+                    cursors.push((parent, child.elements()))
                 }
                 "element" => {
                     let name = child.attr("name").ok_or_else(|| Error::Schema {
@@ -371,7 +388,7 @@ impl SchemaTree {
                     if child.attr("type").is_some() {
                         tree.set_text(id);
                     }
-                    Self::parse_children(tree, id, child)?;
+                    cursors.push((id, child.elements()));
                 }
                 // `attribute` declarations (ID/PARENT) are structural
                 // metadata of fragments, not schema elements: skip.
@@ -383,7 +400,7 @@ impl SchemaTree {
                 }
             }
         }
-        Ok(())
+        Ok(tree)
     }
 }
 

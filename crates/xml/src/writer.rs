@@ -9,6 +9,13 @@ use crate::escape::{escape_attr, escape_text};
 use crate::parser::is_valid_name;
 use std::fmt::Write as _;
 
+/// Pretty output's deepest indentation: two spaces a level for the first
+/// sixteen levels, then flat. Past that depth indentation no longer reads
+/// as structure, and capping it keeps a deep tree's pretty output linear
+/// in its size rather than quadratic in its depth (a 200k-level chain
+/// would otherwise indent by hundreds of gigabytes).
+const INDENT: &str = "                                ";
+
 /// Streaming writer building a `String`.
 ///
 /// # Example
@@ -50,7 +57,8 @@ impl Writer {
         }
     }
 
-    /// A pretty-printing writer (two-space indentation).
+    /// A pretty-printing writer (two-space indentation, flat past sixteen
+    /// levels).
     pub fn pretty() -> Self {
         Writer {
             pretty: true,
@@ -87,9 +95,8 @@ impl Writer {
     fn indent(&mut self) {
         if self.pretty && !self.out.is_empty() {
             self.out.push('\n');
-            for _ in 0..self.stack.len() {
-                self.out.push_str("  ");
-            }
+            let width = (2 * self.stack.len()).min(INDENT.len());
+            self.out.push_str(&INDENT[..width]);
         }
     }
 
@@ -206,6 +213,7 @@ impl Writer {
 mod tests {
     use super::*;
     use crate::parser::parse_events;
+    use crate::Document;
 
     #[test]
     fn basic_document() {
@@ -247,6 +255,26 @@ mod tests {
         w.end();
         w.end();
         assert_eq!(w.finish(), "<a>\n  <b/>\n</a>");
+    }
+
+    #[test]
+    fn pretty_indentation_stops_growing_at_sixteen_levels() {
+        let mut w = Writer::pretty();
+        for _ in 0..20 {
+            w.start("a");
+        }
+        for _ in 0..20 {
+            w.end();
+        }
+        let out = w.finish();
+        let widths: Vec<usize> = out
+            .lines()
+            .map(|l| l.len() - l.trim_start().len())
+            .collect();
+        assert_eq!(widths[15], 30);
+        assert_eq!(widths[16..20], [32; 4]);
+        assert_eq!(widths.iter().max(), Some(&32));
+        assert_eq!(Document::parse(&out).unwrap().root.count_elements(), 20);
     }
 
     #[test]
