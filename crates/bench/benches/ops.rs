@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use xdx_core::Fragmentation;
-use xdx_relational::ops::{hash_combine, merge_combine, split, SplitSpec};
+use xdx_relational::ops::{hash_combine, merge_combine, split, ChainHint, SplitSpec};
 use xdx_relational::{Counters, Database};
 
 fn item_feeds(bytes: usize) -> (xdx_relational::Feed, xdx_relational::Feed) {
@@ -24,7 +24,14 @@ fn bench_combine(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("merge", item.len()), &bytes, |b, _| {
             b.iter(|| {
                 let mut counters = Counters::new();
-                merge_combine(item.clone(), iname.clone(), "item", &mut counters).unwrap()
+                merge_combine(
+                    item.clone(),
+                    iname.clone(),
+                    "item",
+                    ChainHint::default(),
+                    &mut counters,
+                )
+                .unwrap()
             })
         });
         group.bench_with_input(BenchmarkId::new("hash", item.len()), &bytes, |b, _| {

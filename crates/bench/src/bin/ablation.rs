@@ -17,7 +17,7 @@ use xdx_core::gen::Generator;
 use xdx_core::program::{Location, Op};
 use xdx_core::{greedy, optimal, Fragmentation};
 use xdx_net::{Link, NetworkProfile};
-use xdx_relational::ops::{hash_combine, merge_combine};
+use xdx_relational::ops::{hash_combine, merge_combine, ChainHint};
 use xdx_relational::{Counters, Database};
 
 fn main() {
@@ -77,7 +77,8 @@ fn main() {
     for (name, f) in [
         (
             "merge",
-            (|p, c, a, k| merge_combine(p.clone(), c.clone(), a, k)) as CombineFn,
+            (|p, c, a, k| merge_combine(p.clone(), c.clone(), a, ChainHint::default(), k))
+                as CombineFn,
         ),
         ("hash", hash_combine as CombineFn),
     ] {

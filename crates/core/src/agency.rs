@@ -145,7 +145,15 @@ impl<'a> DataExchange<'a> {
     /// under the anchor are scaled by its selectivity, so planning sees
     /// the document the target will actually receive.
     pub fn probe(&self, source: &Database) -> Result<CostModel> {
-        let mut stats = SchemaStats::probe(self.schema, source, &self.source_frag)?;
+        let stats = SchemaStats::probe(self.schema, source, &self.source_frag)?;
+        self.model(source, stats)
+    }
+
+    /// The cost model [`probe`](DataExchange::probe) builds from `stats`,
+    /// the [`SchemaStats::probe`] of `source` under the source
+    /// fragmentation, however the caller came by them (a runtime
+    /// memoises probes).
+    pub fn model(&self, source: &Database, mut stats: SchemaStats) -> Result<CostModel> {
         if let Some(sel) = &self.selection {
             let qualifying = sel.qualifying_ids(self.schema, source, &self.source_frag)?;
             let selectivity = sel.selectivity(&stats, &qualifying);

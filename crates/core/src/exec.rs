@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 use xdx_codec::{decode_any, encode_in_format_into, WireFormat};
 use xdx_net::http::{soap_post_bytes, RequestRef};
 use xdx_net::Link;
-use xdx_relational::ops::{merge_combine, split, SplitSpec};
+use xdx_relational::ops::{merge_combine, split, ChainHint, SplitSpec};
 use xdx_relational::Dewey as WireDewey;
 use xdx_relational::{Counters, Database, Feed};
 use xdx_xml::SchemaTree;
@@ -302,6 +302,8 @@ pub(crate) struct NodeLoop<'a> {
     schema: &'a SchemaTree,
     source_frag: &'a Fragmentation,
     program: &'a Program,
+    /// What each `Combine` node may know of its chain ([`chain_hints`]).
+    chains: Vec<ChainHint>,
     /// What `Scan` reads; `None` on a side that stores nothing to scan.
     tables: Option<&'a Database>,
     selection: Option<(&'a Selection, &'a BTreeSet<WireDewey>)>,
@@ -326,6 +328,7 @@ impl<'a> NodeLoop<'a> {
             schema,
             source_frag,
             program,
+            chains: chain_hints(schema, program),
             tables,
             selection,
             store: FeedStore::new(program, nodes),
@@ -369,7 +372,13 @@ impl<'a> NodeLoop<'a> {
                 let child = inputs.pop().expect("validated arity");
                 let parent = inputs.pop().expect("validated arity");
                 let anchor = self.schema.name(*anchor);
-                vec![merge_combine(parent, child, anchor, counters)?]
+                vec![merge_combine(
+                    parent,
+                    child,
+                    anchor,
+                    self.chains[i],
+                    counters,
+                )?]
             }
             Op::Split => {
                 let specs = split_specs(self.schema, self.program, node);
@@ -401,6 +410,62 @@ impl<'a> NodeLoop<'a> {
         });
         Ok(())
     }
+}
+
+/// Per node of `program`, what its `Combine` may rely on beyond its
+/// inputs (the default for every other node). A Combine's output whose
+/// only reader is a Combine at the same location taking it as parent
+/// is that Combine's parent row set, moved on: its rows are allocated
+/// once, at the arity of the feed the chain of such Combines ends in.
+/// The chain stops at a cross edge — a decoded batch is a fresh
+/// allocation anyway — and at a port read twice, whose rows the next
+/// Combine copies. And a Combine whose parent is the output of a
+/// same-location Combine on the same anchor has its parent in key order
+/// on the join column already: merge output is, by construction.
+fn chain_hints(schema: &SchemaTree, program: &Program) -> Vec<ChainHint> {
+    let nodes = &program.nodes;
+    // How many inputs read each node's output, and a same-location
+    // Combine that reads it as its parent.
+    let mut readers = vec![0usize; nodes.len()];
+    let mut extended_by: Vec<Option<usize>> = vec![None; nodes.len()];
+    for (i, node) in nodes.iter().enumerate() {
+        for (k, port) in node.inputs.iter().enumerate() {
+            readers[port.node] += 1;
+            if k == 0
+                && matches!(node.op, Op::Combine { .. })
+                && nodes[port.node].location == node.location
+            {
+                extended_by[port.node] = Some(i);
+            }
+        }
+    }
+    let arity = |node: &OpNode| {
+        let region = &node.outputs[0];
+        1 + region
+            .elements
+            .iter()
+            .map(|&e| 1 + schema.node(e).has_text as usize)
+            .sum::<usize>()
+    };
+    let mut hints = vec![ChainHint::default(); nodes.len()];
+    // Consumers come after producers: a chain's end is hinted first.
+    for (i, node) in nodes.iter().enumerate().rev() {
+        let Op::Combine { anchor } = node.op else {
+            continue;
+        };
+        let width = match extended_by[i] {
+            Some(next) if readers[i] == 1 => hints[next].width,
+            _ => arity(node),
+        };
+        let parent = &nodes[node.inputs[0].node];
+        let parent_in_order =
+            parent.location == node.location && parent.op == Op::Combine { anchor };
+        hints[i] = ChainHint {
+            width,
+            parent_in_order,
+        };
+    }
+    hints
 }
 
 /// The projection groups of a `Split` node: one per output region, with

@@ -23,7 +23,7 @@ use crate::value::{parse_dotted_into, Dewey, Value};
 use std::fmt;
 use std::io::Write;
 use std::ops::{Deref, DerefMut};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// The role a feed column plays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -126,6 +126,9 @@ impl FeedSchema {
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Rows(Arc<Vec<Vec<Value>>>);
 
+/// A row set's identity without its rows ([`Rows::downgrade`]).
+pub type RowsId = Weak<Vec<Vec<Value>>>;
+
 impl Rows {
     /// True when both handles share one row set.
     pub fn ptr_eq(a: &Rows, b: &Rows) -> bool {
@@ -138,6 +141,21 @@ impl Rows {
     /// through the handle it got back.
     pub fn try_unwrap(self) -> std::result::Result<Vec<Vec<Value>>, Rows> {
         Arc::try_unwrap(self.0).map_err(Rows)
+    }
+
+    /// This row set's identity, held without its rows: the handle keeps
+    /// the address from being reused but lets the rows go with their
+    /// last [`Rows`]. An edit through a sole handle on a downgraded set
+    /// moves it to a new address (`Arc::make_mut` leaves weak handles
+    /// behind) and one through a shared handle copies it, so a set that
+    /// still [`is`](Rows::is) an identity holds the rows it held then.
+    pub fn downgrade(&self) -> RowsId {
+        Arc::downgrade(&self.0)
+    }
+
+    /// True when `id` is this row set's [`downgrade`](Rows::downgrade).
+    pub fn is(&self, id: &RowsId) -> bool {
+        std::ptr::eq(Arc::as_ptr(&self.0), id.as_ptr())
     }
 
     /// Takes `more` in after the rows held. An empty handle adopts

@@ -51,6 +51,25 @@ fn combined_schema(parent: FeedSchema, child: &FeedSchema, child_parent_col: usi
     FeedSchema::new(parent.root_element, columns)
 }
 
+/// What a caller knows about one Combine's place in a chain of Combines
+/// that the inputs alone do not say. Neither field can change a result:
+/// the rows, their order and the [`Counters`] bill are the same for
+/// every hint a caller may truthfully give.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ChainHint {
+    /// Cells the output rows will hold where the chain ends: a row the
+    /// Combine allocates is allocated with room for them, and a moved
+    /// row is grown to them on its first move only, so the Combines
+    /// after it append in place. A capacity, never a length: a width
+    /// below the output arity (0 included) only costs a later regrow.
+    pub width: usize,
+    /// The parent feed is the output of a Combine on the same anchor
+    /// element, so it is in key order on the join column by
+    /// construction: its n−1 order check is skipped (and still billed).
+    /// Wrong, it would yield wrong rows; debug builds assert it.
+    pub parent_in_order: bool,
+}
+
 /// One Combine input lined up for the merge: its rows in join-key
 /// order, each handed to the output at most once. Which way is decided
 /// by the input's [`Rows`] handle alone: rows another handle still
@@ -69,11 +88,14 @@ enum Side {
 impl Side {
     /// Lines `rows` up on `col`. Dewey order is document order, so scans,
     /// shred output and earlier Combines arrive sorted: one pass checks
-    /// (n−1 comparisons), and only an input that fails is sorted — stably,
-    /// so equal keys keep their arrival order either way.
-    fn sorted_on(rows: Rows, col: usize, counters: &mut Counters) -> Side {
+    /// (n−1 comparisons, billed also when `in_order` vouches for the
+    /// order and the pass is skipped), and only an input that fails is
+    /// sorted — stably, so equal keys keep their arrival order either way.
+    fn sorted_on(rows: Rows, col: usize, in_order: bool, counters: &mut Counters) -> Side {
         counters.comparisons += (rows.len() as u64).saturating_sub(1);
-        let sorted = rows.windows(2).all(|w| w[0][col] <= w[1][col]);
+        let check = || rows.windows(2).all(|w| w[0][col] <= w[1][col]);
+        debug_assert!(!in_order || check(), "a vouched-for input out of key order");
+        let sorted = in_order || check();
         let mut by_key = |a: &Vec<Value>, b: &Vec<Value>| {
             counters.comparisons += 1;
             a[col].cmp(&b[col])
@@ -111,13 +133,15 @@ impl Side {
         }
     }
 
-    /// Hands out the `i`-th row with room for `extra` more cells.
-    fn take(&mut self, i: usize, extra: usize) -> Vec<Value> {
+    /// Hands out the `i`-th row with room for `width` cells: a shared
+    /// row is copied at that capacity, a sole one grown to it unless it
+    /// already has it (as a row an earlier Combine of the chain sized does).
+    fn take(&mut self, i: usize, width: usize) -> Vec<Value> {
         match self {
-            Side::Shared { .. } => with_room(self.row(i), extra),
+            Side::Shared { .. } => with_room(self.row(i), width),
             Side::Sole(rows) => {
                 let mut row = std::mem::take(&mut rows[i]);
-                row.reserve_exact(extra);
+                row.reserve_exact(width.saturating_sub(row.len()));
                 row
             }
         }
@@ -138,9 +162,9 @@ impl Side {
     }
 }
 
-/// A copy of `row` with room for `extra` more cells.
-fn with_room(row: &[Value], extra: usize) -> Vec<Value> {
-    let mut copy = Vec::with_capacity(row.len() + extra);
+/// A copy of `row` with room for `width` cells (at least its own).
+fn with_room(row: &[Value], width: usize) -> Vec<Value> {
+    let mut copy = Vec::with_capacity(width.max(row.len()));
     copy.extend_from_slice(row);
     copy
 }
@@ -164,17 +188,18 @@ fn with_room(row: &[Value], extra: usize) -> Vec<Value> {
 /// Every input row is handed out once ([`Side::take`], [`Side::append`]);
 /// the only copies made beyond that are the ones inlining duplicates by
 /// definition: the parent row for all but its last child, and the
-/// skeleton.
+/// skeleton. Every row handed out has room for `width` cells, at least
+/// the output's arity.
 fn emit_group(
     (schema, out): (&FeedSchema, &mut Vec<Vec<Value>>),
     (parent, pgroup): (&mut Side, Range<usize>),
     (child, cgroup): (&mut Side, Range<usize>),
     ccol: usize,
-    child_arity: usize,
+    (child_arity, width): (usize, usize),
 ) {
     // The output's leading columns are the parent's.
     let pad = |parent: &mut Side, p: usize, out: &mut Vec<Vec<Value>>| {
-        let mut row = parent.take(p, child_arity);
+        let mut row = parent.take(p, width);
         row.resize(row.len() + child_arity, Value::Null);
         out.push(row);
     };
@@ -190,15 +215,15 @@ fn emit_group(
     if pgroup.len() == 1 {
         out.reserve(cgroup.len());
         for c in cgroup.start..last {
-            attach(with_room(parent.row(pgroup.start), child_arity), c, out);
+            attach(with_room(parent.row(pgroup.start), width), c, out);
         }
-        attach(parent.take(pgroup.start, child_arity), last, out);
+        attach(parent.take(pgroup.start, width), last, out);
         return;
     }
     // Outer-union alignment: skeleton = first parent row with value
     // columns blanked (identifiers stay for grouping/tagging).
     out.reserve(pgroup.len() + cgroup.len());
-    let mut skeleton = Vec::with_capacity(schema.arity());
+    let mut skeleton = Vec::with_capacity(width);
     let first = parent.row(pgroup.start).iter().zip(&schema.columns);
     skeleton.extend(first.map(|(v, col)| match col.role {
         ColRole::Value => Value::Null,
@@ -206,7 +231,7 @@ fn emit_group(
     }));
     pgroup.for_each(|p| pad(parent, p, out));
     for c in cgroup.start..last {
-        attach(with_room(&skeleton, child_arity), c, out);
+        attach(with_room(&skeleton, width), c, out);
     }
     attach(skeleton, last, out);
 }
@@ -221,20 +246,26 @@ fn emit_group(
 /// no other handle shares has them moved into the output; one whose rows
 /// are shared (a scanned table, a feed another reader still holds) has
 /// them cloned, and the other holders see them unchanged. The
-/// per-group inlining/alignment semantics are `emit_group`'s.
+/// per-group inlining/alignment semantics are `emit_group`'s; what
+/// `chain` tells about the Combines around this one shapes allocations
+/// and skips a check, never a row ([`ChainHint`]).
 pub fn merge_combine(
     parent: Feed,
     child: Feed,
     anchor_element: &str,
+    chain: ChainHint,
     counters: &mut Counters,
 ) -> Result<Feed> {
     let (pcol, ccol) = join_columns(&parent, &child, anchor_element)?;
     counters.rows_read += (parent.len() + child.len()) as u64;
     let child_arity = child.schema.arity() - 1;
     let schema = combined_schema(parent.schema, &child.schema, ccol);
-    let mut rows = Vec::new();
-    let mut parent = Side::sorted_on(parent.rows, pcol, counters);
-    let mut child = Side::sorted_on(child.rows, ccol, counters);
+    let width = chain.width.max(schema.arity());
+    // Every parent row is emitted at least once: a 1:1 Combine fills
+    // this without growing it.
+    let mut rows = Vec::with_capacity(parent.rows.len());
+    let mut parent = Side::sorted_on(parent.rows, pcol, chain.parent_in_order, counters);
+    let mut child = Side::sorted_on(child.rows, ccol, false, counters);
 
     let (mut pi, mut ci) = (0, 0);
     while pi < parent.len() {
@@ -270,7 +301,7 @@ pub fn merge_combine(
             (&mut parent, pgroup..pi),
             (&mut child, cgroup..ci),
             ccol,
-            child_arity,
+            (child_arity, width),
         );
     }
     counters.rows_out += rows.len() as u64;
@@ -337,7 +368,7 @@ pub fn hash_combine(
             (&mut pside, pgroup),
             (&mut cside, cgroup),
             ccol,
-            child_arity,
+            (child_arity, schema.arity()),
         );
     }
     counters.rows_out += rows.len() as u64;
@@ -746,6 +777,7 @@ mod tests {
                     handle(sole_parent, &parent),
                     handle(sole_child, &child),
                     "Customer",
+                    ChainHint::default(),
                     &mut c,
                 )
                 .unwrap();
@@ -760,7 +792,14 @@ mod tests {
     #[test]
     fn merge_combine_inlines_children() {
         let mut c = Counters::new();
-        let out = merge_combine(customers(), orders(), "Customer", &mut c).unwrap();
+        let out = merge_combine(
+            customers(),
+            orders(),
+            "Customer",
+            ChainHint::default(),
+            &mut c,
+        )
+        .unwrap();
         // alice x 2 orders + bob padded = 3 rows.
         assert_eq!(out.len(), 3);
         assert_eq!(out.schema.arity(), 5); // 3 parent + 2 child (PARENT dropped)
@@ -780,7 +819,14 @@ mod tests {
     fn hash_combine_agrees_with_merge() {
         let mut c1 = Counters::new();
         let mut c2 = Counters::new();
-        let mut a = merge_combine(customers(), orders(), "Customer", &mut c1).unwrap();
+        let mut a = merge_combine(
+            customers(),
+            orders(),
+            "Customer",
+            ChainHint::default(),
+            &mut c1,
+        )
+        .unwrap();
         let mut b = hash_combine(&customers(), &orders(), "Customer", &mut c2).unwrap();
         a.sort_by(&[1, 3]);
         b.sort_by(&[1, 3]);
@@ -791,7 +837,9 @@ mod tests {
     #[test]
     fn combine_missing_anchor_errors() {
         let mut c = Counters::new();
-        assert!(merge_combine(customers(), orders(), "Nope", &mut c).is_err());
+        assert!(
+            merge_combine(customers(), orders(), "Nope", ChainHint::default(), &mut c).is_err()
+        );
     }
 
     #[test]
@@ -799,7 +847,14 @@ mod tests {
         let mut c = Counters::new();
         let mut orphans = orders();
         orphans.rows[0][0] = dv(&[99]); // no customer 99
-        let out = merge_combine(customers(), orphans, "Customer", &mut c).unwrap();
+        let out = merge_combine(
+            customers(),
+            orphans,
+            "Customer",
+            ChainHint::default(),
+            &mut c,
+        )
+        .unwrap();
         // alice keeps o2, bob padded; orphan o1 gone.
         assert_eq!(out.len(), 2);
     }
@@ -807,8 +862,14 @@ mod tests {
     #[test]
     fn split_projects_and_dedups() {
         let mut c = Counters::new();
-        let combined =
-            merge_combine(customers(), orders(), "Customer", &mut Counters::new()).unwrap();
+        let combined = merge_combine(
+            customers(),
+            orders(),
+            "Customer",
+            ChainHint::default(),
+            &mut Counters::new(),
+        )
+        .unwrap();
         let outs = split(
             &combined,
             &[
@@ -838,8 +899,14 @@ mod tests {
     #[test]
     fn split_skips_null_instances() {
         let mut c = Counters::new();
-        let combined =
-            merge_combine(customers(), orders(), "Customer", &mut Counters::new()).unwrap();
+        let combined = merge_combine(
+            customers(),
+            orders(),
+            "Customer",
+            ChainHint::default(),
+            &mut Counters::new(),
+        )
+        .unwrap();
         let outs = split(
             &combined,
             &[SplitSpec {
@@ -873,7 +940,14 @@ mod tests {
     fn combine_then_split_roundtrips() {
         // Split(Combine(parent, child)) must recover both inputs modulo order.
         let mut c = Counters::new();
-        let combined = merge_combine(customers(), orders(), "Customer", &mut c).unwrap();
+        let combined = merge_combine(
+            customers(),
+            orders(),
+            "Customer",
+            ChainHint::default(),
+            &mut c,
+        )
+        .unwrap();
         let outs = split(
             &combined,
             &[

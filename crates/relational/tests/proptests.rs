@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashSet};
 use std::hash::{Hash, Hasher};
-use xdx_relational::ops::{hash_combine, merge_combine, split, SplitSpec};
+use xdx_relational::ops::{hash_combine, merge_combine, split, ChainHint, SplitSpec};
 use xdx_relational::{
     ColRole, Counters, Database, Dewey, Feed, FeedColumn, FeedSchema, Index, Rows, Value,
 };
@@ -56,6 +56,48 @@ fn hierarchy(child_counts: Vec<u8>) -> (Feed, Feed) {
         }
     }
     (parent, child)
+}
+
+/// A parent/child pair in arbitrary order: parent keys repeat (the
+/// outer-union case) and may be `Null`, child keys may be `Null` or
+/// match no parent. The flags say whether each side is handed to the
+/// Combine as its rows' sole handle or as one it shares ([`handle`]).
+fn tangled() -> impl Strategy<Value = (Feed, Feed, bool, bool)> {
+    let key = |top: u32| (0..top).prop_map(|k| if k == 0 { Value::Null } else { dv(vec![k]) });
+    (
+        proptest::collection::vec((key(6), 1usize..4), 0..8),
+        proptest::collection::vec(key(8), 0..24),
+        any::<bool>(),
+        any::<bool>(),
+    )
+        .prop_map(|(parents, children, sole_parent, sole_child)| {
+            let (mut parent, mut child) = hierarchy(Vec::new());
+            for (i, (key, copies)) in parents.into_iter().enumerate() {
+                for copy in 0..copies {
+                    let name = Value::Str(format!("p{i}.{copy}"));
+                    parent.rows.push(vec![dv(vec![]), key.clone(), name]);
+                }
+            }
+            for (i, key) in children.into_iter().enumerate() {
+                let id = dv(vec![9, i as u32]);
+                child.rows.push(vec![key, id, Value::Str(format!("c{i}"))]);
+            }
+            (parent, child, sole_parent, sole_child)
+        })
+}
+
+/// `feed` as a sole handle over a fresh row set, or as a handle sharing
+/// its rows with `feed`.
+fn handle(feed: &Feed, sole: bool) -> Feed {
+    let rows = if sole {
+        feed.rows.to_vec().into()
+    } else {
+        feed.rows.clone()
+    };
+    Feed {
+        schema: feed.schema.clone(),
+        rows,
+    }
 }
 
 fn hash_of(v: &impl Hash) -> u64 {
@@ -341,11 +383,50 @@ proptest! {
     fn merge_and_hash_combine_agree(counts in proptest::collection::vec(0u8..5, 0..20)) {
         let (parent, child) = hierarchy(counts);
         let mut c = Counters::new();
-        let mut a = merge_combine(parent.clone(), child.clone(), "P", &mut c).unwrap();
+        let (p, ch) = (parent.clone(), child.clone());
+        let mut a = merge_combine(p, ch, "P", ChainHint::default(), &mut c).unwrap();
         let mut b = hash_combine(&parent, &child, "P", &mut c).unwrap();
         a.sort_by(&[1, 3]);
         b.sort_by(&[1, 3]);
         prop_assert_eq!(a, b);
+    }
+
+    /// Merge output is in key order on the parent's join column, `Null`
+    /// keys included, whatever order the inputs arrived in: the fact that
+    /// lets the next Combine of a chain on the same anchor trust it.
+    #[test]
+    fn merge_combine_output_is_in_parent_key_order(family in tangled()) {
+        let (parent, child, sole_parent, sole_child) = family;
+        let (p, c) = (handle(&parent, sole_parent), handle(&child, sole_child));
+        let out = merge_combine(p, c, "P", ChainHint::default(), &mut Counters::new()).unwrap();
+        prop_assert!(out.rows.windows(2).all(|w| w[0][1] <= w[1][1]));
+    }
+
+    /// A chain hint is never part of a result: every width from none to
+    /// twice the output arity (5 here), and vouching for a parent that is
+    /// in key order, yield the rows and the bill of the output arity.
+    #[test]
+    fn merge_combine_chain_hints_change_no_row_and_no_count(
+        family in tangled(),
+        width in 0usize..=10,
+        sort_parent in any::<bool>(),
+    ) {
+        let (mut parent, child, sole_parent, sole_child) = family;
+        if sort_parent {
+            parent.sort_by(&[1]);
+        }
+        let arity = parent.schema.arity() + child.schema.arity() - 1;
+        let run = |chain: ChainHint| {
+            let (p, c) = (handle(&parent, sole_parent), handle(&child, sole_child));
+            let mut billed = Counters::new();
+            let out = merge_combine(p, c, "P", chain, &mut billed).unwrap();
+            (out, billed)
+        };
+        let want = run(ChainHint { width: arity, parent_in_order: false });
+        prop_assert_eq!(&run(ChainHint { width, parent_in_order: false }), &want);
+        if sort_parent {
+            prop_assert_eq!(&run(ChainHint { width, parent_in_order: true }), &want);
+        }
     }
 
     #[test]
@@ -354,7 +435,7 @@ proptest! {
         // parents survive with padding.
         let (parent, child) = hierarchy(counts.clone());
         let mut c = Counters::new();
-        let out = merge_combine(parent, child, "P", &mut c).unwrap();
+        let out = merge_combine(parent, child, "P", ChainHint::default(), &mut c).unwrap();
         let expected: usize = counts.iter().map(|&k| (k as usize).max(1)).sum();
         prop_assert_eq!(out.len(), expected);
     }
@@ -363,7 +444,8 @@ proptest! {
     fn split_inverts_combine(counts in proptest::collection::vec(0u8..5, 1..15)) {
         let (parent, child) = hierarchy(counts);
         let mut c = Counters::new();
-        let combined = merge_combine(parent.clone(), child.clone(), "P", &mut c).unwrap();
+        let (p, ch) = (parent.clone(), child.clone());
+        let combined = merge_combine(p, ch, "P", ChainHint::default(), &mut c).unwrap();
         let outs = split(
             &combined,
             &[

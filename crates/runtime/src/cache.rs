@@ -16,12 +16,17 @@
 //! Equal keys mean equal inputs, and the optimizer is deterministic, so
 //! nothing else — elapsed time, observed cost — can make a cached
 //! program wrong.
+//!
+//! The stats half is itself memoised: a [`ProbeMemo`] answers a probe of
+//! tables it has probed before, row set for row set, without reading a
+//! row, so a warm route plans without touching its source's data.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use xdx_core::{CostModel, Fragmentation, Optimizer, Program, WireFormat};
-use xdx_relational::word_sum;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use xdx_core::{CostModel, Fragmentation, Optimizer, Program, SchemaStats, WireFormat};
+use xdx_relational::{word_sum, Database, Feed, FeedSchema, RowsId};
+use xdx_xml::SchemaTree;
 
 /// The two-part cache key of an exchange.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -168,6 +173,113 @@ impl PlanCache {
     /// True when nothing is cached yet.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+/// Statistics probes ([`SchemaStats::probe`]) memoised on the identity
+/// of the tables they read. The key is the schema, the fragment → table
+/// list, and each table's feed schema and row set, the row set held as
+/// a `Weak` handle: it pins the set's address, so no other set can take
+/// it for a false hit, but not its rows. An edit moves a row set to a
+/// new address — `Arc::make_mut` copies a shared set and moves a sole one
+/// that weak handles watch ([`xdx_relational::Rows::downgrade`]) — so an
+/// edited table never hits, while a clone of an unedited database shares
+/// its row sets and always does. A few recent probes are kept; one whose
+/// rows have all gone is dropped.
+#[derive(Debug, Default)]
+pub struct ProbeMemo {
+    entries: Mutex<VecDeque<ProbedTables>>,
+    hits: AtomicU64,
+}
+
+/// One memoised probe: per fragment, in fragmentation order, the table
+/// read and what it held then; and the statistics it gave.
+#[derive(Debug)]
+struct ProbedTables {
+    tables: Vec<(String, FeedSchema, RowsId)>,
+    stats: SchemaStats,
+}
+
+impl ProbedTables {
+    fn is_probe_of(&self, schema: &SchemaTree, tables: &[(&str, &Feed)]) -> bool {
+        self.tables.len() == tables.len()
+            && self
+                .tables
+                .iter()
+                .zip(tables)
+                .all(|((name, columns, rows), (table, feed))| {
+                    name == table && feed.rows.is(rows) && *columns == feed.schema
+                })
+            && self.stats.schema == *schema
+    }
+}
+
+/// Memoised probes kept: the distinct sources a runtime's warm routes
+/// read at once.
+const PROBE_MEMO_CAP: usize = 8;
+
+impl ProbeMemo {
+    /// An empty memo.
+    pub fn new() -> ProbeMemo {
+        ProbeMemo::default()
+    }
+
+    /// [`SchemaStats::probe`] of `db`'s tables for `frag`, answered from
+    /// the memo when every table is the one an earlier probe read.
+    pub fn probe(
+        &self,
+        schema: &SchemaTree,
+        db: &Database,
+        frag: &Fragmentation,
+    ) -> xdx_core::Result<SchemaStats> {
+        let tables: Option<Vec<(&str, &Feed)>> = frag
+            .fragments
+            .iter()
+            .map(|f| db.table(&f.name).ok().map(|t| (f.name.as_str(), &t.data)))
+            .collect();
+        let Some(tables) = tables else {
+            return SchemaStats::probe(schema, db, frag); // reports the missing table
+        };
+        let memoised = |entries: &mut VecDeque<ProbedTables>| {
+            entries.retain(|e| e.tables.iter().all(|(_, _, rows)| rows.strong_count() > 0));
+            entries
+                .iter()
+                .find(|e| e.is_probe_of(schema, &tables))
+                .map(|e| e.stats.clone())
+        };
+        if let Some(stats) = memoised(&mut self.entries()) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(stats);
+        }
+        let stats = SchemaStats::probe(schema, db, frag)?;
+        let mut entries = self.entries();
+        // A session racing this one on the same source may have filed it.
+        if memoised(&mut entries).is_none() {
+            if entries.len() == PROBE_MEMO_CAP {
+                entries.pop_front();
+            }
+            entries.push_back(ProbedTables {
+                tables: tables
+                    .iter()
+                    .map(|(name, feed)| {
+                        (name.to_string(), feed.schema.clone(), feed.rows.downgrade())
+                    })
+                    .collect(),
+                stats: stats.clone(),
+            });
+        }
+        Ok(stats)
+    }
+
+    /// The entries, also after a panic elsewhere while they were locked:
+    /// each edit (retain, push, pop) leaves them valid.
+    fn entries(&self) -> MutexGuard<'_, VecDeque<ProbedTables>> {
+        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Probes answered from the memo.
+    pub fn hits(&self) -> u64 {
+        self.hits.load(Ordering::Relaxed)
     }
 }
 
@@ -402,6 +514,61 @@ mod tests {
         let again = cache.lookup(key).expect("second lookup hits");
         assert!(Arc::ptr_eq(&shared, &again));
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
+    }
+
+    /// A small XMark source under MF, and its fragmentation.
+    fn xmark_source() -> (SchemaTree, Fragmentation, xdx_relational::Database) {
+        let schema = xdx_xmark::schema();
+        let mf = xdx_xmark::mf(&schema);
+        let doc = xdx_xmark::generate(xdx_xmark::GenConfig::sized(20_000));
+        let db = xdx_xmark::load_source(&doc, &schema, &mf).unwrap();
+        (schema, mf, db)
+    }
+
+    #[test]
+    fn a_clone_of_an_unedited_source_hits_the_probe_memo() {
+        let (schema, mf, db) = xmark_source();
+        let memo = ProbeMemo::new();
+        let probed = memo.probe(&schema, &db, &mf).unwrap();
+        assert_eq!(probed, SchemaStats::probe(&schema, &db, &mf).unwrap());
+        assert_eq!(memo.hits(), 0);
+        let clone = db.clone();
+        assert_eq!(memo.probe(&schema, &clone, &mf).unwrap(), probed);
+        assert_eq!(memo.probe(&schema, &db, &mf).unwrap(), probed);
+        assert_eq!(memo.hits(), 2);
+        // The same tables read for another schema are another probe.
+        let other = SchemaTree::balanced(3, 2, true);
+        let under_other = SchemaStats::probe(&other, &db, &mf).unwrap();
+        assert_eq!(memo.probe(&other, &db, &mf).unwrap(), under_other);
+        assert_eq!(memo.hits(), 2);
+    }
+
+    #[test]
+    fn a_table_edited_after_its_probe_misses_the_probe_memo() {
+        let (schema, mf, mut db) = xmark_source();
+        let memo = ProbeMemo::new();
+        let before = memo.probe(&schema, &db, &mf).unwrap();
+        let name = &mf.fragments[mf.fragments.len() - 1].name;
+        // A clone's table edited while the original still shares its
+        // rows: the edit copies them, and only the identity tells.
+        let mut edited = db.clone();
+        edited.table_mut(name).unwrap().0.data.rows.clear();
+        let after = memo.probe(&schema, &edited, &mf).unwrap();
+        assert_eq!(memo.hits(), 0, "an edited clone is probed again");
+        assert_eq!(after, SchemaStats::probe(&schema, &edited, &mf).unwrap());
+        assert_ne!(after, before);
+        assert_eq!(memo.probe(&schema, &db, &mf).unwrap(), before);
+        assert_eq!(memo.hits(), 1, "the original still hits");
+        // The same edit through the table's sole handle: the memo holds
+        // no row, so it goes in place but for the one move `make_mut`
+        // makes.
+        drop(edited);
+        db.table_mut(name).unwrap().0.data.rows.clear();
+        assert_eq!(memo.probe(&schema, &db, &mf).unwrap(), after);
+        assert_eq!(memo.hits(), 1, "an edited table is probed again");
+        // The edited source is memoised in turn.
+        assert_eq!(memo.probe(&schema, &db, &mf).unwrap(), after);
+        assert_eq!(memo.hits(), 2);
     }
 
     #[test]

@@ -77,7 +77,7 @@ pub mod stats;
 
 pub use admission::AdmissionController;
 pub use breaker::{BreakerTransition, CircuitBreaker};
-pub use cache::{plan_key, CachedPlan, PlanCache, PlanKey};
+pub use cache::{plan_key, CachedPlan, PlanCache, PlanKey, ProbeMemo};
 pub use config::{RuntimeConfig, SubmitError};
 pub use engine::ShippingPolicy;
 pub use events::{Event, EventKind, EventLog, DEFAULT_EVENT_CAPACITY};

@@ -30,7 +30,7 @@
 
 use crate::admission::AdmissionController;
 use crate::breaker::BreakerTransition;
-use crate::cache::{plan_key, CachedPlan, PlanCache, PlanKey};
+use crate::cache::{plan_key, CachedPlan, PlanCache, PlanKey, ProbeMemo};
 use crate::engine::ShipEngine;
 use crate::events::{Event, EventKind, EventLog};
 use crate::exchange::{lane_checkpoint, route_key, session_trace_id, Exchange, Lane};
@@ -185,6 +185,8 @@ pub(crate) struct Inner {
     pub(crate) queue: Mutex<QueueState>,
     pub(crate) available: Condvar,
     pub(crate) cache: PlanCache,
+    /// The statistics probes the plan cache is keyed on, memoised.
+    pub(crate) probes: ProbeMemo,
     pub(crate) events: Arc<EventLog>,
     pub(crate) ledger: Arc<ReassemblyLedger>,
     /// The event-driven shipping engine: every batch on the wire, and
@@ -297,6 +299,7 @@ impl Runtime {
             }),
             available: Condvar::new(),
             cache: PlanCache::new(),
+            probes: ProbeMemo::new(),
             events,
             ledger,
             engine: Arc::clone(&engine),
@@ -1370,11 +1373,12 @@ impl Inner {
     }
 
     /// The probing half of [`Inner::plan`]: one statistics probe for the
-    /// whole exchange, then one placement per distinct wire format with
-    /// that format's lane count as the cost model's fanout — target work
-    /// bills per subscriber, shipping is multicast-amortized — each
-    /// cached under its own key, so the next exchange of this shape and
-    /// size plans for free.
+    /// whole exchange (from the memo when its source's tables are the
+    /// ones an earlier probe read), then one placement per distinct wire
+    /// format with that format's lane count as the cost model's fanout —
+    /// target work bills per subscriber, shipping is multicast-amortized
+    /// — each cached under its own key, so the next exchange of this
+    /// shape and size plans for free.
     fn plan_formats(
         &self,
         request: &ExchangeRequest,
@@ -1391,8 +1395,10 @@ impl Inner {
         .with_profiles(request.source_profile, request.target_profile);
         exchange.w_comm = self.config.w_comm;
         lanes[0].metrics.planning_probes += 1;
-        let mut model = exchange
-            .probe(&request.source)
+        let mut model = self
+            .probes
+            .probe(&self.schema, &request.source, &request.source_frag)
+            .and_then(|stats| exchange.model(&request.source, stats))
             .map_err(|e| format!("statistics probe failed: {e}"))?;
         let mut formats: Vec<(WireFormat, usize)> = Vec::new();
         for lane in lanes.iter() {

@@ -23,7 +23,8 @@
 //! agreed-upon XML Schema. This module is pure syntax — parse and render
 //! the declarations; `xdx-core` interprets them against the schema tree.
 
-use xdx_xml::{Document, Element, Error, Result, SchemaTree};
+use std::collections::HashSet;
+use xdx_xml::{Document, Element, Error, NodeId, Result, SchemaTree};
 
 /// One declared fragment: a named connected region of the schema.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -53,7 +54,7 @@ impl FragmentationDecl {
         let mut frag_elem = Element::new("fragmentation").with_attr("name", &self.name);
         for frag in &self.fragments {
             let mut fe = Element::new("fragment").with_attr("name", &frag.name);
-            fe = fe.with_child(render_region(schema, frag, &frag.root, true)?);
+            fe = fe.with_child(render_region(schema, frag)?);
             frag_elem = frag_elem.with_child(fe);
         }
         Ok(frag_elem.to_xml_pretty())
@@ -102,42 +103,56 @@ impl FragmentationDecl {
     }
 }
 
-/// Renders the subtree of `element` restricted to the fragment's element
-/// set. The fragment root also gets the ID/PARENT attribute declarations.
-fn render_region(
-    schema: &SchemaTree,
-    frag: &FragmentDecl,
-    element: &str,
-    is_root: bool,
-) -> Result<Element> {
-    let id = schema.by_name(element).ok_or_else(|| Error::Schema {
-        detail: format!("unknown element {element:?}"),
+/// Renders the schema subtree under the fragment's root restricted to
+/// its element set, root first. The fragment root also gets the
+/// ID/PARENT attribute declarations. The region is walked through an
+/// explicit stack and built bottom-up, so a region of any depth renders
+/// on any thread; the element set is looked up by name, once per child.
+fn render_region(schema: &SchemaTree, frag: &FragmentDecl) -> Result<Element> {
+    let root = schema.by_name(&frag.root).ok_or_else(|| Error::Schema {
+        detail: format!("unknown element {:?}", frag.root),
     })?;
-    let node = schema.node(id);
-    let mut e = Element::new("element").with_attr("name", element);
-    if is_root {
-        e = e
-            .with_child(
-                Element::new("attribute")
-                    .with_attr("name", "ID")
-                    .with_attr("type", "string"),
-            )
-            .with_child(
-                Element::new("attribute")
-                    .with_attr("name", "PARENT")
-                    .with_attr("type", "string"),
-            );
-    }
-    if node.has_text && node.children.is_empty() {
-        e = e.with_attr("type", "string");
-    }
-    for &child in &node.children {
-        let child_name = schema.name(child);
-        if frag.elements.iter().any(|el| el == child_name) {
-            e = e.with_child(render_region(schema, frag, child_name, false)?);
+    let members: HashSet<&str> = frag.elements.iter().map(String::as_str).collect();
+    // The region in pre-order, each element with the positions of its
+    // region children.
+    let mut region: Vec<(NodeId, Vec<usize>)> = Vec::new();
+    let mut stack: Vec<(NodeId, Option<usize>)> = vec![(root, None)];
+    while let Some((id, parent)) = stack.pop() {
+        let at = region.len();
+        if let Some(p) = parent {
+            region[p].1.push(at);
         }
+        region.push((id, Vec::new()));
+        let kids = schema.node(id).children.iter().rev();
+        stack.extend(
+            kids.filter(|&&c| members.contains(schema.name(c)))
+                .map(|&c| (c, Some(at))),
+        );
     }
-    Ok(e)
+    // Children sit after their parent: build from the back.
+    let mut built: Vec<Option<Element>> = Vec::new();
+    built.resize_with(region.len(), || None);
+    for (at, (id, kids)) in region.iter().enumerate().rev() {
+        let node = schema.node(*id);
+        let mut e = Element::new("element").with_attr("name", &node.name);
+        if at == 0 {
+            for attribute in ["ID", "PARENT"] {
+                e = e.with_child(
+                    Element::new("attribute")
+                        .with_attr("name", attribute)
+                        .with_attr("type", "string"),
+                );
+            }
+        }
+        if node.has_text && node.children.is_empty() {
+            e = e.with_attr("type", "string");
+        }
+        for &k in kids {
+            e = e.with_child(built[k].take().expect("children built first"));
+        }
+        built[at] = Some(e);
+    }
+    Ok(built[0].take().expect("the root is built last"))
 }
 
 /// Gathers element names from a fragment declaration body: `elem`'s and

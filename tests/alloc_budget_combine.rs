@@ -12,7 +12,7 @@
 
 mod common;
 
-use xdx::relational::ops::merge_combine;
+use xdx::relational::ops::{merge_combine, ChainHint};
 use xdx::relational::{ColRole, Counters, Dewey, Feed, FeedColumn, FeedSchema, Value};
 
 const ROWS: u32 = 10_000;
@@ -39,7 +39,14 @@ fn family() -> (Feed, Feed) {
 /// Heap blocks one `merge_combine` of `parent` and `child` allocates.
 fn combine_blocks(parent: Feed, child: Feed) -> u64 {
     let before = common::blocks();
-    let out = merge_combine(parent, child, "P", &mut Counters::new()).unwrap();
+    let out = merge_combine(
+        parent,
+        child,
+        "P",
+        ChainHint::default(),
+        &mut Counters::new(),
+    )
+    .unwrap();
     let blocks = common::blocks() - before;
     assert_eq!(out.len(), ROWS as usize);
     blocks

@@ -1,6 +1,7 @@
-//! A global allocator that counts heap blocks (alloc + realloc) and the
-//! bytes they ask for, for the allocation-budget binaries. Each of them
-//! holds one test: the counters are process-wide.
+//! A global allocator that counts heap blocks (alloc + realloc), the
+//! bytes they ask for and the reallocations among them, for the
+//! allocation-budget binaries. Each of them holds one test: the counters
+//! are process-wide.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -9,6 +10,7 @@ struct Counting;
 
 static BLOCKS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
+static REALLOCS: AtomicU64 = AtomicU64::new(0);
 
 // SAFETY: defers every call to `System` unchanged; the counters are
 // relaxed statistics that publish no other data.
@@ -26,6 +28,7 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         BLOCKS.fetch_add(1, Ordering::Relaxed);
         BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        REALLOCS.fetch_add(1, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -44,4 +47,10 @@ pub fn blocks() -> u64 {
 #[allow(dead_code)] // not every budget binary counts bytes
 pub fn bytes() -> u64 {
     BYTES.load(Ordering::Relaxed)
+}
+
+/// Reallocations so far (each also counted as a block by [`blocks`]).
+#[allow(dead_code)] // not every budget binary counts reallocations
+pub fn reallocs() -> u64 {
+    REALLOCS.load(Ordering::Relaxed)
 }

@@ -10,7 +10,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use xdx::core::Fragmentation;
 use xdx::net::SoapEnvelope;
-use xdx::wsdl::{plumbing, FragmentationDecl, Plumbing, WsdlDefinition};
+use xdx::wsdl::{plumbing, FragmentDecl, FragmentationDecl, Plumbing, WsdlDefinition};
 use xdx::xml::dtd::Dtd;
 use xdx::xml::parser::parse_events;
 use xdx::xml::{Document, Element, Error, Occurs, SchemaTree, MAX_DEPTH};
@@ -132,6 +132,38 @@ fn every_reader_takes_its_deepest_input_and_refuses_a_deeper_one() {
     on_small_stack(|| {
         let deepest = wsdl_for(chain((MAX_DEPTH - 2) / 2));
         assert_eq!(WsdlDefinition::parse(&deepest.to_xml()).unwrap(), deepest);
+    });
+}
+
+#[test]
+fn a_200k_level_declaration_renders_and_reads_back_as_too_deep() {
+    const LEVELS: usize = 200_000;
+    on_small_stack(|| {
+        let schema = chain(LEVELS);
+        let decl = FragmentationDecl {
+            name: "deep".into(),
+            fragments: vec![FragmentDecl {
+                name: "whole".into(),
+                root: "e0".into(),
+                elements: (0..LEVELS).map(|i| format!("e{i}")).collect(),
+            }],
+        };
+        let xml = decl.to_xml(&schema).unwrap();
+        assert_eq!(xml.matches("<element ").count(), LEVELS);
+        assert!(xml.ends_with("</fragmentation>"));
+        let refused = FragmentationDecl::parse(&xml).unwrap_err();
+        assert!(matches!(refused, Error::TooDeep { .. }), "{refused}");
+    });
+}
+
+#[test]
+fn a_2000_level_declaration_round_trips() {
+    on_small_stack(|| {
+        let schema = chain(2_000);
+        let whole = Fragmentation::whole_document("deep", &schema);
+        let xml = whole.to_decl(&schema).to_xml(&schema).unwrap();
+        let decl = FragmentationDecl::parse(&xml).unwrap();
+        assert_eq!(Fragmentation::from_decl(&schema, &decl).unwrap(), whole);
     });
 }
 
