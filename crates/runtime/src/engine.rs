@@ -2,12 +2,14 @@
 //! machines instead of blocked threads.
 //!
 //! The engine is the only way bytes cross a link. A worker *submits* a
-//! batch shipment ([`ShipRequest`]) and immediately goes back to
-//! runnable work; the shipment advances as a chunk-level state machine
-//! driven by a single engine thread. Every wait — wire occupancy of a
-//! paced link, retry backoff, lane contention — parks the task on a
-//! deadline heap, never a `thread::sleep`, so N workers keep far more
-//! than N sessions in flight.
+//! batch shipment ([`ShipRequest`]) and steps it inline, as a
+//! chunk-level state machine, until it completes or has to wait. Every
+//! wait — wire occupancy of a paced link, retry backoff, lane
+//! contention — parks the task by value in a [`ShipHeap`] under the
+//! runtime's queue lock, never a `thread::sleep`; whichever worker is
+//! free at its deadline resumes it. So N workers keep far more than N
+//! sessions in flight, and on an unpaced link a batch completes on the
+//! worker that encoded it.
 //!
 //! The serialized message is sliced into chunks, each framed with its
 //! full shipment identity — session, per-session shipment sequence
@@ -34,12 +36,11 @@
 use crate::events::{EventKind, EventLog};
 use crate::ledger::{Filed, ReassemblyLedger};
 use crate::registry::LinkSlot;
-use crate::session::SessionShared;
-use std::cmp::Ordering as Order;
-use std::collections::{BTreeSet, BinaryHeap, VecDeque};
+use crate::session::{SessionId, SessionShared};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicI64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xdx_net::{frame_chunk_into, ChunkView, Delivery};
 use xdx_trace::{SpanId, TraceSink};
@@ -135,7 +136,10 @@ pub(crate) struct ShipRequest {
     pub budget: Arc<AtomicI64>,
     /// Parent span the per-batch `ship` span records under.
     pub parent_span: SpanId,
-    /// Invoked exactly once per submission, with no engine lock held.
+    /// The exchange to wake when the batch completes on a worker that
+    /// does not hold it.
+    pub exchange: SessionId,
+    /// Invoked exactly once per submission, with no lock held.
     pub on_done: Box<dyn FnOnce(BatchResult) + Send>,
 }
 
@@ -159,7 +163,7 @@ enum Phase {
 }
 
 /// A submitted request plus how far its state machine has come.
-struct Task {
+pub(crate) struct Task {
     req: ShipRequest,
     phase: Phase,
     span: SpanId,
@@ -198,51 +202,55 @@ impl Task {
     }
 }
 
-/// A task waiting for its deadline, ordered by (deadline, park order)
-/// so that ties resume in the order they parked.
-struct Parked {
-    deadline: Instant,
-    order: u64,
-    task: Task,
-}
-
-impl Parked {
-    fn key(&self) -> (Instant, u64) {
-        (self.deadline, self.order)
-    }
-}
-
-impl PartialEq for Parked {
-    fn eq(&self, other: &Parked) -> bool {
-        self.key() == other.key()
-    }
-}
-
-impl Eq for Parked {}
-
-impl PartialOrd for Parked {
-    fn partial_cmp(&self, other: &Parked) -> Option<Order> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Parked {
-    /// Reversed, so `BinaryHeap` (a max-heap) tops with the earliest.
-    fn cmp(&self, other: &Parked) -> Order {
-        other.key().cmp(&self.key())
-    }
-}
-
-struct EngineState {
-    ready: VecDeque<Task>,
-    /// Parked tasks, earliest deadline on top.
-    parked: BinaryHeap<Parked>,
+/// Parked tasks, earliest deadline first; ties resume in the order they
+/// parked. The runtime keeps one under its queue lock, so the workers'
+/// one wait covers runnable exchanges, queued arrivals and deadlines.
+#[derive(Default)]
+pub(crate) struct ShipHeap {
+    tasks: BTreeMap<(Instant, u64), Box<Task>>,
     /// Parks so far: the tie-break between equal deadlines.
     parks: u64,
-    /// Batches submitted and not yet completed — the pipeline-depth
-    /// gauge.
-    inflight: usize,
-    open: bool,
+}
+
+impl ShipHeap {
+    /// Parks `task` until `deadline`; true when it is now the earliest.
+    pub(crate) fn park(&mut self, deadline: Instant, task: Box<Task>) -> bool {
+        let key = (deadline, self.parks);
+        self.parks += 1;
+        self.tasks.insert(key, task);
+        self.tasks
+            .first_key_value()
+            .is_some_and(|(first, _)| *first == key)
+    }
+
+    /// The earliest parked deadline.
+    pub(crate) fn next(&self) -> Option<Instant> {
+        self.tasks
+            .first_key_value()
+            .map(|((deadline, _), _)| *deadline)
+    }
+
+    /// Takes the earliest task if its deadline has passed by `now`.
+    pub(crate) fn pop_due(&mut self, now: Instant) -> Option<Box<Task>> {
+        let first = self.tasks.first_entry()?;
+        (first.key().0 <= now).then(|| first.remove())
+    }
+
+    /// Stall watchdog probe: the earliest deadline overdue by more than
+    /// `threshold` means no worker got to it for that long. Returns how
+    /// overdue it is.
+    pub(crate) fn stall_check(&self, threshold: Duration) -> Option<Duration> {
+        let overdue = Instant::now().checked_duration_since(self.next()?)?;
+        (overdue > threshold).then_some(overdue)
+    }
+}
+
+/// Where stepping a task left it.
+pub(crate) enum Stepped {
+    /// Waiting for the deadline; whoever stepped it parks it.
+    Parked(Instant, Box<Task>),
+    /// Completed, its `on_done` called: the exchange it belongs to.
+    Done(SessionId),
 }
 
 /// What one state-machine step decided.
@@ -255,12 +263,13 @@ enum StepOutcome {
     Done(BatchResult),
 }
 
-/// The engine itself. One instance per runtime, shared by the dedicated
-/// driver thread (the only one that drives it), the workers (which
-/// submit), and shutdown.
+/// The engine itself: what every step needs, and no scheduler — the
+/// workers that submit and resume tasks are the only ones that step
+/// them.
 pub(crate) struct ShipEngine {
-    state: Mutex<EngineState>,
-    work: Condvar,
+    /// Batches submitted and not yet completed — the pipeline-depth
+    /// gauge.
+    inflight: AtomicUsize,
     events: Arc<EventLog>,
     ledger: Arc<ReassemblyLedger>,
     trace: Arc<TraceSink>,
@@ -271,119 +280,39 @@ impl ShipEngine {
         events: Arc<EventLog>,
         ledger: Arc<ReassemblyLedger>,
         trace: Arc<TraceSink>,
-    ) -> Arc<ShipEngine> {
-        Arc::new(ShipEngine {
-            state: Mutex::new(EngineState {
-                ready: VecDeque::new(),
-                parked: BinaryHeap::new(),
-                parks: 0,
-                inflight: 0,
-                open: true,
-            }),
-            work: Condvar::new(),
+    ) -> ShipEngine {
+        ShipEngine {
+            inflight: AtomicUsize::new(0),
             events,
             ledger,
             trace,
-        })
+        }
     }
 
-    /// Stall watchdog probe: a parked task whose deadline is overdue by
-    /// more than `threshold` means no driver is resuming parked tasks —
-    /// the engine is wedged, not merely busy. Returns how overdue the
-    /// nearest deadline is when stalled.
-    pub(crate) fn stall_check(&self, threshold: Duration) -> Option<Duration> {
-        let deadline = self.state.lock().unwrap().parked.peek()?.deadline;
-        let overdue = Instant::now().checked_duration_since(deadline)?;
-        (overdue > threshold).then_some(overdue)
-    }
-
-    /// Enqueues a batch shipment; returns immediately. The request's
-    /// `on_done` fires from whichever thread completes the task.
-    pub(crate) fn submit(&self, req: ShipRequest) {
-        let mut st = self.state.lock().unwrap();
-        st.inflight += 1;
-        st.ready.push_back(Task::new(req));
-        drop(st);
-        self.work.notify_all();
+    /// Steps a batch shipment on the calling thread until it completes
+    /// — `on_done` fires before this returns — or parks.
+    pub(crate) fn submit(&self, req: ShipRequest) -> Stepped {
+        self.inflight.fetch_add(1, Ordering::Relaxed);
+        self.run_task(Task::new(req))
     }
 
     /// Batches currently in flight (submitted, not yet completed).
     pub(crate) fn inflight(&self) -> usize {
-        self.state.lock().unwrap().inflight
+        self.inflight.load(Ordering::Relaxed)
     }
 
-    /// Tells the driver thread to exit once the last task completes.
-    pub(crate) fn shutdown(&self) {
-        self.state.lock().unwrap().open = false;
-        self.work.notify_all();
-    }
-
-    /// Makes engine progress on the calling thread, idling on the condvar
-    /// when nothing is due: until shutdown *and* drained (the dedicated
-    /// driver thread's body), or — for a test driving by hand — until the
-    /// given instant.
-    pub(crate) fn drive(&self, until: Option<Instant>) {
-        let mut st = self.state.lock().unwrap();
-        loop {
-            let now = Instant::now();
-            while st.parked.peek().is_some_and(|p| p.deadline <= now) {
-                let due = st.parked.pop().unwrap().task;
-                st.ready.push_back(due);
-            }
-            if let Some(task) = st.ready.pop_front() {
-                drop(st);
-                self.run_task(task);
-                st = self.state.lock().unwrap();
-                continue;
-            }
-            if let Some(d) = until {
-                if now >= d {
-                    return;
-                }
-            }
-            if !st.open && st.parked.is_empty() {
-                return;
-            }
-            let mut wake = st.parked.peek().map(|p| p.deadline);
-            if let Some(d) = until {
-                wake = Some(wake.map_or(d, |w| w.min(d)));
-            }
-            st = match wake {
-                Some(w) => {
-                    let timeout = w
-                        .saturating_duration_since(now)
-                        .max(Duration::from_micros(50));
-                    self.work.wait_timeout(st, timeout).unwrap().0
-                }
-                None => self.work.wait(st).unwrap(),
-            };
-        }
-    }
-
-    /// Steps `task` until it parks or completes. Called with no engine
-    /// lock held; the caller owns the task until it parks again.
-    fn run_task(&self, mut task: Task) {
+    /// Steps `task` until it parks or completes, its `on_done` invoked
+    /// on this thread with no lock held.
+    pub(crate) fn run_task(&self, mut task: Task) -> Stepped {
         loop {
             match self.step(&mut task) {
                 StepOutcome::Continue => continue,
-                StepOutcome::Park(deadline) => {
-                    let mut st = self.state.lock().unwrap();
-                    let order = st.parks;
-                    st.parks += 1;
-                    st.parked.push(Parked {
-                        deadline,
-                        order,
-                        task,
-                    });
-                    return;
-                }
+                StepOutcome::Park(deadline) => return Stepped::Parked(deadline, Box::new(task)),
                 StepOutcome::Done(result) => {
-                    self.state.lock().unwrap().inflight -= 1;
-                    // No engine lock across the callback: it may submit
-                    // the session's next batch right back to us.
+                    self.inflight.fetch_sub(1, Ordering::Relaxed);
+                    let exchange = task.req.exchange;
                     (task.req.on_done)(result);
-                    self.work.notify_all();
-                    return;
+                    return Stepped::Done(exchange);
                 }
             }
         }
@@ -664,16 +593,68 @@ mod tests {
     use super::*;
     use crate::breaker::CircuitBreaker;
     use crate::registry::ShipGauge;
+    use std::cell::RefCell;
     use std::sync::mpsc;
     use xdx_core::WireFormat;
     use xdx_net::{FaultProfile, Link, NetworkProfile};
 
-    fn engine() -> Arc<ShipEngine> {
-        ShipEngine::new(
-            Arc::new(EventLog::new()),
-            Arc::new(ReassemblyLedger::new()),
-            Arc::new(TraceSink::new(false, 16)),
-        )
+    /// The engine plus the heap a runtime keeps its parked tasks in,
+    /// stepped on the test thread the way a worker would.
+    struct Driven {
+        engine: ShipEngine,
+        heap: RefCell<ShipHeap>,
+    }
+
+    impl std::ops::Deref for Driven {
+        type Target = ShipEngine;
+        fn deref(&self) -> &ShipEngine {
+            &self.engine
+        }
+    }
+
+    impl Driven {
+        fn park(&self, stepped: Stepped) {
+            if let Stepped::Parked(deadline, task) = stepped {
+                self.heap.borrow_mut().park(deadline, task);
+            }
+        }
+
+        /// Steps inline, as a worker's submit does.
+        fn submit(&self, req: ShipRequest) {
+            self.park(self.engine.submit(req));
+        }
+
+        /// Resumes parked tasks as their deadlines pass, until `until`.
+        fn drive(&self, until: Instant) {
+            loop {
+                let now = Instant::now();
+                let due = self.heap.borrow_mut().pop_due(now);
+                if let Some(task) = due {
+                    self.park(self.engine.run_task(*task));
+                    continue;
+                }
+                if now >= until {
+                    return;
+                }
+                let wake = self.heap.borrow().next().map_or(until, |d| d.min(until));
+                std::thread::sleep(wake.saturating_duration_since(now));
+            }
+        }
+
+        fn stall_check(&self, threshold: Duration) -> Option<Duration> {
+            self.heap.borrow().stall_check(threshold)
+        }
+    }
+
+    fn engine() -> Driven {
+        Driven {
+            engine: ShipEngine::new(
+                Arc::new(EventLog::new()),
+                Arc::new(ReassemblyLedger::new()),
+                Arc::new(TraceSink::new(false, 16)),
+            ),
+            heap: RefCell::default(),
+        }
     }
 
     fn slot_for(link: Link) -> Arc<LinkSlot> {
@@ -688,7 +669,7 @@ mod tests {
     }
 
     fn submit(
-        engine: &ShipEngine,
+        engine: &Driven,
         slot: &Arc<LinkSlot>,
         seq: u64,
         message: Vec<u8>,
@@ -700,7 +681,7 @@ mod tests {
     }
 
     fn submit_as(
-        engine: &ShipEngine,
+        engine: &Driven,
         session: Arc<SessionShared>,
         slot: &Arc<LinkSlot>,
         seq: u64,
@@ -718,6 +699,7 @@ mod tests {
             policy,
             budget: Arc::clone(budget),
             parent_span: 0,
+            exchange: 0,
             on_done: Box::new(move |r| {
                 let _ = tx.send(r);
             }),
@@ -727,7 +709,7 @@ mod tests {
 
     /// Submits one batch and drives the engine until it completes.
     fn ship(
-        engine: &ShipEngine,
+        engine: &Driven,
         session: Arc<SessionShared>,
         slot: &Arc<LinkSlot>,
         message: &[u8],
@@ -739,10 +721,10 @@ mod tests {
     }
 
     /// Drives the engine on this thread until `rx` yields its result.
-    fn drive_to(engine: &ShipEngine, rx: &mpsc::Receiver<BatchResult>) -> BatchResult {
+    fn drive_to(engine: &Driven, rx: &mpsc::Receiver<BatchResult>) -> BatchResult {
         let give_up = Instant::now() + Duration::from_secs(10);
         loop {
-            engine.drive(Some(Instant::now() + Duration::from_millis(1)));
+            engine.drive(Instant::now() + Duration::from_millis(1));
             if let Ok(result) = rx.try_recv() {
                 return result;
             }
@@ -902,6 +884,27 @@ mod tests {
     }
 
     #[test]
+    fn healthy_unpaced_batch_completes_inside_submit() {
+        // Nothing parks on a healthy unpaced link, so the thread that
+        // submits a batch ships it: the result reached `on_done` before
+        // `submit` returned, and nothing is left for anyone to drive.
+        let eng = engine();
+        let slot = slot_for(Link::new(NetworkProfile::lan()));
+        let budget = Arc::new(AtomicI64::new(256));
+        let policy = ShippingPolicy {
+            chunk_bytes: 256,
+            ..ShippingPolicy::default()
+        };
+        let message: Vec<u8> = (0..4000u32).map(|i| (i % 239) as u8).collect();
+        let rx = submit(&eng, &slot, 0, message.clone(), policy, &budget);
+        let result = rx.try_recv().expect("on_done fired inside submit");
+        assert_eq!(*result.outcome.unwrap(), message);
+        assert_eq!(result.stats.chunks_shipped, 4000usize.div_ceil(256) as u64);
+        assert_eq!(eng.inflight(), 0);
+        assert!(eng.heap.borrow().next().is_none());
+    }
+
+    #[test]
     fn concurrent_batches_interleave_on_one_pair() {
         let eng = engine();
         let slot = slot_for(Link::new(NetworkProfile::lan()));
@@ -1036,7 +1039,7 @@ mod tests {
         let rx = submit(&eng, &slot, 0, message.clone(), policy, &budget);
         // The first chunk parks on its ~43 ms wire deadline; the last one
         // lands meanwhile, filed under its own coordinates.
-        eng.drive(Some(Instant::now() + Duration::from_millis(5)));
+        eng.drive(Instant::now() + Duration::from_millis(5));
         let mut last = Vec::new();
         frame_chunk_into(&mut last, 1, 0, 3, 4, &message[3 * 4096..]);
         let frame = ChunkView::parse(&last).expect("a well-formed frame");
@@ -1071,7 +1074,7 @@ mod tests {
         let rx = submit(&eng, &slot, 0, vec![3u8; 32 * 1024], policy, &budget);
         // Step just far enough for the first chunk to park on its wire
         // deadline, then stop driving entirely.
-        eng.drive(Some(Instant::now() + Duration::from_millis(5)));
+        eng.drive(Instant::now() + Duration::from_millis(5));
         assert!(eng.stall_check(Duration::from_secs(3600)).is_none());
         std::thread::sleep(Duration::from_millis(120));
         let overdue = eng

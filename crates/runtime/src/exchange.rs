@@ -23,7 +23,7 @@
 use crate::breaker::BreakerTransition;
 use crate::cache::CachedPlan;
 use crate::config::RuntimeConfig;
-use crate::engine::{BatchResult, BatchShipStats, ShipRequest};
+use crate::engine::{BatchResult, BatchShipStats, ShipRequest, Stepped};
 use crate::events::EventKind;
 use crate::registry::LinkSlot;
 use crate::runtime::{Inner, Resumable};
@@ -613,7 +613,7 @@ impl Inner {
     /// frame, stale version precondition, malformed steps) rolls the
     /// staged patch back and re-enters the feed-batch path at the next
     /// shipment seq — the fallback ladder.
-    fn absorb_patch(&self, arc: &Arc<Inner>, ex: &mut Exchange, delivered: &[u8]) {
+    fn absorb_patch(&self, ex: &mut Exchange, delivered: &[u8]) {
         let group = &mut ex.groups[0];
         let patch = group.patch.take().expect("patch in flight");
         let lane = &mut group.lanes[0];
@@ -695,7 +695,7 @@ impl Inner {
                 );
                 // The patch consumed seq 0; feed batches stage from 1.
                 group.next_stage_seq = 1;
-                self.run_source(arc, ex, 0);
+                self.run_source(ex, 0);
             }
         }
     }
@@ -711,7 +711,7 @@ impl Inner {
     /// — the open tail least of all, a successful run would have packed
     /// more into it; slots already on the wire drain before the lanes
     /// settle.
-    fn run_source(&self, arc: &Arc<Inner>, ex: &mut Exchange, gi: usize) {
+    fn run_source(&self, ex: &mut Exchange, gi: usize) {
         let Exchange {
             id,
             request,
@@ -764,7 +764,7 @@ impl Inner {
                     queue(&mut group.ring, &cross[streamed], feed);
                     streamed += 1;
                 }
-                self.pump(arc, *id, gi, inbox, group, *lag_cap);
+                self.pump(*id, gi, inbox, group, *lag_cap);
             },
         );
         let failure = match source {
@@ -788,72 +788,75 @@ impl Inner {
         }
     }
 
-    /// Runs a planned exchange's source halves and hands it to the
-    /// scheduler. The delta path goes first, when eligible: the patch,
-    /// if the cost model prefers it, is shipment 0 and the full feeds
-    /// stay home unless the fallback ladder needs them. Then the
-    /// windows are topped up and the exchange *parks* — the worker
-    /// returns to the queue while the frames drain, and batch
-    /// completions wake whichever worker is free next via the runnable
-    /// queue. An exchange with nothing on the wire (no cross edges, or a
-    /// failure before the first frame) settles here.
-    pub(crate) fn launch(
-        &self,
-        arc: &Arc<Inner>,
-        mut ex: Exchange,
-        delta_base: Option<(u64, u64, Snapshot, bool)>,
-    ) {
+    /// Runs a planned exchange's source halves, then holds it like any
+    /// serviced exchange. The delta path goes first, when eligible: the
+    /// patch, if the cost model prefers it, is shipment 0 and the full
+    /// feeds stay home unless the fallback ladder needs them. On an
+    /// unpaced link every batch completes inline, so the whole exchange
+    /// usually finishes here; otherwise it *parks* — the worker returns
+    /// to the queue while the frames drain, and batch completions wake
+    /// whichever worker is free next via the runnable queue.
+    pub(crate) fn launch(&self, mut ex: Exchange, delta_base: Option<(u64, u64, Snapshot, bool)>) {
         let ship_full = match delta_base {
             Some(base) => self.stage_delta(&mut ex, base),
             None => true,
         };
         if ship_full {
             for gi in 0..ex.groups.len() {
-                self.run_source(arc, &mut ex, gi);
+                self.run_source(&mut ex, gi);
             }
         }
-        self.outstanding.fetch_add(1, Ordering::SeqCst);
-        if self.advance(arc, &mut ex) {
-            return;
-        }
-        let (sid, inbox) = (ex.id, Arc::clone(&ex.inbox));
-        self.parked.lock().unwrap().insert(sid, ex);
-        // A batch that completed before the exchange reached the map had
-        // its runnable wakeup consumed as a no-op — re-arm it.
-        if !inbox.lock().unwrap().is_empty() {
-            self.queue.lock().unwrap().runnable.push_back(sid);
-            self.available.notify_all();
+        self.queue.lock().unwrap().outstanding += 1;
+        self.hold(ex);
+    }
+
+    /// Services a parked exchange; a stale runnable entry, for an
+    /// exchange another worker holds or has retired, is a no-op.
+    pub(crate) fn service(&self, sid: SessionId) {
+        let parked = self.parked.lock().unwrap().remove(&sid);
+        if let Some(ex) = parked {
+            self.hold(ex);
         }
     }
 
-    /// Services a parked exchange: absorbs every deposited batch result,
-    /// refills the submission windows, settles drained lanes, and either
-    /// re-parks the exchange or retires it. The exchange is *removed*
-    /// from the map while serviced, so two workers can never service it
-    /// at once; stale runnable entries for an absent exchange are no-ops.
-    pub(crate) fn service(&self, arc: &Arc<Inner>, sid: SessionId) {
+    /// A batch of exchange `sid` completed on a worker that does not
+    /// hold it, its result deposited: wake a worker to service the
+    /// exchange if it is parked. If not, whoever holds it finds the
+    /// result when it parks it (`hold`).
+    pub(crate) fn wake(&self, sid: SessionId) {
+        if self.parked.lock().unwrap().contains_key(&sid) {
+            self.queue.lock().unwrap().runnable.push_back(sid);
+            self.available.notify_one();
+        }
+    }
+
+    /// Works an exchange held out of the parked map — so no other worker
+    /// can — until it retires or has nothing left to absorb: absorbs
+    /// every deposited batch result, refills the submission windows
+    /// (whose batches may complete inline, depositing more), settles
+    /// drained lanes, and parks it. A completion looks for its exchange
+    /// in the map only after depositing, and the holder looks at the
+    /// inbox only after parking, so one of the two always sees the
+    /// other (DESIGN §16): a result is never stranded.
+    fn hold(&self, mut ex: Exchange) {
         loop {
-            let Some(mut ex) = self.parked.lock().unwrap().remove(&sid) else {
-                return;
-            };
             let results = std::mem::take(&mut *ex.inbox.lock().unwrap());
-            // A stale wakeup (its result was absorbed by an earlier
-            // service) finds nothing and has nothing to advance.
-            let landed = !results.is_empty();
             for (gi, li, result) in results {
-                self.absorb(arc, &mut ex, gi, li, result);
+                self.absorb(&mut ex, gi, li, result);
             }
-            if landed && self.advance(arc, &mut ex) {
+            if self.advance(&mut ex) {
                 return;
             }
-            let inbox = Arc::clone(&ex.inbox);
+            let (sid, inbox) = (ex.id, Arc::clone(&ex.inbox));
             self.parked.lock().unwrap().insert(sid, ex);
-            // A result deposited while the exchange was out of the map
-            // consumed its wakeup against the empty map — service it now
-            // instead of stranding a parked exchange. (Batches remain in
-            // flight here, so the exchange cannot have been retired.)
             if inbox.lock().unwrap().is_empty() {
                 return;
+            }
+            // Batches remain in flight, so the exchange cannot have
+            // retired: it is in the map, or another worker took it.
+            match self.parked.lock().unwrap().remove(&sid) {
+                Some(again) => ex = again,
+                None => return,
             }
         }
     }
@@ -863,9 +866,9 @@ impl Inner {
     /// commit and report without waiting for the group's stragglers —
     /// and retire the exchange with its last lane. Returns true when it
     /// retired.
-    fn advance(&self, arc: &Arc<Inner>, ex: &mut Exchange) -> bool {
+    fn advance(&self, ex: &mut Exchange) -> bool {
         for gi in 0..ex.groups.len() {
-            self.pump(arc, ex.id, gi, &ex.inbox, &mut ex.groups[gi], ex.lag_cap);
+            self.pump(ex.id, gi, &ex.inbox, &mut ex.groups[gi], ex.lag_cap);
             for li in 0..ex.groups[gi].lanes.len() {
                 let group = &ex.groups[gi];
                 if !group.lanes[li].settled && group.lanes[li].drained(group.ring.len()) {
@@ -884,15 +887,7 @@ impl Inner {
     /// to `pipeline_depth` slots in flight per lane, so frame `k+1` is
     /// encoded while frame `k` rides the wire. Then enforces the lag cap
     /// and releases the frames every live lane has moved past.
-    fn pump(
-        &self,
-        arc: &Arc<Inner>,
-        sid: SessionId,
-        gi: usize,
-        inbox: &Inbox,
-        group: &mut Group,
-        lag_cap: usize,
-    ) {
+    fn pump(&self, sid: SessionId, gi: usize, inbox: &Inbox, group: &mut Group, lag_cap: usize) {
         let RuntimeConfig {
             pipeline_depth: depth,
             shipping: policy,
@@ -916,8 +911,8 @@ impl Inner {
                 lane.inflight += 1;
                 lane.cursor += 1;
                 lane.shared.set_state(SessionState::Shipping);
-                let (inbox, waker) = (Arc::clone(inbox), Arc::clone(arc));
-                self.engine.submit(ShipRequest {
+                let inbox = Arc::clone(inbox);
+                let stepped = self.engine.submit(ShipRequest {
                     session: Arc::clone(&lane.shared),
                     slot: Arc::clone(&lane.slot),
                     seq: seq as u64,
@@ -926,17 +921,13 @@ impl Inner {
                     policy,
                     budget: Arc::clone(&lane.budget),
                     parent_span: group.exec_span,
-                    on_done: Box::new(move |result| {
-                        // Deposit the result, then make the exchange
-                        // runnable — strictly in that order, and the
-                        // runnable queue lives inside the queue lock, so
-                        // a worker that saw the wakeup always finds the
-                        // result.
-                        inbox.lock().unwrap().push((gi, li, result));
-                        waker.queue.lock().unwrap().runnable.push_back(sid);
-                        waker.available.notify_all();
-                    }),
+                    exchange: sid,
+                    on_done: Box::new(move |result| inbox.lock().unwrap().push((gi, li, result))),
                 });
+                // A batch that completed here is this holder's to absorb.
+                if let Stepped::Parked(deadline, task) = stepped {
+                    self.park(deadline, task);
+                }
             }
         }
         // Lag cap: a lane trailing the group's fastest by more than the
@@ -1042,14 +1033,7 @@ impl Inner {
     /// Folds one completed batch into its lane: shipping tallies always;
     /// on delivery, decode and stage in shipment order; on failure,
     /// record the first diagnostic, which stops the lane's pump.
-    fn absorb(
-        &self,
-        arc: &Arc<Inner>,
-        ex: &mut Exchange,
-        gi: usize,
-        li: usize,
-        result: BatchResult,
-    ) {
+    fn absorb(&self, ex: &mut Exchange, gi: usize, li: usize, result: BatchResult) {
         let group = &mut ex.groups[gi];
         let lane = &mut group.lanes[li];
         lane.inflight -= 1;
@@ -1066,7 +1050,7 @@ impl Inner {
         lane.outcome.times.communication += result.elapsed;
         lane.outcome.messages += 1;
         if group.patch.is_some() && result.seq == 0 {
-            self.absorb_patch(arc, ex, &delivered[..]);
+            self.absorb_patch(ex, &delivered[..]);
             return;
         }
         // A failed lane settles over nothing the group stages.
@@ -1546,8 +1530,9 @@ impl Inner {
         );
         let group_span = ex.groups[0].lanes[0].shared.root_parent;
         self.close_group(group_span, ex.id, ex.enqueued, detail);
-        self.outstanding.fetch_sub(1, Ordering::SeqCst);
-        // Workers parked on an empty queue re-check the exit condition.
+        // Under the queue lock, like everything a worker waits on: a
+        // worker checking the exit condition cannot miss this wakeup.
+        self.queue.lock().unwrap().outstanding -= 1;
         self.available.notify_all();
     }
 }

@@ -31,7 +31,7 @@
 use crate::admission::AdmissionController;
 use crate::breaker::BreakerTransition;
 use crate::cache::{plan_key, CachedPlan, PlanCache, PlanKey, ProbeMemo};
-use crate::engine::ShipEngine;
+use crate::engine::{ShipEngine, ShipHeap, Stepped, Task};
 use crate::events::{Event, EventKind, EventLog};
 use crate::exchange::{lane_checkpoint, route_key, session_trace_id, Exchange, Lane};
 use crate::fair::{FairQueue, DEFAULT_AGING_INTERVAL};
@@ -124,12 +124,19 @@ pub(crate) struct QueuedExchange {
     group: Option<(SpanId, usize)>,
 }
 
+/// Everything a worker waits for, under the one queue lock, so nothing
+/// can slip between a worker's emptiness check and its condvar wait.
 pub(crate) struct QueueState {
     pub(crate) fair: FairQueue<QueuedExchange>,
     /// Parked exchanges with fresh batch results to service.
-    /// Lives *inside* the queue lock so a completion can never slip
-    /// between a worker's emptiness check and its condvar wait.
     pub(crate) runnable: VecDeque<SessionId>,
+    /// Ship tasks parked on a deadline, for whichever worker is free
+    /// when it passes.
+    pub(crate) ships: ShipHeap,
+    /// Exchanges started and not yet retired — the in-flight cap's
+    /// numerator, and workers refuse to exit at shutdown while any
+    /// remain.
+    pub(crate) outstanding: usize,
     pub(crate) open: bool,
 }
 
@@ -189,18 +196,14 @@ pub(crate) struct Inner {
     pub(crate) probes: ProbeMemo,
     pub(crate) events: Arc<EventLog>,
     pub(crate) ledger: Arc<ReassemblyLedger>,
-    /// The event-driven shipping engine: every batch on the wire, and
-    /// the parked deadline of every paced wait, lives here instead of on
+    /// The shipping engine: every batch on the wire is stepped through
+    /// it by a worker, and a paced wait parks in `queue` instead of on
     /// a blocked worker thread.
-    pub(crate) engine: Arc<ShipEngine>,
+    pub(crate) engine: ShipEngine,
     /// Parked exchanges, keyed by id. A worker *removes* the exchange
     /// while servicing it (no double-service), re-inserting it if
     /// batches remain in flight.
     pub(crate) parked: Mutex<HashMap<SessionId, Exchange>>,
-    /// Exchanges started and not yet retired — the in-flight cap's
-    /// numerator, and workers refuse to exit at shutdown while any
-    /// remain.
-    pub(crate) outstanding: AtomicUsize,
     /// Workers currently executing or servicing a session — the
     /// occupancy gauge's numerator.
     pub(crate) busy_workers: AtomicUsize,
@@ -253,9 +256,6 @@ pub(crate) struct Inner {
 pub struct Runtime {
     inner: Arc<Inner>,
     workers: Vec<JoinHandle<()>>,
-    /// The engine's dedicated driver thread, joined after the workers so
-    /// every parked exchange retires before the engine drains.
-    engine_driver: Option<JoinHandle<()>>,
     /// The live introspection listener, when configured.
     introspect: Option<IntrospectServer>,
 }
@@ -295,6 +295,8 @@ impl Runtime {
             queue: Mutex::new(QueueState {
                 fair: FairQueue::new(DEFAULT_AGING_INTERVAL),
                 runnable: VecDeque::new(),
+                ships: ShipHeap::default(),
+                outstanding: 0,
                 open: true,
             }),
             available: Condvar::new(),
@@ -302,9 +304,8 @@ impl Runtime {
             probes: ProbeMemo::new(),
             events,
             ledger,
-            engine: Arc::clone(&engine),
+            engine,
             parked: Mutex::new(HashMap::new()),
-            outstanding: AtomicUsize::new(0),
             busy_workers: AtomicUsize::new(0),
             resumables: Mutex::new(HashMap::new()),
             resumable_clock: AtomicU64::new(0),
@@ -333,10 +334,6 @@ impl Runtime {
                     .expect("spawn worker")
             })
             .collect();
-        let engine_driver = std::thread::Builder::new()
-            .name("xdx-ship-engine".into())
-            .spawn(move || engine.drive(None))
-            .expect("spawn engine driver");
         let introspect = config.introspect_addr.map(|addr| {
             let inner = Arc::clone(&inner);
             IntrospectServer::start(addr, move |path| inner.introspect_reply(path))
@@ -345,7 +342,6 @@ impl Runtime {
         Runtime {
             inner,
             workers,
-            engine_driver: Some(engine_driver),
             introspect,
         }
     }
@@ -727,14 +723,9 @@ impl Runtime {
         self.inner.queue.lock().unwrap().open = false;
         self.inner.available.notify_all();
         // Workers drain the fair queue *and* retire every parked
-        // exchange before exiting, so by the time they are joined the
-        // engine holds no tasks and its driver exits on shutdown.
+        // exchange — so every parked ship task — before exiting.
         for worker in self.workers.drain(..) {
             let _ = worker.join();
-        }
-        self.inner.engine.shutdown();
-        if let Some(driver) = self.engine_driver.take() {
-            let _ = driver.join();
         }
         if let Some(mut server) = self.introspect.take() {
             server.shutdown();
@@ -749,21 +740,27 @@ impl Drop for Runtime {
 }
 
 /// What a worker picked up: a parked exchange with batch results to
-/// service, or a queued one to start. Runnable work drains first —
-/// finishing in-flight exchanges beats starting new ones, and it is
-/// what bounds the parked map.
+/// service, a ship task whose deadline passed, or a queued exchange to
+/// start. In-flight work drains first — finishing in-flight exchanges
+/// beats starting new ones, and it is what bounds the parked map.
 enum WorkItem {
     Service(SessionId),
+    Ship(Box<Task>),
     Start(Box<QueuedExchange>),
 }
 
-fn worker_loop(inner: &Arc<Inner>) {
+/// The runtime's one scheduler: every worker runs this loop, and no
+/// other thread steps an exchange or a ship task.
+fn worker_loop(inner: &Inner) {
     loop {
         let work = {
             let mut queue = inner.queue.lock().unwrap();
             loop {
                 if let Some(sid) = queue.runnable.pop_front() {
                     break Some(WorkItem::Service(sid));
+                }
+                if let Some(task) = queue.ships.pop_due(Instant::now()) {
+                    break Some(WorkItem::Ship(task));
                 }
                 // New work only while the parked pool has room: beyond
                 // the cap, arrivals wait in the admission queue, so
@@ -775,29 +772,51 @@ fn worker_loop(inner: &Arc<Inner>) {
                     ..
                 } = inner.config;
                 let cap = workers * per_worker;
-                if inner.outstanding.load(Ordering::SeqCst) < cap {
+                if queue.outstanding < cap {
                     if let Some(popped) = queue.fair.pop() {
                         inner.admission.record_dequeue(!queue.fair.is_empty());
                         break Some(WorkItem::Start(Box::new(popped.item)));
                     }
                 }
-                if !queue.open && inner.outstanding.load(Ordering::SeqCst) == 0 {
+                // A parked ship task belongs to an exchange that has not
+                // retired: its lane cannot drain while the batch is out.
+                if !queue.open && queue.outstanding == 0 {
+                    debug_assert!(
+                        queue.ships.next().is_none(),
+                        "a ship task outlived its exchange"
+                    );
                     break None;
                 }
-                queue = inner.available.wait(queue).unwrap();
+                let due = queue.ships.next();
+                queue = match due.map(|d| d.saturating_duration_since(Instant::now())) {
+                    Some(timeout) => inner.available.wait_timeout(queue, timeout).unwrap().0,
+                    None => inner.available.wait(queue).unwrap(),
+                };
             }
         };
         let Some(work) = work else { return };
         inner.busy_workers.fetch_add(1, Ordering::Relaxed);
         match work {
-            WorkItem::Service(sid) => inner.service(inner, sid),
-            WorkItem::Start(job) => inner.start_exchange(inner, *job),
+            WorkItem::Service(sid) => inner.service(sid),
+            WorkItem::Ship(task) => match inner.engine.run_task(*task) {
+                Stepped::Parked(deadline, task) => inner.park(deadline, task),
+                Stepped::Done(sid) => inner.wake(sid),
+            },
+            WorkItem::Start(job) => inner.start_exchange(*job),
         }
         inner.busy_workers.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
 impl Inner {
+    /// Parks a ship task until `deadline`. One that is now the earliest
+    /// deadline wakes a worker to wait for it.
+    pub(crate) fn park(&self, deadline: Instant, task: Box<Task>) {
+        if self.queue.lock().unwrap().ships.park(deadline, task) {
+            self.available.notify_one();
+        }
+    }
+
     /// Queues `request` as a session of its own, id `id` (fresh or
     /// resumed): an exchange of one lane to the request's own target.
     fn enqueue_session(
@@ -1135,17 +1154,15 @@ impl Inner {
     }
 
     /// The one start arm: runs a queued exchange on the calling worker
-    /// thread from dequeue to *park* (`arc` is this same `Inner`,
-    /// threaded through for the engine callbacks a parked exchange
-    /// leaves behind). Every lane passes the dequeue gates; the
-    /// survivors are planned once per negotiated wire format and each
-    /// format becomes one group — its source phase runs once and every
-    /// frame is encoded *once* into the ring all of its lanes ship from,
-    /// over their own links, with their own ledgers, retry budgets and
-    /// breakers. A session is the group of one lane; a lane that drops
-    /// out on the way stays resumable as a session of its own without
-    /// stalling the rest.
-    fn start_exchange(&self, arc: &Arc<Inner>, job: QueuedExchange) {
+    /// thread from dequeue to *park* (or, unpaced, to retirement). Every
+    /// lane passes the dequeue gates; the survivors are planned once per
+    /// negotiated wire format and each format becomes one group — its
+    /// source phase runs once and every frame is encoded *once* into the
+    /// ring all of its lanes ship from, over their own links, with their
+    /// own ledgers, retry budgets and breakers. A session is the group of
+    /// one lane; a lane that drops out on the way stays resumable as a
+    /// session of its own without stalling the rest.
+    fn start_exchange(&self, job: QueuedExchange) {
         let QueuedExchange {
             enqueued,
             resumed,
@@ -1219,7 +1236,7 @@ impl Inner {
             return self.close_group(group_span, owner, enqueued, detail);
         }
         let ex = Exchange::new(enqueued, request, lag_cap, groups);
-        self.launch(arc, ex, delta_base);
+        self.launch(ex, delta_base);
     }
 
     /// The gates between planning and execution, lane by lane: one

@@ -18,8 +18,9 @@ use std::time::Duration;
 use xdx_core::Location;
 use xdx_trace::{json_escape, HistogramSnapshot, MetricsRegistry};
 
-/// How far the shipping engine's nearest parked deadline may run overdue
-/// before the stall watchdog declares the engine wedged.
+/// How far the earliest parked ship task's deadline may run overdue
+/// before the stall watchdog fires: every worker wedged, or busy with
+/// other work for that long.
 const STALL_THRESHOLD: Duration = Duration::from_millis(250);
 
 /// Stable label for a placement location in metric names and
@@ -441,14 +442,13 @@ impl Inner {
             .set(1.0);
         }
         // Observability self-accounting (ring drops are series rows):
-        // anomalies/dumps and the engine stall watchdog.
-        // The watchdog rides the metrics refresh (every scrape / stats
-        // call checks it), so a wedged engine surfaces without a
-        // dedicated thread.
+        // anomalies/dumps and the stall watchdog. The watchdog rides the
+        // metrics refresh (every scrape / stats call checks it), so a
+        // wedged scheduler surfaces without a dedicated thread.
         m.counter("xdx_flight_anomalies_total")
             .set(self.flight.anomalies());
         m.counter("xdx_flight_dumps_total").set(self.flight.dumps());
-        let stalled = self.engine.stall_check(STALL_THRESHOLD);
+        let stalled = self.stalled();
         m.gauge("xdx_engine_stalled")
             .set(if stalled.is_some() { 1.0 } else { 0.0 });
         if let Some(overdue) = stalled {
@@ -502,13 +502,23 @@ impl Inner {
         }
     }
 
+    /// The stall watchdog's reading: how overdue the earliest parked
+    /// ship task is, past [`STALL_THRESHOLD`].
+    fn stalled(&self) -> Option<Duration> {
+        self.queue
+            .lock()
+            .unwrap()
+            .ships
+            .stall_check(STALL_THRESHOLD)
+    }
+
     /// Liveness verdict plus the evidence: the stall watchdog's reading,
     /// open breakers, queue depth and the anomaly tally. Unhealthy (HTTP
-    /// 503) means the engine sits on an overdue deadline nobody is
-    /// driving — sheds and breaker opens are load
-    /// conditions, reported but not fatal.
+    /// 503) means a ship task sits on an overdue deadline no worker is
+    /// resuming — sheds and breaker opens are load conditions, reported
+    /// but not fatal.
     fn health_json(&self) -> (bool, String) {
-        let stalled = self.engine.stall_check(STALL_THRESHOLD);
+        let stalled = self.stalled();
         let open_breakers: Vec<String> = self
             .registry
             .snapshot()

@@ -8,9 +8,10 @@ use crate::error::{Error, Result};
 use crate::event::{Attribute, Event};
 use crate::parser::Parser;
 use crate::writer::Writer;
+use std::fmt;
 
 /// A node in the tree: an element or a text run.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(PartialEq, Eq)]
 pub enum Node {
     /// A child element.
     Element(Element),
@@ -19,7 +20,12 @@ pub enum Node {
 }
 
 /// An element with attributes and ordered children.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+///
+/// `Clone`, `Debug` and `Drop` walk the subtree through an explicit
+/// stack: a tree [`MAX_DEPTH`](crate::parser::MAX_DEPTH) deep, which
+/// [`Document::parse`] accepts, would overflow a thread's stack one
+/// recursion per level.
+#[derive(PartialEq, Eq, Default)]
 pub struct Element {
     /// Tag name as written.
     pub name: String,
@@ -192,6 +198,133 @@ impl Drop for Element {
     }
 }
 
+impl Clone for Element {
+    fn clone(&self) -> Element {
+        let shell = |e: &Element| Element {
+            name: e.name.clone(),
+            attributes: e.attributes.clone(),
+            children: Vec::with_capacity(e.children.len()),
+        };
+        let mut stack = vec![(self.children.iter(), shell(self))];
+        loop {
+            let (children, copy) = stack.last_mut().expect("the root is popped last");
+            match children.next() {
+                Some(Node::Text(t)) => copy.children.push(Node::Text(t.clone())),
+                Some(Node::Element(e)) => stack.push((e.children.iter(), shell(e))),
+                None => {
+                    let (_, done) = stack.pop().expect("just peeked");
+                    match stack.last_mut() {
+                        Some((_, parent)) => parent.children.push(Node::Element(done)),
+                        None => return done,
+                    }
+                }
+            }
+        }
+    }
+}
+
+impl Clone for Node {
+    fn clone(&self) -> Node {
+        match self {
+            Node::Element(e) => Node::Element(e.clone()),
+            Node::Text(t) => Node::Text(t.clone()),
+        }
+    }
+}
+
+/// The derived form, `{:#?}` included, written through an explicit
+/// stack of child cursors.
+impl fmt::Debug for Element {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let pretty = f.alternate();
+        // What goes before a field or list entry at `level`: a line
+        // break and indent when pretty, `plain` otherwise.
+        let brk = |f: &mut fmt::Formatter<'_>, level: usize, plain: &str| {
+            if pretty {
+                write!(f, "\n{:1$}", "", 4 * level)
+            } else {
+                f.write_str(plain)
+            }
+        };
+        // A value with no tree below it, its own lines indented to `level`.
+        let leaf = |f: &mut fmt::Formatter<'_>, level: usize, value: &dyn fmt::Debug| {
+            if pretty {
+                let indent = format!("\n{:1$}", "", 4 * level);
+                f.write_str(&format!("{value:#?}").replace('\n', &indent))
+            } else {
+                write!(f, "{value:?}")
+            }
+        };
+        // Writes `e` at `level` up to its first child.
+        let open = |f: &mut fmt::Formatter<'_>, e: &Element, level: usize| {
+            f.write_str("Element {")?;
+            brk(f, level + 1, " ")?;
+            f.write_str("name: ")?;
+            leaf(f, level + 1, &e.name)?;
+            f.write_str(",")?;
+            brk(f, level + 1, " ")?;
+            f.write_str("attributes: ")?;
+            leaf(f, level + 1, &e.attributes)?;
+            f.write_str(",")?;
+            brk(f, level + 1, " ")?;
+            f.write_str("children: [")
+        };
+        let comma = if pretty { "," } else { "" };
+        open(f, self, 0)?;
+        // Per open element: its child cursor, its level, and whether no
+        // child has been written yet.
+        let mut stack = vec![(self.children.iter(), 0, true)];
+        while let Some((children, level, first)) = stack.last_mut() {
+            let level = *level;
+            match children.next() {
+                Some(node) => {
+                    brk(f, level + 2, if *first { "" } else { ", " })?;
+                    *first = false;
+                    match node {
+                        Node::Text(_) => {
+                            leaf(f, level + 2, node)?;
+                            f.write_str(comma)?;
+                        }
+                        Node::Element(e) => {
+                            f.write_str("Element(")?;
+                            brk(f, level + 3, "")?;
+                            open(f, e, level + 3)?;
+                            stack.push((e.children.iter(), level + 3, true));
+                        }
+                    }
+                }
+                None => {
+                    if !*first {
+                        brk(f, level + 1, "")?;
+                    }
+                    f.write_str("]")?;
+                    f.write_str(comma)?;
+                    brk(f, level, " ")?;
+                    f.write_str("}")?;
+                    stack.pop();
+                    if !stack.is_empty() {
+                        // The `Element(..)` around a child.
+                        f.write_str(comma)?;
+                        brk(f, level - 1, "")?;
+                        f.write_str(")")?;
+                        f.write_str(comma)?;
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+impl fmt::Debug for Node {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Node::Element(e) => f.debug_tuple("Element").field(e).finish(),
+            Node::Text(t) => f.debug_tuple("Text").field(t).finish(),
+        }
+    }
+}
+
 impl Document {
     /// Parses a document into a tree.
     ///
@@ -311,6 +444,70 @@ mod tests {
             .with_child(Element::new("b").with_text("t"))
             .with_text("tail");
         assert_eq!(e.to_xml(), r#"<a k="v"><b>t</b>tail</a>"#);
+    }
+
+    #[test]
+    fn debug_and_clone_match_the_derived_forms() {
+        let tree = Element::new("a")
+            .with_attr("k", "v")
+            .with_child(
+                Element::new("b")
+                    .with_child(Element::new("c"))
+                    .with_text("x"),
+            )
+            .with_text("t\nu");
+        // What `#[derive(Debug)]` printed for this tree.
+        assert_eq!(
+            format!("{tree:?}"),
+            r#"Element { name: "a", attributes: [Attribute { name: "k", value: "v" }], children: [Element(Element { name: "b", attributes: [], children: [Element(Element { name: "c", attributes: [], children: [] }), Text("x")] }), Text("t\nu")] }"#
+        );
+        let pretty = r#"Element {
+    name: "a",
+    attributes: [
+        Attribute {
+            name: "k",
+            value: "v",
+        },
+    ],
+    children: [
+        Element(
+            Element {
+                name: "b",
+                attributes: [],
+                children: [
+                    Element(
+                        Element {
+                            name: "c",
+                            attributes: [],
+                            children: [],
+                        },
+                    ),
+                    Text(
+                        "x",
+                    ),
+                ],
+            },
+        ),
+        Text(
+            "t\nu",
+        ),
+    ],
+}"#;
+        assert_eq!(format!("{tree:#?}"), pretty);
+        let node = Node::Element(tree.clone());
+        let indented = pretty.replace('\n', "\n    ");
+        assert_eq!(
+            format!("{node:#?}"),
+            format!("Element(\n    {indented},\n)")
+        );
+        assert_eq!(tree.clone(), tree);
+        assert_eq!(tree.clone().to_xml(), tree.to_xml());
+        let doc = Document::parse(SAMPLE).unwrap();
+        assert_eq!(doc.clone(), doc);
+        assert_eq!(
+            format!("{doc:?}"),
+            format!("Document {{ doctype: None, root: {:?} }}", doc.root)
+        );
     }
 
     #[test]

@@ -135,6 +135,45 @@ fn every_reader_takes_its_deepest_input_and_refuses_a_deeper_one() {
     });
 }
 
+/// The deepest document the parser accepts, parsed on a 2 MB stack.
+fn deepest_document() -> Document {
+    Document::parse(&nested(MAX_DEPTH)).unwrap()
+}
+
+#[test]
+fn the_deepest_accepted_document_clones_on_a_small_stack() {
+    on_small_stack(|| {
+        let doc = deepest_document();
+        let copy = doc.clone();
+        assert_eq!(copy.root.count_elements(), MAX_DEPTH);
+        assert_eq!(
+            copy.root.to_xml(),
+            nested(MAX_DEPTH).replace("<a></a>", "<a/>")
+        );
+    });
+}
+
+#[test]
+fn the_deepest_accepted_document_prints_with_debug_on_a_small_stack() {
+    on_small_stack(|| {
+        let printed = format!("{:?}", deepest_document());
+        let leaf = r#"Element { name: "a", attributes: [], children: [] }"#;
+        assert_eq!(printed.matches("Element { name: \"a\"").count(), MAX_DEPTH);
+        assert!(printed.starts_with("Document { doctype: None, root: Element {"));
+        assert!(printed.ends_with(&format!("{leaf}{} }}", ")] }".repeat(MAX_DEPTH - 1))));
+    });
+}
+
+#[test]
+fn the_deepest_accepted_documents_compare_on_a_small_stack() {
+    on_small_stack(|| {
+        let (a, b) = (deepest_document(), deepest_document());
+        assert!(a == b);
+        let shallower = Document::parse(&nested(MAX_DEPTH - 1)).unwrap();
+        assert!(a != shallower);
+    });
+}
+
 #[test]
 fn a_200k_level_declaration_renders_and_reads_back_as_too_deep() {
     const LEVELS: usize = 200_000;
