@@ -65,7 +65,7 @@ pub struct RuntimeConfig {
     /// Dewey-sorted batches of at most this many rows and packs
     /// consecutive batches into one message while their rows fit it, so
     /// a large feed streams as full batches through the shipping engine
-    /// while the worker moves on to other runnable work (the target
+    /// while the worker moves on to other ready work (the target
     /// decodes each as it lands), and an exchange smaller than one batch
     /// is a single message however many cross edges it has.
     pub batch_rows: usize,

@@ -5,11 +5,12 @@
 //! batch shipment ([`ShipRequest`]) and steps it inline, as a
 //! chunk-level state machine, until it completes or has to wait. Every
 //! wait — wire occupancy of a paced link, retry backoff, lane
-//! contention — parks the task by value in a [`ShipHeap`] under the
-//! runtime's queue lock, never a `thread::sleep`; whichever worker is
-//! free at its deadline resumes it. So N workers keep far more than N
-//! sessions in flight, and on an unpaced link a batch completes on the
-//! worker that encoded it.
+//! contention — hands the task back by value with its deadline, never a
+//! `thread::sleep`: the exchange that submitted it parks it in its own
+//! [`ShipHeap`], and parks itself in the runtime's heap until the
+//! earliest one. So N workers keep far more than N sessions in flight,
+//! and on an unpaced link a batch completes on the worker that encoded
+//! it.
 //!
 //! The serialized message is sliced into chunks, each framed with its
 //! full shipment identity — session, per-session shipment sequence
@@ -36,7 +37,7 @@
 use crate::events::{EventKind, EventLog};
 use crate::ledger::{Filed, ReassemblyLedger};
 use crate::registry::LinkSlot;
-use crate::session::{SessionId, SessionShared};
+use crate::session::SessionShared;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
@@ -136,11 +137,6 @@ pub(crate) struct ShipRequest {
     pub budget: Arc<AtomicI64>,
     /// Parent span the per-batch `ship` span records under.
     pub parent_span: SpanId,
-    /// The exchange to wake when the batch completes on a worker that
-    /// does not hold it.
-    pub exchange: SessionId,
-    /// Invoked exactly once per submission, with no lock held.
-    pub on_done: Box<dyn FnOnce(BatchResult) + Send>,
 }
 
 /// Where a task's state machine stands.
@@ -202,38 +198,51 @@ impl Task {
     }
 }
 
-/// Parked tasks, earliest deadline first; ties resume in the order they
-/// parked. The runtime keeps one under its queue lock, so the workers'
-/// one wait covers runnable exchanges, queued arrivals and deadlines.
-#[derive(Default)]
-pub(crate) struct ShipHeap {
-    tasks: BTreeMap<(Instant, u64), Box<Task>>,
+/// Items parked on a deadline, earliest first; ties resume in the order
+/// they parked. An exchange keeps its waiting ship tasks in one, and the
+/// runtime keeps the waiting exchanges in another, under its queue lock.
+pub(crate) struct ShipHeap<T> {
+    items: BTreeMap<(Instant, u64), T>,
     /// Parks so far: the tie-break between equal deadlines.
     parks: u64,
 }
 
-impl ShipHeap {
-    /// Parks `task` until `deadline`; true when it is now the earliest.
-    pub(crate) fn park(&mut self, deadline: Instant, task: Box<Task>) -> bool {
+impl<T> Default for ShipHeap<T> {
+    fn default() -> ShipHeap<T> {
+        ShipHeap {
+            items: BTreeMap::new(),
+            parks: 0,
+        }
+    }
+}
+
+impl<T> ShipHeap<T> {
+    /// Parks `item` until `deadline`; true when it is now the earliest.
+    pub(crate) fn park(&mut self, deadline: Instant, item: T) -> bool {
         let key = (deadline, self.parks);
         self.parks += 1;
-        self.tasks.insert(key, task);
-        self.tasks
+        self.items.insert(key, item);
+        self.items
             .first_key_value()
             .is_some_and(|(first, _)| *first == key)
     }
 
     /// The earliest parked deadline.
     pub(crate) fn next(&self) -> Option<Instant> {
-        self.tasks
+        self.items
             .first_key_value()
             .map(|((deadline, _), _)| *deadline)
     }
 
-    /// Takes the earliest task if its deadline has passed by `now`.
-    pub(crate) fn pop_due(&mut self, now: Instant) -> Option<Box<Task>> {
-        let first = self.tasks.first_entry()?;
+    /// Takes the earliest item if its deadline has passed by `now`.
+    pub(crate) fn pop_due(&mut self, now: Instant) -> Option<T> {
+        let first = self.items.first_entry()?;
         (first.key().0 <= now).then(|| first.remove())
+    }
+
+    /// Every parked item, earliest first.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &T> {
+        self.items.values()
     }
 
     /// Stall watchdog probe: the earliest deadline overdue by more than
@@ -249,8 +258,8 @@ impl ShipHeap {
 pub(crate) enum Stepped {
     /// Waiting for the deadline; whoever stepped it parks it.
     Parked(Instant, Box<Task>),
-    /// Completed, its `on_done` called: the exchange it belongs to.
-    Done(SessionId),
+    /// Completed: its result, for whoever stepped it.
+    Done(BatchResult),
 }
 
 /// What one state-machine step decided.
@@ -259,7 +268,7 @@ enum StepOutcome {
     Continue,
     /// Park until the deadline.
     Park(Instant),
-    /// Terminal; invoke the callback.
+    /// Terminal; hand the result back.
     Done(BatchResult),
 }
 
@@ -290,7 +299,7 @@ impl ShipEngine {
     }
 
     /// Steps a batch shipment on the calling thread until it completes
-    /// — `on_done` fires before this returns — or parks.
+    /// — always, on a healthy unpaced link — or parks.
     pub(crate) fn submit(&self, req: ShipRequest) -> Stepped {
         self.inflight.fetch_add(1, Ordering::Relaxed);
         self.run_task(Task::new(req))
@@ -301,8 +310,7 @@ impl ShipEngine {
         self.inflight.load(Ordering::Relaxed)
     }
 
-    /// Steps `task` until it parks or completes, its `on_done` invoked
-    /// on this thread with no lock held.
+    /// Steps `task` on this thread until it parks or completes.
     pub(crate) fn run_task(&self, mut task: Task) -> Stepped {
         loop {
             match self.step(&mut task) {
@@ -310,9 +318,7 @@ impl ShipEngine {
                 StepOutcome::Park(deadline) => return Stepped::Parked(deadline, Box::new(task)),
                 StepOutcome::Done(result) => {
                     self.inflight.fetch_sub(1, Ordering::Relaxed);
-                    let exchange = task.req.exchange;
-                    (task.req.on_done)(result);
-                    return Stepped::Done(exchange);
+                    return Stepped::Done(result);
                 }
             }
         }
@@ -598,11 +604,12 @@ mod tests {
     use xdx_core::WireFormat;
     use xdx_net::{FaultProfile, Link, NetworkProfile};
 
-    /// The engine plus the heap a runtime keeps its parked tasks in,
-    /// stepped on the test thread the way a worker would.
+    /// The engine plus a heap of parked tasks, each with the channel its
+    /// result goes to, stepped on the test thread the way the worker
+    /// holding an exchange would.
     struct Driven {
         engine: ShipEngine,
-        heap: RefCell<ShipHeap>,
+        heap: RefCell<ShipHeap<(mpsc::Sender<BatchResult>, Box<Task>)>>,
     }
 
     impl std::ops::Deref for Driven {
@@ -613,15 +620,21 @@ mod tests {
     }
 
     impl Driven {
-        fn park(&self, stepped: Stepped) {
-            if let Stepped::Parked(deadline, task) = stepped {
-                self.heap.borrow_mut().park(deadline, task);
+        /// Parks a waiting task, or sends a completed one's result.
+        fn file(&self, tx: mpsc::Sender<BatchResult>, stepped: Stepped) {
+            match stepped {
+                Stepped::Parked(deadline, task) => {
+                    self.heap.borrow_mut().park(deadline, (tx, task));
+                }
+                Stepped::Done(result) => {
+                    let _ = tx.send(result);
+                }
             }
         }
 
         /// Steps inline, as a worker's submit does.
-        fn submit(&self, req: ShipRequest) {
-            self.park(self.engine.submit(req));
+        fn submit(&self, tx: mpsc::Sender<BatchResult>, req: ShipRequest) {
+            self.file(tx, self.engine.submit(req));
         }
 
         /// Resumes parked tasks as their deadlines pass, until `until`.
@@ -629,8 +642,8 @@ mod tests {
             loop {
                 let now = Instant::now();
                 let due = self.heap.borrow_mut().pop_due(now);
-                if let Some(task) = due {
-                    self.park(self.engine.run_task(*task));
+                if let Some((tx, task)) = due {
+                    self.file(tx, self.engine.run_task(*task));
                     continue;
                 }
                 if now >= until {
@@ -690,20 +703,19 @@ mod tests {
         budget: &Arc<AtomicI64>,
     ) -> mpsc::Receiver<BatchResult> {
         let (tx, rx) = mpsc::channel();
-        engine.submit(ShipRequest {
-            session,
-            slot: Arc::clone(slot),
-            seq,
-            label: format!("batch {seq}"),
-            message: Arc::new(message),
-            policy,
-            budget: Arc::clone(budget),
-            parent_span: 0,
-            exchange: 0,
-            on_done: Box::new(move |r| {
-                let _ = tx.send(r);
-            }),
-        });
+        engine.submit(
+            tx,
+            ShipRequest {
+                session,
+                slot: Arc::clone(slot),
+                seq,
+                label: format!("batch {seq}"),
+                message: Arc::new(message),
+                policy,
+                budget: Arc::clone(budget),
+                parent_span: 0,
+            },
+        );
         rx
     }
 
@@ -886,8 +898,8 @@ mod tests {
     #[test]
     fn healthy_unpaced_batch_completes_inside_submit() {
         // Nothing parks on a healthy unpaced link, so the thread that
-        // submits a batch ships it: the result reached `on_done` before
-        // `submit` returned, and nothing is left for anyone to drive.
+        // submits a batch ships it: `submit` returned the result itself,
+        // and nothing is left for anyone to drive.
         let eng = engine();
         let slot = slot_for(Link::new(NetworkProfile::lan()));
         let budget = Arc::new(AtomicI64::new(256));
@@ -897,7 +909,7 @@ mod tests {
         };
         let message: Vec<u8> = (0..4000u32).map(|i| (i % 239) as u8).collect();
         let rx = submit(&eng, &slot, 0, message.clone(), policy, &budget);
-        let result = rx.try_recv().expect("on_done fired inside submit");
+        let result = rx.try_recv().expect("the result came back from submit");
         assert_eq!(*result.outcome.unwrap(), message);
         assert_eq!(result.stats.chunks_shipped, 4000usize.div_ceil(256) as u64);
         assert_eq!(eng.inflight(), 0);

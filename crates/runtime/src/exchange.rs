@@ -23,7 +23,7 @@
 use crate::breaker::BreakerTransition;
 use crate::cache::CachedPlan;
 use crate::config::RuntimeConfig;
-use crate::engine::{BatchResult, BatchShipStats, ShipRequest, Stepped};
+use crate::engine::{BatchResult, BatchShipStats, ShipHeap, ShipRequest, Stepped, Task};
 use crate::events::EventKind;
 use crate::registry::LinkSlot;
 use crate::runtime::{Inner, Resumable};
@@ -32,7 +32,7 @@ use crate::stats::location_name;
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
 use std::sync::atomic::{AtomicI64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xdx_codec::{decode_parts, decode_patch, encode_parts_into, encode_patch_into, FeedPart};
 use xdx_core::exec::{
@@ -317,19 +317,35 @@ impl Group {
     }
 }
 
-/// Completed batch results as `(group, lane, result)`, deposited by
-/// engine callbacks; shared so a result can land while a worker holds
-/// the exchange out of the parked map.
-pub(crate) type Inbox = Arc<Mutex<Vec<(usize, usize, BatchResult)>>>;
+/// An exchange's submitted batches, each under its `(group, lane)`:
+/// the ship tasks waiting on a deadline, and the results that landed
+/// and wait to be absorbed. Every batch a lane counts in flight is in
+/// one of the two.
+#[derive(Default)]
+struct Batches {
+    parked: ShipHeap<(usize, usize, Box<Task>)>,
+    landed: Vec<(usize, usize, BatchResult)>,
+}
 
-/// An exchange parked mid-flight: its source halves ran, its batches
-/// flow through the shipping engine, and whichever worker picks it off
-/// the runnable queue absorbs what landed. No thread blocks on it — the
-/// struct *is* the resumable state machine. One group, except for a
-/// publish whose subscribers negotiated different wire formats.
+impl Batches {
+    /// Files where stepping lane `li` of group `gi`'s batch left it.
+    fn file(&mut self, gi: usize, li: usize, stepped: Stepped) {
+        match stepped {
+            Stepped::Parked(deadline, task) => {
+                self.parked.park(deadline, (gi, li, task));
+            }
+            Stepped::Done(result) => self.landed.push((gi, li, result)),
+        }
+    }
+}
+
+/// An exchange mid-flight: its source halves ran and its batches are on
+/// the wire. No thread blocks on it — the struct *is* the resumable
+/// state machine, its batches included — and it is always in one place:
+/// held by exactly one worker, or parked in the runtime's heap until its
+/// earliest ship task's deadline. One group, except for a publish whose
+/// subscribers negotiated different wire formats.
 pub(crate) struct Exchange {
-    /// Key in the parked map and the runnable queue.
-    id: SessionId,
     enqueued: Instant,
     /// The request every lane's resume checkpoint is cut from (name and
     /// target endpoint are the lane's own).
@@ -339,12 +355,11 @@ pub(crate) struct Exchange {
     /// Frames a lane may trail its group's fastest before it is ejected.
     lag_cap: usize,
     groups: Vec<Group>,
-    inbox: Inbox,
+    batches: Batches,
 }
 
 impl Exchange {
-    /// An exchange of `groups` (none empty), keyed by its first lane's
-    /// session.
+    /// An exchange of `groups` (none empty).
     pub(crate) fn new(
         enqueued: Instant,
         request: ExchangeRequest,
@@ -352,13 +367,12 @@ impl Exchange {
         groups: Vec<Group>,
     ) -> Exchange {
         Exchange {
-            id: groups[0].lanes[0].shared.id,
             enqueued,
             request,
             billed: Counters::default(),
             lag_cap,
             groups,
-            inbox: Arc::new(Mutex::new(Vec::new())),
+            batches: Batches::default(),
         }
     }
 
@@ -713,10 +727,9 @@ impl Inner {
     /// settle.
     fn run_source(&self, ex: &mut Exchange, gi: usize) {
         let Exchange {
-            id,
             request,
             groups,
-            inbox,
+            batches,
             lag_cap,
             ..
         } = ex;
@@ -764,7 +777,7 @@ impl Inner {
                     queue(&mut group.ring, &cross[streamed], feed);
                     streamed += 1;
                 }
-                self.pump(*id, gi, inbox, group, *lag_cap);
+                self.pump(gi, group, *lag_cap, batches);
             },
         );
         let failure = match source {
@@ -789,13 +802,13 @@ impl Inner {
     }
 
     /// Runs a planned exchange's source halves, then holds it like any
-    /// serviced exchange. The delta path goes first, when eligible: the
+    /// resumed exchange. The delta path goes first, when eligible: the
     /// patch, if the cost model prefers it, is shipment 0 and the full
     /// feeds stay home unless the fallback ladder needs them. On an
     /// unpaced link every batch completes inline, so the whole exchange
     /// usually finishes here; otherwise it *parks* — the worker returns
-    /// to the queue while the frames drain, and batch completions wake
-    /// whichever worker is free next via the runnable queue.
+    /// to the queue while the frames wait, and whichever worker is free
+    /// at the earliest deadline resumes it.
     pub(crate) fn launch(&self, mut ex: Exchange, delta_base: Option<(u64, u64, Snapshot, bool)>) {
         let ship_full = match delta_base {
             Some(base) => self.stage_delta(&mut ex, base),
@@ -807,56 +820,35 @@ impl Inner {
             }
         }
         self.queue.lock().unwrap().outstanding += 1;
-        self.hold(ex);
+        self.hold(Box::new(ex));
     }
 
-    /// Services a parked exchange; a stale runnable entry, for an
-    /// exchange another worker holds or has retired, is a no-op.
-    pub(crate) fn service(&self, sid: SessionId) {
-        let parked = self.parked.lock().unwrap().remove(&sid);
-        if let Some(ex) = parked {
-            self.hold(ex);
-        }
-    }
-
-    /// A batch of exchange `sid` completed on a worker that does not
-    /// hold it, its result deposited: wake a worker to service the
-    /// exchange if it is parked. If not, whoever holds it finds the
-    /// result when it parks it (`hold`).
-    pub(crate) fn wake(&self, sid: SessionId) {
-        if self.parked.lock().unwrap().contains_key(&sid) {
-            self.queue.lock().unwrap().runnable.push_back(sid);
-            self.available.notify_one();
-        }
-    }
-
-    /// Works an exchange held out of the parked map — so no other worker
-    /// can — until it retires or has nothing left to absorb: absorbs
-    /// every deposited batch result, refills the submission windows
-    /// (whose batches may complete inline, depositing more), settles
-    /// drained lanes, and parks it. A completion looks for its exchange
-    /// in the map only after depositing, and the holder looks at the
-    /// inbox only after parking, so one of the two always sees the
-    /// other (DESIGN §16): a result is never stranded.
-    fn hold(&self, mut ex: Exchange) {
+    /// Works an exchange this worker holds — it is in no heap, so no
+    /// other worker can — until it retires or must wait: steps its due
+    /// ship tasks, absorbs every landed result, refills the submission
+    /// windows (whose batches may land inline, so it goes round again),
+    /// settles drained lanes, and parks it at its earliest task's
+    /// deadline (DESIGN §16).
+    pub(crate) fn hold(&self, mut ex: Box<Exchange>) {
         loop {
-            let results = std::mem::take(&mut *ex.inbox.lock().unwrap());
-            for (gi, li, result) in results {
+            let now = Instant::now();
+            while let Some((gi, li, task)) = ex.batches.parked.pop_due(now) {
+                let stepped = self.engine.run_task(*task);
+                ex.batches.file(gi, li, stepped);
+            }
+            for (gi, li, result) in std::mem::take(&mut ex.batches.landed) {
                 self.absorb(&mut ex, gi, li, result);
             }
             if self.advance(&mut ex) {
                 return;
             }
-            let (sid, inbox) = (ex.id, Arc::clone(&ex.inbox));
-            self.parked.lock().unwrap().insert(sid, ex);
-            if inbox.lock().unwrap().is_empty() {
-                return;
-            }
-            // Batches remain in flight, so the exchange cannot have
-            // retired: it is in the map, or another worker took it.
-            match self.parked.lock().unwrap().remove(&sid) {
-                Some(again) => ex = again,
-                None => return,
+            if ex.batches.landed.is_empty() {
+                // An unsettled lane has a full window after `advance` (an
+                // empty one drained and settled), and nothing landed, so
+                // a batch of it is parked.
+                let parked = ex.batches.parked.next();
+                let deadline = parked.expect("an unretired exchange has a parked batch");
+                return self.park(deadline, ex);
             }
         }
     }
@@ -868,7 +860,7 @@ impl Inner {
     /// retired.
     fn advance(&self, ex: &mut Exchange) -> bool {
         for gi in 0..ex.groups.len() {
-            self.pump(ex.id, gi, &ex.inbox, &mut ex.groups[gi], ex.lag_cap);
+            self.pump(gi, &mut ex.groups[gi], ex.lag_cap, &mut ex.batches);
             for li in 0..ex.groups[gi].lanes.len() {
                 let group = &ex.groups[gi];
                 if !group.lanes[li].settled && group.lanes[li].drained(group.ring.len()) {
@@ -887,7 +879,7 @@ impl Inner {
     /// to `pipeline_depth` slots in flight per lane, so frame `k+1` is
     /// encoded while frame `k` rides the wire. Then enforces the lag cap
     /// and releases the frames every live lane has moved past.
-    fn pump(&self, sid: SessionId, gi: usize, inbox: &Inbox, group: &mut Group, lag_cap: usize) {
+    fn pump(&self, gi: usize, group: &mut Group, lag_cap: usize, batches: &mut Batches) {
         let RuntimeConfig {
             pipeline_depth: depth,
             shipping: policy,
@@ -911,7 +903,6 @@ impl Inner {
                 lane.inflight += 1;
                 lane.cursor += 1;
                 lane.shared.set_state(SessionState::Shipping);
-                let inbox = Arc::clone(inbox);
                 let stepped = self.engine.submit(ShipRequest {
                     session: Arc::clone(&lane.shared),
                     slot: Arc::clone(&lane.slot),
@@ -921,13 +912,8 @@ impl Inner {
                     policy,
                     budget: Arc::clone(&lane.budget),
                     parent_span: group.exec_span,
-                    exchange: sid,
-                    on_done: Box::new(move |result| inbox.lock().unwrap().push((gi, li, result))),
                 });
-                // A batch that completed here is this holder's to absorb.
-                if let Stepped::Parked(deadline, task) = stepped {
-                    self.park(deadline, task);
-                }
+                batches.file(gi, li, stepped);
             }
         }
         // Lag cap: a lane trailing the group's fastest by more than the
@@ -1508,7 +1494,7 @@ impl Inner {
     /// The last lane settled: bills a shared ring's encodes to the
     /// aggregate (once, at group scope — its lanes carry no
     /// serialization tallies), closes a publish group's root span, and
-    /// releases the parked-exchange slot.
+    /// releases the exchange's in-flight slot.
     fn retire(&self, ex: &Exchange) {
         let (mut reuse, mut fallbacks) = (0, 0);
         {
@@ -1528,8 +1514,8 @@ impl Inner {
             ex.groups.iter().map(|g| g.lanes.len()).sum::<usize>(),
             ex.groups.len(),
         );
-        let group_span = ex.groups[0].lanes[0].shared.root_parent;
-        self.close_group(group_span, ex.id, ex.enqueued, detail);
+        let owner = &ex.groups[0].lanes[0].shared;
+        self.close_group(owner.root_parent, owner.id, ex.enqueued, detail);
         // Under the queue lock, like everything a worker waits on: a
         // worker checking the exit condition cannot miss this wakeup.
         self.queue.lock().unwrap().outstanding -= 1;

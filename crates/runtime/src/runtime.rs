@@ -31,7 +31,7 @@
 use crate::admission::AdmissionController;
 use crate::breaker::BreakerTransition;
 use crate::cache::{plan_key, CachedPlan, PlanCache, PlanKey, ProbeMemo};
-use crate::engine::{ShipEngine, ShipHeap, Stepped, Task};
+use crate::engine::{ShipEngine, ShipHeap};
 use crate::events::{Event, EventKind, EventLog};
 use crate::exchange::{lane_checkpoint, route_key, session_trace_id, Exchange, Lane};
 use crate::fair::{FairQueue, DEFAULT_AGING_INTERVAL};
@@ -43,7 +43,7 @@ use crate::session::{
     ExchangeRequest, PublishRequest, SessionHandle, SessionId, SessionMetrics, SessionResult,
     SessionShared, SessionState,
 };
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -128,11 +128,9 @@ pub(crate) struct QueuedExchange {
 /// can slip between a worker's emptiness check and its condvar wait.
 pub(crate) struct QueueState {
     pub(crate) fair: FairQueue<QueuedExchange>,
-    /// Parked exchanges with fresh batch results to service.
-    pub(crate) runnable: VecDeque<SessionId>,
-    /// Ship tasks parked on a deadline, for whichever worker is free
-    /// when it passes.
-    pub(crate) ships: ShipHeap,
+    /// Exchanges parked until their earliest ship task's deadline, for
+    /// whichever worker is free when it passes.
+    pub(crate) exchanges: ShipHeap<Box<Exchange>>,
     /// Exchanges started and not yet retired — the in-flight cap's
     /// numerator, and workers refuse to exit at shutdown while any
     /// remain.
@@ -197,13 +195,9 @@ pub(crate) struct Inner {
     pub(crate) events: Arc<EventLog>,
     pub(crate) ledger: Arc<ReassemblyLedger>,
     /// The shipping engine: every batch on the wire is stepped through
-    /// it by a worker, and a paced wait parks in `queue` instead of on
-    /// a blocked worker thread.
+    /// it by the worker holding its exchange, and a paced wait parks the
+    /// exchange in `queue` instead of blocking a worker thread.
     pub(crate) engine: ShipEngine,
-    /// Parked exchanges, keyed by id. A worker *removes* the exchange
-    /// while servicing it (no double-service), re-inserting it if
-    /// batches remain in flight.
-    pub(crate) parked: Mutex<HashMap<SessionId, Exchange>>,
     /// Workers currently executing or servicing a session — the
     /// occupancy gauge's numerator.
     pub(crate) busy_workers: AtomicUsize,
@@ -294,8 +288,7 @@ impl Runtime {
             ),
             queue: Mutex::new(QueueState {
                 fair: FairQueue::new(DEFAULT_AGING_INTERVAL),
-                runnable: VecDeque::new(),
-                ships: ShipHeap::default(),
+                exchanges: ShipHeap::default(),
                 outstanding: 0,
                 open: true,
             }),
@@ -305,7 +298,6 @@ impl Runtime {
             events,
             ledger,
             engine,
-            parked: Mutex::new(HashMap::new()),
             busy_workers: AtomicUsize::new(0),
             resumables: Mutex::new(HashMap::new()),
             resumable_clock: AtomicU64::new(0),
@@ -413,18 +405,14 @@ impl Runtime {
             .remove(&session_id)
             .ok_or(SubmitError::UnknownSession { id: session_id })?;
         request.deadline = None;
-        match inner.enqueue_session(request, session_id, true, plan.clone()) {
-            Ok(handle) => {
-                inner.agg.lock().unwrap().stats.resumed += 1;
-                Ok(handle)
-            }
-            Err(refused) => {
+        inner
+            .enqueue_session(request, session_id, true, plan.clone())
+            .map_err(|refused| {
                 // Not admitted: keep the checkpoint resumable.
                 let (e, request) = *refused;
                 inner.remember_resumable(session_id, Resumable { request, plan });
-                Err(e)
-            }
-        }
+                e
+            })
     }
 
     /// Admits a 1→N publish group: one source shipping the same exchange
@@ -723,7 +711,7 @@ impl Runtime {
         self.inner.queue.lock().unwrap().open = false;
         self.inner.available.notify_all();
         // Workers drain the fair queue *and* retire every parked
-        // exchange — so every parked ship task — before exiting.
+        // exchange, with the ship tasks it owns, before exiting.
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
@@ -739,13 +727,11 @@ impl Drop for Runtime {
     }
 }
 
-/// What a worker picked up: a parked exchange with batch results to
-/// service, a ship task whose deadline passed, or a queued exchange to
-/// start. In-flight work drains first — finishing in-flight exchanges
-/// beats starting new ones, and it is what bounds the parked map.
+/// What a worker picked up: a parked exchange whose earliest deadline
+/// passed, or a queued exchange to start. In-flight work goes first —
+/// finishing in-flight exchanges beats starting new ones.
 enum WorkItem {
-    Service(SessionId),
-    Ship(Box<Task>),
+    Resume(Box<Exchange>),
     Start(Box<QueuedExchange>),
 }
 
@@ -756,11 +742,8 @@ fn worker_loop(inner: &Inner) {
         let work = {
             let mut queue = inner.queue.lock().unwrap();
             loop {
-                if let Some(sid) = queue.runnable.pop_front() {
-                    break Some(WorkItem::Service(sid));
-                }
-                if let Some(task) = queue.ships.pop_due(Instant::now()) {
-                    break Some(WorkItem::Ship(task));
+                if let Some(ex) = queue.exchanges.pop_due(Instant::now()) {
+                    break Some(WorkItem::Resume(ex));
                 }
                 // New work only while the parked pool has room: beyond
                 // the cap, arrivals wait in the admission queue, so
@@ -778,16 +761,12 @@ fn worker_loop(inner: &Inner) {
                         break Some(WorkItem::Start(Box::new(popped.item)));
                     }
                 }
-                // A parked ship task belongs to an exchange that has not
-                // retired: its lane cannot drain while the batch is out.
+                // A parked exchange has not retired: no worker exits
+                // while one waits in the heap.
                 if !queue.open && queue.outstanding == 0 {
-                    debug_assert!(
-                        queue.ships.next().is_none(),
-                        "a ship task outlived its exchange"
-                    );
                     break None;
                 }
-                let due = queue.ships.next();
+                let due = queue.exchanges.next();
                 queue = match due.map(|d| d.saturating_duration_since(Instant::now())) {
                     Some(timeout) => inner.available.wait_timeout(queue, timeout).unwrap().0,
                     None => inner.available.wait(queue).unwrap(),
@@ -797,11 +776,7 @@ fn worker_loop(inner: &Inner) {
         let Some(work) = work else { return };
         inner.busy_workers.fetch_add(1, Ordering::Relaxed);
         match work {
-            WorkItem::Service(sid) => inner.service(sid),
-            WorkItem::Ship(task) => match inner.engine.run_task(*task) {
-                Stepped::Parked(deadline, task) => inner.park(deadline, task),
-                Stepped::Done(sid) => inner.wake(sid),
-            },
+            WorkItem::Resume(ex) => inner.hold(ex),
             WorkItem::Start(job) => inner.start_exchange(*job),
         }
         inner.busy_workers.fetch_sub(1, Ordering::Relaxed);
@@ -809,10 +784,10 @@ fn worker_loop(inner: &Inner) {
 }
 
 impl Inner {
-    /// Parks a ship task until `deadline`. One that is now the earliest
-    /// deadline wakes a worker to wait for it.
-    pub(crate) fn park(&self, deadline: Instant, task: Box<Task>) {
-        if self.queue.lock().unwrap().ships.park(deadline, task) {
+    /// Parks an exchange until `deadline`, its earliest ship task's.
+    /// One that is now the earliest wakes a worker to wait for it.
+    pub(crate) fn park(&self, deadline: Instant, ex: Box<Exchange>) {
+        if self.queue.lock().unwrap().exchanges.park(deadline, ex) {
             self.available.notify_one();
         }
     }
@@ -948,6 +923,7 @@ impl Inner {
         {
             let mut agg = self.agg.lock().unwrap();
             agg.stats.admitted += lanes as u64;
+            agg.stats.resumed += u64::from(resumed);
             if group.is_some() {
                 agg.stats.fanout_subscribers += lanes as u64;
             }

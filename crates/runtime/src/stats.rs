@@ -18,7 +18,7 @@ use std::time::Duration;
 use xdx_core::Location;
 use xdx_trace::{json_escape, HistogramSnapshot, MetricsRegistry};
 
-/// How far the earliest parked ship task's deadline may run overdue
+/// How far the earliest parked exchange's deadline may run overdue
 /// before the stall watchdog fires: every worker wedged, or busy with
 /// other work for that long.
 const STALL_THRESHOLD: Duration = Duration::from_millis(250);
@@ -381,9 +381,9 @@ impl Inner {
         // Decoded batches parked groups hold for lanes still to settle,
         // ahead of the staging cursor or staged into the delivery —
         // memory a stuck or dead lane must not pin.
-        let parked = self.parked.lock().unwrap();
-        let cached: usize = parked.values().map(|ex| ex.decoded_cached()).sum();
-        drop(parked);
+        let queue = self.queue.lock().unwrap();
+        let cached: usize = queue.exchanges.iter().map(|ex| ex.decoded_cached()).sum();
+        drop(queue);
         m.gauge("xdx_decoded_batches_cached").set(cached as f64);
         // Fraction of the worker pool currently executing or servicing a
         // session (the rest are waiting on the queue).
@@ -503,18 +503,18 @@ impl Inner {
     }
 
     /// The stall watchdog's reading: how overdue the earliest parked
-    /// ship task is, past [`STALL_THRESHOLD`].
+    /// exchange is, past [`STALL_THRESHOLD`].
     fn stalled(&self) -> Option<Duration> {
         self.queue
             .lock()
             .unwrap()
-            .ships
+            .exchanges
             .stall_check(STALL_THRESHOLD)
     }
 
     /// Liveness verdict plus the evidence: the stall watchdog's reading,
     /// open breakers, queue depth and the anomaly tally. Unhealthy (HTTP
-    /// 503) means a ship task sits on an overdue deadline no worker is
+    /// 503) means an exchange sits parked past a deadline no worker is
     /// resuming — sheds and breaker opens are load conditions, reported
     /// but not fatal.
     fn health_json(&self) -> (bool, String) {

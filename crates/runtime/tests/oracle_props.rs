@@ -4,6 +4,9 @@
 //! pairs), in both wire formats and at three batch sizes, must land what
 //! publish&map lands: shipped whole, published 1→k, patched along a
 //! `with_base_version` chain, or resumed after a seeded link failure.
+//! Shipped whole or published, a session may also run over paced links,
+//! where every batch parks on its wire time and the exchange resumes at
+//! the deadline.
 
 mod common;
 
@@ -77,6 +80,16 @@ impl Case {
         Runtime::start(self.schema.clone(), config)
     }
 
+    /// The case's configuration, with links paced in real time when
+    /// `paced`.
+    fn config(&self, paced: bool) -> RuntimeConfig {
+        if paced {
+            self.config.with_link_pacing(1.0)
+        } else {
+            self.config
+        }
+    }
+
     fn request(&self, doc: &str) -> ExchangeRequest {
         let source = load_source(doc, &self.schema, &self.from).unwrap();
         ExchangeRequest::new("oracle", source, self.from.clone(), self.to.clone())
@@ -127,23 +140,25 @@ fn families() -> impl Strategy<Value = Family> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// A full ship lands what publish&map lands.
+    /// A full ship lands what publish&map lands, paced or not.
     #[test]
     fn a_full_ship_lands_like_pm(family in families(), seed in 0u64..1 << 32,
-                                 format in formats(), rows in batch_rows()) {
+                                 format in formats(), rows in batch_rows(),
+                                 paced in any::<bool>()) {
         let c = case(family, seed, format, rows);
-        let runtime = c.start(c.config);
+        let runtime = c.start(c.config(paced));
         c.assert_lands(runtime.submit(c.request(&c.doc)).unwrap().wait(), &c.doc);
         runtime.shutdown();
     }
 
-    /// Every lane of a 1→k publish lands what publish&map lands.
+    /// Every lane of a 1→k publish lands what publish&map lands, paced
+    /// or not.
     #[test]
     fn every_publish_lane_lands_like_pm(family in families(), seed in 0u64..1 << 32,
                                         format in formats(), rows in batch_rows(),
-                                        fanout in 2usize..4) {
+                                        fanout in 2usize..4, paced in any::<bool>()) {
         let c = case(family, seed, format, rows);
-        let runtime = c.start(c.config);
+        let runtime = c.start(c.config(paced));
         let source = load_source(&c.doc, &c.schema, &c.from).unwrap();
         let subscribers = (0..fanout).map(|i| format!("sub-{i}")).collect();
         let request =
