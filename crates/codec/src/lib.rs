@@ -55,7 +55,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 use xdx_relational::feed::append_wire;
 use xdx_relational::{
     word_sum, ColRole, DeltaPatch, Dewey, Error, Feed, FeedColumn, FeedSchema, PatchStep, Result,
-    StepKind, TablePatch, Value,
+    RowSlice, StepKind, TablePatch, Value,
 };
 
 /// Frame magic of the columnar format. XML-text feeds start with
@@ -184,7 +184,7 @@ const TAG_STR: u8 = 3;
 /// ```
 pub fn encode_feed(feed: &Feed) -> Vec<u8> {
     let mut buf = Vec::new();
-    append_columnar_frame(&mut buf, &feed.schema, &feed.rows);
+    append_columnar_frame(&mut buf, &feed.schema, feed.rows.slice(..));
     buf
 }
 
@@ -345,7 +345,7 @@ impl<'a> Column<'a> {
 /// One row-major walk appends each cell's tag and payload to its
 /// column's buffer and assigns dictionary ids as strings are first seen;
 /// the dictionaries and then the columns are copied out behind it.
-fn append_columnar_frame(buf: &mut Vec<u8>, schema: &FeedSchema, rows: &[Vec<Value>]) {
+fn append_columnar_frame(buf: &mut Vec<u8>, schema: &FeedSchema, rows: RowSlice<'_>) {
     let frame_start = buf.len();
     buf.extend_from_slice(COLUMNAR_MAGIC);
 
@@ -634,15 +634,15 @@ pub fn decode_feed(bytes: &[u8]) -> Result<Feed> {
 /// returns the frame length — the one call sites use so the format stays
 /// a value, not a code path.
 pub fn encode_in_format_into(buf: &mut Vec<u8>, feed: &Feed, format: WireFormat) -> usize {
-    encode_rows_in_format_into(buf, &feed.schema, &feed.rows, format)
+    encode_rows_in_format_into(buf, &feed.schema, feed.rows.slice(..), format)
 }
 
-/// [`encode_in_format_into`] over a schema and a slice of rows — what a
+/// [`encode_in_format_into`] over a schema and a run of rows — what a
 /// ring slot naming a row range of a cross feed encodes from.
 pub fn encode_rows_in_format_into(
     buf: &mut Vec<u8>,
     schema: &FeedSchema,
-    rows: &[Vec<Value>],
+    rows: RowSlice<'_>,
     format: WireFormat,
 ) -> usize {
     buf.clear();
@@ -651,7 +651,7 @@ pub fn encode_rows_in_format_into(
 }
 
 /// Appends one feed frame in `format` to `buf`.
-fn append_frame(buf: &mut Vec<u8>, schema: &FeedSchema, rows: &[Vec<Value>], format: WireFormat) {
+fn append_frame(buf: &mut Vec<u8>, schema: &FeedSchema, rows: RowSlice<'_>, format: WireFormat) {
     match format {
         WireFormat::Xml => append_wire(buf, schema, rows),
         WireFormat::Columnar => append_columnar_frame(buf, schema, rows),
@@ -699,7 +699,7 @@ pub struct FeedPart<'a> {
     /// The feed's schema.
     pub schema: &'a FeedSchema,
     /// The rows of this part.
-    pub rows: &'a [Vec<Value>],
+    pub rows: RowSlice<'a>,
 }
 
 /// Encodes `parts` as one message body into `buf` (clearing it first) and
@@ -843,7 +843,7 @@ pub fn encode_patch_into(buf: &mut Vec<u8>, patch: &DeltaPatch, format: WireForm
         // The payload frame goes straight into `buf`, its length rotated
         // in front of it.
         let at = buf.len();
-        append_frame(buf, &t.payload.schema, &t.payload.rows, format);
+        append_frame(buf, &t.payload.schema, t.payload.rows.slice(..), format);
         let frame = buf.len();
         put_varint(buf, (frame - at) as u64);
         let len_bytes = buf.len() - frame;
@@ -1063,10 +1063,10 @@ mod tests {
             // A row range encodes to the frame of a feed holding just it.
             let batch = Feed {
                 schema: feed.schema.clone(),
-                rows: feed.rows[3..11].to_vec().into(),
+                rows: feed.rows.slice(3..11).iter().cloned().collect(),
             };
             frame.clear();
-            append_columnar_frame(&mut frame, &feed.schema, &feed.rows[3..11]);
+            append_columnar_frame(&mut frame, &feed.schema, feed.rows.slice(3..11));
             assert_eq!(frame, encode_feed(&batch));
         }
     }
@@ -1077,7 +1077,7 @@ mod tests {
             .map(|(label, feed)| FeedPart {
                 label,
                 schema: &feed.schema,
-                rows: &feed.rows,
+                rows: feed.rows.slice(..),
             })
             .collect()
     }
@@ -1296,9 +1296,9 @@ mod tests {
     #[test]
     fn every_two_bit_flip_is_detected() {
         let mut small = Feed::new(sample_feed().schema);
-        small.rows = sample_feed().rows[..3].to_vec().into();
+        small.rows = sample_feed().rows.slice(..3).iter().cloned().collect();
         let mut payload = Feed::new(small.schema.clone());
-        payload.rows = small.rows[..1].to_vec().into();
+        payload.rows = small.rows.slice(..1).iter().cloned().collect();
         let patch = DeltaPatch {
             base_version: 4,
             head_version: 5,

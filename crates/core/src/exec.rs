@@ -745,7 +745,7 @@ pub fn feed_batches(feed: &Feed, batch_rows: usize) -> Vec<Feed> {
     batch_ranges(feed.len(), batch_rows)
         .map(|rows| Feed {
             schema: feed.schema.clone(),
-            rows: feed.rows[rows].to_vec().into(),
+            rows: feed.rows.slice(rows).iter().cloned().collect(),
         })
         .collect()
 }

@@ -39,8 +39,8 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex, Weak};
 use xdx_relational::patch::key_column;
 use xdx_relational::{
-    apply_table_patch, Database, DeltaPatch, Dewey, Error, Feed, PatchStep, Result, Rows, StepKind,
-    TablePatch, Value,
+    apply_table_patch, Database, DeltaPatch, Dewey, Error, Feed, PatchStep, Result, RowSlice, Rows,
+    StepKind, TablePatch, Value,
 };
 
 /// One route's table set at one version. Feeds share their rows
@@ -410,7 +410,7 @@ fn row_key<'a>(table: &str, row: &'a [Value], col: usize) -> Result<&'a Dewey> {
 
 /// Extent of the subtree group starting at `start`: the run of rows
 /// whose key extends the first row's key.
-fn group_end(table: &str, rows: &[Vec<Value>], start: usize, col: usize) -> Result<usize> {
+fn group_end(table: &str, rows: &Rows, start: usize, col: usize) -> Result<usize> {
     let key = row_key(table, &rows[start], col)?;
     let mut end = start + 1;
     while end < rows.len() && key.is_prefix_of(row_key(table, &rows[end], col)?) {
@@ -439,13 +439,13 @@ pub fn diff_table(table: &str, base: &Feed, head: &Feed) -> Result<Option<TableP
     }
     let mut steps = Vec::new();
     let mut payload = Vec::new();
-    let mut push = |kind: StepKind, key: &Dewey, head_rows: &[Vec<Value>]| {
+    let mut push = |kind: StepKind, key: &Dewey, head_rows: RowSlice<'_>| {
         steps.push(PatchStep {
             kind,
             key: key.clone(),
             rows: head_rows.len() as u32,
         });
-        payload.extend_from_slice(head_rows);
+        payload.extend(head_rows.iter().cloned());
     };
     let (mut b, mut h) = (0, 0);
     while b < base.rows.len() && h < head.rows.len() {
@@ -463,29 +463,29 @@ pub fn diff_table(table: &str, base: &Feed, head: &Feed) -> Result<Option<TableP
             while h < head.rows.len() && key.is_prefix_of(row_key(table, &head.rows[h], col)?) {
                 h += 1;
             }
-            if base.rows[bs..b] != head.rows[hs..h] {
-                push(StepKind::ReplaceSubtree, key, &head.rows[hs..h]);
+            if base.rows.slice(bs..b) != head.rows.slice(hs..h) {
+                push(StepKind::ReplaceSubtree, key, head.rows.slice(hs..h));
             }
         } else if bk < hk {
             let end = group_end(table, &base.rows, b, col)?;
-            push(StepKind::DeleteSubtree, bk, &[]);
+            push(StepKind::DeleteSubtree, bk, RowSlice::default());
             b = end;
         } else {
             let end = group_end(table, &head.rows, h, col)?;
-            push(StepKind::InsertSubtree, hk, &head.rows[h..end]);
+            push(StepKind::InsertSubtree, hk, head.rows.slice(h..end));
             h = end;
         }
     }
     while b < base.rows.len() {
         let key = row_key(table, &base.rows[b], col)?;
         let end = group_end(table, &base.rows, b, col)?;
-        push(StepKind::DeleteSubtree, key, &[]);
+        push(StepKind::DeleteSubtree, key, RowSlice::default());
         b = end;
     }
     while h < head.rows.len() {
         let key = row_key(table, &head.rows[h], col)?;
         let end = group_end(table, &head.rows, h, col)?;
-        push(StepKind::InsertSubtree, key, &head.rows[h..end]);
+        push(StepKind::InsertSubtree, key, head.rows.slice(h..end));
         h = end;
     }
     if steps.is_empty() {
@@ -638,10 +638,10 @@ mod tests {
     fn diff_rejects_irregular_feeds() {
         let good = item_feed(&[(1, "a"), (2, "b")]);
         let mut unsorted = good.clone();
-        unsorted.rows.reverse();
+        unsorted.rows = good.rows.iter().rev().cloned().collect();
         assert!(diff_table("ITEM", &good, &unsorted).is_err());
         let mut null_key = good.clone();
-        null_key.rows[0][1] = Value::Null;
+        null_key.rows.get_mut(0).unwrap()[1] = Value::Null;
         assert!(diff_table("ITEM", &null_key, &good).is_err());
         let other_schema = Feed::new(fragment_feed_schema("x", &[("x".to_string(), false)]));
         assert!(diff_table("ITEM", &good, &other_schema).is_err());
@@ -709,7 +709,7 @@ mod tests {
         let store = SnapshotStore::with_retention(1);
         let sorted = vec![("T".to_string(), item_feed(&[(1, "a"), (2, "b")]))];
         let mut unsorted_feed = item_feed(&[(1, "a"), (2, "b")]);
-        unsorted_feed.rows.reverse();
+        unsorted_feed.rows = unsorted_feed.rows.iter().rev().cloned().collect();
         let unsorted = vec![("T".to_string(), unsorted_feed)];
         store.record("r", sorted.clone());
         store.record("r", sorted.clone());

@@ -22,7 +22,7 @@ use crate::sum::word_sum;
 use crate::value::{parse_dotted_into, Dewey, Value};
 use std::fmt;
 use std::io::Write;
-use std::ops::{Deref, DerefMut};
+use std::ops::{Index, RangeBounds};
 use std::sync::{Arc, Weak};
 
 /// The role a feed column plays.
@@ -117,17 +117,28 @@ impl FeedSchema {
     }
 }
 
-/// A feed's rows behind a copy-on-write handle. `clone` shares the row
-/// set; reads deref to the `Vec`; the first write through a handle that
-/// is not the sole owner copies the set first (`Arc::make_mut`), so no
-/// holder ever sees another's edit. A loop that builds rows fills a plain
-/// `Vec` and wraps it once (`into`), paying the ownership check per feed
-/// rather than per row.
+/// A feed's rows behind a copy-on-write handle, and the one place that
+/// knows how they are laid out. `clone` shares the row set; reads go
+/// through [`len`](Rows::len), [`iter`](Rows::iter), indexing and
+/// [`slice`](Rows::slice); every write ([`push`](Rows::push), `extend`,
+/// [`absorb`](Rows::absorb), [`sort_by`](Rows::sort_by),
+/// [`get_mut`](Rows::get_mut)) through a handle that is not the sole owner
+/// copies the set first (`Arc::make_mut`), so no holder ever sees
+/// another's edit. A loop that builds rows fills a plain `Vec` and wraps
+/// it once (`into`), paying the ownership check per feed rather than per
+/// row.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Rows(Arc<Vec<Vec<Value>>>);
 
 /// A row set's identity without its rows ([`Rows::downgrade`]).
-pub type RowsId = Weak<Vec<Vec<Value>>>;
+#[derive(Debug)]
+pub struct RowsId(Weak<Vec<Vec<Value>>>);
+
+/// A read-only run of consecutive rows of a [`Rows`]
+/// ([`Rows::slice`]): a batch to encode, a subtree to compare, a tail to
+/// copy, without copying it out first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct RowSlice<'a>(&'a [Vec<Value>]);
 
 impl Rows {
     /// True when both handles share one row set.
@@ -150,12 +161,48 @@ impl Rows {
     /// behind) and one through a shared handle copies it, so a set that
     /// still [`is`](Rows::is) an identity holds the rows it held then.
     pub fn downgrade(&self) -> RowsId {
-        Arc::downgrade(&self.0)
+        RowsId(Arc::downgrade(&self.0))
     }
 
     /// True when `id` is this row set's [`downgrade`](Rows::downgrade).
     pub fn is(&self, id: &RowsId) -> bool {
-        std::ptr::eq(Arc::as_ptr(&self.0), id.as_ptr())
+        std::ptr::eq(Arc::as_ptr(&self.0), id.0.as_ptr())
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// True when there are no rows.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The rows in order.
+    pub fn iter(&self) -> std::slice::Iter<'_, Vec<Value>> {
+        self.0.iter()
+    }
+
+    /// The rows in `range`, read in place. Panics when the range is out
+    /// of bounds, as slicing does.
+    pub fn slice(&self, range: impl RangeBounds<usize>) -> RowSlice<'_> {
+        RowSlice(&self.0[(range.start_bound().cloned(), range.end_bound().cloned())])
+    }
+
+    /// Appends a row.
+    pub fn push(&mut self, row: Vec<Value>) {
+        Arc::make_mut(&mut self.0).push(row);
+    }
+
+    /// Row `i` to edit in place, if there is one.
+    pub fn get_mut(&mut self, i: usize) -> Option<&mut Vec<Value>> {
+        Arc::make_mut(&mut self.0).get_mut(i)
+    }
+
+    /// Sorts the rows by `cmp`, stably.
+    pub fn sort_by(&mut self, cmp: impl FnMut(&Vec<Value>, &Vec<Value>) -> std::cmp::Ordering) {
+        Arc::make_mut(&mut self.0).sort_by(cmp);
     }
 
     /// Takes `more` in after the rows held. An empty handle adopts
@@ -169,16 +216,40 @@ impl Rows {
     }
 }
 
-impl Deref for Rows {
-    type Target = Vec<Vec<Value>>;
-    fn deref(&self) -> &Self::Target {
-        &self.0
+impl RowsId {
+    /// True while some [`Rows`] still holds the row set.
+    pub fn is_held(&self) -> bool {
+        self.0.strong_count() > 0
     }
 }
 
-impl DerefMut for Rows {
-    fn deref_mut(&mut self) -> &mut Self::Target {
-        Arc::make_mut(&mut self.0)
+impl<'a> RowSlice<'a> {
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// True when there are no rows.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The rows in order.
+    pub fn iter(&self) -> std::slice::Iter<'a, Vec<Value>> {
+        self.0.iter()
+    }
+}
+
+impl Index<usize> for Rows {
+    type Output = Vec<Value>;
+    fn index(&self, i: usize) -> &Vec<Value> {
+        &self.0[i]
+    }
+}
+
+impl Extend<Vec<Value>> for Rows {
+    fn extend<I: IntoIterator<Item = Vec<Value>>>(&mut self, rows: I) {
+        Arc::make_mut(&mut self.0).extend(rows);
     }
 }
 
@@ -200,12 +271,20 @@ impl IntoIterator for Rows {
     /// Moves the rows out of a sole handle, copies them out of a shared one.
     fn into_iter(self) -> Self::IntoIter {
         self.try_unwrap()
-            .unwrap_or_else(|shared| shared.to_vec())
+            .unwrap_or_else(|shared| shared.0.to_vec())
             .into_iter()
     }
 }
 
 impl<'a> IntoIterator for &'a Rows {
+    type Item = &'a Vec<Value>;
+    type IntoIter = std::slice::Iter<'a, Vec<Value>>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
+}
+
+impl<'a> IntoIterator for RowSlice<'a> {
     type Item = &'a Vec<Value>;
     type IntoIter = std::slice::Iter<'a, Vec<Value>>;
     fn into_iter(self) -> Self::IntoIter {
@@ -252,7 +331,7 @@ impl Feed {
     /// function for communication cost). Counts cell payloads plus one
     /// separator per cell; headers are negligible and excluded.
     pub fn wire_size(&self) -> u64 {
-        rows_wire_size(&self.rows)
+        rows_wire_size(self.rows.slice(..))
     }
 
     /// Sorts rows by the given columns (lexicographic), returning the
@@ -281,9 +360,9 @@ impl Feed {
 
     /// True when rows are sorted by the given columns.
     pub fn is_sorted_by(&self, cols: &[usize]) -> bool {
-        self.rows.windows(2).all(|w| {
+        (1..self.len()).all(|i| {
             cols.iter()
-                .map(|&c| w[0][c].cmp(&w[1][c]))
+                .map(|&c| self.rows[i - 1][c].cmp(&self.rows[i][c]))
                 .find(|o| *o != std::cmp::Ordering::Equal)
                 .unwrap_or(std::cmp::Ordering::Equal)
                 != std::cmp::Ordering::Greater
@@ -297,7 +376,7 @@ impl Feed {
     /// Serializes to the shipping format; see [`append_wire`].
     pub fn to_wire(&self) -> String {
         let mut out = Vec::new();
-        append_wire(&mut out, &self.schema, &self.rows);
+        append_wire(&mut out, &self.schema, self.rows.slice(..));
         String::from_utf8(out).expect("the text encoder writes UTF-8")
     }
 
@@ -535,7 +614,7 @@ fn arity_checked(arity: usize, row: Vec<Value>) -> Result<Vec<Value>> {
     Ok(row)
 }
 
-fn rows_wire_size(rows: &[Vec<Value>]) -> u64 {
+fn rows_wire_size(rows: RowSlice<'_>) -> u64 {
     rows.iter()
         .map(|r| r.iter().map(|v| v.wire_len() as u64 + 1).sum::<u64>())
         .sum()
@@ -544,10 +623,10 @@ fn rows_wire_size(rows: &[Vec<Value>]) -> u64 {
 /// Appends `rows` under `schema` to `out` in the shipping format: a
 /// line-oriented text encoding with a typed prefix per cell (`N`ull,
 /// `I`nt, `D`ewey, `S`tring) and backslash escapes for tab/newline/
-/// backslash in strings. Takes the rows as a slice so a batch of a larger
-/// feed encodes without being copied out first, and writes where the
-/// message ships from, so the frame is built once.
-pub fn append_wire(out: &mut Vec<u8>, schema: &FeedSchema, rows: &[Vec<Value>]) {
+/// backslash in strings. Takes the rows as a [`RowSlice`] so a batch of a
+/// larger feed encodes without being copied out first, and writes where
+/// the message ships from, so the frame is built once.
+pub fn append_wire(out: &mut Vec<u8>, schema: &FeedSchema, rows: RowSlice<'_>) {
     let start = out.len();
     out.reserve(rows_wire_size(rows) as usize + 64);
     out.extend_from_slice(b"#feed\t");
@@ -802,7 +881,7 @@ mod tests {
     #[test]
     fn sorting_and_sortedness() {
         let mut f = sample_feed();
-        f.rows.reverse();
+        f.rows = f.rows.iter().rev().cloned().collect();
         assert!(!f.is_sorted_by(&[1]));
         let cmps = f.sort_by(&[1]);
         assert!(cmps > 0);

@@ -13,6 +13,7 @@
 //! starts with the same comparison. Only a column found out of order —
 //! the first descent — pays a sort of the positions.
 
+use crate::feed::Rows;
 use crate::stats::Counters;
 use crate::value::Value;
 use std::cmp::Ordering;
@@ -32,7 +33,7 @@ pub struct Index {
 impl Index {
     /// Builds an index over `column` of `rows`, charging one
     /// `index_inserts` unit per row to `counters`.
-    pub fn build(rows: &[Vec<Value>], column: usize, counters: &mut Counters) -> Index {
+    pub fn build(rows: &Rows, column: usize, counters: &mut Counters) -> Index {
         counters.index_inserts += rows.len() as u64;
         let key = |pos: u32| &rows[pos as usize][column];
         let mut order: Vec<u32> = (0..rows.len() as u32).collect();
@@ -40,8 +41,8 @@ impl Index {
         if !rows.is_empty() {
             starts.push(0);
         }
-        for (at, pair) in rows.windows(2).enumerate() {
-            match pair[0][column].cmp(&pair[1][column]) {
+        for (at, (a, b)) in rows.iter().zip(rows.iter().skip(1)).enumerate() {
+            match a[column].cmp(&b[column]) {
                 Ordering::Less => starts.push(at as u32 + 1),
                 Ordering::Equal => {}
                 Ordering::Greater => {
@@ -65,7 +66,7 @@ impl Index {
 
     /// Row positions whose indexed column equals `key`, ascending.
     /// `rows` are the rows the index was built over.
-    pub fn lookup(&self, rows: &[Vec<Value>], key: &Value) -> &[u32] {
+    pub fn lookup(&self, rows: &Rows, key: &Value) -> &[u32] {
         let runs = &self.starts[..self.starts.len() - 1];
         match runs
             .binary_search_by(|&at| rows[self.order[at as usize] as usize][self.column].cmp(key))
@@ -96,12 +97,12 @@ mod tests {
     use super::*;
     use crate::value::Dewey;
 
-    fn rows() -> Vec<Vec<Value>> {
-        vec![
+    fn rows() -> Rows {
+        Rows::from(vec![
             vec![Value::Dewey(Dewey::from([1])), Value::Str("a".into())],
             vec![Value::Dewey(Dewey::from([2])), Value::Str("b".into())],
             vec![Value::Dewey(Dewey::from([3])), Value::Str("a".into())],
-        ]
+        ])
     }
 
     #[test]
@@ -130,7 +131,7 @@ mod tests {
     #[test]
     fn empty_table() {
         let mut c = Counters::new();
-        let idx = Index::build(&[], 0, &mut c);
+        let idx = Index::build(&Rows::default(), 0, &mut c);
         assert_eq!(idx.entries(), 0);
         assert!(idx.is_unique());
     }

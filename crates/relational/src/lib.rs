@@ -32,7 +32,7 @@ pub mod value;
 
 pub use db::Database;
 pub use error::{Error, Result};
-pub use feed::{ColRole, Feed, FeedColumn, FeedSchema, Rows, RowsId};
+pub use feed::{ColRole, Feed, FeedColumn, FeedSchema, RowSlice, Rows, RowsId};
 pub use index::Index;
 pub use patch::{apply_table_patch, stage_patch, DeltaPatch, PatchStep, StepKind, TablePatch};
 pub use stats::Counters;

@@ -93,7 +93,7 @@ impl Side {
     /// sorted — stably, so equal keys keep their arrival order either way.
     fn sorted_on(rows: Rows, col: usize, in_order: bool, counters: &mut Counters) -> Side {
         counters.comparisons += (rows.len() as u64).saturating_sub(1);
-        let check = || rows.windows(2).all(|w| w[0][col] <= w[1][col]);
+        let check = || (1..rows.len()).all(|i| rows[i - 1][col] <= rows[i][col]);
         debug_assert!(!in_order || check(), "a vouched-for input out of key order");
         let sorted = in_order || check();
         let mut by_key = |a: &Vec<Value>, b: &Vec<Value>| {
@@ -557,7 +557,8 @@ mod tests {
     }
 
     // The clone-and-sort Combine `merge_combine` replaced, kept verbatim
-    // as the oracle of `merge_combine_matches_the_clone_and_sort_oracle`.
+    // (but for the row reserve `Rows` does not offer) as the oracle of
+    // `merge_combine_matches_the_clone_and_sort_oracle`.
     fn oracle_emit_group(
         out: &mut Feed,
         parent_schema: &FeedSchema,
@@ -566,17 +567,6 @@ mod tests {
         ccol: usize,
         child_arity: usize,
     ) {
-        // Every branch below emits a knowable number of rows of knowable
-        // arity; sizing the allocations up front keeps the join's hot loop
-        // free of `Vec` growth reallocations.
-        let emitted = if cgroup.is_empty() {
-            pgroup.len()
-        } else if pgroup.len() == 1 {
-            cgroup.len()
-        } else {
-            pgroup.len() + cgroup.len()
-        };
-        out.rows.reserve(emitted);
         let pad = |row: &Vec<Value>, out: &mut Feed| {
             let mut r = Vec::with_capacity(row.len() + child_arity);
             r.extend_from_slice(row);
@@ -703,7 +693,7 @@ mod tests {
         )
             .prop_map(|(parents, children, shuffle_parent, shuffle_child)| {
                 let mut parent = customers();
-                parent.rows.clear();
+                parent.rows = Rows::default();
                 let mut ranks = Vec::new();
                 for (i, (key, copies, rank)) in parents.into_iter().enumerate() {
                     // Keys 1..=5 can have parents; 6 and 7 only orphans.
@@ -719,7 +709,7 @@ mod tests {
                 }
                 arrange(&mut parent, 1, &ranks);
                 let mut child = orders();
-                child.rows.clear();
+                child.rows = Rows::default();
                 let mut ranks = Vec::new();
                 for (i, (key, rank)) in children.into_iter().enumerate() {
                     child
@@ -736,7 +726,7 @@ mod tests {
     /// rows `feed` itself keeps sharing.
     fn handle(sole: bool, feed: &Feed) -> Feed {
         let rows = if sole {
-            feed.rows.to_vec().into()
+            feed.rows.iter().cloned().collect()
         } else {
             feed.rows.clone()
         };
@@ -750,7 +740,7 @@ mod tests {
     /// by `col` (stably) otherwise.
     fn arrange(feed: &mut Feed, col: usize, ranks: &[(bool, u32)]) {
         if ranks.first().is_some_and(|&(shuffle, _)| shuffle) {
-            let mut ranked: Vec<_> = ranks.iter().zip(feed.rows.drain(..)).collect();
+            let mut ranked: Vec<_> = ranks.iter().zip(std::mem::take(&mut feed.rows)).collect();
             ranked.sort_by_key(|&(&(_, rank), _)| rank);
             feed.rows = ranked.into_iter().map(|(_, row)| row).collect();
         } else {
@@ -770,7 +760,8 @@ mod tests {
             let (parent, child) = family;
             let mut billed = Counters::new();
             let want = oracle_merge_combine(&parent, &child, "Customer", &mut billed).unwrap();
-            let (parent_rows, child_rows) = (parent.rows.to_vec(), child.rows.to_vec());
+            let copy = |feed: &Feed| feed.rows.iter().cloned().collect::<Rows>();
+            let (parent_rows, child_rows) = (copy(&parent), copy(&child));
             for (sole_parent, sole_child) in [(false, false), (true, false), (false, true), (true, true)] {
                 let mut c = Counters::new();
                 let got = merge_combine(
@@ -783,8 +774,8 @@ mod tests {
                 .unwrap();
                 prop_assert_eq!(&got, &want, "parent sole {}, child sole {}", sole_parent, sole_child);
                 prop_assert_eq!((c.rows_read, c.rows_out), (billed.rows_read, billed.rows_out));
-                prop_assert_eq!(&*parent.rows, &parent_rows);
-                prop_assert_eq!(&*child.rows, &child_rows);
+                prop_assert_eq!(&parent.rows, &parent_rows);
+                prop_assert_eq!(&child.rows, &child_rows);
             }
         }
     }
@@ -846,7 +837,7 @@ mod tests {
     fn orphan_children_dropped() {
         let mut c = Counters::new();
         let mut orphans = orders();
-        orphans.rows[0][0] = dv(&[99]); // no customer 99
+        orphans.rows.get_mut(0).unwrap()[0] = dv(&[99]); // no customer 99
         let out = merge_combine(
             customers(),
             orphans,

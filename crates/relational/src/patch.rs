@@ -141,10 +141,10 @@ fn row_key<'a>(table: &str, row: &'a [Value], col: usize) -> Result<&'a Dewey> {
 }
 
 /// Applies one table's steps to its base feed, producing the complete
-/// patched feed in a single merge pass (both the base rows and the steps
-/// are in document order). Every anomaly is an error: out-of-order or
-/// overlapping steps, inserts over an existing subtree, payload rows
-/// left over or missing, schema clashes, non-Dewey keys.
+/// patched feed in one merge pass (base rows and steps are in document
+/// order). Every anomaly is an error: steps out of order or overlapping,
+/// a row count the step's kind forbids, inserts over an existing subtree,
+/// payload rows left over or missing, schema clashes, non-Dewey keys.
 pub fn apply_table_patch(base: &Feed, patch: &TablePatch) -> Result<Feed> {
     let table = patch.table.as_str();
     if patch.payload.schema.arity() != base.schema.arity() {
@@ -177,29 +177,28 @@ pub fn apply_table_patch(base: &Feed, patch: &TablePatch) -> Result<Feed> {
         while i < base.rows.len() && step.key.is_prefix_of(row_key(table, &base.rows[i], col)?) {
             i += 1;
         }
-        match step.kind {
-            StepKind::InsertSubtree => {
-                if i > range_start {
-                    return Err(patch_err(
-                        table,
-                        format!("insert at {} but the subtree already exists", step.key),
-                    ));
-                }
-            }
-            StepKind::DeleteSubtree | StepKind::ReplaceSubtree => {
-                if i == range_start {
-                    return Err(patch_err(
-                        table,
-                        format!("{:?} at {} matches no base rows", step.kind, step.key),
-                    ));
-                }
-            }
-        }
         let take = step.rows as usize;
+        let anomaly = match step.kind {
+            StepKind::InsertSubtree if i > range_start => Some("the subtree already exists"),
+            StepKind::DeleteSubtree | StepKind::ReplaceSubtree if i == range_start => {
+                Some("it matches no base rows")
+            }
+            StepKind::DeleteSubtree if take > 0 => Some("a delete carries payload rows"),
+            StepKind::InsertSubtree | StepKind::ReplaceSubtree if take == 0 => {
+                Some("it carries no payload rows")
+            }
+            _ => None,
+        };
+        if let Some(anomaly) = anomaly {
+            return Err(patch_err(
+                table,
+                format!("{:?} at {}: {anomaly}", step.kind, step.key),
+            ));
+        }
         if p + take > patch.payload.rows.len() {
             return Err(patch_err(table, "payload underrun"));
         }
-        for row in &patch.payload.rows[p..p + take] {
+        for row in patch.payload.rows.slice(p..p + take) {
             if !step.key.is_prefix_of(row_key(table, row, col)?) {
                 return Err(patch_err(
                     table,
@@ -219,7 +218,7 @@ pub fn apply_table_patch(base: &Feed, patch: &TablePatch) -> Result<Feed> {
             ),
         ));
     }
-    out.extend_from_slice(&base.rows[i..]);
+    out.extend(base.rows.slice(i..).iter().cloned());
     Ok(Feed {
         schema: base.schema.clone(),
         rows: out.into(),
@@ -404,6 +403,26 @@ mod tests {
             table: "ITEM".into(),
             steps: vec![step(StepKind::DeleteSubtree, 2, 0)],
             payload: payload_of(&base, &[2]),
+        };
+        assert!(apply_table_patch(&base, &bad).is_err());
+        // A delete that carries payload rows.
+        let bad = TablePatch {
+            table: "ITEM".into(),
+            steps: vec![step(StepKind::DeleteSubtree, 2, 1)],
+            payload: payload_of(&base, &[2]),
+        };
+        assert!(apply_table_patch(&base, &bad).is_err());
+        // An insert or a replace that carries none.
+        let bad = TablePatch {
+            table: "ITEM".into(),
+            steps: vec![step(StepKind::InsertSubtree, 4, 0)],
+            payload: Feed::new(base.schema.clone()),
+        };
+        assert!(apply_table_patch(&base, &bad).is_err());
+        let bad = TablePatch {
+            table: "ITEM".into(),
+            steps: vec![step(StepKind::ReplaceSubtree, 2, 0)],
+            payload: Feed::new(base.schema.clone()),
         };
         assert!(apply_table_patch(&base, &bad).is_err());
         // Payload row outside the step's subtree.

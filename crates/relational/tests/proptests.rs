@@ -90,7 +90,7 @@ fn tangled() -> impl Strategy<Value = (Feed, Feed, bool, bool)> {
 /// its rows with `feed`.
 fn handle(feed: &Feed, sole: bool) -> Feed {
     let rows = if sole {
-        feed.rows.to_vec().into()
+        feed.rows.iter().cloned().collect()
     } else {
         feed.rows.clone()
     };
@@ -263,7 +263,7 @@ proptest! {
                 keys.insert(descent % (keys.len() + 1), largest);
             }
         }
-        let rows: Vec<Vec<Value>> = keys
+        let rows: Rows = keys
             .iter()
             .enumerate()
             .map(|(i, k)| vec![Value::Int(i as i64), k.clone()])
@@ -399,7 +399,7 @@ proptest! {
         let (parent, child, sole_parent, sole_child) = family;
         let (p, c) = (handle(&parent, sole_parent), handle(&child, sole_child));
         let out = merge_combine(p, c, "P", ChainHint::default(), &mut Counters::new()).unwrap();
-        prop_assert!(out.rows.windows(2).all(|w| w[0][1] <= w[1][1]));
+        prop_assert!(out.rows.iter().zip(out.rows.iter().skip(1)).all(|(a, b)| a[1] <= b[1]));
     }
 
     /// A chain hint is never part of a result: every width from none to
@@ -514,7 +514,7 @@ proptest! {
     #[test]
     fn sort_is_stable_and_ordered(counts in proptest::collection::vec(0u8..5, 1..15)) {
         let (_, mut child) = hierarchy(counts);
-        child.rows.reverse();
+        child.rows = child.rows.iter().rev().cloned().collect();
         child.sort_by(&[0, 1]);
         prop_assert!(child.is_sorted_by(&[0, 1]));
         prop_assert!(child.is_sorted_by(&[0]));
@@ -523,7 +523,9 @@ proptest! {
     /// Copy-on-write never leaks a write. A feed, its clone, a table
     /// loaded from it, a clone of that table's database and a scan all
     /// start on one row set; a drawn sequence of writes goes through
-    /// every `&mut` door of one holder or another, and after each write
+    /// every `&mut` door of one holder or another — on a feed, one per
+    /// writer `Rows` has (`push`, `extend`, `absorb`, `sort_by`,
+    /// `get_mut`), and `Feed::push_row` — and after each write
     /// every holder reads exactly what a plain `Vec` model of it holds —
     /// the written one changed, everyone else bit-identical to before.
     #[test]
@@ -532,7 +534,8 @@ proptest! {
         writes in proptest::collection::vec((0usize..4, 0u8..6), 1..10),
     ) {
         let (_, mut origin) = hierarchy(counts);
-        origin.rows.reverse(); // out of order, so that `sort_by` writes
+        // Out of order, so that `sort_by` writes.
+        origin.rows = origin.rows.iter().rev().cloned().collect();
         let mut feeds = [origin.clone(), origin.clone()];
         let mut dbs = [Database::new("a"), Database::new("b")];
         dbs[0].load("T", origin.clone()).unwrap();
@@ -542,7 +545,8 @@ proptest! {
         for held in [&feeds[0].rows, &feeds[1].rows, &rows_of(&dbs[0]), &rows_of(&dbs[1]), &scan.rows] {
             prop_assert!(Rows::ptr_eq(held, &origin.rows));
         }
-        let before = origin.rows.to_vec();
+        let vec_of = |rows: &Rows| rows.iter().cloned().collect::<Vec<_>>();
+        let before = vec_of(&origin.rows);
         let mut models = vec![before.clone(); 4];
         let extra = |n: u32| vec![dv(vec![9]), dv(vec![9, n]), Value::Str(format!("w{n}"))];
         let one_row = |n: u32| Feed {
@@ -554,10 +558,17 @@ proptest! {
             let model = &mut models[holder];
             if holder < 2 {
                 let feed = &mut feeds[holder];
-                match door % 3 {
+                match door {
                     0 => { feed.push_row(extra(n)).unwrap(); model.push(extra(n)); }
-                    1 => { feed.rows.extend(one_row(n).rows); model.push(extra(n)); }
-                    _ => { feed.sort_by(&[1]); model.sort_by(|a, b| a[1].cmp(&b[1])); }
+                    1 => { feed.rows.push(extra(n)); model.push(extra(n)); }
+                    2 => { feed.rows.extend(one_row(n).rows); model.push(extra(n)); }
+                    3 => { feed.rows.absorb(one_row(n).rows); model.push(extra(n)); }
+                    4 => { feed.sort_by(&[1]); model.sort_by(|a, b| a[1].cmp(&b[1])); }
+                    _ => {
+                        let text = Value::Str(format!("w{n}"));
+                        feed.rows.get_mut(0).unwrap()[2] = text.clone();
+                        model[0][2] = text;
+                    }
                 }
             } else {
                 let db = &mut dbs[holder - 2];
@@ -584,12 +595,12 @@ proptest! {
                     }
                 }
             }
-            prop_assert_eq!(&feeds[0].rows[..], &models[0][..]);
-            prop_assert_eq!(&feeds[1].rows[..], &models[1][..]);
-            prop_assert_eq!(&rows_of(&dbs[0])[..], &models[2][..]);
-            prop_assert_eq!(&rows_of(&dbs[1])[..], &models[3][..]);
-            prop_assert_eq!(&scan.rows[..], &before[..]);
-            prop_assert_eq!(&origin.rows[..], &before[..]);
+            prop_assert_eq!(&vec_of(&feeds[0].rows), &models[0]);
+            prop_assert_eq!(&vec_of(&feeds[1].rows), &models[1]);
+            prop_assert_eq!(&vec_of(&rows_of(&dbs[0])), &models[2]);
+            prop_assert_eq!(&vec_of(&rows_of(&dbs[1])), &models[3]);
+            prop_assert_eq!(&vec_of(&scan.rows), &before);
+            prop_assert_eq!(&vec_of(&origin.rows), &before);
         }
     }
 }

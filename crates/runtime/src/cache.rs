@@ -241,7 +241,7 @@ impl ProbeMemo {
             return SchemaStats::probe(schema, db, frag); // reports the missing table
         };
         let memoised = |entries: &mut VecDeque<ProbedTables>| {
-            entries.retain(|e| e.tables.iter().all(|(_, _, rows)| rows.strong_count() > 0));
+            entries.retain(|e| e.tables.iter().all(|(_, _, rows)| rows.is_held()));
             entries
                 .iter()
                 .find(|e| e.is_probe_of(schema, &tables))
@@ -551,8 +551,13 @@ mod tests {
         let name = &mf.fragments[mf.fragments.len() - 1].name;
         // A clone's table edited while the original still shares its
         // rows: the edit copies them, and only the identity tells.
+        let grow = |db: &mut Database| {
+            let rows = &mut db.table_mut(name).unwrap().0.data.rows;
+            let first = rows[0].clone();
+            rows.push(first);
+        };
         let mut edited = db.clone();
-        edited.table_mut(name).unwrap().0.data.rows.clear();
+        grow(&mut edited);
         let after = memo.probe(&schema, &edited, &mf).unwrap();
         assert_eq!(memo.hits(), 0, "an edited clone is probed again");
         assert_eq!(after, SchemaStats::probe(&schema, &edited, &mf).unwrap());
@@ -563,7 +568,7 @@ mod tests {
         // no row, so it goes in place but for the one move `make_mut`
         // makes.
         drop(edited);
-        db.table_mut(name).unwrap().0.data.rows.clear();
+        grow(&mut db);
         assert_eq!(memo.probe(&schema, &db, &mf).unwrap(), after);
         assert_eq!(memo.hits(), 1, "an edited table is probed again");
         // The edited source is memoised in turn.

@@ -977,7 +977,7 @@ impl Inner {
                 FeedPart {
                     label: &part.label,
                     schema: &feed.schema,
-                    rows: &feed.rows[part.rows.clone()],
+                    rows: feed.rows.slice(part.rows.clone()),
                 }
             })
             .collect();

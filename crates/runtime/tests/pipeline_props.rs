@@ -206,7 +206,7 @@ proptest! {
                     .map(|((f, rows), label)| FeedPart {
                         label,
                         schema: &feeds[*f].schema,
-                        rows: &feeds[*f].rows[rows.clone()],
+                        rows: feeds[*f].rows.slice(rows.clone()),
                     })
                     .collect();
                 encode_parts_into(&mut buf, &parts, format);

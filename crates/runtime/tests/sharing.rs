@@ -64,8 +64,9 @@ fn a_caller_rewriting_its_target_leaves_the_route_snapshot_intact() {
             for name in names {
                 let (table, _) = seeded.table_mut(&name).unwrap();
                 let rows = &mut table.data.rows;
-                rows.reverse();
-                rows[0]
+                rows.sort_by(|a, b| b.cmp(a));
+                rows.get_mut(0)
+                    .unwrap()
                     .iter_mut()
                     .for_each(|cell| *cell = Value::Str("trampled".into()));
                 let appended = rows[0].clone();

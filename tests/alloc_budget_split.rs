@@ -49,7 +49,7 @@ fn blocks_per_landed_row(
     let mut delivered = HashMap::with_capacity(phase.cross_ports.len());
     for cross in &phase.cross_ports {
         let feed = &phase.feeds[&cross.port];
-        encode_rows_in_format_into(&mut buf, &feed.schema, &feed.rows, format);
+        encode_rows_in_format_into(&mut buf, &feed.schema, feed.rows.slice(..), format);
         delivered.insert(cross.port, decode_any(&buf).unwrap());
     }
     execute_target_phase(
