@@ -13,7 +13,6 @@ use crate::exec::{ExecOutcome, NodeLoop};
 use crate::fragment::Fragmentation;
 use crate::gen::Generator;
 use crate::program::{Location, Op};
-use std::collections::HashMap;
 use std::time::{Duration, Instant};
 use xdx_relational::{ColRole, Database, Dewey, Feed};
 use xdx_xml::{NodeId, SchemaTree, Writer};
@@ -65,9 +64,10 @@ pub fn publish_with_plan(
         PublishPlan::CostBased => {
             // Cell-based estimate mirroring the exchange cost model:
             // combining pays ~4× per cell on progressively growing
-            // intermediates; the tagger pays a hash insert per cell of the
-            // raw feeds. With more than one fragment the outer union wins
-            // unless fragments are so few that combine volume stays flat.
+            // intermediates; the tagger pays one sort entry per id cell
+            // of the raw feeds, each feed an already sorted run. With more
+            // than one fragment the outer union wins unless fragments are
+            // so few that combine volume stays flat.
             if frag.len() > 1 {
                 PublishPlan::OuterUnion
             } else {
@@ -152,28 +152,41 @@ fn publish_single_query(
     })
 }
 
-/// Incremental document assembler over one or more sorted feeds.
+/// Document assembler over one or more feeds: the merge-and-tag step of
+/// \[6\] with a sort in place of the merge.
 ///
-/// Instances are created in a first pass (any feed order), then attached
-/// to their parents and serialized in a second — so the tagger accepts
-/// either a single fully-combined feed (the classic merge-and-tag of
-/// single-query publishing) or the raw per-fragment feeds (outer-union
-/// publishing, where the tagger itself is the only "join").
+/// [`add_feed`](Tagger::add_feed) collects one entry per (row, id column)
+/// in any feed order: the instance's Dewey and element, its text as the
+/// row carries it and its parent instance's Dewey, the last two borrowed
+/// from the feed. [`finish`](Tagger::finish) sorts the entries stably by (Dewey,
+/// element), which puts every parent before its subtree and merges the
+/// feeds' already sorted runs, keeps the first non-NULL text among equal
+/// keys (outer-union alignment may carry an instance's text on a later
+/// row than the one introducing its id), and writes the document in one
+/// pass with a stack of open instances. So the tagger accepts a single
+/// fully combined feed (single-query publishing) and the raw
+/// per-fragment feeds (outer-union publishing, where the tagger itself
+/// is the only "join") alike.
+///
+/// An instance whose parent instance is not open when its turn comes —
+/// its parent's feed was left out, or its ids contradict its parent's —
+/// is refused with an error naming it, as is a second document root:
+/// either would publish several top-level elements.
 pub struct Tagger<'a> {
     schema: &'a SchemaTree,
-    arena: Vec<Inst>,
-    index: HashMap<(NodeId, Dewey), usize>,
-    /// (instance, parent element, parent instance dewey) pending
-    /// attachment in `finish`.
-    pending: Vec<(usize, NodeId, Dewey)>,
+    entries: Vec<Entry<'a>>,
     size_hint: usize,
 }
 
-struct Inst {
-    elem: NodeId,
+/// One (row, id column) of a feed. The Dewey is a copy, held in place
+/// for the sort to compare without reaching into the rows.
+struct Entry<'a> {
     dewey: Dewey,
-    text: Option<String>,
-    children: Vec<usize>,
+    elem: NodeId,
+    text: Option<&'a str>,
+    /// The parent instance's Dewey: the same row's id of the parent
+    /// element or, for the feed's root element, its `PARENT` reference.
+    parent: Option<&'a Dewey>,
 }
 
 impl<'a> Tagger<'a> {
@@ -181,133 +194,124 @@ impl<'a> Tagger<'a> {
     pub fn new(schema: &'a SchemaTree) -> Tagger<'a> {
         Tagger {
             schema,
-            arena: Vec::new(),
-            index: HashMap::new(),
-            pending: Vec::new(),
+            entries: Vec::new(),
             size_hint: 0,
         }
     }
 
-    /// Ingests one feed: creates the element instances its rows describe.
-    pub fn add_feed(&mut self, feed: &Feed) -> Result<()> {
-        self.size_hint += feed.wire_size() as usize;
-        // Map feed columns to schema elements once, in schema pre-order so
-        // parents within a row are met first.
-        struct ElemCols {
+    /// Collects the element instances `feed`'s rows describe.
+    pub fn add_feed(&mut self, feed: &'a Feed) -> Result<()> {
+        struct Col {
             elem: NodeId,
-            id_col: usize,
-            val_col: Option<usize>,
+            id: usize,
+            val: Option<usize>,
+            parent: Option<usize>,
+            parent_ref: Option<usize>,
+            /// Bytes of its start and end tags.
+            tags: usize,
         }
-        let mut elem_cols: Vec<ElemCols> = Vec::new();
-        for (ci, col) in feed.schema.columns.iter().enumerate() {
-            if col.role == ColRole::NodeId {
-                let elem = self.schema.by_name(&col.element).ok_or_else(|| {
-                    Error::Xml(format!("feed column {} not in schema", col.element))
-                })?;
-                let val_col = feed.schema.col(&col.element, ColRole::Value);
-                elem_cols.push(ElemCols {
-                    elem,
-                    id_col: ci,
-                    val_col,
-                });
+        let fs = &feed.schema;
+        let mut cols = Vec::new();
+        for (id, col) in fs.columns.iter().enumerate() {
+            if col.role != ColRole::NodeId {
+                continue;
             }
+            let elem = self
+                .schema
+                .by_name(&col.element)
+                .ok_or_else(|| Error::Xml(format!("feed column {} not in schema", col.element)))?;
+            let parent = self.schema.node(elem).parent;
+            cols.push(Col {
+                elem,
+                id,
+                val: fs.col(&col.element, ColRole::Value),
+                parent: parent.and_then(|p| fs.col(self.schema.name(p), ColRole::NodeId)),
+                parent_ref: fs
+                    .parent_ref_col()
+                    .filter(|_| parent.is_some() && col.element == fs.root_element),
+                tags: 2 * col.element.len() + 5,
+            });
         }
-        let preorder: HashMap<NodeId, usize> = self
-            .schema
-            .subtree(self.schema.root())
-            .into_iter()
-            .enumerate()
-            .map(|(i, e)| (e, i))
-            .collect();
-        elem_cols.sort_by_key(|c| preorder[&c.elem]);
-        let parent_ref_col = feed.schema.parent_ref_col();
-        let root_elem = self.schema.by_name(&feed.schema.root_element);
-
+        self.entries.reserve(feed.len());
         for row in &feed.rows {
-            for ec in &elem_cols {
-                let Some(dewey) = row[ec.id_col].as_dewey() else {
+            for col in &cols {
+                let Some(dewey) = row[col.id].as_dewey() else {
                     continue;
                 };
-                let key = (ec.elem, dewey.clone());
-                if let Some(&existing) = self.index.get(&key) {
-                    // Outer-union alignment may deliver an instance's text
-                    // on a different row than the one introducing its id.
-                    if self.arena[existing].text.is_none() {
-                        if let Some(vc) = ec.val_col {
-                            if let Some(t) = row[vc].as_str() {
-                                self.arena[existing].text = Some(t.to_string());
-                            }
-                        }
-                    }
-                    continue;
-                }
-                let idx = self.arena.len();
-                self.arena.push(Inst {
-                    elem: ec.elem,
+                let text = col.val.and_then(|v| row[v].as_str());
+                let parent = col.parent.and_then(|c| row[c].as_dewey());
+                let parent = parent.or_else(|| col.parent_ref.and_then(|c| row[c].as_dewey()));
+                self.size_hint += col.tags + text.map_or(0, str::len);
+                self.entries.push(Entry {
                     dewey: dewey.clone(),
-                    text: ec
-                        .val_col
-                        .and_then(|vc| row[vc].as_str().map(str::to_string)),
-                    children: Vec::new(),
+                    elem: col.elem,
+                    text,
+                    parent,
                 });
-                self.index.insert(key, idx);
-                if let Some(parent_elem) = self.schema.node(ec.elem).parent {
-                    // Parent instance id: the same row's column for the
-                    // parent element, or — for the fragment root — the
-                    // feed's PARENT reference.
-                    let same_row = elem_cols
-                        .iter()
-                        .find(|c| c.elem == parent_elem)
-                        .and_then(|pc| row[pc.id_col].as_dewey());
-                    let via_parent_ref = (Some(ec.elem) == root_elem)
-                        .then(|| parent_ref_col.and_then(|c| row[c].as_dewey()))
-                        .flatten();
-                    if let Some(pd) = same_row.or(via_parent_ref) {
-                        self.pending.push((idx, parent_elem, pd.clone()));
-                    }
-                }
             }
         }
         Ok(())
     }
 
-    /// Attaches every instance to its parent and serializes the document.
+    /// Sorts the collected instances into document order and serializes
+    /// them.
     pub fn finish(mut self) -> Result<String> {
-        let mut roots: Vec<usize> = Vec::new();
-        let mut attached = vec![false; self.arena.len()];
-        for (idx, parent_elem, parent_dewey) in std::mem::take(&mut self.pending) {
-            // A missing parent means the instance sits at the edge of the
-            // tagged region and stays a root.
-            if let Some(&pi) = self.index.get(&(parent_elem, parent_dewey)) {
-                self.arena[pi].children.push(idx);
-                attached[idx] = true;
-            }
-        }
-        for (idx, inst) in self.arena.iter().enumerate() {
-            let is_schema_root = self.schema.node(inst.elem).parent.is_none();
-            if is_schema_root || !attached[idx] {
-                roots.push(idx);
-            }
-        }
-
+        self.entries
+            .sort_by(|a, b| a.dewey.cmp(&b.dewey).then(a.elem.cmp(&b.elem)));
+        let schema = self.schema;
         let mut writer = Writer::with_capacity(self.size_hint + 1024);
         writer.xml_decl();
-        fn emit(arena: &[Inst], schema: &SchemaTree, w: &mut Writer, idx: usize) {
-            let inst = &arena[idx];
-            w.start(schema.name(inst.elem));
-            if let Some(t) = &inst.text {
-                w.text(t);
+        let mut open: Vec<(NodeId, &Dewey)> = Vec::new();
+        let mut rooted = false;
+        let mut rest = &self.entries[..];
+        while let Some(first) = rest.first() {
+            let same = rest
+                .iter()
+                .take_while(|e| e.dewey == first.dewey && e.elem == first.elem)
+                .count();
+            let text = rest[..same].iter().find_map(|e| e.text);
+            rest = &rest[same..];
+            let refused = |why: &str| {
+                let name = schema.name(first.elem);
+                Error::Xml(format!("{name} at {:?}: {why}", first.dewey.as_slice()))
+            };
+            match schema.node(first.elem).parent {
+                None => {
+                    if rooted {
+                        return Err(refused("a second document root"));
+                    }
+                    rooted = true;
+                }
+                Some(parent) => {
+                    let Some(at) = first.parent else {
+                        return Err(refused("its row names no parent instance"));
+                    };
+                    loop {
+                        match open.last() {
+                            Some(&(e, d)) if e == parent && d == at => break,
+                            Some(_) => {
+                                open.pop();
+                                writer.end();
+                            }
+                            None => {
+                                return Err(refused(&format!(
+                                    "no parent instance {} at {:?}",
+                                    schema.name(parent),
+                                    at.as_slice()
+                                )))
+                            }
+                        }
+                    }
+                }
             }
-            let mut children = inst.children.clone();
-            children.sort_by(|&a, &b| arena[a].dewey.cmp(&arena[b].dewey));
-            for c in children {
-                emit(arena, schema, w, c);
+            writer.start(schema.name(first.elem));
+            if let Some(t) = text {
+                writer.text(t);
             }
-            w.end();
+            open.push((first.elem, &first.dewey));
         }
-        roots.sort_by(|&a, &b| self.arena[a].dewey.cmp(&self.arena[b].dewey));
-        for r in roots {
-            emit(&self.arena, self.schema, &mut writer, r);
+        for _ in open {
+            writer.end();
         }
         Ok(writer.finish())
     }
@@ -320,12 +324,58 @@ pub fn tag(schema: &SchemaTree, feed: &Feed) -> Result<String> {
 }
 
 /// Tags a set of fragment feeds directly — outer-union publishing, where
-/// no relational combine runs at all and the tagger's hash index performs
-/// the only assembly work.
+/// no relational combine runs at all and the tagger's sort performs the
+/// only assembly work.
 pub fn tag_feeds(schema: &SchemaTree, feeds: &[Feed]) -> Result<String> {
     let mut tagger = Tagger::new(schema);
     for feed in feeds {
         tagger.add_feed(feed)?;
     }
     tagger.finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fragment::testutil::customer_schema;
+    use crate::shred::shred;
+
+    const DOC: &str = "<Customer><CustName>ACME</CustName>\
+        <Order><Service><ServiceName>local</ServiceName>\
+        <Line><TelNo>555-0101</TelNo><Switch><SwitchID>s1</SwitchID></Switch>\
+        <Feature><FeatureID>f1</FeatureID></Feature></Line></Service></Order>\
+        <Order><Service><ServiceName>long</ServiceName></Service></Order></Customer>";
+
+    #[test]
+    fn tagging_inverts_shredding_in_any_feed_order() {
+        let schema = customer_schema();
+        let mf = Fragmentation::most_fragmented("MF", &schema);
+        let mut feeds = shred(DOC, &schema, &mf).unwrap().feeds;
+        let published = tag_feeds(&schema, &feeds).unwrap();
+        assert_eq!(published.split_once("?>").unwrap().1, DOC);
+        feeds.reverse();
+        assert_eq!(tag_feeds(&schema, &feeds).unwrap(), published);
+    }
+
+    #[test]
+    fn an_instance_whose_parent_instance_is_absent_is_refused() {
+        let schema = customer_schema();
+        let mf = Fragmentation::most_fragmented("MF", &schema);
+        let feeds = shred(DOC, &schema, &mf).unwrap().feeds;
+        // Without the root fragment's feed, both orders and the name lose
+        // their parent: a document of three top-level elements.
+        let orphans = &feeds[1..];
+        assert_eq!(
+            tag_feeds(&schema, orphans).unwrap_err(),
+            Error::Xml("CustName at [1]: no parent instance Customer at []".into())
+        );
+        // Without the services, each service name loses its parent.
+        let service = mf.fragments.iter().position(|f| f.name == "SERVICE");
+        let mut feeds = feeds;
+        feeds.remove(service.unwrap());
+        assert_eq!(
+            tag_feeds(&schema, &feeds).unwrap_err(),
+            Error::Xml("ServiceName at [2, 1, 1]: no parent instance Service at [2, 1]".into())
+        );
+    }
 }

@@ -3,234 +3,361 @@
 //! The paper "implemented the SAX C API for expat" and "used a stack to
 //! maintain paths when parsing and discarded the content of the stack as
 //! soon as tuples were flushed". This module is the same design over our
-//! own SAX driver: a stack of open elements carrying Dewey positions; each
-//! fragment-root element accumulates a small instance tree that is
-//! expanded into feed rows and flushed the moment the element closes.
+//! own SAX driver, and the stack is the only walk: an element's rows are
+//! settled when its end tag arrives, after its children's, so a document
+//! as deep as the parser accepts shreds without recursion (DESIGN §26).
+//!
+//! * One slot per schema element, indexed by `NodeId`, says where its
+//!   cells go: its fragment, its id and value columns there, and whether
+//!   it roots the fragment. No cell looks up a column by hash.
+//! * A closed element whose subtree makes one row keeps that row as
+//!   loose cells on a reused stack; several rows are allocated once, at
+//!   their fragment's arity, and move upward as their ancestors close.
+//!   Each ancestor writes its cells into them; a string cell is allocated
+//!   once per row it lands in.
+//! * Text accumulates in one reused buffer: everything after an open
+//!   element's offset is its text while it is the innermost element.
+//! * When a fragment root closes, its rows get the `PARENT` reference and
+//!   join the fragment's feed, and the stacks drop back to where the
+//!   instance began.
+//!
+//! A document must nest its elements as the schema does: an element
+//! under a parent the schema does not give it is refused.
 
 use crate::error::{Error, Result};
 use crate::fragment::Fragmentation;
-use std::collections::HashMap;
+use std::mem;
 use xdx_relational::feed::ColRole;
 use xdx_relational::{Dewey, Feed, FeedSchema, Value};
 use xdx_xml::event::Attribute;
 use xdx_xml::sax::{self, Handler};
 use xdx_xml::{NodeId, SchemaTree};
 
-/// A node of the in-flight instance tree of one open fragment instance.
-#[derive(Debug)]
-struct InstNode {
-    elem: NodeId,
-    dewey: Dewey,
-    text: String,
-    children: Vec<InstNode>,
+/// Where one schema element's cells go.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    frag: usize,
+    id_col: usize,
+    /// `None` for an element without text.
+    val_col: Option<usize>,
+    /// The element roots its fragment: its instance flushes when it closes.
+    root: bool,
 }
 
-struct OpenElem {
+/// An element between its start and end tags.
+struct Open {
     elem: NodeId,
+    slot: Slot,
     dewey: Dewey,
-    child_count: u32,
-    /// Instance node being built (taken on close). `None` only while the
-    /// node is parked in this slot pending children.
-    inst: Option<InstNode>,
-    is_fragment_root: bool,
+    children: u32,
+    /// Its text is `text[text_at..]` while it is the innermost open
+    /// element: a closed child's text is cut off again.
+    text_at: usize,
+    /// Where its closed children's results begin on the three stacks.
+    cells_at: usize,
+    rows_at: usize,
+    kids_at: usize,
+}
+
+/// The rows a closed element's subtree makes, waiting for its parent to
+/// close: one row still as loose cells (`cells[at..at + len]`), or
+/// several rows already allocated (`rows[at..at + len]`).
+#[derive(Debug, Clone, Copy)]
+struct Kid {
+    elem: NodeId,
+    one_row: bool,
+    at: usize,
+    len: usize,
+}
+
+/// One fragment's feed under construction.
+struct Out {
+    schema: FeedSchema,
+    parent_col: usize,
+    rows: Vec<Vec<Value>>,
 }
 
 struct Shredder<'a> {
     schema: &'a SchemaTree,
-    frag: &'a Fragmentation,
-    stack: Vec<OpenElem>,
-    /// Per fragment: its feed's schema, and the rows shredded so far
-    /// (wrapped into the feed once, when the document ends).
-    schemas: Vec<FeedSchema>,
-    rows: Vec<Vec<Vec<Value>>>,
-    /// Per fragment: (element, role) → column index, precomputed.
-    columns: Vec<HashMap<(NodeId, ColRole), usize>>,
+    slots: Vec<Slot>,
+    out: Vec<Out>,
+    stack: Vec<Open>,
+    text: String,
+    /// Closed elements' results waiting for their parents: the loose
+    /// cells `(column, value)` of one-row results, the allocated rows of
+    /// several-row ones, and which element each result belongs to.
+    cells: Vec<(usize, Value)>,
+    rows: Vec<Vec<Value>>,
+    kids: Vec<Kid>,
+    /// Scratch of `expand`, kept for its capacity.
+    order: Vec<(usize, usize)>,
+    acc: Vec<std::ops::Range<usize>>,
+    skeleton: Vec<usize>,
     rows_emitted: u64,
 }
 
 impl<'a> Shredder<'a> {
     fn new(schema: &'a SchemaTree, frag: &'a Fragmentation) -> Shredder<'a> {
-        let mut schemas = Vec::with_capacity(frag.len());
-        let mut columns = Vec::with_capacity(frag.len());
-        for f in &frag.fragments {
+        let mut slots = vec![Slot::default(); schema.len()];
+        let mut out = Vec::with_capacity(frag.len());
+        for (fi, f) in frag.fragments.iter().enumerate() {
             let fs = f.feed_schema(schema);
-            let mut map = HashMap::new();
             for (ci, col) in fs.columns.iter().enumerate() {
                 let elem = schema
                     .by_name(&col.element)
                     .expect("fragment schema element");
-                map.insert((elem, col.role), ci);
+                let slot = &mut slots[elem.index()];
+                match col.role {
+                    ColRole::NodeId => {
+                        *slot = Slot {
+                            frag: fi,
+                            id_col: ci,
+                            val_col: None,
+                            root: elem == f.root,
+                        }
+                    }
+                    ColRole::Value => slot.val_col = Some(ci),
+                    ColRole::ParentRef => {}
+                }
             }
-            columns.push(map);
-            schemas.push(fs);
+            out.push(Out {
+                parent_col: fs
+                    .parent_ref_col()
+                    .expect("a fragment feed carries its root's PARENT"),
+                schema: fs,
+                rows: Vec::new(),
+            });
         }
         Shredder {
             schema,
-            frag,
+            slots,
+            out,
             stack: Vec::new(),
-            rows: vec![Vec::new(); schemas.len()],
-            schemas,
-            columns,
+            text: String::new(),
+            cells: Vec::new(),
+            rows: Vec::new(),
+            kids: Vec::new(),
+            order: Vec::new(),
+            acc: Vec::new(),
+            skeleton: Vec::new(),
             rows_emitted: 0,
         }
     }
 
-    /// Expands a finished fragment-instance tree into combination rows and
-    /// appends them to the fragment's feed.
-    fn flush(&mut self, frag_idx: usize, parent_dewey: Dewey, inst: InstNode) -> Result<()> {
-        let schema = &self.schemas[frag_idx];
-        let arity = schema.arity();
-        let cols = &self.columns[frag_idx];
-        let value_cols: Vec<usize> = schema
-            .columns
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.role == ColRole::Value)
-            .map(|(i, _)| i)
-            .collect();
-        let mut template: Vec<Value> = vec![Value::Null; arity];
-        let parent_col = schema
-            .parent_ref_col()
-            .ok_or_else(|| Error::Engine("fragment feed lacks PARENT".into()))?;
-        template[parent_col] = Value::Dewey(parent_dewey);
-        let mut rows = vec![template];
-        expand(cols, &value_cols, &inst, &mut rows)?;
-        // The PARENT reference survives both attachment modes: the inline
-        // path merges the template (which carries it) into every branch
-        // row, and the outer-union skeleton only blanks Value columns.
-        debug_assert!(rows.iter().all(|r| !r[parent_col].is_null()));
-        self.rows_emitted += rows.len() as u64;
-        self.rows[frag_idx].extend(rows);
-        Ok(())
+    /// The element `name` opening inside `parent`, which must be one of
+    /// the parent's schema children.
+    fn child_named(&self, parent: NodeId, name: &str) -> xdx_xml::Result<NodeId> {
+        let kids = &self.schema.node(parent).children;
+        let child = kids.iter().find(|&&c| self.schema.name(c) == name);
+        child.copied().ok_or_else(|| xdx_xml::Error::Schema {
+            detail: format!(
+                "element {name} is no schema child of {}",
+                self.schema.name(parent)
+            ),
+        })
+    }
+
+    /// Settles the rows of the element that just closed, `open`, whose
+    /// own cells are `cells[own_at..]` and whose children's results are
+    /// `kids[open.kids_at..]`, applying what a sequence of `Combine`
+    /// operations over the fragment's elements would materialise (see
+    /// `emit_group` in `xdx-relational`):
+    ///
+    /// * children are grouped by element, in order of first appearance,
+    ///   and each group's rows are its members' rows in document order;
+    /// * a group arriving while the element's rows are still one row
+    ///   *inlines*: that row's cells repeat on every row of the group;
+    /// * a group arriving once they are several is aligned outer-union
+    ///   style: its rows carry the identifiers of the first row (the
+    ///   skeleton), with no values, and are appended.
+    ///
+    /// This equivalence is what makes publish&map and the optimized
+    /// exchange land identical tables. Returns the element's result.
+    fn expand(&mut self, open: &Open, own_at: usize) -> Kid {
+        let kids_at = open.kids_at;
+        let arity = self.out[open.slot.frag].schema.arity();
+        // Children by (group, document order), a group keyed by where its
+        // element first appears.
+        let mut order = mem::take(&mut self.order);
+        order.clear();
+        let kids = &self.kids[kids_at..];
+        for (i, k) in kids.iter().enumerate() {
+            let group = kids[..i].iter().position(|p| p.elem == k.elem).unwrap_or(i);
+            order.push((group, i));
+        }
+        if !order.is_sorted() {
+            order.sort_unstable();
+        }
+
+        self.acc.clear();
+        self.acc.push(own_at..self.cells.len());
+        self.skeleton.clear();
+        let out_at = self.rows.len();
+        let mut first = None;
+        for group in order.chunk_by(|a, b| a.0 == b.0) {
+            let lead = self.kids[kids_at + group[0].1];
+            if first.is_none() && group.len() == 1 && lead.one_row {
+                // Inlines into a row that stays one row.
+                self.acc.push(lead.at..lead.at + lead.len);
+                continue;
+            }
+            let group_at = self.rows.len();
+            for &(_, i) in group {
+                let kid = self.kids[kids_at + i];
+                if kid.one_row {
+                    let row = row_of(arity, &mut self.cells[kid.at..kid.at + kid.len]);
+                    self.rows.push(row);
+                } else {
+                    for r in kid.at..kid.at + kid.len {
+                        let row = mem::take(&mut self.rows[r]);
+                        self.rows.push(row);
+                    }
+                }
+            }
+            match first {
+                None => {
+                    // Inlines: the one row's cells repeat on every row of
+                    // the group, cloned into all but the last, moved into
+                    // that one.
+                    let last = self.rows.len() - 1;
+                    for range in &self.acc {
+                        for (c, v) in &mut self.cells[range.clone()] {
+                            for row in &mut self.rows[group_at..last] {
+                                row[*c] = v.clone();
+                            }
+                            self.rows[last][*c] = mem::take(v);
+                        }
+                    }
+                    let lead_row = &self.rows[group_at];
+                    self.skeleton
+                        .extend((0..arity).filter(|&c| matches!(lead_row[c], Value::Dewey(_))));
+                    first = Some(group_at);
+                }
+                Some(first) => {
+                    for r in group_at..self.rows.len() {
+                        for &c in &self.skeleton {
+                            let id = self.rows[first][c].clone();
+                            self.rows[r][c] = id;
+                        }
+                    }
+                }
+            }
+        }
+        self.order = order;
+        self.kids.truncate(kids_at);
+        if first.is_none() {
+            // Every group inlined one row: the element's row is every
+            // cell on the stack above it.
+            return Kid {
+                elem: open.elem,
+                one_row: true,
+                at: open.cells_at,
+                len: self.cells.len() - open.cells_at,
+            };
+        }
+        // The children's rows moved up; what they left behind is empty.
+        self.rows.drain(open.rows_at..out_at);
+        self.cells.truncate(open.cells_at);
+        Kid {
+            elem: open.elem,
+            one_row: false,
+            at: open.rows_at,
+            len: self.rows.len() - open.rows_at,
+        }
+    }
+
+    /// Appends the rows of a fragment instance whose root just closed to
+    /// its fragment's feed, each with the `PARENT` reference.
+    fn flush(&mut self, open: &Open, inst: Kid, parent: Dewey) {
+        let out = &mut self.out[open.slot.frag];
+        let arity = out.schema.arity();
+        if inst.one_row {
+            let mut row = row_of(arity, &mut self.cells[inst.at..inst.at + inst.len]);
+            row[out.parent_col] = Value::Dewey(parent);
+            out.rows.push(row);
+        } else {
+            out.rows.extend(self.rows.drain(inst.at..).map(|mut row| {
+                row[out.parent_col] = Value::Dewey(parent.clone());
+                row
+            }));
+        }
+        self.rows_emitted += if inst.one_row { 1 } else { inst.len as u64 };
+        self.cells.truncate(open.cells_at);
+        self.rows.truncate(open.rows_at);
     }
 }
 
-/// Expands `node` into `rows`, mirroring exactly what a sequence of
-/// `Combine` operations over the fragment's elements would materialize
-/// (see `emit_group` in `xdx-relational`):
-///
-/// * a child branch expanding a *single-row* accumulator inlines
-///   (parent values repeated per child row),
-/// * a child branch arriving at an *already expanded* accumulator is
-///   aligned outer-union style: existing rows pass through, and the
-///   branch's rows ride on a skeleton carrying the parent's identifiers
-///   with value columns blanked.
-///
-/// This equivalence is what makes publish&map and the optimized exchange
-/// land identical tables.
-fn expand(
-    cols: &HashMap<(NodeId, ColRole), usize>,
-    value_cols: &[usize],
-    node: &InstNode,
-    rows: &mut Vec<Vec<Value>>,
-) -> Result<()> {
-    debug_assert_eq!(rows.len(), 1, "expand starts from a single template row");
-    if let Some(&id_col) = cols.get(&(node.elem, ColRole::NodeId)) {
-        rows[0][id_col] = Value::Dewey(node.dewey.clone());
+/// A row of `arity` holding `cells`, moved out of the stack.
+fn row_of(arity: usize, cells: &mut [(usize, Value)]) -> Vec<Value> {
+    let mut row = vec![Value::Null; arity];
+    for (c, v) in cells {
+        row[*c] = mem::take(v);
     }
-    if let Some(&val_col) = cols.get(&(node.elem, ColRole::Value)) {
-        let trimmed = node.text.trim();
-        if !trimmed.is_empty() {
-            rows[0][val_col] = Value::Str(trimmed.to_string());
-        }
-    }
-    // Group children by element, preserving document order inside groups.
-    let mut groups: Vec<(NodeId, Vec<&InstNode>)> = Vec::new();
-    for child in &node.children {
-        match groups.iter_mut().find(|(e, _)| *e == child.elem) {
-            Some((_, v)) => v.push(child),
-            None => groups.push((child.elem, vec![child])),
-        }
-    }
-    for (_, group) in groups {
-        // Build the branch's rows independently, then attach.
-        let mut branch_rows: Vec<Vec<Value>> = Vec::new();
-        for inst in group {
-            let mut sub = vec![vec![Value::Null; rows[0].len()]];
-            expand(cols, value_cols, inst, &mut sub)?;
-            branch_rows.extend(sub);
-        }
-        if branch_rows.is_empty() {
-            continue;
-        }
-        let merge = |base: &[Value], branch: &Vec<Value>| -> Vec<Value> {
-            base.iter()
-                .zip(branch)
-                .map(|(b, c)| if c.is_null() { b.clone() } else { c.clone() })
-                .collect()
-        };
-        if rows.len() == 1 {
-            // Inline: the single parent row repeats per branch row.
-            let base = rows[0].clone();
-            *rows = branch_rows.iter().map(|br| merge(&base, br)).collect();
-        } else {
-            // Outer-union alignment onto an already expanded accumulator.
-            let mut skeleton = rows[0].clone();
-            for &vc in value_cols {
-                skeleton[vc] = Value::Null;
-            }
-            rows.extend(branch_rows.iter().map(|br| merge(&skeleton, br)));
-        }
-    }
-    Ok(())
+    row
 }
 
 impl Handler for Shredder<'_> {
     fn start_element(&mut self, name: &str, _attributes: &[Attribute]) -> xdx_xml::Result<()> {
-        let elem = self
-            .schema
-            .by_name(name)
-            .ok_or_else(|| xdx_xml::Error::Schema {
-                detail: format!("unknown element {name}"),
-            })?;
-        let dewey = match self.stack.last_mut() {
+        let (elem, dewey) = match self.stack.last_mut() {
             Some(parent) => {
-                parent.child_count += 1;
-                parent.dewey.child(parent.child_count)
+                parent.children += 1;
+                let dewey = parent.dewey.child(parent.children);
+                let parent = parent.elem;
+                (self.child_named(parent, name)?, dewey)
             }
-            None => Dewey::root(),
+            None => {
+                let elem = self
+                    .schema
+                    .by_name(name)
+                    .filter(|e| self.slots[e.index()].root)
+                    .ok_or_else(|| xdx_xml::Error::Schema {
+                        detail: format!("document element {name} roots no fragment"),
+                    })?;
+                (elem, Dewey::root())
+            }
         };
-        let is_fragment_root = self.frag.fragments[self.frag.fragment_of(elem)].root == elem;
-        self.stack.push(OpenElem {
+        self.stack.push(Open {
             elem,
-            dewey: dewey.clone(),
-            child_count: 0,
-            inst: Some(InstNode {
-                elem,
-                dewey,
-                text: String::new(),
-                children: Vec::new(),
-            }),
-            is_fragment_root,
+            slot: self.slots[elem.index()],
+            dewey,
+            children: 0,
+            text_at: self.text.len(),
+            cells_at: self.cells.len(),
+            rows_at: self.rows.len(),
+            kids_at: self.kids.len(),
         });
         Ok(())
     }
 
     fn end_element(&mut self, _name: &str) -> xdx_xml::Result<()> {
-        let mut closed = self.stack.pop().expect("parser guarantees balance");
-        let inst = closed.inst.take().expect("instance present until close");
-        if closed.is_fragment_root {
-            let frag_idx = self.frag.fragment_of(closed.elem);
-            let parent_dewey = self
-                .stack
-                .last()
-                .map(|p| p.dewey.clone())
-                .unwrap_or_else(Dewey::root);
-            self.flush(frag_idx, parent_dewey, inst)
-                .map_err(|e| xdx_xml::Error::Schema {
-                    detail: e.to_string(),
-                })?;
-        } else {
-            // Belongs to the same fragment as its parent element: attach.
-            let parent = self.stack.last_mut().expect("non-root element has parent");
-            parent.inst.as_mut().expect("open").children.push(inst);
+        let mut open = self.stack.pop().expect("parser guarantees balance");
+        let own_at = self.cells.len();
+        let id = mem::take(&mut open.dewey);
+        let parent = open.slot.root.then(|| match self.stack.last() {
+            Some(p) => p.dewey.clone(),
+            None => Dewey::root(),
+        });
+        self.cells.push((open.slot.id_col, Value::Dewey(id)));
+        if let Some(vc) = open.slot.val_col {
+            let text = self.text[open.text_at..].trim();
+            if !text.is_empty() {
+                self.cells.push((vc, Value::Str(text.to_owned())));
+            }
+            self.text.truncate(open.text_at);
+        }
+        let result = self.expand(&open, own_at);
+        match parent {
+            Some(parent) => self.flush(&open, result, parent),
+            None => self.kids.push(result),
         }
         Ok(())
     }
 
     fn characters(&mut self, text: &str) -> xdx_xml::Result<()> {
-        if let Some(top) = self.stack.last_mut() {
-            top.inst.as_mut().expect("open").text.push_str(text);
+        if let Some(top) = self.stack.last() {
+            if top.slot.val_col.is_some() {
+                self.text.push_str(text);
+            }
         }
         Ok(())
     }
@@ -252,13 +379,14 @@ pub struct Shredded {
 pub fn shred(xml: &str, schema: &SchemaTree, frag: &Fragmentation) -> Result<Shredded> {
     let mut shredder = Shredder::new(schema, frag);
     let elements = sax::drive(xml, &mut shredder).map_err(|e| Error::Xml(e.to_string()))?;
-    let feeds = shredder.schemas.into_iter().zip(shredder.rows);
     Ok(Shredded {
         rows: shredder.rows_emitted,
-        feeds: feeds
-            .map(|(schema, rows)| Feed {
-                schema,
-                rows: rows.into(),
+        feeds: shredder
+            .out
+            .into_iter()
+            .map(|out| Feed {
+                schema: out.schema,
+                rows: out.rows.into(),
             })
             .collect(),
         elements,

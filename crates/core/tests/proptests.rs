@@ -10,7 +10,7 @@ use xdx_core::cost::{CostModel, SchemaStats, SystemProfile};
 use xdx_core::gen::Generator;
 use xdx_core::mapping::Mapping;
 use xdx_core::program::Op;
-use xdx_core::publish::{publish, tag};
+use xdx_core::publish::{publish, publish_with_plan, tag, tag_feeds, PublishPlan};
 use xdx_core::shred::shred;
 use xdx_core::{greedy, optimal, Fragmentation};
 use xdx_relational::Database;
@@ -120,6 +120,27 @@ proptest! {
         let second = shred(body, &schema, &whole).unwrap();
         let twice = tag(&schema, &second.feeds[0]).unwrap();
         prop_assert_eq!(once, twice);
+    }
+
+    /// The tagger's two input shapes agree: one combined feed
+    /// (`SingleQuery`) and the raw fragment feeds (`OuterUnion`) publish
+    /// the same bytes, and the raw feeds tag alike in reverse order.
+    #[test]
+    fn tagging_is_independent_of_plan_and_feed_order(seed in 0u64..1000, n in 3usize..16,
+                                                     cuts in 0usize..5) {
+        let schema = random_schema(seed, n);
+        let doc = random_document(&schema, seed ^ 11);
+        let frag = random_frag(&schema, seed ^ 12, cuts);
+        let mut feeds = shred(&doc, &schema, &frag).unwrap().feeds;
+        let mut db = Database::new("s");
+        for (f, feed) in frag.fragments.iter().zip(feeds.iter().cloned()) {
+            db.load(&f.name, feed).unwrap();
+        }
+        let single = publish_with_plan(&schema, &frag, &mut db, PublishPlan::SingleQuery).unwrap();
+        let union = publish_with_plan(&schema, &frag, &mut db, PublishPlan::OuterUnion).unwrap();
+        prop_assert_eq!(&single.xml, &union.xml);
+        feeds.reverse();
+        prop_assert_eq!(tag_feeds(&schema, &feeds).unwrap(), union.xml);
     }
 
     /// Program op counts follow the mapping arithmetic: combines =

@@ -30,7 +30,10 @@ const INDENT: &str = "                                ";
 /// ```
 pub struct Writer {
     out: String,
-    stack: Vec<String>,
+    /// The open elements' names, innermost last, in one buffer, and
+    /// where each starts in it.
+    names: String,
+    stack: Vec<usize>,
     /// True while the current start tag is still open (`<name` written but
     /// not yet `>`), i.e. attributes may still be added.
     tag_open: bool,
@@ -50,6 +53,7 @@ impl Writer {
     pub fn new() -> Self {
         Writer {
             out: String::new(),
+            names: String::new(),
             stack: Vec::new(),
             tag_open: false,
             pretty: false,
@@ -108,7 +112,8 @@ impl Writer {
         self.indent();
         self.out.push('<');
         self.out.push_str(name);
-        self.stack.push(name.to_string());
+        self.stack.push(self.names.len());
+        self.names.push_str(name);
         self.tag_open = true;
         self.had_text = false;
     }
@@ -151,7 +156,7 @@ impl Writer {
     ///
     /// Collapses `<a></a>` to `<a/>` when the element had no content.
     pub fn end(&mut self) {
-        let name = self.stack.pop().expect("end() with no open element");
+        let at = self.stack.pop().expect("end() with no open element");
         if self.tag_open {
             self.out.push_str("/>");
             self.tag_open = false;
@@ -160,9 +165,10 @@ impl Writer {
                 self.indent();
             }
             self.out.push_str("</");
-            self.out.push_str(&name);
+            self.out.push_str(&self.names[at..]);
             self.out.push('>');
         }
+        self.names.truncate(at);
         self.had_text = false;
     }
 

@@ -8,8 +8,11 @@
 //! recursive walk of a deep tree would overflow here.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use xdx::core::pm::publish_and_map;
+use xdx::core::publish::publish;
 use xdx::core::Fragmentation;
-use xdx::net::SoapEnvelope;
+use xdx::net::{Link, NetworkProfile, SoapEnvelope};
+use xdx::relational::{Database, Dewey, Value};
 use xdx::wsdl::{plumbing, FragmentDecl, FragmentationDecl, Plumbing, WsdlDefinition};
 use xdx::xml::dtd::Dtd;
 use xdx::xml::parser::parse_events;
@@ -217,6 +220,35 @@ fn a_200k_level_schema_writes_as_xsd_and_as_wsdl() {
         let wsdl = wsdl_for(schema).to_xml();
         assert_eq!(wsdl.matches("<element ").count(), LEVELS);
         assert!(wsdl.ends_with("</definitions>"));
+    });
+}
+
+/// Publish&map of a chain nearly as deep as the parser accepts, from
+/// one fragment per element to the whole document: the shredder and the
+/// tagger walk it with stacks of their own, not the thread's.
+#[test]
+fn publish_and_map_of_a_4000_level_chain_on_a_small_stack() {
+    const LEVELS: usize = 4_000;
+    on_small_stack(|| {
+        let schema = chain(LEVELS);
+        let open: String = (0..LEVELS).map(|i| format!("<e{i}>")).collect();
+        let close: String = (0..LEVELS).rev().map(|i| format!("</e{i}>")).collect();
+        let doc = format!("{open}leaf{close}");
+        let mf = Fragmentation::most_fragmented("MF", &schema);
+        let whole = Fragmentation::whole_document("W", &schema);
+        let mut source = xdx::xmark::load_source(&doc, &schema, &mf).unwrap();
+        let mut target = Database::new("target");
+        let mut link = Link::new(NetworkProfile::lan());
+        let report =
+            publish_and_map(&schema, &mf, &whole, &mut source, &mut target, &mut link).unwrap();
+        assert_eq!(report.rows_loaded, 1);
+        let landed = target.scan(&whole.fragments[0].name).unwrap();
+        let row = &landed.rows[0];
+        assert_eq!(row.len(), 1 + LEVELS + 1);
+        assert_eq!(row[LEVELS], Value::Dewey(Dewey::from(vec![1; LEVELS - 1])));
+        assert_eq!(row[LEVELS + 1], Value::Str("leaf".into()));
+        let published = publish(&schema, &whole, &mut target).unwrap();
+        assert_eq!(published.xml.split_once("?>").unwrap().1, doc);
     });
 }
 
