@@ -5,20 +5,14 @@
 //! 2. **Join strategy**: merge vs hash `Combine` (measured on item feeds).
 //! 3. **Wire format**: prefix-compressed Dewey ids vs a naive expansion
 //!    (shipped bytes).
-//! 4. **Parallel execution** (the paper's unpursued opportunity): wall
-//!    time of the component-parallel executor vs sequential on `MF → MF`.
-//! 5. **Dumb client**: planned cost with and without target-side combines.
+//! 4. **Dumb client**: planned cost with and without target-side combines.
 
 use std::time::Instant;
 use xdx_core::cost::{CostModel, SchemaStats, SystemProfile};
-use xdx_core::exec::execute;
-use xdx_core::exec_parallel::execute_parallel;
 use xdx_core::gen::Generator;
-use xdx_core::program::{Location, Op};
-use xdx_core::{greedy, optimal, Fragmentation};
-use xdx_net::{Link, NetworkProfile};
+use xdx_core::{greedy, optimal};
 use xdx_relational::ops::{hash_combine, merge_combine, ChainHint};
-use xdx_relational::{Counters, Database};
+use xdx_relational::Counters;
 
 fn main() {
     let schema = xdx_xmark::schema();
@@ -111,56 +105,9 @@ fn main() {
     );
 
     // ------------------------------------------------------------------
-    println!("## 4. Parallel execution (MF→MF, 24 independent Scan→Write chains)\n");
-    let gen_mm = Generator::new(&schema, &mf, &mf);
-    let mut program = gen_mm.canonical().expect("canonical");
-    for n in &mut program.nodes {
-        n.location = match n.op {
-            Op::Write { .. } => Location::Target,
-            _ => Location::Source,
-        };
-    }
-    for threads in [1usize, 2, 4, 8] {
-        let mut source = xdx_xmark::load_source(&doc, &schema, &mf).expect("loads");
-        let mut target = Database::new("t");
-        let mut link = Link::new(NetworkProfile::lan());
-        let start = Instant::now();
-        if threads == 1 {
-            execute(
-                &schema,
-                &mf,
-                &mf,
-                &program,
-                &mut source,
-                &mut target,
-                &mut link,
-            )
-            .expect("runs");
-        } else {
-            execute_parallel(
-                &schema,
-                &mf,
-                &mf,
-                &program,
-                &mut source,
-                &mut target,
-                &mut link,
-                threads,
-            )
-            .expect("runs");
-        }
-        println!(
-            "{} thread(s): {:>7.1} ms wall",
-            threads,
-            start.elapsed().as_secs_f64() * 1000.0
-        );
-    }
-    println!();
-
-    // ------------------------------------------------------------------
     // With equal systems the combines sit at the source anyway; the dumb
     // client's handicap shows when the target is the fast machine.
-    println!("## 5. Dumb client vs fast target (MF→LF planned cost, target 10×)\n");
+    println!("## 4. Dumb client vs fast target (MF→LF planned cost, target 10×)\n");
     let gen = Generator::new(&schema, &mf, &lf);
     let mut fast_model = model.clone();
     fast_model.target = SystemProfile::with_speed(10.0);
@@ -174,5 +121,4 @@ fn main() {
         "losing target-side combines costs {:.1}% (all combines forced to the slow source)",
         (dumb_cost / fast_cost - 1.0) * 100.0
     );
-    let _ = Fragmentation::whole_document("w", &schema);
 }

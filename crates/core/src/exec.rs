@@ -130,9 +130,7 @@ pub struct ExecOutcome {
     /// Rows loaded at the target.
     pub rows_loaded: u64,
     /// Per-operator wall-time samples, in execution order, ending with
-    /// the commit and index epilogue. The parallel executor reports the
-    /// epilogue alone: its workers' operators overlap in time, so their
-    /// wall is split between the two query steps instead.
+    /// the commit and index epilogue.
     pub op_samples: Vec<OpSample>,
 }
 
@@ -292,12 +290,12 @@ impl FeedStore {
 }
 
 /// The one operator loop. The source phase, the target phase, the
-/// blocking executor built from the two, the in-place executor, the
-/// parallel executor's workers and single-query publishing all run
-/// their nodes through [`NodeLoop::run`], so operator semantics, input
-/// ownership and timing cannot diverge between them. `Scan` yields a
-/// handle on the stored table's rows (a selection filters them into a
-/// feed of its own); what a `Write` does with its feed is the caller's.
+/// blocking executor built from the two, the in-place executor and
+/// single-query publishing all run their nodes through
+/// [`NodeLoop::run`], so operator semantics, input ownership and timing
+/// cannot diverge between them. `Scan` yields a handle on the stored
+/// table's rows (a selection filters them into a feed of its own); what a
+/// `Write` does with its feed is the caller's.
 pub(crate) struct NodeLoop<'a> {
     schema: &'a SchemaTree,
     source_frag: &'a Fragmentation,

@@ -22,8 +22,6 @@
 //!   two placers above; fanout is a [`cost`] model input (§6 future work)
 //! * [`exec`] — the runtime: executes a placed program against real stores
 //!   over a simulated link (§5.2)
-//! * [`exec_parallel`] — component-parallel execution (the parallelism
-//!   opportunity §5.2 notes but does not pursue)
 //! * [`selection`] — parameterized services: argument-driven subsetting
 //!   with selectivity-aware costing (§3.2, §4.1)
 //! * [`derived`] — fragments computed by service calls, e.g. the
@@ -41,7 +39,6 @@ pub mod cost;
 pub mod derived;
 pub mod error;
 pub mod exec;
-pub mod exec_parallel;
 pub mod fragment;
 pub mod gen;
 pub mod greedy;

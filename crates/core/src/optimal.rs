@@ -62,16 +62,6 @@ pub fn cost_based_optim(
     Ok((placed, cost))
 }
 
-/// Worst valid placement of one program (finite costs only).
-pub fn worst_placement(
-    schema: &SchemaTree,
-    model: &CostModel,
-    program: &Program,
-) -> Result<(Program, f64)> {
-    let (placed, cost, _) = search_placements(schema, model, program, Objective::Max)?;
-    Ok((placed, cost))
-}
-
 fn search_placements(
     schema: &SchemaTree,
     model: &CostModel,

@@ -310,8 +310,8 @@ pub fn merge_combine(
 }
 
 /// Hash-join implementation of `Combine` (same semantics as
-/// [`merge_combine`]); provided for the ablation benches comparing join
-/// strategies.
+/// [`merge_combine`]); provided for the `ablation` binary's comparison
+/// of join strategies.
 pub fn hash_combine(
     parent: &Feed,
     child: &Feed,

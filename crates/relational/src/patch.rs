@@ -83,13 +83,6 @@ pub struct TablePatch {
     pub payload: Feed,
 }
 
-impl TablePatch {
-    /// Total rows the steps splice in.
-    pub fn rows_inserted(&self) -> u64 {
-        self.steps.iter().map(|s| u64::from(s.rows)).sum()
-    }
-}
-
 /// A versioned patch: the edits that take a target from `base_version`
 /// to `head_version` of an exchange's table set.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]

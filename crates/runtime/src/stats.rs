@@ -268,14 +268,6 @@ impl RuntimeStats {
             .map(Duration::from_nanos)
     }
 
-    /// Completed sessions per second of the given wall-clock window.
-    pub fn sessions_per_sec(&self, wall: Duration) -> f64 {
-        if wall.is_zero() {
-            return 0.0;
-        }
-        self.completed as f64 / wall.as_secs_f64()
-    }
-
     /// The full counter set as one JSON object — what the introspection
     /// endpoint serves at `/stats.json`. Latencies collapse to their
     /// histogram percentiles; links and tenants nest as arrays.

@@ -10,7 +10,8 @@
 //! ```
 //!
 //! All commands operate on the paper's Figure-7 auction schema; `--source`
-//! / `--target` / `--peer` accept `MF`, `LF` or `WHOLE`.
+//! / `--target` / `--peer` accept `MF`, `LF` or `WHOLE`. A command refuses
+//! an option it does not read.
 
 use std::collections::HashMap;
 use std::process::ExitCode;
@@ -30,26 +31,19 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let opts = match Opts::parse(rest) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let result = match command.as_str() {
-        "generate" => cmd_generate(&opts),
-        "shred" => cmd_shred(&opts),
-        "wsdl" => cmd_wsdl(&opts),
-        "plan" => cmd_plan(&opts),
-        "exchange" => cmd_exchange(&opts),
-        "compare" => cmd_compare(&opts),
-        "advise" => cmd_advise(&opts),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        other => Err(format!("unknown command {other:?}")),
+    if matches!(command.as_str(), "help" | "--help" | "-h") {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
+    let result = match COMMANDS.iter().find(|c| c.0 == command) {
+        Some(c) => match Opts::parse(c, rest) {
+            Ok(opts) => (c.1)(&opts),
+            Err(e) => {
+                eprintln!("error: {e}\n\n{USAGE}");
+                return ExitCode::FAILURE;
+            }
+        },
+        None => Err(format!("unknown command {command:?}")),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -68,16 +62,57 @@ COMMANDS
   generate   generate an auction document        --bytes N [--seed S] [--out FILE]
   shred      shred a document into a database    --doc FILE --fragmentation F --out DIR
   wsdl       print WSDL + fragmentation XML      --fragmentation MF|LF|WHOLE
-  plan       plan an exchange and show the DAG   --source F --target F
-             [--optimizer greedy|optimal] [--source-speed X] [--target-speed X]
-             [--dumb-client] [--doc FILE]
-  exchange   run an optimized exchange           --doc FILE --source F --target F
-             [--source-dir DIR] [--network lan|internet] [--parallel N]
-             [--select anchor:leaf=value] [--save-target DIR]
-  compare    optimized exchange vs publish&map   --doc FILE --source F --target F
+  plan       plan an exchange and show the DAG   --source F --target F [PLANNING]
+  exchange   run an optimized exchange           --source F --target F [PLANNING]
+             [--network lan|internet] [--save-target DIR]
+  compare    optimized exchange vs publish&map   --source F --target F [PLANNING]
              [--network lan|internet]
-  advise     recommend a fragmentation           --doc FILE --side source|target --peer F
+  advise     recommend a fragmentation           --side source|target --peer F [--doc FILE]
+
+PLANNING (plan, exchange, compare)
+             [--doc FILE | --source-dir DIR] [--optimizer greedy|optimal]
+             [--source-speed X] [--target-speed X] [--dumb-client]
+             [--select anchor:leaf=value]
 ";
+
+/// A command's name, its entry point and the option names it reads, in
+/// groups, as `USAGE` lists them.
+type Command = (
+    &'static str,
+    fn(&Opts) -> Result<(), String>,
+    &'static [&'static [&'static str]],
+);
+
+/// The options `plan`, `exchange` and `compare` read through
+/// [`build_exchange`] and [`source_db`].
+const PLANNING: &[&str] = &[
+    "source",
+    "target",
+    "doc",
+    "source-dir",
+    "optimizer",
+    "source-speed",
+    "target-speed",
+    "dumb-client",
+    "select",
+];
+
+const COMMANDS: &[Command] = &[
+    ("generate", cmd_generate, &[&["bytes", "seed", "out"]]),
+    ("shred", cmd_shred, &[&["doc", "fragmentation", "out"]]),
+    ("wsdl", cmd_wsdl, &[&["fragmentation"]]),
+    ("plan", cmd_plan, &[PLANNING]),
+    (
+        "exchange",
+        cmd_exchange,
+        &[PLANNING, &["network", "save-target"]],
+    ),
+    ("compare", cmd_compare, &[PLANNING, &["network"]]),
+    ("advise", cmd_advise, &[&["side", "peer", "doc"]]),
+];
+
+/// The options that are bare `--flag`s; every other one takes a value.
+const FLAGS: &[&str] = &["dumb-client"];
 
 /// Minimal `--key value` / `--flag` option parser.
 struct Opts {
@@ -86,7 +121,8 @@ struct Opts {
 }
 
 impl Opts {
-    fn parse(args: &[String]) -> Result<Opts, String> {
+    /// Parses `args` for `command`, refusing an option it does not read.
+    fn parse(&(command, _, names): &Command, args: &[String]) -> Result<Opts, String> {
         let mut values = HashMap::new();
         let mut flags = Vec::new();
         let mut it = args.iter().peekable();
@@ -94,11 +130,16 @@ impl Opts {
             let key = a
                 .strip_prefix("--")
                 .ok_or_else(|| format!("expected --option, got {a:?}"))?;
-            match it.peek() {
-                Some(v) if !v.starts_with("--") => {
-                    values.insert(key.to_string(), it.next().unwrap().clone());
-                }
-                _ => flags.push(key.to_string()),
+            if !names.iter().any(|group| group.contains(&key)) {
+                return Err(format!("unknown option --{key} for {command}"));
+            }
+            if FLAGS.contains(&key) {
+                flags.push(key.to_string());
+            } else {
+                let value = it
+                    .next_if(|v| !v.starts_with("--"))
+                    .ok_or_else(|| format!("--{key} needs a value"))?;
+                values.insert(key.to_string(), value.clone());
             }
         }
         Ok(Opts { values, flags })
@@ -289,35 +330,11 @@ fn cmd_exchange(opts: &Opts) -> Result<(), String> {
     let mut source = source_db(opts, &schema, &ex.source_frag)?;
     let mut target = Database::new("target");
     let mut link = Link::new(network(opts)?);
-    let threads: usize = opts.parse_num("parallel", 1)?;
-    if threads > 1 {
-        // Parallel path: plan explicitly, then run the component-parallel
-        // executor.
-        let model = ex.probe(&source).map_err(|e| e.to_string())?;
-        let (program, _) = ex.plan(&model).map_err(|e| e.to_string())?;
-        let outcome = xdx::core::exec_parallel::execute_parallel(
-            &schema,
-            &ex.source_frag,
-            &ex.target_frag,
-            &program,
-            &mut source,
-            &mut target,
-            &mut link,
-            threads,
-        )
+    let (report, program) = ex
+        .run(&mut source, &mut target, &mut link)
         .map_err(|e| e.to_string())?;
-        println!("parallel x{threads}: {}", outcome.times);
-        println!(
-            "shipped {} bytes in {} messages; {} rows loaded",
-            outcome.bytes_shipped, outcome.messages, outcome.rows_loaded
-        );
-    } else {
-        let (report, program) = ex
-            .run(&mut source, &mut target, &mut link)
-            .map_err(|e| e.to_string())?;
-        println!("{}", program.display(&schema));
-        println!("{report}");
-    }
+    println!("{}", program.display(&schema));
+    println!("{report}");
     println!("\ntarget tables:");
     for name in target.table_names() {
         println!(

@@ -57,20 +57,6 @@ fn generate_to_file_and_exchange() {
     assert!(stdout.contains("target tables:"));
     assert!(stdout.contains("ITEM_"));
 
-    let (ok, stdout, _) = xdx(&[
-        "exchange",
-        "--doc",
-        doc_str,
-        "--source",
-        "MF",
-        "--target",
-        "MF",
-        "--parallel",
-        "4",
-    ]);
-    assert!(ok);
-    assert!(stdout.contains("parallel x4"));
-
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -157,15 +143,7 @@ fn exchange_with_selection_subsets() {
 
 #[test]
 fn advise_recommends_a_fragmentation() {
-    let (ok, stdout, stderr) = xdx(&[
-        "advise",
-        "--side",
-        "source",
-        "--peer",
-        "LF",
-        "--doc-bytes-ignored",
-        "x",
-    ]);
+    let (ok, stdout, stderr) = xdx(&["advise", "--side", "source", "--peer", "LF"]);
     assert!(ok, "{stderr}");
     assert!(stdout.contains("advised fragmentation"));
     assert!(stdout.contains("planned cost"));
@@ -235,4 +213,42 @@ fn missing_required_option_is_reported() {
     let (ok, _, stderr) = xdx(&["exchange", "--source", "MF"]);
     assert!(!ok);
     assert!(stderr.contains("--target"));
+}
+
+#[test]
+fn options_a_command_does_not_read_are_refused() {
+    // A misspelt option must not fall back to a default silently.
+    let (ok, _, stderr) = xdx(&[
+        "plan",
+        "--source",
+        "LF",
+        "--target",
+        "MF",
+        "--optimzer",
+        "optimal",
+    ]);
+    assert!(!ok);
+    assert!(
+        stderr.contains("unknown option --optimzer for plan"),
+        "{stderr}"
+    );
+    // `exchange` has one executor; a thread count is not an option of it.
+    let (ok, _, stderr) = xdx(&[
+        "exchange",
+        "--source",
+        "MF",
+        "--target",
+        "MF",
+        "--parallel",
+        "8",
+    ]);
+    assert!(!ok);
+    assert!(
+        stderr.contains("unknown option --parallel for exchange"),
+        "{stderr}"
+    );
+    // An option given no value is refused too, not read as a flag.
+    let (ok, _, stderr) = xdx(&["plan", "--source", "LF", "--target", "MF", "--optimizer"]);
+    assert!(!ok);
+    assert!(stderr.contains("--optimizer needs a value"), "{stderr}");
 }
