@@ -1,6 +1,8 @@
 //! Figure 9: "Times for end-to-end transfer" — the stacked breakdown
 //! (processing at source, communication, shredding, loading, indexing) of
-//! DE vs PM for every scenario at 25 MB.
+//! DE vs PM for every scenario at 25 MB. DE's planning (probe + plan) and
+//! its codec (feed encode + decode) are columns of their own and count in
+//! both totals.
 //!
 //! Paper finding: "the optimized data exchange architecture provides
 //! saving between 23% and 43% in the overall execution depending on the
@@ -14,8 +16,10 @@ fn breakdown(w: &Workload, profile: NetworkProfile, label: &str) {
     println!("## {label}\n");
     header(&[
         "Run",
+        "planning",
         "src-proc",
         "tagging",
+        "codec",
         "comm",
         "tgt-proc",
         "shred",
@@ -31,8 +35,10 @@ fn breakdown(w: &Workload, profile: NetworkProfile, label: &str) {
         for r in [&de, &pm] {
             row(&[
                 format!("{} {}->{}", r.strategy, src, tgt),
+                secs(r.times.planning),
                 secs(r.times.source_queries),
                 secs(r.times.tagging),
+                secs(r.times.codec),
                 secs(r.times.communication),
                 secs(r.times.target_queries),
                 secs(r.times.shredding),

@@ -52,7 +52,7 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
-use xdx_relational::feed::append_wire;
+use xdx_relational::feed::{append_wire, ReadRows, Row};
 use xdx_relational::{
     word_sum, ColRole, DeltaPatch, Dewey, Error, Feed, FeedColumn, FeedSchema, PatchStep, Result,
     RowSlice, StepKind, TablePatch, Value,
@@ -381,13 +381,10 @@ fn append_columnar_frame(buf: &mut Vec<u8>, schema: &FeedSchema, rows: RowSlice<
         })
         .collect();
     let mut dict = Dictionary::default();
-    for (i, row) in rows.iter().enumerate() {
-        let (byte, shift) = (i / 4, (i % 4) * 2);
-        for (v, col) in row.iter().zip(&mut columns) {
-            let tag = col.push(v, &mut dict);
-            col.bytes[byte] |= tag << shift;
-        }
-    }
+    rows.read(ColumnarRows {
+        columns: &mut columns,
+        dict: &mut dict,
+    });
 
     dict.append_to(buf);
     for col in &columns {
@@ -396,6 +393,26 @@ fn append_columnar_frame(buf: &mut Vec<u8>, schema: &FeedSchema, rows: RowSlice<
 
     let sum = word_sum(&buf[frame_start..]);
     buf.extend_from_slice(&sum.to_le_bytes());
+}
+
+/// The columnar encoder's row walk: each cell's tag and payload onto its
+/// column, read where the rows sit.
+struct ColumnarRows<'c, 'a> {
+    columns: &'c mut [Column<'a>],
+    dict: &'c mut Dictionary<'a>,
+}
+
+impl<'a> ReadRows<'a> for ColumnarRows<'_, 'a> {
+    type Out = ();
+    fn read<R: Row<'a>>(self, len: usize, row: impl Fn(usize) -> R) {
+        for i in 0..len {
+            let (byte, shift) = (i / 4, (i % 4) * 2);
+            for (v, col) in row(i).cells().zip(self.columns.iter_mut()) {
+                let tag = col.push(v, self.dict);
+                col.bytes[byte] |= tag << shift;
+            }
+        }
+    }
 }
 
 // ----------------------------------------------------------------------

@@ -8,17 +8,18 @@
 //! its parts, a single part is the bare frame, and truncation, bit
 //! flips, lying lengths and trailing bytes are decode errors — never
 //! different parts. And the one-pass encoder writes exactly the bytes of
-//! the two-pass reference it replaced.
+//! the two-pass reference it replaced, and a view of a feed's rows the
+//! bytes of its copy.
 
 use proptest::prelude::*;
 use std::collections::HashMap;
 use xdx_codec::{
     decode_any, decode_feed, decode_parts, encode_feed, encode_in_format_into, encode_parts_into,
-    is_columnar, is_container, FeedPart, WireFormat, CONTAINER_MAGIC,
+    encode_rows_in_format_into, is_columnar, is_container, FeedPart, WireFormat, CONTAINER_MAGIC,
 };
 use xdx_net::{Delivery, FaultProfile, Link, NetworkProfile};
 use xdx_relational::word_sum;
-use xdx_relational::{ColRole, Dewey, Feed, FeedColumn, FeedSchema, Value};
+use xdx_relational::{ColRole, Dewey, Feed, FeedColumn, FeedSchema, Rows, Value};
 
 /// Cell vocabulary biased toward the dictionary's sweet spot: repeated
 /// phrases sharing tokens, plus the awkward cases — empty strings,
@@ -518,5 +519,60 @@ proptest! {
         encode_in_format_into(&mut frame, &feed, WireFormat::Columnar);
         prop_assert_eq!(&frame, &reference_encode(&feed));
         prop_assert_eq!(decode_any(&frame).expect("intact frame decodes"), feed);
+    }
+
+    /// A view (rows picked in any order, repeats allowed, each projected
+    /// to columns in any order) encodes, whole and by runs, to the bytes
+    /// its materialised copy encodes to, in both formats; a view of the
+    /// view too.
+    #[test]
+    fn a_view_encodes_to_its_copys_bytes(
+        ncols in 1usize..=MAX_ARITY,
+        roles in roles_strategy(),
+        rows in rows_strategy(),
+        picks in proptest::collection::vec(any::<usize>(), 0..30),
+        cols in proptest::collection::vec(any::<usize>(), 0..8),
+        cut in any::<usize>(),
+    ) {
+        let feed = build_feed(ncols, &roles, rows);
+        let picks: Vec<usize> = if feed.is_empty() {
+            Vec::new()
+        } else {
+            picks.into_iter().map(|p| p % feed.len()).collect()
+        };
+        let cols: Vec<usize> = cols.into_iter().map(|c| c % ncols).collect();
+        let schema = FeedSchema::new(
+            "site",
+            cols.iter().map(|&c| feed.schema.columns[c].clone()).collect(),
+        );
+        let view = Feed { schema: schema.clone(), rows: feed.rows.pick(picks.clone(), cols.clone()) };
+        // Again over the view: every other row, the columns reversed.
+        let again: Vec<usize> = (0..view.len()).step_by(2).collect();
+        let back: Vec<usize> = (0..cols.len()).rev().collect();
+        let nested = Feed {
+            schema: FeedSchema::new("site", back.iter().map(|&c| schema.columns[c].clone()).collect()),
+            rows: view.rows.pick(again, back),
+        };
+        for view in [view, nested] {
+            let mut copy = view.clone();
+            copy.rows.materialize();
+            prop_assert!(!Rows::ptr_eq(&copy.rows, &view.rows));
+            let cut = if view.is_empty() { 0 } else { cut % view.len() };
+            for xml in [true, false] {
+                let format = format_of(xml);
+                let (mut a, mut b) = (Vec::new(), Vec::new());
+                encode_in_format_into(&mut a, &view, format);
+                encode_in_format_into(&mut b, &copy, format);
+                prop_assert_eq!(&a, &b);
+                prop_assert_eq!(&decode_any(&a).expect("intact frame decodes"), &copy);
+                for range in [0..cut, cut..view.len()] {
+                    let schema = &view.schema;
+                    encode_rows_in_format_into(&mut a, schema, view.rows.slice(range.clone()), format);
+                    encode_rows_in_format_into(&mut b, schema, copy.rows.slice(range), format);
+                    prop_assert_eq!(&a, &b);
+                }
+            }
+            prop_assert_eq!(&view, &copy);
+        }
     }
 }

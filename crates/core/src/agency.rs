@@ -19,8 +19,9 @@ use crate::gen::Generator;
 use crate::greedy;
 use crate::optimal;
 use crate::program::Program;
-use crate::report::ExchangeReport;
+use crate::report::{ExchangeReport, StepTimes};
 use crate::selection::Selection;
+use std::time::Instant;
 use xdx_codec::WireFormat;
 use xdx_net::Link;
 use xdx_relational::Database;
@@ -182,15 +183,19 @@ impl<'a> DataExchange<'a> {
         }
     }
 
-    /// Runs the full optimized exchange (Steps 2–4) and reports.
+    /// Runs the full optimized exchange (Steps 2–4) and reports. The
+    /// report's `planning` is the probe and the plan, its `codec` the
+    /// feeds' encode and decode.
     pub fn run(
         &self,
         source: &mut Database,
         target: &mut Database,
         link: &mut Link,
     ) -> Result<(ExchangeReport, Program)> {
+        let start = Instant::now();
         let model = self.probe(source)?;
         let (program, _cost) = self.plan(&model)?;
+        let planning = start.elapsed();
         let qualifying = match &self.selection {
             Some(sel) => Some(sel.qualifying_ids(self.schema, source, &self.source_frag)?),
             None => None,
@@ -209,7 +214,10 @@ impl<'a> DataExchange<'a> {
         let report = ExchangeReport {
             strategy: "DE".into(),
             scenario: format!("{}->{}", self.source_frag.name, self.target_frag.name),
-            times: outcome.times,
+            times: StepTimes {
+                planning,
+                ..outcome.times
+            },
             bytes_shipped: outcome.bytes_shipped,
             messages: outcome.messages,
             op_counts: program.op_counts(),

@@ -112,7 +112,9 @@ pub struct OpSample {
 #[derive(Debug, Clone, Default)]
 pub struct ExecOutcome {
     /// Step timings (source/target queries, communication, loading,
-    /// indexing; tagging/shredding stay zero — they are publish&map steps).
+    /// indexing, and the codec where [`execute_with_transport`] encodes
+    /// and decodes; tagging/shredding stay zero — they are publish&map
+    /// steps — and planning is the caller's).
     pub times: StepTimes,
     /// Bytes shipped.
     pub bytes_shipped: u64,
@@ -195,7 +197,9 @@ pub fn execute_with_transport(
         outcome.messages_serialized += 1;
         let start = Instant::now();
         let len = encode_in_format_into(&mut encode_buf, &feed, transport.wire_format());
-        outcome.encode_ns += start.elapsed().as_nanos() as u64;
+        let encode = start.elapsed();
+        outcome.encode_ns += encode.as_nanos() as u64;
+        outcome.times.codec += encode;
         outcome.bytes_encoded += len as u64;
         let message = soap_post_bytes("/exchange", label, &encode_buf);
         drop(feed);
@@ -209,7 +213,9 @@ pub fn execute_with_transport(
         // sniffed, so a columnar sender and an XML sender land at the
         // same receiver code.
         let arrived = RequestRef::parse(&arrived).map_err(|e| Error::Engine(e.to_string()))?;
+        let start = Instant::now();
         delivered.insert(*port, decode_any(arrived.body)?);
+        outcome.times.codec += start.elapsed();
     }
     execute_target_phase(
         schema,
@@ -383,7 +389,10 @@ impl<'a> NodeLoop<'a> {
                 split(&inputs[0], &specs, counters)?
             }
             Op::Write { fragment } => {
-                let feed = inputs.pop().expect("validated arity");
+                // A table never holds a view: a Split's output is copied
+                // out here, once, and lets go of the Split's input.
+                let mut feed = inputs.pop().expect("validated arity");
+                feed.rows.materialize();
                 outcome.rows_loaded += feed.len() as u64;
                 write(*fragment, feed)?;
                 Vec::new()
@@ -738,12 +747,14 @@ pub fn batch_ranges(rows: usize, batch_rows: usize) -> impl Iterator<Item = Rang
 }
 
 /// Copies a Dewey-sorted feed out into one feed per [`batch_ranges`]
-/// range. (A shipper that owns the feed encodes each range in place.)
+/// range; a batch of a view is a view of the same input
+/// ([`RowSlice::to_rows`](xdx_relational::RowSlice::to_rows)). (A shipper
+/// that owns the feed encodes each range in place.)
 pub fn feed_batches(feed: &Feed, batch_rows: usize) -> Vec<Feed> {
     batch_ranges(feed.len(), batch_rows)
         .map(|rows| Feed {
             schema: feed.schema.clone(),
-            rows: feed.rows.slice(rows).iter().cloned().collect(),
+            rows: feed.rows.slice(rows).to_rows(),
         })
         .collect()
 }

@@ -10,10 +10,16 @@ use std::time::Duration;
 /// Durations of the end-to-end steps (zero where a strategy skips a step).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StepTimes {
+    /// Optimized DE: probing the databases and planning the program.
+    pub planning: Duration,
     /// Optimized DE Step 1 / publish&map Step 1: queries at the source.
     pub source_queries: Duration,
     /// Publish&map Step 2: tagging query results into XML.
     pub tagging: Duration,
+    /// Optimized DE: encoding shipped feeds for the wire and decoding
+    /// them at the target (publish&map's XML writing is in `tagging`, its
+    /// parsing in `shredding`).
+    pub codec: Duration,
     /// Shipping over the (simulated) wide-area link.
     pub communication: Duration,
     /// Optimized DE Step 3: queries at the target.
@@ -29,8 +35,10 @@ pub struct StepTimes {
 impl StepTimes {
     /// Sum of all steps.
     pub fn total(&self) -> Duration {
-        self.source_queries
+        self.planning
+            + self.source_queries
             + self.tagging
+            + self.codec
             + self.communication
             + self.target_queries
             + self.shredding
@@ -51,9 +59,11 @@ impl fmt::Display for StepTimes {
         let ms = |d: Duration| d.as_secs_f64() * 1000.0;
         write!(
             f,
-            "src {:.1}ms | tag {:.1}ms | comm {:.1}ms | tgt {:.1}ms | shred {:.1}ms | load {:.1}ms | idx {:.1}ms | total {:.1}ms",
+            "plan {:.1}ms | src {:.1}ms | tag {:.1}ms | codec {:.1}ms | comm {:.1}ms | tgt {:.1}ms | shred {:.1}ms | load {:.1}ms | idx {:.1}ms | total {:.1}ms",
+            ms(self.planning),
             ms(self.source_queries),
             ms(self.tagging),
+            ms(self.codec),
             ms(self.communication),
             ms(self.target_queries),
             ms(self.shredding),
@@ -107,16 +117,23 @@ mod tests {
     #[test]
     fn totals_add_up() {
         let t = StepTimes {
+            planning: Duration::from_millis(2),
             source_queries: Duration::from_millis(10),
             tagging: Duration::from_millis(5),
+            codec: Duration::from_millis(6),
             communication: Duration::from_millis(20),
             target_queries: Duration::from_millis(1),
             shredding: Duration::from_millis(7),
             loading: Duration::from_millis(3),
             indexing: Duration::from_millis(4),
         };
-        assert_eq!(t.total(), Duration::from_millis(50));
-        assert_eq!(t.total_excluding_load_index(), Duration::from_millis(43));
+        assert_eq!(t.total(), Duration::from_millis(58));
+        assert_eq!(t.total_excluding_load_index(), Duration::from_millis(51));
+        let shown = t.to_string();
+        assert!(
+            shown.contains("plan 2.0ms") && shown.contains("codec 6.0ms"),
+            "{shown}"
+        );
     }
 
     #[test]

@@ -22,8 +22,8 @@ use crate::sum::word_sum;
 use crate::value::{parse_dotted_into, Dewey, Value};
 use std::fmt;
 use std::io::Write;
-use std::ops::{Index, RangeBounds};
-use std::sync::{Arc, Weak};
+use std::ops::{Bound, Index, RangeBounds};
+use std::sync::{Arc, OnceLock, Weak};
 
 /// The role a feed column plays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -127,31 +127,203 @@ impl FeedSchema {
 /// another's edit. A loop that builds rows fills a plain `Vec` and wraps
 /// it once (`into`), paying the ownership check per feed rather than per
 /// row.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct Rows(Arc<Vec<Vec<Value>>>);
+///
+/// A row set is *dense* (rows of its own) or a *view* ([`Rows::pick`]):
+/// chosen rows of another set, each projected to chosen columns, with
+/// no row copied. [`len`](Rows::len), [`slice`](Rows::slice) and
+/// [`RowSlice::read`] read a view where its cells sit; every reader that
+/// needs owned rows (indexing, [`iter`](Rows::iter),
+/// [`try_unwrap`](Rows::try_unwrap), `into_iter`) and every write copies
+/// the view's rows out once, and a write then lets go of the view's
+/// input ([`materialize`](Rows::materialize)).
+#[derive(Debug, Clone)]
+pub struct Rows(Layout);
+
+#[derive(Debug, Clone)]
+enum Layout {
+    Dense(Arc<Vec<Vec<Value>>>),
+    Picked(Arc<Picked>),
+}
+
+/// What a view holds ([`Rows::pick`]).
+#[derive(Debug)]
+struct Picked {
+    /// The rows picked from, shared with the set the view was made of.
+    from: Arc<Vec<Vec<Value>>>,
+    /// Positions in `from` of the view's rows, in order.
+    picks: Vec<usize>,
+    /// Columns of `from` each view row keeps, in order.
+    cols: Vec<usize>,
+    /// The view's rows copied out, once a reader needed them owned.
+    rows: OnceLock<Vec<Vec<Value>>>,
+}
+
+impl Picked {
+    /// The view's rows, copied out of `from`: one exact-size row each.
+    fn copy(&self) -> Vec<Vec<Value>> {
+        let row = |&p: &usize| {
+            let cells = &self.from[p];
+            self.cols.iter().map(|&c| cells[c].clone()).collect()
+        };
+        self.picks.iter().map(row).collect()
+    }
+
+    /// The view's rows as a reader that needs them owned sees them:
+    /// copied on the first such read, kept for the next.
+    fn dense(&self) -> &Vec<Vec<Value>> {
+        self.rows.get_or_init(|| self.copy())
+    }
+
+    /// The view's rows by value, from its last handle.
+    fn into_rows(mut self) -> Vec<Vec<Value>> {
+        self.rows.take().unwrap_or_else(|| self.copy())
+    }
+}
 
 /// A row set's identity without its rows ([`Rows::downgrade`]).
 #[derive(Debug)]
-pub struct RowsId(Weak<Vec<Vec<Value>>>);
+pub struct RowsId(WeakLayout);
+
+#[derive(Debug)]
+enum WeakLayout {
+    Dense(Weak<Vec<Vec<Value>>>),
+    Picked(Weak<Picked>),
+}
 
 /// A read-only run of consecutive rows of a [`Rows`]
 /// ([`Rows::slice`]): a batch to encode, a subtree to compare, a tail to
-/// copy, without copying it out first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RowSlice<'a>(&'a [Vec<Value>]);
+/// copy, without copying it out first. A run of a view is a view too:
+/// [`read`](RowSlice::read) reads its cells where they sit.
+#[derive(Debug, Clone, Copy)]
+pub struct RowSlice<'a>(SliceLayout<'a>);
+
+#[derive(Debug, Clone, Copy)]
+enum SliceLayout<'a> {
+    Dense(&'a [Vec<Value>]),
+    /// `picks` is the view's picks from position `at` on.
+    Picked {
+        view: &'a Picked,
+        at: usize,
+        picks: &'a [usize],
+    },
+}
+
+/// One row as a [`ReadRows`] reader sees it, wherever its cells sit: a
+/// stored row (`&[Value]`) or a row of a view.
+pub trait Row<'a>: Copy {
+    /// The cell in column `c`.
+    fn cell(self, c: usize) -> &'a Value;
+    /// The cells in column order.
+    fn cells(self) -> impl Iterator<Item = &'a Value>;
+}
+
+impl<'a> Row<'a> for &'a [Value] {
+    fn cell(self, c: usize) -> &'a Value {
+        &self[c]
+    }
+
+    fn cells(self) -> impl Iterator<Item = &'a Value> {
+        self.iter()
+    }
+}
+
+/// A row of a view: the input row it was picked from, and the input
+/// columns it keeps.
+#[derive(Clone, Copy)]
+struct PickedRow<'a> {
+    cells: &'a [Value],
+    cols: &'a [usize],
+}
+
+impl<'a> Row<'a> for PickedRow<'a> {
+    fn cell(self, c: usize) -> &'a Value {
+        &self.cells[self.cols[c]]
+    }
+
+    fn cells(self) -> impl Iterator<Item = &'a Value> {
+        self.cols.iter().map(move |&c| &self.cells[c])
+    }
+}
+
+/// Code that reads the rows of a [`RowSlice`] where they sit
+/// ([`RowSlice::read`]). `read` is compiled once per row layout, so a
+/// cell read costs what that layout's cell read costs: the layout is
+/// asked once per [`RowSlice::read`] call, not per cell.
+pub trait ReadRows<'a> {
+    /// What the reading returns.
+    type Out;
+    /// Reads `len` rows; `row(i)` is row `i`, for `i < len`.
+    fn read<R: Row<'a>>(self, len: usize, row: impl Fn(usize) -> R) -> Self::Out;
+}
 
 impl Rows {
     /// True when both handles share one row set.
     pub fn ptr_eq(a: &Rows, b: &Rows) -> bool {
-        Arc::ptr_eq(&a.0, &b.0)
+        match (&a.0, &b.0) {
+            (Layout::Dense(a), Layout::Dense(b)) => Arc::ptr_eq(a, b),
+            (Layout::Picked(a), Layout::Picked(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
+    }
+
+    /// A view of this row set: the rows at `picks`, in that order, each
+    /// projected to the columns `cols`, in that order. Copies no row: the
+    /// view shares this set's rows (a view of a view, the rows that one
+    /// picks from) until a write copies its own rows out.
+    pub fn pick(&self, picks: Vec<usize>, cols: Vec<usize>) -> Rows {
+        let view = match &self.0 {
+            Layout::Dense(from) => Picked {
+                from: Arc::clone(from),
+                picks,
+                cols,
+                rows: OnceLock::new(),
+            },
+            Layout::Picked(outer) => Picked {
+                from: Arc::clone(&outer.from),
+                picks: picks.into_iter().map(|p| outer.picks[p]).collect(),
+                cols: cols.into_iter().map(|c| outer.cols[c]).collect(),
+                rows: OnceLock::new(),
+            },
+        };
+        Rows(Layout::Picked(Arc::new(view)))
+    }
+
+    /// Turns a view into rows of its own, copied once, and lets go of
+    /// the view's input; leaves a dense row set as it is. What every
+    /// write does first, and what a table's rows have had done: a table
+    /// never holds a view.
+    pub fn materialize(&mut self) {
+        let Layout::Picked(view) = &mut self.0 else {
+            return;
+        };
+        let rows = match Arc::get_mut(view) {
+            Some(sole) => sole.rows.take().unwrap_or_else(|| sole.copy()),
+            None => view.rows.get().cloned().unwrap_or_else(|| view.copy()),
+        };
+        self.0 = Layout::Dense(Arc::new(rows));
+    }
+
+    /// The rows to write, copied first when another handle shares them.
+    fn make_mut(&mut self) -> &mut Vec<Vec<Value>> {
+        self.materialize();
+        match &mut self.0 {
+            Layout::Dense(rows) => Arc::make_mut(rows),
+            Layout::Picked(_) => unreachable!("materialized above"),
+        }
     }
 
     /// The rows by value when this is their sole handle; the handle back,
     /// untouched, when another still shares them. Copies nothing either
-    /// way: a caller that needs the rows of a shared set reads them
-    /// through the handle it got back.
+    /// way, but for a view's rows, which its sole handle copies out: a
+    /// caller that needs the rows of a shared set reads them through the
+    /// handle it got back.
     pub fn try_unwrap(self) -> std::result::Result<Vec<Vec<Value>>, Rows> {
-        Arc::try_unwrap(self.0).map_err(Rows)
+        match self.0 {
+            Layout::Dense(rows) => Arc::try_unwrap(rows).map_err(|rows| Rows(Layout::Dense(rows))),
+            Layout::Picked(view) => Arc::try_unwrap(view)
+                .map(Picked::into_rows)
+                .map_err(|view| Rows(Layout::Picked(view))),
+        }
     }
 
     /// This row set's identity, held without its rows: the handle keeps
@@ -161,48 +333,82 @@ impl Rows {
     /// behind) and one through a shared handle copies it, so a set that
     /// still [`is`](Rows::is) an identity holds the rows it held then.
     pub fn downgrade(&self) -> RowsId {
-        RowsId(Arc::downgrade(&self.0))
+        RowsId(match &self.0 {
+            Layout::Dense(rows) => WeakLayout::Dense(Arc::downgrade(rows)),
+            Layout::Picked(view) => WeakLayout::Picked(Arc::downgrade(view)),
+        })
     }
 
     /// True when `id` is this row set's [`downgrade`](Rows::downgrade).
     pub fn is(&self, id: &RowsId) -> bool {
-        std::ptr::eq(Arc::as_ptr(&self.0), id.0.as_ptr())
+        match (&self.0, &id.0) {
+            (Layout::Dense(rows), WeakLayout::Dense(id)) => {
+                std::ptr::eq(Arc::as_ptr(rows), id.as_ptr())
+            }
+            (Layout::Picked(view), WeakLayout::Picked(id)) => {
+                std::ptr::eq(Arc::as_ptr(view), id.as_ptr())
+            }
+            _ => false,
+        }
     }
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.0.len()
+        match &self.0 {
+            Layout::Dense(rows) => rows.len(),
+            Layout::Picked(view) => view.picks.len(),
+        }
     }
 
     /// True when there are no rows.
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.len() == 0
+    }
+
+    /// The rows held: a dense set's own, a view's copied out once.
+    fn dense(&self) -> &Vec<Vec<Value>> {
+        match &self.0 {
+            Layout::Dense(rows) => rows,
+            Layout::Picked(view) => view.dense(),
+        }
     }
 
     /// The rows in order.
     pub fn iter(&self) -> std::slice::Iter<'_, Vec<Value>> {
-        self.0.iter()
+        self.dense().iter()
     }
 
     /// The rows in `range`, read in place. Panics when the range is out
     /// of bounds, as slicing does.
     pub fn slice(&self, range: impl RangeBounds<usize>) -> RowSlice<'_> {
-        RowSlice(&self.0[(range.start_bound().cloned(), range.end_bound().cloned())])
+        let bounds = (range.start_bound().cloned(), range.end_bound().cloned());
+        RowSlice(match &self.0 {
+            Layout::Dense(rows) => SliceLayout::Dense(&rows[bounds]),
+            Layout::Picked(view) => SliceLayout::Picked {
+                view,
+                at: match bounds.0 {
+                    Bound::Included(at) => at,
+                    Bound::Excluded(at) => at + 1,
+                    Bound::Unbounded => 0,
+                },
+                picks: &view.picks[bounds],
+            },
+        })
     }
 
     /// Appends a row.
     pub fn push(&mut self, row: Vec<Value>) {
-        Arc::make_mut(&mut self.0).push(row);
+        self.make_mut().push(row);
     }
 
     /// Row `i` to edit in place, if there is one.
     pub fn get_mut(&mut self, i: usize) -> Option<&mut Vec<Value>> {
-        Arc::make_mut(&mut self.0).get_mut(i)
+        self.make_mut().get_mut(i)
     }
 
     /// Sorts the rows by `cmp`, stably.
     pub fn sort_by(&mut self, cmp: impl FnMut(&Vec<Value>, &Vec<Value>) -> std::cmp::Ordering) {
-        Arc::make_mut(&mut self.0).sort_by(cmp);
+        self.make_mut().sort_by(cmp);
     }
 
     /// Takes `more` in after the rows held. An empty handle adopts
@@ -219,43 +425,120 @@ impl Rows {
 impl RowsId {
     /// True while some [`Rows`] still holds the row set.
     pub fn is_held(&self) -> bool {
-        self.0.strong_count() > 0
+        match &self.0 {
+            WeakLayout::Dense(rows) => rows.strong_count() > 0,
+            WeakLayout::Picked(view) => view.strong_count() > 0,
+        }
     }
 }
 
 impl<'a> RowSlice<'a> {
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.0.len()
+        match self.0 {
+            SliceLayout::Dense(rows) => rows.len(),
+            SliceLayout::Picked { picks, .. } => picks.len(),
+        }
     }
 
     /// True when there are no rows.
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.len() == 0
     }
 
-    /// The rows in order.
+    /// The rows in order, owned: a run of a view copies the view's rows
+    /// out once ([`Rows::iter`]).
     pub fn iter(&self) -> std::slice::Iter<'a, Vec<Value>> {
-        self.0.iter()
+        match self.0 {
+            SliceLayout::Dense(rows) => rows.iter(),
+            SliceLayout::Picked { view, at, picks } => view.dense()[at..at + picks.len()].iter(),
+        }
+    }
+
+    /// Runs `reader` over the rows where they sit: each layout
+    /// instantiates [`ReadRows::read`] once, and a view is read without
+    /// being copied.
+    pub fn read<W: ReadRows<'a>>(self, reader: W) -> W::Out {
+        match self.0 {
+            SliceLayout::Dense(rows) => reader.read(rows.len(), |i| rows[i].as_slice()),
+            SliceLayout::Picked { view, picks, .. } => {
+                let (from, cols) = (view.from.as_slice(), view.cols.as_slice());
+                reader.read(picks.len(), |i| PickedRow {
+                    cells: &from[picks[i]],
+                    cols,
+                })
+            }
+        }
+    }
+
+    /// The rows as a row set of their own: a dense run copied, a run of
+    /// a view picked again from the same input (no row copied).
+    pub fn to_rows(self) -> Rows {
+        match self.0 {
+            SliceLayout::Dense(rows) => rows.to_vec().into(),
+            SliceLayout::Picked { view, picks, .. } => Rows(Layout::Picked(Arc::new(Picked {
+                from: Arc::clone(&view.from),
+                picks: picks.to_vec(),
+                cols: view.cols.clone(),
+                rows: OnceLock::new(),
+            }))),
+        }
     }
 }
+
+impl Default for Rows {
+    fn default() -> Rows {
+        Vec::new().into()
+    }
+}
+
+/// Row for row; a dense set against a dense set asks `Arc`'s `==`, which
+/// answers a shared set without reading it.
+impl PartialEq for Rows {
+    fn eq(&self, other: &Rows) -> bool {
+        match (&self.0, &other.0) {
+            (Layout::Dense(a), Layout::Dense(b)) => a == b,
+            _ => Rows::ptr_eq(self, other) || self.slice(..) == other.slice(..),
+        }
+    }
+}
+
+impl Eq for Rows {}
+
+impl Default for RowSlice<'_> {
+    fn default() -> Self {
+        RowSlice(SliceLayout::Dense(&[]))
+    }
+}
+
+/// Row for row, whatever either side's layout.
+impl PartialEq for RowSlice<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        match (self.0, other.0) {
+            (SliceLayout::Dense(a), SliceLayout::Dense(b)) => a == b,
+            _ => self.len() == other.len() && self.iter().eq(other.iter()),
+        }
+    }
+}
+
+impl Eq for RowSlice<'_> {}
 
 impl Index<usize> for Rows {
     type Output = Vec<Value>;
     fn index(&self, i: usize) -> &Vec<Value> {
-        &self.0[i]
+        &self.dense()[i]
     }
 }
 
 impl Extend<Vec<Value>> for Rows {
     fn extend<I: IntoIterator<Item = Vec<Value>>>(&mut self, rows: I) {
-        Arc::make_mut(&mut self.0).extend(rows);
+        self.make_mut().extend(rows);
     }
 }
 
 impl From<Vec<Vec<Value>>> for Rows {
     fn from(rows: Vec<Vec<Value>>) -> Rows {
-        Rows(Arc::new(rows))
+        Rows(Layout::Dense(Arc::new(rows)))
     }
 }
 
@@ -271,7 +554,7 @@ impl IntoIterator for Rows {
     /// Moves the rows out of a sole handle, copies them out of a shared one.
     fn into_iter(self) -> Self::IntoIter {
         self.try_unwrap()
-            .unwrap_or_else(|shared| shared.0.to_vec())
+            .unwrap_or_else(|shared| shared.dense().to_vec())
             .into_iter()
     }
 }
@@ -280,7 +563,7 @@ impl<'a> IntoIterator for &'a Rows {
     type Item = &'a Vec<Value>;
     type IntoIter = std::slice::Iter<'a, Vec<Value>>;
     fn into_iter(self) -> Self::IntoIter {
-        self.0.iter()
+        self.iter()
     }
 }
 
@@ -288,7 +571,7 @@ impl<'a> IntoIterator for RowSlice<'a> {
     type Item = &'a Vec<Value>;
     type IntoIter = std::slice::Iter<'a, Vec<Value>>;
     fn into_iter(self) -> Self::IntoIter {
-        self.0.iter()
+        self.iter()
     }
 }
 
@@ -615,9 +898,18 @@ fn arity_checked(arity: usize, row: Vec<Value>) -> Result<Vec<Value>> {
 }
 
 fn rows_wire_size(rows: RowSlice<'_>) -> u64 {
-    rows.iter()
-        .map(|r| r.iter().map(|v| v.wire_len() as u64 + 1).sum::<u64>())
-        .sum()
+    rows.read(WireSize)
+}
+
+/// [`rows_wire_size`]'s reader.
+struct WireSize;
+
+impl<'a> ReadRows<'a> for WireSize {
+    type Out = u64;
+    fn read<R: Row<'a>>(self, len: usize, row: impl Fn(usize) -> R) -> u64 {
+        let cells = |r: R| r.cells().map(|v| v.wire_len() as u64 + 1).sum::<u64>();
+        (0..len).map(|i| cells(row(i))).sum()
+    }
 }
 
 /// Appends `rows` under `schema` to `out` in the shipping format: a
@@ -643,29 +935,40 @@ pub fn append_wire(out: &mut Vec<u8>, schema: &FeedSchema, rows: RowSlice<'_>) {
         });
     }
     out.push(b'\n');
-    for row in rows {
-        // Dewey ids within a row share long prefixes (a child's id
-        // extends an ancestor's); encode each id relative to the
-        // previous id in the row when it is an extension of it. This
-        // keeps shipped fragments compact — the reason Table 3's
-        // sorted feeds beat tagged XML on the wire.
-        let mut prev: Option<&Dewey> = None;
-        for (i, v) in row.iter().enumerate() {
-            if i > 0 {
-                out.push(b'\t');
-            }
-            encode_value(v, prev, out);
-            if let Value::Dewey(d) = v {
-                prev = Some(d);
-            }
-        }
-        out.push(b'\n');
-    }
+    rows.read(TextRows(out));
     // Trailing integrity line: the word sum of everything above. A flipped
     // bit in transit becomes a decode error instead of silently
     // corrupt target data.
     let sum = word_sum(&out[start..]);
     writeln!(out, "#sum\t{sum:016x}").expect("writing to a Vec cannot fail");
+}
+
+/// [`append_wire`]'s row lines, one per row, written where the rows sit.
+struct TextRows<'o>(&'o mut Vec<u8>);
+
+impl<'a> ReadRows<'a> for TextRows<'_> {
+    type Out = ();
+    fn read<R: Row<'a>>(self, len: usize, row: impl Fn(usize) -> R) {
+        let out = self.0;
+        for r in 0..len {
+            // Dewey ids within a row share long prefixes (a child's id
+            // extends an ancestor's); encode each id relative to the
+            // previous id in the row when it is an extension of it. This
+            // keeps shipped fragments compact — the reason Table 3's
+            // sorted feeds beat tagged XML on the wire.
+            let mut prev: Option<&Dewey> = None;
+            for (i, v) in row(r).cells().enumerate() {
+                if i > 0 {
+                    out.push(b'\t');
+                }
+                encode_value(v, prev, out);
+                if let Value::Dewey(d) = v {
+                    prev = Some(d);
+                }
+            }
+            out.push(b'\n');
+        }
+    }
 }
 
 /// A handle on `feed`'s rows (as `String: From<&String>` copies one).

@@ -9,6 +9,10 @@
 //! blocks per landed row (DESIGN §22); what is left is one block per row
 //! per materialisation and one per string cell.
 //!
+//! The source half of LF→MF alone (`execute_source_phase`: Scan and
+//! Split) allocates per group, not per row: Split's outputs are views of
+//! its input, which the encoder reads where the rows sit.
+//!
 //! The only test in this binary: the counter is process-wide.
 
 mod common;
@@ -20,23 +24,28 @@ use xdx::relational::Database;
 use xdx::xml::SchemaTree;
 use xdx_codec::{decode_any, encode_rows_in_format_into, WireFormat};
 
-/// LF→MF over XML text: 4.27 measured (+25 %). The per-cell blocks spent
-/// 26.45 and cannot come back under 8.
-const SPLIT_TEXT_BLOCKS_PER_ROW: f64 = 5.3;
+/// LF→MF over XML text: 2.33 measured (+25 %; 4.27 while Split copied
+/// its groups' rows out). The per-cell blocks spent 26.45 and cannot come
+/// back under 8.
+const SPLIT_TEXT_BLOCKS_PER_ROW: f64 = 2.9;
 const _: () = assert!(SPLIT_TEXT_BLOCKS_PER_ROW <= 8.0);
 /// MF→LF columnar: an LF row is wide, 35.53 measured (+25 %; 58.83 with
 /// the per-cell blocks).
 const COMBINE_COLUMNAR_BLOCKS_PER_ROW: f64 = 44.4;
+/// LF→MF source phase, per shipped row: a Split that copied its groups'
+/// rows out spent 2.02 (a block per row and per string cell).
+const SPLIT_SOURCE_BLOCKS_PER_SHIPPED_ROW: f64 = 0.25;
 
-/// Heap blocks (alloc + realloc) per landed row of one exchange of `doc`
-/// from `from` to `to`, every cross feed through the codec in `format`.
-fn blocks_per_landed_row(
+/// Heap blocks (alloc + realloc) of one exchange of `doc` from `from` to
+/// `to`, every cross feed through the codec in `format`: per landed row
+/// for the whole exchange, and per shipped row for its source phase.
+fn blocks_per_row(
     schema: &SchemaTree,
     doc: &str,
     from: &Fragmentation,
     to: &Fragmentation,
     format: WireFormat,
-) -> f64 {
+) -> (f64, f64) {
     let mut source = xdx::xmark::load_source(doc, schema, from).unwrap();
     let exchange = DataExchange::new(schema, from.clone(), to.clone());
     let (program, _) = exchange.plan(&exchange.probe(&source).unwrap()).unwrap();
@@ -46,6 +55,7 @@ fn blocks_per_landed_row(
     let before = common::blocks();
     let (phase, mut outcome) =
         execute_source_phase(schema, from, to, &program, &mut source, None).unwrap();
+    let source_blocks = common::blocks() - before;
     let mut delivered = HashMap::with_capacity(phase.cross_ports.len());
     for cross in &phase.cross_ports {
         let feed = &phase.feeds[&cross.port];
@@ -72,7 +82,12 @@ fn blocks_per_landed_row(
         "{} -> {} ({format}): {blocks} blocks for {} landed rows, {per_row:.2} per row",
         from.name, to.name, outcome.rows_loaded
     );
-    per_row
+    let shipped: usize = phase.feeds.values().map(|feed| feed.len()).sum();
+    let source_per_row = source_blocks as f64 / shipped as f64;
+    println!(
+        "  source phase: {source_blocks} blocks for {shipped} shipped rows, {source_per_row:.2} per row"
+    );
+    (per_row, source_per_row)
 }
 
 #[test]
@@ -81,12 +96,17 @@ fn an_exchange_through_the_codec_stays_inside_its_allocation_budget() {
     let (mf, lf) = (xdx::xmark::mf(&schema), xdx::xmark::lf(&schema));
     let doc = xdx::xmark::generate(xdx::xmark::GenConfig::sized(200_000));
 
-    let split = blocks_per_landed_row(&schema, &doc, &lf, &mf, WireFormat::Xml);
+    let (split, split_source) = blocks_per_row(&schema, &doc, &lf, &mf, WireFormat::Xml);
     assert!(
         split <= SPLIT_TEXT_BLOCKS_PER_ROW,
         "LF->MF text: {split:.2} blocks per landed row, budget {SPLIT_TEXT_BLOCKS_PER_ROW}"
     );
-    let combine = blocks_per_landed_row(&schema, &doc, &mf, &lf, WireFormat::Columnar);
+    assert!(
+        split_source <= SPLIT_SOURCE_BLOCKS_PER_SHIPPED_ROW,
+        "LF->MF source phase: {split_source:.2} blocks per shipped row, \
+         budget {SPLIT_SOURCE_BLOCKS_PER_SHIPPED_ROW}"
+    );
+    let (combine, _) = blocks_per_row(&schema, &doc, &mf, &lf, WireFormat::Columnar);
     assert!(
         combine <= COMBINE_COLUMNAR_BLOCKS_PER_ROW,
         "MF->LF columnar: {combine:.2} blocks per landed row, budget {COMBINE_COLUMNAR_BLOCKS_PER_ROW}"

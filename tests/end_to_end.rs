@@ -63,6 +63,54 @@ fn de_ships_fewer_bytes_than_pm() {
     assert!(pm.times.shredding > std::time::Duration::ZERO);
 }
 
+/// Figure 9's accounting: an LF→MF exchange's report counts its probe
+/// and plan (`planning`) and its feeds' encode and decode (`codec`),
+/// publish&map has neither, and `total()` is every step's sum.
+#[test]
+fn de_reports_its_planning_and_codec() {
+    let (schema, mf, lf, doc) = workload();
+    let mut de_source = xdx::xmark::load_source(&doc, &schema, &lf).unwrap();
+    let mut de_target = Database::new("de");
+    let (de, _) = DataExchange::new(&schema, lf.clone(), mf.clone())
+        .run(
+            &mut de_source,
+            &mut de_target,
+            &mut Link::new(NetworkProfile::lan()),
+        )
+        .unwrap();
+    let mut pm_source = xdx::xmark::load_source(&doc, &schema, &lf).unwrap();
+    let pm = publish_and_map(
+        &schema,
+        &lf,
+        &mf,
+        &mut pm_source,
+        &mut Database::new("pm"),
+        &mut Link::new(NetworkProfile::lan()),
+    )
+    .unwrap();
+    let zero = std::time::Duration::ZERO;
+    assert!(de.times.planning > zero && de.times.codec > zero, "{de}");
+    assert_eq!((pm.times.planning, pm.times.codec), (zero, zero));
+    for t in [de.times, pm.times] {
+        let steps = [
+            t.planning,
+            t.source_queries,
+            t.tagging,
+            t.codec,
+            t.communication,
+            t.target_queries,
+            t.shredding,
+            t.loading,
+            t.indexing,
+        ];
+        assert_eq!(t.total(), steps.iter().sum());
+        assert_eq!(
+            t.total_excluding_load_index(),
+            t.total() - t.loading - t.indexing
+        );
+    }
+}
+
 #[test]
 fn full_wsdl_flow_from_registry() {
     let (schema, mf, lf, doc) = workload();
