@@ -18,8 +18,9 @@ use xdx_codec::{
     encode_rows_in_format_into, is_columnar, is_container, FeedPart, WireFormat, CONTAINER_MAGIC,
 };
 use xdx_net::{Delivery, FaultProfile, Link, NetworkProfile};
+use xdx_relational::ops::{merge_combine, ChainHint};
 use xdx_relational::word_sum;
-use xdx_relational::{ColRole, Dewey, Feed, FeedColumn, FeedSchema, Rows, Value};
+use xdx_relational::{ColRole, Counters, Dewey, Feed, FeedColumn, FeedSchema, Rows, Value};
 
 /// Cell vocabulary biased toward the dictionary's sweet spot: repeated
 /// phrases sharing tokens, plus the awkward cases — empty strings,
@@ -119,6 +120,64 @@ fn container_of(feeds: &[Feed], format: WireFormat) -> (Vec<u8>, usize) {
     let frames = encode_parts_into(&mut buf, &parts, format);
     let header = buf.len() - frames;
     (buf, header)
+}
+
+/// Combine views over `feed`'s rows: the rows as parents keyed 1, 2, 3
+/// or `Null` in turn, so a key repeats (a skeleton row per child of it),
+/// one has no children (`Null`-padded rows) and one joins nothing; the
+/// same rows as children of keys 1, 2 and `Null`; the parents combined
+/// with the children, that view combined with them again, and a view
+/// of the first (every other row, columns reversed).
+fn combine_views(feed: &Feed) -> Vec<Feed> {
+    let id = |k: usize| match k {
+        0 => Value::Null,
+        k => Value::Dewey(Dewey::from([k as u32])),
+    };
+    let keyed = |root: &str, lead: Vec<ColRole>, key: &dyn Fn(usize) -> Vec<Value>| {
+        let mut columns: Vec<FeedColumn> = lead
+            .into_iter()
+            .map(|role| FeedColumn::new(root, role))
+            .collect();
+        columns.extend(feed.schema.columns.iter().cloned());
+        let rows = feed.rows.iter().enumerate().map(|(i, row)| {
+            let mut keyed = key(i);
+            keyed.extend(row.iter().cloned());
+            keyed
+        });
+        Feed {
+            schema: FeedSchema::new(root, columns),
+            rows: rows.collect(),
+        }
+    };
+    let parent = keyed("p", vec![ColRole::ParentRef, ColRole::NodeId], &|i| {
+        vec![id(1), id(i % 4)]
+    });
+    let child = keyed("c", vec![ColRole::ParentRef], &|i| vec![id(i % 3)]);
+    let combine = |parent: &Feed| {
+        let mut counters = Counters::new();
+        merge_combine(
+            parent.clone(),
+            child.clone(),
+            "p",
+            ChainHint::default(),
+            &mut counters,
+        )
+        .expect("the parent has p's id")
+    };
+    let once = combine(&parent);
+    let twice = combine(&once);
+    let arity = once.schema.arity();
+    let back: Vec<usize> = (0..arity).rev().collect();
+    let picked = Feed {
+        schema: FeedSchema::new(
+            "p",
+            back.iter()
+                .map(|&c| once.schema.columns[c].clone())
+                .collect(),
+        ),
+        rows: once.rows.pick((0..once.len()).step_by(2).collect(), back),
+    };
+    vec![once, twice, picked]
 }
 
 fn format_of(xml: bool) -> WireFormat {
@@ -524,7 +583,8 @@ proptest! {
     /// A view (rows picked in any order, repeats allowed, each projected
     /// to columns in any order) encodes, whole and by runs, to the bytes
     /// its materialised copy encodes to, in both formats; a view of the
-    /// view too.
+    /// view too, and Combine views with `Null`-padded and skeleton rows
+    /// ([`combine_views`]).
     #[test]
     fn a_view_encodes_to_its_copys_bytes(
         ncols in 1usize..=MAX_ARITY,
@@ -553,7 +613,8 @@ proptest! {
             schema: FeedSchema::new("site", back.iter().map(|&c| schema.columns[c].clone()).collect()),
             rows: view.rows.pick(again, back),
         };
-        for view in [view, nested] {
+        let combined = combine_views(&feed);
+        for view in [view, nested].into_iter().chain(combined) {
             let mut copy = view.clone();
             copy.rows.materialize();
             prop_assert!(!Rows::ptr_eq(&copy.rows, &view.rows));

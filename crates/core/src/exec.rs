@@ -389,10 +389,10 @@ impl<'a> NodeLoop<'a> {
                 split(&inputs[0], &specs, counters)?
             }
             Op::Write { fragment } => {
-                // A table never holds a view: a Split's output is copied
-                // out here, once, and lets go of the Split's input.
-                let mut feed = inputs.pop().expect("validated arity");
-                feed.rows.materialize();
+                // A view stays one: the table boundary copies it out
+                // (`Table::stage_rows`), and `execute_in_place`'s head is
+                // diffed where its rows sit.
+                let feed = inputs.pop().expect("validated arity");
                 outcome.rows_loaded += feed.len() as u64;
                 write(*fragment, feed)?;
                 Vec::new()

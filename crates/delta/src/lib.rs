@@ -40,7 +40,7 @@ use std::sync::{Arc, Mutex, Weak};
 use xdx_relational::patch::key_column;
 use xdx_relational::{
     apply_table_patch, Database, DeltaPatch, Dewey, Error, Feed, PatchStep, Result, RowSlice, Rows,
-    StepKind, TablePatch, Value,
+    StepKind, TablePatch,
 };
 
 /// One route's table set at one version. Feeds share their rows
@@ -402,8 +402,8 @@ fn diff_err(table: &str, detail: impl std::fmt::Display) -> Error {
     }
 }
 
-fn row_key<'a>(table: &str, row: &'a [Value], col: usize) -> Result<&'a Dewey> {
-    row[col]
+fn row_key<'a>(table: &str, rows: &'a Rows, r: usize, col: usize) -> Result<&'a Dewey> {
+    rows.cell(r, col)
         .as_dewey()
         .ok_or_else(|| diff_err(table, "row key is not a Dewey id"))
 }
@@ -411,9 +411,9 @@ fn row_key<'a>(table: &str, row: &'a [Value], col: usize) -> Result<&'a Dewey> {
 /// Extent of the subtree group starting at `start`: the run of rows
 /// whose key extends the first row's key.
 fn group_end(table: &str, rows: &Rows, start: usize, col: usize) -> Result<usize> {
-    let key = row_key(table, &rows[start], col)?;
+    let key = row_key(table, rows, start, col)?;
     let mut end = start + 1;
-    while end < rows.len() && key.is_prefix_of(row_key(table, &rows[end], col)?) {
+    while end < rows.len() && key.is_prefix_of(row_key(table, rows, end, col)?) {
         end += 1;
     }
     Ok(end)
@@ -445,22 +445,22 @@ pub fn diff_table(table: &str, base: &Feed, head: &Feed) -> Result<Option<TableP
             key: key.clone(),
             rows: head_rows.len() as u32,
         });
-        payload.extend(head_rows.iter().cloned());
+        head_rows.copy_to(&mut payload);
     };
     let (mut b, mut h) = (0, 0);
     while b < base.rows.len() && h < head.rows.len() {
-        let bk = row_key(table, &base.rows[b], col)?;
-        let hk = row_key(table, &head.rows[h], col)?;
+        let bk = row_key(table, &base.rows, b, col)?;
+        let hk = row_key(table, &head.rows, h, col)?;
         if bk.is_prefix_of(hk) || hk.is_prefix_of(bk) {
             // Same subtree (possibly addressed at different depths when
             // the subtree root row itself appeared or vanished): consume
             // the shorter key's full range on both sides and compare.
             let key = if bk.depth() <= hk.depth() { bk } else { hk };
             let (bs, hs) = (b, h);
-            while b < base.rows.len() && key.is_prefix_of(row_key(table, &base.rows[b], col)?) {
+            while b < base.rows.len() && key.is_prefix_of(row_key(table, &base.rows, b, col)?) {
                 b += 1;
             }
-            while h < head.rows.len() && key.is_prefix_of(row_key(table, &head.rows[h], col)?) {
+            while h < head.rows.len() && key.is_prefix_of(row_key(table, &head.rows, h, col)?) {
                 h += 1;
             }
             if base.rows.slice(bs..b) != head.rows.slice(hs..h) {
@@ -477,13 +477,13 @@ pub fn diff_table(table: &str, base: &Feed, head: &Feed) -> Result<Option<TableP
         }
     }
     while b < base.rows.len() {
-        let key = row_key(table, &base.rows[b], col)?;
+        let key = row_key(table, &base.rows, b, col)?;
         let end = group_end(table, &base.rows, b, col)?;
         push(StepKind::DeleteSubtree, key, RowSlice::default());
         b = end;
     }
     while h < head.rows.len() {
-        let key = row_key(table, &head.rows[h], col)?;
+        let key = row_key(table, &head.rows, h, col)?;
         let end = group_end(table, &head.rows, h, col)?;
         push(StepKind::InsertSubtree, key, head.rows.slice(h..end));
         h = end;
@@ -542,7 +542,7 @@ pub fn diff_snapshots(
 mod tests {
     use super::*;
     use xdx_relational::feed::fragment_feed_schema;
-    use xdx_relational::{apply_table_patch, stage_patch};
+    use xdx_relational::{apply_table_patch, stage_patch, Value};
 
     fn item_feed(items: &[(u32, &str)]) -> Feed {
         let schema = fragment_feed_schema("item", &[("item".to_string(), true)]);

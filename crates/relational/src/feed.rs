@@ -119,53 +119,120 @@ impl FeedSchema {
 
 /// A feed's rows behind a copy-on-write handle, and the one place that
 /// knows how they are laid out. `clone` shares the row set; reads go
-/// through [`len`](Rows::len), [`iter`](Rows::iter), indexing and
-/// [`slice`](Rows::slice); every write ([`push`](Rows::push), `extend`,
-/// [`absorb`](Rows::absorb), [`sort_by`](Rows::sort_by),
+/// through [`len`](Rows::len), [`cell`](Rows::cell), [`iter`](Rows::iter),
+/// indexing and [`slice`](Rows::slice); every write ([`push`](Rows::push),
+/// `extend`, [`absorb`](Rows::absorb), [`sort_by`](Rows::sort_by),
 /// [`get_mut`](Rows::get_mut)) through a handle that is not the sole owner
 /// copies the set first (`Arc::make_mut`), so no holder ever sees
 /// another's edit. A loop that builds rows fills a plain `Vec` and wraps
 /// it once (`into`), paying the ownership check per feed rather than per
 /// row.
 ///
-/// A row set is *dense* (rows of its own) or a *view* ([`Rows::pick`]):
-/// chosen rows of another set, each projected to chosen columns, with
-/// no row copied. [`len`](Rows::len), [`slice`](Rows::slice) and
-/// [`RowSlice::read`] read a view where its cells sit; every reader that
-/// needs owned rows (indexing, [`iter`](Rows::iter),
+/// A row set is *dense* (rows of its own) or a *view*: rows whose cells
+/// sit in the rows of other sets, with no row copied. [`Rows::pick`]
+/// makes one of chosen rows of one set, each projected to chosen columns
+/// (a `Split`); a `Combine` over rows it may not move makes one of parent
+/// rows beside child rows or `Null`s. A view of a view reads the rows
+/// that one reads. [`len`](Rows::len), [`cell`](Rows::cell),
+/// [`slice`](Rows::slice), [`RowSlice::read`], equality and
+/// [`is_sorted_by`](Rows::is_sorted_by) read a view where its cells sit;
+/// every reader that needs owned rows (indexing, [`iter`](Rows::iter),
 /// [`try_unwrap`](Rows::try_unwrap), `into_iter`) and every write copies
 /// the view's rows out once, and a write then lets go of the view's
-/// input ([`materialize`](Rows::materialize)).
+/// inputs ([`materialize`](Rows::materialize)).
 #[derive(Debug, Clone)]
 pub struct Rows(Layout);
 
 #[derive(Debug, Clone)]
 enum Layout {
     Dense(Arc<Vec<Vec<Value>>>),
-    Picked(Arc<Picked>),
+    View(Arc<View>),
 }
 
-/// What a view holds ([`Rows::pick`]).
+/// A view slot that reads no row: the set's columns read `Null` (a
+/// `Null`-padded `Combine` row).
+const ABSENT: usize = usize::MAX;
+
+/// A view slot's flag on an outer-union skeleton: the set's value
+/// columns read `Null`, its identifiers stay. No row position has it.
+const BLANK: usize = 1 << (usize::BITS - 1);
+
+/// What a view cell that no row holds reads.
+static NULL: Value = Value::Null;
+
+/// What a view holds ([`Rows::pick`], [`Gather`]).
 #[derive(Debug)]
-struct Picked {
-    /// The rows picked from, shared with the set the view was made of.
-    from: Arc<Vec<Vec<Value>>>,
-    /// Positions in `from` of the view's rows, in order.
-    picks: Vec<usize>,
-    /// Columns of `from` each view row keeps, in order.
+struct View {
+    /// The row sets read, shared with the sets the view was made of.
+    from: Vec<Arc<Vec<Vec<Value>>>>,
+    /// `from.len()` slots per view row, one per set: the position of the
+    /// row it reads there, [`BLANK`]-flagged on a skeleton, or
+    /// [`ABSENT`]. A view of one set (a `Split` of a dense set, and its
+    /// runs) has neither: each row is one row of the set, projected.
+    slots: Vec<usize>,
+    /// Per view column, the column of its set's rows it reads.
     cols: Vec<usize>,
+    /// Per view column, its set in `from`, and whether a skeleton blanks
+    /// it (a value column); empty on a view of one set.
+    sets: Vec<(usize, bool)>,
     /// The view's rows copied out, once a reader needed them owned.
     rows: OnceLock<Vec<Vec<Value>>>,
 }
 
-impl Picked {
+impl View {
+    fn new(
+        from: Vec<Arc<Vec<Vec<Value>>>>,
+        slots: Vec<usize>,
+        cols: Vec<usize>,
+        sets: Vec<(usize, bool)>,
+    ) -> View {
+        debug_assert_eq!(from.len() == 1, sets.is_empty());
+        View {
+            from,
+            slots,
+            cols,
+            sets,
+            rows: OnceLock::new(),
+        }
+    }
+
+    /// A view of one set: each row is one row of the set, projected.
+    fn plain(&self) -> bool {
+        self.sets.is_empty()
+    }
+
+    fn len(&self) -> usize {
+        self.slots.len() / self.from.len()
+    }
+
+    /// Row `r`'s slots.
+    fn slots_of(&self, r: usize) -> &[usize] {
+        let n = self.from.len();
+        &self.slots[r * n..][..n]
+    }
+
+    /// The cell in row `r`, column `c`.
+    fn cell(&self, r: usize, c: usize) -> &Value {
+        if self.plain() {
+            return &self.from[0][self.slots[r]][self.cols[c]];
+        }
+        ViewRow {
+            view: self,
+            slots: self.slots_of(r),
+        }
+        .cell(c)
+    }
+
     /// The view's rows, copied out of `from`: one exact-size row each.
     fn copy(&self) -> Vec<Vec<Value>> {
-        let row = |&p: &usize| {
-            let cells = &self.from[p];
-            self.cols.iter().map(|&c| cells[c].clone()).collect()
-        };
-        self.picks.iter().map(row).collect()
+        let mut rows = Vec::new();
+        RowSlice(SliceLayout::View {
+            view: self,
+            at: 0,
+            slots: &self.slots,
+        })
+        .copy_to(&mut rows);
+        rows
     }
 
     /// The view's rows as a reader that needs them owned sees them:
@@ -187,7 +254,7 @@ pub struct RowsId(WeakLayout);
 #[derive(Debug)]
 enum WeakLayout {
     Dense(Weak<Vec<Vec<Value>>>),
-    Picked(Weak<Picked>),
+    View(Weak<View>),
 }
 
 /// A read-only run of consecutive rows of a [`Rows`]
@@ -200,11 +267,11 @@ pub struct RowSlice<'a>(SliceLayout<'a>);
 #[derive(Debug, Clone, Copy)]
 enum SliceLayout<'a> {
     Dense(&'a [Vec<Value>]),
-    /// `picks` is the view's picks from position `at` on.
-    Picked {
-        view: &'a Picked,
+    /// `slots` is the view's slots from row `at` on.
+    View {
+        view: &'a View,
         at: usize,
-        picks: &'a [usize],
+        slots: &'a [usize],
     },
 }
 
@@ -227,8 +294,8 @@ impl<'a> Row<'a> for &'a [Value] {
     }
 }
 
-/// A row of a view: the input row it was picked from, and the input
-/// columns it keeps.
+/// A row of a view of one set: the set's row it reads, and the columns
+/// it keeps.
 #[derive(Clone, Copy)]
 struct PickedRow<'a> {
     cells: &'a [Value],
@@ -242,6 +309,28 @@ impl<'a> Row<'a> for PickedRow<'a> {
 
     fn cells(self) -> impl Iterator<Item = &'a Value> {
         self.cols.iter().map(move |&c| &self.cells[c])
+    }
+}
+
+/// A row of a view of several sets: its slots, one per set.
+#[derive(Clone, Copy)]
+struct ViewRow<'a> {
+    view: &'a View,
+    slots: &'a [usize],
+}
+
+impl<'a> Row<'a> for ViewRow<'a> {
+    fn cell(self, c: usize) -> &'a Value {
+        let (set, blank) = self.view.sets[c];
+        let slot = self.slots[set];
+        if slot & BLANK != 0 && (slot == ABSENT || blank) {
+            return &NULL;
+        }
+        &self.view.from[set][slot & !BLANK][self.view.cols[c]]
+    }
+
+    fn cells(self) -> impl Iterator<Item = &'a Value> {
+        (0..self.view.cols.len()).map(move |c| self.cell(c))
     }
 }
 
@@ -261,7 +350,7 @@ impl Rows {
     pub fn ptr_eq(a: &Rows, b: &Rows) -> bool {
         match (&a.0, &b.0) {
             (Layout::Dense(a), Layout::Dense(b)) => Arc::ptr_eq(a, b),
-            (Layout::Picked(a), Layout::Picked(b)) => Arc::ptr_eq(a, b),
+            (Layout::View(a), Layout::View(b)) => Arc::ptr_eq(a, b),
             _ => false,
         }
     }
@@ -269,31 +358,33 @@ impl Rows {
     /// A view of this row set: the rows at `picks`, in that order, each
     /// projected to the columns `cols`, in that order. Copies no row: the
     /// view shares this set's rows (a view of a view, the rows that one
-    /// picks from) until a write copies its own rows out.
+    /// reads) until a write copies its own rows out.
     pub fn pick(&self, picks: Vec<usize>, cols: Vec<usize>) -> Rows {
         let view = match &self.0 {
-            Layout::Dense(from) => Picked {
-                from: Arc::clone(from),
-                picks,
-                cols,
-                rows: OnceLock::new(),
-            },
-            Layout::Picked(outer) => Picked {
-                from: Arc::clone(&outer.from),
-                picks: picks.into_iter().map(|p| outer.picks[p]).collect(),
-                cols: cols.into_iter().map(|c| outer.cols[c]).collect(),
-                rows: OnceLock::new(),
-            },
+            Layout::Dense(from) => View::new(vec![Arc::clone(from)], picks, cols, Vec::new()),
+            Layout::View(outer) => View::new(
+                outer.from.clone(),
+                picks
+                    .iter()
+                    .flat_map(|&p| outer.slots_of(p))
+                    .copied()
+                    .collect(),
+                cols.iter().map(|&c| outer.cols[c]).collect(),
+                match outer.plain() {
+                    true => Vec::new(),
+                    false => cols.iter().map(|&c| outer.sets[c]).collect(),
+                },
+            ),
         };
-        Rows(Layout::Picked(Arc::new(view)))
+        Rows(Layout::View(Arc::new(view)))
     }
 
     /// Turns a view into rows of its own, copied once, and lets go of
-    /// the view's input; leaves a dense row set as it is. What every
+    /// the view's inputs; leaves a dense row set as it is. What every
     /// write does first, and what a table's rows have had done: a table
     /// never holds a view.
     pub fn materialize(&mut self) {
-        let Layout::Picked(view) = &mut self.0 else {
+        let Layout::View(view) = &mut self.0 else {
             return;
         };
         let rows = match Arc::get_mut(view) {
@@ -308,7 +399,7 @@ impl Rows {
         self.materialize();
         match &mut self.0 {
             Layout::Dense(rows) => Arc::make_mut(rows),
-            Layout::Picked(_) => unreachable!("materialized above"),
+            Layout::View(_) => unreachable!("materialized above"),
         }
     }
 
@@ -320,9 +411,19 @@ impl Rows {
     pub fn try_unwrap(self) -> std::result::Result<Vec<Vec<Value>>, Rows> {
         match self.0 {
             Layout::Dense(rows) => Arc::try_unwrap(rows).map_err(|rows| Rows(Layout::Dense(rows))),
-            Layout::Picked(view) => Arc::try_unwrap(view)
-                .map(Picked::into_rows)
-                .map_err(|view| Rows(Layout::Picked(view))),
+            Layout::View(view) => Arc::try_unwrap(view)
+                .map(View::into_rows)
+                .map_err(|view| Rows(Layout::View(view))),
+        }
+    }
+
+    /// The rows by value when this is the sole handle on a dense set;
+    /// the handle back, untouched, when it is shared or a view. Copies
+    /// nothing either way.
+    pub(crate) fn into_dense(self) -> std::result::Result<Vec<Vec<Value>>, Rows> {
+        match self.0 {
+            Layout::Dense(rows) => Arc::try_unwrap(rows).map_err(|rows| Rows(Layout::Dense(rows))),
+            Layout::View(view) => Err(Rows(Layout::View(view))),
         }
     }
 
@@ -335,7 +436,7 @@ impl Rows {
     pub fn downgrade(&self) -> RowsId {
         RowsId(match &self.0 {
             Layout::Dense(rows) => WeakLayout::Dense(Arc::downgrade(rows)),
-            Layout::Picked(view) => WeakLayout::Picked(Arc::downgrade(view)),
+            Layout::View(view) => WeakLayout::View(Arc::downgrade(view)),
         })
     }
 
@@ -345,7 +446,7 @@ impl Rows {
             (Layout::Dense(rows), WeakLayout::Dense(id)) => {
                 std::ptr::eq(Arc::as_ptr(rows), id.as_ptr())
             }
-            (Layout::Picked(view), WeakLayout::Picked(id)) => {
+            (Layout::View(view), WeakLayout::View(id)) => {
                 std::ptr::eq(Arc::as_ptr(view), id.as_ptr())
             }
             _ => false,
@@ -356,7 +457,7 @@ impl Rows {
     pub fn len(&self) -> usize {
         match &self.0 {
             Layout::Dense(rows) => rows.len(),
-            Layout::Picked(view) => view.picks.len(),
+            Layout::View(view) => view.len(),
         }
     }
 
@@ -365,11 +466,26 @@ impl Rows {
         self.len() == 0
     }
 
+    /// The cell in row `r`, column `c`, read where it sits. Panics when
+    /// either is out of bounds, as indexing does.
+    pub fn cell(&self, r: usize, c: usize) -> &Value {
+        match &self.0 {
+            Layout::Dense(rows) => &rows[r][c],
+            Layout::View(view) => view.cell(r, c),
+        }
+    }
+
+    /// True when the rows are in order on the columns `cols`
+    /// (lexicographic), read where they sit.
+    pub fn is_sorted_by(&self, cols: &[usize]) -> bool {
+        self.slice(..).read(InOrder(cols))
+    }
+
     /// The rows held: a dense set's own, a view's copied out once.
     fn dense(&self) -> &Vec<Vec<Value>> {
         match &self.0 {
             Layout::Dense(rows) => rows,
-            Layout::Picked(view) => view.dense(),
+            Layout::View(view) => view.dense(),
         }
     }
 
@@ -384,15 +500,24 @@ impl Rows {
         let bounds = (range.start_bound().cloned(), range.end_bound().cloned());
         RowSlice(match &self.0 {
             Layout::Dense(rows) => SliceLayout::Dense(&rows[bounds]),
-            Layout::Picked(view) => SliceLayout::Picked {
-                view,
-                at: match bounds.0 {
+            Layout::View(view) => {
+                let at = match bounds.0 {
                     Bound::Included(at) => at,
                     Bound::Excluded(at) => at + 1,
                     Bound::Unbounded => 0,
-                },
-                picks: &view.picks[bounds],
-            },
+                };
+                let end = match bounds.1 {
+                    Bound::Included(end) => end + 1,
+                    Bound::Excluded(end) => end,
+                    Bound::Unbounded => view.len(),
+                };
+                let n = view.from.len();
+                SliceLayout::View {
+                    view,
+                    at,
+                    slots: &view.slots[at * n..end * n],
+                }
+            }
         })
     }
 
@@ -420,6 +545,15 @@ impl Rows {
             self.extend(more);
         }
     }
+
+    /// How many sets a row of this set reads: one row of its own, or a
+    /// view's slots.
+    fn sets(&self) -> usize {
+        match &self.0 {
+            Layout::Dense(_) => 1,
+            Layout::View(view) => view.from.len(),
+        }
+    }
 }
 
 impl RowsId {
@@ -427,8 +561,104 @@ impl RowsId {
     pub fn is_held(&self) -> bool {
         match &self.0 {
             WeakLayout::Dense(rows) => rows.strong_count() > 0,
-            WeakLayout::Picked(view) => view.strong_count() > 0,
+            WeakLayout::View(view) => view.strong_count() > 0,
         }
+    }
+}
+
+/// A view under construction, a row at a time, out of a parent and a
+/// child row set: how a `Combine` over rows it may not move joins them
+/// without copying one. Each view row reads one parent row — whole, or
+/// on an outer-union skeleton only its identifiers — beside one child
+/// row or `Null`s. A parent or child that is a view is read through:
+/// the gathered view reads the rows that one reads.
+#[derive(Debug)]
+pub(crate) struct Gather {
+    parent: Rows,
+    child: Rows,
+    slots: Vec<usize>,
+}
+
+impl Gather {
+    /// A gathering from `parent` and `child`, with room for `rows` rows.
+    pub(crate) fn new(parent: Rows, child: Rows, rows: usize) -> Gather {
+        let width = parent.sets() + child.sets();
+        Gather {
+            parent,
+            child,
+            slots: Vec::with_capacity(rows * width),
+        }
+    }
+
+    /// The parent rows, to read keys from.
+    pub(crate) fn parent(&self) -> &Rows {
+        &self.parent
+    }
+
+    /// The child rows, to read keys from.
+    pub(crate) fn child(&self) -> &Rows {
+        &self.child
+    }
+
+    /// Appends a view row: parent row `p` — its value columns `Null`
+    /// when `skeleton` — beside child row `c`, or beside `Null`s.
+    pub(crate) fn push(&mut self, p: usize, skeleton: bool, c: Option<usize>) {
+        let blank = if skeleton { BLANK } else { 0 };
+        match &self.parent.0 {
+            Layout::Dense(_) => self.slots.push(p | blank),
+            Layout::View(view) => self
+                .slots
+                .extend(view.slots_of(p).iter().map(|&s| s | blank)),
+        }
+        match (&self.child.0, c) {
+            (Layout::Dense(_), Some(c)) => self.slots.push(c),
+            (Layout::View(view), Some(c)) => self.slots.extend_from_slice(view.slots_of(c)),
+            (_, None) => {
+                let n = self.child.sets();
+                self.slots.extend(std::iter::repeat_n(ABSENT, n));
+            }
+        }
+    }
+
+    /// The view: the parent's first `parent_arity` columns, then the
+    /// child's `child_arity` columns but column `skip`. `value(c)` tells
+    /// the view's value columns, which a skeleton row reads as `Null`.
+    pub(crate) fn finish(
+        self,
+        parent_arity: usize,
+        (child_arity, skip): (usize, usize),
+        value: impl Fn(usize) -> bool,
+    ) -> Rows {
+        let (mut from, mut cols, mut sets) = (Vec::new(), Vec::new(), Vec::new());
+        let mut read = |rows: Rows, keep: &mut dyn Iterator<Item = usize>| {
+            let base = from.len();
+            match rows.0 {
+                Layout::Dense(set) => {
+                    from.push(set);
+                    for c in keep {
+                        cols.push(c);
+                        sets.push(base);
+                    }
+                }
+                Layout::View(view) => {
+                    from.extend(view.from.iter().cloned());
+                    for c in keep {
+                        cols.push(view.cols[c]);
+                        sets.push(base + view.sets.get(c).map_or(0, |&(set, _)| set));
+                    }
+                }
+            }
+        };
+        read(self.parent, &mut (0..parent_arity));
+        read(self.child, &mut (0..child_arity).filter(|&c| c != skip));
+        let sets = sets
+            .into_iter()
+            .enumerate()
+            .map(|(c, set)| (set, value(c)))
+            .collect();
+        Rows(Layout::View(Arc::new(View::new(
+            from, self.slots, cols, sets,
+        ))))
     }
 }
 
@@ -437,7 +667,7 @@ impl<'a> RowSlice<'a> {
     pub fn len(&self) -> usize {
         match self.0 {
             SliceLayout::Dense(rows) => rows.len(),
-            SliceLayout::Picked { picks, .. } => picks.len(),
+            SliceLayout::View { view, slots, .. } => slots.len() / view.from.len(),
         }
     }
 
@@ -446,12 +676,13 @@ impl<'a> RowSlice<'a> {
         self.len() == 0
     }
 
-    /// The rows in order, owned: a run of a view copies the view's rows
-    /// out once ([`Rows::iter`]).
+    /// The rows in order, owned: a run of a view copies the whole
+    /// view's rows out once ([`Rows::iter`]); [`copy_to`](RowSlice::copy_to)
+    /// copies the run alone.
     pub fn iter(&self) -> std::slice::Iter<'a, Vec<Value>> {
         match self.0 {
             SliceLayout::Dense(rows) => rows.iter(),
-            SliceLayout::Picked { view, at, picks } => view.dense()[at..at + picks.len()].iter(),
+            SliceLayout::View { view, at, .. } => view.dense()[at..at + self.len()].iter(),
         }
     }
 
@@ -461,28 +692,91 @@ impl<'a> RowSlice<'a> {
     pub fn read<W: ReadRows<'a>>(self, reader: W) -> W::Out {
         match self.0 {
             SliceLayout::Dense(rows) => reader.read(rows.len(), |i| rows[i].as_slice()),
-            SliceLayout::Picked { view, picks, .. } => {
-                let (from, cols) = (view.from.as_slice(), view.cols.as_slice());
-                reader.read(picks.len(), |i| PickedRow {
-                    cells: &from[picks[i]],
+            SliceLayout::View { view, slots, .. } if view.plain() => {
+                let (from, cols) = (view.from[0].as_slice(), view.cols.as_slice());
+                reader.read(slots.len(), |i| PickedRow {
+                    cells: &from[slots[i]],
                     cols,
+                })
+            }
+            SliceLayout::View { view, slots, .. } => {
+                let n = view.from.len();
+                reader.read(slots.len() / n, |i| ViewRow {
+                    view,
+                    slots: &slots[i * n..][..n],
                 })
             }
         }
     }
 
+    /// Appends a copy of each row of the run to `out`, one exact-size
+    /// row each, read where the cells sit.
+    pub fn copy_to(self, out: &mut Vec<Vec<Value>>) {
+        self.read(Copied(out));
+    }
+
     /// The rows as a row set of their own: a dense run copied, a run of
-    /// a view picked again from the same input (no row copied).
+    /// a view read again from the same rows (no row copied).
     pub fn to_rows(self) -> Rows {
         match self.0 {
             SliceLayout::Dense(rows) => rows.to_vec().into(),
-            SliceLayout::Picked { view, picks, .. } => Rows(Layout::Picked(Arc::new(Picked {
-                from: Arc::clone(&view.from),
-                picks: picks.to_vec(),
-                cols: view.cols.clone(),
-                rows: OnceLock::new(),
-            }))),
+            SliceLayout::View { view, slots, .. } => Rows(Layout::View(Arc::new(View::new(
+                view.from.clone(),
+                slots.to_vec(),
+                view.cols.clone(),
+                view.sets.clone(),
+            )))),
         }
+    }
+}
+
+/// [`RowSlice::copy_to`]'s reader.
+struct Copied<'o>(&'o mut Vec<Vec<Value>>);
+
+impl<'a> ReadRows<'a> for Copied<'_> {
+    type Out = ();
+    fn read<R: Row<'a>>(self, len: usize, row: impl Fn(usize) -> R) {
+        self.0.reserve(len);
+        self.0
+            .extend((0..len).map(|i| row(i).cells().cloned().collect()));
+    }
+}
+
+/// [`Rows::is_sorted_by`]'s reader.
+struct InOrder<'c>(&'c [usize]);
+
+impl<'a> ReadRows<'a> for InOrder<'_> {
+    type Out = bool;
+    fn read<R: Row<'a>>(self, len: usize, row: impl Fn(usize) -> R) -> bool {
+        (1..len).all(|i| {
+            let (a, b) = (row(i - 1), row(i));
+            self.0
+                .iter()
+                .map(|&c| a.cell(c).cmp(b.cell(c)))
+                .find(|o| o.is_ne())
+                .is_none_or(|o| o.is_lt())
+        })
+    }
+}
+
+/// Row-for-row equality of two runs of one length, whatever either's
+/// layout: the first run read with this, the second with [`SameRows`].
+struct EqualTo<'a>(RowSlice<'a>);
+
+impl<'a> ReadRows<'a> for EqualTo<'a> {
+    type Out = bool;
+    fn read<R: Row<'a>>(self, _: usize, row: impl Fn(usize) -> R) -> bool {
+        self.0.read(SameRows(row))
+    }
+}
+
+/// [`EqualTo`]'s second reading: the first run's rows are `self.0`.
+struct SameRows<F>(F);
+
+impl<'a, R: Row<'a>, F: Fn(usize) -> R> ReadRows<'a> for SameRows<F> {
+    type Out = bool;
+    fn read<S: Row<'a>>(self, len: usize, row: impl Fn(usize) -> S) -> bool {
+        (0..len).all(|i| (self.0)(i).cells().eq(row(i).cells()))
     }
 }
 
@@ -511,12 +805,12 @@ impl Default for RowSlice<'_> {
     }
 }
 
-/// Row for row, whatever either side's layout.
+/// Row for row, whatever either side's layout, read where the cells sit.
 impl PartialEq for RowSlice<'_> {
     fn eq(&self, other: &Self) -> bool {
         match (self.0, other.0) {
             (SliceLayout::Dense(a), SliceLayout::Dense(b)) => a == b,
-            _ => self.len() == other.len() && self.iter().eq(other.iter()),
+            _ => self.len() == other.len() && self.read(EqualTo(*other)),
         }
     }
 }
@@ -641,15 +935,10 @@ impl Feed {
         comparisons.get()
     }
 
-    /// True when rows are sorted by the given columns.
+    /// True when rows are sorted by the given columns
+    /// ([`Rows::is_sorted_by`]).
     pub fn is_sorted_by(&self, cols: &[usize]) -> bool {
-        (1..self.len()).all(|i| {
-            cols.iter()
-                .map(|&c| self.rows[i - 1][c].cmp(&self.rows[i][c]))
-                .find(|o| *o != std::cmp::Ordering::Equal)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                != std::cmp::Ordering::Greater
-        })
+        self.rows.is_sorted_by(cols)
     }
 
     // ------------------------------------------------------------------

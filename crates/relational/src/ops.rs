@@ -10,7 +10,7 @@
 //! fragment" — a projection per output group plus duplicate elimination.
 
 use crate::error::{Error, Result};
-use crate::feed::{ColRole, Feed, FeedColumn, FeedSchema, ReadRows, Row, Rows};
+use crate::feed::{ColRole, Feed, FeedColumn, FeedSchema, Gather, ReadRows, Row, Rows};
 use crate::stats::Counters;
 use crate::value::Value;
 use std::collections::{HashMap, HashSet};
@@ -70,108 +70,33 @@ pub struct ChainHint {
     pub parent_in_order: bool,
 }
 
-/// One Combine input lined up for the merge: its rows in join-key
-/// order, each handed to the output at most once. Which way is decided
-/// by the input's [`Rows`] handle alone: rows another handle still
-/// shares are read through it (and, if they arrived unsorted, permuted
-/// by an index) and cloned out; rows the input held alone are sorted in
-/// place and moved out.
-enum Side {
-    Shared {
-        rows: Rows,
-        /// Row positions in key order; `None` when `rows` already is.
-        order: Option<Vec<usize>>,
-    },
-    Sole(Vec<Vec<Value>>),
-}
-
-impl Side {
-    /// Lines `rows` up on `col`. Dewey order is document order, so scans,
-    /// shred output and earlier Combines arrive sorted: one pass checks
-    /// (n−1 comparisons, billed also when `in_order` vouches for the
-    /// order and the pass is skipped), and only an input that fails is
-    /// sorted — stably, so equal keys keep their arrival order either way.
-    fn sorted_on(rows: Rows, col: usize, in_order: bool, counters: &mut Counters) -> Side {
-        counters.comparisons += (rows.len() as u64).saturating_sub(1);
-        let check = || (1..rows.len()).all(|i| rows[i - 1][col] <= rows[i][col]);
-        debug_assert!(!in_order || check(), "a vouched-for input out of key order");
-        let sorted = in_order || check();
-        let mut by_key = |a: &Vec<Value>, b: &Vec<Value>| {
-            counters.comparisons += 1;
-            a[col].cmp(&b[col])
-        };
-        match rows.try_unwrap() {
-            Ok(mut rows) => {
-                if !sorted {
-                    rows.sort_by(by_key);
-                }
-                Side::Sole(rows)
-            }
-            Err(rows) => {
-                let order = (!sorted).then(|| {
-                    let mut order: Vec<usize> = (0..rows.len()).collect();
-                    order.sort_by(|&a, &b| by_key(&rows[a], &rows[b]));
-                    order
-                });
-                Side::Shared { rows, order }
-            }
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Side::Shared { rows, .. } => rows.len(),
-            Side::Sole(rows) => rows.len(),
-        }
-    }
-
-    /// The `i`-th row in key order.
-    fn row(&self, i: usize) -> &[Value] {
-        match self {
-            Side::Shared { rows, order } => &rows[order.as_ref().map_or(i, |o| o[i])],
-            Side::Sole(rows) => &rows[i],
-        }
-    }
-
-    /// Hands out the `i`-th row with room for `width` cells: a shared
-    /// row is copied at that capacity, a sole one grown to it unless it
-    /// already has it (as a row an earlier Combine of the chain sized does).
-    fn take(&mut self, i: usize, width: usize) -> Vec<Value> {
-        match self {
-            Side::Shared { .. } => with_room(self.row(i), width),
-            Side::Sole(rows) => {
-                let mut row = std::mem::take(&mut rows[i]);
-                row.reserve_exact(width.saturating_sub(row.len()));
-                row
-            }
-        }
-    }
-
-    /// Appends the `i`-th row's cells, all but column `skip`, to `out`.
-    fn append(&mut self, i: usize, skip: usize, out: &mut Vec<Value>) {
-        match self {
-            Side::Shared { .. } => {
-                let cells = self.row(i).iter().enumerate();
-                out.extend(cells.filter(|&(c, _)| c != skip).map(|(_, v)| v.clone()));
-            }
-            Side::Sole(rows) => {
-                let cells = std::mem::take(&mut rows[i]).into_iter().enumerate();
-                out.extend(cells.filter(|&(c, _)| c != skip).map(|(_, v)| v));
-            }
-        }
-    }
-}
-
-/// A copy of `row` with room for `width` cells (at least its own).
-fn with_room(row: &[Value], width: usize) -> Vec<Value> {
-    let mut copy = Vec::with_capacity(width.max(row.len()));
-    copy.extend_from_slice(row);
-    copy
+/// Where a Combine's output rows go, and the join keys its merge walk
+/// reads on the way, both inputs in key order (positions `0..len` each).
+/// [`emit_group`] says which rows a parent group and its child rows
+/// make; a sink makes them: [`Moved`] as rows of their own, out of
+/// inputs it owns, and [`Gathered`] as a view of inputs it may not move.
+trait Sink {
+    /// How many rows the parent and the child have.
+    fn lens(&self) -> (usize, usize);
+    /// The join key of the `i`-th parent row in key order.
+    fn parent_key(&self, i: usize) -> &Value;
+    /// The join key of the `i`-th child row in key order.
+    fn child_key(&self, i: usize) -> &Value;
+    /// Room for `rows` more output rows.
+    fn reserve(&mut self, rows: usize);
+    /// Parent row `p` is the skeleton of its group's child rows: told
+    /// before the group's padded parent rows.
+    fn skeleton(&mut self, p: usize);
+    /// Emits parent row `p`, padded with `Null`s.
+    fn pad(&mut self, p: usize);
+    /// Emits child row `c` beside parent row `p`, or beside its skeleton
+    /// when `skeleton`; `last` when no later row of the group reads it.
+    fn attach(&mut self, p: usize, skeleton: bool, c: usize, last: bool);
 }
 
 /// Emits the combined rows for one parent group `pgroup` (all rows sharing
-/// the join key) and its matching child rows `cgroup` (with `ccol`
-/// projected away on output), both given as positions in key order.
+/// the join key) and its matching child rows `cgroup`, both given as
+/// positions in key order.
 ///
 /// Semantics follow materialized sorted feeds:
 /// * no children → parent rows padded with `Null` (outer),
@@ -184,56 +109,230 @@ fn with_room(row: &[Value], width: usize) -> Vec<Value> {
 ///   cartesian blow-up a naive join would produce across independent
 ///   repeated sibling branches — the reason single-query publishing loses
 ///   to optimized publishing in [6].
-///
-/// Every input row is handed out once ([`Side::take`], [`Side::append`]);
-/// the only copies made beyond that are the ones inlining duplicates by
-/// definition: the parent row for all but its last child, and the
-/// skeleton. Every row handed out has room for `width` cells, at least
-/// the output's arity.
-fn emit_group(
-    (schema, out): (&FeedSchema, &mut Vec<Vec<Value>>),
-    (parent, pgroup): (&mut Side, Range<usize>),
-    (child, cgroup): (&mut Side, Range<usize>),
-    ccol: usize,
-    (child_arity, width): (usize, usize),
-) {
-    // The output's leading columns are the parent's.
-    let pad = |parent: &mut Side, p: usize, out: &mut Vec<Vec<Value>>| {
-        let mut row = parent.take(p, width);
-        row.resize(row.len() + child_arity, Value::Null);
-        out.push(row);
-    };
+fn emit_group(out: &mut impl Sink, pgroup: Range<usize>, cgroup: Range<usize>) {
     let Some(last) = cgroup.clone().last() else {
         out.reserve(pgroup.len());
-        pgroup.for_each(|p| pad(parent, p, out));
+        pgroup.for_each(|p| out.pad(p));
         return;
     };
-    let mut attach = |mut base: Vec<Value>, c: usize, out: &mut Vec<Vec<Value>>| {
-        child.append(c, ccol, &mut base);
-        out.push(base);
-    };
+    let first = pgroup.start;
     if pgroup.len() == 1 {
         out.reserve(cgroup.len());
-        for c in cgroup.start..last {
-            attach(with_room(parent.row(pgroup.start), width), c, out);
-        }
-        attach(parent.take(pgroup.start, width), last, out);
+        cgroup.for_each(|c| out.attach(first, false, c, c == last));
         return;
     }
     // Outer-union alignment: skeleton = first parent row with value
     // columns blanked (identifiers stay for grouping/tagging).
     out.reserve(pgroup.len() + cgroup.len());
-    let mut skeleton = Vec::with_capacity(width);
-    let first = parent.row(pgroup.start).iter().zip(&schema.columns);
-    skeleton.extend(first.map(|(v, col)| match col.role {
-        ColRole::Value => Value::Null,
-        _ => v.clone(),
-    }));
-    pgroup.for_each(|p| pad(parent, p, out));
-    for c in cgroup.start..last {
-        attach(with_room(&skeleton, width), c, out);
+    out.skeleton(first);
+    pgroup.for_each(|p| out.pad(p));
+    cgroup.for_each(|c| out.attach(first, true, c, c == last));
+}
+
+/// The merge walk: the parent's rows in groups of one join key, each
+/// with the child rows carrying that key, handed to [`emit_group`].
+/// Smaller child keys are orphans, and a `Null` key joins nothing.
+fn merge(out: &mut impl Sink, counters: &mut Counters) {
+    let (plen, clen) = out.lens();
+    let (mut pi, mut ci) = (0, 0);
+    while pi < plen {
+        let pgroup = pi;
+        let key = out.parent_key(pgroup);
+        pi += 1;
+        while pi < plen {
+            counters.comparisons += 1;
+            if out.parent_key(pi) != key {
+                break;
+            }
+            pi += 1;
+        }
+        while ci < clen {
+            counters.comparisons += 1;
+            if out.child_key(ci) >= key {
+                break;
+            }
+            ci += 1;
+        }
+        let cgroup = ci;
+        while !key.is_null() && ci < clen {
+            counters.comparisons += 1;
+            if out.child_key(ci) != key {
+                break;
+            }
+            ci += 1;
+        }
+        emit_group(out, pgroup..pi, cgroup..ci);
     }
-    attach(skeleton, last, out);
+}
+
+/// A Combine's output made of inputs whose rows no other handle shares,
+/// each sorted in place: every input row is handed out once, moved. The
+/// only copies made beyond that are the ones inlining duplicates by
+/// definition: the parent row for all but its last child, and the
+/// skeleton. Every row handed out has room for `width` cells, at least
+/// the output's arity.
+struct Moved<'s> {
+    schema: &'s FeedSchema,
+    parent: Vec<Vec<Value>>,
+    child: Vec<Vec<Value>>,
+    /// The join columns of the parent and the child.
+    cols: (usize, usize),
+    /// The child's arity, less its `PARENT` column.
+    child_arity: usize,
+    width: usize,
+    skeleton: Vec<Value>,
+    rows: Vec<Vec<Value>>,
+}
+
+impl Moved<'_> {
+    /// Hands out parent row `p` with room for `width` cells: grown unless
+    /// it already has them (as a row an earlier Combine of the chain
+    /// sized does).
+    fn take(&mut self, p: usize) -> Vec<Value> {
+        let mut row = std::mem::take(&mut self.parent[p]);
+        row.reserve_exact(self.width.saturating_sub(row.len()));
+        row
+    }
+}
+
+impl Sink for Moved<'_> {
+    fn lens(&self) -> (usize, usize) {
+        (self.parent.len(), self.child.len())
+    }
+
+    fn parent_key(&self, i: usize) -> &Value {
+        &self.parent[i][self.cols.0]
+    }
+
+    fn child_key(&self, i: usize) -> &Value {
+        &self.child[i][self.cols.1]
+    }
+
+    fn reserve(&mut self, rows: usize) {
+        self.rows.reserve(rows);
+    }
+
+    fn skeleton(&mut self, p: usize) {
+        let mut skeleton = Vec::with_capacity(self.width);
+        let first = self.parent[p].iter().zip(&self.schema.columns);
+        skeleton.extend(first.map(|(v, col)| match col.role {
+            ColRole::Value => Value::Null,
+            _ => v.clone(),
+        }));
+        self.skeleton = skeleton;
+    }
+
+    fn pad(&mut self, p: usize) {
+        let mut row = self.take(p);
+        row.resize(row.len() + self.child_arity, Value::Null);
+        self.rows.push(row);
+    }
+
+    fn attach(&mut self, p: usize, skeleton: bool, c: usize, last: bool) {
+        let mut row = match (skeleton, last) {
+            (false, false) => with_room(&self.parent[p], self.width),
+            (false, true) => self.take(p),
+            (true, false) => with_room(&self.skeleton, self.width),
+            (true, true) => std::mem::take(&mut self.skeleton),
+        };
+        let skip = self.cols.1;
+        let cells = std::mem::take(&mut self.child[c]).into_iter().enumerate();
+        row.extend(cells.filter(|&(i, _)| i != skip).map(|(_, v)| v));
+        self.rows.push(row);
+    }
+}
+
+/// A copy of `row` with room for `width` cells (at least its own).
+fn with_room(row: &[Value], width: usize) -> Vec<Value> {
+    let mut copy = Vec::with_capacity(width.max(row.len()));
+    copy.extend_from_slice(row);
+    copy
+}
+
+/// A Combine's output as a view of inputs it may not move — a set
+/// another handle shares, or a view — read where their rows sit
+/// ([`Gather`]): each output row records its parent row, its child row
+/// or none, and whether it is a skeleton. No row is copied.
+struct Gathered {
+    view: Gather,
+    /// Each input's row positions in key order; `None` when the input
+    /// already is.
+    order: (Option<Vec<usize>>, Option<Vec<usize>>),
+    /// The join columns of the parent and the child.
+    cols: (usize, usize),
+}
+
+/// The `i`-th position in key order.
+fn at(order: &Option<Vec<usize>>, i: usize) -> usize {
+    order.as_ref().map_or(i, |o| o[i])
+}
+
+impl Sink for Gathered {
+    fn lens(&self) -> (usize, usize) {
+        (self.view.parent().len(), self.view.child().len())
+    }
+
+    fn parent_key(&self, i: usize) -> &Value {
+        self.view.parent().cell(at(&self.order.0, i), self.cols.0)
+    }
+
+    fn child_key(&self, i: usize) -> &Value {
+        self.view.child().cell(at(&self.order.1, i), self.cols.1)
+    }
+
+    fn reserve(&mut self, _: usize) {}
+
+    fn skeleton(&mut self, _: usize) {}
+
+    fn pad(&mut self, p: usize) {
+        self.view.push(at(&self.order.0, p), false, None);
+    }
+
+    fn attach(&mut self, p: usize, skeleton: bool, c: usize, _: bool) {
+        let c = at(&self.order.1, c);
+        self.view.push(at(&self.order.0, p), skeleton, Some(c));
+    }
+}
+
+/// Whether `rows` are in key order on `col`. Dewey order is document
+/// order, so scans, shred output and earlier Combines arrive sorted: one
+/// pass checks, n−1 comparisons, billed also when `in_order` vouches for
+/// the order and the pass is skipped.
+fn in_key_order(rows: &Rows, col: usize, in_order: bool, counters: &mut Counters) -> bool {
+    counters.comparisons += (rows.len() as u64).saturating_sub(1);
+    let check = || rows.is_sorted_by(&[col]);
+    debug_assert!(!in_order || check(), "a vouched-for input out of key order");
+    in_order || check()
+}
+
+/// Rows an input held alone, sorted in place on `col` (stably, so equal
+/// keys keep their arrival order) unless `sorted`.
+fn sort_sole(
+    mut rows: Vec<Vec<Value>>,
+    col: usize,
+    sorted: bool,
+    counters: &mut Counters,
+) -> Vec<Vec<Value>> {
+    if !sorted {
+        rows.sort_by(|a, b| {
+            counters.comparisons += 1;
+            a[col].cmp(&b[col])
+        });
+    }
+    rows
+}
+
+/// A shared input's row positions in key order on `col` (stably), an
+/// index to read it through; `None` when `sorted`.
+fn key_order(rows: &Rows, col: usize, sorted: bool, counters: &mut Counters) -> Option<Vec<usize>> {
+    (!sorted).then(|| {
+        let mut order: Vec<usize> = (0..rows.len()).collect();
+        order.sort_by(|&a, &b| {
+            counters.comparisons += 1;
+            rows.cell(a, col).cmp(rows.cell(b, col))
+        });
+        order
+    })
 }
 
 /// Sort-merge implementation of `Combine`.
@@ -242,13 +341,14 @@ fn emit_group(
 /// with `Null` (an optional/absent child). Orphan child rows (no parent)
 /// are dropped. Each input is checked for sortedness on its join key and
 /// sorted only if the check fails; the comparisons of the check, of any
-/// sort and of the merge are charged to `counters`. An input whose rows
-/// no other handle shares has them moved into the output; one whose rows
-/// are shared (a scanned table, a feed another reader still holds) has
-/// them cloned, and the other holders see them unchanged. The
-/// per-group inlining/alignment semantics are `emit_group`'s; what
-/// `chain` tells about the Combines around this one shapes allocations
-/// and skips a check, never a row ([`ChainHint`]).
+/// sort and of the merge are charged to `counters`. When both inputs
+/// hold their rows alone (dense sets no other handle shares), their rows
+/// move into the output. Otherwise — a scanned table, a feed another
+/// reader still holds, a view — the output is a view of
+/// the inputs' rows, no row copied, and the other holders see theirs
+/// unchanged. The per-group inlining/alignment semantics are
+/// `emit_group`'s; what `chain` tells about the Combines around this one
+/// shapes allocations and skips a check, never a row ([`ChainHint`]).
 pub fn merge_combine(
     parent: Feed,
     child: Feed,
@@ -258,60 +358,57 @@ pub fn merge_combine(
 ) -> Result<Feed> {
     let (pcol, ccol) = join_columns(&parent, &child, anchor_element)?;
     counters.rows_read += (parent.len() + child.len()) as u64;
-    let child_arity = child.schema.arity() - 1;
-    let schema = combined_schema(parent.schema, &child.schema, ccol);
-    let width = chain.width.max(schema.arity());
     // Every parent row is emitted at least once: a 1:1 Combine fills
     // this without growing it.
-    let mut rows = Vec::with_capacity(parent.rows.len());
-    let mut parent = Side::sorted_on(parent.rows, pcol, chain.parent_in_order, counters);
-    let mut child = Side::sorted_on(child.rows, ccol, false, counters);
-
-    let (mut pi, mut ci) = (0, 0);
-    while pi < parent.len() {
-        // The parent group of this key, then the child rows carrying it:
-        // smaller child keys are orphans, and a Null key joins nothing.
-        let pgroup = pi;
-        let key = &parent.row(pgroup)[pcol];
-        pi += 1;
-        while pi < parent.len() {
-            counters.comparisons += 1;
-            if parent.row(pi)[pcol] != *key {
-                break;
-            }
-            pi += 1;
+    let capacity = parent.len();
+    let (parent_arity, child_arity) = (parent.schema.arity(), child.schema.arity());
+    let schema = combined_schema(parent.schema, &child.schema, ccol);
+    let psorted = in_key_order(&parent.rows, pcol, chain.parent_in_order, counters);
+    let csorted = in_key_order(&child.rows, ccol, false, counters);
+    let rows = match (parent.rows.into_dense(), child.rows.into_dense()) {
+        (Ok(prows), Ok(crows)) => {
+            let mut out = Moved {
+                schema: &schema,
+                parent: sort_sole(prows, pcol, psorted, counters),
+                child: sort_sole(crows, ccol, csorted, counters),
+                cols: (pcol, ccol),
+                child_arity: child_arity - 1,
+                width: chain.width.max(schema.arity()),
+                skeleton: Vec::new(),
+                rows: Vec::with_capacity(capacity),
+            };
+            merge(&mut out, counters);
+            out.rows.into()
         }
-        while ci < child.len() {
-            counters.comparisons += 1;
-            if child.row(ci)[ccol] >= *key {
-                break;
-            }
-            ci += 1;
+        (prows, crows) => {
+            // A sole dense input among them sorts in place and is read
+            // where it sits, as the other one is.
+            let mut keyed = |rows, col, sorted| match rows {
+                Ok(rows) => (sort_sole(rows, col, sorted, counters).into(), None),
+                Err(rows) => {
+                    let order = key_order(&rows, col, sorted, counters);
+                    (rows, order)
+                }
+            };
+            let (prows, porder) = keyed(prows, pcol, psorted);
+            let (crows, corder) = keyed(crows, ccol, csorted);
+            let mut out = Gathered {
+                view: Gather::new(prows, crows, capacity),
+                order: (porder, corder),
+                cols: (pcol, ccol),
+            };
+            merge(&mut out, counters);
+            let value = |c: usize| schema.columns[c].role == ColRole::Value;
+            out.view.finish(parent_arity, (child_arity, ccol), value)
         }
-        let cgroup = ci;
-        while !key.is_null() && ci < child.len() {
-            counters.comparisons += 1;
-            if child.row(ci)[ccol] != *key {
-                break;
-            }
-            ci += 1;
-        }
-        emit_group(
-            (&schema, &mut rows),
-            (&mut parent, pgroup..pi),
-            (&mut child, cgroup..ci),
-            ccol,
-            (child_arity, width),
-        );
-    }
+    };
     counters.rows_out += rows.len() as u64;
-    let rows = rows.into();
     Ok(Feed { schema, rows })
 }
 
-/// Hash-join implementation of `Combine` (same semantics as
-/// [`merge_combine`]); provided for the `ablation` binary's comparison
-/// of join strategies.
+/// Hash-join implementation of `Combine` (same semantics and output as
+/// [`merge_combine`] over shared inputs: a view); provided for the
+/// `ablation` binary's comparison of join strategies.
 pub fn hash_combine(
     parent: &Feed,
     child: &Feed,
@@ -322,23 +419,25 @@ pub fn hash_combine(
     counters.rows_read += (parent.len() + child.len()) as u64;
 
     let mut by_parent: HashMap<&Value, Vec<usize>> = HashMap::with_capacity(child.len());
-    for (i, row) in child.rows.iter().enumerate() {
-        by_parent.entry(&row[ccol]).or_default().push(i);
+    for i in 0..child.len() {
+        by_parent
+            .entry(child.rows.cell(i, ccol))
+            .or_default()
+            .push(i);
     }
 
     let schema = combined_schema(parent.schema.clone(), &child.schema, ccol);
-    let mut rows = Vec::new();
-    let child_arity = child.schema.arity() - 1;
 
     // Group parent rows by key (first-occurrence order) so the emit
     // semantics match the merge implementation exactly.
     let mut key_order: Vec<&Value> = Vec::new();
     let mut pgroups: HashMap<&Value, Vec<usize>> = HashMap::new();
-    for (i, prow) in parent.rows.iter().enumerate() {
+    for i in 0..parent.len() {
         counters.hash_probes += 1;
-        let entry = pgroups.entry(&prow[pcol]).or_default();
+        let key = parent.rows.cell(i, pcol);
+        let entry = pgroups.entry(key).or_default();
         if entry.is_empty() {
-            key_order.push(&prow[pcol]);
+            key_order.push(key);
         }
         entry.push(i);
     }
@@ -354,25 +453,19 @@ pub fn hash_combine(
         }
         groups.push((pstart..porder.len(), cstart..corder.len()));
     }
-    let mut pside = Side::Shared {
-        rows: parent.rows.clone(),
-        order: Some(porder),
-    };
-    let mut cside = Side::Shared {
-        rows: child.rows.clone(),
-        order: Some(corder),
+    let mut out = Gathered {
+        view: Gather::new(parent.rows.clone(), child.rows.clone(), parent.len()),
+        order: (Some(porder), Some(corder)),
+        cols: (pcol, ccol),
     };
     for (pgroup, cgroup) in groups {
-        emit_group(
-            (&schema, &mut rows),
-            (&mut pside, pgroup),
-            (&mut cside, cgroup),
-            ccol,
-            (child_arity, schema.arity()),
-        );
+        emit_group(&mut out, pgroup, cgroup);
     }
+    let value = |c: usize| schema.columns[c].role == ColRole::Value;
+    let rows = out
+        .view
+        .finish(parent.schema.arity(), (child.schema.arity(), ccol), value);
     counters.rows_out += rows.len() as u64;
-    let rows = rows.into();
     Ok(Feed { schema, rows })
 }
 
@@ -841,6 +934,101 @@ mod tests {
         }
     }
 
+    /// `feed` copied into rows of its own, whatever its layout.
+    fn materialized(feed: &Feed) -> Feed {
+        let mut copy = feed.clone();
+        copy.rows.materialize();
+        handle(true, &copy)
+    }
+
+    /// `feed`'s rows as a Split's output holds them: a view picking them,
+    /// in order, out of a wider row set laid out in reverse.
+    fn split_view(feed: &Feed) -> Feed {
+        let arity = feed.schema.arity();
+        let wide: Rows = feed
+            .rows
+            .iter()
+            .rev()
+            .map(|row| {
+                let mut wide = vec![Value::Int(-1)];
+                wide.extend(row.iter().cloned());
+                wide.push(Value::Str("wide".into()));
+                wide
+            })
+            .collect();
+        Feed {
+            schema: feed.schema.clone(),
+            rows: wide.pick((0..feed.len()).rev().collect(), (1..=arity).collect()),
+        }
+    }
+
+    /// Children of the drawn child rows: row `i` has `i % 3` of them, in
+    /// the child's own row order, so a shuffled child gives shuffled
+    /// grandchildren.
+    fn grandchildren(child: &Feed) -> Feed {
+        let schema = FeedSchema::new(
+            "Line",
+            vec![
+                FeedColumn::new("Line", ColRole::ParentRef),
+                FeedColumn::new("Line", ColRole::NodeId),
+                FeedColumn::new("LineKey", ColRole::Value),
+            ],
+        );
+        let mut rows = Vec::new();
+        for (i, row) in child.rows.iter().enumerate() {
+            for j in 0..i % 3 {
+                let Value::Dewey(id) = &row[1] else {
+                    unreachable!("child ids are Dewey ids")
+                };
+                let mut line = id.clone();
+                line.push(j as u32);
+                rows.push(vec![
+                    row[1].clone(),
+                    Value::Dewey(line),
+                    Value::Str(format!("g{i}.{j}")),
+                ]);
+            }
+        }
+        Feed {
+            schema,
+            rows: rows.into(),
+        }
+    }
+
+    /// `merge_combine` over `parent` and `child` as given (views, shared
+    /// handles) against the oracle over copies of them: the same rows in
+    /// the same order, read in place, materialised and encoded, and the
+    /// oracle's `rows_read`/`rows_out`. The whole bill is the one shared
+    /// dense copies get (an unsorted input that is not sole is sorted
+    /// through an index either way), and sole copies move to the same
+    /// rows. Returns the output as the inputs gave it.
+    fn combines_like_the_oracle(
+        parent: Feed,
+        child: Feed,
+        anchor: &str,
+        chain: ChainHint,
+    ) -> std::result::Result<Feed, TestCaseError> {
+        let (p, c) = (materialized(&parent), materialized(&child));
+        let mut billed = Counters::new();
+        let want = oracle_merge_combine(&p, &c, anchor, &mut billed).unwrap();
+        let (mut shared_bill, mut bill) = (Counters::new(), Counters::new());
+        let shared = (handle(false, &p), handle(false, &c));
+        let shared = merge_combine(shared.0, shared.1, anchor, chain, &mut shared_bill).unwrap();
+        let moved = merge_combine(p, c, anchor, chain, &mut Counters::new()).unwrap();
+        let got = merge_combine(parent, child, anchor, chain, &mut bill).unwrap();
+        prop_assert_eq!(&moved, &want);
+        prop_assert_eq!(&shared, &want);
+        prop_assert_eq!(&got, &want);
+        prop_assert_eq!(&materialized(&got), &want);
+        prop_assert_eq!(text_frame(&got), text_frame(&want));
+        prop_assert_eq!(bill, shared_bill);
+        prop_assert_eq!(
+            (bill.rows_read, bill.rows_out),
+            (billed.rows_read, billed.rows_out)
+        );
+        Ok(got)
+    }
+
     /// Orders `feed` by its rows' drawn ranks when they ask for a shuffle,
     /// by `col` (stably) otherwise.
     fn arrange(feed: &mut Feed, col: usize, ranks: &[(bool, u32)]) {
@@ -1090,10 +1278,10 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Sole or shared, sorted or not: the same rows in the same order
-        /// as the clone-and-sort implementation, the same
-        /// `rows_read`/`rows_out` bill, and a shared input's other holder
-        /// still sees its rows as they were.
+        /// Sole or shared, sorted or not, dense or a view: the same rows
+        /// in the same order as the clone-and-sort implementation, the
+        /// same `rows_read`/`rows_out` bill, and a shared input's other
+        /// holder still sees its rows as they were.
         #[test]
         fn merge_combine_matches_the_clone_and_sort_oracle(family in family_strategy()) {
             let (parent, child) = family;
@@ -1116,6 +1304,23 @@ mod tests {
                 prop_assert_eq!(&parent.rows, &parent_rows);
                 prop_assert_eq!(&child.rows, &child_rows);
             }
+            // Split views (a view of a view too) and Combine views as
+            // inputs, and a chain of three Combines, each reading the
+            // last one's view as its parent, with skeletons of skeletons.
+            let shared = |feed: &Feed| handle(false, feed);
+            let nested = split_view(&split_view(&child));
+            combines_like_the_oracle(shared(&parent), nested, "Customer", ChainHint::default())?;
+            let lines = grandchildren(&child);
+            let child_view =
+                combines_like_the_oracle(shared(&child), shared(&lines), "Order", ChainHint::default())?;
+            let mut chained = split_view(&parent);
+            let mut hint = ChainHint::default();
+            for next in [split_view(&child), child_view, shared(&child)] {
+                chained = combines_like_the_oracle(chained, next, "Customer", hint)?;
+                hint.parent_in_order = true;
+            }
+            prop_assert_eq!(&parent.rows, &parent_rows);
+            prop_assert_eq!(&child.rows, &child_rows);
         }
     }
 

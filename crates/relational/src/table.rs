@@ -43,8 +43,10 @@ impl Table {
     ///
     /// Indexes are *not* maintained incrementally — the paper's pipeline
     /// loads first and creates indexes afterwards (Table 4 separates the
-    /// two), so existing indexes are dropped and must be rebuilt.
-    pub fn bulk_load(&mut self, feed: Feed, counters: &mut Counters) -> Result<()> {
+    /// two), so existing indexes are dropped and must be rebuilt. A view
+    /// is copied out first ([`Rows::materialize`](crate::Rows::materialize)):
+    /// a table never holds one.
+    pub fn bulk_load(&mut self, mut feed: Feed, counters: &mut Counters) -> Result<()> {
         if feed.schema.arity() != self.data.schema.arity() {
             return Err(Error::SchemaMismatch {
                 detail: format!(
@@ -57,6 +59,7 @@ impl Table {
         }
         counters.rows_written += feed.len() as u64;
         self.indexes.clear();
+        feed.rows.materialize();
         self.data.rows.absorb(feed.rows);
         Ok(())
     }
@@ -67,8 +70,8 @@ impl Table {
     /// live table when the whole exchange commits. Schema mismatches are
     /// rejected at staging time, before anything is at risk. Empty
     /// staging adopts `feed`'s row set whole, shared with whoever else
-    /// holds it.
-    pub fn stage_rows(&mut self, feed: Feed) -> Result<()> {
+    /// holds it; a view is copied out first, as in [`Table::bulk_load`].
+    pub fn stage_rows(&mut self, mut feed: Feed) -> Result<()> {
         if feed.schema.arity() != self.data.schema.arity() {
             return Err(Error::SchemaMismatch {
                 detail: format!(
@@ -79,6 +82,7 @@ impl Table {
                 ),
             });
         }
+        feed.rows.materialize();
         self.staged.absorb(feed.rows);
         Ok(())
     }

@@ -1,5 +1,5 @@
 //! The landing oracle over random inputs. `Runtime` sessions on XMark,
-//! balanced and random schemas, each between a random pair of
+//! balanced, random and wide schemas, each between a random pair of
 //! fragmentations (the paper's Section 5.4 runs its simulator on such
 //! pairs), in both wire formats and at three batch sizes, must land what
 //! publish&map lands: shipped whole, published 1→k, patched along a
@@ -12,6 +12,7 @@ mod common;
 
 use common::oracle::lands_like_pm;
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Duration;
@@ -24,16 +25,24 @@ use xdx_runtime::{
 };
 use xdx_sim::{random_document, random_fragmentation, random_schema};
 use xdx_xmark::{generate, load_source, GenConfig};
-use xdx_xml::SchemaTree;
+use xdx_xml::{NodeId, SchemaTree, Writer};
 
 #[derive(Debug, Clone, Copy)]
 enum Family {
     Xmark,
     Balanced,
     Random,
+    /// `SchemaTree::balanced(4, 4, true)`: 341 elements, every one but
+    /// the root repeated, so a fragment holds whole outer-union regions.
+    /// Its Combines see parent groups of several rows and emit skeleton
+    /// rows, which XMark's fragmentations never produce.
+    Wide,
 }
 
 const FAMILIES: [Family; 3] = [Family::Xmark, Family::Balanced, Family::Random];
+
+/// Cases per property on [`Family::Wide`].
+const WIDE_CASES: u32 = 8;
 
 /// One drawn input: a schema, a document of it, a fragmentation pair and
 /// the runtime configuration that ships between them.
@@ -51,6 +60,7 @@ fn case(family: Family, seed: u64, format: WireFormat, batch_rows: usize) -> Cas
         Family::Xmark => xdx_xmark::schema(),
         Family::Balanced => SchemaTree::balanced(rng.gen_range(1..4), rng.gen_range(2..4), true),
         Family::Random => random_schema(seed, rng.gen_range(4..16)),
+        Family::Wide => SchemaTree::balanced(4, 4, true),
     };
     let doc = match family {
         Family::Xmark => generate(GenConfig {
@@ -58,6 +68,7 @@ fn case(family: Family, seed: u64, format: WireFormat, batch_rows: usize) -> Cas
             seed,
         }),
         Family::Balanced | Family::Random => random_document(&schema, seed),
+        Family::Wide => wide_document(&schema, seed),
     };
     let most = schema.len().min(7);
     let from = random_fragmentation(&schema, rng.gen_range(1..=most), "src", &mut rng);
@@ -100,6 +111,30 @@ impl Case {
     }
 }
 
+/// A random document of a wide schema, each repeated element present 0
+/// to 2 times (`random_document` draws 0 to 3): a median of about 280
+/// elements and 4 KB, where `random_document` writes about 1 500 and
+/// 35 KB, which took this file from 1.2 to 28 s in a debug build.
+fn wide_document(schema: &SchemaTree, seed: u64) -> String {
+    fn emit(schema: &SchemaTree, rng: &mut StdRng, w: &mut Writer, e: NodeId) {
+        let node = schema.node(e);
+        w.start(&node.name);
+        if node.has_text && node.children.is_empty() {
+            w.text(&format!("v{}", rng.gen_range(0..1000)));
+        }
+        for &c in &node.children {
+            for _ in 0..rng.gen_range(0..3) {
+                emit(schema, rng, w, c);
+            }
+        }
+        w.end();
+    }
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut w = Writer::new();
+    emit(schema, &mut rng, &mut w, schema.root());
+    w.finish()
+}
+
 fn done(result: SessionResult) -> Database {
     assert_eq!(result.state, SessionState::Done, "{:?}", result.diagnostic);
     result.target.expect("a done session carries its target")
@@ -137,90 +172,136 @@ fn families() -> impl Strategy<Value = Family> {
     prop::sample::select(FAMILIES.to_vec())
 }
 
+/// A full ship lands what publish&map lands, paced or not.
+fn full_ship_lands(c: Case, paced: bool) {
+    let runtime = c.start(c.config(paced));
+    c.assert_lands(runtime.submit(c.request(&c.doc)).unwrap().wait(), &c.doc);
+    runtime.shutdown();
+}
+
+/// Every lane of a 1→k publish lands what publish&map lands, paced or
+/// not.
+fn every_lane_lands(c: Case, fanout: usize, paced: bool) -> Result<(), TestCaseError> {
+    let runtime = c.start(c.config(paced));
+    let source = load_source(&c.doc, &c.schema, &c.from).unwrap();
+    let subscribers = (0..fanout).map(|i| format!("sub-{i}")).collect();
+    let request = PublishRequest::new("oracle", source, c.from.clone(), c.to.clone(), subscribers);
+    let results = runtime.publish(request).unwrap().wait();
+    prop_assert_eq!(results.len(), fanout);
+    for result in results {
+        c.assert_lands(result, &c.doc);
+    }
+    runtime.shutdown();
+    Ok(())
+}
+
+/// Each round of a `with_base_version` chain, at 0, 5, 20 and 50 %
+/// churn after a full ship, lands what publish&map lands for that
+/// round's document; the unchanged round ships a patch.
+fn every_round_lands(c: Case, seed: u64) -> Result<(), TestCaseError> {
+    let runtime = c.start(c.config);
+    c.assert_lands(runtime.submit(c.request(&c.doc)).unwrap().wait(), &c.doc);
+    for (round, pct) in [0, 5, 20, 50].into_iter().enumerate() {
+        let doc = churn(&c.doc, pct, seed + round as u64);
+        let (from, to) = (DEFAULT_SOURCE_ENDPOINT, DEFAULT_TARGET_ENDPOINT);
+        let base = runtime.feed_version(from, to, &c.from.name, &c.to.name);
+        let request = c.request(&doc).with_base_version(base);
+        let result = runtime.submit(request).unwrap().wait();
+        if pct == 0 {
+            prop_assert_eq!(result.metrics.delta_patches_applied, 1);
+        }
+        c.assert_lands(result, &doc);
+    }
+    runtime.shutdown();
+    Ok(())
+}
+
+/// A session that fails on a seeded lossy link rolls its target back,
+/// and its resume over the repaired link lands what publish&map lands.
+fn resumed_session_lands(c: Case, seed: u64) -> Result<(), TestCaseError> {
+    let shipping = ShippingPolicy {
+        chunk_bytes: 64,
+        max_attempts_per_chunk: 2,
+        retry_budget: 4,
+        backoff_base: Duration::from_micros(50),
+        ..ShippingPolicy::default()
+    };
+    let lossy = FaultProfile::drops(0.5, seed);
+    let runtime = c.start(c.config.with_shipping(shipping).with_fault_profile(lossy));
+    let handle = runtime.submit(c.request(&c.doc)).unwrap();
+    let id = handle.id();
+    let first = handle.wait();
+    let result = if first.state == SessionState::Failed {
+        prop_assert_eq!(first.target.map(|t| t.total_rows()), Some(0));
+        runtime.set_fault_profile(FaultProfile::healthy());
+        runtime.resume(id).unwrap().wait()
+    } else {
+        first
+    };
+    c.assert_lands(result, &c.doc);
+    runtime.shutdown();
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// A full ship lands what publish&map lands, paced or not.
     #[test]
     fn a_full_ship_lands_like_pm(family in families(), seed in 0u64..1 << 32,
                                  format in formats(), rows in batch_rows(),
                                  paced in any::<bool>()) {
-        let c = case(family, seed, format, rows);
-        let runtime = c.start(c.config(paced));
-        c.assert_lands(runtime.submit(c.request(&c.doc)).unwrap().wait(), &c.doc);
-        runtime.shutdown();
+        full_ship_lands(case(family, seed, format, rows), paced);
     }
 
-    /// Every lane of a 1→k publish lands what publish&map lands, paced
-    /// or not.
     #[test]
     fn every_publish_lane_lands_like_pm(family in families(), seed in 0u64..1 << 32,
                                         format in formats(), rows in batch_rows(),
                                         fanout in 2usize..4, paced in any::<bool>()) {
-        let c = case(family, seed, format, rows);
-        let runtime = c.start(c.config(paced));
-        let source = load_source(&c.doc, &c.schema, &c.from).unwrap();
-        let subscribers = (0..fanout).map(|i| format!("sub-{i}")).collect();
-        let request =
-            PublishRequest::new("oracle", source, c.from.clone(), c.to.clone(), subscribers);
-        let results = runtime.publish(request).unwrap().wait();
-        prop_assert_eq!(results.len(), fanout);
-        for result in results {
-            c.assert_lands(result, &c.doc);
-        }
-        runtime.shutdown();
+        every_lane_lands(case(family, seed, format, rows), fanout, paced)?;
     }
 
-    /// Each round of a `with_base_version` chain, at 0, 5, 20 and 50 %
-    /// churn after a full ship, lands what publish&map lands for that
-    /// round's document; the unchanged round ships a patch.
     #[test]
     fn every_round_of_a_delta_chain_lands_like_pm(family in families(), seed in 0u64..1 << 32,
                                                   format in formats(), rows in batch_rows()) {
-        let c = case(family, seed, format, rows);
-        let runtime = c.start(c.config);
-        c.assert_lands(runtime.submit(c.request(&c.doc)).unwrap().wait(), &c.doc);
-        for (round, pct) in [0, 5, 20, 50].into_iter().enumerate() {
-            let doc = churn(&c.doc, pct, seed + round as u64);
-            let (from, to) = (DEFAULT_SOURCE_ENDPOINT, DEFAULT_TARGET_ENDPOINT);
-            let base = runtime.feed_version(from, to, &c.from.name, &c.to.name);
-            let request = c.request(&doc).with_base_version(base);
-            let result = runtime.submit(request).unwrap().wait();
-            if pct == 0 {
-                prop_assert_eq!(result.metrics.delta_patches_applied, 1);
-            }
-            c.assert_lands(result, &doc);
-        }
-        runtime.shutdown();
+        every_round_lands(case(family, seed, format, rows), seed)?;
     }
 
-    /// A session that fails on a seeded lossy link rolls its target back,
-    /// and its resume over the repaired link lands what publish&map
-    /// lands.
     #[test]
     fn a_resumed_session_lands_like_pm(family in families(), seed in 0u64..1 << 32,
                                        format in formats(), rows in batch_rows()) {
-        let c = case(family, seed, format, rows);
-        let shipping = ShippingPolicy {
-            chunk_bytes: 64,
-            max_attempts_per_chunk: 2,
-            retry_budget: 4,
-            backoff_base: Duration::from_micros(50),
-            ..ShippingPolicy::default()
-        };
-        let lossy = FaultProfile::drops(0.5, seed);
-        let runtime = c.start(c.config.with_shipping(shipping).with_fault_profile(lossy));
-        let handle = runtime.submit(c.request(&c.doc)).unwrap();
-        let id = handle.id();
-        let first = handle.wait();
-        let result = if first.state == SessionState::Failed {
-            prop_assert_eq!(first.target.map(|t| t.total_rows()), Some(0));
-            runtime.set_fault_profile(FaultProfile::healthy());
-            runtime.resume(id).unwrap().wait()
-        } else {
-            first
-        };
-        c.assert_lands(result, &c.doc);
-        runtime.shutdown();
+        resumed_session_lands(case(family, seed, format, rows), seed)?;
+    }
+}
+
+// The same four properties on the wide family, drawn apart so that the
+// other families' cases stay the ones above, and fewer of them: a wide
+// session ships rows of up to a few hundred cells.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(WIDE_CASES))]
+
+    #[test]
+    fn a_wide_full_ship_lands_like_pm(seed in 0u64..1 << 32, format in formats(),
+                                      rows in batch_rows(), paced in any::<bool>()) {
+        full_ship_lands(case(Family::Wide, seed, format, rows), paced);
+    }
+
+    #[test]
+    fn every_wide_publish_lane_lands_like_pm(seed in 0u64..1 << 32, format in formats(),
+                                             rows in batch_rows(), fanout in 2usize..4,
+                                             paced in any::<bool>()) {
+        every_lane_lands(case(Family::Wide, seed, format, rows), fanout, paced)?;
+    }
+
+    #[test]
+    fn every_round_of_a_wide_delta_chain_lands_like_pm(seed in 0u64..1 << 32,
+                                                       format in formats(),
+                                                       rows in batch_rows()) {
+        every_round_lands(case(Family::Wide, seed, format, rows), seed)?;
+    }
+
+    #[test]
+    fn a_wide_resumed_session_lands_like_pm(seed in 0u64..1 << 32, format in formats(),
+                                            rows in batch_rows()) {
+        resumed_session_lands(case(Family::Wide, seed, format, rows), seed)?;
     }
 }

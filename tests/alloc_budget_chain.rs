@@ -15,7 +15,7 @@ mod common;
 use std::collections::HashMap;
 use xdx::core::exec::{execute_source_phase, execute_target_phase};
 use xdx::core::DataExchange;
-use xdx::relational::Database;
+use xdx::relational::{Database, Feed};
 
 /// Reallocations per landed row: 1.12 measured (+25 %). Growing each row
 /// at every step of its chain spent 5.78.
@@ -34,7 +34,18 @@ fn a_combine_chain_allocates_each_row_once() {
     let before = common::reallocs();
     let (phase, mut outcome) =
         execute_source_phase(&schema, &mf, &lf, &program, &mut source, None).unwrap();
-    let delivered: HashMap<_, _> = phase.feeds;
+    // Each delivered feed a row set of its own, as a decoder hands it
+    // over: the cross feeds are the source's scanned rows or views of
+    // them, and a target Combine over rows it may not move reads them in
+    // place instead of moving them along its chain.
+    let delivered: HashMap<_, _> = phase
+        .feeds
+        .into_iter()
+        .map(|(port, feed)| {
+            let rows = feed.rows.iter().cloned().collect();
+            (port, Feed { rows, ..feed })
+        })
+        .collect();
     execute_target_phase(
         &schema,
         &mf,

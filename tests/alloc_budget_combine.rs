@@ -1,12 +1,15 @@
 //! Allocation budget of `Combine` over shared rows: whether an input's
-//! rows move into the output or are copied is its `Rows` handle's to
-//! say, and a copy costs what the move does — one block per row. A 10 k
-//! row parent and child in key order, one child per parent, with id and
-//! integer cells only (a row is then its only heap block): `merge_combine`
-//! over inputs whose rows a live handle still shares may allocate no more
-//! blocks per output row than over inputs that hold theirs alone. Both
-//! measured 1.00. The `Cow::Owned` of a shared feed this replaced copied
-//! the shared set out whole and then grew every copied row: 3.00.
+//! rows move into the output or are read where they sit is its `Rows`
+//! handle's to say. A 10 k row parent and child in key order, one child
+//! per parent, with id and integer cells only (a row is then its only
+//! heap block): `merge_combine` over inputs whose rows a live handle
+//! still shares may allocate no more blocks per output row than over
+//! inputs that hold theirs alone. Sole inputs move each row, grown once:
+//! 1.00 (10 005 blocks). Shared ones return a view of both (DESIGN §19),
+//! whose slots are the only allocation: 0.00 (11 blocks). Copying each
+//! shared row cost what the move does, 1.00, and the `Cow::Owned` of a
+//! shared feed before that copied the shared set out whole and then grew
+//! every copied row: 3.00.
 //!
 //! The only test in this binary: the counter is process-wide.
 
