@@ -13,7 +13,7 @@
 
 use crate::cost::{CostModel, SchemaStats, SystemProfile};
 use crate::error::{Error, Result};
-use crate::exec::execute_with_transport;
+use crate::exec::{execute_with_transport, Transport};
 use crate::fragment::Fragmentation;
 use crate::gen::Generator;
 use crate::greedy;
@@ -21,7 +21,7 @@ use crate::optimal;
 use crate::program::Program;
 use crate::report::{ExchangeReport, StepTimes};
 use crate::selection::Selection;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use xdx_codec::WireFormat;
 use xdx_net::Link;
 use xdx_relational::Database;
@@ -183,9 +183,10 @@ impl<'a> DataExchange<'a> {
         }
     }
 
-    /// Runs the full optimized exchange (Steps 2–4) and reports. The
-    /// report's `planning` is the probe and the plan, its `codec` the
-    /// feeds' encode and decode.
+    /// Runs the full optimized exchange (Steps 2–4) over `link`, shipping
+    /// feeds in [`DataExchange::wire_format`], and reports. The report's
+    /// `planning` is the probe and the plan, its `codec` the feeds'
+    /// encode and decode.
     pub fn run(
         &self,
         source: &mut Database,
@@ -208,7 +209,10 @@ impl<'a> DataExchange<'a> {
             &program,
             source,
             target,
-            link,
+            &mut FormattedLink {
+                link,
+                format: self.wire_format,
+            },
             selection_ctx,
         )?;
         let report = ExchangeReport {
@@ -224,5 +228,21 @@ impl<'a> DataExchange<'a> {
             rows_loaded: outcome.rows_loaded,
         };
         Ok((report, program))
+    }
+}
+
+/// A link shipping feeds in the exchange's wire format.
+struct FormattedLink<'l> {
+    link: &'l mut Link,
+    format: WireFormat,
+}
+
+impl Transport for FormattedLink<'_> {
+    fn ship(&mut self, label: &str, message: &[u8]) -> Result<(Duration, Vec<u8>)> {
+        self.link.ship(label, message)
+    }
+
+    fn wire_format(&self) -> WireFormat {
+        self.format
     }
 }

@@ -37,19 +37,6 @@ impl NetworkProfile {
     pub fn transfer_time(&self, bytes: u64) -> Duration {
         self.latency + Duration::from_secs_f64(bytes as f64 / self.bandwidth_bytes_per_sec)
     }
-
-    /// Transfer time for `bytes` shipped as `ceil(bytes / chunk_size)`
-    /// separate messages: the fixed per-message latency is charged once
-    /// per chunk, not once per payload — [`transfer_time`] under-charges
-    /// chunked shipment by `(chunks - 1) × latency`.
-    ///
-    /// [`transfer_time`]: NetworkProfile::transfer_time
-    pub fn chunked_transfer_time(&self, bytes: u64, chunk_size: u64) -> Duration {
-        assert!(chunk_size > 0, "chunk size must be positive");
-        let chunks = bytes.div_ceil(chunk_size).max(1);
-        self.latency * chunks as u32
-            + Duration::from_secs_f64(bytes as f64 / self.bandwidth_bytes_per_sec)
-    }
 }
 
 /// One recorded transfer.
@@ -61,18 +48,6 @@ pub struct TransferRecord {
     pub bytes: u64,
     /// Simulated wall time for this transfer.
     pub duration: Duration,
-}
-
-/// Deterministic fault model for robustness testing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Fault {
-    /// Deliver everything intact.
-    #[default]
-    None,
-    /// Flip one byte in every `n`-th message (1-based).
-    CorruptEveryNth(usize),
-    /// Truncate every `n`-th message to half its length.
-    TruncateEveryNth(usize),
 }
 
 /// Gilbert–Elliott burst-loss model: the link alternates between a good
@@ -109,12 +84,9 @@ impl BurstLoss {
 /// message independently draws drop / timeout / corruption / reorder /
 /// duplication outcomes from a deterministic stream (plus an optional
 /// Gilbert–Elliott burst-loss chain), so a run is fully reproducible
-/// from the seed.
-///
-/// This is the runtime-facing counterpart of the deterministic [`Fault`]
-/// schedules: schedules pin failures to exact message indices (good for
-/// unit tests), a profile models a lossy wide-area path (good for
-/// shipping-layer retry logic and fleet-scale soak tests).
+/// from the seed. It is the link's one fault model: the runtime's
+/// retrying shipper and the reference executor's single transmissions
+/// read the same stream.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultProfile {
     /// Probability a message silently never arrives.
@@ -246,9 +218,7 @@ impl Delivery {
 pub struct Link {
     /// The link model in force.
     pub profile: NetworkProfile,
-    /// Injected fault model (testing only; defaults to none).
-    pub fault: Fault,
-    /// Probabilistic fault model consulted by [`Link::transmit_faulty`].
+    /// Fault model consulted by every transmission.
     fault_profile: FaultProfile,
     /// SplitMix64 state of the fault-outcome stream.
     fault_state: u64,
@@ -264,9 +234,6 @@ pub struct Link {
     total_bytes: u64,
     total_time: Duration,
     messages: usize,
-    /// Fraction of the simulated transfer time each transmission also
-    /// *blocks* the caller for in real wall time (0 = pure simulation).
-    pacing: f64,
 }
 
 /// Bound on deferred frames a reordering link holds; overflow frames are
@@ -278,7 +245,6 @@ impl Link {
     pub fn new(profile: NetworkProfile) -> Link {
         Link {
             profile,
-            fault: Fault::None,
             fault_profile: FaultProfile::healthy(),
             fault_state: 0,
             burst_bad: false,
@@ -288,44 +254,7 @@ impl Link {
             total_bytes: 0,
             total_time: Duration::ZERO,
             messages: 0,
-            pacing: 0.0,
         }
-    }
-
-    /// Builder: makes every transmission *block the caller* for `scale`
-    /// times its simulated duration (0 disables, 1 = real time). A paced
-    /// link behaves like real hardware under whoever holds it: callers
-    /// sharing one link serialize on its wall time, callers on disjoint
-    /// links overlap. Panics if `scale` is negative or not finite.
-    pub fn with_pacing(mut self, scale: f64) -> Link {
-        assert!(
-            scale.is_finite() && scale >= 0.0,
-            "pacing scale must be finite and non-negative"
-        );
-        self.pacing = scale;
-        self
-    }
-
-    /// The real-time pacing scale (see [`Link::with_pacing`]). Callers
-    /// that simulate waits *outside* the link — e.g. retry backoff
-    /// between transmissions — read this to pace those waits on the same
-    /// clock the link paces its transfers on.
-    pub fn pacing(&self) -> f64 {
-        self.pacing
-    }
-
-    /// Blocks for the paced share of a simulated `duration` (no-op at
-    /// the default pacing of zero).
-    fn pace(&self, duration: Duration) {
-        if self.pacing > 0.0 {
-            std::thread::sleep(duration.mul_f64(self.pacing));
-        }
-    }
-
-    /// Builder: injects a deterministic fault model.
-    pub fn with_fault(mut self, fault: Fault) -> Link {
-        self.fault = fault;
-        self
     }
 
     /// Builder: turns per-transfer records on or off. A long-lived fleet
@@ -358,8 +287,8 @@ impl Link {
         }
     }
 
-    /// Builder: injects a probabilistic [`FaultProfile`] consulted by
-    /// [`Link::transmit_faulty`]. Panics on out-of-range probabilities.
+    /// Builder: injects the [`FaultProfile`] every transmission draws
+    /// from. Panics on out-of-range probabilities.
     pub fn with_fault_profile(mut self, profile: FaultProfile) -> Link {
         self.set_fault_profile(profile);
         self
@@ -393,37 +322,21 @@ impl Link {
         (z >> 11) as f64 / (1u64 << 53) as f64
     }
 
-    /// Ships `payload` through the probabilistic fault model: the message
-    /// may be delivered, dropped (independently or in a Gilbert–Elliott
-    /// loss burst), timed out, corrupted, deferred out of order, or
+    /// Ships `payload` through the link's fault model: the message may
+    /// be delivered, dropped (independently or in a Gilbert–Elliott loss
+    /// burst), timed out, corrupted, deferred out of order, or
     /// duplicated, per the link's [`FaultProfile`]. The returned duration
     /// is what the *sender* experienced: the transfer time for
     /// deliveries, drops and corruptions,
     /// [`FaultProfile::TIMEOUT_FACTOR`]× it for timeouts. Every attempt
     /// is recorded in the transfer log, including failed ones — wasted
-    /// bytes are real bytes.
+    /// bytes are real bytes. Nothing here waits: a caller that paces
+    /// simulated time against the wall clock owns that wait.
     ///
     /// On a reordering link the delivered bytes may belong to an earlier,
     /// deferred transmission — possibly one from a *different* session
     /// sharing the link. Receivers must verify frame identity.
     pub fn transmit_faulty(
-        &mut self,
-        label: impl Into<String>,
-        payload: &[u8],
-    ) -> (Duration, Delivery) {
-        let (duration, delivery) = self.transmit_faulty_nowait(label, payload);
-        self.pace(duration);
-        (duration, delivery)
-    }
-
-    /// [`Link::transmit_faulty`] without the pacing sleep: the fault
-    /// draws, accounting and delivery outcome are computed immediately
-    /// and the *caller* owns the paced wait. Event-driven shippers use
-    /// this so a paced transmission never blocks a thread inside the
-    /// link lock — they read [`Link::pacing`], release the lock, and
-    /// model the wire occupancy `duration × pacing` as a deadline on
-    /// their own timer instead.
-    pub fn transmit_faulty_nowait(
         &mut self,
         label: impl Into<String>,
         payload: &[u8],
@@ -505,30 +418,19 @@ impl Link {
         self.transmit(label, payload).0
     }
 
-    /// Ships `payload` and returns what actually arrives at the other end
-    /// — identical bytes on a healthy link, damaged ones under an injected
-    /// [`Fault`]. Receivers that verify integrity (feed checksums) turn
-    /// the damage into explicit decode errors.
+    /// Ships `payload` once through [`Link::transmit_faulty`] and returns
+    /// the bytes that arrive at the other end: the payload itself on a
+    /// healthy link, damaged or repeated bytes as they arrived, and none
+    /// for a message that never arrived, so the receiver's parse fails
+    /// loudly. Receivers that verify integrity (HTTP length, feed
+    /// checksums) turn the damage into explicit errors.
     pub fn transmit(&mut self, label: impl Into<String>, payload: &[u8]) -> (Duration, Vec<u8>) {
-        let bytes = payload.len() as u64;
-        let duration = self.profile.transfer_time(bytes);
-        self.account(label, bytes, duration);
-        let n = self.messages;
-        let delivered = match self.fault {
-            Fault::None => payload.to_vec(),
-            Fault::CorruptEveryNth(k) if k > 0 && n.is_multiple_of(k) && !payload.is_empty() => {
-                let mut v = payload.to_vec();
-                let idx = v.len() / 2;
-                v[idx] ^= 0x01;
-                v
-            }
-            Fault::TruncateEveryNth(k) if k > 0 && n.is_multiple_of(k) => {
-                payload[..payload.len() / 2].to_vec()
-            }
-            _ => payload.to_vec(),
+        let (duration, delivery) = self.transmit_faulty(label, payload);
+        let arrived = match delivery {
+            Delivery::Delivered(p) | Delivery::Corrupted(p) | Delivery::Duplicated(p) => p,
+            Delivery::Dropped | Delivery::TimedOut | Delivery::Deferred => Vec::new(),
         };
-        self.pace(duration);
-        (duration, delivered)
+        (duration, arrived)
     }
 
     /// Total bytes shipped so far (every attempt, including failed ones).
@@ -549,14 +451,6 @@ impl Link {
     /// The transfer log (empty when recording is disabled).
     pub fn transfers(&self) -> &[TransferRecord] {
         &self.transfers
-    }
-
-    /// Clears the log and the scalar totals (new experiment, same link).
-    pub fn reset(&mut self) {
-        self.transfers.clear();
-        self.total_bytes = 0;
-        self.total_time = Duration::ZERO;
-        self.messages = 0;
     }
 }
 
@@ -596,8 +490,6 @@ mod tests {
         assert_eq!(link.message_count(), 2);
         assert!(link.total_time() > Duration::ZERO);
         assert_eq!(link.transfers()[1].label, "b");
-        link.reset();
-        assert_eq!(link.total_bytes(), 0);
     }
 
     #[test]
@@ -609,44 +501,44 @@ mod tests {
         assert_eq!(link.message_count(), 2);
         assert!(link.total_time() > Duration::ZERO);
         assert!(link.transfers().is_empty());
-        link.reset();
-        assert_eq!((link.total_bytes(), link.message_count()), (0, 0));
-        assert_eq!(link.total_time(), Duration::ZERO);
     }
 
     #[test]
-    fn faults_damage_selected_messages() {
-        let mut link = Link::new(NetworkProfile::lan()).with_fault(Fault::CorruptEveryNth(2));
-        let (_, first) = link.transmit("a", b"hello world");
-        assert_eq!(first, b"hello world");
-        let (_, second) = link.transmit("b", b"hello world");
-        assert_ne!(second, b"hello world");
-        assert_eq!(second.len(), 11);
-
-        let mut trunc = Link::new(NetworkProfile::lan()).with_fault(Fault::TruncateEveryNth(1));
-        let (_, t) = trunc.transmit("c", b"0123456789");
-        assert_eq!(t, b"01234");
-    }
-
-    #[test]
-    fn chunked_transfer_charges_latency_per_chunk() {
-        let p = NetworkProfile {
-            bandwidth_bytes_per_sec: 1000.0,
-            latency: Duration::from_millis(100),
+    fn transmit_returns_what_arrived() {
+        let payload = b"hello world";
+        let arrived = |profile: FaultProfile| {
+            Link::new(NetworkProfile::lan())
+                .with_fault_profile(profile)
+                .transmit("m", payload)
         };
-        // 10 chunks of 100 bytes: 10 latencies + 1s of wire time.
-        assert_eq!(
-            p.chunked_transfer_time(1000, 100),
-            Duration::from_millis(2000)
-        );
-        // A single chunk matches the whole-message accounting.
-        assert_eq!(p.chunked_transfer_time(1000, 1000), p.transfer_time(1000));
-        assert_eq!(p.chunked_transfer_time(1000, 4000), p.transfer_time(1000));
-        // Zero bytes still occupy one round trip.
-        assert_eq!(p.chunked_transfer_time(0, 100), Duration::from_millis(100));
-        // Partial last chunk rounds up: 1001 bytes at 500/chunk = 3 chunks.
-        let t = p.chunked_transfer_time(1001, 500);
-        assert!(t > Duration::from_millis(300 + 1001) - Duration::from_millis(1));
+        let healthy = FaultProfile::healthy();
+        let time = NetworkProfile::lan().transfer_time(11);
+        let intact = (time, payload.to_vec());
+        let nothing = (time, Vec::new());
+        assert_eq!(arrived(healthy), intact);
+        let repeated = FaultProfile {
+            duplicate_probability: 1.0,
+            ..healthy
+        };
+        assert_eq!(arrived(repeated), intact);
+        let (_, damaged) = arrived(FaultProfile {
+            corrupt_probability: 1.0,
+            ..healthy
+        });
+        assert_eq!(damaged.len(), payload.len());
+        assert_ne!(damaged, payload);
+        assert_eq!(arrived(FaultProfile::drops(1.0, 1)), nothing);
+        let deferred = FaultProfile {
+            reorder_probability: 1.0,
+            ..healthy
+        };
+        assert_eq!(arrived(deferred), nothing);
+        let stalled = FaultProfile {
+            timeout_probability: 1.0,
+            ..healthy
+        };
+        let waited = time * FaultProfile::TIMEOUT_FACTOR;
+        assert_eq!(arrived(stalled), (waited, Vec::new()));
     }
 
     #[test]

@@ -132,7 +132,7 @@ pub fn call(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::channel::{Fault, NetworkProfile};
+    use crate::channel::{FaultProfile, NetworkProfile};
     use xdx_xml::Element;
 
     fn host() -> ServiceHost {
@@ -193,11 +193,15 @@ mod tests {
 
     #[test]
     fn corrupted_link_surfaces_as_fault() {
-        let mut link = Link::new(NetworkProfile::lan()).with_fault(Fault::TruncateEveryNth(1));
+        // Every message is lost: the reply never arrives, and the caller
+        // sees a fault, not an empty success.
+        let mut link =
+            Link::new(NetworkProfile::lan()).with_fault_profile(FaultProfile::drops(1.0, 0));
         let mut h = host();
         let req = SoapEnvelope::new(Element::new("Echo").with_text("x"));
         let err = call(&mut link, &mut h, "/svc", "urn:Echo", &req).unwrap_err();
         assert_eq!(err.code, "Client");
+        assert!(err.string.contains("malformed response"), "{}", err.string);
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! model for that physical network:
 //!
 //! * [`channel`] — a [`channel::Link`] with a bandwidth/latency
-//!   [`channel::NetworkProfile`]; sending bytes yields an exact simulated
-//!   transfer duration and is recorded for the communication-cost tables,
+//!   [`channel::NetworkProfile`] and one seeded [`channel::FaultProfile`];
+//!   sending bytes yields an exact simulated transfer duration, what
+//!   arrived, and a record for the communication-cost tables,
 //! * [`http`] — minimal HTTP/1.1 request/response framing,
 //! * [`soap`] — SOAP 1.1 envelopes wrapping service calls and payloads.
 //!

@@ -7,10 +7,10 @@
 //! paper's experiments reuse a loaded MySQL instance across runs.
 //!
 //! Each file is sealed by the feed's `#sum` line, and [`load`] names the
-//! file whose line does not verify. The line is the word sum
-//! ([`crate::sum`]); a directory saved while it was FNV-1a fails to load
-//! — every file is a checksum mismatch — and must be saved again from
-//! its source document.
+//! file whose line is missing (a file cut short) or does not verify.
+//! The line is the word sum ([`crate::sum`]); a directory saved while it
+//! was FNV-1a fails to load — every file is a checksum mismatch — and
+//! must be saved again from its source document.
 
 use crate::db::Database;
 use crate::error::{Error, Result};
@@ -91,7 +91,7 @@ pub fn load(dir: &Path) -> Result<Database> {
         let text = fs::read_to_string(&path).map_err(|e| Error::Decode {
             detail: format!("read {path:?}: {e}"),
         })?;
-        let feed = Feed::from_wire(&text).map_err(|e| match e {
+        let feed = Feed::from_sealed_wire(&text).map_err(|e| match e {
             Error::Decode { detail } => Error::Decode {
                 detail: format!("{path:?}: {detail}"),
             },
@@ -192,6 +192,24 @@ mod tests {
         let err = load(&dir).unwrap_err().to_string();
         assert!(err.contains("ALPHA.feed"), "{err}");
         assert!(err.contains("checksum mismatch"), "{err}");
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn truncated_feed_file_is_named() {
+        let dir = tmpdir("truncated");
+        let db = sample_db();
+        save(&db, &dir).unwrap();
+        // Lose the last two rows together with the seal: what is left
+        // is a well-formed, shorter feed.
+        let victim = dir.join(file_name_for("BETA_GAMMA"));
+        let text = fs::read_to_string(&victim).unwrap();
+        let cut = text.find("BETA_GAMMA-4").unwrap();
+        let row_start = text[..cut].rfind('\n').unwrap() + 1;
+        fs::write(&victim, &text[..row_start]).unwrap();
+        let err = load(&dir).unwrap_err().to_string();
+        assert!(err.contains("BETA_GAMMA.feed"), "{err}");
+        assert!(err.contains("cut short"), "{err}");
         fs::remove_dir_all(&dir).ok();
     }
 

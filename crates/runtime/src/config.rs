@@ -22,10 +22,11 @@ pub struct RuntimeConfig {
     /// Default fault model for links the registry creates; override a
     /// single pair afterwards with [`crate::Runtime::set_link_fault_profile`].
     pub fault_profile: FaultProfile,
-    /// Real-time pacing of link transmissions: each one blocks its
-    /// caller for this fraction of its simulated duration (0 = pure
-    /// simulation, 1 = real time). With pacing on, sessions sharing a
-    /// pair serialize on that link's wall time while disjoint pairs
+    /// Real-time pacing of link transmissions: each one occupies its
+    /// pair's wire for this fraction of its simulated duration (0 = pure
+    /// simulation, 1 = real time), a deadline its task parks on while
+    /// the worker runs other work. With pacing on, sessions sharing a
+    /// pair serialize on that wire's wall time while disjoint pairs
     /// overlap. The tests that need a wire wait to take wall time (a
     /// parked group letting another session finish first, lag-cap
     /// ejection, a patch that must not hold the only worker) turn it on.

@@ -27,12 +27,12 @@
 //! one shared atomic budget — the per-*session* retry cap.
 //!
 //! Pacing without sleeping: a pair's paced wire is a `busy_until`
-//! horizon kept beside its link, under the one [`LinkSlot`] lock. A
-//! transmission checks the horizon, computes its fault outcome
-//! immediately ([`xdx_net::Link::transmit_faulty_nowait`]) and advances
-//! the horizon by the transfer's paced duration, all under that lock;
-//! the task then parks until the horizon. Tasks sharing a pair
-//! serialize on it — parked, not blocked.
+//! horizon kept beside its link and its pacing scale, under the one
+//! [`LinkSlot`] lock. A transmission checks the horizon, computes its
+//! fault outcome immediately ([`xdx_net::Link::transmit_faulty`] never
+//! waits) and advances the horizon by the transfer's paced duration,
+//! all under that lock; the task then parks until the horizon. Tasks
+//! sharing a pair serialize on it — parked, not blocked.
 
 use crate::events::{EventKind, EventLog};
 use crate::ledger::{Filed, ReassemblyLedger};
@@ -173,7 +173,7 @@ pub(crate) struct Task {
     stats: BatchShipStats,
     failed_attempts: u32,
     stalls: u32,
-    /// Link pacing scale, learned at the first transmission.
+    /// The wire's pacing scale, learned at the first transmission.
     pacing: f64,
 }
 
@@ -479,10 +479,8 @@ impl ShipEngine {
         if wire.busy_until > now {
             return StepOutcome::Park(wire.busy_until);
         }
-        let (duration, delivery) = wire
-            .link
-            .transmit_faulty_nowait(&task.chunk_label, &task.frame);
-        task.pacing = wire.link.pacing();
+        let (duration, delivery) = wire.link.transmit_faulty(&task.chunk_label, &task.frame);
+        task.pacing = wire.pacing;
         let occupied = if task.pacing > 0.0 {
             duration.mul_f64(task.pacing)
         } else {
@@ -671,10 +669,17 @@ mod tests {
     }
 
     fn slot_for(link: Link) -> Arc<LinkSlot> {
+        slot_paced(link, 0.0)
+    }
+
+    /// A slot whose wire occupies wall time: `pacing` of each
+    /// transmission's simulated duration.
+    fn slot_paced(link: Link, pacing: f64) -> Arc<LinkSlot> {
         Arc::new(LinkSlot::new(
             "source",
             "target",
             link,
+            pacing,
             CircuitBreaker::new(8, Duration::from_millis(50)),
             WireFormat::Xml,
             Arc::new(ShipGauge::default()),
@@ -969,9 +974,8 @@ mod tests {
         let link = Link::new(NetworkProfile {
             bandwidth_bytes_per_sec: 2_000_000.0,
             latency: Duration::from_micros(200),
-        })
-        .with_pacing(1.0);
-        let slot = slot_for(link);
+        });
+        let slot = slot_paced(link, 1.0);
         let budget = Arc::new(AtomicI64::new(256));
         let policy = ShippingPolicy {
             chunk_bytes: 4096,
@@ -994,19 +998,19 @@ mod tests {
         // fast one, submitted after it, must complete while the slow
         // one is still parked.
         let eng = engine();
-        let slow = slot_for(
+        let slow = slot_paced(
             Link::new(NetworkProfile {
                 bandwidth_bytes_per_sec: 100_000.0,
                 latency: Duration::from_millis(2),
-            })
-            .with_pacing(1.0),
+            }),
+            1.0,
         );
-        let fast = slot_for(
+        let fast = slot_paced(
             Link::new(NetworkProfile {
                 bandwidth_bytes_per_sec: 2_000_000.0,
                 latency: Duration::from_micros(200),
-            })
-            .with_pacing(1.0),
+            }),
+            1.0,
         );
         let budget = Arc::new(AtomicI64::new(256));
         let policy = ShippingPolicy {
@@ -1039,9 +1043,8 @@ mod tests {
         let link = Link::new(NetworkProfile {
             bandwidth_bytes_per_sec: 100_000.0,
             latency: Duration::from_millis(2),
-        })
-        .with_pacing(1.0);
-        let slot = slot_for(link);
+        });
+        let slot = slot_paced(link, 1.0);
         let budget = Arc::new(AtomicI64::new(256));
         let policy = ShippingPolicy {
             chunk_bytes: 4096,
@@ -1075,9 +1078,8 @@ mod tests {
         let link = Link::new(NetworkProfile {
             bandwidth_bytes_per_sec: 100_000.0,
             latency: Duration::from_millis(2),
-        })
-        .with_pacing(1.0);
-        let slot = slot_for(link);
+        });
+        let slot = slot_paced(link, 1.0);
         let budget = Arc::new(AtomicI64::new(256));
         let policy = ShippingPolicy {
             chunk_bytes: 4096,

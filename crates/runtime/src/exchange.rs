@@ -237,8 +237,6 @@ impl Lane {
         m.chunks_retried += batch.chunks_retried;
         m.retry_backoff += batch.retry_backoff;
         let link = &self.slot.counters;
-        link.wire_bytes
-            .fetch_add(batch.wire_bytes, Ordering::Relaxed);
         link.chunks_shipped
             .fetch_add(batch.chunks_shipped, Ordering::Relaxed);
         link.chunks_retried

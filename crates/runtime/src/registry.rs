@@ -59,10 +59,10 @@ impl ShipGauge {
 
 /// Per-link counters, lock-free: a lane adds a finished batch's
 /// shipping tallies and each encode's bill, so observability never adds
-/// lock traffic to the link itself.
+/// lock traffic to the link itself. Wire bytes and busy time are the
+/// link's own totals, read under the wire lock.
 #[derive(Debug, Default)]
 pub(crate) struct LinkCounters {
-    pub(crate) wire_bytes: AtomicU64,
     pub(crate) bytes_encoded: AtomicU64,
     pub(crate) encode_ns: AtomicU64,
     pub(crate) chunks_shipped: AtomicU64,
@@ -72,13 +72,17 @@ pub(crate) struct LinkCounters {
     pub(crate) sessions_shed: AtomicU64,
 }
 
-/// A pair's simulated wire: the link, and the instant its paced
-/// occupancy ends. One lock covers both, so a transmission's horizon
-/// check, fault draw and horizon advance cannot interleave with another
-/// task's.
+/// A pair's simulated wire: the link, its pacing scale, and the instant
+/// its paced occupancy ends. One lock covers them, so a transmission's
+/// horizon check, fault draw and horizon advance cannot interleave with
+/// another task's.
 #[derive(Debug)]
 pub(crate) struct Wire {
     pub(crate) link: Link,
+    /// Wall time each transmission occupies the wire for, as a fraction
+    /// of its simulated duration (0 = pure simulation, 1 = real time).
+    /// The engine parks on that occupancy; nothing sleeps.
+    pub(crate) pacing: f64,
     pub(crate) busy_until: Instant,
 }
 
@@ -101,19 +105,26 @@ pub struct LinkSlot {
 }
 
 impl LinkSlot {
+    /// Panics if `pacing` is negative or not finite.
     pub(crate) fn new(
         source: &str,
         target: &str,
         link: Link,
+        pacing: f64,
         breaker: CircuitBreaker,
         wire_format: WireFormat,
         global: Arc<ShipGauge>,
     ) -> LinkSlot {
+        assert!(
+            pacing.is_finite() && pacing >= 0.0,
+            "pacing scale must be finite and non-negative"
+        );
         LinkSlot {
             source: source.to_string(),
             target: target.to_string(),
             wire: Mutex::new(Wire {
                 link,
+                pacing,
                 busy_until: Instant::now(),
             }),
             breaker,
@@ -163,13 +174,16 @@ impl LinkSlot {
 
     /// A snapshot of this link's counters.
     pub fn stats(&self) -> LinkStats {
-        let busy = self.wire.lock().unwrap().link.total_time();
+        let (busy, wire_bytes) = {
+            let wire = self.wire.lock().unwrap();
+            (wire.link.total_time(), wire.link.total_bytes())
+        };
         LinkStats {
             source: self.source.clone(),
             target: self.target.clone(),
             wire_format: self.wire_format(),
             busy,
-            wire_bytes: self.counters.wire_bytes.load(Ordering::Relaxed),
+            wire_bytes,
             bytes_encoded: self.counters.bytes_encoded.load(Ordering::Relaxed),
             encode_ns: self.counters.encode_ns.load(Ordering::Relaxed),
             chunks_shipped: self.counters.chunks_shipped.load(Ordering::Relaxed),
@@ -234,8 +248,7 @@ pub struct LinkRegistry {
     network: NetworkProfile,
     /// Default fault model for links created after this point.
     default_fault: Mutex<FaultProfile>,
-    /// Real-time pacing scale links are created with (see
-    /// [`Link::with_pacing`]).
+    /// Pacing scale of the wires created here (see [`Wire::pacing`]).
     pacing: f64,
     breaker_threshold: u32,
     breaker_cooldown: Duration,
@@ -325,12 +338,12 @@ impl LinkRegistry {
         }
         let link = Link::new(self.network)
             .with_fault_profile(*self.default_fault.lock().unwrap())
-            .with_recording(false)
-            .with_pacing(self.pacing);
+            .with_recording(false);
         let slot = Arc::new(LinkSlot::new(
             source,
             target,
             link,
+            self.pacing,
             CircuitBreaker::new(self.breaker_threshold, self.breaker_cooldown),
             self.negotiated_format(source, target),
             Arc::clone(&self.global),

@@ -37,7 +37,7 @@ fn a_healthy_wire_allocates_about_two_bytes_per_wire_byte() {
     assert!(prior.is_empty());
     for (index, chunk) in message.chunks(CHUNK_BYTES).enumerate() {
         frame_chunk_into(&mut frame, session, shipment, index, total, chunk);
-        let (_, delivery) = link.transmit_faulty_nowait("wire", &frame);
+        let (_, delivery) = link.transmit_faulty("wire", &frame);
         let payload = delivery.payload().expect("a healthy link delivers");
         let view = ChunkView::parse(payload).expect("an intact frame verifies");
         assert_eq!(ledger.file(&view), Filed::Accepted);
