@@ -1261,15 +1261,6 @@ impl Inner {
         s.metrics.communication = outcome.times.communication;
         s.metrics.messages = outcome.messages;
         s.metrics.rows_loaded = outcome.rows_loaded;
-        // How much of the lane's wall the wire hid: feeds the admission
-        // estimator's turnaround model, so queue-wait predictions
-        // reflect pipelined (not serial) service.
-        let wall = group.exec_started.elapsed();
-        let exposed = wall
-            .saturating_sub(s.metrics.communication)
-            .max(Duration::from_micros(1));
-        self.admission
-            .record_overlap(wall.as_secs_f64() / exposed.as_secs_f64());
         self.record_ops(s.shared.id, s.exec_span, format, plan, &outcome);
         // A lane that encoded its own frames calibrates the wire model;
         // lanes of a shared ring did not encode, so they do not.

@@ -59,7 +59,7 @@
 //! assert!(stats.plan_cache_hits > 0); // same shape, shared plan
 //! ```
 
-pub mod admission;
+pub(crate) mod admission;
 pub mod breaker;
 pub mod cache;
 pub mod config;
@@ -75,7 +75,6 @@ pub mod runtime;
 pub mod session;
 pub mod stats;
 
-pub use admission::AdmissionController;
 pub use breaker::{BreakerTransition, CircuitBreaker};
 pub use cache::{plan_key, CachedPlan, PlanCache, PlanKey, ProbeMemo};
 pub use config::{RuntimeConfig, SubmitError};

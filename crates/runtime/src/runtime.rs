@@ -19,7 +19,7 @@
 //! publish of one.
 //!
 //! Under overload the runtime *sheds* instead of degrading: a
-//! submission whose deadline the [`crate::admission`] estimator says
+//! submission whose deadline the admission estimator says
 //! cannot be met is refused up front; a queued session whose deadline
 //! expired, or whose route's breaker opened, is shed at dequeue before
 //! burning a planning probe; and an opening breaker drains its route's
@@ -225,8 +225,8 @@ pub(crate) struct Inner {
     /// Named metrics (counters, gauges, histograms) with Prometheus
     /// text exposition via [`Runtime::metrics_text`].
     pub(crate) metrics: MetricsRegistry,
-    /// Predicted-vs-observed cost accounting; its fleet-wide
-    /// ns-per-unit prices admission.
+    /// Predicted-vs-observed cost accounting, reported at
+    /// `/calibration`.
     pub(crate) calibration: CalibrationTracker,
     /// Versioned feed snapshots per route+fragmentation pair: the
     /// source-side log delta sessions diff against. Every successful
@@ -853,11 +853,9 @@ impl Inner {
             let ahead = queue
                 .fair
                 .ahead_of_push(&tenant, self.tenant_weight(&tenant));
-            let estimated = self.admission.estimated_turnaround(
-                ahead,
-                self.config.workers,
-                self.calibration.global_ns_per_unit(),
-            );
+            let estimated = self
+                .admission
+                .estimated_turnaround(ahead, self.config.workers);
             if let Some(estimated) = estimated.filter(|est| *est > deadline) {
                 drop(queue);
                 {
@@ -1335,14 +1333,7 @@ impl Inner {
         }
         let detail = match &planned {
             Ok(plans) => {
-                // Feed the admission estimator: a plan's predicted cost
-                // units, scaled by calibration's ns-per-unit, is one of
-                // its two turnaround estimators.
-                let mut cost = 0.0;
-                for (_, plan) in plans {
-                    self.admission.record_plan_cost(plan.cost);
-                    cost += plan.cost;
-                }
+                let cost: f64 = plans.iter().map(|(_, plan)| plan.cost).sum();
                 self.planning_hist.record_duration_ns(planning);
                 let hits = lanes.iter().filter(|l| l.metrics.plan_cache_hit).count();
                 format!(
@@ -1471,7 +1462,7 @@ impl Inner {
             self.latency_hist.record_duration_ns(metrics.total_wall);
             // Feed the admission estimator with the observed service
             // time (wall minus queue wait — the queue's own delay is
-            // modeled separately from depth).
+            // priced separately, by its drain window).
             self.admission
                 .record_service(metrics.total_wall.saturating_sub(metrics.queue_wait));
             if !metrics.tenant.is_empty() {

@@ -157,9 +157,10 @@ fn fleet_survives_twice_its_capacity() {
     let p95_limit = slo.mul_f64(1.05) + mean_service;
     println!(
         "soak: capacity {capacity:.0}/s, slo {slo:?}; done {done}, failed {failed}, \
-         refused {refused_deadline} (deadline) + {rejected_full} (queue full); \
+         expired {expired}, refused {refused_deadline} (deadline) + {rejected_full} (queue full); \
          p95 {p95:?} vs limit {p95_limit:?}; rss {rss_baseline} -> {rss_peak} bytes; \
-         queue depth peak {depth_peak}; (weight, completed) per tenant {shares:?}"
+         queue depth peak {depth_peak}; (weight, completed) per tenant {shares:?}",
+        expired = stats.sessions_shed_expired,
     );
 
     if rss_baseline == 0 {

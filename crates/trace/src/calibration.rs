@@ -197,20 +197,6 @@ impl CalibrationTracker {
         cell.samples += 1;
     }
 
-    /// The fleet-wide observed-ns-per-predicted-unit conversion alone,
-    /// without building the full report — cheap enough for the
-    /// admission hot path to call per submission. 0.0 until an operator
-    /// cell has data.
-    pub fn global_ns_per_unit(&self) -> f64 {
-        let s = self.state.lock().unwrap();
-        let total_predicted: f64 = s.ops.values().map(|c| c.predicted).sum();
-        if total_predicted > 0.0 {
-            s.ops.values().map(|c| c.observed_ns).sum::<u64>() as f64 / total_predicted
-        } else {
-            0.0
-        }
-    }
-
     pub fn report(&self) -> CalibrationReport {
         let s = self.state.lock().unwrap();
         let total_predicted: f64 = s.ops.values().map(|c| c.predicted).sum();

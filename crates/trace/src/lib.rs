@@ -10,7 +10,7 @@
 //!   exposition.
 //! * [`calibration`] — predicted-vs-observed accounting for the cost
 //!   model: per-operator ratios and drift scores, communication byte
-//!   ratios, and the fleet-wide ns-per-unit admission prices work with.
+//!   ratios, and the fleet-wide ns-per-unit ratio.
 //! * [`critical_path`](mod@critical_path) — per-session and per-route stage attribution
 //!   (queue → plan → compute → encode → wire → decode → stage → settle)
 //!   extracted from a finished span tree.
