@@ -291,6 +291,28 @@ const COMBINE_FACTOR: f64 = 4.0;
 /// with very many steps over tiny subtrees can lose to a full re-ship.
 pub const PATCH_STEP_FACTOR: f64 = 8.0;
 
+/// The delta-vs-full decision, priced in one place: a patch of
+/// `patch_wire_bytes` (the encoded frame, so exact, unlike a planning
+/// estimate) and `steps` apply steps, each [`PATCH_STEP_FACTOR`] units
+/// on a target of `target_speed`, against a full re-ship of the plan's
+/// `comm_bytes` predicted cross-edge bytes, both at `w_comm` per byte.
+/// (Both paths pay the plan's computation: the source runs the program
+/// either way, to ship it or to diff against it.) Returns the two bills,
+/// patch then full, when the full ship wins; `None` ships the patch — as
+/// does a plan that predicts no cross-edge bytes, which gives a full
+/// ship no bill to win by.
+pub fn full_ship_wins(
+    w_comm: f64,
+    target_speed: f64,
+    patch_wire_bytes: usize,
+    steps: u64,
+    comm_bytes: u64,
+) -> Option<(f64, f64)> {
+    let patch = w_comm * patch_wire_bytes as f64 + PATCH_STEP_FACTOR * steps as f64 / target_speed;
+    let full = w_comm * comm_bytes as f64;
+    (comm_bytes > 0 && patch >= full).then_some((patch, full))
+}
+
 impl CostModel {
     /// A model with a fast interconnect (computation dominates), the
     /// setting of the paper's simulator experiments (Section 5.4.2).
@@ -402,30 +424,6 @@ impl CostModel {
         consumer: usize,
     ) -> f64 {
         multicast_bytes(self.comm_cost(schema, program, port, consumer), self.fanout)
-    }
-
-    /// Cost of shipping and applying a delta patch instead of the full
-    /// fragment set: the patch's wire bytes at the communication weight,
-    /// plus a per-step apply term on the target. `patch_wire_bytes` is
-    /// the *actual* encoded frame length (the patch is encoded before
-    /// the decision), so unlike planning estimates this term is exact.
-    pub fn patch_ship_cost(&self, patch_wire_bytes: u64, steps: u64) -> f64 {
-        self.w_comm * patch_wire_bytes as f64
-            + self.w_comp * PATCH_STEP_FACTOR * steps as f64 / self.target.speed
-    }
-
-    /// Communication cost of a full re-ship with `comm_bytes` predicted
-    /// cross-edge wire bytes — the term a delta patch competes against.
-    /// (Both paths pay the plan's computation cost: the source runs the
-    /// program either way, to ship it or to diff against it.)
-    pub fn full_ship_comm_cost(&self, comm_bytes: u64) -> f64 {
-        self.w_comm * comm_bytes as f64
-    }
-
-    /// The planner's delta-vs-full decision: ship the patch only when it
-    /// beats the full re-ship's communication bill.
-    pub fn prefer_patch(&self, patch_wire_bytes: u64, steps: u64, full_comm_bytes: u64) -> bool {
-        self.patch_ship_cost(patch_wire_bytes, steps) < self.full_ship_comm_cost(full_comm_bytes)
     }
 
     /// Total cost of a fully placed program (formula 1), billed to the
@@ -584,20 +582,29 @@ mod tests {
 
     #[test]
     fn patch_term_decides_delta_vs_full() {
-        let schema = customer_schema();
-        let stats = SchemaStats::uniform(&schema, 100, 10);
+        let stats = SchemaStats::uniform(&customer_schema(), 100, 10);
+        let patch_wins = |model: &CostModel, bytes, steps, comm| {
+            full_ship_wins(model.w_comm, model.target.speed, bytes, steps, comm).is_none()
+        };
         // Wide-area link: bytes dominate, a small patch wins big.
         let internet = CostModel::internet(stats.clone());
-        assert!(internet.prefer_patch(5_000, 40, 100_000));
+        assert!(patch_wins(&internet, 5_000, 40, 100_000));
         // A patch nearly the size of the full ship loses (its steps cost
-        // extra on top of comparable bytes).
-        assert!(!internet.prefer_patch(99_000, 5_000, 100_000));
+        // extra on top of comparable bytes), and hands back both bills.
+        assert!(!patch_wins(&internet, 99_000, 5_000, 100_000));
+        let bills = full_ship_wins(internet.w_comm, 1.0, 99_000, 5_000, 100_000);
+        let patch = 20.0 * 99_000.0 + PATCH_STEP_FACTOR * 5_000.0;
+        assert_eq!(bills, Some((patch, 20.0 * 100_000.0)));
         // On a fast network with a slow target, apply work matters: many
         // steps over a modest byte saving tip the decision to full ship.
         let mut lan = CostModel::fast_network(stats);
         lan.target = SystemProfile::with_speed(0.2);
-        assert!(!lan.prefer_patch(4_000, 10_000, 100_000));
-        assert!(lan.prefer_patch(4_000, 10, 100_000));
+        assert!(!patch_wins(&lan, 4_000, 10_000, 100_000));
+        assert!(patch_wins(&lan, 4_000, 10, 100_000));
+        // A plan predicting no cross-edge bytes leaves a full ship no
+        // bill to win by: the patch ships, however large.
+        assert!(patch_wins(&internet, 1_000_000, 5_000, 0));
+        assert!(patch_wins(&lan, 0, 0, 0));
     }
 
     #[test]

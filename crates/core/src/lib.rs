@@ -53,7 +53,7 @@ pub mod selection;
 pub mod shred;
 
 pub use agency::{DataExchange, Optimizer};
-pub use cost::{CostModel, SchemaStats, SystemProfile, PATCH_STEP_FACTOR};
+pub use cost::{full_ship_wins, CostModel, SchemaStats, SystemProfile, PATCH_STEP_FACTOR};
 pub use error::{Error, Result};
 pub use exec::{
     cross_ports_in_consumer_order, execute_source_phase, execute_source_phase_streaming,

@@ -79,9 +79,9 @@ pub struct RuntimeConfig {
     /// flight beyond the one it is actively driving. The pool keeps at
     /// most `workers × pipeline_sessions_per_worker` parked mid-exchange;
     /// arrivals beyond that wait in the admission queue, so overload
-    /// still produces a visible backlog (and breaker-open shedding
-    /// still finds queued sessions to drain) instead of unbounded
-    /// in-flight state.
+    /// still produces a visible backlog (and an opening breaker still
+    /// finds queued sessions to drain through the lane gate) instead of
+    /// unbounded in-flight state.
     pub pipeline_sessions_per_worker: usize,
     /// Whether the flight recorder keeps anomaly bookkeeping: the
     /// anomaly count, the shed-rate spike window and the dumps. On by

@@ -126,7 +126,7 @@ pub struct Event {
 pub struct EventLog {
     started: Instant,
     capacity: usize,
-    entries: Mutex<VecDeque<Event>>,
+    pub(crate) entries: Mutex<VecDeque<Event>>,
     dropped: AtomicU64,
 }
 

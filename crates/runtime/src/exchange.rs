@@ -26,7 +26,7 @@ use crate::config::RuntimeConfig;
 use crate::engine::{BatchResult, BatchShipStats, ShipHeap, ShipRequest, Stepped, Task};
 use crate::events::EventKind;
 use crate::registry::LinkSlot;
-use crate::runtime::{Inner, Resumable};
+use crate::runtime::{Checkpoint, Inner};
 use crate::session::{ExchangeRequest, SessionId, SessionMetrics, SessionShared, SessionState};
 use crate::stats::location_name;
 use std::collections::{BTreeMap, HashMap};
@@ -40,7 +40,7 @@ use xdx_core::exec::{
     execute_source_phase_streaming, execute_target_phase, CrossPort, ExecOutcome,
 };
 use xdx_core::program::PortRef;
-use xdx_core::{WireFormat, PATCH_STEP_FACTOR};
+use xdx_core::{full_ship_wins, WireFormat};
 use xdx_delta::{db_tables, diff_snapshots, Snapshot};
 use xdx_net::http::{soap_post_bytes, RequestRef};
 use xdx_relational::{stage_patch, Counters, Database, DeltaPatch, Feed};
@@ -381,29 +381,6 @@ impl Exchange {
     }
 }
 
-/// The two-site request a lane resumes as: the exchange's request under
-/// the lane's own name and target endpoint. The exchange's `last` lane
-/// takes the source database; earlier ones clone it (tables share their
-/// rows and built indexes).
-pub(crate) fn lane_checkpoint(
-    request: &mut ExchangeRequest,
-    name: &str,
-    target: &str,
-    last: bool,
-) -> ExchangeRequest {
-    let source = std::mem::take(&mut request.source);
-    let mut checkpoint = request.clone();
-    checkpoint.name = name.to_string();
-    checkpoint.target_endpoint = target.to_string();
-    if last {
-        checkpoint.source = source;
-    } else {
-        checkpoint.source = source.clone();
-        request.source = source;
-    }
-    checkpoint
-}
-
 /// A lane's terminal hand-off: what settlement moves out of the lane and
 /// into its committed or rolled-back epilogue.
 struct Settling {
@@ -589,10 +566,9 @@ impl Inner {
         let steps = patch.step_count();
         let mut bytes = Vec::new();
         encode_patch_into(&mut bytes, &patch, group.wire_format);
-        let patch_cost = self.config.w_comm * bytes.len() as f64
-            + PATCH_STEP_FACTOR * steps as f64 / request.target_profile.speed;
-        let full_cost = self.config.w_comm * group.plan.comm_bytes as f64;
-        if group.plan.comm_bytes > 0 && patch_cost >= full_cost {
+        let (w_comm, speed) = (self.config.w_comm, request.target_profile.speed);
+        let bills = full_ship_wins(w_comm, speed, bytes.len(), steps, group.plan.comm_bytes);
+        if let Some((patch_cost, full_cost)) = bills {
             lane.metrics.delta_full_chosen += 1;
             self.events.push(
                 id,
@@ -1238,12 +1214,13 @@ impl Inner {
                 // replaying this group's plan: identical program →
                 // identical shipment seqs and bytes, so its ledger's
                 // acknowledged frames are skipped.
-                let (name, target) = (&s.shared.name, s.slot.target());
-                let resumable = Resumable {
-                    request: lane_checkpoint(request, name, target, last_of_exchange),
+                let resume = Checkpoint {
+                    request,
+                    target: group.lanes[li].slot.target(),
                     plan: Some(Arc::clone(&group.plan)),
+                    last: last_of_exchange,
                 };
-                self.settle_rolled_back(s, why, link_gave_up, resumable);
+                self.settle_rolled_back(s, why, link_gave_up, resume);
             }
         }
     }
@@ -1381,30 +1358,22 @@ impl Inner {
     }
 
     /// The rolled-back epilogue of [`Inner::settle`]: a cancelled lane
-    /// just ends (it is never resumable, so its shipping checkpoints are
-    /// released); a failed one feeds its link's breaker — an opening
+    /// just ends; a failed one feeds its link's breaker — an opening
     /// breaker drains the route's queued sessions — and stays resumable:
     /// the checkpointed plan and the ledger's persisted messages make
-    /// the retry probe-free and serialization-free.
+    /// the retry probe-free and serialization-free. Both end through
+    /// [`Inner::end_lane`].
     fn settle_rolled_back(
         &self,
         s: Settling,
         diagnostic: String,
         link_gave_up: bool,
-        resumable: Resumable,
+        resume: Checkpoint<'_>,
     ) {
         let (shared, slot) = (&s.shared, &s.slot);
         if shared.is_cancelled() {
-            self.ledger.forget_session(shared.id);
-            self.finish(
-                shared,
-                s.enqueued,
-                SessionState::Cancelled,
-                s.metrics,
-                None,
-                Some(diagnostic),
-            );
-            return;
+            let verdict = (SessionState::Cancelled, diagnostic);
+            return self.end_lane(shared, s.enqueued, verdict, s.metrics, None, resume);
         }
         if shared.deadline_exceeded() {
             self.events.push(
@@ -1434,7 +1403,6 @@ impl Inner {
                     .anomaly(&format!("breaker open on {}", slot.pair()));
             }
         }
-        self.remember_resumable(shared.id, resumable);
         self.trace.record_with_context(
             self.trace.allocate_id(),
             "settle",
@@ -1447,13 +1415,14 @@ impl Inner {
         );
         // The rolled-back target travels with the result as observable
         // proof that no partial tables survived.
-        self.finish(
+        let verdict = (SessionState::Failed, diagnostic);
+        self.end_lane(
             shared,
             s.enqueued,
-            SessionState::Failed,
+            verdict,
             s.metrics,
             Some(s.target),
-            Some(diagnostic),
+            resume,
         );
     }
 

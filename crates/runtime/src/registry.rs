@@ -225,9 +225,9 @@ pub struct LinkStats {
     pub sessions_completed: u64,
     /// Sessions routed over this link that failed.
     pub sessions_failed: u64,
-    /// Sessions routed over this link that load shedding dropped
-    /// without running them (open breaker at dequeue, or a breaker
-    /// opening draining the queue).
+    /// Sessions routed over this link that the lane gate shed on its
+    /// open breaker without running them: at dequeue, or drained from
+    /// the queue when the breaker opened.
     pub sessions_shed: u64,
     /// Whether this link's circuit breaker is currently open.
     pub breaker_open: bool,

@@ -33,7 +33,7 @@ use crate::breaker::BreakerTransition;
 use crate::cache::{plan_key, CachedPlan, PlanCache, PlanKey, ProbeMemo};
 use crate::engine::{ShipEngine, ShipHeap};
 use crate::events::{Event, EventKind, EventLog};
-use crate::exchange::{lane_checkpoint, route_key, session_trace_id, Exchange, Lane};
+use crate::exchange::{route_key, session_trace_id, Exchange, Lane};
 use crate::fair::{FairQueue, DEFAULT_AGING_INTERVAL};
 use crate::flight::FlightRecorder;
 use crate::introspect::IntrospectServer;
@@ -148,6 +148,29 @@ type Planned = (WireFormat, Arc<CachedPlan>);
 pub(crate) struct Resumable {
     pub(crate) request: ExchangeRequest,
     pub(crate) plan: Option<Arc<CachedPlan>>,
+}
+
+/// What a failed lane's [`Resumable`] is cut from: the exchange's request
+/// under the lane's name and `target` endpoint, and the lane's plan.
+pub(crate) struct Checkpoint<'a> {
+    pub(crate) request: &'a mut ExchangeRequest,
+    pub(crate) target: &'a str,
+    pub(crate) plan: Option<Arc<CachedPlan>>,
+    /// No other lane goes on: take the source database, not a clone.
+    pub(crate) last: bool,
+}
+
+/// Where [`Inner::gate`] checks a lane. The checks are the same at every
+/// stage; the stage is data: wording, shed billing, the breaker check.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Stage {
+    /// Popped from the fair queue; a `probe` (a resume) skips the breaker.
+    Dequeued { probe: bool },
+    /// Drained by its route's opening breaker: always stopped.
+    Drained,
+    /// Planned: no breaker check, and a passed deadline fails the lane
+    /// with its plan, not billed as a shed.
+    Planned,
 }
 
 /// What the fleet has tallied so far, under one lock.
@@ -398,7 +421,7 @@ impl Runtime {
     /// bypasses the route's circuit breaker.
     pub fn resume(&self, session_id: SessionId) -> Result<SessionHandle, SubmitError> {
         let inner = &*self.inner;
-        let (_, Resumable { mut request, plan }) = inner
+        let (stamp, Resumable { mut request, plan }) = inner
             .resumables
             .lock()
             .unwrap()
@@ -408,9 +431,10 @@ impl Runtime {
         inner
             .enqueue_session(request, session_id, true, plan.clone())
             .map_err(|refused| {
-                // Not admitted: keep the checkpoint resumable.
+                // Not admitted: the checkpoint goes back, its age kept.
                 let (e, request) = *refused;
-                inner.remember_resumable(session_id, Resumable { request, plan });
+                let mut resumables = inner.resumables.lock().unwrap();
+                resumables.insert(session_id, (stamp, Resumable { request, plan }));
                 e
             })
     }
@@ -1021,98 +1045,65 @@ impl Inner {
     /// Breaker feedback into the queue: when a route's breaker opens,
     /// its queued (non-resumed) sessions would only burn planning
     /// probes and retry budgets to learn what the breaker already
-    /// knows — drain and shed them now. Resumed sessions stay queued:
-    /// resume is the operator's probe and intentionally bypasses the
-    /// breaker. So do publish groups: their other lanes ride healthy
-    /// routes, and the dequeue gate sheds this route's lane alone.
+    /// knows — drain them now, each through the one [`Inner::gate`].
+    /// Resumed sessions stay queued: resume is the operator's probe and
+    /// intentionally bypasses the breaker. So do publish groups: their
+    /// other lanes ride healthy routes, and the dequeue gate sheds this
+    /// route's lane alone.
     pub(crate) fn shed_queued_route(&self, slot: &LinkSlot) {
-        let pair = slot.pair();
-        let drained = {
-            let mut queue = self.queue.lock().unwrap();
-            queue.fair.drain_matching(|qs: &QueuedExchange| {
-                !qs.resumed
-                    && qs.group.is_none()
-                    && qs.request.source_endpoint == slot.source()
-                    && qs.request.target_endpoint == slot.target()
-            })
-        };
-        if drained.is_empty() {
-            return;
-        }
-        let retry = slot
-            .breaker
-            .cooldown_remaining()
-            .unwrap_or(self.config.breaker_cooldown);
-        for qs in drained {
-            let QueuedExchange {
-                enqueued,
-                request,
-                plan,
-                seats,
-                ..
-            } = qs;
-            let shared = &seats[0].0;
-            let tenant = request.tenant_label();
-            let metrics = SessionMetrics {
-                queue_wait: enqueued.elapsed(),
-                route: pair.clone(),
-                tenant: tenant.clone(),
-                ..SessionMetrics::default()
-            };
-            slot.counters.sessions_shed.fetch_add(1, Ordering::Relaxed);
-            self.agg.lock().unwrap().stats.sessions_shed_breaker += 1;
-            self.tenant_entry(&tenant, |t| t.shed += 1);
-            self.shed(
-                shared.id,
-                shared.root_span,
-                format!(
-                    "{}: drained from queue, circuit open on {pair}, retry in {retry:?}",
-                    shared.name
-                ),
-            );
-            self.remember_resumable(shared.id, Resumable { request, plan });
-            self.finish(
-                shared,
-                enqueued,
-                SessionState::Failed,
-                metrics,
-                None,
-                Some(format!("shed: circuit open on {pair}")),
-            );
+        let drained = self.queue.lock().unwrap().fair.drain_matching(|qs| {
+            !qs.resumed
+                && qs.group.is_none()
+                && qs.request.source_endpoint == slot.source()
+                && qs.request.target_endpoint == slot.target()
+        });
+        for QueuedExchange {
+            enqueued,
+            mut request,
+            seats,
+            ..
+        } in drained
+        {
+            let lane = self.open_lane(&seats[0].0, enqueued, &request, slot.target());
+            self.gate(Stage::Drained, &mut request, enqueued, vec![lane], |_| None);
         }
     }
 
-    /// The dequeue gates, before any planning work is spent on a lane:
-    /// cancelled while queued; deadline expired while queued (shed
-    /// before burning a statistics probe — the breaker is untouched, an
-    /// expired deadline says nothing about link health); route breaker
-    /// open (the session would only fail after a probe and a full retry
-    /// budget). `probe` lanes — resumes, the operator's explicit
-    /// recovery probe — bypass the breaker. Returns the terminal state
-    /// and diagnostic of a gated lane, with its events and shed counters
-    /// recorded; a `Failed` verdict is a shed the caller keeps resumable.
-    pub(crate) fn dequeue_gate(&self, lane: &Lane, probe: bool) -> Option<(SessionState, String)> {
-        let shared = &lane.shared;
+    /// Why the gate stops `lane` at `stage`, checked in order: cancelled;
+    /// deadline passed (an expired deadline says nothing about link
+    /// health, so the breaker is untouched); route breaker open (the lane
+    /// would only fail after a probe and a full retry budget), whose shed
+    /// hands back the cooldown left as its retry hint. Returns the
+    /// terminal state and diagnostic, with the lane's events and shed
+    /// counters recorded; `None` lets the lane go on.
+    fn stop(&self, lane: &Lane, stage: Stage) -> Option<(SessionState, String)> {
+        let (shared, slot) = (&lane.shared, &lane.slot);
+        let when = match stage {
+            Stage::Planned => "after planning",
+            _ => "while queued",
+        };
         if shared.is_cancelled() {
-            return Some((SessionState::Cancelled, "cancelled while queued".into()));
+            return Some((SessionState::Cancelled, format!("cancelled {when}")));
         }
         let expired = shared.deadline_exceeded();
         let why = if expired {
-            self.events.push(
-                shared.id,
-                shared.root_span,
-                EventKind::DeadlineExceeded,
-                "while queued",
-            );
-            "deadline exceeded while queued: shed before planning".to_string()
-        } else if !probe && lane.slot.breaker.is_open() {
-            lane.slot
-                .counters
-                .sessions_shed
-                .fetch_add(1, Ordering::Relaxed);
-            format!("shed: circuit open on {}", lane.slot.pair())
+            let kind = EventKind::DeadlineExceeded;
+            self.events.push(shared.id, shared.root_span, kind, when);
+            if stage == Stage::Planned {
+                return Some((SessionState::Failed, format!("deadline exceeded {when}")));
+            }
+            format!("deadline exceeded {when}: shed before planning")
         } else {
-            return None;
+            let retry = match stage {
+                Stage::Dequeued { probe: false } => slot.breaker.cooldown_remaining()?,
+                // The breaker just opened; a submit that half-opened it
+                // since makes the hint "now".
+                Stage::Drained => slot.breaker.cooldown_remaining().unwrap_or_default(),
+                _ => return None,
+            };
+            slot.counters.sessions_shed.fetch_add(1, Ordering::Relaxed);
+            let pair = slot.pair();
+            format!("shed: circuit open on {pair}, retry in {retry:?}")
         };
         self.shed(shared.id, shared.root_span, &why);
         {
@@ -1127,15 +1118,84 @@ impl Inner {
         Some((SessionState::Failed, why))
     }
 
+    /// The one gate before a lane costs a probe or a retry budget, at
+    /// dequeue, after planning and in the breaker drain: ends each of
+    /// `lanes` it stops ([`Inner::stop`]) through [`Inner::end_lane`],
+    /// checkpointed with `plan_of` its wire format, and returns the rest.
+    /// A stopped lane is the exchange's last when none before it went on
+    /// and none follows.
+    fn gate(
+        &self,
+        stage: Stage,
+        request: &mut ExchangeRequest,
+        enqueued: Instant,
+        lanes: Vec<Lane>,
+        plan_of: impl Fn(WireFormat) -> Option<Arc<CachedPlan>>,
+    ) -> Vec<Lane> {
+        let count = lanes.len();
+        let mut live = Vec::with_capacity(count);
+        for (i, lane) in lanes.into_iter().enumerate() {
+            let Some(verdict) = self.stop(&lane, stage) else {
+                live.push(lane);
+                continue;
+            };
+            let resume = Checkpoint {
+                request: &mut *request,
+                target: lane.slot.target(),
+                plan: plan_of(lane.metrics.wire_format),
+                last: live.is_empty() && i + 1 == count,
+            };
+            self.end_lane(&lane.shared, enqueued, verdict, lane.metrics, None, resume);
+        }
+        live
+    }
+
+    /// Ends a lane that leaves without committing — stopped by the gate
+    /// or rolled back at settlement — under one rule. A `Cancelled` lane
+    /// is never resumable, so its ledger buffers are released. A
+    /// `Failed` one deposits its checkpoint for [`Runtime::resume`],
+    /// whose retry the ledger's persisted messages make
+    /// serialization-free. `target` is what the result hands back: a
+    /// failed settlement's rolled-back tables, or nothing.
+    pub(crate) fn end_lane(
+        &self,
+        shared: &SessionShared,
+        enqueued: Instant,
+        (state, why): (SessionState, String),
+        metrics: SessionMetrics,
+        target: Option<Database>,
+        resume: Checkpoint<'_>,
+    ) {
+        if state == SessionState::Cancelled {
+            self.ledger.forget_session(shared.id);
+        } else {
+            let source = std::mem::take(&mut resume.request.source);
+            let mut request = resume.request.clone();
+            request.name = shared.name.clone();
+            request.target_endpoint = resume.target.to_string();
+            if resume.last {
+                request.source = source;
+            } else {
+                // Tables share their rows and built indexes.
+                request.source = source.clone();
+                resume.request.source = source;
+            }
+            let plan = resume.plan;
+            self.remember_resumable(shared.id, Resumable { request, plan });
+        }
+        self.finish(shared, enqueued, state, metrics, target, Some(why));
+    }
+
     /// The one start arm: runs a queued exchange on the calling worker
     /// thread from dequeue to *park* (or, unpaced, to retirement). Every
-    /// lane passes the dequeue gates; the survivors are planned once per
-    /// negotiated wire format and each format becomes one group — its
-    /// source phase runs once and every frame is encoded *once* into the
-    /// ring all of its lanes ship from, over their own links, with their
-    /// own ledgers, retry budgets and breakers. A session is the group of
-    /// one lane; a lane that drops out on the way stays resumable as a
-    /// session of its own without stalling the rest.
+    /// lane passes the gate at dequeue; the survivors are planned once
+    /// per negotiated wire format, pass the gate again, and each format
+    /// becomes one group — its source phase runs once and every frame is
+    /// encoded *once* into the ring all of its lanes ship from, over
+    /// their own links, with their own ledgers, retry budgets and
+    /// breakers. A session is the group of one lane; a lane that drops
+    /// out on the way stays resumable as a session of its own without
+    /// stalling the rest.
     fn start_exchange(&self, job: QueuedExchange) {
         let QueuedExchange {
             enqueued,
@@ -1147,23 +1207,12 @@ impl Inner {
         } = job;
         let (group_span, lag_cap) = group.unwrap_or((NO_SPAN, usize::MAX));
         let owner = seats[0].0.id;
-        let mut lanes = Vec::with_capacity(seats.len());
-        for (i, (shared, target)) in seats.iter().enumerate() {
-            let lane = self.open_lane(shared, enqueued, &request, target);
-            let Some((state, why)) = self.dequeue_gate(&lane, resumed) else {
-                lanes.push(lane);
-                continue;
-            };
-            if state == SessionState::Failed {
-                // A shed lane stays resumable; with nobody left to run
-                // the exchange, its checkpoint takes the source database.
-                let last = lanes.is_empty() && i + 1 == seats.len();
-                let request = lane_checkpoint(&mut request, &shared.name, target, last);
-                let plan = stored.clone();
-                self.remember_resumable(shared.id, Resumable { request, plan });
-            }
-            self.finish(shared, enqueued, state, lane.metrics, None, Some(why));
-        }
+        let lanes = seats
+            .iter()
+            .map(|(shared, target)| self.open_lane(shared, enqueued, &request, target))
+            .collect();
+        let dequeue = Stage::Dequeued { probe: resumed };
+        let mut lanes = self.gate(dequeue, &mut request, enqueued, lanes, |_| stored.clone());
         if lanes.is_empty() {
             let detail = format!("{}: no live lanes", request.name);
             return self.close_group(group_span, owner, enqueued, detail);
@@ -1189,18 +1238,22 @@ impl Inner {
                 return self.close_group(group_span, owner, enqueued, detail);
             }
         };
+        let planned_at = dequeued + lanes[0].metrics.planning;
+        let plan_of = |format| {
+            let planned = plans.iter().find(|(f, _)| *f == format);
+            planned.map(|(_, plan)| Arc::clone(plan))
+        };
+        let mut lanes = self.gate(Stage::Planned, &mut request, enqueued, lanes, plan_of);
         // Execute (Step 4): every cross-edge byte rides the shipping
         // engine on its lane's per-pair link, and the exchange parks
         // while its frames are on the wire. Writes are staged: a run
         // that dies mid-exchange rolls the target back.
-        let planned_at = dequeued + lanes[0].metrics.planning;
         let mut groups = Vec::with_capacity(plans.len());
         for (format, plan) in plans {
             let (members, rest): (Vec<_>, Vec<_>) = lanes
                 .into_iter()
                 .partition(|l| l.metrics.wire_format == format);
             lanes = rest;
-            let members = self.planned_gate(&mut request, enqueued, &plan, members);
             if !members.is_empty() {
                 groups.push(self.open_group(format, plan, planned_at, members));
             }
@@ -1211,43 +1264,6 @@ impl Inner {
         }
         let ex = Exchange::new(enqueued, request, lag_cap, groups);
         self.launch(ex, delta_base);
-    }
-
-    /// The gates between planning and execution, lane by lane: one
-    /// cancelled meanwhile just ends; one whose deadline ran out fails,
-    /// resumable with the plan it would have executed. Returns the
-    /// lanes that go on.
-    fn planned_gate(
-        &self,
-        request: &mut ExchangeRequest,
-        enqueued: Instant,
-        plan: &Arc<CachedPlan>,
-        lanes: Vec<Lane>,
-    ) -> Vec<Lane> {
-        let mut live = Vec::with_capacity(lanes.len());
-        for lane in lanes {
-            let shared = Arc::clone(&lane.shared);
-            let (state, why) = if shared.is_cancelled() {
-                (SessionState::Cancelled, "cancelled after planning")
-            } else if shared.deadline_exceeded() {
-                self.events.push(
-                    shared.id,
-                    shared.root_span,
-                    EventKind::DeadlineExceeded,
-                    "after planning",
-                );
-                let request = lane_checkpoint(request, &shared.name, lane.slot.target(), false);
-                let plan = Some(Arc::clone(plan));
-                self.remember_resumable(shared.id, Resumable { request, plan });
-                (SessionState::Failed, "deadline exceeded after planning")
-            } else {
-                live.push(lane);
-                continue;
-            };
-            let why = Some(why.to_string());
-            self.finish(&shared, enqueued, state, lane.metrics, None, why);
-        }
-        live
     }
 
     /// Delta eligibility: resolves the base snapshot for the request's
@@ -1515,5 +1531,169 @@ impl Inner {
             target,
             diagnostic,
         });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::ShippingPolicy;
+    use std::time::Duration;
+    use xdx_xmark::{generate, lf, load_source, mf, schema, GenConfig};
+
+    /// A resumed session whose exchange never ships again — cancelled in
+    /// the queue, or between planning and shipping — can never be resumed,
+    /// so the failed run's checkpointed messages must leave the ledger
+    /// with it instead of waiting for shard eviction.
+    #[test]
+    fn a_resumed_session_cancelled_before_it_ships_releases_its_ledger_buffers() {
+        let schema = schema();
+        let doc = generate(GenConfig::sized(12_000));
+        let (mf, lf) = (mf(&schema), lf(&schema));
+        for after_planning in [false, true] {
+            // A link eating a third of the frames defeats 3 attempts per
+            // chunk partway through the document.
+            let runtime = Runtime::start(
+                schema.clone(),
+                RuntimeConfig::default()
+                    .with_workers(1)
+                    .with_fault_profile(FaultProfile {
+                        drop_probability: 0.35,
+                        seed: 3,
+                        ..FaultProfile::healthy()
+                    })
+                    .with_shipping(ShippingPolicy {
+                        chunk_bytes: 1024,
+                        max_attempts_per_chunk: 3,
+                        retry_budget: 16,
+                        backoff_base: Duration::from_millis(1),
+                        ..ShippingPolicy::default()
+                    }),
+            );
+            let inner = Arc::clone(&runtime.inner);
+            let source = load_source(&doc, &schema, &mf).unwrap();
+            let request = ExchangeRequest::new("checkpointed", source, mf.clone(), lf.clone());
+            let handle = runtime.submit(request).unwrap();
+            let id = handle.id();
+            assert_eq!(handle.wait().state, SessionState::Failed);
+            assert!(inner.ledger.checkpointed_chunks(id) > 0, "nothing landed");
+            runtime.set_fault_profile(FaultProfile::healthy());
+
+            // Every in-flight slot taken: the resume waits in the queue.
+            let cap = inner.config.workers * inner.config.pipeline_sessions_per_worker;
+            inner.queue.lock().unwrap().outstanding += cap;
+            let resumed = runtime.resume(id).unwrap();
+            // Planning's first act after the `Planning` state is an event:
+            // holding the log stops the worker before the gate after it.
+            let log = after_planning.then(|| inner.events.entries.lock().unwrap());
+            if !after_planning {
+                resumed.cancel();
+            }
+            inner.queue.lock().unwrap().outstanding -= cap;
+            inner.available.notify_all();
+            if let Some(log) = log {
+                while resumed.state() != SessionState::Planning {
+                    std::thread::yield_now();
+                }
+                resumed.cancel();
+                drop(log);
+            }
+            let result = resumed.wait();
+            let when = if after_planning {
+                "after planning"
+            } else {
+                "while queued"
+            };
+            assert_eq!(result.state, SessionState::Cancelled, "{when}");
+            assert_eq!(result.diagnostic, Some(format!("cancelled {when}")));
+            assert_eq!(
+                inner.ledger.checkpointed_chunks(id),
+                0,
+                "cancelled {when}: the failed run's buffers stayed"
+            );
+            runtime.shutdown();
+        }
+    }
+
+    /// Sessions an opening breaker drains from the queue end through the
+    /// same gate as a dequeue: a `queued` span under their root, a queue
+    /// wait sample, the wire format their route negotiated, and a `Shed`
+    /// event carrying the breaker's retry hint.
+    #[test]
+    fn a_breaker_drained_session_is_booked_like_any_other_shed() {
+        let schema = schema();
+        let doc = generate(GenConfig::sized(8_000));
+        let (mf, lf) = (mf(&schema), lf(&schema));
+        let runtime = Runtime::start(
+            schema.clone(),
+            RuntimeConfig::default()
+                .with_workers(1)
+                .with_breaker(1, Duration::from_secs(60))
+                .with_pipeline_sessions_per_worker(1)
+                .with_shipping(ShippingPolicy {
+                    max_attempts_per_chunk: 2,
+                    retry_budget: 1,
+                    backoff_base: Duration::from_millis(1),
+                    ..ShippingPolicy::default()
+                }),
+        );
+        let inner = &*runtime.inner;
+        runtime.set_endpoint_format("doomed", WireFormat::Columnar);
+        runtime.set_endpoint_format("hub", WireFormat::Columnar);
+        runtime.set_link_fault_profile("doomed", "hub", FaultProfile::drops(1.0, 7));
+        // Every in-flight slot taken while the sessions queue, so none
+        // starts before all three wait: the first then runs alone and
+        // opens the breaker on the other two.
+        let cap = inner.config.workers * inner.config.pipeline_sessions_per_worker;
+        inner.queue.lock().unwrap().outstanding += cap;
+        let mut doomed: Vec<_> = (0..3)
+            .map(|i| {
+                let source = load_source(&doc, &schema, &mf).unwrap();
+                let name = format!("doomed-{i}");
+                let request = ExchangeRequest::new(name, source, mf.clone(), lf.clone());
+                runtime.submit(request.with_route("doomed", "hub")).unwrap()
+            })
+            .collect();
+        inner.queue.lock().unwrap().outstanding -= cap;
+        inner.available.notify_all();
+        let first = doomed.remove(0);
+        let first_id = first.id();
+        assert_eq!(first.wait().state, SessionState::Failed);
+
+        let events = runtime.events();
+        let spans = inner.trace.snapshot();
+        let first_failed = events
+            .iter()
+            .position(|e| e.session == first_id && e.kind == EventKind::Failed)
+            .expect("the first doomed session failed");
+        for handle in doomed {
+            let (id, root) = (handle.id(), handle.shared.root_span);
+            let result = handle.wait();
+            assert_eq!(result.state, SessionState::Failed);
+            let diagnostic = result.diagnostic.unwrap_or_default();
+            assert!(diagnostic.contains("circuit open"), "{diagnostic:?}");
+            assert_eq!(result.metrics.wire_format, WireFormat::Columnar);
+            // Drained while the first session settled, before it ended.
+            let shed = events
+                .iter()
+                .position(|e| e.session == id && e.kind == EventKind::Shed)
+                .expect("a drained session emits a Shed event");
+            assert!(shed < first_failed, "session {id} was not drained");
+            assert!(
+                events[shed].detail.contains("retry in"),
+                "{:?}",
+                events[shed]
+            );
+            assert!(
+                spans
+                    .iter()
+                    .any(|s| s.name == "queued" && s.session == id && s.parent == root),
+                "session {id} has no queued span under its root"
+            );
+        }
+        // One queue wait sample per session: the failed one, two drained.
+        assert_eq!(inner.queue_wait_hist.count(), 3);
+        let stats = runtime.shutdown();
+        assert_eq!(stats.sessions_shed_breaker, 2);
     }
 }

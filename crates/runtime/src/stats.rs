@@ -117,14 +117,16 @@ pub struct RuntimeStats {
     /// Acknowledged shipment buffers garbage-collected from the
     /// reassembly ledger after their session committed.
     pub ledger_entries_pruned: u64,
-    /// Sessions shed at dequeue because their deadline expired while
-    /// queued — failed *before* burning a planning probe.
+    /// Sessions shed because their deadline expired while queued (at
+    /// dequeue, or in a breaker drain) — failed *before* planning.
     pub sessions_shed_expired: u64,
     /// Submissions shed at admission because the estimator found their
     /// deadline unattainable at the current load.
     pub sessions_shed_deadline: u64,
-    /// Queued sessions shed because their route's circuit breaker was
-    /// open (at dequeue, or drained when the breaker opened).
+    /// Queued sessions shed because their route's breaker was open: at
+    /// dequeue, or drained when it opened (one already cancelled or
+    /// expired ends as that). Each hands back the cooldown left as its
+    /// retry hint.
     pub sessions_shed_breaker: u64,
     /// Failed-session checkpoints evicted by the `max_resumables` cap.
     pub resumables_evicted: u64,
