@@ -3,12 +3,13 @@
 //! instead of re-running the optimizer.
 //!
 //! The cache key is the optimizer's inputs and nothing else, in two
-//! halves. The **shape** half hashes everything structural: both
-//! fragmentations (roots and element sets, not names — renaming a
-//! fragment does not change the plan), the optimizer, the cost-model
-//! weights, wire format and fanout, and both system profiles. The
-//! **stats** half hashes the probed document statistics. Entries are
-//! stored per shape and remember the stats they were planned under.
+//! halves. The **shape** half ([`PlanShape`]) hashes everything
+//! structural: both fragmentations (roots and element sets, not names —
+//! renaming a fragment does not change the plan), the optimizer, the
+//! cost-model weights, wire format and fanout, and both system profiles.
+//! It needs no probe. The **stats** half hashes the probed document
+//! statistics. Entries are stored per shape and remember the stats they
+//! were planned under.
 //!
 //! The one invalidation rule is a key mismatch: a lookup whose stats
 //! hash moved (the source data changed enough to re-probe differently)
@@ -20,18 +21,29 @@
 //! The stats half is itself memoised: a [`ProbeMemo`] answers a probe of
 //! tables it has probed before, row set for row set, without reading a
 //! row, so a warm route plans without touching its source's data.
+//!
+//! A delta round does not consult the cache at all. `RoutePlans`
+//! remembers the plan each route's head was committed with, and a round
+//! diffing against that head replays it when its shape is unchanged —
+//! no probe, no optimizer (DESIGN §23). The round runs its program in
+//! place at the source, so placement does not change what it lands; the
+//! stale statistics only price the patch-vs-full bill.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use xdx_core::{CostModel, Fragmentation, Optimizer, Program, SchemaStats, WireFormat};
-use xdx_relational::{word_sum, Database, Feed, FeedSchema, RowsId};
+use xdx_core::{
+    CostModel, Fragmentation, Optimizer, Program, SchemaStats, SystemProfile, WireFormat,
+};
+use xdx_relational::sum::{mix_word, SUM_BASIS};
+use xdx_relational::{Database, Feed, FeedSchema, RowsId};
 use xdx_xml::SchemaTree;
 
 /// The two-part cache key of an exchange.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PlanKey {
-    /// Hash of both fragmentation shapes, cost weights and profiles.
+    /// [`PlanShape::key`]: both fragmentation shapes, the optimizer,
+    /// cost weights, wire format, fanout and profiles.
     pub shape: u64,
     /// Hash of the probed document statistics.
     pub stats: u64,
@@ -40,6 +52,9 @@ pub struct PlanKey {
 /// A cached optimizer answer.
 #[derive(Debug)]
 pub struct CachedPlan {
+    /// The shape half of the key it was planned under: a route replays
+    /// it only for a round of the same shape.
+    pub shape: u64,
     /// The placed data-transfer program.
     pub program: Program,
     /// Its estimated cost under the keying model.
@@ -59,10 +74,12 @@ impl CachedPlan {
     /// it — per-node computation cost and total cross-edge bytes — so
     /// execution can be compared against the prediction by calibration.
     /// Priced for *one* lane whatever the model's fanout: calibration
-    /// compares against per-lane observations.
+    /// compares against per-lane observations. `shape` is the shape half
+    /// of the key it is planned under.
     pub fn priced(
         schema: &xdx_xml::SchemaTree,
         model: &CostModel,
+        shape: u64,
         program: Program,
         cost: f64,
     ) -> CachedPlan {
@@ -76,6 +93,7 @@ impl CachedPlan {
             }
         }
         CachedPlan {
+            shape,
             program,
             cost,
             op_costs,
@@ -115,7 +133,7 @@ impl PlanCache {
     /// is bounded by the worker count and both arrive at the same
     /// program.
     pub fn lookup(&self, key: PlanKey) -> Option<Arc<CachedPlan>> {
-        let mut map = self.map.lock().unwrap();
+        let mut map = self.map();
         if let Some(entry) = map.get(&key.shape) {
             if entry.stats != key.stats {
                 map.remove(&key.shape);
@@ -133,7 +151,7 @@ impl PlanCache {
     /// (the already-present one if a racing session with the same stats
     /// inserted first; a resident planned under other stats is replaced).
     pub fn insert(&self, key: PlanKey, plan: CachedPlan) -> Arc<CachedPlan> {
-        let mut map = self.map.lock().unwrap();
+        let mut map = self.map();
         match map.get(&key.shape) {
             Some(entry) if entry.stats == key.stats => Arc::clone(&entry.plan),
             _ => {
@@ -148,6 +166,12 @@ impl PlanCache {
                 plan
             }
         }
+    }
+
+    /// The map, also after a panic elsewhere while it was locked: each
+    /// edit (remove, insert) leaves it valid.
+    fn map(&self) -> MutexGuard<'_, HashMap<u64, Entry>> {
+        self.map.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Lookups satisfied from the cache.
@@ -167,12 +191,58 @@ impl PlanCache {
 
     /// Distinct plans cached.
     pub fn len(&self) -> usize {
-        self.map.lock().unwrap().len()
+        self.map().len()
     }
 
     /// True when nothing is cached yet.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+/// The plan each route's head was committed with, for the route's next
+/// delta round to replay instead of probing and planning. One entry per
+/// route (the route's feed-log key): the head version it committed and
+/// the plan. A commit whose bill chose a full ship over the patch
+/// forgets its route's entry, so the next round prices the full side
+/// from a fresh probe.
+#[derive(Debug, Default)]
+pub(crate) struct RoutePlans {
+    map: Mutex<HashMap<String, (u64, Arc<CachedPlan>)>>,
+}
+
+impl RoutePlans {
+    /// Records that `route`'s head `version` was committed with `plan`,
+    /// or with no plan a round may replay.
+    pub(crate) fn commit(&self, route: &str, version: u64, plan: Option<Arc<CachedPlan>>) {
+        let mut map = self.map();
+        match (plan, map.get_mut(route)) {
+            (Some(plan), Some(entry)) => *entry = (version, plan),
+            (Some(plan), None) => {
+                map.insert(route.to_owned(), (version, plan));
+            }
+            (None, _) => {
+                map.remove(route);
+            }
+        }
+    }
+
+    /// The plan `route`'s `head` was committed with, if it was planned
+    /// for `shape`: a route's memory is never another route's, so the
+    /// plan was priced for a document of this route.
+    pub(crate) fn replay(&self, route: &str, head: u64, shape: u64) -> Option<Arc<CachedPlan>> {
+        match self.map().get(route) {
+            Some((version, plan)) if *version == head && plan.shape == shape => {
+                Some(Arc::clone(plan))
+            }
+            _ => None,
+        }
+    }
+
+    /// The map, also after a panic elsewhere while it was locked: each
+    /// edit (insert, replace, remove) leaves it valid.
+    fn map(&self) -> MutexGuard<'_, HashMap<String, (u64, Arc<CachedPlan>)>> {
+        self.map.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -283,75 +353,134 @@ impl ProbeMemo {
     }
 }
 
-/// Computes the stable two-part cache key of an exchange. The optimizer
+/// Every optimizer input but the document statistics: what the shape
+/// half of a [`PlanKey`] hashes, known before any probe. The optimizer
 /// is part of the shape: sessions planned greedily and sessions planned
-/// with the exhaustive ordering search must not share one cached program.
-/// So is the model's fanout: the subscriber count moves the placement
+/// with the exhaustive ordering search must not share one cached
+/// program. So is the fanout: the subscriber count moves the placement
 /// trade-off, so groups of different sizes must not share a program. A
 /// fanout of one contributes no bytes — a publish group of one *is* a
 /// two-site session, and the two share cache entries.
-///
-/// A delta round keys like a full ship of the same document: the
-/// optimizer never sees a feed version, [`CachedPlan`] holds none, and
-/// the patch is diffed against its base after planning. So a route's
-/// delta rounds and full ships share its one entry.
+#[derive(Debug, Clone, Copy)]
+pub struct PlanShape<'a> {
+    /// Source fragmentation.
+    pub source: &'a Fragmentation,
+    /// Target fragmentation.
+    pub target: &'a Fragmentation,
+    /// The optimizer that places the program.
+    pub optimizer: Optimizer,
+    /// Computation weight ([`CostModel::w_comp`]).
+    pub w_comp: f64,
+    /// Communication weight ([`CostModel::w_comm`]).
+    pub w_comm: f64,
+    /// Source and target system profiles.
+    pub profiles: [SystemProfile; 2],
+    /// The negotiated wire format: it changes communication estimates,
+    /// so formats must not share a cached program.
+    pub wire_format: WireFormat,
+    /// Targets the one source feeds ([`CostModel::fanout`]).
+    pub fanout: usize,
+}
+
+impl PlanShape<'_> {
+    /// The shape `model` is planned under, between `source` and `target`
+    /// by `optimizer`.
+    pub fn of<'a>(
+        source: &'a Fragmentation,
+        target: &'a Fragmentation,
+        model: &CostModel,
+        optimizer: Optimizer,
+    ) -> PlanShape<'a> {
+        PlanShape {
+            source,
+            target,
+            optimizer,
+            w_comp: model.w_comp,
+            w_comm: model.w_comm,
+            profiles: [model.source, model.target],
+            wire_format: model.wire_format,
+            fanout: model.fanout,
+        }
+    }
+
+    /// The cost model of this shape under probed `stats`.
+    pub fn model(&self, stats: SchemaStats) -> CostModel {
+        let [source, target] = self.profiles;
+        CostModel {
+            w_comp: self.w_comp,
+            w_comm: self.w_comm,
+            source,
+            target,
+            stats,
+            wire_format: self.wire_format,
+            fanout: self.fanout,
+        }
+    }
+
+    /// The shape half of a [`PlanKey`]: the word sum of its inputs as
+    /// words, folded in place. It allocates nothing: a delta round
+    /// computes it right after the previous round's source was freed,
+    /// and a growing byte buffer here was the allocator's first large
+    /// request after those frees, about 190 µs of a 500 KB round.
+    pub fn key(&self) -> u64 {
+        let mut h = SUM_BASIS;
+        let mut push = |v: u64| h = mix_word(h, v);
+        if self.fanout > 1 {
+            push(0x4D);
+            push(self.fanout as u64);
+        }
+        match self.optimizer {
+            Optimizer::Greedy => push(0x47),
+            Optimizer::Optimal { ordering_cap } => {
+                push(0x4F);
+                push(ordering_cap as u64);
+            }
+        }
+        for (tag, frag) in [(0x5C, self.source), (0x7A, self.target)] {
+            push(tag);
+            push(frag.fragments.len() as u64);
+            for f in &frag.fragments {
+                push(f.root.index() as u64);
+                push(f.elements.len() as u64);
+                for &e in &f.elements {
+                    push(e.index() as u64);
+                }
+            }
+        }
+        push(self.w_comp.to_bits());
+        push(self.w_comm.to_bits());
+        push(match self.wire_format {
+            WireFormat::Xml => 0x58,
+            WireFormat::Columnar => 0x43,
+        });
+        for profile in &self.profiles {
+            push(profile.speed.to_bits());
+            push(profile.can_combine as u64);
+            push(profile.can_split as u64);
+        }
+        h
+    }
+}
+
+/// The stats half of a [`PlanKey`]: the word sum of the probed
+/// statistics as words.
+pub fn stats_key(stats: &SchemaStats) -> u64 {
+    let words = stats.counts.iter().chain(&stats.text_bytes);
+    let count = stats.counts.len() as u64;
+    words.fold(mix_word(SUM_BASIS, count), |h, &w| mix_word(h, w))
+}
+
+/// The stable two-part cache key of planning `model` between `source`
+/// and `target` with `optimizer`: its [`PlanShape`] and its statistics.
 pub fn plan_key(
     source: &Fragmentation,
     target: &Fragmentation,
     model: &CostModel,
     optimizer: Optimizer,
 ) -> PlanKey {
-    let mut shape = Vec::with_capacity(256);
-    let push = |bytes: &mut Vec<u8>, v: u64| bytes.extend_from_slice(&v.to_le_bytes());
-    if model.fanout > 1 {
-        push(&mut shape, 0x4D);
-        push(&mut shape, model.fanout as u64);
-    }
-    match optimizer {
-        Optimizer::Greedy => push(&mut shape, 0x47),
-        Optimizer::Optimal { ordering_cap } => {
-            push(&mut shape, 0x4F);
-            push(&mut shape, ordering_cap as u64);
-        }
-    }
-    for (tag, frag) in [(0x5Cu64, source), (0x7Au64, target)] {
-        push(&mut shape, tag);
-        push(&mut shape, frag.fragments.len() as u64);
-        for f in &frag.fragments {
-            push(&mut shape, f.root.index() as u64);
-            push(&mut shape, f.elements.len() as u64);
-            for &e in &f.elements {
-                push(&mut shape, e.index() as u64);
-            }
-        }
-    }
-    push(&mut shape, model.w_comp.to_bits());
-    push(&mut shape, model.w_comm.to_bits());
-    // The negotiated wire format changes communication estimates, so
-    // formats must not share a cached program.
-    push(
-        &mut shape,
-        match model.wire_format {
-            WireFormat::Xml => 0x58,
-            WireFormat::Columnar => 0x43,
-        },
-    );
-    for profile in [&model.source, &model.target] {
-        push(&mut shape, profile.speed.to_bits());
-        push(&mut shape, profile.can_combine as u64);
-        push(&mut shape, profile.can_split as u64);
-    }
-    let mut stats = Vec::with_capacity(2 + 16 * model.stats.counts.len());
-    push(&mut stats, model.stats.counts.len() as u64);
-    for &c in &model.stats.counts {
-        push(&mut stats, c);
-    }
-    for &t in &model.stats.text_bytes {
-        push(&mut stats, t);
-    }
     PlanKey {
-        shape: word_sum(&shape),
-        stats: word_sum(&stats),
+        shape: PlanShape::of(source, target, model, optimizer).key(),
+        stats: stats_key(&model.stats),
     }
 }
 
@@ -378,6 +507,7 @@ mod tests {
         let gen = Generator::new(s, &mf, &lf);
         let (program, cost) = xdx_core::greedy::greedy(&gen, m).unwrap();
         CachedPlan {
+            shape: 0,
             program,
             cost,
             op_costs: Vec::new(),
@@ -514,6 +644,76 @@ mod tests {
         let again = cache.lookup(key).expect("second lookup hits");
         assert!(Arc::ptr_eq(&shared, &again));
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
+    }
+
+    #[test]
+    fn a_shape_models_the_model_it_was_read_from() {
+        let s = schema();
+        let mf = Fragmentation::most_fragmented("MF", &s);
+        let lf = Fragmentation::least_fragmented("LF", &s);
+        let mut m = model(&s, 0.05);
+        m.fanout = 3;
+        m.target.can_split = false;
+        let shape = PlanShape::of(&mf, &lf, &m, Optimizer::Greedy);
+        assert_eq!(shape.model(m.stats.clone()), m);
+    }
+
+    #[test]
+    fn a_panic_while_the_cache_is_locked_leaves_it_working() {
+        let s = schema();
+        let mf = Fragmentation::most_fragmented("MF", &s);
+        let lf = Fragmentation::least_fragmented("LF", &s);
+        let m = model(&s, 0.05);
+        let key = plan_key(&mf, &lf, &m, Optimizer::Greedy);
+        let cache = PlanCache::new();
+        let planned = cache.insert(key, plan_for(&s, &m));
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _map = cache.map();
+            panic!("a panic while the plan cache is locked");
+        }));
+        assert!(panicked.is_err() && cache.map.is_poisoned());
+        let hit = cache.lookup(key).expect("the entry survives the panic");
+        assert!(Arc::ptr_eq(&hit, &planned));
+        let mut grown = m.clone();
+        grown.stats.counts[1] *= 7;
+        let drifted = plan_key(&mf, &lf, &grown, Optimizer::Greedy);
+        assert!(cache.lookup(drifted).is_none());
+        cache.insert(drifted, plan_for(&s, &grown));
+        assert!(cache.lookup(drifted).is_some());
+        assert_eq!(
+            (
+                cache.len(),
+                cache.hits(),
+                cache.misses(),
+                cache.stats_evicted()
+            ),
+            (1, 2, 1, 1)
+        );
+    }
+
+    #[test]
+    fn a_route_replays_only_its_heads_plan_of_the_same_shape() {
+        let s = schema();
+        let m = model(&s, 0.05);
+        let plan = |shape| {
+            Arc::new(CachedPlan {
+                shape,
+                ..plan_for(&s, &m)
+            })
+        };
+        let routes = RoutePlans::default();
+        routes.commit("a", 3, Some(plan(7)));
+        let replayed = routes.replay("a", 3, 7).expect("the head's plan");
+        assert_eq!(replayed.shape, 7);
+        assert!(routes.replay("a", 3, 8).is_none(), "another shape");
+        assert!(routes.replay("a", 4, 7).is_none(), "another head");
+        assert!(routes.replay("b", 3, 7).is_none(), "another route");
+        routes.commit("a", 4, Some(plan(7)));
+        assert!(routes.replay("a", 3, 7).is_none(), "the head moved on");
+        assert!(routes.replay("a", 4, 7).is_some());
+        routes.commit("a", 5, None);
+        assert!(routes.replay("a", 5, 7).is_none(), "forgotten");
+        assert!(routes.replay("a", 4, 7).is_none());
     }
 
     /// A small XMark source under MF, and its fragmentation.

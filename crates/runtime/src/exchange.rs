@@ -1262,6 +1262,13 @@ impl Inner {
         let version = self
             .snapshots
             .record_patched(&feed_route, Arc::clone(tables), step);
+        // The route's next delta round replays the plan this head was
+        // committed with, unless this round's bill chose a full ship: its
+        // full side was priced from a stale probe, so the next round
+        // probes afresh.
+        let replayable = s.metrics.delta_full_chosen == 0;
+        let plan = replayable.then(|| Arc::clone(&group.plan));
+        self.route_plans.commit(&feed_route, version, plan);
         // The log kept the previous version's rows for every table this
         // lane landed unchanged. The target takes the log's rows too —
         // equal rows at equal positions, so its indexes stand — and the

@@ -29,7 +29,8 @@
 //!   receives exactly the bytes the source sent, or the session fails
 //!   loudly — never silent row loss.
 //! * **Plan cache** — optimizer answers are shared across sessions via
-//!   a stable shape-keyed [`PlanCache`] with hit/miss counters.
+//!   a stable shape-keyed [`PlanCache`] with hit/miss counters; a delta
+//!   round replays the plan its route's head was committed with.
 //! * **Observability** — per-session [`SessionMetrics`], aggregate
 //!   [`RuntimeStats`] (with latency percentiles), and a structured
 //!   [`EventLog`].

@@ -30,7 +30,7 @@
 
 use crate::admission::AdmissionController;
 use crate::breaker::BreakerTransition;
-use crate::cache::{plan_key, CachedPlan, PlanCache, PlanKey, ProbeMemo};
+use crate::cache::{stats_key, CachedPlan, PlanCache, PlanKey, PlanShape, ProbeMemo, RoutePlans};
 use crate::engine::{ShipEngine, ShipHeap};
 use crate::events::{Event, EventKind, EventLog};
 use crate::exchange::{route_key, session_trace_id, Exchange, Lane};
@@ -48,7 +48,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Instant;
-use xdx_core::{CostModel, DataExchange, Program, WireFormat};
+use xdx_core::{DataExchange, SchemaStats, WireFormat};
 use xdx_delta::{db_tables, Snapshot, SnapshotStore};
 use xdx_net::FaultProfile;
 use xdx_relational::{Counters, Database};
@@ -256,6 +256,9 @@ pub(crate) struct Inner {
     /// session records its target feeds here, advancing the route's
     /// head version.
     pub(crate) snapshots: SnapshotStore,
+    /// The plan each route's head was committed with: what the route's
+    /// next delta round replays instead of probing and planning.
+    pub(crate) route_plans: RoutePlans,
     /// Pre-registered hot-path histograms (also reachable by name
     /// through `metrics`).
     pub(crate) queue_wait_hist: Arc<Histogram>,
@@ -334,6 +337,7 @@ impl Runtime {
             metrics,
             calibration: CalibrationTracker::new(),
             snapshots: SnapshotStore::new(),
+            route_plans: RoutePlans::default(),
             queue_wait_hist,
             planning_hist,
             latency_hist,
@@ -1223,6 +1227,21 @@ impl Inner {
             [lane] => self.resolve_delta_base(&request, lane),
             _ => None,
         };
+        // A delta round replays the plan its route's head was committed
+        // with, when it was planned for this round's shape: the round
+        // runs its program in place, so no placement lands other rows.
+        let stored = match (stored, &delta_base) {
+            (Some(plan), _) => Some((plan, "checkpointed plan".to_string())),
+            (None, Some((base, head, ..))) => {
+                let lane = &lanes[0];
+                let shape = self.plan_shape(&request, lane.metrics.wire_format, 1);
+                let plan = self
+                    .route_plans
+                    .replay(&lane.feed_route, head - 1, shape.key());
+                plan.map(|plan| (plan, format!("route plan, base v{base}")))
+            }
+            (None, None) => None,
+        };
         // Planning is timed from the instant the (last lane's) queue wait
         // ended, and execution from the instant planning ended.
         let dequeued = enqueued + lanes[lanes.len() - 1].metrics.queue_wait;
@@ -1267,10 +1286,12 @@ impl Inner {
     }
 
     /// Delta eligibility: resolves the base snapshot for the request's
-    /// declared target version as `(base, head, snapshot, composed)`. A
-    /// missing (or aged-out, uncomposable) snapshot falls back to a full
-    /// re-ship before planning. Planning never sees the versions: a delta
-    /// round plans, and hits the plan cache, like a full ship.
+    /// declared target version as `(base, head, snapshot, composed)`,
+    /// `head` being the version the round will commit. A missing (or
+    /// aged-out, uncomposable) snapshot falls back to a full re-ship
+    /// before planning, which probes and keys like any full ship. A
+    /// resolved base makes the round eligible to replay its route's plan
+    /// ([`RoutePlans`]).
     fn resolve_delta_base(
         &self,
         request: &ExchangeRequest,
@@ -1305,19 +1326,20 @@ impl Inner {
     }
 
     /// Plans one exchange (Figure 2, Steps 2–3) once per negotiated wire
-    /// format, consulting the shared cache — or, for a resumed session,
-    /// replaying the checkpointed plan with zero probes and zero
-    /// optimizer calls. Returns the plans in first-lane order of their
-    /// formats. A delta round's plan is the full ship's: the key holds
-    /// the optimizer's inputs only, never a feed version. The `plan` span
-    /// is recorded on failure too, so the trace accounts for where a
-    /// failed exchange's wall time went.
+    /// format, consulting the shared cache — or replays a `stored` plan
+    /// with zero probes and zero optimizer calls: a resumed session's
+    /// checkpointed plan, or the plan a delta round's route head was
+    /// committed with. `stored` carries what it is, for the
+    /// `PlanCacheHit` event and the `plan` span. Returns the plans in
+    /// first-lane order of their formats. The `plan` span is recorded on
+    /// failure too, so the trace accounts for where a failed exchange's
+    /// wall time went.
     fn plan(
         &self,
         request: &ExchangeRequest,
         lanes: &mut [Lane],
         started: Instant,
-        stored: Option<Arc<CachedPlan>>,
+        stored: Option<(Arc<CachedPlan>, String)>,
     ) -> std::result::Result<Vec<Planned>, String> {
         for lane in lanes.iter() {
             lane.shared.set_state(SessionState::Planning);
@@ -1330,18 +1352,21 @@ impl Inner {
             EventKind::PlanningStarted,
             &request.name,
         );
-        let planned = match stored {
-            Some(plan) => {
+        let (planned, replayed) = match stored {
+            Some((plan, replayed)) => {
                 lanes[0].metrics.plan_cache_hit = true;
                 self.events.push(
                     owner.id,
                     plan_span,
                     EventKind::PlanCacheHit,
-                    "checkpointed plan replayed: zero probes",
+                    format!("{replayed} replayed: zero probes"),
                 );
-                Ok(vec![(lanes[0].metrics.wire_format, plan)])
+                (
+                    Ok(vec![(lanes[0].metrics.wire_format, plan)]),
+                    Some(replayed),
+                )
             }
-            None => self.plan_formats(request, lanes, plan_span),
+            None => (self.plan_formats(request, lanes, plan_span), None),
         };
         let planning = started.elapsed();
         for lane in lanes.iter_mut() {
@@ -1351,9 +1376,15 @@ impl Inner {
             Ok(plans) => {
                 let cost: f64 = plans.iter().map(|(_, plan)| plan.cost).sum();
                 self.planning_hist.record_duration_ns(planning);
-                let hits = lanes.iter().filter(|l| l.metrics.plan_cache_hit).count();
+                let cached = match replayed {
+                    Some(replayed) => format!("{replayed} replayed"),
+                    None => {
+                        let hits = lanes.iter().filter(|l| l.metrics.plan_cache_hit).count();
+                        format!("{hits} on cached plans")
+                    }
+                };
                 format!(
-                    "{} format group(s) over {} lane(s), {hits} on cached plans, cost {cost:.1}",
+                    "{} format group(s) over {} lane(s), {cached}, cost {cost:.1}",
                     plans.len(),
                     lanes.len()
                 )
@@ -1385,21 +1416,12 @@ impl Inner {
         lanes: &mut [Lane],
         plan_span: SpanId,
     ) -> std::result::Result<Vec<Planned>, String> {
-        let optimizer = request.optimizer.unwrap_or(self.config.optimizer);
-        let mut exchange = DataExchange::new(
-            &self.schema,
-            request.source_frag.clone(),
-            request.target_frag.clone(),
-        )
-        .with_optimizer(optimizer)
-        .with_profiles(request.source_profile, request.target_profile);
-        exchange.w_comm = self.config.w_comm;
         lanes[0].metrics.planning_probes += 1;
-        let mut model = self
+        let stats = self
             .probes
             .probe(&self.schema, &request.source, &request.source_frag)
-            .and_then(|stats| exchange.model(&request.source, stats))
             .map_err(|e| format!("statistics probe failed: {e}"))?;
+        let probed = stats_key(&stats);
         let mut formats: Vec<(WireFormat, usize)> = Vec::new();
         for lane in lanes.iter() {
             match formats
@@ -1412,11 +1434,12 @@ impl Inner {
         }
         let mut plans = Vec::with_capacity(formats.len());
         for (format, fanout) in formats {
-            model.wire_format = format;
-            model.fanout = fanout;
-            let (source_frag, target_frag) = (&request.source_frag, &request.target_frag);
-            let key = plan_key(source_frag, target_frag, &model, optimizer);
-            let (plan, hit) = self.plan_cached(key, &model, || exchange.plan(&model))?;
+            let shape = self.plan_shape(request, format, fanout);
+            let key = PlanKey {
+                shape: shape.key(),
+                stats: probed,
+            };
+            let (plan, hit) = self.plan_cached(key, shape, &stats)?;
             for lane in lanes.iter_mut().filter(|l| l.metrics.wire_format == format) {
                 lane.metrics.plan_cache_hit = hit;
                 self.events.push(
@@ -1435,20 +1458,47 @@ impl Inner {
         Ok(plans)
     }
 
-    /// One plan-cache round trip: looks `key` up and, on a miss, runs
-    /// `planner`, prices its program with `model` and caches it. Returns
+    /// Every input of `request`'s plan in `format` over `fanout` lanes
+    /// but the statistics: the shape half of its key, known before any
+    /// probe. Computation is the unit the communication weight prices
+    /// bytes in, so its own weight is one.
+    fn plan_shape<'r>(
+        &self,
+        request: &'r ExchangeRequest,
+        format: WireFormat,
+        fanout: usize,
+    ) -> PlanShape<'r> {
+        PlanShape {
+            source: &request.source_frag,
+            target: &request.target_frag,
+            optimizer: request.optimizer.unwrap_or(self.config.optimizer),
+            w_comp: 1.0,
+            w_comm: self.config.w_comm,
+            profiles: [request.source_profile, request.target_profile],
+            wire_format: format,
+            fanout,
+        }
+    }
+
+    /// One plan-cache round trip: looks `key` up and, on a miss, plans
+    /// `shape` under `stats`, prices the program and caches it. Returns
     /// the shared plan and whether it was a hit.
     fn plan_cached(
         &self,
         key: PlanKey,
-        model: &CostModel,
-        planner: impl FnOnce() -> xdx_core::Result<(Program, f64)>,
+        shape: PlanShape<'_>,
+        stats: &SchemaStats,
     ) -> std::result::Result<(Arc<CachedPlan>, bool), String> {
         if let Some(cached) = self.cache.lookup(key) {
             return Ok((cached, true));
         }
-        let (program, cost) = planner().map_err(|e| format!("planning failed: {e}"))?;
-        let plan = CachedPlan::priced(&self.schema, model, program, cost);
+        let model = shape.model(stats.clone());
+        let (program, cost) =
+            DataExchange::new(&self.schema, shape.source.clone(), shape.target.clone())
+                .with_optimizer(shape.optimizer)
+                .plan(&model)
+                .map_err(|e| format!("planning failed: {e}"))?;
+        let plan = CachedPlan::priced(&self.schema, &model, key.shape, program, cost);
         Ok((self.cache.insert(key, plan), false))
     }
 

@@ -379,10 +379,12 @@ pub struct SessionMetrics {
     pub queue_wait: Duration,
     /// Statistics probe + optimization (or cache lookup).
     pub planning: Duration,
-    /// Whether planning was satisfied from the plan cache.
+    /// Whether planning was satisfied without the optimizer: from the
+    /// plan cache, or by replaying a stored plan.
     pub plan_cache_hit: bool,
     /// Statistics probes run during planning: 1 for a normal run, 0 for
-    /// a resumed session replaying its checkpointed plan.
+    /// a resumed session replaying its checkpointed plan or a delta
+    /// round replaying its route's plan.
     pub planning_probes: u32,
     /// Cross-edge messages serialized from feeds in this run; shipments
     /// replayed from the checkpoint ledger are not re-serialized and not

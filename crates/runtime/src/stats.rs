@@ -55,8 +55,9 @@ pub struct RuntimeStats {
     pub plan_cache_misses: u64,
     /// Cached plans evicted because the probed statistics drifted.
     pub plan_cache_stats_evicted: u64,
-    /// Statistics probes run across all sessions (resumed sessions
-    /// replaying a checkpointed plan probe zero times).
+    /// Statistics probes run across all sessions (a resumed session
+    /// replaying its checkpointed plan and a delta round replaying its
+    /// route's plan probe zero times).
     pub planning_probes: u64,
     /// Cross-edge messages serialized from feeds (checkpoint replays
     /// not counted).

@@ -10,6 +10,9 @@
 //! re-ships only the never-acknowledged patch chunks; a stale patch —
 //! its base version no longer the route head — rolls back cleanly and
 //! falls back to a full re-ship inside the same session.
+//!
+//! Set `XDX_CHAOS_SEED=<u64>` to extend the seed list of the faulty-link
+//! fleet race (the CI chaos job feeds its matrix through this).
 
 mod common;
 
@@ -348,13 +351,27 @@ fn stale_and_unknown_base_versions_fall_back_to_full_reship() {
 /// have pruned the acknowledged shipment state of completed sessions.
 #[test]
 fn delta_fleet_races_link_faults_without_torn_applies() {
+    for seed in chaos_seeds() {
+        delta_fleet_race(seed);
+    }
+}
+
+/// Built-in seeds, extended by `XDX_CHAOS_SEED` when set.
+fn chaos_seeds() -> Vec<u64> {
+    let mut seeds = vec![0x1CDE_2004];
+    if let Ok(extra) = std::env::var("XDX_CHAOS_SEED") {
+        seeds.push(extra.trim().parse().expect("XDX_CHAOS_SEED must be a u64"));
+    }
+    seeds
+}
+
+fn delta_fleet_race(seed: u64) {
     let schema = schema();
     let doc = generate(GenConfig::sized(12_000));
     let churned = churn(&doc, 5, 7);
     let reference = wire_state(&reference_target(&churned, &mf(&schema), &lf(&schema)));
     let mf = mf(&schema);
     let lf = lf(&schema);
-    let seed = 0x1CDE_2004;
 
     let routes: Vec<(&str, FaultProfile)> = vec![
         ("control", FaultProfile::healthy()),

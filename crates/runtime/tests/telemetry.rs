@@ -1,18 +1,20 @@
 //! Integration tests of the telemetry surface: Prometheus exposition,
 //! span parenting and correlation, the bounded event ring, calibration
-//! cells, and the plan-cache counters of a slow link and of delta rounds.
+//! cells, the plan-cache counters of a slow link, and the plans delta
+//! rounds replay.
 
 mod common;
 
-use common::oracle::wire_state;
+use common::oracle::{reference_target, wire_state};
 use std::time::Duration;
-use xdx_core::SystemProfile;
+use xdx_core::{Fragmentation, SystemProfile};
 use xdx_net::{FaultProfile, NetworkProfile};
 use xdx_runtime::{
-    EventKind, ExchangeRequest, PublishRequest, Runtime, RuntimeConfig, SessionState,
-    ShippingPolicy, WireFormat, DEFAULT_SOURCE_ENDPOINT, DEFAULT_TARGET_ENDPOINT,
+    EventKind, ExchangeRequest, PublishRequest, Runtime, RuntimeConfig, SessionResult,
+    SessionState, ShippingPolicy, WireFormat,
 };
 use xdx_xmark::{churn, generate, lf, load_source, mf, schema, GenConfig};
+use xdx_xml::SchemaTree;
 
 /// Submits `n` mixed-direction sessions round-robin over `pairs`
 /// endpoint pairs and waits for all of them, asserting success.
@@ -454,62 +456,250 @@ fn a_degraded_link_keeps_its_cached_plan() {
     );
 }
 
-/// A delta round keys like a full ship of its document, so one route's
-/// rounds share its one cache entry: after a full ship, a zero-churn
-/// round hits it, and each of six rounds at 5 % churn moves the stats
-/// half and replaces the entry instead of adding one. Every round lands
-/// what a full ship of its document lands on a fresh runtime.
-#[test]
-fn delta_rounds_share_the_routes_one_cache_entry() {
-    let schema = schema();
-    let (mf, lf) = (mf(&schema), lf(&schema));
-    let start = || {
+/// One runtime's rounds over `site → hub` routes: full ships of a
+/// document and delta rounds declaring the route's head their base.
+struct Rounds {
+    schema: SchemaTree,
+    mf: Fragmentation,
+    lf: Fragmentation,
+    runtime: Runtime,
+}
+
+/// What [`Rounds::ship`] saw of one session: its result and the detail
+/// of its `PlanCacheHit` event, if it had one.
+struct Round {
+    result: SessionResult,
+    hit: Option<String>,
+}
+
+impl Rounds {
+    /// A one-worker columnar runtime.
+    fn start() -> Rounds {
+        let schema = schema();
         let config = RuntimeConfig::default()
             .with_workers(1)
             .with_wire_format(WireFormat::Columnar);
-        Runtime::start(schema.clone(), config)
-    };
-    let ship = |runtime: &Runtime, doc: &str, delta: bool| {
-        let source = load_source(doc, &schema, &mf).unwrap();
-        let mut request = ExchangeRequest::new("round", source, mf.clone(), lf.clone());
-        if delta {
-            let (from, to) = (DEFAULT_SOURCE_ENDPOINT, DEFAULT_TARGET_ENDPOINT);
-            request = request.with_base_version(runtime.feed_version(from, to, &mf.name, &lf.name));
+        Rounds {
+            mf: mf(&schema),
+            lf: lf(&schema),
+            runtime: Runtime::start(schema.clone(), config),
+            schema,
         }
-        let result = runtime.submit(request).unwrap().wait();
-        assert_eq!(result.state, SessionState::Done, "{:?}", result.diagnostic);
-        result
-    };
-    let full_ship = |doc: &str| {
-        let fresh = start();
-        let target = ship(&fresh, doc, false).target.unwrap();
-        fresh.shutdown();
-        wire_state(&target)
-    };
+    }
 
-    let runtime = start();
+    /// The route's head version.
+    fn head(&self, site: &str) -> u64 {
+        let (mf, lf) = (&self.mf.name, &self.lf.name);
+        self.runtime.feed_version(site, "hub", mf, lf)
+    }
+
+    /// Ships `doc` over `site → hub` in `format` (the link's when
+    /// `None`): a full ship, or with `delta` a round based on the
+    /// route's head. Asserts it completes.
+    fn ship(&self, site: &str, doc: &str, delta: bool, format: Option<WireFormat>) -> Round {
+        let source = load_source(doc, &self.schema, &self.mf).unwrap();
+        let mut request = ExchangeRequest::new(site, source, self.mf.clone(), self.lf.clone())
+            .with_route(site, "hub");
+        if delta {
+            request = request.with_base_version(self.head(site));
+        }
+        if let Some(format) = format {
+            request = request.with_wire_format(format);
+        }
+        let handle = self.runtime.submit(request).unwrap();
+        let id = handle.id();
+        let result = handle.wait();
+        assert_eq!(result.state, SessionState::Done, "{:?}", result.diagnostic);
+        let events = self.runtime.events();
+        let hit = events
+            .into_iter()
+            .find(|e| e.session == id && e.kind == EventKind::PlanCacheHit)
+            .map(|e| e.detail);
+        Round { result, hit }
+    }
+
+    /// True when the round replayed the route's plan of base `base`: no
+    /// probe, and the replay arm's event says which plan.
+    fn replayed(round: &Round, base: u64) -> bool {
+        let m = &round.result.metrics;
+        let route_plan = format!("route plan, base v{base} replayed: zero probes");
+        m.plan_cache_hit && m.planning_probes == 0 && round.hit.as_deref() == Some(&route_plan)
+    }
+
+    /// What publish&map lands for `doc`.
+    fn reference(&self, doc: &str) -> Vec<u8> {
+        wire_state(&reference_target(doc, &self.mf, &self.lf))
+    }
+}
+
+/// A delta round replays the plan its route's head was committed with:
+/// after one full ship, each of seven rounds — one unchanged, six at
+/// 5 % churn — replays it with zero probes and applies its patch, and
+/// only the full ship probed and consulted the plan cache. Every round
+/// lands what a full ship of its document lands on a fresh runtime.
+#[test]
+fn delta_rounds_replay_the_routes_plan() {
+    let rounds = Rounds::start();
+    let full_ship = |doc: &str| {
+        let fresh = Rounds::start();
+        let round = fresh.ship("site", doc, false, None);
+        fresh.runtime.shutdown();
+        wire_state(&round.result.target.unwrap())
+    };
     let mut doc = generate(GenConfig::sized(20_000));
-    ship(&runtime, &doc, false);
+    let first = rounds.ship("site", &doc, false, None);
+    assert_eq!(first.result.metrics.planning_probes, 1);
     for round in 0..7u64 {
         if round > 0 {
             doc = churn(&doc, 5, 7 + round);
         }
-        let result = ship(&runtime, &doc, true);
-        if round == 0 {
-            assert!(result.metrics.plan_cache_hit, "the unchanged round hits");
-            assert_eq!(result.metrics.delta_patches_applied, 1);
-        }
-        let target = result.target.unwrap();
+        let base = rounds.head("site");
+        let shipped = rounds.ship("site", &doc, true, None);
+        assert!(
+            Rounds::replayed(&shipped, base),
+            "round {round}: {:?}",
+            shipped.hit
+        );
+        let m = &shipped.result.metrics;
+        assert_eq!(
+            (m.delta_patches_applied, m.delta_full_chosen),
+            (1, 0),
+            "round {round}"
+        );
+        let target = shipped.result.target.unwrap();
         assert!(wire_state(&target) == full_ship(&doc), "round {round}");
     }
-    let stats = runtime.shutdown();
+    let stats = rounds.runtime.shutdown();
+    assert_eq!(stats.planning_probes, 1, "the full ship's probe only");
     assert_eq!(
         (
             stats.plan_cache_hits,
             stats.plan_cache_misses,
             stats.plan_cache_stats_evicted
         ),
-        (1, 7, 6),
-        "(hits, misses, stats evictions)"
+        (0, 1, 0),
+        "(hits, misses, stats evictions): only the full ship consults the cache"
     );
+}
+
+/// A route's memory is its own: two routes of one shape ship documents
+/// of 8 KB and 60 KB, and full ships of the small one, each planned and
+/// cached under the shared shape, interleave with delta rounds of the
+/// large one. Every delta round replays the large route's plan, whose
+/// full-ship price is the large document's, and applies its patch: a
+/// 30 % churn patch of the large document outweighs a full ship of the
+/// small one, so the small route's plan would have shipped it whole.
+#[test]
+fn a_routes_delta_rounds_replay_its_own_plan_not_its_shapes() {
+    let rounds = Rounds::start();
+    let small = generate(GenConfig::sized(8_000));
+    let mut large = generate(GenConfig::sized(60_000));
+    rounds.ship("large", &large, false, None);
+    for round in 0..4u64 {
+        let full = rounds.ship("small", &churn(&small, 30, round), false, None);
+        assert_eq!(full.result.metrics.planning_probes, 1, "round {round}");
+        large = churn(&large, 30, 100 + round);
+        let base = rounds.head("large");
+        let delta = rounds.ship("large", &large, true, None);
+        assert!(
+            Rounds::replayed(&delta, base),
+            "round {round}: {:?}",
+            delta.hit
+        );
+        let m = &delta.result.metrics;
+        assert_eq!(
+            (m.delta_patches_applied, m.delta_full_chosen),
+            (1, 0),
+            "round {round}"
+        );
+        let target = delta.result.target.unwrap();
+        assert!(
+            wire_state(&target) == rounds.reference(&large),
+            "round {round}"
+        );
+    }
+    let stats = rounds.runtime.shutdown();
+    assert_eq!(stats.planning_probes, 5, "the full ships' probes only");
+}
+
+/// A replayed round whose bill picks a full ship — its document replaced
+/// by one ten times larger, so the patch outweighs the replayed plan's
+/// full-ship price — ships whole with the plan it has, lands what
+/// publish&map lands, and the route forgets the plan: the next round
+/// probes once, and the one after replays again.
+#[test]
+fn a_replayed_round_that_ships_whole_forgets_the_routes_plan() {
+    let rounds = Rounds::start();
+    let doc = generate(GenConfig::sized(8_000));
+    rounds.ship("site", &doc, false, None);
+    let base = rounds.head("site");
+    let replaced = generate(GenConfig::sized(80_000));
+    let whole = rounds.ship("site", &replaced, true, None);
+    assert!(Rounds::replayed(&whole, base), "{:?}", whole.hit);
+    let m = &whole.result.metrics;
+    assert_eq!((m.delta_patches_applied, m.delta_full_chosen), (0, 1));
+    let target = whole.result.target.unwrap();
+    assert!(wire_state(&target) == rounds.reference(&replaced));
+
+    let mut doc = replaced;
+    for (round, probes) in [1, 0, 0].into_iter().enumerate() {
+        doc = churn(&doc, 5, round as u64);
+        let base = rounds.head("site");
+        let shipped = rounds.ship("site", &doc, true, None);
+        let m = &shipped.result.metrics;
+        assert_eq!(
+            m.planning_probes, probes,
+            "round {round}: {:?}",
+            shipped.hit
+        );
+        assert_eq!(
+            Rounds::replayed(&shipped, base),
+            probes == 0,
+            "round {round}"
+        );
+        assert_eq!(
+            (m.delta_patches_applied, m.delta_full_chosen),
+            (1, 0),
+            "round {round}"
+        );
+        let target = shipped.result.target.unwrap();
+        assert!(
+            wire_state(&target) == rounds.reference(&doc),
+            "round {round}"
+        );
+    }
+}
+
+/// A round whose negotiated wire format is not the one its route's head
+/// was committed under has another plan shape: it does not replay, but
+/// probes and plans for its own format, and the round after, in that
+/// format, replays the plan it committed.
+#[test]
+fn a_round_in_another_wire_format_does_not_replay() {
+    let rounds = Rounds::start();
+    let mut doc = generate(GenConfig::sized(20_000));
+    rounds.ship("site", &doc, false, None);
+    for (round, (format, replays)) in [
+        (WireFormat::Columnar, true),
+        (WireFormat::Xml, false),
+        (WireFormat::Xml, true),
+        (WireFormat::Columnar, false),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        doc = churn(&doc, 5, round as u64);
+        let base = rounds.head("site");
+        let shipped = rounds.ship("site", &doc, true, Some(format));
+        let m = &shipped.result.metrics;
+        assert_eq!(Rounds::replayed(&shipped, base), replays, "round {round}");
+        assert_eq!(m.planning_probes, u32::from(!replays), "round {round}");
+        assert_eq!(m.wire_format, format, "round {round}");
+        assert_eq!(m.delta_patches_applied, 1, "round {round}");
+        let target = shipped.result.target.unwrap();
+        assert!(
+            wire_state(&target) == rounds.reference(&doc),
+            "round {round}"
+        );
+    }
 }
