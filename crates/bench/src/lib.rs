@@ -18,6 +18,8 @@
 //! paper's 2.5/12.5/25 MB are the default at scale 1.0) and print the
 //! paper's measurements next to ours where applicable.
 
+#![forbid(unsafe_code)]
+
 use std::time::Duration;
 use xdx_core::agency::{DataExchange, Optimizer};
 use xdx_core::pm::publish_and_map;

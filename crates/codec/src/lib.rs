@@ -47,7 +47,10 @@
 //! buffer and numbering strings and tokens as it first sees them,
 //! through an in-crate FxHash map; the decoder hashes nothing, borrows
 //! tokens from the verified frame, and builds the string table into one
-//! arena per frame, so a string cell is one exact-size copy (DESIGN §12).
+//! arena per frame, so a string cell is copied in place up to 22 bytes
+//! and into one exact-size block past that (DESIGN §12, §22).
+
+#![forbid(unsafe_code)]
 
 use std::collections::HashMap;
 use std::fmt;
@@ -128,8 +131,13 @@ fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
 
 /// Appends a length-prefixed UTF-8 string.
 fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_varint(buf, s.len() as u64);
-    buf.extend_from_slice(s.as_bytes());
+    put_bytes(buf, s.as_bytes());
+}
+
+/// Appends length-prefixed bytes.
+fn put_bytes(buf: &mut Vec<u8>, b: &[u8]) {
+    put_varint(buf, b.len() as u64);
+    buf.extend_from_slice(b);
 }
 
 /// Zig-zag maps signed deltas to small unsigned varints.
@@ -236,11 +244,15 @@ type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 /// table, whose entries are token sequences over a token dictionary.
 /// `split(' ')` / `join(" ")` is an exact inverse pair for every string
 /// (empty tokens encode runs of spaces), so reconstruction is byte-exact.
+///
+/// Strings are keyed by their bytes: a token is a run of a cell's bytes
+/// between spaces, and a space is ASCII, so every token is whole UTF-8 and
+/// nothing here re-reads a cell as `str`.
 #[derive(Default)]
 struct Dictionary<'a> {
-    token_ids: FxMap<&'a str, u32>,
-    tokens: Vec<&'a str>,
-    string_ids: FxMap<&'a str, u32>,
+    token_ids: FxMap<&'a [u8], u32>,
+    tokens: Vec<&'a [u8]>,
+    string_ids: FxMap<&'a [u8], u32>,
     /// The string table's entries, encoded as they are discovered.
     table: Vec<u8>,
 }
@@ -250,14 +262,14 @@ impl<'a> Dictionary<'a> {
     /// per cell, and one byte scan plus one probe per token of a new
     /// string. The entry's token ids are written as they are found and
     /// its token count rotated in front of them.
-    fn string_id(&mut self, s: &'a str) -> u32 {
+    fn string_id(&mut self, s: &'a [u8]) -> u32 {
         let next = self.string_ids.len() as u32;
         let id = *self.string_ids.entry(s).or_insert(next);
         if id == next {
             let at = self.table.len();
             let mut count = 1;
             let mut start = 0;
-            for (i, &b) in s.as_bytes().iter().enumerate() {
+            for (i, &b) in s.iter().enumerate() {
                 if b == b' ' {
                     let t = self.token_id(&s[start..i]);
                     put_varint(&mut self.table, u64::from(t));
@@ -275,7 +287,7 @@ impl<'a> Dictionary<'a> {
         id
     }
 
-    fn token_id(&mut self, tok: &'a str) -> u32 {
+    fn token_id(&mut self, tok: &'a [u8]) -> u32 {
         let next = self.tokens.len() as u32;
         let id = *self.token_ids.entry(tok).or_insert(next);
         if id == next {
@@ -288,7 +300,7 @@ impl<'a> Dictionary<'a> {
     fn append_to(&self, buf: &mut Vec<u8>) {
         put_varint(buf, self.tokens.len() as u64);
         for t in &self.tokens {
-            put_str(buf, t);
+            put_bytes(buf, t);
         }
         put_varint(buf, self.string_ids.len() as u64);
         buf.extend_from_slice(&self.table);
@@ -330,7 +342,7 @@ impl<'a> Column<'a> {
                 TAG_DEWEY
             }
             Value::Str(s) => {
-                put_varint(&mut self.bytes, u64::from(dict.string_id(s)));
+                put_varint(&mut self.bytes, u64::from(dict.string_id(s.as_bytes())));
                 TAG_STR
             }
         }
@@ -561,8 +573,9 @@ pub fn decode_feed(bytes: &[u8]) -> Result<Feed> {
 
     // Tokens borrow from the verified frame. The string table is one
     // arena per frame and its entries are ranges into it, so a string cell
-    // costs one exact-size copy out of the arena. An entry is written as
-    // its tokens with a leading ' ' apiece, its range skipping the first.
+    // is one copy out of the arena: into the cell up to 22 bytes, into one
+    // exact-size block past that. An entry is written as its tokens with a
+    // leading ' ' apiece, its range skipping the first.
     let token_len = r.count(1, "token dictionary")?;
     let mut tokens = Vec::with_capacity(token_len);
     for _ in 0..token_len {
@@ -630,7 +643,7 @@ pub fn decode_feed(bytes: &[u8]) -> Result<Feed> {
                     let s = dict.get(idx).ok_or_else(|| {
                         Error::decode(format!("string-table index {idx} out of range"))
                     })?;
-                    Value::Str(arena[s.clone()].to_owned())
+                    Value::Str(arena[s.clone()].into())
                 }
             };
         }
@@ -972,6 +985,23 @@ mod tests {
         f
     }
 
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+
+        /// A string cell hashes as its `str` does under the dictionary's
+        /// FxHash, on both sides of the 22 bytes a `Text` holds in place.
+        #[test]
+        fn a_text_fxhashes_as_its_str(
+            picks in proptest::collection::vec(0usize..6, 0..=40),
+        ) {
+            use std::hash::BuildHasher;
+            let s: String = picks.iter().map(|&i| ['a', ' ', 'é', '€', '𝄞', '\n'][i]).collect();
+            let text = xdx_relational::Text::from(s.as_str());
+            let fx = BuildHasherDefault::<FxHasher>::default();
+            proptest::prop_assert_eq!(fx.hash_one(&text), fx.hash_one(s.as_str()));
+        }
+    }
+
     #[test]
     fn roundtrips_sample_feed() {
         let f = sample_feed();
@@ -1040,11 +1070,11 @@ mod tests {
                 Value::Dewey(item.child(1)),
                 Value::Str(["United States", "Ghana", "Kenya", "Egypt"][i as usize % 4].into()),
                 Value::Dewey(item.child(2)),
-                Value::Str(sentence.join(" ")),
+                Value::Str(sentence.join(" ").into()),
                 Value::Dewey(item.child(3)),
                 Value::Str("Will ship internationally, buyer pays fixed shipping".into()),
                 Value::Dewey(item.child(4)),
-                Value::Str(format!("mail-{}", i * 37 % 97)),
+                Value::Str(format!("mail-{}", i * 37 % 97).into()),
             ])
             .unwrap();
         }

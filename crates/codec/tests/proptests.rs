@@ -55,7 +55,7 @@ fn cell_strategy() -> impl Strategy<Value = Value> {
             0 => Value::Null,
             1 | 2 => Value::Int(n),
             3 | 4 => Value::Dewey(Dewey::from(path)),
-            _ => Value::Str(VOCAB[word].to_string()),
+            _ => Value::Str(VOCAB[word].into()),
         })
 }
 
@@ -217,8 +217,8 @@ fn stress_string(i: usize) -> String {
 fn stress_cell_strategy() -> impl Strategy<Value = Value> {
     (cell_strategy(), 0u8..4, 0usize..VOCAB.len() + STRESS.len()).prop_map(|(cell, kind, word)| {
         match (kind, word.checked_sub(VOCAB.len())) {
-            (0, Some(stress)) => Value::Str(stress_string(stress)),
-            (0, None) => Value::Str(VOCAB[word].to_string()),
+            (0, Some(stress)) => Value::Str(stress_string(stress).into()),
+            (0, None) => Value::Str(VOCAB[word].into()),
             _ => cell,
         }
     })
@@ -268,7 +268,8 @@ fn reference_encode(feed: &Feed) -> Vec<u8> {
     let mut tokens: Vec<&str> = Vec::new();
     for v in rows.iter().flatten() {
         if let Value::Str(s) = v {
-            if !string_ids.contains_key(s.as_str()) {
+            let s = s.as_str();
+            if !string_ids.contains_key(s) {
                 string_ids.insert(s, strings.len() as u64);
                 strings.push(s);
                 for tok in s.split(' ') {

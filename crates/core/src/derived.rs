@@ -171,7 +171,7 @@ impl DerivedFragment {
             let value = match agg {
                 None => Value::Null,
                 Some(v) if v.fract() == 0.0 && v.abs() < 1e15 => Value::Int(v as i64),
-                Some(v) => Value::Str(format!("{v}")),
+                Some(v) => Value::Str(format!("{v}").into()),
             };
             // Synthesized position 0 never collides with real children
             // (document ordinals are 1-based).

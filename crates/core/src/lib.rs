@@ -33,6 +33,8 @@
 //!   orchestrator (§5.2), i.e. Figure 2's steps 1–4
 //! * [`report`] — step-by-step timing breakdowns shared by both pipelines
 
+#![forbid(unsafe_code)]
+
 pub mod advisor;
 pub mod agency;
 pub mod cost;

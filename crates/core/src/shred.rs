@@ -341,7 +341,7 @@ impl Handler for Shredder<'_> {
         if let Some(vc) = open.slot.val_col {
             let text = self.text[open.text_at..].trim();
             if !text.is_empty() {
-                self.cells.push((vc, Value::Str(text.to_owned())));
+                self.cells.push((vc, Value::Str(text.into())));
             }
             self.text.truncate(open.text_at);
         }

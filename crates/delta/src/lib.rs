@@ -35,6 +35,8 @@
 //! composing the chain from its anchor ([`SnapshotStore::reconstruct`])
 //! instead of falling straight back to a full re-ship.
 
+#![forbid(unsafe_code)]
+
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex, Weak};
 use xdx_relational::patch::key_column;
@@ -551,7 +553,7 @@ mod tests {
             f.push_row(vec![
                 Value::Dewey(Dewey::from([1, 1, 1])),
                 Value::Dewey(Dewey::from([1, 1, 1, i])),
-                Value::Str(text.to_string()),
+                Value::Str(text.into()),
             ])
             .unwrap();
         }
@@ -597,7 +599,7 @@ mod tests {
                 f.push_row(vec![
                     Value::Dewey(Dewey::from([1])),
                     Value::Dewey(Dewey::from(key)),
-                    Value::Str(text.to_string()),
+                    Value::Str(text.into()),
                 ])
                 .unwrap();
             }

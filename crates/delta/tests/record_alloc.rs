@@ -60,7 +60,7 @@ fn landed() -> Database {
             let row = vec![
                 Value::Dewey(Dewey::from([1, t])),
                 Value::Dewey(Dewey::from([1, t, r])),
-                Value::Str(format!("table {t} row {r}")),
+                Value::Str(format!("table {t} row {r}").into()),
             ];
             feed.push_row(row).unwrap();
         }

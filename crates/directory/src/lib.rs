@@ -17,6 +17,8 @@
 //! directory decides how to store them ("the way each fragment is actually
 //! produced or consumed by a system is hidden by the WSDL interface").
 
+#![forbid(unsafe_code)]
+
 use std::collections::BTreeMap;
 use std::fmt;
 use xdx_relational::{ColRole, Counters, Dewey, Feed, Value};
@@ -385,7 +387,7 @@ mod tests {
             f.push_row(vec![
                 Value::Dewey(dewey(&[])),
                 Value::Dewey(dewey(&[i])),
-                Value::Str(format!("cust{i}")),
+                Value::Str(format!("cust{i}").into()),
             ])
             .unwrap();
         }

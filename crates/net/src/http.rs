@@ -270,7 +270,7 @@ fn parse_message(bytes: &[u8]) -> Result<(&str, Vec<(&str, &str)>, &[u8]), HttpE
     Ok((start, headers, body))
 }
 
-fn find_header_end(bytes: &[u8]) -> Option<usize> {
+pub(crate) fn find_header_end(bytes: &[u8]) -> Option<usize> {
     bytes.windows(4).position(|w| w == b"\r\n\r\n")
 }
 

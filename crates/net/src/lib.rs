@@ -17,6 +17,8 @@
 //! them is *how many bytes* each ships. The link model preserves exactly
 //! that relationship.
 
+#![forbid(unsafe_code)]
+
 pub mod channel;
 pub mod chunk;
 pub mod endpoint;

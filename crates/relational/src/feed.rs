@@ -1103,9 +1103,9 @@ fn decode_row(text: &str, at: &mut usize, arity: usize, ids: &mut Vec<u32>) -> R
                 let (end, escaped) = string_end(bytes, start + 1);
                 let raw = &text[start + 1..end];
                 row.push(Value::Str(if escaped {
-                    unescape(raw)?
+                    unescape(raw)?.into()
                 } else {
-                    raw.to_string()
+                    raw.into()
                 }));
                 end
             }
@@ -1464,7 +1464,7 @@ mod tests {
                 Value::Dewey(Dewey::from([2])),
                 Value::Dewey(Dewey::from([2, 1])),
                 Value::Null,
-                Value::Str("x".repeat(100)),
+                Value::Str("x".repeat(100).into()),
             ])
             .unwrap();
         assert!(bigger.wire_size() > small + 100);
@@ -1615,7 +1615,7 @@ mod tests {
             Some('S') => {
                 let raw = chars.as_str();
                 if !raw.contains('\\') {
-                    return Ok(Value::Str(raw.to_string()));
+                    return Ok(Value::Str(raw.into()));
                 }
                 let mut s = String::with_capacity(raw.len());
                 let mut it = raw.chars();
@@ -1631,7 +1631,7 @@ mod tests {
                         s.push(c);
                     }
                 }
-                Ok(Value::Str(s))
+                Ok(Value::Str(s.into()))
             }
             _ => Err(Error::decode(format!("bad cell {cell:?}"))),
         }
@@ -1700,7 +1700,7 @@ mod tests {
                         path.into_iter().for_each(|c| id.push(c));
                         Value::Dewey(id)
                     }
-                    _ => Value::Str(text.into_iter().collect()),
+                    _ => Value::Str(text.into_iter().collect::<String>().into()),
                 };
                 if let Value::Dewey(d) = &v {
                     last = Some(d.clone());

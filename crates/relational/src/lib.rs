@@ -18,6 +18,8 @@
 //! middleware uses for cost estimation (paper Section 4.1: "the middle-ware
 //! probes underlying systems for collecting estimates").
 
+#![forbid(unsafe_code)]
+
 pub mod db;
 pub mod error;
 pub mod feed;
@@ -38,4 +40,4 @@ pub use patch::{apply_table_patch, stage_patch, DeltaPatch, PatchStep, StepKind,
 pub use stats::Counters;
 pub use sum::word_sum;
 pub use table::Table;
-pub use value::{Dewey, Value};
+pub use value::{Dewey, Text, Value};

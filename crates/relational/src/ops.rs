@@ -900,7 +900,7 @@ mod tests {
                         parent.rows.push(vec![
                             dv(&[]),
                             key.clone(),
-                            Value::Str(format!("p{i}.{copy}")),
+                            Value::Str(format!("p{i}.{copy}").into()),
                         ]);
                         ranks.push((shuffle_parent, rank.wrapping_add(copy as u32)));
                     }
@@ -910,9 +910,11 @@ mod tests {
                 child.rows = Rows::default();
                 let mut ranks = Vec::new();
                 for (i, (key, rank)) in children.into_iter().enumerate() {
-                    child
-                        .rows
-                        .push(vec![key, dv(&[9, i as u32]), Value::Str(format!("c{i}"))]);
+                    child.rows.push(vec![
+                        key,
+                        dv(&[9, i as u32]),
+                        Value::Str(format!("c{i}").into()),
+                    ]);
                     ranks.push((shuffle_child, rank));
                 }
                 arrange(&mut child, 0, &ranks);
@@ -985,7 +987,7 @@ mod tests {
                 rows.push(vec![
                     row[1].clone(),
                     Value::Dewey(line),
-                    Value::Str(format!("g{i}.{j}")),
+                    Value::Str(format!("g{i}.{j}").into()),
                 ]);
             }
         }
@@ -1210,7 +1212,9 @@ mod tests {
             }
         };
         let text = |v: &Value, label: &str| match v {
-            Value::Dewey(d) if !skeleton || label == "c" => Value::Str(format!("{label}{d}")),
+            Value::Dewey(d) if !skeleton || label == "c" => {
+                Value::Str(format!("{label}{d}").into())
+            }
             _ => Value::Null,
         };
         let (a_id, b_id, c_id) = (id(&[a]), id(&[a, 2, b]), id(&[a, 2, b, 3, c]));

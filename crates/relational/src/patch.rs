@@ -263,7 +263,7 @@ mod tests {
             f.push_row(vec![
                 Value::Dewey(Dewey::from([1, 1, 1])),
                 Value::Dewey(Dewey::from([1, 1, 1, i])),
-                Value::Str(format!("item {i}")),
+                Value::Str(format!("item {i}").into()),
             ])
             .unwrap();
         }
@@ -276,7 +276,7 @@ mod tests {
             p.push_row(vec![
                 Value::Dewey(Dewey::from([1, 1, 1])),
                 Value::Dewey(Dewey::from([1, 1, 1, i])),
-                Value::Str(format!("patched {i}")),
+                Value::Str(format!("patched {i}").into()),
             ])
             .unwrap();
         }

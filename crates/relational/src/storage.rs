@@ -124,7 +124,7 @@ mod tests {
                 f.push_row(vec![
                     Value::Dewey(Dewey::root()),
                     Value::Dewey(Dewey::from([i])),
-                    Value::Str(format!("{tname}-{i} with\ttab and \\slash")),
+                    Value::Str(format!("{tname}-{i} with\ttab and \\slash").into()),
                 ])
                 .unwrap();
             }

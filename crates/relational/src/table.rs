@@ -210,7 +210,7 @@ mod tests {
             f.push_row(vec![
                 Value::Dewey(Dewey::from([1])),
                 Value::Dewey(Dewey::from([1, i as u32 + 1])),
-                Value::Str(format!("thing{i}")),
+                Value::Str(format!("thing{i}").into()),
             ])
             .unwrap();
         }

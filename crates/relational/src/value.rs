@@ -11,8 +11,8 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 
 /// Components a [`Dewey`] holds in place. A constant, not a knob: it is
-/// what fits in a 24-byte id — the size of the `String` a [`Value`]
-/// already carries, so a cell stays 32 bytes — and XMark ids are at most
+/// what fits in a 24-byte id — the size of the [`Text`] a [`Value`]
+/// also carries, so a cell stays 32 bytes — and XMark ids are at most
 /// four deep.
 const INLINE: usize = 5;
 
@@ -227,6 +227,122 @@ impl fmt::Display for Dewey {
     }
 }
 
+/// Bytes a [`Text`] holds in place. A constant, not a knob: it is what
+/// fits beside a length byte and the variant tag in the 24 bytes a
+/// [`Dewey`] takes, so a cell stays 32 bytes.
+const INLINE_TEXT: usize = 22;
+
+/// Where the bytes live. `Heap` holds text longer than [`INLINE_TEXT`]
+/// and only such text, so one string has one spelling.
+#[derive(Clone)]
+enum TextRepr {
+    Inline { len: u8, buf: [u8; INLINE_TEXT] },
+    Heap(Box<str>),
+}
+
+/// The text of a string cell: UTF-8, immutable once built.
+///
+/// Up to 22 bytes are stored in place — building, cloning or dropping a
+/// short string touches no heap — and a longer one is one exact-size
+/// block. Equality, order and hash are those of the bytes, which are the
+/// `str`'s: the hash feeds `write(bytes)` then `write_u8(0xff)` exactly
+/// as `str` does. Reading the bytes ([`Text::as_bytes`]) is free; reading
+/// a short text as a `str` ([`Text::as_str`]) checks its UTF-8, so the
+/// hot paths — compare, hash, both encoders — read bytes.
+#[derive(Clone)]
+pub struct Text(TextRepr);
+
+impl Text {
+    /// The bytes, always UTF-8.
+    pub fn as_bytes(&self) -> &[u8] {
+        match &self.0 {
+            TextRepr::Inline { len, buf } => &buf[..usize::from(*len)],
+            TextRepr::Heap(s) => s.as_bytes(),
+        }
+    }
+
+    /// The text as a `str`. In place, this checks the (at most 22) bytes
+    /// are UTF-8, which they always are.
+    pub fn as_str(&self) -> &str {
+        match &self.0 {
+            TextRepr::Inline { .. } => {
+                std::str::from_utf8(self.as_bytes()).expect("a Text holds UTF-8")
+            }
+            TextRepr::Heap(s) => s,
+        }
+    }
+
+    /// Length in bytes.
+    pub fn len(&self) -> usize {
+        self.as_bytes().len()
+    }
+
+    /// True for the empty string.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+impl From<&str> for Text {
+    fn from(s: &str) -> Text {
+        if s.len() <= INLINE_TEXT {
+            let mut buf = [0; INLINE_TEXT];
+            buf[..s.len()].copy_from_slice(s.as_bytes());
+            Text(TextRepr::Inline {
+                len: s.len() as u8,
+                buf,
+            })
+        } else {
+            Text(TextRepr::Heap(s.into()))
+        }
+    }
+}
+
+impl From<String> for Text {
+    /// Moves a long string's block in (shrunk to fit); copies a short one
+    /// in place.
+    fn from(s: String) -> Text {
+        if s.len() <= INLINE_TEXT {
+            Text::from(s.as_str())
+        } else {
+            Text(TextRepr::Heap(s.into_boxed_str()))
+        }
+    }
+}
+
+impl fmt::Debug for Text {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+impl PartialEq for Text {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl Eq for Text {}
+
+impl PartialOrd for Text {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Text {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.as_bytes().cmp(other.as_bytes())
+    }
+}
+
+impl Hash for Text {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write(self.as_bytes());
+        state.write_u8(0xff);
+    }
+}
+
 /// A column value.
 ///
 /// Ordering ranks variants `Null < Int < Dewey < Str` so heterogeneous
@@ -242,7 +358,7 @@ pub enum Value {
     /// Node identifier.
     Dewey(Dewey),
     /// Text.
-    Str(String),
+    Str(Text),
 }
 
 impl Value {
@@ -259,10 +375,11 @@ impl Value {
         }
     }
 
-    /// Borrow as str if that's what this is.
+    /// Borrow as str if that's what this is (a UTF-8 check on a short
+    /// string: see [`Text::as_str`]).
     pub fn as_str(&self) -> Option<&str> {
         match self {
-            Value::Str(s) => Some(s),
+            Value::Str(s) => Some(s.as_str()),
             _ => None,
         }
     }
@@ -314,7 +431,7 @@ impl fmt::Display for Value {
             Value::Null => f.write_str("∅"),
             Value::Int(i) => write!(f, "{i}"),
             Value::Dewey(d) => write!(f, "{d}"),
-            Value::Str(s) => f.write_str(s),
+            Value::Str(s) => f.write_str(s.as_str()),
         }
     }
 }
@@ -327,13 +444,13 @@ impl From<i64> for Value {
 
 impl From<&str> for Value {
     fn from(v: &str) -> Self {
-        Value::Str(v.to_string())
+        Value::Str(v.into())
     }
 }
 
 impl From<String> for Value {
     fn from(v: String) -> Self {
-        Value::Str(v)
+        Value::Str(v.into())
     }
 }
 
@@ -346,6 +463,7 @@ impl From<Dewey> for Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn dewey_navigation() {
@@ -359,7 +477,75 @@ mod tests {
     #[test]
     fn a_cell_is_no_wider_than_a_string_cell() {
         assert_eq!(std::mem::size_of::<Dewey>(), 24);
-        assert!(std::mem::size_of::<Value>() <= 32);
+        assert_eq!(std::mem::size_of::<Text>(), 24);
+        assert_eq!(std::mem::size_of::<Value>(), 32);
+    }
+
+    /// Characters of one to four UTF-8 bytes, so that a run of them
+    /// straddles byte 22 at every offset.
+    const CHARS: [char; 8] = ['a', ' ', 'z', '\t', 'é', 'ß', '€', '𝄞'];
+
+    /// A string of 0–40 bytes drawn from [`CHARS`].
+    fn text_strategy() -> impl Strategy<Value = String> {
+        proptest::collection::vec(0..CHARS.len(), 0..=40).prop_map(|picks| {
+            let mut s = String::new();
+            for c in picks.into_iter().map(|i| CHARS[i]) {
+                if s.len() + c.len_utf8() > 40 {
+                    break;
+                }
+                s.push(c);
+            }
+            s
+        })
+    }
+
+    fn std_hash(v: &(impl Hash + ?Sized)) -> u64 {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        v.hash(&mut h);
+        h.finish()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// A `Text` is its `str`: built from a `&str` or a `String`, it
+        /// reads back the same, compares and orders as `str` does, hashes
+        /// to `str`'s hash, and is on the heap exactly past 22 bytes.
+        #[test]
+        fn text_is_its_str(a in text_strategy(), b in text_strategy()) {
+            let (ta, tb) = (Text::from(a.as_str()), Text::from(b.clone()));
+            prop_assert_eq!(ta.as_str(), a.as_str());
+            prop_assert_eq!(ta.as_bytes(), a.as_bytes());
+            prop_assert_eq!(tb.as_str(), b.as_str());
+            prop_assert_eq!(ta.len(), a.len());
+            prop_assert_eq!(ta == tb, a == b);
+            prop_assert_eq!(ta.cmp(&tb), a.as_str().cmp(b.as_str()));
+            prop_assert_eq!(std_hash(&ta), std_hash(a.as_str()));
+            prop_assert_eq!(std_hash(&tb), std_hash(b.as_str()));
+            prop_assert_eq!(matches!(ta.0, TextRepr::Heap(_)), a.len() > INLINE_TEXT);
+            prop_assert_eq!(matches!(tb.0, TextRepr::Heap(_)), b.len() > INLINE_TEXT);
+            prop_assert_eq!(format!("{ta:?}"), format!("{a:?}"));
+        }
+    }
+
+    #[test]
+    fn text_spills_exactly_past_22_bytes() {
+        for n in 0..=40 {
+            let s = "x".repeat(n);
+            for t in [Text::from(s.as_str()), Text::from(s.clone())] {
+                assert_eq!(matches!(t.0, TextRepr::Heap(_)), n > 22, "{n}");
+                assert_eq!(t.as_str(), s);
+            }
+        }
+        // A two-byte character ending at byte 22 stays in place; one
+        // ending at byte 23 does not.
+        let fits = format!("{}é", "x".repeat(20));
+        let spills = format!("{}é", "x".repeat(21));
+        assert!(matches!(
+            Text::from(fits.as_str()).0,
+            TextRepr::Inline { .. }
+        ));
+        assert!(matches!(Text::from(spills.as_str()).0, TextRepr::Heap(_)));
     }
 
     #[test]

@@ -42,7 +42,7 @@ fn hierarchy(child_counts: Vec<u8>) -> (Feed, Feed) {
             .push_row(vec![
                 dv(vec![]),
                 dv(vec![pid]),
-                Value::Str(format!("p{pid}")),
+                Value::Str(format!("p{pid}").into()),
             ])
             .unwrap();
         for j in 0..k {
@@ -50,7 +50,7 @@ fn hierarchy(child_counts: Vec<u8>) -> (Feed, Feed) {
                 .push_row(vec![
                     dv(vec![pid]),
                     dv(vec![pid, j as u32 + 1]),
-                    Value::Str(format!("c{pid}.{j}")),
+                    Value::Str(format!("c{pid}.{j}").into()),
                 ])
                 .unwrap();
         }
@@ -74,13 +74,15 @@ fn tangled() -> impl Strategy<Value = (Feed, Feed, bool, bool)> {
             let (mut parent, mut child) = hierarchy(Vec::new());
             for (i, (key, copies)) in parents.into_iter().enumerate() {
                 for copy in 0..copies {
-                    let name = Value::Str(format!("p{i}.{copy}"));
+                    let name = Value::Str(format!("p{i}.{copy}").into());
                     parent.rows.push(vec![dv(vec![]), key.clone(), name]);
                 }
             }
             for (i, key) in children.into_iter().enumerate() {
                 let id = dv(vec![9, i as u32]);
-                child.rows.push(vec![key, id, Value::Str(format!("c{i}"))]);
+                child
+                    .rows
+                    .push(vec![key, id, Value::Str(format!("c{i}").into())]);
             }
             (parent, child, sole_parent, sole_child)
         })
@@ -186,7 +188,7 @@ fn small_key(pick: u8) -> Value {
         1 | 2 => Value::Int(i64::from(pick / 8) - 1),
         3 | 4 => dv(vec![1, u32::from(pick / 8)]),
         5 => dv(vec![1, 1, 1, 1, 1, u32::from(pick / 8)]),
-        _ => Value::Str(format!("k{}", pick / 8)),
+        _ => Value::Str(format!("k{}", pick / 8).into()),
     }
 }
 
@@ -311,9 +313,9 @@ proptest! {
             feed.push_row(vec![
                 dv(vec![]),
                 dv(vec![p]),
-                Value::Str(format!("p{p}")),
+                Value::Str(format!("p{p}").into()),
                 child,
-                Value::Str(format!("c{p}.{c}")),
+                Value::Str(format!("c{p}.{c}").into()),
             ])
             .unwrap();
         }
@@ -493,7 +495,7 @@ proptest! {
                 dv(vec![]),
                 dv(path),
                 num.map(Value::Int).unwrap_or(Value::Null),
-                Value::Str(text),
+                Value::Str(text.into()),
             ])
             .unwrap();
         }
@@ -548,7 +550,7 @@ proptest! {
         let vec_of = |rows: &Rows| rows.iter().cloned().collect::<Vec<_>>();
         let before = vec_of(&origin.rows);
         let mut models = vec![before.clone(); 4];
-        let extra = |n: u32| vec![dv(vec![9]), dv(vec![9, n]), Value::Str(format!("w{n}"))];
+        let extra = |n: u32| vec![dv(vec![9]), dv(vec![9, n]), Value::Str(format!("w{n}").into())];
         let one_row = |n: u32| Feed {
             schema: origin.schema.clone(),
             rows: vec![extra(n)].into(),
@@ -565,7 +567,7 @@ proptest! {
                     3 => { feed.rows.absorb(one_row(n).rows); model.push(extra(n)); }
                     4 => { feed.sort_by(&[1]); model.sort_by(|a, b| a[1].cmp(&b[1])); }
                     _ => {
-                        let text = Value::Str(format!("w{n}"));
+                        let text = Value::Str(format!("w{n}").into());
                         feed.rows.get_mut(0).unwrap()[2] = text.clone();
                         model[0][2] = text;
                     }

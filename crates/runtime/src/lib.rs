@@ -60,6 +60,8 @@
 //! assert!(stats.plan_cache_hits > 0); // same shape, shared plan
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub(crate) mod admission;
 pub mod breaker;
 pub mod cache;

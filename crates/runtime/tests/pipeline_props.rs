@@ -55,7 +55,7 @@ fn cell_strategy() -> impl Strategy<Value = Value> {
             0 => Value::Null,
             1 | 2 => Value::Int(n),
             3 | 4 => Value::Dewey(Dewey::from(path)),
-            _ => Value::Str(VOCAB[word].to_string()),
+            _ => Value::Str(VOCAB[word].into()),
         })
 }
 

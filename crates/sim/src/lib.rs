@@ -13,6 +13,8 @@
 //! greedy/optimal ratios across relative speeds, plus the planning-time
 //! gap between the greedy and exhaustive algorithms).
 
+#![forbid(unsafe_code)]
+
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};

@@ -15,6 +15,8 @@
 //!   (queue → plan → compute → encode → wire → decode → stage → settle)
 //!   extracted from a finished span tree.
 
+#![forbid(unsafe_code)]
+
 pub mod calibration;
 pub mod critical_path;
 pub mod metrics;

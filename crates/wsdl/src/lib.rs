@@ -19,6 +19,8 @@
 //! mirroring the paper's separation between the WSDL interface and the
 //! middleware's optimizer.
 
+#![forbid(unsafe_code)]
+
 pub mod fragmentation;
 pub mod model;
 pub mod plumbing;

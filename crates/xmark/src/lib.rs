@@ -27,6 +27,8 @@
 //! `regions`, all six region elements and the other one-to-one children of
 //! `site`.
 
+#![forbid(unsafe_code)]
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use xdx_core::shred::shred;

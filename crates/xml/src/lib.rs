@@ -19,6 +19,8 @@
 //! [`schema::SchemaTree`] is the common target both [`dtd`] and the
 //! XSD-subset reader in [`schema`] convert into.
 
+#![forbid(unsafe_code)]
+
 pub mod dom;
 pub mod dtd;
 pub mod error;

@@ -16,6 +16,8 @@
 //! failing case reports its case index, which is enough to reproduce it
 //! under the same binary.
 
+#![forbid(unsafe_code)]
+
 pub mod test_runner {
     /// Runner configuration; only `cases` is honoured.
     #[derive(Debug, Clone)]

@@ -8,6 +8,8 @@
 //! which is fine: every consumer in this repo treats the RNG as an
 //! arbitrary-but-reproducible source, never as a fixed vector.
 
+#![forbid(unsafe_code)]
+
 /// Object-safe RNG core: a stream of uniform `u64`s.
 pub trait RngCore {
     /// Next 64 uniformly distributed bits.

@@ -51,6 +51,8 @@
 //! assert!(program.op_counts().1 > 0); // combines ran
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use xdx_core as core;
 pub use xdx_directory as directory;
 pub use xdx_net as net;

@@ -4,10 +4,11 @@
 //! * shredding may allocate `SHRED_BLOCKS_PER_LANDED` heap blocks beyond
 //!   what a no-op `sax::drive` over the same text allocates, per landed
 //!   string cell plus landed row. A row is one block and a string cell
-//!   one, allocated where they land; the rest is the feeds' growth: 1.03
-//!   into LF and 1.05 into MF measured (+25 %). An instance tree with a
-//!   `String` per node and a row rebuilt at every level spent 14.8 and
-//!   2.5;
+//!   longer than 22 bytes one, allocated where they land (a shorter one
+//!   is held in its cell); the rest is the feeds' growth: 0.55 into LF
+//!   and 0.79 into MF measured (+20 %). With a `String` per string cell
+//!   it read 1.03 and 1.05; an instance tree with a `String` per node
+//!   and a row rebuilt at every level spent 14.8 and 2.5;
 //! * publishing may allocate `PUBLISH_BLOCKS_PER_ELEMENT` per published
 //!   element: the tagger sorts entries borrowed from the stored feeds and
 //!   the writer keeps its open names in one buffer, so no element owns a
@@ -26,7 +27,7 @@ use xdx::relational::Value;
 use xdx::xml::sax::{self, Handler};
 use xdx::xml::SchemaTree;
 
-const SHRED_BLOCKS_PER_LANDED: f64 = 1.3;
+const SHRED_BLOCKS_PER_LANDED: f64 = 0.95;
 const PUBLISH_BLOCKS_PER_ELEMENT: f64 = 0.1;
 
 /// Parses and does nothing else.

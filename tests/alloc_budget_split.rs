@@ -7,7 +7,8 @@
 //! indexed) and MF→LF columnar (Combine, the columnar codec, wide rows).
 //! With a heap block behind every Dewey cell the first loop spent 26
 //! blocks per landed row (DESIGN §22); what is left is one block per row
-//! per materialisation and one per string cell.
+//! per materialisation and one per string cell longer than the 22 bytes
+//! a cell holds in place.
 //!
 //! The source half of LF→MF alone (`execute_source_phase`: Scan and
 //! Split) allocates per group, not per row: Split's outputs are views of
@@ -24,14 +25,15 @@ use xdx::relational::Database;
 use xdx::xml::SchemaTree;
 use xdx_codec::{decode_any, encode_rows_in_format_into, WireFormat};
 
-/// LF→MF over XML text: 2.33 measured (+25 %; 4.27 while Split copied
-/// its groups' rows out). The per-cell blocks spent 26.45 and cannot come
-/// back under 8.
-const SPLIT_TEXT_BLOCKS_PER_ROW: f64 = 2.9;
+/// LF→MF over XML text: 1.86 measured (+18 %; 2.34 while every string
+/// cell was a `String`, 4.27 while Split copied its groups' rows out).
+/// The per-cell blocks spent 26.45 and cannot come back under 8.
+const SPLIT_TEXT_BLOCKS_PER_ROW: f64 = 2.2;
 const _: () = assert!(SPLIT_TEXT_BLOCKS_PER_ROW <= 8.0);
-/// MF→LF columnar: an LF row is wide, 35.53 measured (+25 %; 58.83 with
-/// the per-cell blocks).
-const COMBINE_COLUMNAR_BLOCKS_PER_ROW: f64 = 44.4;
+/// MF→LF columnar: an LF row is wide, 12.89 measured (+16 %; 16.53 while
+/// every string cell was a `String`, 35.53 before Combine gathered views
+/// and 58.83 with the per-cell Dewey blocks).
+const COMBINE_COLUMNAR_BLOCKS_PER_ROW: f64 = 15.0;
 /// LF→MF source phase, per shipped row: a Split that copied its groups'
 /// rows out spent 2.02 (a block per row and per string cell).
 const SPLIT_SOURCE_BLOCKS_PER_SHIPPED_ROW: f64 = 0.25;
