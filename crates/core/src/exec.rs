@@ -25,8 +25,8 @@ use xdx_net::http::{soap_post_bytes, RequestRef};
 use xdx_net::Link;
 use xdx_relational::ops::{merge_combine, split, ChainHint, SplitSpec};
 use xdx_relational::Dewey as WireDewey;
-use xdx_relational::{Counters, Database, Feed};
-use xdx_xml::SchemaTree;
+use xdx_relational::{ColRole, Counters, Database, Feed};
+use xdx_xml::{NodeId, SchemaTree};
 
 /// How serialized cross-edge messages reach the target system.
 ///
@@ -249,14 +249,15 @@ pub(crate) struct FeedStore {
 
 impl FeedStore {
     fn new(program: &Program, nodes: impl Iterator<Item = usize>) -> FeedStore {
-        let mut last_use = HashMap::new();
+        // A port per node, about: sized once, not grown.
+        let mut last_use = HashMap::with_capacity(program.nodes.len());
         for i in nodes {
             for port in &program.nodes[i].inputs {
                 last_use.insert(*port, i);
             }
         }
         FeedStore {
-            feeds: HashMap::new(),
+            feeds: HashMap::with_capacity(program.nodes.len()),
             last_use,
         }
     }
@@ -676,7 +677,8 @@ pub fn execute_in_place(
     program.validate_placement()?;
     let all = || 0..program.nodes.len();
     let mut outcome = ExecOutcome::default();
-    let mut tables: Vec<(String, Feed)> = Vec::new();
+    outcome.op_samples.reserve_exact(program.nodes.len());
+    let mut tables: Vec<(String, Feed)> = Vec::with_capacity(target_frag.fragments.len());
     let mut nodes = NodeLoop::new(schema, source_frag, program, Some(&*source), None, all());
     let ran = all().try_for_each(|i| {
         nodes.run(i, &mut outcome, &mut |fragment, feed| {
@@ -703,6 +705,307 @@ pub fn execute_in_place(
     ran?;
     tables.sort_by(|a, b| a.0.cmp(&b.0));
     Ok((tables, outcome))
+}
+
+/// A delta round's prefix map (DESIGN §23): per source fragment, the
+/// Dewey depth at which a changed row's instance root is cut to the
+/// prefix whose range holds every row the change can reach — the depth
+/// of the root of the target fragment holding the source fragment's
+/// root. Fragments are connected, so every target fragment with an
+/// element under that root is rooted under it: a target row under the
+/// prefix carries only values of nodes under it. A source row such a
+/// target row is made of is under the prefix too, or a row of an
+/// instance above it whose fragment reaches down into it; a ranged
+/// source keeps both ([`PrefixMap::run_ranged`]).
+#[derive(Debug, Clone)]
+pub struct PrefixMap<'a> {
+    schema: &'a SchemaTree,
+    source_frag: &'a Fragmentation,
+    /// Per source fragment: the root of the target fragment holding its
+    /// root, where its changed instances are cut.
+    cuts: Vec<NodeId>,
+}
+
+/// What changed between two versions of a source ([`PrefixMap::changed`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SourceChange {
+    /// Rows whose values differ.
+    pub rows: usize,
+    /// The changed instances' prefixes, sorted, none under another.
+    pub prefixes: Vec<WireDewey>,
+    /// The element each prefix is an instance of: the root of a target
+    /// fragment.
+    cuts: Vec<NodeId>,
+}
+
+impl<'a> PrefixMap<'a> {
+    /// The prefix map of an exchange from `source_frag` to `target_frag`.
+    pub fn new(
+        schema: &'a SchemaTree,
+        source_frag: &'a Fragmentation,
+        target_frag: &Fragmentation,
+    ) -> PrefixMap<'a> {
+        let cuts = source_frag
+            .fragments
+            .iter()
+            .map(|f| target_frag.owner_fragment(f.root).root)
+            .collect();
+        PrefixMap {
+            schema,
+            source_frag,
+            cuts,
+        }
+    }
+
+    /// Compares `source` with the `previous` version of it, table by
+    /// table and row by row (a table that still shares its rows is not
+    /// read): the rows whose values changed and the prefixes of their
+    /// instances. `None` when the two cannot be compared that way — a
+    /// table missing or of another layout, a row count or an identifier
+    /// that moved (an insert or a delete renumbers the siblings after it).
+    pub fn changed(&self, source: &Database, previous: &Database) -> Option<SourceChange> {
+        let mut cut_at: Vec<(WireDewey, NodeId)> = Vec::new();
+        let mut rows = 0;
+        for (f, &cut) in self.source_frag.fragments.iter().zip(&self.cuts) {
+            let now = &source.table(&f.name).ok()?.data;
+            let then = &previous.table(&f.name).ok()?.data;
+            if xdx_relational::Rows::ptr_eq(&now.rows, &then.rows) {
+                continue;
+            }
+            if now.schema != then.schema || now.len() != then.len() {
+                return None;
+            }
+            let key = now.schema.root_id_col()?;
+            let columns = &now.schema.columns;
+            let depth = self.schema.depth(cut);
+            // A table's rows are its own (a table never holds a view), so
+            // reading them as rows copies nothing.
+            for (a, b) in now.rows.iter().zip(then.rows.iter()) {
+                if a == b {
+                    continue;
+                }
+                let ids_moved = (columns.iter().zip(a.iter().zip(b)))
+                    .any(|(col, (a, b))| col.role != ColRole::Value && a != b);
+                if ids_moved {
+                    return None;
+                }
+                rows += 1;
+                let id = a[key].as_dewey()?.as_slice();
+                let prefix = &id[..depth.min(id.len())];
+                if cut_at.last().map(|(p, _)| p.as_slice()) != Some(prefix) {
+                    cut_at.push((WireDewey::from(prefix), cut));
+                }
+            }
+        }
+        cut_at.sort_unstable();
+        // Sorted, an instance's prefix comes before any under it.
+        cut_at.dedup_by(|under, above| above.0.is_prefix_of(&under.0));
+        let (prefixes, cuts) = cut_at.into_iter().unzip();
+        Some(SourceChange {
+            rows,
+            prefixes,
+            cuts,
+        })
+    }
+
+    /// Runs `run` over `source` with each table cut to the rows a head
+    /// ranged over `change`'s prefixes reads — its rows under a prefix,
+    /// and in a table rooted above one the rows of the instance above it
+    /// — and puts every table's rows back after, also when `run` fails or
+    /// panics. A cut table is a view of its own rows ([`Rows::pick`]);
+    /// nothing is copied, and what `run` bills stays on
+    /// `source.counters`. Returns what `run` returned and the number of
+    /// rows it was shown.
+    ///
+    /// [`Rows::pick`]: xdx_relational::Rows::pick
+    pub fn run_ranged<T>(
+        &self,
+        source: &mut Database,
+        change: &SourceChange,
+        run: impl FnOnce(&mut Database) -> T,
+    ) -> Result<(T, usize)> {
+        let mut cut = Cut {
+            source,
+            fragments: self.source_frag,
+            rows: Vec::with_capacity(self.cuts.len()),
+        };
+        let mut shown = 0;
+        // One empty set serves every table the ranges miss.
+        let none = xdx_relational::Rows::default();
+        let mut aligned = Aligned::default();
+        for f in &self.source_frag.fragments {
+            let (table, _) = cut.source.table_mut(&f.name)?;
+            let picks = self
+                .ranged_rows(&table.data, f.root, change, &mut aligned)
+                .map_err(|e| Error::Engine(format!("table {}: {e}", f.name)))?;
+            shown += picks.len();
+            let rows = match picks.is_empty() {
+                true => none.clone(),
+                false => {
+                    let cols = (0..table.data.schema.arity()).collect();
+                    table.data.rows.pick(picks, cols)
+                }
+            };
+            cut.rows.push(std::mem::replace(&mut table.data.rows, rows));
+        }
+        Ok((run(cut.source), shown))
+    }
+
+    /// The positions of `feed`'s rows, a table of instances of `root`,
+    /// that a head ranged over `change` reads, ascending: its rows under
+    /// a prefix of an element above or at `root`, and the rows of the one
+    /// instance above a prefix of an element under it. A prefix of any
+    /// other element is none of its business, and is not looked up. The
+    /// ranges under each prefix are tried first where `aligned` found them
+    /// in the last table of as many rows, and kept there for the next.
+    fn ranged_rows(
+        &self,
+        feed: &Feed,
+        root: NodeId,
+        change: &SourceChange,
+        aligned: &mut Aligned,
+    ) -> Result<Vec<usize>> {
+        let key = feed
+            .schema
+            .root_id_col()
+            .ok_or_else(|| Error::Engine("no root id to range by".to_string()))?;
+        let depth = self.schema.depth(root);
+        let mut picks = Vec::with_capacity(change.prefixes.len());
+        let (mut from, mut last_above) = (0, None);
+        let mut found: Option<Vec<Range<usize>>> = None;
+        for (i, (prefix, &cut)) in change.prefixes.iter().zip(&change.cuts).enumerate() {
+            let range = match prefix.as_slice().get(..depth) {
+                // The table is rooted above the prefix: the rows of the one
+                // instance of it above, once.
+                Some(above) if depth < prefix.depth() => {
+                    if last_above == Some(above) || !self.schema.is_ancestor_or_self(root, cut) {
+                        continue;
+                    }
+                    last_above = Some(above);
+                    key_range(&feed.rows, key, 0, |id| id.cmp(above))?
+                }
+                _ if !self.schema.is_ancestor_or_self(cut, root) => continue,
+                _ => {
+                    let order = |id: &[u32]| {
+                        if id.starts_with(prefix.as_slice()) {
+                            std::cmp::Ordering::Equal
+                        } else {
+                            id.cmp(prefix.as_slice())
+                        }
+                    };
+                    let guess = aligned.guess(feed.len(), i);
+                    let range = match guess.filter(|g| is_key_range(&feed.rows, key, g, order)) {
+                        Some(guess) => guess,
+                        None => key_range(&feed.rows, key, from, order)?,
+                    };
+                    let n = change.prefixes.len();
+                    let found = found.get_or_insert_with(|| Vec::with_capacity(n));
+                    found.resize(i, 0..0);
+                    found.push(range.clone());
+                    range
+                }
+            };
+            from = from.max(range.end);
+            picks.extend(range);
+        }
+        if let Some(ranges) = found {
+            *aligned = Aligned {
+                rows: feed.len(),
+                ranges,
+            };
+        }
+        picks.sort_unstable();
+        picks.dedup();
+        Ok(picks)
+    }
+}
+
+/// The ranges the last table ranged under the prefixes held, by prefix,
+/// and its row count: a table of one-to-one instances under the same
+/// instances as that one (an MF table and its children's) holds them at
+/// the same positions, which [`is_key_range`] confirms in a few reads.
+#[derive(Debug, Default)]
+struct Aligned {
+    rows: usize,
+    ranges: Vec<Range<usize>>,
+}
+
+impl Aligned {
+    /// Where prefix `i`'s rows lay in the last table, if it had `rows`.
+    fn guess(&self, rows: usize, i: usize) -> Option<Range<usize>> {
+        (self.rows == rows).then(|| self.ranges.get(i).cloned())?
+    }
+}
+
+/// A source whose first `rows.len()` tables, in fragment order, are cut
+/// to ranges: dropping it puts their rows back.
+struct Cut<'s> {
+    source: &'s mut Database,
+    fragments: &'s Fragmentation,
+    rows: Vec<xdx_relational::Rows>,
+}
+
+impl Drop for Cut<'_> {
+    fn drop(&mut self) {
+        for (f, rows) in self.fragments.fragments.iter().zip(self.rows.drain(..)) {
+            if let Ok((table, _)) = self.source.table_mut(&f.name) {
+                table.data.rows = rows;
+            }
+        }
+    }
+}
+
+/// True when `range` is exactly the run of `rows` whose key column
+/// `col` compares `Equal` under `order`: the rows at its ends compare
+/// `Equal` and the rows just outside it do not. Reads at most four rows.
+fn is_key_range(
+    rows: &xdx_relational::Rows,
+    col: usize,
+    range: &Range<usize>,
+    order: impl Fn(&[u32]) -> std::cmp::Ordering,
+) -> bool {
+    let compare = |r: usize| {
+        let id = rows.cell(r, col).as_dewey();
+        id.map(|id| order(id.as_slice()))
+    };
+    use std::cmp::Ordering::{Equal, Greater, Less};
+    let Range { start, end } = *range;
+    end <= rows.len()
+        && (start == 0 || compare(start - 1) == Some(Less))
+        && (end == rows.len() || compare(end) == Some(Greater))
+        && (start == end || (compare(start) == Some(Equal) && compare(end - 1) == Some(Equal)))
+}
+
+/// The rows of `rows` from `from` on whose key column `col` compares
+/// `Equal` under `order` — one contiguous run of a key-sorted set —
+/// found by binary search.
+fn key_range(
+    rows: &xdx_relational::Rows,
+    col: usize,
+    from: usize,
+    order: impl Fn(&[u32]) -> std::cmp::Ordering,
+) -> Result<Range<usize>> {
+    let id = |r: usize| {
+        rows.cell(r, col)
+            .as_dewey()
+            .map(WireDewey::as_slice)
+            .ok_or_else(|| Error::Engine(format!("row {r}: key is not a Dewey id")))
+    };
+    let partition = |mut lo: usize, below: &dyn Fn(std::cmp::Ordering) -> bool| {
+        let mut hi = rows.len();
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if below(order(id(mid)?)) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        Ok::<usize, Error>(lo)
+    };
+    let start = partition(from.min(rows.len()), &|o| o.is_lt())?;
+    let end = partition(start, &|o| o.is_le())?;
+    Ok(start..end)
 }
 
 /// The commit + index epilogue shared by every execution path.

@@ -38,11 +38,12 @@
 #![forbid(unsafe_code)]
 
 use std::collections::{HashMap, VecDeque};
+use std::ops::Range;
 use std::sync::{Arc, Mutex, Weak};
 use xdx_relational::patch::key_column;
 use xdx_relational::{
     apply_table_patch, Database, DeltaPatch, Dewey, Error, Feed, PatchStep, Result, RowSlice, Rows,
-    StepKind, TablePatch,
+    StepKind, TablePatch, Value,
 };
 
 /// One route's table set at one version. Feeds share their rows
@@ -411,14 +412,112 @@ fn row_key<'a>(table: &str, rows: &'a Rows, r: usize, col: usize) -> Result<&'a 
 }
 
 /// Extent of the subtree group starting at `start`: the run of rows
-/// whose key extends the first row's key.
-fn group_end(table: &str, rows: &Rows, start: usize, col: usize) -> Result<usize> {
+/// before `end` whose key extends the first row's key.
+fn group_end(table: &str, rows: &Rows, start: usize, end: usize, col: usize) -> Result<usize> {
     let key = row_key(table, rows, start, col)?;
-    let mut end = start + 1;
-    while end < rows.len() && key.is_prefix_of(row_key(table, rows, end, col)?) {
-        end += 1;
+    let mut next = start + 1;
+    while next < end && key.is_prefix_of(row_key(table, rows, next, col)?) {
+        next += 1;
     }
-    Ok(end)
+    Ok(next)
+}
+
+/// One table's diff as it is walked: the steps and the head rows they
+/// carry, in document order.
+struct TableDiff<'a> {
+    table: &'a str,
+    base: &'a Feed,
+    head: &'a Feed,
+    col: usize,
+    steps: Vec<PatchStep>,
+    payload: Vec<Vec<Value>>,
+}
+
+impl<'a> TableDiff<'a> {
+    /// A diff of `base` and `head` (of one schema) keyed by `col`.
+    fn new(table: &'a str, base: &'a Feed, head: &'a Feed, col: usize) -> TableDiff<'a> {
+        TableDiff {
+            table,
+            base,
+            head,
+            col,
+            steps: Vec::new(),
+            payload: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, kind: StepKind, key: &Dewey, head_rows: RowSlice<'_>) {
+        self.steps.push(PatchStep {
+            kind,
+            key: key.clone(),
+            rows: head_rows.len() as u32,
+        });
+        head_rows.copy_to(&mut self.payload);
+    }
+
+    /// Walks base rows `b..b_end` against head rows `h..h_end` in one
+    /// merge pass: equal subtrees are skipped, base-only ones deleted,
+    /// head-only ones inserted and changed ones replaced.
+    fn walk(&mut self, mut b: usize, b_end: usize, mut h: usize, h_end: usize) -> Result<()> {
+        let (table, col) = (self.table, self.col);
+        let (base, head) = (&self.base.rows, &self.head.rows);
+        while b < b_end && h < h_end {
+            let bk = row_key(table, base, b, col)?;
+            let hk = row_key(table, head, h, col)?;
+            if bk.is_prefix_of(hk) || hk.is_prefix_of(bk) {
+                // Same subtree (possibly addressed at different depths when
+                // the subtree root row itself appeared or vanished): consume
+                // the shorter key's full range on both sides and compare.
+                let key = if bk.depth() <= hk.depth() { bk } else { hk };
+                let (bs, hs) = (b, h);
+                while b < b_end && key.is_prefix_of(row_key(table, base, b, col)?) {
+                    b += 1;
+                }
+                while h < h_end && key.is_prefix_of(row_key(table, head, h, col)?) {
+                    h += 1;
+                }
+                if base.slice(bs..b) != head.slice(hs..h) {
+                    self.push(StepKind::ReplaceSubtree, key, head.slice(hs..h));
+                }
+            } else if bk < hk {
+                let end = group_end(table, base, b, b_end, col)?;
+                self.push(StepKind::DeleteSubtree, bk, RowSlice::default());
+                b = end;
+            } else {
+                let end = group_end(table, head, h, h_end, col)?;
+                self.push(StepKind::InsertSubtree, hk, head.slice(h..end));
+                h = end;
+            }
+        }
+        while b < b_end {
+            let key = row_key(table, base, b, col)?;
+            let end = group_end(table, base, b, b_end, col)?;
+            self.push(StepKind::DeleteSubtree, key, RowSlice::default());
+            b = end;
+        }
+        while h < h_end {
+            let key = row_key(table, head, h, col)?;
+            let end = group_end(table, head, h, h_end, col)?;
+            self.push(StepKind::InsertSubtree, key, head.slice(h..end));
+            h = end;
+        }
+        Ok(())
+    }
+
+    /// The table's patch; `None` when the walk found nothing.
+    fn finish(self) -> Option<TablePatch> {
+        if self.steps.is_empty() {
+            return None;
+        }
+        Some(TablePatch {
+            table: self.table.to_string(),
+            steps: self.steps,
+            payload: Feed {
+                schema: self.head.schema.clone(),
+                rows: self.payload.into(),
+            },
+        })
+    }
 }
 
 /// Diffs two versions of one table in a single merge pass, returning
@@ -439,68 +538,88 @@ pub fn diff_table(table: &str, base: &Feed, head: &Feed) -> Result<Option<TableP
     if !base.is_sorted_by(&[col]) || !head.is_sorted_by(&[col]) {
         return Err(diff_err(table, "rows not in document order"));
     }
-    let mut steps = Vec::new();
-    let mut payload = Vec::new();
-    let mut push = |kind: StepKind, key: &Dewey, head_rows: RowSlice<'_>| {
-        steps.push(PatchStep {
-            kind,
-            key: key.clone(),
-            rows: head_rows.len() as u32,
-        });
-        head_rows.copy_to(&mut payload);
-    };
-    let (mut b, mut h) = (0, 0);
-    while b < base.rows.len() && h < head.rows.len() {
-        let bk = row_key(table, &base.rows, b, col)?;
-        let hk = row_key(table, &head.rows, h, col)?;
-        if bk.is_prefix_of(hk) || hk.is_prefix_of(bk) {
-            // Same subtree (possibly addressed at different depths when
-            // the subtree root row itself appeared or vanished): consume
-            // the shorter key's full range on both sides and compare.
-            let key = if bk.depth() <= hk.depth() { bk } else { hk };
-            let (bs, hs) = (b, h);
-            while b < base.rows.len() && key.is_prefix_of(row_key(table, &base.rows, b, col)?) {
-                b += 1;
+    let mut diff = TableDiff::new(table, base, head, col);
+    diff.walk(0, base.len(), 0, head.len())?;
+    Ok(diff.finish())
+}
+
+/// The rows of `rows` from `from` on under `prefix`: one contiguous run
+/// of a key-sorted table, found by binary search on the key column `col`
+/// and checked to be in document order.
+fn rows_under(
+    table: &str,
+    rows: &Rows,
+    col: usize,
+    from: usize,
+    prefix: &Dewey,
+) -> Result<Range<usize>> {
+    let partition = |mut lo: usize, before: &dyn Fn(&Dewey) -> bool| {
+        let mut hi = rows.len();
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if before(row_key(table, rows, mid, col)?) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
             }
-            while h < head.rows.len() && key.is_prefix_of(row_key(table, &head.rows, h, col)?) {
-                h += 1;
-            }
-            if base.rows.slice(bs..b) != head.rows.slice(hs..h) {
-                push(StepKind::ReplaceSubtree, key, head.rows.slice(hs..h));
-            }
-        } else if bk < hk {
-            let end = group_end(table, &base.rows, b, col)?;
-            push(StepKind::DeleteSubtree, bk, RowSlice::default());
-            b = end;
-        } else {
-            let end = group_end(table, &head.rows, h, col)?;
-            push(StepKind::InsertSubtree, hk, head.rows.slice(h..end));
-            h = end;
         }
+        Ok::<usize, Error>(lo)
+    };
+    let start = partition(from.min(rows.len()), &|key| key < prefix)?;
+    let end = partition(start, &|key| prefix.is_prefix_of(key))?;
+    if !rows.slice(start..end).is_sorted_by(&[col]) {
+        return Err(diff_err(table, "rows not in document order"));
     }
-    while b < base.rows.len() {
-        let key = row_key(table, &base.rows, b, col)?;
-        let end = group_end(table, &base.rows, b, col)?;
-        push(StepKind::DeleteSubtree, key, RowSlice::default());
-        b = end;
+    Ok(start..end)
+}
+
+/// Diffs `head` against `base` inside the Dewey ranges of `prefixes`
+/// only (sorted, none under another): the patch [`diff_snapshots`] makes
+/// of the two, step for step and row for row, when they are equal
+/// outside those ranges — what a delta round's ranged head guarantees
+/// (DESIGN §23). `head` may hold rows outside the ranges; none of them
+/// is diffed. Both sets must hold the same tables, each in document
+/// order: a head table is checked whole (a ranged head is small), a base
+/// table only inside the ranges, which binary search finds, so it is
+/// read nowhere else.
+pub fn diff_ranges(
+    base: &[(String, Feed)],
+    head: &[(String, Feed)],
+    prefixes: &[Dewey],
+    base_version: u64,
+    head_version: u64,
+) -> Result<DeltaPatch> {
+    if base.len() != head.len() {
+        return Err(diff_err("*", "the table sets differ"));
     }
-    while h < head.rows.len() {
-        let key = row_key(table, &head.rows, h, col)?;
-        let end = group_end(table, &head.rows, h, col)?;
-        push(StepKind::InsertSubtree, key, head.rows.slice(h..end));
-        h = end;
+    let mut tables = Vec::new();
+    for (name, head_feed) in head {
+        let base_feed = base
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, f)| f)
+            .ok_or_else(|| diff_err(name, "table not in the base"))?;
+        if base_feed.schema != head_feed.schema {
+            return Err(diff_err(name, "schema changed between versions"));
+        }
+        let col = key_column(head_feed)?;
+        if !head_feed.is_sorted_by(&[col]) {
+            return Err(diff_err(name, "rows not in document order"));
+        }
+        let mut diff = TableDiff::new(name, base_feed, head_feed, col);
+        let (mut b, mut h) = (0..0, 0..0);
+        for prefix in prefixes {
+            b = rows_under(name, &base_feed.rows, col, b.end, prefix)?;
+            h = rows_under(name, &head_feed.rows, col, h.end, prefix)?;
+            diff.walk(b.start, b.end, h.start, h.end)?;
+        }
+        tables.extend(diff.finish());
     }
-    if steps.is_empty() {
-        return Ok(None);
-    }
-    Ok(Some(TablePatch {
-        table: table.to_string(),
-        steps,
-        payload: Feed {
-            schema: head.schema.clone(),
-            rows: payload.into(),
-        },
-    }))
+    Ok(DeltaPatch {
+        base_version,
+        head_version,
+        tables,
+    })
 }
 
 /// Diffs two snapshots of a route's table set into a versioned patch.
@@ -577,6 +696,30 @@ mod tests {
         assert_eq!(patch.payload.len(), 2, "head rows for items 2 and 5");
         // The invariant everything rests on: apply(base, diff) == head.
         assert_eq!(apply_table_patch(&base, &patch).unwrap(), head);
+    }
+
+    #[test]
+    fn a_diff_inside_the_changed_ranges_is_the_whole_diff() {
+        let base = item_feed(&[(1, "a"), (2, "b"), (3, "c"), (4, "d"), (5, "e")]);
+        let head = item_feed(&[(1, "a"), (2, "B!"), (3, "c"), (4, "D!"), (5, "e")]);
+        let whole = diff_snapshots(
+            &[("ITEM".into(), base.clone())],
+            &[("ITEM".into(), head.clone())],
+            1,
+            2,
+        )
+        .unwrap();
+        // A ranged head holds the changed instances' rows alone.
+        let mut ranged = head.clone();
+        ranged.rows = head.rows.pick(vec![1, 3], vec![0, 1, 2]);
+        let prefixes = [Dewey::from([1, 1, 1, 2]), Dewey::from([1, 1, 1, 4])];
+        let base = [("ITEM".into(), base)];
+        let patch = diff_ranges(&base, &[("ITEM".into(), ranged)], &prefixes, 1, 2).unwrap();
+        assert_eq!(patch, whole);
+        assert_eq!(patch.step_count(), 2);
+        // A table the base lacks is not the ranged diff's to invent.
+        let other = [("OTHER".into(), head)];
+        assert!(diff_ranges(&base, &other, &prefixes, 1, 2).is_err());
     }
 
     #[test]

@@ -478,7 +478,7 @@ impl Rows {
     /// True when the rows are in order on the columns `cols`
     /// (lexicographic), read where they sit.
     pub fn is_sorted_by(&self, cols: &[usize]) -> bool {
-        self.slice(..).read(InOrder(cols))
+        self.slice(..).is_sorted_by(cols)
     }
 
     /// The rows held: a dense set's own, a view's copied out once.
@@ -707,6 +707,12 @@ impl<'a> RowSlice<'a> {
                 })
             }
         }
+    }
+
+    /// True when the run is in order on the columns `cols`
+    /// (lexicographic), read where it sits.
+    pub fn is_sorted_by(self, cols: &[usize]) -> bool {
+        self.read(InOrder(cols))
     }
 
     /// Appends a copy of each row of the run to `out`, one exact-size

@@ -27,7 +27,10 @@
 //! diffing against that head replays it when its shape is unchanged —
 //! no probe, no optimizer (DESIGN §23). The round runs its program in
 //! place at the source, so placement does not change what it lands; the
-//! stale statistics only price the patch-vs-full bill.
+//! stale statistics only price the patch-vs-full bill. For a route that
+//! asks for deltas it also keeps the source that head was computed from:
+//! the next round diffs its own source against it and computes only the
+//! instances that changed.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -201,29 +204,53 @@ impl PlanCache {
 }
 
 /// The plan each route's head was committed with, for the route's next
-/// delta round to replay instead of probing and planning. One entry per
-/// route (the route's feed-log key): the head version it committed and
-/// the plan. A commit whose bill chose a full ship over the patch
-/// forgets its route's entry, so the next round prices the full side
-/// from a fresh probe.
+/// delta round to replay instead of probing and planning, and — for a
+/// head a round that declared a base version committed — the source that
+/// head was computed from, for the next round to diff its own against
+/// (DESIGN §23). One entry per route (the route's feed-log key): the head
+/// version it committed, the plan and that source. A commit whose bill
+/// chose a full ship over the patch forgets its route's entry, so the
+/// next round prices the full side from a fresh probe and computes its
+/// head whole.
 #[derive(Debug, Default)]
 pub(crate) struct RoutePlans {
-    map: Mutex<HashMap<String, (u64, Arc<CachedPlan>)>>,
+    map: Mutex<HashMap<String, RouteHead>>,
+}
+
+/// What [`RoutePlans`] remembers of one route's head.
+#[derive(Debug)]
+pub(crate) struct RouteHead {
+    version: u64,
+    plan: Arc<CachedPlan>,
+    source: Option<Arc<Database>>,
 }
 
 impl RoutePlans {
     /// Records that `route`'s head `version` was committed with `plan`,
-    /// or with no plan a round may replay.
-    pub(crate) fn commit(&self, route: &str, version: u64, plan: Option<Arc<CachedPlan>>) {
+    /// or with no plan a round may replay, and computed from `source`
+    /// when one is kept. Returns the entry it replaced, for the caller to
+    /// free outside the lock: its source is a whole document.
+    pub(crate) fn commit(
+        &self,
+        route: &str,
+        version: u64,
+        plan: Option<Arc<CachedPlan>>,
+        source: Option<Arc<Database>>,
+    ) -> Option<RouteHead> {
         let mut map = self.map();
-        match (plan, map.get_mut(route)) {
-            (Some(plan), Some(entry)) => *entry = (version, plan),
-            (Some(plan), None) => {
-                map.insert(route.to_owned(), (version, plan));
+        match plan {
+            Some(plan) => {
+                let head = RouteHead {
+                    version,
+                    plan,
+                    source,
+                };
+                match map.get_mut(route) {
+                    Some(entry) => Some(std::mem::replace(entry, head)),
+                    None => map.insert(route.to_owned(), head),
+                }
             }
-            (None, _) => {
-                map.remove(route);
-            }
+            None => map.remove(route),
         }
     }
 
@@ -232,16 +259,23 @@ impl RoutePlans {
     /// plan was priced for a document of this route.
     pub(crate) fn replay(&self, route: &str, head: u64, shape: u64) -> Option<Arc<CachedPlan>> {
         match self.map().get(route) {
-            Some((version, plan)) if *version == head && plan.shape == shape => {
-                Some(Arc::clone(plan))
+            Some(entry) if entry.version == head && entry.plan.shape == shape => {
+                Some(Arc::clone(&entry.plan))
             }
             _ => None,
         }
     }
 
+    /// The source `route`'s `head` was computed from, if it was kept.
+    pub(crate) fn source(&self, route: &str, head: u64) -> Option<Arc<Database>> {
+        let map = self.map();
+        let entry = map.get(route).filter(|entry| entry.version == head)?;
+        entry.source.clone()
+    }
+
     /// The map, also after a panic elsewhere while it was locked: each
     /// edit (insert, replace, remove) leaves it valid.
-    fn map(&self) -> MutexGuard<'_, HashMap<String, (u64, Arc<CachedPlan>)>> {
+    fn map(&self) -> MutexGuard<'_, HashMap<String, RouteHead>> {
         self.map.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
@@ -702,18 +736,39 @@ mod tests {
             })
         };
         let routes = RoutePlans::default();
-        routes.commit("a", 3, Some(plan(7)));
+        routes.commit("a", 3, Some(plan(7)), None);
         let replayed = routes.replay("a", 3, 7).expect("the head's plan");
         assert_eq!(replayed.shape, 7);
         assert!(routes.replay("a", 3, 8).is_none(), "another shape");
         assert!(routes.replay("a", 4, 7).is_none(), "another head");
         assert!(routes.replay("b", 3, 7).is_none(), "another route");
-        routes.commit("a", 4, Some(plan(7)));
+        routes.commit("a", 4, Some(plan(7)), None);
         assert!(routes.replay("a", 3, 7).is_none(), "the head moved on");
         assert!(routes.replay("a", 4, 7).is_some());
-        routes.commit("a", 5, None);
+        routes.commit("a", 5, None, None);
         assert!(routes.replay("a", 5, 7).is_none(), "forgotten");
         assert!(routes.replay("a", 4, 7).is_none());
+    }
+
+    #[test]
+    fn a_route_keeps_the_source_of_its_head_and_hands_back_the_last() {
+        let s = schema();
+        let m = model(&s, 0.05);
+        let plan = || Arc::new(plan_for(&s, &m));
+        let source = |name: &str| Some(Arc::new(Database::new(name)));
+        let routes = RoutePlans::default();
+        assert!(routes.commit("a", 1, Some(plan()), None).is_none());
+        assert!(routes.source("a", 1).is_none(), "a round without a base");
+        let replaced = routes.commit("a", 2, Some(plan()), source("v2"));
+        assert_eq!(replaced.map(|head| head.version), Some(1));
+        assert_eq!(routes.source("a", 2).unwrap().name, "v2");
+        assert!(routes.source("a", 1).is_none(), "another head");
+        assert!(routes.source("b", 2).is_none(), "another route");
+        let replaced = routes.commit("a", 3, Some(plan()), source("v3")).unwrap();
+        assert_eq!(replaced.source.unwrap().name, "v2", "freed by the caller");
+        let forgotten = routes.commit("a", 4, None, source("v4")).unwrap();
+        assert_eq!(forgotten.source.unwrap().name, "v3");
+        assert!(routes.source("a", 4).is_none(), "a full ship keeps nothing");
     }
 
     /// A small XMark source under MF, and its fragmentation.

@@ -68,6 +68,10 @@ pub enum EventKind {
     /// was reconstructed by composing retained per-step patches, so the
     /// session still shipped a delta instead of the full feeds.
     DeltaChainComposed,
+    /// A delta round diffed its source against the one its base was
+    /// computed from: its head was computed over the changed instances
+    /// alone, or whole because an identifier moved.
+    DeltaSourceDiffed,
     /// The session reached `Done`.
     Completed,
     /// The session reached `Failed`.
@@ -98,6 +102,7 @@ impl EventKind {
             EventKind::DeltaApplied => "delta_applied",
             EventKind::DeltaFellBack => "delta_fell_back",
             EventKind::DeltaChainComposed => "delta_chain_composed",
+            EventKind::DeltaSourceDiffed => "delta_source_diffed",
             EventKind::Completed => "completed",
             EventKind::Failed => "failed",
             EventKind::Cancelled => "cancelled",

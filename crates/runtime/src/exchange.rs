@@ -37,11 +37,11 @@ use std::time::{Duration, Instant};
 use xdx_codec::{decode_parts, decode_patch, encode_parts_into, encode_patch_into, FeedPart};
 use xdx_core::exec::{
     batch_ranges, commit_and_index, cross_ports_in_consumer_order, execute_in_place,
-    execute_source_phase_streaming, execute_target_phase, CrossPort, ExecOutcome,
+    execute_source_phase_streaming, execute_target_phase, CrossPort, ExecOutcome, PrefixMap,
 };
 use xdx_core::program::PortRef;
 use xdx_core::{full_ship_wins, WireFormat};
-use xdx_delta::{db_tables, diff_snapshots, Snapshot};
+use xdx_delta::{db_tables, diff_ranges, diff_snapshots, Snapshot};
 use xdx_net::http::{soap_post_bytes, RequestRef};
 use xdx_relational::{stage_patch, Counters, Database, DeltaPatch, Feed};
 use xdx_trace::{SpanId, NO_SPAN};
@@ -522,12 +522,14 @@ impl Inner {
     }
 
     /// The delta rung of the ladder: compute the head table set in place
-    /// — the whole program over the source's own rows, nothing encoded,
-    /// shipped or loaded (DESIGN §23) — diff it against the base
-    /// snapshot in one Dewey merge pass, and — when the cost model
-    /// prefers the patch over the full feeds — put the checksummed patch
-    /// frame on the ring as shipment 0. Returns true when the full feeds
-    /// must ship now instead (diff failed, or the patch would cost more).
+    /// — the program over the source's own rows, nothing encoded, shipped
+    /// or loaded — diff it against the base snapshot in one Dewey merge
+    /// pass (over the changed instances alone when the route kept the
+    /// source its base was computed from, [`Inner::ranged_patch`]; DESIGN
+    /// §23), and — when the cost model prefers the patch over the full
+    /// feeds — put the checksummed patch frame on the ring as shipment 0.
+    /// Returns true when the full feeds must ship now instead (diff
+    /// failed, or the patch would cost more).
     fn stage_delta(
         &self,
         ex: &mut Exchange,
@@ -537,30 +539,53 @@ impl Inner {
         let group = &mut ex.groups[0];
         let lane = &mut group.lanes[0];
         let (id, exec_span) = (lane.shared.id, group.exec_span);
-        let (head, head_outcome) = match execute_in_place(
-            &self.schema,
-            &request.source_frag,
-            &request.target_frag,
-            &group.plan.program,
-            &mut request.source,
-        ) {
-            Ok(ran) => ran,
-            Err(e) => {
-                lane.failure = Some(e.to_string());
-                return false;
-            }
+        // Only a round based on the route's head has the source that head
+        // was computed from: a composed base is older, and a stale one
+        // finds another version remembered.
+        let previous = match chain_composed {
+            false => self.route_plans.source(&lane.feed_route, base_version),
+            true => None,
         };
-        let patch = match diff_snapshots(&snapshot, &head, base_version, head_version) {
-            Ok(patch) => patch,
-            Err(e) => {
-                lane.metrics.delta_full_fallbacks += 1;
-                self.events.push(
-                    id,
-                    exec_span,
-                    EventKind::DeltaFellBack,
-                    format!("diff failed: {e}; full re-ship"),
-                );
-                return true;
+        let ranged = previous.and_then(|previous| {
+            let versions = (base_version, head_version);
+            let ranged = self.ranged_patch(request, &group.plan, &previous, &snapshot, versions);
+            let (ranged, detail) = match ranged {
+                Ok((patch, outcome, detail)) => (Some((patch, outcome)), detail),
+                Err(detail) => (None, detail),
+            };
+            self.events
+                .push(id, exec_span, EventKind::DeltaSourceDiffed, detail);
+            ranged
+        });
+        let (patch, head_outcome) = match ranged {
+            Some(ranged) => ranged,
+            None => {
+                let (head, head_outcome) = match execute_in_place(
+                    &self.schema,
+                    &request.source_frag,
+                    &request.target_frag,
+                    &group.plan.program,
+                    &mut request.source,
+                ) {
+                    Ok(ran) => ran,
+                    Err(e) => {
+                        lane.failure = Some(e.to_string());
+                        return false;
+                    }
+                };
+                match diff_snapshots(&snapshot, &head, base_version, head_version) {
+                    Ok(patch) => (patch, head_outcome),
+                    Err(e) => {
+                        lane.metrics.delta_full_fallbacks += 1;
+                        self.events.push(
+                            id,
+                            exec_span,
+                            EventKind::DeltaFellBack,
+                            format!("diff failed: {e}; full re-ship"),
+                        );
+                        return true;
+                    }
+                }
             }
         };
         let steps = patch.step_count();
@@ -593,6 +618,49 @@ impl Inner {
             frame: Some(Arc::new(bytes)),
         });
         false
+    }
+
+    /// A delta round's patch computed from what changed (DESIGN §23):
+    /// the request's source diffed against `previous`, the source the
+    /// base was computed from; each changed row's instance cut to its
+    /// prefix ([`PrefixMap`]); the placed program run in place over
+    /// those instances' rows alone, and the head diffed against the base
+    /// inside their ranges alone. Outside them the head equals the base,
+    /// so the patch is the one the whole head gives, byte for byte. The
+    /// run's operator work is billed to the source, as a whole head's is.
+    /// Returns the patch, the run's outcome and what the round's event
+    /// says; or, when an identifier moved or the ranged head failed, what
+    /// it says instead, and the round computes its head whole.
+    fn ranged_patch(
+        &self,
+        request: &mut ExchangeRequest,
+        plan: &CachedPlan,
+        previous: &Database,
+        base: &Snapshot,
+        (base_version, head_version): (u64, u64),
+    ) -> std::result::Result<(DeltaPatch, ExecOutcome, String), String> {
+        let (from, to) = (&request.source_frag, &request.target_frag);
+        let prefixes = PrefixMap::new(&self.schema, from, to);
+        let Some(change) = prefixes.changed(&request.source, previous) else {
+            return Err("source ids moved: whole head".to_string());
+        };
+        let ran = prefixes.run_ranged(&mut request.source, &change, |ranged| {
+            execute_in_place(&self.schema, from, to, &plan.program, ranged)
+        });
+        let failed = |e: &dyn std::fmt::Display| format!("ranged head failed: {e}; whole head");
+        let ((head, outcome), held) = match ran.and_then(|(ran, held)| Ok((ran?, held))) {
+            Ok(ran) => ran,
+            Err(e) => return Err(failed(&e)),
+        };
+        let patch = diff_ranges(base, &head, &change.prefixes, base_version, head_version)
+            .map_err(|e| failed(&e))?;
+        let detail = format!(
+            "source diff: {} rows changed → {} instances, {held} of {} source rows",
+            change.rows,
+            change.prefixes.len(),
+            request.source.total_rows()
+        );
+        Ok((patch, outcome, detail))
     }
 
     /// Absorb step of the delta patch: decode → staleness check →
@@ -1208,7 +1276,14 @@ impl Inner {
             );
         }
         match finished {
-            Ok(()) => self.settle_committed(s, group, li),
+            Ok(()) => {
+                // A route that asks for deltas keeps the source its new
+                // head was computed from, for its next round to diff
+                // against; the request's last lane hands it over.
+                let source = (last_of_exchange && request.base_version.is_some())
+                    .then(|| Arc::new(std::mem::take(&mut request.source)));
+                self.settle_committed(s, group, li, source)
+            }
             Err(why) => {
                 // The lane resumes as an ordinary two-site session
                 // replaying this group's plan: identical program →
@@ -1226,22 +1301,39 @@ impl Inner {
     }
 
     /// The committed epilogue of [`Inner::settle`]: operator telemetry
-    /// and calibration, the route's next snapshot, the ledger's release
-    /// and the breaker's success.
-    fn settle_committed(&self, mut s: Settling, group: &mut Group, li: usize) {
+    /// and calibration, the route's next snapshot (and plan and `source`,
+    /// [`RoutePlans`](crate::cache::RoutePlans)), the ledger's release and
+    /// the breaker's success.
+    fn settle_committed(
+        &self,
+        mut s: Settling,
+        group: &mut Group,
+        li: usize,
+        source: Option<Arc<Database>>,
+    ) {
         let lane = &mut group.lanes[li];
         let outcome = std::mem::take(&mut lane.outcome);
         let feed_route = std::mem::take(&mut lane.feed_route);
         let step = lane.step.take();
+        let patched = lane.patched;
         let (plan, format) = (&group.plan, group.wire_format.name());
         let trace_id = session_trace_id(&s.shared);
         s.metrics.communication = outcome.times.communication;
         s.metrics.messages = outcome.messages;
         s.metrics.rows_loaded = outcome.rows_loaded;
-        self.record_ops(s.shared.id, s.exec_span, format, plan, &outcome);
+        // A lane that landed a patch calibrates nothing: its operators ran
+        // in place at the source, over the changed instances alone when the
+        // head was ranged, and it shipped a patch, not the feeds the model
+        // priced. Its samples still become spans and histogram entries.
+        let predicted: &[f64] = match patched {
+            true => &[],
+            false => &plan.op_costs,
+        };
+        self.record_ops(s.shared.id, s.exec_span, format, predicted, &outcome);
         // A lane that encoded its own frames calibrates the wire model;
         // lanes of a shared ring did not encode, so they do not.
-        if group.lanes.len() == 1 && (plan.comm_bytes > 0 || s.metrics.bytes_encoded > 0) {
+        let calibrates = group.lanes.len() == 1 && !patched;
+        if calibrates && (plan.comm_bytes > 0 || s.metrics.bytes_encoded > 0) {
             self.calibration.record_comm(
                 format,
                 plan.comm_bytes,
@@ -1268,7 +1360,7 @@ impl Inner {
         // probes afresh.
         let replayable = s.metrics.delta_full_chosen == 0;
         let plan = replayable.then(|| Arc::clone(&group.plan));
-        self.route_plans.commit(&feed_route, version, plan);
+        let previous = self.route_plans.commit(&feed_route, version, plan, source);
         // The log kept the previous version's rows for every table this
         // lane landed unchanged. The target takes the log's rows too —
         // equal rows at equal positions, so its indexes stand — and the
@@ -1326,19 +1418,23 @@ impl Inner {
             Some(s.target),
             None,
         );
+        // The source the previous head was computed from is a whole
+        // document: freed once the session has ended, outside the map's
+        // lock and off the session's latency.
+        drop(previous);
     }
 
     /// Per-operator telemetry of a committed lane: each timed operator
     /// becomes a child span of the exec span, lands in its `(op,
-    /// location)` histogram, and — when the plan carries the model's
-    /// per-node predictions — feeds the predicted-vs-observed
+    /// location)` histogram, and — where `predicted` holds the model's
+    /// prediction for its node — feeds the predicted-vs-observed
     /// calibration cells.
     pub(crate) fn record_ops(
         &self,
         session: SessionId,
         exec_span: SpanId,
         format: &str,
-        plan: &CachedPlan,
+        predicted: &[f64],
         outcome: &ExecOutcome,
     ) {
         for s in &outcome.op_samples {
@@ -1358,7 +1454,7 @@ impl Inner {
                     s.op
                 ))
                 .record_duration_ns(s.wall);
-            if let Some(&predicted) = plan.op_costs.get(s.node) {
+            if let Some(&predicted) = predicted.get(s.node) {
                 self.calibration.record_op(s.op, loc, format, predicted, ns);
             }
         }

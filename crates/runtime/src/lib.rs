@@ -30,7 +30,8 @@
 //!   loudly — never silent row loss.
 //! * **Plan cache** — optimizer answers are shared across sessions via
 //!   a stable shape-keyed [`PlanCache`] with hit/miss counters; a delta
-//!   round replays the plan its route's head was committed with.
+//!   round replays the plan its route's head was committed with, and
+//!   computes only the instances its source changed since that head.
 //! * **Observability** — per-session [`SessionMetrics`], aggregate
 //!   [`RuntimeStats`] (with latency percentiles), and a structured
 //!   [`EventLog`].

@@ -574,184 +574,6 @@ fn heterogeneous_multi_pair_fleet_is_byte_identical_per_pair() {
     );
 }
 
-/// Overload meets chaos: the fleet is driven at roughly 2x its worker
-/// capacity while one route suffers a Gilbert–Elliott burst-loss link
-/// hostile enough to defeat its retry budget. The degraded route must
-/// fail fast and shed its queued backlog through the breaker; the
-/// healthy route must stay clean — every session done, zero retries,
-/// zero sheds — and the overload accounting must balance exactly:
-/// every submission is completed or failed, every breaker shed is
-/// billed to the degraded link, and no counter goes inconsistent.
-#[test]
-fn overloaded_fleet_sheds_the_degraded_route_and_keeps_the_healthy_one_clean() {
-    let schema = schema();
-    let doc = generate(GenConfig::sized(8_000));
-    let mf = mf(&schema);
-    let lf = lf(&schema);
-    let runtime = Runtime::start(
-        schema.clone(),
-        RuntimeConfig::default()
-            .with_workers(2)
-            .with_breaker(2, Duration::from_secs(60))
-            // Cap in-flight sessions at one per worker: the pipelined
-            // scheduler parks sessions mid-wire and frees their workers,
-            // and at the default cap (4/worker) the whole twelve-session
-            // burst fits in the parked pool — the queue drains before the
-            // breaker opens and there is no backlog left to shed. With
-            // the cap at 2 the overload stays a visible queue, which is
-            // the scenario under test.
-            .with_pipeline_sessions_per_worker(1)
-            .with_shipping(ShippingPolicy {
-                chunk_bytes: 2 * 1024,
-                max_attempts_per_chunk: 2,
-                retry_budget: 2,
-                backoff_base: Duration::from_millis(1),
-                ..ShippingPolicy::default()
-            }),
-    );
-    // A burst-loss channel that is almost always in its bad state and
-    // drops everything while there: two attempts per chunk and a
-    // two-retry budget cannot win against it.
-    runtime.set_link_fault_profile(
-        "degraded",
-        "hub",
-        FaultProfile {
-            burst_loss: Some(BurstLoss {
-                enter: 0.9,
-                exit: 0.05,
-                loss: 1.0,
-            }),
-            seed: 0x1CDE_2004,
-            ..FaultProfile::healthy()
-        },
-    );
-
-    // 2x overload on two workers: twelve sessions submitted back to
-    // back (sources pre-parsed so the whole burst lands before the
-    // first failure can open the breaker and refuse admissions).
-    let mut sources: Vec<_> = (0..12)
-        .map(|_| load_source(&doc, &schema, &mf).unwrap())
-        .collect();
-    let mut healthy = Vec::new();
-    let mut degraded = Vec::new();
-    for i in 0..4 {
-        healthy.push(
-            runtime
-                .submit(
-                    ExchangeRequest::new(
-                        format!("healthy-{i}"),
-                        sources.remove(0),
-                        mf.clone(),
-                        lf.clone(),
-                    )
-                    .with_route("healthy", "hub"),
-                )
-                .unwrap(),
-        );
-    }
-    for (i, source) in sources.into_iter().enumerate() {
-        degraded.push(
-            runtime
-                .submit(
-                    ExchangeRequest::new(format!("degraded-{i}"), source, mf.clone(), lf.clone())
-                        .with_route("degraded", "hub"),
-                )
-                .unwrap(),
-        );
-    }
-
-    // The healthy route rides through the overload untouched.
-    for handle in healthy {
-        let session = handle.name().to_string();
-        let result = handle.wait();
-        assert_eq!(
-            result.state,
-            SessionState::Done,
-            "{session}: {:?}",
-            result.diagnostic
-        );
-    }
-    // The degraded route fails — on the link or shed from the queue.
-    let mut degraded_failures = 0u64;
-    for handle in degraded {
-        let session = handle.name().to_string();
-        let result = handle.wait();
-        assert_eq!(
-            result.state,
-            SessionState::Failed,
-            "{session} survived a dead link"
-        );
-        degraded_failures += 1;
-    }
-
-    let events = runtime.events();
-    assert!(events.iter().any(|e| e.kind == EventKind::CircuitOpened));
-    assert!(events.iter().any(|e| e.kind == EventKind::Shed));
-
-    let stats = runtime.shutdown();
-    // Accounting identities under overload: nothing lost, nothing
-    // double-counted, nothing negative (every counter is unsigned, so
-    // consistency is the real assertion).
-    assert_eq!(stats.completed, 4, "healthy sessions all completed");
-    assert_eq!(stats.failed, degraded_failures);
-    assert_eq!(
-        stats.completed + stats.failed,
-        12,
-        "every submission accounted"
-    );
-    assert!(
-        stats.sessions_shed_breaker >= 1,
-        "an open breaker with a queued backlog must shed"
-    );
-    assert!(
-        stats.sessions_shed_breaker + stats.sessions_shed_expired <= stats.failed,
-        "every shed session is also a failed session"
-    );
-    let healthy_link = stats
-        .links
-        .iter()
-        .find(|l| l.source == "healthy")
-        .expect("healthy link tracked");
-    assert_eq!(healthy_link.sessions_completed, 4);
-    assert_eq!(healthy_link.sessions_failed, 0);
-    assert_eq!(healthy_link.sessions_shed, 0);
-    assert_eq!(healthy_link.chunks_retried, 0, "healthy link saw faults");
-    let degraded_link = stats
-        .links
-        .iter()
-        .find(|l| l.source == "degraded")
-        .expect("degraded link tracked");
-    assert!(
-        degraded_link.breaker_open,
-        "the dead route's breaker opened"
-    );
-    assert_eq!(
-        degraded_link.sessions_failed + degraded_link.sessions_shed,
-        degraded_failures,
-        "every degraded failure is billed to its link, once"
-    );
-    assert_eq!(
-        stats.links.iter().map(|l| l.sessions_shed).sum::<u64>(),
-        stats.sessions_shed_breaker,
-        "breaker sheds and per-link shed billing agree"
-    );
-    // Per-tenant accounting agrees with the global counters.
-    let degraded_tenant = stats
-        .tenants
-        .iter()
-        .find(|t| t.tenant == "degraded→hub")
-        .expect("degraded tenant tracked");
-    assert_eq!(degraded_tenant.admitted, 8);
-    let healthy_tenant = stats
-        .tenants
-        .iter()
-        .find(|t| t.tenant == "healthy→hub")
-        .expect("healthy tenant tracked");
-    assert_eq!(healthy_tenant.admitted, 4);
-    assert_eq!(healthy_tenant.completed, 4);
-    assert_eq!(healthy_tenant.shed, 0);
-}
-
 /// Format negotiation under chaos: one source ships to a columnar-capable
 /// target and to a legacy XML-only target over equally hostile links. The
 /// agreeing pair negotiates columnar frames; the disagreeing pair falls

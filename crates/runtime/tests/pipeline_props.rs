@@ -10,24 +10,32 @@
 //! messages. On top of the codec-level properties, the whole runtime is
 //! compared against a one-piece loopback execution, wire-byte for
 //! wire-byte — and so is the head a delta round computes in place,
-//! table for table and row for row.
+//! table for table and row for row, and the patch a round computes over
+//! the changed instances alone, byte for byte with the whole head's.
 
 mod common;
 
 use common::oracle::wire_state;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::ops::Range;
 use xdx_codec::{
-    decode_any, decode_parts, encode_in_format_into, encode_parts_into, FeedPart, WireFormat,
+    decode_any, decode_parts, encode_in_format_into, encode_parts_into, encode_patch, FeedPart,
+    WireFormat,
 };
 use xdx_core::exec::{
     batch_ranges, execute_in_place, execute_with_transport, feed_batches, LoopbackTransport,
+    PrefixMap,
 };
-use xdx_core::{DataExchange, Optimizer, SystemProfile};
-use xdx_delta::db_tables;
+use xdx_core::{DataExchange, Fragmentation, Optimizer, Program, SystemProfile};
+use xdx_delta::{db_tables, diff_ranges, diff_snapshots};
 use xdx_relational::{ColRole, Database, Dewey, Feed, FeedColumn, FeedSchema, Value};
 use xdx_runtime::{ExchangeRequest, Runtime, RuntimeConfig, SlotPacker};
+use xdx_sim::{random_document, random_fragmentation, random_schema};
 use xdx_xmark::{generate, lf, load_source, mf, schema, GenConfig};
+use xdx_xml::schema::Occurs;
+use xdx_xml::{NodeId, SchemaTree};
 
 /// Cell vocabulary biased toward the dictionary codec's sweet spot,
 /// plus the awkward cases.
@@ -397,5 +405,240 @@ proptest! {
             oracle.merge(&oracle_target.counters);
             prop_assert_eq!(billed, oracle, "format {:?}", format);
         }
+    }
+}
+
+/// The schema families a ranged round is drawn over.
+#[derive(Debug, Clone, Copy)]
+enum Family {
+    Xmark,
+    Balanced,
+    Random,
+}
+
+/// How a round's document differs from the last one.
+#[derive(Debug, Clone, Copy)]
+enum Churn {
+    /// About 20 % of the text runs rewritten: no identifier moves.
+    Text,
+    /// One instance of a repeated element copied in after itself.
+    Insert,
+    /// One instance of a repeated `*` element dropped.
+    Drop,
+}
+
+/// A schema of `family`, a document of it and a fragmentation pair
+/// between which to exchange it (XMark's MF and LF, random ones else),
+/// the other way round when `swap`.
+fn ranged_case(
+    family: Family,
+    seed: u64,
+    swap: bool,
+) -> (SchemaTree, String, Fragmentation, Fragmentation) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let schema = match family {
+        Family::Xmark => schema(),
+        Family::Balanced => SchemaTree::balanced(rng.gen_range(1..4), rng.gen_range(2..4), true),
+        Family::Random => random_schema(seed, rng.gen_range(4..16)),
+    };
+    let (doc, a, b) = match family {
+        Family::Xmark => {
+            let doc = generate(GenConfig {
+                target_bytes: rng.gen_range(2_000..12_000),
+                seed,
+            });
+            (doc, mf(&schema), lf(&schema))
+        }
+        Family::Balanced | Family::Random => {
+            let most = schema.len().min(7);
+            let a = random_fragmentation(&schema, rng.gen_range(1..=most), "a", &mut rng);
+            let b = random_fragmentation(&schema, rng.gen_range(1..=most), "b", &mut rng);
+            (random_document(&schema, seed), a, b)
+        }
+    };
+    let (from, to) = if swap { (b, a) } else { (a, b) };
+    (schema, doc, from, to)
+}
+
+/// Rewrites about `pct` % of `doc`'s text runs, deterministic in `seed`
+/// (the generic churn of `oracle_props`).
+fn text_churn(doc: &str, pct: u32, seed: u64) -> String {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut out = String::with_capacity(doc.len() + 64);
+    let mut rest = doc;
+    while let Some(tag_end) = rest.find('>') {
+        out.push_str(&rest[..=tag_end]);
+        rest = &rest[tag_end + 1..];
+        let text = rest.find('<').unwrap_or(rest.len());
+        if text > 0 && rng.gen_range(0..100u32) < pct {
+            out.push_str(&format!("c{}", rng.gen_range(0..1_000_000u32)));
+        } else {
+            out.push_str(&rest[..text]);
+        }
+        rest = &rest[text..];
+    }
+    out + rest
+}
+
+/// `doc` with one instance of a repeated element copied in after itself
+/// (`drop` false) or, of a `*` element, dropped; `None` when the document
+/// holds no such instance. Names are unique in a schema tree, so an
+/// element's first closing tag after its opening one is its own.
+fn structural_churn(schema: &SchemaTree, doc: &str, drop: bool, seed: u64) -> Option<String> {
+    let mut instances = Vec::new();
+    for id in schema.ids().skip(1) {
+        let node = schema.node(id);
+        let eligible = match drop {
+            true => node.occurs.is_optional() && node.occurs.is_repeated(),
+            false => node.occurs.is_repeated(),
+        };
+        if !eligible {
+            continue;
+        }
+        let (open, empty, close) = (
+            format!("<{}>", node.name),
+            format!("<{}/>", node.name),
+            format!("</{}>", node.name),
+        );
+        for (at, _) in doc.match_indices(&empty) {
+            instances.push(at..at + empty.len());
+        }
+        for (at, _) in doc.match_indices(&open) {
+            let end = at + doc[at..].find(&close)? + close.len();
+            instances.push(at..end);
+        }
+    }
+    if instances.is_empty() {
+        return None;
+    }
+    let at = instances[StdRng::seed_from_u64(seed).gen_range(0..instances.len())].clone();
+    let mut out = doc[..at.end].to_string();
+    if drop {
+        out.truncate(at.start);
+    } else {
+        out.push_str(&doc[at.clone()]);
+    }
+    Some(out + &doc[at.end..])
+}
+
+/// The patch frame of the round from `previous` to `source` computed as
+/// a delta round computes it over the changed instances alone: the
+/// source diff, the prefix map, the program in place over the ranged
+/// source and the ranged diff against `base`. `None` when an identifier
+/// moved, which a round meets by computing its head whole.
+fn ranged_frame(
+    schema: &SchemaTree,
+    (from, to, program): (&Fragmentation, &Fragmentation, &Program),
+    previous: &Database,
+    source: &Database,
+    base: &[(String, Feed)],
+    format: WireFormat,
+) -> Option<Vec<u8>> {
+    let prefixes = PrefixMap::new(schema, from, to);
+    let change = prefixes.changed(source, previous)?;
+    assert!(change.prefixes.len() <= change.rows);
+    let mut ranged = source.clone();
+    let run = |ranged: &mut Database| execute_in_place(schema, from, to, program, ranged);
+    let (head, held) = prefixes.run_ranged(&mut ranged, &change, run).unwrap();
+    assert!(held <= source.total_rows());
+    assert!(
+        ranged.total_rows() == source.total_rows(),
+        "the rows are back"
+    );
+    let patch = diff_ranges(base, &head.unwrap().0, &change.prefixes, 1, 2).unwrap();
+    Some(encode_patch(&patch, format))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// A delta round that computes only what changed ships the patch the
+    /// whole head gives, byte for byte: over XMark, balanced and random
+    /// schemas, either way between their fragmentations, greedy or
+    /// `Optimal` placement, either wire format. A text churn moves no
+    /// identifier, so its round is always ranged; an instance inserted or
+    /// dropped moves some, and its round takes the whole head.
+    #[test]
+    fn a_ranged_round_patches_like_the_whole_head(
+        family in prop::sample::select(vec![Family::Xmark, Family::Balanced, Family::Random]),
+        seed in any::<u64>(),
+        swap in any::<bool>(),
+        optimal in any::<bool>(),
+        columnar in any::<bool>(),
+        churn in prop::sample::select(vec![Churn::Text, Churn::Insert, Churn::Drop]),
+    ) {
+        let (schema, doc, from, to) = ranged_case(family, seed, swap);
+        let structural = match churn {
+            Churn::Text => None,
+            Churn::Insert => structural_churn(&schema, &doc, false, seed ^ 2),
+            Churn::Drop => structural_churn(&schema, &doc, true, seed ^ 3),
+        };
+        // A document with no instance to insert or drop is churned as text.
+        let moved = structural.is_some();
+        let next = structural.unwrap_or_else(|| text_churn(&doc, 20, seed ^ 1));
+        let format = if columnar { WireFormat::Columnar } else { WireFormat::Xml };
+        let optimizer = if optimal {
+            Optimizer::Optimal { ordering_cap: 64 }
+        } else {
+            Optimizer::Greedy
+        };
+        let mut previous = load_source(&doc, &schema, &from).unwrap();
+        let exchange = DataExchange::new(&schema, from.clone(), to.clone())
+            .with_optimizer(optimizer)
+            .with_wire_format(format);
+        let (program, _) = exchange.plan(&exchange.probe(&previous).unwrap()).unwrap();
+        let (base, _) = execute_in_place(&schema, &from, &to, &program, &mut previous).unwrap();
+
+        let mut source = load_source(&next, &schema, &from).unwrap();
+        let (head, _) = execute_in_place(&schema, &from, &to, &program, &mut source).unwrap();
+        let whole = encode_patch(&diff_snapshots(&base, &head, 1, 2).unwrap(), format);
+        let plan = (&from, &to, &program);
+        match ranged_frame(&schema, plan, &previous, &source, &base, format) {
+            Some(ranged) => {
+                prop_assert!(!moved, "{:?} moved no identifier", churn);
+                prop_assert!(ranged == whole, "{:?}: ranged patch differs", churn);
+            }
+            None => prop_assert!(moved, "a text churn moved an identifier"),
+        }
+    }
+}
+
+/// A target fragment rooted inside a source fragment: the source's
+/// `A_B` rows inline every `b`, and the target's `B_C` takes each `b`
+/// with its `c`. A changed `c` cuts its instance at its `b`, whose row
+/// sits in a source table rooted above it: the ranged source keeps the
+/// rows of the `a` instance above the prefix, or the `b` the Combine
+/// joins `c` to would be missing and the round would delete the instance
+/// it changed.
+#[test]
+fn a_ranged_round_reads_the_rows_of_the_instance_above() {
+    let mut schema = SchemaTree::new("a");
+    let b = schema.add_child(schema.root(), "b", Occurs::Many).unwrap();
+    let c = schema.add_child(b, "c", Occurs::One).unwrap();
+    schema.set_text(c);
+    let roots = |r: [NodeId; 2]| r.into_iter().collect();
+    let from = Fragmentation::from_roots("S", &schema, &roots([schema.root(), c])).unwrap();
+    let to = Fragmentation::from_roots("T", &schema, &roots([schema.root(), b])).unwrap();
+    let doc = "<a><b><c>v1</c></b><b><c>v2</c></b><b><c>v3</c></b></a>";
+    let next = doc.replace("v2", "changed");
+    let mut previous = load_source(doc, &schema, &from).unwrap();
+    let exchange = DataExchange::new(&schema, from.clone(), to.clone());
+    let (program, _) = exchange.plan(&exchange.probe(&previous).unwrap()).unwrap();
+    let (base, _) = execute_in_place(&schema, &from, &to, &program, &mut previous).unwrap();
+    let mut source = load_source(&next, &schema, &from).unwrap();
+    let (head, _) = execute_in_place(&schema, &from, &to, &program, &mut source).unwrap();
+
+    let prefixes = PrefixMap::new(&schema, &from, &to);
+    let change = prefixes.changed(&source, &previous).unwrap();
+    assert_eq!(change.prefixes, vec![Dewey::from([2])], "the second b");
+    let (_, held) = prefixes
+        .run_ranged(&mut source.clone(), &change, |_| ())
+        .unwrap();
+    assert_eq!(held, 4, "the one changed c and the three a rows above it");
+    for format in formats() {
+        let whole = encode_patch(&diff_snapshots(&base, &head, 1, 2).unwrap(), format);
+        let plan = (&from, &to, &program);
+        let ranged = ranged_frame(&schema, plan, &previous, &source, &base, format);
+        assert!(ranged == Some(whole), "{format:?}");
     }
 }

@@ -1,7 +1,7 @@
 //! Integration tests of the telemetry surface: Prometheus exposition,
 //! span parenting and correlation, the bounded event ring, calibration
-//! cells, the plan-cache counters of a slow link, and the plans delta
-//! rounds replay.
+//! cells, the plan-cache counters of a slow link, the plans delta rounds
+//! replay and the changed instances they compute.
 
 mod common;
 
@@ -465,11 +465,12 @@ struct Rounds {
     runtime: Runtime,
 }
 
-/// What [`Rounds::ship`] saw of one session: its result and the detail
-/// of its `PlanCacheHit` event, if it had one.
+/// What [`Rounds::ship`] saw of one session: its result and the details
+/// of its `PlanCacheHit` and `DeltaSourceDiffed` events, if it had them.
 struct Round {
     result: SessionResult,
     hit: Option<String>,
+    source_diff: Option<String>,
 }
 
 impl Rounds {
@@ -497,11 +498,22 @@ impl Rounds {
     /// `None`): a full ship, or with `delta` a round based on the
     /// route's head. Asserts it completes.
     fn ship(&self, site: &str, doc: &str, delta: bool, format: Option<WireFormat>) -> Round {
+        self.ship_on(site, doc, delta.then(|| self.head(site)), format)
+    }
+
+    /// [`Rounds::ship`] declaring `base`, whatever the route's head.
+    fn ship_on(
+        &self,
+        site: &str,
+        doc: &str,
+        base: Option<u64>,
+        format: Option<WireFormat>,
+    ) -> Round {
         let source = load_source(doc, &self.schema, &self.mf).unwrap();
         let mut request = ExchangeRequest::new(site, source, self.mf.clone(), self.lf.clone())
             .with_route(site, "hub");
-        if delta {
-            request = request.with_base_version(self.head(site));
+        if let Some(base) = base {
+            request = request.with_base_version(base);
         }
         if let Some(format) = format {
             request = request.with_wire_format(format);
@@ -511,11 +523,22 @@ impl Rounds {
         let result = handle.wait();
         assert_eq!(result.state, SessionState::Done, "{:?}", result.diagnostic);
         let events = self.runtime.events();
-        let hit = events
-            .into_iter()
-            .find(|e| e.session == id && e.kind == EventKind::PlanCacheHit)
-            .map(|e| e.detail);
-        Round { result, hit }
+        let detail = |kind| {
+            let event = events.iter().find(|e| e.session == id && e.kind == kind);
+            event.map(|e| e.detail.clone())
+        };
+        Round {
+            hit: detail(EventKind::PlanCacheHit),
+            source_diff: detail(EventKind::DeltaSourceDiffed),
+            result,
+        }
+    }
+
+    /// Calibration observations so far: operator and wire samples.
+    fn observations(&self) -> u64 {
+        let report = self.runtime.calibration_report();
+        let ops: u64 = report.ops.iter().map(|op| op.samples).sum();
+        ops + report.comm.iter().map(|c| c.samples).sum::<u64>()
     }
 
     /// True when the round replayed the route's plan of base `base`: no
@@ -702,4 +725,135 @@ fn a_round_in_another_wire_format_does_not_replay() {
             "round {round}"
         );
     }
+}
+
+/// `(changed rows, instances, rows read, source rows)` out of a ranged
+/// round's "source diff: …" event.
+fn ranged(detail: &str) -> (u64, u64, u64, u64) {
+    let numbers: Vec<u64> = detail
+        .split(|c: char| !c.is_ascii_digit())
+        .filter_map(|n| n.parse().ok())
+        .collect();
+    assert!(detail.starts_with("source diff: "), "{detail}");
+    assert_eq!(numbers.len(), 4, "{detail}");
+    (numbers[0], numbers[1], numbers[2], numbers[3])
+}
+
+/// A churned round of a route that kept its last source computes only
+/// what changed: the first delta round after a full ship has no source
+/// to diff against and computes its head whole; it keeps its own, so
+/// each later 5 % churn round diffs against it and runs the program
+/// over the changed `item` instances' rows alone — a few instances, a
+/// small share of the source's rows. Every round lands what a full ship
+/// lands, and none of them adds a calibration observation: a patched
+/// lane's operators ran in place over part of the document.
+#[test]
+fn a_churned_round_computes_only_the_changed_instances() {
+    let rounds = Rounds::start();
+    let mut doc = generate(GenConfig::sized(40_000));
+    rounds.ship("site", &doc, false, None);
+    let calibrated = rounds.observations();
+    assert!(calibrated > 0, "the full ship calibrates");
+    for round in 0..4u64 {
+        doc = churn(&doc, 5, 40 + round);
+        let shipped = rounds.ship("site", &doc, true, None);
+        let m = &shipped.result.metrics;
+        assert_eq!(m.delta_patches_applied, 1, "round {round}");
+        let target = shipped.result.target.unwrap();
+        assert!(
+            wire_state(&target) == rounds.reference(&doc),
+            "round {round}"
+        );
+        let Some(detail) = shipped.source_diff else {
+            assert_eq!(round, 0, "only the first round has no source to diff");
+            continue;
+        };
+        let (rows, instances, read, total) = ranged(&detail);
+        assert!(rows > 0 && instances > 0 && instances <= rows, "{detail}");
+        assert!(read * 5 < total, "round {round} read {detail}");
+    }
+    assert_eq!(
+        rounds.observations(),
+        calibrated,
+        "delta rounds calibrate nothing"
+    );
+    rounds.runtime.shutdown();
+}
+
+/// A round whose document gained an `<item>` has rows no earlier source
+/// had, so its source ids moved: it computes its head whole, says so, and
+/// still ships the patch and lands what a full ship lands. The round
+/// after it, churned again, is ranged.
+#[test]
+fn a_round_with_an_inserted_item_computes_its_head_whole() {
+    let rounds = Rounds::start();
+    let mut doc = generate(GenConfig::sized(40_000));
+    rounds.ship("site", &doc, false, None);
+    doc = churn(&doc, 5, 1);
+    rounds.ship("site", &doc, true, None);
+    let calibrated = rounds.observations();
+
+    // After the last item, so the patch inserts one subtree and stays
+    // cheaper than a full ship.
+    let at = doc.rfind("<item>").expect("an item");
+    let end = at + doc[at..].find("</item>").expect("a closed item") + "</item>".len();
+    let item = doc[at..end].to_string();
+    doc.insert_str(end, &item);
+    let moved = rounds.ship("site", &doc, true, None);
+    assert_eq!(
+        moved.source_diff.as_deref(),
+        Some("source ids moved: whole head")
+    );
+    assert_eq!(moved.result.metrics.delta_patches_applied, 1);
+    let target = moved.result.target.unwrap();
+    assert!(wire_state(&target) == rounds.reference(&doc));
+
+    doc = churn(&doc, 5, 2);
+    let next = rounds.ship("site", &doc, true, None);
+    ranged(
+        next.source_diff
+            .as_deref()
+            .expect("diffed against its source"),
+    );
+    let target = next.result.target.unwrap();
+    assert!(wire_state(&target) == rounds.reference(&doc));
+    assert_eq!(
+        rounds.observations(),
+        calibrated,
+        "delta rounds calibrate nothing"
+    );
+    rounds.runtime.shutdown();
+}
+
+/// Only a round based on the head whose source the route kept diffs its
+/// source: a round declaring an older, still retained base (stale: its
+/// patch is then refused and it ships whole) and one whose base aged out
+/// of the window (composed from step patches) compute their head whole
+/// and diff nothing, and still land what a full ship lands.
+#[test]
+fn a_round_not_based_on_the_remembered_head_diffs_no_source() {
+    let rounds = Rounds::start();
+    let mut doc = generate(GenConfig::sized(20_000));
+    rounds.ship("site", &doc, false, None);
+    for round in 0..6u64 {
+        doc = churn(&doc, 5, 60 + round);
+        let shipped = rounds.ship("site", &doc, true, None);
+        assert_eq!(shipped.source_diff.is_some(), round > 0, "round {round}");
+    }
+    let head = rounds.head("site");
+    assert_eq!(head, 7);
+    for (base, what) in [(head - 1, "stale"), (1, "composed")] {
+        doc = churn(&doc, 5, 70 + base);
+        let shipped = rounds.ship_on("site", &doc, Some(base), None);
+        assert_eq!(shipped.source_diff, None, "{what}");
+        let m = &shipped.result.metrics;
+        assert_eq!(m.delta_chain_composed, u64::from(base == 1), "{what}");
+        let target = shipped.result.target.unwrap();
+        assert!(wire_state(&target) == rounds.reference(&doc), "{what}");
+    }
+    // The route kept the source of its new head: the next round diffs.
+    doc = churn(&doc, 5, 80);
+    let next = rounds.ship("site", &doc, true, None);
+    ranged(next.source_diff.as_deref().expect("based on the kept head"));
+    rounds.runtime.shutdown();
 }
