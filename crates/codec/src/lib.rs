@@ -44,17 +44,28 @@
 //!
 //! A frame costs what its bytes cost. The encoder walks the rows once,
 //! row-major, appending each cell's tag and payload to its column's
-//! buffer and numbering strings and tokens as it first sees them,
-//! through an in-crate FxHash map; the decoder hashes nothing, borrows
-//! tokens from the verified frame, and builds the string table into one
-//! arena per frame, so a string cell is copied in place up to 22 bytes
-//! and into one exact-size block past that (DESIGN §12, §22).
+//! buffer and numbering strings and tokens as it first sees them. A
+//! string cell is hashed once, eight bytes at a time, for its one probe;
+//! a new string is cut at its spaces eight bytes at a time and each of
+//! its tokens hashed once. Every key carries its hash into its map, and
+//! both maps are sized once from the frame's string cells, so no probe
+//! and no growth hashes a byte again. The string ports are most of an
+//! encode: on `bulk_combine`'s 63 cross frames of a seed-1 op,
+//! `idescription` (sentences over a small vocabulary), `iname` and
+//! `mailbox` took 10.5 of 13.2 ms while every key was hashed again on each
+//! probe and each growth, and take 5.4 of 7.9 now; a byte-at-a-time scan
+//! or maps grown from empty each put about 1 ms back (DESIGN §12).
+//!
+//! The decoder hashes nothing, borrows tokens from the verified frame,
+//! and builds the string table into one arena per frame, so a string
+//! cell is copied in place up to 22 bytes and into one exact-size block
+//! past that (DESIGN §12, §22).
 
 #![forbid(unsafe_code)]
 
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use xdx_relational::feed::{append_wire, ReadRows, Row};
 use xdx_relational::{
     word_sum, ColRole, DeltaPatch, Dewey, Error, Feed, FeedColumn, FeedSchema, PatchStep, Result,
@@ -196,48 +207,125 @@ pub fn encode_feed(feed: &Feed) -> Vec<u8> {
     buf
 }
 
-/// FxHash (rustc's hasher, with its 2.x multiplier and final rotation):
-/// one add-multiply per 8-byte word. The dictionaries are probed once per
-/// string cell and once per token of each new string, and SipHash cost
-/// as much per frame byte as the rest of the encoder. FxHash collisions
-/// are easy to construct, so this assumes the document text is trusted:
-/// only the sender hashes, only the rows it ships of its own document,
-/// and text crafted to collide slows that sender's own encode, nothing
-/// else. The decoder hashes nothing, so a crafted frame cannot flood a
-/// table.
-#[derive(Default)]
-struct FxHasher(u64);
+/// A dictionary key: a cell string's or a token's bytes and their hash,
+/// computed once when the bytes are first read. The maps compare the hash
+/// before the bytes, and [`KeyHasher`] hands the stored hash to the
+/// table, so neither a probe nor a table's growth reads the bytes again.
+///
+/// The hash is FxHash's (rustc's hasher, with its 2.x multiplier and
+/// final rotation): one add-multiply per 8-byte word, seeded with the
+/// length. Equal bytes give an equal key wherever they were cut from.
+/// FxHash collisions are easy to construct, so this assumes the document
+/// text is trusted: only the sender hashes, only the rows it ships of its
+/// own document, and text crafted to collide slows that sender's own
+/// encode, nothing else. The decoder hashes nothing, so a crafted frame
+/// cannot flood a table.
+#[derive(Clone, Copy)]
+struct Key<'a> {
+    hash: u64,
+    bytes: &'a [u8],
+}
 
-impl FxHasher {
-    fn add(&mut self, word: u64) {
-        self.0 = self
-            .0
-            .wrapping_add(word)
-            .wrapping_mul(0xf135_7aea_2e62_a9c5);
+impl<'a> Key<'a> {
+    /// The key of `bytes`. Bytes shorter than a word are read in two
+    /// overlapping halves (or three single bytes below four), longer ones
+    /// word by word with an overlapping last word: no byte is copied to pad
+    /// a word.
+    fn new(bytes: &'a [u8]) -> Key<'a> {
+        let fx = |h: u64, word: u64| h.wrapping_add(word).wrapping_mul(0xf135_7aea_2e62_a9c5);
+        let n = bytes.len();
+        let half = |i: usize| {
+            u64::from(u32::from_le_bytes(
+                bytes[i..i + 4].try_into().expect("4 bytes"),
+            ))
+        };
+        let mut h = n as u64;
+        let last = match n {
+            0 => 0,
+            1..=3 => {
+                u64::from(bytes[0]) | u64::from(bytes[n / 2]) << 8 | u64::from(bytes[n - 1]) << 16
+            }
+            4..=8 => half(0) | half(n - 4) << 32,
+            _ => {
+                for w in bytes[..n - 1].chunks_exact(8) {
+                    h = fx(h, u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+                }
+                u64::from_le_bytes(bytes[n - 8..].try_into().expect("8 bytes"))
+            }
+        };
+        Key {
+            hash: fx(h, last).rotate_left(26),
+            bytes,
+        }
     }
 }
 
-impl Hasher for FxHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        let mut words = bytes.chunks_exact(8);
-        for w in &mut words {
-            self.add(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
-        }
-        let mut last = [0u8; 8];
-        last[..words.remainder().len()].copy_from_slice(words.remainder());
-        self.add(u64::from_le_bytes(last));
+impl PartialEq for Key<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.hash == other.hash && self.bytes == other.bytes
+    }
+}
+
+impl Eq for Key<'_> {}
+
+impl Hash for Key<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+/// The hasher of the dictionaries' maps: a [`Key`] writes the hash it
+/// carries, and this passes it through.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a dictionary key writes its hash, never bytes")
     }
 
-    fn write_u8(&mut self, b: u8) {
-        self.add(u64::from(b));
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
     }
 
     fn finish(&self) -> u64 {
-        self.0.rotate_left(26)
+        self.0
     }
 }
 
-type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+type KeyMap<'a> = HashMap<Key<'a>, u32, BuildHasherDefault<KeyHasher>>;
+
+/// Cuts `s` at its spaces into `tokens` (cleared first), each keyed.
+/// Spaces are found eight bytes at a time: a word XORed with eight spaces
+/// has a zero byte where `s` has a space, and the high bit of exactly
+/// those bytes survives the mask (no borrow crosses a byte).
+fn tokenize<'a>(s: &'a [u8], tokens: &mut Vec<Key<'a>>) {
+    const SPACES: u64 = u64::from_le_bytes([b' '; 8]);
+    const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
+    tokens.clear();
+    let mut start = 0;
+    let mut cut = |i: usize| {
+        tokens.push(Key::new(&s[start..i]));
+        start = i + 1;
+    };
+    let mut words = s.chunks_exact(8);
+    let mut base = 0;
+    for w in &mut words {
+        let x = u64::from_le_bytes(w.try_into().expect("8-byte chunk")) ^ SPACES;
+        let mut spaces = !(((x & LOW7).wrapping_add(LOW7)) | x | LOW7);
+        while spaces != 0 {
+            cut(base + spaces.trailing_zeros() as usize / 8);
+            spaces &= spaces - 1;
+        }
+        base += 8;
+    }
+    for (i, &b) in words.remainder().iter().enumerate() {
+        if b == b' ' {
+            cut(base + i);
+        }
+    }
+    tokens.push(Key::new(&s[start..]));
+}
 
 /// The two-level string dictionaries of one frame, filled in
 /// first-occurrence row-major order: distinct cell strings index a string
@@ -248,60 +336,60 @@ type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 /// Strings are keyed by their bytes: a token is a run of a cell's bytes
 /// between spaces, and a space is ASCII, so every token is whole UTF-8 and
 /// nothing here re-reads a cell as `str`.
-#[derive(Default)]
 struct Dictionary<'a> {
-    token_ids: FxMap<&'a [u8], u32>,
-    tokens: Vec<&'a [u8]>,
-    string_ids: FxMap<&'a [u8], u32>,
+    token_ids: KeyMap<'a>,
+    /// The token dictionary's entries, encoded as they are discovered.
+    tokens: Vec<u8>,
+    string_ids: KeyMap<'a>,
     /// The string table's entries, encoded as they are discovered.
     table: Vec<u8>,
+    /// The keyed tokens of the new string at hand.
+    cell_tokens: Vec<Key<'a>>,
 }
 
 impl<'a> Dictionary<'a> {
-    /// The string-table index of `s`, adding it on first sight: one probe
-    /// per cell, and one byte scan plus one probe per token of a new
-    /// string. The entry's token ids are written as they are found and
-    /// its token count rotated in front of them.
-    fn string_id(&mut self, s: &'a [u8]) -> u32 {
-        let next = self.string_ids.len() as u32;
-        let id = *self.string_ids.entry(s).or_insert(next);
-        if id == next {
-            let at = self.table.len();
-            let mut count = 1;
-            let mut start = 0;
-            for (i, &b) in s.iter().enumerate() {
-                if b == b' ' {
-                    let t = self.token_id(&s[start..i]);
-                    put_varint(&mut self.table, u64::from(t));
-                    count += 1;
-                    start = i + 1;
-                }
-            }
-            let t = self.token_id(&s[start..]);
-            put_varint(&mut self.table, u64::from(t));
-            let ids = self.table.len();
-            put_varint(&mut self.table, count);
-            let count_len = self.table.len() - ids;
-            self.table[at..].rotate_right(count_len);
+    /// Dictionaries for a frame of `cells` value cells, the ones a
+    /// fragment feed keeps its strings in: the string map cannot outgrow
+    /// them, the token map starts at the same size (a one-token string
+    /// apiece in the `iname` and `mailbox` shape, far fewer in
+    /// `idescription`'s) and grows past it only if it must, and an entry
+    /// of either buffer takes at least two bytes.
+    fn for_cells(cells: usize) -> Dictionary<'a> {
+        Dictionary {
+            token_ids: KeyMap::with_capacity_and_hasher(cells, Default::default()),
+            tokens: Vec::with_capacity(2 * cells),
+            string_ids: KeyMap::with_capacity_and_hasher(cells, Default::default()),
+            table: Vec::with_capacity(2 * cells),
+            cell_tokens: Vec::new(),
         }
-        id
     }
 
-    fn token_id(&mut self, tok: &'a [u8]) -> u32 {
-        let next = self.tokens.len() as u32;
-        let id = *self.token_ids.entry(tok).or_insert(next);
+    /// The string-table index of `s`, adding it on first sight: one hash
+    /// and one probe per cell, and for a new string one space scan and
+    /// one hash and probe per token. Its entry (token count, then token
+    /// ids) is written as its tokens are numbered.
+    fn string_id(&mut self, s: &'a [u8]) -> u32 {
+        let next = self.string_ids.len() as u32;
+        let id = *self.string_ids.entry(Key::new(s)).or_insert(next);
         if id == next {
-            self.tokens.push(tok);
+            tokenize(s, &mut self.cell_tokens);
+            put_varint(&mut self.table, self.cell_tokens.len() as u64);
+            for &tok in &self.cell_tokens {
+                let next = self.token_ids.len() as u32;
+                let t = *self.token_ids.entry(tok).or_insert(next);
+                if t == next {
+                    put_bytes(&mut self.tokens, tok.bytes);
+                }
+                put_varint(&mut self.table, u64::from(t));
+            }
         }
         id
     }
 
     /// Appends the token dictionary and the string table.
     fn append_to(&self, buf: &mut Vec<u8>) {
-        put_varint(buf, self.tokens.len() as u64);
-        for t in &self.tokens {
-            put_bytes(buf, t);
-        }
+        put_varint(buf, self.token_ids.len() as u64);
+        buf.extend_from_slice(&self.tokens);
         put_varint(buf, self.string_ids.len() as u64);
         buf.extend_from_slice(&self.table);
     }
@@ -392,7 +480,12 @@ fn append_columnar_frame(buf: &mut Vec<u8>, schema: &FeedSchema, rows: RowSlice<
             }
         })
         .collect();
-    let mut dict = Dictionary::default();
+    let strings = schema
+        .columns
+        .iter()
+        .filter(|c| c.role == ColRole::Value)
+        .count();
+    let mut dict = Dictionary::for_cells(rows.len() * strings);
     rows.read(ColumnarRows {
         columns: &mut columns,
         dict: &mut dict,
@@ -988,17 +1081,37 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
 
-        /// A string cell hashes as its `str` does under the dictionary's
-        /// FxHash, on both sides of the 22 bytes a `Text` holds in place.
+        /// Equal bytes give an equal key, whichever cell or token they
+        /// were cut from, on both sides of the 22 bytes a `Text` holds in
+        /// place: a cell keys as its `str`, a token cut from a cell as the
+        /// same bytes standing alone in a cell, and a prefix cut at any
+        /// byte as its copy. Unequal bytes give unequal keys, and a cell's
+        /// tokens are its `split(' ')`.
         #[test]
-        fn a_text_fxhashes_as_its_str(
-            picks in proptest::collection::vec(0usize..6, 0..=40),
+        fn equal_bytes_give_an_equal_key(
+            picks in proptest::collection::vec(0usize..7, 0..=40),
+            cut in proptest::prelude::any::<usize>(),
         ) {
-            use std::hash::BuildHasher;
-            let s: String = picks.iter().map(|&i| ['a', ' ', 'é', '€', '𝄞', '\n'][i]).collect();
+            use proptest::{prop_assert, prop_assert_eq};
+            // '!' is a space plus one: a scan whose borrow crosses a byte
+            // reads "x !" as two spaces.
+            let s: String = picks.iter().map(|&i| ['a', ' ', 'é', '€', '𝄞', '\n', '!'][i]).collect();
             let text = xdx_relational::Text::from(s.as_str());
-            let fx = BuildHasherDefault::<FxHasher>::default();
-            proptest::prop_assert_eq!(fx.hash_one(&text), fx.hash_one(s.as_str()));
+            let same = |a: Key<'_>, b: Key<'_>| a.hash == b.hash && a == b;
+            let cell = Key::new(text.as_bytes());
+            prop_assert!(same(cell, Key::new(s.as_bytes())));
+            let mut tokens = Vec::new();
+            tokenize(text.as_bytes(), &mut tokens);
+            let split: Vec<&[u8]> = s.as_bytes().split(|&b| b == b' ').collect();
+            prop_assert_eq!(tokens.iter().map(|t| t.bytes).collect::<Vec<_>>(), split);
+            for tok in &tokens {
+                let alone = xdx_relational::Text::from(std::str::from_utf8(tok.bytes).unwrap());
+                prop_assert!(same(*tok, Key::new(alone.as_bytes())));
+            }
+            let (head, _) = text.as_bytes().split_at(cut % (s.len() + 1));
+            let copy = head.to_vec();
+            prop_assert!(same(Key::new(head), Key::new(&copy)));
+            prop_assert_eq!(Key::new(head) == cell, head == s.as_bytes());
         }
     }
 
@@ -1081,6 +1194,76 @@ mod tests {
         f
     }
 
+    /// A feed whose strings stress the tokenizer and the dictionaries'
+    /// growth: empty and all-space strings, leading, trailing and runs of
+    /// spaces, tokens of 0–17 bytes ending in 'é', '€' or '𝄞' at every
+    /// offset of an 8-byte word, one token in every sentence, and 2,800
+    /// distinct tokens.
+    fn tokenizer_feed() -> Feed {
+        const EDGES: [&str; 12] = [
+            "",
+            " ",
+            "   ",
+            " lead",
+            "trail ",
+            "  both  ",
+            "a  b",
+            "1234567é",
+            "123456€ x",
+            "12345𝄞  ",
+            "é€𝄞",
+            "12345678 12345678",
+        ];
+        const CHARS: [&str; 4] = ["a", "é", "€", "𝄞"];
+        let schema = fragment_feed_schema(
+            "note",
+            &[
+                ("note".to_string(), false),
+                ("text".to_string(), true),
+                ("edge".to_string(), true),
+            ],
+        );
+        let mut f = Feed::new(schema);
+        for i in 0..700u32 {
+            let mut text = String::new();
+            if i % 5 == 0 {
+                text.push(' ');
+            }
+            for k in 0..8u32 {
+                if k > 0 {
+                    text.push_str(if (i + k) % 7 == 0 { "   " } else { " " });
+                }
+                match k % 4 {
+                    0 => text.push_str("lot"),
+                    2 => {
+                        let len = ((i * 3 + k) % 18) as usize;
+                        let c = CHARS[((i + k) % 4) as usize];
+                        let pad = len.saturating_sub(c.len());
+                        text.push_str(&"x".repeat(pad));
+                        if len >= c.len() {
+                            text.push_str(c);
+                        }
+                    }
+                    _ => text.push_str(&format!("w{}", i * 4 + k / 2)),
+                }
+            }
+            if i % 3 == 0 {
+                text.push(' ');
+            }
+            let note = Dewey::from([1, i + 1]);
+            f.push_row(vec![
+                Value::Dewey(Dewey::from([1])),
+                Value::Dewey(note.clone()),
+                Value::Dewey(note.child(1)),
+                Value::Str(text.into()),
+                Value::Dewey(note.child(2)),
+                Value::Str(EDGES[(i * 5 % 12) as usize].into()),
+            ])
+            .unwrap();
+        }
+        f
+    }
+
     #[test]
     fn columnar_halves_xml_text_on_itemlike_feeds() {
         let f = itemlike_feed();
@@ -1097,12 +1280,15 @@ mod tests {
     /// dictionary pass went to one probe per cell: dictionaries still
     /// number strings and tokens in first-occurrence row-major order, so
     /// every frame is the same bytes. Recorded again when the trailer and
-    /// schema digest became word sums; the lengths did not move.
+    /// schema digest became word sums; the lengths did not move. The
+    /// tokenizer feed was recorded before the dictionary keys carried
+    /// their hash and the tokenizer scanned a word at a time.
     #[test]
     fn frames_are_byte_identical_to_the_recorded_ones() {
         let golden = [
             (sample_feed(), (322, 0x2cf6_0c08_c9d7_82e6)),
             (itemlike_feed(), (1907, 0x7662_06bb_cf1e_b991)),
+            (tokenizer_feed(), (39014, 0x8a99_aae1_f7cf_de96)),
         ];
         for (feed, recorded) in golden {
             let mut frame = encode_feed(&feed);

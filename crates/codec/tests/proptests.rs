@@ -8,8 +8,9 @@
 //! its parts, a single part is the bare frame, and truncation, bit
 //! flips, lying lengths and trailing bytes are decode errors — never
 //! different parts. And the one-pass encoder writes exactly the bytes of
-//! the two-pass reference it replaced, and a view of a feed's rows the
-//! bytes of its copy.
+//! the two-pass reference it replaced (also for strings over the
+//! tokenizer's awkward alphabet), and a view of a feed's rows the bytes
+//! of its copy.
 
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -221,6 +222,18 @@ fn stress_cell_strategy() -> impl Strategy<Value = Value> {
             (0, None) => Value::Str(VOCAB[word].into()),
             _ => cell,
         }
+    })
+}
+
+/// Strings over the alphabet of the codec's golden tokenizer feed:
+/// spaces (alone, in runs, leading and trailing), ASCII, and 'é', '€' and
+/// '𝄞' at any offset of an 8-byte word, up to 40 characters (160 bytes).
+fn tokenizer_string() -> impl Strategy<Value = String> {
+    proptest::collection::vec(0usize..5, 0..=40).prop_map(|picks| {
+        picks
+            .iter()
+            .map(|&i| [' ', 'a', 'é', '€', '𝄞'][i])
+            .collect()
     })
 }
 
@@ -575,6 +588,32 @@ proptest! {
         ),
     ) {
         let feed = build_feed(ncols, &roles, rows);
+        let mut frame = Vec::new();
+        encode_in_format_into(&mut frame, &feed, WireFormat::Columnar);
+        prop_assert_eq!(&frame, &reference_encode(&feed));
+        prop_assert_eq!(decode_any(&frame).expect("intact frame decodes"), feed);
+    }
+
+    /// Strings over the tokenizer's alphabet, each repeated in any order,
+    /// encode to the reference bytes and round-trip.
+    #[test]
+    fn strings_over_the_tokenizer_alphabet_roundtrip(
+        strings in proptest::collection::vec(tokenizer_string(), 1..40),
+        picks in proptest::collection::vec(any::<usize>(), 0..80),
+    ) {
+        let schema = FeedSchema::new(
+            "s",
+            vec![FeedColumn::new("s", ColRole::NodeId), FeedColumn::new("v", ColRole::Value)],
+        );
+        let mut feed = Feed::new(schema);
+        feed.rows = picks
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| {
+                let s = strings[p % strings.len()].as_str();
+                vec![Value::Dewey(Dewey::from([1, i as u32])), Value::Str(s.into())]
+            })
+            .collect();
         let mut frame = Vec::new();
         encode_in_format_into(&mut frame, &feed, WireFormat::Columnar);
         prop_assert_eq!(&frame, &reference_encode(&feed));

@@ -1685,6 +1685,106 @@ mod tests {
         }
     }
 
+    /// When a route's breaker opens, its queued sessions are drained and
+    /// shed immediately — none of them burns a planning probe or a retry
+    /// budget on a link the breaker already condemned — while other routes
+    /// keep completing. Shed sessions stay resumable.
+    #[test]
+    fn an_opening_breaker_drains_and_sheds_its_queued_route() {
+        let schema = schema();
+        let doc = generate(GenConfig::sized(8_000));
+        let (mf, lf) = (mf(&schema), lf(&schema));
+        let runtime = Runtime::start(
+            schema.clone(),
+            RuntimeConfig::default()
+                .with_workers(1)
+                .with_breaker(1, Duration::from_secs(60))
+                // One exchange in flight: the drain scenario needs the
+                // doomed route's later sessions still *queued* when the
+                // first one settles and opens the breaker. With more
+                // parked slots the scheduler would race them onto the
+                // condemned link first (covered by the chaos matrix); here
+                // the subject is the drain itself.
+                .with_pipeline_sessions_per_worker(1)
+                .with_shipping(ShippingPolicy {
+                    max_attempts_per_chunk: 2,
+                    retry_budget: 1,
+                    backoff_base: Duration::from_millis(1),
+                    ..ShippingPolicy::default()
+                }),
+        );
+        let inner = &*runtime.inner;
+        // The doomed route loses everything; the healthy route is untouched.
+        runtime.set_link_fault_profile("doomed", "hub", FaultProfile::drops(1.0, 7));
+
+        // All sources parsed up front, and every in-flight slot taken
+        // while the four sessions queue, so none starts before all four
+        // wait: a doomed session that ran early would open the breaker on
+        // the submits after it. The single slot then runs the sessions one
+        // at a time, and the breaker opens with two doomed ones queued.
+        let mut sources: Vec<_> = (0..4)
+            .map(|_| load_source(&doc, &schema, &mf).unwrap())
+            .collect();
+        let cap = inner.config.workers * inner.config.pipeline_sessions_per_worker;
+        inner.queue.lock().unwrap().outstanding += cap;
+        let healthy = runtime
+            .submit(
+                ExchangeRequest::new("healthy", sources.remove(0), mf.clone(), lf.clone())
+                    .with_route("healthy", "hub"),
+            )
+            .unwrap();
+        let mut doomed = Vec::new();
+        for (i, source) in sources.into_iter().enumerate() {
+            doomed.push(
+                runtime
+                    .submit(
+                        ExchangeRequest::new(format!("doomed-{i}"), source, mf.clone(), lf.clone())
+                            .with_route("doomed", "hub"),
+                    )
+                    .unwrap(),
+            );
+        }
+        inner.queue.lock().unwrap().outstanding -= cap;
+        inner.available.notify_all();
+        assert_eq!(healthy.wait().state, SessionState::Done);
+
+        // The first doomed session fails on the link and opens the breaker;
+        // the rest are shed (drained from the queue, or refused at dequeue).
+        let first = doomed.remove(0).wait();
+        assert_eq!(first.state, SessionState::Failed);
+        let mut shed_ids = Vec::new();
+        for handle in doomed {
+            let id = handle.id();
+            let result = handle.wait();
+            assert_eq!(result.state, SessionState::Failed);
+            let diagnostic = result.diagnostic.unwrap_or_default();
+            assert!(diagnostic.contains("circuit open"), "{diagnostic:?}");
+            shed_ids.push(id);
+        }
+
+        let stats = runtime.shutdown();
+        assert_eq!(stats.sessions_shed_breaker, 2);
+        let doomed_link = stats
+            .links
+            .iter()
+            .find(|l| l.source == "doomed")
+            .expect("doomed link registered");
+        assert_eq!(doomed_link.sessions_shed, 2);
+        assert!(doomed_link.breaker_open);
+        assert_eq!(
+            stats.planning_probes, 2,
+            "one probe for the doomed route's first session, one for healthy — \
+             shed sessions probed nothing"
+        );
+        let healthy_link = stats
+            .links
+            .iter()
+            .find(|l| l.source == "healthy")
+            .expect("healthy link registered");
+        assert_eq!(healthy_link.sessions_completed, 1);
+        assert_eq!(healthy_link.sessions_shed, 0);
+    }
+
     /// Sessions an opening breaker drains from the queue end through the
     /// same gate as a dequeue: a `queued` span under their root, a queue
     /// wait sample, the wire format their route negotiated, and a `Shed`

@@ -1,8 +1,9 @@
 //! Load-shedding regression tests: expired sessions shed at dequeue
 //! before burning a planning probe, refused submissions carry
 //! actionable retry hints, warm estimators refuse unattainable
-//! deadlines at admission, an opening breaker drains its route's queue,
-//! and the resumable-checkpoint map stays bounded.
+//! deadlines at admission, and the resumable-checkpoint map stays
+//! bounded. The breaker drain is tested in `runtime::tests`, which can
+//! hold the in-flight slots while a test submits.
 
 use std::time::Duration;
 use xdx_net::{FaultProfile, NetworkProfile};
@@ -175,101 +176,6 @@ fn warm_estimator_sheds_unattainable_deadlines_at_admission() {
         stats.sessions_shed_expired, 0,
         "refused at admission, never queued"
     );
-}
-
-/// When a route's breaker opens, its queued sessions are drained and
-/// shed immediately — none of them burns a planning probe or a retry
-/// budget on a link the breaker already condemned — while other routes
-/// keep completing. Shed sessions stay resumable.
-#[test]
-fn an_opening_breaker_drains_and_sheds_its_queued_route() {
-    let schema = schema();
-    let doc = generate(GenConfig::sized(8_000));
-    let mf = mf(&schema);
-    let lf = lf(&schema);
-    let runtime = Runtime::start(
-        schema.clone(),
-        RuntimeConfig::default()
-            .with_workers(1)
-            .with_breaker(1, Duration::from_secs(60))
-            // One exchange in flight: the drain scenario needs the
-            // doomed route's later sessions still *queued* when the
-            // first one settles and opens the breaker. With more
-            // parked slots the scheduler would race them onto the
-            // condemned link first (covered by the chaos matrix); here
-            // the subject is the drain itself.
-            .with_pipeline_sessions_per_worker(1)
-            .with_shipping(ShippingPolicy {
-                max_attempts_per_chunk: 2,
-                retry_budget: 1,
-                backoff_base: Duration::from_millis(1),
-                ..ShippingPolicy::default()
-            }),
-    );
-    // The doomed route loses everything; the healthy route is untouched.
-    runtime.set_link_fault_profile("doomed", "hub", FaultProfile::drops(1.0, 7));
-
-    // All sources parsed up front, submissions back-to-back: the
-    // healthy session occupies the single worker while the three doomed
-    // sessions pile up in the queue — so the breaker opens with two of
-    // them still queued, exercising the drain.
-    let mut sources: Vec<_> = (0..4)
-        .map(|_| load_source(&doc, &schema, &mf).unwrap())
-        .collect();
-    let healthy = runtime
-        .submit(
-            ExchangeRequest::new("healthy", sources.remove(0), mf.clone(), lf.clone())
-                .with_route("healthy", "hub"),
-        )
-        .unwrap();
-    let mut doomed = Vec::new();
-    for (i, source) in sources.into_iter().enumerate() {
-        doomed.push(
-            runtime
-                .submit(
-                    ExchangeRequest::new(format!("doomed-{i}"), source, mf.clone(), lf.clone())
-                        .with_route("doomed", "hub"),
-                )
-                .unwrap(),
-        );
-    }
-    assert_eq!(healthy.wait().state, SessionState::Done);
-
-    // The first doomed session fails on the link and opens the breaker;
-    // the rest are shed (drained from the queue, or refused at dequeue).
-    let first = doomed.remove(0).wait();
-    assert_eq!(first.state, SessionState::Failed);
-    let mut shed_ids = Vec::new();
-    for handle in doomed {
-        let id = handle.id();
-        let result = handle.wait();
-        assert_eq!(result.state, SessionState::Failed);
-        let diagnostic = result.diagnostic.unwrap_or_default();
-        assert!(diagnostic.contains("circuit open"), "{diagnostic:?}");
-        shed_ids.push(id);
-    }
-
-    let stats = runtime.shutdown();
-    assert_eq!(stats.sessions_shed_breaker, 2);
-    let doomed_link = stats
-        .links
-        .iter()
-        .find(|l| l.source == "doomed")
-        .expect("doomed link registered");
-    assert_eq!(doomed_link.sessions_shed, 2);
-    assert!(doomed_link.breaker_open);
-    assert_eq!(
-        stats.planning_probes, 2,
-        "one probe for the doomed route's first session, one for healthy — \
-         shed sessions probed nothing"
-    );
-    let healthy_link = stats
-        .links
-        .iter()
-        .find(|l| l.source == "healthy")
-        .expect("healthy link registered");
-    assert_eq!(healthy_link.sessions_completed, 1);
-    assert_eq!(healthy_link.sessions_shed, 0);
 }
 
 /// The resumable-checkpoint map is bounded: deposits beyond

@@ -13,7 +13,7 @@
 //!
 //! A steady-state encode into a reused buffer allocates per frame, not
 //! per row or per cell: one buffer per column (tags, then payload) and
-//! the dictionaries, each growing by doubling.
+//! the dictionaries, whose maps are sized once from the frame.
 //!
 //! The only test in this binary: the counter is process-wide.
 
@@ -35,11 +35,13 @@ const SHORT_DECODE_BLOCKS_PER_STRING_CELL: f64 = 0.1;
 /// Decode blocks per row (the row, its string cells, its share of the
 /// frame's): 2.03 measured.
 const DECODE_BLOCKS_PER_ROW: f64 = 2.2;
-/// Encode blocks per frame: 40 measured (the column list, three column
-/// buffers, the two dictionaries, and their doubling growth); the
-/// encoder that kept a string id per cell and wrote each column in its
-/// own pass spent 32. A block per row would be over 1000.
-const ENCODE_BLOCKS_PER_FRAME: u64 = 48;
+/// Encode blocks per frame: 21 measured (the column list, three column
+/// buffers and their growth, the two dictionary maps sized once from the
+/// frame's string cells, the token and string-table buffers and their
+/// growth, one cell's token keys). Dictionaries that grew by doubling
+/// spent 40; the encoder that kept a string id per cell and wrote each
+/// column in its own pass spent 32. A block per row would be over 1000.
+const ENCODE_BLOCKS_PER_FRAME: u64 = 21;
 
 /// The first `ROWS` rows of the string-heaviest MF->LF cross feed.
 fn xmark_frame_feed() -> Feed {
