@@ -91,12 +91,9 @@ fn main() {
     // ------------------------------------------------------------------
     println!("## 3. Wire format (prefix-compressed vs naive Dewey ids)\n");
     let compressed = item.to_wire().len();
-    // Naive size: every Dewey cell at full length.
-    let naive: usize = item
-        .rows
-        .iter()
-        .map(|r| r.iter().map(|v| v.wire_len() + 2).sum::<usize>())
-        .sum();
+    // Naive size: every Dewey cell at full length, two bytes of framing
+    // per cell (`wire_size` counts one).
+    let naive = item.wire_size() as usize + item.len() * item.schema.arity();
     println!("compressed wire: {compressed} bytes");
     println!("naive estimate : {naive} bytes");
     println!(

@@ -1296,7 +1296,7 @@ mod tests {
             // A row range encodes to the frame of a feed holding just it.
             let batch = Feed {
                 schema: feed.schema.clone(),
-                rows: feed.rows.slice(3..11).iter().cloned().collect(),
+                rows: feed.rows.slice(3..11).to_rows(),
             };
             frame.clear();
             append_columnar_frame(&mut frame, &feed.schema, feed.rows.slice(3..11));
@@ -1452,7 +1452,7 @@ mod tests {
     fn sample_patch() -> DeltaPatch {
         let feed = sample_feed();
         let mut payload = Feed::new(feed.schema.clone());
-        payload.rows.push(feed.rows[3].clone());
+        payload.rows = feed.rows.slice(3..4).to_rows();
         DeltaPatch {
             base_version: 4,
             head_version: 5,
@@ -1529,9 +1529,9 @@ mod tests {
     #[test]
     fn every_two_bit_flip_is_detected() {
         let mut small = Feed::new(sample_feed().schema);
-        small.rows = sample_feed().rows.slice(..3).iter().cloned().collect();
+        small.rows = sample_feed().rows.slice(..3).to_rows();
         let mut payload = Feed::new(small.schema.clone());
-        payload.rows = small.rows.slice(..1).iter().cloned().collect();
+        payload.rows = small.rows.slice(..1).to_rows();
         let patch = DeltaPatch {
             base_version: 4,
             head_version: 5,

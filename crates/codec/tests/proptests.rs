@@ -140,9 +140,9 @@ fn combine_views(feed: &Feed) -> Vec<Feed> {
             .map(|role| FeedColumn::new(root, role))
             .collect();
         columns.extend(feed.schema.columns.iter().cloned());
-        let rows = feed.rows.iter().enumerate().map(|(i, row)| {
+        let rows = feed.rows.clone().into_iter().enumerate().map(|(i, row)| {
             let mut keyed = key(i);
-            keyed.extend(row.iter().cloned());
+            keyed.extend(row);
             keyed
         });
         Feed {
@@ -259,7 +259,8 @@ fn zigzag(v: i64) -> u64 {
 /// `split(' ')` tokens in first-occurrence order, then one pass per
 /// column writes its tags and one more its payloads.
 fn reference_encode(feed: &Feed) -> Vec<u8> {
-    let (schema, rows) = (&feed.schema, feed.rows.slice(..));
+    let rows: Vec<Vec<Value>> = feed.rows.clone().into_iter().collect();
+    let (schema, rows) = (&feed.schema, &rows[..]);
     let mut buf = b"XDXCOLF1".to_vec();
     put_str(&mut buf, &schema.root_element);
     put_varint(&mut buf, schema.columns.len() as u64);
@@ -435,7 +436,7 @@ proptest! {
             // frames. (A zero-arity row takes no bytes: same header.)
             let mut shorter = feeds.clone();
             let keep = shorter[0].len().saturating_sub(1);
-            shorter[0].rows = shorter[0].rows.iter().take(keep).cloned().collect();
+            shorter[0].rows = shorter[0].rows.slice(..keep).to_rows();
             let (other, other_header) = container_of(&shorter, format);
             if other[..other_header] != body[..header] {
                 let mut lying = other[..other_header].to_vec();

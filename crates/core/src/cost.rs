@@ -11,6 +11,7 @@
 use crate::ksite::multicast_bytes;
 use crate::program::{Location, Op, Program, Region};
 use xdx_codec::WireFormat;
+use xdx_relational::feed::{ReadRows, Row};
 use xdx_relational::{ColRole, Database};
 use xdx_xml::{NodeId, SchemaTree};
 
@@ -85,32 +86,13 @@ impl SchemaStats {
                 let Some(elem) = schema.by_name(&col.element) else {
                     continue;
                 };
-                match col.role {
-                    ColRole::NodeId => {
-                        // Ids repeat when siblings are inlined; count
-                        // distinct by exploiting nothing — a linear pass
-                        // with a set would be exact, but sorted feeds
-                        // cluster duplicates, so count value changes.
-                        let mut last = None;
-                        let mut distinct = 0u64;
-                        for row in &feed.rows {
-                            let v = &row[ci];
-                            if v.is_null() {
-                                continue;
-                            }
-                            if last != Some(v) {
-                                distinct += 1;
-                                last = Some(v);
-                            }
-                        }
-                        counts[elem.index()] = counts[elem.index()].max(distinct);
-                    }
-                    ColRole::Value => {
-                        let total: u64 = feed.rows.iter().map(|r| r[ci].wire_len() as u64).sum();
-                        text_bytes[elem.index()] = text_bytes[elem.index()].max(total);
-                    }
-                    ColRole::ParentRef => {}
-                }
+                let probed = match col.role {
+                    ColRole::NodeId => &mut counts,
+                    ColRole::Value => &mut text_bytes,
+                    ColRole::ParentRef => continue,
+                };
+                let n = feed.rows.slice(..).read(Probe(ci, col.role));
+                probed[elem.index()] = probed[elem.index()].max(n);
             }
         }
         Ok(SchemaStats {
@@ -446,6 +428,26 @@ fn log2(x: f64) -> f64 {
         0.0
     } else {
         x.log2()
+    }
+}
+
+/// [`SchemaStats::probe`]'s pass over column `.0` of a table: the
+/// wire bytes of a value column; the ids of an id column, counted once
+/// per run of one id (ids repeat when siblings are inlined, and sorted
+/// feeds cluster the repeats), `Null` not at all.
+struct Probe(usize, ColRole);
+
+impl<'a> ReadRows<'a> for Probe {
+    type Out = u64;
+    fn read<R: Row<'a>>(self, len: usize, row: impl Fn(usize) -> R) -> u64 {
+        let cells = (0..len).map(|r| row(r).cell(self.0));
+        if self.1 == ColRole::Value {
+            return cells.map(|v| v.wire_len() as u64).sum();
+        }
+        let mut last = None;
+        cells
+            .filter(|v| !v.is_null() && last.replace(*v) != Some(*v))
+            .count() as u64
     }
 }
 

@@ -17,6 +17,7 @@
 
 use crate::error::{Error, Result};
 use crate::fragment::Fragmentation;
+use crate::selection::Instances;
 use std::collections::BTreeMap;
 use xdx_relational::feed::{ColRole, FeedColumn, FeedSchema};
 use xdx_relational::{Database, Dewey, Feed, Value};
@@ -112,12 +113,13 @@ impl DerivedFragment {
             .schema
             .col(anchor_name, ColRole::NodeId)
             .ok_or_else(|| Error::Engine(format!("no id column for {anchor_name}")))?;
-        let mut groups: BTreeMap<Dewey, Vec<f64>> = BTreeMap::new();
-        for row in &anchor_table.data.rows {
-            if let Some(d) = row[anchor_col].as_dewey() {
-                groups.entry(d.clone()).or_default();
-            }
-        }
+        // Anchor ids are `anchor_depth` deep: each is its own group's key.
+        let anchors = Instances(anchor_col, anchor_col, anchor_depth);
+        let anchors = anchor_table.data.rows.slice(..).read(anchors);
+        let mut groups: BTreeMap<Dewey, Vec<f64>> = anchors
+            .into_iter()
+            .map(|(_, d, _)| (d, Vec::new()))
+            .collect();
         // 2. Aggregate the leaf's values into their anchor groups.
         let over_frag = &frag.fragments[frag.fragment_of(self.over)];
         let over_table = db
@@ -134,21 +136,15 @@ impl DerivedFragment {
             .schema
             .col(over_name, ColRole::Value)
             .ok_or_else(|| Error::Engine(format!("{over_name} carries no value")))?;
-        for row in &over_table.data.rows {
-            let Some(d) = row[over_id].as_dewey() else {
-                continue;
-            };
-            if d.depth() < anchor_depth {
-                continue;
-            }
-            let key = Dewey::from(&d.as_slice()[..anchor_depth]);
+        let leaves = Instances(over_id, over_val, anchor_depth);
+        for (_, key, value) in over_table.data.rows.slice(..).read(leaves) {
             let Some(group) = groups.get_mut(&key) else {
                 continue;
             };
             match self.kind {
                 AggregateKind::Count => group.push(1.0),
                 _ => {
-                    let text = row[over_val].as_str().unwrap_or("");
+                    let text = value.as_str().unwrap_or("");
                     let num: f64 = text.trim().parse().map_err(|_| {
                         Error::Engine(format!(
                             "{over_name} value {text:?} is not numeric (required by {:?})",
@@ -232,7 +228,7 @@ mod tests {
             .unwrap();
         let feed = d.compute(&schema, &db, &mf).unwrap();
         assert_eq!(feed.len(), 2); // one row per order
-        let counts: Vec<&Value> = feed.rows.iter().map(|r| &r[2]).collect();
+        let counts: Vec<&Value> = (0..feed.len()).map(|r| feed.rows.cell(r, 2)).collect();
         assert_eq!(counts, vec![&Value::Int(1), &Value::Int(2)]);
     }
 
@@ -244,18 +240,18 @@ mod tests {
                 .unwrap();
         let feed = total.compute(&schema, &db, &mf).unwrap();
         assert_eq!(feed.len(), 1);
-        assert_eq!(feed.rows[0][2], Value::Int(100 + 200 + 201));
+        assert_eq!(*feed.rows.cell(0, 2), Value::Int(100 + 200 + 201));
 
         let min = DerivedFragment::new(&schema, "MinTel", "Customer", "TelNo", AggregateKind::Min)
             .unwrap();
         assert_eq!(
-            min.compute(&schema, &db, &mf).unwrap().rows[0][2],
+            *min.compute(&schema, &db, &mf).unwrap().rows.cell(0, 2),
             Value::Int(100)
         );
         let max = DerivedFragment::new(&schema, "MaxTel", "Customer", "TelNo", AggregateKind::Max)
             .unwrap();
         assert_eq!(
-            max.compute(&schema, &db, &mf).unwrap().rows[0][2],
+            *max.compute(&schema, &db, &mf).unwrap().rows.cell(0, 2),
             Value::Int(201)
         );
     }
@@ -274,14 +270,14 @@ mod tests {
         .unwrap();
         let feed = d.compute(&schema, &db, &mf).unwrap();
         assert_eq!(feed.len(), 3); // 3 lines
-        assert!(feed.rows.iter().all(|r| r[2] == Value::Int(0)));
+        assert!((0..feed.len()).all(|r| *feed.rows.cell(r, 2) == Value::Int(0)));
         let m = DerivedFragment::new(&schema, "FeatMin", "Line", "FeatureID", AggregateKind::Min)
             .unwrap();
         assert!(m
             .compute(&schema, &db, &mf)
             .unwrap()
             .rows
-            .iter()
+            .into_iter()
             .all(|r| r[2].is_null()));
     }
 
@@ -308,7 +304,7 @@ mod tests {
         let d =
             DerivedFragment::new(&schema, "LC", "Order", "TelNo", AggregateKind::Count).unwrap();
         let feed = d.compute(&schema, &db, &mf).unwrap();
-        for row in &feed.rows {
+        for row in feed.rows {
             let parent = row[0].as_dewey().unwrap();
             let id = row[1].as_dewey().unwrap();
             assert!(parent.is_prefix_of(id));

@@ -778,19 +778,18 @@ impl<'a> PrefixMap<'a> {
             let key = now.schema.root_id_col()?;
             let columns = &now.schema.columns;
             let depth = self.schema.depth(cut);
-            // A table's rows are its own (a table never holds a view), so
-            // reading them as rows copies nothing.
-            for (a, b) in now.rows.iter().zip(then.rows.iter()) {
-                if a == b {
-                    continue;
-                }
-                let ids_moved = (columns.iter().zip(a.iter().zip(b)))
-                    .any(|(col, (a, b))| col.role != ColRole::Value && a != b);
+            let mut at = 0;
+            while let Some(r) = now.rows.slice(at..).first_difference(then.rows.slice(at..)) {
+                let r = at + r;
+                at = r + 1;
+                let ids_moved = (columns.iter().enumerate()).any(|(c, col)| {
+                    col.role != ColRole::Value && now.rows.cell(r, c) != then.rows.cell(r, c)
+                });
                 if ids_moved {
                     return None;
                 }
                 rows += 1;
-                let id = a[key].as_dewey()?.as_slice();
+                let id = now.rows.cell(r, key).as_dewey()?.as_slice();
                 let prefix = &id[..depth.min(id.len())];
                 if cut_at.last().map(|(p, _)| p.as_slice()) != Some(prefix) {
                     cut_at.push((WireDewey::from(prefix), cut));

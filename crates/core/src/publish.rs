@@ -14,7 +14,8 @@ use crate::fragment::Fragmentation;
 use crate::gen::Generator;
 use crate::program::{Location, Op};
 use std::time::{Duration, Instant};
-use xdx_relational::{ColRole, Database, Dewey, Feed};
+use xdx_relational::feed::{ReadRows, Row};
+use xdx_relational::{ColRole, Database, Dewey, Feed, FeedSchema};
 use xdx_xml::{NodeId, SchemaTree, Writer};
 
 /// Result of publishing.
@@ -189,6 +190,66 @@ struct Entry<'a> {
     parent: Option<&'a Dewey>,
 }
 
+/// [`Tagger::add_feed`]'s pass over the rows of a feed of schema `.1`:
+/// the instances each row holds, one per id column.
+struct Tag<'t, 'a>(&'t mut Tagger<'a>, &'t FeedSchema);
+
+impl<'a> ReadRows<'a> for Tag<'_, 'a> {
+    type Out = Result<()>;
+    fn read<R: Row<'a>>(self, len: usize, row: impl Fn(usize) -> R) -> Result<()> {
+        struct Col {
+            elem: NodeId,
+            id: usize,
+            val: Option<usize>,
+            parent: Option<usize>,
+            parent_ref: Option<usize>,
+            /// Bytes of its start and end tags.
+            tags: usize,
+        }
+        let Tag(tagger, fs) = self;
+        let mut cols = Vec::new();
+        for (id, col) in fs.columns.iter().enumerate() {
+            if col.role != ColRole::NodeId {
+                continue;
+            }
+            let elem = tagger
+                .schema
+                .by_name(&col.element)
+                .ok_or_else(|| Error::Xml(format!("feed column {} not in schema", col.element)))?;
+            let parent = tagger.schema.node(elem).parent;
+            cols.push(Col {
+                elem,
+                id,
+                val: fs.col(&col.element, ColRole::Value),
+                parent: parent.and_then(|p| fs.col(tagger.schema.name(p), ColRole::NodeId)),
+                parent_ref: fs
+                    .parent_ref_col()
+                    .filter(|_| parent.is_some() && col.element == fs.root_element),
+                tags: 2 * col.element.len() + 5,
+            });
+        }
+        tagger.entries.reserve(len);
+        for row in (0..len).map(row) {
+            for col in &cols {
+                let Some(dewey) = row.cell(col.id).as_dewey() else {
+                    continue;
+                };
+                let text = col.val.and_then(|v| row.cell(v).as_str());
+                let parent = col.parent.and_then(|c| row.cell(c).as_dewey());
+                let parent = parent.or_else(|| col.parent_ref.and_then(|c| row.cell(c).as_dewey()));
+                tagger.size_hint += col.tags + text.map_or(0, str::len);
+                tagger.entries.push(Entry {
+                    dewey: dewey.clone(),
+                    elem: col.elem,
+                    text,
+                    parent,
+                });
+            }
+        }
+        Ok(())
+    }
+}
+
 impl<'a> Tagger<'a> {
     /// An empty tagger.
     pub fn new(schema: &'a SchemaTree) -> Tagger<'a> {
@@ -201,56 +262,7 @@ impl<'a> Tagger<'a> {
 
     /// Collects the element instances `feed`'s rows describe.
     pub fn add_feed(&mut self, feed: &'a Feed) -> Result<()> {
-        struct Col {
-            elem: NodeId,
-            id: usize,
-            val: Option<usize>,
-            parent: Option<usize>,
-            parent_ref: Option<usize>,
-            /// Bytes of its start and end tags.
-            tags: usize,
-        }
-        let fs = &feed.schema;
-        let mut cols = Vec::new();
-        for (id, col) in fs.columns.iter().enumerate() {
-            if col.role != ColRole::NodeId {
-                continue;
-            }
-            let elem = self
-                .schema
-                .by_name(&col.element)
-                .ok_or_else(|| Error::Xml(format!("feed column {} not in schema", col.element)))?;
-            let parent = self.schema.node(elem).parent;
-            cols.push(Col {
-                elem,
-                id,
-                val: fs.col(&col.element, ColRole::Value),
-                parent: parent.and_then(|p| fs.col(self.schema.name(p), ColRole::NodeId)),
-                parent_ref: fs
-                    .parent_ref_col()
-                    .filter(|_| parent.is_some() && col.element == fs.root_element),
-                tags: 2 * col.element.len() + 5,
-            });
-        }
-        self.entries.reserve(feed.len());
-        for row in &feed.rows {
-            for col in &cols {
-                let Some(dewey) = row[col.id].as_dewey() else {
-                    continue;
-                };
-                let text = col.val.and_then(|v| row[v].as_str());
-                let parent = col.parent.and_then(|c| row[c].as_dewey());
-                let parent = parent.or_else(|| col.parent_ref.and_then(|c| row[c].as_dewey()));
-                self.size_hint += col.tags + text.map_or(0, str::len);
-                self.entries.push(Entry {
-                    dewey: dewey.clone(),
-                    elem: col.elem,
-                    text,
-                    parent,
-                });
-            }
-        }
-        Ok(())
+        feed.rows.slice(..).read(Tag(self, &feed.schema))
     }
 
     /// Sorts the collected instances into document order and serializes

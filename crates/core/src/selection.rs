@@ -19,6 +19,7 @@ use crate::cost::SchemaStats;
 use crate::error::{Error, Result};
 use crate::fragment::Fragmentation;
 use std::collections::BTreeSet;
+use xdx_relational::feed::{ReadRows, Row};
 use xdx_relational::{ColRole, Database, Dewey, Feed, Value};
 use xdx_xml::{NodeId, SchemaTree};
 
@@ -134,23 +135,18 @@ impl Selection {
                 ))
             })?;
         let depth = schema.depth(self.anchor);
-        let mut out = BTreeSet::new();
-        for row in &feed.rows {
-            if self.predicate.matches(&row[val_col]) {
-                if let Some(d) = row[id_col].as_dewey() {
-                    if d.depth() >= depth {
-                        out.insert(Dewey::from(&d.as_slice()[..depth]));
-                    }
-                }
-            }
-        }
-        Ok(out)
+        let instances = feed.rows.slice(..).read(Instances(id_col, val_col, depth));
+        let passed = instances
+            .into_iter()
+            .filter(|(_, _, v)| self.predicate.matches(v));
+        Ok(passed.map(|(_, anchor, _)| anchor).collect())
     }
 
     /// Filters one scanned feed: rows whose anchor-subtree cells belong to
-    /// a non-qualifying instance are dropped. Feeds with no element under
-    /// the anchor pass through untouched (ancestors and unrelated branches
-    /// are not subset).
+    /// a non-qualifying instance are dropped, and the rest are a view of
+    /// `feed`'s ([`Rows::pick`](xdx_relational::Rows::pick)). Feeds with no
+    /// element under the anchor pass through untouched (ancestors and
+    /// unrelated branches are not subset).
     pub fn filter_feed(
         &self,
         schema: &SchemaTree,
@@ -175,18 +171,17 @@ impl Selection {
         if cols.is_empty() {
             return feed.clone();
         }
-        let keep = |row: &&Vec<Value>| {
-            cols.iter().all(|&c| match row[c].as_dewey() {
-                Some(d) if d.depth() >= depth => {
-                    qualifying.contains(&Dewey::from(&d.as_slice()[..depth]))
-                }
-                // Null (padded) or shallower-than-anchor ids don't veto.
-                _ => true,
-            })
-        };
+        // Null (padded) or shallower-than-anchor ids don't veto.
+        let mut vetoed = vec![false; feed.len()];
+        for &c in &cols {
+            for (r, anchor, _) in feed.rows.slice(..).read(Instances(c, c, depth)) {
+                vetoed[r] |= !qualifying.contains(&anchor);
+            }
+        }
+        let kept = (0..feed.len()).filter(|&r| !vetoed[r]).collect();
         Feed {
             schema: feed.schema.clone(),
-            rows: feed.rows.iter().filter(keep).cloned().collect(),
+            rows: feed.rows.pick(kept, (0..feed.schema.arity()).collect()),
         }
     }
 
@@ -208,6 +203,21 @@ impl SchemaStats {
                 (self.text_bytes[e.index()] as f64 * selectivity).round() as u64;
         }
         out
+    }
+}
+
+/// The instances of an element a feed's rows hold, at depth `.2`: per
+/// row whose id in column `.0` is at least that deep, the row's position,
+/// the id cut to that depth and the row's cell in column `.1`.
+pub(crate) struct Instances(pub usize, pub usize, pub usize);
+
+impl<'a> ReadRows<'a> for Instances {
+    type Out = Vec<(usize, Dewey, &'a Value)>;
+    fn read<R: Row<'a>>(self, len: usize, row: impl Fn(usize) -> R) -> Self::Out {
+        let Instances(id, cell, depth) = self;
+        let deep = |r: usize| row(r).cell(id).as_dewey().filter(|d| d.depth() >= depth);
+        let cut = |r, d: &Dewey| (r, Dewey::from(&d.as_slice()[..depth]), row(r).cell(cell));
+        (0..len).filter_map(|r| Some(cut(r, deep(r)?))).collect()
     }
 }
 

@@ -181,8 +181,12 @@ fn de_and_pm_land_identical_data() {
                     .iter()
                     .position(|c| c.display_name() == col.display_name())
                     .unwrap_or_else(|| panic!("{} missing {}", frag.name, col.display_name()));
-                let a: Vec<_> = pm_rows.rows.iter().map(|r| &r[ci]).collect();
-                let b: Vec<_> = de_rows.rows.iter().map(|r| &r[dci]).collect();
+                let a: Vec<_> = (0..pm_rows.len())
+                    .map(|r| pm_rows.rows.cell(r, ci))
+                    .collect();
+                let b: Vec<_> = (0..de_rows.len())
+                    .map(|r| de_rows.rows.cell(r, dci))
+                    .collect();
                 assert_eq!(a, b, "{} column {}", frag.name, col.display_name());
             }
         }

@@ -783,7 +783,7 @@ mod tests {
     fn diff_rejects_irregular_feeds() {
         let good = item_feed(&[(1, "a"), (2, "b")]);
         let mut unsorted = good.clone();
-        unsorted.rows = good.rows.iter().rev().cloned().collect();
+        unsorted.rows = good.rows.clone().into_iter().rev().collect();
         assert!(diff_table("ITEM", &good, &unsorted).is_err());
         let mut null_key = good.clone();
         null_key.rows.get_mut(0).unwrap()[1] = Value::Null;
@@ -805,7 +805,7 @@ mod tests {
         assert!(store.snapshot("r", 2).is_none(), "aged out of retention");
         let snap = store.snapshot("r", 4).unwrap();
         assert_eq!(
-            snap[0].1.rows[0][1],
+            *snap[0].1.rows.cell(0, 1),
             Value::Dewey(Dewey::from([1, 1, 1, 4]))
         );
         assert_eq!(store.routes(), 1);
@@ -854,7 +854,7 @@ mod tests {
         let store = SnapshotStore::with_retention(1);
         let sorted = vec![("T".to_string(), item_feed(&[(1, "a"), (2, "b")]))];
         let mut unsorted_feed = item_feed(&[(1, "a"), (2, "b")]);
-        unsorted_feed.rows = unsorted_feed.rows.iter().rev().cloned().collect();
+        unsorted_feed.rows = unsorted_feed.rows.clone().into_iter().rev().collect();
         let unsorted = vec![("T".to_string(), unsorted_feed)];
         store.record("r", sorted.clone());
         store.record("r", sorted.clone());

@@ -21,7 +21,8 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use xdx_relational::{ColRole, Counters, Dewey, Feed, Value};
+use xdx_relational::feed::{ReadRows, Row};
+use xdx_relational::{ColRole, Counters, Dewey, Feed, FeedSchema, Value};
 
 /// Errors raised by the directory.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -213,41 +214,8 @@ impl Directory {
                 name: class_name.to_string(),
             });
         }
-        let id_col = feed.schema.root_id_col().ok_or_else(|| Error::BadFeed {
-            detail: format!("feed {} has no root ID column", feed.schema.root_element),
-        })?;
-        let parent_col = feed.schema.parent_ref_col();
-        let value_cols: Vec<(usize, &str)> = feed
-            .schema
-            .columns
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.role == ColRole::Value)
-            .map(|(i, c)| (i, c.element.as_str()))
-            .collect();
-        let mut loaded = 0usize;
-        for row in &feed.rows {
-            let Value::Dewey(dn) = &row[id_col] else {
-                continue; // padded/absent instance
-            };
-            if self.entries.contains_key(dn) {
-                continue; // instance repeated by inlining: first one wins
-            }
-            let parent = parent_col.and_then(|c| row[c].as_dewey().cloned());
-            let attributes: Vec<(String, String)> = value_cols
-                .iter()
-                .filter(|&&(i, _)| !row[i].is_null())
-                .map(|&(i, name)| (name.to_string(), row[i].to_string()))
-                .collect();
-            self.add_entry(Entry {
-                dn: dn.clone(),
-                parent,
-                object_class: class_name.to_string(),
-                attributes,
-            })?;
-            loaded += 1;
-        }
-        Ok(loaded)
+        let load = Load(self, class_name, &feed.schema);
+        feed.rows.slice(..).read(load)
     }
 
     /// Entry at `dn`.
@@ -299,6 +267,49 @@ impl Directory {
     /// True when the directory holds no entries.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
+    }
+}
+
+/// [`Directory::load_feed`]'s pass over the rows of a feed of schema
+/// `.2`: an entry of class `.1` per instance of its root, the first row
+/// of each winning.
+struct Load<'d>(&'d mut Directory, &'d str, &'d FeedSchema);
+
+impl<'a> ReadRows<'a> for Load<'_> {
+    type Out = Result<usize>;
+    fn read<R: Row<'a>>(self, len: usize, row: impl Fn(usize) -> R) -> Result<usize> {
+        let Load(directory, class_name, schema) = self;
+        let id_col = schema.root_id_col().ok_or_else(|| Error::BadFeed {
+            detail: format!("feed {} has no root ID column", schema.root_element),
+        })?;
+        let parent_col = schema.parent_ref_col();
+        let value_cols: Vec<(usize, &str)> = (schema.columns.iter().enumerate())
+            .filter(|(_, c)| c.role == ColRole::Value)
+            .map(|(i, c)| (i, c.element.as_str()))
+            .collect();
+        let mut loaded = 0usize;
+        for row in (0..len).map(row) {
+            let Value::Dewey(dn) = row.cell(id_col) else {
+                continue; // padded/absent instance
+            };
+            if directory.entries.contains_key(dn) {
+                continue; // instance repeated by inlining: first one wins
+            }
+            let parent = parent_col.and_then(|c| row.cell(c).as_dewey().cloned());
+            let attributes: Vec<(String, String)> = value_cols
+                .iter()
+                .filter(|&&(i, _)| !row.cell(i).is_null())
+                .map(|&(i, name)| (name.to_string(), row.cell(i).to_string()))
+                .collect();
+            directory.add_entry(Entry {
+                dn: dn.clone(),
+                parent,
+                object_class: class_name.to_string(),
+                attributes,
+            })?;
+            loaded += 1;
+        }
+        Ok(loaded)
     }
 }
 
@@ -410,8 +421,8 @@ mod tests {
     fn load_feed_skips_duplicates_and_nulls() {
         let mut dir = schema_t();
         let mut feed = customer_feed();
-        let dup = feed.rows[0].clone();
-        feed.rows.push(dup);
+        let dup = feed.rows.slice(..1).to_rows();
+        feed.rows.absorb(dup);
         feed.rows
             .push(vec![Value::Dewey(dewey(&[])), Value::Null, Value::Null]);
         assert_eq!(dir.load_feed("CUSTOMER_T", &feed).unwrap(), 3);

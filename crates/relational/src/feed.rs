@@ -119,8 +119,10 @@ impl FeedSchema {
 
 /// A feed's rows behind a copy-on-write handle, and the one place that
 /// knows how they are laid out. `clone` shares the row set; reads go
-/// through [`len`](Rows::len), [`cell`](Rows::cell), [`iter`](Rows::iter),
-/// indexing and [`slice`](Rows::slice); every write ([`push`](Rows::push),
+/// through [`len`](Rows::len), [`cell`](Rows::cell) (a point read) and
+/// [`slice`](Rows::slice) (a run, which [`RowSlice::read`] walks with a
+/// [`ReadRows`] reader), and by-value `into_iter` moves the rows out;
+/// every write ([`push`](Rows::push),
 /// `extend`, [`absorb`](Rows::absorb), [`sort_by`](Rows::sort_by),
 /// [`get_mut`](Rows::get_mut)) through a handle that is not the sole owner
 /// copies the set first (`Arc::make_mut`), so no holder ever sees
@@ -133,13 +135,12 @@ impl FeedSchema {
 /// makes one of chosen rows of one set, each projected to chosen columns
 /// (a `Split`); a `Combine` over rows it may not move makes one of parent
 /// rows beside child rows or `Null`s. A view of a view reads the rows
-/// that one reads. [`len`](Rows::len), [`cell`](Rows::cell),
-/// [`slice`](Rows::slice), [`RowSlice::read`], equality and
-/// [`is_sorted_by`](Rows::is_sorted_by) read a view where its cells sit;
-/// every reader that needs owned rows (indexing, [`iter`](Rows::iter),
-/// [`try_unwrap`](Rows::try_unwrap), `into_iter`) and every write copies
-/// the view's rows out once, and a write then lets go of the view's
-/// inputs ([`materialize`](Rows::materialize)).
+/// that one reads. Every reader reads a view where its cells sit, and
+/// none gets an owned row of it: `into_iter` and every write copy the
+/// view's rows out once, and a write then lets go of the view's inputs
+/// ([`materialize`](Rows::materialize)). Only indexing (`rows[r]`, kept
+/// hidden for one caller outside the workspace) fills a view's cache of
+/// copied rows.
 #[derive(Debug, Clone)]
 pub struct Rows(Layout);
 
@@ -175,7 +176,8 @@ struct View {
     /// Per view column, its set in `from`, and whether a skeleton blanks
     /// it (a value column); empty on a view of one set.
     sets: Vec<(usize, bool)>,
-    /// The view's rows copied out, once a reader needed them owned.
+    /// The view's rows copied out, once `Index` asked for one (the one
+    /// reader that needs them owned).
     rows: OnceLock<Vec<Vec<Value>>>,
 }
 
@@ -226,24 +228,8 @@ impl View {
     /// The view's rows, copied out of `from`: one exact-size row each.
     fn copy(&self) -> Vec<Vec<Value>> {
         let mut rows = Vec::new();
-        RowSlice(SliceLayout::View {
-            view: self,
-            at: 0,
-            slots: &self.slots,
-        })
-        .copy_to(&mut rows);
+        RowSlice(SliceLayout::View(self, &self.slots)).copy_to(&mut rows);
         rows
-    }
-
-    /// The view's rows as a reader that needs them owned sees them:
-    /// copied on the first such read, kept for the next.
-    fn dense(&self) -> &Vec<Vec<Value>> {
-        self.rows.get_or_init(|| self.copy())
-    }
-
-    /// The view's rows by value, from its last handle.
-    fn into_rows(mut self) -> Vec<Vec<Value>> {
-        self.rows.take().unwrap_or_else(|| self.copy())
     }
 }
 
@@ -259,20 +245,20 @@ enum WeakLayout {
 
 /// A read-only run of consecutive rows of a [`Rows`]
 /// ([`Rows::slice`]): a batch to encode, a subtree to compare, a tail to
-/// copy, without copying it out first. A run of a view is a view too:
-/// [`read`](RowSlice::read) reads its cells where they sit.
+/// copy, without copying it out first. [`read`](RowSlice::read) walks it
+/// with a [`ReadRows`] reader, [`copy_to`](RowSlice::copy_to) and
+/// [`to_rows`](RowSlice::to_rows) copy it, `==` and
+/// [`first_difference`](RowSlice::first_difference) compare it, and
+/// [`is_sorted_by`](RowSlice::is_sorted_by) checks its order: each reads
+/// the cells where they sit, a run of a view too, and hands out no row.
 #[derive(Debug, Clone, Copy)]
 pub struct RowSlice<'a>(SliceLayout<'a>);
 
 #[derive(Debug, Clone, Copy)]
 enum SliceLayout<'a> {
     Dense(&'a [Vec<Value>]),
-    /// `slots` is the view's slots from row `at` on.
-    View {
-        view: &'a View,
-        at: usize,
-        slots: &'a [usize],
-    },
+    /// A view, and the run's part of its slots.
+    View(&'a View, &'a [usize]),
 }
 
 /// One row as a [`ReadRows`] reader sees it, wherever its cells sit: a
@@ -384,14 +370,9 @@ impl Rows {
     /// write does first, and what a table's rows have had done: a table
     /// never holds a view.
     pub fn materialize(&mut self) {
-        let Layout::View(view) = &mut self.0 else {
-            return;
-        };
-        let rows = match Arc::get_mut(view) {
-            Some(sole) => sole.rows.take().unwrap_or_else(|| sole.copy()),
-            None => view.rows.get().cloned().unwrap_or_else(|| view.copy()),
-        };
-        self.0 = Layout::Dense(Arc::new(rows));
+        if let Layout::View(view) = &self.0 {
+            self.0 = Layout::Dense(Arc::new(view.copy()));
+        }
     }
 
     /// The rows to write, copied first when another handle shares them.
@@ -400,20 +381,6 @@ impl Rows {
         match &mut self.0 {
             Layout::Dense(rows) => Arc::make_mut(rows),
             Layout::View(_) => unreachable!("materialized above"),
-        }
-    }
-
-    /// The rows by value when this is their sole handle; the handle back,
-    /// untouched, when another still shares them. Copies nothing either
-    /// way, but for a view's rows, which its sole handle copies out: a
-    /// caller that needs the rows of a shared set reads them through the
-    /// handle it got back.
-    pub fn try_unwrap(self) -> std::result::Result<Vec<Vec<Value>>, Rows> {
-        match self.0 {
-            Layout::Dense(rows) => Arc::try_unwrap(rows).map_err(|rows| Rows(Layout::Dense(rows))),
-            Layout::View(view) => Arc::try_unwrap(view)
-                .map(View::into_rows)
-                .map_err(|view| Rows(Layout::View(view))),
         }
     }
 
@@ -481,19 +448,6 @@ impl Rows {
         self.slice(..).is_sorted_by(cols)
     }
 
-    /// The rows held: a dense set's own, a view's copied out once.
-    fn dense(&self) -> &Vec<Vec<Value>> {
-        match &self.0 {
-            Layout::Dense(rows) => rows,
-            Layout::View(view) => view.dense(),
-        }
-    }
-
-    /// The rows in order.
-    pub fn iter(&self) -> std::slice::Iter<'_, Vec<Value>> {
-        self.dense().iter()
-    }
-
     /// The rows in `range`, read in place. Panics when the range is out
     /// of bounds, as slicing does.
     pub fn slice(&self, range: impl RangeBounds<usize>) -> RowSlice<'_> {
@@ -512,11 +466,7 @@ impl Rows {
                     Bound::Unbounded => view.len(),
                 };
                 let n = view.from.len();
-                SliceLayout::View {
-                    view,
-                    at,
-                    slots: &view.slots[at * n..end * n],
-                }
+                SliceLayout::View(view, &view.slots[at * n..end * n])
             }
         })
     }
@@ -667,7 +617,7 @@ impl<'a> RowSlice<'a> {
     pub fn len(&self) -> usize {
         match self.0 {
             SliceLayout::Dense(rows) => rows.len(),
-            SliceLayout::View { view, slots, .. } => slots.len() / view.from.len(),
+            SliceLayout::View(view, slots) => slots.len() / view.from.len(),
         }
     }
 
@@ -676,30 +626,20 @@ impl<'a> RowSlice<'a> {
         self.len() == 0
     }
 
-    /// The rows in order, owned: a run of a view copies the whole
-    /// view's rows out once ([`Rows::iter`]); [`copy_to`](RowSlice::copy_to)
-    /// copies the run alone.
-    pub fn iter(&self) -> std::slice::Iter<'a, Vec<Value>> {
-        match self.0 {
-            SliceLayout::Dense(rows) => rows.iter(),
-            SliceLayout::View { view, at, .. } => view.dense()[at..at + self.len()].iter(),
-        }
-    }
-
     /// Runs `reader` over the rows where they sit: each layout
     /// instantiates [`ReadRows::read`] once, and a view is read without
     /// being copied.
     pub fn read<W: ReadRows<'a>>(self, reader: W) -> W::Out {
         match self.0 {
             SliceLayout::Dense(rows) => reader.read(rows.len(), |i| rows[i].as_slice()),
-            SliceLayout::View { view, slots, .. } if view.plain() => {
+            SliceLayout::View(view, slots) if view.plain() => {
                 let (from, cols) = (view.from[0].as_slice(), view.cols.as_slice());
                 reader.read(slots.len(), |i| PickedRow {
                     cells: &from[slots[i]],
                     cols,
                 })
             }
-            SliceLayout::View { view, slots, .. } => {
+            SliceLayout::View(view, slots) => {
                 let n = view.from.len();
                 reader.read(slots.len() / n, |i| ViewRow {
                     view,
@@ -715,6 +655,13 @@ impl<'a> RowSlice<'a> {
         self.read(InOrder(cols))
     }
 
+    /// The first position at which this run's row and `other`'s differ,
+    /// both read where they sit; `None` when they agree over the shorter
+    /// run's length.
+    pub fn first_difference(self, other: RowSlice<'a>) -> Option<usize> {
+        self.read(Differ(other))
+    }
+
     /// Appends a copy of each row of the run to `out`, one exact-size
     /// row each, read where the cells sit.
     pub fn copy_to(self, out: &mut Vec<Vec<Value>>) {
@@ -726,7 +673,7 @@ impl<'a> RowSlice<'a> {
     pub fn to_rows(self) -> Rows {
         match self.0 {
             SliceLayout::Dense(rows) => rows.to_vec().into(),
-            SliceLayout::View { view, slots, .. } => Rows(Layout::View(Arc::new(View::new(
+            SliceLayout::View(view, slots) => Rows(Layout::View(Arc::new(View::new(
                 view.from.clone(),
                 slots.to_vec(),
                 view.cols.clone(),
@@ -765,24 +712,24 @@ impl<'a> ReadRows<'a> for InOrder<'_> {
     }
 }
 
-/// Row-for-row equality of two runs of one length, whatever either's
-/// layout: the first run read with this, the second with [`SameRows`].
-struct EqualTo<'a>(RowSlice<'a>);
+/// [`RowSlice::first_difference`]'s reader, whatever either run's
+/// layout: the first run read with this, the second with [`DifferWith`].
+struct Differ<'a>(RowSlice<'a>);
 
-impl<'a> ReadRows<'a> for EqualTo<'a> {
-    type Out = bool;
-    fn read<R: Row<'a>>(self, _: usize, row: impl Fn(usize) -> R) -> bool {
-        self.0.read(SameRows(row))
+impl<'a> ReadRows<'a> for Differ<'a> {
+    type Out = Option<usize>;
+    fn read<R: Row<'a>>(self, len: usize, row: impl Fn(usize) -> R) -> Option<usize> {
+        self.0.read(DifferWith(len, row))
     }
 }
 
-/// [`EqualTo`]'s second reading: the first run's rows are `self.0`.
-struct SameRows<F>(F);
+/// [`Differ`]'s second reading: the first run's `.0` rows are `.1`.
+struct DifferWith<F>(usize, F);
 
-impl<'a, R: Row<'a>, F: Fn(usize) -> R> ReadRows<'a> for SameRows<F> {
-    type Out = bool;
-    fn read<S: Row<'a>>(self, len: usize, row: impl Fn(usize) -> S) -> bool {
-        (0..len).all(|i| (self.0)(i).cells().eq(row(i).cells()))
+impl<'a, R: Row<'a>, F: Fn(usize) -> R> ReadRows<'a> for DifferWith<F> {
+    type Out = Option<usize>;
+    fn read<S: Row<'a>>(self, len: usize, row: impl Fn(usize) -> S) -> Option<usize> {
+        (0..len.min(self.0)).position(|i| (self.1)(i).cells().ne(row(i).cells()))
     }
 }
 
@@ -816,17 +763,26 @@ impl PartialEq for RowSlice<'_> {
     fn eq(&self, other: &Self) -> bool {
         match (self.0, other.0) {
             (SliceLayout::Dense(a), SliceLayout::Dense(b)) => a == b,
-            _ => self.len() == other.len() && self.read(EqualTo(*other)),
+            _ => self.len() == other.len() && self.first_difference(*other).is_none(),
         }
     }
 }
 
 impl Eq for RowSlice<'_> {}
 
+/// Row `i` as a `Vec`, for one caller outside the workspace: the perf
+/// ledger's oracle check (`bench/src/workloads.rs:233`, `a.rows[r][ai]`),
+/// always on a dense, sorted feed. No workspace code indexes a `Rows`; a
+/// view asked copies its rows out into its cache once, the one reader
+/// that fills it.
+#[doc(hidden)]
 impl Index<usize> for Rows {
     type Output = Vec<Value>;
     fn index(&self, i: usize) -> &Vec<Value> {
-        &self.dense()[i]
+        match &self.0 {
+            Layout::Dense(rows) => &rows[i],
+            Layout::View(view) => &view.rows.get_or_init(|| view.copy())[i],
+        }
     }
 }
 
@@ -851,27 +807,14 @@ impl FromIterator<Vec<Value>> for Rows {
 impl IntoIterator for Rows {
     type Item = Vec<Value>;
     type IntoIter = std::vec::IntoIter<Vec<Value>>;
-    /// Moves the rows out of a sole handle, copies them out of a shared one.
+    /// Moves the rows out of a sole dense handle; copies them, once, out
+    /// of a shared one or a view.
     fn into_iter(self) -> Self::IntoIter {
-        self.try_unwrap()
-            .unwrap_or_else(|shared| shared.dense().to_vec())
-            .into_iter()
-    }
-}
-
-impl<'a> IntoIterator for &'a Rows {
-    type Item = &'a Vec<Value>;
-    type IntoIter = std::slice::Iter<'a, Vec<Value>>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.iter()
-    }
-}
-
-impl<'a> IntoIterator for RowSlice<'a> {
-    type Item = &'a Vec<Value>;
-    type IntoIter = std::slice::Iter<'a, Vec<Value>>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.iter()
+        match self.0 {
+            Layout::Dense(rows) => Arc::unwrap_or_clone(rows),
+            Layout::View(view) => view.copy(),
+        }
+        .into_iter()
     }
 }
 
@@ -1282,8 +1225,10 @@ impl fmt::Display for Feed {
             .map(|c| c.display_name())
             .collect();
         writeln!(f, "[{}] {} rows", names.join(", "), self.rows.len())?;
-        for row in self.rows.iter().take(20) {
-            let cells: Vec<String> = row.iter().map(|v| v.to_string()).collect();
+        for r in 0..self.rows.len().min(20) {
+            let cells: Vec<String> = (0..names.len())
+                .map(|c| self.rows.cell(r, c).to_string())
+                .collect();
             writeln!(f, "  {}", cells.join(" | "))?;
         }
         if self.rows.len() > 20 {
@@ -1479,7 +1424,7 @@ mod tests {
     #[test]
     fn sorting_and_sortedness() {
         let mut f = sample_feed();
-        f.rows = f.rows.iter().rev().cloned().collect();
+        f.rows = f.rows.clone().into_iter().rev().collect();
         assert!(!f.is_sorted_by(&[1]));
         let cmps = f.sort_by(&[1]);
         assert!(cmps > 0);

@@ -13,7 +13,7 @@
 //! starts with the same comparison. Only a column found out of order —
 //! the first descent — pays a sort of the positions.
 
-use crate::feed::Rows;
+use crate::feed::{ReadRows, Row, Rows};
 use crate::stats::Counters;
 use crate::value::Value;
 use std::cmp::Ordering;
@@ -35,42 +35,15 @@ impl Index {
     /// `index_inserts` unit per row to `counters`.
     pub fn build(rows: &Rows, column: usize, counters: &mut Counters) -> Index {
         counters.index_inserts += rows.len() as u64;
-        let key = |pos: u32| &rows[pos as usize][column];
-        let mut order: Vec<u32> = (0..rows.len() as u32).collect();
-        let mut starts = Vec::new();
-        if !rows.is_empty() {
-            starts.push(0);
-        }
-        for (at, (a, b)) in rows.iter().zip(rows.iter().skip(1)).enumerate() {
-            match a[column].cmp(&b[column]) {
-                Ordering::Less => starts.push(at as u32 + 1),
-                Ordering::Equal => {}
-                Ordering::Greater => {
-                    // Stable: equal keys keep their positions ascending.
-                    order.sort_by_key(|&pos| key(pos));
-                    starts = (0..order.len())
-                        .filter(|&at| at == 0 || key(order[at - 1]) != key(order[at]))
-                        .map(|at| at as u32)
-                        .collect();
-                    break;
-                }
-            }
-        }
-        starts.push(order.len() as u32);
-        Index {
-            column,
-            order,
-            starts,
-        }
+        rows.slice(..).read(Build(column))
     }
 
     /// Row positions whose indexed column equals `key`, ascending.
     /// `rows` are the rows the index was built over.
     pub fn lookup(&self, rows: &Rows, key: &Value) -> &[u32] {
         let runs = &self.starts[..self.starts.len() - 1];
-        match runs
-            .binary_search_by(|&at| rows[self.order[at as usize] as usize][self.column].cmp(key))
-        {
+        let key_at = |at: &u32| rows.cell(self.order[*at as usize] as usize, self.column);
+        match runs.binary_search_by(|at| key_at(at).cmp(key)) {
             Ok(run) => &self.order[self.starts[run] as usize..self.starts[run + 1] as usize],
             Err(_) => &[],
         }
@@ -89,6 +62,42 @@ impl Index {
     /// True when every key maps to exactly one row (a unique/primary key).
     pub fn is_unique(&self) -> bool {
         self.distinct_keys() == self.order.len()
+    }
+}
+
+/// [`Index::build`]'s pass over the rows of column `.0`, where they sit.
+struct Build(usize);
+
+impl<'a> ReadRows<'a> for Build {
+    type Out = Index;
+    fn read<R: Row<'a>>(self, len: usize, row: impl Fn(usize) -> R) -> Index {
+        let column = self.0;
+        let key = |pos: u32| row(pos as usize).cell(column);
+        let mut order: Vec<u32> = (0..len as u32).collect();
+        let mut starts = Vec::new();
+        let mut last: Option<&Value> = None;
+        for at in 0..len as u32 {
+            let next = key(at);
+            match last.replace(next).map(|last| last.cmp(next)) {
+                None | Some(Ordering::Less) => starts.push(at),
+                Some(Ordering::Equal) => {}
+                Some(Ordering::Greater) => {
+                    // Stable: equal keys keep their positions ascending.
+                    order.sort_by_key(|&pos| key(pos));
+                    starts = (0..order.len())
+                        .filter(|&at| at == 0 || key(order[at - 1]) != key(order[at]))
+                        .map(|at| at as u32)
+                        .collect();
+                    break;
+                }
+            }
+        }
+        starts.push(order.len() as u32);
+        Index {
+            column,
+            order,
+            starts,
+        }
     }
 }
 

@@ -827,25 +827,27 @@ mod tests {
         let mut out = Feed::new(out_schema);
         let child_arity = child.schema.arity() - 1;
 
+        let psorted: Vec<Vec<Value>> = psorted.rows.into_iter().collect();
+        let csorted: Vec<Vec<Value>> = csorted.rows.into_iter().collect();
         let mut ci = 0usize;
         let mut pi = 0usize;
-        while pi < psorted.rows.len() {
-            let key = psorted.rows[pi][pcol].clone();
+        while pi < psorted.len() {
+            let key = psorted[pi][pcol].clone();
             // Gather the parent group for this key.
             let mut pgroup: Vec<&Vec<Value>> = Vec::new();
-            while pi < psorted.rows.len() {
+            while pi < psorted.len() {
                 counters.comparisons += 1;
-                if psorted.rows[pi][pcol] == key {
-                    pgroup.push(&psorted.rows[pi]);
+                if psorted[pi][pcol] == key {
+                    pgroup.push(&psorted[pi]);
                     pi += 1;
                 } else {
                     break;
                 }
             }
             // Advance child cursor past smaller keys (orphans dropped).
-            while ci < csorted.rows.len() {
+            while ci < csorted.len() {
                 counters.comparisons += 1;
-                if csorted.rows[ci][ccol] < key {
+                if csorted[ci][ccol] < key {
                     ci += 1;
                 } else {
                     break;
@@ -854,10 +856,10 @@ mod tests {
             let mut cgroup: Vec<&Vec<Value>> = Vec::new();
             if !key.is_null() {
                 let mut cj = ci;
-                while cj < csorted.rows.len() {
+                while cj < csorted.len() {
                     counters.comparisons += 1;
-                    if csorted.rows[cj][ccol] == key {
-                        cgroup.push(&csorted.rows[cj]);
+                    if csorted[cj][ccol] == key {
+                        cgroup.push(&csorted[cj]);
                         cj += 1;
                     } else {
                         break;
@@ -926,7 +928,7 @@ mod tests {
     /// rows `feed` itself keeps sharing.
     fn handle(sole: bool, feed: &Feed) -> Feed {
         let rows = if sole {
-            feed.rows.iter().cloned().collect()
+            feed.rows.clone().into_iter().collect()
         } else {
             feed.rows.clone()
         };
@@ -949,11 +951,12 @@ mod tests {
         let arity = feed.schema.arity();
         let wide: Rows = feed
             .rows
-            .iter()
+            .clone()
+            .into_iter()
             .rev()
             .map(|row| {
                 let mut wide = vec![Value::Int(-1)];
-                wide.extend(row.iter().cloned());
+                wide.extend(row);
                 wide.push(Value::Str("wide".into()));
                 wide
             })
@@ -977,7 +980,7 @@ mod tests {
             ],
         );
         let mut rows = Vec::new();
-        for (i, row) in child.rows.iter().enumerate() {
+        for (i, row) in child.rows.clone().into_iter().enumerate() {
             for j in 0..i % 3 {
                 let Value::Dewey(id) = &row[1] else {
                     unreachable!("child ids are Dewey ids")
@@ -1138,9 +1141,10 @@ mod tests {
             // a sorted input the repeats of an instance mostly follow it, so
             // the row before is asked first; the set holds the first row of
             // each instance, for the repeats that do not.
+            let input: Vec<Vec<Value>> = feed.rows.clone().into_iter().collect();
             let mut seen: HashSet<OracleKey<'_>> = HashSet::with_capacity(feed.len());
             let mut last: Option<OracleKey<'_>> = None;
-            for row in &feed.rows {
+            for row in &input {
                 if row[root_id_src].is_null() {
                     continue; // absent optional subtree: no instance to emit
                 }
@@ -1265,7 +1269,8 @@ mod tests {
     fn asks_the_set(feed: &Feed, spec: &SplitSpec) -> bool {
         let group = Group::resolve(&feed.schema, spec).unwrap();
         let mut instances = Instances::new(&group);
-        let rows: Vec<&[Value]> = feed.rows.iter().map(Vec::as_slice).collect();
+        let owned: Vec<Vec<Value>> = feed.rows.clone().into_iter().collect();
+        let rows: Vec<&[Value]> = owned.iter().map(Vec::as_slice).collect();
         for (i, &r) in rows.iter().enumerate() {
             instances.offer(i, r, &|p| rows[p]);
         }
@@ -1291,7 +1296,7 @@ mod tests {
             let (parent, child) = family;
             let mut billed = Counters::new();
             let want = oracle_merge_combine(&parent, &child, "Customer", &mut billed).unwrap();
-            let copy = |feed: &Feed| feed.rows.iter().cloned().collect::<Rows>();
+            let copy = |feed: &Feed| feed.rows.clone().into_iter().collect::<Rows>();
             let (parent_rows, child_rows) = (copy(&parent), copy(&child));
             for (sole_parent, sole_child) in [(false, false), (true, false), (false, true), (true, true)] {
                 let mut c = Counters::new();
@@ -1387,7 +1392,7 @@ mod tests {
         // bob's row is null-padded.
         let bob = out
             .rows
-            .iter()
+            .into_iter()
             .find(|r| r[2] == Value::Str("bob".into()))
             .unwrap();
         assert!(bob[3].is_null() && bob[4].is_null());
@@ -1473,7 +1478,7 @@ mod tests {
         assert_eq!(outs[0].schema.arity(), 3); // PARENT + ID + CustName
                                                // Orders: 2, each with PARENT = customer id.
         assert_eq!(outs[1].len(), 2);
-        assert_eq!(outs[1].rows[0][0], dv(&[1]));
+        assert_eq!(*outs[1].rows.cell(0, 0), dv(&[1]));
     }
 
     #[test]

@@ -18,8 +18,8 @@
 
 use crate::db::Database;
 use crate::error::{Error, Result};
-use crate::feed::{ColRole, Feed};
-use crate::value::{Dewey, Value};
+use crate::feed::{ColRole, Feed, Rows};
+use crate::value::Dewey;
 
 /// What a step does to its prefix range.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -127,8 +127,8 @@ pub fn key_column(feed: &Feed) -> Result<usize> {
         })
 }
 
-fn row_key<'a>(table: &str, row: &'a [Value], col: usize) -> Result<&'a Dewey> {
-    row[col]
+fn row_key<'a>(table: &str, rows: &'a Rows, r: usize, col: usize) -> Result<&'a Dewey> {
+    rows.cell(r, col)
         .as_dewey()
         .ok_or_else(|| patch_err(table, "row key is not a Dewey id"))
 }
@@ -161,13 +161,14 @@ pub fn apply_table_patch(base: &Feed, patch: &TablePatch) -> Result<Feed> {
         }
         prev_key = Some(&step.key);
         // Copy the untouched prefix: rows strictly before the step key.
-        while i < base.rows.len() && *row_key(table, &base.rows[i], col)? < step.key {
-            out.push(base.rows[i].clone());
+        let untouched = i;
+        while i < base.rows.len() && *row_key(table, &base.rows, i, col)? < step.key {
             i += 1;
         }
+        base.rows.slice(untouched..i).copy_to(&mut out);
         // The step's range: rows whose key extends the step key.
         let range_start = i;
-        while i < base.rows.len() && step.key.is_prefix_of(row_key(table, &base.rows[i], col)?) {
+        while i < base.rows.len() && step.key.is_prefix_of(row_key(table, &base.rows, i, col)?) {
             i += 1;
         }
         let take = step.rows as usize;
@@ -191,15 +192,18 @@ pub fn apply_table_patch(base: &Feed, patch: &TablePatch) -> Result<Feed> {
         if p + take > patch.payload.rows.len() {
             return Err(patch_err(table, "payload underrun"));
         }
-        for row in patch.payload.rows.slice(p..p + take) {
-            if !step.key.is_prefix_of(row_key(table, row, col)?) {
+        for r in p..p + take {
+            if !step
+                .key
+                .is_prefix_of(row_key(table, &patch.payload.rows, r, col)?)
+            {
                 return Err(patch_err(
                     table,
                     format!("payload row outside the {} subtree", step.key),
                 ));
             }
-            out.push(row.clone());
         }
+        patch.payload.rows.slice(p..p + take).copy_to(&mut out);
         p += take;
     }
     if p != patch.payload.rows.len() {
@@ -211,7 +215,7 @@ pub fn apply_table_patch(base: &Feed, patch: &TablePatch) -> Result<Feed> {
             ),
         ));
     }
-    out.extend(base.rows.slice(i..).iter().cloned());
+    base.rows.slice(i..).copy_to(&mut out);
     Ok(Feed {
         schema: base.schema.clone(),
         rows: out.into(),
@@ -255,6 +259,7 @@ pub fn stage_patch(
 mod tests {
     use super::*;
     use crate::feed::fragment_feed_schema;
+    use crate::value::Value;
 
     fn item_feed(ids: &[u32]) -> Feed {
         let schema = fragment_feed_schema("item", &[("item".to_string(), true)]);
@@ -308,15 +313,13 @@ mod tests {
             payload: payload_of(&base, &[2, 4]),
         };
         let out = apply_table_patch(&base, &patch).unwrap();
-        let keys: Vec<u32> = out
-            .rows
-            .iter()
-            .map(|r| r[1].as_dewey().unwrap().as_slice()[3])
+        let keys: Vec<u32> = (0..out.len())
+            .map(|r| out.rows.cell(r, 1).as_dewey().unwrap().as_slice()[3])
             .collect();
         assert_eq!(keys, vec![1, 2, 4, 5]);
-        assert_eq!(out.rows[1][2], Value::Str("patched 2".into()));
-        assert_eq!(out.rows[2][2], Value::Str("patched 4".into()));
-        assert_eq!(out.rows[3][2], Value::Str("item 5".into()));
+        assert_eq!(*out.rows.cell(1, 2), Value::Str("patched 2".into()));
+        assert_eq!(*out.rows.cell(2, 2), Value::Str("patched 4".into()));
+        assert_eq!(*out.rows.cell(3, 2), Value::Str("item 5".into()));
         let col = key_column(&out).unwrap();
         assert!(out.is_sorted_by(&[col]));
     }
@@ -350,7 +353,7 @@ mod tests {
         };
         let out = apply_table_patch(&base, &patch).unwrap();
         assert_eq!(out.len(), 2);
-        assert_eq!(out.rows[1][1], Value::Dewey(Dewey::from([1, 3])));
+        assert_eq!(*out.rows.cell(1, 1), Value::Dewey(Dewey::from([1, 3])));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! fragmentation registered by a system".
 
 use crate::error::{Error, Result};
-use crate::feed::{Feed, FeedSchema, Rows};
+use crate::feed::{Feed, FeedSchema, ReadRows, Row, Rows};
 use crate::index::Index;
 use crate::stats::Counters;
 use crate::value::Value;
@@ -167,10 +167,9 @@ impl Table {
             });
         }
         counters.rows_read += self.data.len() as u64;
-        let kept = self.data.rows.iter().filter(|row| predicate(&row[column]));
         let out = Feed {
             schema: self.data.schema.clone(),
-            rows: kept.cloned().collect(),
+            rows: self.data.rows.slice(..).read(Kept(column, predicate)),
         };
         counters.rows_out += out.len() as u64;
         Ok(out)
@@ -184,6 +183,18 @@ impl Table {
     /// True when the table holds no rows.
     pub fn is_empty(&self) -> bool {
         self.data.is_empty()
+    }
+}
+
+/// [`Table::scan_where`]'s reader: copies of the rows whose cell in
+/// column `.0` passes `.1`.
+struct Kept<P>(usize, P);
+
+impl<'a, P: Fn(&Value) -> bool> ReadRows<'a> for Kept<P> {
+    type Out = Rows;
+    fn read<R: Row<'a>>(self, len: usize, row: impl Fn(usize) -> R) -> Rows {
+        let kept = (0..len).map(row).filter(|r| (self.1)(r.cell(self.0)));
+        kept.map(|r| r.cells().cloned().collect()).collect()
     }
 }
 

@@ -92,7 +92,7 @@ fn tangled() -> impl Strategy<Value = (Feed, Feed, bool, bool)> {
 /// its rows with `feed`.
 fn handle(feed: &Feed, sole: bool) -> Feed {
     let rows = if sole {
-        feed.rows.iter().cloned().collect()
+        feed.rows.clone().into_iter().collect()
     } else {
         feed.rows.clone()
     };
@@ -162,8 +162,9 @@ fn split_with_key_vectors(feed: &Feed, spec: &SplitSpec, counters: &mut Counters
     }
     let root_id_out = root_id_out.unwrap();
     let mut rows = Vec::new();
+    let input: Vec<Vec<Value>> = feed.rows.clone().into_iter().collect();
     let mut seen: HashSet<Vec<&Value>> = HashSet::new();
-    for row in &feed.rows {
+    for row in &input {
         if row[src_cols[root_id_out]].is_null() {
             continue;
         }
@@ -271,8 +272,8 @@ proptest! {
             .map(|(i, k)| vec![Value::Int(i as i64), k.clone()])
             .collect();
         let mut model: BTreeMap<Value, Vec<u32>> = BTreeMap::new();
-        for (pos, row) in rows.iter().enumerate() {
-            model.entry(row[1].clone()).or_default().push(pos as u32);
+        for pos in 0..rows.len() {
+            model.entry(rows.cell(pos, 1).clone()).or_default().push(pos as u32);
         }
         let mut counters = Counters::new();
         let index = Index::build(&rows, 1, &mut counters);
@@ -401,7 +402,7 @@ proptest! {
         let (parent, child, sole_parent, sole_child) = family;
         let (p, c) = (handle(&parent, sole_parent), handle(&child, sole_child));
         let out = merge_combine(p, c, "P", ChainHint::default(), &mut Counters::new()).unwrap();
-        prop_assert!(out.rows.iter().zip(out.rows.iter().skip(1)).all(|(a, b)| a[1] <= b[1]));
+        prop_assert!((1..out.len()).all(|r| out.rows.cell(r - 1, 1) <= out.rows.cell(r, 1)));
     }
 
     /// A chain hint is never part of a result: every width from none to
@@ -516,7 +517,7 @@ proptest! {
     #[test]
     fn sort_is_stable_and_ordered(counts in proptest::collection::vec(0u8..5, 1..15)) {
         let (_, mut child) = hierarchy(counts);
-        child.rows = child.rows.iter().rev().cloned().collect();
+        child.rows = child.rows.clone().into_iter().rev().collect();
         child.sort_by(&[0, 1]);
         prop_assert!(child.is_sorted_by(&[0, 1]));
         prop_assert!(child.is_sorted_by(&[0]));
@@ -537,7 +538,7 @@ proptest! {
     ) {
         let (_, mut origin) = hierarchy(counts);
         // Out of order, so that `sort_by` writes.
-        origin.rows = origin.rows.iter().rev().cloned().collect();
+        origin.rows = origin.rows.clone().into_iter().rev().collect();
         let mut feeds = [origin.clone(), origin.clone()];
         let mut dbs = [Database::new("a"), Database::new("b")];
         dbs[0].load("T", origin.clone()).unwrap();
@@ -547,7 +548,7 @@ proptest! {
         for held in [&feeds[0].rows, &feeds[1].rows, &rows_of(&dbs[0]), &rows_of(&dbs[1]), &scan.rows] {
             prop_assert!(Rows::ptr_eq(held, &origin.rows));
         }
-        let vec_of = |rows: &Rows| rows.iter().cloned().collect::<Vec<_>>();
+        let vec_of = |rows: &Rows| rows.clone().into_iter().collect::<Vec<_>>();
         let before = vec_of(&origin.rows);
         let mut models = vec![before.clone(); 4];
         let extra = |n: u32| vec![dv(vec![9]), dv(vec![9, n]), Value::Str(format!("w{n}").into())];
@@ -603,6 +604,80 @@ proptest! {
             prop_assert_eq!(&vec_of(&rows_of(&dbs[1])), &models[3]);
             prop_assert_eq!(&vec_of(&scan.rows), &before);
             prop_assert_eq!(&vec_of(&origin.rows), &before);
+        }
+    }
+
+    /// Every reader a row set keeps answers a view as it answers the
+    /// view's dense copy. Three sets hold one Combine's rows: the dense
+    /// rows of the Combine over sole inputs; a `Rows::pick` view of a
+    /// wider set holding them reversed; and the view of the Combine over
+    /// shared inputs, with outer-union skeleton and `Null`-padded rows
+    /// when the draw has them. Each is read by `cell`, `copy_to` (a
+    /// `RowSlice::read`) of the whole and of a run, `==` and
+    /// `first_difference`, `is_sorted_by`, and `into_iter` of a shared
+    /// and of a sole handle.
+    #[test]
+    fn every_reader_reads_a_view_as_its_dense_copy(
+        family in tangled(),
+        run in (any::<usize>(), any::<usize>()),
+        planted in any::<usize>(),
+    ) {
+        let (parent, child, _, _) = family;
+        let combine = |sole: bool| {
+            let (p, c) = (handle(&parent, sole), handle(&child, sole));
+            merge_combine(p, c, "P", ChainHint::default(), &mut Counters::new()).unwrap().rows
+        };
+        let want: Vec<Vec<Value>> = combine(true).into_iter().collect();
+        let (n, arity) = (want.len(), parent.schema.arity() + child.schema.arity() - 1);
+        let dense = Rows::from(want.clone());
+        let wide: Rows = want
+            .iter()
+            .rev()
+            .map(|row| [vec![Value::Int(-1)], row.clone(), vec![Value::Null]].concat())
+            .collect();
+        let picked = wide.pick((0..n).rev().collect(), (1..=arity).collect());
+        let gathered = combine(false);
+        let (from, to) = match n {
+            0 => (0, 0),
+            n => {
+                let (a, b) = (run.0 % n, run.1 % n);
+                (a.min(b), a.max(b) + 1)
+            }
+        };
+        let sorted = |cols: &[usize]| {
+            want.windows(2).all(|w| cols.iter().map(|&c| &w[0][c]).le(cols.iter().map(|&c| &w[1][c])))
+        };
+        for rows in [&dense, &picked, &gathered] {
+            prop_assert_eq!(rows.len(), n);
+            for (r, row) in want.iter().enumerate() {
+                prop_assert!((0..arity).all(|c| rows.cell(r, c) == &row[c]));
+            }
+            let mut copied = Vec::new();
+            rows.slice(..).copy_to(&mut copied);
+            prop_assert_eq!(&copied, &want);
+            let mut copied = Vec::new();
+            rows.slice(from..to).copy_to(&mut copied);
+            prop_assert_eq!(&copied[..], &want[from..to]);
+            prop_assert_eq!(rows, &dense);
+            prop_assert!(rows.slice(from..to) == dense.slice(from..to));
+            prop_assert_eq!(rows.slice(..).first_difference(dense.slice(..)), None);
+            for cols in [&[1][..], &[1, 3], &[0, 2], &[4, 1]] {
+                prop_assert_eq!(rows.is_sorted_by(cols), sorted(cols));
+            }
+            prop_assert_eq!(&rows.clone().into_iter().collect::<Vec<_>>(), &want);
+            prop_assert_eq!(&rows.slice(..).to_rows().into_iter().collect::<Vec<_>>(), &want);
+        }
+        if n > 0 {
+            // One cell changed in a copy: every layout finds that row.
+            let at = planted % n;
+            let mut other = want.clone();
+            other[at][2] = Value::Str("planted".into());
+            let other = Rows::from(other);
+            for rows in [&dense, &picked, &gathered] {
+                prop_assert_eq!(rows.slice(..).first_difference(other.slice(..)), Some(at));
+                prop_assert_eq!(other.slice(..).first_difference(rows.slice(..)), Some(at));
+                prop_assert!(*rows != other);
+            }
         }
     }
 }

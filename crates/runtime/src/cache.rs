@@ -808,8 +808,8 @@ mod tests {
         // rows: the edit copies them, and only the identity tells.
         let grow = |db: &mut Database| {
             let rows = &mut db.table_mut(name).unwrap().0.data.rows;
-            let first = rows[0].clone();
-            rows.push(first);
+            let first = rows.slice(..1).to_rows();
+            rows.absorb(first);
         };
         let mut edited = db.clone();
         grow(&mut edited);

@@ -108,9 +108,9 @@ fn instances(db: &Database, table: &str) -> Instances {
         .root_id_col()
         .expect("a fragment table keys its root");
     let mut cells = BTreeMap::<Value, BTreeSet<(String, Value)>>::new();
-    for row in feed.rows.iter() {
+    for row in feed.rows.clone() {
         let instance = cells.entry(row[root].clone()).or_default();
-        let named = names.iter().zip(row).filter(|(_, v)| **v != Value::Null);
+        let named = names.iter().zip(&row).filter(|(_, v)| **v != Value::Null);
         instance.extend(named.map(|(n, v)| (n.clone(), v.clone())));
     }
     let mut names = names;

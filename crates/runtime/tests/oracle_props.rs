@@ -47,6 +47,7 @@ const WIDE_CASES: u32 = 8;
 /// One drawn input: a schema, a document of it, a fragmentation pair and
 /// the runtime configuration that ships between them.
 struct Case {
+    family: Family,
     schema: SchemaTree,
     doc: String,
     from: Fragmentation,
@@ -78,6 +79,7 @@ fn case(family: Family, seed: u64, format: WireFormat, batch_rows: usize) -> Cas
         .with_wire_format(format)
         .with_batch_rows(batch_rows);
     Case {
+        family,
         schema,
         doc,
         from,
@@ -197,7 +199,9 @@ fn every_lane_lands(c: Case, fanout: usize, paced: bool) -> Result<(), TestCaseE
 
 /// Each round of a `with_base_version` chain, at 0, 5, 20 and 50 %
 /// churn after a full ship, lands what publish&map lands for that
-/// round's document; the unchanged round ships a patch.
+/// round's document. The unchanged round ships once, a patch or whole
+/// as `full_ship_wins` prices them; on XMark and wide documents a
+/// patch of no steps is always the cheaper ship.
 fn every_round_lands(c: Case, seed: u64) -> Result<(), TestCaseError> {
     let runtime = c.start(c.config);
     c.assert_lands(runtime.submit(c.request(&c.doc)).unwrap().wait(), &c.doc);
@@ -208,7 +212,13 @@ fn every_round_lands(c: Case, seed: u64) -> Result<(), TestCaseError> {
         let request = c.request(&doc).with_base_version(base);
         let result = runtime.submit(request).unwrap().wait();
         if pct == 0 {
-            prop_assert_eq!(result.metrics.delta_patches_applied, 1);
+            let m = &result.metrics;
+            match c.family {
+                Family::Xmark | Family::Wide => prop_assert_eq!(m.delta_patches_applied, 1),
+                Family::Balanced | Family::Random => {
+                    prop_assert_eq!(m.delta_patches_applied + m.delta_full_chosen, 1)
+                }
+            }
         }
         c.assert_lands(result, &doc);
     }
@@ -241,6 +251,27 @@ fn resumed_session_lands(c: Case, seed: u64) -> Result<(), TestCaseError> {
     c.assert_lands(result, &c.doc);
     runtime.shutdown();
     Ok(())
+}
+
+/// A balanced draw whose document is `<e0/>`: a patch of its unchanged
+/// round costs no less than the document, so the round ships whole, and
+/// lands like publish&map.
+#[test]
+fn a_tiny_documents_unchanged_round_ships_whole_and_lands_like_pm() {
+    let c = case(Family::Balanced, 34639169, WireFormat::Xml, 3);
+    assert_eq!(c.doc, "<e0/>");
+    let runtime = c.start(c.config);
+    c.assert_lands(runtime.submit(c.request(&c.doc)).unwrap().wait(), &c.doc);
+    let (from, to) = (DEFAULT_SOURCE_ENDPOINT, DEFAULT_TARGET_ENDPOINT);
+    let base = runtime.feed_version(from, to, &c.from.name, &c.to.name);
+    let result = runtime
+        .submit(c.request(&c.doc).with_base_version(base))
+        .unwrap()
+        .wait();
+    let m = &result.metrics;
+    assert_eq!((m.delta_full_chosen, m.delta_patches_applied), (1, 0));
+    c.assert_lands(result, &c.doc);
+    runtime.shutdown();
 }
 
 proptest! {

@@ -184,7 +184,7 @@ proptest! {
             if i + 1 < batches.len() {
                 prop_assert_eq!(batch.rows.len(), batch_rows);
             }
-            rebuilt.rows.extend(batch.rows.iter().cloned());
+            rebuilt.rows.extend(batch.rows.clone());
         }
         prop_assert_eq!(&rebuilt, &feed);
     }

@@ -69,8 +69,8 @@ fn a_caller_rewriting_its_target_leaves_the_route_snapshot_intact() {
                     .unwrap()
                     .iter_mut()
                     .for_each(|cell| *cell = Value::Str("trampled".into()));
-                let appended = rows[0].clone();
-                rows.push(appended);
+                let appended = rows.slice(..1).to_rows();
+                rows.absorb(appended);
             }
         }
         let delta = ship(&runtime, "delta", &churned, Some(1));

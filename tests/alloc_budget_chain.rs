@@ -42,7 +42,7 @@ fn a_combine_chain_allocates_each_row_once() {
         .feeds
         .into_iter()
         .map(|(port, feed)| {
-            let rows = feed.rows.iter().cloned().collect();
+            let rows = feed.rows.clone().into_iter().collect();
             (port, Feed { rows, ..feed })
         })
         .collect();

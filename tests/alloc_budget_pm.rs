@@ -47,7 +47,7 @@ fn shred_blocks(schema: &SchemaTree, doc: &str, frag: &Fragmentation) -> f64 {
     let strings = shredded
         .feeds
         .iter()
-        .flat_map(|feed| feed.rows.iter().flatten())
+        .flat_map(|feed| feed.rows.clone().into_iter().flatten())
         .filter(|cell| matches!(cell, Value::Str(_)))
         .count() as u64;
     let per = blocks as f64 / (strings + shredded.rows) as f64;

@@ -46,7 +46,8 @@ fn xmark_frame_feed() -> Feed {
         execute_source_phase(&schema, &mf, &lf, &program, &mut source, None).unwrap();
     let string_bytes = |feed: &Feed| -> usize {
         feed.rows
-            .iter()
+            .clone()
+            .into_iter()
             .flatten()
             .map(|v| match v {
                 Value::Str(s) => s.len(),
@@ -62,7 +63,9 @@ fn xmark_frame_feed() -> Feed {
         .unwrap();
     let mut feed = phase.feeds.remove(&port).unwrap();
     assert!(feed.len() >= ROWS, "{} rows", feed.len());
-    feed.rows = feed.rows.slice(..ROWS).iter().cloned().collect();
+    let mut rows = Vec::new();
+    feed.rows.slice(..ROWS).copy_to(&mut rows);
+    feed.rows = rows.into();
     feed
 }
 
@@ -89,7 +92,8 @@ fn short_string_feed() -> Feed {
 fn decode_blocks(feed: &Feed) -> (usize, usize, u64, f64, f64) {
     let strings = feed
         .rows
-        .iter()
+        .clone()
+        .into_iter()
         .flatten()
         .filter(|v| matches!(v, Value::Str(_)))
         .count();

@@ -243,7 +243,7 @@ fn publish_and_map_of_a_4000_level_chain_on_a_small_stack() {
             publish_and_map(&schema, &mf, &whole, &mut source, &mut target, &mut link).unwrap();
         assert_eq!(report.rows_loaded, 1);
         let landed = target.scan(&whole.fragments[0].name).unwrap();
-        let row = &landed.rows[0];
+        let row = landed.rows.into_iter().next().unwrap();
         assert_eq!(row.len(), 1 + LEVELS + 1);
         assert_eq!(row[LEVELS], Value::Dewey(Dewey::from(vec![1; LEVELS - 1])));
         assert_eq!(row[LEVELS + 1], Value::Str("leaf".into()));
