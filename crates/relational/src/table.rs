@@ -7,10 +7,9 @@
 //! fragmentation registered by a system".
 
 use crate::error::{Error, Result};
-use crate::feed::{Feed, FeedSchema, ReadRows, Row, Rows};
+use crate::feed::{Feed, FeedSchema, Rows};
 use crate::index::Index;
 use crate::stats::Counters;
-use crate::value::Value;
 use std::sync::Arc;
 
 /// A stored table.
@@ -152,29 +151,6 @@ impl Table {
         self.data.clone()
     }
 
-    /// Scan with a selection: keeps rows where `predicate` holds on
-    /// `column`. Models parameterized services ("the source system will
-    /// filter the data accordingly", paper Section 3.2).
-    pub fn scan_where(
-        &self,
-        column: usize,
-        predicate: impl Fn(&Value) -> bool,
-        counters: &mut Counters,
-    ) -> Result<Feed> {
-        if column >= self.data.schema.arity() {
-            return Err(Error::UnknownColumn {
-                name: format!("#{column}"),
-            });
-        }
-        counters.rows_read += self.data.len() as u64;
-        let out = Feed {
-            schema: self.data.schema.clone(),
-            rows: self.data.rows.slice(..).read(Kept(column, predicate)),
-        };
-        counters.rows_out += out.len() as u64;
-        Ok(out)
-    }
-
     /// Number of stored rows.
     pub fn len(&self) -> usize {
         self.data.len()
@@ -186,23 +162,11 @@ impl Table {
     }
 }
 
-/// [`Table::scan_where`]'s reader: copies of the rows whose cell in
-/// column `.0` passes `.1`.
-struct Kept<P>(usize, P);
-
-impl<'a, P: Fn(&Value) -> bool> ReadRows<'a> for Kept<P> {
-    type Out = Rows;
-    fn read<R: Row<'a>>(self, len: usize, row: impl Fn(usize) -> R) -> Rows {
-        let kept = (0..len).map(row).filter(|r| (self.1)(r.cell(self.0)));
-        kept.map(|r| r.cells().cloned().collect()).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::feed::{ColRole, FeedColumn};
-    use crate::value::Dewey;
+    use crate::value::{Dewey, Value};
 
     fn schema() -> FeedSchema {
         FeedSchema::new(
@@ -323,17 +287,5 @@ mod tests {
         ));
         assert!(t.stage_rows(bad).is_err());
         assert_eq!(t.staged_len(), 0);
-    }
-
-    #[test]
-    fn scan_where_filters() {
-        let mut c = Counters::new();
-        let mut t = Table::new("ITEM", schema());
-        t.bulk_load(feed(10), &mut c).unwrap();
-        let out = t
-            .scan_where(2, |v| v.as_str().is_some_and(|s| s.ends_with('3')), &mut c)
-            .unwrap();
-        assert_eq!(out.len(), 1);
-        assert!(t.scan_where(99, |_| true, &mut c).is_err());
     }
 }

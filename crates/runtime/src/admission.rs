@@ -18,6 +18,7 @@
 //! stays optimistic: shedding on a guess would be worse than learning
 //! from one slow session.
 
+use crate::sync::lock;
 use std::collections::VecDeque;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -72,7 +73,7 @@ impl AdmissionController {
     /// Feeds one completed session's service time (wall minus queue
     /// wait) into the EWMA.
     pub fn record_service(&self, service: Duration) {
-        let mut s = self.state.lock().unwrap();
+        let mut s = lock(&self.state);
         let ns = service.as_nanos() as f64;
         s.ewma_service_ns = if s.service_samples == 0 {
             ns
@@ -88,7 +89,7 @@ impl AdmissionController {
     /// idle queue's gaps measure its arrivals instead.
     pub fn record_dequeue(&self, backlogged: bool) {
         let now = Instant::now();
-        let mut s = self.state.lock().unwrap();
+        let mut s = lock(&self.state);
         if let Some(since) = s.backlogged_since {
             let gap = now - since;
             s.turns.push_back(gap);
@@ -108,7 +109,7 @@ impl AdmissionController {
     /// `None` until a session has completed — a cold runtime admits
     /// optimistically.
     pub fn estimated_turnaround(&self, ahead: usize, workers: usize) -> Option<Duration> {
-        let s = self.state.lock().unwrap();
+        let s = lock(&self.state);
         if s.service_samples == 0 {
             return None;
         }
@@ -124,7 +125,7 @@ impl AdmissionController {
     /// the time the queue needs to drain `depth + 1` sessions at its
     /// observed per-turn drain, clamped to sane bounds.
     pub fn retry_after(&self, depth: usize) -> Duration {
-        let s = self.state.lock().unwrap();
+        let s = lock(&self.state);
         let per_dequeue_ns = s.turn_ns().unwrap_or(if s.service_samples > 0 {
             s.ewma_service_ns
         } else {

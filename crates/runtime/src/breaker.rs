@@ -9,6 +9,7 @@
 //! past their deadline say nothing about link health and leave the
 //! breaker untouched.
 
+use crate::sync::lock;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -66,7 +67,7 @@ impl CircuitBreaker {
     /// — admitted as the cooldown-ending probe; `Err(retry_after)` — the
     /// breaker is open, come back later.
     pub fn try_admit(&self) -> Result<Option<BreakerTransition>, Duration> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = lock(&self.inner);
         match inner.state {
             State::Closed | State::HalfOpen => Ok(None),
             State::Open { since } => {
@@ -83,7 +84,7 @@ impl CircuitBreaker {
 
     /// Records a session whose shipments all landed.
     pub fn record_success(&self) -> Option<BreakerTransition> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = lock(&self.inner);
         inner.consecutive_failures = 0;
         match inner.state {
             State::HalfOpen => {
@@ -97,7 +98,7 @@ impl CircuitBreaker {
     /// Records a session the link genuinely failed (retry budget or
     /// attempt cap exhausted — not cancellation, not a deadline).
     pub fn record_failure(&self) -> Option<BreakerTransition> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = lock(&self.inner);
         inner.consecutive_failures += 1;
         let should_open = match inner.state {
             // A failed probe re-opens immediately.
@@ -117,13 +118,13 @@ impl CircuitBreaker {
 
     /// True while the breaker refuses admissions (cooldown running).
     pub fn is_open(&self) -> bool {
-        matches!(self.inner.lock().unwrap().state, State::Open { .. })
+        matches!(lock(&self.inner).state, State::Open { .. })
     }
 
     /// Cooldown left before the breaker half-opens; `None` unless open.
     /// This is the `retry_after` hint shed sessions hand back.
     pub fn cooldown_remaining(&self) -> Option<Duration> {
-        match self.inner.lock().unwrap().state {
+        match lock(&self.inner).state {
             State::Open { since } => Some(self.cooldown.saturating_sub(since.elapsed())),
             _ => None,
         }

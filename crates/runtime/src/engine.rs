@@ -38,6 +38,7 @@ use crate::events::{EventKind, EventLog};
 use crate::ledger::{Filed, ReassemblyLedger};
 use crate::registry::LinkSlot;
 use crate::session::SessionShared;
+use crate::sync::lock;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
@@ -475,7 +476,7 @@ impl ShipEngine {
         // Check → transmit → advance under the pair's one lock. Nothing
         // holds it across a wait, so this is a few instructions of
         // contention at most.
-        let mut wire = task.req.slot.wire.lock().unwrap();
+        let mut wire = lock(&task.req.slot.wire);
         if wire.busy_until > now {
             return StepOutcome::Park(wire.busy_until);
         }
@@ -825,9 +826,7 @@ mod tests {
         );
 
         // Second attempt over a repaired link: only the remainder ships.
-        slot.wire
-            .lock()
-            .unwrap()
+        lock(&slot.wire)
             .link
             .set_fault_profile(FaultProfile::healthy());
         let second = ship(&eng, session, &slot, &message, policy);

@@ -14,6 +14,7 @@
 //! offline ([`EventLog::to_jsonl`]).
 
 use crate::session::SessionId;
+use crate::sync::lock;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -164,7 +165,7 @@ impl EventLog {
         detail: impl Into<String>,
     ) {
         let detail = detail.into();
-        let mut entries = self.entries.lock().unwrap();
+        let mut entries = lock(&self.entries);
         if entries.len() >= self.capacity {
             entries.pop_front();
             self.dropped.fetch_add(1, Ordering::Relaxed);
@@ -187,14 +188,12 @@ impl EventLog {
 
     /// A copy of the surviving log, in append order.
     pub fn snapshot(&self) -> Vec<Event> {
-        self.entries.lock().unwrap().iter().cloned().collect()
+        lock(&self.entries).iter().cloned().collect()
     }
 
     /// How many events of `kind` are in the surviving window.
     pub fn count(&self, kind: EventKind) -> usize {
-        self.entries
-            .lock()
-            .unwrap()
+        lock(&self.entries)
             .iter()
             .filter(|e| e.kind == kind)
             .count()
@@ -217,7 +216,7 @@ impl EventLog {
     /// format, in append order.
     pub fn tail_jsonl(&self, n: usize) -> String {
         let tail: Vec<Event> = {
-            let entries = self.entries.lock().unwrap();
+            let entries = lock(&self.entries);
             entries
                 .range(entries.len().saturating_sub(n)..)
                 .cloned()

@@ -29,6 +29,7 @@ use crate::registry::LinkSlot;
 use crate::runtime::{Checkpoint, Inner};
 use crate::session::{ExchangeRequest, SessionId, SessionMetrics, SessionShared, SessionState};
 use crate::stats::location_name;
+use crate::sync::lock;
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
 use std::sync::atomic::{AtomicI64, Ordering};
@@ -822,6 +823,8 @@ impl Inner {
                 self.pump(gi, group, *lag_cap, batches);
             },
         );
+        #[cfg(test)]
+        crate::runtime::tests::panic_if_armed(&request.name, "source");
         let failure = match source {
             Ok(outcome) => {
                 // The group's one source phase bills to its first lane.
@@ -843,35 +846,24 @@ impl Inner {
         }
     }
 
-    /// Runs a planned exchange's source halves, then holds it like any
-    /// resumed exchange. The delta path goes first, when eligible: the
-    /// patch, if the cost model prefers it, is shipment 0 and the full
-    /// feeds stay home unless the fallback ladder needs them. On an
-    /// unpaced link every batch completes inline, so the whole exchange
-    /// usually finishes here; otherwise it *parks* — the worker returns
-    /// to the queue while the frames wait, and whichever worker is free
-    /// at the earliest deadline resumes it.
-    pub(crate) fn launch(&self, mut ex: Exchange, delta_base: Option<(u64, u64, Snapshot, bool)>) {
-        let ship_full = match delta_base {
-            Some(base) => self.stage_delta(&mut ex, base),
-            None => true,
-        };
-        if ship_full {
+    /// Runs a planned exchange's source halves, the delta rung first
+    /// ([`Inner::stage_delta`]). It holds an in-flight slot from here on.
+    pub(crate) fn launch(&self, ex: &mut Exchange, delta_base: Option<(u64, u64, Snapshot, bool)>) {
+        lock(&self.queue).outstanding += 1;
+        if delta_base.is_none_or(|base| self.stage_delta(ex, base)) {
             for gi in 0..ex.groups.len() {
-                self.run_source(&mut ex, gi);
+                self.run_source(ex, gi);
             }
         }
-        self.queue.lock().unwrap().outstanding += 1;
-        self.hold(Box::new(ex));
     }
 
     /// Works an exchange this worker holds — it is in no heap, so no
     /// other worker can — until it retires or must wait: steps its due
     /// ship tasks, absorbs every landed result, refills the submission
     /// windows (whose batches may land inline, so it goes round again),
-    /// settles drained lanes, and parks it at its earliest task's
-    /// deadline (DESIGN §16).
-    pub(crate) fn hold(&self, mut ex: Box<Exchange>) {
+    /// settles drained lanes. Returns the deadline to park it until, its
+    /// earliest task's (DESIGN §16), or `None` once it retired.
+    pub(crate) fn hold(&self, ex: &mut Exchange) -> Option<Instant> {
         loop {
             let now = Instant::now();
             while let Some((gi, li, task)) = ex.batches.parked.pop_due(now) {
@@ -879,20 +871,34 @@ impl Inner {
                 ex.batches.file(gi, li, stepped);
             }
             for (gi, li, result) in std::mem::take(&mut ex.batches.landed) {
-                self.absorb(&mut ex, gi, li, result);
+                self.absorb(ex, gi, li, result);
             }
-            if self.advance(&mut ex) {
-                return;
+            if self.advance(ex) {
+                return None;
             }
             if ex.batches.landed.is_empty() {
                 // An unsettled lane has a full window after `advance` (an
                 // empty one drained and settled), and nothing landed, so
                 // a batch of it is parked.
                 let parked = ex.batches.parked.next();
-                let deadline = parked.expect("an unretired exchange has a parked batch");
-                return self.park(deadline, ex);
+                return Some(parked.expect("an unretired exchange has a parked batch"));
             }
         }
+    }
+
+    /// Ends what a caught panic left of `ex` ([`Inner::work`]): its
+    /// batches are dropped, and each lane that has not ended fails with
+    /// `why` and settles like any failed lane; the last retires `ex`.
+    pub(crate) fn end_panicked(&self, ex: &mut Exchange, why: &str) {
+        ex.batches = Batches::default();
+        for lane in ex.groups.iter_mut().flat_map(|g| &mut g.lanes) {
+            if !lane.shared.state().is_terminal() {
+                (lane.settled, lane.inflight) = (false, 0);
+                lane.failure = Some(why.to_string());
+            }
+        }
+        let retired = self.advance(ex);
+        debug_assert!(retired, "every lane of a panicked exchange settles");
     }
 
     /// Moves every group forward: refill the lanes' windows from the
@@ -1195,6 +1201,8 @@ impl Inner {
         } else {
             group.delivered.clone()
         };
+        #[cfg(test)]
+        crate::runtime::tests::panic_if_armed(&lane.shared.name, "target");
         execute_target_phase(
             &self.schema,
             &request.source_frag,
@@ -1559,7 +1567,7 @@ impl Inner {
     fn retire(&self, ex: &Exchange) {
         let (mut reuse, mut fallbacks) = (0, 0);
         {
-            let mut agg = self.agg.lock().unwrap();
+            let mut agg = lock(&self.agg);
             for group in &ex.groups {
                 agg.stats.fold(&group.encodes);
                 reuse += group.shared_reuse;
@@ -1579,7 +1587,7 @@ impl Inner {
         self.close_group(owner.root_parent, owner.id, ex.enqueued, detail);
         // Under the queue lock, like everything a worker waits on: a
         // worker checking the exit condition cannot miss this wakeup.
-        self.queue.lock().unwrap().outstanding -= 1;
+        lock(&self.queue).outstanding -= 1;
         self.available.notify_all();
     }
 }

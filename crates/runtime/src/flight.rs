@@ -11,6 +11,7 @@
 //! instead of the aggregate state after it.
 
 use crate::events::EventLog;
+use crate::sync::lock;
 use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -73,7 +74,7 @@ impl FlightRecorder {
         }
         let now = Instant::now();
         let spike = {
-            let mut times = self.shed_times.lock().unwrap();
+            let mut times = lock(&self.shed_times);
             times.push_back(now);
             while times
                 .front()
@@ -104,7 +105,7 @@ impl FlightRecorder {
         self.anomalies.fetch_add(1, Ordering::Relaxed);
         let dir = self.dump_dir.as_ref()?;
         {
-            let mut last = self.last_dump.lock().unwrap();
+            let mut last = lock(&self.last_dump);
             let now = Instant::now();
             if last.is_some_and(|t| now.duration_since(t) < DUMP_COOLDOWN) {
                 return None;
@@ -231,7 +232,7 @@ mod tests {
         assert_eq!((rec.anomalies(), rec.dumps()), (2, 1));
         // Past the cooldown every anomaly dumps, up to the cap.
         for _ in 1..MAX_DUMPS + 3 {
-            *rec.last_dump.lock().unwrap() = None;
+            *lock(&rec.last_dump) = None;
             rec.anomaly("storm");
         }
         assert_eq!(rec.dumps(), MAX_DUMPS);

@@ -42,6 +42,7 @@
 //! overload soak forbids.
 
 use crate::session::SessionId;
+use crate::sync::lock;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -176,7 +177,7 @@ impl ReassemblyLedger {
         total: usize,
         message: &Arc<Vec<u8>>,
     ) -> BTreeSet<usize> {
-        let mut map = self.shard(session).lock().unwrap();
+        let mut map = lock(self.shard(session));
         if !map.contains_key(&(session, shipment)) && map.len() >= self.per_shard_cap {
             // Full shard: shed the least-recently-touched checkpoint to
             // make room. The evicted shipment re-ships from scratch if
@@ -206,18 +207,14 @@ impl ReassemblyLedger {
     /// `Runtime::resume` skip serialization entirely: the executor asks
     /// for it before building the message from the feed.
     pub fn stored_message(&self, session: SessionId, shipment: u64) -> Option<Arc<Vec<u8>>> {
-        self.shard(session)
-            .lock()
-            .unwrap()
+        lock(self.shard(session))
             .get(&(session, shipment))
             .map(|b| Arc::clone(&b.message))
     }
 
     /// True when the chunk already landed.
     pub fn has_chunk(&self, session: SessionId, shipment: u64, index: usize) -> bool {
-        self.shard(session)
-            .lock()
-            .unwrap()
+        lock(self.shard(session))
             .get(&(session, shipment))
             .is_some_and(|b| b.has(index))
     }
@@ -227,7 +224,7 @@ impl ReassemblyLedger {
     /// the waiting map). Duplicates are detected and dropped; frames for
     /// unknown shipments are stale.
     pub fn file(&self, chunk: &ChunkView<'_>) -> Filed {
-        let mut map = self.shard(chunk.session).lock().unwrap();
+        let mut map = lock(self.shard(chunk.session));
         let Some(buffer) = map.get_mut(&(chunk.session, chunk.shipment)) else {
             return Filed::Stale;
         };
@@ -260,7 +257,7 @@ impl ReassemblyLedger {
     /// deferred one filed after a reset), and no one can tell which: it
     /// is emptied, keeping the message, so a resume re-ships every chunk.
     pub fn assemble(&self, session: SessionId, shipment: u64) -> Option<Arc<Vec<u8>>> {
-        let mut map = self.shard(session).lock().unwrap();
+        let mut map = lock(self.shard(session));
         let buffer = map.get_mut(&(session, shipment))?;
         if buffer.next < buffer.total {
             return None;
@@ -278,7 +275,7 @@ impl ReassemblyLedger {
     ///
     /// [`entries_pruned`]: ReassemblyLedger::entries_pruned
     pub fn forget_session(&self, session: SessionId) {
-        let mut map = self.shard(session).lock().unwrap();
+        let mut map = lock(self.shard(session));
         let before = map.len();
         map.retain(|(s, _), _| *s != session);
         let dropped = (before - map.len()) as u64;
@@ -301,9 +298,7 @@ impl ReassemblyLedger {
 
     /// Chunks currently checkpointed for `session` across all shipments.
     pub fn checkpointed_chunks(&self, session: SessionId) -> usize {
-        self.shard(session)
-            .lock()
-            .unwrap()
+        lock(self.shard(session))
             .iter()
             .filter(|((s, _), _)| *s == session)
             .map(|(_, b)| b.landed())

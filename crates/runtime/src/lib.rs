@@ -27,7 +27,9 @@
 //!   per-session retry budget degrades hopeless sessions to `Failed`
 //!   with a diagnostic instead of wedging the link. Either the target
 //!   receives exactly the bytes the source sent, or the session fails
-//!   loudly — never silent row loss.
+//!   loudly — never silent row loss. A panic fails only the exchange it
+//!   interrupted: its unfinished lanes end `Failed` and roll back, and
+//!   the worker, the other sessions and every lock go on.
 //! * **Plan cache** — optimizer answers are shared across sessions via
 //!   a stable shape-keyed [`PlanCache`] with hit/miss counters; a delta
 //!   round replays the plan its route's head was committed with, and
@@ -78,6 +80,7 @@ pub mod registry;
 pub mod runtime;
 pub mod session;
 pub mod stats;
+mod sync;
 
 pub use breaker::{BreakerTransition, CircuitBreaker};
 pub use cache::{plan_key, CachedPlan, PlanCache, PlanKey, ProbeMemo};

@@ -12,6 +12,7 @@
 //! sessions still contend realistically on their shared link.
 
 use crate::breaker::CircuitBreaker;
+use crate::sync::lock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
@@ -175,7 +176,7 @@ impl LinkSlot {
     /// A snapshot of this link's counters.
     pub fn stats(&self) -> LinkStats {
         let (busy, wire_bytes) = {
-            let wire = self.wire.lock().unwrap();
+            let wire = lock(&self.wire);
             (wire.link.total_time(), wire.link.total_bytes())
         };
         LinkStats {
@@ -290,9 +291,7 @@ impl LinkRegistry {
     /// The wire format `endpoint` prefers (the registry default unless
     /// declared otherwise).
     pub fn endpoint_format(&self, endpoint: &str) -> WireFormat {
-        self.endpoint_formats
-            .lock()
-            .unwrap()
+        lock(&self.endpoint_formats)
             .get(endpoint)
             .copied()
             .unwrap_or(self.default_format)
@@ -315,11 +314,8 @@ impl LinkRegistry {
     /// format they started with (receivers sniff each frame, so mixed
     /// traffic is safe); subsequent shipments use the new negotiation.
     pub fn set_endpoint_format(&self, endpoint: &str, format: WireFormat) {
-        self.endpoint_formats
-            .lock()
-            .unwrap()
-            .insert(endpoint.to_string(), format);
-        for ((source, target), slot) in self.links.lock().unwrap().iter() {
+        lock(&self.endpoint_formats).insert(endpoint.to_string(), format);
+        for ((source, target), slot) in lock(&self.links).iter() {
             if source == endpoint || target == endpoint {
                 slot.set_wire_format(self.negotiated_format(source, target));
             }
@@ -332,12 +328,12 @@ impl LinkRegistry {
     /// (per-link state), so links never share failure bursts even when
     /// configured identically.
     pub fn resolve(&self, source: &str, target: &str) -> (Arc<LinkSlot>, bool) {
-        let mut links = self.links.lock().unwrap();
+        let mut links = lock(&self.links);
         if let Some(slot) = links.get(&(source.to_string(), target.to_string())) {
             return (Arc::clone(slot), false);
         }
         let link = Link::new(self.network)
-            .with_fault_profile(*self.default_fault.lock().unwrap())
+            .with_fault_profile(*lock(&self.default_fault))
             .with_recording(false);
         let slot = Arc::new(LinkSlot::new(
             source,
@@ -354,9 +350,7 @@ impl LinkRegistry {
 
     /// The slot for `(source, target)` if it already exists.
     pub fn get(&self, source: &str, target: &str) -> Option<Arc<LinkSlot>> {
-        self.links
-            .lock()
-            .unwrap()
+        lock(&self.links)
             .get(&(source.to_string(), target.to_string()))
             .cloned()
     }
@@ -365,25 +359,22 @@ impl LinkRegistry {
     /// needed), leaving every other link untouched.
     pub fn set_fault_profile(&self, source: &str, target: &str, profile: FaultProfile) {
         let (slot, _) = self.resolve(source, target);
-        slot.wire.lock().unwrap().link.set_fault_profile(profile);
+        lock(&slot.wire).link.set_fault_profile(profile);
     }
 
     /// Swaps the fault model of every live link *and* the default for
     /// links created later — the fleet-wide "network repaired/degraded"
     /// knob.
     pub fn set_fault_profile_all(&self, profile: FaultProfile) {
-        *self.default_fault.lock().unwrap() = profile;
-        for slot in self.links.lock().unwrap().values() {
-            slot.wire.lock().unwrap().link.set_fault_profile(profile);
+        *lock(&self.default_fault) = profile;
+        for slot in lock(&self.links).values() {
+            lock(&slot.wire).link.set_fault_profile(profile);
         }
     }
 
     /// Per-link counter snapshots, sorted by pair for stable output.
     pub fn snapshot(&self) -> Vec<LinkStats> {
-        let mut stats: Vec<LinkStats> = self
-            .links
-            .lock()
-            .unwrap()
+        let mut stats: Vec<LinkStats> = lock(&self.links)
             .values()
             .map(|slot| slot.stats())
             .collect();
@@ -393,7 +384,7 @@ impl LinkRegistry {
 
     /// Number of live links.
     pub fn len(&self) -> usize {
-        self.links.lock().unwrap().len()
+        lock(&self.links).len()
     }
 
     /// True when no link has been created yet.
@@ -490,18 +481,8 @@ mod tests {
         reg.set_fault_profile("s1", "t1", FaultProfile::drops(1.0, 7));
         let (healthy, _) = reg.resolve("s2", "t2");
         let (broken, _) = reg.resolve("s1", "t1");
-        assert!(!broken
-            .wire
-            .lock()
-            .unwrap()
-            .link
-            .transmit_faulty("x", b"p")
-            .1
-            .is_ok());
-        assert!(healthy
-            .wire
-            .lock()
-            .unwrap()
+        assert!(!lock(&broken.wire).link.transmit_faulty("x", b"p").1.is_ok());
+        assert!(lock(&healthy.wire)
             .link
             .transmit_faulty("x", b"p")
             .1
@@ -515,14 +496,7 @@ mod tests {
         reg.set_fault_profile_all(FaultProfile::drops(1.0, 9));
         let (after, _) = reg.resolve("s2", "t2");
         for slot in [&before, &after] {
-            assert!(!slot
-                .wire
-                .lock()
-                .unwrap()
-                .link
-                .transmit_faulty("x", b"p")
-                .1
-                .is_ok());
+            assert!(!lock(&slot.wire).link.transmit_faulty("x", b"p").1.is_ok());
         }
     }
 

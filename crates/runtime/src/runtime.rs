@@ -43,7 +43,9 @@ use crate::session::{
     ExchangeRequest, PublishRequest, SessionHandle, SessionId, SessionMetrics, SessionResult,
     SessionShared, SessionState,
 };
+use crate::sync::{lock, wait, wait_timeout};
 use std::collections::{BTreeMap, HashMap};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -416,7 +418,7 @@ impl Runtime {
             }
             Ok(Some(_)) => unreachable!("try_admit only half-opens"),
             Err(retry_after) => {
-                inner.agg.lock().unwrap().stats.rejected += 1;
+                lock(&inner.agg).stats.rejected += 1;
                 inner.events.push(
                     0,
                     NO_SPAN,
@@ -444,10 +446,7 @@ impl Runtime {
     /// bypasses the route's circuit breaker.
     pub fn resume(&self, session_id: SessionId) -> Result<SessionHandle, SubmitError> {
         let inner = &*self.inner;
-        let (stamp, Resumable { mut request, plan }) = inner
-            .resumables
-            .lock()
-            .unwrap()
+        let (stamp, Resumable { mut request, plan }) = lock(&inner.resumables)
             .remove(&session_id)
             .ok_or(SubmitError::UnknownSession { id: session_id })?;
         request.deadline = None;
@@ -456,7 +455,7 @@ impl Runtime {
             .map_err(|refused| {
                 // Not admitted: the checkpoint goes back, its age kept.
                 let (e, request) = *refused;
-                let mut resumables = inner.resumables.lock().unwrap();
+                let mut resumables = lock(&inner.resumables);
                 resumables.insert(session_id, (stamp, Resumable { request, plan }));
                 e
             })
@@ -639,11 +638,7 @@ impl Runtime {
     /// drains twice as often as one with weight 1. Applies from the
     /// tenant's next admitted session.
     pub fn set_tenant_weight(&self, tenant: &str, weight: f64) {
-        self.inner
-            .tenant_weights
-            .lock()
-            .unwrap()
-            .insert(tenant.to_string(), weight.max(0.01));
+        lock(&self.inner.tenant_weights).insert(tenant.to_string(), weight.max(0.01));
     }
 
     /// Swaps the fault model of *every* link — live and future — at
@@ -755,7 +750,7 @@ impl Runtime {
     }
 
     fn close_and_join(&mut self) {
-        self.inner.queue.lock().unwrap().open = false;
+        lock(&self.inner.queue).open = false;
         self.inner.available.notify_all();
         // Workers drain the fair queue *and* retire every parked
         // exchange, with the ship tasks it owns, before exiting.
@@ -774,23 +769,17 @@ impl Drop for Runtime {
     }
 }
 
-/// What a worker picked up: a parked exchange whose earliest deadline
-/// passed, or a queued exchange to start. In-flight work goes first —
-/// finishing in-flight exchanges beats starting new ones.
-enum WorkItem {
-    Resume(Box<Exchange>),
-    Start(Box<QueuedExchange>),
-}
-
 /// The runtime's one scheduler: every worker runs this loop, and no
-/// other thread steps an exchange or a ship task.
+/// other thread steps an exchange or a ship task. A worker picks up a
+/// parked exchange whose earliest deadline passed, else a queued one to
+/// start: finishing in-flight exchanges beats starting new ones.
 fn worker_loop(inner: &Inner) {
     loop {
         let work = {
-            let mut queue = inner.queue.lock().unwrap();
+            let mut queue = lock(&inner.queue);
             loop {
                 if let Some(ex) = queue.exchanges.pop_due(Instant::now()) {
-                    break Some(WorkItem::Resume(ex));
+                    break Some((None, Some(ex)));
                 }
                 // New work only while the parked pool has room: beyond
                 // the cap, arrivals wait in the admission queue, so
@@ -805,7 +794,7 @@ fn worker_loop(inner: &Inner) {
                 if queue.outstanding < cap {
                     if let Some(popped) = queue.fair.pop() {
                         inner.admission.record_dequeue(!queue.fair.is_empty());
-                        break Some(WorkItem::Start(Box::new(popped.item)));
+                        break Some((Some(Box::new(popped.item)), None));
                     }
                 }
                 // A parked exchange has not retired: no worker exits
@@ -815,28 +804,64 @@ fn worker_loop(inner: &Inner) {
                 }
                 let due = queue.exchanges.next();
                 queue = match due.map(|d| d.saturating_duration_since(Instant::now())) {
-                    Some(timeout) => inner.available.wait_timeout(queue, timeout).unwrap().0,
-                    None => inner.available.wait(queue).unwrap(),
+                    Some(timeout) => wait_timeout(&inner.available, queue, timeout),
+                    None => wait(&inner.available, queue),
                 };
             }
         };
-        let Some(work) = work else { return };
+        let Some((job, held)) = work else { return };
         inner.busy_workers.fetch_add(1, Ordering::Relaxed);
-        match work {
-            WorkItem::Resume(ex) => inner.hold(ex),
-            WorkItem::Start(job) => inner.start_exchange(*job),
-        }
+        inner.work(job, held);
         inner.busy_workers.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
 impl Inner {
-    /// Parks an exchange until `deadline`, its earliest ship task's.
-    /// One that is now the earliest wakes a worker to wait for it.
-    pub(crate) fn park(&self, deadline: Instant, ex: Box<Exchange>) {
-        if self.queue.lock().unwrap().exchanges.park(deadline, ex) {
-            self.available.notify_one();
+    /// Works a queued exchange (`job`) or a parked one (`held`) until it
+    /// retires or parks; one that is now the earliest wakes a worker. The
+    /// runtime's one unwind boundary (DESIGN §10): the item stays in this
+    /// frame, so a caught panic ends its unfinished lanes as failed.
+    fn work(&self, mut job: Option<Box<QueuedExchange>>, mut held: Option<Box<Exchange>>) {
+        let ran = catch_unwind(AssertUnwindSafe(|| {
+            if held.is_none() {
+                self.start_exchange(&mut job, &mut held);
+            }
+            self.hold(held.as_deref_mut()?)
+        }));
+        let parked = ran.unwrap_or_else(|payload| {
+            let text = payload.downcast_ref::<&str>().copied();
+            let text = text.or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+            let why = format!("panicked: {}", text.unwrap_or("(no message)"));
+            match (held.as_deref_mut(), job) {
+                (Some(ex), _) => self.end_panicked(ex, &why),
+                (None, Some(mut job)) => self.end_queued(&mut job, why),
+                (None, None) => {}
+            }
+            None
+        });
+        if let (Some(deadline), Some(ex)) = (parked, held) {
+            if lock(&self.queue).exchanges.park(deadline, ex) {
+                self.available.notify_one();
+            }
         }
+    }
+
+    /// Ends a queued exchange that panicked before it became one: each
+    /// seat the gate had not ended fails through [`Inner::end_lane`].
+    fn end_queued(&self, job: &mut QueuedExchange, why: String) {
+        for (shared, target) in job.seats.iter().filter(|s| !s.0.state().is_terminal()) {
+            let resume = Checkpoint {
+                request: &mut job.request,
+                target,
+                plan: job.plan.clone(),
+                last: false, // each takes a copy: tables share their rows
+            };
+            let (failed, metrics) = ((SessionState::Failed, why.clone()), Default::default());
+            self.end_lane(shared, job.enqueued, failed, metrics, None, resume);
+        }
+        let (span, owner) = (job.group.map_or(NO_SPAN, |g| g.0), job.seats[0].0.id);
+        let detail = format!("{}: {why}", job.request.name);
+        self.close_group(span, owner, job.enqueued, detail);
     }
 
     /// Queues `request` as a session of its own, id `id` (fresh or
@@ -874,7 +899,7 @@ impl Inner {
         let depth = queue.fair.len();
         if depth >= self.config.max_queue_depth {
             drop(queue);
-            self.agg.lock().unwrap().stats.rejected += 1;
+            lock(&self.agg).stats.rejected += 1;
             self.events.push(
                 id,
                 NO_SPAN,
@@ -906,7 +931,7 @@ impl Inner {
             if let Some(estimated) = estimated.filter(|est| *est > deadline) {
                 drop(queue);
                 {
-                    let mut agg = self.agg.lock().unwrap();
+                    let mut agg = lock(&self.agg);
                     agg.stats.rejected += 1;
                     agg.stats.sessions_shed_deadline += 1;
                 }
@@ -943,7 +968,7 @@ impl Inner {
         plan: Option<Arc<CachedPlan>>,
     ) -> Result<Vec<SessionHandle>, Box<(SubmitError, ExchangeRequest)>> {
         let tenant = request.tenant_label();
-        let queue = self.queue.lock().unwrap();
+        let queue = lock(&self.queue);
         let mut queue = match self.admit(queue, &request, seats[0].0.id) {
             Ok(queue) => queue,
             Err(refused) => return Err(Box::new((refused, request))),
@@ -966,7 +991,7 @@ impl Inner {
             self.tenant_entry(&request.lane_tenant(target), |t| t.admitted += 1);
         }
         {
-            let mut agg = self.agg.lock().unwrap();
+            let mut agg = lock(&self.agg);
             agg.stats.admitted += lanes as u64;
             agg.stats.resumed += u64::from(resumed);
             if group.is_some() {
@@ -1003,9 +1028,7 @@ impl Inner {
 
     /// The weighted-fair share weight of `tenant` (1.0 unless set).
     fn tenant_weight(&self, tenant: &str) -> f64 {
-        self.tenant_weights
-            .lock()
-            .unwrap()
+        lock(&self.tenant_weights)
             .get(tenant)
             .copied()
             .unwrap_or(1.0)
@@ -1014,7 +1037,7 @@ impl Inner {
     /// Applies `update` to `tenant`'s fairness counters, folding
     /// arrivals beyond [`MAX_TRACKED_TENANTS`] into the overflow bucket.
     pub(crate) fn tenant_entry(&self, tenant: &str, update: impl FnOnce(&mut TenantCounters)) {
-        let mut map = self.tenant_stats.lock().unwrap();
+        let mut map = lock(&self.tenant_stats);
         let key = if map.contains_key(tenant) || map.len() < MAX_TRACKED_TENANTS {
             tenant
         } else {
@@ -1037,7 +1060,7 @@ impl Inner {
     pub(crate) fn remember_resumable(&self, id: SessionId, resumable: Resumable) {
         let mut evicted = 0u64;
         {
-            let mut map = self.resumables.lock().unwrap();
+            let mut map = lock(&self.resumables);
             let stamp = self.resumable_clock.fetch_add(1, Ordering::Relaxed);
             map.insert(id, (stamp, resumable));
             while map.len() > self.config.max_resumables.max(1) {
@@ -1061,7 +1084,7 @@ impl Inner {
             }
         }
         if evicted > 0 {
-            self.agg.lock().unwrap().stats.resumables_evicted += evicted;
+            lock(&self.agg).stats.resumables_evicted += evicted;
         }
     }
 
@@ -1074,7 +1097,7 @@ impl Inner {
     /// other lanes ride healthy routes, and the dequeue gate sheds this
     /// route's lane alone.
     pub(crate) fn shed_queued_route(&self, slot: &LinkSlot) {
-        let drained = self.queue.lock().unwrap().fair.drain_matching(|qs| {
+        let drained = lock(&self.queue).fair.drain_matching(|qs| {
             !qs.resumed
                 && qs.group.is_none()
                 && qs.request.source_endpoint == slot.source()
@@ -1130,7 +1153,7 @@ impl Inner {
         };
         self.shed(shared.id, shared.root_span, &why);
         {
-            let mut agg = self.agg.lock().unwrap();
+            let mut agg = lock(&self.agg);
             if expired {
                 agg.stats.sessions_shed_expired += 1;
             } else {
@@ -1210,7 +1233,9 @@ impl Inner {
     }
 
     /// The one start arm: runs a queued exchange on the calling worker
-    /// thread from dequeue to *park* (or, unpaced, to retirement). Every
+    /// thread from dequeue through its source phase. The record stays in
+    /// `job` until it becomes the exchange in `held`, so [`Inner::work`]
+    /// owns either. Every
     /// lane passes the gate at dequeue; the survivors are planned once
     /// per negotiated wire format, pass the gate again, and each format
     /// becomes one group — its source phase runs once and every frame is
@@ -1219,23 +1244,31 @@ impl Inner {
     /// breakers. A session is the group of one lane; a lane that drops
     /// out on the way stays resumable as a session of its own without
     /// stalling the rest.
-    fn start_exchange(&self, job: QueuedExchange) {
+    fn start_exchange(
+        &self,
+        job: &mut Option<Box<QueuedExchange>>,
+        held: &mut Option<Box<Exchange>>,
+    ) {
+        let Some(queued) = job.as_deref_mut() else {
+            return;
+        };
         let QueuedExchange {
             enqueued,
             resumed,
-            mut request,
+            request,
             plan: stored,
             seats,
             group,
-        } = job;
+        } = queued;
+        let (enqueued, resumed) = (*enqueued, *resumed);
         let (group_span, lag_cap) = group.unwrap_or((NO_SPAN, usize::MAX));
         let owner = seats[0].0.id;
         let lanes = seats
             .iter()
-            .map(|(shared, target)| self.open_lane(shared, enqueued, &request, target))
+            .map(|(shared, target)| self.open_lane(shared, enqueued, request, target))
             .collect();
         let dequeue = Stage::Dequeued { probe: resumed };
-        let mut lanes = self.gate(dequeue, &mut request, enqueued, lanes, |_| stored.clone());
+        let mut lanes = self.gate(dequeue, request, enqueued, lanes, |_| stored.clone());
         if lanes.is_empty() {
             let detail = format!("{}: no live lanes", request.name);
             return self.close_group(group_span, owner, enqueued, detail);
@@ -1243,17 +1276,17 @@ impl Inner {
         // A delta needs the one target whose base version the request
         // declares; the lanes of a group hold no version in common.
         let delta_base = match &mut lanes[..] {
-            [lane] => self.resolve_delta_base(&request, lane),
+            [lane] => self.resolve_delta_base(request, lane),
             _ => None,
         };
         // A delta round replays the plan its route's head was committed
         // with, when it was planned for this round's shape: the round
         // runs its program in place, so no placement lands other rows.
-        let stored = match (stored, &delta_base) {
+        let stored = match (stored.clone(), &delta_base) {
             (Some(plan), _) => Some((plan, "checkpointed plan".to_string())),
             (None, Some((base, head, ..))) => {
                 let lane = &lanes[0];
-                let shape = self.plan_shape(&request, lane.metrics.wire_format, 1);
+                let shape = self.plan_shape(request, lane.metrics.wire_format, 1);
                 let plan = self
                     .route_plans
                     .replay(&lane.feed_route, head - 1, shape.key());
@@ -1264,7 +1297,7 @@ impl Inner {
         // Planning is timed from the instant the (last lane's) queue wait
         // ended, and execution from the instant planning ended.
         let dequeued = enqueued + lanes[lanes.len() - 1].metrics.queue_wait;
-        let plans = match self.plan(&request, &mut lanes, dequeued, stored) {
+        let plans = match self.plan(request, &mut lanes, dequeued, stored) {
             Ok(plans) => plans,
             Err(why) => {
                 for lane in lanes {
@@ -1281,7 +1314,7 @@ impl Inner {
             let planned = plans.iter().find(|(f, _)| *f == format);
             planned.map(|(_, plan)| Arc::clone(plan))
         };
-        let mut lanes = self.gate(Stage::Planned, &mut request, enqueued, lanes, plan_of);
+        let mut lanes = self.gate(Stage::Planned, request, enqueued, lanes, plan_of);
         // Execute (Step 4): every cross-edge byte rides the shipping
         // engine on its lane's per-pair link, and the exchange parks
         // while its frames are on the wire. Writes are staged: a run
@@ -1300,8 +1333,10 @@ impl Inner {
             let detail = format!("{}: no live lanes", request.name);
             return self.close_group(group_span, owner, enqueued, detail);
         }
-        let ex = Exchange::new(enqueued, request, lag_cap, groups);
-        self.launch(ex, delta_base);
+        if let Some(QueuedExchange { request, .. }) = job.take().map(|queued| *queued) {
+            let ex = Exchange::new(enqueued, request, lag_cap, groups);
+            self.launch(held.insert(Box::new(ex)), delta_base);
+        }
     }
 
     /// Delta eligibility: resolves the base snapshot for the request's
@@ -1532,7 +1567,7 @@ impl Inner {
     ) {
         metrics.total_wall = enqueued.elapsed();
         {
-            let mut agg = self.agg.lock().unwrap();
+            let mut agg = lock(&self.agg);
             agg.stats.fold(&metrics);
             agg.source_counters.merge(&metrics.source_counters);
             agg.target_counters.merge(&metrics.target_counters);
@@ -1604,12 +1639,182 @@ impl Inner {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::engine::ShippingPolicy;
     use std::time::Duration;
     use xdx_net::BurstLoss;
+    use xdx_relational::Feed;
     use xdx_xmark::{generate, lf, load_source, mf, schema, GenConfig};
+
+    /// Sessions armed to panic once, by name and phase (`"source"`,
+    /// `"target"`): the stand-in for a panicking operator. Tests share
+    /// the process, so each arms names no other test submits.
+    static ARMED: Mutex<Vec<(String, &str)>> = Mutex::new(Vec::new());
+
+    fn arm(name: &str, phase: &'static str) {
+        lock(&ARMED).push((name.to_string(), phase));
+    }
+
+    /// Panics if `name` is armed at `phase`, disarming it.
+    pub(crate) fn panic_if_armed(name: &str, phase: &str) {
+        let mut armed = lock(&ARMED);
+        if let Some(at) = armed.iter().position(|&(ref n, p)| n == name && p == phase) {
+            armed.swap_remove(at);
+            drop(armed);
+            panic!("injected {phase} panic in {name}");
+        }
+    }
+
+    /// `f`'s answer, from a thread of its own: a minute without one fails
+    /// the test instead of hanging it. `f` starts and drops its runtime
+    /// itself, so a runtime that cannot shut down is never dropped here.
+    fn within<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(f()));
+        let answer = rx.recv_timeout(Duration::from_secs(60));
+        answer.expect("no answer within a minute: something hangs")
+    }
+
+    /// `count` MF→LF requests named `{name}-{i}` over distinct small
+    /// documents, and the tables a healthy runtime lands for each.
+    fn requests(name: &str, count: u64) -> (Vec<ExchangeRequest>, Vec<Vec<(String, Feed)>>) {
+        let schema = schema();
+        let (mf, lf) = (mf(&schema), lf(&schema));
+        let requests: Vec<_> = (0..count)
+            .map(|i| {
+                let doc = generate(GenConfig {
+                    target_bytes: 6_000,
+                    seed: i,
+                });
+                let source = load_source(&doc, &schema, &mf).unwrap();
+                ExchangeRequest::new(format!("{name}-{i}"), source, mf.clone(), lf.clone())
+            })
+            .collect();
+        let healthy = Runtime::start(schema, RuntimeConfig::default());
+        let landed = requests
+            .iter()
+            .map(|request| {
+                let result = healthy.submit(request.clone()).unwrap().wait();
+                assert_eq!(result.state, SessionState::Done, "{:?}", result.diagnostic);
+                db_tables(&result.target.unwrap())
+            })
+            .collect();
+        (requests, landed)
+    }
+
+    fn assert_panicked(result: &SessionResult, phase: &str, name: &str) {
+        assert_eq!(result.state, SessionState::Failed);
+        let why = format!("panicked: injected {phase} panic in {name}");
+        assert_eq!(result.diagnostic.as_deref(), Some(why.as_str()));
+    }
+
+    /// A panic in one session's source phase fails that session alone:
+    /// the other sessions of a two-worker fleet land what a healthy run
+    /// lands, and the runtime still shuts down. A message per row over a
+    /// paced link leaves the panicked exchange with batches parked.
+    #[test]
+    fn a_source_phase_panic_fails_its_session_and_the_fleet_completes() {
+        let (requests, landed) = requests("panic-source", 6);
+        arm("panic-source-2", "source");
+        let config = RuntimeConfig::default().with_workers(2).with_batch_rows(1);
+        let config = config.with_link_pacing(0.01);
+        let (results, stats) = within(move || {
+            let runtime = Runtime::start(schema(), config);
+            let handles: Vec<_> = requests
+                .into_iter()
+                .map(|request| runtime.submit(request).unwrap())
+                .collect();
+            let results: Vec<_> = handles.into_iter().map(SessionHandle::wait).collect();
+            (results, runtime.shutdown())
+        });
+        for (i, (result, landed)) in results.iter().zip(landed).enumerate() {
+            if i == 2 {
+                assert_panicked(result, "source", "panic-source-2");
+                let target = result.target.as_ref().expect("the rolled-back target");
+                assert!(target.table_names().is_empty());
+            } else {
+                assert_eq!(result.state, SessionState::Done, "{:?}", result.diagnostic);
+                assert!(
+                    db_tables(result.target.as_ref().unwrap()) == landed,
+                    "session {i}"
+                );
+            }
+        }
+        assert_eq!((stats.completed, stats.failed), (5, 1));
+    }
+
+    /// A panic in the target phase hands back a target with nothing
+    /// staged, and the failed session's checkpoint resumes and lands.
+    #[test]
+    fn a_target_phase_panic_rolls_back_and_its_checkpoint_resumes() {
+        let (mut requests, landed) = requests("panic-target", 1);
+        let request = requests.remove(0);
+        arm("panic-target-0", "target");
+        let (failed, done) = within(move || {
+            let runtime = Runtime::start(schema(), RuntimeConfig::default().with_workers(2));
+            let handle = runtime.submit(request).unwrap();
+            let id = handle.id();
+            let failed = handle.wait();
+            (failed, runtime.resume(id).unwrap().wait())
+        });
+        assert_panicked(&failed, "target", "panic-target-0");
+        let target = failed.target.expect("the rolled-back target");
+        assert!(target.table_names().is_empty() && target.staged_rows() == 0);
+        assert_eq!(done.state, SessionState::Done, "{:?}", done.diagnostic);
+        assert!(db_tables(&done.target.unwrap()) == landed[0]);
+    }
+
+    /// The worker whose exchange panicked goes back to its loop: a lone
+    /// worker serves the next session. Unpaced, the panicked exchange's
+    /// batches had landed, unabsorbed.
+    #[test]
+    fn a_worker_serves_on_after_a_panic() {
+        let (mut requests, landed) = requests("panic-serve", 2);
+        arm("panic-serve-0", "source");
+        let config = RuntimeConfig::default().with_workers(1).with_batch_rows(1);
+        let (first, second) = within(move || {
+            let runtime = Runtime::start(schema(), config);
+            let first = runtime.submit(requests.remove(0)).unwrap().wait();
+            (first, runtime.submit(requests.remove(0)).unwrap().wait())
+        });
+        assert_panicked(&first, "source", "panic-serve-0");
+        assert_eq!(second.state, SessionState::Done, "{:?}", second.diagnostic);
+        assert!(db_tables(&second.target.unwrap()) == landed[1]);
+    }
+
+    /// A panic in one lane's target phase ends every lane of its publish
+    /// group: the lane that settled before it keeps `Done`, the rest fail,
+    /// each counted once.
+    #[test]
+    fn a_panic_in_a_publish_lane_ends_every_lane_once() {
+        let (mut requests, landed) = requests("panic-group", 1);
+        let request = requests.remove(0);
+        arm("panic-group→b", "target");
+        let subscribers = ["a", "b", "c"].map(String::from).to_vec();
+        let publish = PublishRequest::new(
+            "panic-group",
+            request.source,
+            request.source_frag,
+            request.target_frag,
+            subscribers,
+        );
+        let (results, stats) = within(move || {
+            let runtime = Runtime::start(schema(), RuntimeConfig::default().with_workers(2));
+            let results = runtime.publish(publish).unwrap().wait();
+            (results, runtime.shutdown())
+        });
+        assert_eq!(
+            results[0].state,
+            SessionState::Done,
+            "{:?}",
+            results[0].diagnostic
+        );
+        assert!(db_tables(results[0].target.as_ref().unwrap()) == landed[0]);
+        assert_panicked(&results[1], "target", "panic-group→b");
+        assert_panicked(&results[2], "target", "panic-group→b");
+        assert_eq!((stats.completed, stats.failed), (1, 2));
+    }
 
     /// A resumed session whose exchange never ships again — cancelled in
     /// the queue, or between planning and shipping — can never be resumed,
@@ -1651,15 +1856,15 @@ mod tests {
 
             // Every in-flight slot taken: the resume waits in the queue.
             let cap = inner.config.workers * inner.config.pipeline_sessions_per_worker;
-            inner.queue.lock().unwrap().outstanding += cap;
+            lock(&inner.queue).outstanding += cap;
             let resumed = runtime.resume(id).unwrap();
             // Planning's first act after the `Planning` state is an event:
             // holding the log stops the worker before the gate after it.
-            let log = after_planning.then(|| inner.events.entries.lock().unwrap());
+            let log = after_planning.then(|| lock(&inner.events.entries));
             if !after_planning {
                 resumed.cancel();
             }
-            inner.queue.lock().unwrap().outstanding -= cap;
+            lock(&inner.queue).outstanding -= cap;
             inner.available.notify_all();
             if let Some(log) = log {
                 while resumed.state() != SessionState::Planning {
@@ -1726,7 +1931,7 @@ mod tests {
             .map(|_| load_source(&doc, &schema, &mf).unwrap())
             .collect();
         let cap = inner.config.workers * inner.config.pipeline_sessions_per_worker;
-        inner.queue.lock().unwrap().outstanding += cap;
+        lock(&inner.queue).outstanding += cap;
         let healthy = runtime
             .submit(
                 ExchangeRequest::new("healthy", sources.remove(0), mf.clone(), lf.clone())
@@ -1744,7 +1949,7 @@ mod tests {
                     .unwrap(),
             );
         }
-        inner.queue.lock().unwrap().outstanding -= cap;
+        lock(&inner.queue).outstanding -= cap;
         inner.available.notify_all();
         assert_eq!(healthy.wait().state, SessionState::Done);
 
@@ -1815,7 +2020,7 @@ mod tests {
         // starts before all three wait: the first then runs alone and
         // opens the breaker on the other two.
         let cap = inner.config.workers * inner.config.pipeline_sessions_per_worker;
-        inner.queue.lock().unwrap().outstanding += cap;
+        lock(&inner.queue).outstanding += cap;
         let mut doomed: Vec<_> = (0..3)
             .map(|i| {
                 let source = load_source(&doc, &schema, &mf).unwrap();
@@ -1824,7 +2029,7 @@ mod tests {
                 runtime.submit(request.with_route("doomed", "hub")).unwrap()
             })
             .collect();
-        inner.queue.lock().unwrap().outstanding -= cap;
+        lock(&inner.queue).outstanding -= cap;
         inner.available.notify_all();
         let first = doomed.remove(0);
         let first_id = first.id();
@@ -1927,7 +2132,7 @@ mod tests {
         let mut sources: Vec<_> = (0..12)
             .map(|_| load_source(&doc, &schema, &mf).unwrap())
             .collect();
-        inner.queue.lock().unwrap().outstanding += cap;
+        lock(&inner.queue).outstanding += cap;
         let mut healthy = Vec::new();
         let mut degraded = Vec::new();
         for i in 0..4 {
@@ -1961,7 +2166,7 @@ mod tests {
             );
         }
 
-        inner.queue.lock().unwrap().outstanding -= cap;
+        lock(&inner.queue).outstanding -= cap;
         inner.available.notify_all();
 
         // The healthy route rides through the overload untouched.

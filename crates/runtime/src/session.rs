@@ -7,6 +7,7 @@
 //! the runtime and the submitting thread share a `SessionShared` cell
 //! guarded by a mutex + condvar.
 
+use crate::sync::{lock, wait};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -476,10 +477,11 @@ pub(crate) struct SessionShared {
     /// not to the worker).
     submitted_at: Instant,
     deadline: Option<Duration>,
-    state: Mutex<SessionState>,
+    /// The lifecycle state and, from the terminal transition on, the
+    /// result: one guard, so no waiter sees the one without the other.
+    state: Mutex<(SessionState, Option<SessionResult>)>,
     state_changed: Condvar,
     pub(crate) cancelled: AtomicBool,
-    result: Mutex<Option<SessionResult>>,
     /// Root trace span of this session (0 when tracing is off). Every
     /// child span and correlated event hangs off this id.
     pub(crate) root_span: xdx_trace::SpanId,
@@ -511,10 +513,9 @@ impl SessionShared {
             name,
             submitted_at: Instant::now(),
             deadline,
-            state: Mutex::new(SessionState::Queued),
+            state: Mutex::new((SessionState::Queued, None)),
             state_changed: Condvar::new(),
             cancelled: AtomicBool::new(false),
-            result: Mutex::new(None),
             root_span,
             root_parent,
         })
@@ -527,39 +528,34 @@ impl SessionShared {
     }
 
     pub(crate) fn state(&self) -> SessionState {
-        *self.state.lock().unwrap()
+        lock(&self.state).0
     }
 
     pub(crate) fn set_state(&self, state: SessionState) {
-        *self.state.lock().unwrap() = state;
-        self.state_changed.notify_all();
+        lock(&self.state).0 = state;
     }
 
     pub(crate) fn is_cancelled(&self) -> bool {
         self.cancelled.load(Ordering::Relaxed)
     }
 
-    /// Stores the terminal result and wakes waiters. The result must be
-    /// stored before the terminal state becomes visible, so `wait` never
-    /// observes a terminal state with no result.
+    /// Stores the terminal result and wakes waiters. The first terminal
+    /// result stands: a session that already ended keeps it.
     pub(crate) fn finish(&self, result: SessionResult) {
-        let state = result.state;
-        debug_assert!(state.is_terminal());
-        *self.result.lock().unwrap() = Some(result);
-        self.set_state(state);
+        debug_assert!(result.state.is_terminal());
+        let mut cell = lock(&self.state);
+        if !cell.0.is_terminal() {
+            *cell = (result.state, Some(result));
+            self.state_changed.notify_all();
+        }
     }
 
     fn wait_terminal(&self) -> SessionResult {
-        let mut state = self.state.lock().unwrap();
-        while !state.is_terminal() {
-            state = self.state_changed.wait(state).unwrap();
+        let mut cell = lock(&self.state);
+        while !cell.0.is_terminal() {
+            cell = wait(&self.state_changed, cell);
         }
-        drop(state);
-        self.result
-            .lock()
-            .unwrap()
-            .take()
-            .expect("terminal session carries a result")
+        cell.1.take().expect("terminal session carries a result")
     }
 }
 
@@ -671,5 +667,26 @@ mod tests {
         let result = t.join().unwrap();
         assert_eq!(result.state, SessionState::Done);
         assert_eq!(shared.state(), SessionState::Done);
+    }
+
+    /// A lane ends once: a second terminal result — a caught panic's
+    /// failure after the lane already reported — leaves the first.
+    #[test]
+    fn a_second_finish_keeps_the_first_result() {
+        let shared = SessionShared::new(8, "t".into(), None, 0);
+        let ended = |state, diagnostic: Option<&str>| SessionResult {
+            state,
+            metrics: SessionMetrics::default(),
+            target: None,
+            diagnostic: diagnostic.map(String::from),
+        };
+        shared.finish(ended(SessionState::Done, None));
+        shared.finish(ended(SessionState::Failed, Some("panicked: late")));
+        assert_eq!(shared.state(), SessionState::Done);
+        let result = shared.wait_terminal();
+        assert_eq!(
+            (result.state, result.diagnostic),
+            (SessionState::Done, None)
+        );
     }
 }

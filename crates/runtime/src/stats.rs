@@ -12,6 +12,7 @@ use crate::introspect::IntrospectReply;
 use crate::registry::LinkStats;
 use crate::runtime::Inner;
 use crate::session::SessionMetrics;
+use crate::sync::lock;
 use std::fmt::Write as _;
 use std::sync::atomic::Ordering;
 use std::time::Duration;
@@ -330,8 +331,8 @@ impl Inner {
     /// structures (queue, tenants, plan cache, ledger, links, rings).
     pub(crate) fn stats(&self) -> RuntimeStats {
         let tenants = {
-            let stats = self.tenant_stats.lock().unwrap();
-            let weights = self.tenant_weights.lock().unwrap();
+            let stats = lock(&self.tenant_stats);
+            let weights = lock(&self.tenant_weights);
             stats
                 .iter()
                 .map(|(tenant, c)| TenantStats {
@@ -343,9 +344,9 @@ impl Inner {
                 })
                 .collect()
         };
-        let tallies = self.agg.lock().unwrap().stats.clone();
+        let tallies = lock(&self.agg).stats.clone();
         RuntimeStats {
-            queue_depth: self.queue.lock().unwrap().fair.len(),
+            queue_depth: lock(&self.queue).fair.len(),
             tenants,
             ledger_buffers_shed: self.ledger.buffers_shed(),
             ledger_entries_pruned: self.ledger.entries_pruned(),
@@ -376,7 +377,7 @@ impl Inner {
         // Decoded batches parked groups hold for lanes still to settle,
         // ahead of the staging cursor or staged into the delivery —
         // memory a stuck or dead lane must not pin.
-        let queue = self.queue.lock().unwrap();
+        let queue = lock(&self.queue);
         let cached: usize = queue.exchanges.iter().map(|ex| ex.decoded_cached()).sum();
         drop(queue);
         m.gauge("xdx_decoded_batches_cached").set(cached as f64);
@@ -397,7 +398,7 @@ impl Inner {
         }
         // The relational engines' own counters, re-emitted per side.
         {
-            let agg = self.agg.lock().unwrap();
+            let agg = lock(&self.agg);
             for (side, c) in [
                 ("source", agg.source_counters),
                 ("target", agg.target_counters),
@@ -500,11 +501,7 @@ impl Inner {
     /// The stall watchdog's reading: how overdue the earliest parked
     /// exchange is, past [`STALL_THRESHOLD`].
     fn stalled(&self) -> Option<Duration> {
-        self.queue
-            .lock()
-            .unwrap()
-            .exchanges
-            .stall_check(STALL_THRESHOLD)
+        lock(&self.queue).exchanges.stall_check(STALL_THRESHOLD)
     }
 
     /// Liveness verdict plus the evidence: the stall watchdog's reading,
@@ -521,7 +518,7 @@ impl Inner {
             .filter(|l| l.breaker_open)
             .map(|l| l.pair())
             .collect();
-        let queue_depth = self.queue.lock().unwrap().fair.len();
+        let queue_depth = lock(&self.queue).fair.len();
         let healthy = stalled.is_none();
         let body = format!(
             "{{\"healthy\":{healthy},\"stalled_overdue_ms\":{},\"open_breakers\":[{}],\
