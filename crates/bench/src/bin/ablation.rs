@@ -3,8 +3,8 @@
 //! 1. **Combine ordering**: greedy cost-first vs canonical pre-order vs
 //!    the worst ordering in the search space (estimated cost).
 //! 2. **Join strategy**: merge vs hash `Combine` (measured on item feeds).
-//! 3. **Wire format**: prefix-compressed Dewey ids vs a naive expansion
-//!    (shipped bytes).
+//! 3. **Wire format**: prefix-compressed Dewey ids vs a naive expansion,
+//!    and the columnar frame's bytes per Dewey cell (shipped bytes).
 //! 4. **Dumb client**: planned cost with and without target-side combines.
 
 use std::time::Instant;
@@ -33,7 +33,6 @@ fn main() {
         let sim_schema = SchemaTree::balanced(2, 4, true);
         let sim_model = CostModel::fast_network(SchemaStats::multiplicative(&sim_schema, 5, 16));
         let mut worse_sum = 0.0;
-        let mut n = 0u32;
         for seed in 0..5u64 {
             use rand::SeedableRng;
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -50,11 +49,10 @@ fn main() {
                 worst.cost
             );
             worse_sum += canonical_cost / greedy_cost;
-            n += 1;
         }
         println!(
             "canonical ordering averages {:.2}× the greedy ordering's cost\n",
-            worse_sum / n as f64
+            worse_sum / 5.0
         );
     }
 
@@ -90,12 +88,13 @@ fn main() {
 
     // ------------------------------------------------------------------
     println!("## 3. Wire format (prefix-compressed vs naive Dewey ids)\n");
-    let compressed = item.to_wire().len();
-    // Naive size: every Dewey cell at full length, two bytes of framing
-    // per cell (`wire_size` counts one).
-    let naive = item.wire_size() as usize + item.len() * item.schema.arity();
-    println!("compressed wire: {compressed} bytes");
-    println!("naive estimate : {naive} bytes");
+    // `item` holds ids alone; naive: full-length cells, 2 framing bytes each.
+    let cells = item.len() * item.schema.arity();
+    let (compressed, naive) = (item.to_wire().len(), item.wire_size() as usize + cells);
+    let columnar = xdx_codec::encode_feed(&item).len();
+    println!("compressed wire: {compressed} bytes\nnaive estimate : {naive} bytes");
+    let per_cell = columnar as f64 / cells as f64;
+    println!("columnar frame : {columnar} bytes, {per_cell:.2} per Dewey cell");
     println!(
         "compression saves ~{:.0}% of id-bearing payload\n",
         (1.0 - compressed as f64 / naive as f64) * 100.0

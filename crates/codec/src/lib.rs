@@ -10,9 +10,16 @@
 //!
 //! * **per-cell type tags**, two bits per cell packed four to a byte,
 //!   doubling as the null bitmap for outer-padded rows;
+//! * **derived ids**: an outer-union row carries one instance's path, so
+//!   a Dewey column names a *basis* column of its row once per frame, and
+//!   a cell that is its basis cell plus one component costs that
+//!   component (a *child*), one that is its basis cell less the last
+//!   component costs nothing (a *parent*: `PARENT` against the row's
+//!   id). Any other cell is an exception, listed in the column's
+//!   exception mark (one byte when there is none) and coded explicitly;
 //! * **zig-zag delta varints** for `Int` cells and for the diverging
-//!   component of each Dewey — the `NodeId`/`PARENT` columns of a sorted
-//!   feed are monotone in document order, so consecutive ids share long
+//!   component of each explicit Dewey — the id columns of a sorted feed
+//!   are monotone in document order, so consecutive ids share long
 //!   prefixes and differ by tiny deltas;
 //! * **two-level dictionary encoding** for strings: distinct cell values
 //!   become entries of a string table, so a repeated value costs one
@@ -59,7 +66,11 @@
 //! The decoder hashes nothing, borrows tokens from the verified frame,
 //! and builds the string table into one arena per frame, so a string
 //! cell is copied in place up to 22 bytes and into one exact-size block
-//! past that (DESIGN §12, §22).
+//! past that (DESIGN §12, §22). It builds a derived id from the basis
+//! cell it already decoded: a copy and a push or a pop, with no varint
+//! walk. On XMark (2.5 MB, 1024-row frames) derived ids take an MF
+//! fragmentation's frames from 0.285 to 0.228 of the document and an
+//! LF one's from 0.229 to 0.172 (DESIGN §12).
 
 #![forbid(unsafe_code)]
 
@@ -74,11 +85,13 @@ use xdx_relational::{
 
 /// Frame magic of the columnar format. XML-text feeds start with
 /// `#feed\t`, so the first byte already separates the two formats;
-/// [`is_columnar`] checks all eight for robustness.
-pub const COLUMNAR_MAGIC: &[u8; 8] = b"XDXCOLF1";
+/// [`is_columnar`] checks all eight for robustness. The third generation:
+/// `XDXCOLF2` carried a trace context and was retired (DESIGN §18), and
+/// `XDXCOLF3` derives Dewey cells from their row; one decoder reads it.
+pub const COLUMNAR_MAGIC: &[u8; 8] = b"XDXCOLF3";
 
 /// Frame magic of the delta-exchange `Patch` format; distinct in its
-/// first bytes from both `XDXCOLF1` and `#feed` text so receivers sniff
+/// first bytes from both `XDXCOLF3` and `#feed` text so receivers sniff
 /// all three frame kinds with one prefix check.
 pub const PATCH_MAGIC: &[u8; 8] = b"XDXPATF1";
 
@@ -182,9 +195,11 @@ const TAG_STR: u8 = 3;
 /// Frame layout (all counts LEB128 varints):
 ///
 /// ```text
-/// magic            8 bytes  "XDXCOLF1"
+/// magic            8 bytes  "XDXCOLF3"
 /// schema           root element, column count, per column
-///                  (element, role byte 0=ID 1=PARENT 2=VALUE)
+///                  (element, role byte 0=ID 1=PARENT 2=VALUE, and for an
+///                  ID or PARENT column its basis: 0 none, 2b+1 a child of
+///                  column b, 2b+2 its parent)
 /// schema digest    8 bytes LE, word sum of the schema section
 /// row count        varint
 /// token dict       token count, then length-prefixed tokens in
@@ -192,15 +207,29 @@ const TAG_STR: u8 = 3;
 /// string table     entry count, then per distinct cell string its
 ///                  token count and token indices (tokens are the
 ///                  string split on ' ', joined back with ' ' on decode)
-/// per column       ceil(rows/4) tag bytes (2 bits/cell), then the
-///                  non-null cell payloads in row order:
+/// per column       the columns that are no parent of their basis in
+///                  column order, then those that are; each
+///                  ceil(rows/4) tag bytes (2 bits/cell), then, with a
+///                  basis, its exception mark (length-prefixed varint
+///                  gaps: the first exception's row, then each next row
+///                  less the last less 1), then the non-null cell
+///                  payloads in row order:
 ///                    Int    zig-zag varint delta vs. previous Int
-///                    Dewey  lcp with previous Dewey, suffix length,
+///                    Dewey  derived: a child's last component, a
+///                           parent's nothing; an exception, or any
+///                           cell of a column without a basis: lcp with
+///                           the previous explicit Dewey, suffix length,
 ///                           zig-zag delta on the diverging component,
 ///                           raw varints for the rest
 ///                    Str    varint string-table index
 /// checksum         8 bytes LE, word sum of everything above
 /// ```
+///
+/// A column's basis is fixed by its first non-null cell: `PARENT`
+/// against its element's ID column, an ID column against the earlier ID
+/// column holding its parent. A Dewey cell derives when its basis cell
+/// is a Dewey other than the root and the relation holds; any other
+/// Dewey cell of the column is an exception.
 pub fn encode_feed(feed: &Feed) -> Vec<u8> {
     let mut buf = Vec::new();
     append_columnar_frame(&mut buf, &feed.schema, feed.rows.slice(..));
@@ -395,17 +424,164 @@ impl<'a> Dictionary<'a> {
     }
 }
 
+/// How the cells of a Dewey column derive from another column of their
+/// row, the column's *basis*: fixed once per frame by the first row in
+/// which the column is non-null ([`choose_basis`]) and named in the
+/// schema section. An outer-union row carries one instance's path, so
+/// most ids are another id of the row plus one component, and `PARENT`
+/// is the row's id minus one.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Basis {
+    /// Every cell coded against the column's previous explicit cell.
+    None,
+    /// The basis cell plus one component: a cell costs that component.
+    Child(usize),
+    /// The basis cell minus its last component: a cell costs nothing.
+    Parent(usize),
+}
+
+impl Basis {
+    /// The basis column, if any.
+    fn column(self) -> Option<usize> {
+        match self {
+            Basis::None => None,
+            Basis::Child(b) | Basis::Parent(b) => Some(b),
+        }
+    }
+
+    /// The schema section's varint: 0 for none, `2b + 1` for a child of
+    /// column `b`, `2b + 2` for its parent.
+    fn code(self) -> u64 {
+        match self {
+            Basis::None => 0,
+            Basis::Child(b) => 2 * b as u64 + 1,
+            Basis::Parent(b) => 2 * b as u64 + 2,
+        }
+    }
+
+    /// Reads [`Basis::code`] back.
+    fn from_code(code: u64) -> Result<Basis> {
+        let Some(pair) = code.checked_sub(1) else {
+            return Ok(Basis::None);
+        };
+        let b = usize::try_from(pair / 2).map_err(|_| Error::decode("dewey basis out of range"))?;
+        Ok(if pair % 2 == 0 {
+            Basis::Child(b)
+        } else {
+            Basis::Parent(b)
+        })
+    }
+
+    /// Whether `d` derives from the basis cell `base`, which must not be
+    /// the root: a child is one component deeper, a parent one shallower.
+    fn derives(self, base: &[u32], d: &[u32]) -> bool {
+        match self {
+            Basis::None => false,
+            Basis::Child(_) => !base.is_empty() && d.len() == base.len() + 1 && d.starts_with(base),
+            Basis::Parent(_) => base.split_last().is_some_and(|(_, up)| up == d),
+        }
+    }
+}
+
+/// The basis of column `c` of `schema`, chosen from `row`, the first row
+/// in which the column is non-null: `PARENT` derives from its element's
+/// `NodeId` column, a `NodeId` column from the `NodeId` column before it
+/// that holds its parent (ids are unique per node, and pre-order puts the
+/// parent earlier) — each only if this first cell derives from it. So a
+/// child's basis comes before it and a parent's basis is a child or has
+/// none, which is the order the column sections are written in.
+fn choose_basis<'a, R: Row<'a>>(schema: &FeedSchema, c: usize, row: R) -> Basis {
+    let Value::Dewey(d) = row.cell(c) else {
+        return Basis::None;
+    };
+    let fits = |basis: &Basis| {
+        basis
+            .column()
+            .and_then(|b| row.cell(b).as_dewey())
+            .is_some_and(|base| basis.derives(base.as_slice(), d.as_slice()))
+    };
+    let column = &schema.columns[c];
+    let found = match column.role {
+        ColRole::ParentRef => schema
+            .col(&column.element, ColRole::NodeId)
+            .map(Basis::Parent)
+            .filter(fits),
+        ColRole::NodeId => (0..c)
+            .filter(|&b| schema.columns[b].role == ColRole::NodeId)
+            .map(Basis::Child)
+            .find(fits),
+        ColRole::Value => None,
+    };
+    found.unwrap_or(Basis::None)
+}
+
+/// Writes `v` as an LEB128 varint at `buf[at..]` and returns where it
+/// ends.
+fn varint_at(buf: &mut [u8], mut at: usize, mut v: u64) -> usize {
+    while v >= 0x80 {
+        buf[at] = v as u8 | 0x80;
+        v >>= 7;
+        at += 1;
+    }
+    buf[at] = v as u8;
+    at + 1
+}
+
+/// Appends an explicit Dewey cell `d` coded against `prev`: the lcp, the
+/// suffix length, a zig-zag delta on the diverging component and the
+/// rest raw. A suffix of up to five components (every inline id) is
+/// gathered on the stack and appended with one copy.
+fn put_dewey(buf: &mut Vec<u8>, prev: &[u32], d: &[u32]) {
+    let lcp = common_prefix(prev, d);
+    let rest = &d[lcp..];
+    // Three varints of at most 10 bytes and four of at most 5.
+    let mut cell = [0u8; 50];
+    let mut len = varint_at(&mut cell, 0, lcp as u64);
+    len = varint_at(&mut cell, len, rest.len() as u64);
+    let Some((&first, more)) = rest.split_first() else {
+        buf.extend_from_slice(&cell[..len]);
+        return;
+    };
+    let base = prev.get(lcp).copied().unwrap_or(0);
+    len = varint_at(&mut cell, len, zigzag(first as i64 - base as i64));
+    let (inline, spilled) = more.split_at(more.len().min(4));
+    for &c in inline {
+        len = varint_at(&mut cell, len, u64::from(c));
+    }
+    buf.extend_from_slice(&cell[..len]);
+    for &c in spilled {
+        put_varint(buf, u64::from(c));
+    }
+}
+
 /// One column as the row walk appends to it: its tag bytes, then its
-/// payload; with the delta bases of its `Int` and Dewey cells.
+/// payload; with the delta bases of its `Int` and explicit Dewey cells,
+/// its basis, and the exception mark of a column that has one.
 struct Column<'a> {
     bytes: Vec<u8>,
     prev_int: i64,
     prev_dewey: &'a [u32],
+    basis: Basis,
+    /// True until the basis is chosen, at the column's first non-null
+    /// cell; never for a value column.
+    open: bool,
+    /// The rows of the Dewey cells not derived from the basis, as gaps:
+    /// the first row, then each next row less the last one less 1.
+    marks: Vec<u8>,
+    /// The row after the last exception.
+    next_mark: usize,
 }
 
 impl<'a> Column<'a> {
-    /// Appends `v`'s payload (strings through `dict`) and returns its tag.
-    fn push(&mut self, v: &'a Value, dict: &mut Dictionary<'a>) -> u8 {
+    /// Appends row `i`'s cell `v` (strings through `dict`, derived ids
+    /// against their basis cell in `row`) and returns its tag.
+    fn push<R: Row<'a>>(
+        &mut self,
+        i: usize,
+        v: &'a Value,
+        row: R,
+        dict: &mut Dictionary<'a>,
+    ) -> u8 {
         match v {
             Value::Null => TAG_NULL,
             Value::Int(i) => {
@@ -415,18 +591,20 @@ impl<'a> Column<'a> {
             }
             Value::Dewey(d) => {
                 let d = d.as_slice();
-                let lcp = common_prefix(self.prev_dewey, d);
-                put_varint(&mut self.bytes, lcp as u64);
-                let rest = &d[lcp..];
-                put_varint(&mut self.bytes, rest.len() as u64);
-                if let Some((&first, more)) = rest.split_first() {
-                    let base = self.prev_dewey.get(lcp).copied().unwrap_or(0);
-                    put_varint(&mut self.bytes, zigzag(first as i64 - base as i64));
-                    for &c in more {
-                        put_varint(&mut self.bytes, u64::from(c));
+                let basis = self.basis;
+                let base = basis.column().and_then(|b| row.cell(b).as_dewey());
+                if base.is_some_and(|base| basis.derives(base.as_slice(), d)) {
+                    if let Basis::Child(_) = basis {
+                        put_varint(&mut self.bytes, u64::from(d[d.len() - 1]));
                     }
+                } else {
+                    if basis != Basis::None {
+                        put_varint(&mut self.marks, (i - self.next_mark) as u64);
+                        self.next_mark = i + 1;
+                    }
+                    put_dewey(&mut self.bytes, self.prev_dewey, d);
+                    self.prev_dewey = d;
                 }
-                self.prev_dewey = d;
                 TAG_DEWEY
             }
             Value::Str(s) => {
@@ -443,40 +621,31 @@ impl<'a> Column<'a> {
 /// after another in the buffer the message ships from.
 ///
 /// One row-major walk appends each cell's tag and payload to its
-/// column's buffer and assigns dictionary ids as strings are first seen;
-/// the dictionaries and then the columns are copied out behind it.
+/// column's buffer, fixes each Dewey column's basis at its first non-null
+/// cell and assigns dictionary ids as strings are first seen; the schema
+/// section, the dictionaries and then the columns are copied out behind
+/// it.
 fn append_columnar_frame(buf: &mut Vec<u8>, schema: &FeedSchema, rows: RowSlice<'_>) {
     let frame_start = buf.len();
     buf.extend_from_slice(COLUMNAR_MAGIC);
 
-    // Schema section + digest.
-    let schema_start = buf.len();
-    put_str(buf, &schema.root_element);
-    put_varint(buf, schema.columns.len() as u64);
-    for c in &schema.columns {
-        put_str(buf, &c.element);
-        buf.push(match c.role {
-            ColRole::NodeId => 0,
-            ColRole::ParentRef => 1,
-            ColRole::Value => 2,
-        });
-    }
-    let digest = word_sum(&buf[schema_start..]);
-    buf.extend_from_slice(&digest.to_le_bytes());
-
-    put_varint(buf, rows.len() as u64);
-
     let tag_len = rows.len().div_ceil(4);
     // Room for the tags and the one payload byte a non-null cell costs at
     // least; a column grows past that as its cells need.
-    let mut columns: Vec<Column<'_>> = (0..schema.arity())
-        .map(|_| {
+    let mut columns: Vec<Column<'_>> = schema
+        .columns
+        .iter()
+        .map(|c| {
             let mut bytes = Vec::with_capacity(tag_len + rows.len());
             bytes.resize(tag_len, 0);
             Column {
                 bytes,
                 prev_int: 0,
                 prev_dewey: &[],
+                basis: Basis::None,
+                open: c.role != ColRole::Value,
+                marks: Vec::new(),
+                next_mark: 0,
             }
         })
         .collect();
@@ -487,13 +656,45 @@ fn append_columnar_frame(buf: &mut Vec<u8>, schema: &FeedSchema, rows: RowSlice<
         .count();
     let mut dict = Dictionary::for_cells(rows.len() * strings);
     rows.read(ColumnarRows {
+        schema,
         columns: &mut columns,
         dict: &mut dict,
     });
 
+    // Schema section + digest.
+    let schema_start = buf.len();
+    put_str(buf, &schema.root_element);
+    put_varint(buf, schema.columns.len() as u64);
+    for (c, col) in schema.columns.iter().zip(&columns) {
+        put_str(buf, &c.element);
+        buf.push(match c.role {
+            ColRole::NodeId => 0,
+            ColRole::ParentRef => 1,
+            ColRole::Value => 2,
+        });
+        if c.role != ColRole::Value {
+            put_varint(buf, col.basis.code());
+        }
+    }
+    let digest = word_sum(&buf[schema_start..]);
+    buf.extend_from_slice(&digest.to_le_bytes());
+
+    put_varint(buf, rows.len() as u64);
     dict.append_to(buf);
-    for col in &columns {
-        buf.extend_from_slice(&col.bytes);
+    // Every column whose cells are not parents of their basis first, in
+    // column order, then those that are: a basis is written before the
+    // cells derived from it.
+    for parents in [false, true] {
+        for col in &columns {
+            if matches!(col.basis, Basis::Parent(_)) != parents {
+                continue;
+            }
+            buf.extend_from_slice(&col.bytes[..tag_len]);
+            if col.basis != Basis::None {
+                put_bytes(buf, &col.marks);
+            }
+            buf.extend_from_slice(&col.bytes[tag_len..]);
+        }
     }
 
     let sum = word_sum(&buf[frame_start..]);
@@ -503,6 +704,7 @@ fn append_columnar_frame(buf: &mut Vec<u8>, schema: &FeedSchema, rows: RowSlice<
 /// The columnar encoder's row walk: each cell's tag and payload onto its
 /// column, read where the rows sit.
 struct ColumnarRows<'c, 'a> {
+    schema: &'c FeedSchema,
     columns: &'c mut [Column<'a>],
     dict: &'c mut Dictionary<'a>,
 }
@@ -512,8 +714,13 @@ impl<'a> ReadRows<'a> for ColumnarRows<'_, 'a> {
     fn read<R: Row<'a>>(self, len: usize, row: impl Fn(usize) -> R) {
         for i in 0..len {
             let (byte, shift) = (i / 4, (i % 4) * 2);
-            for (v, col) in row(i).cells().zip(self.columns.iter_mut()) {
-                let tag = col.push(v, self.dict);
+            let r = row(i);
+            for (c, (v, col)) in r.cells().zip(self.columns.iter_mut()).enumerate() {
+                if col.open && !v.is_null() {
+                    col.basis = choose_basis(self.schema, c, r);
+                    col.open = false;
+                }
+                let tag = col.push(i, v, r, self.dict);
                 col.bytes[byte] |= tag << shift;
             }
         }
@@ -598,9 +805,49 @@ impl<'a> Reader<'a> {
             .map_err(|_| Error::decode(format!("invalid UTF-8 in {what}")))
     }
 
+    /// The next row of an exception mark, `from` or after it; `None` at
+    /// the mark's end.
+    fn next_mark(&mut self, from: usize) -> Result<Option<usize>> {
+        if self.remaining() == 0 {
+            return Ok(None);
+        }
+        let gap = self.varint("exception mark")?;
+        usize::try_from(gap)
+            .ok()
+            .and_then(|gap| from.checked_add(gap))
+            .map(Some)
+            .ok_or_else(|| Error::decode("exception mark out of range"))
+    }
+
     fn string(&mut self, what: &str) -> Result<String> {
         self.str(what).map(str::to_owned)
     }
+}
+
+/// Refuses a schema section whose bases the column order cannot decode:
+/// a basis out of range, of a value column, the column itself, or not
+/// decoded before the column (a child's basis must come before it, a
+/// parent's must not be a parent itself), which every cycle is.
+fn check_bases(columns: &[FeedColumn], bases: &[Basis]) -> Result<()> {
+    for (c, basis) in bases.iter().enumerate() {
+        let Some(b) = basis.column() else { continue };
+        let Some(of) = columns.get(b) else {
+            return Err(Error::decode(format!("dewey basis {b} out of range")));
+        };
+        if of.role == ColRole::Value {
+            return Err(Error::decode("dewey basis is a value column"));
+        }
+        if b == c {
+            return Err(Error::decode("dewey basis is the column itself"));
+        }
+        let first_pass = !matches!(bases[b], Basis::Parent(_));
+        if !first_pass || (matches!(basis, Basis::Child(_)) && b > c) {
+            return Err(Error::decode(
+                "dewey basis is not decoded before its column",
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// Decodes a columnar frame back into a [`Feed`]. The trailing checksum
@@ -634,6 +881,7 @@ pub fn decode_feed(bytes: &[u8]) -> Result<Feed> {
     let root = r.string("root element")?;
     let ncols = r.count(2, "column")?;
     let mut columns = Vec::with_capacity(ncols);
+    let mut bases = Vec::with_capacity(ncols);
     for _ in 0..ncols {
         let element = r.string("column element")?;
         let role = match r.take(1, "column role")?[0] {
@@ -642,8 +890,13 @@ pub fn decode_feed(bytes: &[u8]) -> Result<Feed> {
             2 => ColRole::Value,
             other => return Err(Error::decode(format!("bad column role byte {other}"))),
         };
+        bases.push(match role {
+            ColRole::Value => Basis::None,
+            _ => Basis::from_code(r.varint("dewey basis")?)?,
+        });
         columns.push(FeedColumn::new(element, role));
     }
+    check_bases(&columns, &bases)?;
     let digest = word_sum(&r.buf[schema_start..r.pos]);
     if r.u64_le("schema digest")? != digest {
         return Err(Error::decode("schema digest mismatch"));
@@ -695,50 +948,96 @@ pub fn decode_feed(bytes: &[u8]) -> Result<Feed> {
         String::from_utf8(arena).map_err(|_| Error::decode("invalid UTF-8 in string table"))?;
 
     let mut table: Vec<Vec<Value>> = (0..rows).map(|_| vec![Value::Null; ncols]).collect();
-    for col in 0..ncols {
-        let tags = r.take(rows.div_ceil(4), "cell tags")?;
-        let mut prev_int: i64 = 0;
-        let mut prev_dewey: Vec<u32> = Vec::new();
-        for (i, slot) in table.iter_mut().enumerate() {
-            let tag = (tags[i / 4] >> ((i % 4) * 2)) & 0b11;
-            slot[col] = match tag {
-                TAG_NULL => Value::Null,
-                TAG_INT => {
-                    let delta = unzigzag(r.varint("int cell")?);
-                    prev_int = prev_int.wrapping_add(delta);
-                    Value::Int(prev_int)
-                }
-                TAG_DEWEY => {
-                    let lcp = r.varint("dewey prefix")? as usize;
-                    if lcp > prev_dewey.len() {
-                        return Err(Error::decode("dewey prefix longer than predecessor"));
-                    }
-                    let rest = r.count(1, "dewey suffix")?;
-                    let base = prev_dewey.get(lcp).copied().unwrap_or(0);
-                    prev_dewey.truncate(lcp);
-                    if rest > 0 {
-                        let delta = unzigzag(r.varint("dewey component")?);
-                        let first = (base as i64).wrapping_add(delta);
-                        let first = u32::try_from(first)
-                            .map_err(|_| Error::decode("dewey component out of range"))?;
-                        prev_dewey.push(first);
-                        for _ in 1..rest {
-                            let c = r.varint("dewey component")?;
-                            let c = u32::try_from(c)
-                                .map_err(|_| Error::decode("dewey component out of range"))?;
-                            prev_dewey.push(c);
-                        }
-                    }
-                    Value::Dewey(Dewey::from(&prev_dewey[..]))
-                }
-                _ => {
-                    let idx = r.varint("string cell")? as usize;
-                    let s = dict.get(idx).ok_or_else(|| {
-                        Error::decode(format!("string-table index {idx} out of range"))
-                    })?;
-                    Value::Str(arena[s.clone()].into())
-                }
+    // The encoder's column order: the parents of their basis last.
+    for parents in [false, true] {
+        for (col, &basis) in bases.iter().enumerate() {
+            if matches!(basis, Basis::Parent(_)) != parents {
+                continue;
+            }
+            let tags = r.take(rows.div_ceil(4), "cell tags")?;
+            // The rows of the explicit Dewey cells of a column with a
+            // basis, as gaps; every other Dewey cell is derived.
+            let mut marks = Reader {
+                buf: if basis == Basis::None {
+                    &[]
+                } else {
+                    let len = r.count(1, "exception mark")?;
+                    r.take(len, "exception mark")?
+                },
+                pos: 0,
             };
+            let mut next_mark = marks.next_mark(0)?;
+            let mut prev_int: i64 = 0;
+            let mut prev_dewey: Vec<u32> = Vec::new();
+            for i in 0..rows {
+                let tag = (tags[i / 4] >> ((i % 4) * 2)) & 0b11;
+                let explicit = next_mark == Some(i);
+                if explicit {
+                    if tag != TAG_DEWEY {
+                        return Err(Error::decode("exception mark on a cell that is no dewey"));
+                    }
+                    next_mark = marks.next_mark(i + 1)?;
+                }
+                let derived_from = basis.column().filter(|_| !explicit);
+                table[i][col] = match (tag, derived_from) {
+                    (TAG_NULL, _) => Value::Null,
+                    (TAG_INT, _) => {
+                        let delta = unzigzag(r.varint("int cell")?);
+                        prev_int = prev_int.wrapping_add(delta);
+                        Value::Int(prev_int)
+                    }
+                    (TAG_DEWEY, Some(b)) => {
+                        let base = match table[i][b].as_dewey() {
+                            Some(base) if base.depth() > 0 => base,
+                            _ => return Err(Error::decode("derived dewey cell on no dewey basis")),
+                        };
+                        Value::Dewey(match basis {
+                            Basis::Child(_) => {
+                                let k = r.varint("dewey child")?;
+                                base.child(
+                                    u32::try_from(k).map_err(|_| {
+                                        Error::decode("dewey component out of range")
+                                    })?,
+                                )
+                            }
+                            _ => base.parent().expect("a non-root basis has a parent"),
+                        })
+                    }
+                    (TAG_DEWEY, None) => {
+                        let lcp = r.varint("dewey prefix")? as usize;
+                        if lcp > prev_dewey.len() {
+                            return Err(Error::decode("dewey prefix longer than predecessor"));
+                        }
+                        let rest = r.count(1, "dewey suffix")?;
+                        let base = prev_dewey.get(lcp).copied().unwrap_or(0);
+                        prev_dewey.truncate(lcp);
+                        if rest > 0 {
+                            let delta = unzigzag(r.varint("dewey component")?);
+                            let first = (base as i64).wrapping_add(delta);
+                            let first = u32::try_from(first)
+                                .map_err(|_| Error::decode("dewey component out of range"))?;
+                            prev_dewey.push(first);
+                            for _ in 1..rest {
+                                let c = r.varint("dewey component")?;
+                                let c = u32::try_from(c)
+                                    .map_err(|_| Error::decode("dewey component out of range"))?;
+                                prev_dewey.push(c);
+                            }
+                        }
+                        Value::Dewey(Dewey::from(&prev_dewey[..]))
+                    }
+                    _ => {
+                        let idx = r.varint("string cell")? as usize;
+                        let s = dict.get(idx).ok_or_else(|| {
+                            Error::decode(format!("string-table index {idx} out of range"))
+                        })?;
+                        Value::Str(arena[s.clone()].into())
+                    }
+                };
+            }
+            if next_mark.is_some() {
+                return Err(Error::decode("exception mark past the last row"));
+            }
         }
     }
     if r.remaining() != 0 {
@@ -1276,19 +1575,19 @@ mod tests {
         assert_eq!(decode_feed(&encode_feed(&f)).unwrap(), f);
     }
 
-    /// Length and word sum of the frames these feeds encoded to before the
-    /// dictionary pass went to one probe per cell: dictionaries still
-    /// number strings and tokens in first-occurrence row-major order, so
-    /// every frame is the same bytes. Recorded again when the trailer and
-    /// schema digest became word sums; the lengths did not move. The
-    /// tokenizer feed was recorded before the dictionary keys carried
-    /// their hash and the tokenizer scanned a word at a time.
+    /// Length and word sum of the frames these feeds encode to, recorded
+    /// when `XDXCOLF3` made a derived Dewey cell cost a component or
+    /// nothing (first-generation frames took 322, 1907 and 39014 bytes).
+    /// Dictionaries number strings and tokens in first-occurrence
+    /// row-major order, and a column's basis is fixed by its first
+    /// non-null row, so one feed has one frame. The tokenizer feed stresses
+    /// the word-at-a-time space scan and the hash-carrying keys.
     #[test]
     fn frames_are_byte_identical_to_the_recorded_ones() {
         let golden = [
-            (sample_feed(), (322, 0x2cf6_0c08_c9d7_82e6)),
-            (itemlike_feed(), (1907, 0x7662_06bb_cf1e_b991)),
-            (tokenizer_feed(), (39014, 0x8a99_aae1_f7cf_de96)),
+            (sample_feed(), (225, 0xc22d_f90f_a1a8_e1ee)),
+            (itemlike_feed(), (1343, 0x3370_8d01_11cc_b262)),
+            (tokenizer_feed(), (33418, 0x3914_9647_0f2c_aca8)),
         ];
         for (feed, recorded) in golden {
             let mut frame = encode_feed(&feed);
@@ -1315,17 +1614,17 @@ mod tests {
             .collect()
     }
 
-    /// Length and word sum of the container these two feeds packed to when
-    /// the format was introduced, per wire format: a resumed session
-    /// replays checkpointed containers, so the layout is as pinned as a
-    /// frame's. Recorded again, at the same lengths, when every checksum
-    /// became a word sum.
+    /// Length and word sum of the container these two feeds pack to, per
+    /// wire format: a resumed session replays checkpointed containers, so
+    /// the layout is as pinned as a frame's. The text one is as recorded
+    /// when every checksum became a word sum; the columnar one was
+    /// recorded again for `XDXCOLF3` (2261 bytes before).
     #[test]
     fn containers_are_byte_identical_to_the_recorded_ones() {
         let feeds = [("Order", sample_feed()), ("item", itemlike_feed())];
         let parts = parts_of(&feeds);
         let golden = [
-            (WireFormat::Columnar, (2261, 0xe6f5_dbd4_2c86_3a29)),
+            (WireFormat::Columnar, (1600, 0x4bd9_54b0_5c9a_077c)),
             (WireFormat::Xml, (8855, 0x83db_77ec_59c1_a39d)),
         ];
         let mut buf = Vec::new();
@@ -1418,7 +1717,7 @@ mod tests {
         }
         assert!(decode_feed(b"").is_err());
         assert!(decode_feed(b"#feed\tx\n").is_err());
-        assert!(decode_feed(b"XDXCOLF1").is_err());
+        assert!(decode_feed(b"XDXCOLF3").is_err());
     }
 
     #[test]

@@ -254,23 +254,94 @@ fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
 }
 
-/// The specification of a columnar frame, written the
-/// obvious way: a row-major pass numbers distinct strings and their
-/// `split(' ')` tokens in first-occurrence order, then one pass per
-/// column writes its tags and one more its payloads.
+/// An explicit Dewey cell `d` after the column's previous explicit cell
+/// `prev`: the common prefix's length, the suffix's length, a zig-zag
+/// delta on the diverging component and the rest raw.
+fn put_explicit(buf: &mut Vec<u8>, prev: &[u32], d: &[u32]) {
+    let lcp = prev.iter().zip(d).take_while(|(a, b)| a == b).count();
+    put_varint(buf, lcp as u64);
+    put_varint(buf, (d.len() - lcp) as u64);
+    if lcp < d.len() {
+        let base = prev.get(lcp).copied().unwrap_or(0);
+        put_varint(buf, zigzag(d[lcp] as i64 - base as i64));
+        for &c in &d[lcp + 1..] {
+            put_varint(buf, u64::from(c));
+        }
+    }
+}
+
+/// How a Dewey column of a reference frame derives from another column
+/// of its row: `(basis column, true for a parent)`.
+type Derivation = Option<(usize, bool)>;
+
+/// Whether `d` derives from the non-root `base`: one component deeper
+/// (a child) or one shallower (a parent).
+fn derives(base: &[u32], d: &[u32], parent: bool) -> bool {
+    let (short, long) = if parent { (d, base) } else { (base, d) };
+    !base.is_empty() && long.len() == short.len() + 1 && long.starts_with(short)
+}
+
+/// The derivation of column `col`, read off the first row in which it is
+/// non-null: a `PARENT` column is its element's `NodeId` column minus one
+/// component, a `NodeId` column the first earlier `NodeId` column plus one
+/// — each only if that first cell says so.
+fn reference_derivation(schema: &FeedSchema, rows: &[Vec<Value>], col: usize) -> Derivation {
+    let column = &schema.columns[col];
+    let row = rows.iter().find(|row| row[col] != Value::Null)?;
+    let Value::Dewey(d) = &row[col] else {
+        return None;
+    };
+    let candidates: Vec<(usize, bool)> = match column.role {
+        ColRole::Value => Vec::new(),
+        ColRole::ParentRef => schema
+            .columns
+            .iter()
+            .position(|c| c.element == column.element && c.role == ColRole::NodeId)
+            .map(|b| (b, true))
+            .into_iter()
+            .collect(),
+        ColRole::NodeId => (0..col)
+            .filter(|&b| schema.columns[b].role == ColRole::NodeId)
+            .map(|b| (b, false))
+            .collect(),
+    };
+    candidates.into_iter().find(|&(b, parent)| match &row[b] {
+        Value::Dewey(base) => derives(base.as_slice(), d.as_slice(), parent),
+        _ => false,
+    })
+}
+
+/// The specification of a columnar frame, written the obvious way: a
+/// row-major pass numbers distinct strings and their `split(' ')` tokens
+/// in first-occurrence order; each Dewey column's derivation is read off
+/// its first non-null row; then the columns that are no parent of their
+/// basis and after them those that are, one pass per column for its
+/// tags, one for its exception rows and one for its payloads.
 fn reference_encode(feed: &Feed) -> Vec<u8> {
     let rows: Vec<Vec<Value>> = feed.rows.clone().into_iter().collect();
     let (schema, rows) = (&feed.schema, &rows[..]);
-    let mut buf = b"XDXCOLF1".to_vec();
+    let derivations: Vec<Derivation> = (0..schema.arity())
+        .map(|col| reference_derivation(schema, rows, col))
+        .collect();
+    let mut buf = b"XDXCOLF3".to_vec();
     put_str(&mut buf, &schema.root_element);
     put_varint(&mut buf, schema.columns.len() as u64);
-    for c in &schema.columns {
+    for (c, derivation) in schema.columns.iter().zip(&derivations) {
         put_str(&mut buf, &c.element);
         buf.push(match c.role {
             ColRole::NodeId => 0,
             ColRole::ParentRef => 1,
             ColRole::Value => 2,
         });
+        if c.role != ColRole::Value {
+            put_varint(
+                &mut buf,
+                match derivation {
+                    None => 0,
+                    Some((b, parent)) => 2 * *b as u64 + 1 + u64::from(*parent),
+                },
+            );
+        }
     }
     let digest = word_sum(&buf[8..]);
     buf.extend_from_slice(&digest.to_le_bytes());
@@ -307,7 +378,22 @@ fn reference_encode(feed: &Feed) -> Vec<u8> {
         }
     }
 
-    for col in 0..schema.arity() {
+    // A cell derived from its row: `Some(component)` for a child,
+    // `Some(None)` for a parent, `None` for an explicit cell.
+    let derived = |row: &[Value], col: usize| -> Option<Option<u32>> {
+        let (b, parent) = derivations[col]?;
+        match (&row[b], &row[col]) {
+            (Value::Dewey(base), Value::Dewey(d))
+                if derives(base.as_slice(), d.as_slice(), parent) =>
+            {
+                Some((!parent).then(|| *d.as_slice().last().unwrap()))
+            }
+            _ => None,
+        }
+    };
+    let parents = (0..schema.arity()).filter(|&c| matches!(derivations[c], Some((_, true))));
+    let children = (0..schema.arity()).filter(|&c| !matches!(derivations[c], Some((_, true))));
+    for col in children.chain(parents) {
         let mut tags = vec![0u8; rows.len().div_ceil(4)];
         for (i, row) in rows.iter().enumerate() {
             let tag = match &row[col] {
@@ -319,6 +405,18 @@ fn reference_encode(feed: &Feed) -> Vec<u8> {
             tags[i / 4] |= tag << ((i % 4) * 2);
         }
         buf.extend_from_slice(&tags);
+        if derivations[col].is_some() {
+            let mut marks = Vec::new();
+            let mut next = 0;
+            for (i, row) in rows.iter().enumerate() {
+                if matches!(row[col], Value::Dewey(_)) && derived(row, col).is_none() {
+                    put_varint(&mut marks, (i - next) as u64);
+                    next = i + 1;
+                }
+            }
+            put_varint(&mut buf, marks.len() as u64);
+            buf.extend_from_slice(&marks);
+        }
         let mut prev_int = 0i64;
         let mut prev_dewey: &[u32] = &[];
         for row in rows {
@@ -328,20 +426,14 @@ fn reference_encode(feed: &Feed) -> Vec<u8> {
                     put_varint(&mut buf, zigzag(i.wrapping_sub(prev_int)));
                     prev_int = *i;
                 }
-                Value::Dewey(d) => {
-                    let d = d.as_slice();
-                    let lcp = prev_dewey.iter().zip(d).take_while(|(a, b)| a == b).count();
-                    put_varint(&mut buf, lcp as u64);
-                    put_varint(&mut buf, (d.len() - lcp) as u64);
-                    if lcp < d.len() {
-                        let base = prev_dewey.get(lcp).copied().unwrap_or(0);
-                        put_varint(&mut buf, zigzag(d[lcp] as i64 - base as i64));
-                        for &c in &d[lcp + 1..] {
-                            put_varint(&mut buf, u64::from(c));
-                        }
+                Value::Dewey(d) => match derived(row, col) {
+                    Some(Some(k)) => put_varint(&mut buf, u64::from(k)),
+                    Some(None) => {}
+                    None => {
+                        put_explicit(&mut buf, prev_dewey, d.as_slice());
+                        prev_dewey = d.as_slice();
                     }
-                    prev_dewey = d;
-                }
+                },
                 Value::Str(s) => put_varint(&mut buf, string_ids[s.as_str()]),
             }
         }
@@ -351,8 +443,256 @@ fn reference_encode(feed: &Feed) -> Vec<u8> {
     buf
 }
 
+/// One row of an outer-union-shaped feed: its instance's id (0–7
+/// components: the root, and ids that spill past the five a cell holds in
+/// place), per id column a draw of how its cell relates to the row, and
+/// the components a child adds.
+type DerivedRow = (Vec<u32>, Vec<u8>, Vec<u32>);
+
+fn derived_rows_strategy() -> impl Strategy<Value = Vec<DerivedRow>> {
+    proptest::collection::vec(
+        (
+            proptest::collection::vec(0u32..4, 0..8),
+            proptest::collection::vec(0u8..8, 5..=5),
+            proptest::collection::vec(0u32..300, 3..=3),
+        ),
+        0..40,
+    )
+}
+
+/// A feed shaped like a fragment's outer union (`a` holds `b`, `b` holds
+/// `c`), whose Dewey cells mix every relation to their row: most derive
+/// (`a.PARENT` is `a.ID` less a component, `b.ID` is `a.ID` plus one,
+/// `c.ID` is `b.ID` plus one), and the rest are `Null`, cells over a
+/// `Null`, root or `Int` basis, and ids that derive from nothing.
+fn derived_feed(rows: Vec<DerivedRow>) -> Feed {
+    let schema = xdx_relational::feed::fragment_feed_schema(
+        "a",
+        &[
+            ("a".to_string(), false),
+            ("b".to_string(), true),
+            ("c".to_string(), false),
+        ],
+    );
+    let mut feed = Feed::new(schema);
+    for (id, kinds, ks) in rows {
+        let a = match kinds[1] {
+            0 => Value::Null,
+            1 => Value::Dewey(Dewey::root()),
+            2 => Value::Int(id.len() as i64),
+            _ => Value::Dewey(Dewey::from(id.clone())),
+        };
+        let child = |of: &Value, kind: u8, k: u32| match (kind, of) {
+            (0, _) => Value::Null,
+            (1, _) => Value::Dewey(Dewey::from([k, k])),
+            (2, _) => Value::Str(VOCAB[k as usize % VOCAB.len()].into()),
+            (_, Value::Dewey(d)) => Value::Dewey(d.child(k)),
+            _ => Value::Dewey(Dewey::from(id.clone()).child(k)),
+        };
+        let parent = match (kinds[0], &a) {
+            (0, _) => Value::Null,
+            (1, _) => Value::Dewey(Dewey::from([ks[0]])),
+            (_, Value::Dewey(d)) => Value::Dewey(d.parent().unwrap_or_else(Dewey::root)),
+            _ => Value::Dewey(Dewey::root()),
+        };
+        let b = child(&a, kinds[2], ks[1]);
+        let c = child(&b, kinds[4], ks[2]);
+        let text = match kinds[3] {
+            0 => Value::Null,
+            k => Value::Str(VOCAB[k as usize].into()),
+        };
+        feed.rows.push(vec![parent, a, b, text, c]);
+    }
+    feed
+}
+
+/// How [`crafted_frame`] breaks its frame.
+#[derive(Clone, Copy, Debug)]
+enum Craft {
+    Valid,
+    NullBasis,
+    IntBasis,
+    RootBasis,
+    BasisOutOfRange,
+    ValueColumnBasis,
+    SelfBasis,
+    Cycle,
+    CutChild,
+    CutMark,
+    MarkOnNull,
+    MarkPastEnd,
+}
+
+const CRAFTS: [Craft; 12] = [
+    Craft::Valid,
+    Craft::NullBasis,
+    Craft::IntBasis,
+    Craft::RootBasis,
+    Craft::BasisOutOfRange,
+    Craft::ValueColumnBasis,
+    Craft::SelfBasis,
+    Craft::Cycle,
+    Craft::CutChild,
+    Craft::CutMark,
+    Craft::MarkOnNull,
+    Craft::MarkPastEnd,
+];
+
+/// Packs two-bit cell tags four to a byte.
+fn pack_tags(tags: &[u8]) -> Vec<u8> {
+    let mut bytes = vec![0u8; tags.len().div_ceil(4)];
+    for (i, tag) in tags.iter().enumerate() {
+        bytes[i / 4] |= tag << ((i % 4) * 2);
+    }
+    bytes
+}
+
+/// A frame laid by hand, under a valid checksum: `n` rows of `A`, a
+/// `NodeId` column of explicit ids `[1, i]`, and `B`, a `NodeId` column
+/// whose every cell derives from `A` (`A` plus `k`, or with `parent` its
+/// parent), broken as `craft` says at row `j` or in its schema section
+/// (`far` picks an out-of-range column). A cut derived component is a
+/// child's.
+fn crafted_frame(craft: Craft, n: usize, j: usize, k: u32, parent: bool, far: u64) -> Vec<u8> {
+    let j = j % n;
+    let relation = |b: u64| 2 * b + 1 + u64::from(parent);
+    let (mut a_role, mut a_basis, mut b_basis) = (0u8, 0u64, relation(0));
+    let mut a: Vec<Value> = (1..=n as u32)
+        .map(|i| Value::Dewey(Dewey::from([1, i])))
+        .collect();
+    let mut b_tags = vec![2u8; n];
+    let mut b_mark = Vec::new();
+    match craft {
+        Craft::NullBasis => a[j] = Value::Null,
+        Craft::IntBasis => a[j] = Value::Int(7),
+        Craft::RootBasis => a[j] = Value::Dewey(Dewey::root()),
+        Craft::BasisOutOfRange => b_basis = relation(2 + far % (1 << 40)),
+        Craft::ValueColumnBasis => {
+            a_role = 2;
+            a = vec![Value::Null; n];
+        }
+        Craft::SelfBasis => b_basis = relation(1),
+        Craft::Cycle => a_basis = relation(1),
+        Craft::MarkOnNull => {
+            b_tags[j] = 0;
+            put_varint(&mut b_mark, j as u64);
+        }
+        Craft::MarkPastEnd => put_varint(&mut b_mark, n as u64),
+        Craft::Valid | Craft::CutChild | Craft::CutMark => {}
+    }
+
+    let mut frame = b"XDXCOLF3".to_vec();
+    put_str(&mut frame, "a");
+    put_varint(&mut frame, 2);
+    for (name, role, basis) in [("a", a_role, a_basis), ("b", 0, b_basis)] {
+        put_str(&mut frame, name);
+        frame.push(role);
+        if role != 2 {
+            put_varint(&mut frame, basis);
+        }
+    }
+    let digest = word_sum(&frame[8..]);
+    frame.extend_from_slice(&digest.to_le_bytes());
+    put_varint(&mut frame, n as u64);
+    frame.extend_from_slice(&[0, 0]); // no tokens, no strings
+
+    let tags: Vec<u8> = a
+        .iter()
+        .map(|v| match v {
+            Value::Null => 0,
+            Value::Int(_) => 1,
+            _ => 2,
+        })
+        .collect();
+    frame.extend_from_slice(&pack_tags(&tags));
+    if a_basis != 0 {
+        frame.push(0);
+    }
+    let mut prev: &[u32] = &[];
+    for v in &a {
+        match v {
+            Value::Int(i) => put_varint(&mut frame, zigzag(*i)),
+            Value::Dewey(d) => {
+                put_explicit(&mut frame, prev, d.as_slice());
+                prev = d.as_slice();
+            }
+            _ => {}
+        }
+    }
+    frame.extend_from_slice(&pack_tags(&b_tags));
+    if let Craft::CutMark = craft {
+        put_varint(&mut frame, 1 << 20);
+    } else {
+        put_varint(&mut frame, b_mark.len() as u64);
+        frame.extend_from_slice(&b_mark);
+    }
+    let derived = b_tags.iter().filter(|&&t| t == 2).count();
+    if !parent {
+        let keep = derived - usize::from(matches!(craft, Craft::CutChild));
+        for _ in 0..keep {
+            put_varint(&mut frame, u64::from(k));
+        }
+    }
+    let sum = word_sum(&frame);
+    frame.extend_from_slice(&sum.to_le_bytes());
+    frame
+}
+
+/// The feed an unbroken [`crafted_frame`] holds.
+fn crafted_feed(n: usize, k: u32, parent: bool) -> Feed {
+    let columns = vec![
+        FeedColumn::new("a", ColRole::NodeId),
+        FeedColumn::new("b", ColRole::NodeId),
+    ];
+    let mut feed = Feed::new(FeedSchema::new("a", columns));
+    for i in 1..=n as u32 {
+        let a = Dewey::from([1, i]);
+        let b = if parent { Dewey::from([1]) } else { a.child(k) };
+        feed.rows.push(vec![Value::Dewey(a), Value::Dewey(b)]);
+    }
+    feed
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Dewey columns that mix derived cells, `Null`, root and `Int`
+    /// bases, cells that derive from nothing and spilled ids round-trip,
+    /// encode to the reference bytes and re-encode to the same frame.
+    #[test]
+    fn derived_dewey_cells_roundtrip(rows in derived_rows_strategy()) {
+        let feed = derived_feed(rows);
+        let frame = encode_feed(&feed);
+        prop_assert_eq!(&frame, &reference_encode(&feed));
+        let back = decode_feed(&frame).expect("intact frame decodes");
+        prop_assert_eq!(&back, &feed);
+        prop_assert_eq!(encode_feed(&back), frame);
+    }
+
+    /// A derived cell over a `Null`, `Int` or root basis cell, a basis out
+    /// of range, of a value column, of the column itself or in a cycle, a
+    /// derived component or an exception mark cut short, and a mark on a
+    /// `Null` cell or past the last row: each is a decode error under a
+    /// valid checksum, never a panic; the same frame unbroken decodes.
+    #[test]
+    fn crafted_derived_cells_are_decode_errors(
+        craft in 0usize..CRAFTS.len(),
+        n in 1usize..10,
+        j in any::<usize>(),
+        k in any::<u32>(),
+        parent in any::<bool>(),
+        far in any::<u64>(),
+    ) {
+        let craft = CRAFTS[craft];
+        let parent = parent && !matches!(craft, Craft::CutChild);
+        let valid = crafted_frame(Craft::Valid, n, j, k, parent, far);
+        prop_assert_eq!(decode_feed(&valid).expect("valid frame"), crafted_feed(n, k, parent));
+        if !matches!(craft, Craft::Valid) {
+            let frame = crafted_frame(craft, n, j, k, parent, far);
+            prop_assert!(decode_feed(&frame).is_err(), "{:?} decoded", craft);
+            prop_assert!(decode_any(&frame).is_err(), "{:?} decoded", craft);
+        }
+    }
 
     #[test]
     fn containers_roundtrip_their_parts(

@@ -185,6 +185,8 @@ impl SchemaStats {
 /// Estimated id bytes per cell of a columnar frame: the prefix-length
 /// and suffix-count varints plus a one-byte delta, amortizing the
 /// two-bit tag — independent of tree depth, unlike dotted Dewey text.
+/// It now overstates: a derived id costs one byte or none (DESIGN §12),
+/// and ROADMAP item 20 reprices it.
 const COLUMNAR_ID_BYTES: u64 = 3;
 
 /// Capabilities and speed of one participating system.
