@@ -10,7 +10,7 @@
 //! verify both.
 
 use crate::error::{Error, Result};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use xdx_relational::feed::{ColRole, FeedColumn, FeedSchema};
 use xdx_wsdl::{FragmentDecl, FragmentationDecl};
 use xdx_xml::{NodeId, SchemaTree};
@@ -267,13 +267,6 @@ impl Fragmentation {
         &self.fragments[self.fragment_of(element)]
     }
 
-    /// Index of the fragment containing the parent element of fragment
-    /// `idx`'s root; `None` for the fragment holding the schema root.
-    pub fn parent_fragment(&self, schema: &SchemaTree, idx: usize) -> Option<usize> {
-        let root = self.fragments[idx].root;
-        schema.node(root).parent.map(|p| self.fragment_of(p))
-    }
-
     /// Number of fragments.
     pub fn len(&self) -> usize {
         self.fragments.len()
@@ -378,19 +371,6 @@ impl Fragmentation {
     pub fn roots(&self) -> BTreeSet<NodeId> {
         self.fragments.iter().map(|f| f.root).collect()
     }
-
-    /// Element-name → fragment-name map (handy for shredders/loaders).
-    pub fn element_owner_names<'a>(&'a self, schema: &'a SchemaTree) -> HashMap<&'a str, &'a str> {
-        schema
-            .ids()
-            .map(|id| {
-                (
-                    schema.name(id),
-                    self.fragments[self.fragment_of(id)].name.as_str(),
-                )
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -451,15 +431,9 @@ mod tests {
         assert_eq!(f.len(), 4);
         let line = schema.by_name("Line").unwrap();
         assert_eq!(f.owner_fragment(line).name, "Line_Switch.xsd");
-        // Parent fragment of Line_Switch is Order_Service (Line's parent is
-        // Service).
-        let ls = f
-            .fragments
-            .iter()
-            .position(|fr| fr.name == "Line_Switch.xsd")
-            .unwrap();
-        let parent = f.parent_fragment(&schema, ls).unwrap();
-        assert_eq!(f.fragments[parent].name, "Order_Service.xsd");
+        // Line's parent, Service, is in Order_Service.
+        let service = schema.node(line).parent.unwrap();
+        assert_eq!(f.owner_fragment(service).name, "Order_Service.xsd");
     }
 
     #[test]
@@ -578,14 +552,5 @@ mod tests {
             }],
         };
         assert!(Fragmentation::from_decl(&schema, &decl).is_err());
-    }
-
-    #[test]
-    fn owner_names_map() {
-        let schema = customer_schema();
-        let f = t_fragmentation(&schema);
-        let map = f.element_owner_names(&schema);
-        assert_eq!(map["TelNo"], "Line_Switch.xsd");
-        assert_eq!(map["Customer"], "Customer.xsd");
     }
 }

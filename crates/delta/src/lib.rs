@@ -39,12 +39,13 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Mutex, MutexGuard, Weak};
 use xdx_relational::patch::key_column;
 use xdx_relational::{
     apply_table_patch, Database, DeltaPatch, Dewey, Error, Feed, PatchStep, Result, RowSlice, Rows,
     StepKind, TablePatch, Value,
 };
+use xdx_sync::{lock, lock_or_repair};
 
 /// One route's table set at one version. Feeds share their rows
 /// ([`Rows`]): a table no step touched is one row set across every
@@ -55,7 +56,8 @@ pub type Snapshot = Arc<Vec<(String, Feed)>>;
 pub const DEFAULT_RETAIN: usize = 4;
 
 /// Per-step patches kept per snapshot retained: the chain reaches
-/// `retain × STEP_RETAIN_FACTOR` versions back, at patch-sized cost.
+/// `DEFAULT_RETAIN × STEP_RETAIN_FACTOR` versions back, at patch-sized
+/// cost.
 pub const STEP_RETAIN_FACTOR: usize = 4;
 
 #[derive(Debug, Default)]
@@ -81,10 +83,15 @@ struct SnapshotLog {
 /// version, replaced anchor, the recorded set itself when an equal one
 /// is kept in its place) is dropped after the route's lock is released,
 /// by the caller's thread; the diff memo holds `Weak` handles only.
+///
+/// A route's log is the one structure in the workspace whose invariants
+/// span statements under its lock (the anchor is taken before the
+/// evicted step is applied; `head` moves with `snapshots`). A log a
+/// panic poisoned is repaired by breaking its chain: only `head`
+/// survives, so the route's versions keep rising and its next delta
+/// round ships full.
 #[derive(Debug)]
 pub struct SnapshotStore {
-    retain: usize,
-    step_retain: usize,
     /// Locked only to find or insert a route's entry; each log has its
     /// own lock, so routes diff and compose side by side.
     logs: Mutex<HashMap<String, Arc<Mutex<SnapshotLog>>>>,
@@ -112,41 +119,37 @@ struct DiffMemo {
 const DIFF_MEMO_CAP: usize = 8;
 
 impl SnapshotStore {
-    /// An empty store with the default retention window.
+    /// An empty store keeping the [`DEFAULT_RETAIN`] most recent
+    /// snapshots per route (and `DEFAULT_RETAIN ×`
+    /// [`STEP_RETAIN_FACTOR`] per-step patches).
     pub fn new() -> SnapshotStore {
-        SnapshotStore::with_retention(DEFAULT_RETAIN)
-    }
-
-    /// An empty store keeping the `retain` most recent snapshots per
-    /// route (and `retain ×` [`STEP_RETAIN_FACTOR`] per-step patches).
-    pub fn with_retention(retain: usize) -> SnapshotStore {
-        let retain = retain.max(1);
         SnapshotStore {
-            retain,
-            step_retain: retain * STEP_RETAIN_FACTOR,
             logs: Mutex::new(HashMap::new()),
             diff_memo: Mutex::new(VecDeque::new()),
         }
     }
 
-    /// Builder: overrides how many per-step patches each route keeps.
-    pub fn with_step_retention(mut self, steps: usize) -> SnapshotStore {
-        self.step_retain = steps;
-        self
+    fn log(&self, route: &str) -> Option<Arc<Mutex<SnapshotLog>>> {
+        lock(&self.logs).get(route).cloned()
     }
 
-    fn log(&self, route: &str) -> Option<Arc<Mutex<SnapshotLog>>> {
-        self.logs.lock().unwrap().get(route).cloned()
+    /// `f` of a route's log, under its lock.
+    fn read_log<R>(&self, route: &str, f: impl FnOnce(&SnapshotLog) -> R) -> Option<R> {
+        let log = self.log(route)?;
+        let mut released = Vec::new();
+        // Not the tail expression: the guard drops here, before `released`.
+        let read = f(&lock_log(&log, &mut released));
+        Some(read)
     }
 
     /// Current head version of a route (0 when never synced).
     pub fn head(&self, route: &str) -> u64 {
-        self.log(route).map_or(0, |l| l.lock().unwrap().head)
+        self.read_log(route, |l| l.head).unwrap_or(0)
     }
 
     /// The table set retained for `version`, if still in the window.
     pub fn snapshot(&self, route: &str, version: u64) -> Option<Snapshot> {
-        self.log(route)?.lock().unwrap().retained(version)
+        self.read_log(route, |l| l.retained(version)).flatten()
     }
 
     /// Records a route's committed table set as the next version and
@@ -194,14 +197,8 @@ impl SnapshotStore {
         // after the lock is released (and `tables` and `step` after
         // that).
         let mut released: Vec<Snapshot> = Vec::new();
-        let log = Arc::clone(
-            self.logs
-                .lock()
-                .unwrap()
-                .entry(route.to_string())
-                .or_default(),
-        );
-        let mut log = log.lock().unwrap();
+        let log = Arc::clone(lock(&self.logs).entry(route.to_string()).or_default());
+        let mut log = lock_log(&log, &mut released);
         let mut retained = Arc::clone(&tables);
         if let Some((prev_version, prev)) = log.snapshots.back().map(|(v, s)| (*v, Arc::clone(s))) {
             let known = step.as_ref().and_then(|(base, patch)| {
@@ -227,10 +224,10 @@ impl SnapshotStore {
         log.head += 1;
         let head = log.head;
         log.snapshots.push_back((head, retained));
-        while log.snapshots.len() > self.retain {
+        while log.snapshots.len() > DEFAULT_RETAIN {
             released.extend(log.snapshots.pop_front().map(|(_, s)| s));
         }
-        while log.steps.len() > self.step_retain.max(1) {
+        while log.steps.len() > DEFAULT_RETAIN * STEP_RETAIN_FACTOR {
             // Evicting the oldest step advances the anchor past it, so
             // the chain's reachable range slides instead of shrinking.
             let (base, patch) = log.steps.pop_front().expect("len checked");
@@ -260,7 +257,7 @@ impl SnapshotStore {
         tables: &Snapshot,
         base_version: u64,
     ) -> Result<(Arc<DeltaPatch>, Snapshot)> {
-        let hit = self.diff_memo.lock().unwrap().iter().find_map(|m| {
+        let hit = lock(&self.diff_memo).iter().find_map(|m| {
             (m.base_version == base_version
                 && std::ptr::eq(m.base.as_ptr(), Arc::as_ptr(prev))
                 && std::ptr::eq(m.head.as_ptr(), Arc::as_ptr(tables)))
@@ -277,7 +274,7 @@ impl SnapshotStore {
             base_version + 1,
         )?);
         let retained = retained_head(prev, tables, &patch);
-        let mut memo = self.diff_memo.lock().unwrap();
+        let mut memo = lock(&self.diff_memo);
         memo.push_back(DiffMemo {
             base: Arc::downgrade(prev),
             head: Arc::downgrade(tables),
@@ -303,7 +300,8 @@ impl SnapshotStore {
         // them (and freeing the intermediate sets) happens outside it.
         let (anchor, steps) = {
             let log = self.log(route)?;
-            let log = log.lock().unwrap();
+            let mut released = Vec::new();
+            let log = lock_log(&log, &mut released);
             if let Some(s) = log.retained(version) {
                 return Some((s, false));
             }
@@ -326,12 +324,12 @@ impl SnapshotStore {
 
     /// Length of a route's per-step patch chain (diagnostics/tests).
     pub fn chained_steps(&self, route: &str) -> usize {
-        self.log(route).map_or(0, |l| l.lock().unwrap().steps.len())
+        self.read_log(route, |l| l.steps.len()).unwrap_or(0)
     }
 
     /// Number of routes with at least one recorded version.
     pub fn routes(&self) -> usize {
-        self.logs.lock().unwrap().len()
+        lock(&self.logs).len()
     }
 }
 
@@ -340,6 +338,22 @@ impl SnapshotLog {
         let found = self.snapshots.iter().find(|(v, _)| *v == version);
         found.map(|(_, s)| Arc::clone(s))
     }
+
+    /// Empties the log but for `head`, into `released`.
+    fn break_chain(&mut self, released: &mut Vec<Snapshot>) {
+        self.steps.clear();
+        released.extend(self.anchor.take().map(|(_, s)| s));
+        released.extend(self.snapshots.drain(..).map(|(_, s)| s));
+    }
+}
+
+/// Locks a route's log. A log a panic poisoned breaks its chain first;
+/// what it held goes to `released`, to drop after the lock.
+fn lock_log<'a>(
+    log: &'a Mutex<SnapshotLog>,
+    released: &mut Vec<Snapshot>,
+) -> MutexGuard<'a, SnapshotLog> {
+    lock_or_repair(log, |log| log.break_chain(released))
 }
 
 /// What a log retains for `head`, recorded on top of `prev` by the step
@@ -794,19 +808,19 @@ mod tests {
 
     #[test]
     fn store_versions_monotonically_and_bounds_retention() {
-        let store = SnapshotStore::with_retention(2);
+        let store = SnapshotStore::new();
         assert_eq!(store.head("r"), 0);
         assert!(store.snapshot("r", 1).is_none());
-        for v in 1..=4u64 {
+        for v in 1..=6u64 {
             let tables = vec![("T".to_string(), item_feed(&[(v as u32, "x")]))];
             assert_eq!(store.record("r", tables), v);
         }
-        assert_eq!(store.head("r"), 4);
+        assert_eq!(store.head("r"), 6);
         assert!(store.snapshot("r", 2).is_none(), "aged out of retention");
-        let snap = store.snapshot("r", 4).unwrap();
+        let snap = store.snapshot("r", 6).unwrap();
         assert_eq!(
             *snap[0].1.rows.cell(0, 1),
-            Value::Dewey(Dewey::from([1, 1, 1, 4]))
+            Value::Dewey(Dewey::from([1, 1, 1, 6]))
         );
         assert_eq!(store.routes(), 1);
         assert_eq!(store.head("other"), 0, "routes are independent");
@@ -814,12 +828,12 @@ mod tests {
 
     #[test]
     fn aged_out_base_reconstructs_from_the_step_chain() {
-        let store = SnapshotStore::with_retention(2);
+        let store = SnapshotStore::new();
         let at = |v: u32| vec![("T".to_string(), item_feed(&[(v, "x"), (9, "tail")]))];
-        for v in 1..=6u64 {
+        for v in 1..=8u64 {
             store.record("r", at(v as u32));
         }
-        // Versions 1–4 aged out of the snapshot window (only 5 and 6
+        // Versions 1–4 aged out of the snapshot window (only 5 to 8
         // are retained) …
         assert!(store.snapshot("r", 3).is_none());
         // … but the chain still reaches them.
@@ -827,38 +841,41 @@ mod tests {
         assert!(was_composed);
         assert_eq!(*composed, at(3));
         // A retained snapshot comes back directly, not composed.
-        let (direct, was_composed) = store.reconstruct("r", 6).expect("head retained");
+        let (direct, was_composed) = store.reconstruct("r", 8).expect("head retained");
         assert!(!was_composed);
-        assert_eq!(*direct, at(6));
+        assert_eq!(*direct, at(8));
         // Beyond both windows there is nothing to compose from.
         assert!(store.reconstruct("r", 99).is_none());
     }
 
     #[test]
     fn step_eviction_slides_the_anchor() {
-        let store = SnapshotStore::with_retention(1).with_step_retention(2);
+        let store = SnapshotStore::new();
         let at = |v: u32| vec![("T".to_string(), item_feed(&[(v, "x")]))];
-        for v in 1..=5u64 {
+        for v in 1..=21u64 {
             store.record("r", at(v as u32));
         }
-        assert_eq!(store.chained_steps("r"), 2, "chain bounded");
-        // Steps 3→4 and 4→5 retained; the anchor slid to v3.
-        let (composed, was_composed) = store.reconstruct("r", 4).expect("still chained");
+        assert_eq!(store.chained_steps("r"), 16, "chain bounded");
+        // Steps 5→6 to 20→21 retained; the anchor slid to v5, and
+        // versions 18–21 are retained as snapshots.
+        let (composed, was_composed) = store.reconstruct("r", 17).expect("still chained");
         assert!(was_composed);
-        assert_eq!(*composed, at(4));
-        assert!(store.reconstruct("r", 2).is_none(), "evicted past reach");
+        assert_eq!(*composed, at(17));
+        assert!(store.reconstruct("r", 4).is_none(), "evicted past reach");
     }
 
     #[test]
     fn undiffable_transition_breaks_the_chain() {
-        let store = SnapshotStore::with_retention(1);
+        let store = SnapshotStore::new();
         let sorted = vec![("T".to_string(), item_feed(&[(1, "a"), (2, "b")]))];
         let mut unsorted_feed = item_feed(&[(1, "a"), (2, "b")]);
         unsorted_feed.rows = unsorted_feed.rows.clone().into_iter().rev().collect();
         let unsorted = vec![("T".to_string(), unsorted_feed)];
-        store.record("r", sorted.clone());
-        store.record("r", sorted.clone());
-        assert_eq!(store.chained_steps("r"), 1);
+        for _ in 1..=4 {
+            store.record("r", sorted.clone());
+        }
+        assert_eq!(store.chained_steps("r"), 3);
+        // v5 pushes v1 out of the snapshot window.
         store.record("r", unsorted);
         assert_eq!(store.chained_steps("r"), 0, "broken chain cleared");
         assert!(store.reconstruct("r", 1).is_none());
@@ -903,7 +920,7 @@ mod tests {
         assert!(store.snapshot("r", 16).is_none(), "window of four");
         let anchor_version = {
             let log = store.log("r").unwrap();
-            let log = log.lock().unwrap();
+            let log = lock(&log);
             let (version, anchor) = log.anchor.as_ref().expect("chain intact");
             assert!(
                 shares_rows(anchor, &first),
@@ -955,11 +972,7 @@ mod tests {
             assert_eq!(Arc::ptr_eq(&retained, &group), v == 1);
             assert_eq!(*retained, *group);
         }
-        assert_eq!(
-            store.diff_memo.lock().unwrap().len(),
-            2,
-            "one diff per transition"
-        );
+        assert_eq!(lock(&store.diff_memo).len(), 2, "one diff per transition");
     }
 
     /// The table set a target holds after `patch` took it from `base`:
@@ -1005,11 +1018,10 @@ mod tests {
 
     #[test]
     fn a_handed_step_leaves_the_log_a_rediff_leaves() {
-        let store = || SnapshotStore::with_retention(3).with_step_retention(4);
-        let (stepped, rediff) = (store(), store());
+        let (stepped, rediff) = (SnapshotStore::new(), SnapshotStore::new());
         stepped.record("r", round(1));
         rediff.record("r", round(1));
-        for v in 2..=9u64 {
+        for v in 2..=20u64 {
             // A delta round: the patch is diffed against the retained
             // base, the target applies it, the settle records what the
             // target holds — one store told the step, one left to find it.
@@ -1023,12 +1035,12 @@ mod tests {
             assert_same_log(&stepped, &rediff, v);
             assert_eq!(kept_rows(&stepped, v), Some(vec![false, true, v % 3 == 2]));
         }
-        assert_eq!(stepped.chained_steps("r"), 4, "chain bounded, anchor slid");
+        assert_eq!(stepped.chained_steps("r"), 16, "chain bounded, anchor slid");
         assert!(
-            stepped.diff_memo.lock().unwrap().is_empty(),
+            lock(&stepped.diff_memo).is_empty(),
             "a handed step is not diffed"
         );
-        assert_eq!(rediff.diff_memo.lock().unwrap().len(), 8);
+        assert_eq!(lock(&rediff.diff_memo).len(), DIFF_MEMO_CAP);
     }
 
     #[test]
@@ -1061,15 +1073,16 @@ mod tests {
             }),
         ];
         for (why, lie) in lies {
-            let store = || SnapshotStore::with_retention(3).with_step_retention(4);
-            let (stepped, rediff) = (store(), store());
-            for v in 1..=3u64 {
+            let (stepped, rediff) = (SnapshotStore::new(), SnapshotStore::new());
+            // Past the snapshot window, so the logs compare composed
+            // versions too.
+            for v in 1..=5u64 {
                 stepped.record("r", round(v));
                 rediff.record("r", round(v));
             }
-            let (base, (from, to)) = lie(&stepped, 3);
+            let (base, (from, to)) = lie(&stepped, 5);
             let head = stepped.head("r") + 1;
-            for v in 4..head {
+            for v in 6..head {
                 rediff.record("r", round(v));
             }
             let step = Some((base, nothing(from, to)));
@@ -1085,7 +1098,7 @@ mod tests {
 
     #[test]
     fn two_routes_record_side_by_side() {
-        let store = SnapshotStore::with_retention(2);
+        let store = SnapshotStore::new();
         let at = |route: usize, v: u64| {
             let text = format!("route {route} v{v}");
             vec![(
@@ -1093,7 +1106,7 @@ mod tests {
                 item_feed(&[(v as u32, &text), (99, "tail")]),
             )]
         };
-        let versions = 12u64;
+        let versions = 20u64;
         let barrier = std::sync::Barrier::new(2);
         std::thread::scope(|scope| {
             for route in 0..2 {
@@ -1110,14 +1123,58 @@ mod tests {
         for route in 0..2 {
             let name = format!("r{route}");
             assert_eq!(store.head(&name), versions);
-            assert_eq!(store.chained_steps(&name), 2 * STEP_RETAIN_FACTOR);
-            let oldest = versions - (2 * STEP_RETAIN_FACTOR) as u64;
+            let steps = DEFAULT_RETAIN * STEP_RETAIN_FACTOR;
+            assert_eq!(store.chained_steps(&name), steps);
+            let oldest = versions - steps as u64;
             assert!(store.reconstruct(&name, oldest - 1).is_none());
             for v in oldest..=versions {
                 let (tables, composed) = store.reconstruct(&name, v).expect("reachable");
                 assert_eq!(*tables, at(route, v), "{name} v{v}");
-                assert_eq!(composed, v <= versions - 2);
+                assert_eq!(composed, v <= versions - DEFAULT_RETAIN as u64);
             }
+        }
+    }
+
+    #[test]
+    fn a_poisoned_log_breaks_its_chain_not_its_route() {
+        let store = SnapshotStore::new();
+        let at = |v: u32| vec![("T".to_string(), item_feed(&[(v, "x"), (9, "tail")]))];
+        for v in 1..=2 {
+            store.record("r", at(v));
+            store.record("other", at(v));
+        }
+        let kept = Arc::downgrade(&store.snapshot("r", 2).unwrap());
+        let log = store.log("r").unwrap();
+        std::thread::scope(|s| {
+            let poisoner = s.spawn(|| {
+                let mut held = lock(&log);
+                // An anchor advance cut short: the anchor taken, its
+                // step not yet applied.
+                held.anchor.take();
+                panic!("a panic while the route's log is locked");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(log.is_poisoned());
+        assert_eq!(store.head("r"), 2, "the repair keeps the head");
+        assert!(!log.is_poisoned());
+        assert!(kept.upgrade().is_none(), "the repair let the sets go");
+        for v in 1..=2 {
+            assert!(store.reconstruct("r", v).is_none(), "pre-poison v{v}");
+        }
+        assert_eq!(store.record("r", at(3)), 3);
+        assert_eq!(store.chained_steps("r"), 0, "v3 has no base to step from");
+        assert_eq!(store.record("r", at(4)), 4);
+        assert_eq!(store.chained_steps("r"), 1, "the route patches again");
+        assert_eq!(*store.reconstruct("r", 3).unwrap().0, at(3));
+        assert_eq!(store.record("other", at(3)), 3);
+        assert_eq!(store.chained_steps("other"), 2);
+        for v in 1..=3 {
+            assert_eq!(
+                *store.reconstruct("other", v).unwrap().0,
+                at(v as u32),
+                "v{v}"
+            );
         }
     }
 

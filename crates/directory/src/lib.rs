@@ -238,14 +238,6 @@ impl Directory {
             .filter(move |e| base.is_prefix_of(&e.dn))
     }
 
-    /// Direct logical children of the entry at `dn` (entries whose
-    /// `parent` is exactly `dn`).
-    pub fn children_of<'a>(&'a self, dn: &'a Dewey) -> impl Iterator<Item = &'a Entry> {
-        self.entries
-            .values()
-            .filter(move |e| e.parent.as_ref() == Some(dn))
-    }
-
     /// An LDAP-style search filter over entry attributes.
     ///
     /// Supports the common subset: presence (`attr=*`), equality
@@ -446,30 +438,6 @@ mod tests {
             .map(|e| e.attr("C_NAME").unwrap())
             .collect();
         assert_eq!(under_1, vec!["a", "b"]);
-    }
-
-    #[test]
-    fn children_follow_logical_parent() {
-        let mut dir = schema_t();
-        dir.add_entry(Entry {
-            dn: dewey(&[1]),
-            parent: None,
-            object_class: "CUSTOMER_T".into(),
-            attributes: vec![("C_NAME".into(), "a".into())],
-        })
-        .unwrap();
-        // Order_Service entry whose *logical* parent skips a level.
-        dir.add_entry(Entry {
-            dn: dewey(&[1, 4, 2]),
-            parent: Some(dewey(&[1])),
-            object_class: "ORDER_SERVICE_T".into(),
-            attributes: vec![("S_NAME".into(), "local".into())],
-        })
-        .unwrap();
-        let parent_dn = dewey(&[1]);
-        let kids: Vec<_> = dir.children_of(&parent_dn).collect();
-        assert_eq!(kids.len(), 1);
-        assert_eq!(kids[0].object_class, "ORDER_SERVICE_T");
     }
 
     #[test]

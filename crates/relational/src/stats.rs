@@ -58,18 +58,6 @@ impl Counters {
             bytes_out: self.bytes_out.saturating_sub(before.bytes_out),
         }
     }
-
-    /// A scalar "work units" summary: the weighted sum the default cost
-    /// model uses. Row handling dominates; comparisons and probes are
-    /// cheaper per unit.
-    pub fn work_units(&self) -> u64 {
-        self.rows_read
-            + 2 * self.rows_out
-            + 4 * self.rows_written
-            + self.comparisons / 4
-            + self.hash_probes / 2
-            + 2 * self.index_inserts
-    }
 }
 
 impl fmt::Display for Counters {
@@ -107,20 +95,6 @@ mod tests {
         let before = a;
         a.merge(&b);
         assert_eq!(a.delta(&before), b);
-    }
-
-    #[test]
-    fn work_units_monotone() {
-        let small = Counters {
-            rows_read: 10,
-            ..Default::default()
-        };
-        let big = Counters {
-            rows_read: 10,
-            rows_written: 10,
-            ..Default::default()
-        };
-        assert!(big.work_units() > small.work_units());
     }
 
     #[test]

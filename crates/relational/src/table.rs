@@ -113,8 +113,8 @@ impl Table {
         self.staged.len()
     }
 
-    /// Builds an index on `column`.
-    pub fn build_index(&mut self, column: usize, counters: &mut Counters) -> Result<()> {
+    /// Builds an index on `column`, for [`Table::build_key_indexes`].
+    fn build_index(&mut self, column: usize, counters: &mut Counters) -> Result<()> {
         if column >= self.data.schema.arity() {
             return Err(Error::UnknownColumn {
                 name: format!("#{column}"),

@@ -18,10 +18,10 @@
 //! stays optimistic: shedding on a guess would be worse than learning
 //! from one slow session.
 
-use crate::sync::lock;
 use std::collections::VecDeque;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
+use xdx_sync::lock;
 
 /// EWMA smoothing factor for the service-time signal.
 const ALPHA: f64 = 0.2;

@@ -9,9 +9,9 @@
 //! past their deadline say nothing about link health and leave the
 //! breaker untouched.
 
-use crate::sync::lock;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
+use xdx_sync::lock;
 
 /// A state transition worth logging.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

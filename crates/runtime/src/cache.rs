@@ -32,7 +32,6 @@
 //! the next round diffs its own source against it and computes only the
 //! instances that changed.
 
-use crate::sync::lock;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -41,6 +40,7 @@ use xdx_core::{
 };
 use xdx_relational::sum::{mix_word, SUM_BASIS};
 use xdx_relational::{Database, Feed, FeedSchema, RowsId};
+use xdx_sync::lock;
 use xdx_xml::SchemaTree;
 
 /// The two-part cache key of an exchange.

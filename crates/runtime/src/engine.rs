@@ -38,13 +38,13 @@ use crate::events::{EventKind, EventLog};
 use crate::ledger::{Filed, ReassemblyLedger};
 use crate::registry::LinkSlot;
 use crate::session::SessionShared;
-use crate::sync::lock;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xdx_net::{frame_chunk_into, ChunkView, Delivery};
+use xdx_sync::lock;
 use xdx_trace::{SpanId, TraceSink};
 
 /// Retry/chunking policy of the shipping layer.

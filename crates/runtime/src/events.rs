@@ -14,11 +14,11 @@
 //! offline ([`EventLog::to_jsonl`]).
 
 use crate::session::SessionId;
-use crate::sync::lock;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
+use xdx_sync::lock;
 use xdx_trace::{json_escape, SpanId};
 
 /// What happened.

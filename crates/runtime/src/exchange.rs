@@ -29,7 +29,6 @@ use crate::registry::LinkSlot;
 use crate::runtime::{Checkpoint, Inner};
 use crate::session::{ExchangeRequest, SessionId, SessionMetrics, SessionShared, SessionState};
 use crate::stats::location_name;
-use crate::sync::lock;
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
 use std::sync::atomic::{AtomicI64, Ordering};
@@ -45,6 +44,7 @@ use xdx_core::{full_ship_wins, WireFormat};
 use xdx_delta::{db_tables, diff_ranges, diff_snapshots, Snapshot};
 use xdx_net::http::{soap_post_bytes, RequestRef};
 use xdx_relational::{stage_patch, Counters, Database, DeltaPatch, Feed};
+use xdx_sync::lock;
 use xdx_trace::{SpanId, NO_SPAN};
 
 /// The distributed trace id a session's spans stitch under: the

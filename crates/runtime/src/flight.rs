@@ -11,12 +11,12 @@
 //! instead of the aggregate state after it.
 
 use crate::events::EventLog;
-use crate::sync::lock;
 use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+use xdx_sync::lock;
 use xdx_trace::json_escape;
 
 /// Shed decisions within [`SHED_SPIKE_WINDOW`] that count as a spike.

@@ -42,11 +42,11 @@
 //! overload soak forbids.
 
 use crate::session::SessionId;
-use crate::sync::lock;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use xdx_net::ChunkView;
+use xdx_sync::lock;
 
 /// Number of independent lock shards; sessions hash to shards by id.
 const SHARDS: usize = 16;

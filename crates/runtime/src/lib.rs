@@ -80,7 +80,6 @@ pub mod registry;
 pub mod runtime;
 pub mod session;
 pub mod stats;
-mod sync;
 
 pub use breaker::{BreakerTransition, CircuitBreaker};
 pub use cache::{plan_key, CachedPlan, PlanCache, PlanKey, ProbeMemo};

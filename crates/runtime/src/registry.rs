@@ -12,13 +12,13 @@
 //! sessions still contend realistically on their shared link.
 
 use crate::breaker::CircuitBreaker;
-use crate::sync::lock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use xdx_core::WireFormat;
 use xdx_net::{FaultProfile, Link, NetworkProfile};
+use xdx_sync::lock;
 
 fn format_to_u8(format: WireFormat) -> u8 {
     match format {

@@ -43,7 +43,6 @@ use crate::session::{
     ExchangeRequest, PublishRequest, SessionHandle, SessionId, SessionMetrics, SessionResult,
     SessionShared, SessionState,
 };
-use crate::sync::{lock, wait, wait_timeout};
 use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -54,6 +53,7 @@ use xdx_core::{DataExchange, SchemaStats, WireFormat};
 use xdx_delta::{db_tables, Snapshot, SnapshotStore};
 use xdx_net::FaultProfile;
 use xdx_relational::{Counters, Database};
+use xdx_sync::{lock, wait, wait_timeout};
 use xdx_trace::{
     CalibrationReport, CalibrationTracker, Histogram, MetricsRegistry, SpanId, TraceSink, NO_SPAN,
 };

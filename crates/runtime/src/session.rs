@@ -7,12 +7,12 @@
 //! the runtime and the submitting thread share a `SessionShared` cell
 //! guarded by a mutex + condvar.
 
-use crate::sync::{lock, wait};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use xdx_core::{Fragmentation, Optimizer, SystemProfile, WireFormat};
 use xdx_relational::{Counters, Database};
+use xdx_sync::{lock, wait};
 
 /// Default source endpoint of a request's route.
 pub const DEFAULT_SOURCE_ENDPOINT: &str = "source";

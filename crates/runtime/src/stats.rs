@@ -12,11 +12,11 @@ use crate::introspect::IntrospectReply;
 use crate::registry::LinkStats;
 use crate::runtime::Inner;
 use crate::session::SessionMetrics;
-use crate::sync::lock;
 use std::fmt::Write as _;
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 use xdx_core::Location;
+use xdx_sync::lock;
 use xdx_trace::{json_escape, HistogramSnapshot, MetricsRegistry};
 
 /// How far the earliest parked exchange's deadline may run overdue

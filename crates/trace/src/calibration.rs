@@ -16,6 +16,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Mutex;
+use xdx_sync::lock;
 
 use crate::json_escape;
 
@@ -171,7 +172,7 @@ impl CalibrationTracker {
         predicted: f64,
         observed_ns: u64,
     ) {
-        let mut s = self.state.lock().unwrap();
+        let mut s = lock(&self.state);
         let cell = s
             .ops
             .entry((op.to_string(), location.to_string(), format.to_string()))
@@ -189,7 +190,7 @@ impl CalibrationTracker {
         observed_bytes: u64,
         observed_ns: u64,
     ) {
-        let mut s = self.state.lock().unwrap();
+        let mut s = lock(&self.state);
         let cell = s.comm.entry(format.to_string()).or_default();
         cell.predicted_bytes += predicted_bytes;
         cell.observed_bytes += observed_bytes;
@@ -198,7 +199,7 @@ impl CalibrationTracker {
     }
 
     pub fn report(&self) -> CalibrationReport {
-        let s = self.state.lock().unwrap();
+        let s = lock(&self.state);
         let total_predicted: f64 = s.ops.values().map(|c| c.predicted).sum();
         let total_observed: u64 = s.ops.values().map(|c| c.observed_ns).sum();
         let global = if total_predicted > 0.0 {
@@ -287,5 +288,27 @@ mod tests {
         let r = t.report();
         assert_eq!(r.comm.len(), 1);
         assert!((r.comm[0].bytes_ratio - 0.4).abs() < 1e-9);
+    }
+
+    /// A panic while the tracker is locked loses no cell: the report
+    /// reads what was recorded before and after it.
+    #[test]
+    fn a_poisoned_tracker_still_records_and_reports() {
+        let t = CalibrationTracker::new();
+        t.record_op("Scan", "source", "xml", 100.0, 10_000);
+        std::thread::scope(|s| {
+            let poisoner = s.spawn(|| {
+                let _held = lock(&t.state);
+                panic!("a panic while the tracker is locked");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(t.state.is_poisoned());
+        t.record_op("Scan", "source", "xml", 100.0, 30_000);
+        t.record_comm("columnar", 1_000, 400, 5_000);
+        let r = t.report();
+        assert_eq!(r.ops.len(), 1);
+        assert_eq!((r.ops[0].samples, r.ops[0].observed_ns), (2, 40_000));
+        assert_eq!(r.comm.len(), 1);
     }
 }

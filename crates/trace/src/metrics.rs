@@ -11,6 +11,7 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use xdx_sync::lock;
 
 /// Sub-bucket precision bits. 2^5 = 32 sub-buckets per octave.
 const PRECISION: u32 = 5;
@@ -243,10 +244,6 @@ impl HistogramSnapshot {
 pub struct Counter(AtomicU64);
 
 impl Counter {
-    pub fn inc(&self) {
-        self.0.fetch_add(1, Ordering::Relaxed);
-    }
-
     pub fn add(&self, n: u64) {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
@@ -299,7 +296,7 @@ impl MetricsRegistry {
     }
 
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut m = self.metrics.lock().unwrap();
+        let mut m = lock(&self.metrics);
         match m
             .entry(name.to_string())
             .or_insert_with(|| Metric::Counter(Arc::new(Counter::default())))
@@ -310,7 +307,7 @@ impl MetricsRegistry {
     }
 
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut m = self.metrics.lock().unwrap();
+        let mut m = lock(&self.metrics);
         match m
             .entry(name.to_string())
             .or_insert_with(|| Metric::Gauge(Arc::new(Gauge::default())))
@@ -321,7 +318,7 @@ impl MetricsRegistry {
     }
 
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut m = self.metrics.lock().unwrap();
+        let mut m = lock(&self.metrics);
         match m
             .entry(name.to_string())
             .or_insert_with(|| Metric::Histogram(Arc::new(Histogram::new())))
@@ -333,7 +330,7 @@ impl MetricsRegistry {
 
     /// Render every registered metric as Prometheus text exposition.
     pub fn render(&self) -> String {
-        let m = self.metrics.lock().unwrap();
+        let m = lock(&self.metrics);
         let mut out = String::new();
         let mut typed: BTreeMap<&str, &str> = BTreeMap::new();
         for (name, metric) in m.iter() {
@@ -484,7 +481,22 @@ mod tests {
         let reg = MetricsRegistry::new();
         let a = reg.counter("c");
         let b = reg.counter("c");
-        a.inc();
+        a.add(1);
         assert_eq!(b.get(), 1);
+    }
+
+    /// Asking for a name under a second kind is a caller's bug and
+    /// panics, but it leaves the registry working: the next scrape
+    /// renders and the next name registers.
+    #[test]
+    fn a_kind_clash_leaves_the_registry_working() {
+        let reg = MetricsRegistry::new();
+        reg.gauge("x").set(1.5);
+        let clash = std::panic::catch_unwind(|| reg.counter("x"));
+        assert!(clash.is_err());
+        reg.counter("y").add(2);
+        let text = reg.render();
+        assert!(text.contains("x 1.5"), "{text}");
+        assert!(text.contains("y 2"), "{text}");
     }
 }

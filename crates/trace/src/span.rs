@@ -19,6 +19,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
+use xdx_sync::lock;
 
 use crate::json_escape;
 
@@ -133,7 +134,7 @@ impl TraceSink {
             dur_ns: dur.as_nanos() as u64,
             detail,
         };
-        let mut ring = self.ring.lock().unwrap();
+        let mut ring = lock(&self.ring);
         if ring.len() >= self.capacity {
             ring.pop_front();
             self.dropped.fetch_add(1, Ordering::Relaxed);
@@ -162,7 +163,7 @@ impl TraceSink {
     }
 
     pub fn len(&self) -> usize {
-        self.ring.lock().unwrap().len()
+        lock(&self.ring).len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -170,7 +171,7 @@ impl TraceSink {
     }
 
     pub fn snapshot(&self) -> Vec<SpanRecord> {
-        self.ring.lock().unwrap().iter().cloned().collect()
+        lock(&self.ring).iter().cloned().collect()
     }
 
     /// Export every live span as one chrome://tracing complete event
@@ -289,5 +290,26 @@ mod tests {
         assert!(jsonl.contains("\\\"b"));
         assert!(jsonl.contains("d\\\\e"));
         assert!(jsonl.contains("\"ph\":\"X\""));
+    }
+
+    /// A panic while the ring is locked ends that span's thread, not
+    /// the sink: the spans recorded before and after it stay readable.
+    #[test]
+    fn a_poisoned_ring_still_records_and_reads() {
+        let sink = TraceSink::new(true, 4);
+        let t = Instant::now();
+        sink.record("before", 1, NO_SPAN, t, Duration::ZERO, String::new());
+        std::thread::scope(|s| {
+            let poisoner = s.spawn(|| {
+                let _held = lock(&sink.ring);
+                panic!("a panic while the ring is locked");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(sink.ring.is_poisoned());
+        sink.record("after", 2, NO_SPAN, t, Duration::ZERO, String::new());
+        let names: Vec<_> = sink.snapshot().iter().map(|s| s.name).collect();
+        assert_eq!(names, ["before", "after"]);
+        assert_eq!(sink.len(), 2);
     }
 }

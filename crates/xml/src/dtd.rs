@@ -133,41 +133,6 @@ impl Dtd {
         }
         Ok(tree)
     }
-
-    /// Attribute declarations for `element`.
-    pub fn attrs_of(&self, element: &str) -> Vec<&AttrDecl> {
-        self.attributes
-            .iter()
-            .filter(|a| a.element == element)
-            .collect()
-    }
-
-    /// Serializes back to DTD text (normalized form).
-    pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        for e in &self.elements {
-            if e.is_leaf {
-                out.push_str(&format!("<!ELEMENT {} (#PCDATA)>\n", e.name));
-            } else {
-                let items: Vec<String> = e
-                    .children
-                    .iter()
-                    .map(|(n, o)| format!("{}{}", n, o.dtd_suffix()))
-                    .collect();
-                out.push_str(&format!("<!ELEMENT {} ({})>\n", e.name, items.join(", ")));
-            }
-        }
-        for a in &self.attributes {
-            out.push_str(&format!(
-                "<!ATTLIST {} {} {} {}>\n",
-                a.element,
-                a.name,
-                a.ty,
-                if a.required { "#REQUIRED" } else { "#IMPLIED" }
-            ));
-        }
-        out
-    }
 }
 
 fn truncate(s: &str, n: usize) -> &str {
@@ -394,7 +359,11 @@ mod tests {
     #[test]
     fn attlist_parsed() {
         let dtd = Dtd::parse(FIG7_SNIPPET).unwrap();
-        let item_attrs = dtd.attrs_of("item");
+        let item_attrs: Vec<_> = dtd
+            .attributes
+            .iter()
+            .filter(|a| a.element == "item")
+            .collect();
         assert_eq!(item_attrs.len(), 2);
         assert!(item_attrs[0].required);
         assert_eq!(item_attrs[1].name, "featured");
@@ -453,15 +422,6 @@ mod tests {
     fn cycle_rejected() {
         let dtd = Dtd::parse("<!ELEMENT a (b)><!ELEMENT b (a)>").unwrap();
         assert!(dtd.to_schema_tree("a").is_err());
-    }
-
-    #[test]
-    fn roundtrip_text() {
-        let dtd = Dtd::parse("<!ELEMENT a (b?, c*)><!ELEMENT b (#PCDATA)><!ELEMENT c (#PCDATA)>")
-            .unwrap();
-        let text = dtd.to_text();
-        let again = Dtd::parse(&text).unwrap();
-        assert_eq!(again.elements, dtd.elements);
     }
 
     #[test]

@@ -163,17 +163,6 @@ pub fn position_of(src: &str, offset: usize) -> Position {
     Position { line, column }
 }
 
-impl Error {
-    /// Renders the error with a line/column position resolved against the
-    /// source it came from — what a CLI shows its user.
-    pub fn display_in(&self, src: &str) -> String {
-        match self.offset() {
-            Some(off) => format!("{} ({})", self, position_of(src, off)),
-            None => self.to_string(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,14 +185,6 @@ mod tests {
         assert_eq!(position_of(src, 6), Position { line: 2, column: 1 });
         assert_eq!(position_of(src, 13), Position { line: 2, column: 8 });
         assert_eq!(position_of(src, 9999), Position { line: 3, column: 6 });
-    }
-
-    #[test]
-    fn display_in_attaches_position() {
-        let src = "<a>\n  <b oops</a>";
-        let err = crate::parser::parse_events(src).unwrap_err();
-        let rendered = err.display_in(src);
-        assert!(rendered.contains("line 2"), "{rendered}");
     }
 
     #[test]
